@@ -7,7 +7,7 @@
 GO ?= go
 RACE_PKGS := ./internal/tsdb/... ./internal/api/... ./internal/lb/... ./internal/scrape/... ./internal/thanos/... ./internal/workpool/... ./internal/cluster/... ./internal/promql/... ./internal/promapi/... ./internal/querycache/... ./internal/remotewrite/... ./internal/telemetry/...
 
-.PHONY: build test race wal-recovery querycache cluster-chaos remote-write telemetry blocks bench bench-querycache bench-smoke benchdiff ci-sync-check lint ci
+.PHONY: build test race wal-recovery querycache cluster-chaos remote-write telemetry blocks head-index fuzz-smoke bench bench-querycache bench-smoke benchdiff ci-sync-check lint ci
 
 build:
 	$(GO) build ./...
@@ -57,6 +57,19 @@ telemetry:
 blocks:
 	$(GO) test -race -count=2 -run 'Block|Compact|Downsample' ./internal/tsdb/ ./internal/thanos/
 
+# Head index harness (docs/ARCHITECTURE.md, "Head index"): the postings
+# property test — random matchers against a brute-force oracle, interleaved
+# with creates, deletes and truncates at 1 and 16 shards while another
+# goroutine appends — plus the select allocation bound; randomized, so two
+# passes, under race.
+head-index:
+	$(GO) test -race -count=2 -run 'Posting|HeadSelect' ./internal/tsdb/
+
+# Ten seconds of coverage-guided fuzzing over the chunk decoder: arbitrary
+# bytes must end in an error or the declared sample count, never a panic.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz FuzzChunkIterator -fuzztime 10s ./internal/tsdb/chunkenc/
+
 # Real measurements for BENCH_querycache.json (slow).
 bench-querycache:
 	$(GO) test -run '^$$' -bench QueryCache -benchmem -benchtime=2s ./internal/querycache/
@@ -88,5 +101,5 @@ lint:
 		echo "gofmt needed on:"; echo "$$fmtout"; exit 1; \
 	fi
 
-ci: build lint ci-sync-check test race wal-recovery querycache cluster-chaos remote-write telemetry blocks bench-smoke
+ci: build lint ci-sync-check test race wal-recovery querycache cluster-chaos remote-write telemetry blocks head-index fuzz-smoke bench-smoke
 	@echo "ci: all green"

@@ -333,6 +333,7 @@ type Matcher struct {
 	Name  string
 	Value string
 	re    *regexp.Regexp
+	alts  []string // the literal alternatives of a metacharacter-free regexp
 }
 
 // NewMatcher builds a matcher; regexp values are anchored (^...$) as in
@@ -345,6 +346,9 @@ func NewMatcher(t MatchType, name, value string) (*Matcher, error) {
 			return nil, fmt.Errorf("labels: bad matcher regexp %q: %w", value, err)
 		}
 		m.re = re
+		if t == MatchRegexp && !strings.ContainsAny(value, `\.+*?()[]{}^$`) {
+			m.alts = strings.Split(value, "|")
+		}
 	}
 	return m, nil
 }
@@ -372,6 +376,13 @@ func (m *Matcher) Matches(v string) bool {
 	}
 	return false
 }
+
+// SetMatches returns the exact set of values a regexp matcher accepts when
+// its pattern is a plain alternation of literals ("a|b|c" — what a
+// multi-value dashboard variable expands to), so an index can look the
+// values up instead of testing every value it holds. It returns nil for any
+// other pattern.
+func (m *Matcher) SetMatches() []string { return m.alts }
 
 func (m *Matcher) String() string {
 	return fmt.Sprintf("%s%s%q", m.Name, m.Type, m.Value)

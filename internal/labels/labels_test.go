@@ -1,6 +1,7 @@
 package labels
 
 import (
+	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -223,5 +224,39 @@ func TestCopyIndependent(t *testing.T) {
 	c[0].Value = "mutated"
 	if a.Get("a") != "1" {
 		t.Error("Copy shares backing array")
+	}
+}
+
+func TestSetMatches(t *testing.T) {
+	for _, tc := range []struct {
+		typ   MatchType
+		value string
+		want  []string
+	}{
+		{MatchRegexp, "a|b|c", []string{"a", "b", "c"}},
+		{MatchRegexp, "job-17", []string{"job-17"}},
+		{MatchRegexp, "a|", []string{"a", ""}},
+		{MatchRegexp, "a.*", nil},
+		{MatchRegexp, "a|b.c", nil},
+		{MatchRegexp, "(a|b)", nil},
+		{MatchRegexp, `a\|b`, nil},
+		{MatchNotRegexp, "a|b", nil},
+		{MatchEqual, "a|b", nil},
+	} {
+		m := MustMatcher(tc.typ, "l", tc.value)
+		got := m.SetMatches()
+		if !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%s: SetMatches = %q, want %q", m, got, tc.want)
+		}
+		// The set, when given, is exactly what the regexp accepts.
+		for _, v := range append([]string{"", "a", "b", "c", "ab", "job-17", "a|b"}, got...) {
+			inSet := false
+			for _, g := range got {
+				inSet = inSet || g == v
+			}
+			if got != nil && inSet != m.Matches(v) {
+				t.Errorf("%s: SetMatches %q disagrees with Matches(%q) = %v", m, got, v, m.Matches(v))
+			}
+		}
 	}
 }

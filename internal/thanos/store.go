@@ -379,24 +379,8 @@ func (s *Store) selectLimited(p selParams, ms []*labels.Matcher) ([]model.Series
 	var (
 		covered []span
 		copied  int64
-		merged  = map[uint64]*model.Series{}
-		order   []uint64
+		merged  = newSeriesMerger()
 	)
-	add := func(list []model.Series) {
-		for _, sr := range list {
-			copied += int64(len(sr.Samples))
-			h := sr.Labels.Hash()
-			acc, ok := merged[h]
-			if !ok {
-				cp := sr
-				cp.Samples = append([]model.Sample(nil), sr.Samples...)
-				merged[h] = &cp
-				order = append(order, h)
-				continue
-			}
-			acc.Samples = append(acc.Samples, sr.Samples...)
-		}
-	}
 	for _, res := range resOrder {
 		gmax := p.maxt
 		aggr := p.aggr
@@ -454,7 +438,10 @@ func (s *Store) selectLimited(p selParams, ms []*labels.Matcher) ([]model.Series
 					if err != nil {
 						return nil, err
 					}
-					add(bs)
+					for _, sr := range bs {
+						copied += int64(len(sr.Samples))
+					}
+					merged.add(bs)
 				}
 			}
 		}
@@ -465,24 +452,7 @@ func (s *Store) selectLimited(p selParams, ms []*labels.Matcher) ([]model.Series
 	if p.limit > 0 && copied > p.limit {
 		return nil, model.ErrSampleLimit
 	}
-	out := make([]model.Series, 0, len(order))
-	for _, h := range order {
-		sr := merged[h]
-		sort.Slice(sr.Samples, func(i, j int) bool { return sr.Samples[i].T < sr.Samples[j].T })
-		dedup := sr.Samples[:0]
-		var lastT int64 = -1 << 62
-		for _, smp := range sr.Samples {
-			if smp.T == lastT {
-				continue
-			}
-			dedup = append(dedup, smp)
-			lastT = smp.T
-		}
-		sr.Samples = dedup
-		out = append(out, *sr)
-	}
-	sort.Slice(out, func(i, j int) bool { return labels.Compare(out[i].Labels, out[j].Labels) < 0 })
-	return out, nil
+	return merged.result(), nil
 }
 
 func minInt64(a, b int64) int64 {

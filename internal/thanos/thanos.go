@@ -15,7 +15,6 @@
 package thanos
 
 import (
-	"sort"
 	"sync"
 	"time"
 
@@ -132,40 +131,12 @@ func (q *Querier) SelectWithHints(hints model.SelectHints, ms ...*labels.Matcher
 	if hotErr != nil {
 		return nil, hotErr
 	}
-	merged := map[uint64]*model.Series{}
-	var order []uint64
-	add := func(list []model.Series) {
-		for _, sr := range list {
-			h := sr.Labels.Hash()
-			acc, ok := merged[h]
-			if !ok {
-				cp := sr
-				cp.Samples = append([]model.Sample(nil), sr.Samples...)
-				merged[h] = &cp
-				order = append(order, h)
-				continue
-			}
-			acc.Samples = append(acc.Samples, sr.Samples...)
-		}
+	if len(cold) == 0 {
+		// Nothing to merge: the hot result is already sorted and owned by us.
+		return hot, nil
 	}
-	add(cold)
-	add(hot)
-	out := make([]model.Series, 0, len(order))
-	for _, h := range order {
-		sr := merged[h]
-		sort.Slice(sr.Samples, func(i, j int) bool { return sr.Samples[i].T < sr.Samples[j].T })
-		dedup := sr.Samples[:0]
-		var lastT int64 = -1 << 62
-		for _, smp := range sr.Samples {
-			if smp.T == lastT {
-				continue
-			}
-			dedup = append(dedup, smp)
-			lastT = smp.T
-		}
-		sr.Samples = dedup
-		out = append(out, *sr)
-	}
-	sort.Slice(out, func(i, j int) bool { return labels.Compare(out[i].Labels, out[j].Labels) < 0 })
-	return out, nil
+	m := newSeriesMerger()
+	m.add(cold)
+	m.add(hot)
+	return m.result(), nil
 }

@@ -155,7 +155,7 @@ func bitRange(x int64, nbits uint8) bool {
 
 // Iterator iterates the samples of a chunk.
 type Iterator struct {
-	br       breader
+	br       BitReader
 	numTotal uint16
 	numRead  uint16
 	t        int64
@@ -166,12 +166,11 @@ type Iterator struct {
 	err      error
 }
 
-// Iterator returns a fresh iterator positioned before the first sample.
+// Iterator returns a fresh iterator positioned before the first sample. It
+// inlines, so an iterator that does not outlive its caller stays on the
+// stack.
 func (c *Chunk) Iterator() *Iterator {
-	return &Iterator{
-		br:       breader{stream: c.b.stream},
-		numTotal: c.num,
-	}
+	return &Iterator{br: BitReader{stream: c.b.stream}, numTotal: c.num}
 }
 
 // Next advances to the next sample, returning false at the end or on error.
@@ -179,134 +178,35 @@ func (it *Iterator) Next() bool {
 	if it.err != nil || it.numRead == it.numTotal {
 		return false
 	}
-	if it.numRead == 0 {
-		t, err := it.br.readVarint()
-		if err != nil {
-			it.err = err
+	switch it.numRead {
+	case 0:
+		// First sample: varint timestamp + raw value.
+		if it.t, it.err = it.br.ReadVarint(); it.err != nil {
 			return false
 		}
-		v, err := it.br.readBits(64)
-		if err != nil {
-			it.err = err
+		var vb uint64
+		if vb, it.err = it.br.ReadBits(64); it.err != nil {
 			return false
 		}
-		it.t = t
-		it.v = math.Float64frombits(v)
+		it.v = math.Float64frombits(vb)
 		it.numRead++
 		return true
-	}
-	if it.numRead == 1 {
-		tDelta, err := it.br.readUvarint()
-		if err != nil {
-			it.err = err
+	case 1:
+		if it.tDelta, it.err = it.br.ReadUvarint(); it.err != nil {
 			return false
 		}
-		it.tDelta = tDelta
-		it.t += int64(tDelta)
-		if !it.readValue() {
-			return false
-		}
-		it.numRead++
-		return true
-	}
-	// Delta-of-delta.
-	var d byte
-	for i := 0; i < 4; i++ {
-		bit, err := it.br.readBit()
-		if err != nil {
-			it.err = err
-			return false
-		}
-		if !bit {
-			break
-		}
-		d |= 1 << (3 - i)
-		if i == 3 {
-			break
-		}
-	}
-	var sz uint8
-	var dod int64
-	switch d {
-	case 0b0000:
-		// dod = 0
-	case 0b1000:
-		sz = 14
-	case 0b1100:
-		sz = 17
-	case 0b1110:
-		sz = 20
-	case 0b1111:
-		b, err := it.br.readBits(64)
-		if err != nil {
-			it.err = err
-			return false
-		}
-		dod = int64(b)
 	default:
-		it.err = fmt.Errorf("chunkenc: invalid dod prefix %04b", d)
-		return false
-	}
-	if sz != 0 {
-		b, err := it.br.readBits(int(sz))
-		if err != nil {
-			it.err = err
+		var dod int64
+		if dod, it.err = it.br.ReadDOD(); it.err != nil {
 			return false
 		}
-		// Sign-extend.
-		if b > (1 << (sz - 1)) {
-			b -= 1 << sz
-		}
-		dod = int64(b)
+		it.tDelta = uint64(int64(it.tDelta) + dod)
 	}
-	it.tDelta = uint64(int64(it.tDelta) + dod)
 	it.t += int64(it.tDelta)
-	if !it.readValue() {
+	if it.v, it.err = it.br.ReadXOR(it.v, &it.leading, &it.trailing); it.err != nil {
 		return false
 	}
 	it.numRead++
-	return true
-}
-
-func (it *Iterator) readValue() bool {
-	bit, err := it.br.readBit()
-	if err != nil {
-		it.err = err
-		return false
-	}
-	if !bit {
-		return true // value unchanged
-	}
-	bit, err = it.br.readBit()
-	if err != nil {
-		it.err = err
-		return false
-	}
-	if bit {
-		l, err := it.br.readBits(5)
-		if err != nil {
-			it.err = err
-			return false
-		}
-		s, err := it.br.readBits(6)
-		if err != nil {
-			it.err = err
-			return false
-		}
-		it.leading = uint8(l)
-		if s == 0 {
-			s = 64
-		}
-		it.trailing = 64 - uint8(l) - uint8(s)
-	}
-	sigbits := 64 - int(it.leading) - int(it.trailing)
-	b, err := it.br.readBits(sigbits)
-	if err != nil {
-		it.err = err
-		return false
-	}
-	vbits := math.Float64bits(it.v) ^ (b << it.trailing)
-	it.v = math.Float64frombits(vbits)
 	return true
 }
 
@@ -358,100 +258,5 @@ func (b *bstream) writeBits(u uint64, nbits int) {
 		b.writeBit((u >> 63) == 1)
 		u <<= 1
 		nbits--
-	}
-}
-
-// breader reads a bit stream.
-type breader struct {
-	stream []byte
-	off    int   // byte offset
-	count  uint8 // bits already consumed in stream[off]
-}
-
-var errEOS = errors.New("chunkenc: end of stream")
-
-func (r *breader) readBit() (bool, error) {
-	if r.off >= len(r.stream) {
-		return false, errEOS
-	}
-	bit := (r.stream[r.off]>>(7-r.count))&1 == 1
-	r.count++
-	if r.count == 8 {
-		r.count = 0
-		r.off++
-	}
-	return bit, nil
-}
-
-func (r *breader) readByte() (byte, error) {
-	if r.off >= len(r.stream) {
-		return 0, errEOS
-	}
-	if r.count == 0 {
-		b := r.stream[r.off]
-		r.off++
-		return b, nil
-	}
-	if r.off+1 >= len(r.stream) {
-		return 0, errEOS
-	}
-	b := r.stream[r.off] << r.count
-	r.off++
-	b |= r.stream[r.off] >> (8 - r.count)
-	return b, nil
-}
-
-func (r *breader) readBits(nbits int) (uint64, error) {
-	var u uint64
-	for nbits >= 8 {
-		b, err := r.readByte()
-		if err != nil {
-			return 0, err
-		}
-		u = u<<8 | uint64(b)
-		nbits -= 8
-	}
-	for nbits > 0 {
-		bit, err := r.readBit()
-		if err != nil {
-			return 0, err
-		}
-		u <<= 1
-		if bit {
-			u |= 1
-		}
-		nbits--
-	}
-	return u, nil
-}
-
-func (r *breader) readVarint() (int64, error) {
-	ux, err := r.readUvarint()
-	if err != nil {
-		return 0, err
-	}
-	x := int64(ux >> 1)
-	if ux&1 != 0 {
-		x = ^x
-	}
-	return x, nil
-}
-
-func (r *breader) readUvarint() (uint64, error) {
-	var x uint64
-	var s uint
-	for i := 0; ; i++ {
-		b, err := r.readByte()
-		if err != nil {
-			return 0, err
-		}
-		if b < 0x80 {
-			if i == 9 && b > 1 {
-				return 0, errors.New("chunkenc: uvarint overflow")
-			}
-			return x | uint64(b)<<s, nil
-		}
-		x |= uint64(b&0x7f) << s
-		s += 7
 	}
 }

@@ -1,0 +1,364 @@
+package tsdb
+
+import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"runtime"
+	"slices"
+	"sort"
+	"sync"
+	"testing"
+
+	"repro/internal/labels"
+	"repro/internal/model"
+)
+
+// The property test's vocabulary: a handful of label names with a small
+// value pool each, so matchers hit, miss and overlap. "absent" is never set
+// on any series; "bg" marks the concurrent appender's series, which the
+// oracle ignores.
+var (
+	postingsNames    = []string{"job", "uuid", "node", "class"}
+	postingsPatterns = []string{"v1|v2|v3", "v0|nope", "v4", "v.*", "v[0-2]", ".+", ".*", "", "v1|", "(v1|v2)?", "nope|nada"}
+)
+
+func randPostingsLabels(rng *rand.Rand) labels.Labels {
+	ss := []string{labels.MetricName, fmt.Sprintf("m%d", rng.Intn(4))}
+	for _, n := range postingsNames {
+		if rng.Intn(10) < 6 {
+			ss = append(ss, n, fmt.Sprintf("v%d", rng.Intn(6)))
+		}
+	}
+	return labels.FromStrings(ss...)
+}
+
+func randPostingsMatchers(rng *rand.Rand) []*labels.Matcher {
+	names := append([]string{labels.MetricName, "absent"}, postingsNames...)
+	ms := make([]*labels.Matcher, 1+rng.Intn(3))
+	for i := range ms {
+		name := names[rng.Intn(len(names))]
+		typ := labels.MatchType(rng.Intn(4))
+		var value string
+		switch {
+		case typ == labels.MatchRegexp || typ == labels.MatchNotRegexp:
+			value = postingsPatterns[rng.Intn(len(postingsPatterns))]
+			if name == labels.MetricName {
+				value = "m1|m2"
+			}
+		case rng.Intn(5) == 0:
+			value = "" // {name=""} / {name!=""}: label absent / present
+		case name == labels.MetricName:
+			value = fmt.Sprintf("m%d", rng.Intn(5))
+		default:
+			value = fmt.Sprintf("v%d", rng.Intn(7))
+		}
+		ms[i] = labels.MustMatcher(typ, name, value)
+	}
+	return ms
+}
+
+// checkPostingsInvariants asserts the shard's index is exactly the inverse
+// of its series: every list strictly ascending, holding only live refs that
+// carry the label, and every live series present in each of its lists.
+func checkPostingsInvariants(t *testing.T, sh *headShard) {
+	t.Helper()
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	entries := 0
+	for name, vm := range sh.postings {
+		if len(vm) == 0 {
+			t.Fatalf("postings[%q] is empty but present", name)
+		}
+		for value, list := range vm {
+			if len(list) == 0 {
+				t.Fatalf("postings[%q][%q] is empty but present", name, value)
+			}
+			entries += len(list)
+			for i, ref := range list {
+				if i > 0 && list[i-1] >= ref {
+					t.Fatalf("postings[%q][%q] not strictly ascending at %d: %v", name, value, i, list)
+				}
+				s, ok := sh.byRef[ref]
+				if !ok {
+					t.Fatalf("postings[%q][%q] holds dead ref %d", name, value, ref)
+				}
+				if s.lset.Get(name) != value {
+					t.Fatalf("postings[%q][%q] holds ref %d of %s", name, value, ref, s.lset)
+				}
+			}
+		}
+	}
+	want := 0
+	for ref, s := range sh.byRef {
+		want += len(s.lset)
+		for _, l := range s.lset {
+			if _, ok := slices.BinarySearch(sh.postings[l.Name][l.Value], ref); !ok {
+				t.Fatalf("series %s (ref %d) missing from postings[%q][%q]", s.lset, ref, l.Name, l.Value)
+			}
+		}
+		if sh.lookupLocked(s.lset.Hash(), s.lset) != s {
+			t.Fatalf("series %s (ref %d) missing from its collision chain", s.lset, ref)
+		}
+	}
+	if entries != want {
+		t.Fatalf("postings hold %d entries, live series carry %d labels", entries, want)
+	}
+}
+
+// selectedLabelSets runs the index select on every shard and returns the
+// sorted label-set strings, ignoring the background appender's series.
+func selectedLabelSets(db *DB, ms []*labels.Matcher) []string {
+	out := []string{}
+	for _, sh := range db.shards {
+		sh.mu.RLock()
+		for _, s := range sh.selectLocked(ms) {
+			if !s.lset.Has("bg") {
+				out = append(out, s.lset.String())
+			}
+		}
+		sh.mu.RUnlock()
+	}
+	sort.Strings(out)
+	return out
+}
+
+func withoutBackground(in []model.Series) []model.Series {
+	out := []model.Series{}
+	for _, sr := range in {
+		if !sr.Labels.Has("bg") {
+			out = append(out, sr)
+		}
+	}
+	return out
+}
+
+// TestPostingsProperty drives random creates, DeleteSeries and Truncate
+// against a 1-shard and a 16-shard head while another goroutine registers
+// and appends series of its own, and checks after every step that the index
+// select equals labels.MatchLabels over the live series (a brute-force
+// oracle kept beside the heads), that both heads answer identically, and
+// that the postings lists stay the exact sorted inverse of the series maps.
+func TestPostingsProperty(t *testing.T) {
+	for seed := int64(1); seed <= 6; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		// Two samples close a chunk, so Truncate can find a series with no
+		// open head chunk and actually remove it.
+		dbs := []*DB{MustOpen(Options{Shards: 1, MaxSamplesPerChunk: 2}), MustOpen(Options{Shards: 16, MaxSamplesPerChunk: 2})}
+
+		stop := make(chan struct{})
+		var bg sync.WaitGroup
+		bg.Add(1)
+		go func() {
+			defer bg.Done()
+			brng := rand.New(rand.NewSource(seed + 1000))
+			for ts := int64(1); ; ts++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				id := brng.Intn(500)
+				lset := labels.FromStrings(labels.MetricName, fmt.Sprintf("m%d", id%4), "bg", fmt.Sprint(id), "job", fmt.Sprintf("v%d", id%6))
+				for _, db := range dbs {
+					// Out-of-order after a delete/re-create race is fine here.
+					_ = db.Append(lset, ts, 1)
+				}
+			}
+		}()
+
+		// The oracle: label set -> (last timestamp, samples appended).
+		type liveSeries struct {
+			lset  labels.Labels
+			lastT int64
+			n     int
+		}
+		live := map[string]*liveSeries{}
+		now := int64(1000)
+		for step := 0; step < 400; step++ {
+			now += 10
+			switch op := rng.Intn(10); {
+			case op < 5:
+				lset := randPostingsLabels(rng)
+				ls := live[lset.String()]
+				if ls == nil {
+					ls = &liveSeries{lset: lset}
+					live[lset.String()] = ls
+				}
+				// One or two samples, so about half the series sit on a
+				// closed chunk and are Truncate's to remove.
+				for i := rng.Intn(2); i < 2; i++ {
+					now++
+					for _, db := range dbs {
+						if err := db.Append(lset, now, float64(step)); err != nil {
+							t.Fatalf("seed %d step %d: append %s: %v", seed, step, lset, err)
+						}
+					}
+					ls.lastT, ls.n = now, ls.n+1
+				}
+			case op == 5:
+				ms := randPostingsMatchers(rng)
+				want := 0
+				for k, ls := range live {
+					if labels.MatchLabels(ls.lset, ms...) {
+						delete(live, k)
+						want++
+					}
+				}
+				for _, db := range dbs {
+					if got := db.DeleteSeries(ms...); got < want {
+						t.Fatalf("seed %d step %d: DeleteSeries(%v) on %d shards = %d, oracle deleted %d", seed, step, ms, db.NumShards(), got, want)
+					}
+				}
+			case op == 6:
+				mint := now - int64(rng.Intn(400))
+				for k, ls := range live {
+					// Removed iff no open head chunk (even sample count at two
+					// per chunk) and silent since before mint.
+					if ls.n%2 == 0 && ls.lastT < mint {
+						delete(live, k)
+					}
+				}
+				for _, db := range dbs {
+					db.Truncate(mint)
+				}
+			}
+
+			ms := randPostingsMatchers(rng)
+			want := []string{}
+			for _, ls := range live {
+				if labels.MatchLabels(ls.lset, ms...) {
+					want = append(want, ls.lset.String())
+				}
+			}
+			sort.Strings(want)
+			var answers [][]model.Series
+			for _, db := range dbs {
+				if got := selectedLabelSets(db, ms); !reflect.DeepEqual(got, want) {
+					t.Fatalf("seed %d step %d: select %v on %d shards\n got %v\nwant %v", seed, step, ms, db.NumShards(), got, want)
+				}
+				res, err := db.Select(0, now, ms...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				answers = append(answers, withoutBackground(res))
+			}
+			if !reflect.DeepEqual(answers[0], answers[1]) {
+				t.Fatalf("seed %d step %d: Select(%v) differs between 1 and 16 shards\n 1: %v\n16: %v", seed, step, ms, answers[0], answers[1])
+			}
+			if len(answers[0]) != len(want) {
+				t.Fatalf("seed %d step %d: Select(%v) returned %d series, oracle has %d", seed, step, ms, len(answers[0]), len(want))
+			}
+			if step%20 == 0 {
+				for _, db := range dbs {
+					for _, sh := range db.shards {
+						checkPostingsInvariants(t, sh)
+					}
+				}
+			}
+		}
+		close(stop)
+		bg.Wait()
+		for _, db := range dbs {
+			for _, sh := range db.shards {
+				checkPostingsInvariants(t, sh)
+			}
+		}
+	}
+}
+
+func TestSeekPosting(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for n := 0; n < 70; n++ {
+		list := make([]uint64, n)
+		ref := uint64(0)
+		for i := range list {
+			ref += 1 + uint64(rng.Intn(3))
+			list[i] = ref
+		}
+		for want := uint64(0); want <= ref+2; want++ {
+			exp, _ := slices.BinarySearch(list, want)
+			if got := seekPosting(list, want); got != exp {
+				t.Fatalf("seekPosting(%v, %d) = %d, want %d", list, want, got, exp)
+			}
+		}
+	}
+}
+
+// headSelectFixture registers jobs×perJob series of one metric family (each
+// job its own uuid, alternating node classes) plus as many series of other
+// families, one sample each, on a single shard so list sizes are exact.
+func headSelectFixture(b testing.TB, jobs int) *DB {
+	b.Helper()
+	const perJob = 5
+	db := MustOpen(Options{Shards: 1})
+	app := db.Appender()
+	for j := 0; j < jobs; j++ {
+		for k := 0; k < perJob; k++ {
+			for _, name := range []string{"ceems_job_power_watts", "ceems_job_other"} {
+				app.Add(labels.FromStrings(labels.MetricName, name,
+					"uuid", fmt.Sprint(j), "core", fmt.Sprint(k),
+					"nodeclass", []string{"intel", "amd"}[j%2], "instance", fmt.Sprintf("n%d", j%1400)), 1000, 1)
+			}
+		}
+	}
+	if _, err := app.Commit(); err != nil {
+		b.Fatal(err)
+	}
+	return db
+}
+
+// BenchmarkHeadSelect measures the head's index select plus sample copy for
+// the matcher shapes the stack issues: a user's one-job panel, a recording
+// rule over a node class, a multi-value dashboard variable, and a selector
+// the index cannot narrow.
+func BenchmarkHeadSelect(b *testing.B) {
+	name := labels.MustMatcher(labels.MatchEqual, labels.MetricName, "ceems_job_power_watts")
+	shapes := []struct {
+		name string
+		ms   []*labels.Matcher
+	}{
+		{"one_job_of_50k", []*labels.Matcher{name, labels.MustMatcher(labels.MatchEqual, "uuid", "4242")}},
+		{"class_wide", []*labels.Matcher{name, labels.MustMatcher(labels.MatchEqual, "nodeclass", "intel")}},
+		{"alternation", []*labels.Matcher{name, labels.MustMatcher(labels.MatchRegexp, "uuid", "17|4242|9001")}},
+		{"negative_only", []*labels.Matcher{labels.MustMatcher(labels.MatchNotEqual, "nodeclass", "intel"), labels.MustMatcher(labels.MatchNotRegexp, "uuid", "1.*")}},
+	}
+	db := headSelectFixture(b, 10000) // 50k series in the queried family
+	for _, sh := range shapes {
+		b.Run(sh.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if res, err := db.Select(0, 2000, sh.ms...); err != nil || len(res) == 0 {
+					b.Fatalf("select: %d series, err %v", len(res), err)
+				}
+			}
+		})
+	}
+}
+
+// TestHeadSelectAllocsIndependentOfIndexSize pins the point of borrowed
+// postings: selecting one job allocates for the series it returns, however
+// long the other matchers' lists are.
+func TestHeadSelectAllocsIndependentOfIndexSize(t *testing.T) {
+	ms := []*labels.Matcher{
+		labels.MustMatcher(labels.MatchEqual, labels.MetricName, "ceems_job_power_watts"),
+		labels.MustMatcher(labels.MatchEqual, "uuid", "42"),
+	}
+	bytesPerSelect := func(jobs int) float64 {
+		db := headSelectFixture(t, jobs)
+		const runs = 200
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			if got, _ := db.Select(0, 2000, ms...); len(got) != 5 {
+				t.Fatalf("selected %d series, want 5", len(got))
+			}
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc-before.TotalAlloc) / runs
+	}
+	small, large := bytesPerSelect(100), bytesPerSelect(1000)
+	if large > small*1.1 {
+		t.Errorf("one-job select allocates %.0f B/op on a 10x larger shard, %.0f B/op on the small one", large, small)
+	}
+}

@@ -1,6 +1,7 @@
 package tsdb
 
 import (
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -18,8 +19,10 @@ type headShard struct {
 	series  map[uint64][]*memSeries // labels hash -> collision chain
 	byRef   map[uint64]*memSeries
 	nextRef uint64
-	// postings: label name -> value -> set of series refs (shard-local)
-	postings map[string]map[string]map[uint64]struct{}
+	// postings: label name -> value -> ascending shard-local series refs.
+	// Refs are handed out monotonically, so registering a series appends.
+	// A list is only ever read or rewritten under mu and never leaves it.
+	postings map[string]map[string][]uint64
 
 	// Time bounds and sample counter, updated off the lock path.
 	minTime  atomic.Int64 // smallest timestamp currently retained (approx)
@@ -35,7 +38,7 @@ func newHeadShard() *headShard {
 	sh := &headShard{
 		series:   make(map[uint64][]*memSeries),
 		byRef:    make(map[uint64]*memSeries),
-		postings: make(map[string]map[string]map[uint64]struct{}),
+		postings: make(map[string]map[string][]uint64),
 	}
 	sh.minTime.Store(int64(1) << 62)
 	sh.maxTime.Store(-(int64(1) << 62))
@@ -96,102 +99,133 @@ func (sh *headShard) getOrCreateLocked(hash uint64, lset labels.Labels) *memSeri
 	for _, l := range s.lset {
 		vm, ok := sh.postings[l.Name]
 		if !ok {
-			vm = make(map[string]map[uint64]struct{})
+			vm = make(map[string][]uint64)
 			sh.postings[l.Name] = vm
 		}
-		refs, ok := vm[l.Value]
-		if !ok {
-			refs = make(map[uint64]struct{})
-			vm[l.Value] = refs
-		}
-		refs[s.ref] = struct{}{}
+		vm[l.Value] = append(vm[l.Value], s.ref)
 	}
 	return s
 }
 
-// selectRefs computes the set of shard-local series refs satisfying all
-// matchers.
-func (sh *headShard) selectRefs(ms []*labels.Matcher) map[uint64]struct{} {
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-
-	var result map[uint64]struct{}
-	intersect := func(set map[uint64]struct{}) {
-		if result == nil {
-			result = set
-			return
-		}
-		for ref := range result {
-			if _, ok := set[ref]; !ok {
-				delete(result, ref)
-			}
-		}
-	}
-
-	// Equality and regex matchers shrink via postings; negative matchers
-	// are applied as a filter pass afterwards.
-	var filters []*labels.Matcher
-	positive := 0
+// selectLocked returns the shard's series satisfying all matchers, in ref
+// order. The caller holds sh.mu (either mode).
+//
+// Equality and regexp matchers that cannot match the empty string each
+// contribute one postings list, borrowed in place; the rest — negations, and
+// {name=""} or regexps matching "", which also match series lacking the
+// label — are filters applied to the survivors. The shortest list is walked
+// and each ref sought in the others by galloping from where the previous
+// seek ended, so a select costs at most the shortest list times the log of
+// the others, and only survivors are materialised.
+func (sh *headShard) selectLocked(ms []*labels.Matcher) []*memSeries {
+	var (
+		lists   [][]uint64
+		filters []*labels.Matcher
+	)
 	for _, m := range ms {
-		switch m.Type {
-		case labels.MatchEqual:
-			if m.Value == "" {
-				// {name=""} matches series missing the label entirely, so
-				// postings cannot serve it; filter instead.
-				filters = append(filters, m)
-				continue
-			}
-			positive++
-			set := make(map[uint64]struct{})
-			if vm, ok := sh.postings[m.Name]; ok {
-				for ref := range vm[m.Value] {
-					set[ref] = struct{}{}
-				}
-			}
-			intersect(set)
-		case labels.MatchRegexp:
-			// A regexp matching "" also matches series missing the label,
-			// so postings cannot serve it (e.g. the match-all CutBlock
-			// uses); filter instead of building a set we would discard.
-			if m.Matches("") {
-				filters = append(filters, m)
-				continue
-			}
-			positive++
-			set := make(map[uint64]struct{})
-			if vm, ok := sh.postings[m.Name]; ok {
-				for v, refs := range vm {
-					if m.Matches(v) {
-						for ref := range refs {
-							set[ref] = struct{}{}
-						}
-					}
-				}
-			}
-			intersect(set)
+		var list []uint64
+		switch {
+		case m.Type == labels.MatchEqual && m.Value != "":
+			list = sh.postings[m.Name][m.Value]
+		case m.Type == labels.MatchRegexp && !m.Matches(""):
+			list = unionPostings(sh.postings[m.Name], m)
 		default:
 			filters = append(filters, m)
+			continue
+		}
+		if len(list) == 0 {
+			return nil
+		}
+		lists = append(lists, list)
+	}
+	if len(lists) == 0 {
+		// Nothing to narrow with: scan every series.
+		out := make([]*memSeries, 0, len(sh.byRef))
+		for _, s := range sh.byRef {
+			if labels.MatchLabels(s.lset, filters...) {
+				out = append(out, s)
+			}
+		}
+		return out
+	}
+	slices.SortFunc(lists, func(a, b []uint64) int { return len(a) - len(b) })
+	out := make([]*memSeries, 0, len(lists[0]))
+next:
+	for _, ref := range lists[0] {
+		for k := 1; k < len(lists); k++ {
+			rest := lists[k][seekPosting(lists[k], ref):]
+			lists[k] = rest
+			if len(rest) == 0 {
+				break next
+			}
+			if rest[0] != ref {
+				continue next
+			}
+		}
+		if s := sh.byRef[ref]; labels.MatchLabels(s.lset, filters...) {
+			out = append(out, s)
 		}
 	}
+	return out
+}
 
-	if positive == 0 {
-		// Only negative/empty-matching matchers: scan everything.
-		result = make(map[uint64]struct{}, len(sh.byRef))
-		for ref := range sh.byRef {
-			result[ref] = struct{}{}
+// unionPostings merges the lists of every value of one label that m accepts.
+// A series has one value per label, so the lists are disjoint; a single
+// accepted value is returned borrowed, several are copied out and sorted.
+func unionPostings(vm map[string][]uint64, m *labels.Matcher) []uint64 {
+	var parts [][]uint64
+	if alts := m.SetMatches(); alts != nil {
+		for _, v := range alts {
+			if l := vm[v]; len(l) > 0 {
+				parts = append(parts, l)
+			}
 		}
-	} else if result == nil {
-		result = map[uint64]struct{}{}
-	}
-	if len(filters) > 0 {
-		for ref := range result {
-			s := sh.byRef[ref]
-			if !labels.MatchLabels(s.lset, filters...) {
-				delete(result, ref)
+	} else {
+		for v, l := range vm {
+			if m.Matches(v) {
+				parts = append(parts, l)
 			}
 		}
 	}
-	return result
+	switch len(parts) {
+	case 0:
+		return nil
+	case 1:
+		return parts[0]
+	}
+	n := 0
+	for _, l := range parts {
+		n += len(l)
+	}
+	out := make([]uint64, 0, n)
+	for _, l := range parts {
+		out = append(out, l...)
+	}
+	slices.Sort(out)
+	return out
+}
+
+// seekPosting returns the first index of the ascending list whose ref is
+// >= ref (len(list) when none is), galloping from the front so a seek that
+// lands near the previous one costs O(log distance).
+func seekPosting(list []uint64, ref uint64) int {
+	hi := 1
+	for hi <= len(list) && list[hi-1] < ref {
+		hi <<= 1
+	}
+	lo := hi >> 1 // everything before lo is < ref
+	if hi > len(list) {
+		hi = len(list)
+	}
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if list[mid] < ref {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
 }
 
 // selectSorted returns the shard's series matching ms with samples in
@@ -202,14 +236,8 @@ func (sh *headShard) selectSorted(mint, maxt int64, ms []*labels.Matcher, budget
 	if budget.blown() {
 		return nil
 	}
-	refs := sh.selectRefs(ms)
 	sh.mu.RLock()
-	series := make([]*memSeries, 0, len(refs))
-	for ref := range refs {
-		if s, ok := sh.byRef[ref]; ok {
-			series = append(series, s)
-		}
-	}
+	series := sh.selectLocked(ms)
 	sh.mu.RUnlock()
 	out := make([]model.Series, 0, len(series))
 	for _, s := range series {
@@ -225,7 +253,7 @@ func (sh *headShard) selectSorted(mint, maxt int64, ms []*labels.Matcher, budget
 		}
 		out = append(out, model.Series{Labels: s.lset, Samples: samples})
 	}
-	sort.Slice(out, func(i, j int) bool { return labels.Compare(out[i].Labels, out[j].Labels) < 0 })
+	slices.SortFunc(out, func(a, b model.Series) int { return labels.Compare(a.Labels, b.Labels) })
 	return out
 }
 
@@ -234,9 +262,8 @@ func (sh *headShard) selectSorted(mint, maxt int64, ms []*labels.Matcher, budget
 func (sh *headShard) truncate(mint int64) int {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	removed := 0
-	for h, chain := range sh.series {
-		keep := chain[:0]
+	var gone []*memSeries
+	for _, chain := range sh.series {
 		for _, s := range chain {
 			s.mu.Lock()
 			kept := s.chunks[:0]
@@ -258,79 +285,81 @@ func (sh *headShard) truncate(mint int64) int {
 					s.ooo = nil
 				}
 			}
-			empty := len(s.chunks) == 0 && s.head == nil && s.lastT < mint && len(s.ooo) == 0
-			s.mu.Unlock()
-			if empty {
-				sh.dropSeriesLocked(s)
-				removed++
-				continue
+			if len(s.chunks) == 0 && s.head == nil && s.lastT < mint && len(s.ooo) == 0 {
+				gone = append(gone, s)
 			}
-			keep = append(keep, s)
-		}
-		if len(keep) == 0 {
-			delete(sh.series, h)
-		} else {
-			sh.series[h] = keep
+			s.mu.Unlock()
 		}
 	}
+	sh.removeLocked(gone)
 	for {
 		cur := sh.minTime.Load()
 		if mint <= cur || sh.minTime.CompareAndSwap(cur, mint) {
 			break
 		}
 	}
-	return removed
+	return len(gone)
 }
 
-// deleteSeries removes the shard's series matching ms, returning the count
-// and the removed series (so the caller can journal tombstones).
-func (sh *headShard) deleteSeries(ms []*labels.Matcher) (int, []*memSeries) {
-	refs := sh.selectRefs(ms)
+// deleteSeries removes the shard's series matching ms and returns them (so
+// the caller can journal tombstones). Match and removal share one write-lock
+// hold, so nothing can register or drop a series in between.
+func (sh *headShard) deleteSeries(ms []*labels.Matcher) []*memSeries {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	n := 0
-	var gone []*memSeries
-	for ref := range refs {
-		s, ok := sh.byRef[ref]
-		if !ok {
-			continue
-		}
-		h := s.lset.Hash()
-		chain := sh.series[h]
-		keep := chain[:0]
-		for _, cs := range chain {
-			if cs.ref != ref {
-				keep = append(keep, cs)
-			}
-		}
-		if len(keep) == 0 {
-			delete(sh.series, h)
-		} else {
-			sh.series[h] = keep
-		}
-		sh.dropSeriesLocked(s)
-		gone = append(gone, s)
-		n++
-	}
-	return n, gone
+	gone := sh.selectLocked(ms)
+	sh.removeLocked(gone)
+	return gone
 }
 
-// dropSeriesLocked removes s from byRef and postings. Caller holds sh.mu
-// (and the shard WAL mutex, when one exists).
-func (sh *headShard) dropSeriesLocked(s *memSeries) {
-	s.dropped = true
-	delete(sh.byRef, s.ref)
-	for _, l := range s.lset {
-		if vm, ok := sh.postings[l.Name]; ok {
-			if refs, ok := vm[l.Value]; ok {
-				delete(refs, s.ref)
-				if len(refs) == 0 {
-					delete(vm, l.Value)
-				}
+// removeLocked detaches gone from the shard — collision chains, byRef and
+// postings — and marks each series dropped. Caller holds sh.mu (and the
+// shard WAL mutex, when one exists). Every postings list a removed series
+// sat in is rewritten once however many of its refs go: the surviving runs
+// between consecutive dead refs are moved down in place.
+func (sh *headShard) removeLocked(gone []*memSeries) {
+	if len(gone) == 0 {
+		return
+	}
+	dead := make([]uint64, len(gone))
+	touched := make(map[labels.Label]struct{})
+	for i, s := range gone {
+		s.dropped = true
+		dead[i] = s.ref
+		delete(sh.byRef, s.ref)
+		h := s.lset.Hash()
+		if chain := slices.DeleteFunc(sh.series[h], func(c *memSeries) bool { return c == s }); len(chain) > 0 {
+			sh.series[h] = chain
+		} else {
+			delete(sh.series, h)
+		}
+		for _, l := range s.lset {
+			touched[l] = struct{}{}
+		}
+	}
+	slices.Sort(dead)
+	for l := range touched {
+		vm := sh.postings[l.Name]
+		rest := vm[l.Value]
+		keep := rest[:0]
+		for _, ref := range dead {
+			i := seekPosting(rest, ref)
+			keep = append(keep, rest[:i]...)
+			if rest = rest[i:]; len(rest) == 0 {
+				break
 			}
-			if len(vm) == 0 {
-				delete(sh.postings, l.Name)
+			if rest[0] == ref {
+				rest = rest[1:]
 			}
+		}
+		keep = append(keep, rest...)
+		switch {
+		case len(keep) > 0:
+			vm[l.Value] = keep
+		case len(vm) == 1:
+			delete(sh.postings, l.Name)
+		default:
+			delete(vm, l.Value)
 		}
 	}
 }
@@ -341,10 +370,8 @@ func (sh *headShard) labelValues(name string) []string {
 	defer sh.mu.RUnlock()
 	vm := sh.postings[name]
 	out := make([]string, 0, len(vm))
-	for v, refs := range vm {
-		if len(refs) > 0 {
-			out = append(out, v)
-		}
+	for v := range vm {
+		out = append(out, v)
 	}
 	return out
 }
@@ -354,17 +381,8 @@ func (sh *headShard) labelNames() []string {
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
 	out := make([]string, 0, len(sh.postings))
-	for n, vm := range sh.postings {
-		nonEmpty := false
-		for _, refs := range vm {
-			if len(refs) > 0 {
-				nonEmpty = true
-				break
-			}
-		}
-		if nonEmpty {
-			out = append(out, n)
-		}
+	for n := range sh.postings {
+		out = append(out, n)
 	}
 	return out
 }

@@ -69,14 +69,14 @@ func (db *DB) ApplyTombstone(seq uint64, ms ...*labels.Matcher) (int, error) {
 	db.forEachShard(func(i int, sh *headShard) {
 		w := sh.wal
 		if w == nil {
-			deleted[i], _ = sh.deleteSeries(ms)
+			deleted[i] = len(sh.deleteSeries(ms))
 			return
 		}
 		// Delete and journal under one WAL mutex hold, like DeleteSeries: a
 		// racing commit is either fully journalled before the tombstone (the
 		// tombstone wins on replay) or sees s.dropped after.
 		w.mu.Lock()
-		deleted[i], _ = sh.deleteSeries(ms)
+		deleted[i] = len(sh.deleteSeries(ms))
 		errs[i] = w.logTombstoneLocked(seq, ms)
 		w.mu.Unlock()
 	})
@@ -227,14 +227,14 @@ func (db *DB) applyTombstonePayload(payload []byte, dr *dirReplay) error {
 	if err != nil {
 		return err
 	}
+	var gone []*memSeries
 	for ref, e := range dr.refMap {
-		if !labels.MatchLabels(e.s.lset, ms...) {
-			continue
+		if labels.MatchLabels(e.s.lset, ms...) {
+			delete(dr.refMap, ref)
+			gone = append(gone, e.s)
 		}
-		delete(dr.refMap, ref)
-		h := e.s.lset.Hash()
-		db.shardFor(h).removeSeries(h, e.s)
 	}
+	db.removeReplayed(gone)
 	db.recordTombstone(seq, ms)
 	return nil
 }

@@ -470,7 +470,27 @@ func (s *memSeries) samplesBetween(mint, maxt int64) []model.Sample {
 // samplesBetweenLocked is samplesBetween with s.mu already held (the block
 // cut path holds it across chunk reuse decisions and the sample copy).
 func (s *memSeries) samplesBetweenLocked(mint, maxt int64) []model.Sample {
-	var out []model.Sample
+	// s.chunks[first:end] are the closed chunks overlapping the window
+	// (chunks are in time order); the open head chunk may follow. Their
+	// sample counts size the output once instead of growing it: the usual
+	// window is a few samples of one 120-sample chunk.
+	first, end, n := 0, 0, 0
+	for i, cr := range s.chunks {
+		if cr.min > maxt {
+			break
+		}
+		end = i + 1
+		if cr.max < mint {
+			first = end
+			continue
+		}
+		n += samplesInWindow(cr.min, cr.max, cr.chunk.NumSamples(), mint, maxt)
+	}
+	headOverlaps := s.head != nil && s.lastT >= mint && s.headMin <= maxt
+	if headOverlaps {
+		n += samplesInWindow(s.headMin, s.lastT, s.head.NumSamples(), mint, maxt)
+	}
+	out := make([]model.Sample, 0, n)
 	appendFrom := func(c *chunkenc.Chunk) {
 		it := c.Iterator()
 		for it.Next() {
@@ -484,17 +504,10 @@ func (s *memSeries) samplesBetweenLocked(mint, maxt int64) []model.Sample {
 			out = append(out, model.Sample{T: t, V: v})
 		}
 	}
-	for _, cr := range s.chunks {
-		if cr.min > maxt {
-			// Chunks are in time order; nothing later can overlap.
-			break
-		}
-		if cr.max < mint {
-			continue
-		}
+	for _, cr := range s.chunks[first:end] {
 		appendFrom(cr.chunk)
 	}
-	if s.head != nil && !(s.lastT < mint || s.headMin > maxt) {
+	if headOverlaps {
 		appendFrom(s.head)
 	}
 	if len(s.ooo) == 0 {
@@ -529,6 +542,18 @@ func (s *memSeries) samplesBetweenLocked(mint, maxt int64) []model.Sample {
 	merged = append(merged, out[i:]...)
 	merged = append(merged, oooPart[j:]...)
 	return merged
+}
+
+// samplesInWindow estimates how many of a chunk's num samples, spanning
+// [cmin, cmax], fall inside the overlapping window [mint, maxt]: all of them
+// when the chunk lies inside, else its share of the span at even spacing,
+// rounded up. A low guess only costs an append growth.
+func samplesInWindow(cmin, cmax int64, num int, mint, maxt int64) int {
+	lo, hi := max(cmin, mint), min(cmax, maxt)
+	if lo == cmin && hi == cmax {
+		return num
+	}
+	return int(float64(num)*float64(hi-lo)/float64(cmax-cmin)) + 1
 }
 
 // Truncate drops all full chunks whose data lies entirely before mint and
@@ -611,7 +636,7 @@ func (db *DB) DeleteSeries(ms ...*labels.Matcher) int {
 	db.forEachShard(func(i int, sh *headShard) {
 		w := sh.wal
 		if w == nil {
-			deleted[i], _ = sh.deleteSeries(ms)
+			deleted[i] = len(sh.deleteSeries(ms))
 			return
 		}
 		// Delete and tombstone under one WAL mutex hold: a concurrent commit
@@ -619,8 +644,8 @@ func (db *DB) DeleteSeries(ms ...*labels.Matcher) int {
 		// records wins on replay) or runs after and sees s.dropped — either
 		// way replay converges to the live head.
 		w.mu.Lock()
-		var gone []*memSeries
-		deleted[i], gone = sh.deleteSeries(ms)
+		gone := sh.deleteSeries(ms)
+		deleted[i] = len(gone)
 		refs := make([]uint64, 0, len(gone))
 		for _, s := range gone {
 			if s.walRef != 0 {

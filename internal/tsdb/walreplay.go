@@ -674,20 +674,34 @@ func (db *DB) applyDeletesPayload(payload []byte, dr *dirReplay) error {
 	if err != nil {
 		return err
 	}
+	var gone []*memSeries
 	for i := uint64(0); i < count; i++ {
 		var ref uint64
 		if ref, payload, err = readUvarint(payload); err != nil {
 			return err
 		}
-		e, ok := dr.refMap[ref]
-		if !ok {
-			continue
+		if e, ok := dr.refMap[ref]; ok {
+			delete(dr.refMap, ref)
+			gone = append(gone, e.s)
 		}
-		delete(dr.refMap, ref)
-		h := e.s.lset.Hash()
-		db.shardFor(h).removeSeries(h, e.s)
 	}
+	db.removeReplayed(gone)
 	return nil
+}
+
+// removeReplayed detaches series a replayed delete or tombstone record
+// names, with one bulk removal per shard they live in.
+func (db *DB) removeReplayed(gone []*memSeries) {
+	byShard := make(map[*headShard][]*memSeries)
+	for _, s := range gone {
+		sh := db.shardFor(s.lset.Hash())
+		byShard[sh] = append(byShard[sh], s)
+	}
+	for sh, series := range byShard {
+		sh.mu.Lock()
+		sh.removeLocked(series)
+		sh.mu.Unlock()
+	}
 }
 
 func readUvarint(b []byte) (uint64, []byte, error) {
@@ -715,24 +729,4 @@ func readString(b []byte) (string, []byte, error) {
 		return "", nil, fmt.Errorf("truncated string")
 	}
 	return string(b[:l]), b[l:], nil
-}
-
-// removeSeries unlinks one series from the shard (collision chain, byRef and
-// postings); used by WAL replay to apply delete records.
-func (sh *headShard) removeSeries(hash uint64, s *memSeries) {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	chain := sh.series[hash]
-	keep := chain[:0]
-	for _, cs := range chain {
-		if cs != s {
-			keep = append(keep, cs)
-		}
-	}
-	if len(keep) == 0 {
-		delete(sh.series, hash)
-	} else {
-		sh.series[hash] = keep
-	}
-	sh.dropSeriesLocked(s)
 }

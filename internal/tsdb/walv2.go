@@ -9,6 +9,8 @@ import (
 	"math"
 	"math/bits"
 	"sync"
+
+	"repro/internal/tsdb/chunkenc"
 )
 
 // WAL format v2: compressed record payloads.
@@ -99,7 +101,8 @@ func walRecTypeValid(version int, typ byte) bool {
 
 // walBitWriter appends bits onto a byte slice (the record payload under
 // construction). Unlike chunkenc's bstream it builds directly onto the
-// caller's buffer so appendFramed's in-place encoding keeps working.
+// caller's buffer so appendFramed's in-place encoding keeps working. The
+// read side is chunkenc.BitReader, shared with the chunk iterator.
 type walBitWriter struct {
 	b    []byte
 	free uint8 // bits still unset in the final byte of b
@@ -154,98 +157,6 @@ func (w *walBitWriter) writeVarint(v int64) {
 	for _, b := range buf[:n] {
 		w.writeByte(b)
 	}
-}
-
-// walBitReader reads a bit stream produced by walBitWriter. It keeps up to
-// 64 pending bits MSB-aligned in buf so the replay hot path reads whole
-// fields with shifts instead of per-bit byte indexing.
-type walBitReader struct {
-	stream []byte
-	off    int    // next byte of stream to load into buf
-	buf    uint64 // pending bits, MSB first
-	nbits  uint   // valid bits in buf
-}
-
-func (r *walBitReader) fill() {
-	for r.nbits <= 56 && r.off < len(r.stream) {
-		r.buf |= uint64(r.stream[r.off]) << (56 - r.nbits)
-		r.off++
-		r.nbits += 8
-	}
-}
-
-func (r *walBitReader) readBit() (bool, error) {
-	if r.nbits == 0 {
-		r.fill()
-		if r.nbits == 0 {
-			return false, io.ErrUnexpectedEOF
-		}
-	}
-	bit := r.buf>>63 == 1
-	r.buf <<= 1
-	r.nbits--
-	return bit, nil
-}
-
-func (r *walBitReader) readByte() (byte, error) {
-	u, err := r.readBits(8)
-	return byte(u), err
-}
-
-func (r *walBitReader) readBits(nbits int) (uint64, error) {
-	if nbits > 57 {
-		// The cache tops out at 57 guaranteed bits; split wide reads.
-		hi, err := r.readBits(nbits - 32)
-		if err != nil {
-			return 0, err
-		}
-		lo, err := r.readBits(32)
-		if err != nil {
-			return 0, err
-		}
-		return hi<<32 | lo, nil
-	}
-	if r.nbits < uint(nbits) {
-		r.fill()
-		if r.nbits < uint(nbits) {
-			return 0, io.ErrUnexpectedEOF
-		}
-	}
-	u := r.buf >> (64 - uint(nbits))
-	r.buf <<= uint(nbits)
-	r.nbits -= uint(nbits)
-	return u, nil
-}
-
-func (r *walBitReader) readUvarint() (uint64, error) {
-	var x uint64
-	var s uint
-	for i := 0; ; i++ {
-		b, err := r.readByte()
-		if err != nil {
-			return 0, err
-		}
-		if b < 0x80 {
-			if i == 9 && b > 1 {
-				return 0, fmt.Errorf("tsdb: wal v2 uvarint overflow")
-			}
-			return x | uint64(b)<<s, nil
-		}
-		x |= uint64(b&0x7f) << s
-		s += 7
-	}
-}
-
-func (r *walBitReader) readVarint() (int64, error) {
-	ux, err := r.readUvarint()
-	if err != nil {
-		return 0, err
-	}
-	x := int64(ux >> 1)
-	if ux&1 != 0 {
-		x = ^x
-	}
-	return x, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -450,35 +361,27 @@ func (d *walV2Dec) decodeSamples(dst []walSampleRec, payload []byte) ([]walSampl
 		// allocation request.
 		return dst, fmt.Errorf("tsdb: wal v2 sample count %d exceeds payload", count)
 	}
-	r := walBitReader{stream: rest}
+	r := chunkenc.NewBitReader(rest)
 	lastRef := uint64(0)
 	for i := uint64(0); i < count; i++ {
+		// Ref bucket: '0' = previous+1, '10' = previous, '11' = zigzag delta.
 		ref := lastRef
-		// Fast path for the dominant '0' (ref+1) bucket, straight off the
-		// bit cache; the bucket decode below is the uncommon tail.
-		r.fill()
-		if r.nbits >= 1 && r.buf>>63 == 0 {
-			r.buf <<= 1
-			r.nbits--
-			ref = lastRef + 1
+		bit, err := r.ReadBit()
+		if err != nil {
+			return dst, err
+		}
+		if !bit {
+			ref++
 		} else {
-			bit, err := r.readBit()
-			if err != nil {
+			if bit, err = r.ReadBit(); err != nil {
 				return dst, err
 			}
-			if !bit {
-				ref = lastRef + 1
-			} else {
-				if bit, err = r.readBit(); err != nil {
+			if bit {
+				zz, err := r.ReadUvarint()
+				if err != nil {
 					return dst, err
 				}
-				if bit {
-					zz, err := r.readUvarint()
-					if err != nil {
-						return dst, err
-					}
-					ref = uint64(int64(lastRef) + unzigzag(zz))
-				}
+				ref = uint64(int64(lastRef) + unzigzag(zz))
 			}
 		}
 		lastRef = ref
@@ -487,32 +390,32 @@ func (d *walV2Dec) decodeSamples(dst []walSampleRec, payload []byte) ([]walSampl
 		var v float64
 		switch s.n {
 		case 0:
-			if t, err = r.readVarint(); err != nil {
+			if t, err = r.ReadVarint(); err != nil {
 				return dst, err
 			}
-			vb, err := r.readBits(64)
+			vb, err := r.ReadBits(64)
 			if err != nil {
 				return dst, err
 			}
 			v = math.Float64frombits(vb)
 		case 1:
-			td, err := r.readUvarint()
+			td, err := r.ReadUvarint()
 			if err != nil {
 				return dst, err
 			}
 			s.tDelta = td
 			t = s.t + int64(td)
-			if v, err = s.readXOR(&r); err != nil {
+			if v, err = r.ReadXOR(s.v, &s.leading, &s.trailing); err != nil {
 				return dst, err
 			}
 		default:
-			dod, err := readDOD(&r)
+			dod, err := r.ReadDOD()
 			if err != nil {
 				return dst, err
 			}
 			s.tDelta = uint64(int64(s.tDelta) + dod)
 			t = s.t + int64(s.tDelta)
-			if v, err = s.readXOR(&r); err != nil {
+			if v, err = r.ReadXOR(s.v, &s.leading, &s.trailing); err != nil {
 				return dst, err
 			}
 		}
@@ -521,123 +424,6 @@ func (d *walV2Dec) decodeSamples(dst []walSampleRec, payload []byte) ([]walSampl
 		dst = append(dst, walSampleRec{ref: ref, t: t, v: v})
 	}
 	return dst, nil
-}
-
-// readDOD decodes one delta-of-delta bucket.
-func readDOD(r *walBitReader) (int64, error) {
-	// Fast path: dod == 0 (a single '0' bit) is the steady-cadence common
-	// case; peek it off the cache without the prefix loop.
-	r.fill()
-	if r.nbits >= 1 && r.buf>>63 == 0 {
-		r.buf <<= 1
-		r.nbits--
-		return 0, nil
-	}
-	var d byte
-	for i := 0; i < 4; i++ {
-		bit, err := r.readBit()
-		if err != nil {
-			return 0, err
-		}
-		if !bit {
-			break
-		}
-		d |= 1 << (3 - i)
-		if i == 3 {
-			break
-		}
-	}
-	var sz uint8
-	var dod int64
-	switch d {
-	case 0b0000:
-		// dod = 0
-	case 0b1000:
-		sz = 14
-	case 0b1100:
-		sz = 17
-	case 0b1110:
-		sz = 20
-	case 0b1111:
-		b, err := r.readBits(64)
-		if err != nil {
-			return 0, err
-		}
-		dod = int64(b)
-	default:
-		return 0, fmt.Errorf("tsdb: wal v2 invalid dod prefix %04b", d)
-	}
-	if sz != 0 {
-		b, err := r.readBits(int(sz))
-		if err != nil {
-			return 0, err
-		}
-		if b > (1 << (sz - 1)) {
-			b -= 1 << sz // sign-extend
-		}
-		dod = int64(b)
-	}
-	return dod, nil
-}
-
-// readXOR decodes one XOR-compressed value against the series state.
-func (s *walSeriesV2State) readXOR(r *walBitReader) (float64, error) {
-	// Fast paths off the bit cache: '0' (value unchanged) and '10' +
-	// sigbits (window reuse, when the whole field is already buffered).
-	// Neither consumes anything on fall-through.
-	r.fill()
-	if r.nbits >= 2 {
-		if r.buf>>63 == 0 {
-			r.buf <<= 1
-			r.nbits--
-			return s.v, nil
-		}
-		if r.buf>>62 == 0b10 {
-			sigbits := 64 - int(s.leading) - int(s.trailing)
-			if need := uint(sigbits) + 2; need <= r.nbits {
-				u := (r.buf << 2) >> (64 - uint(sigbits))
-				r.buf <<= need
-				r.nbits -= need
-				return math.Float64frombits(math.Float64bits(s.v) ^ (u << s.trailing)), nil
-			}
-		}
-	}
-	bit, err := r.readBit()
-	if err != nil {
-		return 0, err
-	}
-	if !bit {
-		return s.v, nil // unchanged
-	}
-	bit, err = r.readBit()
-	if err != nil {
-		return 0, err
-	}
-	if bit {
-		l, err := r.readBits(5)
-		if err != nil {
-			return 0, err
-		}
-		sig, err := r.readBits(6)
-		if err != nil {
-			return 0, err
-		}
-		if sig == 0 {
-			sig = 64 // 64 significant bits encode as 0 in the 6-bit field
-		}
-		trailing := 64 - int(l) - int(sig)
-		if trailing < 0 {
-			// Impossible from our encoder; a CRC-colliding corruption.
-			return 0, fmt.Errorf("tsdb: wal v2 xor window overflows (leading=%d sig=%d)", l, sig)
-		}
-		s.leading, s.trailing = uint8(l), uint8(trailing)
-	}
-	sigbits := 64 - int(s.leading) - int(s.trailing)
-	b, err := r.readBits(sigbits)
-	if err != nil {
-		return 0, err
-	}
-	return math.Float64frombits(math.Float64bits(s.v) ^ (b << s.trailing)), nil
 }
 
 // ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ var tasks atomic.Uint64
 func Tasks() uint64 { return tasks.Load() }
 
 // Do invokes f(i) for every i in [0, n) from at most `workers` goroutines
-// and returns when all calls have finished. workers <= 0 means GOMAXPROCS;
+// (the caller's among them) and returns when all calls have finished. workers <= 0 means GOMAXPROCS;
 // the pool is always clamped to n. With one worker (or n == 1) f runs
 // inline on the caller's goroutine, preserving sequential semantics.
 func Do(n, workers int, f func(i int)) {
@@ -41,19 +41,25 @@ func Do(n, workers int, f func(i int)) {
 		return
 	}
 	var next atomic.Int64
+	work := func() {
+		for {
+			i := int(next.Add(1)) - 1
+			if i >= n {
+				return
+			}
+			f(i)
+		}
+	}
+	// The caller is worker 0: it would otherwise only park until the others
+	// finish, and a two-task fan-out then costs one goroutine start, not two.
 	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
+	wg.Add(workers - 1)
+	for w := 1; w < workers; w++ {
 		go func() {
 			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				f(i)
-			}
+			work()
 		}()
 	}
+	work()
 	wg.Wait()
 }
