@@ -7,6 +7,7 @@ package labels
 import (
 	"fmt"
 	"regexp"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -333,7 +334,7 @@ type Matcher struct {
 	Name  string
 	Value string
 	re    *regexp.Regexp
-	alts  []string // the literal alternatives of a metacharacter-free regexp
+	alts  []string // the distinct literal alternatives of a metacharacter-free regexp
 }
 
 // NewMatcher builds a matcher; regexp values are anchored (^...$) as in
@@ -348,6 +349,8 @@ func NewMatcher(t MatchType, name, value string) (*Matcher, error) {
 		m.re = re
 		if t == MatchRegexp && !strings.ContainsAny(value, `\.+*?()[]{}^$`) {
 			m.alts = strings.Split(value, "|")
+			slices.Sort(m.alts)
+			m.alts = slices.Compact(m.alts)
 		}
 	}
 	return m, nil
@@ -379,9 +382,9 @@ func (m *Matcher) Matches(v string) bool {
 
 // SetMatches returns the exact set of values a regexp matcher accepts when
 // its pattern is a plain alternation of literals ("a|b|c" — what a
-// multi-value dashboard variable expands to), so an index can look the
-// values up instead of testing every value it holds. It returns nil for any
-// other pattern.
+// multi-value dashboard variable expands to), sorted and free of repeats, so
+// an index can look the values up instead of testing every value it holds.
+// It returns nil for any other pattern.
 func (m *Matcher) SetMatches() []string { return m.alts }
 
 func (m *Matcher) String() string {

@@ -235,7 +235,9 @@ func TestSetMatches(t *testing.T) {
 	}{
 		{MatchRegexp, "a|b|c", []string{"a", "b", "c"}},
 		{MatchRegexp, "job-17", []string{"job-17"}},
-		{MatchRegexp, "a|", []string{"a", ""}},
+		{MatchRegexp, "a|", []string{"", "a"}},
+		{MatchRegexp, "a|a", []string{"a"}},
+		{MatchRegexp, "c|a|c|b|a", []string{"a", "b", "c"}},
 		{MatchRegexp, "a.*", nil},
 		{MatchRegexp, "a|b.c", nil},
 		{MatchRegexp, "(a|b)", nil},

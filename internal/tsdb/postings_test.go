@@ -20,7 +20,7 @@ import (
 // oracle ignores.
 var (
 	postingsNames    = []string{"job", "uuid", "node", "class"}
-	postingsPatterns = []string{"v1|v2|v3", "v0|nope", "v4", "v.*", "v[0-2]", ".+", ".*", "", "v1|", "(v1|v2)?", "nope|nada"}
+	postingsPatterns = []string{"v1|v2|v3", "v0|nope", "v4", "v.*", "v[0-2]", ".+", ".*", "", "v1|", "(v1|v2)?", "nope|nada", "v1|v1", "v2|v3|v2"}
 )
 
 func randPostingsLabels(rng *rand.Rand) labels.Labels {
@@ -334,6 +334,53 @@ func BenchmarkHeadSelect(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkHeadDelete measures bulk removal from the index at its two
+// extremes: a churn sweep dropping every series of a shard where each has a
+// label value of its own (one touched postings list per dead series), and one
+// job leaving a shard whose other lists hold 100k refs.
+func BenchmarkHeadDelete(b *testing.B) {
+	b.Run("all_of_20k_unique", func(b *testing.B) {
+		all := labels.MustMatcher(labels.MatchEqual, labels.MetricName, "m")
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			db := MustOpen(Options{Shards: 1})
+			app := db.Appender()
+			for j := 0; j < 20000; j++ {
+				app.Add(labels.FromStrings(labels.MetricName, "m", "uuid", fmt.Sprint(j)), 1000, 1)
+			}
+			if _, err := app.Commit(); err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+			if n := db.DeleteSeries(all); n != 20000 {
+				b.Fatalf("deleted %d series, want 20000", n)
+			}
+		}
+	})
+	b.Run("one_job_of_50k", func(b *testing.B) {
+		db := headSelectFixture(b, 10000)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			uuid := fmt.Sprint(i % 10000)
+			if n := db.DeleteSeries(labels.MustMatcher(labels.MatchEqual, "uuid", uuid)); n != 10 {
+				b.Fatalf("deleted %d series, want 10", n)
+			}
+			b.StopTimer()
+			app := db.Appender()
+			for k := 0; k < 5; k++ {
+				for _, name := range []string{"ceems_job_power_watts", "ceems_job_other"} {
+					app.Add(labels.FromStrings(labels.MetricName, name, "uuid", uuid, "core", fmt.Sprint(k),
+						"nodeclass", "intel", "instance", "n0"), 1000, 1)
+				}
+			}
+			if _, err := app.Commit(); err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+		}
+	})
 }
 
 // TestHeadSelectAllocsIndependentOfIndexSize pins the point of borrowed

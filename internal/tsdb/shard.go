@@ -107,8 +107,9 @@ func (sh *headShard) getOrCreateLocked(hash uint64, lset labels.Labels) *memSeri
 	return s
 }
 
-// selectLocked returns the shard's series satisfying all matchers, in ref
-// order. The caller holds sh.mu (either mode).
+// selectLocked returns the shard's series satisfying all matchers — in ref
+// order when a postings list narrows the match, in no order otherwise. The
+// caller holds sh.mu (either mode).
 //
 // Equality and regexp matchers that cannot match the empty string each
 // contribute one postings list, borrowed in place; the rest — negations, and
@@ -315,8 +316,11 @@ func (sh *headShard) deleteSeries(ms []*labels.Matcher) []*memSeries {
 // removeLocked detaches gone from the shard — collision chains, byRef and
 // postings — and marks each series dropped. Caller holds sh.mu (and the
 // shard WAL mutex, when one exists). Every postings list a removed series
-// sat in is rewritten once however many of its refs go: the surviving runs
-// between consecutive dead refs are moved down in place.
+// sat in is rewritten once however many of its refs go: list and sorted dead
+// set are merged by galloping each to the other's next ref, so a list costs
+// the shorter of the two (times a log) plus moving its survivors down —
+// a job's own one-ref list never walks the whole dead set, nor a few dead
+// refs the whole of a long list.
 func (sh *headShard) removeLocked(gone []*memSeries) {
 	if len(gone) == 0 {
 		return
@@ -340,16 +344,16 @@ func (sh *headShard) removeLocked(gone []*memSeries) {
 	slices.Sort(dead)
 	for l := range touched {
 		vm := sh.postings[l.Name]
-		rest := vm[l.Value]
+		rest, d := vm[l.Value], dead
 		keep := rest[:0]
-		for _, ref := range dead {
-			i := seekPosting(rest, ref)
-			keep = append(keep, rest[:i]...)
-			if rest = rest[i:]; len(rest) == 0 {
+		for len(rest) > 0 {
+			if d = d[seekPosting(d, rest[0]):]; len(d) == 0 {
 				break
 			}
-			if rest[0] == ref {
-				rest = rest[1:]
+			i := seekPosting(rest, d[0]) // rest[:i] survives: it precedes the next dead ref
+			keep = append(keep, rest[:i]...)
+			if rest = rest[i:]; len(rest) > 0 && rest[0] == d[0] {
+				rest, d = rest[1:], d[1:]
 			}
 		}
 		keep = append(keep, rest...)
