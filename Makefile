@@ -7,7 +7,7 @@
 GO ?= go
 RACE_PKGS := ./internal/tsdb/... ./internal/api/... ./internal/lb/... ./internal/scrape/... ./internal/thanos/... ./internal/workpool/... ./internal/cluster/... ./internal/promql/... ./internal/promapi/... ./internal/querycache/... ./internal/remotewrite/... ./internal/telemetry/...
 
-.PHONY: build test race wal-recovery querycache cluster-chaos remote-write telemetry blocks head-index fuzz-smoke bench bench-querycache bench-smoke benchdiff ci-sync-check lint ci
+.PHONY: build test test-short race wal-recovery querycache cluster-chaos remote-write telemetry blocks head-index fuzz-smoke bench bench-querycache bench-smoke benchdiff ci-sync-check lint ci
 
 build:
 	$(GO) build ./...
@@ -15,12 +15,18 @@ build:
 test:
 	$(GO) test -shuffle=on ./...
 
+# Inner-loop pass: -short skips the hour-long simulations in
+# internal/experiments and trims the randomized harnesses' trial counts.
+# Not part of `ci` — CI always runs the full suite.
+test-short:
+	$(GO) test -short ./...
+
 race:
 	$(GO) test -race $(RACE_PKGS)
 
 # The crash/corruption harness is randomized; run it twice, under race.
-# Covers the v2 (compressed) and mixed v1/v2 migration tests too — they all
-# match 'WAL'.
+# Covers v1 replay (committed fixture, v1 legs of the crash matrix) and the
+# v1→v2 migration tests too — they all match 'WAL'.
 wal-recovery:
 	$(GO) test -race -count=2 -run 'WAL|Checkpoint' ./internal/tsdb/ ./internal/relstore/
 

@@ -1,5 +1,6 @@
 // Repository-level benchmarks: one per table/figure/claim in the paper's
-// evaluation (see the experiment index in DESIGN.md). Each benchmark drives
+// evaluation (`ceems_bench -list` prints the experiment index; committed
+// baselines are described in docs/BENCHMARKS.md). Each benchmark drives
 // the same code paths as the corresponding ceems_bench experiment; the
 // experiments print the tables, the benchmarks measure the machinery.
 package repro

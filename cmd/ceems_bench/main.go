@@ -1,7 +1,8 @@
 // Command ceems_bench regenerates the paper's evaluation artifacts: every
-// figure, table and headline claim has an experiment (see DESIGN.md's
+// figure, table and headline claim has an experiment (-list prints the
 // index) that runs the real stack over the simulated platform and prints
-// the corresponding table or panel.
+// the corresponding table or panel. docs/BENCHMARKS.md covers the gated
+// micro- and end-to-end benchmarks.
 //
 // Usage:
 //

@@ -24,7 +24,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/config"
-	"repro/internal/grafana"
 	"repro/internal/lb"
 	"repro/internal/model"
 	"repro/internal/promapi"
@@ -43,7 +42,6 @@ func main() {
 		apiListen  = flag.String("api-listen", ":9200", "CEEMS API server listen address")
 		report     = flag.Duration("report", 10*time.Minute, "simulated interval between dashboard prints")
 		walDir     = flag.String("wal-dir", "", "TSDB write-ahead-log directory; a restarted sim replays it (empty = memory-only head)")
-		walComp    = flag.Bool("wal-compression", true, "write new WAL files in format v2 (Gorilla samples, block-compressed series); false keeps raw v1 records")
 		nodes      = flag.Int("cluster-nodes", 1, "number of TSDB storage nodes; >1 runs the consistent-hash ring with quorum replication (per-node WALs under -wal-dir/<node>)")
 		replFactor = flag.Int("replication-factor", 0, "ring replication factor R (copies per series); 0 picks min(3, cluster-nodes)")
 		writeQ     = flag.Int("write-quorum", 0, "write quorum W (node acks before a scrape commit returns); 0 picks the majority R/2+1; reads need R-W+1 live replicas")
@@ -84,7 +82,6 @@ func main() {
 	opts.ShortUnitCutoff = cfg.APIServer.ShortUnitCutoff
 	opts.Zone = cfg.Cluster.Zone
 	opts.WALDir = *walDir
-	opts.WALCompression = *walComp
 	opts.ClusterNodes = *nodes
 	opts.ReplicationFactor = *replFactor
 	opts.WriteQuorum = *writeQ
@@ -146,8 +143,6 @@ func main() {
 		log.Printf("remote-write ingest enabled (max in-flight %d, ooo window %v)", rcv.Stats().MaxInflight, *oooWin)
 	}
 	promHandler := promH.Mux()
-	promSrv := &http.Server{Addr: "127.0.0.1:0"}
-	_ = promSrv
 	go func() {
 		// The raw backend listens on a derived port; the LB fronts it.
 		backendAddr := "127.0.0.1:19090"
@@ -305,7 +300,6 @@ func printReport(sim *cluster.Sim) {
 				r["user"], r["num_units"], toF(r["total_energy_j"])/3.6e6, toF(r["emissions_g"]))
 		}
 	}
-	_ = grafana.Sparkline // dashboards render in examples; keep import honest
 	os.Stdout.Sync()
 }
 

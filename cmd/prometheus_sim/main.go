@@ -42,7 +42,6 @@ func main() {
 		shards   = flag.Int("tsdb-shards", 0, "TSDB head shards (power of two; 0 = GOMAXPROCS)")
 		queryTmo = flag.Duration("query-timeout", 2*time.Minute, "per-query evaluation deadline (0 disables)")
 		walDir   = flag.String("wal-dir", "", "per-shard TSDB write-ahead-log directory; restarts replay it (empty = memory-only head)")
-		walComp  = flag.Bool("wal-compression", true, "write new WAL files in format v2 (Gorilla samples, block-compressed series; ~3-4x fewer journal bytes); false keeps raw v1 records — existing files always replay either way")
 		cacheSz  = flag.Int64("query-cache-bytes", 64<<20, "query-result cache byte budget; repeated dashboard range queries reuse cached steps and evaluate only the new tail (0 disables)")
 		remoteWr = flag.Bool("remote-write", false, "serve POST /api/v1/write: framed expofmt push ingest with 429 backpressure (see /api/v1/status/ingest)")
 		rwMaxInf = flag.Int("remote-write-max-inflight", 0, "max concurrently committing remote-write requests before 429 (0 = 2x GOMAXPROCS)")
@@ -69,7 +68,6 @@ func main() {
 	opts := tsdb.DefaultOptions()
 	opts.Shards = *shards
 	opts.WALDir = *walDir
-	opts.WALCompression = *walComp
 	opts.OutOfOrderWindow = oooWin.Milliseconds()
 	opts.Telemetry = reg
 	db, err := tsdb.Open(opts)

@@ -54,10 +54,6 @@ type Options struct {
 	// per-shard write-ahead logs under this directory and a restarted sim
 	// replays them in parallel. "" keeps the head memory-only.
 	WALDir string
-	// WALCompression writes new WAL files in format v2 (Gorilla-encoded
-	// samples, block-compressed series records); false keeps raw v1
-	// records. Existing files of either format always replay.
-	WALCompression bool
 	// ClusterNodes > 1 replaces the single hot TSDB with a consistent-hash
 	// ring of that many tsdb nodes: scrapes route through quorum batch
 	// appends, queries scatter-gather across replicas, and the thanos
@@ -101,7 +97,6 @@ func DefaultOptions() Options {
 		Zone:            "FR",
 		Factor:          emissions.OWID{},
 		HeadRetention:   2 * time.Hour,
-		WALCompression:  true,
 	}
 }
 
@@ -215,7 +210,6 @@ func New(topo Topology, opts Options, users, projects int, jobsPerDay float64) (
 		}
 		open := func(name string) (*tsdb.DB, error) {
 			o := tsdb.DefaultOptions()
-			o.WALCompression = opts.WALCompression
 			o.OutOfOrderWindow = opts.OutOfOrderWindow.Milliseconds()
 			if opts.WALDir != "" {
 				o.WALDir = opts.WALDir + "/" + name
@@ -243,7 +237,6 @@ func New(topo Topology, opts Options, users, projects int, jobsPerDay float64) (
 	} else {
 		tsdbOpts := tsdb.DefaultOptions()
 		tsdbOpts.WALDir = opts.WALDir
-		tsdbOpts.WALCompression = opts.WALCompression
 		tsdbOpts.OutOfOrderWindow = opts.OutOfOrderWindow.Milliseconds()
 		tsdbOpts.Telemetry = opts.Telemetry
 		sim.DB, err = tsdb.Open(tsdbOpts)

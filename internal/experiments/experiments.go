@@ -1,5 +1,5 @@
 // Package experiments regenerates every evaluation artifact of the paper
-// (DESIGN.md experiment index E1-E10 plus ablations A1-A4): each experiment
+// (experiments E1-E10 plus ablations A1-A4, indexed by Registry): each experiment
 // runs the real stack over the simulated platform and renders the table or
 // panel the paper shows. The ceems_bench binary and the repository-level
 // benchmarks are thin wrappers over this package.

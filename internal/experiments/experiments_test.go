@@ -6,6 +6,13 @@ import (
 	"testing"
 )
 
+// shortSkips are the experiments that simulate an hour of platform time
+// (1-3 s each); -short leaves them to the full run and keeps the analytic
+// and sub-second ones, so `go test -short ./...` stays an inner loop.
+var shortSkips = map[string]bool{
+	"ablate-agg": true, "ablate-cleanup": true, "fig2a": true, "fig2b": true, "fig2c": true,
+}
+
 // Each experiment must run clean and produce a non-trivial report. The
 // scale experiment (E7) is exercised separately in -short-excluded mode
 // because it builds 1400 nodes.
@@ -17,6 +24,9 @@ func TestExperimentsRun(t *testing.T) {
 		}
 		id := id
 		t.Run(id, func(t *testing.T) {
+			if testing.Short() && shortSkips[id] {
+				t.Skip("simulates an hour of platform time")
+			}
 			res, err := Registry[id](ctx)
 			if err != nil {
 				t.Fatalf("run: %v", err)

@@ -293,10 +293,13 @@ func (s *ScatterGather) enqueueRepair(j repairJob) {
 	// Non-blocking send under the mutex: the channel is buffered, so this
 	// never waits, and holding the lock means no job enters the queue after
 	// StopRepairs flipped repairStopped (the WaitGroup stays balanced).
+	// Count the job before the send: the worker may finish it — and call
+	// Done — before this goroutine runs another instruction.
+	s.repairWG.Add(1)
 	select {
 	case s.repairCh <- j:
-		s.repairWG.Add(1)
 	default:
+		s.repairWG.Done()
 		s.repairDropped.Add(1)
 	}
 	s.repairMu.Unlock()

@@ -40,13 +40,7 @@ func benchStore(b *testing.B) *Store {
 				}
 			}
 		}
-		cut, err := db.CutBlock(-1<<60, 1<<60)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := store.Upload(cut); err != nil {
-			b.Fatal(err)
-		}
+		mustCut(b, store, db, -1<<60, 1<<60)
 	}
 	if _, err := store.Downsample(1<<60, 5*time.Minute); err != nil {
 		b.Fatal(err)

@@ -132,13 +132,7 @@ func seedStore(t *testing.T, nBlocks int) (string, []model.Series) {
 	}
 	for b := 0; b < nBlocks; b++ {
 		db := seedDB(t, 4, 120, int64(b)*120*15000)
-		blk, err := db.CutBlock(-1<<60, 1<<60)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := store.Upload(blk); err != nil {
-			t.Fatal(err)
-		}
+		mustCut(t, store, db, -1<<60, 1<<60)
 	}
 	oracle := storeSelectAll(t, store)
 	if err := store.Close(); err != nil {

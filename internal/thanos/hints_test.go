@@ -16,17 +16,11 @@ import (
 // result as plain Select.
 func TestStoreSelectWithHintsBudget(t *testing.T) {
 	db := seedDB(t, 4, 200, 0) // 800 samples in one block
-	blk, err := db.CutBlock(0, 1<<60)
-	if err != nil {
-		t.Fatal(err)
-	}
 	store, _ := NewStore("")
-	if err := store.Upload(blk); err != nil {
-		t.Fatal(err)
-	}
+	mustCut(t, store, db, 0, 1<<60)
 	m := labels.MustMatcher(labels.MatchEqual, labels.MetricName, "m")
 
-	_, err = store.SelectWithHints(model.SelectHints{Start: 0, End: 1 << 60, SampleLimit: 100}, m)
+	_, err := store.SelectWithHints(model.SelectHints{Start: 0, End: 1 << 60, SampleLimit: 100}, m)
 	if !errors.Is(err, model.ErrSampleLimit) {
 		t.Fatalf("expected ErrSampleLimit from single-block overrun, got %v", err)
 	}
@@ -53,14 +47,8 @@ func TestStoreSelectWithHintsBudget(t *testing.T) {
 // window is served raw so the head overlap is never double-represented.
 func TestStoreRawAfterCapsDownsampled(t *testing.T) {
 	db := seedDB(t, 1, 400, 0) // one series, 15s scrape, 100 minutes
-	blk, err := db.CutBlock(0, 1<<60)
-	if err != nil {
-		t.Fatal(err)
-	}
 	store, _ := NewStore(t.TempDir())
-	if err := store.Upload(blk); err != nil {
-		t.Fatal(err)
-	}
+	mustCut(t, store, db, 0, 1<<60)
 	if n, err := store.Downsample(1<<60, 5*time.Minute); err != nil || n != 1 {
 		t.Fatalf("downsample = %d, %v", n, err)
 	}

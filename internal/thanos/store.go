@@ -4,9 +4,9 @@ package thanos
 // (internal/tsdb/blockdir.go) with background compaction and
 // multi-resolution downsampling, and a hint-aware read path that picks the
 // coarsest resolution a query step can afford. Crash recovery at open
-// sweeps aborted writes (.tmp dirs, meta-less dirs), migrates legacy .blk
-// files, and garbage-collects blocks superseded by a committed compaction
-// (same-resolution survivor listing them in Sources). See
+// sweeps aborted writes (.tmp dirs, meta-less dirs) and garbage-collects
+// blocks superseded by a committed compaction (same-resolution survivor
+// listing them in Sources). See
 // docs/ARCHITECTURE.md for the full lifecycle.
 
 import (
@@ -33,17 +33,17 @@ const DownsampleFactor = 5
 // when the store has no explicit CompactionFactor.
 const defaultCompactionFactor = 3
 
-// Store holds uploaded blocks as persistent block directories (see
+// Store holds blocks as persistent block directories (see
 // tsdb/blockdir.go for the on-disk format), one ULID-named directory per
 // block plus raw/downsampled siblings. With dir == "" blocks are assembled
 // in memory instead — same byte layout, no files — which the cluster
 // simulator and tests use.
 //
-// The store is the cold half of the hot/cold seam: the sidecar uploads
-// immutable blocks cut from the hot head, Compact folds them into larger
-// higher-level blocks (applying delete tombstones), and Downsample derives
-// 5m/1h-style aggregate siblings that long-range queries read instead of
-// raw chunks.
+// The store is the cold half of the hot/cold seam: the sidecar cuts
+// immutable blocks out of the hot head into it (CutHead), Compact folds
+// them into larger higher-level blocks (applying delete tombstones), and
+// Downsample derives 5m/1h-style aggregate siblings that long-range
+// queries read instead of raw chunks.
 type Store struct {
 	dir string
 
@@ -55,7 +55,7 @@ type Store struct {
 	mu     sync.RWMutex
 	blocks []*tsdb.PersistentBlock // sorted by MinTime
 	// labelIndex: name -> value set across all blocks, maintained on
-	// upload/load so the LabelStore endpoints don't scan every series.
+	// cut/load so the LabelStore endpoints don't scan every series.
 	// Compaction can delete tombstoned series, so the index may
 	// over-approximate after deletes — acceptable for label discovery.
 	labelIndex map[string]map[string]struct{}
@@ -69,8 +69,9 @@ type Store struct {
 //   - *.tmp directories (a block write that never reached its rename) and
 //     directories missing meta.json (a rename that never committed) are
 //     removed — their data is still in the sources that produced them.
-//   - legacy single-file .blk blocks are migrated in place to block
-//     directories, preserving their samples.
+//   - a single-file .blk block (the format before block directories; no
+//     reader for it remains) fails the open with an error naming the file,
+//     and is left untouched.
 //   - blocks fully superseded by a same-resolution block that lists them in
 //     its Sources (a compaction that crashed after publishing but before
 //     deleting) are garbage-collected. Downsampled children have a
@@ -87,43 +88,35 @@ func NewStore(dir string) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Refuse before sweeping anything, so a failed open changes nothing.
 	for _, e := range ents {
-		name := e.Name()
-		full := filepath.Join(dir, name)
-		if e.IsDir() {
-			if tsdb.IsTmpBlockDir(name) {
-				if err := os.RemoveAll(full); err != nil {
-					return nil, err
-				}
-				continue
-			}
-			if _, err := os.Stat(filepath.Join(full, tsdb.MetaFilename)); os.IsNotExist(err) {
-				if err := os.RemoveAll(full); err != nil {
-					return nil, err
-				}
-				continue
-			}
-			pb, err := tsdb.OpenBlockDir(full)
-			if err != nil {
-				return nil, fmt.Errorf("thanos: opening block %s: %w", name, err)
-			}
-			s.blocks = append(s.blocks, pb)
+		if !e.IsDir() && strings.HasSuffix(e.Name(), ".blk") {
+			return nil, fmt.Errorf("thanos: %s is a legacy single-file block this version cannot read; move it out of the store directory", filepath.Join(dir, e.Name()))
+		}
+	}
+	for _, e := range ents {
+		if !e.IsDir() {
 			continue
 		}
-		if strings.HasSuffix(name, ".blk") {
-			b, err := tsdb.ReadBlockFile(full)
-			if err != nil {
-				return nil, fmt.Errorf("thanos: migrating %s: %w", name, err)
-			}
-			pb, err := tsdb.PersistBlock(dir, b)
-			if err != nil {
-				return nil, fmt.Errorf("thanos: migrating %s: %w", name, err)
-			}
-			if err := os.Remove(full); err != nil {
+		name := e.Name()
+		full := filepath.Join(dir, name)
+		if tsdb.IsTmpBlockDir(name) {
+			if err := os.RemoveAll(full); err != nil {
 				return nil, err
 			}
-			s.blocks = append(s.blocks, pb)
+			continue
 		}
+		if _, err := os.Stat(filepath.Join(full, tsdb.MetaFilename)); os.IsNotExist(err) {
+			if err := os.RemoveAll(full); err != nil {
+				return nil, err
+			}
+			continue
+		}
+		pb, err := tsdb.OpenBlockDir(full)
+		if err != nil {
+			return nil, fmt.Errorf("thanos: opening block %s: %w", name, err)
+		}
+		s.blocks = append(s.blocks, pb)
 	}
 	s.gcSupersededLocked()
 	for _, b := range s.blocks {
@@ -217,21 +210,22 @@ func (s *Store) syncDirBestEffort() {
 	}
 }
 
-// Upload persists a block cut from the hot head as a level-1 raw block
-// directory and registers it. Empty blocks are dropped.
-func (s *Store) Upload(b *tsdb.Block) error {
-	if b.NumSamples() == 0 {
-		return nil
-	}
-	pb, err := tsdb.PersistBlock(s.dir, b)
+// CutHead cuts db's samples in [mint, maxt] straight into the store as a
+// level-1 raw block directory and registers it. It reports whether a block
+// was added: a range holding no samples writes and registers nothing.
+func (s *Store) CutHead(db *tsdb.DB, mint, maxt int64) (bool, error) {
+	pb, err := db.CutPersistentBlock(s.dir, mint, maxt)
 	if err != nil {
-		return fmt.Errorf("thanos: upload: %w", err)
+		return false, fmt.Errorf("thanos: cut head: %w", err)
+	}
+	if pb == nil {
+		return false, nil
 	}
 	s.register(pb)
 	if m := s.metrics; m != nil {
 		m.uploads.Inc()
 	}
-	return nil
+	return true, nil
 }
 
 // NumBlocks returns the number of registered blocks (raw + downsampled).

@@ -38,8 +38,8 @@ type Sidecar struct {
 	Shipped  int
 }
 
-// Ship cuts a block of everything since the previous ship (up to now) and
-// uploads it.
+// Ship cuts everything since the previous ship (up to now) into the store
+// as one block.
 func (sc *Sidecar) Ship(now time.Time) error {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
@@ -53,14 +53,11 @@ func (sc *Sidecar) Ship(now time.Time) error {
 	if mint > maxt {
 		return nil
 	}
-	blk, err := sc.DB.CutBlock(mint, maxt)
+	cut, err := sc.Store.CutHead(sc.DB, mint, maxt)
 	if err != nil {
 		return err
 	}
-	if err := sc.Store.Upload(blk); err != nil {
-		return err
-	}
-	if blk.NumSamples() > 0 {
+	if cut {
 		sc.Shipped++
 	}
 	sc.lastShip = maxt

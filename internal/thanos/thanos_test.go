@@ -2,6 +2,9 @@ package thanos
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -24,19 +27,22 @@ func seedDB(t *testing.T, nSeries, nSamples int, startMs int64) *tsdb.DB {
 	return db
 }
 
+// mustCut cuts [mint, maxt] of db into store, failing the test unless a
+// block was registered.
+func mustCut(t testing.TB, store *Store, db *tsdb.DB, mint, maxt int64) {
+	t.Helper()
+	if cut, err := store.CutHead(db, mint, maxt); err != nil || !cut {
+		t.Fatalf("CutHead[%d, %d] = %v, %v; want a block", mint, maxt, cut, err)
+	}
+}
+
 func TestUploadAndSelect(t *testing.T) {
 	db := seedDB(t, 3, 100, 0)
-	blk, err := db.CutBlock(0, 1<<60)
-	if err != nil {
-		t.Fatal(err)
-	}
 	store, err := NewStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := store.Upload(blk); err != nil {
-		t.Fatal(err)
-	}
+	mustCut(t, store, db, 0, 1<<60)
 	got, err := store.Select(0, 1<<60, labels.MustMatcher(labels.MatchEqual, labels.MetricName, "m"))
 	if err != nil {
 		t.Fatal(err)
@@ -49,9 +55,8 @@ func TestUploadAndSelect(t *testing.T) {
 func TestStorePersistence(t *testing.T) {
 	dir := t.TempDir()
 	db := seedDB(t, 2, 50, 0)
-	blk, _ := db.CutBlock(0, 1<<60)
 	store, _ := NewStore(dir)
-	store.Upload(blk)
+	mustCut(t, store, db, 0, 1<<60)
 
 	// Reopen from disk.
 	store2, err := NewStore(dir)
@@ -69,11 +74,9 @@ func TestStorePersistence(t *testing.T) {
 
 func TestOverlappingBlocksDeduplicated(t *testing.T) {
 	db := seedDB(t, 1, 100, 0)
-	b1, _ := db.CutBlock(0, 800000)
-	b2, _ := db.CutBlock(600000, 1<<60) // overlaps b1
 	store, _ := NewStore("")
-	store.Upload(b1)
-	store.Upload(b2)
+	mustCut(t, store, db, 0, 800000)
+	mustCut(t, store, db, 600000, 1<<60) // overlaps the first
 	got, _ := store.Select(0, 1<<60, labels.MustMatcher(labels.MatchEqual, labels.MetricName, "m"))
 	if len(got) != 1 {
 		t.Fatalf("series = %d", len(got))
@@ -88,15 +91,61 @@ func TestOverlappingBlocksDeduplicated(t *testing.T) {
 	}
 }
 
+// TestEmptyBlockDropped: cutting a range that holds no samples writes no
+// directory, registers no block and does not count as a ship.
 func TestEmptyBlockDropped(t *testing.T) {
-	store, _ := NewStore("")
-	db := tsdb.MustOpen(tsdb.DefaultOptions())
-	blk, _ := db.CutBlock(0, 1000)
-	if err := store.Upload(blk); err != nil {
+	dir := t.TempDir()
+	store, err := NewStore(dir)
+	if err != nil {
 		t.Fatal(err)
+	}
+	db := tsdb.MustOpen(tsdb.DefaultOptions())
+	if err := db.Append(labels.FromStrings(labels.MetricName, "m"), 5000, 1); err != nil {
+		t.Fatal(err)
+	}
+	if cut, err := store.CutHead(db, 0, 1000); err != nil || cut {
+		t.Fatalf("CutHead over an empty range = %v, %v; want no block", cut, err)
+	}
+	sc := &Sidecar{DB: tsdb.MustOpen(tsdb.DefaultOptions()), Store: store}
+	if err := sc.Ship(time.UnixMilli(1000)); err != nil {
+		t.Fatal(err)
+	}
+	if sc.Shipped != 0 {
+		t.Errorf("Shipped = %d after shipping an empty head", sc.Shipped)
 	}
 	if store.NumBlocks() != 0 {
 		t.Error("empty block registered")
+	}
+	if ents, err := os.ReadDir(dir); err != nil || len(ents) != 0 {
+		t.Errorf("empty cut left %d entries in the store directory (err %v)", len(ents), err)
+	}
+}
+
+// TestNewStoreRejectsLegacyBlockFile: a single-file .blk block from before
+// block directories is neither skipped nor migrated — the open fails naming
+// it, and the directory is left exactly as it was.
+func TestNewStoreRejectsLegacyBlockFile(t *testing.T) {
+	dir := t.TempDir()
+	store, err := NewStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustCut(t, store, seedDB(t, 1, 10, 0), 0, 1<<60)
+	store.Close()
+	legacy := filepath.Join(dir, fmt.Sprintf("block-%020d-%020d.blk", 0, 1000))
+	if err := os.WriteFile(legacy, []byte("CEEMSBLK"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Mkdir(filepath.Join(dir, "0000-aborted.tmp"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	before, _ := os.ReadDir(dir)
+	if _, err := NewStore(dir); err == nil || !strings.Contains(err.Error(), filepath.Base(legacy)) {
+		t.Fatalf("NewStore over a .blk file: err = %v, want one naming %s", err, filepath.Base(legacy))
+	}
+	after, _ := os.ReadDir(dir)
+	if len(after) != len(before) || len(after) != 3 {
+		t.Fatalf("failed open changed the directory: %d entries before, %d after", len(before), len(after))
 	}
 }
 
@@ -157,9 +206,8 @@ func TestQuerierMergesHotAndCold(t *testing.T) {
 
 func TestDownsample(t *testing.T) {
 	db := seedDB(t, 1, 400, 0) // 100 minutes at 15s
-	blk, _ := db.CutBlock(0, 1<<60)
 	store, _ := NewStore(t.TempDir())
-	store.Upload(blk)
+	mustCut(t, store, db, 0, 1<<60)
 
 	n, err := store.Downsample(1<<60, 5*time.Minute)
 	if err != nil {
@@ -233,8 +281,7 @@ func BenchmarkStoreSelect(b *testing.B) {
 	}
 	store, _ := NewStore("")
 	for c := 0; c < 4; c++ {
-		blk, _ := src.CutBlock(int64(c)*1_875_000, int64(c+1)*1_875_000-1)
-		store.Upload(blk)
+		mustCut(b, store, src, int64(c)*1_875_000, int64(c+1)*1_875_000-1)
 	}
 	m := labels.MustMatcher(labels.MatchEqual, "s", "50")
 	b.ReportAllocs()
@@ -248,17 +295,11 @@ func BenchmarkStoreSelect(b *testing.B) {
 // promapi label endpoints work in front of it.
 func TestQuerierLabelStore(t *testing.T) {
 	cold := seedDB(t, 2, 10, 0) // series s=0,1 shipped to the store
-	blk, err := cold.CutBlock(0, 1<<60)
-	if err != nil {
-		t.Fatal(err)
-	}
 	store, err := NewStore("")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := store.Upload(blk); err != nil {
-		t.Fatal(err)
-	}
+	mustCut(t, store, cold, 0, 1<<60)
 	hot := tsdb.MustOpen(tsdb.DefaultOptions())
 	if err := hot.Append(labels.FromStrings(labels.MetricName, "m", "s", "9", "zone", "hot"), 5000, 1); err != nil {
 		t.Fatal(err)

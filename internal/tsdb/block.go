@@ -1,112 +1,51 @@
 package tsdb
 
 import (
-	"bufio"
-	"encoding/binary"
-	"encoding/json"
 	"fmt"
-	"io"
-	"os"
-	"path/filepath"
+	"math"
 	"sort"
 
 	"repro/internal/labels"
-	"repro/internal/model"
 	"repro/internal/tsdb/chunkenc"
 )
 
-// Block is an immutable, time-bounded snapshot of series data, the unit of
-// replication from the hot TSDB to long-term storage (the Thanos sidecar
-// path in the paper's architecture).
-type Block struct {
-	MinTime int64
-	MaxTime int64
-	Series  []BlockSeries
-}
-
-// BlockSeries is one series inside a block.
-type BlockSeries struct {
-	Labels labels.Labels
-	Chunks []*chunkenc.Chunk
-}
-
-// CutBlock snapshots all samples in [mint, maxt] into a new immutable
-// block. The head is not modified; callers typically Truncate afterwards.
+// CutPersistentBlock snapshots all samples in [mint, maxt] into a new
+// immutable level-1 raw block — the unit of replication from the hot head
+// to long-term storage (the Thanos sidecar path in the paper's
+// architecture). The block is written as a block directory under parent
+// (crash-safe, see blockdir.go) and returned as an open read handle; with
+// parent == "" it is assembled in memory instead. A range holding no
+// samples writes nothing and returns (nil, nil). The head is not modified;
+// callers typically Truncate afterwards.
 //
 // The cut fans out per shard on the shared worker pool: each shard walks
 // its own series, reusing closed immutable chunks that fall entirely inside
-// the range (zero re-encoding — the chunk pointer is shared, closed chunks
-// are never appended to) and re-encoding only boundary chunks, the open
+// the range (their bytes and recorded time bounds go to the block as they
+// are — nothing is decoded) and re-encoding only boundary chunks, the open
 // head chunk and series holding out-of-order samples. The per-shard slices
 // arrive label-sorted and are combined with the same k-way merge Select
 // uses, so output is identical for any shard count.
-func (db *DB) CutBlock(mint, maxt int64) (*Block, error) {
-	parts := make([][]BlockSeries, len(db.shards))
-	mins := make([]int64, len(db.shards))
-	maxs := make([]int64, len(db.shards))
+func (db *DB) CutPersistentBlock(parent string, mint, maxt int64) (*PersistentBlock, error) {
+	parts := make([][]diskSeries, len(db.shards))
 	errs := make([]error, len(db.shards))
 	db.forEachShard(func(i int, sh *headShard) {
-		parts[i], mins[i], maxs[i], errs[i] = sh.cutSorted(mint, maxt, db.opts.MaxSamplesPerChunk)
+		parts[i], errs[i] = sh.cutSorted(mint, maxt, db.opts.MaxSamplesPerChunk)
 	})
 	for _, err := range errs {
 		if err != nil {
 			return nil, fmt.Errorf("tsdb: cut block: %w", err)
 		}
 	}
-	b := &Block{MinTime: int64(1) << 62, MaxTime: -(int64(1) << 62)}
-	b.Series = mergeSortedBy(parts, func(a, c BlockSeries) int { return labels.Compare(a.Labels, c.Labels) })
-	for i := range db.shards {
-		if len(parts[i]) == 0 {
-			continue
-		}
-		if mins[i] < b.MinTime {
-			b.MinTime = mins[i]
-		}
-		if maxs[i] > b.MaxTime {
-			b.MaxTime = maxs[i]
-		}
+	series := mergeSortedBy(parts, func(a, c diskSeries) int { return labels.Compare(a.lset, c.lset) })
+	if len(series) == 0 {
+		return nil, nil
 	}
-	if len(b.Series) == 0 {
-		b.MinTime, b.MaxTime = mint, maxt
+	meta := &BlockMeta{MinTime: math.MaxInt64, MaxTime: math.MinInt64, Level: 1}
+	for i := range series {
+		cs := series[i].chunks // never empty, in time order
+		meta.MinTime = min(meta.MinTime, cs[0].minT)
+		meta.MaxTime = max(meta.MaxTime, cs[len(cs)-1].maxT)
 	}
-	return b, nil
-}
-
-// CutPersistentBlock is CutBlock straight to durable storage: the cut block
-// is written as a block directory under parent (crash-safe, see
-// blockdir.go) and returned as an open read handle. With parent == "" the
-// block is assembled in memory instead.
-func (db *DB) CutPersistentBlock(parent string, mint, maxt int64) (*PersistentBlock, error) {
-	b, err := db.CutBlock(mint, maxt)
-	if err != nil {
-		return nil, err
-	}
-	return PersistBlock(parent, b)
-}
-
-// PersistBlock converts an in-memory Block into a level-1 raw persistent
-// block under parent ("" assembles it in memory). The sidecar upload path
-// and the legacy-format migration both funnel through here.
-func PersistBlock(parent string, b *Block) (*PersistentBlock, error) {
-	series := make([]diskSeries, 0, len(b.Series))
-	for _, bs := range b.Series {
-		ds := diskSeries{lset: bs.Labels, chunks: make([]diskChunk, 0, len(bs.Chunks))}
-		for _, c := range bs.Chunks {
-			minT, maxT, err := chunkBounds(c)
-			if err != nil {
-				return nil, err
-			}
-			ds.chunks = append(ds.chunks, diskChunk{
-				aggr:       AggrRaw,
-				minT:       minT,
-				maxT:       maxT,
-				numSamples: c.NumSamples(),
-				payload:    c.Bytes(),
-			})
-		}
-		series = append(series, ds)
-	}
-	meta := &BlockMeta{MinTime: b.MinTime, MaxTime: b.MaxTime, Level: 1, Resolution: 0}
 	if parent == "" {
 		return newMemPersistentBlock(meta, series)
 	}
@@ -117,114 +56,85 @@ func PersistBlock(parent string, b *Block) (*PersistentBlock, error) {
 	return OpenBlockDir(dir)
 }
 
-// chunkBounds returns the first and last timestamps of a chunk.
-func chunkBounds(c *chunkenc.Chunk) (int64, int64, error) {
-	it := c.Iterator()
-	if !it.Next() {
-		return 0, 0, fmt.Errorf("tsdb: empty chunk in block")
-	}
-	minT, _ := it.At()
-	maxT := minT
-	for it.Next() {
-		maxT, _ = it.At()
-	}
-	return minT, maxT, it.Err()
-}
-
-// seriesCutter accumulates one series' chunks during a block cut: add
+// seriesCutter accumulates one series' block chunks during a cut: add
 // re-encodes individual samples, reuse adopts a closed chunk wholesale
 // (flushing any pending re-encoded samples first so time order holds).
+// Every chunk is recorded with the time bounds the cutter already knows, so
+// nothing downstream has to decode it again.
 type seriesCutter struct {
-	maxPerChunk int
-	chunks      []*chunkenc.Chunk
-	cur         *chunkenc.Chunk
-	mint, maxt  int64
-	n           int
-}
-
-func newSeriesCutter(maxPerChunk int) *seriesCutter {
-	return &seriesCutter{maxPerChunk: maxPerChunk, mint: int64(1) << 62, maxt: -(int64(1) << 62)}
-}
-
-func (sc *seriesCutter) note(t int64) {
-	if t < sc.mint {
-		sc.mint = t
-	}
-	if t > sc.maxt {
-		sc.maxt = t
-	}
+	maxPerChunk    int
+	chunks         []diskChunk
+	cur            *chunkenc.Chunk
+	curMin, curMax int64
 }
 
 func (sc *seriesCutter) add(t int64, v float64) error {
 	if sc.cur == nil {
 		sc.cur = chunkenc.NewChunk()
+		sc.curMin = t
 	}
 	if err := sc.cur.Append(t, v); err != nil {
 		return err
 	}
-	sc.note(t)
-	sc.n++
+	sc.curMax = t
 	if sc.cur.NumSamples() >= sc.maxPerChunk {
-		sc.chunks = append(sc.chunks, sc.cur)
-		sc.cur = nil
+		sc.flush()
 	}
 	return nil
 }
 
 func (sc *seriesCutter) flush() {
-	if sc.cur != nil && sc.cur.NumSamples() > 0 {
-		sc.chunks = append(sc.chunks, sc.cur)
+	if sc.cur != nil {
+		sc.push(sc.cur, sc.curMin, sc.curMax)
+		sc.cur = nil
 	}
-	sc.cur = nil
 }
 
 func (sc *seriesCutter) reuse(cr *chunkRange) {
 	sc.flush()
-	sc.chunks = append(sc.chunks, cr.chunk)
-	sc.note(cr.min)
-	sc.note(cr.max)
-	sc.n += cr.chunk.NumSamples()
+	sc.push(cr.chunk, cr.min, cr.max)
+}
+
+func (sc *seriesCutter) push(c *chunkenc.Chunk, minT, maxT int64) {
+	sc.chunks = append(sc.chunks, diskChunk{
+		aggr:       AggrRaw,
+		minT:       minT,
+		maxT:       maxT,
+		numSamples: c.NumSamples(),
+		payload:    c.Bytes(),
+	})
 }
 
 // cutSorted builds the shard's contribution to a block cut: every series
-// with samples in [mint, maxt], label-sorted, plus the shard's actual
-// sample-time bounds within the range.
-func (sh *headShard) cutSorted(mint, maxt int64, maxPerChunk int) ([]BlockSeries, int64, int64, error) {
+// with samples in [mint, maxt], label-sorted.
+func (sh *headShard) cutSorted(mint, maxt int64, maxPerChunk int) ([]diskSeries, error) {
 	sh.mu.RLock()
 	series := make([]*memSeries, 0, len(sh.byRef))
 	for _, s := range sh.byRef {
 		series = append(series, s)
 	}
 	sh.mu.RUnlock()
-	out := make([]BlockSeries, 0, len(series))
-	shMin, shMax := int64(1)<<62, -(int64(1) << 62)
+	out := make([]diskSeries, 0, len(series))
 	for _, s := range series {
-		sc, err := s.cut(mint, maxt, maxPerChunk)
+		chunks, err := s.cut(mint, maxt, maxPerChunk)
 		if err != nil {
-			return nil, 0, 0, err
+			return nil, err
 		}
-		if sc.n == 0 {
-			continue
-		}
-		out = append(out, BlockSeries{Labels: s.lset, Chunks: sc.chunks})
-		if sc.mint < shMin {
-			shMin = sc.mint
-		}
-		if sc.maxt > shMax {
-			shMax = sc.maxt
+		if len(chunks) > 0 {
+			out = append(out, diskSeries{lset: s.lset, chunks: chunks})
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return labels.Compare(out[i].Labels, out[j].Labels) < 0 })
-	return out, shMin, shMax, nil
+	sort.Slice(out, func(i, j int) bool { return labels.Compare(out[i].lset, out[j].lset) < 0 })
+	return out, nil
 }
 
 // cut snapshots the series' samples in [mint, maxt] into block chunks.
 // Series without out-of-order samples reuse closed chunks that lie fully in
 // range; everything else re-encodes.
-func (s *memSeries) cut(mint, maxt int64, maxPerChunk int) (*seriesCutter, error) {
+func (s *memSeries) cut(mint, maxt int64, maxPerChunk int) ([]diskChunk, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	sc := newSeriesCutter(maxPerChunk)
+	sc := seriesCutter{maxPerChunk: maxPerChunk}
 	if len(s.ooo) == 0 {
 		decode := func(c *chunkenc.Chunk) error {
 			it := c.Iterator()
@@ -263,7 +173,7 @@ func (s *memSeries) cut(mint, maxt int64, maxPerChunk int) (*seriesCutter, error
 			}
 		}
 		sc.flush()
-		return sc, nil
+		return sc.chunks, nil
 	}
 	// Out-of-order samples present: the merged view is not chunk-aligned,
 	// re-encode it sample by sample.
@@ -273,207 +183,5 @@ func (s *memSeries) cut(mint, maxt int64, maxPerChunk int) (*seriesCutter, error
 		}
 	}
 	sc.flush()
-	return sc, nil
-}
-
-// Select returns the block's series overlapping [mint, maxt] that satisfy
-// the matchers, mirroring DB.Select.
-func (b *Block) Select(mint, maxt int64, ms ...*labels.Matcher) []model.Series {
-	out, _ := b.SelectLimited(mint, maxt, 0, ms...)
-	return out
-}
-
-// SelectLimited is Select with a sample budget: when limit > 0 the decode
-// stops as soon as more than limit samples have been copied and reports
-// model.ErrSampleLimit, so an oversized query aborts mid-copy instead of
-// materializing the whole block.
-func (b *Block) SelectLimited(mint, maxt, limit int64, ms ...*labels.Matcher) ([]model.Series, error) {
-	var out []model.Series
-	var copied int64
-	for _, bs := range b.Series {
-		if !labels.MatchLabels(bs.Labels, ms...) {
-			continue
-		}
-		var samples []model.Sample
-		for _, c := range bs.Chunks {
-			it := c.Iterator()
-			for it.Next() {
-				t, v := it.At()
-				if t < mint {
-					continue
-				}
-				if t > maxt {
-					break
-				}
-				samples = append(samples, model.Sample{T: t, V: v})
-				copied++
-				if limit > 0 && copied > limit {
-					return nil, model.ErrSampleLimit
-				}
-			}
-		}
-		if len(samples) > 0 {
-			out = append(out, model.Series{Labels: bs.Labels, Samples: samples})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return labels.Compare(out[i].Labels, out[j].Labels) < 0 })
-	return out, nil
-}
-
-// NumSamples counts all samples in the block.
-func (b *Block) NumSamples() int {
-	n := 0
-	for _, s := range b.Series {
-		for _, c := range s.Chunks {
-			n += c.NumSamples()
-		}
-	}
-	return n
-}
-
-const (
-	blockMagic   = "CEEMSBLK"
-	blockVersion = 1
-)
-
-// WriteFile persists the block to path atomically (write to temp + rename).
-func (b *Block) WriteFile(path string) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	w := bufio.NewWriter(f)
-	if err := b.encode(w); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := w.Flush(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return os.Rename(tmp, path)
-}
-
-func (b *Block) encode(w io.Writer) error {
-	if _, err := w.Write([]byte(blockMagic)); err != nil {
-		return err
-	}
-	hdr := []any{uint32(blockVersion), b.MinTime, b.MaxTime, uint32(len(b.Series))}
-	for _, v := range hdr {
-		if err := binary.Write(w, binary.LittleEndian, v); err != nil {
-			return err
-		}
-	}
-	for _, s := range b.Series {
-		lj, err := json.Marshal(s.Labels.Map())
-		if err != nil {
-			return err
-		}
-		if err := binary.Write(w, binary.LittleEndian, uint32(len(lj))); err != nil {
-			return err
-		}
-		if _, err := w.Write(lj); err != nil {
-			return err
-		}
-		if err := binary.Write(w, binary.LittleEndian, uint32(len(s.Chunks))); err != nil {
-			return err
-		}
-		for _, c := range s.Chunks {
-			cb := c.Bytes()
-			if err := binary.Write(w, binary.LittleEndian, uint32(len(cb))); err != nil {
-				return err
-			}
-			if _, err := w.Write(cb); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// ReadBlockFile loads a block previously written with WriteFile.
-func ReadBlockFile(path string) (*Block, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return decodeBlock(bufio.NewReader(f))
-}
-
-func decodeBlock(r io.Reader) (*Block, error) {
-	magic := make([]byte, len(blockMagic))
-	if _, err := io.ReadFull(r, magic); err != nil {
-		return nil, fmt.Errorf("tsdb: block header: %w", err)
-	}
-	if string(magic) != blockMagic {
-		return nil, fmt.Errorf("tsdb: bad block magic %q", magic)
-	}
-	var version uint32
-	if err := binary.Read(r, binary.LittleEndian, &version); err != nil {
-		return nil, err
-	}
-	if version != blockVersion {
-		return nil, fmt.Errorf("tsdb: unsupported block version %d", version)
-	}
-	b := &Block{}
-	var nSeries uint32
-	if err := binary.Read(r, binary.LittleEndian, &b.MinTime); err != nil {
-		return nil, err
-	}
-	if err := binary.Read(r, binary.LittleEndian, &b.MaxTime); err != nil {
-		return nil, err
-	}
-	if err := binary.Read(r, binary.LittleEndian, &nSeries); err != nil {
-		return nil, err
-	}
-	for i := uint32(0); i < nSeries; i++ {
-		var lj uint32
-		if err := binary.Read(r, binary.LittleEndian, &lj); err != nil {
-			return nil, err
-		}
-		buf := make([]byte, lj)
-		if _, err := io.ReadFull(r, buf); err != nil {
-			return nil, err
-		}
-		var lm map[string]string
-		if err := json.Unmarshal(buf, &lm); err != nil {
-			return nil, fmt.Errorf("tsdb: block series %d labels: %w", i, err)
-		}
-		bs := BlockSeries{Labels: labels.FromMap(lm)}
-		var nChunks uint32
-		if err := binary.Read(r, binary.LittleEndian, &nChunks); err != nil {
-			return nil, err
-		}
-		for j := uint32(0); j < nChunks; j++ {
-			var cl uint32
-			if err := binary.Read(r, binary.LittleEndian, &cl); err != nil {
-				return nil, err
-			}
-			cb := make([]byte, cl)
-			if _, err := io.ReadFull(r, cb); err != nil {
-				return nil, err
-			}
-			c, err := chunkenc.FromBytes(cb)
-			if err != nil {
-				return nil, err
-			}
-			bs.Chunks = append(bs.Chunks, c)
-		}
-		b.Series = append(b.Series, bs)
-	}
-	return b, nil
-}
-
-// BlockFileName returns the canonical file name for a block covering
-// [mint, maxt].
-func BlockFileName(dir string, mint, maxt int64) string {
-	return filepath.Join(dir, fmt.Sprintf("block-%020d-%020d.blk", mint, maxt))
+	return sc.chunks, nil
 }

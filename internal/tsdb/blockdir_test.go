@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/labels"
 	"repro/internal/model"
+	"repro/internal/tsdb/chunkenc"
 )
 
 func blockSeedDB(t *testing.T, shards, nSeries, nSamples int, startMs, stepMs int64) *DB {
@@ -174,10 +175,13 @@ func TestBlockDirCorruptionDetected(t *testing.T) {
 	})
 }
 
-// TestParallelCutMatchesSelect: the per-shard parallel CutBlock must be
-// sample-identical to Select for any shard count, including with
-// out-of-order data in flight and boundary chunks that need re-encoding.
+// TestParallelCutMatchesSelect: the per-shard parallel cut, written to a
+// directory and reopened, must be sample-identical to Select for any shard
+// count, including with out-of-order data in flight and boundary chunks
+// that need re-encoding — and the block files must not depend on the shard
+// count at all.
 func TestParallelCutMatchesSelect(t *testing.T) {
+	fullCut := map[int][2][]byte{} // shards -> {index, chunks} of the whole-head cut
 	for _, shards := range []int{1, 4, 16} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			opts := DefaultOptions()
@@ -185,7 +189,7 @@ func TestParallelCutMatchesSelect(t *testing.T) {
 			opts.OutOfOrderWindow = 60_000
 			opts.MaxSamplesPerChunk = 50
 			db := MustOpen(opts)
-			rng := rand.New(rand.NewSource(0xB10C + int64(shards)))
+			rng := rand.New(rand.NewSource(0xB10C))
 			for i := 0; i < 30; i++ {
 				ls := labels.FromStrings(labels.MetricName, "cutpar", "s", fmt.Sprintf("%02d", i))
 				ts := int64(0)
@@ -204,14 +208,95 @@ func TestParallelCutMatchesSelect(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				blk, err := db.CutBlock(mint, maxt)
+				cut, err := db.CutPersistentBlock(t.TempDir(), mint, maxt)
 				if err != nil {
 					t.Fatal(err)
 				}
-				got := blk.Select(mint, maxt, matchAll())
+				if cut == nil {
+					if len(want) != 0 {
+						t.Fatalf("cut [%d,%d] produced no block but Select has %d series", mint, maxt, len(want))
+					}
+					continue
+				}
+				cut.Close()
+				blk, err := OpenBlockDir(cut.Dir())
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := blk.Select(mint, maxt, matchAll())
+				blk.Close()
+				if err != nil {
+					t.Fatal(err)
+				}
 				assertSeriesEqual(t, got, want, fmt.Sprintf("cut [%d,%d]", mint, maxt))
+				if mint == -1<<60 {
+					var files [2][]byte
+					for i, name := range []string{IndexFilename, ChunksFilename} {
+						if files[i], err = os.ReadFile(filepath.Join(cut.Dir(), name)); err != nil {
+							t.Fatal(err)
+						}
+					}
+					fullCut[shards] = files
+				}
 			}
 		})
+	}
+	for _, shards := range []int{4, 16} {
+		if !reflect.DeepEqual(fullCut[shards], fullCut[1]) {
+			t.Errorf("index/chunks of the %d-shard cut differ from the 1-shard cut", shards)
+		}
+	}
+}
+
+// TestCutReusesClosedChunksUndecoded: a closed chunk lying fully inside the
+// cut range goes to the block with the bounds the head recorded for it —
+// the cut never iterates it. The proof swaps every closed chunk for bytes
+// no iterator can walk: a cut that decoded them would fail, and their
+// recorded bounds still land in the block's index.
+func TestCutReusesClosedChunksUndecoded(t *testing.T) {
+	opts := DefaultOptions()
+	opts.Shards = 2
+	opts.MaxSamplesPerChunk = 10
+	db := MustOpen(opts)
+	for i := 0; i < 4; i++ {
+		ls := labels.FromStrings(labels.MetricName, "reuse", "s", fmt.Sprint(i))
+		for j := int64(0); j < 30; j++ { // exactly three closed chunks, no open head
+			if err := db.Append(ls, j*1000, float64(j)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	undecodable, err := chunkenc.FromBytes([]byte{0, 10}) // claims 10 samples, carries none
+	if err != nil {
+		t.Fatal(err)
+	}
+	if it := undecodable.Iterator(); it.Next() || it.Err() == nil {
+		t.Fatal("test setup: the stand-in chunk decodes")
+	}
+	for _, sh := range db.shards {
+		for _, s := range sh.byRef {
+			if len(s.chunks) != 3 || s.head != nil {
+				t.Fatalf("test setup: series has %d closed chunks, head %v", len(s.chunks), s.head)
+			}
+			for _, cr := range s.chunks {
+				cr.chunk = undecodable
+			}
+		}
+	}
+	pb, err := db.CutPersistentBlock("", -1<<60, 1<<60)
+	if err != nil {
+		t.Fatalf("cut over closed chunks only decoded one: %v", err)
+	}
+	defer pb.Close()
+	if meta := pb.Meta(); meta.MinTime != 0 || meta.MaxTime != 29_000 || meta.Stats.NumChunks != 12 || meta.Stats.NumSamples != 120 {
+		t.Fatalf("meta = %+v, want [0, 29000] with 12 chunks of 10 samples", meta)
+	}
+	for _, ds := range pb.series {
+		for i, c := range ds.chunks {
+			if want := int64(i) * 10_000; c.minT != want || c.maxT != want+9000 {
+				t.Fatalf("%s chunk %d bounds [%d, %d], want [%d, %d]", ds.lset, i, c.minT, c.maxT, want, want+9000)
+			}
+		}
 	}
 }
 

@@ -9,12 +9,11 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/bits"
 )
 
 // Chunk is a compressed sequence of (timestamp, value) samples.
 type Chunk struct {
-	b   bstream
+	b   BitWriter
 	num uint16
 	// appender state
 	t        int64
@@ -37,8 +36,7 @@ func FromBytes(data []byte) (*Chunk, error) {
 	}
 	c := &Chunk{leading: 0xff}
 	c.num = binary.BigEndian.Uint16(data[:2])
-	c.b.stream = append([]byte(nil), data[2:]...)
-	c.b.count = 0 // full bytes, no partial bit state for reading
+	c.b.b = append([]byte(nil), data[2:]...)
 	return c, nil
 }
 
@@ -52,7 +50,7 @@ func FromBytesNoCopy(data []byte) (*Chunk, error) {
 	}
 	c := &Chunk{leading: 0xff}
 	c.num = binary.BigEndian.Uint16(data[:2])
-	c.b.stream = data[2:]
+	c.b.b = data[2:]
 	return c, nil
 }
 
@@ -61,9 +59,9 @@ func (c *Chunk) NumSamples() int { return int(c.num) }
 
 // Bytes serializes the chunk: 2-byte big-endian count, then the bit stream.
 func (c *Chunk) Bytes() []byte {
-	out := make([]byte, 2+len(c.b.stream))
+	out := make([]byte, 2+len(c.b.b))
 	binary.BigEndian.PutUint16(out[:2], c.num)
-	copy(out[2:], c.b.stream)
+	copy(out[2:], c.b.b)
 	return out
 }
 
@@ -72,85 +70,28 @@ func (c *Chunk) Append(t int64, v float64) error {
 	switch c.num {
 	case 0:
 		// First sample: varint timestamp + raw value.
-		var buf [binary.MaxVarintLen64]byte
-		n := binary.PutVarint(buf[:], t)
-		for _, b := range buf[:n] {
-			c.b.writeByte(b)
-		}
-		c.b.writeBits(math.Float64bits(v), 64)
+		c.b.WriteVarint(t)
+		c.b.WriteBits(math.Float64bits(v), 64)
 	case 1:
 		if t <= c.t {
 			return fmt.Errorf("chunkenc: out-of-order timestamp %d <= %d", t, c.t)
 		}
-		tDelta := uint64(t - c.t)
-		var buf [binary.MaxVarintLen64]byte
-		n := binary.PutUvarint(buf[:], tDelta)
-		for _, b := range buf[:n] {
-			c.b.writeByte(b)
-		}
-		c.tDelta = tDelta
-		c.writeVDelta(v)
+		c.tDelta = uint64(t - c.t)
+		c.b.WriteUvarint(c.tDelta)
+		c.b.WriteXOR(c.v, v, &c.leading, &c.trailing)
 	default:
 		if t <= c.t {
 			return fmt.Errorf("chunkenc: out-of-order timestamp %d <= %d", t, c.t)
 		}
 		tDelta := uint64(t - c.t)
-		dod := int64(tDelta - c.tDelta)
-		// Delta-of-delta buckets as in the Gorilla paper.
-		switch {
-		case dod == 0:
-			c.b.writeBit(false)
-		case bitRange(dod, 14):
-			c.b.writeBits(0b10, 2)
-			c.b.writeBits(uint64(dod), 14)
-		case bitRange(dod, 17):
-			c.b.writeBits(0b110, 3)
-			c.b.writeBits(uint64(dod), 17)
-		case bitRange(dod, 20):
-			c.b.writeBits(0b1110, 4)
-			c.b.writeBits(uint64(dod), 20)
-		default:
-			c.b.writeBits(0b1111, 4)
-			c.b.writeBits(uint64(dod), 64)
-		}
+		c.b.WriteDOD(int64(tDelta - c.tDelta))
 		c.tDelta = tDelta
-		c.writeVDelta(v)
+		c.b.WriteXOR(c.v, v, &c.leading, &c.trailing)
 	}
 	c.t = t
 	c.v = v
 	c.num++
 	return nil
-}
-
-func (c *Chunk) writeVDelta(v float64) {
-	vDelta := math.Float64bits(v) ^ math.Float64bits(c.v)
-	if vDelta == 0 {
-		c.b.writeBit(false)
-		return
-	}
-	c.b.writeBit(true)
-	leading := uint8(bits.LeadingZeros64(vDelta))
-	trailing := uint8(bits.TrailingZeros64(vDelta))
-	// Clamp to 31 so it fits the 5-bit field.
-	if leading >= 32 {
-		leading = 31
-	}
-	if c.leading != 0xff && leading >= c.leading && trailing >= c.trailing {
-		// Fits the previous window: reuse it.
-		c.b.writeBit(false)
-		c.b.writeBits(vDelta>>c.trailing, 64-int(c.leading)-int(c.trailing))
-		return
-	}
-	c.leading, c.trailing = leading, trailing
-	c.b.writeBit(true)
-	c.b.writeBits(uint64(leading), 5)
-	sigbits := 64 - int(leading) - int(trailing)
-	c.b.writeBits(uint64(sigbits), 6)
-	c.b.writeBits(vDelta>>trailing, sigbits)
-}
-
-func bitRange(x int64, nbits uint8) bool {
-	return -((1<<(nbits-1))-1) <= x && x <= 1<<(nbits-1)-1
 }
 
 // Iterator iterates the samples of a chunk.
@@ -170,7 +111,7 @@ type Iterator struct {
 // inlines, so an iterator that does not outlive its caller stays on the
 // stack.
 func (c *Chunk) Iterator() *Iterator {
-	return &Iterator{br: BitReader{stream: c.b.stream}, numTotal: c.num}
+	return &Iterator{br: BitReader{stream: c.b.b}, numTotal: c.num}
 }
 
 // Next advances to the next sample, returning false at the end or on error.
@@ -215,48 +156,3 @@ func (it *Iterator) At() (int64, float64) { return it.t, it.v }
 
 // Err returns the first error encountered.
 func (it *Iterator) Err() error { return it.err }
-
-// bstream is an append-only bit stream.
-type bstream struct {
-	stream []byte
-	count  uint8 // bits free in the last byte
-}
-
-func (b *bstream) writeBit(bit bool) {
-	if b.count == 0 {
-		b.stream = append(b.stream, 0)
-		b.count = 8
-	}
-	i := len(b.stream) - 1
-	if bit {
-		b.stream[i] |= 1 << (b.count - 1)
-	}
-	b.count--
-}
-
-func (b *bstream) writeByte(byt byte) {
-	if b.count == 0 {
-		b.stream = append(b.stream, 0)
-		b.count = 8
-	}
-	i := len(b.stream) - 1
-	// Fill what's left of the current byte, spill into the next.
-	b.stream[i] |= byt >> (8 - b.count)
-	b.stream = append(b.stream, 0)
-	i++
-	b.stream[i] = byt << b.count
-}
-
-func (b *bstream) writeBits(u uint64, nbits int) {
-	u <<= 64 - uint(nbits)
-	for nbits >= 8 {
-		b.writeByte(byte(u >> 56))
-		u <<= 8
-		nbits -= 8
-	}
-	for nbits > 0 {
-		b.writeBit((u >> 63) == 1)
-		u <<= 1
-		nbits--
-	}
-}

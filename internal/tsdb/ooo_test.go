@@ -205,7 +205,8 @@ func TestOOOTruncatePrunesBuffer(t *testing.T) {
 }
 
 // TestOOOWALReplayRoundTrip proves accepted out-of-order samples are
-// journalled and replayed byte-exact in both WAL formats, including ones
+// journalled and replayed byte-exact from both WAL formats (compress=false
+// replays the journal rewritten as v1), including ones
 // that would fail a replay-time window re-check (the bound is deliberately
 // not re-applied on replay).
 func TestOOOWALReplayRoundTrip(t *testing.T) {
@@ -213,7 +214,7 @@ func TestOOOWALReplayRoundTrip(t *testing.T) {
 		t.Run(fmt.Sprintf("compress=%v", compress), func(t *testing.T) {
 			dir := t.TempDir()
 			opts := Options{
-				WALDir: dir, WALCompression: compress, Shards: 4,
+				WALDir: dir, Shards: 4,
 				OutOfOrderWindow: 30_000,
 			}
 			db, err := Open(opts)
@@ -252,6 +253,12 @@ func TestOOOWALReplayRoundTrip(t *testing.T) {
 				}
 			}
 			// Reopen and compare.
+			if err := db.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if !compress {
+				rewriteWALAsV1(t, dir, 0)
+			}
 			db2, err := Open(opts)
 			if err != nil {
 				t.Fatal(err)

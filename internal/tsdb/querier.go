@@ -88,7 +88,7 @@ func mergeSortedSeries(parts [][]model.Series) []model.Series {
 
 // mergeSortedBy merges per-shard slices, each sorted under cmp, into one
 // sorted slice. Pairwise tournament reduction keeps it O(total · log shards)
-// even at high shard counts. Select and CutBlock share it.
+// even at high shard counts. Select and CutPersistentBlock share it.
 func mergeSortedBy[T any](parts [][]T, cmp func(a, b T) int) []T {
 	live := parts[:0]
 	for _, p := range parts {

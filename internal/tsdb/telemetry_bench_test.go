@@ -17,7 +17,7 @@ import (
 func BenchmarkTelemetryAppendOverhead(b *testing.B) {
 	for _, mode := range []string{"bare", "instrumented"} {
 		b.Run(mode, func(b *testing.B) {
-			opts := Options{Shards: 8, WALDir: filepath.Join(b.TempDir(), "wal"), WALCompression: true}
+			opts := Options{Shards: 8, WALDir: filepath.Join(b.TempDir(), "wal")}
 			if mode == "instrumented" {
 				opts.Telemetry = telemetry.NewRegistry()
 			}

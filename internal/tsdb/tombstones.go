@@ -27,8 +27,9 @@ import (
 //	tombstone := seq uvarint, nMatchers uvarint, then per matcher:
 //	             type byte | len uvarint + name bytes | len uvarint + value bytes
 //
-// Type 7 is valid in v1 and v2 files alike (a tombstone is format-agnostic);
-// type 8, like the other compressed types, only in v2 files.
+// The writer emits type 8 only. Replay accepts type 7 in v1 and v2 files
+// alike (journals written before v2 became the only write format); type 8,
+// like the other compressed types, only in v2 files.
 //
 // Within one shard's journal, ordering gives re-create-after-delete for
 // free: a tombstone record deletes only series registered before it, and a
@@ -186,9 +187,6 @@ func decodeTombstonePayload(payload []byte) (uint64, []*labels.Matcher, error) {
 }
 
 func (e *walRecEncoder) appendTombstoneRecord(dst []byte, seq uint64, ms []*labels.Matcher) []byte {
-	if !e.compress {
-		return appendFramed(dst, walRecTombstone, func(b []byte) []byte { return encodeTombstonePayload(b, seq, ms) })
-	}
 	e.scratch = encodeTombstonePayload(e.scratch[:0], seq, ms)
 	return appendFramed(dst, walRecTombstoneV2, func(b []byte) []byte { return appendCompressed(b, e.scratch) })
 }

@@ -17,14 +17,15 @@ func tombMatcher(t *testing.T) *labels.Matcher {
 // append — after a restart the deleted window stays deleted, series
 // re-created after the delete keep their post-delete samples, and the
 // tombstone log itself survives with its sequence number. The matrix runs
-// the v1 and v2 (compressed) formats and both shard layouts: delete
+// both shard layouts and both on-disk formats (compress=false replays the
+// journal rewritten as v1, raw type-7 tombstone records included): delete
 // durability must be invisible to both.
 func TestWALTombstoneReplay(t *testing.T) {
 	for _, shards := range []int{1, 16} {
 		for _, compress := range []bool{false, true} {
 			t.Run(fmt.Sprintf("shards=%d,compress=%v", shards, compress), func(t *testing.T) {
 				opts := Options{Shards: shards, WALDir: filepath.Join(t.TempDir(), "wal"),
-					WALSegmentSize: 4096, WALCompression: compress}
+					WALSegmentSize: 4096}
 				db, err := Open(opts)
 				if err != nil {
 					t.Fatal(err)
@@ -39,6 +40,9 @@ func TestWALTombstoneReplay(t *testing.T) {
 				live := selectAll(t, db)
 				if err := db.Close(); err != nil {
 					t.Fatal(err)
+				}
+				if !compress {
+					rewriteWALAsV1(t, opts.WALDir, opts.WALSegmentSize)
 				}
 
 				re, err := Open(opts)

@@ -25,12 +25,13 @@
 // # Persistent blocks
 //
 // Beyond the head, the package owns the on-disk block layer the cold tier
-// (internal/thanos) is built from: CutBlock / CutPersistentBlock extract a
-// time window in parallel per shard (block.go), blockdir.go defines the
-// crash-safe directory format (meta.json commit point, CRC'd index +
-// mmap'd Gorilla chunk segment), blockread.go the lazy reference-counted
-// read path, and compact.go merging, tombstone application and 5m/1h
-// sum/count/min/max downsampling. The lifecycle end to end is documented
+// (internal/thanos) is built from. A block has one representation, the
+// block directory: CutPersistentBlock cuts a time window of the head, in
+// parallel per shard, straight into one (block.go); blockdir.go defines the
+// crash-safe format (meta.json commit point, CRC'd index + mmap'd Gorilla
+// chunk segment), blockread.go the lazy reference-counted read path, and
+// compact.go merging, tombstone application and 5m/1h sum/count/min/max
+// downsampling. The lifecycle end to end is documented
 // in docs/ARCHITECTURE.md.
 package tsdb
 
@@ -76,13 +77,6 @@ type Options struct {
 	// WALSegmentSize rotates WAL segments at this many bytes; 0 picks
 	// DefaultWALSegmentSize.
 	WALSegmentSize int64
-	// WALCompression writes new WAL files in format v2: Gorilla-encoded
-	// samples records and block-compressed series/tombstone records, ~3-4x
-	// fewer journal bytes (see walv2.go). Existing v1 files always replay;
-	// the format is chosen per file, so toggling this migrates the journal
-	// naturally at the next rotation or checkpoint. False keeps writing v1
-	// (raw payloads, inspectable with a hex dump).
-	WALCompression bool
 	// OutOfOrderWindow, in milliseconds, bounds how far behind the head's
 	// newest sample an append may land and still be accepted (the
 	// remote-write retry case: an agent resends a batch that partially
@@ -93,8 +87,8 @@ type Options struct {
 	// samples past the window fail with ErrTooOld and exact duplicates
 	// (same series, same timestamp) are silently skipped, which is what
 	// makes retries idempotent. Accepted out-of-order samples journal as
-	// ordinary WAL sample records (v1 and v2 both round-trip backwards
-	// timestamps) and queries merge them in timestamp order.
+	// ordinary WAL sample records (which round-trip backwards timestamps)
+	// and queries merge them in timestamp order.
 	OutOfOrderWindow int64
 	// Telemetry, when set, registers the head's instruments (append
 	// outcome counters, batch commit latency, WAL flush/fsync bytes and
@@ -103,10 +97,9 @@ type Options struct {
 	Telemetry *telemetry.Registry
 }
 
-// DefaultOptions returns production-like defaults (15 days retention,
-// compressed WAL when one is configured).
+// DefaultOptions returns production-like defaults (15 days retention).
 func DefaultOptions() Options {
-	return Options{MaxSamplesPerChunk: 120, RetentionMillis: 15 * 24 * 3600 * 1000, WALCompression: true}
+	return Options{MaxSamplesPerChunk: 120, RetentionMillis: 15 * 24 * 3600 * 1000}
 }
 
 // DB is the in-memory time-series database, optionally backed by a
@@ -598,7 +591,8 @@ func (db *DB) Truncate(mint int64) int {
 // each shard's retained state is snapshotted (fsynced before any segment is
 // unlinked) and its older segments dropped. It is what Truncate runs
 // implicitly; exposed for callers that want durability compaction without
-// pruning, e.g. after CutBlock has persisted a block. No-op without a WAL.
+// pruning, e.g. after CutPersistentBlock has persisted a block. No-op
+// without a WAL.
 func (db *DB) CheckpointWAL() error {
 	if db.opts.WALDir == "" {
 		return nil

@@ -4,7 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"path/filepath"
+	"os"
 	"reflect"
 	"sync"
 	"testing"
@@ -248,54 +248,55 @@ func TestCutBlockAndReadBack(t *testing.T) {
 			mustAppend(t, db, ls, model.Sample{T: j * 1000, V: float64(i*1000) + float64(j)})
 		}
 	}
-	blk, err := db.CutBlock(10000, 50000)
+	cut, err := db.CutPersistentBlock(t.TempDir(), 10000, 50000)
 	if err != nil {
-		t.Fatalf("CutBlock: %v", err)
+		t.Fatalf("CutPersistentBlock: %v", err)
 	}
-	if len(blk.Series) != 5 {
-		t.Fatalf("block series = %d", len(blk.Series))
+	dir := cut.Dir()
+	if err := cut.Close(); err != nil {
+		t.Fatal(err)
 	}
-	if blk.MinTime != 10000 || blk.MaxTime != 50000 {
-		t.Errorf("block bounds = [%d, %d]", blk.MinTime, blk.MaxTime)
+	blk, err := OpenBlockDir(dir)
+	if err != nil {
+		t.Fatalf("OpenBlockDir: %v", err)
+	}
+	defer blk.Close()
+	meta := blk.Meta()
+	if meta.Stats.NumSeries != 5 {
+		t.Fatalf("block series = %d", meta.Stats.NumSeries)
+	}
+	if meta.MinTime != 10000 || meta.MaxTime != 50000 {
+		t.Errorf("block bounds = [%d, %d]", meta.MinTime, meta.MaxTime)
 	}
 	if blk.NumSamples() != 5*41 {
 		t.Errorf("block samples = %d, want %d", blk.NumSamples(), 5*41)
 	}
-
-	path := filepath.Join(t.TempDir(), "b.blk")
-	if err := blk.WriteFile(path); err != nil {
-		t.Fatalf("WriteFile: %v", err)
-	}
-	got, err := ReadBlockFile(path)
+	res, err := blk.Select(10000, 20000, labels.MustMatcher(labels.MatchEqual, "i", "3"))
 	if err != nil {
-		t.Fatalf("ReadBlockFile: %v", err)
+		t.Fatal(err)
 	}
-	if got.NumSamples() != blk.NumSamples() || len(got.Series) != len(blk.Series) {
-		t.Fatalf("decoded block differs: %d/%d", got.NumSamples(), len(got.Series))
-	}
-	// Query the decoded block.
-	res := got.Select(10000, 20000, labels.MustMatcher(labels.MatchEqual, "i", "3"))
 	if len(res) != 1 || len(res[0].Samples) != 11 {
 		t.Errorf("block select = %+v", res)
 	}
 }
 
-func TestReadBlockFileErrors(t *testing.T) {
-	dir := t.TempDir()
-	if _, err := ReadBlockFile(filepath.Join(dir, "missing.blk")); err == nil {
-		t.Error("expected error for missing file")
-	}
-}
-
+// TestCutBlockEmptyRange: a range holding no samples yields no block and
+// leaves the parent directory untouched.
 func TestCutBlockEmptyRange(t *testing.T) {
 	db := MustOpen(DefaultOptions())
 	mustAppend(t, db, labels.FromStrings(labels.MetricName, "m"), model.Sample{T: 1, V: 1})
-	blk, err := db.CutBlock(1000, 2000)
-	if err != nil {
-		t.Fatalf("CutBlock: %v", err)
+	parent := t.TempDir()
+	for _, p := range []string{parent, ""} {
+		blk, err := db.CutPersistentBlock(p, 1000, 2000)
+		if err != nil {
+			t.Fatalf("CutPersistentBlock(%q): %v", p, err)
+		}
+		if blk != nil {
+			t.Errorf("CutPersistentBlock(%q) of an empty range returned a block: %+v", p, blk.Meta())
+		}
 	}
-	if len(blk.Series) != 0 || blk.NumSamples() != 0 {
-		t.Errorf("expected empty block")
+	if ents, err := os.ReadDir(parent); err != nil || len(ents) != 0 {
+		t.Errorf("empty cut left %d entries behind (err %v)", len(ents), err)
 	}
 }
 
@@ -347,7 +348,8 @@ func TestAppendSelectProperty(t *testing.T) {
 	}
 }
 
-// Property: block write/read round-trip preserves all samples.
+// Property: a block cut to a directory and reopened serves exactly the
+// samples the head held.
 func TestBlockRoundTripProperty(t *testing.T) {
 	dir := t.TempDir()
 	f := func(seed int64) bool {
@@ -361,21 +363,20 @@ func TestBlockRoundTripProperty(t *testing.T) {
 				db.Append(ls, tcur, rng.Float64()*100)
 			}
 		}
-		blk, err := db.CutBlock(0, 1<<60)
+		cut, err := db.CutPersistentBlock(dir, 0, 1<<60)
 		if err != nil {
 			return false
 		}
-		path := filepath.Join(dir, fmt.Sprintf("p%d.blk", seed))
-		if err := blk.WriteFile(path); err != nil {
-			return false
-		}
-		got, err := ReadBlockFile(path)
+		cut.Close()
+		got, err := OpenBlockDir(cut.Dir())
 		if err != nil {
 			return false
 		}
-		a := blk.Select(0, 1<<60, labels.MustMatcher(labels.MatchRegexp, labels.MetricName, ".*"))
-		b := got.Select(0, 1<<60, labels.MustMatcher(labels.MatchRegexp, labels.MetricName, ".*"))
-		return reflect.DeepEqual(a, b)
+		defer got.Close()
+		all := labels.MustMatcher(labels.MatchRegexp, labels.MetricName, ".*")
+		a, errA := db.Select(0, 1<<60, all)
+		b, errB := got.Select(0, 1<<60, all)
+		return errA == nil && errB == nil && reflect.DeepEqual(a, b)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Error(err)

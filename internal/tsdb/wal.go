@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"math"
 	"os"
 	"path/filepath"
 	"sync"
@@ -34,12 +33,14 @@ import (
 //	           ref uvarint, t varint, value float64 bits (8 bytes)
 //	deletes := count uvarint, then ref uvarint per deleted series
 //
-// That is format v1: self-describing, raw payloads. With
-// Options.WALCompression, new files are written in format v2 (walv2.go): a
-// 5-byte magic+version header, then the same framing with Gorilla-encoded
-// samples records and block-compressed series/tombstone records. The format
-// is chosen per file, so v1 and v2 files coexist in one shard directory and
-// toggling the option migrates the journal at the next rotation.
+// That is format v1: self-describing, raw payloads. It is a replay-only
+// format now: every file the head writes is format v2 (walv2.go) — a 5-byte
+// magic+version header, then the same framing with Gorilla-encoded samples
+// records and block-compressed series/deletes/tombstone records. The format
+// is sniffed per file, so a journal written before v2 existed still opens:
+// its v1 files replay next to the v2 segments appended after them, and the
+// next checkpoint folds them into a v2 snapshot. Nothing is rewritten in
+// place.
 //
 // Segments are numbered 00000001.wal, 00000002.wal, ... and rotate at
 // Options.WALSegmentSize. A checkpoint (run per shard by Truncate) streams
@@ -99,9 +100,9 @@ type shardWAL struct {
 	dir      string
 	segLimit int64
 
-	// walRecEncoder carries the format choice (v1 or v2) plus the encoder
-	// state of the OPEN SEGMENT; rotation resets it. Checkpoint files get
-	// their own encoder — their state must not leak into the segment's.
+	// walRecEncoder carries the Gorilla encoder state of the OPEN SEGMENT;
+	// rotation resets it. Checkpoint files get their own encoder — their
+	// state must not leak into the segment's.
 	walRecEncoder
 
 	f        *os.File
@@ -120,42 +121,23 @@ type shardWAL struct {
 	metrics *tsdbMetrics
 }
 
-// walRecEncoder frames records in one format: v1 raw payloads, or v2 with
-// Gorilla samples and block-compressed series/tombstones. enc is the
-// per-file Gorilla state (nil in v1 mode).
+// walRecEncoder frames v2 records: Gorilla samples, block-compressed
+// series/deletes/tombstones. enc is the per-file Gorilla state.
 type walRecEncoder struct {
-	compress bool
-	enc      *walV2Enc
-	scratch  []byte // staging buffer for payloads compressed as a block
-}
-
-func newWalRecEncoder(compress bool) walRecEncoder {
-	e := walRecEncoder{compress: compress}
-	if compress {
-		e.enc = newWalV2Enc()
-	}
-	return e
+	enc     *walV2Enc
+	scratch []byte // staging buffer for payloads compressed as a block
 }
 
 func (e *walRecEncoder) appendSeriesRecord(dst []byte, recs []walSeriesRec) []byte {
-	if !e.compress {
-		return appendFramed(dst, walRecSeries, func(b []byte) []byte { return encodeSeriesPayload(b, recs) })
-	}
 	e.scratch = encodeSeriesPayload(e.scratch[:0], recs)
 	return appendFramed(dst, walRecSeriesV2, func(b []byte) []byte { return appendCompressed(b, e.scratch) })
 }
 
 func (e *walRecEncoder) appendSamplesRecord(dst []byte, recs []walSampleRec) []byte {
-	if !e.compress {
-		return appendFramed(dst, walRecSamples, func(b []byte) []byte { return encodeSamplesPayload(b, recs) })
-	}
 	return appendFramed(dst, walRecSamplesV2, func(b []byte) []byte { return e.enc.appendSamples(b, recs) })
 }
 
 func (e *walRecEncoder) appendDeletesRecord(dst []byte, refs []uint64) []byte {
-	if !e.compress {
-		return appendFramed(dst, walRecDeletes, func(b []byte) []byte { return encodeDeletesPayload(b, refs) })
-	}
 	e.scratch = encodeDeletesPayload(e.scratch[:0], refs)
 	return appendFramed(dst, walRecDeletesV2, func(b []byte) []byte { return appendCompressed(b, e.scratch) })
 }
@@ -171,14 +153,14 @@ func walSegName(dir string, index int) string {
 // openShardWAL creates (or continues) the journal of one shard, opening a
 // fresh segment with the given index. Replay always hands over a new
 // segment index so a possibly-repaired tail file is never appended to.
-func openShardWAL(dir string, segLimit int64, segIndex, firstSeg int, nextRef uint64, compress bool) (*shardWAL, error) {
+func openShardWAL(dir string, segLimit int64, segIndex, firstSeg int, nextRef uint64) (*shardWAL, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
 	if segLimit <= 0 {
 		segLimit = DefaultWALSegmentSize
 	}
-	w := &shardWAL{dir: dir, segLimit: segLimit, walRecEncoder: newWalRecEncoder(compress), segIndex: segIndex, firstSeg: firstSeg, nextRef: nextRef}
+	w := &shardWAL{dir: dir, segLimit: segLimit, segIndex: segIndex, firstSeg: firstSeg, nextRef: nextRef}
 	if err := w.openSegmentLocked(); err != nil {
 		return nil, err
 	}
@@ -192,15 +174,12 @@ func (w *shardWAL) openSegmentLocked() error {
 	}
 	w.f = f
 	w.bw = bufio.NewWriterSize(f, 64*1024)
-	w.segBytes = 0
-	if w.compress {
-		// The v2 header travels with the first flushed record; a crash
-		// before then leaves an empty file or a magic prefix, both of which
-		// replay as zero records. Gorilla state starts fresh with the file.
-		w.bw.Write([]byte{walMagic[0], walMagic[1], walMagic[2], walMagic[3], walFormatV2})
-		w.segBytes = walFileHeaderLen
-		w.enc = newWalV2Enc()
-	}
+	// The v2 header travels with the first flushed record; a crash before
+	// then leaves an empty file or a magic prefix, both of which replay as
+	// zero records. Gorilla state starts fresh with the file.
+	w.bw.Write(walFileHeader[:])
+	w.segBytes = walFileHeaderLen
+	w.enc = newWalV2Enc()
 	return nil
 }
 
@@ -235,12 +214,6 @@ func appendUvarint(dst []byte, v uint64) []byte {
 	return append(dst, buf[:n]...)
 }
 
-func appendVarint(dst []byte, v int64) []byte {
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutVarint(buf[:], v)
-	return append(dst, buf[:n]...)
-}
-
 func encodeSeriesPayload(dst []byte, recs []walSeriesRec) []byte {
 	dst = appendUvarint(dst, uint64(len(recs)))
 	for _, r := range recs {
@@ -252,18 +225,6 @@ func encodeSeriesPayload(dst []byte, recs []walSeriesRec) []byte {
 			dst = appendUvarint(dst, uint64(len(l.Value)))
 			dst = append(dst, l.Value...)
 		}
-	}
-	return dst
-}
-
-func encodeSamplesPayload(dst []byte, recs []walSampleRec) []byte {
-	dst = appendUvarint(dst, uint64(len(recs)))
-	for _, r := range recs {
-		dst = appendUvarint(dst, r.ref)
-		dst = appendVarint(dst, r.t)
-		var vb [8]byte
-		binary.LittleEndian.PutUint64(vb[:], math.Float64bits(r.v))
-		dst = append(dst, vb[:]...)
 	}
 	return dst
 }
@@ -409,7 +370,7 @@ func (w *shardWAL) checkpoint(sh *headShard, tombs func() []TombstoneRec) error 
 	// w.mu excludes every writer to this shard, so the series/sample view
 	// is coherent with the rotated-away segments.
 	err := writeFileDurably(tmp, func(dst *bufio.Writer) error {
-		return streamShardSnapshot(dst, sh, w.compress, tombs(), func(s *memSeries) uint64 {
+		return streamShardSnapshot(dst, sh, tombs(), func(s *memSeries) uint64 {
 			ref, _ := w.refForLocked(s)
 			return ref
 		})
@@ -466,14 +427,14 @@ func writeFileDurably(path string, fill func(*bufio.Writer) error) error {
 }
 
 // walSnapshotSeriesBatch is how many series registrations share one series
-// record in a snapshot: large enough to amortize framing (and give the v2
+// record in a snapshot: large enough to amortize framing (and give the
 // block compressor something to chew on), small enough to keep the encode
 // buffer a rounding error next to the shard.
 const walSnapshotSeriesBatch = 256
 
 // streamShardSnapshot writes a full snapshot of the shard — the DB's
 // tombstone log first, then every retained series registration, then one
-// samples record per series — to dst in the chosen format; refFor supplies
+// samples record per series — to dst as one v2 file; refFor supplies
 // (or assigns) the WAL ref per series. Tombstones go first so replay
 // restores the log (and deletes nothing — the snapshot's series were
 // registered after every tombstone in it and must survive). Memory stays
@@ -481,11 +442,9 @@ const walSnapshotSeriesBatch = 256
 // walSnapshotSeriesBatch and each series' samples are encoded into a reused
 // buffer, never the whole shard at once. Callers must exclude concurrent
 // WAL writers to the shard.
-func streamShardSnapshot(dst io.Writer, sh *headShard, compress bool, tombs []TombstoneRec, refFor func(*memSeries) uint64) error {
-	if compress {
-		if _, err := dst.Write([]byte{walMagic[0], walMagic[1], walMagic[2], walMagic[3], walFormatV2}); err != nil {
-			return err
-		}
+func streamShardSnapshot(dst io.Writer, sh *headShard, tombs []TombstoneRec, refFor func(*memSeries) uint64) error {
+	if _, err := dst.Write(walFileHeader[:]); err != nil {
+		return err
 	}
 	sh.mu.RLock()
 	series := make([]*memSeries, 0, len(sh.byRef))
@@ -494,7 +453,7 @@ func streamShardSnapshot(dst io.Writer, sh *headShard, compress bool, tombs []To
 	}
 	sh.mu.RUnlock()
 
-	enc := newWalRecEncoder(compress)
+	enc := walRecEncoder{enc: newWalV2Enc()}
 	var buf []byte
 	for _, tr := range tombs {
 		buf = enc.appendTombstoneRecord(buf[:0], tr.Seq, tr.Matchers)

@@ -22,20 +22,19 @@ func benchLabels(n int) []labels.Labels {
 
 // BenchmarkWALAppend measures the scrape commit path against a WAL-backed
 // head: batches of 100 samples through the batch Appender, one journal
-// flush per shard per commit. wal-v1 journals raw records, wal-v2 the
-// Gorilla-compressed format (the walbytes/sample metric is the journal
-// footprint per appended sample — the compression headline). The memonly
-// variant is the same workload without a WAL; the ns/op delta against it is
-// the durability cost per sample.
+// flush per shard per commit. wal-v2 journals the Gorilla-compressed format
+// (the walbytes/sample metric is the journal footprint per appended sample
+// — the compression headline). The memonly variant is the same workload
+// without a WAL; the ns/op delta against it is the durability cost per
+// sample.
 func BenchmarkWALAppend(b *testing.B) {
-	for _, mode := range []string{"wal-v1", "wal-v2", "memonly"} {
+	for _, mode := range []string{"wal-v2", "memonly"} {
 		b.Run(mode, func(b *testing.B) {
 			opts := Options{Shards: 8}
 			var walDir string
 			if mode != "memonly" {
 				walDir = filepath.Join(b.TempDir(), "wal")
 				opts.WALDir = walDir
-				opts.WALCompression = mode == "wal-v2"
 			}
 			db, err := Open(opts)
 			if err != nil {
@@ -67,15 +66,15 @@ func BenchmarkWALAppend(b *testing.B) {
 	}
 }
 
-// BenchmarkWALReplay measures parallel crash recovery per format: a fixed
-// 16-shard WAL (200 series x 250 scrapes = 50k samples) is replayed into a
-// fresh head per iteration.
+// BenchmarkWALReplay measures parallel crash recovery: a fixed 16-shard WAL
+// (200 series x 250 scrapes = 50k samples) is replayed into a fresh head per
+// iteration.
 func BenchmarkWALReplay(b *testing.B) {
-	for _, mode := range []string{"v1", "v2"} {
+	for _, mode := range []string{"v2"} {
 		b.Run(mode, func(b *testing.B) {
 			walDir := filepath.Join(b.TempDir(), "wal")
 			const nSeries, nScrapes = 200, 250
-			opts := Options{Shards: 16, WALDir: walDir, WALCompression: mode == "v2"}
+			opts := Options{Shards: 16, WALDir: walDir}
 			db, err := Open(opts)
 			if err != nil {
 				b.Fatal(err)
@@ -109,9 +108,9 @@ func BenchmarkWALReplay(b *testing.B) {
 				if err := re.Close(); err != nil {
 					b.Fatal(err)
 				}
-				// Closing opened a fresh segment per shard holding no records
-				// (empty in v1, header-only in v2); drop those so the next
-				// iteration replays the identical byte stream.
+				// Closing opened a fresh header-only segment per shard; drop
+				// those so the next iteration replays the identical byte
+				// stream.
 				segs, _ := filepath.Glob(filepath.Join(walDir, "shard-*", "*.wal"))
 				for _, s := range segs {
 					if st, err := os.Stat(s); err == nil && st.Size() <= int64(walFileHeaderLen) {

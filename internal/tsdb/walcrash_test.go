@@ -22,11 +22,18 @@ import (
 // ---------------------------------------------------------------------------
 // Test-local WAL decoder: an independent oracle for what a damaged WAL is
 // supposed to recover to. It re-implements the record format — v1 AND v2 —
-// from the specs in wal.go/walv2.go (it shares only the constants with the
-// production decoder), applies the same semantics the head uses
-// (out-of-order samples are skipped), and stops at the first incomplete or
-// corrupt record of each file — everything before the damage is the
-// durable prefix.
+// from the specs in wal.go/walv2.go/tombstones.go (it shares only the
+// constants with the production decoder), applies the same semantics the
+// head uses (out-of-order samples are skipped), and stops at the first
+// incomplete or corrupt record of each file — everything before the damage
+// is the durable prefix. One oracle stands for one shard directory: refs
+// are shard-local.
+//
+// Every harness below runs as a compress={false,true} matrix over the
+// journal's ON-DISK format: the head writes v2 only, so the false leg
+// rewrites the freshly written journal as v1 files (rewriteWALAsV1,
+// walv1_test.go) before damaging it — v1 stays a format the head must
+// recover from at any byte, and every such recovery continues in v2.
 // ---------------------------------------------------------------------------
 
 type oracleState struct {
@@ -127,6 +134,13 @@ func (r *oracleBits) varint() (int64, bool) {
 	return v, true
 }
 
+// walRawType maps each compressed (v2-only) record type to the raw type
+// whose payload it wraps.
+var walRawType = map[byte]byte{
+	walRecSeriesV2: walRecSeries, walRecSamplesV2: walRecSamples,
+	walRecDeletesV2: walRecDeletes, walRecTombstoneV2: walRecTombstone,
+}
+
 // decodeFile applies one WAL file to the oracle, stopping (and reporting
 // torn=true) at the first incomplete or CRC-corrupt record. The file's
 // format is sniffed from the v2 magic, like the production replayer.
@@ -136,7 +150,7 @@ func (o *oracleState) decodeFile(t *testing.T, path string) (torn bool) {
 	if err != nil {
 		t.Fatalf("oracle read %s: %v", path, err)
 	}
-	off, maxType := 0, walRecDeletes
+	off, v2 := 0, false
 	var gorilla map[uint64]*oracleGorilla
 	if len(data) > 0 && data[0] == 'C' {
 		// Possible v2 header.
@@ -146,7 +160,7 @@ func (o *oracleState) decodeFile(t *testing.T, path string) (torn bool) {
 		if data[4] != 2 {
 			t.Fatalf("oracle: unknown wal format version %d", data[4])
 		}
-		off, maxType = 5, walRecDeletesV2
+		off, v2 = 5, true
 		gorilla = map[uint64]*oracleGorilla{}
 	}
 	for off < len(data) {
@@ -156,7 +170,8 @@ func (o *oracleState) decodeFile(t *testing.T, path string) (torn bool) {
 		typ := data[off]
 		plen := int(binary.LittleEndian.Uint32(data[off+1 : off+5]))
 		crc := binary.LittleEndian.Uint32(data[off+5 : off+9])
-		if typ == 0 || typ > maxType || plen > walMaxPayload || len(data)-off-walHeaderSize < plen {
+		raw := typ == walRecSeries || typ == walRecSamples || typ == walRecDeletes || typ == walRecTombstone
+		if !(raw || v2 && walRawType[typ] != 0) || plen > walMaxPayload || len(data)-off-walHeaderSize < plen {
 			return true
 		}
 		payload := data[off+walHeaderSize : off+walHeaderSize+plen]
@@ -164,18 +179,14 @@ func (o *oracleState) decodeFile(t *testing.T, path string) (torn bool) {
 			return true
 		}
 		switch typ {
-		case walRecSeries, walRecSamples, walRecDeletes:
+		case walRecSeries, walRecSamples, walRecDeletes, walRecTombstone:
 			o.apply(t, typ, payload)
-		case walRecSeriesV2, walRecDeletesV2:
+		case walRecSeriesV2, walRecDeletesV2, walRecTombstoneV2:
 			raw, ok := oracleInflate(t, payload)
 			if !ok {
 				return true
 			}
-			if typ == walRecSeriesV2 {
-				o.apply(t, walRecSeries, raw)
-			} else {
-				o.apply(t, walRecDeletes, raw)
-			}
+			o.apply(t, walRawType[typ], raw)
 		case walRecSamplesV2:
 			if !o.applySamplesV2(payload, gorilla) {
 				return true
@@ -444,14 +455,40 @@ func (o *oracleState) apply(t *testing.T, typ byte, p []byte) {
 	case walRecDeletes:
 		count := u()
 		for i := uint64(0); i < count; i++ {
-			ref := u()
-			if key, ok := o.series[ref]; ok {
-				delete(o.samples, key)
-				delete(o.lastT, key)
-				delete(o.labels, key)
-				delete(o.series, ref)
+			o.drop(u())
+		}
+	case walRecTombstone:
+		// seq, then matchers as type byte + name + value; every series
+		// registered so far that satisfies all of them is gone.
+		u() // seq
+		str := func() string {
+			n := u()
+			v := string(p[:n])
+			p = p[n:]
+			return v
+		}
+		ms := make([]*labels.Matcher, u())
+		for i := range ms {
+			typ := labels.MatchType(p[0])
+			p = p[1:]
+			name := str()
+			ms[i] = labels.MustMatcher(typ, name, str())
+		}
+		for ref, key := range o.series {
+			if labels.MatchLabels(o.labels[key], ms...) {
+				o.drop(ref)
 			}
 		}
+	}
+}
+
+func (o *oracleState) drop(ref uint64) {
+	if key, ok := o.series[ref]; ok {
+		delete(o.samples, key)
+		delete(o.lastT, key)
+		delete(o.seen, key)
+		delete(o.labels, key)
+		delete(o.series, ref)
 	}
 }
 
@@ -495,10 +532,11 @@ func crashSeries(i int) labels.Labels {
 
 // fillWAL appends nBatches scrape-shaped batches of nSeries samples each
 // through the batch Appender (the scrape commit path) plus a few direct
-// Appends, then closes the head. Returns the final in-memory contents.
+// Appends, then closes the head and leaves the journal in format v2
+// (compress) or rewritten as v1. Returns the final in-memory contents.
 func fillWAL(t *testing.T, dir string, shards, nSeries, nBatches int, segSize int64, compress bool) []model.Series {
 	t.Helper()
-	db, err := Open(Options{Shards: shards, WALDir: dir, WALSegmentSize: segSize, WALCompression: compress})
+	db, err := Open(Options{Shards: shards, WALDir: dir, WALSegmentSize: segSize})
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
@@ -522,6 +560,9 @@ func fillWAL(t *testing.T, dir string, shards, nSeries, nBatches int, segSize in
 	full := selectAll(t, db)
 	if err := db.Close(); err != nil {
 		t.Fatalf("close: %v", err)
+	}
+	if !compress {
+		rewriteWALAsV1(t, dir, segSize)
 	}
 	return full
 }
@@ -692,7 +733,7 @@ func TestWALCrashRecoveryAtRandomOffsets(t *testing.T) {
 					}
 					want := oracle.expected()
 
-					db, err := Open(Options{Shards: 1, WALDir: crashed, WALSegmentSize: 2048, WALCompression: compress})
+					db, err := Open(Options{Shards: 1, WALDir: crashed, WALSegmentSize: 2048})
 					if err != nil {
 						t.Fatalf("reopen after crash at %d: %v", offset, err)
 					}
@@ -709,7 +750,7 @@ func TestWALCrashRecoveryAtRandomOffsets(t *testing.T) {
 					if err := db.Close(); err != nil {
 						t.Fatal(err)
 					}
-					db2, err := Open(Options{Shards: 1, WALDir: crashed, WALSegmentSize: 2048, WALCompression: compress})
+					db2, err := Open(Options{Shards: 1, WALDir: crashed, WALSegmentSize: 2048})
 					if err != nil {
 						t.Fatalf("second reopen: %v", err)
 					}
@@ -775,7 +816,7 @@ func testWALCrashRecoveryShardedPrefix(t *testing.T, compress bool) {
 				}
 			}
 
-			db, err := Open(Options{Shards: 16, WALDir: crashed, WALSegmentSize: 1024, WALCompression: compress})
+			db, err := Open(Options{Shards: 16, WALDir: crashed, WALSegmentSize: 1024})
 			if err != nil {
 				t.Fatalf("reopen: %v", err)
 			}
@@ -870,7 +911,7 @@ func testWALCorruptRecordCRC(t *testing.T, compress bool) {
 		t.Fatal("oracle recovered nothing; corruption landed too early for a meaningful test")
 	}
 
-	db, err := Open(Options{Shards: 1, WALDir: walDir, WALSegmentSize: 1 << 20, WALCompression: compress})
+	db, err := Open(Options{Shards: 1, WALDir: walDir, WALSegmentSize: 1 << 20})
 	if err != nil {
 		t.Fatalf("reopen over corrupt record: %v", err)
 	}
@@ -884,7 +925,7 @@ func testWALCorruptRecordCRC(t *testing.T, compress bool) {
 	}
 
 	// The repair must be idempotent: a second open finds a clean journal.
-	db2, err := Open(Options{Shards: 1, WALDir: walDir, WALSegmentSize: 1 << 20, WALCompression: compress})
+	db2, err := Open(Options{Shards: 1, WALDir: walDir, WALSegmentSize: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -939,7 +980,7 @@ func testWALCorruptSegmentDropsLaterSegments(t *testing.T, compress bool) {
 			break
 		}
 	}
-	db, err := Open(Options{Shards: 1, WALDir: walDir, WALSegmentSize: 2048, WALCompression: compress})
+	db, err := Open(Options{Shards: 1, WALDir: walDir, WALSegmentSize: 2048})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -965,7 +1006,7 @@ func TestWALCorruptCheckpointKeepsSegments(t *testing.T) {
 
 func testWALCorruptCheckpointKeepsSegments(t *testing.T, compress bool) {
 	walDir := filepath.Join(t.TempDir(), "wal")
-	db, err := Open(Options{Shards: 1, WALDir: walDir, WALSegmentSize: 1 << 20, WALCompression: compress})
+	db, err := Open(Options{Shards: 1, WALDir: walDir, WALSegmentSize: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -987,6 +1028,9 @@ func testWALCorruptCheckpointKeepsSegments(t *testing.T, compress bool) {
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
+	if !compress {
+		rewriteWALAsV1(t, walDir, 1<<20)
+	}
 
 	// Corrupt the checkpoint's final bytes (its "tail").
 	cp := filepath.Join(walDir, "shard-0000", walCheckpointFile)
@@ -999,7 +1043,7 @@ func testWALCorruptCheckpointKeepsSegments(t *testing.T, compress bool) {
 		t.Fatal(err)
 	}
 
-	re, err := Open(Options{Shards: 1, WALDir: walDir, WALSegmentSize: 1 << 20, WALCompression: compress})
+	re, err := Open(Options{Shards: 1, WALDir: walDir, WALSegmentSize: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1108,13 +1152,10 @@ func TestWALCheckpointNeverLosesAcknowledgedWrites(t *testing.T) {
 
 func testWALCheckpointNeverLosesAcknowledgedWrites(t *testing.T, compress bool) {
 	walDir := filepath.Join(t.TempDir(), "wal")
-	// v2 journals the same commits in ~4x fewer bytes; shrink the segment
-	// limit so the test still rotates several times before the checkpoint.
-	segSize := int64(1024)
-	if compress {
-		segSize = 256
-	}
-	db, err := Open(Options{Shards: 4, WALDir: walDir, WALSegmentSize: segSize, WALCompression: compress})
+	// A segment limit small enough that the journal rotates several times
+	// before the checkpoint.
+	const segSize = 256
+	db, err := Open(Options{Shards: 4, WALDir: walDir, WALSegmentSize: segSize})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1161,8 +1202,11 @@ func testWALCheckpointNeverLosesAcknowledgedWrites(t *testing.T, compress bool) 
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
+	if !compress {
+		rewriteWALAsV1(t, walDir, 4*segSize) // v1 spends ~4x the bytes per commit
+	}
 
-	re, err := Open(Options{Shards: 4, WALDir: walDir, WALSegmentSize: segSize, WALCompression: compress})
+	re, err := Open(Options{Shards: 4, WALDir: walDir, WALSegmentSize: segSize})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1182,7 +1226,7 @@ func TestWALDeleteSeriesDurable(t *testing.T) {
 
 func testWALDeleteSeriesDurable(t *testing.T, compress bool) {
 	walDir := filepath.Join(t.TempDir(), "wal")
-	db, err := Open(Options{Shards: 2, WALDir: walDir, WALCompression: compress})
+	db, err := Open(Options{Shards: 2, WALDir: walDir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1204,7 +1248,10 @@ func testWALDeleteSeriesDurable(t *testing.T, compress bool) {
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
-	re, err := Open(Options{Shards: 2, WALDir: walDir, WALCompression: compress})
+	if !compress {
+		rewriteWALAsV1(t, walDir, 0)
+	}
+	re, err := Open(Options{Shards: 2, WALDir: walDir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1230,7 +1277,7 @@ func fillWALOOO(t *testing.T, dir string, window int64, nSeries, nBatches int, s
 	t.Helper()
 	db, err := Open(Options{
 		Shards: 1, WALDir: dir, WALSegmentSize: segSize,
-		WALCompression: compress, OutOfOrderWindow: window,
+		OutOfOrderWindow: window,
 	})
 	if err != nil {
 		t.Fatalf("open: %v", err)
@@ -1261,6 +1308,9 @@ func fillWALOOO(t *testing.T, dir string, window int64, nSeries, nBatches int, s
 	full := selectAll(t, db)
 	if err := db.Close(); err != nil {
 		t.Fatalf("close: %v", err)
+	}
+	if !compress {
+		rewriteWALAsV1(t, dir, segSize)
 	}
 	return full
 }
@@ -1332,7 +1382,7 @@ func TestWALOOOCrashRecoveryAtRandomOffsets(t *testing.T) {
 
 					db, err := Open(Options{
 						Shards: 1, WALDir: crashed, WALSegmentSize: 2048,
-						WALCompression: compress, OutOfOrderWindow: window,
+						OutOfOrderWindow: window,
 					})
 					if err != nil {
 						t.Fatalf("reopen after crash at %d: %v", offset, err)
@@ -1378,7 +1428,7 @@ func TestWALOOOCrashRecoveryAtRandomOffsets(t *testing.T) {
 					}
 					db2, err := Open(Options{
 						Shards: 1, WALDir: crashed, WALSegmentSize: 2048,
-						WALCompression: compress, OutOfOrderWindow: window,
+						OutOfOrderWindow: window,
 					})
 					if err != nil {
 						t.Fatalf("second reopen: %v", err)

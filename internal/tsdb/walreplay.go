@@ -139,7 +139,7 @@ func (db *DB) openWAL() error {
 					e.s.walRef = ref
 				}
 			}
-			w, err := openShardWAL(walShardDir(dir, i), db.opts.WALSegmentSize, segIndex, firstSeg, nextRef, db.opts.WALCompression)
+			w, err := openShardWAL(walShardDir(dir, i), db.opts.WALSegmentSize, segIndex, firstSeg, nextRef)
 			if err != nil {
 				return err
 			}
@@ -203,7 +203,7 @@ func (db *DB) rebuildWAL(dir string) error {
 		// no writers exist yet, so no lock needed.
 		path := filepath.Join(sdir, walCheckpointFile)
 		err := writeFileDurably(path, func(dst *bufio.Writer) error {
-			return streamShardSnapshot(dst, sh, db.opts.WALCompression, db.Tombstones(), func(s *memSeries) uint64 {
+			return streamShardSnapshot(dst, sh, db.Tombstones(), func(s *memSeries) uint64 {
 				nextRefs[i]++
 				s.walRef = nextRefs[i]
 				return s.walRef
@@ -230,7 +230,7 @@ func (db *DB) rebuildWAL(dir string) error {
 		return err
 	}
 	for i, sh := range db.shards {
-		w, err := openShardWAL(walShardDir(dir, i), db.opts.WALSegmentSize, 1, 1, nextRefs[i], db.opts.WALCompression)
+		w, err := openShardWAL(walShardDir(dir, i), db.opts.WALSegmentSize, 1, 1, nextRefs[i])
 		if err != nil {
 			return err
 		}

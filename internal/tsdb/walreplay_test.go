@@ -33,9 +33,10 @@ func replayFill(t *testing.T, db *DB, nSeries, nSamples int) {
 // 16-shard WAL round-trip over identical input must produce identical
 // Select results — and both must equal the pre-restart head. This is the
 // WAL companion of the PR-1 shard-equivalence tests: durability, like
-// querying, must be invisible to shard layout. The matrix runs with
-// compression off AND on: the format, like the layout, must be invisible —
-// all four recoveries are required to be byte-equivalent.
+// querying, must be invisible to shard layout. The matrix also replays each
+// journal rewritten as v1 (compress=false, see rewriteWALAsV1): the on-disk
+// format, like the layout, must be invisible — all four recoveries are
+// required to be byte-equivalent.
 func TestWALReplayShardCountEquivalence(t *testing.T) {
 	base := t.TempDir()
 	type variant struct {
@@ -51,7 +52,7 @@ func TestWALReplayShardCountEquivalence(t *testing.T) {
 	var results [][]model.Series
 	for _, vr := range variants {
 		walDir := filepath.Join(base, fmt.Sprintf("wal-%d-%v", vr.shards, vr.compress))
-		opts := Options{Shards: vr.shards, WALDir: walDir, WALSegmentSize: 4096, WALCompression: vr.compress}
+		opts := Options{Shards: vr.shards, WALDir: walDir, WALSegmentSize: 4096}
 		db, err := Open(opts)
 		if err != nil {
 			t.Fatal(err)
@@ -60,6 +61,9 @@ func TestWALReplayShardCountEquivalence(t *testing.T) {
 		live := selectAll(t, db)
 		if err := db.Close(); err != nil {
 			t.Fatal(err)
+		}
+		if !vr.compress {
+			rewriteWALAsV1(t, walDir, 4096)
 		}
 		re, err := Open(opts)
 		if err != nil {

@@ -3,11 +3,9 @@ package tsdb
 import (
 	"bytes"
 	"compress/flate"
-	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
-	"math/bits"
 	"sync"
 
 	"repro/internal/tsdb/chunkenc"
@@ -36,9 +34,9 @@ import (
 // format version byte. v1 files have no header — their first byte is a
 // record type in 1..3 — and the magic's first byte (0x43) can never be a
 // valid v1 record type, so sniffing is unambiguous. Versioning is per file:
-// a shard directory may freely mix v1 and v2 checkpoints and segments
-// (toggling Options.WALCompression migrates the journal at the next
-// rotation or checkpoint), and replay dispatches per file on the header.
+// a shard directory may hold v1 checkpoints and segments from before the
+// upgrade next to the v2 files written since (the next checkpoint retires
+// them), and replay dispatches per file on the header.
 const (
 	walRecSamplesV2 byte = 4
 	walRecSeriesV2  byte = 5
@@ -51,10 +49,14 @@ const (
 	walFileHeaderLen = 5
 )
 
-// walMagic opens every v2 WAL file. Its first byte is far outside the v1
+// walFileHeader is what the writer puts at the top of every file: walMagic
+// and the format version. The magic's first byte is far outside the v1
 // record-type range, so a v1 decoder can never mistake a header for a
 // record (and vice versa).
-var walMagic = [4]byte{'C', 'W', 'A', 'L'}
+var (
+	walFileHeader = [walFileHeaderLen]byte{'C', 'W', 'A', 'L', walFormatV2}
+	walMagic      = walFileHeader[:4]
+)
 
 // walSniffVersion classifies a WAL file's bytes. A file that is a strict
 // prefix of the header (crash during the very first write) reports
@@ -96,70 +98,6 @@ func walRecTypeValid(version int, typ byte) bool {
 }
 
 // ---------------------------------------------------------------------------
-// Bit stream
-// ---------------------------------------------------------------------------
-
-// walBitWriter appends bits onto a byte slice (the record payload under
-// construction). Unlike chunkenc's bstream it builds directly onto the
-// caller's buffer so appendFramed's in-place encoding keeps working. The
-// read side is chunkenc.BitReader, shared with the chunk iterator.
-type walBitWriter struct {
-	b    []byte
-	free uint8 // bits still unset in the final byte of b
-}
-
-func (w *walBitWriter) writeBit(bit bool) {
-	if w.free == 0 {
-		w.b = append(w.b, 0)
-		w.free = 8
-	}
-	if bit {
-		w.b[len(w.b)-1] |= 1 << (w.free - 1)
-	}
-	w.free--
-}
-
-func (w *walBitWriter) writeByte(byt byte) {
-	if w.free == 0 {
-		w.b = append(w.b, byt)
-		return
-	}
-	i := len(w.b) - 1
-	w.b[i] |= byt >> (8 - w.free)
-	w.b = append(w.b, byt<<w.free)
-}
-
-func (w *walBitWriter) writeBits(u uint64, nbits int) {
-	u <<= 64 - uint(nbits)
-	for nbits >= 8 {
-		w.writeByte(byte(u >> 56))
-		u <<= 8
-		nbits -= 8
-	}
-	for nbits > 0 {
-		w.writeBit((u >> 63) == 1)
-		u <<= 1
-		nbits--
-	}
-}
-
-func (w *walBitWriter) writeUvarint(v uint64) {
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(buf[:], v)
-	for _, b := range buf[:n] {
-		w.writeByte(b)
-	}
-}
-
-func (w *walBitWriter) writeVarint(v int64) {
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutVarint(buf[:], v)
-	for _, b := range buf[:n] {
-		w.writeByte(b)
-	}
-}
-
-// ---------------------------------------------------------------------------
 // Gorilla samples codec
 // ---------------------------------------------------------------------------
 
@@ -190,7 +128,7 @@ func newWalV2Enc() *walV2Enc {
 func (e *walV2Enc) state(ref uint64) *walSeriesV2State {
 	s := e.series[ref]
 	if s == nil {
-		s = &walSeriesV2State{leading: 0xff}
+		s = &walSeriesV2State{leading: 0xff} // no XOR window written yet
 		e.series[ref] = s
 	}
 	return s
@@ -208,87 +146,38 @@ func (e *walV2Enc) state(ref uint64) *walSeriesV2State {
 // one ref (delta 0 — two bits); anything else pays 2 bits + a zigzag
 // varint.
 func (e *walV2Enc) appendSamples(dst []byte, recs []walSampleRec) []byte {
-	dst = appendUvarint(dst, uint64(len(recs)))
-	w := walBitWriter{b: dst}
+	w := chunkenc.NewBitWriter(appendUvarint(dst, uint64(len(recs))))
 	lastRef := uint64(0)
 	for _, r := range recs {
 		switch d := int64(r.ref) - int64(lastRef); {
 		case d == 1:
-			w.writeBit(false)
+			w.WriteBit(false)
 		case d == 0:
-			w.writeBits(0b10, 2)
+			w.WriteBits(0b10, 2)
 		default:
-			w.writeBits(0b11, 2)
-			w.writeUvarint(zigzag(d))
+			w.WriteBits(0b11, 2)
+			w.WriteUvarint(zigzag(d))
 		}
 		lastRef = r.ref
 		s := e.state(r.ref)
 		switch s.n {
 		case 0:
-			w.writeVarint(r.t)
-			w.writeBits(math.Float64bits(r.v), 64)
+			w.WriteVarint(r.t)
+			w.WriteBits(math.Float64bits(r.v), 64)
 		case 1:
 			s.tDelta = uint64(r.t - s.t)
-			w.writeUvarint(s.tDelta)
-			s.writeXOR(&w, r.v)
+			w.WriteUvarint(s.tDelta)
+			w.WriteXOR(s.v, r.v, &s.leading, &s.trailing)
 		default:
 			tDelta := uint64(r.t - s.t)
-			dod := int64(tDelta - s.tDelta)
-			// Delta-of-delta buckets as in the Gorilla paper (and chunkenc).
-			switch {
-			case dod == 0:
-				w.writeBit(false)
-			case walBitRange(dod, 14):
-				w.writeBits(0b10, 2)
-				w.writeBits(uint64(dod), 14)
-			case walBitRange(dod, 17):
-				w.writeBits(0b110, 3)
-				w.writeBits(uint64(dod), 17)
-			case walBitRange(dod, 20):
-				w.writeBits(0b1110, 4)
-				w.writeBits(uint64(dod), 20)
-			default:
-				w.writeBits(0b1111, 4)
-				w.writeBits(uint64(dod), 64)
-			}
+			w.WriteDOD(int64(tDelta - s.tDelta))
 			s.tDelta = tDelta
-			s.writeXOR(&w, r.v)
+			w.WriteXOR(s.v, r.v, &s.leading, &s.trailing)
 		}
 		s.t, s.v = r.t, r.v
 		s.n++
 	}
-	return w.b
-}
-
-// writeXOR emits v XOR-compressed against the series' previous value,
-// reusing the previous leading/trailing window when it still fits.
-func (s *walSeriesV2State) writeXOR(w *walBitWriter, v float64) {
-	delta := math.Float64bits(v) ^ math.Float64bits(s.v)
-	if delta == 0 {
-		w.writeBit(false)
-		return
-	}
-	w.writeBit(true)
-	leading := uint8(bits.LeadingZeros64(delta))
-	trailing := uint8(bits.TrailingZeros64(delta))
-	if leading >= 32 {
-		leading = 31 // clamp into the 5-bit field
-	}
-	if s.leading != 0xff && leading >= s.leading && trailing >= s.trailing {
-		w.writeBit(false)
-		w.writeBits(delta>>s.trailing, 64-int(s.leading)-int(s.trailing))
-		return
-	}
-	s.leading, s.trailing = leading, trailing
-	w.writeBit(true)
-	w.writeBits(uint64(leading), 5)
-	sigbits := 64 - int(leading) - int(trailing)
-	w.writeBits(uint64(sigbits), 6)
-	w.writeBits(delta>>trailing, sigbits)
-}
-
-func walBitRange(x int64, nbits uint8) bool {
-	return -((1<<(nbits-1))-1) <= x && x <= 1<<(nbits-1)-1
+	return w.Bytes()
 }
 
 func zigzag(v int64) uint64 {
