@@ -71,10 +71,13 @@ blocks:
 head-index:
 	$(GO) test -race -count=2 -run 'Posting|HeadSelect' ./internal/tsdb/
 
-# Ten seconds of coverage-guided fuzzing over the chunk decoder: arbitrary
-# bytes must end in an error or the declared sample count, never a panic.
+# Ten seconds of coverage-guided fuzzing each over the chunk decoder
+# (arbitrary bytes must end in an error or the declared sample count, never
+# a panic) and over the query API's JSON string escaper (byte-identical to
+# encoding/json on any input).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzChunkIterator -fuzztime 10s ./internal/tsdb/chunkenc/
+	$(GO) test -run '^$$' -fuzz FuzzAppendJSONString -fuzztime 10s ./internal/promapi/
 
 # Real measurements for BENCH_querycache.json (slow).
 bench-querycache:

@@ -1,6 +1,7 @@
 package lb
 
 import (
+	"bytes"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -160,6 +161,61 @@ func TestLBNeverCachesTruncatedBody(t *testing.T) {
 	}
 	if hits.Load() != 2 {
 		t.Fatalf("backend hits = %d, want 2 (truncated body must not be cached)", hits.Load())
+	}
+}
+
+// TestLBCacheOwnsCapturedBody: the buffer the tee filled is the cache's
+// entry (PutBlob takes ownership, the LB never copies it again), so a body
+// that arrived in several writes must come back whole on a hit, later
+// requests must not disturb it, and the entry is charged at least its
+// length. A body over the capture limit streams through uncached.
+func TestLBCacheOwnsCapturedBody(t *testing.T) {
+	chunk := func(c byte, n int) []byte { return bytes.Repeat([]byte{c}, n) }
+	backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch r.URL.Query().Get("query") {
+		case "huge":
+			for i := 0; i < 5; i++ {
+				w.Write(chunk('h', 1<<20))
+			}
+		default:
+			for _, c := range []byte(r.URL.Query().Get("query")) {
+				w.Write(chunk(c, 3000))
+				w.(http.Flusher).Flush()
+			}
+		}
+	}))
+	defer backend.Close()
+	b, err := NewBackend(backend.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lb := &LB{
+		Backends: []*Backend{b},
+		Checker:  &stubChecker{},
+		Cache:    querycache.New(querycache.Options{MaxBytes: 16 << 20, Shards: 1}),
+	}
+	wantA := append(append(chunk('a', 3000), chunk('b', 3000)...), chunk('c', 3000)...)
+	if rec := get(t, lb, "/api/v1/query?query=abc", "alice"); !bytes.Equal(rec.Body.Bytes(), wantA) {
+		t.Fatalf("proxied body: %d bytes, want %d", rec.Body.Len(), len(wantA))
+	}
+	if st := lb.Cache.Stats(); st.Entries != 1 || st.Bytes < int64(len(wantA)) {
+		t.Fatalf("after one fill: %d entries, %d bytes, want 1 entry of >= %d", st.Entries, st.Bytes, len(wantA))
+	}
+	get(t, lb, "/api/v1/query?query=xyz", "alice") // a second capture must not touch the first entry
+	for _, c := range []struct {
+		query string
+		want  []byte
+	}{{"abc", wantA}, {"xyz", append(append(chunk('x', 3000), chunk('y', 3000)...), chunk('z', 3000)...)}} {
+		rec := get(t, lb, "/api/v1/query?query="+c.query, "alice")
+		if rec.Header().Get("X-Querycache") != "hit" || !bytes.Equal(rec.Body.Bytes(), c.want) {
+			t.Fatalf("%s repeat: X-Querycache %q, body intact %v", c.query, rec.Header().Get("X-Querycache"), bytes.Equal(rec.Body.Bytes(), c.want))
+		}
+	}
+	if rec := get(t, lb, "/api/v1/query?query=huge", "alice"); rec.Body.Len() != 5<<20 {
+		t.Fatalf("oversized body relayed %d bytes, want %d", rec.Body.Len(), 5<<20)
+	}
+	if rec := get(t, lb, "/api/v1/query?query=huge", "alice"); rec.Header().Get("X-Querycache") != "miss" {
+		t.Fatalf("oversized repeat = %q, want miss", rec.Header().Get("X-Querycache"))
 	}
 }
 

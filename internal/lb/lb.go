@@ -9,7 +9,6 @@
 package lb
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -415,7 +414,7 @@ func (lb *LB) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	// Cache lookup strictly after access control: a denied request never
 	// reaches here, and a cached payload is keyed only by what the backend
 	// would compute, never by who asked.
-	key, cacheable := lb.cacheKey(r)
+	key, cacheable := lb.cacheKey(r, params)
 	if cacheable {
 		if body, ok := lb.Cache.GetBlob(key); ok {
 			w.Header().Set("Content-Type", "application/json")
@@ -439,7 +438,7 @@ func (lb *LB) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	// Cache only fully-streamed 200s: a backend dying mid-body leaves a
 	// truncated buffer that must never be served as a hit.
 	if complete && cw.status == http.StatusOK && !cw.overflowed {
-		lb.Cache.PutBlob(key, cw.buf.Bytes(), lb.ttlFor(r))
+		lb.Cache.PutBlob(key, cw.buf, lb.ttlFor(r, params)) // the cache owns buf from here
 	}
 }
 
@@ -447,12 +446,13 @@ func (lb *LB) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // the cache; larger responses stream through uncached.
 const maxCachedBody = 4 << 20
 
-// cacheKey builds the cache key for a request, reporting false for
-// requests the LB does not cache (non-GET, or paths outside the query
-// API). PromQL queries are normalized so formatting variants of the same
-// panel share an entry; everything else (labels, label values) falls back
-// to the raw encoded parameters.
-func (lb *LB) cacheKey(r *http.Request) (string, bool) {
+// cacheKey builds the cache key for a request from its parsed query
+// parameters q, reporting false for requests the LB does not cache (non-GET,
+// or paths outside the query API). PromQL queries are normalized — in q
+// itself — so formatting variants of the same panel share an entry;
+// everything else (labels, label values) falls back to the raw encoded
+// parameters.
+func (lb *LB) cacheKey(r *http.Request, q url.Values) (string, bool) {
 	if lb.Cache == nil || r.Method != http.MethodGet {
 		return "", false
 	}
@@ -464,7 +464,6 @@ func (lb *LB) cacheKey(r *http.Request) (string, bool) {
 	default:
 		return "", false
 	}
-	q := r.URL.Query()
 	if expr := q.Get("query"); expr != "" {
 		q.Set("query", querycache.NormalizeQuery(expr))
 	}
@@ -474,7 +473,7 @@ func (lb *LB) cacheKey(r *http.Request) (string, bool) {
 // ttlFor picks the entry TTL: range windows that ended well in the past
 // are settled (long TTL); anything touching the present decays on the
 // fresh TTL so dashboard refreshes track new appends.
-func (lb *LB) ttlFor(r *http.Request) time.Duration {
+func (lb *LB) ttlFor(r *http.Request, q url.Values) time.Duration {
 	fresh, settled := lb.CacheTTL, lb.CacheSettledTTL
 	if fresh <= 0 {
 		fresh = DefaultCacheTTL
@@ -488,7 +487,7 @@ func (lb *LB) ttlFor(r *http.Request) time.Duration {
 	// Prometheus accepts both unix floats and RFC3339 timestamps (promapi's
 	// parseTime does the same two-step); an unparseable end conservatively
 	// counts as fresh.
-	raw := r.URL.Query().Get("end")
+	raw := q.Get("end")
 	var end time.Time
 	if f, err := strconv.ParseFloat(raw, 64); err == nil {
 		end = time.UnixMilli(int64(f * 1000))
@@ -519,11 +518,12 @@ func (lb *LB) serveCacheStatus(w http.ResponseWriter) {
 }
 
 // captureWriter tees a proxied response into a bounded buffer so the body
-// can be cached after it has streamed to the client.
+// can be cached after it has streamed to the client. buf is handed to the
+// cache as is: the tee is the only copy the LB makes of a body.
 type captureWriter struct {
 	http.ResponseWriter
 	status     int
-	buf        bytes.Buffer
+	buf        []byte
 	limit      int
 	overflowed bool
 }
@@ -538,11 +538,11 @@ func (cw *captureWriter) Write(p []byte) (int, error) {
 		cw.status = http.StatusOK
 	}
 	if !cw.overflowed {
-		if cw.buf.Len()+len(p) > cw.limit {
+		if len(cw.buf)+len(p) > cw.limit {
 			cw.overflowed = true
-			cw.buf.Reset()
+			cw.buf = nil
 		} else {
-			cw.buf.Write(p)
+			cw.buf = append(cw.buf, p...)
 		}
 	}
 	return cw.ResponseWriter.Write(p)

@@ -102,7 +102,9 @@ func (h *Handler) Mux() *http.ServeMux {
 	return mux
 }
 
-// apiResponse is the Prometheus envelope.
+// apiResponse is the Prometheus envelope as encoding/json renders it: errors
+// and the /api/v1/status/* endpoints. Query results and label lists are
+// hand-encoded (encode.go).
 type apiResponse struct {
 	Status string  `json:"status"`
 	Data   apiData `json:"data,omitempty"`
@@ -112,18 +114,6 @@ type apiResponse struct {
 type apiData struct {
 	ResultType string `json:"resultType"`
 	Result     any    `json:"result"`
-}
-
-// vectorSample mirrors Prometheus's instant-vector JSON shape.
-type vectorSample struct {
-	Metric map[string]string `json:"metric"`
-	Value  [2]any            `json:"value"` // [unix_seconds, "value"]
-}
-
-// matrixSeries mirrors the range-vector shape.
-type matrixSeries struct {
-	Metric map[string]string `json:"metric"`
-	Values [][2]any          `json:"values"`
 }
 
 func (h *Handler) engine() *promql.Engine {
@@ -185,13 +175,14 @@ func writeQueryErr(w http.ResponseWriter, err error) {
 }
 
 func (h *Handler) handleQuery(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query().Get("query")
+	qs := r.URL.Query()
+	q := qs.Get("query")
 	if q == "" {
 		writeErr(w, http.StatusBadRequest, "query parameter required")
 		return
 	}
 	ts := h.now()
-	if v := r.URL.Query().Get("time"); v != "" {
+	if v := qs.Get("time"); v != "" {
 		t, err := parseTime(v)
 		if err != nil {
 			writeErr(w, http.StatusBadRequest, err.Error())
@@ -222,16 +213,9 @@ func (h *Handler) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	switch tv := val.(type) {
 	case promql.Vector:
-		out := make([]vectorSample, len(tv))
-		for i, s := range tv {
-			out[i] = vectorSample{
-				Metric: s.Labels.Map(),
-				Value:  [2]any{float64(s.T) / 1000, formatVal(s.V)},
-			}
-		}
-		writeOK(w, "vector", out)
+		writeBody(w, func(b []byte) []byte { return appendVector(b, tv) })
 	case promql.Scalar:
-		writeOK(w, "scalar", [2]any{float64(tv.T) / 1000, formatVal(tv.V)})
+		writeBody(w, func(b []byte) []byte { return appendScalar(b, tv) })
 	default:
 		writeErr(w, http.StatusUnprocessableEntity, "unsupported result type")
 	}
@@ -275,15 +259,7 @@ func (h *Handler) handleQueryRange(w http.ResponseWriter, r *http.Request) {
 		writeQueryErr(w, merr)
 		return
 	}
-	out := make([]matrixSeries, len(m))
-	for i, sr := range m {
-		vals := make([][2]any, len(sr.Samples))
-		for j, smp := range sr.Samples {
-			vals[j] = [2]any{float64(smp.T) / 1000, formatVal(smp.V)}
-		}
-		out[i] = matrixSeries{Metric: sr.Labels.Map(), Values: vals}
-	}
-	writeOK(w, "matrix", out)
+	writeBody(w, func(b []byte) []byte { return appendMatrix(b, m) })
 }
 
 // handleCacheStatus serves /api/v1/status/querycache: the result cache's
@@ -341,7 +317,7 @@ func (h *Handler) handleLabels(w http.ResponseWriter, _ *http.Request) {
 		writeErr(w, http.StatusNotFound, "label metadata not supported by this backend")
 		return
 	}
-	writeList(w, ls.LabelNames())
+	writeBody(w, func(b []byte) []byte { return appendList(b, ls.LabelNames()) })
 }
 
 // handleLabelValues serves /api/v1/label/<name>/values.
@@ -357,20 +333,7 @@ func (h *Handler) handleLabelValues(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusNotFound, "expected /api/v1/label/<name>/values")
 		return
 	}
-	writeList(w, ls.LabelValues(name))
-}
-
-// writeList emits the Prometheus label-list envelope ({"status":"success",
-// "data":[...]}), which has no resultType wrapper.
-func writeList(w http.ResponseWriter, list []string) {
-	if list == nil {
-		list = []string{}
-	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(struct {
-		Status string   `json:"status"`
-		Data   []string `json:"data"`
-	}{Status: "success", Data: list})
+	writeBody(w, func(b []byte) []byte { return appendList(b, ls.LabelValues(name)) })
 }
 
 func parseTime(s string) (time.Time, error) {
@@ -401,8 +364,7 @@ func parseStep(s string) (time.Duration, error) {
 	return d, nil
 }
 
-func formatVal(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
-
+// writeOK serves a status endpoint's struct through encoding/json.
 func writeOK(w http.ResponseWriter, typ string, result any) {
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(apiResponse{

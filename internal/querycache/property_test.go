@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 	"time"
 
@@ -157,5 +158,90 @@ func TestSpliceCorrectnessProperty(t *testing.T) {
 				t.Fatalf("property run never reused the cache (stats %+v); workload too cold to prove anything", st)
 			}
 		})
+	}
+}
+
+// TestSpliceMergeProperty checks the sorted merge against the obvious
+// construction — pool every part's series by label set, concatenate, sort —
+// on random disjoint, increasing time windows in which any series may be
+// missing from any part. Label values are drawn from a tiny alphabet and
+// label sets of different lengths share prefixes, so neighbours in the sort
+// order are one comparison step apart. The merge compares label sets and
+// never hashes them, so two series can only be joined when their labels are
+// equal.
+func TestSpliceMergeProperty(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for iter := 0; iter < 500; iter++ {
+		// The universe of series, strictly sorted.
+		set := map[string]labels.Labels{}
+		for n := rng.Intn(9); n > 0; n-- {
+			ls := labels.Labels{}
+			for j, name := range []string{"a", "b", "c"}[:rng.Intn(4)] {
+				ls = append(ls, labels.Label{Name: name, Value: fmt.Sprint(rng.Intn(2 + j))})
+			}
+			set[ls.String()] = ls
+		}
+		universe := make([]labels.Labels, 0, len(set))
+		for _, ls := range set {
+			universe = append(universe, ls)
+		}
+		sort.Slice(universe, func(i, j int) bool { return labels.Compare(universe[i], universe[j]) < 0 })
+
+		parts := make([]promql.Matrix, 1+rng.Intn(3))
+		want := map[string]*model.Series{}
+		ts := int64(0)
+		for k := range parts {
+			steps := rng.Intn(4)
+			for _, ls := range universe {
+				if rng.Intn(3) == 0 {
+					continue // absent from this part
+				}
+				var smp []model.Sample
+				for s := 0; s < steps; s++ {
+					if rng.Intn(4) > 0 {
+						smp = append(smp, model.Sample{T: ts + int64(s)*15, V: rng.Float64()})
+					}
+				}
+				if len(smp) == 0 {
+					continue // evaluations and extractRange drop empty series
+				}
+				parts[k] = append(parts[k], model.Series{Labels: ls, Samples: smp})
+				w := want[ls.String()]
+				if w == nil {
+					w = &model.Series{Labels: ls}
+					want[ls.String()] = w
+				}
+				w.Samples = append(w.Samples, smp...)
+			}
+			ts += int64(steps) * 15
+		}
+		oracle := make(promql.Matrix, 0, len(want))
+		for _, s := range want {
+			oracle = append(oracle, *s)
+		}
+		sort.Slice(oracle, func(i, j int) bool { return labels.Compare(oracle[i].Labels, oracle[j].Labels) < 0 })
+
+		got := spliceMerge(parts...)
+		if !EqualMatrix(got, oracle) {
+			t.Fatalf("iter %d: merge of %v\n got %v\nwant %v", iter, parts, got, oracle)
+		}
+		// The result owns its memory: scribbling on it leaves the parts intact.
+		before := make([]promql.Matrix, len(parts))
+		for k, p := range parts {
+			before[k] = p.Clone()
+		}
+		for i := range got {
+			for j := range got[i].Samples {
+				got[i].Samples[j] = model.Sample{T: -1, V: -1}
+			}
+			for j := range got[i].Labels {
+				got[i].Labels[j].Value = "scribbled"
+			}
+		}
+		for k := range parts {
+			if !EqualMatrix(parts[k], before[k]) {
+				t.Fatalf("iter %d: mutating the merge result changed part %d", iter, k)
+			}
+		}
 	}
 }

@@ -58,9 +58,9 @@
 // results cannot resurrect data that retention already removed.
 //
 // All cached PromQL results are immutable snapshots: values are deep-cloned
-// on insert and on every hit, so callers can mutate what they receive
-// without corrupting the cache (and cache entries never alias head-owned
-// label slices).
+// on insert and on every hit, and a splice merges into fresh slices, so
+// callers can mutate what they receive without corrupting the cache (and
+// cache entries never alias head-owned label slices).
 package querycache
 
 import (
@@ -532,15 +532,16 @@ func (c *Cache) GetBlob(key string) ([]byte, bool) {
 }
 
 // PutBlob stores an opaque payload under key for at most ttl (<= 0 stores
-// without expiry). The body is copied; the caller keeps ownership of its
-// slice.
+// without expiry). It takes ownership of body: the cache keeps the slice
+// itself, so the caller must not write to it, or append within its capacity,
+// afterwards. The entry is charged for the whole backing array.
 func (c *Cache) PutBlob(key string, body []byte, ttl time.Duration) {
 	key = "b\x00" + key
 	e := &entry{
 		key:  key,
 		kind: kindBlob,
-		blob: append([]byte(nil), body...),
-		cost: int64(len(key)+len(body)) + entryOverhead,
+		blob: body,
+		cost: int64(len(key)+cap(body)) + entryOverhead,
 	}
 	if ttl > 0 {
 		e.expiresMs = c.now().Add(ttl).UnixMilli()

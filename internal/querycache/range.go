@@ -14,7 +14,9 @@ import (
 
 // RangeEval evaluates the query this lookup is for over a sub-window; the
 // cache calls it with grid-aligned bounds and the original step. promapi
-// passes a closure over Engine.RangeCtx.
+// passes a closure over Engine.RangeCtx. Like the engine, it must return its
+// series sorted by labels with no label set repeated: splices merge on that
+// order.
 type RangeEval func(ctx context.Context, start, end time.Time, step time.Duration) (promql.Matrix, error)
 
 // InstantEval evaluates the query at its instant timestamp.
@@ -177,7 +179,7 @@ func (c *Cache) rangeLookup(ctx context.Context, key string, startMs, lastMs, st
 		}
 		tailM = m
 	}
-	out := spliceMerge(headM, cloneMatrix(mid), tailM)
+	out := spliceMerge(headM, mid, tailM)
 	if c.opts.Paranoid {
 		cold, err := eval(ctx, start, end, step)
 		if err != nil {
@@ -435,28 +437,53 @@ func extractRange(m promql.Matrix, lo, hi int64) promql.Matrix {
 // spliceMerge concatenates per-series samples across matrices covering
 // disjoint, increasing time windows, producing exactly what one cold
 // evaluation of the union window produces: series union, samples in time
-// order, sorted by labels.
+// order, sorted by labels. Every part is itself sorted by labels with no
+// label set repeated — evaluations return that, and cached entries are
+// stored evaluations or earlier merges — so this is a k-way merge that
+// compares label sets and never hashes them. The result shares no label or
+// sample slice with any part (the middle part aliases the cache entry).
 func spliceMerge(parts ...promql.Matrix) promql.Matrix {
-	acc := map[uint64]*model.Series{}
-	var order []uint64
+	var (
+		next = make([]int, len(parts)) // cursor into each part
+		same = make([]int, 0, len(parts))
+		size int // most series any one part holds: the result has at least that many
+	)
 	for _, part := range parts {
-		for _, s := range part {
-			h := s.Labels.Hash()
-			sr, ok := acc[h]
-			if !ok {
-				sr = &model.Series{Labels: s.Labels}
-				acc[h] = sr
-				order = append(order, h)
+		size = max(size, len(part))
+	}
+	out := make(promql.Matrix, 0, size)
+	for {
+		// The parts whose next series carries the smallest label set.
+		same = same[:0]
+		var least labels.Labels
+		for k, part := range parts {
+			if next[k] == len(part) {
+				continue
 			}
-			sr.Samples = append(sr.Samples, s.Samples...)
+			ls, c := part[next[k]].Labels, -1
+			if len(same) > 0 {
+				c = labels.Compare(ls, least)
+			}
+			if c < 0 {
+				least, same = ls, append(same[:0], k)
+			} else if c == 0 {
+				same = append(same, k)
+			}
 		}
+		if len(same) == 0 {
+			return out
+		}
+		n := 0
+		for _, k := range same {
+			n += len(parts[k][next[k]].Samples)
+		}
+		samples := make([]model.Sample, 0, n)
+		for _, k := range same { // ascending k: time order
+			samples = append(samples, parts[k][next[k]].Samples...)
+			next[k]++
+		}
+		out = append(out, model.Series{Labels: least.Copy(), Samples: samples})
 	}
-	out := make(promql.Matrix, 0, len(order))
-	for _, h := range order {
-		out = append(out, *acc[h])
-	}
-	sort.Slice(out, func(i, j int) bool { return labels.Compare(out[i].Labels, out[j].Labels) < 0 })
-	return out
 }
 
 // cloneMatrix deep-copies a matrix via promql's cloning discipline.
