@@ -73,11 +73,14 @@ head-index:
 
 # Ten seconds of coverage-guided fuzzing each over the chunk decoder
 # (arbitrary bytes must end in an error or the declared sample count, never
-# a panic) and over the query API's JSON string escaper (byte-identical to
-# encoding/json on any input).
+# a panic), over the query API's JSON string escaper (byte-identical to
+# encoding/json on any input) and over the exposition tokenizer (same
+# families or same failure as the oracle parser it replaced, allocation
+# linear in the input).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzChunkIterator -fuzztime 10s ./internal/tsdb/chunkenc/
 	$(GO) test -run '^$$' -fuzz FuzzAppendJSONString -fuzztime 10s ./internal/promapi/
+	$(GO) test -run '^$$' -fuzz FuzzTokenizer -fuzztime 10s ./internal/expofmt/
 
 # Real measurements for BENCH_querycache.json (slow).
 bench-querycache:

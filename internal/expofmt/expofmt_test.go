@@ -1,8 +1,13 @@
 package expofmt
 
 import (
+	"bufio"
 	"bytes"
+	"fmt"
+	"io"
 	"math"
+	"sort"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -211,13 +216,281 @@ func TestRoundTripProperty(t *testing.T) {
 }
 
 func TestValidNames(t *testing.T) {
-	if !validMetricName("node_rapl:energy_joules_total") {
+	if !validName("node_rapl:energy_joules_total", inMetricName) {
 		t.Error("colon should be valid in metric name")
 	}
-	if validLabelName("with:colon") {
+	if validName("with:colon", inLabelName) {
 		t.Error("colon invalid in label name")
 	}
-	if validMetricName("") || validLabelName("") {
+	if validName("", inMetricName) || validName("", inLabelName) {
 		t.Error("empty names invalid")
 	}
+	if validName("9lives", inMetricName) || validName("9lives", inLabelName) || !validName("l9", inLabelName) {
+		t.Error("a digit is valid anywhere but first")
+	}
+}
+
+// The differential oracle: the line parser and the writer this package
+// shipped before the tokenizer and AppendFamily, kept verbatim (bufio.Scanner,
+// map[string]string, strings.Builder, fmt) so the new code is pinned to the
+// old behaviour, quirks included, by tokenizer_test.go.
+
+func oracleWriteFamily(w *bufio.Writer, f *Family) {
+	if f.Help != "" {
+		fmt.Fprintf(w, "# HELP %s %s\n", f.Name, escapeHelp(f.Help))
+	}
+	typ := f.Type
+	if typ == "" {
+		typ = TypeUntyped
+	}
+	fmt.Fprintf(w, "# TYPE %s %s\n", f.Name, typ)
+	for _, m := range f.Metrics {
+		writeMetric(w, f.Name, m)
+	}
+}
+
+func writeMetric(w *bufio.Writer, name string, m Metric) {
+	w.WriteString(name)
+	// Labels, excluding __name__, sorted.
+	var ls labels.Labels
+	for _, l := range m.Labels {
+		if l.Name != labels.MetricName {
+			ls = append(ls, l)
+		}
+	}
+	sort.Sort(ls)
+	if len(ls) > 0 {
+		w.WriteByte('{')
+		for i, l := range ls {
+			if i > 0 {
+				w.WriteByte(',')
+			}
+			w.WriteString(l.Name)
+			w.WriteString(`="`)
+			w.WriteString(escapeValue(l.Value))
+			w.WriteByte('"')
+		}
+		w.WriteByte('}')
+	}
+	w.WriteByte(' ')
+	w.WriteString(formatValue(m.Value))
+	if m.TS != 0 {
+		w.WriteByte(' ')
+		w.WriteString(strconv.FormatInt(m.TS, 10))
+	}
+	w.WriteByte('\n')
+}
+
+func formatValue(v float64) string {
+	switch {
+	case math.IsNaN(v):
+		return "NaN"
+	case math.IsInf(v, 1):
+		return "+Inf"
+	case math.IsInf(v, -1):
+		return "-Inf"
+	}
+	return strconv.FormatFloat(v, 'g', -1, 64)
+}
+
+func escapeHelp(s string) string {
+	s = strings.ReplaceAll(s, `\`, `\\`)
+	return strings.ReplaceAll(s, "\n", `\n`)
+}
+
+func escapeValue(s string) string {
+	s = strings.ReplaceAll(s, `\`, `\\`)
+	s = strings.ReplaceAll(s, `"`, `\"`)
+	return strings.ReplaceAll(s, "\n", `\n`)
+}
+
+func oracleParse(r io.Reader) ([]*Family, error) {
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
+	fams := map[string]*Family{}
+	var order []string
+	lineNo := 0
+	getFam := func(name string) *Family {
+		f, ok := fams[name]
+		if !ok {
+			f = &Family{Name: name, Type: TypeUntyped}
+			fams[name] = f
+			order = append(order, name)
+		}
+		return f
+	}
+	for sc.Scan() {
+		lineNo++
+		line := strings.TrimSpace(sc.Text())
+		if line == "" {
+			continue
+		}
+		if strings.HasPrefix(line, "#") {
+			rest := strings.TrimSpace(line[1:])
+			switch {
+			case strings.HasPrefix(rest, "HELP "):
+				parts := strings.SplitN(rest[len("HELP "):], " ", 2)
+				f := getFam(parts[0])
+				if len(parts) == 2 {
+					f.Help = unescapeHelp(parts[1])
+				}
+			case strings.HasPrefix(rest, "TYPE "):
+				parts := strings.SplitN(rest[len("TYPE "):], " ", 2)
+				f := getFam(parts[0])
+				if len(parts) == 2 {
+					f.Type = MetricType(strings.TrimSpace(parts[1]))
+				}
+			}
+			continue
+		}
+		m, name, err := parseSample(line)
+		if err != nil {
+			return nil, fmt.Errorf("expofmt: line %d: %w", lineNo, err)
+		}
+		f := getFam(name)
+		f.Metrics = append(f.Metrics, m)
+	}
+	if err := sc.Err(); err != nil {
+		return nil, err
+	}
+	out := make([]*Family, 0, len(order))
+	for _, n := range order {
+		out = append(out, fams[n])
+	}
+	return out, nil
+}
+
+func parseSample(line string) (Metric, string, error) {
+	var m Metric
+	// Metric name runs to '{' or whitespace.
+	i := strings.IndexAny(line, "{ \t")
+	if i < 0 {
+		return m, "", fmt.Errorf("malformed sample %q", line)
+	}
+	name := line[:i]
+	if name == "" || !oracleValidMetricName(name) {
+		return m, "", fmt.Errorf("invalid metric name %q", name)
+	}
+	rest := line[i:]
+	lset := map[string]string{labels.MetricName: name}
+	if rest[0] == '{' {
+		end, err := parseLabels(rest, lset)
+		if err != nil {
+			return m, "", err
+		}
+		rest = rest[end:]
+	}
+	fields := strings.Fields(rest)
+	if len(fields) < 1 || len(fields) > 2 {
+		return m, "", fmt.Errorf("bad value/timestamp in %q", line)
+	}
+	v, err := parseFloat(fields[0])
+	if err != nil {
+		return m, "", fmt.Errorf("bad value %q: %w", fields[0], err)
+	}
+	m.Value = v
+	if len(fields) == 2 {
+		ts, err := strconv.ParseInt(fields[1], 10, 64)
+		if err != nil {
+			return m, "", fmt.Errorf("bad timestamp %q: %w", fields[1], err)
+		}
+		m.TS = ts
+	}
+	m.Labels = labels.FromMap(lset)
+	return m, name, nil
+}
+
+// parseLabels parses a {a="b",c="d"} block starting at s[0]=='{', filling
+// into. It returns the index one past the closing '}'.
+func parseLabels(s string, into map[string]string) (int, error) {
+	i := 1 // past '{'
+	for {
+		// Skip whitespace and a single optional comma.
+		for i < len(s) && (s[i] == ' ' || s[i] == '\t' || s[i] == ',') {
+			i++
+		}
+		if i >= len(s) {
+			return 0, fmt.Errorf("unterminated label block in %q", s)
+		}
+		if s[i] == '}' {
+			return i + 1, nil
+		}
+		start := i
+		for i < len(s) && s[i] != '=' && s[i] != '}' {
+			i++
+		}
+		if i >= len(s) || s[i] != '=' {
+			return 0, fmt.Errorf("missing '=' in label block %q", s)
+		}
+		name := strings.TrimSpace(s[start:i])
+		if !oracleValidLabelName(name) {
+			return 0, fmt.Errorf("invalid label name %q", name)
+		}
+		i++ // past '='
+		if i >= len(s) || s[i] != '"' {
+			return 0, fmt.Errorf("label value must be quoted in %q", s)
+		}
+		i++
+		var b strings.Builder
+		for i < len(s) && s[i] != '"' {
+			if s[i] == '\\' && i+1 < len(s) {
+				i++
+				switch s[i] {
+				case 'n':
+					b.WriteByte('\n')
+				case '\\':
+					b.WriteByte('\\')
+				case '"':
+					b.WriteByte('"')
+				default:
+					b.WriteByte('\\')
+					b.WriteByte(s[i])
+				}
+			} else {
+				b.WriteByte(s[i])
+			}
+			i++
+		}
+		if i >= len(s) {
+			return 0, fmt.Errorf("unterminated label value in %q", s)
+		}
+		i++ // past closing quote
+		into[name] = b.String()
+	}
+}
+
+func parseFloat(s string) (float64, error) {
+	switch s {
+	case "NaN":
+		return math.NaN(), nil
+	case "+Inf", "Inf":
+		return math.Inf(1), nil
+	case "-Inf":
+		return math.Inf(-1), nil
+	}
+	return strconv.ParseFloat(s, 64)
+}
+
+func oracleValidMetricName(s string) bool {
+	for i, c := range s {
+		ok := c == '_' || c == ':' ||
+			(c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
+			(i > 0 && c >= '0' && c <= '9')
+		if !ok {
+			return false
+		}
+	}
+	return len(s) > 0
+}
+
+func oracleValidLabelName(s string) bool {
+	for i, c := range s {
+		ok := c == '_' ||
+			(c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
+			(i > 0 && c >= '0' && c <= '9')
+		if !ok {
+			return false
+		}
+	}
+	return len(s) > 0
 }

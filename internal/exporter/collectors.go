@@ -3,7 +3,10 @@ package exporter
 import (
 	"fmt"
 	"regexp"
+	"sort"
+	"strconv"
 	"strings"
+	"sync"
 
 	"repro/internal/expofmt"
 	"repro/internal/labels"
@@ -52,10 +55,21 @@ func K8sLayout() CgroupLayout {
 }
 
 // CgroupCollector walks the cgroup tree and emits per-compute-unit CPU and
-// memory accounting.
+// memory accounting. What a directory name implies — whether it is a
+// workload cgroup, its label set, its file paths — is worked out once and
+// kept for as long as the directory is listed; FS and Layout must not
+// change after the first Collect.
 type CgroupCollector struct {
 	FS     sysfs.FS
 	Layout CgroupLayout
+
+	mu    sync.Mutex
+	units map[string]*cgroupUnit // by directory name; nil: not a workload cgroup
+}
+
+type cgroupUnit struct {
+	ls                          labels.Labels
+	cpuStat, memCurrent, memMax string
 }
 
 // Name implements Collector.
@@ -90,71 +104,89 @@ func (c *CgroupCollector) Collect() ([]*expofmt.Family, error) {
 		units.Metrics = []expofmt.Metric{{Value: 0}}
 		return []*expofmt.Family{cpuTotal, cpuUser, memUsed, memLimit, units}, nil
 	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.units == nil {
+		c.units = map[string]*cgroupUnit{}
+	}
 	count := 0
 	for _, name := range names {
-		m := c.Layout.Pattern.FindStringSubmatch(name)
-		if m == nil {
+		u, known := c.units[name]
+		if !known {
+			if m := c.Layout.Pattern.FindStringSubmatch(name); m != nil {
+				dir := c.Layout.Root + "/" + name
+				u = &cgroupUnit{
+					ls:      labels.FromStrings("uuid", m[1], "manager", string(c.Layout.Manager)),
+					cpuStat: dir + "/cpu.stat", memCurrent: dir + "/memory.current", memMax: dir + "/memory.max",
+				}
+			}
+			c.units[name] = u
+		}
+		if u == nil {
 			continue
 		}
-		uuid := m[1]
-		dir := c.Layout.Root + "/" + name
-		ls := labels.FromStrings("uuid", uuid, "manager", string(c.Layout.Manager))
-		kv, err := sysfs.ReadKVFile(c.FS, dir+"/cpu.stat")
+		kv, err := sysfs.ReadKVFile(c.FS, u.cpuStat)
 		if err == nil {
 			cpuTotal.Metrics = append(cpuTotal.Metrics, expofmt.Metric{
-				Labels: ls, Value: float64(kv["usage_usec"]) / 1e6})
+				Labels: u.ls, Value: float64(kv["usage_usec"]) / 1e6})
 			cpuUser.Metrics = append(cpuUser.Metrics, expofmt.Metric{
-				Labels: ls, Value: float64(kv["user_usec"]) / 1e6})
+				Labels: u.ls, Value: float64(kv["user_usec"]) / 1e6})
 		}
-		if v, err := sysfs.ReadUint64(c.FS, dir+"/memory.current"); err == nil {
-			memUsed.Metrics = append(memUsed.Metrics, expofmt.Metric{Labels: ls, Value: float64(v)})
+		if v, err := sysfs.ReadUint64(c.FS, u.memCurrent); err == nil {
+			memUsed.Metrics = append(memUsed.Metrics, expofmt.Metric{Labels: u.ls, Value: float64(v)})
 		}
-		if v, err := sysfs.ReadUint64(c.FS, dir+"/memory.max"); err == nil {
-			memLimit.Metrics = append(memLimit.Metrics, expofmt.Metric{Labels: ls, Value: float64(v)})
+		if v, err := sysfs.ReadUint64(c.FS, u.memMax); err == nil {
+			memLimit.Metrics = append(memLimit.Metrics, expofmt.Metric{Labels: u.ls, Value: float64(v)})
 		}
 		count++
+	}
+	// Forget directories that are gone (ReadDir lists sorted), so the memo
+	// is bounded by the jobs on the node, not by the jobs it ever ran.
+	if len(c.units) > len(names) {
+		for name := range c.units {
+			if i := sort.SearchStrings(names, name); i == len(names) || names[i] != name {
+				delete(c.units, name)
+			}
+		}
 	}
 	units.Metrics = []expofmt.Metric{{Value: float64(count)}}
 	return []*expofmt.Family{cpuTotal, cpuUser, memUsed, memLimit, units}, nil
 }
 
-// RAPLCollector reads the powercap energy counters.
+// RAPLCollector reads the powercap energy counters. Zones are discovered
+// once — they are fixed by the hardware — and from then on a scrape reads
+// only each zone's energy_uj.
 type RAPLCollector struct {
 	FS sysfs.FS
+
+	mu    sync.Mutex
+	zones []raplZone
+}
+
+type raplZone struct {
+	dram     bool
+	ls       labels.Labels
+	energyUJ string // path
 }
 
 // Name implements Collector.
 func (c *RAPLCollector) Name() string { return "rapl" }
 
-// Collect walks /sys/class/powercap for package and dram domains.
-func (c *RAPLCollector) Collect() ([]*expofmt.Family, error) {
-	pkg := &expofmt.Family{
-		Name: "ceems_rapl_package_joules_total", Type: expofmt.TypeCounter,
-		Help: "RAPL package domain energy counter in joules.",
-	}
-	dram := &expofmt.Family{
-		Name: "ceems_rapl_dram_joules_total", Type: expofmt.TypeCounter,
-		Help: "RAPL dram domain energy counter in joules.",
-	}
+// discover walks /sys/class/powercap for package and dram domains.
+func (c *RAPLCollector) discover() ([]raplZone, error) {
 	root := "/sys/class/powercap"
 	names, err := c.FS.ReadDir(root)
 	if err != nil {
 		return nil, fmt.Errorf("rapl: %w", err)
 	}
+	var zones []raplZone
 	for _, name := range names {
 		if !strings.HasPrefix(name, "intel-rapl:") || strings.Count(name, ":") != 1 {
 			continue
 		}
 		base := root + "/" + name
 		idx := strings.TrimPrefix(name, "intel-rapl:")
-		uj, err := sysfs.ReadUint64(c.FS, base+"/energy_uj")
-		if err != nil {
-			continue
-		}
-		pkg.Metrics = append(pkg.Metrics, expofmt.Metric{
-			Labels: labels.FromStrings("index", idx, "path", name),
-			Value:  float64(uj) / 1e6,
-		})
+		zones = append(zones, raplZone{ls: labels.FromStrings("index", idx, "path", name), energyUJ: base + "/energy_uj"})
 		// Sub-domains (dram).
 		subs, err := c.FS.ReadDir(base)
 		if err != nil {
@@ -168,15 +200,41 @@ func (c *RAPLCollector) Collect() ([]*expofmt.Family, error) {
 			if err != nil || strings.TrimSpace(string(nameData)) != "dram" {
 				continue
 			}
-			uj, err := sysfs.ReadUint64(c.FS, base+"/"+sub+"/energy_uj")
-			if err != nil {
-				continue
-			}
-			dram.Metrics = append(dram.Metrics, expofmt.Metric{
-				Labels: labels.FromStrings("index", idx, "path", sub),
-				Value:  float64(uj) / 1e6,
-			})
+			zones = append(zones, raplZone{dram: true,
+				ls: labels.FromStrings("index", idx, "path", sub), energyUJ: base + "/" + sub + "/energy_uj"})
 		}
+	}
+	return zones, nil
+}
+
+// Collect reads the energy counter of every zone.
+func (c *RAPLCollector) Collect() ([]*expofmt.Family, error) {
+	pkg := &expofmt.Family{
+		Name: "ceems_rapl_package_joules_total", Type: expofmt.TypeCounter,
+		Help: "RAPL package domain energy counter in joules.",
+	}
+	dram := &expofmt.Family{
+		Name: "ceems_rapl_dram_joules_total", Type: expofmt.TypeCounter,
+		Help: "RAPL dram domain energy counter in joules.",
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if len(c.zones) == 0 { // finding nothing is not remembered
+		var err error
+		if c.zones, err = c.discover(); err != nil {
+			return nil, err
+		}
+	}
+	for _, z := range c.zones {
+		uj, err := sysfs.ReadUint64(c.FS, z.energyUJ)
+		if err != nil {
+			continue
+		}
+		fam := pkg
+		if z.dram {
+			fam = dram
+		}
+		fam.Metrics = append(fam.Metrics, expofmt.Metric{Labels: z.ls, Value: float64(uj) / 1e6})
 	}
 	return []*expofmt.Family{pkg, dram}, nil
 }
@@ -212,6 +270,15 @@ func (c *IPMICollector) Collect() ([]*expofmt.Family, error) {
 // NodeCollector emits node-level CPU and memory metrics from /proc.
 type NodeCollector struct {
 	FS sysfs.FS
+
+	mu        sync.Mutex
+	memFields map[string]labels.Labels // {field="<key>"} by /proc/meminfo key
+}
+
+// cpuModes are the first five columns of /proc/stat's cpu line.
+var cpuModes = [...]labels.Labels{
+	labels.FromStrings("mode", "user"), labels.FromStrings("mode", "nice"), labels.FromStrings("mode", "system"),
+	labels.FromStrings("mode", "idle"), labels.FromStrings("mode", "iowait"),
 }
 
 // Name implements Collector.
@@ -233,15 +300,13 @@ func (c *NodeCollector) Collect() ([]*expofmt.Family, error) {
 		if len(fields) < 5 || fields[0] != "cpu" {
 			continue
 		}
-		modes := []string{"user", "nice", "system", "idle", "iowait"}
-		for i, mode := range modes {
+		for i, mode := range cpuModes {
 			if i+1 >= len(fields) {
 				break
 			}
-			var j uint64
-			fmt.Sscanf(fields[i+1], "%d", &j)
+			j, _ := strconv.ParseUint(fields[i+1], 10, 64)
 			cpu.Metrics = append(cpu.Metrics, expofmt.Metric{
-				Labels: labels.FromStrings("mode", mode),
+				Labels: mode,
 				Value:  float64(j) / 100, // jiffies at USER_HZ=100
 			})
 		}
@@ -253,18 +318,24 @@ func (c *NodeCollector) Collect() ([]*expofmt.Family, error) {
 			Name: "ceems_meminfo_bytes", Type: expofmt.TypeGauge,
 			Help: "Node memory by field (from /proc/meminfo).",
 		}
+		c.mu.Lock()
+		defer c.mu.Unlock()
 		for _, line := range strings.Split(string(data), "\n") {
 			fields := strings.Fields(line)
 			if len(fields) < 2 {
 				continue
 			}
 			key := strings.TrimSuffix(fields[0], ":")
-			var kb uint64
-			fmt.Sscanf(fields[1], "%d", &kb)
-			mem.Metrics = append(mem.Metrics, expofmt.Metric{
-				Labels: labels.FromStrings("field", key),
-				Value:  float64(kb) * 1024,
-			})
+			ls, ok := c.memFields[key]
+			if !ok {
+				if c.memFields == nil {
+					c.memFields = map[string]labels.Labels{}
+				}
+				ls = labels.FromStrings("field", key)
+				c.memFields[key] = ls
+			}
+			kb, _ := strconv.ParseUint(fields[1], 10, 64)
+			mem.Metrics = append(mem.Metrics, expofmt.Metric{Labels: ls, Value: float64(kb) * 1024})
 		}
 		out = append(out, mem)
 	}

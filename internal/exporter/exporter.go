@@ -11,9 +11,8 @@ import (
 	"crypto/subtle"
 	"fmt"
 	"net/http"
-	"runtime"
+	"runtime/metrics"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -34,6 +33,9 @@ type Exporter struct {
 	mu         sync.RWMutex
 	collectors map[string]Collector
 	disabled   map[string]bool
+	// enabled is what Gather runs, by name. Register and SetEnabled build a
+	// new slice; a Gather in flight keeps ranging over the one it took.
+	enabled []enabledCollector
 
 	// Auth, when non-empty, enforces basic auth on /metrics.
 	Username string
@@ -42,6 +44,11 @@ type Exporter struct {
 	// Self-telemetry.
 	scrapes       uint64
 	lastScrapeDur time.Duration
+}
+
+type enabledCollector struct {
+	Collector
+	up labels.Labels // {collector="<name>"}
 }
 
 // New returns an exporter with the given collectors registered and enabled.
@@ -61,6 +68,17 @@ func (e *Exporter) Register(c Collector) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.collectors[c.Name()] = c
+	e.refreshLocked()
+}
+
+func (e *Exporter) refreshLocked() {
+	e.enabled = nil
+	for n, c := range e.collectors {
+		if !e.disabled[n] {
+			e.enabled = append(e.enabled, enabledCollector{c, labels.FromStrings("collector", n)})
+		}
+	}
+	sort.Slice(e.enabled, func(i, j int) bool { return e.enabled[i].Name() < e.enabled[j].Name() })
 }
 
 // SetEnabled enables or disables a collector by name, mirroring the real
@@ -72,6 +90,7 @@ func (e *Exporter) SetEnabled(name string, enabled bool) error {
 		return fmt.Errorf("exporter: unknown collector %q", name)
 	}
 	e.disabled[name] = !enabled
+	e.refreshLocked()
 	return nil
 }
 
@@ -94,25 +113,16 @@ func (e *Exporter) CollectorNames() []string {
 func (e *Exporter) Gather() []*expofmt.Family {
 	start := time.Now()
 	e.mu.RLock()
-	names := make([]string, 0, len(e.collectors))
-	for n := range e.collectors {
-		if !e.disabled[n] {
-			names = append(names, n)
-		}
-	}
-	sort.Strings(names)
-	cs := make([]Collector, len(names))
-	for i, n := range names {
-		cs[i] = e.collectors[n]
-	}
+	cs := e.enabled
 	e.mu.RUnlock()
 
-	var out []*expofmt.Family
+	out := make([]*expofmt.Family, 0, 16)
 	colUp := &expofmt.Family{
 		Name: "ceems_exporter_collector_up", Type: expofmt.TypeGauge,
-		Help: "1 when the collector succeeded on the last scrape.",
+		Help:    "1 when the collector succeeded on the last scrape.",
+		Metrics: make([]expofmt.Metric, 0, len(cs)),
 	}
-	for i, c := range cs {
+	for _, c := range cs {
 		fams, err := c.Collect()
 		up := 1.0
 		if err != nil {
@@ -120,9 +130,7 @@ func (e *Exporter) Gather() []*expofmt.Family {
 		} else {
 			out = append(out, fams...)
 		}
-		colUp.Metrics = append(colUp.Metrics, expofmt.Metric{
-			Labels: labels.FromStrings("collector", names[i]), Value: up,
-		})
+		colUp.Metrics = append(colUp.Metrics, expofmt.Metric{Labels: c.up, Value: up})
 	}
 	out = append(out, colUp)
 
@@ -132,8 +140,11 @@ func (e *Exporter) Gather() []*expofmt.Family {
 	scrapes := e.scrapes
 	e.mu.Unlock()
 
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
+	// HeapInuse is what holds objects plus what is reserved for them and
+	// unused; runtime/metrics reports both without stopping the world,
+	// which reading runtime.MemStats did on every scrape.
+	heap := []metrics.Sample{{Name: "/memory/classes/heap/objects:bytes"}, {Name: "/memory/classes/heap/unused:bytes"}}
+	metrics.Read(heap)
 	out = append(out,
 		&expofmt.Family{
 			Name: "ceems_exporter_scrapes_total", Type: expofmt.TypeCounter,
@@ -143,7 +154,7 @@ func (e *Exporter) Gather() []*expofmt.Family {
 		&expofmt.Family{
 			Name: "ceems_exporter_memory_bytes", Type: expofmt.TypeGauge,
 			Help:    "Exporter heap in use (paper claims 15-20 MB resident).",
-			Metrics: []expofmt.Metric{{Value: float64(ms.HeapInuse)}},
+			Metrics: []expofmt.Metric{{Value: float64(heap[0].Value.Uint64() + heap[1].Value.Uint64())}},
 		},
 	)
 	return out
@@ -168,23 +179,29 @@ func (e *Exporter) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	enc := expofmt.NewWriter(w)
-	for _, f := range e.Gather() {
-		if err := enc.WriteFamily(f); err != nil {
-			return
-		}
-	}
-	enc.Flush()
+	body := e.render()
+	_, _ = w.Write(*body) // a failed write is a scraper that went away
+	bodyPool.Put(body)
 }
 
 // Render returns the full exposition payload as a string, for in-process
 // scraping by large-scale simulations.
 func (e *Exporter) Render() string {
-	var b strings.Builder
-	enc := expofmt.NewWriter(&b)
+	body := e.render()
+	s := string(*body)
+	bodyPool.Put(body)
+	return s
+}
+
+var bodyPool = sync.Pool{New: func() any { return new([]byte) }}
+
+// render is the one renderer behind ServeHTTP and Render: Gather's
+// families appended into a pooled buffer, which the caller puts back.
+func (e *Exporter) render() *[]byte {
+	body := bodyPool.Get().(*[]byte)
+	*body = (*body)[:0]
 	for _, f := range e.Gather() {
-		enc.WriteFamily(f)
+		*body = expofmt.AppendFamily(*body, f)
 	}
-	enc.Flush()
-	return b.String()
+	return body
 }

@@ -70,11 +70,17 @@ type Encoder struct {
 	w          io.Writer
 	compress   bool
 	wroteMagic bool
-	buf        bytes.Buffer // uncompressed exposition payload
+	buf        []byte       // uncompressed exposition payload
 	cbuf       bytes.Buffer // compressed payload
-	fw         *flate.Writer
 	head       [9]byte
 }
+
+// flateWriters pools the DEFLATE compressor — over half a megabyte of state
+// — across encoders: an agent makes a new Encoder per request.
+var flateWriters = sync.Pool{New: func() any {
+	fw, _ := flate.NewWriter(nil, flate.BestSpeed)
+	return fw
+}}
 
 // NewEncoder returns an Encoder on w. With compress set, frames carry
 // DEFLATE-compressed payloads (falling back to raw when compression does
@@ -93,33 +99,26 @@ func (e *Encoder) WriteBatch(fams []*expofmt.Family) error {
 		}
 		e.wroteMagic = true
 	}
-	e.buf.Reset()
-	ew := expofmt.NewWriter(&e.buf)
+	e.buf = e.buf[:0]
 	for _, f := range fams {
-		if err := ew.WriteFamily(f); err != nil {
-			return err
-		}
+		e.buf = expofmt.AppendFamily(e.buf, f)
 	}
-	if err := ew.Flush(); err != nil {
-		return err
+	if len(e.buf) > MaxFrame {
+		return fmt.Errorf("%w: %d bytes (max %d); split the batch", ErrFrameTooLarge, len(e.buf), MaxFrame)
 	}
-	if e.buf.Len() > MaxFrame {
-		return fmt.Errorf("%w: %d bytes (max %d); split the batch", ErrFrameTooLarge, e.buf.Len(), MaxFrame)
-	}
-	crc := crc32.Checksum(e.buf.Bytes(), castagnoli)
+	crc := crc32.Checksum(e.buf, castagnoli)
 	flag := byte(flagRaw)
-	payload := e.buf.Bytes()
+	payload := e.buf
 	if e.compress {
 		e.cbuf.Reset()
-		if e.fw == nil {
-			e.fw, _ = flate.NewWriter(&e.cbuf, flate.BestSpeed)
-		} else {
-			e.fw.Reset(&e.cbuf)
+		fw := flateWriters.Get().(*flate.Writer)
+		fw.Reset(&e.cbuf)
+		_, err := fw.Write(payload)
+		if err == nil {
+			err = fw.Close()
 		}
-		if _, err := e.fw.Write(payload); err != nil {
-			return err
-		}
-		if err := e.fw.Close(); err != nil {
+		flateWriters.Put(fw)
+		if err != nil {
 			return err
 		}
 		if e.cbuf.Len() < len(payload) {
@@ -239,7 +238,8 @@ func (d *Decoder) Next() ([]*expofmt.Family, error) {
 	if got := crc32.Checksum(payload, castagnoli); got != crc {
 		return nil, fmt.Errorf("%w: got %08x want %08x", ErrChecksum, got, crc)
 	}
-	fams, err := expofmt.Parse(bytes.NewReader(payload))
+	// A *bytes.Buffer is the one reader Parse takes the bytes of as they are.
+	fams, err := expofmt.Parse(bytes.NewBuffer(payload))
 	if err != nil {
 		return nil, fmt.Errorf("remotewrite: parse frame payload: %w", err)
 	}

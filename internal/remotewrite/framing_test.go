@@ -2,6 +2,8 @@ package remotewrite
 
 import (
 	"bytes"
+	"compress/flate"
+	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -294,5 +296,30 @@ func TestRemoteWriteDecoderPoolReuse(t *testing.T) {
 			t.Fatalf("iter %d: want EOF, got %v", i, err)
 		}
 		dec.Release()
+	}
+}
+
+// TestRemoteWriteFrameBytesPinned pins the CRW1 wire bytes of a fixed batch:
+// the raw stream's hash was recorded before the encoder moved from
+// expofmt.Writer to expofmt.AppendFamily, and a frame compressed by a
+// pooled (already used) DEFLATE writer must equal one compressed by a new
+// one — the compressed hash itself is whatever this toolchain's
+// compress/flate produces, so it is compared, not pinned.
+func TestRemoteWriteFrameBytesPinned(t *testing.T) {
+	batch := randFamilies(rand.New(rand.NewSource(18)), 6, 40)
+	raw := encodeStream(t, false, batch, batch[:2])
+	const want = "4e82ad1af9e90bf9eb39e94609490a9700995993f8c557857475c3823d5729f6"
+	if got := fmt.Sprintf("%x", sha256.Sum256(raw)); got != want {
+		t.Errorf("raw CRW1 stream changed: sha256 %s, want %s", got, want)
+	}
+	first := encodeStream(t, true, batch, batch[:2])
+	for i := 0; i < 4; i++ {
+		if i%2 == 1 { // odd rounds may draw a never-used writer, even ones a used one
+			fresh, _ := flate.NewWriter(nil, flate.BestSpeed)
+			flateWriters.Put(fresh)
+		}
+		if again := encodeStream(t, true, batch, batch[:2]); !bytes.Equal(again, first) {
+			t.Fatalf("compressed stream %d differs from the first (%d vs %d bytes)", i, len(again), len(first))
+		}
 	}
 }

@@ -10,10 +10,14 @@
 package scrape
 
 import (
+	"bytes"
+	"cmp"
 	"context"
 	"fmt"
 	"io"
+	"maps"
 	"net/http"
+	"slices"
 	"sync"
 	"time"
 
@@ -131,12 +135,58 @@ type Manager struct {
 
 	mu     sync.Mutex
 	health map[string]TargetHealth
-	// seen tracks, per target, the series appended by the previous scrape
-	// so vanished series get staleness markers (as Prometheus does).
-	seen map[string]map[uint64]labels.Labels
+	// targets holds what is kept per target between scrapes.
+	targets map[targetKey]*target
 
 	metrics *scrapeMetrics
 }
+
+type targetKey struct{ job, addr string }
+
+// target is the state of one scrape target between scrapes: everything a
+// scrape would otherwise derive again from text that was identical 15 s
+// earlier. See docs/ARCHITECTURE.md, "The scrape edge".
+type target struct {
+	mu          sync.Mutex        // held for a whole scrape: one at a time per target
+	healthKey   string            // "<job>/<target>"
+	groupLabels map[string]string // the group labels base was built from
+	// base is the target's label set; up and duration are base plus the
+	// synthetic metric names.
+	base, up, duration labels.Labels
+
+	// series caches, under the bytes a series was exposed as, the label
+	// set it is stored under. gen counts the scrapes that parsed; an entry
+	// whose gen is behind was not exposed by the latest one.
+	series map[string]*cachedSeries
+	gen    uint64
+}
+
+// cachedSeries is one exposed series resolved to its storage identity. lset
+// (exposed labels with the target's laid over them) is immutable and handed
+// to Batch.Add as is, scrape after scrape.
+type cachedSeries struct {
+	lset labels.Labels
+	hash uint64 // lset.Hash()
+	gen  uint64 // the last scrape generation that appended it
+}
+
+type sample struct {
+	series *cachedSeries
+	t      int64
+	v      float64
+}
+
+// scratch is the working memory of one scrape in flight: pooled, so the
+// manager holds as many payload buffers as it has scrapes running, not one
+// per target.
+type scratch struct {
+	body    bytes.Buffer // the fetched payload
+	tok     expofmt.Tokenizer
+	samples []sample
+	dead    []*cachedSeries
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
 // scrapeMetrics is the manager's instrumentation; nil disables it (the
 // scrape path pays one branch per pass).
@@ -259,8 +309,8 @@ func (s *appendSink) commit() (int, error) {
 }
 
 // ScrapeTarget performs one scrape of one target, appending samples and the
-// synthetic up/duration series. With NewBatch configured, the entire pass —
-// metric samples, staleness markers and synthetics — lands in one commit.
+// synthetic up/duration series. With NewBatch configured, the pass lands in
+// two commits: the metric samples, then staleness markers and synthetics.
 func (m *Manager) ScrapeTarget(ctx context.Context, g *TargetGroup, target string) {
 	now := time.Now
 	if m.Now != nil {
@@ -273,13 +323,18 @@ func (m *Manager) ScrapeTarget(ctx context.Context, g *TargetGroup, target strin
 	sctx, cancel := context.WithTimeout(ctx, timeout)
 	defer cancel()
 
+	st := m.target(g, target)
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	retired := st.rebase(g, target)
+
 	sink := &appendSink{dest: m.Dest, metrics: m.metrics}
 	if m.NewBatch != nil {
 		sink.batch = m.NewBatch()
 	}
 	start := now()
 	ts := start.UnixMilli()
-	samples, err := m.scrapeOnce(sctx, sink, g, target, ts)
+	samples, err := m.scrapeOnce(sctx, sink, st, target, ts)
 	dur := time.Since(start)
 	if m.Now != nil {
 		dur = 0 // wall-clock duration is meaningless under a virtual clock
@@ -294,11 +349,11 @@ func (m *Manager) ScrapeTarget(ctx context.Context, g *TargetGroup, target strin
 			m.OnError(target, err)
 		}
 	}
-	base := m.targetLabels(g, target)
-	up := labels.NewBuilder(base).Set(labels.MetricName, "up").Labels()
-	sd := labels.NewBuilder(base).Set(labels.MetricName, "scrape_duration_seconds").Labels()
-	sink.add(up, ts, upVal)
-	sink.add(sd, ts, dur.Seconds())
+	for _, s := range retired {
+		sink.add(s.lset, ts, model.StaleNaN())
+	}
+	sink.add(st.up, ts, upVal)
+	sink.add(st.duration, ts, dur.Seconds())
 	// Second, small commit: staleness markers plus the synthetics. Their
 	// out-of-order skips are silent, but a commit ERROR (e.g. a lost write
 	// quorum) marks the target down just like the metric commit would —
@@ -326,50 +381,124 @@ func (m *Manager) ScrapeTarget(ctx context.Context, g *TargetGroup, target strin
 	}
 
 	m.mu.Lock()
-	if m.health == nil {
-		m.health = map[string]TargetHealth{}
-	}
-	m.health[g.JobName+"/"+target] = TargetHealth{
+	m.health[st.healthKey] = TargetHealth{
 		Up: upVal == 1, LastScrape: start, LastDuration: dur,
 		LastError: errStr, Samples: samples,
 	}
 	m.mu.Unlock()
 }
 
-func (m *Manager) scrapeOnce(ctx context.Context, sink *appendSink, g *TargetGroup, target string, ts int64) (int, error) {
-	body, err := m.Fetcher.Fetch(ctx, target)
-	if err != nil {
-		return 0, err
-	}
-	defer body.Close()
-	fams, err := expofmt.Parse(body)
-	if err != nil {
-		return 0, err
-	}
-	base := m.targetLabels(g, target)
-	n := 0
-	cur := make(map[uint64]labels.Labels)
-	for _, fam := range fams {
-		for _, metric := range fam.Metrics {
-			b := labels.NewBuilder(metric.Labels)
-			// Target labels win over exposed labels (honor_labels=false).
-			for _, l := range base {
-				b.Set(l.Name, l.Value)
-			}
-			ls := b.Labels()
-			t := ts
-			if m.HonorTimestamps && metric.TS != 0 {
-				t = metric.TS
-			}
-			if err := sink.add(ls, t, metric.Value); err != nil {
-				// Out-of-order duplicates can occur when a scrape overlaps
-				// a retry; skip the sample but keep scraping. (The batch
-				// path defers this tolerance to Commit.)
-				continue
-			}
-			cur[ls.Hash()] = ls
-			n++
+// target returns the kept state of a target, creating it on first use.
+func (m *Manager) target(g *TargetGroup, addr string) *target {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	key := targetKey{g.JobName, addr}
+	st := m.targets[key]
+	if st == nil {
+		if m.targets == nil {
+			m.targets = map[targetKey]*target{}
+			m.health = map[string]TargetHealth{}
 		}
+		// gen starts at 1 so that a series cached by a scrape that then
+		// failed to parse (gen 0) never reads as "appended last time".
+		st = &target{healthKey: g.JobName + "/" + addr, gen: 1}
+		m.targets[key] = st
+	}
+	return st
+}
+
+// rebase builds the target's label sets on first use, and again if the
+// group's labels were changed since: every cached series then carries
+// labels the target no longer has, so the cache is dropped and the series
+// its last scrape exposed are returned to be marked stale.
+func (st *target) rebase(g *TargetGroup, addr string) (retired []*cachedSeries) {
+	if st.base != nil && maps.Equal(g.Labels, st.groupLabels) {
+		return nil
+	}
+	for _, s := range st.series {
+		if s.gen == st.gen {
+			retired = append(retired, s)
+		}
+	}
+	b := labels.NewBuilder(nil)
+	b.Set("job", g.JobName)
+	b.Set("instance", addr)
+	for k, v := range g.Labels {
+		b.Set(k, v)
+	}
+	st.groupLabels = maps.Clone(g.Labels)
+	st.base = b.Labels()
+	st.up = labels.NewBuilder(st.base).Set(labels.MetricName, "up").Labels()
+	st.duration = labels.NewBuilder(st.base).Set(labels.MetricName, "scrape_duration_seconds").Labels()
+	st.series = map[string]*cachedSeries{}
+	return retired
+}
+
+// resolve returns the cached series for the tokenizer's current sample. A
+// hit is one map lookup. A miss parses the labels, lays the target's over
+// them (they win: honor_labels=false) and caches the result under a copy of
+// the exposed bytes — which the label strings share, and the head shares in
+// turn when it creates the series from them.
+func (st *target) resolve(tok *expofmt.Tokenizer) *cachedSeries {
+	if s := st.series[string(tok.Series)]; s != nil {
+		return s
+	}
+	key, exposed := tok.Labels()
+	b := labels.NewBuilder(exposed)
+	for _, l := range st.base {
+		b.Set(l.Name, l.Value)
+	}
+	s := &cachedSeries{lset: b.Labels()}
+	s.hash = s.lset.Hash()
+	st.series[key] = s
+	return s
+}
+
+// scrapeOnce fetches, tokenizes and appends one payload. It is all or
+// nothing: a fetch or parse error appends no sample, marks nothing stale
+// and leaves the previous generation in place.
+func (m *Manager) scrapeOnce(ctx context.Context, sink *appendSink, st *target, addr string, ts int64) (int, error) {
+	rc, err := m.Fetcher.Fetch(ctx, addr)
+	if err != nil {
+		return 0, err
+	}
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	sc.body.Reset()
+	_, err = sc.body.ReadFrom(rc)
+	rc.Close()
+	if err != nil {
+		return 0, err
+	}
+	sc.samples = sc.samples[:0]
+	sc.tok.Reset(sc.body.Bytes())
+	for sc.tok.Next() {
+		if sc.tok.Meta != "" {
+			continue
+		}
+		t := ts
+		if m.HonorTimestamps && sc.tok.TS != 0 {
+			t = sc.tok.TS
+		}
+		sc.samples = append(sc.samples, sample{st.resolve(&sc.tok), t, sc.tok.Value})
+	}
+	if err := sc.tok.Err(); err != nil {
+		return 0, err
+	}
+	st.gen++
+	n, live := 0, 0
+	for _, sm := range sc.samples {
+		if err := sink.add(sm.series.lset, sm.t, sm.v); err != nil {
+			// Out-of-order duplicates can occur when a scrape overlaps
+			// a retry; skip the sample but keep scraping. (The batch
+			// path defers this tolerance to Commit.)
+			continue
+		}
+		if sm.series.gen != st.gen {
+			sm.series.gen = st.gen
+			live++
+		}
+		n++
 	}
 	// Batch mode: commit the metric samples on their own so n reflects
 	// exactly what landed (Commit skips out-of-order duplicates), matching
@@ -386,20 +515,10 @@ func (m *Manager) scrapeOnce(ctx context.Context, sink *appendSink, g *TargetGro
 		n = appended
 		commitErr = cerr
 	}
-	// Staleness: series present last scrape but absent now get a marker so
-	// queries stop seeing them immediately.
-	key := g.JobName + "/" + target
-	m.mu.Lock()
-	prev := m.seen[key]
-	if m.seen == nil {
-		m.seen = map[string]map[uint64]labels.Labels{}
-	}
-	m.seen[key] = cur
-	m.mu.Unlock()
-	for h, ls := range prev {
-		if _, still := cur[h]; !still {
-			sink.add(ls, ts, model.StaleNaN())
-		}
+	// Every cached series was appended again: nothing vanished, nothing to
+	// walk. Otherwise mark and evict.
+	if live != len(st.series) {
+		sc.dead = st.markStale(sink, ts, sc.dead[:0])
 	}
 	if commitErr != nil {
 		return n, fmt.Errorf("commit: %w", commitErr)
@@ -407,14 +526,42 @@ func (m *Manager) scrapeOnce(ctx context.Context, sink *appendSink, g *TargetGro
 	return n, nil
 }
 
-func (m *Manager) targetLabels(g *TargetGroup, target string) labels.Labels {
-	b := labels.NewBuilder(nil)
-	b.Set("job", g.JobName)
-	b.Set("instance", target)
-	for k, v := range g.Labels {
-		b.Set(k, v)
+// markStale evicts every cached series the scrape that just ran did not
+// append, and gives those the previous scrape did append a staleness marker
+// so queries stop seeing them immediately (as Prometheus does). Eviction is
+// what bounds the cache by what the target exposes.
+func (st *target) markStale(sink *appendSink, ts int64, dead []*cachedSeries) []*cachedSeries {
+	for key, s := range st.series {
+		if s.gen == st.gen {
+			continue
+		}
+		if s.gen == st.gen-1 {
+			dead = append(dead, s)
+		}
+		delete(st.series, key)
 	}
-	return b.Labels()
+	if len(dead) == 0 {
+		return dead
+	}
+	// Vanished bytes are not a vanished series: the same label set may
+	// still be exposed under another spelling (label order, white space).
+	// Match the survivors against the dead by hash, then by labels.
+	slices.SortFunc(dead, func(a, b *cachedSeries) int { return cmp.Compare(a.hash, b.hash) })
+	for _, s := range st.series {
+		i, _ := slices.BinarySearchFunc(dead, s.hash, func(d *cachedSeries, h uint64) int { return cmp.Compare(d.hash, h) })
+		for ; i < len(dead) && dead[i].hash == s.hash; i++ {
+			if dead[i].lset.Equal(s.lset) {
+				dead[i].gen = st.gen
+			}
+		}
+	}
+	for _, d := range dead {
+		if d.gen != st.gen {
+			sink.add(d.lset, ts, model.StaleNaN())
+		}
+	}
+	clear(dead)
+	return dead
 }
 
 // Health returns a copy of the per-target health map keyed by

@@ -51,7 +51,10 @@ func NewMemFS() *MemFS {
 }
 
 func clean(name string) string {
-	return path.Clean("/" + strings.TrimPrefix(name, "/"))
+	if !strings.HasPrefix(name, "/") {
+		name = "/" + name
+	}
+	return path.Clean(name) // returns name itself, no copy, when already clean
 }
 
 // WriteFile creates or replaces a file.

@@ -24,6 +24,7 @@ import (
 	"math"
 	"net/http"
 	"runtime"
+	"runtime/metrics"
 	"sort"
 	"strconv"
 	"strings"
@@ -428,20 +429,28 @@ func RegisterProcess(r *Registry) {
 	r.GaugeFunc("telemetry_process_goroutines",
 		"Live goroutine count.",
 		func() float64 { return float64(runtime.NumGoroutine()) })
+	// One runtime/metrics read serves both series below, and stops nothing;
+	// reading runtime.MemStats, once per series, stopped the world twice on
+	// every self-scrape of every serving binary. Gather calls in
+	// registration order, so the heap gauge reads and the GC counter
+	// reports the cycle count of that same read. HeapInuse is the bytes
+	// holding objects plus the bytes reserved for them and unused.
+	var gcCycles atomic.Uint64
 	r.GaugeFunc("telemetry_process_heap_inuse_bytes",
 		"Heap bytes in use (runtime.MemStats.HeapInuse).",
 		func() float64 {
-			var ms runtime.MemStats
-			runtime.ReadMemStats(&ms)
-			return float64(ms.HeapInuse)
+			s := []metrics.Sample{
+				{Name: "/memory/classes/heap/objects:bytes"},
+				{Name: "/memory/classes/heap/unused:bytes"},
+				{Name: "/gc/cycles/total:gc-cycles"},
+			}
+			metrics.Read(s)
+			gcCycles.Store(s[2].Value.Uint64())
+			return float64(s[0].Value.Uint64() + s[1].Value.Uint64())
 		})
 	r.CounterFunc("telemetry_process_gc_cycles_total",
 		"Completed GC cycles.",
-		func() float64 {
-			var ms runtime.MemStats
-			runtime.ReadMemStats(&ms)
-			return float64(ms.NumGC)
-		})
+		func() float64 { return float64(gcCycles.Load()) })
 }
 
 func validMetricName(s string) bool {

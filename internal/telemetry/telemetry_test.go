@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"errors"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -340,5 +341,41 @@ func TestQueryLogThresholdDisabled(t *testing.T) {
 	rq.End(nil)
 	if st := l.Status(); len(st.Slow) != 0 || st.SlowTotal != 0 {
 		t.Fatalf("zero threshold must disable the slow log: %+v", st)
+	}
+}
+
+// The process gauges come from one runtime/metrics read per gather (no
+// stop-the-world): names and HELP unchanged, the heap figure is MemStats'
+// HeapInuse, and the GC counter moves with the collector.
+func TestRegisterProcessReadsRuntimeMetrics(t *testing.T) {
+	r := NewRegistry()
+	RegisterProcess(r)
+	value := func(name, help string) float64 {
+		t.Helper()
+		for _, f := range r.Gather() {
+			if f.Name == name {
+				if f.Help != help {
+					t.Errorf("%s HELP = %q, want %q", name, f.Help, help)
+				}
+				return f.Metrics[0].Value
+			}
+		}
+		t.Fatalf("%s not exported", name)
+		return 0
+	}
+	const heapHelp, gcHelp = "Heap bytes in use (runtime.MemStats.HeapInuse).", "Completed GC cycles."
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	heap := value("telemetry_process_heap_inuse_bytes", heapHelp)
+	if want := float64(ms.HeapInuse); heap < want/2 || heap > want*2 {
+		t.Errorf("heap in use = %v, MemStats.HeapInuse = %v", heap, want)
+	}
+	before := value("telemetry_process_gc_cycles_total", gcHelp)
+	if before < float64(ms.NumGC) {
+		t.Errorf("gc cycles = %v, MemStats.NumGC already %d", before, ms.NumGC)
+	}
+	runtime.GC()
+	if after := value("telemetry_process_gc_cycles_total", gcHelp); after < before+1 {
+		t.Errorf("gc cycles %v -> %v across a forced collection", before, after)
 	}
 }

@@ -63,8 +63,8 @@ func main() {
 	var (
 		baselines = flag.String("baselines", "BENCH_*.json", "glob of baseline JSON files (relative to -dir)")
 		dir       = flag.String("dir", ".", "repo root holding the baseline files")
-		bench     = flag.String("bench", "WAL|RangeQuery|QueryCache|Telemetry|Block|HeadSelect|HeadDelete|Iterate|IngestPath|WriteMatrix|WriteVector", "benchmark regexp passed to go test -bench")
-		pkgs      = flag.String("pkgs", "./internal/tsdb/ ./internal/tsdb/chunkenc/ ./internal/querycache/ ./internal/thanos/ ./internal/remotewrite/ ./internal/promapi/ .", "space-separated packages to benchmark")
+		bench     = flag.String("bench", "WAL|RangeQuery|QueryCache|Telemetry|Block|HeadSelect|HeadDelete|Iterate|IngestPath|WriteMatrix|WriteVector|Tokenizer|AppendFamily|ScrapeSteadyState|ScrapeChurn|ExporterScrape", "benchmark regexp passed to go test -bench")
+		pkgs      = flag.String("pkgs", "./internal/tsdb/ ./internal/tsdb/chunkenc/ ./internal/querycache/ ./internal/thanos/ ./internal/remotewrite/ ./internal/promapi/ ./internal/expofmt/ ./internal/scrape/ ./internal/exporter/ .", "space-separated packages to benchmark")
 		benchtime = flag.String("benchtime", "2s", "benchtime passed to go test")
 		count     = flag.Int("count", 1, "benchmark repetitions (go test -count); > 1 yields medians with dispersion and enables the interval gate")
 		tolerance = flag.Float64("tolerance", 0.25, "fallback flat tolerance when either side lacks dispersion (0.25 = 25%)")
