@@ -14,6 +14,7 @@
 package lb
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -198,7 +199,7 @@ func (s *ScatterGather) SelectWithHints(hints model.SelectHints, ms ...*labels.M
 	ok := make(map[string]bool, len(names))
 	for i, err := range errs {
 		if err != nil {
-			if err == model.ErrSampleLimit || isSampleLimit(err) {
+			if errors.Is(err, model.ErrSampleLimit) {
 				// A budget blowout is a query-shaped error, not node
 				// unavailability: surface it like a single node would.
 				return nil, err
@@ -214,20 +215,6 @@ func (s *ScatterGather) SelectWithHints(hints model.SelectHints, ms ...*labels.M
 	merged := MergeReplicaSeries(parts)
 	s.scheduleRepairs(names, backends, parts, ok, merged, hints)
 	return merged, nil
-}
-
-func isSampleLimit(err error) bool {
-	for e := err; e != nil; {
-		if e == model.ErrSampleLimit {
-			return true
-		}
-		u, ok := e.(interface{ Unwrap() error })
-		if !ok {
-			return false
-		}
-		e = u.Unwrap()
-	}
-	return false
 }
 
 // ---- read repair ----
@@ -436,89 +423,10 @@ func (s *ScatterGather) gatherStrings(f func(SeriesBackend) ([]string, error)) (
 }
 
 // MergeReplicaSeries merges per-replica slices, each sorted by labels,
-// into one sorted slice — the PR 1 k-way tournament merge, extended with
-// combining: the same series coming back from several replicas merges into
-// one entry whose samples are the timestamp-deduplicated union.
+// into one: a series several replicas return becomes one entry with the
+// timestamp-deduplicated union of its samples. Replicas received identical
+// routed writes, so which copy of a timestamp is kept (the earliest part's;
+// parts come in sorted replica-name order) only matters for determinism.
 func MergeReplicaSeries(parts [][]model.Series) []model.Series {
-	live := make([][]model.Series, 0, len(parts))
-	for _, p := range parts {
-		if len(p) > 0 {
-			live = append(live, p)
-		}
-	}
-	switch len(live) {
-	case 0:
-		return []model.Series{}
-	case 1:
-		return live[0]
-	}
-	for len(live) > 1 {
-		merged := live[:0]
-		for i := 0; i < len(live); i += 2 {
-			if i+1 == len(live) {
-				merged = append(merged, live[i])
-				break
-			}
-			merged = append(merged, mergeTwoDedup(live[i], live[i+1]))
-		}
-		live = merged
-	}
-	return live[0]
-}
-
-// mergeTwoDedup merges two label-sorted slices, combining equal-labels
-// series by unioning their samples.
-func mergeTwoDedup(a, b []model.Series) []model.Series {
-	out := make([]model.Series, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch c := labels.Compare(a[i].Labels, b[j].Labels); {
-		case c < 0:
-			out = append(out, a[i])
-			i++
-		case c > 0:
-			out = append(out, b[j])
-			j++
-		default:
-			out = append(out, model.Series{
-				Labels:  a[i].Labels,
-				Samples: unionSamples(a[i].Samples, b[j].Samples),
-			})
-			i++
-			j++
-		}
-	}
-	out = append(out, a[i:]...)
-	return append(out, b[j:]...)
-}
-
-// unionSamples merges two ascending sample slices, keeping one sample per
-// timestamp. Replicas of a series received identical routed writes, so
-// colliding timestamps carry identical values; the left copy wins, which
-// is deterministic because merge order is the sorted replica-name order.
-func unionSamples(a, b []model.Sample) []model.Sample {
-	if len(b) == 0 {
-		return a
-	}
-	if len(a) == 0 {
-		return b
-	}
-	out := make([]model.Sample, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i].T < b[j].T:
-			out = append(out, a[i])
-			i++
-		case a[i].T > b[j].T:
-			out = append(out, b[j])
-			j++
-		default:
-			out = append(out, a[i])
-			i++
-			j++
-		}
-	}
-	out = append(out, a[i:]...)
-	return append(out, b[j:]...)
+	return model.MergeSeries(parts)
 }

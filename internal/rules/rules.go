@@ -9,6 +9,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -67,8 +68,10 @@ type Engine struct {
 	stats map[string]*GroupStats
 	// seen tracks each rule's output series from the previous evaluation
 	// so vanished series receive staleness markers, exactly as Prometheus
-	// rule evaluation does.
-	seen map[string]map[uint64]labels.Labels
+	// rule evaluation does. The label hash (labels.Labels.Hash unless a
+	// test swaps it) only buckets; Labels.Equal decides identity.
+	seen map[string]map[uint64][]labels.Labels
+	hash func(labels.Labels) uint64
 }
 
 // GroupStats tracks evaluation health of one group.
@@ -87,7 +90,8 @@ func NewEngine(pe *promql.Engine) *Engine {
 	if pe == nil {
 		pe = promql.NewEngine()
 	}
-	return &Engine{promql: pe, stats: map[string]*GroupStats{}}
+	return &Engine{promql: pe, stats: map[string]*GroupStats{},
+		seen: map[string]map[uint64][]labels.Labels{}, hash: labels.Labels.Hash}
 }
 
 // EvalGroup evaluates all rules of the group at ts, reading from q and
@@ -137,7 +141,7 @@ func (e *Engine) evalRule(r *Rule, q promql.Queryable, dst Appender, ts time.Tim
 		return 0, fmt.Errorf("rule result must be vector or scalar, got %s", val.Type())
 	}
 	n := 0
-	cur := make(map[uint64]labels.Labels, len(vec))
+	cur := make(map[uint64][]labels.Labels, len(vec))
 	evalTS := ts.UnixMilli()
 	for _, s := range vec {
 		b := labels.NewBuilder(s.Labels)
@@ -149,21 +153,21 @@ func (e *Engine) evalRule(r *Rule, q promql.Queryable, dst Appender, ts time.Tim
 		if err := dst.Append(ls, s.T, s.V); err != nil {
 			return n, err
 		}
-		cur[ls.Hash()] = ls
+		h := e.hash(ls)
+		cur[h] = append(cur[h], ls)
 		n++
 	}
 	// Staleness markers for series this rule produced last time but not
 	// now (e.g. a completed job's uuid:host_watts).
 	e.mu.Lock()
 	prev := e.seen[r.Record]
-	if e.seen == nil {
-		e.seen = map[string]map[uint64]labels.Labels{}
-	}
 	e.seen[r.Record] = cur
 	e.mu.Unlock()
-	for h, ls := range prev {
-		if _, still := cur[h]; !still {
-			dst.Append(ls, evalTS, model.StaleNaN())
+	for h, bucket := range prev {
+		for _, ls := range bucket {
+			if !slices.ContainsFunc(cur[h], ls.Equal) {
+				dst.Append(ls, evalTS, model.StaleNaN())
+			}
 		}
 	}
 	return n, nil

@@ -1,6 +1,8 @@
 package rules
 
 import (
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -218,3 +220,63 @@ func (s *tsShift) Append(l labels.Labels, t int64, v float64) error {
 var _ promql.Queryable = (*tsdb.DB)(nil)
 var _ Appender = (*tsdb.DB)(nil)
 var _ = time.Second
+
+// stubStore answers every Select with the series named in live (one sample
+// each, at the query's end) and records what the rule engine appends.
+type stubStore struct {
+	live []string
+	got  []string
+}
+
+func (s *stubStore) Select(mint, maxt int64, ms ...*labels.Matcher) ([]model.Series, error) {
+	var out []model.Series
+	for _, k := range s.live {
+		out = append(out, model.Series{
+			Labels:  labels.FromStrings(labels.MetricName, "m", "k", k),
+			Samples: []model.Sample{{T: maxt, V: 1}},
+		})
+	}
+	return out, nil
+}
+
+func (s *stubStore) Append(l labels.Labels, t int64, v float64) error {
+	row := l.Get("k") + " 1"
+	if model.IsStaleNaN(v) {
+		row = l.Get("k") + " stale"
+	}
+	s.got = append(s.got, row)
+	return nil
+}
+
+// Rule-output staleness was tracked under ls.Hash() alone, so two outputs of
+// one rule whose hashes collide shared a slot and one never got its marker.
+// The hash now only buckets; force every hash equal and each output must
+// still be told apart.
+func TestRuleStalenessSurvivesHashCollision(t *testing.T) {
+	eng := NewEngine(nil)
+	eng.hash = func(labels.Labels) uint64 { return 42 }
+	g := &Group{Name: "g", Rules: []Rule{{Record: "r", Expr: `m`}}}
+	st := &stubStore{}
+	eval := func(at int64, live ...string) []string {
+		t.Helper()
+		st.live, st.got = live, nil
+		if err := eng.EvalGroup(g, st, st, model.MillisToTime(at)); err != nil {
+			t.Fatal(err)
+		}
+		sort.Strings(st.got)
+		return st.got
+	}
+	eval(15000, "a", "b", "c")
+	// One of three colliding outputs vanishes: it, and only it, is marked.
+	if got, want := eval(30000, "a", "c"), []string{"a 1", "b stale", "c 1"}; !slices.Equal(got, want) {
+		t.Errorf("one vanished: got %v, want %v", got, want)
+	}
+	// Both remaining vanish at once: two markers, not one.
+	if got, want := eval(45000), []string{"a stale", "c stale"}; !slices.Equal(got, want) {
+		t.Errorf("both vanished: got %v, want %v", got, want)
+	}
+	// Markers are emitted once.
+	if got := eval(60000); len(got) != 0 {
+		t.Errorf("nothing live, nothing seen: got %v", got)
+	}
+}

@@ -37,9 +37,8 @@ type Appender interface {
 // structurally: a scrape commits in O(1) shard-lock round-trips (one bulk
 // commit for the metric samples, one small commit for staleness markers
 // and synthetics) instead of a lock round-trip per sample. Commit skips
-// out-of-order samples — the tolerance the per-sample path implemented by
-// ignoring Append errors — returns how many samples landed, and must leave
-// the batch reusable, as tsdb.Appender does.
+// out-of-order samples (a scrape that overlaps a retry), returns how many
+// samples landed, and must leave the batch reusable, as tsdb.Appender does.
 type Batch interface {
 	Add(lset labels.Labels, t int64, v float64)
 	Commit() (int, error)
@@ -120,17 +119,17 @@ type Manager struct {
 	// scraping is I/O-bound); 0 means GOMAXPROCS, 1 forces the old
 	// sequential behavior.
 	Parallelism int
-	// NewBatch, when set, supplies a buffered batch per scrape so a whole
-	// scrape pass (metrics, staleness markers and the synthetic
-	// up/duration series) commits to storage in O(1) bulk round-trips.
-	// Wire it to tsdb.DB's batch Appender: func() scrape.Batch { return
-	// db.Appender() }. Nil keeps the per-sample Append path.
+	// NewBatch supplies the buffered batch of one scrape, so a whole pass
+	// (metrics, staleness markers and the synthetic up/duration series)
+	// commits to storage in O(1) bulk round-trips. Wire it to tsdb.DB's
+	// batch Appender: func() scrape.Batch { return db.Appender() }. When
+	// nil, the pass is buffered here and handed to Dest sample by sample
+	// at each commit.
 	//
-	// Staleness tracking in batch mode is exposition-based: a series that
-	// appears in the scrape counts as present even when its (honored)
-	// timestamp is dropped as out-of-order at Commit. The per-sample path
-	// would mark such a series stale and revive it next scrape; counting
-	// exposed series avoids that marker flapping.
+	// Staleness tracking is exposition-based: a series that appears in the
+	// scrape counts as present even when its (honored) timestamp is
+	// dropped as out-of-order at Commit. Marking it stale and reviving it
+	// next scrape would only make the marker flap.
 	NewBatch func() Batch
 
 	mu     sync.Mutex
@@ -274,43 +273,53 @@ func (m *Manager) ScrapeAll(ctx context.Context) {
 	})
 }
 
-// appendSink routes one scrape pass's samples either straight to the
-// Appender or into a per-scrape Batch flushed in bulk.
-type appendSink struct {
-	dest    Appender
-	batch   Batch
-	metrics *scrapeMetrics
+// destBatch is the Batch of a Manager without NewBatch: Add buffers, Commit
+// hands each sample to Dest and counts those that landed. An Append error
+// skips the sample — the out-of-order tolerance tsdb.Appender's Commit has.
+type destBatch struct {
+	dest Appender
+	buf  []destSample
 }
 
-func (s *appendSink) add(ls labels.Labels, t int64, v float64) error {
-	if s.batch != nil {
-		s.batch.Add(ls, t, v)
-		return nil
-	}
-	return s.dest.Append(ls, t, v)
+type destSample struct {
+	lset labels.Labels
+	t    int64
+	v    float64
 }
 
-// commit flushes staged samples in batch mode, returning how many landed
-// (Commit skips out-of-order samples). A no-op per-sample.
-func (s *appendSink) commit() (int, error) {
-	if s.batch == nil {
-		return 0, nil
+func (b *destBatch) Add(lset labels.Labels, t int64, v float64) {
+	b.buf = append(b.buf, destSample{lset, t, v})
+}
+
+func (b *destBatch) Commit() (int, error) {
+	n := 0
+	for _, s := range b.buf {
+		if b.dest.Append(s.lset, s.t, s.v) == nil {
+			n++
+		}
 	}
-	if s.metrics == nil {
-		return s.batch.Commit()
+	b.buf = b.buf[:0]
+	return n, nil
+}
+
+// commit flushes a pass's staged samples, returning how many landed (Commit
+// skips out-of-order samples).
+func (m *Manager) commit(b Batch) (int, error) {
+	if m.metrics == nil {
+		return b.Commit()
 	}
 	start := time.Now()
-	n, err := s.batch.Commit()
-	s.metrics.commitSeconds.ObserveSince(start)
+	n, err := b.Commit()
+	m.metrics.commitSeconds.ObserveSince(start)
 	if n > 0 {
-		s.metrics.samples.Add(uint64(n))
+		m.metrics.samples.Add(uint64(n))
 	}
 	return n, err
 }
 
 // ScrapeTarget performs one scrape of one target, appending samples and the
-// synthetic up/duration series. With NewBatch configured, the pass lands in
-// two commits: the metric samples, then staleness markers and synthetics.
+// synthetic up/duration series. The pass lands in two commits: the metric
+// samples, then staleness markers and synthetics.
 func (m *Manager) ScrapeTarget(ctx context.Context, g *TargetGroup, target string) {
 	now := time.Now
 	if m.Now != nil {
@@ -328,9 +337,11 @@ func (m *Manager) ScrapeTarget(ctx context.Context, g *TargetGroup, target strin
 	defer st.mu.Unlock()
 	retired := st.rebase(g, target)
 
-	sink := &appendSink{dest: m.Dest, metrics: m.metrics}
+	var sink Batch
 	if m.NewBatch != nil {
-		sink.batch = m.NewBatch()
+		sink = m.NewBatch()
+	} else {
+		sink = &destBatch{dest: m.Dest}
 	}
 	start := now()
 	ts := start.UnixMilli()
@@ -350,15 +361,15 @@ func (m *Manager) ScrapeTarget(ctx context.Context, g *TargetGroup, target strin
 		}
 	}
 	for _, s := range retired {
-		sink.add(s.lset, ts, model.StaleNaN())
+		sink.Add(s.lset, ts, model.StaleNaN())
 	}
-	sink.add(st.up, ts, upVal)
-	sink.add(st.duration, ts, dur.Seconds())
+	sink.Add(st.up, ts, upVal)
+	sink.Add(st.duration, ts, dur.Seconds())
 	// Second, small commit: staleness markers plus the synthetics. Their
 	// out-of-order skips are silent, but a commit ERROR (e.g. a lost write
 	// quorum) marks the target down just like the metric commit would —
 	// none of this scrape's samples are reliably durable.
-	if _, cerr := sink.commit(); cerr != nil {
+	if _, cerr := m.commit(sink); cerr != nil {
 		if m.OnError != nil {
 			m.OnError(target, cerr)
 		}
@@ -372,11 +383,6 @@ func (m *Manager) ScrapeTarget(ctx context.Context, g *TargetGroup, target strin
 		mm.scrapes.Inc()
 		if upVal == 0 {
 			mm.failures.Inc()
-		}
-		// Per-sample mode has no commit to count through; credit the pass's
-		// appended samples here so the counter works either way.
-		if sink.batch == nil && samples > 0 {
-			mm.samples.Add(uint64(samples))
 		}
 	}
 
@@ -457,7 +463,7 @@ func (st *target) resolve(tok *expofmt.Tokenizer) *cachedSeries {
 // scrapeOnce fetches, tokenizes and appends one payload. It is all or
 // nothing: a fetch or parse error appends no sample, marks nothing stale
 // and leaves the previous generation in place.
-func (m *Manager) scrapeOnce(ctx context.Context, sink *appendSink, st *target, addr string, ts int64) (int, error) {
+func (m *Manager) scrapeOnce(ctx context.Context, sink Batch, st *target, addr string, ts int64) (int, error) {
 	rc, err := m.Fetcher.Fetch(ctx, addr)
 	if err != nil {
 		return 0, err
@@ -486,35 +492,24 @@ func (m *Manager) scrapeOnce(ctx context.Context, sink *appendSink, st *target, 
 		return 0, err
 	}
 	st.gen++
-	n, live := 0, 0
+	live := 0
 	for _, sm := range sc.samples {
-		if err := sink.add(sm.series.lset, sm.t, sm.v); err != nil {
-			// Out-of-order duplicates can occur when a scrape overlaps
-			// a retry; skip the sample but keep scraping. (The batch
-			// path defers this tolerance to Commit.)
-			continue
-		}
+		sink.Add(sm.series.lset, sm.t, sm.v)
 		if sm.series.gen != st.gen {
 			sm.series.gen = st.gen
 			live++
 		}
-		n++
 	}
-	// Batch mode: commit the metric samples on their own so n reflects
-	// exactly what landed (Commit skips out-of-order duplicates), matching
-	// the per-sample path's count. The staleness markers staged below ride
-	// the scrape's second commit together with the synthetic series.
+	// Commit the metric samples on their own so n is exactly what landed
+	// (Commit skips out-of-order duplicates, which can occur when a scrape
+	// overlaps a retry). The staleness markers staged below ride the
+	// scrape's second commit together with the synthetic series.
 	// A commit error is a failed scrape, not a skippable hiccup: a
 	// ring-routed batch that misses its write quorum was NOT durably
 	// ingested, and the target must show down with the error in its
 	// health — so it propagates like a fetch failure after the staleness
 	// bookkeeping below.
-	var commitErr error
-	if sink.batch != nil {
-		appended, cerr := sink.commit()
-		n = appended
-		commitErr = cerr
-	}
+	n, commitErr := m.commit(sink)
 	// Every cached series was appended again: nothing vanished, nothing to
 	// walk. Otherwise mark and evict.
 	if live != len(st.series) {
@@ -530,7 +525,7 @@ func (m *Manager) scrapeOnce(ctx context.Context, sink *appendSink, st *target, 
 // append, and gives those the previous scrape did append a staleness marker
 // so queries stop seeing them immediately (as Prometheus does). Eviction is
 // what bounds the cache by what the target exposes.
-func (st *target) markStale(sink *appendSink, ts int64, dead []*cachedSeries) []*cachedSeries {
+func (st *target) markStale(sink Batch, ts int64, dead []*cachedSeries) []*cachedSeries {
 	for key, s := range st.series {
 		if s.gen == st.gen {
 			continue
@@ -557,7 +552,7 @@ func (st *target) markStale(sink *appendSink, ts int64, dead []*cachedSeries) []
 	}
 	for _, d := range dead {
 		if d.gen != st.gen {
-			sink.add(d.lset, ts, model.StaleNaN())
+			sink.Add(d.lset, ts, model.StaleNaN())
 		}
 	}
 	clear(dead)

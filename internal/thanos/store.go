@@ -373,7 +373,7 @@ func (s *Store) selectLimited(p selParams, ms []*labels.Matcher) ([]model.Series
 	var (
 		covered []span
 		copied  int64
-		merged  = newSeriesMerger()
+		parts   [][]model.Series // one per block read, coarsest resolution first
 	)
 	for _, res := range resOrder {
 		gmax := p.maxt
@@ -398,7 +398,7 @@ func (s *Store) selectLimited(p selParams, ms []*labels.Matcher) ([]model.Series
 			if res != 0 {
 				coverLo -= res - 1
 			}
-			lo, hi := maxInt64(coverLo, p.mint), minInt64(coverHi, gmax)
+			lo, hi := max(coverLo, p.mint), min(coverHi, gmax)
 			if res != 0 {
 				lo = floorDiv(lo+res-1, res) * res // round up to a bucket start
 				hi = floorDiv(hi+1, res)*res - 1   // round down to a bucket end
@@ -435,7 +435,7 @@ func (s *Store) selectLimited(p selParams, ms []*labels.Matcher) ([]model.Series
 					for _, sr := range bs {
 						copied += int64(len(sr.Samples))
 					}
-					merged.add(bs)
+					parts = append(parts, bs)
 				}
 			}
 		}
@@ -446,21 +446,7 @@ func (s *Store) selectLimited(p selParams, ms []*labels.Matcher) ([]model.Series
 	if p.limit > 0 && copied > p.limit {
 		return nil, model.ErrSampleLimit
 	}
-	return merged.result(), nil
-}
-
-func minInt64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxInt64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
+	return model.MergeSeries(parts), nil
 }
 
 // LabelNames returns the sorted distinct label names across all blocks

@@ -128,12 +128,5 @@ func (q *Querier) SelectWithHints(hints model.SelectHints, ms ...*labels.Matcher
 	if hotErr != nil {
 		return nil, hotErr
 	}
-	if len(cold) == 0 {
-		// Nothing to merge: the hot result is already sorted and owned by us.
-		return hot, nil
-	}
-	m := newSeriesMerger()
-	m.add(cold)
-	m.add(hot)
-	return m.result(), nil
+	return model.MergeSeries([][]model.Series{cold, hot}), nil
 }

@@ -1,10 +1,10 @@
 package tsdb
 
 import (
-	"errors"
 	"time"
 
 	"repro/internal/labels"
+	"repro/internal/model"
 )
 
 // Appender accumulates samples for many series and routes them to their
@@ -19,6 +19,7 @@ type Appender struct {
 	byShard   [][]pendingSample
 	count     int
 	lastStats CommitStats
+	samples   []model.Sample // one shard's (t, v) pairs, staged for commitShard
 }
 
 // CommitStats breaks down what happened to the samples of the last Commit.
@@ -65,23 +66,18 @@ func (a *Appender) Pending() int { return a.count }
 // retries); any other error aborts the commit. Returns the number of
 // samples actually appended.
 //
-// With a WAL-backed head, each shard's accepted samples (plus registrations
-// for series seen for the first time) are journalled as one buffered write
-// and one flush per shard per commit — the durability cost of a scrape is
-// O(shards touched), not O(samples). The shard's WAL mutex is held across
-// the memory apply and the journal write so the per-series log order always
-// matches the apply order.
+// Each touched shard is one commitShard: with a WAL-backed head its
+// accepted samples (plus registrations for series seen for the first time)
+// are journalled as one buffered write and one flush — the durability cost
+// of a scrape is O(shards touched), not O(samples).
 func (a *Appender) Commit() (int, error) {
-	appended := 0
 	var stats CommitStats
-	var firstErr error
+	var err error
 	m := a.db.metrics
 	var commitStart time.Time
 	if m != nil {
 		commitStart = time.Now()
 	}
-	var walSamples []walSampleRec
-	var walSeries []walSeriesRec
 	// One acceptance bound for the whole commit: every sample in the batch
 	// is judged against the head's max time as of commit start.
 	ooo := a.db.oooCtx()
@@ -90,71 +86,17 @@ func (a *Appender) Commit() (int, error) {
 			continue
 		}
 		sh := a.db.shards[i]
-		series := sh.resolveBatch(batch)
-		w := sh.wal
-		if w != nil {
-			w.mu.Lock()
-			walSamples = walSamples[:0]
-			walSeries = walSeries[:0]
+		a.samples = a.samples[:0]
+		for _, p := range batch {
+			a.samples = append(a.samples, model.Sample{T: p.t, V: p.v})
 		}
-		mint := int64(1) << 62
-		maxt := -(int64(1) << 62)
-		n := uint64(0)
-		for j, p := range batch {
-			s := series[j]
-			s.mu.Lock()
-			outcome, err := s.appendLocked(p.t, p.v, a.db.opts.MaxSamplesPerChunk, ooo)
-			s.mu.Unlock()
-			if err != nil {
-				if errors.Is(err, ErrOutOfOrder) {
-					if errors.Is(err, ErrTooOld) {
-						stats.TooOld++
-					}
-					continue
-				}
-				if firstErr == nil {
-					firstErr = err
-				}
-				break
-			}
-			if outcome == appendDuplicate {
-				stats.Duplicates++
-				continue
-			}
-			if outcome == appendOOO {
-				stats.OOOAccepted++
-			} else {
-				stats.Appended++
-			}
-			if w != nil && !s.dropped {
-				// A series detached by DeleteSeries/Truncate between our
-				// resolveBatch and this commit must not be journalled, or
-				// replay would resurrect it.
-				ref, isNew := w.refForLocked(s)
-				if isNew {
-					walSeries = append(walSeries, walSeriesRec{ref: ref, lset: s.lset})
-				}
-				walSamples = append(walSamples, walSampleRec{ref: ref, t: p.t, v: p.v})
-			}
-			if p.t < mint {
-				mint = p.t
-			}
-			if p.t > maxt {
-				maxt = p.t
-			}
-			n++
-		}
-		if w != nil {
-			if err := w.logLocked(walSeries, walSamples, nil); err != nil && firstErr == nil {
-				firstErr = err
-			}
-			w.mu.Unlock()
-		}
-		if n > 0 {
-			sh.noteAppend(mint, maxt, n)
-			appended += int(n)
-		}
-		if firstErr != nil {
+		var st CommitStats
+		st, err = a.db.commitShard(sh, sh.resolveBatch(batch), a.samples, ooo, true)
+		stats.Appended += st.Appended
+		stats.OOOAccepted += st.OOOAccepted
+		stats.Duplicates += st.Duplicates
+		stats.TooOld += st.TooOld
+		if err != nil {
 			break
 		}
 	}
@@ -164,18 +106,9 @@ func (a *Appender) Commit() (int, error) {
 	}
 	a.lastStats = stats
 	if m != nil {
-		if stats.OOOAccepted > 0 {
-			m.oooAccepted.Add(uint64(stats.OOOAccepted))
-		}
-		if stats.Duplicates > 0 {
-			m.duplicates.Add(uint64(stats.Duplicates))
-		}
-		if stats.TooOld > 0 {
-			m.tooOld.Add(uint64(stats.TooOld))
-		}
 		m.commitSeconds.ObserveSince(commitStart)
 	}
-	return appended, firstErr
+	return stats.Appended + stats.OOOAccepted, err
 }
 
 // LastCommitStats returns the outcome breakdown of the most recent Commit.

@@ -1,0 +1,188 @@
+package tsdb
+
+import (
+	"crypto/sha256"
+	"errors"
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+
+	"repro/internal/labels"
+	"repro/internal/model"
+	"repro/internal/telemetry"
+)
+
+// appendOp is one step of the seeded stream: a run of samples of one
+// series, or (samples == nil) a DeleteSeries of it.
+type appendOp struct {
+	series  int
+	samples []model.Sample
+}
+
+const pathsWindow = 5 * 60_000
+
+// appendStream builds runs that mix in-order samples with exact duplicates
+// and out-of-order samples a minute back (well inside the window). A sample
+// an hour back (well outside) only ever ends a run, because AppendSeries
+// stops at the first refusal; the margins keep every verdict the same
+// whether the acceptance bound is taken per sample or per run.
+func appendStream(seed int64) []appendOp {
+	rng := rand.New(rand.NewSource(seed))
+	const nSeries = 12
+	var ops []appendOp
+	var lastT [nSeries]int64
+	for tick := 0; tick < 80; tick++ {
+		now := int64(10_000_000 + tick*15_000)
+		if tick == 40 {
+			ops = append(ops, appendOp{series: 3})
+			lastT[3] = 0
+		}
+		for s := 0; s < nSeries; s++ {
+			if rng.Intn(4) == 0 {
+				continue
+			}
+			var run []model.Sample
+			for i, n := 0, 1+rng.Intn(3); i < n; i++ {
+				lastT[s] = now + int64(i)*1000
+				run = append(run, model.Sample{T: lastT[s], V: float64(tick*10 + i)})
+			}
+			switch rng.Intn(5) {
+			case 0: // the sample just written, again
+				run = append(run, run[len(run)-1])
+			case 1: // inside the window, at a timestamp nothing else uses
+				if tick > 8 {
+					run = append(run, model.Sample{T: now - 60_000 - int64(rng.Intn(60))*1000 - 7 - int64(s), V: -1})
+				}
+			case 2: // one scrape back, twice: the second is a repeat whatever the first was
+				if tick > 8 {
+					run = append(run, model.Sample{T: lastT[s] - 15_000, V: -2}, model.Sample{T: lastT[s] - 15_000, V: -2})
+				}
+			case 3: // outside the window
+				if tick > 8 {
+					run = append(run, model.Sample{T: now - 3_600_000, V: -3})
+				}
+			}
+			ops = append(ops, appendOp{series: s, samples: run})
+		}
+	}
+	return ops
+}
+
+func headDigest(t *testing.T, db *DB) string {
+	t.Helper()
+	all, err := db.Select(math.MinInt64, math.MaxInt64, labels.MustMatcher(labels.MatchRegexp, labels.MetricName, ".+"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	for _, s := range all {
+		fmt.Fprintf(h, "%s\n", s.Labels)
+		for _, smp := range s.Samples {
+			fmt.Fprintf(h, "%d %x\n", smp.T, math.Float64bits(smp.V))
+		}
+	}
+	return fmt.Sprintf("%d series %x", len(all), h.Sum(nil))
+}
+
+// TestAppendPathsAgree drives one stream through DB.Append, DB.AppendSeries
+// and Appender.Commit into three WAL-backed heads. All three are the same
+// commitShard underneath, so the heads, what their journals replay to, the
+// refusals and the outcome counters must be the same.
+func TestAppendPathsAgree(t *testing.T) {
+	ops := appendStream(19)
+	lset := func(s int) labels.Labels {
+		return labels.FromStrings(labels.MetricName, fmt.Sprintf("paths_%02d", s), "job", "j")
+	}
+	// Each path applies one run and reports how many samples were too old.
+	paths := []struct {
+		name  string
+		apply func(db *DB, op appendOp) (tooOld int, err error)
+	}{
+		{"Append", func(db *DB, op appendOp) (int, error) {
+			n := 0
+			for _, smp := range op.samples {
+				switch err := db.Append(lset(op.series), smp.T, smp.V); {
+				case errors.Is(err, ErrTooOld):
+					n++
+				case err != nil:
+					return n, err
+				}
+			}
+			return n, nil
+		}},
+		{"AppendSeries", func(db *DB, op appendOp) (int, error) {
+			err := db.AppendSeries(lset(op.series), op.samples)
+			if errors.Is(err, ErrTooOld) {
+				return 1, nil
+			}
+			return 0, err
+		}},
+		{"Commit", func(db *DB, op appendOp) (int, error) {
+			a := db.Appender()
+			for _, smp := range op.samples {
+				a.Add(lset(op.series), smp.T, smp.V)
+			}
+			_, err := a.Commit()
+			return a.LastCommitStats().TooOld, err
+		}},
+	}
+	type result struct {
+		digest, reopened   string
+		tooOld             []int
+		ooo, dups, tooOld3 uint64
+	}
+	results := make([]result, len(paths))
+	for i, p := range paths {
+		opts := Options{WALDir: t.TempDir(), Shards: 4, OutOfOrderWindow: pathsWindow, Telemetry: telemetry.NewRegistry()}
+		db, err := Open(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := &results[i]
+		for _, op := range ops {
+			if op.samples == nil {
+				db.DeleteSeries(labels.MustMatcher(labels.MatchEqual, labels.MetricName, lset(op.series).Name()))
+				continue
+			}
+			n, err := p.apply(db, op)
+			if err != nil {
+				t.Fatalf("%s: %v", p.name, err)
+			}
+			r.tooOld = append(r.tooOld, n)
+		}
+		r.digest = headDigest(t, db)
+		r.ooo, r.dups, r.tooOld3 = db.metrics.oooAccepted.Value(), db.metrics.duplicates.Value(), db.metrics.tooOld.Value()
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
+		}
+		opts.Telemetry = nil
+		db, err = Open(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.reopened = headDigest(t, db)
+		db.Close()
+	}
+	ref := len(paths) - 1 // Commit counted before the three paths were one
+	want := results[ref]
+	if want.ooo == 0 || want.dups == 0 || want.tooOld3 == 0 {
+		t.Fatalf("stream exercises nothing: ooo=%d dups=%d tooOld=%d", want.ooo, want.dups, want.tooOld3)
+	}
+	for i, got := range results {
+		name := paths[i].name
+		if got.digest != want.digest {
+			t.Errorf("%s: head %s, %s has %s", name, got.digest, paths[ref].name, want.digest)
+		}
+		if got.reopened != got.digest {
+			t.Errorf("%s: head %s, replayed %s", name, got.digest, got.reopened)
+		}
+		if fmt.Sprint(got.tooOld) != fmt.Sprint(want.tooOld) {
+			t.Errorf("%s: refusals per run differ from %s:\n got %v\nwant %v", name, paths[ref].name, got.tooOld, want.tooOld)
+		}
+		if got.ooo != want.ooo || got.dups != want.dups || got.tooOld3 != want.tooOld3 {
+			t.Errorf("%s: counters ooo=%d dups=%d tooOld=%d, %s has %d %d %d",
+				name, got.ooo, got.dups, got.tooOld3, paths[ref].name, want.ooo, want.dups, want.tooOld3)
+		}
+	}
+}

@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"repro/internal/labels"
+	"repro/internal/model"
 	"repro/internal/tsdb/chunkenc"
 )
 
@@ -36,7 +37,7 @@ func (db *DB) CutPersistentBlock(parent string, mint, maxt int64) (*PersistentBl
 			return nil, fmt.Errorf("tsdb: cut block: %w", err)
 		}
 	}
-	series := mergeSortedBy(parts, func(a, c diskSeries) int { return labels.Compare(a.lset, c.lset) })
+	series := model.MergeSorted(parts, func(a, c diskSeries) int { return labels.Compare(a.lset, c.lset) }, nil)
 	if len(series) == 0 {
 		return nil, nil
 	}

@@ -107,96 +107,24 @@ func tombstoned(lset labels.Labels, tombs []TombstoneRec) bool {
 }
 
 // mergeAggrSeriesLists merges per-block series lists (each label-sorted)
-// into one label-sorted list, combining streams of equal label sets with
-// per-timestamp dedup where the earliest list wins.
+// into one label-sorted list. A label set several blocks hold gets, per
+// aggregate, the merge of its streams; the earliest list wins a timestamp.
 func mergeAggrSeriesLists(lists [][]aggrSeries) []aggrSeries {
-	type cursor struct {
-		list int
-		s    []aggrSeries
-	}
-	live := make([]cursor, 0, len(lists))
-	for i, l := range lists {
-		if len(l) > 0 {
-			live = append(live, cursor{list: i, s: l})
-		}
-	}
-	var out []aggrSeries
-	for len(live) > 0 {
-		// Find the smallest label set among the heads, preferring the
-		// earliest list on ties so its samples win the dedup.
-		best := -1
-		for i := range live {
-			if best < 0 {
-				best = i
-				continue
-			}
-			if c := labels.Compare(live[i].s[0].lset, live[best].s[0].lset); c < 0 ||
-				(c == 0 && live[i].list < live[best].list) {
-				best = i
-			}
-		}
-		head := live[best].s[0]
-		acc := aggrSeries{lset: head.lset, streams: map[AggrType][]model.Sample{}}
-		for a, st := range head.streams {
-			acc.streams[a] = st
-		}
-		live[best].s = live[best].s[1:]
-		// Fold every other head with the same labels, in list order.
-		for {
-			next := -1
-			for i := range live {
-				if len(live[i].s) > 0 && labels.Compare(live[i].s[0].lset, acc.lset) == 0 {
-					if next < 0 || live[i].list < live[next].list {
-						next = i
-					}
+	return model.MergeSorted(lists,
+		func(a, b aggrSeries) int { return labels.Compare(a.lset, b.lset) },
+		func(run []aggrSeries) aggrSeries {
+			byAggr := map[AggrType][][]model.Sample{}
+			for _, as := range run {
+				for a, st := range as.streams {
+					byAggr[a] = append(byAggr[a], st)
 				}
 			}
-			if next < 0 {
-				break
+			acc := aggrSeries{lset: run[0].lset, streams: make(map[AggrType][]model.Sample, len(byAggr))}
+			for a, streams := range byAggr {
+				acc.streams[a] = model.MergeSamples(streams)
 			}
-			for a, st := range live[next].s[0].streams {
-				acc.streams[a] = mergeStreamsFirstWins(acc.streams[a], st)
-			}
-			live[next].s = live[next].s[1:]
-		}
-		kept := live[:0]
-		for _, c := range live {
-			if len(c.s) > 0 {
-				kept = append(kept, c)
-			}
-		}
-		live = kept
-		out = append(out, acc)
-	}
-	return out
-}
-
-// mergeStreamsFirstWins merges two timestamp-sorted streams; a wins ties.
-func mergeStreamsFirstWins(a, b []model.Sample) []model.Sample {
-	if len(a) == 0 {
-		return b
-	}
-	if len(b) == 0 {
-		return a
-	}
-	out := make([]model.Sample, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i].T < b[j].T:
-			out = append(out, a[i])
-			i++
-		case a[i].T > b[j].T:
-			out = append(out, b[j])
-			j++
-		default:
-			out = append(out, a[i])
-			i++
-			j++
-		}
-	}
-	out = append(out, a[i:]...)
-	return append(out, b[j:]...)
+			return acc
+		})
 }
 
 // floorDiv is integer division rounding toward negative infinity, so bucket

@@ -21,38 +21,33 @@ func (db *DB) forEachShard(f func(i int, sh *headShard)) {
 // the slices are combined with a k-way merge, so output is identical for
 // any shard count.
 func (db *DB) Select(mint, maxt int64, ms ...*labels.Matcher) ([]model.Series, error) {
-	if len(ms) == 0 {
-		return nil, errors.New("tsdb: Select requires at least one matcher")
-	}
-	parts := make([][]model.Series, len(db.shards))
-	db.forEachShard(func(i int, sh *headShard) {
-		parts[i] = sh.selectSorted(mint, maxt, ms, nil)
-	})
-	return mergeSortedSeries(parts), nil
+	return db.SelectWithHints(model.SelectHints{Start: mint, End: maxt}, ms...)
 }
 
-// SelectWithHints is the hint-aware Select path: identical output to
-// Select over [hints.Start, hints.End], but when hints.SampleLimit is set
-// the shards charge every copied sample against a shared budget and abort
-// the pass with model.ErrSampleLimit the moment it is exhausted — the
-// promql range evaluator's prefetch uses this so runaway queries fail
-// during the storage pass instead of after materializing everything.
+// SelectWithHints is Select over [hints.Start, hints.End] that, when
+// hints.SampleLimit is set, has the shards charge every copied sample
+// against a shared budget and abort the pass with model.ErrSampleLimit the
+// moment it is exhausted — the promql range evaluator's prefetch uses this
+// so runaway queries fail during the storage pass instead of after
+// materializing everything.
 func (db *DB) SelectWithHints(hints model.SelectHints, ms ...*labels.Matcher) ([]model.Series, error) {
 	if len(ms) == 0 {
 		return nil, errors.New("tsdb: Select requires at least one matcher")
 	}
-	if hints.SampleLimit <= 0 {
-		return db.Select(hints.Start, hints.End, ms...)
+	var budget *sampleBudget
+	if hints.SampleLimit > 0 {
+		budget = &sampleBudget{limit: hints.SampleLimit}
 	}
-	budget := &sampleBudget{limit: hints.SampleLimit}
+	mint, maxt := hints.Start, hints.End // the closure below carries these, not all of hints
 	parts := make([][]model.Series, len(db.shards))
 	db.forEachShard(func(i int, sh *headShard) {
-		parts[i] = sh.selectSorted(hints.Start, hints.End, ms, budget)
+		parts[i] = sh.selectSorted(mint, maxt, ms, budget)
 	})
-	if budget.exceeded.Load() {
+	if budget.blown() {
 		return nil, model.ErrSampleLimit
 	}
-	return mergeSortedSeries(parts), nil
+	// A label set hashes to one shard, so no two parts share a series.
+	return model.MergeSorted(parts, func(a, b model.Series) int { return labels.Compare(a.Labels, b.Labels) }, nil), nil
 }
 
 // sampleBudget is the shared per-query sample allowance charged by all
@@ -78,60 +73,6 @@ func (b *sampleBudget) charge(n int) bool {
 
 // blown reports whether any shard already exhausted the budget.
 func (b *sampleBudget) blown() bool { return b != nil && b.exceeded.Load() }
-
-// mergeSortedSeries merges per-shard slices, each sorted by labels, into one
-// sorted slice. Series are unique across shards (a label set hashes to one
-// shard), so this is a pure merge with no combining.
-func mergeSortedSeries(parts [][]model.Series) []model.Series {
-	return mergeSortedBy(parts, func(a, b model.Series) int { return labels.Compare(a.Labels, b.Labels) })
-}
-
-// mergeSortedBy merges per-shard slices, each sorted under cmp, into one
-// sorted slice. Pairwise tournament reduction keeps it O(total · log shards)
-// even at high shard counts. Select and CutPersistentBlock share it.
-func mergeSortedBy[T any](parts [][]T, cmp func(a, b T) int) []T {
-	live := parts[:0]
-	for _, p := range parts {
-		if len(p) > 0 {
-			live = append(live, p)
-		}
-	}
-	switch len(live) {
-	case 0:
-		return []T{}
-	case 1:
-		return live[0]
-	}
-	for len(live) > 1 {
-		merged := live[:0]
-		for i := 0; i < len(live); i += 2 {
-			if i+1 == len(live) {
-				merged = append(merged, live[i])
-				break
-			}
-			merged = append(merged, mergeTwoSortedBy(live[i], live[i+1], cmp))
-		}
-		live = merged
-	}
-	return live[0]
-}
-
-// mergeTwoSortedBy merges two cmp-sorted slices.
-func mergeTwoSortedBy[T any](a, b []T, cmp func(x, y T) int) []T {
-	out := make([]T, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		if cmp(a[i], b[j]) < 0 {
-			out = append(out, a[i])
-			i++
-		} else {
-			out = append(out, b[j])
-			j++
-		}
-	}
-	out = append(out, a[i:]...)
-	return append(out, b[j:]...)
-}
 
 // LabelValues returns the sorted distinct values of a label name across all
 // shards.

@@ -5,11 +5,11 @@ import (
 )
 
 // tsdbMetrics is the head's hot-path instrumentation. The counters with a
-// breakdown (out-of-order/duplicate/too-old) are maintained by the batch
-// Appender — the path every scrape and remote-write commit takes; the
+// breakdown (out-of-order/duplicate/too-old) are maintained by commitShard,
+// so they cover Append, AppendSeries and the batch Appender alike; the
 // appended-samples total is a CounterFunc over the same per-shard atomics
-// AppendEpoch reads, so it covers the per-sample Append paths too and can
-// never disagree with the querycache's watermark view of append progress.
+// AppendEpoch reads, so it can never disagree with the querycache's
+// watermark view of append progress.
 type tsdbMetrics struct {
 	oooAccepted     *telemetry.Counter
 	duplicates      *telemetry.Counter
@@ -22,16 +22,16 @@ type tsdbMetrics struct {
 
 // instrument registers the head's instruments on reg and attaches the
 // hot-path metrics struct to the DB and its shard WALs. Called by Open when
-// Options.Telemetry is set; the appenders and WAL writers nil-check
-// db.metrics, so an uninstrumented head pays one branch per commit.
+// Options.Telemetry is set; commitShard, Commit and the WAL writers
+// nil-check db.metrics, so an uninstrumented head pays one branch each.
 func (db *DB) instrument(reg *telemetry.Registry) {
 	m := &tsdbMetrics{
 		oooAccepted: reg.Counter("telemetry_tsdb_ooo_accepted_total",
-			"Batch-committed samples accepted into the out-of-order window."),
+			"Samples accepted into the out-of-order window (all append paths)."),
 		duplicates: reg.Counter("telemetry_tsdb_duplicates_total",
-			"Batch-committed exact (series, timestamp) repeats silently skipped."),
+			"Exact (series, timestamp) repeats silently skipped (all append paths)."),
 		tooOld: reg.Counter("telemetry_tsdb_too_old_total",
-			"Batch-committed samples rejected for falling outside the out-of-order window."),
+			"Samples rejected for falling outside the out-of-order window (all append paths)."),
 		commitSeconds: reg.Histogram("telemetry_tsdb_commit_seconds",
 			"Batch Appender commit latency (memory apply plus WAL flush across touched shards).",
 			telemetry.IOBuckets),

@@ -39,6 +39,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -234,45 +235,13 @@ func (db *DB) shardFor(hash uint64) *headShard {
 // created on first append. Returns ErrOutOfOrder for non-increasing
 // timestamps within a series.
 func (db *DB) Append(lset labels.Labels, t int64, v float64) error {
-	h := lset.Hash()
-	sh := db.shardFor(h)
-	s := sh.getOrCreate(h, lset)
-	ooo := db.oooCtx()
-	w := sh.wal
-	if w != nil {
-		// The WAL mutex spans the memory apply and the journal write so the
-		// log order per series matches the apply order under concurrency.
-		w.mu.Lock()
-	}
-	s.mu.Lock()
-	outcome, err := s.appendLocked(t, v, db.opts.MaxSamplesPerChunk, ooo)
-	s.mu.Unlock()
-	if err != nil || outcome == appendDuplicate {
-		if w != nil {
-			w.mu.Unlock()
-		}
-		return err
-	}
-	var lerr error
-	if w != nil {
-		if !s.dropped {
-			var newSeries []walSeriesRec
-			ref, isNew := w.refForLocked(s)
-			if isNew {
-				newSeries = []walSeriesRec{{ref: ref, lset: s.lset}}
-			}
-			lerr = w.logLocked(newSeries, []walSampleRec{{ref: ref, t: t, v: v}}, nil)
-		}
-		w.mu.Unlock()
-	}
-	// The sample is in the head either way, so the time bounds must reflect
-	// it; a WAL write error only means it may not survive a restart.
-	sh.noteAppend(t, t, 1)
-	return lerr
+	return db.AppendSeries(lset, []model.Sample{{T: t, V: v}})
 }
 
 // AppendSeries appends a batch of samples of one series, resolving the
-// series and taking its lock once for the whole batch.
+// series and taking its lock once for the whole batch. It stops at the
+// first sample the head refuses and returns that sample's error; exact
+// duplicates under the out-of-order window are skipped, not refused.
 func (db *DB) AppendSeries(lset labels.Labels, samples []model.Sample) error {
 	if len(samples) == 0 {
 		return nil
@@ -280,60 +249,96 @@ func (db *DB) AppendSeries(lset labels.Labels, samples []model.Sample) error {
 	h := lset.Hash()
 	sh := db.shardFor(h)
 	s := sh.getOrCreate(h, lset)
-	ooo := db.oooCtx()
+	_, err := db.commitShard(sh, []*memSeries{s}, samples, db.oooCtx(), false)
+	return err
+}
+
+// commitShard is the head's one write sequence (docs/ARCHITECTURE.md, "One
+// commit"). The caller has resolved the series in sh: samples[i] goes to
+// series[i], or every sample to series[0] when that is the only one. The
+// shard's WAL mutex spans the memory apply and the journal write, so the
+// per-series log order matches the apply order; a series' lock is taken
+// once per run of its samples. One logLocked journals the first-seen
+// series and every accepted sample; then the shard's time bounds and the
+// outcome counters move.
+//
+// A refused sample stops the sequence and is returned, except that with
+// skipOutOfOrder set ErrOutOfOrder refusals (ErrTooOld included) are
+// counted and passed over. What was accepted before a stop is journalled
+// and stays. A journal error is returned when no sample error is: the
+// samples are in the head either way, they just may not survive a restart.
+func (db *DB) commitShard(sh *headShard, series []*memSeries, samples []model.Sample, ooo *oooAppendCtx, skipOutOfOrder bool) (CommitStats, error) {
+	var (
+		stats     CommitStats
+		err       error
+		held      *memSeries
+		mint      = int64(1) << 62
+		maxt      = -(int64(1) << 62)
+		newSeries []walSeriesRec
+	)
 	w := sh.wal
 	if w != nil {
 		w.mu.Lock()
+		w.recs = w.recs[:0]
 	}
-	s.mu.Lock()
-	// Accepted samples are no longer a contiguous prefix once the window can
-	// skip duplicates mid-batch, so collect them as we go.
-	accepted := make([]model.Sample, 0, len(samples))
-	var err error
-	for _, smp := range samples {
+	for i, smp := range samples {
+		s := series[min(i, len(series)-1)]
+		if s != held {
+			if held != nil {
+				held.mu.Unlock()
+			}
+			s.mu.Lock()
+			held = s
+		}
 		outcome, aerr := s.appendLocked(smp.T, smp.V, db.opts.MaxSamplesPerChunk, ooo)
 		if aerr != nil {
+			if errors.Is(aerr, ErrTooOld) {
+				stats.TooOld++
+			}
+			if skipOutOfOrder && errors.Is(aerr, ErrOutOfOrder) {
+				continue
+			}
 			err = aerr
 			break
 		}
-		if outcome == appendDuplicate {
+		switch outcome {
+		case appendDuplicate:
+			stats.Duplicates++
 			continue
+		case appendOOO:
+			stats.OOOAccepted++
+		default:
+			stats.Appended++
 		}
-		accepted = append(accepted, smp)
-	}
-	s.mu.Unlock()
-	if w != nil {
-		var lerr error
-		if len(accepted) > 0 && !s.dropped {
-			var newSeries []walSeriesRec
+		// A series detached by a DeleteSeries/Truncate that raced the caller's
+		// resolve must not be journalled, or replay would resurrect it.
+		if w != nil && !s.dropped {
 			ref, isNew := w.refForLocked(s)
 			if isNew {
-				newSeries = []walSeriesRec{{ref: ref, lset: s.lset}}
+				newSeries = append(newSeries, walSeriesRec{ref: ref, lset: s.lset})
 			}
-			recs := make([]walSampleRec, len(accepted))
-			for i, smp := range accepted {
-				recs[i] = walSampleRec{ref: ref, t: smp.T, v: smp.V}
-			}
-			lerr = w.logLocked(newSeries, recs, nil)
+			w.recs = append(w.recs, walSampleRec{ref: ref, t: smp.T, v: smp.V})
 		}
-		w.mu.Unlock()
-		if lerr != nil && err == nil {
+		mint, maxt = min(mint, smp.T), max(maxt, smp.T)
+	}
+	if held != nil {
+		held.mu.Unlock()
+	}
+	if w != nil {
+		if lerr := w.logLocked(newSeries, w.recs, nil); lerr != nil && err == nil {
 			err = lerr
 		}
+		w.mu.Unlock()
 	}
-	if len(accepted) > 0 {
-		mint, maxt := accepted[0].T, accepted[0].T
-		for _, smp := range accepted[1:] {
-			if smp.T < mint {
-				mint = smp.T
-			}
-			if smp.T > maxt {
-				maxt = smp.T
-			}
-		}
-		sh.noteAppend(mint, maxt, uint64(len(accepted)))
+	if n := stats.Appended + stats.OOOAccepted; n > 0 {
+		sh.noteAppend(mint, maxt, uint64(n))
 	}
-	return err
+	if m := db.metrics; m != nil && stats.OOOAccepted+stats.Duplicates+stats.TooOld > 0 {
+		m.oooAccepted.Add(uint64(stats.OOOAccepted))
+		m.duplicates.Add(uint64(stats.Duplicates))
+		m.tooOld.Add(uint64(stats.TooOld))
+	}
+	return stats, err
 }
 
 // appendOutcome says where appendLocked put a sample (or why it didn't).
@@ -515,26 +520,10 @@ func (s *memSeries) samplesBetweenLocked(mint, maxt int64) []model.Sample {
 	if lo == hi {
 		return out
 	}
-	oooPart := s.ooo[lo:hi]
-	merged := make([]model.Sample, 0, len(out)+len(oooPart))
-	i, j := 0, 0
-	for i < len(out) && j < len(oooPart) {
-		switch {
-		case out[i].T < oooPart[j].T:
-			merged = append(merged, out[i])
-			i++
-		case out[i].T > oooPart[j].T:
-			merged = append(merged, oooPart[j])
-			j++
-		default:
-			merged = append(merged, out[i])
-			i++
-			j++
-		}
+	if len(out) == 0 {
+		return slices.Clone(s.ooo[lo:hi]) // never hand out the live buffer
 	}
-	merged = append(merged, out[i:]...)
-	merged = append(merged, oooPart[j:]...)
-	return merged
+	return model.MergeSamples([][]model.Sample{out, s.ooo[lo:hi]})
 }
 
 // samplesInWindow estimates how many of a chunk's num samples, spanning

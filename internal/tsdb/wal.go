@@ -111,7 +111,8 @@ type shardWAL struct {
 	firstSeg int   // oldest segment still on disk
 	segBytes int64 // bytes written to the open segment
 	nextRef  uint64
-	buf      []byte // scratch encode buffer, reused across commits
+	buf      []byte         // scratch encode buffer, reused across commits
+	recs     []walSampleRec // commitShard's sample staging, reused likewise
 
 	records     atomic.Uint64 // records written since open
 	checkpoints atomic.Uint64

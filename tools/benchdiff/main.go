@@ -49,11 +49,13 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"maps"
 	"math"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -63,8 +65,8 @@ func main() {
 	var (
 		baselines = flag.String("baselines", "BENCH_*.json", "glob of baseline JSON files (relative to -dir)")
 		dir       = flag.String("dir", ".", "repo root holding the baseline files")
-		bench     = flag.String("bench", "WAL|RangeQuery|QueryCache|Telemetry|Block|HeadSelect|HeadDelete|Iterate|IngestPath|WriteMatrix|WriteVector|Tokenizer|AppendFamily|ScrapeSteadyState|ScrapeChurn|ExporterScrape", "benchmark regexp passed to go test -bench")
-		pkgs      = flag.String("pkgs", "./internal/tsdb/ ./internal/tsdb/chunkenc/ ./internal/querycache/ ./internal/thanos/ ./internal/remotewrite/ ./internal/promapi/ ./internal/expofmt/ ./internal/scrape/ ./internal/exporter/ .", "space-separated packages to benchmark")
+		bench     = flag.String("bench", "", "benchmark regexp passed to go test -bench; empty derives it from the baselines' \"bench\" keys, so every gated benchmark runs and nothing else does")
+		pkgs      = flag.String("pkgs", "./...", "space-separated packages to benchmark")
 		benchtime = flag.String("benchtime", "2s", "benchtime passed to go test")
 		count     = flag.Int("count", 1, "benchmark repetitions (go test -count); > 1 yields medians with dispersion and enables the interval gate")
 		tolerance = flag.Float64("tolerance", 0.25, "fallback flat tolerance when either side lacks dispersion (0.25 = 25%)")
@@ -102,6 +104,9 @@ func main() {
 			os.Exit(2)
 		}
 	} else {
+		if *bench == "" {
+			*bench = benchPattern(base)
+		}
 		args := []string{"test", "-run", "^$", "-bench", *bench, "-benchtime", *benchtime, "-count", strconv.Itoa(*count), "-benchmem"}
 		args = append(args, strings.Fields(*pkgs)...)
 		cmd := exec.Command("go", args...)
@@ -212,6 +217,19 @@ func collectBaselines(v any, file string, out map[string]baselineEntry) {
 			collectBaselines(child, file, out)
 		}
 	}
+}
+
+// benchPattern is the -bench regexp that runs exactly the gated benchmarks:
+// the top-level name of every baseline entry, anchored (go test matches the
+// pattern's "/"-separated elements level by level; an absent element
+// matches every sub-benchmark).
+func benchPattern(base map[string]baselineEntry) string {
+	tops := map[string]bool{}
+	for name := range base {
+		top, _, _ := strings.Cut(name, "/")
+		tops[regexp.QuoteMeta(top)] = true
+	}
+	return "^(" + strings.Join(slices.Sorted(maps.Keys(tops)), "|") + ")$"
 }
 
 // parseStat accepts the two baseline value shapes: a bare number (legacy,

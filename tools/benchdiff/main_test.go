@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -89,6 +90,10 @@ func TestLoadBaselinesAndDiff(t *testing.T) {
 	}
 	if _, ok := base["BenchmarkWALAppend/wal-v1"]; !ok {
 		t.Fatal("bench key not honored")
+	}
+	// The default -bench pattern is the top-level names of those keys.
+	if got, want := benchPattern(base), "^(BenchmarkRemoved|BenchmarkWALAppend|BenchmarkWALReplay)$"; got != want {
+		t.Fatalf("benchPattern = %q, want %q", got, want)
 	}
 
 	g := gate{tol: 0.25, ciMult: 3, minDelta: 0.05}
@@ -238,5 +243,27 @@ BenchmarkB-8  100  1310.0 ns/op
 	}
 	if strings.Contains(report, "REGRESSION  BenchmarkB") {
 		t.Fatalf("BenchmarkB flagged despite overlapping intervals:\n%s", report)
+	}
+}
+
+// The derived pattern must select every benchmark the committed baselines
+// gate and none of their name-sharing neighbours (BenchmarkAppend is not
+// BenchmarkAppendFamily).
+func TestBenchPatternCoversCommittedBaselines(t *testing.T) {
+	base, err := loadBaselines("../..", "BENCH_*.json")
+	if err != nil || len(base) == 0 {
+		t.Fatalf("loading the repo's baselines: %d entries, err %v", len(base), err)
+	}
+	re, err := regexp.Compile(benchPattern(base))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name := range base {
+		if top, _, _ := strings.Cut(name, "/"); !re.MatchString(top) {
+			t.Errorf("pattern %s misses baseline %s", re, name)
+		}
+	}
+	if re.MatchString("BenchmarkAppend") || re.MatchString("BenchmarkWALAppendX") {
+		t.Errorf("pattern %s is not anchored", re)
 	}
 }
