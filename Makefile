@@ -7,7 +7,7 @@
 GO ?= go
 RACE_PKGS := ./internal/tsdb/... ./internal/api/... ./internal/lb/... ./internal/scrape/... ./internal/thanos/... ./internal/workpool/... ./internal/cluster/... ./internal/promql/... ./internal/promapi/... ./internal/querycache/... ./internal/remotewrite/... ./internal/telemetry/...
 
-.PHONY: build test test-short race wal-recovery querycache cluster-chaos remote-write telemetry blocks head-index fuzz-smoke bench bench-querycache bench-smoke benchdiff ci-sync-check lint ci
+.PHONY: build test test-short race wal-recovery querycache promql-equiv cluster-chaos remote-write telemetry blocks head-index fuzz-smoke bench bench-querycache bench-smoke benchdiff ci-sync-check lint ci
 
 build:
 	$(GO) build ./...
@@ -33,6 +33,15 @@ wal-recovery:
 # Splice-correctness property test and cache concurrency, twice, under race.
 querycache:
 	$(GO) test -race -count=2 ./internal/querycache/
+
+# PromQL evaluator equivalence (docs/ARCHITECTURE.md, "One evaluator"): the
+# differential property test — random expressions over a random dataset,
+# production evaluator against the per-step oracle, bit for bit, Range and
+# Instant — at its large size with a fresh seed per pass (logged; replay
+# with -equiv.seed), plus the fixed equivalence lists and the
+# hash-collision tests; two passes, under race.
+promql-equiv:
+	$(GO) test -race -count=2 -run 'MatchesOracle|MatchesNaive|HashCollision' ./internal/promql/ -args -equiv.exprs=2000
 
 # Cluster quorum/chaos/handoff harness: kill mid-scrape, partition,
 # disk-full, WAL-backed rejoin — randomized, so two passes, under race.
@@ -113,5 +122,5 @@ lint:
 		echo "gofmt needed on:"; echo "$$fmtout"; exit 1; \
 	fi
 
-ci: build lint ci-sync-check test race wal-recovery querycache cluster-chaos remote-write telemetry blocks head-index fuzz-smoke bench-smoke
+ci: build lint ci-sync-check test race wal-recovery querycache promql-equiv cluster-chaos remote-write telemetry blocks head-index fuzz-smoke bench-smoke
 	@echo "ci: all green"

@@ -365,6 +365,57 @@ func BenchmarkRangeQueryHighCardinality(b *testing.B) {
 	benchRangeQuery(b, db, `sum(rate(bench_requests_total[2m]))`, spanMs, 30_000, 1)
 }
 
+// BenchmarkRangeQueryFleetPanels — the operator's fleet dashboard as
+// bench/'s dash_cold heavy class asks for it: 42 instances × 2 sockets, an
+// hour of 15 s scrapes, and the four heavy panel shapes over the last 15
+// minutes at a 15 s step (61 steps). One op evaluates all four panels.
+func BenchmarkRangeQueryFleetPanels(b *testing.B) {
+	const spanMs = 3600 * 1000
+	db := tsdb.MustOpen(tsdb.DefaultOptions())
+	for n := 0; n < 42; n++ {
+		inst := fmt.Sprintf("node%04d", n)
+		class := []string{"intel", "amd", "gpu"}[n%3]
+		for sock := 0; sock < 2; sock++ {
+			joules := labels.FromStrings(labels.MetricName, "fleet_rapl_package_joules_total",
+				"instance", inst, "nodeclass", class, "socket", fmt.Sprintf("%d", sock))
+			watts := labels.FromStrings(labels.MetricName, "fleet_socket_watts",
+				"instance", inst, "nodeclass", class, "socket", fmt.Sprintf("%d", sock))
+			for ts := int64(0); ts <= spanMs; ts += 15_000 {
+				if err := db.Append(joules, ts, float64(ts)/1000*float64(80+n+sock)); err != nil {
+					b.Fatal(err)
+				}
+				if err := db.Append(watts, ts, float64(80+n+sock)+float64(ts%60_000)/1000); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	}
+	panels := []struct {
+		q      string
+		series int
+	}{
+		{`sum by (instance) (rate(fleet_rapl_package_joules_total[2m]))`, 42},
+		{`sum by (nodeclass) (fleet_socket_watts)`, 3},
+		{`count by (instance) (fleet_socket_watts)`, 42},
+		{`avg by (instance) (fleet_socket_watts)`, 42},
+	}
+	eng := promql.NewEngine()
+	start, end := model.MillisToTime(spanMs-900_000), model.MillisToTime(spanMs)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, p := range panels {
+			m, err := eng.Range(db, p.q, start, end, 15*time.Second)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if len(m) != p.series {
+				b.Fatalf("%s: got %d series, want %d", p.q, len(m), p.series)
+			}
+		}
+	}
+}
+
 // BenchmarkClusterStep — E7: one 15 s step of the full simulated platform
 // at 1/10 Jean-Zay scale (~140 nodes).
 func BenchmarkClusterStep(b *testing.B) {

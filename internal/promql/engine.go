@@ -91,9 +91,9 @@ type Queryable interface {
 // HintedQueryable is optionally implemented by storage that can exploit
 // per-query hints — the evaluation bounds, resolution step, and a sample
 // budget enforced mid-pass. *tsdb.DB, the Thanos store and the fan-in
-// querier all implement it; the windowed range evaluator prefers it for
-// prefetch so oversized queries fail inside the storage pass instead of
-// after materializing every sample.
+// querier all implement it; the evaluator prefers it for prefetch so
+// oversized queries fail inside the storage pass instead of after
+// materializing every sample.
 type HintedQueryable interface {
 	SelectWithHints(hints model.SelectHints, ms ...*labels.Matcher) ([]model.Series, error)
 }
@@ -115,10 +115,15 @@ type Engine struct {
 	// metrics holds the per-stage latency histograms; nil until
 	// InstrumentTelemetry.
 	metrics *stageMetrics
+
+	// keyHash buckets grouping and matching keys; nil means keySpec.hash.
+	// Tests inject a colliding hash to prove identity is decided by label
+	// equality, not by the 64-bit hash.
+	keyHash func(keySpec, labels.Labels) uint64
 }
 
 // absMaxSteps is the backstop applied when MaxSteps is unset: it bounds
-// the per-step result table a range query may allocate.
+// the columns a range query may allocate.
 const absMaxSteps = 10_000_000
 
 // DefaultMaxSteps matches Prometheus's 11 000-point limit per range query.
@@ -155,7 +160,7 @@ func (e *Engine) Instant(q Queryable, input string, ts time.Time) (Value, error)
 }
 
 // InstantCtx is Instant with cancellation/deadline support; the context is
-// checked before each storage access.
+// checked before each storage access and once per series in every node.
 func (e *Engine) InstantCtx(ctx context.Context, q Queryable, input string, ts time.Time) (Value, error) {
 	parseStart := time.Now()
 	expr, err := ParseExprCached(input)
@@ -174,10 +179,14 @@ func (e *Engine) InstantExpr(q Queryable, expr Expr, ts time.Time) (Value, error
 	return e.InstantExprCtx(context.Background(), q, expr, ts)
 }
 
-// InstantExprCtx is InstantExpr with cancellation/deadline support.
+// InstantExprCtx is InstantExpr with cancellation/deadline support. An
+// instant query is the one-step case of the range evaluator; it differs
+// only in what it tells storage (bounds and budget, no step/function
+// hints) and in the shape of its result.
 func (e *Engine) InstantExprCtx(ctx context.Context, q Queryable, expr Expr, ts time.Time) (Value, error) {
-	ev := &evaluator{engine: e, q: q, ts: model.TimeToMillis(ts), ctx: ctx}
-	return ev.eval(expr)
+	ev := newEvaluator(ctx, e, q, ts, 0, 1)
+	ev.instant = true
+	return ev.instantValue(expr)
 }
 
 // Range evaluates the expression at every step in [start, end] and returns
@@ -203,11 +212,10 @@ func (e *Engine) RangeExpr(q Queryable, expr Expr, start, end time.Time, step ti
 }
 
 // RangeExprCtx evaluates the expression over [start, end] at step
-// resolution with the windowed one-Select-per-selector strategy: every
-// selector in the tree is prefetched with a single storage Select spanning
-// the whole (lookback/range-padded) window, then steps are evaluated in
-// parallel batches against per-series cursors sliding over the prefetched
-// samples. Output is identical to evaluating InstantExpr per step.
+// resolution: every selector in the tree is prefetched with a single
+// storage Select spanning the whole (lookback/range-padded) window, then
+// every node is evaluated once into columns (see evaluator). Output is
+// identical to evaluating InstantExpr per step.
 func (e *Engine) RangeExprCtx(ctx context.Context, q Queryable, expr Expr, start, end time.Time, step time.Duration) (Matrix, error) {
 	if step <= 0 {
 		return nil, fmt.Errorf("promql: step must be positive")
@@ -228,229 +236,26 @@ func (e *Engine) RangeExprCtx(ctx context.Context, q Queryable, expr Expr, start
 			"promql: query would evaluate %d steps, exceeding the limit of %d (shrink the range or increase the step)",
 			steps64, maxSteps)}
 	}
-	re := &rangeEvaluator{
-		engine: e, q: q, expr: expr,
-		start: start, step: step, steps: int(steps64),
-	}
-	return re.run(ctx)
-}
-
-// rangeExprNaive is the original per-step reference implementation: a full
-// InstantExpr evaluation — with one storage Select per selector — at every
-// step. It is retained as the oracle for the equivalence tests and as the
-// baseline the range benchmarks were recorded against; it enforces none of
-// the engine guardrails.
-func (e *Engine) rangeExprNaive(q Queryable, expr Expr, start, end time.Time, step time.Duration) (Matrix, error) {
-	if step <= 0 {
-		return nil, fmt.Errorf("promql: step must be positive")
-	}
-	if expr.Type() == ValueMatrix {
-		return nil, fmt.Errorf("promql: range queries require scalar or instant-vector expressions")
-	}
-	acc := map[uint64]*model.Series{}
-	var order []uint64
-	for ts := start; !ts.After(end); ts = ts.Add(step) {
-		v, err := e.InstantExpr(q, expr, ts)
-		if err != nil {
-			return nil, err
-		}
-		var vec Vector
-		switch tv := v.(type) {
-		case Vector:
-			vec = tv
-		case Scalar:
-			vec = Vector{{Labels: labels.Labels{}, T: tv.T, V: tv.V}}
-		default:
-			return nil, fmt.Errorf("promql: unexpected %s result in range query", v.Type())
-		}
-		for _, s := range vec {
-			h := s.Labels.Hash()
-			sr, ok := acc[h]
-			if !ok {
-				sr = &model.Series{Labels: s.Labels}
-				acc[h] = sr
-				order = append(order, h)
-			}
-			sr.Samples = append(sr.Samples, model.Sample{T: s.T, V: s.V})
-		}
-	}
-	out := make(Matrix, 0, len(order))
-	for _, h := range order {
-		out = append(out, *acc[h])
-	}
-	sort.Slice(out, func(i, j int) bool { return labels.Compare(out[i].Labels, out[j].Labels) < 0 })
-	return out, nil
-}
-
-// evaluator evaluates one expression tree at one timestamp.
-type evaluator struct {
-	engine *Engine
-	q      Queryable
-	ts     int64 // evaluation time in ms
-	ctx    context.Context
-	// win, when non-nil, serves selectors from the range evaluator's
-	// prefetched window instead of live storage Selects.
-	win *stepWindow
-	// loaded counts samples materialized by this evaluation's live
-	// selectors, charged against Engine.MaxSamples. The range path budgets
-	// during prefetch instead (its selectors never hit live storage).
-	loaded int64
-}
-
-// selectSeries is the live selector storage access: one Select over
-// [mint, maxt] with the engine's sample budget threaded through. Hint-aware
-// storage (the TSDB head, the Thanos fan-in) enforces the remaining budget
-// mid-pass, so an oversized instant query aborts during the copy instead of
-// after materializing everything; plain Queryables are charged after the
-// fact, which still bounds what one evaluation can accumulate.
-func (ev *evaluator) selectSeries(mint, maxt int64, ms []*labels.Matcher) ([]model.Series, error) {
-	budget := int64(ev.engine.MaxSamples)
-	var series []model.Series
-	var err error
-	if hq, hinted := ev.q.(HintedQueryable); hinted {
-		hints := model.SelectHints{Start: mint, End: maxt}
-		if budget > 0 {
-			rem := budget - ev.loaded
-			if rem <= 0 {
-				// Exactly exhausted: 0 means "unlimited" to storage, so pass
-				// 1 — an empty selector still succeeds, any sample trips.
-				rem = 1
-			}
-			hints.SampleLimit = rem
-		}
-		series, err = hq.SelectWithHints(hints, ms...)
-	} else {
-		series, err = ev.q.Select(mint, maxt, ms...)
-	}
-	if err != nil {
-		if errors.Is(err, model.ErrSampleLimit) {
-			return nil, ev.sampleLimitErr()
-		}
+	ev := newEvaluator(ctx, e, q, start, step, int(steps64))
+	stage := time.Now()
+	if err := ev.prefetch(expr); err != nil {
 		return nil, err
 	}
-	for _, s := range series {
-		ev.loaded += int64(len(s.Samples))
-	}
-	if budget > 0 && ev.loaded > budget {
-		return nil, ev.sampleLimitErr()
-	}
-	return series, nil
-}
-
-func (ev *evaluator) sampleLimitErr() error {
-	return &LimitError{Msg: fmt.Sprintf(
-		"promql: query exceeds the sample budget of %d (narrow the selectors or the range)",
-		ev.engine.MaxSamples)}
-}
-
-// ctxErr reports context cancellation; checked before storage accesses.
-func (ev *evaluator) ctxErr() error {
-	if ev.ctx == nil {
-		return nil
-	}
-	return ev.ctx.Err()
-}
-
-func (ev *evaluator) eval(expr Expr) (Value, error) {
-	switch e := expr.(type) {
-	case *NumberLiteral:
-		return Scalar{T: ev.ts, V: e.Val}, nil
-	case *StringLiteral:
-		return String{V: e.Val}, nil
-	case *ParenExpr:
-		return ev.eval(e.Expr)
-	case *UnaryExpr:
-		v, err := ev.eval(e.Expr)
-		if err != nil {
-			return nil, err
-		}
-		switch tv := v.(type) {
-		case Scalar:
-			return Scalar{T: tv.T, V: -tv.V}, nil
-		case Vector:
-			out := make(Vector, len(tv))
-			for i, s := range tv {
-				out[i] = Sample{Labels: dropName(s.Labels), T: s.T, V: -s.V}
-			}
-			return out, nil
-		}
-		return nil, fmt.Errorf("promql: unary minus undefined on %s", v.Type())
-	case *VectorSelector:
-		return ev.vectorSelector(e)
-	case *MatrixSelector:
-		return ev.matrixSelector(e)
-	case *Call:
-		return e.Func.Call(ev, e.Args)
-	case *AggregateExpr:
-		return ev.aggregate(e)
-	case *BinaryExpr:
-		return ev.binary(e)
-	}
-	return nil, fmt.Errorf("promql: unhandled expression %T", expr)
-}
-
-// vectorSelector returns, per matching series, the most recent sample
-// within the lookback window ending at the (offset-adjusted) eval time.
-func (ev *evaluator) vectorSelector(vs *VectorSelector) (Vector, error) {
-	if ev.win != nil {
-		return ev.win.vectorAt(vs, ev.ts)
-	}
-	if err := ev.ctxErr(); err != nil {
-		return nil, err
-	}
-	ts := ev.ts - model.DurationMillis(vs.Offset)
-	mint := ts - model.DurationMillis(ev.engine.LookbackDelta)
-	series, err := ev.selectSeries(mint, ts, vs.Matchers)
+	e.noteStage(ctx, "prefetch", stage)
+	stage = time.Now()
+	cols, err := ev.eval(expr)
 	if err != nil {
 		return nil, err
 	}
-	out := make(Vector, 0, len(series))
-	for _, s := range series {
-		if len(s.Samples) == 0 {
-			continue
-		}
-		last := s.Samples[len(s.Samples)-1]
-		if model.IsStaleNaN(last.V) {
-			// The series disappeared from its source; staleness markers
-			// end its visibility immediately.
-			continue
-		}
-		out = append(out, Sample{Labels: s.Labels, T: ev.ts, V: last.V})
-	}
-	return out, nil
+	e.noteStage(ctx, "eval", stage)
+	stage = time.Now()
+	m := cols.matrix(ev.ts)
+	e.noteStage(ctx, "merge", stage)
+	return m, nil
 }
 
-// matrixSelector returns all samples per series in the range window ending
-// at the (offset-adjusted) eval time.
-func (ev *evaluator) matrixSelector(ms *MatrixSelector) (Matrix, error) {
-	if ev.win != nil {
-		return ev.win.matrixAt(ms, ev.ts)
-	}
-	if err := ev.ctxErr(); err != nil {
-		return nil, err
-	}
-	ts := ev.ts - model.DurationMillis(ms.VS.Offset)
-	mint := ts - model.DurationMillis(ms.Range)
-	series, err := ev.selectSeries(mint+1, ts, ms.VS.Matchers) // window is (ts-range, ts]
-	if err != nil {
-		return nil, err
-	}
-	// Drop staleness markers: range functions must not see them as values.
-	out := make(Matrix, 0, len(series))
-	for _, s := range series {
-		kept := dropStaleMarkers(s.Samples)
-		if len(kept) == 0 {
-			continue
-		}
-		out = append(out, model.Series{Labels: s.Labels, Samples: kept})
-	}
-	return out, nil
-}
-
-// dropStaleMarkers filters staleness markers out of a sample window; the
-// common marker-free case returns the input slice unchanged. Both the live
-// matrixSelector and the windowed range path use it, so their staleness
-// semantics cannot diverge.
+// dropStaleMarkers filters staleness markers out of a sample run; the
+// common marker-free case returns the input slice unchanged.
 func dropStaleMarkers(samples []model.Sample) []model.Sample {
 	hasStale := false
 	for _, smp := range samples {
@@ -479,102 +284,168 @@ func dropName(ls labels.Labels) labels.Labels {
 	return ls.WithoutNames()
 }
 
-// aggregate implements sum/avg/min/max/count/stddev/stdvar/topk/bottomk/
-// group/quantile with by/without grouping.
-func (ev *evaluator) aggregate(agg *AggregateExpr) (Value, error) {
-	val, err := ev.eval(agg.Expr)
-	if err != nil {
-		return nil, err
-	}
-	vec, ok := val.(Vector)
-	if !ok {
-		return nil, fmt.Errorf("promql: aggregation over %s not allowed", val.Type())
-	}
-	var param float64
-	if agg.Param != nil {
-		pv, err := ev.eval(agg.Param)
-		if err != nil {
-			return nil, err
-		}
-		ps, ok := pv.(Scalar)
-		if !ok {
-			return nil, fmt.Errorf("promql: aggregation parameter must be scalar")
-		}
-		param = ps.V
-	}
-
-	type group struct {
-		labels  labels.Labels
-		values  []float64
-		samples []Sample // retained for topk/bottomk only
-	}
-	// Pre-sort the "by" grouping once so HashFor never copies per sample.
-	grouping := agg.Grouping
-	if !agg.Without && !sort.StringsAreSorted(grouping) {
-		grouping = append([]string(nil), grouping...)
-		sort.Strings(grouping)
-	}
-	keepSamples := agg.Op == TOPK || agg.Op == BOTTOMK
-	groups := map[uint64]*group{}
-	var order []uint64
-	for _, s := range vec {
-		var h uint64
-		if agg.Without {
-			h = s.Labels.HashWithout(grouping...)
-		} else {
-			h = s.Labels.HashFor(grouping...)
-		}
-		g, ok := groups[h]
-		if !ok {
-			var gl labels.Labels
-			if agg.Without {
-				gl = s.Labels.WithoutNames(agg.Grouping...)
-			} else {
-				gl = s.Labels.KeepNames(agg.Grouping...)
-			}
-			g = &group{labels: gl, values: make([]float64, 0, 8)}
-			groups[h] = g
-			order = append(order, h)
-		}
-		g.values = append(g.values, s.V)
-		if keepSamples {
-			g.samples = append(g.samples, s)
-		}
-	}
-
-	out := make(Vector, 0, len(groups))
-	for _, h := range order {
-		g := groups[h]
-		switch agg.Op {
-		case TOPK, BOTTOMK:
-			k := int(param)
-			if k <= 0 {
-				continue
-			}
-			sorted := append([]Sample(nil), g.samples...)
-			sort.Slice(sorted, func(i, j int) bool {
-				if agg.Op == TOPK {
-					return sorted[i].V > sorted[j].V
-				}
-				return sorted[i].V < sorted[j].V
-			})
-			if k > len(sorted) {
-				k = len(sorted)
-			}
-			// topk keeps original series labels.
-			out = append(out, sorted[:k]...)
-			continue
-		}
-		v, err := aggValue(agg.Op, g.values, param)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, Sample{Labels: g.labels, T: ev.ts, V: v})
-	}
-	sort.Slice(out, func(i, j int) bool { return labels.Compare(out[i].Labels, out[j].Labels) < 0 })
-	return out, nil
+// keySpec names the label subset two series are grouped (by/without) or
+// matched (on/ignoring) on.
+type keySpec struct {
+	on    bool     // true: exactly names; false: everything but names and __name__
+	names []string // sorted when on, so HashFor never re-sorts
 }
 
+// groupingSpec is the key of an aggregation's by/without clause.
+func groupingSpec(agg *AggregateExpr) keySpec {
+	if agg.Without {
+		return keySpec{names: agg.Grouping}
+	}
+	return keySpec{on: true, names: sortedNames(agg.Grouping)}
+}
+
+// matchingSpec is the key of a binary operator's on/ignoring clause; with
+// no clause, series match on all labels except the metric name.
+func matchingSpec(vm *VectorMatching) keySpec {
+	if vm == nil {
+		return keySpec{}
+	}
+	if vm.On {
+		return keySpec{on: true, names: sortedNames(vm.Labels)}
+	}
+	return keySpec{names: vm.Labels}
+}
+
+// sortedNames returns names sorted. The AST is shared (parse cache) and
+// must not be mutated, so an unsorted list is copied.
+func sortedNames(names []string) []string {
+	if sort.StringsAreSorted(names) {
+		return names
+	}
+	names = append([]string(nil), names...)
+	sort.Strings(names)
+	return names
+}
+
+func (k keySpec) hash(ls labels.Labels) uint64 {
+	if k.on {
+		return ls.HashFor(k.names...)
+	}
+	return ls.HashWithout(k.names...)
+}
+
+func (k keySpec) excluded(name string) bool {
+	if name == labels.MetricName {
+		return true
+	}
+	for _, n := range k.names {
+		if n == name {
+			return true
+		}
+	}
+	return false
+}
+
+// equal reports whether a and b carry the same key: the exact relation
+// hash approximates.
+func (k keySpec) equal(a, b labels.Labels) bool {
+	if k.on {
+		for _, n := range k.names {
+			if a.Get(n) != b.Get(n) {
+				return false
+			}
+		}
+		return true
+	}
+	i, j := 0, 0
+	for {
+		for i < len(a) && k.excluded(a[i].Name) {
+			i++
+		}
+		for j < len(b) && k.excluded(b[j].Name) {
+			j++
+		}
+		if i == len(a) || j == len(b) {
+			return i == len(a) && j == len(b)
+		}
+		if a[i] != b[j] {
+			return false
+		}
+		i++
+		j++
+	}
+}
+
+// keyIndex assigns dense ids to distinct keys: bucketed by hash, decided by
+// label equality, so two keys whose hashes collide stay two keys.
+type keyIndex struct {
+	spec  keySpec
+	hash  func(keySpec, labels.Labels) uint64
+	first map[uint64]int32 // hash -> an id in its bucket
+	next  []int32          // id -> next id in the same bucket, -1 at the end
+	rep   []labels.Labels  // id -> a label set carrying the key
+	// one is set once the only possible key — on (), which every series
+	// carries — has been interned; that spec needs no table at all.
+	one bool
+}
+
+// newKeyIndex returns an index expecting about sizeHint distinct keys.
+func (e *Engine) newKeyIndex(spec keySpec, sizeHint int) keyIndex {
+	x := keyIndex{spec: spec, hash: e.keyHash}
+	if x.hash == nil {
+		x.hash = keySpec.hash
+	}
+	if !x.single() {
+		x.first = make(map[uint64]int32, sizeHint)
+		x.next = make([]int32, 0, sizeHint)
+		x.rep = make([]labels.Labels, 0, sizeHint)
+	}
+	return x
+}
+
+func (x *keyIndex) single() bool { return x.spec.on && len(x.spec.names) == 0 }
+
+func (x *keyIndex) find(h uint64, ls labels.Labels) int32 {
+	id, ok := x.first[h]
+	if !ok {
+		return -1
+	}
+	for ; id >= 0; id = x.next[id] {
+		if x.spec.equal(x.rep[id], ls) {
+			return id
+		}
+	}
+	return -1
+}
+
+// lookup returns the id of ls's key, or -1 if it was never interned.
+func (x *keyIndex) lookup(ls labels.Labels) int32 {
+	if x.single() {
+		if x.one {
+			return 0
+		}
+		return -1
+	}
+	return x.find(x.hash(x.spec, ls), ls)
+}
+
+// intern returns the id of ls's key, assigning the next one if it is new.
+func (x *keyIndex) intern(ls labels.Labels) (id int32, isNew bool) {
+	if x.single() {
+		isNew, x.one = !x.one, true
+		return 0, isNew
+	}
+	h := x.hash(x.spec, ls)
+	if id := x.find(h, ls); id >= 0 {
+		return id, false
+	}
+	id = int32(len(x.rep))
+	x.rep = append(x.rep, ls)
+	if head, ok := x.first[h]; ok {
+		x.next = append(x.next, head)
+	} else {
+		x.next = append(x.next, -1)
+	}
+	x.first[h] = id
+	return id, true
+}
+
+// aggValue folds one group's values at one step, in the order given.
 func aggValue(op ItemType, vals []float64, param float64) (float64, error) {
 	switch op {
 	case SUM:
@@ -655,164 +526,23 @@ func quantile(phi float64, vals []float64) float64 {
 	return sorted[lower]*(1-w) + sorted[upper]*w
 }
 
-// binary evaluates a binary operator expression.
-func (ev *evaluator) binary(b *BinaryExpr) (Value, error) {
-	lv, err := ev.eval(b.LHS)
-	if err != nil {
-		return nil, err
-	}
-	rv, err := ev.eval(b.RHS)
-	if err != nil {
-		return nil, err
-	}
-	switch l := lv.(type) {
-	case Scalar:
-		switch r := rv.(type) {
-		case Scalar:
-			v, keep := binOp(b.Op, l.V, r.V, b.ReturnBool)
-			if !keep {
-				v = 0 // scalar comparisons always use bool (checked at parse)
-			}
-			return Scalar{T: ev.ts, V: v}, nil
-		case Vector:
-			return ev.scalarVector(b, l.V, r, true)
-		}
-	case Vector:
-		switch r := rv.(type) {
-		case Scalar:
-			return ev.scalarVector(b, r.V, l, false)
-		case Vector:
-			if isSetOp(b.Op) {
-				return ev.setOp(b, l, r)
-			}
-			return ev.vectorVector(b, l, r)
-		}
-	}
-	return nil, fmt.Errorf("promql: binary op %s undefined between %s and %s",
-		itemName(b.Op), lv.Type(), rv.Type())
-}
-
-// scalarVector applies op between a scalar and each vector element.
-// scalarLeft indicates the scalar was the left operand.
-func (ev *evaluator) scalarVector(b *BinaryExpr, sc float64, vec Vector, scalarLeft bool) (Vector, error) {
-	out := make(Vector, 0, len(vec))
-	for _, s := range vec {
-		l, r := sc, s.V
-		if !scalarLeft {
-			l, r = s.V, sc
-		}
-		v, keep := binOp(b.Op, l, r, b.ReturnBool)
-		if isComparison(b.Op) && !b.ReturnBool {
-			if !keep {
-				continue
-			}
-			v = s.V // filter semantics: keep original value
-		}
-		out = append(out, Sample{Labels: dropName(s.Labels), T: ev.ts, V: v})
-	}
-	return out, nil
-}
-
-// matchKey hashes the matching labels of a sample per the VectorMatching.
-func matchKey(vm *VectorMatching, ls labels.Labels) uint64 {
-	if vm == nil {
-		return ls.HashWithout() // all labels except __name__
-	}
-	if vm.On {
-		return ls.HashFor(vm.Labels...)
-	}
-	return ls.HashWithout(vm.Labels...)
-}
-
-// sortedMatching returns vm with its On-labels sorted so the per-sample
-// HashFor calls never re-sort. The AST is shared (parse cache) and must not
-// be mutated, so an unsorted spec is shallow-cloned once per evaluation.
-func sortedMatching(vm *VectorMatching) *VectorMatching {
-	if vm == nil || !vm.On || sort.StringsAreSorted(vm.Labels) {
-		return vm
-	}
-	ls := append([]string(nil), vm.Labels...)
-	sort.Strings(ls)
-	cp := *vm
-	cp.Labels = ls
-	return &cp
-}
-
-func (ev *evaluator) vectorVector(b *BinaryExpr, lhs, rhs Vector) (Vector, error) {
-	vm := sortedMatching(b.Matching)
-	// Identify the "one" side for many-to-one / one-to-many.
-	oneSide, manySide := rhs, lhs
-	swapped := false
-	if vm != nil && vm.Card == CardOneToMany {
-		oneSide, manySide = lhs, rhs
-		swapped = true
-	}
-	oneByKey := make(map[uint64]Sample, len(oneSide))
-	for _, s := range oneSide {
-		k := matchKey(vm, s.Labels)
-		if prev, dup := oneByKey[k]; dup {
-			return nil, fmt.Errorf("promql: many-to-many matching: duplicate series %s and %s on 'one' side",
-				prev.Labels, s.Labels)
-		}
-		oneByKey[k] = s
-	}
-	card := CardOneToOne
-	if vm != nil {
-		card = vm.Card
-	}
-	seen := map[uint64]bool{}
-	out := make(Vector, 0, len(manySide))
-	for _, ms := range manySide {
-		k := matchKey(vm, ms.Labels)
-		os, ok := oneByKey[k]
-		if !ok {
-			continue
-		}
-		if card == CardOneToOne {
-			if seen[k] {
-				return nil, fmt.Errorf("promql: one-to-one matching: multiple matches for %s; use group_left/group_right", ms.Labels)
-			}
-			seen[k] = true
-		}
-		l, r := ms.V, os.V
-		if swapped != (vm != nil && vm.Card == CardOneToMany) {
-			// unreachable; kept for clarity
-		}
-		if !swapped {
-			// manySide is LHS
-		} else {
-			l, r = os.V, ms.V
-		}
-		v, keep := binOp(b.Op, l, r, b.ReturnBool)
-		if isComparison(b.Op) && !b.ReturnBool {
-			if !keep {
-				continue
-			}
-			v = l
-		}
-		// Result labels: matching labels of the many side (minus name),
-		// plus any group_left/right include labels from the one side.
-		rl := resultLabels(vm, ms.Labels, os.Labels)
-		out = append(out, Sample{Labels: rl, T: ev.ts, V: v})
-	}
-	sort.Slice(out, func(i, j int) bool { return labels.Compare(out[i].Labels, out[j].Labels) < 0 })
-	return out, nil
-}
-
+// resultLabels builds the output label set of one matched pair: the
+// matching labels of the many side (minus name), plus any group_left/right
+// include labels from the one side.
 func resultLabels(vm *VectorMatching, many, one labels.Labels) labels.Labels {
 	if vm == nil {
 		return many.WithoutNames()
 	}
-	var base labels.Labels
 	if vm.Card == CardOneToOne {
 		if vm.On {
-			base = many.KeepNames(vm.Labels...)
-		} else {
-			base = many.WithoutNames(vm.Labels...)
+			return many.KeepNames(vm.Labels...)
 		}
-		return base
+		return many.WithoutNames(vm.Labels...)
 	}
 	// group_left/right: keep all labels of the many side (minus name).
+	if len(vm.Include) == 0 {
+		return many.WithoutNames()
+	}
 	b := labels.NewBuilder(many.WithoutNames())
 	for _, inc := range vm.Include {
 		if v := one.Get(inc); v != "" {
@@ -822,42 +552,6 @@ func resultLabels(vm *VectorMatching, many, one labels.Labels) labels.Labels {
 		}
 	}
 	return b.Labels()
-}
-
-// setOp implements and/or/unless.
-func (ev *evaluator) setOp(b *BinaryExpr, lhs, rhs Vector) (Vector, error) {
-	vm := sortedMatching(b.Matching)
-	rkeys := make(map[uint64]bool, len(rhs))
-	for _, s := range rhs {
-		rkeys[matchKey(vm, s.Labels)] = true
-	}
-	var out Vector
-	switch b.Op {
-	case AND:
-		for _, s := range lhs {
-			if rkeys[matchKey(vm, s.Labels)] {
-				out = append(out, s)
-			}
-		}
-	case UNLESS:
-		for _, s := range lhs {
-			if !rkeys[matchKey(vm, s.Labels)] {
-				out = append(out, s)
-			}
-		}
-	case OR:
-		lkeys := make(map[uint64]bool, len(lhs))
-		for _, s := range lhs {
-			lkeys[matchKey(vm, s.Labels)] = true
-			out = append(out, s)
-		}
-		for _, s := range rhs {
-			if !lkeys[matchKey(vm, s.Labels)] {
-				out = append(out, s)
-			}
-		}
-	}
-	return out, nil
 }
 
 // binOp applies the operator; for comparisons it returns (lhs, matched)

@@ -1,0 +1,452 @@
+package promql
+
+import (
+	"flag"
+	"fmt"
+	"math"
+	"math/rand"
+	"strings"
+	"testing"
+	"time"
+
+	"repro/internal/labels"
+	"repro/internal/model"
+	"repro/internal/tsdb"
+)
+
+// The differential property test: random PromQL over a random dataset,
+// evaluated by the production (series-major) evaluator and by the per-step
+// oracle, must agree bit for bit — values, timestamps, series order and
+// whether the query errors at all — for range queries at several step
+// geometries and for instant queries.
+//
+// The tier-1 size is a fixed seed and a few hundred expressions; `make
+// promql-equiv` raises -equiv.exprs and, with no -equiv.seed, draws a new
+// seed per run (logged, so a failure can be replayed).
+var (
+	equivExprs = flag.Int("equiv.exprs", 250, "random expressions per TestEvaluatorMatchesOracleRandom run")
+	equivSeed  = flag.Int64("equiv.seed", 0, "generator seed; 0 means 1 at the default size, time-based otherwise")
+)
+
+const equivSpanS = 900 // the dataset covers [0, 900] s
+
+// equivStorage builds the random dataset: gauges and counters at a jittered
+// 15 s cadence with dropped scrapes, staleness markers followed by silence,
+// counter resets, series that exist only for a stretch (churn), a few NaN
+// and negative values, and two metric names carrying identical label sets
+// so that name-dropping operators collapse them onto one output series.
+func equivStorage(t testing.TB, rng *rand.Rand) *tsdb.DB {
+	t.Helper()
+	db := tsdb.MustOpen(tsdb.DefaultOptions())
+	for _, name := range []string{"g_a", "g_b", "c_a_total", "c_b_total"} {
+		counter := strings.HasSuffix(name, "_total")
+		for i := 0; i < 4; i++ {
+			for j := 0; j < 2; j++ {
+				if rng.Intn(8) == 0 {
+					continue // this label combination does not exist for this name
+				}
+				ls := labels.FromStrings(labels.MetricName, name,
+					"inst", fmt.Sprintf("i%d", i), "job", fmt.Sprintf("j%d", j),
+					"zone", fmt.Sprintf("z%d", i%2))
+				// Churn: a third of the series live only for a stretch.
+				from, to := int64(0), int64(equivSpanS*1000)
+				if rng.Intn(3) == 0 {
+					from = rng.Int63n(equivSpanS * 500)
+					to = from + rng.Int63n(equivSpanS*500) + 30_000
+				}
+				v := rng.Float64() * 100
+				silentUntil := int64(-1)
+				// g_b is scraped on the exact 15 s grid, so step times, window
+				// edges and the lookback horizon land on samples; the rest jitter.
+				exact := name == "g_b"
+				if exact {
+					from, to = from/15_000*15_000, to/15_000*15_000
+				}
+				for ts := from + rng.Int63n(4000); ts <= to; ts += 13_000 + rng.Int63n(4000) {
+					if exact {
+						ts = (ts + 7_500) / 15_000 * 15_000
+					}
+					if ts < silentUntil || rng.Intn(10) == 0 {
+						continue // dropped scrape
+					}
+					if rng.Intn(25) == 0 {
+						// The target lost the series: marker, then silence.
+						if err := db.Append(ls, ts, model.StaleNaN()); err != nil {
+							t.Fatal(err)
+						}
+						silentUntil = ts + rng.Int63n(200_000)
+						continue
+					}
+					switch {
+					case counter && rng.Intn(20) == 0:
+						v = rng.Float64() * 5 // reset
+					case counter:
+						v += rng.Float64() * 50
+					default:
+						v = rng.Float64()*200 - 50
+						if rng.Intn(40) == 0 {
+							v = math.NaN()
+						}
+					}
+					if err := db.Append(ls, ts, v); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+		}
+	}
+	return db
+}
+
+// exprGen draws random expressions as query text, so the parser and its
+// type checks are part of what is exercised.
+type exprGen struct{ rng *rand.Rand }
+
+func (g *exprGen) pick(ss ...string) string { return ss[g.rng.Intn(len(ss))] }
+
+func (g *exprGen) duration() string { return g.pick("30s", "1m", "2m", "5m", "10m") }
+
+func (g *exprGen) number() string {
+	return g.pick("0", "1", "2", "0.5", "3", "10", "100", "-1", "0.9", "1e3")
+}
+
+func (g *exprGen) labelList() string {
+	all := []string{"inst", "job", "zone", "nosuch"}
+	g.rng.Shuffle(len(all), func(i, j int) { all[i], all[j] = all[j], all[i] })
+	return strings.Join(all[:g.rng.Intn(3)], ", ")
+}
+
+func (g *exprGen) selector() string {
+	name := g.pick("g_a", "g_b", "c_a_total", "c_b_total", "nosuch_metric")
+	var ms []string
+	if g.rng.Intn(6) == 0 {
+		// Several names through one selector: derived series collapse.
+		ms = append(ms, `__name__=~"`+g.pick("g_a|g_b", "c_.*", "g_a|c_a_total", ".+")+`"`)
+		name = ""
+	}
+	for _, l := range []string{"inst", "job", "zone"} {
+		if g.rng.Intn(4) != 0 {
+			continue
+		}
+		val := map[string][]string{
+			"inst": {"i0", "i1", "i2", "i3"}, "job": {"j0", "j1"}, "zone": {"z0", "z1"},
+		}[l]
+		switch g.rng.Intn(4) {
+		case 0:
+			ms = append(ms, fmt.Sprintf(`%s="%s"`, l, g.pick(val...)))
+		case 1:
+			ms = append(ms, fmt.Sprintf(`%s!="%s"`, l, g.pick(val...)))
+		case 2:
+			ms = append(ms, fmt.Sprintf(`%s=~"%s|%s"`, l, g.pick(val...), g.pick(val...)))
+		default:
+			ms = append(ms, fmt.Sprintf(`%s!~"%s"`, l, g.pick(val...)))
+		}
+	}
+	if name == "" || len(ms) > 0 {
+		name += "{" + strings.Join(ms, ",") + "}"
+	}
+	return name
+}
+
+func (g *exprGen) offset() string {
+	if g.rng.Intn(5) == 0 {
+		return " offset " + g.pick("30s", "1m", "5m")
+	}
+	return ""
+}
+
+func (g *exprGen) matching(group bool) string {
+	if g.rng.Intn(3) == 0 {
+		return ""
+	}
+	m := g.pick("on", "ignoring") + " (" + g.labelList() + ")"
+	if group && g.rng.Intn(2) == 0 {
+		// Always with an include list: a bare group_left before "(" would
+		// swallow the parenthesised operand as one.
+		m += " " + g.pick("group_left", "group_right") + " (" + g.pick("", "", "job", "zone", "inst", "nosuch") + ")"
+	}
+	return m
+}
+
+func (g *exprGen) scalar(depth int) string {
+	switch n := g.rng.Intn(10); {
+	case depth <= 0 || n < 5:
+		return g.number()
+	case n == 5:
+		return "time()"
+	case n == 6:
+		return "scalar(" + g.vector(depth-1) + ")"
+	case n == 7:
+		return "(" + g.scalar(depth-1) + " " + g.pick("+", "-", "*", "/", "%", "^") + " " + g.scalar(depth-1) + ")"
+	case n == 8:
+		return "(" + g.scalar(depth-1) + " " + g.pick("==", "!=", "<", ">", "<=", ">=") + " bool " + g.scalar(depth-1) + ")"
+	default:
+		return "-" + g.scalar(depth-1)
+	}
+}
+
+func (g *exprGen) vector(depth int) string {
+	if depth <= 0 {
+		return g.selector() + g.offset()
+	}
+	arith := []string{"+", "-", "*", "/", "%", "^"}
+	cmp := []string{"==", "!=", "<", ">", "<=", ">="}
+	switch g.rng.Intn(17) {
+	case 0:
+		return g.selector() + g.offset()
+	case 1, 2:
+		fn := g.pick("rate", "irate", "increase", "delta", "idelta", "deriv", "changes", "resets",
+			"avg_over_time", "sum_over_time", "min_over_time", "max_over_time",
+			"count_over_time", "last_over_time", "stddev_over_time")
+		return fmt.Sprintf("%s(%s[%s]%s)", fn, g.selector(), g.duration(), g.offset())
+	case 3:
+		return fmt.Sprintf("quantile_over_time(%s, %s[%s]%s)", g.pick("0.5", "0.9", "0", "1", "1.5", "-1"), g.selector(), g.duration(), g.offset())
+	case 4, 5, 6:
+		op := g.pick("sum", "avg", "min", "max", "count", "group", "stddev", "stdvar")
+		param := ""
+		switch g.rng.Intn(6) {
+		case 0:
+			op, param = g.pick("topk", "bottomk"), g.pick("1", "2", "3", "0", "100")+", "
+			if g.rng.Intn(4) == 0 {
+				param = g.scalar(depth-1) + ", "
+			}
+		case 1:
+			op, param = "quantile", g.pick("0.5", "0.9", "0", "1", "2")+", "
+		}
+		mod := ""
+		if g.rng.Intn(4) != 0 {
+			mod = " " + g.pick("by", "without") + " (" + g.labelList() + ")"
+		}
+		return fmt.Sprintf("%s%s (%s%s)", op, mod, param, g.vector(depth-1))
+	case 7:
+		return fmt.Sprintf("(%s %s %s %s)", g.vector(depth-1), g.pick(arith...), g.matching(true), g.vector(depth-1))
+	case 8:
+		b := ""
+		if g.rng.Intn(2) == 0 {
+			b = " bool"
+		}
+		return fmt.Sprintf("(%s %s%s %s %s)", g.vector(depth-1), g.pick(cmp...), b, g.matching(true), g.vector(depth-1))
+	case 9:
+		return fmt.Sprintf("(%s %s %s %s)", g.vector(depth-1), g.pick("and", "or", "unless"), g.matching(false), g.vector(depth-1))
+	case 10:
+		op := g.pick(append(arith, cmp...)...)
+		if strings.ContainsAny(op, "=<>") && g.rng.Intn(2) == 0 {
+			op += " bool"
+		}
+		if g.rng.Intn(2) == 0 {
+			return fmt.Sprintf("(%s %s %s)", g.scalar(depth-1), op, g.vector(depth-1))
+		}
+		return fmt.Sprintf("(%s %s %s)", g.vector(depth-1), op, g.scalar(depth-1))
+	case 11:
+		return "-" + g.vector(depth-1)
+	case 12:
+		fn := g.pick("abs", "ceil", "floor", "exp", "ln", "log2", "log10", "sqrt", "timestamp", "absent")
+		return fn + "(" + g.vector(depth-1) + ")"
+	case 15:
+		// Operators whose vector order varies by step, under whatever
+		// consumes them next.
+		return g.pick("sort", "sort_desc") + "(" + g.vector(depth-1) + ")"
+	case 13:
+		switch g.rng.Intn(5) {
+		case 0:
+			return "round(" + g.vector(depth-1) + ")"
+		case 1:
+			return "round(" + g.vector(depth-1) + ", " + g.scalar(depth-1) + ")"
+		case 2:
+			return "clamp(" + g.vector(depth-1) + ", " + g.scalar(depth-1) + ", " + g.scalar(depth-1) + ")"
+		case 3:
+			return g.pick("clamp_min", "clamp_max") + "(" + g.vector(depth-1) + ", " + g.scalar(depth-1) + ")"
+		default:
+			return "vector(" + g.scalar(depth-1) + ")"
+		}
+	case 14:
+		if g.rng.Intn(2) == 0 {
+			return fmt.Sprintf(`label_replace(%s, "%s", "%s", "%s", "%s")`, g.vector(depth-1),
+				g.pick("zone", "dst", "inst"), g.pick("x-$1", "$1", "const", ""), g.pick("inst", "job", "nosuch"),
+				g.pick("(.*)", "i(\\d)", "j0", "nomatch"))
+		}
+		return fmt.Sprintf(`label_join(%s, "%s", "%s", "%s", "%s")`, g.vector(depth-1),
+			g.pick("dst", "inst"), g.pick("-", ""), g.pick("inst", "job"), g.pick("zone", "nosuch"))
+	default:
+		return "(" + g.vector(depth-1) + ")"
+	}
+}
+
+type equivGeometry struct{ startS, endS, stepS int64 }
+
+var equivGeometries = []equivGeometry{
+	{0, 600, 15},    // aligned with the nominal scrape grid
+	{0, 890, 47},    // misaligned step
+	{103, 553, 30},  // misaligned start
+	{880, 1400, 40}, // runs past the end of data, through and beyond lookback
+	{300, 300, 15},  // single step
+	{1, 899, 7},     // 129 steps: presence bitmaps span several words
+}
+
+// checkEquivalent evaluates expr both ways, as a range query at every
+// geometry and as an instant query at a few times, and reports any
+// difference in results or in error-ness.
+func checkEquivalent(t *testing.T, eng *Engine, db Queryable, q string, rng *rand.Rand) {
+	t.Helper()
+	expr, err := ParseExpr(q)
+	if err != nil {
+		t.Fatalf("generator produced unparsable %q: %v", q, err)
+	}
+	for _, g := range equivGeometries {
+		start := model.MillisToTime(g.startS * 1000)
+		end := model.MillisToTime(g.endS * 1000)
+		step := time.Duration(g.stepS) * time.Second
+		want, wantErr := eng.rangeExprNaive(db, expr, start, end, step)
+		got, gotErr := eng.RangeExpr(db, expr, start, end, step)
+		if (wantErr != nil) != (gotErr != nil) {
+			t.Errorf("%s %+v: error mismatch:\n got  %v\n want %v", q, g, gotErr, wantErr)
+			continue
+		}
+		if wantErr == nil && !matrixIdentical(got, want) {
+			t.Errorf("%s %+v:\n got  %v\n want %v", q, g, got, want)
+		}
+	}
+	for i := 0; i < 3; i++ {
+		ts := model.MillisToTime(rng.Int63n((equivSpanS + 400) * 1000))
+		want, wantErr := eng.instantNaive(db, expr, ts)
+		got, gotErr := eng.InstantExpr(db, expr, ts)
+		if (wantErr != nil) != (gotErr != nil) {
+			t.Errorf("%s @%v: error mismatch:\n got  %v\n want %v", q, ts, gotErr, wantErr)
+			continue
+		}
+		if wantErr == nil && !valueIdentical(got, want) {
+			t.Errorf("%s @%v:\n got  %v\n want %v", q, ts, got, want)
+		}
+	}
+}
+
+// valueIdentical is bit-exact equality of instant results, vector order
+// included.
+func valueIdentical(a, b Value) bool {
+	switch av := a.(type) {
+	case Scalar:
+		bv, ok := b.(Scalar)
+		return ok && av.T == bv.T && math.Float64bits(av.V) == math.Float64bits(bv.V)
+	case Vector:
+		bv, ok := b.(Vector)
+		if !ok || len(av) != len(bv) {
+			return false
+		}
+		for i := range av {
+			if !av[i].Labels.Equal(bv[i].Labels) || av[i].T != bv[i].T ||
+				math.Float64bits(av[i].V) != math.Float64bits(bv[i].V) {
+				return false
+			}
+		}
+		return true
+	case Matrix:
+		bv, ok := b.(Matrix)
+		return ok && matrixIdentical(av, bv)
+	case String:
+		return a == b
+	}
+	return false
+}
+
+func TestEvaluatorMatchesOracleRandom(t *testing.T) {
+	seed := *equivSeed
+	if seed == 0 {
+		seed = 1
+		if *equivExprs != 250 {
+			seed = time.Now().UnixNano()
+		}
+	}
+	t.Logf("seed %d, %d expressions (replay with -args -equiv.seed=%d -equiv.exprs=%d)", seed, *equivExprs, seed, *equivExprs)
+	rng := rand.New(rand.NewSource(seed))
+	eng := NewEngine()
+	gen := &exprGen{rng: rng}
+	var db *tsdb.DB
+	errored := 0
+	for i := 0; i < *equivExprs; i++ {
+		if i%100 == 0 {
+			db = equivStorage(t, rng) // a fresh dataset every hundred expressions
+		}
+		q := gen.vector(1 + rng.Intn(3))
+		switch rng.Intn(16) {
+		case 0, 1:
+			q = gen.scalar(1 + rng.Intn(3))
+		case 2:
+			// A value-ordered root: what emission must honour.
+			q = gen.pick("sort(", "sort_desc(", "topk by (job) (3, ", "bottomk(2, ") + q + ")"
+		}
+		checkEquivalent(t, eng, db, q, rng)
+		if t.Failed() {
+			t.Fatalf("first divergence at expression %d", i)
+		}
+		if _, err := eng.Instant(db, q, model.MillisToTime(450_000)); err != nil {
+			errored++
+		}
+	}
+	// The generator must mostly produce queries that evaluate: agreement on
+	// "both fail" proves little.
+	if errored*2 > *equivExprs {
+		t.Errorf("%d of %d generated expressions error at t=450s; the generator is too wild", errored, *equivExprs)
+	}
+}
+
+// TestInstantMatrixAndStringMatchOracle covers the two instant result
+// shapes a range query cannot have.
+func TestInstantMatrixAndStringMatchOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	db := equivStorage(t, rng)
+	eng := NewEngine()
+	for _, q := range []string{`g_a[5m]`, `(c_a_total{inst="i1"}[2m] offset 1m)`, `{__name__=~"g_.*"}[10m]`, `"hello"`, `("x")`} {
+		expr, err := ParseExpr(q)
+		if err != nil {
+			t.Fatalf("parse %q: %v", q, err)
+		}
+		for _, atS := range []int64{0, 300, 451, 900, 1300} {
+			ts := model.MillisToTime(atS * 1000)
+			want, wantErr := eng.instantNaive(db, expr, ts)
+			got, gotErr := eng.InstantExpr(db, expr, ts)
+			if (wantErr != nil) != (gotErr != nil) || (wantErr == nil && !valueIdentical(got, want)) {
+				t.Errorf("%s @%ds:\n got  %v, %v\n want %v, %v", q, atS, got, gotErr, want, wantErr)
+			}
+		}
+	}
+}
+
+// TestStepOrderMatchesOracle pins the operators that consume a vector whose
+// order varies by step (sort, topk) or that must break label ties the way
+// an unstable per-step sort does — rare enough that the random test at its
+// tier-1 size may not draw them.
+func TestStepOrderMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	db := equivStorage(t, rng)
+	eng := NewEngine()
+	for _, q := range []string{
+		`sum(sort(g_a))`,
+		`avg by (zone) (sort_desc(g_a * 1.1))`,
+		`stddev(sort(g_a))`,
+		`quantile(0.5, sort_desc(g_a))`,
+		`min(sort(g_b))`,
+		`topk(2, sort_desc(g_a))`,
+		`sum by (job) (sort(g_a) or g_b)`,
+		`sum(g_b or sort(g_a))`,
+		`sort(g_a) or g_b`,
+		`sort(g_a) and g_b`,
+		`sort_desc(g_a) unless g_b{zone="z0"}`,
+		`sum(sort(g_a) > 20)`,
+		`-sort(g_a)`,
+		`scalar(sort(g_a{inst="i1",job="j0"}))`,
+		`absent(sort(nosuch_metric))`,
+		`label_replace(sort(g_a), "inst", "x", "inst", ".*")`,
+		`sort_desc({__name__=~"g_a|g_b"} * 2)`,
+		`sort(rate({__name__=~"c_.*"}[2m]))`,
+		`topk(3, {__name__=~"g_a|g_b"} + 0)`,
+		`bottomk by (zone) (2, abs({__name__=~"g_a|g_b"}))`,
+		`sum(topk(3, {__name__=~"g_a|g_b"} + 0))`,
+		`{__name__=~"g_a|g_b"} * on (inst, job) group_left () c_a_total`,
+		`sort({__name__=~"g_a|g_b"}) * on (inst, job) group_left () c_a_total`,
+		`c_a_total / on (inst, job) group_right (zone) sort_desc({__name__=~"g_a|g_b"})`,
+		`sum by (inst) ({__name__=~"g_a|g_b"} * on (inst, job) group_left () c_a_total)`,
+		`rate({__name__=~"c_.*"}[1m]) or g_a`,
+	} {
+		checkEquivalent(t, eng, db, q, rng)
+	}
+}

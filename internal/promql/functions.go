@@ -3,21 +3,24 @@ package promql
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"regexp"
 	"sort"
+	"strings"
 
 	"repro/internal/labels"
 	"repro/internal/model"
 )
 
-// Function describes a callable PromQL function.
+// Function describes a callable PromQL function. Call evaluates it once
+// per query, over every step, into columns.
 type Function struct {
 	Name       string
 	ArgTypes   []ValueType // fixed prefix; Variadic extends the last type
 	MinArgs    int
 	MaxArgs    int
 	ReturnType ValueType
-	Call       func(ev *evaluator, args []Expr) (Value, error)
+	Call       func(ev *evaluator, args []Expr) (*colSet, error)
 }
 
 // ArgType returns the expected type of argument i.
@@ -37,7 +40,7 @@ func init() {
 	// Range-vector functions.
 	for _, def := range []struct {
 		name string
-		fn   func(samples []model.Sample, rangeMs int64) (float64, bool)
+		fn   rangeKernel
 	}{
 		{"rate", funcRate},
 		{"irate", funcIrate},
@@ -47,77 +50,32 @@ func init() {
 		{"deriv", funcDeriv},
 		{"changes", funcChanges},
 		{"resets", funcResets},
-		{"avg_over_time", overTime(func(vs []float64) float64 {
-			s := 0.0
-			for _, v := range vs {
-				s += v
-			}
-			return s / float64(len(vs))
-		})},
-		{"sum_over_time", overTime(func(vs []float64) float64 {
-			s := 0.0
-			for _, v := range vs {
-				s += v
-			}
-			return s
-		})},
-		{"min_over_time", overTime(func(vs []float64) float64 {
-			m := math.Inf(1)
-			for _, v := range vs {
-				if v < m {
-					m = v
-				}
-			}
-			return m
-		})},
-		{"max_over_time", overTime(func(vs []float64) float64 {
-			m := math.Inf(-1)
-			for _, v := range vs {
-				if v > m {
-					m = v
-				}
-			}
-			return m
-		})},
-		{"count_over_time", overTime(func(vs []float64) float64 { return float64(len(vs)) })},
-		{"last_over_time", overTime(func(vs []float64) float64 { return vs[len(vs)-1] })},
-		{"stddev_over_time", overTime(func(vs []float64) float64 {
-			mean := 0.0
-			for _, v := range vs {
-				mean += v
-			}
-			mean /= float64(len(vs))
-			acc := 0.0
-			for _, v := range vs {
-				acc += (v - mean) * (v - mean)
-			}
-			return math.Sqrt(acc / float64(len(vs)))
-		})},
+		{"avg_over_time", funcAvgOverTime},
+		{"sum_over_time", funcSumOverTime},
+		{"min_over_time", funcMinOverTime},
+		{"max_over_time", funcMaxOverTime},
+		{"count_over_time", funcCountOverTime},
+		{"last_over_time", funcLastOverTime},
+		{"stddev_over_time", funcStddevOverTime},
 	} {
 		fn := def.fn
 		register(&Function{
 			Name: def.name, ArgTypes: []ValueType{ValueMatrix},
 			MinArgs: 1, MaxArgs: 1, ReturnType: ValueVector,
-			Call: rangeFunc(fn),
+			Call: func(ev *evaluator, args []Expr) (*colSet, error) {
+				return ev.rangeCols(args[0], nil, fn)
+			},
 		})
 	}
-
 	register(&Function{
 		Name: "quantile_over_time", ArgTypes: []ValueType{ValueScalar, ValueMatrix},
 		MinArgs: 2, MaxArgs: 2, ReturnType: ValueVector,
-		Call: func(ev *evaluator, args []Expr) (Value, error) {
-			pv, err := ev.eval(args[0])
+		Call: func(ev *evaluator, args []Expr) (*colSet, error) {
+			phi, err := ev.evalScalar(args[0])
 			if err != nil {
 				return nil, err
 			}
-			phi := pv.(Scalar).V
-			return applyRange(ev, args[1], func(samples []model.Sample, _ int64) (float64, bool) {
-				vs := make([]float64, len(samples))
-				for i, s := range samples {
-					vs[i] = s.V
-				}
-				return quantile(phi, vs), true
-			})
+			return ev.rangeCols(args[1], phi, funcQuantileOverTime)
 		},
 	})
 
@@ -134,139 +92,119 @@ func init() {
 		register(&Function{
 			Name: def.name, ArgTypes: []ValueType{ValueVector},
 			MinArgs: 1, MaxArgs: 1, ReturnType: ValueVector,
-			Call: vectorMap(fn),
+			Call: func(ev *evaluator, args []Expr) (*colSet, error) {
+				return ev.mapCols(args[0], func(_ int, v float64) float64 { return fn(v) })
+			},
 		})
 	}
 
 	register(&Function{
 		Name: "round", ArgTypes: []ValueType{ValueVector, ValueScalar},
 		MinArgs: 1, MaxArgs: 2, ReturnType: ValueVector,
-		Call: func(ev *evaluator, args []Expr) (Value, error) {
-			nearest := 1.0
+		Call: func(ev *evaluator, args []Expr) (*colSet, error) {
+			var to Expr = &NumberLiteral{Val: 1}
 			if len(args) == 2 {
-				sv, err := ev.eval(args[1])
-				if err != nil {
-					return nil, err
-				}
-				nearest = sv.(Scalar).V
+				to = args[1]
 			}
-			return mapVector(ev, args[0], func(v float64) float64 {
-				return math.Round(v/nearest) * nearest
+			nearest, err := ev.evalScalar(to)
+			if err != nil {
+				return nil, err
+			}
+			return ev.mapCols(args[0], func(s int, v float64) float64 {
+				return math.Round(v/nearest.vals[s]) * nearest.vals[s]
 			})
 		},
 	})
 	register(&Function{
 		Name: "clamp", ArgTypes: []ValueType{ValueVector, ValueScalar, ValueScalar},
 		MinArgs: 3, MaxArgs: 3, ReturnType: ValueVector,
-		Call: func(ev *evaluator, args []Expr) (Value, error) {
-			lo, err := evalScalar(ev, args[1])
+		Call: func(ev *evaluator, args []Expr) (*colSet, error) {
+			lo, err := ev.evalScalar(args[1])
 			if err != nil {
 				return nil, err
 			}
-			hi, err := evalScalar(ev, args[2])
+			hi, err := ev.evalScalar(args[2])
 			if err != nil {
 				return nil, err
 			}
-			return mapVector(ev, args[0], func(v float64) float64 {
-				return math.Max(lo, math.Min(hi, v))
+			return ev.mapCols(args[0], func(s int, v float64) float64 {
+				return math.Max(lo.vals[s], math.Min(hi.vals[s], v))
 			})
 		},
 	})
 	register(&Function{
 		Name: "clamp_min", ArgTypes: []ValueType{ValueVector, ValueScalar},
 		MinArgs: 2, MaxArgs: 2, ReturnType: ValueVector,
-		Call: func(ev *evaluator, args []Expr) (Value, error) {
-			lo, err := evalScalar(ev, args[1])
+		Call: func(ev *evaluator, args []Expr) (*colSet, error) {
+			lo, err := ev.evalScalar(args[1])
 			if err != nil {
 				return nil, err
 			}
-			return mapVector(ev, args[0], func(v float64) float64 { return math.Max(lo, v) })
+			return ev.mapCols(args[0], func(s int, v float64) float64 { return math.Max(lo.vals[s], v) })
 		},
 	})
 	register(&Function{
 		Name: "clamp_max", ArgTypes: []ValueType{ValueVector, ValueScalar},
 		MinArgs: 2, MaxArgs: 2, ReturnType: ValueVector,
-		Call: func(ev *evaluator, args []Expr) (Value, error) {
-			hi, err := evalScalar(ev, args[1])
+		Call: func(ev *evaluator, args []Expr) (*colSet, error) {
+			hi, err := ev.evalScalar(args[1])
 			if err != nil {
 				return nil, err
 			}
-			return mapVector(ev, args[0], func(v float64) float64 { return math.Min(hi, v) })
+			return ev.mapCols(args[0], func(s int, v float64) float64 { return math.Min(hi.vals[s], v) })
 		},
 	})
 
 	register(&Function{
 		Name: "time", ArgTypes: []ValueType{}, MinArgs: 0, MaxArgs: 0,
 		ReturnType: ValueScalar,
-		Call: func(ev *evaluator, _ []Expr) (Value, error) {
-			return Scalar{T: ev.ts, V: float64(ev.ts) / 1000}, nil
+		Call: func(ev *evaluator, _ []Expr) (*colSet, error) {
+			c := ev.newScalar()
+			for s, ts := range ev.ts {
+				c.vals[s] = float64(ts) / 1000
+			}
+			return c, nil
 		},
 	})
 	register(&Function{
 		Name: "timestamp", ArgTypes: []ValueType{ValueVector}, MinArgs: 1, MaxArgs: 1,
 		ReturnType: ValueVector,
-		Call: func(ev *evaluator, args []Expr) (Value, error) {
-			v, err := ev.eval(args[0])
-			if err != nil {
-				return nil, err
-			}
-			vec := v.(Vector)
-			out := make(Vector, len(vec))
-			for i, s := range vec {
-				out[i] = Sample{Labels: dropName(s.Labels), T: s.T, V: float64(s.T) / 1000}
-			}
-			return out, nil
+		Call: func(ev *evaluator, args []Expr) (*colSet, error) {
+			// A selector stamps its samples with the evaluation time.
+			return ev.mapCols(args[0], func(s int, _ float64) float64 { return float64(ev.ts[s]) / 1000 })
 		},
 	})
 	register(&Function{
 		Name: "scalar", ArgTypes: []ValueType{ValueVector}, MinArgs: 1, MaxArgs: 1,
 		ReturnType: ValueScalar,
-		Call: func(ev *evaluator, args []Expr) (Value, error) {
-			v, err := ev.eval(args[0])
-			if err != nil {
-				return nil, err
-			}
-			vec := v.(Vector)
-			if len(vec) != 1 {
-				return Scalar{T: ev.ts, V: math.NaN()}, nil
-			}
-			return Scalar{T: ev.ts, V: vec[0].V}, nil
-		},
+		Call:       funcScalar,
 	})
 	register(&Function{
 		Name: "vector", ArgTypes: []ValueType{ValueScalar}, MinArgs: 1, MaxArgs: 1,
 		ReturnType: ValueVector,
-		Call: func(ev *evaluator, args []Expr) (Value, error) {
-			s, err := evalScalar(ev, args[0])
+		Call: func(ev *evaluator, args []Expr) (*colSet, error) {
+			c, err := ev.evalScalar(args[0])
 			if err != nil {
 				return nil, err
 			}
-			return Vector{{Labels: labels.Labels{}, T: ev.ts, V: s}}, nil
+			c.scalar = false // one always-present column under the empty label set
+			return c, nil
 		},
 	})
 	register(&Function{
 		Name: "absent", ArgTypes: []ValueType{ValueVector}, MinArgs: 1, MaxArgs: 1,
 		ReturnType: ValueVector,
-		Call: func(ev *evaluator, args []Expr) (Value, error) {
-			v, err := ev.eval(args[0])
-			if err != nil {
-				return nil, err
-			}
-			if len(v.(Vector)) > 0 {
-				return Vector{}, nil
-			}
-			return Vector{{Labels: labels.Labels{}, T: ev.ts, V: 1}}, nil
-		},
+		Call:       funcAbsent,
 	})
 	register(&Function{
 		Name: "sort", ArgTypes: []ValueType{ValueVector}, MinArgs: 1, MaxArgs: 1,
 		ReturnType: ValueVector,
-		Call:       sortFunc(false),
+		Call:       sortCols(false),
 	})
 	register(&Function{
 		Name: "sort_desc", ArgTypes: []ValueType{ValueVector}, MinArgs: 1, MaxArgs: 1,
 		ReturnType: ValueVector,
-		Call:       sortFunc(true),
+		Call:       sortCols(true),
 	})
 	register(&Function{
 		Name:     "label_replace",
@@ -282,66 +220,160 @@ func init() {
 	})
 }
 
-func evalScalar(ev *evaluator, e Expr) (float64, error) {
-	v, err := ev.eval(e)
-	if err != nil {
-		return 0, err
-	}
-	s, ok := v.(Scalar)
-	if !ok {
-		return 0, fmt.Errorf("promql: expected scalar, got %s", v.Type())
-	}
-	return s.V, nil
-}
-
-// rangeFunc adapts a per-series range computation into a Call.
-func rangeFunc(fn func([]model.Sample, int64) (float64, bool)) func(*evaluator, []Expr) (Value, error) {
-	return func(ev *evaluator, args []Expr) (Value, error) {
-		return applyRange(ev, args[0], fn)
-	}
-}
-
-func applyRange(ev *evaluator, arg Expr, fn func([]model.Sample, int64) (float64, bool)) (Value, error) {
-	ms, ok := arg.(*MatrixSelector)
-	if !ok {
-		if p, isParen := arg.(*ParenExpr); isParen {
-			return applyRange(ev, p.Expr, fn)
-		}
-		return nil, fmt.Errorf("promql: range function requires a range selector argument")
-	}
-	if ev.win != nil {
-		// Windowed range evaluation: slide over the prefetched samples
-		// instead of re-selecting, with per-series cached label drops.
-		return ev.win.applyRangeFunc(ms, ev.ts, fn)
-	}
-	mv, err := ev.matrixSelector(ms)
+func (ev *evaluator) evalScalar(e Expr) (*colSet, error) {
+	c, err := ev.eval(e)
 	if err != nil {
 		return nil, err
 	}
-	rangeMs := model.DurationMillis(ms.Range)
-	out := make(Vector, 0, len(mv))
-	for _, s := range mv {
-		v, ok := fn(s.Samples, rangeMs)
-		if !ok {
-			continue
+	if !c.scalar {
+		return nil, fmt.Errorf("promql: expected scalar, got %s", ValueVector)
+	}
+	return c, nil
+}
+
+func (ev *evaluator) evalVector(e Expr) (*colSet, error) {
+	c, err := ev.eval(e)
+	if err != nil {
+		return nil, err
+	}
+	if c.scalar {
+		return nil, fmt.Errorf("promql: expected instant vector, got %s", ValueScalar)
+	}
+	return c, nil
+}
+
+// funcScalar: the value of the single present series, NaN at steps where
+// there is not exactly one.
+func funcScalar(ev *evaluator, args []Expr) (*colSet, error) {
+	in, err := ev.evalVector(args[0])
+	if err != nil {
+		return nil, err
+	}
+	out := ev.newScalar()
+	seen := make([]int32, in.steps)
+	for i, n := 0, in.n(); i < n; i++ {
+		if err := ev.ctx.Err(); err != nil {
+			return nil, err
 		}
-		out = append(out, Sample{Labels: dropName(s.Labels), T: ev.ts, V: v})
+		vals := in.col(i)
+		for w, word := range in.bits(i) {
+			for ; word != 0; word &= word - 1 {
+				s := w<<6 + bits.TrailingZeros64(word)
+				seen[s]++
+				out.vals[s] = vals[s]
+			}
+		}
+	}
+	for s, k := range seen {
+		if k != 1 {
+			out.vals[s] = math.NaN()
+		}
 	}
 	return out, nil
 }
 
-// overTime wraps a simple value aggregation as a range function.
-func overTime(agg func([]float64) float64) func([]model.Sample, int64) (float64, bool) {
-	return func(samples []model.Sample, _ int64) (float64, bool) {
-		if len(samples) == 0 {
-			return 0, false
-		}
-		vs := make([]float64, len(samples))
-		for i, s := range samples {
-			vs[i] = s.V
-		}
-		return agg(vs), true
+// funcAbsent: one empty-labelled series valued 1 at the steps where the
+// argument has no sample at all.
+func funcAbsent(ev *evaluator, args []Expr) (*colSet, error) {
+	in, err := ev.evalVector(args[0])
+	if err != nil {
+		return nil, err
 	}
+	out := ev.newScalar()
+	out.scalar = false
+	for s := range out.vals {
+		out.vals[s] = 1
+	}
+	for i, n := 0, in.n(); i < n; i++ {
+		if err := ev.ctx.Err(); err != nil {
+			return nil, err
+		}
+		for w, word := range in.bits(i) {
+			out.pres[w] &^= word
+		}
+	}
+	return out, nil
+}
+
+// sortCols orders each step's vector by value. Order is all it changes, so
+// the columns stay and the per-step order is recorded beside them.
+func sortCols(desc bool) func(*evaluator, []Expr) (*colSet, error) {
+	return func(ev *evaluator, args []Expr) (*colSet, error) {
+		in, err := ev.evalVector(args[0])
+		if err != nil {
+			return nil, err
+		}
+		order := newStepOrder(in.steps)
+		var cols []int32
+		for s := 0; s < in.steps; s++ {
+			if err := ev.ctx.Err(); err != nil {
+				return nil, err
+			}
+			cols = in.gather(s, cols)
+			sort.SliceStable(cols, func(i, j int) bool {
+				vi, vj := in.vals[int(cols[i])*in.steps+s], in.vals[int(cols[j])*in.steps+s]
+				if desc {
+					return vi > vj
+				}
+				return vi < vj
+			})
+			order.push(cols)
+		}
+		in.order = order
+		return in, nil
+	}
+}
+
+// relabel rewrites every column's label set in place; values, presence and
+// order are untouched.
+func (ev *evaluator) relabel(arg Expr, fn func(labels.Labels) labels.Labels) (*colSet, error) {
+	c, err := ev.evalVector(arg)
+	if err != nil {
+		return nil, err
+	}
+	for i := range c.lbls {
+		if err := ev.ctx.Err(); err != nil {
+			return nil, err
+		}
+		c.lbls[i] = fn(c.lbls[i])
+	}
+	return c, nil
+}
+
+func funcLabelReplace(ev *evaluator, args []Expr) (*colSet, error) {
+	dst := args[1].(*StringLiteral).Val
+	repl := args[2].(*StringLiteral).Val
+	src := args[3].(*StringLiteral).Val
+	pattern := args[4].(*StringLiteral).Val
+	re, err := regexp.Compile("^(?:" + pattern + ")$")
+	if err != nil {
+		return nil, fmt.Errorf("promql: label_replace: bad regexp %q: %w", pattern, err)
+	}
+	return ev.relabel(args[0], func(ls labels.Labels) labels.Labels {
+		srcVal := ls.Get(src)
+		idx := re.FindStringSubmatchIndex(srcVal)
+		if idx == nil {
+			return ls
+		}
+		res := re.ExpandString(nil, repl, srcVal, idx)
+		return labels.NewBuilder(ls).Set(dst, string(res)).Labels()
+	})
+}
+
+func funcLabelJoin(ev *evaluator, args []Expr) (*colSet, error) {
+	dst := args[1].(*StringLiteral).Val
+	sep := args[2].(*StringLiteral).Val
+	srcs := make([]string, 0, len(args)-3)
+	for _, a := range args[3:] {
+		srcs = append(srcs, a.(*StringLiteral).Val)
+	}
+	parts := make([]string, len(srcs))
+	return ev.relabel(args[0], func(ls labels.Labels) labels.Labels {
+		for j, src := range srcs {
+			parts[j] = ls.Get(src)
+		}
+		return labels.NewBuilder(ls).Set(dst, strings.Join(parts, sep)).Labels()
+	})
 }
 
 // counterDelta returns the reset-adjusted increase over the samples.
@@ -362,7 +394,7 @@ func counterDelta(samples []model.Sample) float64 {
 // boundaries; the denominator is the observed sample span. This keeps
 // rate × span == increase exactly, which the energy-conservation tests
 // rely on.
-func funcRate(samples []model.Sample, rangeMs int64) (float64, bool) {
+func funcRate(samples []model.Sample, _ float64) (float64, bool) {
 	if len(samples) < 2 {
 		return 0, false
 	}
@@ -373,14 +405,14 @@ func funcRate(samples []model.Sample, rangeMs int64) (float64, bool) {
 	return counterDelta(samples) / span, true
 }
 
-func funcIncrease(samples []model.Sample, rangeMs int64) (float64, bool) {
+func funcIncrease(samples []model.Sample, _ float64) (float64, bool) {
 	if len(samples) < 2 {
 		return 0, false
 	}
 	return counterDelta(samples), true
 }
 
-func funcIrate(samples []model.Sample, _ int64) (float64, bool) {
+func funcIrate(samples []model.Sample, _ float64) (float64, bool) {
 	if len(samples) < 2 {
 		return 0, false
 	}
@@ -396,14 +428,14 @@ func funcIrate(samples []model.Sample, _ int64) (float64, bool) {
 	return d / span, true
 }
 
-func funcDelta(samples []model.Sample, _ int64) (float64, bool) {
+func funcDelta(samples []model.Sample, _ float64) (float64, bool) {
 	if len(samples) < 2 {
 		return 0, false
 	}
 	return samples[len(samples)-1].V - samples[0].V, true
 }
 
-func funcIdelta(samples []model.Sample, _ int64) (float64, bool) {
+func funcIdelta(samples []model.Sample, _ float64) (float64, bool) {
 	if len(samples) < 2 {
 		return 0, false
 	}
@@ -411,7 +443,7 @@ func funcIdelta(samples []model.Sample, _ int64) (float64, bool) {
 }
 
 // funcDeriv computes the least-squares slope per second.
-func funcDeriv(samples []model.Sample, _ int64) (float64, bool) {
+func funcDeriv(samples []model.Sample, _ float64) (float64, bool) {
 	if len(samples) < 2 {
 		return 0, false
 	}
@@ -433,7 +465,7 @@ func funcDeriv(samples []model.Sample, _ int64) (float64, bool) {
 	return (n*sumXY - sumX*sumY) / det, true
 }
 
-func funcChanges(samples []model.Sample, _ int64) (float64, bool) {
+func funcChanges(samples []model.Sample, _ float64) (float64, bool) {
 	if len(samples) == 0 {
 		return 0, false
 	}
@@ -447,7 +479,7 @@ func funcChanges(samples []model.Sample, _ int64) (float64, bool) {
 	return float64(changes), true
 }
 
-func funcResets(samples []model.Sample, _ int64) (float64, bool) {
+func funcResets(samples []model.Sample, _ float64) (float64, bool) {
 	if len(samples) == 0 {
 		return 0, false
 	}
@@ -460,102 +492,83 @@ func funcResets(samples []model.Sample, _ int64) (float64, bool) {
 	return float64(resets), true
 }
 
-func vectorMap(fn func(float64) float64) func(*evaluator, []Expr) (Value, error) {
-	return func(ev *evaluator, args []Expr) (Value, error) {
-		return mapVector(ev, args[0], fn)
+// The *_over_time kernels fold the window's values straight from the
+// samples, in sample order.
+
+func funcSumOverTime(samples []model.Sample, _ float64) (float64, bool) {
+	if len(samples) == 0 {
+		return 0, false
 	}
+	s := 0.0
+	for i := range samples {
+		s += samples[i].V
+	}
+	return s, true
 }
 
-func mapVector(ev *evaluator, arg Expr, fn func(float64) float64) (Value, error) {
-	v, err := ev.eval(arg)
-	if err != nil {
-		return nil, err
-	}
-	vec, ok := v.(Vector)
-	if !ok {
-		return nil, fmt.Errorf("promql: expected instant vector, got %s", v.Type())
-	}
-	out := make(Vector, len(vec))
-	for i, s := range vec {
-		out[i] = Sample{Labels: dropName(s.Labels), T: s.T, V: fn(s.V)}
-	}
-	return out, nil
+func funcAvgOverTime(samples []model.Sample, _ float64) (float64, bool) {
+	s, ok := funcSumOverTime(samples, 0)
+	return s / float64(len(samples)), ok
 }
 
-func sortFunc(desc bool) func(*evaluator, []Expr) (Value, error) {
-	return func(ev *evaluator, args []Expr) (Value, error) {
-		v, err := ev.eval(args[0])
-		if err != nil {
-			return nil, err
-		}
-		vec := append(Vector(nil), v.(Vector)...)
-		sort.SliceStable(vec, func(i, j int) bool {
-			if desc {
-				return vec[i].V > vec[j].V
-			}
-			return vec[i].V < vec[j].V
-		})
-		return vec, nil
+func funcMinOverTime(samples []model.Sample, _ float64) (float64, bool) {
+	if len(samples) == 0 {
+		return 0, false
 	}
+	m := math.Inf(1)
+	for i := range samples {
+		if v := samples[i].V; v < m {
+			m = v
+		}
+	}
+	return m, true
 }
 
-func funcLabelReplace(ev *evaluator, args []Expr) (Value, error) {
-	v, err := ev.eval(args[0])
-	if err != nil {
-		return nil, err
+func funcMaxOverTime(samples []model.Sample, _ float64) (float64, bool) {
+	if len(samples) == 0 {
+		return 0, false
 	}
-	dst := args[1].(*StringLiteral).Val
-	repl := args[2].(*StringLiteral).Val
-	src := args[3].(*StringLiteral).Val
-	pattern := args[4].(*StringLiteral).Val
-	re, err := regexp.Compile("^(?:" + pattern + ")$")
-	if err != nil {
-		return nil, fmt.Errorf("promql: label_replace: bad regexp %q: %w", pattern, err)
-	}
-	vec := v.(Vector)
-	out := make(Vector, len(vec))
-	for i, s := range vec {
-		srcVal := s.Labels.Get(src)
-		idx := re.FindStringSubmatchIndex(srcVal)
-		ls := s.Labels
-		if idx != nil {
-			res := re.ExpandString(nil, repl, srcVal, idx)
-			ls = labels.NewBuilder(s.Labels).Set(dst, string(res)).Labels()
+	m := math.Inf(-1)
+	for i := range samples {
+		if v := samples[i].V; v > m {
+			m = v
 		}
-		out[i] = Sample{Labels: ls, T: s.T, V: s.V}
 	}
-	return out, nil
+	return m, true
 }
 
-func funcLabelJoin(ev *evaluator, args []Expr) (Value, error) {
-	v, err := ev.eval(args[0])
-	if err != nil {
-		return nil, err
+func funcCountOverTime(samples []model.Sample, _ float64) (float64, bool) {
+	return float64(len(samples)), len(samples) > 0
+}
+
+func funcLastOverTime(samples []model.Sample, _ float64) (float64, bool) {
+	if len(samples) == 0 {
+		return 0, false
 	}
-	dst := args[1].(*StringLiteral).Val
-	sep := args[2].(*StringLiteral).Val
-	var srcs []string
-	for _, a := range args[3:] {
-		srcs = append(srcs, a.(*StringLiteral).Val)
+	return samples[len(samples)-1].V, true
+}
+
+func funcStddevOverTime(samples []model.Sample, _ float64) (float64, bool) {
+	if len(samples) == 0 {
+		return 0, false
 	}
-	vec := v.(Vector)
-	out := make(Vector, len(vec))
-	for i, s := range vec {
-		parts := make([]string, len(srcs))
-		for j, src := range srcs {
-			parts[j] = s.Labels.Get(src)
-		}
-		joined := ""
-		for j, p := range parts {
-			if j > 0 {
-				joined += sep
-			}
-			joined += p
-		}
-		out[i] = Sample{
-			Labels: labels.NewBuilder(s.Labels).Set(dst, joined).Labels(),
-			T:      s.T, V: s.V,
-		}
+	mean := 0.0
+	for i := range samples {
+		mean += samples[i].V
 	}
-	return out, nil
+	mean /= float64(len(samples))
+	acc := 0.0
+	for i := range samples {
+		d := samples[i].V - mean
+		acc += d * d
+	}
+	return math.Sqrt(acc / float64(len(samples))), true
+}
+
+func funcQuantileOverTime(samples []model.Sample, phi float64) (float64, bool) {
+	vs := make([]float64, len(samples))
+	for i := range samples {
+		vs[i] = samples[i].V
+	}
+	return quantile(phi, vs), true
 }

@@ -627,3 +627,64 @@ func TestDownsampleStaleOnlySeries(t *testing.T) {
 		t.Fatalf("stale-only series survived downsampling: %d series", len(got))
 	}
 }
+
+// TestBlockSelectSizesSamplesOnce: a 30-day raw read allocates each series'
+// sample slice once, sized from the index, instead of growing it from nil —
+// whatever else a chunk costs to decode, the slice itself is one allocation.
+func TestBlockSelectSizesSamplesOnce(t *testing.T) {
+	const day = int64(24 * 3600 * 1000)
+	db := blockSeedDB(t, 1, 3, int(30*day/60_000), 0, 60_000)
+	pb := cutMem(t, db)
+	for i := range pb.series {
+		s := &pb.series[i]
+		if len(s.chunks) < 100 {
+			t.Fatalf("series %d has %d chunks; fixture too small", i, len(s.chunks))
+		}
+		// What decoding the chunks costs with the destination already sized.
+		dst := make([]model.Sample, 0, 30*day/60_000)
+		decode := testing.AllocsPerRun(5, func() {
+			out := dst[:0]
+			for _, c := range s.chunks {
+				var err error
+				if out, err = pb.appendChunkRange(out, c, 0, 30*day); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+		total := testing.AllocsPerRun(5, func() {
+			samples, err := pb.seriesSamples(s, 0, 30*day, AggrRaw)
+			if err != nil || len(samples) != int(30*day/60_000) {
+				t.Fatalf("got %d samples, err %v", len(samples), err)
+			}
+		})
+		// One slice; the runtime may count a large object as two mallocs.
+		// Grown from nil it is twenty-odd.
+		if total > decode+2 {
+			t.Errorf("series %d: %.0f allocations, of which %.0f decode chunks: the sample slice was allocated %.0f times, want once",
+				i, total, decode, total-decode)
+		}
+		if samples, _ := pb.seriesSamples(s, 0, 30*day, AggrRaw); cap(samples) != len(samples) {
+			t.Errorf("series %d: %d samples in a slice of capacity %d; the index knows the count", i, len(samples), cap(samples))
+		}
+	}
+}
+
+// TestBlockSampleHintCapped: the reservation trusts the indexed sample
+// count only as far as the chunk's bytes could hold it.
+func TestBlockSampleHintCapped(t *testing.T) {
+	pb := cutMem(t, blockSeedDB(t, 1, 1, 500, 0, 15_000))
+	c := pb.series[0].chunks[0]
+	if got := pb.sampleHint(c); got != c.numSamples {
+		t.Errorf("honest chunk: hint %d, want its %d samples", got, c.numSamples)
+	}
+	for _, n := range []int{1 << 40, -1} {
+		c.numSamples = n
+		if got, max := pb.sampleHint(c), int(8*c.length); got != max {
+			t.Errorf("numSamples=%d: hint %d, want the cap %d", n, got, max)
+		}
+	}
+	c.numSamples, c.length = 1<<40, 1<<50 // both corrupt: bounded by the segment
+	if got, max := pb.sampleHint(c), 8*len(pb.chunks); got != max {
+		t.Errorf("corrupt length: hint %d, want at most %d", got, max)
+	}
+}

@@ -200,37 +200,65 @@ func (pb *PersistentBlock) appendChunkRange(dst []model.Sample, c diskChunk, min
 	return dst, it.Err()
 }
 
+// sampleHint is how many samples to reserve for chunk c: its indexed count,
+// capped by what its bytes could possibly hold (a sample takes at least
+// one bit, so a chunk of length bytes holds at most 8·length) and by the
+// segment it must lie in — a corrupt count must not drive the allocation.
+func (pb *PersistentBlock) sampleHint(c diskChunk) int {
+	length := c.length
+	if seg := uint64(len(pb.chunks)); length > seg {
+		length = seg
+	}
+	if c.numSamples < 0 || uint64(c.numSamples) > 8*length {
+		return int(8 * length)
+	}
+	return c.numSamples
+}
+
+// streamSamples decodes the samples in [mint, maxt] of one stored stream
+// of s. The output is sized once from the index's sample counts: grown
+// from nil, a month-long read spends more in growslice than in decoding.
+func (pb *PersistentBlock) streamSamples(s *diskSeries, want AggrType, mint, maxt int64) ([]model.Sample, error) {
+	hint := 0
+	for _, c := range s.chunks {
+		if c.aggr == want && c.maxT >= mint && c.minT <= maxt {
+			hint += pb.sampleHint(c)
+		}
+	}
+	if hint == 0 {
+		return nil, nil
+	}
+	out := make([]model.Sample, 0, hint)
+	var err error
+	for _, c := range s.chunks {
+		if c.aggr != want || c.maxT < mint || c.minT > maxt {
+			continue
+		}
+		if out, err = pb.appendChunkRange(out, c, mint, maxt); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
 // seriesSamples decodes one series' samples in [mint, maxt] for the
 // requested aggregate. Raw blocks serve raw samples whatever was asked
 // (raw is exact for every aggregate). On downsampled blocks AggrAvg — and
 // AggrRaw, for callers that don't know the block is downsampled — derives
 // sum/count; other aggregates decode their stored stream.
 func (pb *PersistentBlock) seriesSamples(s *diskSeries, mint, maxt int64, aggr AggrType) ([]model.Sample, error) {
-	pick := func(want AggrType) ([]model.Sample, error) {
-		var out []model.Sample
-		var err error
-		for _, c := range s.chunks {
-			if c.aggr != want || c.maxT < mint || c.minT > maxt {
-				continue
-			}
-			if out, err = pb.appendChunkRange(out, c, mint, maxt); err != nil {
-				return nil, err
-			}
-		}
-		return out, nil
-	}
 	if pb.meta.Resolution == 0 {
-		return pick(AggrRaw)
+		return pb.streamSamples(s, AggrRaw, mint, maxt)
 	}
 	switch aggr {
 	case AggrSum, AggrCount, AggrMin, AggrMax:
-		return pick(aggr)
+		return pb.streamSamples(s, aggr, mint, maxt)
 	default: // AggrAvg and AggrRaw: derived average, the documented representative value
-		sums, err := pick(AggrSum)
+		sums, err := pb.streamSamples(s, AggrSum, mint, maxt)
 		if err != nil {
 			return nil, err
 		}
-		counts, err := pick(AggrCount)
+		counts, err := pb.streamSamples(s, AggrCount, mint, maxt)
 		if err != nil {
 			return nil, err
 		}
