@@ -5,9 +5,9 @@
 # are mapped in docs/ARCHITECTURE.md; benchmark baselines in docs/BENCHMARKS.md.
 
 GO ?= go
-RACE_PKGS := ./internal/tsdb/... ./internal/api/... ./internal/lb/... ./internal/scrape/... ./internal/thanos/... ./internal/workpool/... ./internal/cluster/... ./internal/promql/... ./internal/promapi/... ./internal/querycache/... ./internal/remotewrite/... ./internal/telemetry/...
+RACE_PKGS := ./internal/tsdb/... ./internal/api/... ./internal/lb/... ./internal/scrape/... ./internal/thanos/... ./internal/workpool/... ./internal/cluster/... ./internal/promql/... ./internal/promapi/... ./internal/querycache/... ./internal/remotewrite/... ./internal/telemetry/... ./internal/rules/...
 
-.PHONY: build test test-short race wal-recovery querycache promql-equiv cluster-chaos remote-write telemetry blocks head-index fuzz-smoke bench bench-querycache bench-smoke benchdiff ci-sync-check lint ci
+.PHONY: build test test-short race wal-recovery querycache promql-equiv rules-equiv cluster-chaos remote-write telemetry blocks head-index fuzz-smoke bench bench-querycache bench-smoke benchdiff ci-sync-check lint ci
 
 build:
 	$(GO) build ./...
@@ -42,6 +42,15 @@ querycache:
 # hash-collision tests; two passes, under race.
 promql-equiv:
 	$(GO) test -race -count=2 -run 'MatchesOracle|MatchesNaive|HashCollision' ./internal/promql/ -args -equiv.exprs=2000
+
+# Rule group evaluation equivalence (docs/ARCHITECTURE.md, "One evaluation
+# per group"): random rule groups and the CEEMS groups under series churn,
+# the group plan against the per-rule, per-sample oracle — full head dump
+# after every evaluation, 1 and 16 shards, batch and plain destination — at
+# its large size with a fresh seed per pass (logged; replay with
+# -equiv.seed); two passes, under race.
+rules-equiv:
+	$(GO) test -race -count=2 -run 'MatchesOracle' ./internal/rules/ -args -equiv.groups=100
 
 # Cluster quorum/chaos/handoff harness: kill mid-scrape, partition,
 # disk-full, WAL-backed rejoin — randomized, so two passes, under race.
@@ -122,5 +131,5 @@ lint:
 		echo "gofmt needed on:"; echo "$$fmtout"; exit 1; \
 	fi
 
-ci: build lint ci-sync-check test race wal-recovery querycache promql-equiv cluster-chaos remote-write telemetry blocks head-index fuzz-smoke bench-smoke
+ci: build lint ci-sync-check test race wal-recovery querycache promql-equiv rules-equiv cluster-chaos remote-write telemetry blocks head-index fuzz-smoke bench-smoke
 	@echo "ci: all green"

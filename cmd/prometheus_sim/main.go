@@ -98,6 +98,7 @@ func main() {
 		Groups:  ceemsrules.AllGroups(ropts),
 		OnError: func(err error) { log.Printf("rules: %v", err) },
 	}
+	rm.Engine.InstrumentTelemetry(reg)
 	ctx := context.Background()
 	go sm.Run(ctx)
 	go rm.Run(ctx)

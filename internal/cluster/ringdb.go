@@ -429,6 +429,19 @@ func (r *RingDB) Append(lset labels.Labels, t int64, v float64) error {
 	return err
 }
 
+// AppendBatch routes samples[i] of series lsets[i] through one quorum
+// commit (rules.BatchAppender). The ring reports quorum misses only, as
+// Append does: a replica skipping samples it already holds is how re-sends
+// stay idempotent, so a skip is never counted as a refusal.
+func (r *RingDB) AppendBatch(lsets []labels.Labels, samples []model.Sample) (refused int, err error) {
+	b := r.NewBatch()
+	for i, s := range samples {
+		b.Add(lsets[i], s.T, s.V)
+	}
+	_, err = b.Commit()
+	return 0, err
+}
+
 // ---- tsdb-shaped maintenance and watermark facade ----
 
 // forEachLive runs f over every member with a live db (down members skip;

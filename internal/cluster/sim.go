@@ -318,6 +318,9 @@ func New(topo Topology, opts Options, users, projects int, jobsPerDay float64) (
 		Engine: rules.NewEngine(nil), Query: hotQuery, Dest: ruleDest,
 		Groups: ceemsrules.AllGroups(ropts),
 	}
+	if opts.Telemetry != nil {
+		sim.rulesMgr.Engine.InstrumentTelemetry(opts.Telemetry)
+	}
 
 	// Long-term storage. The thanos sidecar ships blocks from one concrete
 	// hot DB; in cluster mode every replica retains its own head instead

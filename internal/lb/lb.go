@@ -288,7 +288,7 @@ func ExtractUUIDs(query string) ([]string, error) {
 	}
 	set := map[string]struct{}{}
 	var visitErr error
-	walk(expr, func(vs *promql.VectorSelector) {
+	promql.WalkSelectors(expr, func(_ promql.Expr, vs *promql.VectorSelector) {
 		for _, m := range vs.Matchers {
 			if m.Name != "uuid" {
 				continue
@@ -319,32 +319,6 @@ func ExtractUUIDs(query string) ([]string, error) {
 	}
 	sort.Strings(out)
 	return out, nil
-}
-
-// walk visits every vector selector in the expression tree.
-func walk(e promql.Expr, fn func(*promql.VectorSelector)) {
-	switch t := e.(type) {
-	case *promql.VectorSelector:
-		fn(t)
-	case *promql.MatrixSelector:
-		fn(t.VS)
-	case *promql.ParenExpr:
-		walk(t.Expr, fn)
-	case *promql.UnaryExpr:
-		walk(t.Expr, fn)
-	case *promql.AggregateExpr:
-		walk(t.Expr, fn)
-		if t.Param != nil {
-			walk(t.Param, fn)
-		}
-	case *promql.BinaryExpr:
-		walk(t.LHS, fn)
-		walk(t.RHS, fn)
-	case *promql.Call:
-		for _, a := range t.Args {
-			walk(a, fn)
-		}
-	}
 }
 
 // enumerateAlternation splits a plain alternation regexp ("a|b|c") into

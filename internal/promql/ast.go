@@ -203,3 +203,32 @@ type UnaryExpr struct {
 
 func (u *UnaryExpr) Type() ValueType { return u.Expr.Type() }
 func (u *UnaryExpr) String() string  { return itemName(u.Op) + u.Expr.String() }
+
+// WalkSelectors calls fn for every selector of the expression tree, in
+// evaluation order: node is the *VectorSelector itself, or the
+// *MatrixSelector wrapping it (visited as a unit, its inner VectorSelector
+// is not visited again); vs is the vector selector either way.
+func WalkSelectors(e Expr, fn func(node Expr, vs *VectorSelector)) {
+	switch t := e.(type) {
+	case *VectorSelector:
+		fn(t, t)
+	case *MatrixSelector:
+		fn(t, t.VS)
+	case *ParenExpr:
+		WalkSelectors(t.Expr, fn)
+	case *UnaryExpr:
+		WalkSelectors(t.Expr, fn)
+	case *AggregateExpr:
+		WalkSelectors(t.Expr, fn)
+		if t.Param != nil {
+			WalkSelectors(t.Param, fn)
+		}
+	case *BinaryExpr:
+		WalkSelectors(t.LHS, fn)
+		WalkSelectors(t.RHS, fn)
+	case *Call:
+		for _, a := range t.Args {
+			WalkSelectors(a, fn)
+		}
+	}
+}

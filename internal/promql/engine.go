@@ -98,6 +98,17 @@ type HintedQueryable interface {
 	SelectWithHints(hints model.SelectHints, ms ...*labels.Matcher) ([]model.Series, error)
 }
 
+// SelectorQueryable is optionally implemented by a Queryable that plans its
+// reads per AST selector rather than per matcher set: node is the
+// *VectorSelector or *MatrixSelector the read serves, as found in the
+// expression handed to the engine. Window bounds cannot tell `x[5m]` from
+// `x` under a 5 m lookback; the node can. The rules read view uses it to
+// decide, from a plan built over the same AST, which reads its own
+// evaluation can answer. The evaluator prefers it over HintedQueryable.
+type SelectorQueryable interface {
+	SelectSelector(node Expr, hints model.SelectHints) ([]model.Series, error)
+}
+
 // Engine evaluates PromQL expressions against a Queryable.
 type Engine struct {
 	// LookbackDelta bounds how far an instant selector reaches back for the

@@ -133,33 +133,33 @@ func (ev *evaluator) prefetch(expr Expr) error {
 	ev.collect(expr, "")
 	budget := int64(ev.engine.MaxSamples)
 	var used int64
+	sq, bySelector := ev.q.(SelectorQueryable)
 	hq, hinted := ev.q.(HintedQueryable)
 	for i := range ev.sels {
 		sd := &ev.sels[i]
 		if err := ev.ctx.Err(); err != nil {
 			return err
 		}
+		hints := model.SelectHints{Start: sd.mint, End: sd.maxt}
+		if !ev.instant {
+			hints.Step, hints.Func, hints.Range = ev.stepMs, sd.funcName, sd.rangeMs
+		}
+		if budget > 0 {
+			// Budget exactly exhausted: 0 would mean "unlimited" to the
+			// storage, so pass 1 — a selector matching nothing still
+			// succeeds, any sample trips the limit.
+			hints.SampleLimit = max(budget-used, 1)
+		}
 		var (
 			series []model.Series
 			err    error
 		)
-		if hinted {
-			hints := model.SelectHints{Start: sd.mint, End: sd.maxt}
-			if !ev.instant {
-				hints.Step, hints.Func, hints.Range = ev.stepMs, sd.funcName, sd.rangeMs
-			}
-			if budget > 0 {
-				rem := budget - used
-				if rem <= 0 {
-					// Budget exactly exhausted: 0 would mean "unlimited" to
-					// the storage, so pass 1 — a selector matching nothing
-					// still succeeds, any sample trips the limit.
-					rem = 1
-				}
-				hints.SampleLimit = rem
-			}
+		switch {
+		case bySelector:
+			series, err = sq.SelectSelector(sd.node, hints)
+		case hinted:
 			series, err = hq.SelectWithHints(hints, sd.vs.Matchers...)
-		} else {
+		default:
 			series, err = ev.q.Select(sd.mint, sd.maxt, sd.vs.Matchers...)
 		}
 		if err != nil {

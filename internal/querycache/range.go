@@ -381,36 +381,13 @@ func alignUp(t, phase, step int64) int64 {
 // lookback must not share entries — and of the retention floor.
 func maxPadMs(expr promql.Expr, lookback time.Duration) int64 {
 	pad := model.DurationMillis(lookback)
-	var add func(e promql.Expr)
-	add = func(e promql.Expr) {
-		switch t := e.(type) {
-		case *promql.VectorSelector:
-			if p := model.DurationMillis(t.Offset + lookback); p > pad {
-				pad = p
-			}
-		case *promql.MatrixSelector:
-			if p := model.DurationMillis(t.VS.Offset + t.Range); p > pad {
-				pad = p
-			}
-		case *promql.ParenExpr:
-			add(t.Expr)
-		case *promql.UnaryExpr:
-			add(t.Expr)
-		case *promql.AggregateExpr:
-			add(t.Expr)
-			if t.Param != nil {
-				add(t.Param)
-			}
-		case *promql.BinaryExpr:
-			add(t.LHS)
-			add(t.RHS)
-		case *promql.Call:
-			for _, a := range t.Args {
-				add(a)
-			}
+	promql.WalkSelectors(expr, func(node promql.Expr, vs *promql.VectorSelector) {
+		reach := lookback
+		if ms, ok := node.(*promql.MatrixSelector); ok {
+			reach = ms.Range
 		}
-	}
-	add(expr)
+		pad = max(pad, model.DurationMillis(vs.Offset+reach))
+	})
 	return pad
 }
 

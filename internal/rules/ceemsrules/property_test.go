@@ -6,6 +6,8 @@ import (
 	"time"
 
 	"repro/internal/hw"
+	"repro/internal/labels"
+	"repro/internal/model"
 	"repro/internal/rules"
 )
 
@@ -89,5 +91,88 @@ func TestEq1RulesConservationProperty(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// Job churn through the whole pipeline: a job ends, another starts, the
+// first one's uuid comes back. Every uuid:* series of the ended job gets
+// exactly one staleness marker — when the rule that records it stops
+// producing it, which for the rate-based shares is up to a rate window
+// after the cgroup disappears — then nothing until the job is back; a job
+// that keeps running never sees a marker.
+func TestRulesFollowJobChurn(t *testing.T) {
+	spec := hw.DefaultIntelSpec("churn")
+	env := newSimEnv(t, spec, "intel", []*rules.Group{IntelGroup(DefaultOptions())}, nil)
+	job := func(id string) *hw.Workload {
+		return &hw.Workload{
+			ID: "job_" + id, CPUs: 8, MemLimit: 32 << 30,
+			CPUUtil: func(time.Duration) float64 { return 0.5 },
+			MemUtil: func(time.Duration) float64 { return 0.4 },
+		}
+	}
+	minutes := func(n int) {
+		for i := 0; i < n; i++ {
+			env.run(t, 4) // four scrapes, one evaluation
+		}
+	}
+	env.node.AddWorkload(job("1"))
+	env.node.AddWorkload(job("2"))
+	minutes(4)
+	env.node.RemoveWorkload("job_1")
+	ended := env.clock
+	minutes(1)
+	if err := env.node.AddWorkload(job("3")); err != nil {
+		t.Fatal(err)
+	}
+	minutes(5)
+	if err := env.node.AddWorkload(job("1")); err != nil {
+		t.Fatal(err)
+	}
+	returned := env.clock
+	minutes(4)
+
+	byUUID := func(uuid string) []model.Series {
+		t.Helper()
+		got, err := env.db.Select(0, 1<<62,
+			labels.MustMatcher(labels.MatchRegexp, labels.MetricName, "uuid:.+"),
+			labels.MustMatcher(labels.MatchEqual, "uuid", uuid))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) < 5 {
+			t.Fatalf("uuid %s: %d recorded series, want every uuid:* rule of the group", uuid, len(got))
+		}
+		return got
+	}
+	for _, s := range byUUID("1") {
+		markers, first := 0, 0
+		for i, smp := range s.Samples {
+			if model.IsStaleNaN(smp.V) {
+				markers++
+				first = i
+			}
+		}
+		if markers != 1 {
+			t.Errorf("%s: %d staleness markers, want exactly one", s.Labels, markers)
+			continue
+		}
+		at := model.MillisToTime(s.Samples[first].T)
+		if first == 0 || !at.After(ended) || at.After(ended.Add(4*time.Minute)) {
+			t.Errorf("%s: marker at %s, want after values and within a rate window of the job's end at %s", s.Labels, at, ended)
+		}
+		if first+1 >= len(s.Samples) {
+			t.Errorf("%s: nothing recorded after the uuid returned", s.Labels)
+		} else if next := model.MillisToTime(s.Samples[first+1].T); !next.After(returned) {
+			t.Errorf("%s: sample at %s between the marker and the uuid's return at %s", s.Labels, next, returned)
+		}
+	}
+	for _, uuid := range []string{"2", "3"} {
+		for _, s := range byUUID(uuid) {
+			for _, smp := range s.Samples {
+				if model.IsStaleNaN(smp.V) {
+					t.Errorf("%s: staleness marker at %d for a job that never ended", s.Labels, smp.T)
+				}
+			}
+		}
 	}
 }

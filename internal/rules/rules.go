@@ -9,7 +9,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -17,12 +16,23 @@ import (
 	"repro/internal/labels"
 	"repro/internal/model"
 	"repro/internal/promql"
+	"repro/internal/telemetry"
 )
 
 // Appender is the storage destination for rule results; *tsdb.DB satisfies
 // it.
 type Appender interface {
 	Append(lset labels.Labels, t int64, v float64) error
+}
+
+// BatchAppender is the optional bulk capability of a destination: one call
+// commits samples[i] to the series lsets[i] for the whole group evaluation.
+// refused counts samples that did not land (out of order, too old, or cut
+// off by err). *tsdb.DB and *cluster.RingDB implement it; a destination
+// without it receives the same samples through Append, one by one, once the
+// group has been evaluated.
+type BatchAppender interface {
+	AppendBatch(lsets []labels.Labels, samples []model.Sample) (refused int, err error)
 }
 
 // Rule is one recording rule.
@@ -36,8 +46,9 @@ type Rule struct {
 }
 
 // Group is a set of rules evaluated together at one interval. Rules within
-// a group are evaluated in order, so later rules can reference the output
-// of earlier ones (from the previous write, as in Prometheus).
+// a group are evaluated in order, and a later rule reads what an earlier
+// one produced in this same evaluation (docs/ARCHITECTURE.md, "One
+// evaluation per group").
 type Group struct {
 	Name     string        `yaml:"name"`
 	Interval time.Duration `yaml:"interval"`
@@ -63,15 +74,24 @@ func (g *Group) Validate() error {
 // Engine evaluates rule groups.
 type Engine struct {
 	promql *promql.Engine
+	// hash buckets each rule's output cache (labels.Labels.Hash unless a
+	// test swaps it); Labels.Equal decides identity.
+	hash    func(labels.Labels) uint64
+	metrics *ruleMetrics
 
-	mu    sync.Mutex
-	stats map[string]*GroupStats
-	// seen tracks each rule's output series from the previous evaluation
-	// so vanished series receive staleness markers, exactly as Prometheus
-	// rule evaluation does. The label hash (labels.Labels.Hash unless a
-	// test swaps it) only buckets; Labels.Equal decides identity.
-	seen map[string]map[uint64][]labels.Labels
-	hash func(labels.Labels) uint64
+	mu     sync.Mutex
+	groups map[string]*groupState
+}
+
+// groupState is what the engine keeps per group name.
+type groupState struct {
+	stats GroupStats // guarded by Engine.mu
+	// evalMu serialises evaluations of the group; it guards plan, which
+	// holds the rules' output caches and the evaluation scratch.
+	evalMu sync.Mutex
+	plan   *groupPlan
+	// evalSeconds is nil on an uninstrumented engine.
+	evalSeconds *telemetry.Histogram
 }
 
 // GroupStats tracks evaluation health of one group.
@@ -90,96 +110,57 @@ func NewEngine(pe *promql.Engine) *Engine {
 	if pe == nil {
 		pe = promql.NewEngine()
 	}
-	return &Engine{promql: pe, stats: map[string]*GroupStats{},
-		seen: map[string]map[uint64][]labels.Labels{}, hash: labels.Labels.Hash}
+	return &Engine{promql: pe, hash: labels.Labels.Hash, groups: map[string]*groupState{}}
 }
 
 // EvalGroup evaluates all rules of the group at ts, reading from q and
-// writing results to dst. Evaluation continues past individual rule errors;
-// the first error is returned after all rules ran.
+// writing results to dst in one commit. Evaluation continues past
+// individual rule errors; the first error is returned after all rules ran,
+// and a commit dst did not fully accept is an error too.
 func (e *Engine) EvalGroup(g *Group, q promql.Queryable, dst Appender, ts time.Time) error {
 	start := time.Now()
-	var firstErr error
-	written := 0
-	for _, r := range g.Rules {
-		n, err := e.evalRule(&r, q, dst, ts)
-		written += n
-		if err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("rules: group %s rule %s: %w", g.Name, r.Record, err)
-		}
-	}
 	e.mu.Lock()
-	st, ok := e.stats[g.Name]
+	gs, ok := e.groups[g.Name]
 	if !ok {
-		st = &GroupStats{}
-		e.stats[g.Name] = st
+		gs = &groupState{}
+		if e.metrics != nil {
+			gs.evalSeconds = e.metrics.groupSeconds(g.Name)
+		}
+		e.groups[g.Name] = gs
 	}
+	e.mu.Unlock()
+
+	gs.evalMu.Lock()
+	if gs.plan == nil || !gs.plan.describes(g) {
+		gs.plan = newGroupPlan(g)
+	}
+	written, err := gs.plan.eval(e, q, dst, ts)
+	gs.evalMu.Unlock()
+	if gs.evalSeconds != nil {
+		gs.evalSeconds.ObserveSince(start)
+	}
+
+	e.mu.Lock()
+	st := &gs.stats
 	st.LastEval = ts
 	st.LastDuration = time.Since(start)
 	st.EvalCount++
 	st.SeriesLastWrite = written
-	if firstErr != nil {
-		st.FailureCount++
-		st.LastError = firstErr.Error()
-	}
-	e.mu.Unlock()
-	return firstErr
-}
-
-func (e *Engine) evalRule(r *Rule, q promql.Queryable, dst Appender, ts time.Time) (int, error) {
-	val, err := e.promql.Instant(q, r.Expr, ts)
 	if err != nil {
-		return 0, err
+		st.FailureCount++
+		st.LastError = err.Error()
 	}
-	var vec promql.Vector
-	switch v := val.(type) {
-	case promql.Vector:
-		vec = v
-	case promql.Scalar:
-		vec = promql.Vector{{Labels: labels.Labels{}, T: v.T, V: v.V}}
-	default:
-		return 0, fmt.Errorf("rule result must be vector or scalar, got %s", val.Type())
-	}
-	n := 0
-	cur := make(map[uint64][]labels.Labels, len(vec))
-	evalTS := ts.UnixMilli()
-	for _, s := range vec {
-		b := labels.NewBuilder(s.Labels)
-		b.Set(labels.MetricName, r.Record)
-		for k, v := range r.Labels {
-			b.Set(k, v)
-		}
-		ls := b.Labels()
-		if err := dst.Append(ls, s.T, s.V); err != nil {
-			return n, err
-		}
-		h := e.hash(ls)
-		cur[h] = append(cur[h], ls)
-		n++
-	}
-	// Staleness markers for series this rule produced last time but not
-	// now (e.g. a completed job's uuid:host_watts).
-	e.mu.Lock()
-	prev := e.seen[r.Record]
-	e.seen[r.Record] = cur
 	e.mu.Unlock()
-	for h, bucket := range prev {
-		for _, ls := range bucket {
-			if !slices.ContainsFunc(cur[h], ls.Equal) {
-				dst.Append(ls, evalTS, model.StaleNaN())
-			}
-		}
-	}
-	return n, nil
+	return err
 }
 
 // Stats returns a copy of the per-group evaluation statistics.
 func (e *Engine) Stats() map[string]GroupStats {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	out := make(map[string]GroupStats, len(e.stats))
-	for k, v := range e.stats {
-		out[k] = *v
+	out := make(map[string]GroupStats, len(e.groups))
+	for k, gs := range e.groups {
+		out[k] = gs.stats
 	}
 	return out
 }

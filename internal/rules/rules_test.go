@@ -1,9 +1,12 @@
 package rules
 
 import (
+	"context"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -278,5 +281,168 @@ func TestRuleStalenessSurvivesHashCollision(t *testing.T) {
 	// Markers are emitted once.
 	if got := eval(60000); len(got) != 0 {
 		t.Errorf("nothing live, nothing seen: got %v", got)
+	}
+}
+
+// Two rules may record the same name (usually with different labels), in
+// one group or in two. Staleness state used to be keyed by the record name,
+// so each treated the other's output as its own previous round and
+// stale-marked it at every evaluation.
+func TestDuplicateRecordNamesDoNotStaleEachOther(t *testing.T) {
+	db := seedDB(t)
+	groups := []*Group{
+		{Name: "a", Rules: []Rule{
+			{Record: "power", Expr: `sum(energy_joules_total)`, Labels: map[string]string{"src": "a0"}},
+			{Record: "power", Expr: `max(energy_joules_total)`, Labels: map[string]string{"src": "a1"}},
+		}},
+		{Name: "b", Rules: []Rule{
+			{Record: "power", Expr: `min(energy_joules_total)`, Labels: map[string]string{"src": "b0"}},
+		}},
+	}
+	eng := NewEngine(nil)
+	for round := int64(0); round < 3; round++ {
+		for _, g := range groups {
+			if err := eng.EvalGroup(g, db, db, model.MillisToTime(300_000+round*60_000)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	got, _ := db.Select(0, 1<<60, labels.MustMatcher(labels.MatchEqual, labels.MetricName, "power"))
+	if len(got) != 3 {
+		t.Fatalf("power series = %d, want 3", len(got))
+	}
+	for _, s := range got {
+		if len(s.Samples) != 3 {
+			t.Errorf("%s: %d samples, want one per round", s.Labels, len(s.Samples))
+		}
+		for _, smp := range s.Samples {
+			if model.IsStaleNaN(smp.V) {
+				t.Errorf("%s: stale marker at %d though the rule produced it every round", s.Labels, smp.T)
+			}
+		}
+	}
+}
+
+// A commit the head only partly takes — here the whole group re-evaluated at
+// a timestamp it already wrote — is a failed evaluation, not a silent skip.
+func TestPartlyRefusedCommitIsReported(t *testing.T) {
+	for _, batch := range []bool{true, false} {
+		db := seedDB(t)
+		var dst Appender = db
+		if !batch {
+			dst = appendOnly{db}
+		}
+		g := &Group{Name: "g", Rules: []Rule{
+			{Record: "node:power", Expr: `rate(energy_joules_total[2m])`},
+			{Record: "total:power", Expr: `sum(node:power)`},
+		}}
+		eng := NewEngine(nil)
+		ts := model.MillisToTime(300 * 1000)
+		if err := eng.EvalGroup(g, db, dst, ts); err != nil {
+			t.Fatal(err)
+		}
+		err := eng.EvalGroup(g, db, dst, ts)
+		if err == nil || !strings.Contains(err.Error(), "3 of 3 samples refused") {
+			t.Errorf("batch=%v: re-evaluation at a written ts: err = %v", batch, err)
+		}
+		st := eng.Stats()["g"]
+		if st.EvalCount != 2 || st.FailureCount != 1 || !strings.Contains(st.LastError, "refused") {
+			t.Errorf("batch=%v: stats = %+v", batch, st)
+		}
+		// The next round lands whole again.
+		if err := eng.EvalGroup(g, db, dst, ts.Add(time.Minute)); err != nil {
+			t.Errorf("batch=%v: next round: %v", batch, err)
+		}
+	}
+}
+
+// appendOnly hides a DB's batch capability.
+type appendOnly struct{ db *tsdb.DB }
+
+func (a appendOnly) Append(l labels.Labels, t int64, v float64) error { return a.db.Append(l, t, v) }
+
+// The labelling and staleness bookkeeping of a rule's output is cache hits
+// and appends into reused buffers: in steady state it allocates nothing,
+// however many series the rule produces.
+func TestSteadyStateAllocsIndependentOfOutputs(t *testing.T) {
+	allocs := func(n int) float64 {
+		vec := make(promql.Vector, n)
+		for i := range vec {
+			vec[i] = promql.Sample{Labels: labels.FromStrings("instance", "n1", "uuid", strconv.Itoa(i)), T: 1000, V: float64(i)}
+		}
+		p := newGroupPlan(&Group{Name: "g", Rules: []Rule{{Record: "r", Expr: "1", Labels: map[string]string{"cluster": "jz"}}}})
+		v := &p.view
+		stage := func() {
+			v.reset(nil, 1000)
+			if stale := p.rules[0].stage(labels.Labels.Hash, vec, v); stale != 0 || len(v.samples) != n {
+				t.Fatalf("staged %d samples, %d markers; want %d, 0", len(v.samples), stale, n)
+			}
+		}
+		stage() // fills the cache and sizes the buffers
+		return testing.AllocsPerRun(10, stage)
+	}
+	small, large := allocs(500), allocs(1000)
+	if small != 0 || large != 0 {
+		t.Errorf("allocations per steady-state evaluation: %v for 500 outputs, %v for 1000; want 0 for both", small, large)
+	}
+}
+
+// Manager.Run evaluates its groups concurrently against one Engine; two
+// groups recording the same name share nothing but the engine's group table
+// and the head. Run under -race.
+func TestManagerRunConcurrentGroups(t *testing.T) {
+	db := seedDB(t)
+	var mu sync.Mutex
+	clock := model.MillisToTime(300 * 1000)
+	var failures []error
+	m := &Manager{
+		Engine: NewEngine(nil), Query: db, Dest: db,
+		Groups: []*Group{
+			{Name: "a", Interval: time.Millisecond, Rules: []Rule{
+				{Record: "power", Expr: `sum(energy_joules_total)`, Labels: map[string]string{"src": "a"}},
+				{Record: "power:twice", Expr: `power * 2`},
+			}},
+			{Name: "b", Interval: time.Millisecond, Rules: []Rule{
+				{Record: "power", Expr: `max(energy_joules_total)`, Labels: map[string]string{"src": "b"}},
+			}},
+		},
+		// Every evaluation gets its own millisecond, so no commit is refused.
+		Now: func() time.Time {
+			mu.Lock()
+			defer mu.Unlock()
+			clock = clock.Add(time.Millisecond)
+			return clock
+		},
+		OnError: func(err error) {
+			mu.Lock()
+			defer mu.Unlock()
+			failures = append(failures, err)
+		},
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() { m.Run(ctx); close(done) }()
+	for {
+		st := m.Engine.Stats()
+		if st["a"].EvalCount >= 20 && st["b"].EvalCount >= 20 {
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
+	cancel()
+	<-done
+	if len(failures) > 0 {
+		t.Fatalf("%d evaluations failed, first: %v", len(failures), failures[0])
+	}
+	got, _ := db.Select(0, 1<<60, labels.MustMatcher(labels.MatchEqual, labels.MetricName, "power"))
+	if len(got) != 2 {
+		t.Fatalf("power series = %d, want 2", len(got))
+	}
+	for _, s := range got {
+		for _, smp := range s.Samples {
+			if model.IsStaleNaN(smp.V) {
+				t.Fatalf("%s: stale marker at %d", s.Labels, smp.T)
+			}
+		}
 	}
 }

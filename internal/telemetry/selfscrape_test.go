@@ -17,9 +17,11 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/labels"
 	"repro/internal/promapi"
 	"repro/internal/promql"
 	"repro/internal/querycache"
+	"repro/internal/rules"
 	"repro/internal/scrape"
 	"repro/internal/telemetry"
 	"repro/internal/tsdb"
@@ -279,5 +281,51 @@ func TestSelfScrapeRoundTrip(t *testing.T) {
 	defer mresp.Body.Close()
 	if ct := mresp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
 		t.Fatalf("content-type = %q", ct)
+	}
+}
+
+// The rule engine's instruments ride the same loop: a group evaluated over
+// the self-scraped series moves the telemetry_rules_ counters, and the next
+// self-scrape stores them.
+func TestSelfScrapeRulesTelemetry(t *testing.T) {
+	hs := newSelfHarness(t)
+	eng := rules.NewEngine(nil)
+	eng.InstrumentTelemetry(hs.reg)
+	g := &rules.Group{Name: "self", Rules: []rules.Rule{
+		{Record: "self:appended:rate1m", Expr: `rate(telemetry_tsdb_appended_samples_total[1m])`},
+		{Record: "self:appended:rate1m:twice", Expr: `self:appended:rate1m * 2`}, // served by the evaluation, not storage
+	}}
+	for i := 0; i < 3; i++ {
+		hs.scrapePass(t)
+	}
+	if err := eng.EvalGroup(g, hs.db, hs.db, hs.clock.Add(-15*time.Second)); err != nil {
+		t.Fatalf("rules: %v", err)
+	}
+	hs.scrapePass(t)
+
+	last := func(name string, extra ...*labels.Matcher) float64 {
+		t.Helper()
+		ms := append([]*labels.Matcher{labels.MustMatcher(labels.MatchEqual, labels.MetricName, name)}, extra...)
+		got, err := hs.db.Select(0, 1<<62, ms...)
+		if err != nil || len(got) != 1 {
+			t.Fatalf("%s: %d series (err %v), want 1", name, len(got), err)
+		}
+		return got[0].Samples[len(got[0].Samples)-1].V
+	}
+	self := labels.MustMatcher(labels.MatchEqual, "group", "self")
+	if n := last("telemetry_rules_group_eval_seconds_count", self); n != 1 {
+		t.Errorf("group_eval_seconds_count{group=self} = %v, want 1", n)
+	}
+	if n := last("telemetry_rules_storage_selects_total"); n != 1 {
+		t.Errorf("storage_selects_total = %v, want 1 (the rate's range read)", n)
+	}
+	if n := last("telemetry_rules_view_hits_total"); n != 1 {
+		t.Errorf("view_hits_total = %v, want 1 (the second rule's read of the first)", n)
+	}
+	if n := last("telemetry_rules_samples_written_total"); n != 2 {
+		t.Errorf("samples_written_total = %v, want 2", n)
+	}
+	if n := last("telemetry_rules_stale_markers_total"); n != 0 {
+		t.Errorf("stale_markers_total = %v, want 0", n)
 	}
 }

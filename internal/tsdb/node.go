@@ -44,3 +44,18 @@ func (db *DB) BatchAppend(batch []BatchSample) (int, error) {
 	}
 	return a.Commit()
 }
+
+// AppendBatch commits samples[i] to the series lsets[i] as one batch: the
+// batch Appender under the neutral signature rule evaluation discovers on
+// its destination (rules.BatchAppender). refused counts the samples that
+// did not land because the head turned them away as out of order or too
+// old, or because an error cut the commit short; exact duplicates under
+// the out-of-order window are skipped, not refused, as in Append.
+func (db *DB) AppendBatch(lsets []labels.Labels, samples []model.Sample) (refused int, err error) {
+	a := db.Appender()
+	for i, s := range samples {
+		a.Add(lsets[i], s.T, s.V)
+	}
+	n, err := a.Commit()
+	return len(samples) - n - a.LastCommitStats().Duplicates, err
+}
