@@ -37,7 +37,8 @@ querycache:
 # PromQL evaluator equivalence (docs/ARCHITECTURE.md, "One evaluator"): the
 # differential property test — random expressions over a random dataset,
 # production evaluator against the per-step oracle, bit for bit, Range and
-# Instant — at its large size with a fresh seed per pass (logged; replay
+# Instant — and the same expressions through a hot/cold seam against the
+# uncut head, at its large size with a fresh seed per pass (logged; replay
 # with -equiv.seed), plus the fixed equivalence lists and the
 # hash-collision tests; two passes, under race.
 promql-equiv:
@@ -74,8 +75,9 @@ telemetry:
 
 # Block-store lifecycle harness (docs/ARCHITECTURE.md): block format
 # round-trip/corruption tests, the kill-at-any-byte publication sweep,
-# compaction/downsample crash-window recovery, and the downsampling
-# equivalence property test — randomized, so two passes, under race. Set
+# compaction/downsample crash-window recovery, the downsampling
+# equivalence property test and the block index against the brute-force
+# scan (TestBlockPostingsMatchScan) — randomized, so two passes, under race. Set
 # BLOCKS_ARTIFACT_DIR to keep the store directories of failing crash
 # states (CI uploads them on failure).
 blocks:
@@ -84,19 +86,23 @@ blocks:
 # Head index harness (docs/ARCHITECTURE.md, "Head index"): the postings
 # property test — random matchers against a brute-force oracle, interleaved
 # with creates, deletes and truncates at 1 and 16 shards while another
-# goroutine appends — plus the select allocation bound; randomized, so two
-# passes, under race.
+# goroutine appends — plus the select allocation bound, and the same
+# property for the block index, which resolves matchers through the same
+# code; randomized, so two passes, under race.
 head-index:
 	$(GO) test -race -count=2 -run 'Posting|HeadSelect' ./internal/tsdb/
 
 # Ten seconds of coverage-guided fuzzing each over the chunk decoder
 # (arbitrary bytes must end in an error or the declared sample count, never
 # a panic), over the query API's JSON string escaper (byte-identical to
-# encoding/json on any input) and over the exposition tokenizer (same
+# encoding/json on any input), over the exposition tokenizer (same
 # families or same failure as the oracle parser it replaced, allocation
-# linear in the input).
+# linear in the input) and over the block index decoder (a CRC-valid index
+# of any content ends in an error or a value that re-encodes to the same
+# bytes, allocation linear in the input).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzChunkIterator -fuzztime 10s ./internal/tsdb/chunkenc/
+	$(GO) test -run '^$$' -fuzz FuzzDecodeIndex -fuzztime 10s ./internal/tsdb/
 	$(GO) test -run '^$$' -fuzz FuzzAppendJSONString -fuzztime 10s ./internal/promapi/
 	$(GO) test -run '^$$' -fuzz FuzzTokenizer -fuzztime 10s ./internal/expofmt/
 

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/labels"
 	"repro/internal/model"
+	"repro/internal/thanos"
 	"repro/internal/tsdb"
 )
 
@@ -283,10 +284,16 @@ var equivGeometries = []equivGeometry{
 	{1, 899, 7},     // 129 steps: presence bitmaps span several words
 }
 
-// checkEquivalent evaluates expr both ways, as a range query at every
-// geometry and as an instant query at a few times, and reports any
-// difference in results or in error-ness.
-func checkEquivalent(t *testing.T, eng *Engine, db Queryable, q string, rng *rand.Rand) {
+// evalPair is two ways of answering one parsed query that must agree.
+type evalPair struct {
+	rangeWant, rangeGot     func(expr Expr, start, end time.Time, step time.Duration) (Matrix, error)
+	instantWant, instantGot func(expr Expr, ts time.Time) (Value, error)
+}
+
+// check evaluates q both ways, as a range query at every geometry and as an
+// instant query at a few times, and reports any difference in results or in
+// error-ness.
+func (p evalPair) check(t *testing.T, q string, rng *rand.Rand) {
 	t.Helper()
 	expr, err := ParseExpr(q)
 	if err != nil {
@@ -296,8 +303,8 @@ func checkEquivalent(t *testing.T, eng *Engine, db Queryable, q string, rng *ran
 		start := model.MillisToTime(g.startS * 1000)
 		end := model.MillisToTime(g.endS * 1000)
 		step := time.Duration(g.stepS) * time.Second
-		want, wantErr := eng.rangeExprNaive(db, expr, start, end, step)
-		got, gotErr := eng.RangeExpr(db, expr, start, end, step)
+		want, wantErr := p.rangeWant(expr, start, end, step)
+		got, gotErr := p.rangeGot(expr, start, end, step)
 		if (wantErr != nil) != (gotErr != nil) {
 			t.Errorf("%s %+v: error mismatch:\n got  %v\n want %v", q, g, gotErr, wantErr)
 			continue
@@ -308,8 +315,8 @@ func checkEquivalent(t *testing.T, eng *Engine, db Queryable, q string, rng *ran
 	}
 	for i := 0; i < 3; i++ {
 		ts := model.MillisToTime(rng.Int63n((equivSpanS + 400) * 1000))
-		want, wantErr := eng.instantNaive(db, expr, ts)
-		got, gotErr := eng.InstantExpr(db, expr, ts)
+		want, wantErr := p.instantWant(expr, ts)
+		got, gotErr := p.instantGot(expr, ts)
 		if (wantErr != nil) != (gotErr != nil) {
 			t.Errorf("%s @%v: error mismatch:\n got  %v\n want %v", q, ts, gotErr, wantErr)
 			continue
@@ -318,6 +325,38 @@ func checkEquivalent(t *testing.T, eng *Engine, db Queryable, q string, rng *ran
 			t.Errorf("%s @%v:\n got  %v\n want %v", q, ts, got, want)
 		}
 	}
+}
+
+// checkEquivalent holds the production evaluator to the per-step oracle on
+// one storage.
+func checkEquivalent(t *testing.T, eng *Engine, db Queryable, q string, rng *rand.Rand) {
+	t.Helper()
+	evalPair{
+		rangeWant: func(expr Expr, start, end time.Time, step time.Duration) (Matrix, error) {
+			return eng.rangeExprNaive(db, expr, start, end, step)
+		},
+		rangeGot: func(expr Expr, start, end time.Time, step time.Duration) (Matrix, error) {
+			return eng.RangeExpr(db, expr, start, end, step)
+		},
+		instantWant: func(expr Expr, ts time.Time) (Value, error) { return eng.instantNaive(db, expr, ts) },
+		instantGot:  func(expr Expr, ts time.Time) (Value, error) { return eng.InstantExpr(db, expr, ts) },
+	}.check(t, q, rng)
+}
+
+// checkSameAnswers holds one evaluator to the same answers on two storages.
+func checkSameAnswers(t *testing.T, eng *Engine, want, got Queryable, q string, rng *rand.Rand) {
+	t.Helper()
+	on := func(db Queryable) (func(Expr, time.Time, time.Time, time.Duration) (Matrix, error), func(Expr, time.Time) (Value, error)) {
+		return func(expr Expr, start, end time.Time, step time.Duration) (Matrix, error) {
+				return eng.RangeExpr(db, expr, start, end, step)
+			}, func(expr Expr, ts time.Time) (Value, error) {
+				return eng.InstantExpr(db, expr, ts)
+			}
+	}
+	var p evalPair
+	p.rangeWant, p.instantWant = on(want)
+	p.rangeGot, p.instantGot = on(got)
+	p.check(t, q, rng)
 }
 
 // valueIdentical is bit-exact equality of instant results, vector order
@@ -348,7 +387,8 @@ func valueIdentical(a, b Value) bool {
 	return false
 }
 
-func TestEvaluatorMatchesOracleRandom(t *testing.T) {
+// equivRun is the seed and the expression generator of one random run.
+func equivRun(t *testing.T) (*rand.Rand, *exprGen) {
 	seed := *equivSeed
 	if seed == 0 {
 		seed = 1
@@ -358,22 +398,32 @@ func TestEvaluatorMatchesOracleRandom(t *testing.T) {
 	}
 	t.Logf("seed %d, %d expressions (replay with -args -equiv.seed=%d -equiv.exprs=%d)", seed, *equivExprs, seed, *equivExprs)
 	rng := rand.New(rand.NewSource(seed))
+	return rng, &exprGen{rng: rng}
+}
+
+// query draws one root expression.
+func (g *exprGen) query() string {
+	q := g.vector(1 + g.rng.Intn(3))
+	switch g.rng.Intn(16) {
+	case 0, 1:
+		q = g.scalar(1 + g.rng.Intn(3))
+	case 2:
+		// A value-ordered root: what emission must honour.
+		q = g.pick("sort(", "sort_desc(", "topk by (job) (3, ", "bottomk(2, ") + q + ")"
+	}
+	return q
+}
+
+func TestEvaluatorMatchesOracleRandom(t *testing.T) {
+	rng, gen := equivRun(t)
 	eng := NewEngine()
-	gen := &exprGen{rng: rng}
 	var db *tsdb.DB
 	errored := 0
 	for i := 0; i < *equivExprs; i++ {
 		if i%100 == 0 {
 			db = equivStorage(t, rng) // a fresh dataset every hundred expressions
 		}
-		q := gen.vector(1 + rng.Intn(3))
-		switch rng.Intn(16) {
-		case 0, 1:
-			q = gen.scalar(1 + rng.Intn(3))
-		case 2:
-			// A value-ordered root: what emission must honour.
-			q = gen.pick("sort(", "sort_desc(", "topk by (job) (3, ", "bottomk(2, ") + q + ")"
-		}
+		q := gen.query()
 		checkEquivalent(t, eng, db, q, rng)
 		if t.Failed() {
 			t.Fatalf("first divergence at expression %d", i)
@@ -386,6 +436,59 @@ func TestEvaluatorMatchesOracleRandom(t *testing.T) {
 	// "both fail" proves little.
 	if errored*2 > *equivExprs {
 		t.Errorf("%d of %d generated expressions error at t=450s; the generator is too wild", errored, *equivExprs)
+	}
+}
+
+// TestHotColdSeamMatchesOracleRandom: the same random PromQL through the
+// hot/cold seam. [0, cut] of the dataset is cut into a block store at a
+// random cut, once with the head left whole (every cold sample is also hot)
+// and once with the head truncated to the cut (chunks straddling it still
+// overlap); a thanos.Querier over either pair must answer exactly as the
+// uncut head does — the oracle here — for Range at every geometry and for
+// Instant.
+func TestHotColdSeamMatchesOracleRandom(t *testing.T) {
+	rng, gen := equivRun(t)
+	eng := NewEngine()
+	var whole *tsdb.DB
+	var seams []*thanos.Querier
+	for i := 0; i < *equivExprs; i++ {
+		if i%100 == 0 {
+			whole = equivStorage(t, rng)
+			all, err := whole.Select(math.MinInt64, math.MaxInt64, labels.MustMatcher(labels.MatchRegexp, labels.MetricName, ".*"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			cut := rng.Int63n(equivSpanS * 1000)
+			seams = seams[:0]
+			for _, truncate := range []bool{false, true} {
+				// Eight samples to a chunk, so that truncation finds closed
+				// chunks to drop.
+				hot := tsdb.MustOpen(tsdb.Options{Shards: 4, MaxSamplesPerChunk: 8})
+				for _, sr := range all {
+					if err := hot.AppendSeries(sr.Labels, sr.Samples); err != nil {
+						t.Fatal(err)
+					}
+				}
+				cold, err := thanos.NewStore("")
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := cold.CutHead(hot, 0, cut); err != nil {
+					t.Fatal(err)
+				}
+				if truncate {
+					hot.Truncate(cut + 1)
+				}
+				seams = append(seams, &thanos.Querier{Hot: hot, Cold: cold})
+			}
+		}
+		q := gen.query()
+		for _, seam := range seams {
+			checkSameAnswers(t, eng, whole, seam, q, rng)
+		}
+		if t.Failed() {
+			t.Fatalf("first divergence at expression %d", i)
+		}
 	}
 }
 

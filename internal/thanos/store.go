@@ -54,10 +54,10 @@ type Store struct {
 
 	mu     sync.RWMutex
 	blocks []*tsdb.PersistentBlock // sorted by MinTime
-	// labelIndex: name -> value set across all blocks, maintained on
-	// cut/load so the LabelStore endpoints don't scan every series.
-	// Compaction can delete tombstoned series, so the index may
-	// over-approximate after deletes — acceptable for label discovery.
+	// labelIndex: name -> value set across all blocks, the union of the
+	// blocks' own distinct pairs: added to when a block is registered,
+	// rebuilt when a compaction applied tombstones (they may have dropped
+	// the last series carrying a value).
 	labelIndex map[string]map[string]struct{}
 
 	metrics *storeMetrics
@@ -160,22 +160,22 @@ func (s *Store) gcSupersededLocked() {
 	s.blocks = kept
 }
 
-// indexBlockLocked merges a block's label sets into the index. Caller holds
-// s.mu (or has exclusive access during construction).
+// indexBlockLocked merges a block's distinct label pairs into the index.
+// Caller holds s.mu (or has exclusive access during construction).
 func (s *Store) indexBlockLocked(b *tsdb.PersistentBlock) {
 	if s.labelIndex == nil {
 		s.labelIndex = map[string]map[string]struct{}{}
 	}
-	b.LabelSets(func(lset labels.Labels) {
-		for _, l := range lset {
-			vs, ok := s.labelIndex[l.Name]
-			if !ok {
-				vs = map[string]struct{}{}
-				s.labelIndex[l.Name] = vs
-			}
-			vs[l.Value] = struct{}{}
+	for _, name := range b.LabelNames() {
+		vs, ok := s.labelIndex[name]
+		if !ok {
+			vs = map[string]struct{}{}
+			s.labelIndex[name] = vs
 		}
-	})
+		for _, v := range b.LabelValues(name) {
+			vs[v] = struct{}{}
+		}
+	}
 }
 
 func (s *Store) sortLocked() {
@@ -312,6 +312,24 @@ func (s *Store) SelectWithHints(hints model.SelectHints, ms ...*labels.Matcher) 
 	return s.selectLimited(p, ms)
 }
 
+// blockOverlaps reports whether b may hold samples in [mint, maxt].
+func blockOverlaps(b *tsdb.PersistentBlock, mint, maxt int64) bool {
+	return b.MaxTime() >= mint && b.MinTime() <= maxt
+}
+
+// overlaps reports whether any block may hold samples in [mint, maxt]; a
+// read of a window none does returns nothing.
+func (s *Store) overlaps(mint, maxt int64) bool {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	for _, b := range s.blocks {
+		if blockOverlaps(b, mint, maxt) {
+			return true
+		}
+	}
+	return false
+}
+
 // selParams is one resolved cold-read request.
 type selParams struct {
 	mint, maxt int64
@@ -341,7 +359,7 @@ func (s *Store) selectLimited(p selParams, ms []*labels.Matcher) ([]model.Series
 	s.mu.RLock()
 	var blocks []*tsdb.PersistentBlock
 	for _, b := range s.blocks {
-		if b.MaxTime() < p.mint || b.MinTime() > p.maxt {
+		if !blockOverlaps(b, p.mint, p.maxt) {
 			continue
 		}
 		if res := b.Meta().Resolution; res != 0 && res > p.maxRes {
@@ -575,7 +593,14 @@ func (s *Store) compactSet(plan []*tsdb.PersistentBlock, tombs []tsdb.TombstoneR
 		}
 	}
 	s.blocks = append(kept, nb)
-	s.indexBlockLocked(nb)
+	if len(tombs) > 0 {
+		// The merge may have dropped the last series carrying a value;
+		// without tombstones it carries exactly its sources' pairs.
+		s.labelIndex = nil
+		for _, b := range s.blocks {
+			s.indexBlockLocked(b)
+		}
+	}
 	s.sortLocked()
 	s.mu.Unlock()
 	for _, b := range plan {

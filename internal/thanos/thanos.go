@@ -105,7 +105,14 @@ func (q *Querier) Select(mint, maxt int64, ms ...*labels.Matcher) ([]model.Serie
 // time: inside the hot/cold overlap the store must serve raw samples (or
 // nothing), never downsampled points, so a timestamp is represented once
 // in the merge no matter how the tiers overlap.
+//
+// The two reads run concurrently when the window reaches a block.
 func (q *Querier) SelectWithHints(hints model.SelectHints, ms ...*labels.Matcher) ([]model.Series, error) {
+	if !q.Cold.overlaps(hints.Start, hints.End) {
+		// Nothing cold to read: the hot answer is the answer, and a
+		// goroutine to learn that would cost more than many hot reads do.
+		return q.Hot.SelectWithHints(hints, ms...)
+	}
 	coldHints := hints
 	if hmin, ok := q.Hot.MinTime(); ok && (coldHints.RawAfter == 0 || hmin < coldHints.RawAfter) {
 		coldHints.RawAfter = hmin

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -332,4 +333,117 @@ func equalStrings(a, b []string) bool {
 		}
 	}
 	return true
+}
+
+// TestStoreLabelValuesForgetTombstonedSeries: once a compaction drops a
+// tombstoned job's series, its uuid leaves the label listing at once — the
+// running store answers what a store freshly opened on the directory does.
+func TestStoreLabelValuesForgetTombstonedSeries(t *testing.T) {
+	dir := t.TempDir()
+	store, err := NewStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	store.CompactionFactor = 2
+	db := tsdb.MustOpen(tsdb.DefaultOptions())
+	for _, uuid := range []string{"1", "2", "3"} {
+		ls := labels.FromStrings(labels.MetricName, "m", "uuid", uuid, "only", "on"+uuid)
+		for ts := int64(0); ts < 200; ts += 10 {
+			if err := db.Append(ls, ts, 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	mustCut(t, store, db, 0, 99)
+	mustCut(t, store, db, 100, 199)
+	if got := store.LabelValues("uuid"); !equalStrings(got, []string{"1", "2", "3"}) {
+		t.Fatalf(`LabelValues("uuid") before the delete = %v`, got)
+	}
+
+	if _, err := db.ApplyTombstone(1, labels.MustMatcher(labels.MatchEqual, "uuid", "2")); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := store.Compact(db.Tombstones()); err != nil || n != 1 {
+		t.Fatalf("Compact = %d, %v; want one compaction", n, err)
+	}
+	if got := store.LabelValues("uuid"); !equalStrings(got, []string{"1", "3"}) {
+		t.Errorf(`LabelValues("uuid") after compaction = %v, want [1 3]`, got)
+	}
+	fresh, err := NewStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fresh.Close()
+	if got, want := store.LabelNames(), fresh.LabelNames(); !equalStrings(got, want) {
+		t.Errorf("LabelNames = %v, a fresh store on the directory says %v", got, want)
+	}
+	for _, name := range fresh.LabelNames() {
+		if got, want := store.LabelValues(name), fresh.LabelValues(name); !equalStrings(got, want) {
+			t.Errorf("LabelValues(%q) = %v, a fresh store on the directory says %v", name, got, want)
+		}
+	}
+}
+
+// TestQuerierSkipsColdSideOutsideBlocks: a window no block reaches is
+// answered by the head alone — same result as the two-sided read, and
+// nothing spent on the cold side (the goroutine, its closure and the
+// WaitGroup all allocate; the head-only path allocates what the head does).
+func TestQuerierSkipsColdSideOutsideBlocks(t *testing.T) {
+	opts := tsdb.DefaultOptions()
+	opts.Shards = 1 // a one-shard select allocates the same every time
+	db := tsdb.MustOpen(opts)
+	ls := labels.FromStrings(labels.MetricName, "m", "s", "0")
+	for ts := int64(0); ts < 3000; ts += 10 {
+		if err := db.Append(ls, ts, float64(ts)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	store, _ := NewStore("")
+	mustCut(t, store, db, 1000, 1999)
+	q := &Querier{Hot: db, Cold: store}
+	m := labels.MustMatcher(labels.MatchEqual, labels.MetricName, "m")
+
+	for _, w := range []struct {
+		name       string
+		mint, maxt int64
+		reaches    bool
+	}{
+		{"older than every block", 0, 999, false},
+		{"newer than every block", 2000, 2999, false},
+		{"touching the first sample", 0, 1000, true},
+		{"touching the last sample", 1990, 2999, true},
+		{"spanning", 0, 2999, true},
+	} {
+		hints := model.SelectHints{Start: w.mint, End: w.maxt}
+		if got := store.overlaps(w.mint, w.maxt); got != w.reaches {
+			t.Errorf("%s: overlaps = %v, want %v", w.name, got, w.reaches)
+		}
+		got, err := q.SelectWithHints(hints, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cold, err := store.SelectWithHints(hints, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hot, err := db.SelectWithHints(hints, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := model.MergeSeries([][]model.Series{cold, hot}); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: querier returns %v, the two sides merged give %v", w.name, got, want)
+		}
+		if (len(cold) > 0) != w.reaches {
+			t.Errorf("%s: store returned %d series", w.name, len(cold))
+		}
+		if w.reaches {
+			continue
+		}
+		viaQuerier := testing.AllocsPerRun(50, func() { q.SelectWithHints(hints, m) })
+		headOnly := testing.AllocsPerRun(50, func() { db.SelectWithHints(hints, m) })
+		if viaQuerier != headOnly {
+			t.Errorf("%s: querier allocates %.0f times, the head alone %.0f", w.name, viaQuerier, headOnly)
+		}
+	}
 }

@@ -47,6 +47,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"sync/atomic"
@@ -250,96 +251,211 @@ func encodeIndex(series []diskSeries) []byte {
 	return buf.Bytes()
 }
 
-// decodeIndex parses an index file, verifying magic, version and CRC.
-func decodeIndex(data []byte) ([]diskSeries, error) {
-	hdr := len(indexMagic) + 1
-	if len(data) < hdr+4 {
-		return nil, fmt.Errorf("tsdb: index truncated (%d bytes)", len(data))
+// indexReader consumes the body of an index file. It accepts only what
+// encodeIndex writes — minimal varints, nothing after the last series — so a
+// decoded index re-encodes to the bytes it came from.
+type indexReader struct {
+	b []byte
+}
+
+func (r *indexReader) uvarint() (uint64, error) {
+	if len(r.b) > 0 && r.b[0] < 0x80 { // one byte: every string length, most counts
+		u := uint64(r.b[0])
+		r.b = r.b[1:]
+		return u, nil
 	}
-	if string(data[:len(indexMagic)]) != indexMagic {
-		return nil, fmt.Errorf("tsdb: bad index magic %q", data[:len(indexMagic)])
+	u, n := binary.Uvarint(r.b)
+	if n <= 0 || r.b[n-1] == 0 {
+		return 0, fmt.Errorf("tsdb: index varint truncated or not minimal")
 	}
-	if data[len(indexMagic)] != blockDirVersion {
-		return nil, fmt.Errorf("tsdb: unsupported index version %d", data[len(indexMagic)])
+	r.b = r.b[n:]
+	return u, nil
+}
+
+func (r *indexReader) varint() (int64, error) {
+	u, err := r.uvarint()
+	i := int64(u >> 1)
+	if u&1 != 0 {
+		i = ^i
 	}
-	body, tail := data[:len(data)-4], data[len(data)-4:]
-	if got, want := crc32.Checksum(body, walCRC), binary.LittleEndian.Uint32(tail); got != want {
-		return nil, fmt.Errorf("tsdb: index crc mismatch (got %08x want %08x)", got, want)
+	return i, err
+}
+
+// count reads an element count and rejects one the remaining bytes cannot
+// hold at minSize bytes an element: the CRC catches rot, not a wrong writer,
+// and the count sizes an allocation.
+func (r *indexReader) count(what string, minSize int) (int, error) {
+	n, err := r.uvarint()
+	if err != nil {
+		return 0, err
 	}
-	r := bytes.NewReader(body[hdr:])
-	getU := func() (uint64, error) { return binary.ReadUvarint(r) }
-	getI := func() (int64, error) { return binary.ReadVarint(r) }
-	getStr := func() (string, error) {
-		n, err := getU()
-		if err != nil {
-			return "", err
-		}
-		if n > uint64(r.Len()) {
-			return "", fmt.Errorf("tsdb: index string length %d exceeds remainder", n)
-		}
-		b := make([]byte, n)
-		if _, err := r.Read(b); err != nil {
-			return "", err
-		}
-		return string(b), nil
+	if n > uint64(len(r.b)/minSize) {
+		return 0, fmt.Errorf("tsdb: index claims %d %s in %d bytes", n, what, len(r.b))
 	}
-	nSeries, err := getU()
+	return int(n), nil
+}
+
+// str reads a length-prefixed string as a view of the input.
+func (r *indexReader) str() ([]byte, error) {
+	n, err := r.count("string bytes", 1)
 	if err != nil {
 		return nil, err
 	}
-	series := make([]diskSeries, 0, nSeries)
-	for i := uint64(0); i < nSeries; i++ {
-		var s diskSeries
-		nLabels, err := getU()
+	s := r.b[:n]
+	r.b = r.b[n:]
+	return s, nil
+}
+
+// labelPairs numbers the distinct label pairs of a block in the order its
+// series first show them: what decodeIndex learns on its way through the
+// file and newBlockIndex lays out as postings.
+type labelPairs struct {
+	pairs  []labels.Label // distinct; every series' labels are copies of these
+	counts []uint32       // series carrying each pair
+	ids    []uint32       // the pair of every label of every series, in index order
+}
+
+// decodeIndex parses an index file, verifying magic, version, CRC and the
+// order the read path relies on: label names ascending within a series,
+// series ascending by labels.
+//
+// Every distinct label name and value is stored once and shared by the
+// series carrying it (copies, not views of data). A label is recognised by
+// its encoded bytes — minimal varints make them one-to-one with the pair —
+// first against the label in the same place of the series before, which
+// label order makes the same one more often than not, then in a map.
+func decodeIndex(data []byte) ([]diskSeries, *labelPairs, error) {
+	hdr := len(indexMagic) + 1
+	if len(data) < hdr+4 {
+		return nil, nil, fmt.Errorf("tsdb: index truncated (%d bytes)", len(data))
+	}
+	if string(data[:len(indexMagic)]) != indexMagic {
+		return nil, nil, fmt.Errorf("tsdb: bad index magic %q", data[:len(indexMagic)])
+	}
+	if data[len(indexMagic)] != blockDirVersion {
+		return nil, nil, fmt.Errorf("tsdb: unsupported index version %d", data[len(indexMagic)])
+	}
+	body, tail := data[:len(data)-4], data[len(data)-4:]
+	if got, want := crc32.Checksum(body, walCRC), binary.LittleEndian.Uint32(tail); got != want {
+		return nil, nil, fmt.Errorf("tsdb: index crc mismatch (got %08x want %08x)", got, want)
+	}
+	r := &indexReader{b: body[hdr:]}
+	// A series is at least its two counts, a label its two lengths, a chunk
+	// entry its aggregate byte and five varints.
+	nSeries, err := r.count("series", 2)
+	if err != nil {
+		return nil, nil, err
+	}
+	if uint64(nSeries) > math.MaxUint32 {
+		return nil, nil, fmt.Errorf("tsdb: index holds %d series, more than a block can address", nSeries)
+	}
+	var (
+		series   = make([]diskSeries, nSeries)
+		lp       = &labelPairs{ids: make([]uint32, 0, 4*nSeries)}
+		pairOf   = map[string]uint32{} // encoded label -> index into lp.pairs
+		symbols  = map[string]string{}
+		prev     [][]byte // the encoded labels of the series before
+		cur      [][]byte
+		prevPair []uint32
+		// Label sets and chunk lists are carved from shared slabs — a
+		// block's series live and die together — sized for the series left
+		// to be like the one at hand, a few thousand entries at most and
+		// never more than the bytes left could fill.
+		labelSlab []labels.Label
+		chunkSlab []diskChunk
+	)
+	const slabSize = 4096
+	intern := func(b []byte) string {
+		s, ok := symbols[string(b)]
+		if !ok {
+			s = string(b)
+			symbols[s] = s
+		}
+		return s
+	}
+	for i := range series {
+		s := &series[i]
+		nLabels, err := r.count("labels", 2)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		s.lset = make(labels.Labels, 0, nLabels)
-		for j := uint64(0); j < nLabels; j++ {
-			name, err := getStr()
-			if err != nil {
-				return nil, err
-			}
-			value, err := getStr()
-			if err != nil {
-				return nil, err
-			}
-			s.lset = append(s.lset, labels.Label{Name: name, Value: value})
+		if len(labelSlab) < nLabels {
+			labelSlab = make([]labels.Label, max(nLabels, min(slabSize, len(r.b)/2, (nSeries-i)*nLabels)))
 		}
-		nChunks, err := getU()
+		s.lset, labelSlab = labelSlab[:nLabels:nLabels], labelSlab[nLabels:]
+		first := len(lp.ids)
+		cur = cur[:0]
+		for j := range s.lset {
+			enc := r.b
+			name, err := r.str()
+			if err != nil {
+				return nil, nil, err
+			}
+			value, err := r.str()
+			if err != nil {
+				return nil, nil, err
+			}
+			enc = enc[:len(enc)-len(r.b)]
+			var id uint32
+			if j < len(prev) && bytes.Equal(enc, prev[j]) {
+				id = prevPair[j]
+			} else if known, ok := pairOf[string(enc)]; ok {
+				id = known
+			} else {
+				id = uint32(len(lp.pairs))
+				pairOf[string(enc)] = id
+				lp.pairs = append(lp.pairs, labels.Label{Name: intern(name), Value: intern(value)})
+				lp.counts = append(lp.counts, 0)
+			}
+			lp.counts[id]++
+			lp.ids = append(lp.ids, id)
+			cur = append(cur, enc)
+			s.lset[j] = lp.pairs[id]
+			if j > 0 && s.lset[j-1].Name >= s.lset[j].Name {
+				return nil, nil, fmt.Errorf("tsdb: index series %d: label names out of order", i)
+			}
+		}
+		prev, cur, prevPair = cur, prev, lp.ids[first:]
+		if i > 0 && labels.Compare(series[i-1].lset, s.lset) >= 0 {
+			return nil, nil, fmt.Errorf("tsdb: index series %d out of label order", i)
+		}
+		nChunks, err := r.count("chunks", 6)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		s.chunks = make([]diskChunk, 0, nChunks)
-		for j := uint64(0); j < nChunks; j++ {
-			var c diskChunk
-			ab, err := r.ReadByte()
+		if len(chunkSlab) < nChunks {
+			chunkSlab = make([]diskChunk, max(nChunks, min(slabSize, len(r.b)/6, (nSeries-i)*nChunks)))
+		}
+		s.chunks, chunkSlab = chunkSlab[:nChunks:nChunks], chunkSlab[nChunks:]
+		for j := range s.chunks {
+			c := &s.chunks[j]
+			if len(r.b) == 0 {
+				return nil, nil, fmt.Errorf("tsdb: index truncated in series %d", i)
+			}
+			c.aggr, r.b = AggrType(r.b[0]), r.b[1:]
+			if c.minT, err = r.varint(); err != nil {
+				return nil, nil, err
+			}
+			if c.maxT, err = r.varint(); err != nil {
+				return nil, nil, err
+			}
+			if c.off, err = r.uvarint(); err != nil {
+				return nil, nil, err
+			}
+			if c.length, err = r.uvarint(); err != nil {
+				return nil, nil, err
+			}
+			ns, err := r.uvarint()
 			if err != nil {
-				return nil, err
-			}
-			c.aggr = AggrType(ab)
-			if c.minT, err = getI(); err != nil {
-				return nil, err
-			}
-			if c.maxT, err = getI(); err != nil {
-				return nil, err
-			}
-			if c.off, err = getU(); err != nil {
-				return nil, err
-			}
-			if c.length, err = getU(); err != nil {
-				return nil, err
-			}
-			ns, err := getU()
-			if err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 			c.numSamples = int(ns)
-			s.chunks = append(s.chunks, c)
 		}
-		series = append(series, s)
 	}
-	return series, nil
+	if len(r.b) != 0 {
+		return nil, nil, fmt.Errorf("tsdb: index has %d bytes after its last series", len(r.b))
+	}
+	return series, lp, nil
 }
 
 // writeBlockDir persists a block directory under parent following the

@@ -41,6 +41,7 @@ type PersistentBlock struct {
 	dir    string // "" for in-memory blocks
 	meta   BlockMeta
 	series []diskSeries // sorted by labels; payloads nil, off/length set
+	index  *blockIndex  // postings over series, built at open
 	chunks []byte       // mmap'd (or in-memory) chunks file
 
 	lifeMu sync.Mutex
@@ -61,7 +62,7 @@ func OpenBlockDir(dir string) (*PersistentBlock, error) {
 	if err != nil {
 		return nil, err
 	}
-	series, err := decodeIndex(idx)
+	series, pairs, err := decodeIndex(idx)
 	if err != nil {
 		return nil, fmt.Errorf("tsdb: %s: %w", dir, err)
 	}
@@ -74,7 +75,7 @@ func OpenBlockDir(dir string) (*PersistentBlock, error) {
 		munmap()
 		return nil, fmt.Errorf("tsdb: %s: bad chunks header", dir)
 	}
-	return &PersistentBlock{dir: dir, meta: meta, series: series, chunks: data, munmap: munmap}, nil
+	return &PersistentBlock{dir: dir, meta: meta, series: series, index: newBlockIndex(series, pairs), chunks: data, munmap: munmap}, nil
 }
 
 // newMemPersistentBlock assembles a PersistentBlock entirely in memory —
@@ -95,12 +96,13 @@ func newMemPersistentBlock(meta *BlockMeta, series []diskSeries) (*PersistentBlo
 	if err := w.Flush(); err != nil {
 		return nil, err
 	}
-	for i := range series {
-		for j := range series[i].chunks {
-			series[i].chunks[j].payload = nil
-		}
+	// Through the index encoding and back, as a directory block's would go:
+	// one way to an open block, whichever kind it is.
+	series, pairs, err := decodeIndex(encodeIndex(series))
+	if err != nil {
+		return nil, err
 	}
-	return &PersistentBlock{meta: *meta, series: series, chunks: buf.Bytes(), munmap: func() error { return nil }}, nil
+	return &PersistentBlock{meta: *meta, series: series, index: newBlockIndex(series, pairs), chunks: buf.Bytes(), munmap: func() error { return nil }}, nil
 }
 
 // Meta returns the block's metadata.
@@ -277,30 +279,52 @@ func (pb *PersistentBlock) seriesSamples(s *diskSeries, mint, maxt int64, aggr A
 }
 
 // SelectAggr returns the block's series overlapping [mint, maxt] that
-// satisfy the matchers, decoded for the requested aggregate (see
-// seriesSamples for the raw/downsampled semantics). When limit > 0 the
+// satisfy the matchers, in label order, decoded for the requested aggregate
+// (see seriesSamples for the raw/downsampled semantics). When limit > 0 the
 // decode aborts with model.ErrSampleLimit as soon as more than limit
 // samples have been copied.
+//
+// Matchers resolve against the block index by the head's rules
+// (postingsFor): only the series every list holds are visited, and only a
+// select no list narrows walks the whole block.
 func (pb *PersistentBlock) SelectAggr(mint, maxt, limit int64, aggr AggrType, ms ...*labels.Matcher) ([]model.Series, error) {
-	var out []model.Series
-	var copied int64
-	for i := range pb.series {
-		s := &pb.series[i]
-		if !labels.MatchLabels(s.lset, ms...) {
-			continue
+	lists, filters, ok := postingsFor(ms, pb.index.postings)
+	if !ok {
+		return nil, nil
+	}
+	var (
+		out    []model.Series
+		copied int64
+		err    error
+	)
+	visit := func(pos uint32) bool {
+		s := &pb.series[pos]
+		if !labels.MatchLabels(s.lset, filters...) {
+			return true
 		}
-		samples, err := pb.seriesSamples(s, mint, maxt, aggr)
-		if err != nil {
-			return nil, err
-		}
-		if len(samples) == 0 {
-			continue
+		var samples []model.Sample
+		if samples, err = pb.seriesSamples(s, mint, maxt, aggr); err != nil || len(samples) == 0 {
+			return err == nil
 		}
 		copied += int64(len(samples))
 		if limit > 0 && copied > limit {
-			return nil, model.ErrSampleLimit
+			err = model.ErrSampleLimit
+			return false
 		}
 		out = append(out, model.Series{Labels: s.lset, Samples: samples})
+		return true
+	}
+	if len(lists) > 0 {
+		intersectPostings(lists, visit)
+	} else {
+		for i := range pb.series {
+			if !visit(uint32(i)) {
+				break
+			}
+		}
+	}
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }
@@ -310,12 +334,13 @@ func (pb *PersistentBlock) Select(mint, maxt int64, ms ...*labels.Matcher) ([]mo
 	return pb.SelectAggr(mint, maxt, 0, AggrRaw, ms...)
 }
 
-// LabelSets iterates the block's series label sets in index (sorted) order.
-func (pb *PersistentBlock) LabelSets(f func(labels.Labels)) {
-	for i := range pb.series {
-		f(pb.series[i].lset)
-	}
-}
+// LabelNames returns the sorted label names the block's series carry. The
+// slice is the block's own; callers must not modify it.
+func (pb *PersistentBlock) LabelNames() []string { return pb.index.names }
+
+// LabelValues returns the sorted distinct values of a label name in the
+// block. The slice is the block's own; callers must not modify it.
+func (pb *PersistentBlock) LabelValues(name string) []string { return pb.index.labelValues(name) }
 
 // aggrSeries is one series' per-aggregate sample streams, the working
 // representation of compaction and downsampling. Raw data lives under

@@ -109,35 +109,13 @@ func (sh *headShard) getOrCreateLocked(hash uint64, lset labels.Labels) *memSeri
 
 // selectLocked returns the shard's series satisfying all matchers — in ref
 // order when a postings list narrows the match, in no order otherwise. The
-// caller holds sh.mu (either mode).
-//
-// Equality and regexp matchers that cannot match the empty string each
-// contribute one postings list, borrowed in place; the rest — negations, and
-// {name=""} or regexps matching "", which also match series lacking the
-// label — are filters applied to the survivors. The shortest list is walked
-// and each ref sought in the others by galloping from where the previous
-// seek ended, so a select costs at most the shortest list times the log of
-// the others, and only survivors are materialised.
+// caller holds sh.mu (either mode). Matchers become lists and filters by the
+// rules of postingsFor; lists are borrowed in place and only the survivors
+// of their intersection are materialised.
 func (sh *headShard) selectLocked(ms []*labels.Matcher) []*memSeries {
-	var (
-		lists   [][]uint64
-		filters []*labels.Matcher
-	)
-	for _, m := range ms {
-		var list []uint64
-		switch {
-		case m.Type == labels.MatchEqual && m.Value != "":
-			list = sh.postings[m.Name][m.Value]
-		case m.Type == labels.MatchRegexp && !m.Matches(""):
-			list = unionPostings(sh.postings[m.Name], m)
-		default:
-			filters = append(filters, m)
-			continue
-		}
-		if len(list) == 0 {
-			return nil
-		}
-		lists = append(lists, list)
+	lists, filters, ok := postingsFor(ms, sh.matcherPostings)
+	if !ok {
+		return nil
 	}
 	if len(lists) == 0 {
 		// Nothing to narrow with: scan every series.
@@ -149,31 +127,24 @@ func (sh *headShard) selectLocked(ms []*labels.Matcher) []*memSeries {
 		}
 		return out
 	}
-	slices.SortFunc(lists, func(a, b []uint64) int { return len(a) - len(b) })
-	out := make([]*memSeries, 0, len(lists[0]))
-next:
-	for _, ref := range lists[0] {
-		for k := 1; k < len(lists); k++ {
-			rest := lists[k][seekPosting(lists[k], ref):]
-			lists[k] = rest
-			if len(rest) == 0 {
-				break next
-			}
-			if rest[0] != ref {
-				continue next
-			}
-		}
+	shortest := slices.MinFunc(lists, func(a, b []uint64) int { return len(a) - len(b) })
+	out := make([]*memSeries, 0, len(shortest))
+	intersectPostings(lists, func(ref uint64) bool {
 		if s := sh.byRef[ref]; labels.MatchLabels(s.lset, filters...) {
 			out = append(out, s)
 		}
-	}
+		return true
+	})
 	return out
 }
 
-// unionPostings merges the lists of every value of one label that m accepts.
-// A series has one value per label, so the lists are disjoint; a single
-// accepted value is returned borrowed, several are copied out and sorted.
-func unionPostings(vm map[string][]uint64, m *labels.Matcher) []uint64 {
+// matcherPostings returns the refs of the series whose label m.Name has a
+// value m accepts; m is an equality or a regexp that cannot match "".
+func (sh *headShard) matcherPostings(m *labels.Matcher) []uint64 {
+	vm := sh.postings[m.Name]
+	if m.Type == labels.MatchEqual {
+		return vm[m.Value]
+	}
 	var parts [][]uint64
 	if alts := m.SetMatches(); alts != nil {
 		for _, v := range alts {
@@ -188,45 +159,7 @@ func unionPostings(vm map[string][]uint64, m *labels.Matcher) []uint64 {
 			}
 		}
 	}
-	switch len(parts) {
-	case 0:
-		return nil
-	case 1:
-		return parts[0]
-	}
-	n := 0
-	for _, l := range parts {
-		n += len(l)
-	}
-	out := make([]uint64, 0, n)
-	for _, l := range parts {
-		out = append(out, l...)
-	}
-	slices.Sort(out)
-	return out
-}
-
-// seekPosting returns the first index of the ascending list whose ref is
-// >= ref (len(list) when none is), galloping from the front so a seek that
-// lands near the previous one costs O(log distance).
-func seekPosting(list []uint64, ref uint64) int {
-	hi := 1
-	for hi <= len(list) && list[hi-1] < ref {
-		hi <<= 1
-	}
-	lo := hi >> 1 // everything before lo is < ref
-	if hi > len(list) {
-		hi = len(list)
-	}
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if list[mid] < ref {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
+	return unionPostings(parts)
 }
 
 // selectSorted returns the shard's series matching ms with samples in
