@@ -7,7 +7,7 @@
 GO ?= go
 RACE_PKGS := ./internal/tsdb/... ./internal/api/... ./internal/lb/... ./internal/scrape/... ./internal/thanos/... ./internal/workpool/... ./internal/cluster/... ./internal/promql/... ./internal/promapi/... ./internal/querycache/... ./internal/remotewrite/... ./internal/telemetry/... ./internal/rules/...
 
-.PHONY: build test test-short race wal-recovery querycache promql-equiv rules-equiv cluster-chaos remote-write telemetry blocks head-index fuzz-smoke bench bench-querycache bench-smoke benchdiff ci-sync-check lint ci
+.PHONY: build test test-short race wal-recovery querycache promql-equiv rules-equiv cluster-chaos remote-write telemetry blocks head-index fuzz-smoke bench bench-querycache bench-smoke benchdiff ci-sync-check config-check lint ci
 
 build:
 	$(GO) build ./...
@@ -40,7 +40,8 @@ querycache:
 # Instant — and the same expressions through a hot/cold seam against the
 # uncut head, at its large size with a fresh seed per pass (logged; replay
 # with -equiv.seed), plus the fixed equivalence lists and the
-# hash-collision tests; two passes, under race.
+# hash-collision tests, and the same expressions over a 1-shard and a
+# 16-shard head; two passes, under race.
 promql-equiv:
 	$(GO) test -race -count=2 -run 'MatchesOracle|MatchesNaive|HashCollision' ./internal/promql/ -args -equiv.exprs=2000
 
@@ -130,6 +131,14 @@ benchdiff:
 ci-sync-check:
 	./tools/ci_sync_check.sh
 
+# One configuration surface (docs/ARCHITECTURE.md, "Configuration"): every
+# command's flag names and defaults are the pinned ones, the README flag
+# tables are what the registrar generates (UPDATE_README=1 rewrites them),
+# examples/ceems.yaml loads and sets every key, and every key
+# internal/config declares is read by some non-test code outside it.
+config-check:
+	$(GO) test -count=1 -run 'FlagsPinned|READMEFlagTables|ExampleSetsEveryKey|EverySettingIsRead|EveryLeafDeclaresItself' ./internal/config/
+
 lint:
 	$(GO) vet ./...
 	@fmtout="$$(gofmt -l .)"; \
@@ -137,5 +146,5 @@ lint:
 		echo "gofmt needed on:"; echo "$$fmtout"; exit 1; \
 	fi
 
-ci: build lint ci-sync-check test race wal-recovery querycache promql-equiv rules-equiv cluster-chaos remote-write telemetry blocks head-index fuzz-smoke bench-smoke
+ci: build lint ci-sync-check config-check test race wal-recovery querycache promql-equiv rules-equiv cluster-chaos remote-write telemetry blocks head-index fuzz-smoke bench-smoke
 	@echo "ci: all green"

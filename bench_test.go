@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/api"
 	"repro/internal/cluster"
+	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/emissions"
 	"repro/internal/exporter"
@@ -492,7 +493,9 @@ func BenchmarkRangeQueryFleetPanels(b *testing.B) {
 // at 1/10 Jean-Zay scale (~140 nodes).
 func BenchmarkClusterStep(b *testing.B) {
 	topo := cluster.JeanZay(0.1)
-	sim, err := cluster.New(topo, cluster.DefaultOptions(), 50, 10, 20000)
+	cfg := config.Default()
+	cfg.Sim.Users, cfg.Sim.Projects, cfg.Sim.JobsPerDay = 50, 10, 20000
+	sim, err := cluster.New(topo, cfg, nil)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -8,6 +8,7 @@
 //	ceems_api_server -listen :9200 -slurmdbd http://dbd:6819 \
 //	    -prometheus http://tsdb:9090 -data-dir /var/lib/ceems \
 //	    -backup-dir /backup/ceems -admins root,ops
+//	ceems_api_server -config ceems.yaml    # api_server, cluster and emissions sections
 package main
 
 import (
@@ -15,10 +16,10 @@ import (
 	"flag"
 	"log"
 	"net/http"
-	"strings"
-	"time"
+	"os"
 
 	"repro/internal/api"
+	"repro/internal/config"
 	"repro/internal/emissions"
 	"repro/internal/promapi"
 	"repro/internal/relstore"
@@ -26,25 +27,19 @@ import (
 )
 
 func main() {
-	var (
-		listen    = flag.String("listen", ":9200", "HTTP listen address")
-		dbd       = flag.String("slurmdbd", "", "slurmdbd base URL (required)")
-		prom      = flag.String("prometheus", "", "Prometheus/Thanos base URL for remote read (required)")
-		cluster   = flag.String("cluster", "sim", "cluster name")
-		zone      = flag.String("zone", "FR", "emission factor zone")
-		dataDir   = flag.String("data-dir", "", "DB directory (empty = in-memory)")
-		backupDir = flag.String("backup-dir", "", "continuous backup directory (empty disables)")
-		interval  = flag.Duration("update-interval", 5*time.Minute, "aggregate update interval")
-		cutoff    = flag.Duration("short-unit-cutoff", time.Minute, "TSDB cleanup cutoff (informational; cleanup needs an embedded TSDB)")
-		admins    = flag.String("admins", "", "comma-separated admin users")
-	)
-	flag.Parse()
-	if *dbd == "" || *prom == "" {
+	cfg, err := config.ForCommand("ceems_api_server", flag.CommandLine, os.Args[1:])
+	if err != nil {
+		log.Fatal(err)
+	}
+	if cfg.APIServer.SlurmDBD == "" || cfg.APIServer.Prometheus == "" {
 		log.Fatal("-slurmdbd and -prometheus are required")
 	}
-	_ = cutoff
+	factor, err := emissions.FromConfig(cfg.Emissions, nil)
+	if err != nil {
+		log.Fatal(err)
+	}
 
-	store, err := relstore.Open(*dataDir)
+	store, err := relstore.Open(cfg.APIServer.DataDir)
 	if err != nil {
 		log.Fatalf("store: %v", err)
 	}
@@ -57,27 +52,28 @@ func main() {
 	updater := &api.Updater{
 		Store: store,
 		Fetchers: []resourcemanager.Fetcher{
-			&resourcemanager.SlurmDBD{Cluster: *cluster, BaseURL: *dbd},
+			&resourcemanager.SlurmDBD{Cluster: cfg.Cluster.Name, BaseURL: cfg.APIServer.SlurmDBD},
 		},
-		Query:  &promapi.RemoteQueryable{BaseURL: *prom},
-		Factor: &emissions.Cached{Provider: emissions.OWID{}},
-		Zone:   *zone,
+		Query:  &promapi.RemoteQueryable{BaseURL: cfg.APIServer.Prometheus},
+		Factor: factor,
+		Zone:   cfg.Cluster.Zone,
+		// Inert until a Cleaner is wired: a standalone server has no TSDB
+		// of its own to delete short units' series from.
+		ShortUnitCutoff: cfg.APIServer.ShortUnitCutoff,
 	}
 	server := &api.Server{Store: store, Updater: updater}
-	for _, a := range strings.Split(*admins, ",") {
-		if a != "" {
-			if err := server.AddAdmin(a); err != nil {
-				log.Fatalf("admin %s: %v", a, err)
-			}
+	for _, a := range cfg.APIServer.AdminUsers {
+		if err := server.AddAdmin(a); err != nil {
+			log.Fatalf("admin %s: %v", a, err)
 		}
 	}
 
 	var backup func() error
-	if *backupDir != "" {
-		if *dataDir == "" {
+	if cfg.APIServer.BackupDir != "" {
+		if cfg.APIServer.DataDir == "" {
 			log.Fatal("-backup-dir requires -data-dir")
 		}
-		rep := &relstore.Replica{DB: store, Dir: *backupDir}
+		rep := &relstore.Replica{DB: store, Dir: cfg.APIServer.BackupDir}
 		backup = func() error {
 			if err := store.Checkpoint(); err != nil {
 				return err
@@ -85,9 +81,9 @@ func main() {
 			return rep.Sync()
 		}
 	}
-	go api.RunPeriodic(context.Background(), updater, *interval, backup)
+	go api.RunPeriodic(context.Background(), updater, cfg.APIServer.UpdateInterval, backup, cfg.APIServer.BackupInterval)
 
 	log.Printf("ceems_api_server: cluster %s, slurmdbd %s, prometheus %s, serving %s",
-		*cluster, *dbd, *prom, *listen)
-	log.Fatal(http.ListenAndServe(*listen, server.Handler()))
+		cfg.Cluster.Name, cfg.APIServer.SlurmDBD, cfg.APIServer.Prometheus, cfg.APIServer.Listen)
+	log.Fatal(http.ListenAndServe(cfg.APIServer.Listen, server.Handler()))
 }

@@ -7,6 +7,7 @@
 //
 //	ceems_exporter -listen :9100 -class intel -workloads 4
 //	ceems_exporter -listen :9100 -class gpuinc -auth-user ceems -auth-pass secret
+//	ceems_exporter -config ceems.yaml -node n1      # the file's exporter section
 package main
 
 import (
@@ -17,6 +18,7 @@ import (
 	"os"
 	"time"
 
+	"repro/internal/config"
 	"repro/internal/exporter"
 	"repro/internal/gpusim"
 	"repro/internal/hw"
@@ -24,16 +26,17 @@ import (
 )
 
 func main() {
+	// These three steer one simulated node; the deployment settings are the
+	// exporter section of the configuration.
 	var (
-		listen    = flag.String("listen", ":9100", "HTTP listen address")
 		class     = flag.String("class", "intel", "node class: intel, amd, gpuinc, gpuexc")
 		nodeName  = flag.String("node", "node0", "node name")
 		workloads = flag.Int("workloads", 4, "synthetic workloads to run")
-		authUser  = flag.String("auth-user", "", "basic auth user (empty disables auth)")
-		authPass  = flag.String("auth-pass", "", "basic auth password")
-		disable   = flag.String("disable", "", "comma-separated collectors to disable")
 	)
-	flag.Parse()
+	cfg, err := config.ForCommand("ceems_exporter", flag.CommandLine, os.Args[1:])
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	var spec hw.NodeSpec
 	switch *class {
@@ -88,30 +91,14 @@ func main() {
 		cols = append(cols, &gpusim.DCGMCollector{Hostname: spec.Name, Devices: node})
 	}
 	exp := exporter.New(cols...)
-	exp.Username = *authUser
-	exp.Password = *authPass
-	if *disable != "" {
-		for _, name := range splitComma(*disable) {
-			if err := exp.SetEnabled(name, false); err != nil {
-				log.Fatalf("disable %s: %v", name, err)
-			}
+	exp.Username = cfg.Exporter.BasicAuthUser
+	exp.Password = cfg.Exporter.BasicAuthPassword
+	for _, name := range cfg.Exporter.DisableCollectors {
+		if err := exp.SetEnabled(name, false); err != nil {
+			log.Fatalf("disable %s: %v", name, err)
 		}
 	}
 	log.Printf("ceems_exporter: %s node %q with %d workloads on %s (collectors: %v)",
-		*class, *nodeName, *workloads, *listen, exp.CollectorNames())
-	log.Fatal(http.ListenAndServe(*listen, exp))
-}
-
-func splitComma(s string) []string {
-	var out []string
-	start := 0
-	for i := 0; i <= len(s); i++ {
-		if i == len(s) || s[i] == ',' {
-			if i > start {
-				out = append(out, s[start:i])
-			}
-			start = i + 1
-		}
-	}
-	return out
+		*class, *nodeName, *workloads, cfg.Exporter.Listen, exp.CollectorNames())
+	log.Fatal(http.ListenAndServe(cfg.Exporter.Listen, exp))
 }

@@ -7,6 +7,7 @@
 //
 //	ceems_lb -listen :9091 -backends http://tsdb-a:9090,http://tsdb-b:9090 \
 //	    -api-server http://ceems-api:9200 -strategy least-connection
+//	ceems_lb -config ceems.yaml    # the file's lb section, R and W from its ring section
 package main
 
 import (
@@ -14,69 +15,56 @@ import (
 	"flag"
 	"log"
 	"net/http"
-	"strings"
+	"os"
 	"time"
 
+	"repro/internal/config"
 	"repro/internal/lb"
 	"repro/internal/querycache"
 	"repro/internal/telemetry"
 )
 
 func main() {
-	var (
-		listen   = flag.String("listen", ":9091", "HTTP listen address")
-		backends = flag.String("backends", "", "comma-separated backend base URLs (required)")
-		apiURL   = flag.String("api-server", "", "CEEMS API server base URL for ownership checks (empty disables access control)")
-		strategy = flag.String("strategy", "round-robin", "round-robin or least-connection")
-		healthIv = flag.Duration("health-interval", 15*time.Second, "backend health check interval")
-		queryTmo = flag.Duration("query-timeout", 2*time.Minute, "per-query proxy deadline covering ownership check and backend round-trip (0 disables)")
-		cacheSz  = flag.Int64("cache-bytes", 32<<20, "response cache byte budget; repeat dashboard queries are served without hitting a backend (0 disables)")
-		cacheTTL = flag.Duration("cache-ttl", lb.DefaultCacheTTL, "max staleness of cached responses whose window touches the present")
-		cacheSet = flag.Duration("cache-settled-ttl", lb.DefaultCacheSettledTTL, "TTL for cached range responses whose window ended in the past")
-		replFact = flag.Int("replication-factor", 0, "replication factor R of the TSDB cluster behind the LB; with -write-quorum derives the failover budget R-W (0 disables failover)")
-		writeQ   = flag.Int("write-quorum", 0, "write quorum W of the cluster; reads tolerate R-W node losses, so GET/HEAD requests retry up to R-W other backends on transport error")
-		retries  = flag.Int("proxy-retries", -1, "explicit failover budget for safe requests; overrides the R-W derivation when >= 0")
-	)
-	flag.Parse()
-	if *backends == "" {
+	cfg, err := config.ForCommand("ceems_lb", flag.CommandLine, os.Args[1:])
+	if err != nil {
+		log.Fatal(err)
+	}
+	if len(cfg.LB.Backends) == 0 {
 		log.Fatal("-backends required")
 	}
 
 	reg := telemetry.NewRegistry()
 	telemetry.RegisterProcess(reg)
-	balancer := &lb.LB{Strategy: lb.Strategy(*strategy), QueryTimeout: *queryTmo}
+	balancer := &lb.LB{Strategy: lb.Strategy(cfg.LB.Strategy), QueryTimeout: cfg.LB.QueryTimeout}
 	switch {
-	case *retries >= 0:
-		balancer.ProxyRetries = *retries
-	case *replFact > 0 && *writeQ > 0:
-		if *writeQ > *replFact {
-			log.Fatalf("-write-quorum %d exceeds -replication-factor %d", *writeQ, *replFact)
-		}
-		balancer.ProxyRetries = *replFact - *writeQ
+	case cfg.LB.ProxyRetries >= 0:
+		balancer.ProxyRetries = cfg.LB.ProxyRetries
+	case cfg.Ring.ReplicationFactor > 0 && cfg.Ring.WriteQuorum > 0:
+		balancer.ProxyRetries = cfg.Ring.ReplicationFactor - cfg.Ring.WriteQuorum
 	}
-	if *cacheSz > 0 {
+	if cfg.LB.CacheBytes > 0 {
 		balancer.Cache = querycache.New(querycache.Options{
-			MaxBytes: *cacheSz, Telemetry: reg, Name: "lb",
+			MaxBytes: cfg.LB.CacheBytes, Telemetry: reg, Name: "lb",
 		})
-		balancer.CacheTTL = *cacheTTL
-		balancer.CacheSettledTTL = *cacheSet
+		balancer.CacheTTL = cfg.LB.CacheTTL
+		balancer.CacheSettledTTL = cfg.LB.CacheSettledTTL
 	}
-	for _, raw := range strings.Split(*backends, ",") {
+	for _, raw := range cfg.LB.Backends {
 		b, err := lb.NewBackend(raw)
 		if err != nil {
 			log.Fatalf("backend: %v", err)
 		}
 		balancer.Backends = append(balancer.Backends, b)
 	}
-	if *apiURL != "" {
-		balancer.Checker = &lb.HTTPChecker{BaseURL: *apiURL}
+	if cfg.LB.APIServer != "" {
+		balancer.Checker = &lb.HTTPChecker{BaseURL: cfg.LB.APIServer}
 	} else {
 		log.Print("warning: running WITHOUT access control (-api-server empty)")
 	}
 	// After Backends: the per-backend bridges close over the final list.
 	balancer.InstrumentTelemetry(reg)
 	go func() {
-		tick := time.NewTicker(*healthIv)
+		tick := time.NewTicker(cfg.LB.HealthInterval)
 		defer tick.Stop()
 		for range tick.C {
 			balancer.HealthCheck(context.Background())
@@ -84,6 +72,6 @@ func main() {
 	}()
 
 	log.Printf("ceems_lb: %d backends, strategy %s, failover budget %d, serving %s",
-		len(balancer.Backends), *strategy, balancer.ProxyRetries, *listen)
-	log.Fatal(http.ListenAndServe(*listen, balancer))
+		len(balancer.Backends), cfg.LB.Strategy, balancer.ProxyRetries, cfg.LB.Listen)
+	log.Fatal(http.ListenAndServe(cfg.LB.Listen, balancer))
 }

@@ -17,6 +17,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"net"
 	"net/http"
 	_ "net/http/pprof" // profiling endpoints on the -pprof-addr listener
 	"os"
@@ -34,35 +35,20 @@ import (
 )
 
 func main() {
+	// These four steer one simulator run; every deployment setting is a key
+	// of the configuration.
 	var (
-		cfgPath    = flag.String("config", "", "YAML config file (empty uses defaults)")
-		accel      = flag.Float64("accel", 120, "simulated seconds per wall second")
-		duration   = flag.Duration("duration", time.Hour, "simulated duration to run")
-		promListen = flag.String("prom-listen", ":9090", "Prometheus API (behind LB) listen address")
-		apiListen  = flag.String("api-listen", ":9200", "CEEMS API server listen address")
-		report     = flag.Duration("report", 10*time.Minute, "simulated interval between dashboard prints")
-		walDir     = flag.String("wal-dir", "", "TSDB write-ahead-log directory; a restarted sim replays it (empty = memory-only head)")
-		nodes      = flag.Int("cluster-nodes", 1, "number of TSDB storage nodes; >1 runs the consistent-hash ring with quorum replication (per-node WALs under -wal-dir/<node>)")
-		replFactor = flag.Int("replication-factor", 0, "ring replication factor R (copies per series); 0 picks min(3, cluster-nodes)")
-		writeQ     = flag.Int("write-quorum", 0, "write quorum W (node acks before a scrape commit returns); 0 picks the majority R/2+1; reads need R-W+1 live replicas")
-		chaos      = flag.String("chaos", "", "chaos scenario on the ring: kill | partition | diskfull (inject at 1/3 of the run, recover at 2/3; needs -cluster-nodes > 1)")
-		hintLimit  = flag.Int("hint-limit", 0, "hinted-handoff queue bound per dead/partitioned node (drop-oldest past it); 0 keeps the default, -1 disables hinting")
-		remoteWr   = flag.Bool("remote-write", false, "serve POST /api/v1/write on the Prometheus API: framed expofmt push ingest with 429 backpressure; clustered runs commit pushed samples with W-quorum semantics (see /api/v1/status/ingest)")
-		rwMaxInf   = flag.Int("remote-write-max-inflight", 0, "max concurrently committing remote-write requests before 429 (0 = 2x GOMAXPROCS)")
-		oooWin     = flag.Duration("ooo-window", 0, "accept samples up to this far behind each node's max time (remote-write retry tolerance); 0 keeps strict ordering")
-		slowThr    = flag.Duration("slow-query-threshold", 0, "queries at or above this duration land in the slow-query ring at /api/v1/status/queries (0 disables the slow log; active-query tracking always on)")
-		slowCap    = flag.Int("slow-query-capacity", 0, "slow-query ring size (0 = 128)")
-		pprofAdr   = flag.String("pprof-addr", "", "serve net/http/pprof on this address (empty disables); kept off the query listeners so profiling is never exposed to query clients")
+		accel    = flag.Float64("accel", 120, "simulated seconds per wall second")
+		duration = flag.Duration("duration", time.Hour, "simulated duration to run")
+		report   = flag.Duration("report", 10*time.Minute, "simulated interval between dashboard prints")
+		chaos    = flag.String("chaos", "", "chaos scenario on the ring: kill | partition | diskfull (inject at 1/3 of the run, recover at 2/3; needs -cluster-nodes > 1)")
 	)
-	flag.Parse()
-
-	cfg := config.Default()
-	if *cfgPath != "" {
-		var err error
-		cfg, err = config.Load(*cfgPath)
-		if err != nil {
-			log.Fatalf("config: %v", err)
-		}
+	cfg, err := config.ForCommand("cluster_sim", flag.CommandLine, os.Args[1:])
+	if err != nil {
+		log.Fatal(err)
+	}
+	if *chaos != "" && cfg.Ring.Nodes <= 1 {
+		log.Fatalf("-chaos %q needs -cluster-nodes > 1", *chaos)
 	}
 	topo := cluster.Topology{
 		Name:             cfg.Cluster.Name,
@@ -74,30 +60,13 @@ func main() {
 		GPUKinds:         []model.GPUKind{model.GPUV100, model.GPUA100, model.GPUH100},
 		Seed:             cfg.Sim.Seed,
 	}
-	opts := cluster.DefaultOptions()
-	opts.ScrapeInterval = cfg.TSDB.ScrapeInterval
-	opts.RuleInterval = cfg.TSDB.RuleInterval
-	opts.UpdateInterval = cfg.APIServer.UpdateInterval
-	opts.ShipInterval = cfg.Thanos.ShipInterval
-	opts.ShortUnitCutoff = cfg.APIServer.ShortUnitCutoff
-	opts.Zone = cfg.Cluster.Zone
-	opts.WALDir = *walDir
-	opts.ClusterNodes = *nodes
-	opts.ReplicationFactor = *replFactor
-	opts.WriteQuorum = *writeQ
-	opts.HintLimit = *hintLimit
-	opts.OutOfOrderWindow = *oooWin
 	// One registry for the whole process: the sim registers the TSDB (or
 	// ring), scrape manager, and caches; /metrics on the Prometheus API
 	// serves it for self-scraping.
 	reg := telemetry.NewRegistry()
 	telemetry.RegisterProcess(reg)
-	opts.Telemetry = reg
-	if *chaos != "" && *nodes <= 1 {
-		log.Fatalf("-chaos %q needs -cluster-nodes > 1", *chaos)
-	}
 
-	sim, err := cluster.New(topo, opts, cfg.Sim.Users, cfg.Sim.Projects, cfg.Sim.JobsPerDay)
+	sim, err := cluster.New(topo, cfg, reg)
 	if err != nil {
 		log.Fatalf("sim: %v", err)
 	}
@@ -116,9 +85,6 @@ func main() {
 		log.Printf("tsdb: wal replay: %d shards, %d segments, %d records, %d samples recovered, %d torn-tail repairs, in %v",
 			r.Shards, r.Segments, r.Records, r.Samples, r.TornRepairs, r.Duration)
 	}
-	for _, admin := range cfg.APIServer.AdminUsers {
-		sim.APIServer.AddAdmin(admin)
-	}
 	log.Printf("cluster_sim: %q with %d nodes (%d GPUs), %.0f jobs/day, %.0fx acceleration",
 		topo.Name, topo.TotalNodes(), topo.TotalGPUs(), cfg.Sim.JobsPerDay, *accel)
 
@@ -128,11 +94,12 @@ func main() {
 	_, qsrc := sim.Engine()
 	promH := &promapi.Handler{
 		Query: qsrc, Now: sim.Now,
+		Timeout: cfg.TSDB.QueryTimeout,
 		Metrics: reg,
-		Queries: &telemetry.QueryLog{SlowThreshold: *slowThr, SlowCapacity: *slowCap},
+		Queries: &telemetry.QueryLog{SlowThreshold: cfg.TSDB.SlowQueryThreshold, SlowCapacity: cfg.TSDB.SlowQueryCapacity},
 	}
-	if *remoteWr {
-		rcv := &remotewrite.Receiver{MaxInflight: *rwMaxInf, Telemetry: reg}
+	if cfg.TSDB.RemoteWrite {
+		rcv := &remotewrite.Receiver{MaxInflight: cfg.TSDB.RemoteWriteMaxInflight, Telemetry: reg}
 		if sim.Ring != nil {
 			// Pushed batches take the same W-quorum commit path as scrapes.
 			rcv.NewBatch = func() scrape.Batch { return sim.Ring.NewBatch() }
@@ -140,44 +107,48 @@ func main() {
 			rcv.NewBatch = func() scrape.Batch { return sim.DB.Appender() }
 		}
 		promH.Ingest = rcv
-		log.Printf("remote-write ingest enabled (max in-flight %d, ooo window %v)", rcv.Stats().MaxInflight, *oooWin)
+		log.Printf("remote-write ingest enabled (max in-flight %d, ooo window %v)", rcv.Stats().MaxInflight, cfg.TSDB.OOOWindow)
 	}
-	promHandler := promH.Mux()
+	// The raw Prometheus API has one client, the LB in this process, so it
+	// takes whatever loopback port is free; bound before the LB is told
+	// about it, so the LB never proxies to nothing.
+	rawLn, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		log.Fatalf("prometheus API: %v", err)
+	}
+	backend, err := lb.NewBackend("http://" + rawLn.Addr().String())
+	if err != nil {
+		log.Fatalf("lb backend: %v", err)
+	}
+	sim.LB.Backends = []*lb.Backend{backend}
+	// After Backends: the per-backend bridges close over the final list.
+	// The LB then also answers /metrics itself from the same registry.
+	sim.LB.InstrumentTelemetry(reg)
+	go func() { log.Fatal(http.Serve(rawLn, promH.Mux())) }()
 	go func() {
-		// The raw backend listens on a derived port; the LB fronts it.
-		backendAddr := "127.0.0.1:19090"
-		go http.ListenAndServe(backendAddr, promHandler)
-		b, err := lb.NewBackend("http://" + backendAddr)
-		if err != nil {
-			log.Fatalf("lb backend: %v", err)
-		}
-		sim.LB.Backends = []*lb.Backend{b}
-		// After Backends: the per-backend bridges close over the final list.
-		// The LB then also answers /metrics itself from the same registry.
-		sim.LB.InstrumentTelemetry(reg)
-		log.Printf("prometheus API via LB on %s (access controlled)", *promListen)
-		log.Fatal(http.ListenAndServe(*promListen, sim.LB))
+		log.Printf("prometheus API via LB on %s (access controlled)", cfg.TSDB.Listen)
+		log.Fatal(http.ListenAndServe(cfg.TSDB.Listen, sim.LB))
 	}()
 	go func() {
-		log.Printf("CEEMS API on %s", *apiListen)
-		log.Fatal(http.ListenAndServe(*apiListen, sim.APIServer.Handler()))
+		log.Printf("CEEMS API on %s", cfg.APIServer.Listen)
+		log.Fatal(http.ListenAndServe(cfg.APIServer.Listen, sim.APIServer.Handler()))
 	}()
-	if *pprofAdr != "" {
+	if cfg.TSDB.PprofAddr != "" {
 		go func() {
 			// net/http/pprof registered itself on DefaultServeMux; serve that
 			// mux only here, never on the query listeners.
-			log.Printf("pprof: serving on %s", *pprofAdr)
-			log.Fatal(http.ListenAndServe(*pprofAdr, nil))
+			log.Printf("pprof: serving on %s", cfg.TSDB.PprofAddr)
+			log.Fatal(http.ListenAndServe(cfg.TSDB.PprofAddr, nil))
 		}()
 	}
 
 	ctx := context.Background()
-	stepsPerWallSec := *accel / opts.ScrapeInterval.Seconds()
+	stepsPerWallSec := *accel / cfg.TSDB.ScrapeInterval.Seconds()
 	if stepsPerWallSec <= 0 {
 		stepsPerWallSec = 1
 	}
-	total := int(*duration / opts.ScrapeInterval)
-	reportEvery := int(*report / opts.ScrapeInterval)
+	total := int(*duration / cfg.TSDB.ScrapeInterval)
+	reportEvery := int(*report / cfg.TSDB.ScrapeInterval)
 	sleep := time.Duration(float64(time.Second) / stepsPerWallSec)
 	// Chaos schedule: break one node a third of the way in, repair it at
 	// two thirds, and let the final third prove convergence.

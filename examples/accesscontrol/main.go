@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/config"
 	"repro/internal/lb"
 	"repro/internal/promapi"
 	"repro/internal/relstore"
@@ -23,7 +24,9 @@ import (
 
 func main() {
 	topo := cluster.Topology{Name: "secure", IntelNodes: 2, Seed: 5}
-	sim, err := cluster.New(topo, cluster.DefaultOptions(), 2, 2, 2000)
+	cfg := config.Default()
+	cfg.Sim.Users, cfg.Sim.Projects, cfg.Sim.JobsPerDay = 2, 2, 2000
+	sim, err := cluster.New(topo, cfg, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

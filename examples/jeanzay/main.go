@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/config"
 	"repro/internal/model"
 	"repro/internal/relstore"
 )
@@ -30,7 +31,9 @@ func main() {
 		GPUKinds:         []model.GPUKind{model.GPUV100, model.GPUA100, model.GPUH100},
 		Seed:             2026,
 	}
-	sim, err := cluster.New(topo, cluster.DefaultOptions(), 12, 5, 4000)
+	cfg := config.Default()
+	cfg.Sim.Users, cfg.Sim.Projects, cfg.Sim.JobsPerDay = 12, 5, 4000
+	sim, err := cluster.New(topo, cfg, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -242,24 +242,29 @@ func atoiDefault(s string, def int) int {
 	return n
 }
 
-// RunPeriodic drives the updater and optional backup on intervals until
-// ctx is cancelled (the production loop; simulations call Update/Sync
-// directly with virtual clocks).
-func RunPeriodic(ctx context.Context, u *Updater, interval time.Duration, backup func() error) {
+// RunPeriodic drives the updater every interval and the optional backup
+// every backupInterval until ctx is cancelled (the production loop;
+// simulations call Update/Sync directly with virtual clocks).
+func RunPeriodic(ctx context.Context, u *Updater, interval time.Duration, backup func() error, backupInterval time.Duration) {
 	if interval <= 0 {
 		interval = time.Minute
 	}
 	tick := time.NewTicker(interval)
 	defer tick.Stop()
+	var backupC <-chan time.Time // nil, so never ready, without a backup
+	if backup != nil && backupInterval > 0 {
+		bt := time.NewTicker(backupInterval)
+		defer bt.Stop()
+		backupC = bt.C
+	}
 	for {
 		select {
 		case <-ctx.Done():
 			return
 		case <-tick.C:
 			u.Update(ctx, time.Now())
-			if backup != nil {
-				backup()
-			}
+		case <-backupC:
+			backup()
 		}
 	}
 }

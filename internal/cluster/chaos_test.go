@@ -5,15 +5,19 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/config"
 	"repro/internal/labels"
 	"repro/internal/lb"
 	"repro/internal/model"
+	"repro/internal/promapi"
 	"repro/internal/promql"
 	"repro/internal/tsdb"
 )
@@ -388,12 +392,10 @@ func TestHandoffJoinLeave(t *testing.T) {
 // answers from the surviving quorum, and the node rejoins through WAL
 // replay plus handoff without any subsystem error.
 func TestChaosClusterSim(t *testing.T) {
-	opts := DefaultOptions()
-	opts.ClusterNodes = 3
-	opts.ReplicationFactor = 3
-	opts.WriteQuorum = 2
-	opts.WALDir = filepath.Join(chaosDir(t), "simwal")
-	sim, err := New(smallTopo(), opts, 4, 2, 1500)
+	cfg := testConfig(4, 2, 1500)
+	cfg.Ring = config.RingConfig{Nodes: 3, ReplicationFactor: 3, WriteQuorum: 2}
+	cfg.TSDB.WALDir = filepath.Join(chaosDir(t), "simwal")
+	sim, err := New(smallTopo(), cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -432,5 +434,38 @@ func TestChaosClusterSim(t *testing.T) {
 	}
 	for _, e := range sim.Errors {
 		t.Errorf("subsystem error: %s", e)
+	}
+}
+
+// TestQuorumLabelEndpoints: the Prometheus label metadata endpoints over a
+// 3-node ring (what cluster_sim -cluster-nodes 3 serves) answer from the
+// surviving read quorum with one member down — they used to answer 404
+// whatever the ring's state — and 503, like a query, once too few replicas
+// are left to cover every acked write.
+func TestQuorumLabelEndpoints(t *testing.T) {
+	e := newChaosEnv(t, 3, 3, 2, 4)
+	e.run(0, 3)
+	h := (&promapi.Handler{Query: e.ring.Scatter()}).Mux()
+	get := func(path string) (int, string) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+		return rec.Code, rec.Body.String()
+	}
+	if err := e.ring.Kill("node-2"); err != nil {
+		t.Fatal(err)
+	}
+	if code, body := get("/api/v1/labels"); code != 200 || !strings.Contains(body, `"data":["__name__","cluster","idx"]`) {
+		t.Errorf("labels with one member down = %d %s", code, body)
+	}
+	if code, body := get("/api/v1/label/idx/values"); code != 200 || !strings.Contains(body, `"data":["000","001","002","003"]`) {
+		t.Errorf("label values with one member down = %d %s", code, body)
+	}
+	if err := e.ring.Kill("node-1"); err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{"/api/v1/labels", "/api/v1/label/idx/values", "/api/v1/query?query=chaos_metric&time=30"} {
+		if code, body := get(path); code != 503 || !strings.Contains(body, "read quorum unavailable") {
+			t.Errorf("%s with two members down = %d %s, want 503 read quorum unavailable", path, code, body)
+		}
 	}
 }

@@ -31,7 +31,7 @@ func (f *failingFetcher) Fetch(ctx context.Context, target string) (io.ReadClose
 // stale, and the rest of the fleet must keep attributing power.
 func TestExporterFailureIsolated(t *testing.T) {
 	topo := Topology{Name: "failtest", IntelNodes: 3, Seed: 9}
-	sim, err := New(topo, DefaultOptions(), 3, 2, 2000)
+	sim, err := New(topo, testConfig(3, 2, 2000), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func (brokenManager) FetchUnits(context.Context, time.Time) ([]model.Unit, error
 // reported, other fetchers still update.
 func TestResourceManagerFailureIsolated(t *testing.T) {
 	topo := Topology{Name: "rmfail", IntelNodes: 2, Seed: 4}
-	sim, err := New(topo, DefaultOptions(), 2, 2, 2000)
+	sim, err := New(topo, testConfig(2, 2, 2000), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestResourceManagerFailureIsolated(t *testing.T) {
 // the same node with the same uuid-like labels.
 func TestCounterAcrossStaleGap(t *testing.T) {
 	topo := Topology{Name: "gap", IntelNodes: 1, Seed: 2}
-	sim, err := New(topo, DefaultOptions(), 1, 1, 0) // no workload gen
+	sim, err := New(topo, testConfig(1, 1, 0), nil) // no workload gen
 	if err != nil {
 		t.Fatal(err)
 	}

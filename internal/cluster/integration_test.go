@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/config"
 	"repro/internal/grafana"
 	"repro/internal/lb"
 	"repro/internal/model"
@@ -24,10 +25,19 @@ func smallTopo() Topology {
 	}
 }
 
+// testConfig is the default configuration with the synthetic workload set
+// and blocks cut every 30 simulated minutes, so an hour-long run ships.
+func testConfig(users, projects int, jobsPerDay float64) config.Config {
+	cfg := config.Default()
+	cfg.Sim.Users, cfg.Sim.Projects, cfg.Sim.JobsPerDay = users, projects, jobsPerDay
+	cfg.Thanos.ShipInterval = 30 * time.Minute
+	return cfg
+}
+
 // TestFullStack is the E1 (Fig. 1) experiment: every component wired
 // together over a mixed cluster, driven for an hour of simulated time.
 func TestFullStack(t *testing.T) {
-	sim, err := New(smallTopo(), DefaultOptions(), 6, 3, 2000)
+	sim, err := New(smallTopo(), testConfig(6, 3, 2000), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +117,7 @@ func TestFullHTTPPath(t *testing.T) {
 	topo := smallTopo()
 	topo.GPUIncludedNodes = 0
 	topo.GPUExcludedNodes = 0
-	sim, err := New(topo, DefaultOptions(), 4, 2, 1500)
+	sim, err := New(topo, testConfig(4, 2, 1500), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

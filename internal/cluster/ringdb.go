@@ -83,7 +83,7 @@ func (m *Member) Name() string { return m.name }
 // DB returns the live tsdb, or nil when the node is down.
 func (m *Member) DB() *tsdb.DB { return m.db.Load() }
 
-// reachable is the transport check both paths share.
+// reachable is the fault-injection check both paths share.
 func (m *Member) reachable() (*tsdb.DB, error) {
 	if m.partitioned.Load() {
 		return nil, ErrNodePartitioned
@@ -156,8 +156,8 @@ func (m *Member) LabelNames() ([]string, error) {
 
 // RepairSamples implements lb.Repairer: the scatter-gather merge back-fills
 // a replica it caught returning stale or missing series. Repairs land
-// through the normal batch append seam (WAL-durable); out-of-order
-// duplicates skip silently, so repairing is always safe to retry.
+// through the member's BatchAppend (WAL-durable); out-of-order duplicates
+// skip silently, so repairing is always safe to retry.
 func (m *Member) RepairSamples(ls labels.Labels, samples []model.Sample) error {
 	batch := make([]tsdb.BatchSample, len(samples))
 	for i, s := range samples {

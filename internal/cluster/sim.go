@@ -4,10 +4,12 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"path/filepath"
 	"strings"
 	"time"
 
 	"repro/internal/api"
+	"repro/internal/config"
 	"repro/internal/emissions"
 	"repro/internal/exporter"
 	"repro/internal/gpusim"
@@ -31,84 +33,17 @@ import (
 // simTime wraps the simulated wall clock.
 type simTime struct{ t time.Time }
 
-// Options configure the simulation cadence.
-type Options struct {
-	Start time.Time
-	// ScrapeInterval is the base tick; every subsystem cadence is a
-	// multiple of it.
-	ScrapeInterval time.Duration
-	RuleInterval   time.Duration
-	UpdateInterval time.Duration
-	ShipInterval   time.Duration
-	// ShortUnitCutoff for TSDB cardinality cleanup.
-	ShortUnitCutoff time.Duration
-	// Zone for emission factors; Factor may be nil for OWID static.
-	Zone   string
-	Factor emissions.Provider
-	// HeadRetention of the hot TSDB after block shipping.
-	HeadRetention time.Duration
-	// StoreDir persists the API store and Thanos blocks; "" keeps all in
-	// memory.
-	StoreDir string
-	// WALDir makes the hot TSDB head durable: shards journal appends to
-	// per-shard write-ahead logs under this directory and a restarted sim
-	// replays them in parallel. "" keeps the head memory-only.
-	WALDir string
-	// ClusterNodes > 1 replaces the single hot TSDB with a consistent-hash
-	// ring of that many tsdb nodes: scrapes route through quorum batch
-	// appends, queries scatter-gather across replicas, and the thanos
-	// sidecar/cold tier is disabled (retention prunes each node instead).
-	// Each node journals to WALDir/<node> when WALDir is set.
-	ClusterNodes int
-	// ReplicationFactor is the ring's R (copies per series); 0 picks
-	// min(3, ClusterNodes). Only used when ClusterNodes > 1.
-	ReplicationFactor int
-	// WriteQuorum is the ring's W (acks before a commit returns); 0 picks
-	// the majority R/2+1. Reads need R−W+1 replicas per owner group.
-	WriteQuorum int
-	// VirtualNodes per member on the ring; 0 picks the default.
-	VirtualNodes int
-	// HintLimit bounds the hinted-handoff queue per dead/partitioned
-	// member (oldest hints are dropped past it); 0 keeps DefaultHintLimit,
-	// negative disables hinting entirely. Only used when ClusterNodes > 1.
-	HintLimit int
-	// OutOfOrderWindow lets the TSDB heads accept samples up to this far
-	// behind their max time (tsdb.Options.OutOfOrderWindow) so retrying
-	// remote-write agents don't hard-fail; 0 keeps strict ordering. Applies
-	// to the single node and to every ring member alike.
-	OutOfOrderWindow time.Duration
-	// Telemetry, when set, registers the stack's self-instrumentation into
-	// this registry: the single-node TSDB internals, the scrape manager, and
-	// (in cluster mode) the ring's quorum/hint/repair metrics. Ring member
-	// TSDBs are not individually instrumented — their series would collide
-	// on one registry; the ring-level metrics cover the replicated path.
-	Telemetry *telemetry.Registry
-}
-
-// DefaultOptions returns the deployment cadence used in the experiments.
-func DefaultOptions() Options {
-	return Options{
-		Start:           time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC),
-		ScrapeInterval:  15 * time.Second,
-		RuleInterval:    time.Minute,
-		UpdateInterval:  5 * time.Minute,
-		ShipInterval:    30 * time.Minute,
-		ShortUnitCutoff: time.Minute,
-		Zone:            "FR",
-		Factor:          emissions.OWID{},
-		HeadRetention:   2 * time.Hour,
-	}
-}
-
 // Sim is the assembled platform.
 type Sim struct {
 	Topo Topology
-	Opts Options
+	// Cfg is the configuration the platform was assembled from. The tsdb
+	// scrape interval is the base tick; every other cadence is a multiple.
+	Cfg config.Config
 
 	Sched *slurmsim.Scheduler
 	// DB is the hot TSDB in single-node mode; nil when clustered.
 	DB *tsdb.DB
-	// Ring is the replicated storage layer when Opts.ClusterNodes > 1;
+	// Ring is the replicated storage layer when Cfg.Ring.Nodes > 1;
 	// nil in single-node mode.
 	Ring      *RingDB
 	Cold      *thanos.Store
@@ -163,15 +98,31 @@ func (p *gpuMapProvider) GPUOrdinalsByUnit() map[string][]exporter.GPUBinding {
 	return out
 }
 
-// New assembles a simulation of the topology.
-func New(topo Topology, opts Options, users, projects int, jobsPerDay float64) (*Sim, error) {
-	nodesByClass, err := topo.buildNodes(simTime{opts.Start})
+// New assembles a simulation of the topology from the configuration: the
+// tsdb, thanos, ring, api_server, emissions, cluster and sim sections. With
+// ring.nodes > 1 a consistent-hash ring of that many TSDB nodes replaces
+// the single hot TSDB: scrapes route through quorum batch appends, queries
+// scatter-gather across replicas, and there is no cold tier (each node
+// prunes its head to tsdb.retention instead).
+//
+// reg, when not nil, receives the stack's self-instrumentation: the
+// single-node TSDB internals, the scrape manager, and (in cluster mode) the
+// ring's quorum/hint/repair metrics. Ring member TSDBs are not individually
+// instrumented — their series would collide on one registry; the ring-level
+// metrics cover the replicated path.
+func New(topo Topology, cfg config.Config, reg *telemetry.Registry) (*Sim, error) {
+	start := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
+	nodesByClass, err := topo.buildNodes(simTime{start})
 	if err != nil {
 		return nil, err
 	}
 	sim := &Sim{
-		Topo: topo, Opts: opts, clock: opts.Start,
+		Topo: topo, Cfg: cfg, clock: start,
 		exporters: map[string]*exporter.Exporter{},
+	}
+	factor, err := emissions.FromConfig(cfg.Emissions, sim.Now)
+	if err != nil {
+		return nil, err
 	}
 
 	// Partitions: one per node class present.
@@ -190,59 +141,50 @@ func New(topo Topology, opts Options, users, projects int, jobsPerDay float64) (
 			gpuParts = append(gpuParts, pname)
 		}
 	}
-	sim.Sched, err = slurmsim.NewScheduler(topo.Name, opts.Start, parts...)
+	sim.Sched, err = slurmsim.NewScheduler(topo.Name, start, parts...)
 	if err != nil {
 		return nil, err
 	}
 
-	// Storage: one hot TSDB, or a replicated ring of them.
-	if opts.ClusterNodes > 1 {
-		rf := opts.ReplicationFactor
-		if rf <= 0 {
-			rf = 3
-			if rf > opts.ClusterNodes {
-				rf = opts.ClusterNodes
-			}
+	// Storage: one hot TSDB (node ""), or a replicated ring of them, which
+	// journal under <wal_dir>/<node> and stay uninstrumented.
+	openDB := func(node string) (*tsdb.DB, error) {
+		o := tsdb.DefaultOptions()
+		o.Shards = cfg.TSDB.Shards
+		o.OutOfOrderWindow = cfg.TSDB.OOOWindow.Milliseconds()
+		if node == "" {
+			o.Telemetry = reg
 		}
-		w := opts.WriteQuorum
+		if cfg.TSDB.WALDir != "" {
+			o.WALDir = filepath.Join(cfg.TSDB.WALDir, node)
+		}
+		return tsdb.Open(o)
+	}
+	if cfg.Ring.Nodes > 1 {
+		rf := cfg.Ring.ReplicationFactor
+		if rf <= 0 {
+			rf = min(3, cfg.Ring.Nodes)
+		}
+		w := cfg.Ring.WriteQuorum
 		if w <= 0 {
 			w = rf/2 + 1
 		}
-		open := func(name string) (*tsdb.DB, error) {
-			o := tsdb.DefaultOptions()
-			o.OutOfOrderWindow = opts.OutOfOrderWindow.Milliseconds()
-			if opts.WALDir != "" {
-				o.WALDir = opts.WALDir + "/" + name
-			}
-			return tsdb.Open(o)
-		}
-		nodeNames := make([]string, opts.ClusterNodes)
+		nodeNames := make([]string, cfg.Ring.Nodes)
 		for i := range nodeNames {
 			nodeNames[i] = fmt.Sprintf("tsdb-%d", i)
 		}
-		sim.Ring, err = NewRingDB(rf, w, opts.VirtualNodes, open, nodeNames...)
+		sim.Ring, err = NewRingDB(rf, w, 0, openDB, nodeNames...)
 		if err != nil {
 			return nil, fmt.Errorf("cluster: open ring: %w", err)
 		}
-		if opts.HintLimit != 0 {
-			limit := opts.HintLimit
-			if limit < 0 {
-				limit = 0
-			}
-			sim.Ring.SetHintLimit(limit)
+		if cfg.Ring.HintLimit != 0 {
+			sim.Ring.SetHintLimit(max(cfg.Ring.HintLimit, 0))
 		}
-		if opts.Telemetry != nil {
-			sim.Ring.InstrumentTelemetry(opts.Telemetry)
+		if reg != nil {
+			sim.Ring.InstrumentTelemetry(reg)
 		}
-	} else {
-		tsdbOpts := tsdb.DefaultOptions()
-		tsdbOpts.WALDir = opts.WALDir
-		tsdbOpts.OutOfOrderWindow = opts.OutOfOrderWindow.Milliseconds()
-		tsdbOpts.Telemetry = opts.Telemetry
-		sim.DB, err = tsdb.Open(tsdbOpts)
-		if err != nil {
-			return nil, fmt.Errorf("cluster: open tsdb: %w", err)
-		}
+	} else if sim.DB, err = openDB(""); err != nil {
+		return nil, fmt.Errorf("cluster: open tsdb: %w", err)
 	}
 	var groups []*scrape.TargetGroup
 	for _, class := range Classes() {
@@ -276,7 +218,7 @@ func New(topo Topology, opts Options, users, projects int, jobsPerDay float64) (
 				"nodeclass": string(class),
 				"cluster":   topo.Name,
 			},
-			Interval: opts.ScrapeInterval,
+			Interval: cfg.TSDB.ScrapeInterval,
 		})
 	}
 	// The write destination, query source and series cleaner are the ring
@@ -307,45 +249,40 @@ func New(topo Topology, opts Options, users, projects int, jobsPerDay float64) (
 		NewBatch: newBatch,
 		Now:      func() time.Time { return sim.clock },
 	}
-	if opts.Telemetry != nil {
-		sim.scrapeMgr.InstrumentTelemetry(opts.Telemetry)
+	if reg != nil {
+		sim.scrapeMgr.InstrumentTelemetry(reg)
 	}
 
 	// Recording rules: all four hardware-class groups + emissions.
 	ropts := ceemsrules.DefaultOptions()
-	ropts.Interval = opts.RuleInterval
+	ropts.Interval = cfg.TSDB.RuleInterval
+	ropts.RateWindow = cfg.TSDB.RateWindow
 	sim.rulesMgr = &rules.Manager{
 		Engine: rules.NewEngine(nil), Query: hotQuery, Dest: ruleDest,
 		Groups: ceemsrules.AllGroups(ropts),
 	}
-	if opts.Telemetry != nil {
-		sim.rulesMgr.Engine.InstrumentTelemetry(opts.Telemetry)
+	if reg != nil {
+		sim.rulesMgr.Engine.InstrumentTelemetry(reg)
 	}
 
-	// Long-term storage. The thanos sidecar ships blocks from one concrete
-	// hot DB; in cluster mode every replica retains its own head instead
-	// (Step prunes on the ship cadence) and queries stay on the ring.
+	// Long-term storage, in memory. The thanos sidecar ships blocks from
+	// one concrete hot DB, which keeps 2x the cut cadence so lookback
+	// windows never straddle a gap; in cluster mode every replica retains
+	// its own head instead (Step prunes on the ship cadence) and queries
+	// stay on the ring.
 	updaterQuery := hotQuery
 	if sim.Ring == nil {
-		coldDir := ""
-		if opts.StoreDir != "" {
-			coldDir = opts.StoreDir + "/thanos"
-		}
-		sim.Cold, err = thanos.NewStore(coldDir)
+		sim.Cold, err = thanos.NewStore("")
 		if err != nil {
 			return nil, err
 		}
-		sim.Sidecar = &thanos.Sidecar{DB: sim.DB, Store: sim.Cold, HeadRetention: opts.HeadRetention}
+		sim.Sidecar = &thanos.Sidecar{DB: sim.DB, Store: sim.Cold, HeadRetention: 2 * cfg.Thanos.ShipInterval}
 		sim.Querier = &thanos.Querier{Hot: sim.DB, Cold: sim.Cold}
 		updaterQuery = sim.Querier
 	}
 
-	// API server.
-	storeDir := ""
-	if opts.StoreDir != "" {
-		storeDir = opts.StoreDir + "/apidb"
-	}
-	sim.Store, err = relstore.Open(storeDir)
+	// API server, on an in-memory store.
+	sim.Store, err = relstore.Open("")
 	if err != nil {
 		return nil, err
 	}
@@ -354,10 +291,6 @@ func New(topo Topology, opts Options, users, projects int, jobsPerDay float64) (
 			return nil, err
 		}
 	}
-	factor := opts.Factor
-	if factor == nil {
-		factor = emissions.OWID{}
-	}
 	sim.Updater = &api.Updater{
 		Store: sim.Store,
 		Fetchers: []resourcemanager.Fetcher{
@@ -365,11 +298,16 @@ func New(topo Topology, opts Options, users, projects int, jobsPerDay float64) (
 		},
 		Query:           updaterQuery,
 		Factor:          factor,
-		Zone:            opts.Zone,
-		ShortUnitCutoff: opts.ShortUnitCutoff,
+		Zone:            cfg.Cluster.Zone,
+		ShortUnitCutoff: cfg.APIServer.ShortUnitCutoff,
 		Cleaner:         cleaner,
 	}
 	sim.APIServer = &api.Server{Store: sim.Store, Updater: sim.Updater}
+	for _, admin := range cfg.APIServer.AdminUsers {
+		if err := sim.APIServer.AddAdmin(admin); err != nil {
+			return nil, err
+		}
+	}
 
 	// Load balancer over the (single, in this sim) query backend; the
 	// backend handler is installed by callers that serve HTTP. Ownership
@@ -389,11 +327,11 @@ func New(topo Topology, opts Options, users, projects int, jobsPerDay float64) (
 		Strategy: lb.RoundRobin,
 		Checker:  &lb.APIServerChecker{Server: sim.APIServer},
 		Cache:    querycache.New(cacheOpts),
-		CacheTTL: opts.ScrapeInterval,
+		CacheTTL: cfg.TSDB.ScrapeInterval,
 		CacheNow: func() time.Time { return sim.clock },
 	}
 
-	sim.Gen = NewWorkloadGen(topo.Seed, users, projects, jobsPerDay, cpuParts, gpuParts)
+	sim.Gen = NewWorkloadGen(topo.Seed, cfg.Sim.Users, cfg.Sim.Projects, cfg.Sim.JobsPerDay, cpuParts, gpuParts)
 	return sim, nil
 }
 
@@ -406,7 +344,7 @@ func (s *Sim) Now() time.Time { return s.clock }
 // tick.
 func (s *Sim) Step(ctx context.Context) {
 	s.tick++
-	dt := s.Opts.ScrapeInterval
+	dt := s.Cfg.TSDB.ScrapeInterval
 	s.clock = s.clock.Add(dt)
 
 	s.Gen.Tick(s.Sched, dt)
@@ -414,8 +352,8 @@ func (s *Sim) Step(ctx context.Context) {
 	s.scrapeMgr.ScrapeAll(ctx)
 
 	// Emission factor as a series (so rules can join against it).
-	if f, err := s.Opts.Factor.Factor(ctx, s.Opts.Zone); err == nil {
-		ls := labels.FromStrings(labels.MetricName, "ceems_emission_factor_gco2_kwh", "zone", s.Opts.Zone)
+	if f, err := s.Updater.Factor.Factor(ctx, s.Cfg.Cluster.Zone); err == nil {
+		ls := labels.FromStrings(labels.MetricName, "ceems_emission_factor_gco2_kwh", "zone", s.Cfg.Cluster.Zone)
 		if s.Ring != nil {
 			if err := s.Ring.Append(ls, s.clock.UnixMilli(), f.GramsPerKWh); err != nil {
 				s.recordError("emissions", err)
@@ -425,25 +363,25 @@ func (s *Sim) Step(ctx context.Context) {
 		}
 	}
 
-	if s.every(s.Opts.RuleInterval) {
+	if s.every(s.Cfg.TSDB.RuleInterval) {
 		if err := s.rulesMgr.EvalAll(s.clock); err != nil {
 			s.recordError("rules", err)
 		}
 	}
-	if s.every(s.Opts.UpdateInterval) {
+	if s.every(s.Cfg.APIServer.UpdateInterval) {
 		if err := s.Updater.Update(ctx, s.clock); err != nil {
 			s.recordError("updater", err)
 		}
 	}
-	if s.every(s.Opts.ShipInterval) {
+	if s.every(s.Cfg.Thanos.ShipInterval) {
 		if s.Sidecar != nil {
 			if err := s.Sidecar.Ship(s.clock); err != nil {
 				s.recordError("sidecar", err)
 			}
-		} else if s.Ring != nil && s.Opts.HeadRetention > 0 {
+		} else if s.Ring != nil && s.Cfg.TSDB.RetentionPeriod > 0 {
 			// No cold tier in cluster mode: every replica prunes its own
 			// head on the same cadence the sidecar would have shipped.
-			s.Ring.Truncate(s.clock.Add(-s.Opts.HeadRetention).UnixMilli())
+			s.Ring.Truncate(s.clock.Add(-s.Cfg.TSDB.RetentionPeriod).UnixMilli())
 		}
 	}
 }
@@ -453,7 +391,7 @@ func (s *Sim) every(interval time.Duration) bool {
 	if interval <= 0 {
 		return false
 	}
-	ticks := int64(interval / s.Opts.ScrapeInterval)
+	ticks := int64(interval / s.Cfg.TSDB.ScrapeInterval)
 	if ticks <= 0 {
 		ticks = 1
 	}
@@ -468,7 +406,7 @@ func (s *Sim) recordError(sub string, err error) {
 
 // RunFor advances the simulation by the given simulated duration.
 func (s *Sim) RunFor(ctx context.Context, d time.Duration) {
-	steps := int(d / s.Opts.ScrapeInterval)
+	steps := int(d / s.Cfg.TSDB.ScrapeInterval)
 	for i := 0; i < steps; i++ {
 		s.Step(ctx)
 	}

@@ -2,6 +2,12 @@
 // CEEMS components (paper §II.D: "All the CEEMS components can be
 // configured in a single YAML file where each component will read its
 // relevant configuration").
+//
+// Config is the one declaration of every operator-settable value: a leaf
+// field's tags carry its YAML key, its command-line flag (the key with
+// dashes unless a `flag` tag says otherwise) and its help text, Default
+// carries its default. A command registers the fields it reads with
+// Register and calls ParseFlags; nothing else declares a setting.
 package config
 
 import (
@@ -18,6 +24,7 @@ type Config struct {
 	Exporter  ExporterConfig  `yaml:"exporter"`
 	TSDB      TSDBConfig      `yaml:"tsdb"`
 	Thanos    ThanosConfig    `yaml:"thanos"`
+	Ring      RingConfig      `yaml:"ring"`
 	APIServer APIServerConfig `yaml:"api_server"`
 	LB        LBConfig        `yaml:"lb"`
 	Emissions EmissionsConfig `yaml:"emissions"`
@@ -26,89 +33,130 @@ type Config struct {
 
 // ClusterConfig describes the monitored cluster.
 type ClusterConfig struct {
-	Name string `yaml:"name"`
-	// Zone is the grid zone for emission factors.
-	Zone string `yaml:"zone"`
+	Name string `yaml:"name" flag:"cluster" help:"cluster name (the cluster label on scraped series)"`
+	Zone string `yaml:"zone" help:"grid zone for emission factors"`
 }
 
-// ExporterConfig configures the per-node exporter.
+// ExporterConfig configures the per-node exporter. A scraper registers the
+// two credentials under a "scrape-" prefix: they are the same secret.
 type ExporterConfig struct {
-	Listen string `yaml:"listen"`
-	// Collectors to disable (all enabled by default).
-	DisableCollectors []string `yaml:"disable_collectors"`
-	BasicAuthUser     string   `yaml:"basic_auth_user"`
-	BasicAuthPassword string   `yaml:"basic_auth_password"`
+	Listen            string   `yaml:"listen" help:"HTTP listen address"`
+	DisableCollectors []string `yaml:"disable_collectors" flag:"disable" help:"comma-separated collectors to disable (all enabled by default)"`
+	BasicAuthUser     string   `yaml:"basic_auth_user" flag:"auth-user" help:"basic auth user of the exporter's /metrics (empty disables auth)"`
+	BasicAuthPassword string   `yaml:"basic_auth_password" flag:"auth-pass" help:"basic auth password of the exporter's /metrics"`
 }
 
-// TSDBConfig configures the hot TSDB and scraping.
+// TSDBConfig configures the Prometheus role: scraping, rules, the hot TSDB
+// head and its query API (prometheus_sim, and cluster_sim's embedded one).
 type TSDBConfig struct {
-	ScrapeInterval  time.Duration `yaml:"scrape_interval"`
-	RuleInterval    time.Duration `yaml:"rule_interval"`
-	RetentionPeriod time.Duration `yaml:"retention"`
-	RateWindow      string        `yaml:"rate_window"`
+	Listen                 string        `yaml:"listen" help:"Prometheus API listen address (cluster_sim serves it behind the access-control LB)"`
+	Targets                []string      `yaml:"targets" help:"comma-separated exporter targets (host:port)"`
+	ScrapeInterval         time.Duration `yaml:"scrape_interval" help:"scrape interval"`
+	RuleInterval           time.Duration `yaml:"rule_interval" help:"rule evaluation interval"`
+	RetentionPeriod        time.Duration `yaml:"retention" help:"how much history a head keeps when no block store takes it over (head-only prometheus_sim, cluster_sim ring members)"`
+	RateWindow             string        `yaml:"rate_window" help:"range window of the recording rules' counter rates"`
+	Shards                 int           `yaml:"shards" flag:"tsdb-shards" help:"TSDB head shards (power of two; 0 = GOMAXPROCS)"`
+	QueryTimeout           time.Duration `yaml:"query_timeout" help:"per-query evaluation deadline (0 disables)"`
+	WALDir                 string        `yaml:"wal_dir" help:"per-shard TSDB write-ahead-log directory; restarts replay it (empty = memory-only head; cluster mode journals under <dir>/<node>)"`
+	QueryCacheBytes        int64         `yaml:"query_cache_bytes" help:"query-result cache byte budget; repeated dashboard range queries reuse cached steps and evaluate only the new tail (0 disables)"`
+	RemoteWrite            bool          `yaml:"remote_write" help:"serve POST /api/v1/write: framed expofmt push ingest with 429 backpressure; clustered runs commit pushed samples with W-quorum semantics (see /api/v1/status/ingest)"`
+	RemoteWriteMaxInflight int           `yaml:"remote_write_max_inflight" help:"max concurrently committing remote-write requests before 429 (0 = 2x GOMAXPROCS)"`
+	OOOWindow              time.Duration `yaml:"ooo_window" help:"accept samples up to this far behind the head max time (remote-write retry tolerance); 0 keeps strict ordering"`
+	SlowQueryThreshold     time.Duration `yaml:"slow_query_threshold" help:"queries at or above this duration land in the slow-query ring at /api/v1/status/queries (0 disables the slow log; active-query tracking always on)"`
+	SlowQueryCapacity      int           `yaml:"slow_query_capacity" help:"slow-query ring size (0 = 128)"`
+	PprofAddr              string        `yaml:"pprof_addr" help:"serve net/http/pprof on this address (empty disables); kept off the query listeners so profiling is never exposed to query clients"`
 }
 
-// ThanosConfig configures long-term storage.
+// ThanosConfig configures long-term storage: the persistent block store
+// the head is cut into.
 type ThanosConfig struct {
-	Dir           string        `yaml:"dir"`
-	ShipInterval  time.Duration `yaml:"ship_interval"`
-	HeadRetention time.Duration `yaml:"head_retention"`
-	Downsample    time.Duration `yaml:"downsample"`
+	Dir              string        `yaml:"dir" flag:"blocks-dir" help:"persistent block store directory: the head is cut into immutable blocks every -block-range, compacted and downsampled in the background, and queries fan in over head + blocks (see docs/ARCHITECTURE.md); empty keeps the head-only lifecycle"`
+	ShipInterval     time.Duration `yaml:"ship_interval" flag:"block-range" help:"block cut cadence; the head keeps 2x this after each cut so lookback windows never straddle a gap"`
+	CompactionFactor int           `yaml:"compaction_factor" help:"consecutive same-level blocks merged per compaction level (0 = 3); overlapping blocks always compact first regardless"`
+	Downsample       bool          `yaml:"downsample" help:"maintain 5m/1h downsampled aggregates alongside raw blocks (cut after 2x/10x -block-range); hinted range queries then read sum/count/min/max points instead of raw chunks"`
+}
+
+// RingConfig describes the replicated TSDB ring: cluster_sim builds it
+// from these keys and ceems_lb derives its failover budget from the same
+// R and W.
+type RingConfig struct {
+	Nodes             int `yaml:"nodes" flag:"cluster-nodes" help:"number of TSDB storage nodes; >1 runs the consistent-hash ring with quorum replication (per-node WALs under -wal-dir/<node>)"`
+	ReplicationFactor int `yaml:"replication_factor" help:"ring replication factor R (copies per series); 0 picks min(3, nodes) in cluster_sim and disables failover in ceems_lb"`
+	WriteQuorum       int `yaml:"write_quorum" help:"write quorum W (node acks before a commit returns); 0 picks the majority R/2+1; reads need R-W+1 live replicas, so the LB retries GET/HEAD on up to R-W other backends"`
+	HintLimit         int `yaml:"hint_limit" help:"hinted-handoff queue bound per dead/partitioned node (drop-oldest past it); 0 keeps the default, -1 disables hinting"`
 }
 
 // APIServerConfig configures the CEEMS API server.
 type APIServerConfig struct {
-	Listen          string        `yaml:"listen"`
-	DataDir         string        `yaml:"data_dir"`
-	BackupDir       string        `yaml:"backup_dir"`
-	UpdateInterval  time.Duration `yaml:"update_interval"`
-	BackupInterval  time.Duration `yaml:"backup_interval"`
-	ShortUnitCutoff time.Duration `yaml:"short_unit_cutoff"`
-	AdminUsers      []string      `yaml:"admin_users"`
+	Listen          string        `yaml:"listen" help:"CEEMS API listen address"`
+	SlurmDBD        string        `yaml:"slurmdbd" help:"slurmdbd base URL (required by ceems_api_server)"`
+	Prometheus      string        `yaml:"prometheus" help:"Prometheus/Thanos base URL for remote read (required by ceems_api_server)"`
+	DataDir         string        `yaml:"data_dir" help:"DB directory (empty = in-memory)"`
+	BackupDir       string        `yaml:"backup_dir" help:"continuous backup directory (empty disables; needs -data-dir)"`
+	UpdateInterval  time.Duration `yaml:"update_interval" help:"aggregate update interval"`
+	BackupInterval  time.Duration `yaml:"backup_interval" help:"interval between backups into -backup-dir"`
+	ShortUnitCutoff time.Duration `yaml:"short_unit_cutoff" help:"terminated units shorter than this have their series deleted from the TSDB (needs an embedded TSDB, as in cluster_sim)"`
+	AdminUsers      []string      `yaml:"admin_users" flag:"admins" help:"comma-separated admin users"`
 }
 
 // LBConfig configures the load balancer.
 type LBConfig struct {
-	Listen   string   `yaml:"listen"`
-	Backends []string `yaml:"backends"`
-	Strategy string   `yaml:"strategy"`
+	Listen          string        `yaml:"listen" help:"HTTP listen address"`
+	Backends        []string      `yaml:"backends" help:"comma-separated backend base URLs (required)"`
+	Strategy        string        `yaml:"strategy" help:"round-robin or least-connection"`
+	APIServer       string        `yaml:"api_server" help:"CEEMS API server base URL for ownership checks (empty disables access control)"`
+	HealthInterval  time.Duration `yaml:"health_interval" help:"backend health check interval"`
+	QueryTimeout    time.Duration `yaml:"query_timeout" help:"per-query proxy deadline covering ownership check and backend round-trip (0 disables)"`
+	CacheBytes      int64         `yaml:"cache_bytes" help:"response cache byte budget; repeat dashboard queries are served without hitting a backend (0 disables)"`
+	CacheTTL        time.Duration `yaml:"cache_ttl" help:"max staleness of cached responses whose window touches the present"`
+	CacheSettledTTL time.Duration `yaml:"cache_settled_ttl" help:"TTL for cached range responses whose window ended in the past"`
+	ProxyRetries    int           `yaml:"proxy_retries" help:"explicit failover budget for safe requests; overrides the R-W derivation when >= 0"`
 }
 
-// EmissionsConfig selects emission factor providers in priority order.
+// EmissionsConfig selects emission factor providers in priority order
+// (emissions.FromConfig builds the chain).
 type EmissionsConfig struct {
-	Providers  []string      `yaml:"providers"` // "rte", "emaps", "owid"
-	RTEURL     string        `yaml:"rte_url"`
-	EMapsURL   string        `yaml:"emaps_url"`
-	EMapsToken string        `yaml:"emaps_token"`
-	CacheTTL   time.Duration `yaml:"cache_ttl"`
+	Providers  []string      `yaml:"providers" help:"emission factor providers tried in order: rte, emaps, owid"`
+	RTEURL     string        `yaml:"rte_url" help:"RTE eCO2mix endpoint"`
+	EMapsURL   string        `yaml:"emaps_url" help:"Electricity Maps base URL"`
+	EMapsToken string        `yaml:"emaps_token" help:"Electricity Maps auth token"`
+	CacheTTL   time.Duration `yaml:"cache_ttl" help:"how long a fetched factor is reused"`
 }
 
 // SimConfig parameterizes the simulated platform (cluster_sim only).
 type SimConfig struct {
-	IntelNodes       int     `yaml:"intel_nodes"`
-	AMDNodes         int     `yaml:"amd_nodes"`
-	GPUIncludedNodes int     `yaml:"gpu_included_nodes"`
-	GPUExcludedNodes int     `yaml:"gpu_excluded_nodes"`
-	Users            int     `yaml:"users"`
-	Projects         int     `yaml:"projects"`
-	JobsPerDay       float64 `yaml:"jobs_per_day"`
-	Seed             int64   `yaml:"seed"`
+	IntelNodes       int     `yaml:"intel_nodes" help:"simulated Intel CPU nodes"`
+	AMDNodes         int     `yaml:"amd_nodes" help:"simulated AMD CPU nodes"`
+	GPUIncludedNodes int     `yaml:"gpu_included_nodes" help:"simulated GPU nodes whose IPMI reading includes the GPUs"`
+	GPUExcludedNodes int     `yaml:"gpu_excluded_nodes" help:"simulated GPU nodes whose IPMI reading excludes the GPUs"`
+	Users            int     `yaml:"users" help:"simulated users"`
+	Projects         int     `yaml:"projects" help:"simulated projects"`
+	JobsPerDay       float64 `yaml:"jobs_per_day" help:"synthetic workload submission rate"`
+	Seed             int64   `yaml:"seed" help:"workload and topology seed"`
 }
 
-// Default returns a config with sane defaults for a small simulation.
+// Default returns the defaults every command starts from: the deployment
+// cadence of the paper over a small simulated platform.
 func Default() Config {
 	return Config{
-		Cluster: ClusterConfig{Name: "sim", Zone: "FR"},
+		Cluster:  ClusterConfig{Name: "sim", Zone: "FR"},
+		Exporter: ExporterConfig{Listen: ":9100"},
 		TSDB: TSDBConfig{
-			ScrapeInterval: 15 * time.Second, RuleInterval: time.Minute,
+			Listen: ":9090", ScrapeInterval: 15 * time.Second, RuleInterval: time.Minute,
 			RetentionPeriod: 15 * 24 * time.Hour, RateWindow: "2m",
+			QueryTimeout: 2 * time.Minute, QueryCacheBytes: 64 << 20,
 		},
-		Thanos: ThanosConfig{ShipInterval: 30 * time.Minute, HeadRetention: 2 * time.Hour},
+		Thanos: ThanosConfig{ShipInterval: 2 * time.Hour, Downsample: true},
+		Ring:   RingConfig{Nodes: 1},
 		APIServer: APIServerConfig{
-			UpdateInterval: 5 * time.Minute, BackupInterval: time.Hour,
+			Listen: ":9200", UpdateInterval: 5 * time.Minute, BackupInterval: time.Hour,
 			ShortUnitCutoff: time.Minute,
 		},
-		LB:        LBConfig{Strategy: "round-robin"},
+		LB: LBConfig{
+			Listen: ":9091", Strategy: "round-robin", HealthInterval: 15 * time.Second,
+			QueryTimeout: 2 * time.Minute, CacheBytes: 32 << 20,
+			CacheTTL: 15 * time.Second, CacheSettledTTL: 10 * time.Minute, ProxyRetries: -1,
+		},
 		Emissions: EmissionsConfig{Providers: []string{"owid"}, CacheTTL: 5 * time.Minute},
 		Sim: SimConfig{
 			IntelNodes: 4, AMDNodes: 2, GPUIncludedNodes: 1, GPUExcludedNodes: 1,
@@ -117,30 +165,41 @@ func Default() Config {
 	}
 }
 
-// Load reads and validates a config file, applying defaults for absent
-// fields.
-func Load(path string) (Config, error) {
-	cfg := Default()
+// Load overlays the YAML file at path onto c. yamlite skips keys it cannot
+// place; a settings file must not, or a typo silently keeps the default.
+func (c *Config) Load(path string) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return cfg, err
+		return err
 	}
-	if err := yamlite.Unmarshal(data, &cfg); err != nil {
-		return cfg, fmt.Errorf("config: %s: %w", path, err)
+	tree, err := yamlite.Parse(data)
+	if err != nil {
+		return fmt.Errorf("config: %s: %w", path, err)
 	}
-	return cfg, cfg.Validate()
+	known := map[string]bool{}
+	for _, l := range c.leaves() {
+		known[l.key] = true
+	}
+	sections, _ := tree.(map[string]any)
+	for section, body := range sections {
+		keys, ok := body.(map[string]any)
+		if !ok && body != nil {
+			return fmt.Errorf("config: %s: section %q is not a mapping", path, section)
+		}
+		for key := range keys {
+			if !known[section+"."+key] {
+				return fmt.Errorf("config: %s: unknown key %s.%s", path, section, key)
+			}
+		}
+	}
+	if err := yamlite.Unmarshal(data, c); err != nil {
+		return fmt.Errorf("config: %s: %w", path, err)
+	}
+	return nil
 }
 
-// Parse decodes a config from bytes (for tests and embedded defaults).
-func Parse(data []byte) (Config, error) {
-	cfg := Default()
-	if err := yamlite.Unmarshal(data, &cfg); err != nil {
-		return cfg, err
-	}
-	return cfg, cfg.Validate()
-}
-
-// Validate checks cross-field invariants.
+// Validate checks cross-field invariants. Provider names are checked where
+// the chain is built (emissions.FromConfig), by the commands that read them.
 func (c Config) Validate() error {
 	if c.Cluster.Name == "" {
 		return fmt.Errorf("config: cluster.name required")
@@ -152,16 +211,16 @@ func (c Config) Validate() error {
 		return fmt.Errorf("config: tsdb.rule_interval must be >= scrape_interval")
 	}
 	switch c.LB.Strategy {
-	case "", "round-robin", "least-connection":
+	case "round-robin", "least-connection":
 	default:
-		return fmt.Errorf("config: lb.strategy must be round-robin or least-connection")
+		return fmt.Errorf("config: lb.strategy must be round-robin or least-connection, not %q", c.LB.Strategy)
 	}
-	for _, p := range c.Emissions.Providers {
-		switch p {
-		case "owid", "rte", "emaps":
-		default:
-			return fmt.Errorf("config: unknown emissions provider %q", p)
-		}
+	if c.Thanos.ShipInterval <= 0 {
+		return fmt.Errorf("config: thanos.ship_interval must be positive")
+	}
+	if c.Ring.ReplicationFactor > 0 && c.Ring.WriteQuorum > c.Ring.ReplicationFactor {
+		return fmt.Errorf("config: ring.write_quorum %d exceeds ring.replication_factor %d",
+			c.Ring.WriteQuorum, c.Ring.ReplicationFactor)
 	}
 	if c.Sim.JobsPerDay < 0 {
 		return fmt.Errorf("config: sim.jobs_per_day must be non-negative")

@@ -14,6 +14,8 @@ import (
 	"net/http"
 	"sync"
 	"time"
+
+	"repro/internal/config"
 )
 
 // Factor is one emission factor sample.
@@ -236,6 +238,27 @@ func (c *Chain) Factor(ctx context.Context, zone string) (Factor, error) {
 		lastErr = fmt.Errorf("emissions: empty provider chain")
 	}
 	return Factor{}, lastErr
+}
+
+// FromConfig builds the configured provider chain: the listed providers in
+// order, each behind its own TTL cache on the given clock (nil = time.Now).
+func FromConfig(c config.EmissionsConfig, now func() time.Time) (Provider, error) {
+	chain := &Chain{}
+	for _, name := range c.Providers {
+		var p Provider
+		switch name {
+		case "rte":
+			p = &RTE{URL: c.RTEURL}
+		case "emaps":
+			p = &EMaps{BaseURL: c.EMapsURL, Token: c.EMapsToken}
+		case "owid":
+			p = OWID{}
+		default:
+			return nil, fmt.Errorf("emissions: unknown provider %q", name)
+		}
+		chain.Providers = append(chain.Providers, &Cached{Provider: p, TTL: c.CacheTTL, Now: now})
+	}
+	return chain, nil
 }
 
 // DiurnalFactor models a realistic real-time factor signal: a base value

@@ -4,10 +4,13 @@ import (
 	"context"
 	"errors"
 	"math"
+	"net/http"
 	"net/http/httptest"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/config"
 )
 
 var ctx = context.Background()
@@ -193,5 +196,54 @@ func TestStaticVsRealTimeDivergence(t *testing.T) {
 	eve := Factor{GramsPerKWh: DiurnalFactor(56, time.Date(2026, 6, 1, 19, 0, 0, 0, time.UTC))}
 	if eve.Grams(joules) <= mid.Grams(joules) {
 		t.Error("evening emissions should exceed midday")
+	}
+}
+
+// TestFromConfig: the configured chain tries the listed providers in the
+// listed order, each behind the configured TTL on the given clock, and an
+// unknown name is an error at construction, not at the first lookup.
+func TestFromConfig(t *testing.T) {
+	now := time.Date(2026, 6, 1, 13, 0, 0, 0, time.UTC)
+	clock := func() time.Time { return now }
+	var hits atomic.Int64
+	mock := MockRTEHandler(clock)
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		hits.Add(1)
+		mock.ServeHTTP(w, r)
+	}))
+	defer srv.Close()
+
+	p, err := FromConfig(config.EmissionsConfig{
+		Providers: []string{"rte", "owid"}, RTEURL: srv.URL, CacheTTL: time.Minute,
+	}, clock)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f, err := p.Factor(ctx, "FR"); err != nil || f.Source != "rte" {
+		t.Errorf("FR = %+v, %v; want the first provider, rte", f, err)
+	}
+	if f, err := p.Factor(ctx, "DE"); err != nil || f.Source != "owid" {
+		t.Errorf("DE = %+v, %v; want the fallback, owid (rte serves FR only)", f, err)
+	}
+	now = now.Add(59 * time.Second)
+	p.Factor(ctx, "FR")
+	if hits.Load() != 1 {
+		t.Errorf("%d fetches inside the TTL, want 1", hits.Load())
+	}
+	now = now.Add(2 * time.Second)
+	p.Factor(ctx, "FR")
+	if hits.Load() != 2 {
+		t.Errorf("%d fetches after the TTL ran out on the given clock, want 2", hits.Load())
+	}
+
+	def, err := FromConfig(config.Default().Emissions, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f, err := def.Factor(ctx, "FR"); err != nil || f.GramsPerKWh != 56 {
+		t.Errorf("default chain FR = %+v, %v; want OWID's static 56", f, err)
+	}
+	if _, err := FromConfig(config.EmissionsConfig{Providers: []string{"owid", "carrier-pigeon"}}, nil); err == nil {
+		t.Error("unknown provider accepted")
 	}
 }

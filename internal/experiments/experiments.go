@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/exporter"
 	"repro/internal/hw"
@@ -142,6 +143,16 @@ func RunEq1(_ context.Context) (*Result, error) {
 	return &Result{ID: "eq1", Title: "Eq. 1 validation", Text: buf.String(), Headline: head}, nil
 }
 
+// simConfig is the default configuration with the synthetic workload set.
+// Blocks are cut every 30 simulated minutes, so an hour-long experiment
+// reads through the hot/cold seam as a deployment's older data would.
+func simConfig(users, projects int, jobsPerDay float64) config.Config {
+	cfg := config.Default()
+	cfg.Sim.Users, cfg.Sim.Projects, cfg.Sim.JobsPerDay = users, projects, jobsPerDay
+	cfg.Thanos.ShipInterval = 30 * time.Minute
+	return cfg
+}
+
 // smallSim builds and runs a compact mixed cluster for the dashboard
 // experiments.
 func smallSim(ctx context.Context, d time.Duration) (*cluster.Sim, error) {
@@ -151,7 +162,7 @@ func smallSim(ctx context.Context, d time.Duration) (*cluster.Sim, error) {
 		GPUsPerNode: 4, GPUKinds: []model.GPUKind{model.GPUA100},
 		Seed: 11,
 	}
-	sim, err := cluster.New(topo, cluster.DefaultOptions(), 8, 4, 3000)
+	sim, err := cluster.New(topo, simConfig(8, 4, 3000), nil)
 	if err != nil {
 		return nil, err
 	}
@@ -325,7 +336,7 @@ func RunOverhead(_ context.Context) (*Result, error) {
 func RunScale(ctx context.Context) (*Result, error) {
 	topo := cluster.JeanZay(1.0)
 	start := time.Now()
-	sim, err := cluster.New(topo, cluster.DefaultOptions(), 100, 25, 20000)
+	sim, err := cluster.New(topo, simConfig(100, 25, 20000), nil)
 	if err != nil {
 		return nil, err
 	}
@@ -343,7 +354,7 @@ func RunScale(ctx context.Context) (*Result, error) {
 	st := sim.DB.Stats()
 	sched := sim.Sched.Stats()
 
-	simulated := time.Duration(steps) * sim.Opts.ScrapeInterval
+	simulated := time.Duration(steps) * sim.Cfg.TSDB.ScrapeInterval
 	rtf := simulated.Seconds() / stepTime.Seconds()
 	var buf strings.Builder
 	fmt.Fprintf(&buf, "E7 — Jean-Zay scale (paper §III: ~1400 nodes, ~20k jobs/day)\n\n")

@@ -32,7 +32,7 @@ func RunRuleVariants(ctx context.Context) (*Result, error) {
 		GPUsPerNode: 2, GPUKinds: []model.GPUKind{model.GPUA100},
 		Seed: 3,
 	}
-	sim, err := cluster.New(topo, cluster.DefaultOptions(), 4, 2, 4000)
+	sim, err := cluster.New(topo, simConfig(4, 2, 4000), nil)
 	if err != nil {
 		return nil, err
 	}
@@ -411,13 +411,13 @@ func RunAblateAggregation(ctx context.Context) (*Result, error) {
 func RunAblateCleanup(ctx context.Context) (*Result, error) {
 	run := func(cleanup bool) (int, int64, error) {
 		topo := cluster.Topology{Name: "a4", IntelNodes: 4, Seed: 13}
-		opts := cluster.DefaultOptions()
+		cfg := simConfig(10, 4, 15000) // churn-heavy
 		if !cleanup {
-			opts.ShortUnitCutoff = 0
+			cfg.APIServer.ShortUnitCutoff = 0
 		} else {
-			opts.ShortUnitCutoff = 10 * time.Minute
+			cfg.APIServer.ShortUnitCutoff = 10 * time.Minute
 		}
-		sim, err := cluster.New(topo, opts, 10, 4, 15000) // churn-heavy
+		sim, err := cluster.New(topo, cfg, nil)
 		if err != nil {
 			return 0, 0, err
 		}

@@ -15,6 +15,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/lb"
 	"repro/internal/model"
 	"repro/internal/promql"
 	"repro/internal/querycache"
@@ -74,6 +75,15 @@ type Handler struct {
 type LabelStore interface {
 	LabelNames() []string
 	LabelValues(name string) []string
+}
+
+// FallibleLabelStore is LabelStore for a Queryable whose metadata reads
+// can fail, as its Select can: *lb.ScatterGather refuses an answer that
+// too few replicas cover. The endpoints report the error like a failed
+// query.
+type FallibleLabelStore interface {
+	LabelNames() ([]string, error)
+	LabelValues(name string) ([]string, error)
 }
 
 // Mux returns the route tree.
@@ -162,13 +172,15 @@ func finishQuery(w http.ResponseWriter, r *http.Request, rq *telemetry.RunningQu
 }
 
 // writeQueryErr maps evaluation failures onto Prometheus-style statuses:
-// deadline/cancellation is 503, matching Prometheus's timeout semantics;
-// every other evaluation failure — parse/type errors and engine guardrail
+// deadline/cancellation is 503, matching Prometheus's timeout semantics,
+// and so is a replicated store short of its read quorum (the request is
+// fine, the service is not); every other evaluation failure — parse/type errors and engine guardrail
 // violations (promql.LimitError: too many steps, sample budget) alike —
 // keeps this API's long-standing 422 convention.
 func writeQueryErr(w http.ResponseWriter, err error) {
 	code := http.StatusUnprocessableEntity
-	if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
+	var noQuorum *lb.ErrQuorumUnavailable
+	if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) || errors.As(err, &noQuorum) {
 		code = http.StatusServiceUnavailable
 	}
 	writeErr(w, code, err.Error())
@@ -309,31 +321,54 @@ func (h *Handler) handleQueriesStatus(w http.ResponseWriter, _ *http.Request) {
 	writeOK(w, "queries", out)
 }
 
-// handleLabels serves /api/v1/labels when the backing store supports label
-// metadata.
-func (h *Handler) handleLabels(w http.ResponseWriter, _ *http.Request) {
-	ls, ok := h.Query.(LabelStore)
-	if !ok {
+// serveLabels answers a label metadata endpoint from whichever of the two
+// store shapes Query has: the values of one label, or with name empty all
+// label names.
+func (h *Handler) serveLabels(w http.ResponseWriter, name string) {
+	var (
+		list  []string
+		err   error
+		names = name == ""
+	)
+	switch ls := h.Query.(type) {
+	case LabelStore:
+		if names {
+			list = ls.LabelNames()
+		} else {
+			list = ls.LabelValues(name)
+		}
+	case FallibleLabelStore:
+		if names {
+			list, err = ls.LabelNames()
+		} else {
+			list, err = ls.LabelValues(name)
+		}
+	default:
 		writeErr(w, http.StatusNotFound, "label metadata not supported by this backend")
 		return
 	}
-	writeBody(w, func(b []byte) []byte { return appendList(b, ls.LabelNames()) })
+	if err != nil {
+		writeQueryErr(w, err)
+		return
+	}
+	writeBody(w, func(b []byte) []byte { return appendList(b, list) })
+}
+
+// handleLabels serves /api/v1/labels when the backing store supports label
+// metadata.
+func (h *Handler) handleLabels(w http.ResponseWriter, _ *http.Request) {
+	h.serveLabels(w, "")
 }
 
 // handleLabelValues serves /api/v1/label/<name>/values.
 func (h *Handler) handleLabelValues(w http.ResponseWriter, r *http.Request) {
-	ls, ok := h.Query.(LabelStore)
-	if !ok {
-		writeErr(w, http.StatusNotFound, "label metadata not supported by this backend")
-		return
-	}
 	rest := strings.TrimPrefix(r.URL.Path, "/api/v1/label/")
 	name, suffix, found := strings.Cut(rest, "/")
 	if !found || suffix != "values" || name == "" {
 		writeErr(w, http.StatusNotFound, "expected /api/v1/label/<name>/values")
 		return
 	}
-	writeBody(w, func(b []byte) []byte { return appendList(b, ls.LabelValues(name)) })
+	h.serveLabels(w, name)
 }
 
 func parseTime(s string) (time.Time, error) {

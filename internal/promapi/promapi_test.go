@@ -2,6 +2,8 @@ package promapi
 
 import (
 	"encoding/json"
+	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -9,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/labels"
+	"repro/internal/lb"
 	"repro/internal/model"
 	"repro/internal/promql"
 	"repro/internal/tsdb"
@@ -210,6 +213,53 @@ func TestLabelsUnsupportedBackend(t *testing.T) {
 		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
 		if rec.Code != 404 {
 			t.Errorf("%s = %d, want 404", path, rec.Code)
+		}
+	}
+}
+
+// fallibleStore is a Queryable whose label reads return an error, the shape
+// of the ring's scatter-gather reader.
+type fallibleStore struct {
+	queryableOnly
+	err error
+}
+
+func (s fallibleStore) LabelNames() ([]string, error) { return []string{"a", "b"}, s.err }
+
+func (s fallibleStore) LabelValues(name string) ([]string, error) {
+	return []string{name + "-1"}, s.err
+}
+
+func (s fallibleStore) Select(int64, int64, ...*labels.Matcher) ([]model.Series, error) {
+	return nil, s.err
+}
+
+// TestLabelsFallibleBackend: a store whose label methods can fail serves the
+// metadata endpoints too (they used to answer 404 for it), and its errors
+// surface like a failed query's — 503 when the store is short of its read
+// quorum, on the query endpoints as well.
+func TestLabelsFallibleBackend(t *testing.T) {
+	h := (&Handler{Query: fallibleStore{}}).Mux()
+	for path, want := range map[string]string{
+		"/api/v1/labels":         `"data":["a","b"]`,
+		"/api/v1/label/x/values": `"data":["x-1"]`,
+	} {
+		rec, resp := get(t, h, path)
+		if rec.Code != 200 || resp.Status != "success" || !strings.Contains(rec.Body.String(), want) {
+			t.Errorf("%s = %d %s, want 200 with %s", path, rec.Code, rec.Body.String(), want)
+		}
+	}
+	for err, code := range map[error]int{
+		&lb.ErrQuorumUnavailable{Group: []string{"n1", "n2"}, Need: 2, Got: 1}:              503,
+		fmt.Errorf("scatter: %w", &lb.ErrQuorumUnavailable{Group: []string{"n1"}, Need: 1}): 503,
+		errors.New("disk on fire"): 422,
+	} {
+		h := (&Handler{Query: fallibleStore{err: err}}).Mux()
+		for _, path := range []string{"/api/v1/labels", "/api/v1/label/x/values", "/api/v1/query?query=up"} {
+			rec, resp := get(t, h, path)
+			if rec.Code != code || resp.Status != "error" || !strings.Contains(resp.Error, err.Error()) {
+				t.Errorf("%s with %v = %d %s, want %d carrying the error", path, err, rec.Code, rec.Body.String(), code)
+			}
 		}
 	}
 }

@@ -492,6 +492,37 @@ func TestHotColdSeamMatchesOracleRandom(t *testing.T) {
 	}
 }
 
+// TestShardCountMatchesOracleRandom: the same random PromQL over the same
+// dataset held in a 1-shard head — the single-lock layout, the oracle here —
+// and in a 16-shard head. Which shard a series hashes to, and so the order
+// the shards' partial selects are merged in, must not show in any answer,
+// Range at every geometry or Instant.
+func TestShardCountMatchesOracleRandom(t *testing.T) {
+	rng, gen := equivRun(t)
+	eng := NewEngine()
+	var heads [2]*tsdb.DB
+	for i := 0; i < *equivExprs; i++ {
+		if i%100 == 0 {
+			all, err := equivStorage(t, rng).Select(math.MinInt64, math.MaxInt64, labels.MustMatcher(labels.MatchRegexp, labels.MetricName, ".*"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for k, shards := range []int{1, 16} {
+				heads[k] = tsdb.MustOpen(tsdb.Options{Shards: shards, MaxSamplesPerChunk: 120})
+				for _, sr := range all {
+					if err := heads[k].AppendSeries(sr.Labels, sr.Samples); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+		}
+		checkSameAnswers(t, eng, heads[0], heads[1], gen.query(), rng)
+		if t.Failed() {
+			t.Fatalf("first divergence at expression %d", i)
+		}
+	}
+}
+
 // TestInstantMatrixAndStringMatchOracle covers the two instant result
 // shapes a range query cannot have.
 func TestInstantMatrixAndStringMatchOracle(t *testing.T) {

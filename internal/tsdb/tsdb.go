@@ -64,8 +64,6 @@ var ErrTooOld = fmt.Errorf("%w: older than the out-of-order window", ErrOutOfOrd
 type Options struct {
 	// MaxSamplesPerChunk bounds chunk size; 120 is the Prometheus default.
 	MaxSamplesPerChunk int
-	// RetentionMillis is the head retention window; 0 disables pruning.
-	RetentionMillis int64
 	// Shards is the number of lock stripes in the head, rounded up to a
 	// power of two; 0 picks GOMAXPROCS rounded up. 1 yields the old
 	// single-lock behavior (useful for equivalence testing).
@@ -98,9 +96,11 @@ type Options struct {
 	Telemetry *telemetry.Registry
 }
 
-// DefaultOptions returns production-like defaults (15 days retention).
+// DefaultOptions returns production-like defaults. The head prunes nothing
+// by itself: whoever owns retention calls Truncate (the block-store sidecar
+// after a ship, or a head-only process on its tsdb.retention setting).
 func DefaultOptions() Options {
-	return Options{MaxSamplesPerChunk: 120, RetentionMillis: 15 * 24 * 3600 * 1000}
+	return Options{MaxSamplesPerChunk: 120}
 }
 
 // DB is the in-memory time-series database, optionally backed by a

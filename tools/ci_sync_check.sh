@@ -13,6 +13,9 @@
 #      after normalizing $(GO) to go — the -run pattern and package list of
 #      each harness job are pinned, so neither side can narrow a harness
 #      without the other noticing.
+#   4. The `make config-check` command (flag pin tables, README flag tables,
+#      examples/ceems.yaml, no setting read by nothing) is the lint job's
+#      step, byte for byte.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -61,6 +64,15 @@ if [ "$mk_runs" != "$ci_runs" ]; then
     echo "$mk_runs" >&2
     echo "--- ci.yml" >&2
     echo "$ci_runs" >&2
+    fail=1
+fi
+
+mk_cfg=$(sed -n '/^config-check:/,/^$/s/^	$(GO) \(test .*\)$/go \1/p' Makefile)
+ci_cfg=$(sed -n 's/^ *run: \(go test -count=1 -run .FlagsPinned.*\)$/\1/p' .github/workflows/ci.yml)
+if [ -z "$mk_cfg" ] || [ "$mk_cfg" != "$ci_cfg" ]; then
+    echo "ci-sync-check: config-check differs between Makefile and ci.yml:" >&2
+    echo "--- Makefile: $mk_cfg" >&2
+    echo "--- ci.yml:   $ci_cfg" >&2
     fail=1
 fi
 
