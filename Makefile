@@ -87,9 +87,12 @@ blocks:
 # Head index harness (docs/ARCHITECTURE.md, "Head index"): the postings
 # property test — random matchers against a brute-force oracle, interleaved
 # with creates, deletes and truncates at 1 and 16 shards while another
-# goroutine appends — plus the select allocation bound, and the same
-# property for the block index, which resolves matchers through the same
-# code; randomized, so two passes, under race.
+# goroutine appends — plus the select allocation bound, the same property
+# for the block index, which resolves matchers through the same code, and
+# the read side (docs/ARCHITECTURE.md, "Sized fan-out"): which selects wake
+# a second core at GOMAXPROCS 4, and fanned-out, inline and 1-shard reads
+# of random matchers, windows and sample limits agreeing to the bit;
+# randomized, so two passes, under race.
 head-index:
 	$(GO) test -race -count=2 -run 'Posting|HeadSelect' ./internal/tsdb/
 

@@ -63,9 +63,9 @@ func (s *Server) OwnsUnit(user, uuid string) (bool, error) {
 	if row, ok, err := s.Store.Get(TableUnits, uuid); err != nil {
 		return false, err
 	} else if ok {
-		return rowToUnit(row).User == user, nil
+		return str(row, "user") == user, nil
 	}
-	// Bare ID: search by the id column.
+	// Bare ID: search by the id column (indexed).
 	rows, err := s.Store.Select(TableUnits, relstore.Query{
 		Where: []relstore.Cond{{Col: "id", Op: relstore.OpEq, Val: uuid}},
 	})
@@ -76,7 +76,7 @@ func (s *Server) OwnsUnit(user, uuid string) (bool, error) {
 		return false, nil
 	}
 	for _, r := range rows {
-		if rowToUnit(r).User != user {
+		if str(r, "user") != user {
 			return false, nil
 		}
 	}

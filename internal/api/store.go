@@ -59,7 +59,7 @@ func Schemas() []relstore.Schema {
 				{Name: "num_samples", Type: relstore.ColInt},
 			},
 			PrimaryKey: "uuid",
-			Indexes:    []string{"user", "project", "cluster", "state"},
+			Indexes:    []string{"user", "project", "cluster", "state", "id"},
 		},
 		{
 			Name: TableUsers,

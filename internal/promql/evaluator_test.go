@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/labels"
 	"repro/internal/model"
+	"repro/internal/workpool"
 )
 
 // collidingEngine returns an engine whose grouping/matching hash sends
@@ -298,6 +299,44 @@ func TestParallelColumnsMatchOracle(t *testing.T) {
 		}
 		if !matrixIdentical(got, want) {
 			t.Errorf("%s: parallel evaluation diverges from the oracle", qs)
+		}
+	}
+}
+
+// TestForColsFanOutBoundary pins where a node's per-column work leaves its
+// caller, with GOMAXPROCS forced to 4: exactly where it did before the
+// decision moved into workpool.DoRange — from two columns and parallelCells
+// cells on, cell for cell — and that the ranges handed out are whole columns
+// covering [0, n) once.
+func TestForColsFanOutBoundary(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	for _, steps := range []int{1, 3, 61, 64, 241, 1000, parallelCells / 2, parallelCells/2 + 1, parallelCells, 3 * parallelCells} {
+		edge := (parallelCells + steps - 1) / steps // fewest columns reaching parallelCells cells
+		for _, n := range []int{0, 1, 2, edge - 1, edge, edge + 1, 4 * edge} {
+			ev := &evaluator{ctx: context.Background(), ts: make([]int64, steps)}
+			hits := make([]atomic.Int32, n)
+			var calls atomic.Int32
+			before := workpool.Spawns()
+			if err := ev.forCols(n, func(lo, hi int) {
+				calls.Add(1)
+				for i := lo; i < hi; i++ {
+					hits[i].Add(1)
+				}
+			}); err != nil {
+				t.Fatal(err)
+			}
+			for i := range hits {
+				if got := hits[i].Load(); got != 1 {
+					t.Fatalf("steps=%d n=%d: column %d visited %d times", steps, n, i, got)
+				}
+			}
+			fanned := workpool.Spawns() > before
+			if want := n >= 2 && n*steps >= parallelCells; fanned != want {
+				t.Errorf("steps=%d n=%d (%d cells): fanned out = %v, want %v", steps, n, n*steps, fanned, want)
+			}
+			if got := int(calls.Load()); fanned && (got < 2 || got > 4) {
+				t.Errorf("steps=%d n=%d: %d ranges at GOMAXPROCS 4", steps, n, got)
+			}
 		}
 	}
 }

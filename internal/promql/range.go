@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"runtime"
 	"sort"
 	"time"
 
@@ -312,33 +311,23 @@ func (c *colSet) gather(s int, buf []int32) []int32 {
 }
 
 // parallelCells is the size, in (series, step) cells, from which a node's
-// independent per-series work is split over the worker pool. A cell costs
+// independent per-series work is split over more than one core. A cell costs
 // tens of nanoseconds, so below it a goroutine hand-off costs more than it
 // saves and the node runs on the caller's goroutine.
 const parallelCells = 1 << 15
 
-// forCols runs fn over the column range [0, n), honouring cancellation
-// once per column via ev.ctx inside fn. Column ranges are independent by
-// construction (disjoint values, disjoint bitmap words).
-func (ev *evaluator) forCols(n int, fn func(lo, hi int) error) error {
-	procs := runtime.GOMAXPROCS(0)
-	if procs == 1 || n < 2 || n*len(ev.ts) < parallelCells {
-		return fn(0, n)
-	}
-	chunks := procs * 4
-	if chunks > n {
-		chunks = n
-	}
-	errs := make([]error, chunks)
-	workpool.Do(chunks, 0, func(ci int) {
-		errs[ci] = fn(n*ci/chunks, n*(ci+1)/chunks)
+// forCols runs fn over the column range [0, n); fn checks ev.ctx once per
+// column and returns early when it is done, which forCols then reports.
+// Column ranges are independent by construction (disjoint values, disjoint
+// bitmap words). Whether the work fans out is workpool.DoRange's decision: it
+// is handed the node in cells, a column being len(ev.ts) of them and the
+// least a range may hold; a range covers the columns that start inside it.
+func (ev *evaluator) forCols(n int, fn func(lo, hi int)) error {
+	steps := len(ev.ts)
+	workpool.DoRange(n*steps, max(parallelCells/2, steps), func(lo, hi int) {
+		fn((lo+steps-1)/steps, (hi+steps-1)/steps)
 	})
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return ev.ctx.Err()
 }
 
 // eval evaluates one node into its columns. Every node is consumed by
@@ -449,10 +438,10 @@ func (ev *evaluator) vectorSelector(vs *VectorSelector) (*colSet, error) {
 	}
 	lookback := model.DurationMillis(ev.engine.LookbackDelta)
 	out := ev.newCols(len(sd.series))
-	err = ev.forCols(len(sd.series), func(lo, hi int) error {
+	err = ev.forCols(len(sd.series), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			if err := ev.ctx.Err(); err != nil {
-				return err
+			if ev.ctx.Err() != nil {
+				return
 			}
 			out.lbls[i] = sd.series[i].Labels
 			samples := sd.series[i].Samples
@@ -475,7 +464,6 @@ func (ev *evaluator) vectorSelector(vs *VectorSelector) (*colSet, error) {
 				setBit(bm, s)
 			}
 		}
-		return nil
 	})
 	return out, err
 }
@@ -499,10 +487,10 @@ func (ev *evaluator) rangeCols(arg Expr, param *colSet, fn rangeKernel) (*colSet
 		return nil, err
 	}
 	out := ev.newCols(len(sd.series))
-	err = ev.forCols(len(sd.series), func(from, to int) error {
+	err = ev.forCols(len(sd.series), func(from, to int) {
 		for i := from; i < to; i++ {
-			if err := ev.ctx.Err(); err != nil {
-				return err
+			if ev.ctx.Err() != nil {
+				return
 			}
 			out.lbls[i] = dropName(sd.series[i].Labels)
 			samples := dropStaleMarkers(sd.series[i].Samples)
@@ -532,7 +520,6 @@ func (ev *evaluator) rangeCols(arg Expr, param *colSet, fn rangeKernel) (*colSet
 				setBit(bm, s)
 			}
 		}
-		return nil
 	})
 	return out, err
 }
@@ -550,10 +537,10 @@ func (ev *evaluator) mapCols(arg Expr, fn func(step int, v float64) float64) (*c
 		}
 		return c, nil
 	}
-	err = ev.forCols(c.n(), func(lo, hi int) error {
+	err = ev.forCols(c.n(), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			if err := ev.ctx.Err(); err != nil {
-				return err
+			if ev.ctx.Err() != nil {
+				return
 			}
 			c.lbls[i] = dropName(c.lbls[i])
 			vals := c.col(i)
@@ -564,7 +551,6 @@ func (ev *evaluator) mapCols(arg Expr, fn func(step int, v float64) float64) (*c
 				}
 			}
 		}
-		return nil
 	})
 	return c, err
 }
@@ -866,10 +852,10 @@ func (ev *evaluator) binary(b *BinaryExpr) (*colSet, error) {
 // scalarLeft indicates the scalar was the left operand.
 func (ev *evaluator) scalarVector(b *BinaryExpr, sc, vec *colSet, scalarLeft bool) error {
 	filter := isComparison(b.Op) && !b.ReturnBool
-	return ev.forCols(vec.n(), func(lo, hi int) error {
+	return ev.forCols(vec.n(), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			if err := ev.ctx.Err(); err != nil {
-				return err
+			if ev.ctx.Err() != nil {
+				return
 			}
 			vec.lbls[i] = dropName(vec.lbls[i])
 			vals, bm := vec.col(i), vec.bits(i)
@@ -892,7 +878,6 @@ func (ev *evaluator) scalarVector(b *BinaryExpr, sc, vec *colSet, scalarLeft boo
 				}
 			}
 		}
-		return nil
 	})
 }
 
@@ -993,10 +978,10 @@ func (ev *evaluator) vectorVector(b *BinaryExpr, lhs, rhs *colSet) (*colSet, err
 
 	out := ev.newColsFor(lbls)
 	filter := isComparison(b.Op) && !b.ReturnBool
-	err := ev.forCols(len(cols), func(lo, hi int) error {
+	err := ev.forCols(len(cols), func(lo, hi int) {
 		for c := lo; c < hi; c++ {
-			if err := ev.ctx.Err(); err != nil {
-				return err
+			if ev.ctx.Err() != nil {
+				return
 			}
 			pr := cols[c]
 			mv, ov := many.col(int(pr.m)), one.col(int(pr.o))
@@ -1023,7 +1008,6 @@ func (ev *evaluator) vectorVector(b *BinaryExpr, lhs, rhs *colSet) (*colSet, err
 				}
 			}
 		}
-		return nil
 	})
 	if err != nil {
 		return nil, err

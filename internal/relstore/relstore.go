@@ -11,11 +11,12 @@
 package relstore
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -181,7 +182,9 @@ func (db *DB) Close() error {
 }
 
 // CreateTable registers a table; creating an existing table with an equal
-// schema is a no-op.
+// schema is a no-op. One that differs only in Indexes — a store written
+// before an index was added — takes the new list: the indexes are rebuilt
+// from its rows and the schema journalled, so the next open finds it equal.
 func (db *DB) CreateTable(s Schema) error {
 	if err := s.Validate(); err != nil {
 		return err
@@ -189,27 +192,65 @@ func (db *DB) CreateTable(s Schema) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	if ex, ok := db.tables[s.Name]; ok {
-		exJSON, _ := json.Marshal(ex.schema)
-		newJSON, _ := json.Marshal(s)
-		if string(exJSON) == string(newJSON) {
+		reindexed := ex.schema
+		reindexed.Indexes = s.Indexes
+		if !reflect.DeepEqual(reindexed, s) {
+			return fmt.Errorf("relstore: table %s exists with different schema", s.Name)
+		}
+		if slices.Equal(ex.schema.Indexes, s.Indexes) {
 			return nil
 		}
-		return fmt.Errorf("relstore: table %s exists with different schema", s.Name)
+		ex.reindex(s.Indexes)
+	} else {
+		db.createTableLocked(s)
 	}
-	db.createTableLocked(s)
 	return db.appendWALLocked(walRecord{Op: "create", Table: s.Name, Schema: &s})
 }
 
 func (db *DB) createTableLocked(s Schema) {
-	t := &table{
-		schema:  s,
-		rows:    map[string]Row{},
-		indexes: map[string]map[string]map[string]struct{}{},
-	}
-	for _, idx := range s.Indexes {
+	t := &table{schema: s, rows: map[string]Row{}}
+	t.reindex(s.Indexes)
+	db.tables[s.Name] = t
+}
+
+// reindex makes indexes the table's secondary indexes, built from its rows.
+func (t *table) reindex(indexes []string) {
+	t.schema.Indexes = indexes
+	t.indexes = make(map[string]map[string]map[string]struct{}, len(indexes))
+	for _, idx := range indexes {
 		t.indexes[idx] = map[string]map[string]struct{}{}
 	}
-	db.tables[s.Name] = t
+	for pk, row := range t.rows {
+		t.index(pk, row)
+	}
+}
+
+// unindex takes the row stored under pk, if any, out of every secondary index.
+func (t *table) unindex(pk string) {
+	for col, vm := range t.indexes {
+		if ov, ok := t.rows[pk][col]; ok {
+			key := encodeKey(ov)
+			delete(vm[key], pk)
+			if len(vm[key]) == 0 {
+				delete(vm, key)
+			}
+		}
+	}
+}
+
+// index enters row under pk in every secondary index.
+func (t *table) index(pk string, row Row) {
+	for col, vm := range t.indexes {
+		if v, ok := row[col]; ok {
+			key := encodeKey(v)
+			set, ok := vm[key]
+			if !ok {
+				set = map[string]struct{}{}
+				vm[key] = set
+			}
+			set[pk] = struct{}{}
+		}
+	}
 }
 
 // encodeKey renders any column value into a stable string key.
@@ -306,29 +347,9 @@ func (db *DB) Upsert(tableName string, row Row) error {
 }
 
 func (db *DB) upsertLocked(t *table, pk string, row Row) {
-	if old, exists := t.rows[pk]; exists {
-		for col, vm := range t.indexes {
-			if ov, ok := old[col]; ok {
-				key := encodeKey(ov)
-				delete(vm[key], pk)
-				if len(vm[key]) == 0 {
-					delete(vm, key)
-				}
-			}
-		}
-	}
+	t.unindex(pk)
 	t.rows[pk] = row
-	for col, vm := range t.indexes {
-		if v, ok := row[col]; ok {
-			key := encodeKey(v)
-			set, ok := vm[key]
-			if !ok {
-				set = map[string]struct{}{}
-				vm[key] = set
-			}
-			set[pk] = struct{}{}
-		}
-	}
+	t.index(pk, row)
 }
 
 // Delete removes a row by primary-key value, reporting whether it existed.
@@ -345,19 +366,10 @@ func (db *DB) Delete(tableName string, pkValue any) (bool, error) {
 		return false, err
 	}
 	pk := encodeKey(nv)
-	old, exists := t.rows[pk]
-	if !exists {
+	if _, exists := t.rows[pk]; !exists {
 		return false, nil
 	}
-	for col, vm := range t.indexes {
-		if ov, ok := old[col]; ok {
-			key := encodeKey(ov)
-			delete(vm[key], pk)
-			if len(vm[key]) == 0 {
-				delete(vm, key)
-			}
-		}
-	}
+	t.unindex(pk)
 	delete(t.rows, pk)
 	return true, db.appendWALLocked(walRecord{Op: "delete", Table: tableName, PK: pk})
 }

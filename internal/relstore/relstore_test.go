@@ -224,6 +224,104 @@ func TestCreateTableIdempotent(t *testing.T) {
 	}
 }
 
+// TestCreateTableAddsIndexToPersistedTable: a store written under a schema
+// is reopened under one that differs only in Indexes — what an upgrade that
+// adds an index looks like to an existing data directory. The table must
+// open, serve the new index with the rows it had, journal the change once so
+// later opens find the schemas equal, and keep it across a checkpoint.
+func TestCreateTableAddsIndexToPersistedTable(t *testing.T) {
+	dir := t.TempDir()
+	old := unitsSchema()
+	db, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.CreateTable(old); err != nil {
+		t.Fatal(err)
+	}
+	seedUnits(t, db, 12)
+	byCPUs := Query{Where: []Cond{{"cpus", OpEq, 16}}}
+	want, err := db.Select("units", byCPUs)
+	if err != nil || len(want) != 1 {
+		t.Fatalf("scan select: %v, %v", want, err)
+	}
+	all, _ := db.Select("units", Query{})
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	wider := unitsSchema()
+	wider.Indexes = []string{"user", "project", "cpus"}
+	reopen := func(s Schema) *DB {
+		t.Helper()
+		db, err := Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := db.CreateTable(s); err != nil {
+			t.Fatalf("CreateTable on reopen: %v", err)
+		}
+		return db
+	}
+	checkIndexed := func(db *DB) {
+		t.Helper()
+		if got := len(db.tables["units"].indexes["cpus"]); got != 12 {
+			t.Fatalf("cpus index holds %d values, want 12", got)
+		}
+		if got, err := db.Select("units", byCPUs); err != nil || !reflect.DeepEqual(got, want) {
+			t.Errorf("indexed select = %v, %v; the scan gave %v", got, err, want)
+		}
+		if got, _ := db.Select("units", Query{}); !reflect.DeepEqual(got, all) {
+			t.Errorf("rows changed across the reindex")
+		}
+	}
+
+	db = reopen(wider)
+	checkIndexed(db)
+	journalled := db.WALRecords()
+	// The index follows writes made after it was built.
+	if err := db.Upsert("units", Row{"uuid": "u003", "cpus": int64(17)}); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := db.Select("units", byCPUs); len(got) != 0 {
+		t.Errorf("stale index entry: %v", got)
+	}
+	if err := db.Upsert("units", all[3]); err != nil {
+		t.Fatal(err)
+	}
+	db.Close()
+
+	db = reopen(wider)
+	checkIndexed(db)
+	if got := db.WALRecords(); got != journalled+2 {
+		t.Errorf("second open journalled again: %d records, want %d", got, journalled+2)
+	}
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	db.Close()
+
+	db = reopen(wider)
+	checkIndexed(db)
+	if got := db.WALRecords(); got != 0 {
+		t.Errorf("open after checkpoint journalled %d records", got)
+	}
+	// Dropping an index is the same change in the other direction.
+	if err := db.CreateTable(old); err != nil {
+		t.Fatal(err)
+	}
+	if _, kept := db.tables["units"].indexes["cpus"]; kept {
+		t.Error("dropped index still maintained")
+	}
+	// Anything but Indexes still conflicts.
+	cols := unitsSchema()
+	cols.Columns = append(cols.Columns, Column{Name: "extra", Type: ColText})
+	if err := db.CreateTable(cols); err == nil {
+		t.Error("schema with another column accepted")
+	}
+	db.Close()
+}
+
 func TestPersistenceAcrossReopen(t *testing.T) {
 	dir := t.TempDir()
 	db, err := Open(dir)

@@ -176,10 +176,13 @@ func (db *DB) replayWAL(path string) error {
 		db.walN++
 		switch rec.Op {
 		case "create":
-			if rec.Schema != nil {
-				if _, exists := db.tables[rec.Table]; !exists {
-					db.createTableLocked(*rec.Schema)
-				}
+			if rec.Schema == nil {
+				continue
+			}
+			if t, exists := db.tables[rec.Table]; exists {
+				t.reindex(rec.Schema.Indexes) // the only change CreateTable journals for an existing table
+			} else {
+				db.createTableLocked(*rec.Schema)
 			}
 		case "upsert":
 			t, ok := db.tables[rec.Table]
@@ -196,18 +199,8 @@ func (db *DB) replayWAL(path string) error {
 			if !ok {
 				continue
 			}
-			if old, exists := t.rows[rec.PK]; exists {
-				for col, vm := range t.indexes {
-					if ov, ok := old[col]; ok {
-						key := encodeKey(ov)
-						delete(vm[key], rec.PK)
-						if len(vm[key]) == 0 {
-							delete(vm, key)
-						}
-					}
-				}
-				delete(t.rows, rec.PK)
-			}
+			t.unindex(rec.PK)
+			delete(t.rows, rec.PK)
 		}
 	}
 	return sc.Err()

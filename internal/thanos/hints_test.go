@@ -91,3 +91,45 @@ func TestStoreRawAfterCapsDownsampled(t *testing.T) {
 		t.Fatalf("aggr=%d raw=%d, want 10 aggregate buckets and 200 raw samples", aggr, raw)
 	}
 }
+
+// TestQuerierReadsColdThenHot pins the order and the error semantics of the
+// serial fan-in: a cold side over budget ends the Select before the head is
+// touched (the failing Select allocates exactly what the store's own failing
+// read does, and a head read alone allocates more than nothing), while a
+// cold side inside the budget lets a head over it fail the query all the
+// same.
+func TestQuerierReadsColdThenHot(t *testing.T) {
+	db := seedDB(t, 4, 200, 0) // 800 samples, 15 s apart
+	store, _ := NewStore("")
+	mustCut(t, store, db, 0, 99*15000) // the first 100 of each series: 400 samples cold
+	q := &Querier{Hot: db, Cold: store}
+	m := labels.MustMatcher(labels.MatchEqual, labels.MetricName, "m")
+	hmin, _ := db.MinTime()
+
+	coldOver := model.SelectHints{Start: 0, End: 1 << 60, SampleLimit: 100}
+	if _, err := q.SelectWithHints(coldOver, m); !errors.Is(err, model.ErrSampleLimit) {
+		t.Fatalf("cold side over budget: err = %v", err)
+	}
+	asCold := coldOver
+	asCold.RawAfter = hmin
+	viaQuerier := testing.AllocsPerRun(50, func() { q.SelectWithHints(coldOver, m) })
+	coldAlone := testing.AllocsPerRun(50, func() { store.SelectWithHints(asCold, m) })
+	hotAlone := testing.AllocsPerRun(50, func() { db.SelectWithHints(coldOver, m) })
+	if viaQuerier != coldAlone || hotAlone == 0 {
+		t.Errorf("a cold error must end the Select before the hot read: querier allocates %.0f times, the store alone %.0f, the head alone %.0f",
+			viaQuerier, coldAlone, hotAlone)
+	}
+
+	hotOver := model.SelectHints{Start: 0, End: 1 << 60, SampleLimit: 500}
+	if _, err := store.SelectWithHints(hotOver, m); err != nil {
+		t.Fatalf("cold side inside budget: %v", err)
+	}
+	if _, err := q.SelectWithHints(hotOver, m); !errors.Is(err, model.ErrSampleLimit) {
+		t.Fatalf("hot side over budget: err = %v, want ErrSampleLimit", err)
+	}
+	within := model.SelectHints{Start: 0, End: 1 << 60, SampleLimit: 800}
+	got, err := q.SelectWithHints(within, m)
+	if err != nil || len(got) != 4 || len(got[0].Samples) != 200 {
+		t.Fatalf("both sides inside budget: %d series, err %v", len(got), err)
+	}
+}

@@ -67,12 +67,11 @@ func (sc *Sidecar) Ship(now time.Time) error {
 	return nil
 }
 
-// Querier fans a Select over the hot TSDB and the cold store, merging
-// results; it satisfies promql.Queryable so the engine (and therefore the
-// API server and Grafana) can query long ranges transparently. The two
-// backends are queried concurrently: the hot side is itself a parallel
-// fan-out over head shards, the cold side a resolution-aware iteration
-// over blocks.
+// Querier reads the hot TSDB and the cold store as one, merging results; it
+// satisfies promql.Queryable so the engine (and therefore the API server and
+// Grafana) can query long ranges transparently. A Select reads the cold side
+// — a resolution-aware iteration over blocks — then the hot side, which
+// splits its own work by series when large, both on the caller's goroutine.
 type Querier struct {
 	Hot  *tsdb.DB
 	Cold *Store
@@ -95,45 +94,37 @@ func (q *Querier) Select(mint, maxt int64, ms ...*labels.Matcher) ([]model.Serie
 	return q.SelectWithHints(model.SelectHints{Start: mint, End: maxt}, ms...)
 }
 
-// SelectWithHints fans the hint-aware Select over both backends. Each side
+// SelectWithHints is the hint-aware Select over both backends. Each side
 // enforces the full budget independently, so the merged result may reach
-// 2× the limit in the worst case — a deliberate trade that keeps the two
-// concurrent passes free of shared accounting; a side that alone exceeds
-// the limit still fails the query.
+// 2× the limit in the worst case — a deliberate trade: a budget belongs to
+// one backend's pass, and neither knows the other's accounting; a side that
+// alone exceeds the limit still fails the query.
 //
 // The cold side's hints get RawAfter pinned to the hot head's minimum
 // time: inside the hot/cold overlap the store must serve raw samples (or
 // nothing), never downsampled points, so a timestamp is represented once
 // in the merge no matter how the tiers overlap.
 //
-// The two reads run concurrently when the window reaches a block.
+// The reads run one after the other, cold first, and a cold error ends the
+// Select before the head is read: reading both at once could at best halve
+// the wall time, only when both tiers are large — where the head side uses
+// every core anyway — and cost a goroutine wake on every read reaching a block.
 func (q *Querier) SelectWithHints(hints model.SelectHints, ms ...*labels.Matcher) ([]model.Series, error) {
 	if !q.Cold.overlaps(hints.Start, hints.End) {
-		// Nothing cold to read: the hot answer is the answer, and a
-		// goroutine to learn that would cost more than many hot reads do.
+		// Nothing cold to read: the hot answer is the answer.
 		return q.Hot.SelectWithHints(hints, ms...)
 	}
 	coldHints := hints
 	if hmin, ok := q.Hot.MinTime(); ok && (coldHints.RawAfter == 0 || hmin < coldHints.RawAfter) {
 		coldHints.RawAfter = hmin
 	}
-	var (
-		wg              sync.WaitGroup
-		cold, hot       []model.Series
-		coldErr, hotErr error
-	)
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		cold, coldErr = q.Cold.SelectWithHints(coldHints, ms...)
-	}()
-	hot, hotErr = q.Hot.SelectWithHints(hints, ms...)
-	wg.Wait()
-	if coldErr != nil {
-		return nil, coldErr
+	cold, err := q.Cold.SelectWithHints(coldHints, ms...)
+	if err != nil {
+		return nil, err
 	}
-	if hotErr != nil {
-		return nil, hotErr
+	hot, err := q.Hot.SelectWithHints(hints, ms...)
+	if err != nil {
+		return nil, err
 	}
 	return model.MergeSeries([][]model.Series{cold, hot}), nil
 }

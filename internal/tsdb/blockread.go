@@ -288,7 +288,7 @@ func (pb *PersistentBlock) seriesSamples(s *diskSeries, mint, maxt int64, aggr A
 // (postingsFor): only the series every list holds are visited, and only a
 // select no list narrows walks the whole block.
 func (pb *PersistentBlock) SelectAggr(mint, maxt, limit int64, aggr AggrType, ms ...*labels.Matcher) ([]model.Series, error) {
-	lists, filters, ok := postingsFor(ms, pb.index.postings)
+	lists, filters, ok := postingsFor(nil, ms, pb.index.postings)
 	if !ok {
 		return nil, nil
 	}

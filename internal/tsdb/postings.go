@@ -14,14 +14,15 @@ import (
 // postingRef is what a postings list holds: an ascending series identifier.
 type postingRef interface{ ~uint32 | ~uint64 }
 
-// postingsFor splits ms into the postings lists that narrow a select and the
-// matchers left to test on each survivor. An equality matcher on a non-empty
-// value and a regexp that cannot match the empty string each contribute the
-// list lookup returns for them (borrowed, never written); the rest —
-// negations, and {name=""} or regexps matching "", which also match series
-// lacking the label — are filters. ok is false when some list is empty, that
-// is when nothing can match.
-func postingsFor[T postingRef](ms []*labels.Matcher, lookup func(*labels.Matcher) []T) (lists [][]T, filters []*labels.Matcher, ok bool) {
+// postingsFor splits ms into the postings lists that narrow a select, appended
+// to lists (a stack buffer, so a narrow select allocates nothing per shard),
+// and the matchers left to test on each survivor. An equality matcher on a
+// non-empty value and a regexp that cannot match the empty string each
+// contribute the list lookup returns for them (borrowed, never written); the
+// rest — negations, and {name=""} or regexps matching "", which also match
+// series lacking the label — are filters. ok is false when some list is empty,
+// that is when nothing can match.
+func postingsFor[T postingRef](lists [][]T, ms []*labels.Matcher, lookup func(*labels.Matcher) []T) (_ [][]T, filters []*labels.Matcher, ok bool) {
 	for _, m := range ms {
 		if !(m.Type == labels.MatchEqual && m.Value != "" || m.Type == labels.MatchRegexp && !m.Matches("")) {
 			filters = append(filters, m)

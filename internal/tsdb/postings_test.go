@@ -2,13 +2,16 @@ package tsdb
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/labels"
 	"repro/internal/model"
@@ -112,7 +115,7 @@ func selectedLabelSets(db *DB, ms []*labels.Matcher) []string {
 	out := []string{}
 	for _, sh := range db.shards {
 		sh.mu.RLock()
-		for _, s := range sh.selectLocked(ms) {
+		for _, s := range sh.selectLocked(nil, ms) {
 			if !s.lset.Has("bg") {
 				out = append(out, s.lset.String())
 			}
@@ -287,11 +290,11 @@ func TestSeekPosting(t *testing.T) {
 
 // headSelectFixture registers jobs×perJob series of one metric family (each
 // job its own uuid, alternating node classes) plus as many series of other
-// families, one sample each, on a single shard so list sizes are exact.
-func headSelectFixture(b testing.TB, jobs int) *DB {
+// families, one sample each; on a single shard list sizes are exact.
+func headSelectFixture(b testing.TB, jobs, shards int) *DB {
 	b.Helper()
 	const perJob = 5
-	db := MustOpen(Options{Shards: 1})
+	db := MustOpen(Options{Shards: shards})
 	app := db.Appender()
 	for j := 0; j < jobs; j++ {
 		for k := 0; k < perJob; k++ {
@@ -308,22 +311,26 @@ func headSelectFixture(b testing.TB, jobs int) *DB {
 	return db
 }
 
-// BenchmarkHeadSelect measures the head's index select plus sample copy for
-// the matcher shapes the stack issues: a user's one-job panel, a recording
-// rule over a node class, a multi-value dashboard variable, and a selector
-// the index cannot narrow.
-func BenchmarkHeadSelect(b *testing.B) {
+// headSelectShapes are the matcher shapes the stack issues: a user's one-job
+// panel, a recording rule over a node class, a multi-value dashboard
+// variable, and a selector the index cannot narrow.
+var headSelectShapes = func() []headSelectShape {
 	name := labels.MustMatcher(labels.MatchEqual, labels.MetricName, "ceems_job_power_watts")
-	shapes := []struct {
-		name string
-		ms   []*labels.Matcher
-	}{
+	return []headSelectShape{
 		{"one_job_of_50k", []*labels.Matcher{name, labels.MustMatcher(labels.MatchEqual, "uuid", "4242")}},
 		{"class_wide", []*labels.Matcher{name, labels.MustMatcher(labels.MatchEqual, "nodeclass", "intel")}},
 		{"alternation", []*labels.Matcher{name, labels.MustMatcher(labels.MatchRegexp, "uuid", "17|4242|9001")}},
 		{"negative_only", []*labels.Matcher{labels.MustMatcher(labels.MatchNotEqual, "nodeclass", "intel"), labels.MustMatcher(labels.MatchNotRegexp, "uuid", "1.*")}},
 	}
-	db := headSelectFixture(b, 10000) // 50k series in the queried family
+}()
+
+type headSelectShape struct {
+	name string
+	ms   []*labels.Matcher
+}
+
+func benchHeadSelect(b *testing.B, shards int, shapes []headSelectShape) {
+	db := headSelectFixture(b, 10000, shards) // 50k series in the queried family
 	for _, sh := range shapes {
 		b.Run(sh.name, func(b *testing.B) {
 			b.ReportAllocs()
@@ -334,6 +341,125 @@ func BenchmarkHeadSelect(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkHeadSelect measures the head's index select plus sample copy on
+// one shard.
+func BenchmarkHeadSelect(b *testing.B) { benchHeadSelect(b, 1, headSelectShapes) }
+
+// BenchmarkHeadSelect16 is the same head on 16 shards, for the two shapes
+// where the shard count could show: a one-job read must cost about what it
+// costs on one shard (it starts no goroutine), a class-wide one must still
+// use every core. Gated at -cpu 2.
+func BenchmarkHeadSelect16(b *testing.B) { benchHeadSelect(b, 16, headSelectShapes[:2]) }
+
+// BenchmarkHeadSelectGrain is the measurement behind selectGrain: a select
+// of n series read inline and read fanned out, at the two window lengths the
+// stack reads most (a rule's 2-minute rate window, a panel's 15 minutes).
+// Run at -cpu 2 or more; the grain is where fanned starts to win.
+func BenchmarkHeadSelectGrain(b *testing.B) {
+	const samples = 60
+	sizes := []int{64, 128, 256, 512, 1024, 2048, 4096}
+	db := MustOpen(Options{Shards: 16})
+	app := db.Appender()
+	for _, n := range sizes {
+		for i := 0; i < n; i++ {
+			ls := labels.FromStrings(labels.MetricName, "m", "set", fmt.Sprint(n), "i", fmt.Sprint(i))
+			for k := 0; k < samples; k++ {
+				app.Add(ls, int64(k)*15000, float64(k))
+			}
+		}
+	}
+	if _, err := app.Commit(); err != nil {
+		b.Fatal(err)
+	}
+	for _, window := range []int{8, samples} {
+		for _, n := range sizes {
+			ms := []*labels.Matcher{labels.MustMatcher(labels.MatchEqual, "set", fmt.Sprint(n))}
+			for _, mode := range []struct {
+				name  string
+				grain int
+			}{{"inline", math.MaxInt}, {"fanned", 1}} {
+				b.Run(fmt.Sprintf("samples%d/series%d/%s", window, n, mode.name), func(b *testing.B) {
+					db.selectGrain = mode.grain
+					for i := 0; i < b.N; i++ {
+						if res, err := db.Select(int64(samples-window)*15000, samples*15000, ms...); err != nil || len(res) != n {
+							b.Fatalf("select: %d series, err %v", len(res), err)
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
+// BenchmarkHeadSelectUnderAppend is the concurrent pair: one-job selects from
+// GOMAXPROCS goroutines against one appender committing a sample to every
+// series of every job in turn, on the same 16 shards and the same series —
+// the shard read locks and the per-series mutexes are all contended. It
+// reports the mean latency of a select as its caller sees it and the
+// appender's rate while the selects ran.
+func BenchmarkHeadSelectUnderAppend(b *testing.B) {
+	const jobs = 2000
+	db := headSelectFixture(b, jobs, 16)
+	var (
+		now      atomic.Int64 // newest timestamp every series has
+		appended atomic.Int64
+		stop     = make(chan struct{})
+		done     = make(chan struct{})
+	)
+	now.Store(1000)
+	go func() {
+		defer close(done)
+		for ts := int64(16000); ; ts += 15000 {
+			for j := 0; j < jobs; j++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				app := db.Appender()
+				for k := 0; k < 5; k++ {
+					for _, name := range []string{"ceems_job_power_watts", "ceems_job_other"} {
+						app.Add(labels.FromStrings(labels.MetricName, name,
+							"uuid", fmt.Sprint(j), "core", fmt.Sprint(k),
+							"nodeclass", []string{"intel", "amd"}[j%2], "instance", fmt.Sprintf("n%d", j%1400)), ts, 1)
+					}
+				}
+				n, err := app.Commit()
+				if err != nil {
+					b.Error(err)
+					return
+				}
+				appended.Add(int64(n))
+			}
+			now.Store(ts)
+		}
+	}()
+	name := labels.MustMatcher(labels.MatchEqual, labels.MetricName, "ceems_job_power_watts")
+	var next, busy atomic.Int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	appended.Store(0)
+	start := time.Now()
+	b.RunParallel(func(pb *testing.PB) {
+		began := time.Now()
+		for pb.Next() {
+			uuid := labels.MustMatcher(labels.MatchEqual, "uuid", fmt.Sprint(next.Add(1)%jobs))
+			t := now.Load()
+			if res, err := db.Select(t-60000, t+15000, name, uuid); err != nil || len(res) != 5 {
+				b.Errorf("select: %d series, err %v", len(res), err)
+				return
+			}
+		}
+		busy.Add(int64(time.Since(began)))
+	})
+	elapsed := time.Since(start)
+	b.StopTimer()
+	close(stop)
+	<-done
+	b.ReportMetric(float64(busy.Load())/float64(b.N), "ns/select")
+	b.ReportMetric(float64(appended.Load())/elapsed.Seconds(), "appends/s")
 }
 
 // BenchmarkHeadDelete measures bulk removal from the index at its two
@@ -360,7 +486,7 @@ func BenchmarkHeadDelete(b *testing.B) {
 		}
 	})
 	b.Run("one_job_of_50k", func(b *testing.B) {
-		db := headSelectFixture(b, 10000)
+		db := headSelectFixture(b, 10000, 1)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			uuid := fmt.Sprint(i % 10000)
@@ -392,7 +518,7 @@ func TestHeadSelectAllocsIndependentOfIndexSize(t *testing.T) {
 		labels.MustMatcher(labels.MatchEqual, "uuid", "42"),
 	}
 	bytesPerSelect := func(jobs int) float64 {
-		db := headSelectFixture(t, jobs)
+		db := headSelectFixture(t, jobs, 1)
 		const runs = 200
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)

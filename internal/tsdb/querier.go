@@ -2,6 +2,8 @@ package tsdb
 
 import (
 	"errors"
+	"slices"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/labels"
@@ -9,27 +11,39 @@ import (
 	"repro/internal/workpool"
 )
 
-// forEachShard runs f(i, shard) for every shard on a bounded worker pool of
-// min(shards, GOMAXPROCS) goroutines. The single-shard case runs inline.
+// forEachShard runs f(i, shard) for every shard through workpool.Do: jobs worth
+// a goroutine per shard — truncate, block cut, checkpoint, delete — not reads.
 func (db *DB) forEachShard(f func(i int, sh *headShard)) {
 	workpool.Do(len(db.shards), 0, func(i int) { f(i, db.shards[i]) })
 }
 
 // Select returns all series matching the matchers, restricted to samples in
 // [mint, maxt]. Series with no samples in range are omitted. Results are
-// sorted by labels: each shard selects and sorts its slice in parallel and
-// the slices are combined with a k-way merge, so output is identical for
-// any shard count.
+// sorted by labels, so output is identical for any shard count.
 func (db *DB) Select(mint, maxt int64, ms ...*labels.Matcher) ([]model.Series, error) {
 	return db.SelectWithHints(model.SelectHints{Start: mint, End: maxt}, ms...)
 }
 
-// SelectWithHints is Select over [hints.Start, hints.End] that, when
-// hints.SampleLimit is set, has the shards charge every copied sample
-// against a shared budget and abort the pass with model.ErrSampleLimit the
-// moment it is exhausted — the promql range evaluator's prefetch uses this
-// so runaway queries fail during the storage pass instead of after
-// materializing everything.
+// selectGrain is the least number of planned series worth a goroutine of
+// their own (workpool.DoRange): a head read fans out from twice that.
+// BenchmarkHeadSelectGrain, 2-vCPU sandbox, -cpu 2, series of 60 samples read
+// whole, inline → split in two: 256 series 431 → 454 µs, 512 series 965 →
+// 856 µs, 1024 series 1972 → 1505 µs; reading their last 8 samples crosses at
+// the same size (docs/ARCHITECTURE.md, "Sized fan-out").
+const selectGrain = 256
+
+const slabSamples = 4096 // bounds one allocation of a sampleSlab (64 KB)
+
+// SelectWithHints is Select over [hints.Start, hints.End]: plan, then read.
+// The plan runs on the caller's goroutine — every shard in turn resolves the
+// matchers through its postings, under its read lock, into one flat list of
+// series. The read copies each planned series' window and sorts the copies
+// by labels through workpool.DoRange: on the caller too unless the list is
+// long enough to pay for waking another core, then split by series, not by
+// shard, and the sorted runs merged. With hints.SampleLimit set every copied
+// sample is charged to a budget the ranges share and the pass aborts with
+// model.ErrSampleLimit the moment it is exhausted, so a runaway query fails
+// during the storage pass instead of after materializing everything.
 func (db *DB) SelectWithHints(hints model.SelectHints, ms ...*labels.Matcher) ([]model.Series, error) {
 	if len(ms) == 0 {
 		return nil, errors.New("tsdb: Select requires at least one matcher")
@@ -38,20 +52,63 @@ func (db *DB) SelectWithHints(hints model.SelectHints, ms ...*labels.Matcher) ([
 	if hints.SampleLimit > 0 {
 		budget = &sampleBudget{limit: hints.SampleLimit}
 	}
+	var plan []*memSeries
+	for _, sh := range db.shards {
+		sh.mu.RLock()
+		plan = sh.selectLocked(plan, ms)
+		sh.mu.RUnlock()
+	}
 	mint, maxt := hints.Start, hints.End // the closure below carries these, not all of hints
-	parts := make([][]model.Series, len(db.shards))
-	db.forEachShard(func(i int, sh *headShard) {
-		parts[i] = sh.selectSorted(mint, maxt, ms, budget)
+	byLabels := func(a, b model.Series) int { return labels.Compare(a.Labels, b.Labels) }
+	out := make([]model.Series, len(plan))
+	var mu sync.Mutex
+	var runs [][]model.Series // one per range: its series with samples in the window, sorted
+	workpool.DoRange(len(plan), db.selectGrain, func(lo, hi int) {
+		slab := sampleSlab{left: hi - lo}
+		run := out[lo:lo:hi]
+		for i := lo; i < hi && !budget.blown(); i++ {
+			samples := plan[i].samplesBetween(mint, maxt, &slab)
+			if len(samples) > 0 && budget.charge(len(samples)) {
+				run = append(run, model.Series{Labels: plan[i].lset, Samples: samples})
+			}
+		}
+		slices.SortFunc(run, byLabels)
+		mu.Lock()
+		runs = append(runs, run)
+		mu.Unlock()
 	})
 	if budget.blown() {
 		return nil, model.ErrSampleLimit
 	}
-	// A label set hashes to one shard, so no two parts share a series.
-	return model.MergeSorted(parts, func(a, b model.Series) int { return labels.Compare(a.Labels, b.Labels) }, nil), nil
+	// One run, the usual case, is returned as it stands; several hold
+	// distinct series, so the order they arrived in does not matter.
+	return model.MergeSorted(runs, byLabels, nil), nil
+}
+
+// sampleSlab hands the series of one range of a select their sample slices
+// out of shared allocations: one per slabSamples samples, not one per
+// series. A slice is capped at the size asked for, so an append past it, by
+// anyone, moves that slice out instead of into its neighbour.
+type sampleSlab struct {
+	free []model.Sample
+	left int // series of the range still to take from it
+}
+
+// take returns an empty slice with room for n samples. A new allocation is
+// sized for the series still to come (none: this slice alone), guessing their
+// windows as long as this one.
+func (sl *sampleSlab) take(n int) []model.Sample {
+	if n > len(sl.free) {
+		sl.free = make([]model.Sample, max(n, min(n*sl.left, slabSamples)))
+	}
+	sl.left--
+	out := sl.free[:0:n]
+	sl.free = sl.free[n:]
+	return out
 }
 
 // sampleBudget is the shared per-query sample allowance charged by all
-// shards of one hint-aware Select.
+// ranges of one hint-aware Select.
 type sampleBudget struct {
 	limit    int64
 	used     atomic.Int64
@@ -71,25 +128,25 @@ func (b *sampleBudget) charge(n int) bool {
 	return true
 }
 
-// blown reports whether any shard already exhausted the budget.
+// blown reports whether the budget is already exhausted.
 func (b *sampleBudget) blown() bool { return b != nil && b.exceeded.Load() }
 
 // LabelValues returns the sorted distinct values of a label name across all
 // shards.
 func (db *DB) LabelValues(name string) []string {
 	parts := make([][]string, len(db.shards))
-	db.forEachShard(func(i int, sh *headShard) {
+	for i, sh := range db.shards {
 		parts[i] = sh.labelValues(name)
-	})
+	}
 	return labels.UnionSorted(parts...)
 }
 
 // LabelNames returns all label names in use, sorted.
 func (db *DB) LabelNames() []string {
 	parts := make([][]string, len(db.shards))
-	db.forEachShard(func(i int, sh *headShard) {
+	for i, sh := range db.shards {
 		parts[i] = sh.labelNames()
-	})
+	}
 	return labels.UnionSorted(parts...)
 }
 
@@ -108,26 +165,20 @@ type Stats struct {
 	WAL *WALStats
 }
 
-// Stats returns a snapshot of database statistics, aggregated across shards
-// in parallel.
+// Stats returns a snapshot of database statistics, aggregated across shards.
 func (db *DB) Stats() Stats {
-	parts := make([]shardStats, len(db.shards))
-	db.forEachShard(func(i int, sh *headShard) {
-		parts[i] = sh.stats()
-	})
 	names := make(map[string]struct{})
 	st := Stats{NumShards: len(db.shards)}
-	for _, p := range parts {
+	for _, sh := range db.shards {
+		p := sh.stats()
 		st.NumSeries += p.numSeries
 		st.BytesInChunks += p.bytesInChunks
 		for _, n := range p.labelNames {
 			names[n] = struct{}{}
 		}
-	}
-	st.NumLabelNames = len(names)
-	for _, sh := range db.shards {
 		st.NumSamples += sh.appended.Load()
 	}
+	st.NumLabelNames = len(names)
 	st.MinTime, st.MaxTime = db.timeBounds()
 	if ws, ok := db.WALStats(); ok {
 		st.WAL = &ws

@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/labels"
-	"repro/internal/model"
 )
 
 // headShard is one lock stripe of the head: an independent series map,
@@ -107,35 +106,36 @@ func (sh *headShard) getOrCreateLocked(hash uint64, lset labels.Labels) *memSeri
 	return s
 }
 
-// selectLocked returns the shard's series satisfying all matchers — in ref
-// order when a postings list narrows the match, in no order otherwise. The
-// caller holds sh.mu (either mode). Matchers become lists and filters by the
-// rules of postingsFor; lists are borrowed in place and only the survivors
-// of their intersection are materialised.
-func (sh *headShard) selectLocked(ms []*labels.Matcher) []*memSeries {
-	lists, filters, ok := postingsFor(ms, sh.matcherPostings)
+// selectLocked appends the shard's series satisfying all matchers to dst —
+// in ref order when a postings list narrows the match, in no order
+// otherwise. The caller holds sh.mu (either mode). Matchers become lists and
+// filters by the rules of postingsFor; lists are borrowed in place and only
+// the survivors of their intersection are materialised.
+func (sh *headShard) selectLocked(dst []*memSeries, ms []*labels.Matcher) []*memSeries {
+	var buf [4][]uint64
+	lists, filters, ok := postingsFor(buf[:0], ms, sh.matcherPostings)
 	if !ok {
-		return nil
+		return dst
 	}
 	if len(lists) == 0 {
 		// Nothing to narrow with: scan every series.
-		out := make([]*memSeries, 0, len(sh.byRef))
+		dst = slices.Grow(dst, len(sh.byRef))
 		for _, s := range sh.byRef {
 			if labels.MatchLabels(s.lset, filters...) {
-				out = append(out, s)
+				dst = append(dst, s)
 			}
 		}
-		return out
+		return dst
 	}
 	shortest := slices.MinFunc(lists, func(a, b []uint64) int { return len(a) - len(b) })
-	out := make([]*memSeries, 0, len(shortest))
+	dst = slices.Grow(dst, len(shortest))
 	intersectPostings(lists, func(ref uint64) bool {
 		if s := sh.byRef[ref]; labels.MatchLabels(s.lset, filters...) {
-			out = append(out, s)
+			dst = append(dst, s)
 		}
 		return true
 	})
-	return out
+	return dst
 }
 
 // matcherPostings returns the refs of the series whose label m.Name has a
@@ -160,35 +160,6 @@ func (sh *headShard) matcherPostings(m *labels.Matcher) []uint64 {
 		}
 	}
 	return unionPostings(parts)
-}
-
-// selectSorted returns the shard's series matching ms with samples in
-// [mint, maxt], sorted by labels, ready for the cross-shard merge. A
-// non-nil budget is charged per series copy; once exhausted the pass stops
-// copying and the partial result is discarded by the caller.
-func (sh *headShard) selectSorted(mint, maxt int64, ms []*labels.Matcher, budget *sampleBudget) []model.Series {
-	if budget.blown() {
-		return nil
-	}
-	sh.mu.RLock()
-	series := sh.selectLocked(ms)
-	sh.mu.RUnlock()
-	out := make([]model.Series, 0, len(series))
-	for _, s := range series {
-		if budget.blown() {
-			return nil
-		}
-		samples := s.samplesBetween(mint, maxt)
-		if len(samples) == 0 {
-			continue
-		}
-		if !budget.charge(len(samples)) {
-			return nil
-		}
-		out = append(out, model.Series{Labels: s.lset, Samples: samples})
-	}
-	slices.SortFunc(out, func(a, b model.Series) int { return labels.Compare(a.Labels, b.Labels) })
-	return out
 }
 
 // truncate drops full chunks entirely before mint and removes series left
@@ -241,7 +212,7 @@ func (sh *headShard) truncate(mint int64) int {
 func (sh *headShard) deleteSeries(ms []*labels.Matcher) []*memSeries {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	gone := sh.selectLocked(ms)
+	gone := sh.selectLocked(nil, ms)
 	sh.removeLocked(gone)
 	return gone
 }

@@ -15,12 +15,13 @@
 // in one shard — and the per-shard sample counters and time bounds are
 // maintained with atomics, off the lock path entirely.
 //
-// Reads (Select, LabelValues, LabelNames, Stats) fan out across shards on a
-// bounded worker pool of min(N, GOMAXPROCS) workers. Each shard returns its
-// matching series already sorted by labels and the partial results are
-// combined with a k-way sorted merge, so Select output is byte-identical
-// regardless of shard count. DeleteSeries and retention pruning (Truncate)
-// run per shard on the same pool with no cross-shard locking.
+// Reads visit the shards on the caller's goroutine. Select plans first —
+// every shard resolves the matchers through its postings into one flat list
+// of series — then copies and sorts the windows of that list, split over
+// cores by series only when it is long enough to pay for waking one
+// (querier.go), so output is byte-identical regardless of shard count.
+// DeleteSeries, retention pruning (Truncate), block cuts and checkpoints run
+// per shard on a bounded worker pool with no cross-shard locking.
 //
 // # Persistent blocks
 //
@@ -110,6 +111,8 @@ type DB struct {
 	shards []*headShard
 	mask   uint64
 
+	selectGrain int // the constant; a field so tests can force a read fanned out or inline
+
 	// mutations counts destructive cross-series operations (DeleteSeries);
 	// the query-result cache invalidates on any change (see MutationGen).
 	mutations atomic.Uint64
@@ -198,6 +201,7 @@ func Open(opts Options) (*DB, error) {
 		shards: make([]*headShard, n),
 		mask:   uint64(n - 1),
 	}
+	db.selectGrain = selectGrain
 	db.pruned.Store(-(int64(1) << 62))
 	for i := range db.shards {
 		db.shards[i] = newHeadShard()
@@ -459,15 +463,17 @@ func (s *memSeries) hasInOrderSampleLocked(t int64) bool {
 	return false
 }
 
-func (s *memSeries) samplesBetween(mint, maxt int64) []model.Sample {
+// samplesBetween returns a copy of the series' samples in [mint, maxt], in
+// memory taken from slab (a zero one: allocated for this call).
+func (s *memSeries) samplesBetween(mint, maxt int64, slab *sampleSlab) []model.Sample {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.samplesBetweenLocked(mint, maxt)
+	return s.samplesBetweenLocked(mint, maxt, slab)
 }
 
 // samplesBetweenLocked is samplesBetween with s.mu already held (the block
 // cut path holds it across chunk reuse decisions and the sample copy).
-func (s *memSeries) samplesBetweenLocked(mint, maxt int64) []model.Sample {
+func (s *memSeries) samplesBetweenLocked(mint, maxt int64, slab *sampleSlab) []model.Sample {
 	// s.chunks[first:end] are the closed chunks overlapping the window
 	// (chunks are in time order); the open head chunk may follow. Their
 	// sample counts size the output once instead of growing it: the usual
@@ -488,7 +494,7 @@ func (s *memSeries) samplesBetweenLocked(mint, maxt int64) []model.Sample {
 	if headOverlaps {
 		n += samplesInWindow(s.headMin, s.lastT, s.head.NumSamples(), mint, maxt)
 	}
-	out := make([]model.Sample, 0, n)
+	out := slab.take(n)
 	appendFrom := func(c *chunkenc.Chunk) {
 		it := c.Iterator()
 		for it.Next() {
