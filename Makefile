@@ -77,8 +77,11 @@ telemetry:
 # Block-store lifecycle harness (docs/ARCHITECTURE.md): block format
 # round-trip/corruption tests, the kill-at-any-byte publication sweep,
 # compaction/downsample crash-window recovery, the downsampling
-# equivalence property test and the block index against the brute-force
-# scan (TestBlockPostingsMatchScan) — randomized, so two passes, under race. Set
+# equivalence property test, the block index against the brute-force
+# scan (TestBlockPostingsMatchScan) and compaction and downsampling against
+# the whole-block path they replaced, byte for byte
+# (Test{Compact,Downsample}MatchesOracleRandom) — randomized, so two
+# passes, under race. Set
 # BLOCKS_ARTIFACT_DIR to keep the store directories of failing crash
 # states (CI uploads them on failure).
 blocks:

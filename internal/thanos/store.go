@@ -679,12 +679,7 @@ func (s *Store) Downsample(before int64, resolution time.Duration) (int, error) 
 		if err != nil {
 			return n, fmt.Errorf("thanos: downsample: %w", err)
 		}
-		if nb.NumSamples() == 0 { // e.g. only staleness markers
-			dir := nb.Dir()
-			nb.Close()
-			if dir != "" {
-				os.RemoveAll(dir)
-			}
+		if nb == nil { // e.g. only staleness markers: nothing was written
 			continue
 		}
 		s.register(nb)

@@ -272,6 +272,39 @@ func TestDownsample(t *testing.T) {
 	}
 }
 
+// TestDownsampleStaleOnlyBlockWritesNothing: a raw block holding nothing but
+// staleness markers has no downsampled sibling — the pass reports none and
+// leaves the store directory as it found it, every time it runs.
+func TestDownsampleStaleOnlyBlockWritesNothing(t *testing.T) {
+	dir := t.TempDir()
+	store, err := NewStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := tsdb.MustOpen(tsdb.DefaultOptions())
+	for j := int64(0); j < 40; j++ {
+		if err := db.Append(labels.FromStrings(labels.MetricName, "m"), j*15_000, model.StaleNaN()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mustCut(t, store, db, 0, 1<<60)
+	before, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for pass := 1; pass <= 2; pass++ {
+		if n, err := store.Downsample(1<<60, 5*time.Minute); err != nil || n != 0 {
+			t.Fatalf("pass %d: downsampled %d blocks, err %v; want none", pass, n, err)
+		}
+		if after, err := os.ReadDir(dir); err != nil || !reflect.DeepEqual(after, before) {
+			t.Fatalf("pass %d: store directory holds %v, want %v as before (err %v)", pass, after, before, err)
+		}
+		if store.NumBlocks() != 1 {
+			t.Fatalf("pass %d: %d blocks registered, want the raw one", pass, store.NumBlocks())
+		}
+	}
+}
+
 func BenchmarkStoreSelect(b *testing.B) {
 	src := tsdb.MustOpen(tsdb.DefaultOptions())
 	for i := 0; i < 100; i++ {

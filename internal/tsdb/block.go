@@ -41,11 +41,23 @@ func (db *DB) CutPersistentBlock(parent string, mint, maxt int64) (*PersistentBl
 	if len(series) == 0 {
 		return nil, nil
 	}
-	meta := &BlockMeta{MinTime: math.MaxInt64, MaxTime: math.MinInt64, Level: 1}
-	for i := range series {
-		cs := series[i].chunks // never empty, in time order
-		meta.MinTime = min(meta.MinTime, cs[0].minT)
-		meta.MaxTime = max(meta.MaxTime, cs[len(cs)-1].maxT)
+	return finishBlock(parent, &BlockMeta{Level: 1}, series)
+}
+
+// finishBlock is the one way a built block comes to be: series, label-sorted
+// with every chunk encoded, become a block directory under parent
+// (writeBlockDir) opened for reading, or with parent == "" an in-memory
+// block. The block's time bounds are its chunks' bounds; only a block with
+// no series keeps the ones meta brings.
+func finishBlock(parent string, meta *BlockMeta, series []diskSeries) (*PersistentBlock, error) {
+	if len(series) > 0 {
+		meta.MinTime, meta.MaxTime = math.MaxInt64, math.MinInt64
+		for i := range series {
+			for _, c := range series[i].chunks {
+				meta.MinTime = min(meta.MinTime, c.minT)
+				meta.MaxTime = max(meta.MaxTime, c.maxT)
+			}
+		}
 	}
 	if parent == "" {
 		return newMemPersistentBlock(meta, series)
@@ -57,21 +69,26 @@ func (db *DB) CutPersistentBlock(parent string, mint, maxt int64) (*PersistentBl
 	return OpenBlockDir(dir)
 }
 
-// seriesCutter accumulates one series' block chunks during a cut: add
-// re-encodes individual samples, reuse adopts a closed chunk wholesale
-// (flushing any pending re-encoded samples first so time order holds).
-// Every chunk is recorded with the time bounds the cutter already knows, so
-// nothing downstream has to decode it again.
+// seriesCutter is the one writer of block chunks: it accumulates one stream
+// of one series — the cut's raw samples, a compaction's merged stream, a
+// downsampling's aggregate points — as chunks of aggr. add re-encodes
+// individual samples, reuse adopts a closed head chunk wholesale (flushing
+// any pending re-encoded samples first so time order holds). Every chunk is
+// recorded with the time bounds the cutter already knows, so nothing
+// downstream has to decode it again.
 type seriesCutter struct {
-	maxPerChunk    int
-	chunks         []diskChunk
-	cur            *chunkenc.Chunk
+	aggr        AggrType
+	maxPerChunk int
+	chunks      []diskChunk
+	// cur is the chunk being filled, empty between chunks; held by value so
+	// that a cut chunk costs no Chunk allocation, only its bytes.
+	cur            chunkenc.Chunk
 	curMin, curMax int64
 }
 
 func (sc *seriesCutter) add(t int64, v float64) error {
-	if sc.cur == nil {
-		sc.cur = chunkenc.NewChunk()
+	if sc.cur.NumSamples() == 0 {
+		sc.cur = *chunkenc.NewChunk()
 		sc.curMin = t
 	}
 	if err := sc.cur.Append(t, v); err != nil {
@@ -85,9 +102,9 @@ func (sc *seriesCutter) add(t int64, v float64) error {
 }
 
 func (sc *seriesCutter) flush() {
-	if sc.cur != nil {
-		sc.push(sc.cur, sc.curMin, sc.curMax)
-		sc.cur = nil
+	if sc.cur.NumSamples() > 0 {
+		sc.push(&sc.cur, sc.curMin, sc.curMax)
+		sc.cur = chunkenc.Chunk{}
 	}
 }
 
@@ -98,7 +115,7 @@ func (sc *seriesCutter) reuse(cr *chunkRange) {
 
 func (sc *seriesCutter) push(c *chunkenc.Chunk, minT, maxT int64) {
 	sc.chunks = append(sc.chunks, diskChunk{
-		aggr:       AggrRaw,
+		aggr:       sc.aggr,
 		minT:       minT,
 		maxT:       maxT,
 		numSamples: c.NumSamples(),

@@ -19,7 +19,6 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
-	"sort"
 	"sync"
 
 	"repro/internal/labels"
@@ -283,25 +282,14 @@ func (pb *PersistentBlock) seriesSamples(s *diskSeries, mint, maxt int64, aggr A
 // (see seriesSamples for the raw/downsampled semantics). When limit > 0 the
 // decode aborts with model.ErrSampleLimit as soon as more than limit
 // samples have been copied.
-//
-// Matchers resolve against the block index by the head's rules
-// (postingsFor): only the series every list holds are visited, and only a
-// select no list narrows walks the whole block.
 func (pb *PersistentBlock) SelectAggr(mint, maxt, limit int64, aggr AggrType, ms ...*labels.Matcher) ([]model.Series, error) {
-	lists, filters, ok := postingsFor(nil, ms, pb.index.postings)
-	if !ok {
-		return nil, nil
-	}
 	var (
 		out    []model.Series
 		copied int64
 		err    error
 	)
-	visit := func(pos uint32) bool {
+	pb.forMatching(ms, func(pos uint32) bool {
 		s := &pb.series[pos]
-		if !labels.MatchLabels(s.lset, filters...) {
-			return true
-		}
 		var samples []model.Sample
 		if samples, err = pb.seriesSamples(s, mint, maxt, aggr); err != nil || len(samples) == 0 {
 			return err == nil
@@ -313,20 +301,35 @@ func (pb *PersistentBlock) SelectAggr(mint, maxt, limit int64, aggr AggrType, ms
 		}
 		out = append(out, model.Series{Labels: s.lset, Samples: samples})
 		return true
-	}
-	if len(lists) > 0 {
-		intersectPostings(lists, visit)
-	} else {
-		for i := range pb.series {
-			if !visit(uint32(i)) {
-				break
-			}
-		}
-	}
+	})
 	if err != nil {
 		return nil, err
 	}
 	return out, nil
+}
+
+// forMatching calls visit, in label order, with the position of every
+// series that satisfies ms, until visit returns false. Matchers resolve
+// against the block index by the head's rules (postingsFor): only the
+// series every list holds are visited, and only matchers no list narrows
+// walk the whole block.
+func (pb *PersistentBlock) forMatching(ms []*labels.Matcher, visit func(pos uint32) bool) {
+	lists, filters, ok := postingsFor(nil, ms, pb.index.postings)
+	if !ok {
+		return
+	}
+	match := func(pos uint32) bool {
+		return !labels.MatchLabels(pb.series[pos].lset, filters...) || visit(pos)
+	}
+	if len(lists) > 0 {
+		intersectPostings(lists, match)
+		return
+	}
+	for pos := range pb.series {
+		if !match(uint32(pos)) {
+			return
+		}
+	}
 }
 
 // Select is SelectAggr for raw consumers (promql.Queryable shape).
@@ -342,110 +345,18 @@ func (pb *PersistentBlock) LabelNames() []string { return pb.index.names }
 // block. The slice is the block's own; callers must not modify it.
 func (pb *PersistentBlock) LabelValues(name string) []string { return pb.index.labelValues(name) }
 
-// aggrSeries is one series' per-aggregate sample streams, the working
-// representation of compaction and downsampling. Raw data lives under
-// AggrRaw; downsampled data under AggrSum..AggrMax.
-type aggrSeries struct {
-	lset    labels.Labels
-	streams map[AggrType][]model.Sample
-}
-
-// storedAggrs lists the aggregate streams a block of the given resolution
-// stores.
-func storedAggrs(resolution int64) []AggrType {
-	if resolution == 0 {
-		return []AggrType{AggrRaw}
-	}
-	return []AggrType{AggrSum, AggrCount, AggrMin, AggrMax}
-}
-
-// allAggrSeries decodes the whole block into per-aggregate streams, in
-// index (label-sorted) order — the input shape for compaction and
-// downsampling.
-func (pb *PersistentBlock) allAggrSeries() ([]aggrSeries, error) {
-	aggrs := storedAggrs(pb.meta.Resolution)
-	out := make([]aggrSeries, 0, len(pb.series))
-	for i := range pb.series {
-		s := &pb.series[i]
-		as := aggrSeries{lset: s.lset, streams: make(map[AggrType][]model.Sample, len(aggrs))}
-		for _, a := range aggrs {
-			var stream []model.Sample
-			var err error
-			for _, c := range s.chunks {
-				if c.aggr != a {
-					continue
-				}
-				if stream, err = pb.appendChunkRange(stream, c, c.minT, c.maxT); err != nil {
-					return nil, err
-				}
-			}
-			as.streams[a] = stream
-		}
-		out = append(out, as)
-	}
-	return out, nil
-}
-
-// diskSeriesFromAggr re-encodes per-aggregate streams into index entries,
-// splitting chunks at maxPerChunk samples. Streams must be sorted by
-// timestamp with strictly increasing timestamps per stream.
-func diskSeriesFromAggr(in []aggrSeries, maxPerChunk int) ([]diskSeries, int64, int64, error) {
-	mint, maxt := int64(1)<<62, -(int64(1) << 62)
-	out := make([]diskSeries, 0, len(in))
-	for _, as := range in {
-		var ds diskSeries
-		ds.lset = as.lset
-		for _, a := range []AggrType{AggrRaw, AggrSum, AggrCount, AggrMin, AggrMax} {
-			stream := as.streams[a]
-			if len(stream) == 0 {
-				continue
-			}
-			chunks, err := chunksFromSamples(stream, a, maxPerChunk)
-			if err != nil {
-				return nil, 0, 0, err
-			}
-			ds.chunks = append(ds.chunks, chunks...)
-			if stream[0].T < mint {
-				mint = stream[0].T
-			}
-			if t := stream[len(stream)-1].T; t > maxt {
-				maxt = t
-			}
-		}
-		if len(ds.chunks) == 0 {
+// appendStream decodes onto dst every sample of s's chunks storing aggr,
+// each chunk within its indexed bounds — one whole stream, the unit
+// compaction and downsampling read.
+func (pb *PersistentBlock) appendStream(dst []model.Sample, s *diskSeries, aggr AggrType) ([]model.Sample, error) {
+	var err error
+	for _, c := range s.chunks {
+		if c.aggr != aggr {
 			continue
 		}
-		out = append(out, ds)
-	}
-	sort.Slice(out, func(i, j int) bool { return labels.Compare(out[i].lset, out[j].lset) < 0 })
-	return out, mint, maxt, nil
-}
-
-// chunksFromSamples encodes one sample stream into diskChunk entries.
-func chunksFromSamples(samples []model.Sample, aggr AggrType, maxPerChunk int) ([]diskChunk, error) {
-	if maxPerChunk <= 0 {
-		maxPerChunk = 120
-	}
-	var out []diskChunk
-	for len(samples) > 0 {
-		n := len(samples)
-		if n > maxPerChunk {
-			n = maxPerChunk
+		if dst, err = pb.appendChunkRange(dst, c, c.minT, c.maxT); err != nil {
+			return dst, err
 		}
-		c := chunkenc.NewChunk()
-		for _, smp := range samples[:n] {
-			if err := c.Append(smp.T, smp.V); err != nil {
-				return nil, err
-			}
-		}
-		out = append(out, diskChunk{
-			aggr:       aggr,
-			minT:       samples[0].T,
-			maxT:       samples[n-1].T,
-			numSamples: n,
-			payload:    c.Bytes(),
-		})
-		samples = samples[n:]
 	}
-	return out, nil
+	return dst, nil
 }

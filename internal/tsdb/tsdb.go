@@ -61,9 +61,15 @@ var ErrOutOfOrder = errors.New("tsdb: out of order sample")
 // both the same way.
 var ErrTooOld = fmt.Errorf("%w: older than the out-of-order window", ErrOutOfOrder)
 
+// defaultSamplesPerChunk is the chunk size of a head that names none and of
+// every block compaction and downsampling write; 120 is the Prometheus
+// default.
+const defaultSamplesPerChunk = 120
+
 // Options configure a DB.
 type Options struct {
-	// MaxSamplesPerChunk bounds chunk size; 120 is the Prometheus default.
+	// MaxSamplesPerChunk bounds chunk size in the head and in the blocks it
+	// cuts; 0 picks 120, the Prometheus default.
 	MaxSamplesPerChunk int
 	// Shards is the number of lock stripes in the head, rounded up to a
 	// power of two; 0 picks GOMAXPROCS rounded up. 1 yields the old
@@ -101,7 +107,7 @@ type Options struct {
 // by itself: whoever owns retention calls Truncate (the block-store sidecar
 // after a ship, or a head-only process on its tsdb.retention setting).
 func DefaultOptions() Options {
-	return Options{MaxSamplesPerChunk: 120}
+	return Options{MaxSamplesPerChunk: defaultSamplesPerChunk}
 }
 
 // DB is the in-memory time-series database, optionally backed by a
@@ -185,7 +191,7 @@ func nextPow2(n int) int {
 // what was recovered.
 func Open(opts Options) (*DB, error) {
 	if opts.MaxSamplesPerChunk <= 0 {
-		opts.MaxSamplesPerChunk = 120
+		opts.MaxSamplesPerChunk = defaultSamplesPerChunk
 	}
 	n := opts.Shards
 	if n <= 0 {
