@@ -101,7 +101,9 @@ head-index:
 
 # Ten seconds of coverage-guided fuzzing each over the chunk decoder
 # (arbitrary bytes must end in an error or the declared sample count, never
-# a panic), over the query API's JSON string escaper (byte-identical to
+# a panic), over the chunk/WAL bit writer (byte-identical to the
+# bit-at-a-time oracle it replaced, for any call sequence into any
+# destination), over the query API's JSON string escaper (byte-identical to
 # encoding/json on any input), over the exposition tokenizer (same
 # families or same failure as the oracle parser it replaced, allocation
 # linear in the input) and over the block index decoder (a CRC-valid index
@@ -109,6 +111,7 @@ head-index:
 # bytes, allocation linear in the input).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzChunkIterator -fuzztime 10s ./internal/tsdb/chunkenc/
+	$(GO) test -run '^$$' -fuzz FuzzBitWriter -fuzztime 10s ./internal/tsdb/chunkenc/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeIndex -fuzztime 10s ./internal/tsdb/
 	$(GO) test -run '^$$' -fuzz FuzzAppendJSONString -fuzztime 10s ./internal/promapi/
 	$(GO) test -run '^$$' -fuzz FuzzTokenizer -fuzztime 10s ./internal/expofmt/

@@ -65,9 +65,16 @@ func (c *Chunk) Bytes() []byte {
 	return out
 }
 
-// Append adds a sample. Timestamps must be strictly increasing.
+// errChunkFull is returned by Append on a chunk whose 16-bit header count
+// has no room for another sample.
+var errChunkFull = errors.New("chunkenc: chunk full")
+
+// Append adds a sample. Timestamps must be strictly increasing, and a chunk
+// holds at most math.MaxUint16 samples.
 func (c *Chunk) Append(t int64, v float64) error {
 	switch c.num {
+	case math.MaxUint16:
+		return errChunkFull
 	case 0:
 		// First sample: varint timestamp + raw value.
 		c.b.WriteVarint(t)
@@ -84,9 +91,16 @@ func (c *Chunk) Append(t int64, v float64) error {
 			return fmt.Errorf("chunkenc: out-of-order timestamp %d <= %d", t, c.t)
 		}
 		tDelta := uint64(t - c.t)
-		c.b.WriteDOD(int64(tDelta - c.tDelta))
+		dp, dpBits, dv, dvBits := dodFields(int64(tDelta - c.tDelta))
+		xc, xcBits, xv, xvBits := xorFields(c.v, v, &c.leading, &c.trailing)
+		if dpBits+dvBits+xcBits <= 64 {
+			// Timestamp and value control bits travel as one field.
+			c.b.writeFields((dp<<dvBits|dv)<<xcBits|xc, dpBits+dvBits+xcBits, xv, xvBits)
+		} else {
+			c.b.writeFields(dp, dpBits, dv, dvBits)
+			c.b.writeFields(xc, xcBits, xv, xvBits)
+		}
 		c.tDelta = tDelta
-		c.b.WriteXOR(c.v, v, &c.leading, &c.trailing)
 	}
 	c.t = t
 	c.v = v

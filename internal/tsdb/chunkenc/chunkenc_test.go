@@ -260,6 +260,30 @@ func BenchmarkAppend(b *testing.B) {
 	}
 }
 
+// BenchmarkAppendRAPL appends the end-to-end benchmark's probe shape: a
+// joule counter growing by 250 W with 7 % noise at a one-minute cadence,
+// in 120-sample chunks. Unlike BenchmarkAppend's linear values, almost
+// every sample writes a full XOR window.
+func BenchmarkAppendRAPL(b *testing.B) {
+	const per = 120
+	rng := rand.New(rand.NewSource(1))
+	vals := make([]float64, 64*per)
+	joules := 0.0
+	for i := range vals {
+		joules += 250 * (1 + 0.07*rng.NormFloat64()) * 60
+		vals[i] = joules
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	c := NewChunk()
+	for i := 0; i < b.N; i++ {
+		if c.NumSamples() >= per {
+			c = NewChunk()
+		}
+		c.Append(int64(i)*60000, vals[i%len(vals)])
+	}
+}
+
 func BenchmarkIterate(b *testing.B) {
 	c := NewChunk()
 	for i := int64(0); i < 120; i++ {

@@ -39,6 +39,7 @@ package tsdb
 import (
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"slices"
 	"sort"
@@ -69,7 +70,8 @@ const defaultSamplesPerChunk = 120
 // Options configure a DB.
 type Options struct {
 	// MaxSamplesPerChunk bounds chunk size in the head and in the blocks it
-	// cuts; 0 picks 120, the Prometheus default.
+	// cuts; 0 picks 120, the Prometheus default. A chunk counts its samples
+	// in 16 bits, so Open rejects anything above math.MaxUint16.
 	MaxSamplesPerChunk int
 	// Shards is the number of lock stripes in the head, rounded up to a
 	// power of two; 0 picks GOMAXPROCS rounded up. 1 yields the old
@@ -192,6 +194,9 @@ func nextPow2(n int) int {
 func Open(opts Options) (*DB, error) {
 	if opts.MaxSamplesPerChunk <= 0 {
 		opts.MaxSamplesPerChunk = defaultSamplesPerChunk
+	}
+	if opts.MaxSamplesPerChunk > math.MaxUint16 {
+		return nil, fmt.Errorf("tsdb: MaxSamplesPerChunk %d exceeds a chunk's %d-sample limit", opts.MaxSamplesPerChunk, math.MaxUint16)
 	}
 	n := opts.Shards
 	if n <= 0 {

@@ -3,6 +3,7 @@ package tsdb
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"reflect"
@@ -70,6 +71,40 @@ func TestOutOfOrderRejected(t *testing.T) {
 	}
 	if err := db.Append(ls, 500, 2); !errors.Is(err, ErrOutOfOrder) {
 		t.Errorf("want ErrOutOfOrder, got %v", err)
+	}
+}
+
+// A chunk counts its samples in 16 bits: Open refuses a chunk size that
+// would wrap the count, and the largest size it accepts cuts full chunks
+// that read back whole.
+func TestOpenRejectsChunkSizeAboveUint16(t *testing.T) {
+	if db, err := Open(Options{MaxSamplesPerChunk: math.MaxUint16 + 1}); err == nil {
+		db.Close()
+		t.Fatal("Open accepted MaxSamplesPerChunk above math.MaxUint16")
+	}
+	db, err := Open(Options{MaxSamplesPerChunk: math.MaxUint16, Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	ls := labels.FromStrings(labels.MetricName, "m")
+	const n = math.MaxUint16 + 10
+	for i := int64(0); i < n; i++ {
+		if err := db.Append(ls, i, float64(i)); err != nil {
+			t.Fatalf("Append %d: %v", i, err)
+		}
+	}
+	got, err := db.Select(0, n, labels.MustMatcher(labels.MatchEqual, labels.MetricName, "m"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 1 || len(got[0].Samples) != n {
+		t.Fatalf("Select returned %d series, want one of %d samples", len(got), n)
+	}
+	for i, s := range got[0].Samples {
+		if s.T != int64(i) || s.V != float64(i) {
+			t.Fatalf("sample %d = %+v", i, s)
+		}
 	}
 }
 
