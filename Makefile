@@ -106,14 +106,18 @@ head-index:
 # destination), over the query API's JSON string escaper (byte-identical to
 # encoding/json on any input), over the exposition tokenizer (same
 # families or same failure as the oracle parser it replaced, allocation
-# linear in the input) and over the block index decoder (a CRC-valid index
+# linear in the input), over the block index decoder (a CRC-valid index
 # of any content ends in an error or a value that re-encodes to the same
-# bytes, allocation linear in the input).
+# bytes, allocation linear in the input) and over the remote-read request
+# decoder (any body ends in 200, 400, 413 or 422 with a readResponse body,
+# never a 500 or a panic). tools/ci_sync_check.sh pins this list to ci.yml
+# and to every Fuzz function in the tree.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzChunkIterator -fuzztime 10s ./internal/tsdb/chunkenc/
 	$(GO) test -run '^$$' -fuzz FuzzBitWriter -fuzztime 10s ./internal/tsdb/chunkenc/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeIndex -fuzztime 10s ./internal/tsdb/
 	$(GO) test -run '^$$' -fuzz FuzzAppendJSONString -fuzztime 10s ./internal/promapi/
+	$(GO) test -run '^$$' -fuzz FuzzRemoteRead -fuzztime 10s ./internal/promapi/
 	$(GO) test -run '^$$' -fuzz FuzzTokenizer -fuzztime 10s ./internal/expofmt/
 
 # Real measurements for BENCH_querycache.json (slow).

@@ -128,11 +128,6 @@ type selectCounter struct {
 	selects int
 }
 
-func (c *selectCounter) Select(mint, maxt int64, ms ...*labels.Matcher) ([]model.Series, error) {
-	c.selects++
-	return c.DB.Select(mint, maxt, ms...)
-}
-
 func (c *selectCounter) SelectWithHints(h model.SelectHints, ms ...*labels.Matcher) ([]model.Series, error) {
 	c.selects++
 	return c.DB.SelectWithHints(h, ms...)

@@ -292,7 +292,7 @@ func TestQuorumPartitionHealRetry(t *testing.T) {
 	e.ring.Partition("node-1")
 	e.mustFail(30, 35)
 	var qerr *lb.ErrQuorumUnavailable
-	if _, err := e.ring.Scatter().Select(0, math.MaxInt64, matchAll()); !errors.As(err, &qerr) {
+	if _, err := e.ring.Scatter().SelectWithHints(model.SelectHints{End: math.MaxInt64}, matchAll()); !errors.As(err, &qerr) {
 		t.Fatalf("read with one reachable replica should lose coverage, got %v", err)
 	}
 

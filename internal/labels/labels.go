@@ -401,25 +401,3 @@ func MatchLabels(ls Labels, ms ...*Matcher) bool {
 	}
 	return true
 }
-
-// SortedKeys returns the keys of a string set, sorted.
-func SortedKeys(set map[string]struct{}) []string {
-	out := make([]string, 0, len(set))
-	for k := range set {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// UnionSorted deduplicates and sorts the union of the given string slices
-// (label names or values gathered from multiple shards or storage tiers).
-func UnionSorted(lists ...[]string) []string {
-	set := make(map[string]struct{})
-	for _, l := range lists {
-		for _, s := range l {
-			set[s] = struct{}{}
-		}
-	}
-	return SortedKeys(set)
-}

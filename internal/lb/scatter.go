@@ -17,19 +17,23 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/labels"
 	"repro/internal/model"
+	"repro/internal/promql"
 	"repro/internal/workpool"
 )
 
-// SeriesBackend is one storage replica the scatter-gather reader queries.
-// cluster.Member adapts *tsdb.DB (adding unreachability/warming errors);
-// anything speaking the hint-aware Select shape fits.
+// SeriesBackend is one storage replica the scatter-gather reader queries:
+// the one read method plus label metadata that, like a read, can fail.
+// cluster.Member adapts *tsdb.DB (adding unreachability/warming errors), and
+// ScatterGather is one itself, so the query API serves its label endpoints
+// through this interface.
 type SeriesBackend interface {
-	SelectWithHints(hints model.SelectHints, ms ...*labels.Matcher) ([]model.Series, error)
+	promql.Queryable
 	LabelValues(name string) ([]string, error)
 	LabelNames() ([]string, error)
 }
@@ -86,10 +90,10 @@ func (e *ErrQuorumUnavailable) Error() string {
 
 // ScatterGather fans hint-aware selects out to a set of named replicas and
 // merges the partial results under the quorum coverage rule. It implements
-// promql.Queryable and promql.HintedQueryable, so a PromQL engine (or
-// promapi handler) evaluates against the cluster exactly as it would
-// against one node. Safe for concurrent use; replicas may be added and
-// removed while reads are in flight.
+// promql.Queryable, so a PromQL engine (or promapi handler) evaluates
+// against the cluster exactly as it would against one node. Safe for
+// concurrent use; replicas may be added and removed while reads are in
+// flight.
 type ScatterGather struct {
 	// ReadQuorum is the minimum responders per owner group, normally
 	// R − W + 1. Values < 1 are treated as 1.
@@ -176,11 +180,6 @@ func (s *ScatterGather) checkCoverage(ok map[string]bool) error {
 		}
 	}
 	return nil
-}
-
-// Select implements promql.Queryable.
-func (s *ScatterGather) Select(mint, maxt int64, ms ...*labels.Matcher) ([]model.Series, error) {
-	return s.SelectWithHints(model.SelectHints{Start: mint, End: maxt}, ms...)
 }
 
 // SelectWithHints fans the select out to every replica in parallel and
@@ -401,6 +400,9 @@ func (s *ScatterGather) LabelNames() ([]string, error) {
 	return s.gatherStrings(func(b SeriesBackend) ([]string, error) { return b.LabelNames() })
 }
 
+// gatherStrings merges one sorted, duplicate-free list per answering replica
+// through the stack's one merge, keeping the first of equal strings. The only
+// non-empty list is returned itself, so the result is read-only.
 func (s *ScatterGather) gatherStrings(f func(SeriesBackend) ([]string, error)) ([]string, error) {
 	names, backends := s.snapshot()
 	parts := make([][]string, len(backends))
@@ -419,7 +421,7 @@ func (s *ScatterGather) gatherStrings(f func(SeriesBackend) ([]string, error)) (
 	if err := s.checkCoverage(ok); err != nil {
 		return nil, err
 	}
-	return labels.UnionSorted(parts...), nil
+	return model.MergeSorted(parts, strings.Compare, func(run []string) string { return run[0] }), nil
 }
 
 // MergeReplicaSeries merges per-replica slices, each sorted by labels,

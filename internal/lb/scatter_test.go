@@ -3,6 +3,7 @@ package lb
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/labels"
@@ -26,7 +27,8 @@ func (f *fakeBackend) LabelValues(string) ([]string, error) {
 	for _, s := range f.series {
 		out = append(out, s.Labels.Name())
 	}
-	return labels.UnionSorted(out), nil
+	slices.Sort(out)
+	return slices.Compact(out), nil
 }
 func (f *fakeBackend) LabelNames() ([]string, error) {
 	if f.err != nil {
@@ -63,7 +65,7 @@ func TestScatterMergeDedup(t *testing.T) {
 		series("net", sample(5, 5)),
 	}})
 
-	got, err := sg.Select(0, 100)
+	got, err := sg.SelectWithHints(model.SelectHints{End: 100})
 	if err != nil {
 		t.Fatalf("Select: %v", err)
 	}
@@ -91,12 +93,12 @@ func TestScatterQuorumCoverage(t *testing.T) {
 
 	healthy()
 	sg.SetReplica("c", &fakeBackend{err: errors.New("down")})
-	if _, err := sg.Select(0, 10); err != nil {
+	if _, err := sg.SelectWithHints(model.SelectHints{End: 10}); err != nil {
 		t.Fatalf("one failure under R=3 read-quorum=2 should answer, got %v", err)
 	}
 
 	sg.SetReplica("b", &fakeBackend{err: errors.New("down")})
-	_, err := sg.Select(0, 10)
+	_, err := sg.SelectWithHints(model.SelectHints{End: 10})
 	var qerr *ErrQuorumUnavailable
 	if !errors.As(err, &qerr) {
 		t.Fatalf("two failures should fail coverage, got %v", err)
@@ -122,7 +124,7 @@ func TestScatterSampleLimit(t *testing.T) {
 	sg := NewScatterGather(&staticPlacement{groups: [][]string{{"a", "b"}}}, 1)
 	sg.SetReplica("a", &fakeBackend{series: []model.Series{series("cpu", sample(1, 1))}})
 	sg.SetReplica("b", &fakeBackend{err: fmt.Errorf("select: %w", model.ErrSampleLimit)})
-	if _, err := sg.Select(0, 10); !errors.Is(err, model.ErrSampleLimit) {
+	if _, err := sg.SelectWithHints(model.SelectHints{End: 10}); !errors.Is(err, model.ErrSampleLimit) {
 		t.Fatalf("sample-limit blowout should surface, got %v", err)
 	}
 }
@@ -132,7 +134,7 @@ func TestScatterSampleLimit(t *testing.T) {
 func TestScatterNoReplicas(t *testing.T) {
 	sg := NewScatterGather(nil, 1)
 	var qerr *ErrQuorumUnavailable
-	if _, err := sg.Select(0, 10); !errors.As(err, &qerr) {
+	if _, err := sg.SelectWithHints(model.SelectHints{End: 10}); !errors.As(err, &qerr) {
 		t.Fatalf("empty replica set should fail coverage, got %v", err)
 	}
 }

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/expofmt"
 	"repro/internal/labels"
+	"repro/internal/model"
 	"repro/internal/remotewrite"
 	"repro/internal/scrape"
 	"repro/internal/tsdb"
@@ -142,7 +143,7 @@ func TestRemoteReadBackendErrorStatus(t *testing.T) {
 	defer backend.Close()
 
 	rq := &RemoteQueryable{BaseURL: backend.URL}
-	_, err := rq.Select(0, 1000, labels.MustMatcher(labels.MatchEqual, "a", "b"))
+	_, err := rq.SelectWithHints(model.SelectHints{Start: 0, End: 1000}, labels.MustMatcher(labels.MatchEqual, "a", "b"))
 	if err == nil {
 		t.Fatal("Select against a 502 backend succeeded")
 	}
@@ -175,13 +176,13 @@ func TestRemoteReadBodyCap(t *testing.T) {
 	defer backend.Close()
 
 	rq := &RemoteQueryable{BaseURL: backend.URL, MaxBodyBytes: 256}
-	_, err := rq.Select(0, 1000, labels.MustMatcher(labels.MatchEqual, "a", "b"))
+	_, err := rq.SelectWithHints(model.SelectHints{Start: 0, End: 1000}, labels.MustMatcher(labels.MatchEqual, "a", "b"))
 	if err == nil || !strings.Contains(err.Error(), "cap") {
 		t.Fatalf("over-cap response: got %v, want body-cap error", err)
 	}
 	// The same response under the default cap parses fine.
 	rq.MaxBodyBytes = 0
-	series, err := rq.Select(0, 1000, labels.MustMatcher(labels.MatchEqual, "a", "b"))
+	series, err := rq.SelectWithHints(model.SelectHints{Start: 0, End: 1000}, labels.MustMatcher(labels.MatchEqual, "a", "b"))
 	if err != nil || len(series) != 1 || len(series[0].Samples) != 1000 {
 		t.Fatalf("uncapped read: %v (series %d)", err, len(series))
 	}

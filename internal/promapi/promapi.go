@@ -71,19 +71,13 @@ type Handler struct {
 // implements it (fanning the lookup across head shards); when Query does,
 // the handler additionally serves /api/v1/labels and
 // /api/v1/label/<name>/values, the endpoints Grafana uses to populate
-// dashboard variable dropdowns.
+// dashboard variable dropdowns. A Query whose metadata reads can fail, as
+// its reads can, is an lb.SeriesBackend instead: *lb.ScatterGather refuses
+// an answer that too few replicas cover, and the endpoints report the error
+// like a failed query.
 type LabelStore interface {
 	LabelNames() []string
 	LabelValues(name string) []string
-}
-
-// FallibleLabelStore is LabelStore for a Queryable whose metadata reads
-// can fail, as its Select can: *lb.ScatterGather refuses an answer that
-// too few replicas cover. The endpoints report the error like a failed
-// query.
-type FallibleLabelStore interface {
-	LabelNames() ([]string, error)
-	LabelValues(name string) ([]string, error)
 }
 
 // Mux returns the route tree.
@@ -337,7 +331,7 @@ func (h *Handler) serveLabels(w http.ResponseWriter, name string) {
 		} else {
 			list = ls.LabelValues(name)
 		}
-	case FallibleLabelStore:
+	case lb.SeriesBackend:
 		if names {
 			list, err = ls.LabelNames()
 		} else {

@@ -17,7 +17,7 @@ import (
 	"repro/internal/tsdb"
 )
 
-func testHandler(t *testing.T) *Handler {
+func testHandler(t testing.TB) *Handler {
 	t.Helper()
 	db := tsdb.MustOpen(tsdb.DefaultOptions())
 	ls := labels.FromStrings(labels.MetricName, "up", "instance", "n1")
@@ -201,8 +201,8 @@ func TestLabelsEndpoints(t *testing.T) {
 // queryableOnly hides tsdb.DB's label methods to exercise the fallback.
 type queryableOnly struct{ q promql.Queryable }
 
-func (q queryableOnly) Select(mint, maxt int64, ms ...*labels.Matcher) ([]model.Series, error) {
-	return q.q.Select(mint, maxt, ms...)
+func (q queryableOnly) SelectWithHints(hints model.SelectHints, ms ...*labels.Matcher) ([]model.Series, error) {
+	return q.q.SelectWithHints(hints, ms...)
 }
 
 func TestLabelsUnsupportedBackend(t *testing.T) {
@@ -217,12 +217,13 @@ func TestLabelsUnsupportedBackend(t *testing.T) {
 	}
 }
 
-// fallibleStore is a Queryable whose label reads return an error, the shape
-// of the ring's scatter-gather reader.
+// fallibleStore is an lb.SeriesBackend whose reads return an error, the
+// shape of the ring's scatter-gather reader.
 type fallibleStore struct {
-	queryableOnly
 	err error
 }
+
+var _ lb.SeriesBackend = fallibleStore{}
 
 func (s fallibleStore) LabelNames() ([]string, error) { return []string{"a", "b"}, s.err }
 
@@ -230,7 +231,7 @@ func (s fallibleStore) LabelValues(name string) ([]string, error) {
 	return []string{name + "-1"}, s.err
 }
 
-func (s fallibleStore) Select(int64, int64, ...*labels.Matcher) ([]model.Series, error) {
+func (s fallibleStore) SelectWithHints(model.SelectHints, ...*labels.Matcher) ([]model.Series, error) {
 	return nil, s.err
 }
 

@@ -13,7 +13,6 @@ import (
 
 	"repro/internal/labels"
 	"repro/internal/model"
-	"repro/internal/promql"
 )
 
 // Remote read: a JSON equivalent of Prometheus's remote-read protocol so a
@@ -43,21 +42,37 @@ type readSeries struct {
 	Samples [][2]float64      `json:"samples"` // [unix_ms, value]
 }
 
-// handleRead serves POST /api/v1/read. The Select is budgeted like the
-// query paths: when the backing store is hint-aware, the engine's
-// MaxSamples caps how much one read request may materialize server-side,
-// and blowing the budget returns 422. The response streams series by
-// series — the handler never holds the full result set encoded in memory —
-// and when Timeout is set it doubles as the response write deadline, so a
-// stalled client cannot pin the connection forever.
+// maxReadRequestBytes caps a remote read request body. A request is a time
+// window and a few matchers; even a regexp listing thousands of job UUIDs
+// fits with room to spare.
+const maxReadRequestBytes = 1 << 20
+
+// handleRead serves POST /api/v1/read. The request is checked before storage
+// is touched: a body past maxReadRequestBytes is 413, one that does not
+// decode, names a bad matcher or names none is 400. The read is budgeted
+// like the query paths: the engine's MaxSamples caps how much one read
+// request may materialize server-side, and blowing the budget returns 422.
+// The response streams series by series — the handler never holds the full
+// result set encoded in memory — and when Timeout is set it doubles as the
+// response write deadline, so a stalled client cannot pin the connection
+// forever.
 func (h *Handler) handleRead(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST required", http.StatusMethodNotAllowed)
 		return
 	}
 	var req readRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeReadErr(w, http.StatusBadRequest, err.Error())
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxReadRequestBytes)).Decode(&req); err != nil {
+		code := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		writeReadErr(w, code, err.Error())
+		return
+	}
+	if len(req.Matchers) == 0 {
+		writeReadErr(w, http.StatusBadRequest, "remote read requires at least one matcher")
 		return
 	}
 	ms := make([]*labels.Matcher, 0, len(req.Matchers))
@@ -83,20 +98,11 @@ func (h *Handler) handleRead(w http.ResponseWriter, r *http.Request) {
 		}
 		ms = append(ms, m)
 	}
-	var (
-		series []model.Series
-		err    error
-	)
-	if hq, ok := h.Query.(promql.HintedQueryable); ok {
-		hints := model.SelectHints{
-			Start:       req.MinTime,
-			End:         req.MaxTime,
-			SampleLimit: int64(h.engine().MaxSamples),
-		}
-		series, err = hq.SelectWithHints(hints, ms...)
-	} else {
-		series, err = h.Query.Select(req.MinTime, req.MaxTime, ms...)
-	}
+	series, err := h.Query.SelectWithHints(model.SelectHints{
+		Start:       req.MinTime,
+		End:         req.MaxTime,
+		SampleLimit: int64(h.engine().MaxSamples),
+	}, ms...)
 	if err != nil {
 		if errors.Is(err, model.ErrSampleLimit) {
 			writeReadErr(w, http.StatusUnprocessableEntity, err.Error())
@@ -175,12 +181,15 @@ type RemoteQueryable struct {
 	MaxBodyBytes int64
 }
 
-// Select implements promql.Queryable over HTTP. Non-200 responses fail
-// with the status code and a snippet of the body — a proxy's 502 HTML page
-// is reported as such instead of surfacing as a JSON decode error — and
+// SelectWithHints implements promql.Queryable over HTTP. The request carries
+// the window (hints.Start, hints.End) and the matchers and no other hint:
+// the remote store reads at full resolution under its own sample budget,
+// and the engine charges what comes back against its own. Non-200 responses
+// fail with the status code and a snippet of the body — a proxy's 502 HTML
+// page is reported as such instead of surfacing as a JSON decode error — and
 // the body read is capped either way.
-func (rq *RemoteQueryable) Select(mint, maxt int64, ms ...*labels.Matcher) ([]model.Series, error) {
-	req := readRequest{MinTime: mint, MaxTime: maxt}
+func (rq *RemoteQueryable) SelectWithHints(hints model.SelectHints, ms ...*labels.Matcher) ([]model.Series, error) {
+	req := readRequest{MinTime: hints.Start, MaxTime: hints.End}
 	for _, m := range ms {
 		req.Matchers = append(req.Matchers, readMatcher{
 			Type: m.Type.String(), Name: m.Name, Value: m.Value,

@@ -1,11 +1,16 @@
 package promapi
 
 import (
+	"bytes"
+	"encoding/json"
+	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/labels"
+	"repro/internal/model"
 	"repro/internal/promql"
 )
 
@@ -15,7 +20,7 @@ func TestRemoteReadRoundTrip(t *testing.T) {
 	defer srv.Close()
 
 	rq := &RemoteQueryable{BaseURL: srv.URL}
-	series, err := rq.Select(0, 1<<60, labels.MustMatcher(labels.MatchEqual, labels.MetricName, "reqs_total"))
+	series, err := rq.SelectWithHints(model.SelectHints{Start: 0, End: 1 << 60}, labels.MustMatcher(labels.MatchEqual, labels.MetricName, "reqs_total"))
 	if err != nil {
 		t.Fatalf("Select: %v", err)
 	}
@@ -29,13 +34,15 @@ func TestRemoteReadRoundTrip(t *testing.T) {
 		t.Errorf("labels = %v", series[0].Labels)
 	}
 	// Time bounds respected.
-	series, _ = rq.Select(0, 60_000, labels.MustMatcher(labels.MatchEqual, labels.MetricName, "reqs_total"))
+	series, _ = rq.SelectWithHints(model.SelectHints{Start: 0, End: 60_000}, labels.MustMatcher(labels.MatchEqual, labels.MetricName, "reqs_total"))
 	if len(series[0].Samples) != 5 {
 		t.Errorf("bounded samples = %d, want 5", len(series[0].Samples))
 	}
 }
 
-// The remote queryable must work as a PromQL backend end-to-end.
+// The remote queryable must work as a PromQL backend end-to-end. It sends
+// no sample budget over the wire, so the engine's own charge of what comes
+// back is what holds its MaxSamples.
 func TestRemoteQueryableWithEngine(t *testing.T) {
 	h := testHandler(t)
 	srv := httptest.NewServer(h.Mux())
@@ -51,6 +58,36 @@ func TestRemoteQueryableWithEngine(t *testing.T) {
 	if len(vec) != 1 || vec[0].V != 10 {
 		t.Errorf("remote rate = %+v, want 10", vec)
 	}
+
+	// The 2m window holds 8 samples; a budget of 4 is blown after the read.
+	eng.MaxSamples = 4
+	if _, err := eng.Instant(rq, `rate(reqs_total[2m])`, time.UnixMilli(600_000)); !promql.IsLimitError(err) {
+		t.Fatalf("over-budget Instant over remote: %v, want LimitError", err)
+	}
+}
+
+// readsCounted counts the reads that reach the store it wraps.
+type readsCounted struct {
+	promql.Queryable
+	reads int
+}
+
+func (s *readsCounted) SelectWithHints(hints model.SelectHints, ms ...*labels.Matcher) ([]model.Series, error) {
+	s.reads++
+	return s.Queryable.SelectWithHints(hints, ms...)
+}
+
+// postRead sends body to h's /api/v1/read and decodes the answer, which must
+// be a readResponse whatever the status.
+func postRead(t testing.TB, h http.Handler, body []byte) (int, readResponse) {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/api/v1/read", bytes.NewReader(body)))
+	var resp readResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+		t.Fatalf("status %d: body %q is not a readResponse: %v", rec.Code, rec.Body, err)
+	}
+	return rec.Code, resp
 }
 
 func TestRemoteReadErrors(t *testing.T) {
@@ -69,7 +106,61 @@ func TestRemoteReadErrors(t *testing.T) {
 	}
 	// Unreachable server errors cleanly.
 	dead := &RemoteQueryable{BaseURL: "http://127.0.0.1:1", Timeout: time.Second}
-	if _, err := dead.Select(0, 1, labels.MustMatcher(labels.MatchEqual, "a", "b")); err == nil {
+	if _, err := dead.SelectWithHints(model.SelectHints{Start: 0, End: 1}, labels.MustMatcher(labels.MatchEqual, "a", "b")); err == nil {
 		t.Error("dead server Select succeeded")
 	}
+
+	// A request the client got wrong is a client error, answered before
+	// storage is read: no matchers at all, or a body past the cap.
+	store := &readsCounted{Queryable: h.Query}
+	mux := (&Handler{Query: store}).Mux()
+	for name, c := range map[string]struct {
+		body []byte
+		code int
+		err  string
+	}{
+		"no matchers":   {[]byte(`{"min_time":0,"max_time":600000,"matchers":[]}`), 400, "at least one matcher"},
+		"matchers null": {[]byte(`{"min_time":0,"max_time":600000}`), 400, "at least one matcher"},
+		"oversized body": {
+			[]byte(`{"matchers":[{"type":"=","name":"a","value":"` + strings.Repeat("x", maxReadRequestBytes) + `"}]}`),
+			413, "too large",
+		},
+	} {
+		code, resp := postRead(t, mux, c.body)
+		if code != c.code || !strings.Contains(resp.Error, c.err) {
+			t.Errorf("%s: %d %q, want %d carrying %q", name, code, resp.Error, c.code, c.err)
+		}
+	}
+	if store.reads != 0 {
+		t.Errorf("rejected requests read storage %d times", store.reads)
+	}
+}
+
+// FuzzRemoteRead: whatever body a client posts to /api/v1/read, the handler
+// answers 200, 400, 413 or 422 with a body that parses as readResponse —
+// never a 500, never a panic.
+func FuzzRemoteRead(f *testing.F) {
+	roundTrip, _ := json.Marshal(readRequest{
+		MinTime: 0, MaxTime: 1 << 60,
+		Matchers: []readMatcher{{Type: "=", Name: labels.MetricName, Value: "reqs_total"}},
+	})
+	f.Add(roundTrip)
+	for _, typ := range []string{"=", "!=", "=~", "!~"} {
+		body, _ := json.Marshal(readRequest{
+			MinTime: 60_000, MaxTime: 600_000,
+			Matchers: []readMatcher{{Type: typ, Name: "instance", Value: "n.*"}},
+		})
+		f.Add(body)
+	}
+	f.Add([]byte(`{"min_time":0,"max_time":600000,"matchers":[]}`))
+	f.Add(roundTrip[:len(roundTrip)/2])
+
+	mux := testHandler(f).Mux()
+	f.Fuzz(func(t *testing.T, body []byte) {
+		switch code, _ := postRead(t, mux, body); code {
+		case http.StatusOK, http.StatusBadRequest, http.StatusRequestEntityTooLarge, http.StatusUnprocessableEntity:
+		default:
+			t.Fatalf("body %q: status %d", body, code)
+		}
+	})
 }

@@ -82,21 +82,21 @@ type String struct {
 
 func (String) Type() ValueType { return ValueString }
 
-// Queryable abstracts the storage the engine reads from; *tsdb.DB and the
-// Thanos fan-in querier implement it.
+// Queryable is the one read method of every store the engine reads from —
+// the head, the block store, the hot/cold querier, the replica
+// scatter-gather and the remote-read client. SelectWithHints returns the
+// series matching ms with their samples in [hints.Start, hints.End], sorted
+// by labels. The other hints are advice a store may use (resolution
+// choice, a sample budget enforced mid-pass) or ignore: the evaluator
+// charges every returned sample against its budget again, so a store that
+// ignores hints.SampleLimit still cannot exceed it.
 type Queryable interface {
-	Select(mint, maxt int64, ms ...*labels.Matcher) ([]model.Series, error)
-}
-
-// HintedQueryable is optionally implemented by storage that can exploit
-// per-query hints — the evaluation bounds, resolution step, and a sample
-// budget enforced mid-pass. *tsdb.DB, the Thanos store and the fan-in
-// querier all implement it; the evaluator prefers it for prefetch so
-// oversized queries fail inside the storage pass instead of after
-// materializing every sample.
-type HintedQueryable interface {
 	SelectWithHints(hints model.SelectHints, ms ...*labels.Matcher) ([]model.Series, error)
 }
+
+// HintedQueryable is Queryable under its former name, kept only because the
+// end-to-end benchmark (bench/) names it.
+type HintedQueryable = Queryable
 
 // SelectorQueryable is optionally implemented by a Queryable that plans its
 // reads per AST selector rather than per matcher set: node is the
@@ -104,7 +104,7 @@ type HintedQueryable interface {
 // expression handed to the engine. Window bounds cannot tell `x[5m]` from
 // `x` under a 5 m lookback; the node can. The rules read view uses it to
 // decide, from a plan built over the same AST, which reads its own
-// evaluation can answer. The evaluator prefers it over HintedQueryable.
+// evaluation can answer. The evaluator prefers it over SelectWithHints.
 type SelectorQueryable interface {
 	SelectSelector(node Expr, hints model.SelectHints) ([]model.Series, error)
 }

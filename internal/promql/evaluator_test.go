@@ -96,14 +96,10 @@ func TestVectorMatchingSurvivesHashCollision(t *testing.T) {
 	}
 }
 
-// hintLog records every hinted Select.
+// hintLog records every Select's hints.
 type hintLog struct {
-	inner HintedQueryable
+	inner Queryable
 	hints []model.SelectHints
-}
-
-func (h *hintLog) Select(mint, maxt int64, ms ...*labels.Matcher) ([]model.Series, error) {
-	return nil, errors.New("hintLog: unhinted Select")
 }
 
 func (h *hintLog) SelectWithHints(hints model.SelectHints, ms ...*labels.Matcher) ([]model.Series, error) {
@@ -167,7 +163,8 @@ type staticQueryable struct {
 	onSelect func()
 }
 
-func (s *staticQueryable) Select(mint, maxt int64, ms ...*labels.Matcher) ([]model.Series, error) {
+func (s *staticQueryable) SelectWithHints(hints model.SelectHints, ms ...*labels.Matcher) ([]model.Series, error) {
+	mint, maxt := hints.Start, hints.End
 	if s.onSelect != nil {
 		s.onSelect()
 	}

@@ -98,30 +98,25 @@ type stepEvaluator struct {
 }
 
 // selectSeries is the live selector storage access: one Select over
-// [mint, maxt] with the engine's sample budget threaded through. Hint-aware
-// storage (the TSDB head, the Thanos fan-in) enforces the remaining budget
-// mid-pass, so an oversized instant query aborts during the copy instead of
-// after materializing everything; plain Queryables are charged after the
-// fact, which still bounds what one evaluation can accumulate.
+// [mint, maxt] with the engine's sample budget threaded through. A store
+// that honours the budget (the TSDB head, the Thanos fan-in) enforces the
+// remaining budget mid-pass, so an oversized instant query aborts during the
+// copy instead of after materializing everything; what any store returns is
+// charged after the fact, which still bounds what one evaluation can
+// accumulate.
 func (ev *stepEvaluator) selectSeries(mint, maxt int64, ms []*labels.Matcher) ([]model.Series, error) {
 	budget := int64(ev.engine.MaxSamples)
-	var series []model.Series
-	var err error
-	if hq, hinted := ev.q.(HintedQueryable); hinted {
-		hints := model.SelectHints{Start: mint, End: maxt}
-		if budget > 0 {
-			rem := budget - ev.loaded
-			if rem <= 0 {
-				// Exactly exhausted: 0 means "unlimited" to storage, so pass
-				// 1 — an empty selector still succeeds, any sample trips.
-				rem = 1
-			}
-			hints.SampleLimit = rem
+	hints := model.SelectHints{Start: mint, End: maxt}
+	if budget > 0 {
+		rem := budget - ev.loaded
+		if rem <= 0 {
+			// Exactly exhausted: 0 means "unlimited" to storage, so pass
+			// 1 — an empty selector still succeeds, any sample trips.
+			rem = 1
 		}
-		series, err = hq.SelectWithHints(hints, ms...)
-	} else {
-		series, err = ev.q.Select(mint, maxt, ms...)
+		hints.SampleLimit = rem
 	}
+	series, err := ev.q.SelectWithHints(hints, ms...)
 	if err != nil {
 		if errors.Is(err, model.ErrSampleLimit) {
 			return nil, ev.sampleLimitErr()

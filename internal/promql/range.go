@@ -124,16 +124,17 @@ func (ev *evaluator) collect(e Expr, fn string) {
 }
 
 // prefetch issues exactly one Select per selector of expr, accounting every
-// loaded sample against the engine's MaxSamples budget. Hint-aware storage
-// enforces the remaining budget mid-pass, so an oversized query aborts
-// during the copy instead of after it; plain Queryables are charged after
-// the fact, which still bounds what one evaluation can accumulate.
+// loaded sample against the engine's MaxSamples budget. The remaining budget
+// goes to storage as hints.SampleLimit, so a store that honours it aborts an
+// oversized query during the copy instead of after it. Every returned sample
+// is charged again here: a store that ignores the limit (the remote-read
+// client) or may overshoot it (the hot/cold querier, up to 2×) still cannot
+// carry an evaluation past the budget.
 func (ev *evaluator) prefetch(expr Expr) error {
 	ev.collect(expr, "")
 	budget := int64(ev.engine.MaxSamples)
 	var used int64
 	sq, bySelector := ev.q.(SelectorQueryable)
-	hq, hinted := ev.q.(HintedQueryable)
 	for i := range ev.sels {
 		sd := &ev.sels[i]
 		if err := ev.ctx.Err(); err != nil {
@@ -153,13 +154,10 @@ func (ev *evaluator) prefetch(expr Expr) error {
 			series []model.Series
 			err    error
 		)
-		switch {
-		case bySelector:
+		if bySelector {
 			series, err = sq.SelectSelector(sd.node, hints)
-		case hinted:
-			series, err = hq.SelectWithHints(hints, sd.vs.Matchers...)
-		default:
-			series, err = ev.q.Select(sd.mint, sd.maxt, sd.vs.Matchers...)
+		} else {
+			series, err = ev.q.SelectWithHints(hints, sd.vs.Matchers...)
 		}
 		if err != nil {
 			if errors.Is(err, model.ErrSampleLimit) {

@@ -22,9 +22,19 @@ type countingQueryable struct {
 	selects atomic.Int64
 }
 
-func (c *countingQueryable) Select(mint, maxt int64, ms ...*labels.Matcher) ([]model.Series, error) {
+func (c *countingQueryable) SelectWithHints(hints model.SelectHints, ms ...*labels.Matcher) ([]model.Series, error) {
 	c.selects.Add(1)
-	return c.inner.Select(mint, maxt, ms...)
+	return c.inner.SelectWithHints(hints, ms...)
+}
+
+// ignoresBudget reads with every hint but SampleLimit, the shape of
+// RemoteQueryable, whose wire request carries only the window: the budget
+// then rests on the evaluator's own charge of what comes back.
+type ignoresBudget struct{ inner Queryable }
+
+func (q ignoresBudget) SelectWithHints(hints model.SelectHints, ms ...*labels.Matcher) ([]model.Series, error) {
+	hints.SampleLimit = 0
+	return q.inner.SelectWithHints(hints, ms...)
 }
 
 // rangeTestStorage builds a head with gauge/counter shapes, a series with
@@ -221,15 +231,15 @@ func TestRangeMaxSteps(t *testing.T) {
 	}
 }
 
-// TestRangeSampleBudget verifies the prefetch sample budget, both through
-// the hint-aware storage path (tsdb.DB) and the plain-Queryable fallback.
+// TestRangeSampleBudget verifies the prefetch sample budget, both through a
+// store that enforces it mid-pass (tsdb.DB) and through one that ignores it.
 func TestRangeSampleBudget(t *testing.T) {
 	db := rangeTestStorage(t)
 	eng := NewEngine()
 	eng.MaxSamples = 10 // the storage holds far more matching samples
 	for name, q := range map[string]Queryable{
 		"hinted": db,
-		"plain":  &countingQueryable{inner: db}, // hides SelectWithHints
+		"plain":  ignoresBudget{db},
 	} {
 		_, err := eng.Range(q, `rq_counter_total`, model.MillisToTime(0), model.MillisToTime(600_000), 15*time.Second)
 		if err == nil || !IsLimitError(err) {

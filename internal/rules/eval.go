@@ -65,18 +65,12 @@ func (v *view) release() {
 	clear(v.lsets)
 }
 
-// Select implements promql.Queryable for a read the engine did not tie to a
-// selector node; it can only go to storage.
-func (v *view) Select(mint, maxt int64, ms ...*labels.Matcher) ([]model.Series, error) {
-	return v.storage(model.SelectHints{Start: mint, End: maxt}, ms)
-}
-
-func (v *view) storage(hints model.SelectHints, ms []*labels.Matcher) ([]model.Series, error) {
+// SelectWithHints implements promql.Queryable: one storage read, counted in
+// selects. SelectSelector reads storage through it, and so would a read the
+// engine did not tie to a selector node.
+func (v *view) SelectWithHints(hints model.SelectHints, ms ...*labels.Matcher) ([]model.Series, error) {
 	v.selects++
-	if hq, ok := v.q.(promql.HintedQueryable); ok {
-		return hq.SelectWithHints(hints, ms...)
-	}
-	return v.q.Select(hints.Start, hints.End, ms...)
+	return v.q.SelectWithHints(hints, ms...)
 }
 
 // SelectSelector implements promql.SelectorQueryable: the plan decided from
@@ -99,7 +93,7 @@ func (v *view) SelectSelector(node promql.Expr, hints model.SelectHints) ([]mode
 		// Range or offset selector, ambiguous name, or an owner that
 		// failed this round: storage, with whatever the writers staged
 		// laid over it.
-		series, err := v.storage(hints, sp.vs.Matchers)
+		series, err := v.SelectWithHints(hints, sp.vs.Matchers...)
 		if err != nil || v.ts < hints.Start || v.ts > hints.End {
 			return series, err
 		}
@@ -118,7 +112,7 @@ func (v *view) SelectSelector(node promql.Expr, hints model.SelectHints) ([]mode
 	if f.done {
 		v.hits++
 	} else {
-		f.series, f.err = v.storage(hints, sp.vs.Matchers)
+		f.series, f.err = v.SelectWithHints(hints, sp.vs.Matchers...)
 		f.done = true
 	}
 	return f.series, f.err

@@ -18,11 +18,6 @@ type countingStore struct {
 	selects, batches, single int
 }
 
-func (c *countingStore) Select(mint, maxt int64, ms ...*labels.Matcher) ([]model.Series, error) {
-	c.selects++
-	return c.db.Select(mint, maxt, ms...)
-}
-
 func (c *countingStore) SelectWithHints(h model.SelectHints, ms ...*labels.Matcher) ([]model.Series, error) {
 	c.selects++
 	return c.db.SelectWithHints(h, ms...)

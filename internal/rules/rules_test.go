@@ -231,12 +231,12 @@ type stubStore struct {
 	got  []string
 }
 
-func (s *stubStore) Select(mint, maxt int64, ms ...*labels.Matcher) ([]model.Series, error) {
+func (s *stubStore) SelectWithHints(hints model.SelectHints, ms ...*labels.Matcher) ([]model.Series, error) {
 	var out []model.Series
 	for _, k := range s.live {
 		out = append(out, model.Series{
 			Labels:  labels.FromStrings(labels.MetricName, "m", "k", k),
-			Samples: []model.Sample{{T: maxt, V: 1}},
+			Samples: []model.Sample{{T: hints.End, V: 1}},
 		})
 	}
 	return out, nil

@@ -30,7 +30,7 @@ func crashMatchAll() *labels.Matcher {
 
 func storeSelectAll(t *testing.T, s *Store) []model.Series {
 	t.Helper()
-	got, err := s.Select(-1<<60, 1<<60, crashMatchAll())
+	got, err := s.SelectWithHints(model.SelectHints{Start: -1 << 60, End: 1 << 60}, crashMatchAll())
 	if err != nil {
 		t.Fatal(err)
 	}

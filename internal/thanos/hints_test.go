@@ -29,7 +29,7 @@ func TestStoreSelectWithHintsBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _ := store.Select(0, 1<<60, m)
+	want, _ := store.SelectWithHints(model.SelectHints{Start: 0, End: 1 << 60}, m)
 	if len(got) != len(want) {
 		t.Fatalf("hinted select returned %d series, plain %d", len(got), len(want))
 	}

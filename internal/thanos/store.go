@@ -54,11 +54,6 @@ type Store struct {
 
 	mu     sync.RWMutex
 	blocks []*tsdb.PersistentBlock // sorted by MinTime
-	// labelIndex: name -> value set across all blocks, the union of the
-	// blocks' own distinct pairs: added to when a block is registered,
-	// rebuilt when a compaction applied tombstones (they may have dropped
-	// the last series carrying a value).
-	labelIndex map[string]map[string]struct{}
 
 	metrics *storeMetrics
 }
@@ -119,9 +114,6 @@ func NewStore(dir string) (*Store, error) {
 		s.blocks = append(s.blocks, pb)
 	}
 	s.gcSupersededLocked()
-	for _, b := range s.blocks {
-		s.indexBlockLocked(b)
-	}
 	s.sortLocked()
 	s.syncDirBestEffort()
 	return s, nil
@@ -160,24 +152,6 @@ func (s *Store) gcSupersededLocked() {
 	s.blocks = kept
 }
 
-// indexBlockLocked merges a block's distinct label pairs into the index.
-// Caller holds s.mu (or has exclusive access during construction).
-func (s *Store) indexBlockLocked(b *tsdb.PersistentBlock) {
-	if s.labelIndex == nil {
-		s.labelIndex = map[string]map[string]struct{}{}
-	}
-	for _, name := range b.LabelNames() {
-		vs, ok := s.labelIndex[name]
-		if !ok {
-			vs = map[string]struct{}{}
-			s.labelIndex[name] = vs
-		}
-		for _, v := range b.LabelValues(name) {
-			vs[v] = struct{}{}
-		}
-	}
-}
-
 func (s *Store) sortLocked() {
 	sort.Slice(s.blocks, func(i, j int) bool {
 		a, b := s.blocks[i].Meta(), s.blocks[j].Meta()
@@ -192,7 +166,6 @@ func (s *Store) sortLocked() {
 func (s *Store) register(pb *tsdb.PersistentBlock) {
 	s.mu.Lock()
 	s.blocks = append(s.blocks, pb)
-	s.indexBlockLocked(pb)
 	s.sortLocked()
 	s.mu.Unlock()
 }
@@ -275,21 +248,16 @@ func aggrForFunc(fn string) (tsdb.AggrType, bool) {
 	return tsdb.AggrRaw, false
 }
 
-// Select implements promql.Queryable over all blocks from raw data only,
-// merging samples of the same series across block boundaries (overlaps are
-// deduplicated by timestamp).
-func (s *Store) Select(mint, maxt int64, ms ...*labels.Matcher) ([]model.Series, error) {
-	return s.selectLimited(selParams{mint: mint, maxt: maxt, aggr: tsdb.AggrRaw}, ms)
-}
-
-// SelectWithHints is the hint-aware Select. Beyond the sample budget
-// (identical to the hot head's: charged per copied sample, aborting with
-// model.ErrSampleLimit), the hints drive resolution selection: when
-// hints.Func admits an aggregate substitute (see aggrForFunc) and
-// hints.Step spans at least DownsampleFactor points of a downsampled
-// resolution, that resolution becomes eligible and the store serves the
-// matching aggregate stream instead of decoding raw chunks. hints.RawAfter
-// fences downsampled reads out of the hot-overlap region.
+// SelectWithHints implements promql.Queryable over all blocks, merging
+// samples of the same series across block boundaries (overlaps are
+// deduplicated by timestamp). Beyond the sample budget (identical to the hot
+// head's: charged per copied sample, aborting with model.ErrSampleLimit),
+// the hints drive resolution selection. Only when hints.Func admits an
+// aggregate substitute (see aggrForFunc) and hints.Step spans at least
+// DownsampleFactor points of a downsampled resolution does that resolution
+// become eligible, and the store serves the matching aggregate stream
+// instead of decoding raw chunks; a read with just a window is raw.
+// hints.RawAfter fences downsampled reads out of the hot-overlap region.
 func (s *Store) SelectWithHints(hints model.SelectHints, ms ...*labels.Matcher) ([]model.Series, error) {
 	p := selParams{
 		mint:     hints.Start,
@@ -469,25 +437,29 @@ func (s *Store) selectLimited(p selParams, ms []*labels.Matcher) ([]model.Series
 
 // LabelNames returns the sorted distinct label names across all blocks
 // (with LabelValues, this makes the store — and the fan-in Querier —
-// satisfy promapi.LabelStore). Served from the maintained index, not a
-// block scan.
+// satisfy promapi.LabelStore). It merges the registered blocks' own sorted
+// lists, which their indexes hold, so it always agrees with what the blocks
+// carry. The list may be a block's own slice and is read-only.
 func (s *Store) LabelNames() []string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make([]string, 0, len(s.labelIndex))
-	for n := range s.labelIndex {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
+	return s.mergeBlockLists((*tsdb.PersistentBlock).LabelNames)
 }
 
 // LabelValues returns the sorted distinct values of a label name across all
-// blocks.
+// blocks, read-only as LabelNames'.
 func (s *Store) LabelValues(name string) []string {
+	return s.mergeBlockLists(func(b *tsdb.PersistentBlock) []string { return b.LabelValues(name) })
+}
+
+// mergeBlockLists merges one sorted list per registered block. The read lock
+// keeps every listed block registered, and so open, for the merge.
+func (s *Store) mergeBlockLists(list func(*tsdb.PersistentBlock) []string) []string {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return labels.SortedKeys(s.labelIndex[name])
+	parts := make([][]string, len(s.blocks))
+	for i, b := range s.blocks {
+		parts[i] = list(b)
+	}
+	return mergeLabelLists(parts...)
 }
 
 func (s *Store) factor() int {
@@ -593,14 +565,6 @@ func (s *Store) compactSet(plan []*tsdb.PersistentBlock, tombs []tsdb.TombstoneR
 		}
 	}
 	s.blocks = append(kept, nb)
-	if len(tombs) > 0 {
-		// The merge may have dropped the last series carrying a value;
-		// without tombstones it carries exactly its sources' pairs.
-		s.labelIndex = nil
-		for _, b := range s.blocks {
-			s.indexBlockLocked(b)
-		}
-	}
 	s.sortLocked()
 	s.mu.Unlock()
 	for _, b := range plan {

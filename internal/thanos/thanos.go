@@ -15,6 +15,7 @@
 package thanos
 
 import (
+	"strings"
 	"sync"
 	"time"
 
@@ -77,24 +78,28 @@ type Querier struct {
 	Cold *Store
 }
 
-// LabelNames unions hot and cold label names, sorted; with LabelValues it
+// LabelNames merges hot and cold label names, sorted; with LabelValues it
 // makes the fan-in Querier satisfy promapi.LabelStore, so Grafana's
-// variable dropdowns work against the merged view.
+// variable dropdowns work against the merged view. The list may be a
+// block's own slice and is read-only.
 func (q *Querier) LabelNames() []string {
-	return labels.UnionSorted(q.Hot.LabelNames(), q.Cold.LabelNames())
+	return mergeLabelLists(q.Hot.LabelNames(), q.Cold.LabelNames())
 }
 
-// LabelValues unions hot and cold values of a label name, sorted.
+// LabelValues merges hot and cold values of a label name, sorted and
+// read-only as LabelNames'.
 func (q *Querier) LabelValues(name string) []string {
-	return labels.UnionSorted(q.Hot.LabelValues(name), q.Cold.LabelValues(name))
+	return mergeLabelLists(q.Hot.LabelValues(name), q.Cold.LabelValues(name))
 }
 
-// Select implements promql.Queryable.
-func (q *Querier) Select(mint, maxt int64, ms ...*labels.Matcher) ([]model.Series, error) {
-	return q.SelectWithHints(model.SelectHints{Start: mint, End: maxt}, ms...)
+// mergeLabelLists merges sorted lists of distinct names or values into one
+// through the stack's one merge, keeping the first of equal strings. The only
+// non-empty list is returned itself.
+func mergeLabelLists(parts ...[]string) []string {
+	return model.MergeSorted(parts, strings.Compare, func(run []string) string { return run[0] })
 }
 
-// SelectWithHints is the hint-aware Select over both backends. Each side
+// SelectWithHints implements promql.Queryable over both backends. Each side
 // enforces the full budget independently, so the merged result may reach
 // 2× the limit in the worst case — a deliberate trade: a budget belongs to
 // one backend's pass, and neither knows the other's accounting; a side that

@@ -2,9 +2,12 @@ package thanos
 
 import (
 	"fmt"
+	"maps"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -44,7 +47,7 @@ func TestUploadAndSelect(t *testing.T) {
 		t.Fatal(err)
 	}
 	mustCut(t, store, db, 0, 1<<60)
-	got, err := store.Select(0, 1<<60, labels.MustMatcher(labels.MatchEqual, labels.MetricName, "m"))
+	got, err := store.SelectWithHints(model.SelectHints{Start: 0, End: 1 << 60}, labels.MustMatcher(labels.MatchEqual, labels.MetricName, "m"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +70,7 @@ func TestStorePersistence(t *testing.T) {
 	if store2.NumBlocks() != 1 {
 		t.Fatalf("blocks after reopen = %d", store2.NumBlocks())
 	}
-	got, _ := store2.Select(0, 1<<60, labels.MustMatcher(labels.MatchEqual, labels.MetricName, "m"))
+	got, _ := store2.SelectWithHints(model.SelectHints{Start: 0, End: 1 << 60}, labels.MustMatcher(labels.MatchEqual, labels.MetricName, "m"))
 	if len(got) != 2 {
 		t.Errorf("series after reopen = %d", len(got))
 	}
@@ -78,7 +81,7 @@ func TestOverlappingBlocksDeduplicated(t *testing.T) {
 	store, _ := NewStore("")
 	mustCut(t, store, db, 0, 800000)
 	mustCut(t, store, db, 600000, 1<<60) // overlaps the first
-	got, _ := store.Select(0, 1<<60, labels.MustMatcher(labels.MatchEqual, labels.MetricName, "m"))
+	got, _ := store.SelectWithHints(model.SelectHints{Start: 0, End: 1 << 60}, labels.MustMatcher(labels.MatchEqual, labels.MetricName, "m"))
 	if len(got) != 1 {
 		t.Fatalf("series = %d", len(got))
 	}
@@ -170,7 +173,7 @@ func TestSidecarShipAndTruncate(t *testing.T) {
 	if err := sc.Ship(time.UnixMilli(3_000_000)); err != nil {
 		t.Fatal(err)
 	}
-	got, _ := store.Select(0, 1<<60, labels.MustMatcher(labels.MatchEqual, labels.MetricName, "m"))
+	got, _ := store.SelectWithHints(model.SelectHints{Start: 0, End: 1 << 60}, labels.MustMatcher(labels.MatchEqual, labels.MetricName, "m"))
 	if len(got) != 2 {
 		t.Fatalf("series = %d", len(got))
 	}
@@ -192,7 +195,7 @@ func TestQuerierMergesHotAndCold(t *testing.T) {
 	sc.Ship(time.UnixMilli(1_000_000))
 
 	q := &Querier{Hot: db, Cold: store}
-	got, err := q.Select(0, 1<<60, labels.MustMatcher(labels.MatchEqual, labels.MetricName, "m"))
+	got, err := q.SelectWithHints(model.SelectHints{Start: 0, End: 1 << 60}, labels.MustMatcher(labels.MatchEqual, labels.MetricName, "m"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +226,7 @@ func TestDownsample(t *testing.T) {
 		t.Fatalf("blocks = %d, want raw + downsampled", store.NumBlocks())
 	}
 	m := labels.MustMatcher(labels.MatchEqual, labels.MetricName, "m")
-	got, _ := store.Select(0, 1<<60, m)
+	got, _ := store.SelectWithHints(model.SelectHints{Start: 0, End: 1 << 60}, m)
 	if len(got) != 1 || len(got[0].Samples) != 400 {
 		t.Fatalf("raw select = %d series / %d samples, want 1/400", len(got), len(got[0].Samples))
 	}
@@ -321,7 +324,7 @@ func BenchmarkStoreSelect(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		store.Select(0, 1<<60, m)
+		store.SelectWithHints(model.SelectHints{Start: 0, End: 1 << 60}, m)
 	}
 }
 
@@ -353,6 +356,83 @@ func TestQuerierLabelStore(t *testing.T) {
 	}
 	if got := q.LabelValues("absent"); len(got) != 0 {
 		t.Errorf(`LabelValues("absent") = %v`, got)
+	}
+	checkLabels(t, "after register", q, labelOracle(t, store, hot))
+	checkLabels(t, "store after register", store, labelOracle(t, store, nil))
+
+	if n, err := store.Downsample(1<<60, 5*time.Minute); err != nil || n != 1 {
+		t.Fatalf("Downsample = %d, %v; want one block", n, err)
+	}
+	checkLabels(t, "after downsampling", q, labelOracle(t, store, hot))
+
+	more := tsdb.MustOpen(tsdb.DefaultOptions())
+	if err := more.Append(labels.FromStrings(labels.MetricName, "m", "s", "5", "rack", "r1"), 200_000, 1); err != nil {
+		t.Fatal(err)
+	}
+	mustCut(t, store, more, 0, 1<<60)
+	store.CompactionFactor = 2
+	if n, err := store.Compact(nil); err != nil || n != 1 {
+		t.Fatalf("Compact = %d, %v; want one compaction", n, err)
+	}
+	checkLabels(t, "after compaction", q, labelOracle(t, store, hot))
+	checkLabels(t, "store after compaction", store, labelOracle(t, store, nil))
+}
+
+// labelOracle lists labels the brute-force way: every label of every series
+// of every block the store has registered, plus the head's when head is not
+// nil, as value lists sorted and free of repeats, by name.
+func labelOracle(t *testing.T, store *Store, head *tsdb.DB) map[string][]string {
+	t.Helper()
+	all := labels.MustMatcher(labels.MatchRegexp, labels.MetricName, ".+")
+	var series []model.Series
+	store.mu.RLock()
+	for _, b := range store.blocks {
+		bs, err := b.SelectAggr(math.MinInt64, math.MaxInt64, 0, tsdb.AggrRaw, all)
+		if err != nil {
+			t.Fatal(err)
+		}
+		series = append(series, bs...)
+	}
+	store.mu.RUnlock()
+	if head != nil {
+		hs, err := head.SelectWithHints(model.SelectHints{Start: math.MinInt64, End: math.MaxInt64}, all)
+		if err != nil {
+			t.Fatal(err)
+		}
+		series = append(series, hs...)
+	}
+	sets := map[string]map[string]bool{}
+	for _, s := range series {
+		for _, l := range s.Labels {
+			if sets[l.Name] == nil {
+				sets[l.Name] = map[string]bool{}
+			}
+			sets[l.Name][l.Value] = true
+		}
+	}
+	out := map[string][]string{}
+	for name, vs := range sets {
+		out[name] = slices.Sorted(maps.Keys(vs))
+	}
+	return out
+}
+
+// checkLabels fails unless ls lists exactly the oracle's names and values.
+func checkLabels(t *testing.T, when string, ls interface {
+	LabelNames() []string
+	LabelValues(name string) []string
+}, want map[string][]string) {
+	t.Helper()
+	if got, names := ls.LabelNames(), slices.Sorted(maps.Keys(want)); !slices.Equal(got, names) {
+		t.Errorf("%s: LabelNames = %v, the blocks and head carry %v", when, got, names)
+	}
+	for name, vs := range want {
+		if got := ls.LabelValues(name); !slices.Equal(got, vs) {
+			t.Errorf("%s: LabelValues(%q) = %v, the blocks and head carry %v", when, name, got, vs)
+		}
+	}
+	if got := ls.LabelValues("absent"); len(got) != 0 {
+		t.Errorf(`%s: LabelValues("absent") = %v`, when, got)
 	}
 }
 
@@ -393,6 +473,7 @@ func TestStoreLabelValuesForgetTombstonedSeries(t *testing.T) {
 	if got := store.LabelValues("uuid"); !equalStrings(got, []string{"1", "2", "3"}) {
 		t.Fatalf(`LabelValues("uuid") before the delete = %v`, got)
 	}
+	checkLabels(t, "after register", store, labelOracle(t, store, nil))
 
 	if _, err := db.ApplyTombstone(1, labels.MustMatcher(labels.MatchEqual, "uuid", "2")); err != nil {
 		t.Fatal(err)
@@ -403,6 +484,11 @@ func TestStoreLabelValuesForgetTombstonedSeries(t *testing.T) {
 	if got := store.LabelValues("uuid"); !equalStrings(got, []string{"1", "3"}) {
 		t.Errorf(`LabelValues("uuid") after compaction = %v, want [1 3]`, got)
 	}
+	checkLabels(t, "after compaction with tombstones", store, labelOracle(t, store, nil))
+	if n, err := store.Downsample(1<<60, 5*time.Minute); err != nil || n != 1 {
+		t.Fatalf("Downsample = %d, %v; want one block", n, err)
+	}
+	checkLabels(t, "after downsampling", store, labelOracle(t, store, nil))
 	fresh, err := NewStore(dir)
 	if err != nil {
 		t.Fatal(err)

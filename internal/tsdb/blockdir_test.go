@@ -52,7 +52,7 @@ func TestBlockDirRoundTrip(t *testing.T) {
 	if pb.Meta().Stats.NumSeries != 20 || pb.Meta().Stats.NumSamples != 20*300 {
 		t.Fatalf("stats = %+v", pb.Meta().Stats)
 	}
-	got, err := pb.Select(-1<<60, 1<<60, matchAll())
+	got, err := pb.SelectAggr(-1<<60, 1<<60, 0, AggrRaw, matchAll())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestBlockDirRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer re.Close()
-	got2, err := re.Select(-1<<60, 1<<60, matchAll())
+	got2, err := re.SelectAggr(-1<<60, 1<<60, 0, AggrRaw, matchAll())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,14 +75,14 @@ func TestBlockDirRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got3, err := mem.Select(-1<<60, 1<<60, matchAll())
+	got3, err := mem.SelectAggr(-1<<60, 1<<60, 0, AggrRaw, matchAll())
 	if err != nil {
 		t.Fatal(err)
 	}
 	assertSeriesEqual(t, got3, want, "mem block vs head")
 
 	// Sub-range reads must clip chunk-internally.
-	sub, err := pb.Select(1_000_000, 2_000_000, matchAll())
+	sub, err := pb.SelectAggr(1_000_000, 2_000_000, 0, AggrRaw, matchAll())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func TestBlockDirCorruptionDetected(t *testing.T) {
 			return // header landed on the flip: also acceptable
 		}
 		defer b.Close()
-		if _, err := b.Select(-1<<60, 1<<60, matchAll()); err == nil {
+		if _, err := b.SelectAggr(-1<<60, 1<<60, 0, AggrRaw, matchAll()); err == nil {
 			t.Fatal("flipped chunk byte served samples")
 		}
 	})
@@ -163,7 +163,7 @@ func TestBlockDirCorruptionDetected(t *testing.T) {
 			return
 		}
 		defer b.Close()
-		if _, err := b.Select(-1<<60, 1<<60, matchAll()); err == nil {
+		if _, err := b.SelectAggr(-1<<60, 1<<60, 0, AggrRaw, matchAll()); err == nil {
 			t.Fatal("truncated chunks served samples")
 		}
 	})
@@ -223,7 +223,7 @@ func TestParallelCutMatchesSelect(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := blk.Select(mint, maxt, matchAll())
+				got, err := blk.SelectAggr(mint, maxt, 0, AggrRaw, matchAll())
 				blk.Close()
 				if err != nil {
 					t.Fatal(err)
@@ -350,7 +350,7 @@ func TestCompactPersistentBlocks(t *testing.T) {
 	if meta.MinTime != 1000 || meta.MaxTime != 4000 {
 		t.Errorf("bounds = [%d,%d]", meta.MinTime, meta.MaxTime)
 	}
-	got, err := nb.Select(-1<<60, 1<<60, matchAll())
+	got, err := nb.SelectAggr(-1<<60, 1<<60, 0, AggrRaw, matchAll())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -370,7 +370,7 @@ func TestCompactPersistentBlocks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got2, err := nb2.Select(-1<<60, 1<<60, matchAll())
+	got2, err := nb2.SelectAggr(-1<<60, 1<<60, 0, AggrRaw, matchAll())
 	if err != nil {
 		t.Fatal(err)
 	}

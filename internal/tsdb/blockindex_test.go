@@ -216,7 +216,7 @@ func TestBlockSelectAllocsIndependentOfBlockSize(t *testing.T) {
 	allocs := func(n int) float64 {
 		pb := churnedBlock(t, n)
 		return testing.AllocsPerRun(100, func() {
-			if got, err := pb.Select(0, 1<<40, oneJobMatchers...); err != nil || len(got) != 1 {
+			if got, err := pb.SelectAggr(0, 1<<40, 0, AggrRaw, oneJobMatchers...); err != nil || len(got) != 1 {
 				t.Fatalf("selected %d series, err %v; want 1", len(got), err)
 			}
 		})
@@ -253,7 +253,7 @@ func BenchmarkBlockSelect(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if got, err := pb.Select(0, 1<<40, bc.ms...); err != nil || len(got) != bc.want {
+				if got, err := pb.SelectAggr(0, 1<<40, 0, AggrRaw, bc.ms...); err != nil || len(got) != bc.want {
 					b.Fatalf("selected %d series, err %v; want %d", len(got), err, bc.want)
 				}
 			}

@@ -332,11 +332,6 @@ func (pb *PersistentBlock) forMatching(ms []*labels.Matcher, visit func(pos uint
 	}
 }
 
-// Select is SelectAggr for raw consumers (promql.Queryable shape).
-func (pb *PersistentBlock) Select(mint, maxt int64, ms ...*labels.Matcher) ([]model.Series, error) {
-	return pb.SelectAggr(mint, maxt, 0, AggrRaw, ms...)
-}
-
 // LabelNames returns the sorted label names the block's series carry. The
 // slice is the block's own; callers must not modify it.
 func (pb *PersistentBlock) LabelNames() []string { return pb.index.names }

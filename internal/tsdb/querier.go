@@ -3,6 +3,7 @@ package tsdb
 import (
 	"errors"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -17,9 +18,9 @@ func (db *DB) forEachShard(f func(i int, sh *headShard)) {
 	workpool.Do(len(db.shards), 0, func(i int) { f(i, db.shards[i]) })
 }
 
-// Select returns all series matching the matchers, restricted to samples in
-// [mint, maxt]. Series with no samples in range are omitted. Results are
-// sorted by labels, so output is identical for any shard count.
+// Select is SelectWithHints over [mint, maxt] with no other hint. The read
+// method of every store is SelectWithHints; this shorthand is kept because
+// the end-to-end benchmark (bench/) calls it.
 func (db *DB) Select(mint, maxt int64, ms ...*labels.Matcher) ([]model.Series, error) {
 	return db.SelectWithHints(model.SelectHints{Start: mint, End: maxt}, ms...)
 }
@@ -34,7 +35,10 @@ const selectGrain = 256
 
 const slabSamples = 4096 // bounds one allocation of a sampleSlab (64 KB)
 
-// SelectWithHints is Select over [hints.Start, hints.End]: plan, then read.
+// SelectWithHints returns all series matching the matchers, restricted to
+// samples in [hints.Start, hints.End]. Series with no samples in range are
+// omitted. Results are sorted by labels, so output is identical for any
+// shard count. It plans, then reads.
 // The plan runs on the caller's goroutine — every shard in turn resolves the
 // matchers through its postings, under its read lock, into one flat list of
 // series. The read copies each planned series' window and sorts the copies
@@ -47,6 +51,11 @@ const slabSamples = 4096 // bounds one allocation of a sampleSlab (64 KB)
 func (db *DB) SelectWithHints(hints model.SelectHints, ms ...*labels.Matcher) ([]model.Series, error) {
 	if len(ms) == 0 {
 		return nil, errors.New("tsdb: Select requires at least one matcher")
+	}
+	if hints.End < hints.Start {
+		// An inverted window holds no samples; the per-chunk sizing below
+		// assumes a window that is not.
+		return nil, nil
 	}
 	var budget *sampleBudget
 	if hints.SampleLimit > 0 {
@@ -138,7 +147,7 @@ func (db *DB) LabelValues(name string) []string {
 	for i, sh := range db.shards {
 		parts[i] = sh.labelValues(name)
 	}
-	return labels.UnionSorted(parts...)
+	return mergeLabelLists(parts...)
 }
 
 // LabelNames returns all label names in use, sorted.
@@ -147,7 +156,14 @@ func (db *DB) LabelNames() []string {
 	for i, sh := range db.shards {
 		parts[i] = sh.labelNames()
 	}
-	return labels.UnionSorted(parts...)
+	return mergeLabelLists(parts...)
+}
+
+// mergeLabelLists merges sorted lists of distinct names or values into one
+// through the stack's one merge, keeping the first of equal strings. The only
+// non-empty list is returned itself.
+func mergeLabelLists(parts ...[]string) []string {
+	return model.MergeSorted(parts, strings.Compare, func(run []string) string { return run[0] })
 }
 
 // Stats reports database statistics.
@@ -167,18 +183,14 @@ type Stats struct {
 
 // Stats returns a snapshot of database statistics, aggregated across shards.
 func (db *DB) Stats() Stats {
-	names := make(map[string]struct{})
 	st := Stats{NumShards: len(db.shards)}
 	for _, sh := range db.shards {
 		p := sh.stats()
 		st.NumSeries += p.numSeries
 		st.BytesInChunks += p.bytesInChunks
-		for _, n := range p.labelNames {
-			names[n] = struct{}{}
-		}
 		st.NumSamples += sh.appended.Load()
 	}
-	st.NumLabelNames = len(names)
+	st.NumLabelNames = len(db.LabelNames())
 	st.MinTime, st.MaxTime = db.timeBounds()
 	if ws, ok := db.WALStats(); ok {
 		st.WAL = &ws

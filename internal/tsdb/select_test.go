@@ -143,6 +143,25 @@ func TestHeadSelectDecision(t *testing.T) {
 	}
 }
 
+// TestHeadSelectInvertedWindow: a window whose end precedes its start — a
+// remote-read client can send one — reads nothing. Sized from a chunk's
+// bounds it once asked the slab for a negative length, a panic that on a
+// read split across goroutines took the process down.
+func TestHeadSelectInvertedWindow(t *testing.T) {
+	db := MustOpen(Options{Shards: 4})
+	for i := 0; i < 4*selectGrain; i++ {
+		for ts := int64(0); ts <= 10_000; ts += 1000 {
+			if err := db.Append(labels.FromStrings(labels.MetricName, "m", "i", fmt.Sprint(i)), ts, 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	all := labels.MustMatcher(labels.MatchEqual, labels.MetricName, "m")
+	if got, err := db.SelectWithHints(model.SelectHints{Start: 7000, End: 3000}, all); err != nil || len(got) != 0 {
+		t.Fatalf("inverted window: %d series, err %v; want none", len(got), err)
+	}
+}
+
 // TestHeadSelectSamplesDoNotAlias: the series of one read share sample
 // memory, each capped at its own length's worth — appending to one of them
 // must never write into a neighbour.

@@ -272,26 +272,30 @@ func (sh *headShard) removeLocked(gone []*memSeries) {
 	}
 }
 
-// labelValues returns the shard's distinct values of a label name.
+// labelValues returns the shard's distinct values of a label name, sorted
+// once the lock is released.
 func (sh *headShard) labelValues(name string) []string {
 	sh.mu.RLock()
-	defer sh.mu.RUnlock()
 	vm := sh.postings[name]
 	out := make([]string, 0, len(vm))
 	for v := range vm {
 		out = append(out, v)
 	}
+	sh.mu.RUnlock()
+	slices.Sort(out)
 	return out
 }
 
-// labelNames returns the shard's label names in use.
+// labelNames returns the shard's label names in use, sorted once the lock is
+// released.
 func (sh *headShard) labelNames() []string {
 	sh.mu.RLock()
-	defer sh.mu.RUnlock()
 	out := make([]string, 0, len(sh.postings))
 	for n := range sh.postings {
 		out = append(out, n)
 	}
+	sh.mu.RUnlock()
+	slices.Sort(out)
 	return out
 }
 
@@ -299,7 +303,6 @@ func (sh *headShard) labelNames() []string {
 type shardStats struct {
 	numSeries     int
 	bytesInChunks int
-	labelNames    []string
 }
 
 func (sh *headShard) stats() shardStats {
@@ -310,7 +313,6 @@ func (sh *headShard) stats() shardStats {
 	}
 	st := shardStats{numSeries: len(sh.byRef)}
 	sh.mu.RUnlock()
-	st.labelNames = sh.labelNames()
 	for _, s := range series {
 		s.mu.Lock()
 		for _, cr := range s.chunks {

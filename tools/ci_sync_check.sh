@@ -1,7 +1,7 @@
 #!/bin/sh
 # ci_sync_check.sh — fail when the Makefile and .github/workflows/ci.yml
 # drift apart. Run from the repo root (make ci-sync-check, or the CI lint
-# job). Two invariants:
+# job). Five invariants:
 #
 #   1. The race-detect package list is identical in both files (order
 #      ignored). This is the list that silently rotted once already —
@@ -16,6 +16,10 @@
 #   4. The `make config-check` command (flag pin tables, README flag tables,
 #      examples/ceems.yaml, no setting read by nothing) is the lint job's
 #      step, byte for byte.
+#   5. The `go test -run '^$' -fuzz ...` lines of fuzz-smoke are the same
+#      set in both files after normalizing $(GO) to go and the Makefile's
+#      '^$$' to '^$', and every `func Fuzz*` in the tree is fuzzed by one of
+#      them, in its own package — a new fuzz target cannot be left out.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -75,6 +79,27 @@ if [ -z "$mk_cfg" ] || [ "$mk_cfg" != "$ci_cfg" ]; then
     echo "--- ci.yml:   $ci_cfg" >&2
     fail=1
 fi
+
+mk_fuzz=$(sed -n '/^	$(GO) test .* -fuzz /{s/^	$(GO) /go /;s/\$\$/$/;p;}' Makefile | sort)
+ci_fuzz=$(sed -n 's/^ *run: \(go test .* -fuzz .*\)$/\1/p' .github/workflows/ci.yml | sort)
+if [ -z "$mk_fuzz" ] || [ "$mk_fuzz" != "$ci_fuzz" ]; then
+    echo "ci-sync-check: fuzz lines differ between Makefile and ci.yml:" >&2
+    echo "--- Makefile" >&2
+    echo "$mk_fuzz" >&2
+    echo "--- ci.yml" >&2
+    echo "$ci_fuzz" >&2
+    fail=1
+fi
+# name@./package/ of every fuzz target declared in a test file.
+fuzz_targets=$(grep -rE '^func Fuzz[A-Za-z0-9_]*\(' --include='*_test.go' . |
+    sed 's|^\./\(.*/\)[^/]*:func \(Fuzz[A-Za-z0-9_]*\)(.*|\2@./\1|' | sort -u)
+for t in $fuzz_targets; do
+    name=${t%@*} pkg=${t#*@}
+    if ! echo "$mk_fuzz" | awk -v n="$name" -v p="$pkg" '$0 ~ ("-fuzz " n " ") && $NF == p { found = 1 } END { exit !found }'; then
+        echo "ci-sync-check: fuzz target $name in $pkg is not run by make fuzz-smoke" >&2
+        fail=1
+    fi
+done
 
 phony=$(sed -n 's/^\.PHONY: //p' Makefile | norm)
 targets=$(sed -n 's/^\([a-z][a-z-]*\):.*/\1/p' Makefile | norm)
