@@ -40,8 +40,11 @@ querycache:
 # Instant — and the same expressions through a hot/cold seam against the
 # uncut head, at its large size with a fresh seed per pass (logged; replay
 # with -equiv.seed), plus the fixed equivalence lists and the
-# hash-collision tests, and the same expressions over a 1-shard and a
-# 16-shard head; two passes, under race.
+# hash-collision tests, the same expressions over a 1-shard and a
+# 16-shard head, and over every store read with its hints as sent — trimmed
+# to the samples the steps look at — against the same store read untrimmed
+# (TestHintTrimMatchesOracleRandom, docs/ARCHITECTURE.md §7, "What a read
+# may drop"); two passes, under race.
 promql-equiv:
 	$(GO) test -race -count=2 -run 'MatchesOracle|MatchesNaive|HashCollision' ./internal/promql/ -args -equiv.exprs=2000
 
@@ -108,16 +111,19 @@ head-index:
 # families or same failure as the oracle parser it replaced, allocation
 # linear in the input), over the block index decoder (a CRC-valid index
 # of any content ends in an error or a value that re-encodes to the same
-# bytes, allocation linear in the input) and over the remote-read request
+# bytes, allocation linear in the input), over the remote-read request
 # decoder (any body ends in 200, 400, 413 or 422 with a readResponse body,
-# never a 500 or a panic). tools/ci_sync_check.sh pins this list to ci.yml
-# and to every Fuzz function in the tree.
+# never a 500 or a panic) and over the PromQL parser (any text ends in an
+# error or an expression whose String() parses again, never a panic).
+# tools/ci_sync_check.sh pins this list to ci.yml and to every Fuzz function
+# in the tree.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzChunkIterator -fuzztime 10s ./internal/tsdb/chunkenc/
 	$(GO) test -run '^$$' -fuzz FuzzBitWriter -fuzztime 10s ./internal/tsdb/chunkenc/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeIndex -fuzztime 10s ./internal/tsdb/
 	$(GO) test -run '^$$' -fuzz FuzzAppendJSONString -fuzztime 10s ./internal/promapi/
 	$(GO) test -run '^$$' -fuzz FuzzRemoteRead -fuzztime 10s ./internal/promapi/
+	$(GO) test -run '^$$' -fuzz FuzzParseExpr -fuzztime 10s ./internal/promql/
 	$(GO) test -run '^$$' -fuzz FuzzTokenizer -fuzztime 10s ./internal/expofmt/
 
 # Real measurements for BENCH_querycache.json (slow).

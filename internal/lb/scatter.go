@@ -323,10 +323,12 @@ func (s *ScatterGather) repairWorker(ch chan repairJob, stop chan struct{}) {
 // the tsdb appender rejects t <= lastT, so interior holes are left to the
 // full anti-entropy sync; repairing a suffix (or a wholly missing series)
 // lands cleanly. Skipped entirely when a sample budget was in play
-// (per-replica truncation would fake staleness) or when the placement
-// cannot answer per-series ownership.
+// (per-replica truncation would fake staleness), when the read was trimmed
+// to its step grid (model.StepFilter: each replica's answer is then a
+// per-window subset, so a diff could only ever repair the newest samples) or
+// when the placement cannot answer per-series ownership.
 func (s *ScatterGather) scheduleRepairs(names []string, backends []SeriesBackend, parts [][]model.Series, ok map[string]bool, merged []model.Series, hints model.SelectHints) {
-	if len(merged) == 0 || hints.SampleLimit > 0 {
+	if len(merged) == 0 || hints.SampleLimit > 0 || hints.StepFilter() != nil {
 		return
 	}
 	rp, _ := s.Placement.(RepairPlacement)

@@ -45,11 +45,25 @@ type Series struct {
 // can do less work: the time bounds it will actually be read at, the query
 // resolution step, and a sample budget the storage may enforce mid-pass
 // instead of copying everything and letting the engine discard it.
+//
+// With Lookback set a read may also drop the samples no step can see
+// (StepFilter; docs/ARCHITECTURE.md §7, "What a read may drop"). The reader
+// then evaluates at exactly the times t = End − k·Step, k ≥ 0, that lie in
+// its range — at End alone when Step is 0 — and a matrix selector (Range >
+// 0) sees the samples in (t − Range, t], a bare selector the newest sample in
+// [t − Lookback, t]. Storage returns at least the samples those windows see
+// and only samples of [Start, End]; a sample returned is never one the
+// untrimmed read would not return, so a trimmed read never exceeds a budget
+// the untrimmed read stays within.
 type SelectHints struct {
 	// Start and End are the inclusive sample-time bounds, Unix ms.
 	Start, End int64
 	// Step is the query resolution step in ms; 0 for instant queries.
 	Step int64
+	// Lookback, when > 0, opts the read in to trimming to its step grid and
+	// is the lookback window, in ms, of a bare selector's steps. Readers that
+	// do not evaluate on an exact millisecond grid leave it 0.
+	Lookback int64
 	// SampleLimit bounds the total samples the Select may return; <= 0
 	// means unlimited. Storage that enforces it returns ErrSampleLimit
 	// (possibly wrapped) as soon as the budget is exceeded.

@@ -9,6 +9,7 @@ import (
 	"io"
 	"log"
 	"net/http"
+	"strconv"
 	"time"
 
 	"repro/internal/labels"
@@ -39,7 +40,57 @@ type readResponse struct {
 
 type readSeries struct {
 	Labels  map[string]string `json:"labels"`
-	Samples [][2]float64      `json:"samples"` // [unix_ms, value]
+	Samples []readSample      `json:"samples"` // [unix_ms, "value"]
+}
+
+// readSample is one [unix_ms, "value"] pair. The value is written as a
+// string, as the query API writes it, because JSON has no number for NaN or
+// ±Inf and every staleness marker is a NaN; a marker is written as
+// staleValue so it stays apart from an ordinary NaN. A value written as a
+// number — the form of servers before the string one — reads as well.
+type readSample model.Sample
+
+// staleValue is a staleness marker's value on the wire.
+const staleValue = "stale"
+
+func (s readSample) MarshalJSON() ([]byte, error) {
+	b := strconv.AppendInt(append(make([]byte, 0, 32), '['), s.T, 10)
+	b = append(b, ',', '"')
+	if model.IsStaleNaN(s.V) {
+		b = append(b, staleValue...)
+	} else {
+		b = strconv.AppendFloat(b, s.V, 'g', -1, 64)
+	}
+	return append(b, '"', ']'), nil
+}
+
+func (s *readSample) UnmarshalJSON(data []byte) error {
+	var pair [2]json.RawMessage
+	if err := json.Unmarshal(data, &pair); err != nil {
+		return err
+	}
+	var t float64
+	if err := json.Unmarshal(pair[0], &t); err != nil {
+		return err
+	}
+	s.T = int64(t)
+	if len(pair[1]) == 0 || pair[1][0] != '"' {
+		return json.Unmarshal(pair[1], &s.V)
+	}
+	var v string
+	if err := json.Unmarshal(pair[1], &v); err != nil {
+		return err
+	}
+	if v == staleValue {
+		s.V = model.StaleNaN()
+		return nil
+	}
+	f, err := strconv.ParseFloat(v, 64)
+	if err != nil {
+		return fmt.Errorf("sample value %q: %w", v, err)
+	}
+	s.V = f
+	return nil
 }
 
 // maxReadRequestBytes caps a remote read request body. A request is a time
@@ -132,9 +183,9 @@ func (h *Handler) handleRead(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 		}
-		out := readSeries{Labels: sr.Labels.Map(), Samples: make([][2]float64, len(sr.Samples))}
+		out := readSeries{Labels: sr.Labels.Map(), Samples: make([]readSample, len(sr.Samples))}
 		for j, s := range sr.Samples {
-			out.Samples[j] = [2]float64{float64(s.T), s.V}
+			out.Samples[j] = readSample(s)
 		}
 		if err := enc.Encode(out); err != nil {
 			// Mid-stream failure: the status line is gone, all we can do
@@ -248,7 +299,7 @@ func (rq *RemoteQueryable) SelectWithHints(hints model.SelectHints, ms ...*label
 	for i, sr := range rr.Series {
 		s := model.Series{Labels: labels.FromMap(sr.Labels)}
 		for _, p := range sr.Samples {
-			s.Samples = append(s.Samples, model.Sample{T: int64(p[0]), V: p[1]})
+			s.Samples = append(s.Samples, model.Sample(p))
 		}
 		out[i] = s
 	}

@@ -3,8 +3,11 @@ package promapi
 import (
 	"bytes"
 	"encoding/json"
+	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -12,6 +15,7 @@ import (
 	"repro/internal/labels"
 	"repro/internal/model"
 	"repro/internal/promql"
+	"repro/internal/tsdb"
 )
 
 func TestRemoteReadRoundTrip(t *testing.T) {
@@ -37,6 +41,62 @@ func TestRemoteReadRoundTrip(t *testing.T) {
 	series, _ = rq.SelectWithHints(model.SelectHints{Start: 0, End: 60_000}, labels.MustMatcher(labels.MatchEqual, labels.MetricName, "reqs_total"))
 	if len(series[0].Samples) != 5 {
 		t.Errorf("bounded samples = %d, want 5", len(series[0].Samples))
+	}
+}
+
+// TestRemoteReadSpecialValues: every value a head holds crosses
+// /api/v1/read and comes back out of RemoteQueryable as it went in — a
+// staleness marker still a marker, an ordinary NaN still a NaN and not a
+// marker, ±Inf and finite values bit for bit — and a body written with
+// numbers, as servers before the string form wrote it, still reads.
+func TestRemoteReadSpecialValues(t *testing.T) {
+	db := tsdb.MustOpen(tsdb.DefaultOptions())
+	ls := labels.FromStrings(labels.MetricName, "odd", "instance", "n1")
+	in := []float64{1.5, model.StaleNaN(), math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1),
+		math.SmallestNonzeroFloat64, math.MaxFloat64, -1e-300, 0.1, 1e21, 123456789.125}
+	for i, v := range in {
+		if err := db.Append(ls, int64(i)*15_000, v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	srv := httptest.NewServer((&Handler{Query: db}).Mux())
+	defer srv.Close()
+	m := labels.MustMatcher(labels.MatchEqual, labels.MetricName, "odd")
+	got, err := (&RemoteQueryable{BaseURL: srv.URL}).SelectWithHints(model.SelectHints{Start: 0, End: 1 << 40}, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 1 || !got[0].Labels.Equal(ls) || len(got[0].Samples) != len(in) {
+		t.Fatalf("read back %v", got)
+	}
+	for i, s := range got[0].Samples {
+		want := in[i]
+		switch {
+		case s.T != int64(i)*15_000:
+			t.Errorf("sample %d at %d", i, s.T)
+		case model.IsStaleNaN(want):
+			if !model.IsStaleNaN(s.V) {
+				t.Errorf("staleness marker came back as %x", math.Float64bits(s.V))
+			}
+		case math.IsNaN(want):
+			if !math.IsNaN(s.V) || model.IsStaleNaN(s.V) {
+				t.Errorf("NaN came back as %x", math.Float64bits(s.V))
+			}
+		case math.Float64bits(s.V) != math.Float64bits(want):
+			t.Errorf("%v came back as %v", want, s.V)
+		}
+	}
+
+	old := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		io.WriteString(w, `{"series":[{"labels":{"__name__":"odd"},"samples":[[15000,1.5],[30000,-2e-7]]}`+"\n"+`]}`)
+	}))
+	defer old.Close()
+	got, err = (&RemoteQueryable{BaseURL: old.URL}).SelectWithHints(model.SelectHints{Start: 0, End: 1 << 40}, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []model.Sample{{T: 15000, V: 1.5}, {T: 30000, V: -2e-7}}; len(got) != 1 || !slices.Equal(got[0].Samples, want) {
+		t.Errorf("number form read as %v, want %v", got, want)
 	}
 }
 
@@ -155,7 +215,21 @@ func FuzzRemoteRead(f *testing.F) {
 	f.Add([]byte(`{"min_time":0,"max_time":600000,"matchers":[]}`))
 	f.Add(roundTrip[:len(roundTrip)/2])
 
-	mux := testHandler(f).Mux()
+	// A series holding what JSON has no number for: a staleness marker and
+	// an ordinary NaN.
+	flappyRead, _ := json.Marshal(readRequest{
+		MinTime: 0, MaxTime: 600_000,
+		Matchers: []readMatcher{{Type: "=~", Name: "instance", Value: "n.*"}},
+	})
+	f.Add(flappyRead)
+	h := testHandler(f)
+	flappy := labels.FromStrings(labels.MetricName, "flappy", "instance", "n1")
+	for i, v := range []float64{1, math.NaN(), model.StaleNaN(), 2} {
+		if err := h.Query.(*tsdb.DB).Append(flappy, int64(i)*15_000, v); err != nil {
+			f.Fatal(err)
+		}
+	}
+	mux := h.Mux()
 	f.Fuzz(func(t *testing.T, body []byte) {
 		switch code, _ := postRead(t, mux, body); code {
 		case http.StatusOK, http.StatusBadRequest, http.StatusRequestEntityTooLarge, http.StatusUnprocessableEntity:

@@ -273,21 +273,26 @@ func (g *exprGen) vector(depth int) string {
 	}
 }
 
-type equivGeometry struct{ startS, endS, stepS int64 }
+type equivGeometry struct {
+	startS, endS int64
+	step         time.Duration
+}
 
 var equivGeometries = []equivGeometry{
-	{0, 600, 15},    // aligned with the nominal scrape grid
-	{0, 890, 47},    // misaligned step
-	{103, 553, 30},  // misaligned start
-	{880, 1400, 40}, // runs past the end of data, through and beyond lookback
-	{300, 300, 15},  // single step
-	{1, 899, 7},     // 129 steps: presence bitmaps span several words
+	{0, 600, 15 * time.Second},    // aligned with the nominal scrape grid
+	{0, 890, 47 * time.Second},    // misaligned step
+	{103, 553, 30 * time.Second},  // misaligned start
+	{880, 1400, 40 * time.Second}, // runs past the end of data, through and beyond lookback
+	{300, 300, 15 * time.Second},  // single step
+	{1, 899, 7 * time.Second},     // 129 steps: presence bitmaps span several words
 }
 
 // evalPair is two ways of answering one parsed query that must agree.
 type evalPair struct {
 	rangeWant, rangeGot     func(expr Expr, start, end time.Time, step time.Duration) (Matrix, error)
 	instantWant, instantGot func(expr Expr, ts time.Time) (Value, error)
+	// geometries are the range queries to compare; nil means equivGeometries.
+	geometries []equivGeometry
 }
 
 // check evaluates q both ways, as a range query at every geometry and as an
@@ -299,10 +304,14 @@ func (p evalPair) check(t *testing.T, q string, rng *rand.Rand) {
 	if err != nil {
 		t.Fatalf("generator produced unparsable %q: %v", q, err)
 	}
-	for _, g := range equivGeometries {
+	geometries := p.geometries
+	if geometries == nil {
+		geometries = equivGeometries
+	}
+	for _, g := range geometries {
 		start := model.MillisToTime(g.startS * 1000)
 		end := model.MillisToTime(g.endS * 1000)
-		step := time.Duration(g.stepS) * time.Second
+		step := g.step
 		want, wantErr := p.rangeWant(expr, start, end, step)
 		got, gotErr := p.rangeGot(expr, start, end, step)
 		if (wantErr != nil) != (gotErr != nil) {
@@ -454,33 +463,7 @@ func TestHotColdSeamMatchesOracleRandom(t *testing.T) {
 	for i := 0; i < *equivExprs; i++ {
 		if i%100 == 0 {
 			whole = equivStorage(t, rng)
-			all, err := whole.Select(math.MinInt64, math.MaxInt64, labels.MustMatcher(labels.MatchRegexp, labels.MetricName, ".*"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			cut := rng.Int63n(equivSpanS * 1000)
-			seams = seams[:0]
-			for _, truncate := range []bool{false, true} {
-				// Eight samples to a chunk, so that truncation finds closed
-				// chunks to drop.
-				hot := tsdb.MustOpen(tsdb.Options{Shards: 4, MaxSamplesPerChunk: 8})
-				for _, sr := range all {
-					if err := hot.AppendSeries(sr.Labels, sr.Samples); err != nil {
-						t.Fatal(err)
-					}
-				}
-				cold, err := thanos.NewStore("")
-				if err != nil {
-					t.Fatal(err)
-				}
-				if _, err := cold.CutHead(hot, 0, cut); err != nil {
-					t.Fatal(err)
-				}
-				if truncate {
-					hot.Truncate(cut + 1)
-				}
-				seams = append(seams, &thanos.Querier{Hot: hot, Cold: cold})
-			}
+			seams = hotColdSeams(t, rng, whole)
 		}
 		q := gen.query()
 		for _, seam := range seams {
@@ -490,6 +473,56 @@ func TestHotColdSeamMatchesOracleRandom(t *testing.T) {
 			t.Fatalf("first divergence at expression %d", i)
 		}
 	}
+}
+
+// allSeries reads every sample of db.
+func allSeries(t *testing.T, db *tsdb.DB) []model.Series {
+	t.Helper()
+	all, err := db.Select(math.MinInt64, math.MaxInt64, labels.MustMatcher(labels.MatchRegexp, labels.MetricName, ".*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return all
+}
+
+// headOf holds series in a new head of the given shard count and chunk size.
+func headOf(t *testing.T, all []model.Series, shards, perChunk int) *tsdb.DB {
+	t.Helper()
+	db := tsdb.MustOpen(tsdb.Options{Shards: shards, MaxSamplesPerChunk: perChunk})
+	for _, sr := range all {
+		if err := db.AppendSeries(sr.Labels, sr.Samples); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return db
+}
+
+// hotColdSeams cuts [0, cut] of whole, at a random cut, into a block store
+// twice: once with the head left whole (every cold sample is also hot) and
+// once with the head truncated to the cut (chunks straddling it still
+// overlap). It returns a thanos.Querier over either pair.
+func hotColdSeams(t *testing.T, rng *rand.Rand, whole *tsdb.DB) []*thanos.Querier {
+	t.Helper()
+	all := allSeries(t, whole)
+	cut := rng.Int63n(equivSpanS * 1000)
+	var seams []*thanos.Querier
+	for _, truncate := range []bool{false, true} {
+		// Eight samples to a chunk, so that truncation finds closed chunks to
+		// drop.
+		hot := headOf(t, all, 4, 8)
+		cold, err := thanos.NewStore("")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := cold.CutHead(hot, 0, cut); err != nil {
+			t.Fatal(err)
+		}
+		if truncate {
+			hot.Truncate(cut + 1)
+		}
+		seams = append(seams, &thanos.Querier{Hot: hot, Cold: cold})
+	}
+	return seams
 }
 
 // TestShardCountMatchesOracleRandom: the same random PromQL over the same
@@ -503,17 +536,9 @@ func TestShardCountMatchesOracleRandom(t *testing.T) {
 	var heads [2]*tsdb.DB
 	for i := 0; i < *equivExprs; i++ {
 		if i%100 == 0 {
-			all, err := equivStorage(t, rng).Select(math.MinInt64, math.MaxInt64, labels.MustMatcher(labels.MatchRegexp, labels.MetricName, ".*"))
-			if err != nil {
-				t.Fatal(err)
-			}
+			all := allSeries(t, equivStorage(t, rng))
 			for k, shards := range []int{1, 16} {
-				heads[k] = tsdb.MustOpen(tsdb.Options{Shards: shards, MaxSamplesPerChunk: 120})
-				for _, sr := range all {
-					if err := heads[k].AppendSeries(sr.Labels, sr.Samples); err != nil {
-						t.Fatal(err)
-					}
-				}
+				heads[k] = headOf(t, all, shards, 120)
 			}
 		}
 		checkSameAnswers(t, eng, heads[0], heads[1], gen.query(), rng)
@@ -521,6 +546,122 @@ func TestShardCountMatchesOracleRandom(t *testing.T) {
 			t.Fatalf("first divergence at expression %d", i)
 		}
 	}
+}
+
+// trimGeometries are equivGeometries plus steps wider than the dataset's
+// cadence and than most range windows, where reads trim the most, and a step
+// of a fractional millisecond, whose step times drift off any millisecond
+// grid storage could trim to — by 83 ms at the first of its 94 steps, about
+// the scrape cadence apart, so steps often fall between two close samples.
+var trimGeometries = append(equivGeometries[:len(equivGeometries):len(equivGeometries)],
+	equivGeometry{0, 900, 2 * time.Minute},
+	equivGeometry{13, 1400, 5 * time.Minute},
+	equivGeometry{0, 1300, 10 * time.Minute},
+	equivGeometry{0, 1400, 15*time.Second + 900*time.Microsecond},
+)
+
+// hintStripped reads its store with every hint but the window and the
+// sample budget dropped: it answers as a store that trims nothing.
+type hintStripped struct{ Queryable }
+
+func (s hintStripped) SelectWithHints(h model.SelectHints, ms ...*labels.Matcher) ([]model.Series, error) {
+	return s.Queryable.SelectWithHints(model.SelectHints{Start: h.Start, End: h.End, SampleLimit: h.SampleLimit}, ms...)
+}
+
+// TestHintTrimMatchesOracleRandom: the same random PromQL over each store
+// read with its hints as sent — trimmed to the samples the steps look at
+// (SelectHints.Lookback) — and read with them stripped, the oracle here: a
+// head, the hot/cold seam at both truncations and a 16-shard head, Range at
+// every geometry of trimGeometries and Instant. Without a budget the answers
+// agree to the bit; under a random budget a trimmed query may fail only where
+// the untrimmed one fails too, and where both answer they agree.
+func TestHintTrimMatchesOracleRandom(t *testing.T) {
+	rng, gen := equivRun(t)
+	eng := NewEngine()
+	var stores []Queryable
+	var kept, read int // samples the unbudgeted reads returned, trimmed and not
+	for i := 0; i < *equivExprs; i++ {
+		if i%100 == 0 {
+			whole := equivStorage(t, rng)
+			stores = []Queryable{whole, headOf(t, allSeries(t, whole), 16, 120)}
+			for _, seam := range hotColdSeams(t, rng, whole) {
+				stores = append(stores, seam)
+			}
+		}
+		q := gen.query()
+		budgeted := *eng
+		budgeted.MaxSamples = 1 + rng.Intn(2000)
+		for _, db := range stores {
+			trimmed, full := countedReads{db, &kept}, hintStripped{countedReads{db, &read}}
+			evalPair{
+				rangeWant: func(expr Expr, start, end time.Time, step time.Duration) (Matrix, error) {
+					return eng.RangeExpr(full, expr, start, end, step)
+				},
+				rangeGot: func(expr Expr, start, end time.Time, step time.Duration) (Matrix, error) {
+					return eng.RangeExpr(trimmed, expr, start, end, step)
+				},
+				instantWant: func(expr Expr, ts time.Time) (Value, error) { return eng.InstantExpr(full, expr, ts) },
+				instantGot:  func(expr Expr, ts time.Time) (Value, error) { return eng.InstantExpr(trimmed, expr, ts) },
+				geometries:  trimGeometries,
+			}.check(t, q, rng)
+			checkTrimmedBudget(t, &budgeted, db, q, rng)
+		}
+		if t.Failed() {
+			t.Fatalf("first divergence at expression %d", i)
+		}
+	}
+	t.Logf("trimmed reads returned %d samples, untrimmed %d", kept, read)
+	if kept >= read {
+		t.Errorf("trimmed reads returned %d samples, untrimmed %d: nothing was trimmed", kept, read)
+	}
+}
+
+// countedReads adds up the samples its store returns.
+type countedReads struct {
+	Queryable
+	samples *int
+}
+
+func (c countedReads) SelectWithHints(h model.SelectHints, ms ...*labels.Matcher) ([]model.Series, error) {
+	out, err := c.Queryable.SelectWithHints(h, ms...)
+	for _, s := range out {
+		*c.samples += len(s.Samples)
+	}
+	return out, err
+}
+
+// checkTrimmedBudget evaluates q on db under eng's sample budget, trimmed
+// and untrimmed, at every geometry of trimGeometries and at one instant:
+// the trimmed run may fail only where the untrimmed run fails too, over the
+// budget only where that one is over it as well (an untrimmed run over
+// budget can hide a query error the trimmed run then meets); where both
+// answer, they agree to the bit.
+func checkTrimmedBudget(t *testing.T, eng *Engine, db Queryable, q string, rng *rand.Rand) {
+	t.Helper()
+	expr, err := ParseExpr(q)
+	if err != nil {
+		t.Fatalf("generator produced unparsable %q: %v", q, err)
+	}
+	compare := func(what string, want, got Value, wantErr, gotErr error) {
+		switch {
+		case gotErr != nil && wantErr == nil:
+			t.Errorf("%s %s budget %d: trimmed run failed where the untrimmed one answered: %v", q, what, eng.MaxSamples, gotErr)
+		case IsLimitError(gotErr) && !IsLimitError(wantErr):
+			t.Errorf("%s %s budget %d: trimmed run failed with %v, untrimmed with %v", q, what, eng.MaxSamples, gotErr, wantErr)
+		case gotErr == nil && wantErr == nil && !valueIdentical(got, want):
+			t.Errorf("%s %s budget %d:\n got  %v\n want %v", q, what, eng.MaxSamples, got, want)
+		}
+	}
+	for _, g := range trimGeometries {
+		start, end := model.MillisToTime(g.startS*1000), model.MillisToTime(g.endS*1000)
+		want, wantErr := eng.RangeExpr(hintStripped{db}, expr, start, end, g.step)
+		got, gotErr := eng.RangeExpr(db, expr, start, end, g.step)
+		compare(fmt.Sprintf("%+v", g), want, got, wantErr, gotErr)
+	}
+	ts := model.MillisToTime(rng.Int63n((equivSpanS + 400) * 1000))
+	want, wantErr := eng.InstantExpr(hintStripped{db}, expr, ts)
+	got, gotErr := eng.InstantExpr(db, expr, ts)
+	compare(fmt.Sprintf("@%v", ts), want, got, wantErr, gotErr)
 }
 
 // TestInstantMatrixAndStringMatchOracle covers the two instant result

@@ -108,11 +108,12 @@ func (h *hintLog) SelectWithHints(hints model.SelectHints, ms ...*labels.Matcher
 }
 
 // TestInstantSelectHintsUnchanged: Instant runs on the range evaluator but
-// must tell storage exactly what the per-step evaluator told it — bounds
-// and the shrinking sample budget, never Step/Func/Range — so cold tiers
-// keep serving instants from raw samples. The oracle is the parent's code,
-// so its hint log is the parent's.
+// must tell storage exactly what the per-step evaluator told it — bounds,
+// the shrinking sample budget and, on a bare selector's read alone, the
+// lookback that lets storage answer with the newest sample; never
+// Step/Func/Range — so cold tiers keep serving instants from raw samples.
 func TestInstantSelectHintsUnchanged(t *testing.T) {
+	lookback := model.DurationMillis(NewEngine().LookbackDelta)
 	db := rangeTestStorage(t)
 	eng := NewEngine()
 	eng.MaxSamples = 100_000
@@ -143,6 +144,11 @@ func TestInstantSelectHintsUnchanged(t *testing.T) {
 			if h.Step != 0 || h.Func != "" || h.Range != 0 {
 				t.Errorf("%s: Instant leaked range hints: %+v", q, h)
 			}
+			// A bare selector reads [ts − lookback, ts]; none of these
+			// range selectors is 5m+1ms long, so the window tells them apart.
+			if bare := h.End-h.Start == lookback; h.Lookback != 0 && (!bare || h.Lookback != lookback) || h.Lookback == 0 && bare {
+				t.Errorf("%s: Lookback %d on a read of [%d, %d]; want %d on bare selectors only", q, h.Lookback, h.Start, h.End, lookback)
+			}
 		}
 	}
 	// A one-step Range is still a range query: it keeps its hints.
@@ -150,8 +156,8 @@ func TestInstantSelectHintsUnchanged(t *testing.T) {
 	if _, err := eng.Range(log, `rate(rq_counter_total[2m])`, ts, ts, 15*time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if h := log.hints[0]; h.Step != 15_000 || h.Func != "rate" || h.Range != 120_000 {
-		t.Errorf("one-step Range sent %+v, want Step/Func/Range set", h)
+	if h := log.hints[0]; h.Step != 15_000 || h.Func != "rate" || h.Range != 120_000 || h.Lookback != lookback {
+		t.Errorf("one-step Range sent %+v, want Step/Func/Range/Lookback set", h)
 	}
 }
 

@@ -103,10 +103,11 @@ type stepEvaluator struct {
 // remaining budget mid-pass, so an oversized instant query aborts during the
 // copy instead of after materializing everything; what any store returns is
 // charged after the fact, which still bounds what one evaluation can
-// accumulate.
-func (ev *stepEvaluator) selectSeries(mint, maxt int64, ms []*labels.Matcher) ([]model.Series, error) {
+// accumulate. A bare selector's read sends its lookback, which lets storage
+// return just the newest sample of the window.
+func (ev *stepEvaluator) selectSeries(mint, maxt, lookback int64, ms []*labels.Matcher) ([]model.Series, error) {
 	budget := int64(ev.engine.MaxSamples)
-	hints := model.SelectHints{Start: mint, End: maxt}
+	hints := model.SelectHints{Start: mint, End: maxt, Lookback: lookback}
 	if budget > 0 {
 		rem := budget - ev.loaded
 		if rem <= 0 {
@@ -191,8 +192,8 @@ func (ev *stepEvaluator) vectorSelector(vs *VectorSelector) (Vector, error) {
 		return nil, err
 	}
 	ts := ev.ts - model.DurationMillis(vs.Offset)
-	mint := ts - model.DurationMillis(ev.engine.LookbackDelta)
-	series, err := ev.selectSeries(mint, ts, vs.Matchers)
+	lookback := model.DurationMillis(ev.engine.LookbackDelta)
+	series, err := ev.selectSeries(ts-lookback, ts, lookback, vs.Matchers)
 	if err != nil {
 		return nil, err
 	}
@@ -220,7 +221,7 @@ func (ev *stepEvaluator) matrixSelector(ms *MatrixSelector) (Matrix, error) {
 	}
 	ts := ev.ts - model.DurationMillis(ms.VS.Offset)
 	mint := ts - model.DurationMillis(ms.Range)
-	series, err := ev.selectSeries(mint+1, ts, ms.VS.Matchers) // window is (ts-range, ts]
+	series, err := ev.selectSeries(mint+1, ts, 0, ms.VS.Matchers) // window is (ts-range, ts]
 	if err != nil {
 		return nil, err
 	}

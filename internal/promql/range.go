@@ -44,8 +44,13 @@ type evaluator struct {
 	// instant marks a one-step evaluation on behalf of Instant*: storage is
 	// sent bounds and budget only, so cold tiers keep serving raw samples.
 	instant bool
-	sels    []selectorData
-	one     [1]int64 // backs ts for a one-step evaluation
+	// exactGrid holds when every step time is exactly ts[0] + i·stepMs, so
+	// storage may trim each read to the samples its steps see
+	// (SelectHints.Lookback): one step, or a whole-ms step from a whole-ms
+	// start.
+	exactGrid bool
+	sels      []selectorData
+	one       [1]int64 // backs ts for a one-step evaluation
 }
 
 // selectorData is one selector's prefetched window.
@@ -71,6 +76,7 @@ func newEvaluator(ctx context.Context, e *Engine, q Queryable, start time.Time, 
 		ctx = context.Background()
 	}
 	ev := &evaluator{engine: e, q: q, ctx: ctx, stepMs: model.DurationMillis(step)}
+	ev.exactGrid = steps == 1 || step%time.Millisecond == 0 && start.UnixNano()%int64(time.Millisecond) == 0
 	ev.ts = ev.one[:]
 	if steps > 1 {
 		ev.ts = make([]int64, steps)
@@ -130,9 +136,15 @@ func (ev *evaluator) collect(e Expr, fn string) {
 // is charged again here: a store that ignores the limit (the remote-read
 // client) or may overshoot it (the hot/cold querier, up to 2×) still cannot
 // carry an evaluation past the budget.
+//
+// On an exact step grid every read opts in to trimming (Lookback): storage
+// may then return only the samples the steps look at — per step the newest
+// sample for a bare selector, the window samples for a range function. An
+// instant evaluation sends no Range, so there only bare selectors trim.
 func (ev *evaluator) prefetch(expr Expr) error {
 	ev.collect(expr, "")
 	budget := int64(ev.engine.MaxSamples)
+	lookback := model.DurationMillis(ev.engine.LookbackDelta)
 	var used int64
 	sq, bySelector := ev.q.(SelectorQueryable)
 	for i := range ev.sels {
@@ -143,6 +155,9 @@ func (ev *evaluator) prefetch(expr Expr) error {
 		hints := model.SelectHints{Start: sd.mint, End: sd.maxt}
 		if !ev.instant {
 			hints.Step, hints.Func, hints.Range = ev.stepMs, sd.funcName, sd.rangeMs
+		}
+		if ev.exactGrid && (!ev.instant || sd.rangeMs == 0) {
+			hints.Lookback = lookback
 		}
 		if budget > 0 {
 			// Budget exactly exhausted: 0 would mean "unlimited" to the

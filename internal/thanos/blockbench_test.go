@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/labels"
 	"repro/internal/model"
+	"repro/internal/promql"
 	"repro/internal/tsdb"
 )
 
@@ -77,6 +78,58 @@ func BenchmarkBlockQuery30dRaw(b *testing.B) {
 		if len(got) != benchSeries || len(got[0].Samples) != benchDays*86400/benchScrapeS {
 			b.Fatalf("raw: %d series x %d samples", len(got), len(got[0].Samples))
 		}
+	}
+}
+
+// hintLog keeps the hints of the last read it was asked for and answers
+// nothing.
+type hintLog struct{ hints model.SelectHints }
+
+func (h *hintLog) SelectWithHints(hints model.SelectHints, _ ...*labels.Matcher) ([]model.Series, error) {
+	h.hints = hints
+	return nil, nil
+}
+
+// rangeHints returns the hints the evaluator sends for the one selector of
+// query, run as a range query over [start, end] ms at step.
+func rangeHints(b *testing.B, query string, start, end int64, step time.Duration) model.SelectHints {
+	b.Helper()
+	var log hintLog
+	if _, err := promql.NewEngine().Range(&log, query, model.MillisToTime(start), model.MillisToTime(end), step); err != nil {
+		b.Fatal(err)
+	}
+	return log.hints
+}
+
+// BenchmarkBlockQuery30dStepSparse reads the raw blocks of
+// BenchmarkBlockQuery30dRaw with the hints the evaluator sends for two
+// panels whose steps look at few of the samples: the raw month at a 2 h step
+// (one sample per series per step) and a week of rate(…[5m]) at a 1 h step
+// (five samples in every sixty).
+func BenchmarkBlockQuery30dStepSparse(b *testing.B) {
+	store := benchStore(b)
+	defer store.Close()
+	m := labels.MustMatcher(labels.MatchEqual, labels.MetricName, "bench")
+	const day = 86400_000
+	for _, bc := range []struct {
+		name  string
+		hints model.SelectHints
+	}{
+		{"bare_30d_step_2h", rangeHints(b, "bench", 0, benchDays*day, 2*time.Hour)},
+		{"rate5m_7d_step_1h", rangeHints(b, "rate(bench[5m])", (benchDays-7)*day, benchDays*day, time.Hour)},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				got, err := store.SelectWithHints(bc.hints, m)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if len(got) != benchSeries {
+					b.Fatalf("%d series", len(got))
+				}
+			}
+		})
 	}
 }
 

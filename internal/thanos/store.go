@@ -265,6 +265,7 @@ func (s *Store) SelectWithHints(hints model.SelectHints, ms ...*labels.Matcher) 
 		limit:    hints.SampleLimit,
 		aggr:     tsdb.AggrRaw,
 		rawAfter: hints.RawAfter,
+		steps:    hints.StepFilter(),
 	}
 	if a, ok := aggrForFunc(hints.Func); ok && hints.Step > 0 {
 		maxRes := hints.Step / DownsampleFactor
@@ -305,6 +306,11 @@ type selParams struct {
 	maxRes     int64         // coarsest eligible resolution; 0 = raw only
 	aggr       tsdb.AggrType // stream to read from downsampled blocks
 	rawAfter   int64         // no downsampled data at/after this ts; 0 = off
+	// steps trims every block read to the samples the query's steps see;
+	// nil keeps all. Each block's series is trimmed as a stream of its own,
+	// so the merge below keeps a superset of what trimming the merged
+	// series would, which answers the same (model.StepFilter).
+	steps *model.StepFilter
 }
 
 // selectLimited runs the resolution-aware merge across blocks.
@@ -414,7 +420,7 @@ func (s *Store) selectLimited(p selParams, ms []*labels.Matcher) ([]model.Series
 							rem = 1
 						}
 					}
-					bs, err := b.SelectAggr(u.lo, u.hi, rem, aggr, ms...)
+					bs, err := b.SelectAggr(u.lo, u.hi, rem, aggr, p.steps, ms...)
 					if err != nil {
 						return nil, err
 					}

@@ -387,7 +387,7 @@ func labelOracle(t *testing.T, store *Store, head *tsdb.DB) map[string][]string 
 	var series []model.Series
 	store.mu.RLock()
 	for _, b := range store.blocks {
-		bs, err := b.SelectAggr(math.MinInt64, math.MaxInt64, 0, tsdb.AggrRaw, all)
+		bs, err := b.SelectAggr(math.MinInt64, math.MaxInt64, 0, tsdb.AggrRaw, nil, all)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -52,7 +52,7 @@ func TestBlockDirRoundTrip(t *testing.T) {
 	if pb.Meta().Stats.NumSeries != 20 || pb.Meta().Stats.NumSamples != 20*300 {
 		t.Fatalf("stats = %+v", pb.Meta().Stats)
 	}
-	got, err := pb.SelectAggr(-1<<60, 1<<60, 0, AggrRaw, matchAll())
+	got, err := pb.SelectAggr(-1<<60, 1<<60, 0, AggrRaw, nil, matchAll())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestBlockDirRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer re.Close()
-	got2, err := re.SelectAggr(-1<<60, 1<<60, 0, AggrRaw, matchAll())
+	got2, err := re.SelectAggr(-1<<60, 1<<60, 0, AggrRaw, nil, matchAll())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,14 +75,14 @@ func TestBlockDirRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got3, err := mem.SelectAggr(-1<<60, 1<<60, 0, AggrRaw, matchAll())
+	got3, err := mem.SelectAggr(-1<<60, 1<<60, 0, AggrRaw, nil, matchAll())
 	if err != nil {
 		t.Fatal(err)
 	}
 	assertSeriesEqual(t, got3, want, "mem block vs head")
 
 	// Sub-range reads must clip chunk-internally.
-	sub, err := pb.SelectAggr(1_000_000, 2_000_000, 0, AggrRaw, matchAll())
+	sub, err := pb.SelectAggr(1_000_000, 2_000_000, 0, AggrRaw, nil, matchAll())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func TestBlockDirCorruptionDetected(t *testing.T) {
 			return // header landed on the flip: also acceptable
 		}
 		defer b.Close()
-		if _, err := b.SelectAggr(-1<<60, 1<<60, 0, AggrRaw, matchAll()); err == nil {
+		if _, err := b.SelectAggr(-1<<60, 1<<60, 0, AggrRaw, nil, matchAll()); err == nil {
 			t.Fatal("flipped chunk byte served samples")
 		}
 	})
@@ -163,7 +163,7 @@ func TestBlockDirCorruptionDetected(t *testing.T) {
 			return
 		}
 		defer b.Close()
-		if _, err := b.SelectAggr(-1<<60, 1<<60, 0, AggrRaw, matchAll()); err == nil {
+		if _, err := b.SelectAggr(-1<<60, 1<<60, 0, AggrRaw, nil, matchAll()); err == nil {
 			t.Fatal("truncated chunks served samples")
 		}
 	})
@@ -223,7 +223,7 @@ func TestParallelCutMatchesSelect(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := blk.SelectAggr(mint, maxt, 0, AggrRaw, matchAll())
+				got, err := blk.SelectAggr(mint, maxt, 0, AggrRaw, nil, matchAll())
 				blk.Close()
 				if err != nil {
 					t.Fatal(err)
@@ -350,7 +350,7 @@ func TestCompactPersistentBlocks(t *testing.T) {
 	if meta.MinTime != 1000 || meta.MaxTime != 4000 {
 		t.Errorf("bounds = [%d,%d]", meta.MinTime, meta.MaxTime)
 	}
-	got, err := nb.SelectAggr(-1<<60, 1<<60, 0, AggrRaw, matchAll())
+	got, err := nb.SelectAggr(-1<<60, 1<<60, 0, AggrRaw, nil, matchAll())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -370,7 +370,7 @@ func TestCompactPersistentBlocks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got2, err := nb2.SelectAggr(-1<<60, 1<<60, 0, AggrRaw, matchAll())
+	got2, err := nb2.SelectAggr(-1<<60, 1<<60, 0, AggrRaw, nil, matchAll())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -516,7 +516,7 @@ func TestDownsamplePropertyRandom(t *testing.T) {
 
 			check := func(b *PersistentBlock, what string, oracle func(key string) map[AggrType][]model.Sample) {
 				for _, aggr := range []AggrType{AggrSum, AggrCount, AggrMin, AggrMax} {
-					got, err := b.SelectAggr(-1<<60, 1<<60, 0, aggr, matchAll())
+					got, err := b.SelectAggr(-1<<60, 1<<60, 0, aggr, nil, matchAll())
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -529,7 +529,7 @@ func TestDownsamplePropertyRandom(t *testing.T) {
 					}
 				}
 				// Derived avg = sum/count, pointwise.
-				avg, err := b.SelectAggr(-1<<60, 1<<60, 0, AggrAvg, matchAll())
+				avg, err := b.SelectAggr(-1<<60, 1<<60, 0, AggrAvg, nil, matchAll())
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -560,11 +560,11 @@ func TestDownsamplePropertyRandom(t *testing.T) {
 			// Two-hop equals one-hop: bit-exact for count/min/max, up to
 			// float associativity for sum (and thus avg).
 			for _, aggr := range []AggrType{AggrSum, AggrCount, AggrMin, AggrMax, AggrAvg} {
-				a, err := oneHop.SelectAggr(-1<<60, 1<<60, 0, aggr, matchAll())
+				a, err := oneHop.SelectAggr(-1<<60, 1<<60, 0, aggr, nil, matchAll())
 				if err != nil {
 					t.Fatal(err)
 				}
-				b, err := twoHop.SelectAggr(-1<<60, 1<<60, 0, aggr, matchAll())
+				b, err := twoHop.SelectAggr(-1<<60, 1<<60, 0, aggr, nil, matchAll())
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -619,7 +619,7 @@ func TestDownsampleStaleOnlySeries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ds.SelectAggr(-1<<60, 1<<60, 0, AggrCount, matchAll())
+	got, err := ds.SelectAggr(-1<<60, 1<<60, 0, AggrCount, nil, matchAll())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -646,13 +646,13 @@ func TestBlockSelectSizesSamplesOnce(t *testing.T) {
 			out := dst[:0]
 			for _, c := range s.chunks {
 				var err error
-				if out, err = pb.appendChunkRange(out, c, 0, 30*day); err != nil {
+				if out, err = pb.appendChunkRange(out, c, 0, 30*day, nil); err != nil {
 					t.Fatal(err)
 				}
 			}
 		})
 		total := testing.AllocsPerRun(5, func() {
-			samples, err := pb.seriesSamples(s, 0, 30*day, AggrRaw)
+			samples, err := pb.seriesSamples(s, 0, 30*day, AggrRaw, nil)
 			if err != nil || len(samples) != int(30*day/60_000) {
 				t.Fatalf("got %d samples, err %v", len(samples), err)
 			}
@@ -663,7 +663,7 @@ func TestBlockSelectSizesSamplesOnce(t *testing.T) {
 			t.Errorf("series %d: %.0f allocations, of which %.0f decode chunks: the sample slice was allocated %.0f times, want once",
 				i, total, decode, total-decode)
 		}
-		if samples, _ := pb.seriesSamples(s, 0, 30*day, AggrRaw); cap(samples) != len(samples) {
+		if samples, _ := pb.seriesSamples(s, 0, 30*day, AggrRaw, nil); cap(samples) != len(samples) {
 			t.Errorf("series %d: %d samples in a slice of capacity %d; the index knows the count", i, len(samples), cap(samples))
 		}
 	}

@@ -31,7 +31,7 @@ func scanSelectAggr(pb *PersistentBlock, mint, maxt, limit int64, aggr AggrType,
 		if !labels.MatchLabels(s.lset, ms...) {
 			continue
 		}
-		samples, err := pb.seriesSamples(s, mint, maxt, aggr)
+		samples, err := pb.seriesSamples(s, mint, maxt, aggr, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -92,7 +92,7 @@ func TestBlockPostingsMatchScan(t *testing.T) {
 			aggr := aggrs[rng.Intn(len(aggrs))]
 			for _, pb := range blocks {
 				want, wantErr := scanSelectAggr(pb, mint, maxt, limit, aggr, ms...)
-				got, gotErr := pb.SelectAggr(mint, maxt, limit, aggr, ms...)
+				got, gotErr := pb.SelectAggr(mint, maxt, limit, aggr, nil, ms...)
 				what := fmt.Sprintf("seed %d select %d: %v [%d,%d] limit %d %s on block res %d dir %q", seed, n, ms, mint, maxt, limit, aggr, pb.meta.Resolution, pb.dir)
 				if gotErr != wantErr {
 					t.Fatalf("%s: error %v, scan says %v", what, gotErr, wantErr)
@@ -216,7 +216,7 @@ func TestBlockSelectAllocsIndependentOfBlockSize(t *testing.T) {
 	allocs := func(n int) float64 {
 		pb := churnedBlock(t, n)
 		return testing.AllocsPerRun(100, func() {
-			if got, err := pb.SelectAggr(0, 1<<40, 0, AggrRaw, oneJobMatchers...); err != nil || len(got) != 1 {
+			if got, err := pb.SelectAggr(0, 1<<40, 0, AggrRaw, nil, oneJobMatchers...); err != nil || len(got) != 1 {
 				t.Fatalf("selected %d series, err %v; want 1", len(got), err)
 			}
 		})
@@ -253,7 +253,7 @@ func BenchmarkBlockSelect(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if got, err := pb.SelectAggr(0, 1<<40, 0, AggrRaw, bc.ms...); err != nil || len(got) != bc.want {
+				if got, err := pb.SelectAggr(0, 1<<40, 0, AggrRaw, nil, bc.ms...); err != nil || len(got) != bc.want {
 					b.Fatalf("selected %d series, err %v; want %d", len(got), err, bc.want)
 				}
 			}

@@ -17,6 +17,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"sync"
@@ -181,24 +182,14 @@ func (pb *PersistentBlock) decodeChunk(c diskChunk) (*chunkenc.Chunk, error) {
 	return chunkenc.FromBytesNoCopy(payload)
 }
 
-// appendChunkRange decodes the samples of c in [mint, maxt] onto dst.
-func (pb *PersistentBlock) appendChunkRange(dst []model.Sample, c diskChunk, mint, maxt int64) ([]model.Sample, error) {
+// appendChunkRange decodes the samples of c in [mint, maxt] that f keeps
+// (all of them when f is nil) onto dst.
+func (pb *PersistentBlock) appendChunkRange(dst []model.Sample, c diskChunk, mint, maxt int64, f *model.StepFilter) ([]model.Sample, error) {
 	ch, err := pb.decodeChunk(c)
 	if err != nil {
 		return dst, err
 	}
-	it := ch.Iterator()
-	for it.Next() {
-		t, v := it.At()
-		if t < mint {
-			continue
-		}
-		if t > maxt {
-			break
-		}
-		dst = append(dst, model.Sample{T: t, V: v})
-	}
-	return dst, it.Err()
+	return appendChunk(dst, ch, mint, maxt, f)
 }
 
 // sampleHint is how many samples to reserve for chunk c: its indexed count,
@@ -217,13 +208,45 @@ func (pb *PersistentBlock) sampleHint(c diskChunk) int {
 }
 
 // streamSamples decodes the samples in [mint, maxt] of one stored stream
-// of s. The output is sized once from the index's sample counts: grown
-// from nil, a month-long read spends more in growslice than in decoding.
-func (pb *PersistentBlock) streamSamples(s *diskSeries, want AggrType, mint, maxt int64) ([]model.Sample, error) {
+// of s that f keeps (all of them when f is nil). The output is sized once
+// from the index's sample counts, cut down to what f keeps: grown from nil,
+// a month-long read spends more in growslice than in decoding. A chunk f
+// keeps nothing of is neither counted nor decoded.
+func (pb *PersistentBlock) streamSamples(s *diskSeries, want AggrType, mint, maxt int64, f *model.StepFilter) ([]model.Sample, error) {
+	if maxt < mint {
+		return nil, nil // an inverted window holds nothing; sizing assumes one that is not
+	}
+	if f != nil {
+		pos := *f // this stream's own position in the steps
+		f = &pos
+	}
+	// skip reports whether f keeps nothing of s.chunks[i], the stream's
+	// chunk overlapping the window; the stream goes on at next.
+	skip := func(i int) bool {
+		if f == nil {
+			return false
+		}
+		next := int64(math.MaxInt64)
+		for _, n := range s.chunks[i+1:] {
+			if n.aggr == want {
+				if n.minT <= maxt {
+					next = n.minT
+				}
+				break
+			}
+		}
+		c := s.chunks[i]
+		return f.Skips(max(c.minT, mint), min(c.maxT, maxt), next)
+	}
 	hint := 0
-	for _, c := range s.chunks {
-		if c.aggr == want && c.maxT >= mint && c.minT <= maxt {
+	for i, c := range s.chunks {
+		if c.aggr != want || c.maxT < mint || c.minT > maxt || skip(i) {
+			continue
+		}
+		if f == nil {
 			hint += pb.sampleHint(c)
+		} else {
+			hint += f.Bound(pb.sampleHint(c), max(c.minT, mint), min(c.maxT, maxt))
 		}
 	}
 	if hint == 0 {
@@ -231,11 +254,11 @@ func (pb *PersistentBlock) streamSamples(s *diskSeries, want AggrType, mint, max
 	}
 	out := make([]model.Sample, 0, hint)
 	var err error
-	for _, c := range s.chunks {
-		if c.aggr != want || c.maxT < mint || c.minT > maxt {
+	for i, c := range s.chunks {
+		if c.aggr != want || c.maxT < mint || c.minT > maxt || skip(i) {
 			continue
 		}
-		if out, err = pb.appendChunkRange(out, c, mint, maxt); err != nil {
+		if out, err = pb.appendChunkRange(out, c, mint, maxt, f); err != nil {
 			return nil, err
 		}
 	}
@@ -243,23 +266,27 @@ func (pb *PersistentBlock) streamSamples(s *diskSeries, want AggrType, mint, max
 }
 
 // seriesSamples decodes one series' samples in [mint, maxt] for the
-// requested aggregate. Raw blocks serve raw samples whatever was asked
+// requested aggregate, those f keeps (all of them when f is nil); a
+// downsampled point is kept or dropped by its timestamp, the end of its
+// bucket, as a raw sample is. Raw blocks serve raw samples whatever was asked
 // (raw is exact for every aggregate). On downsampled blocks AggrAvg — and
 // AggrRaw, for callers that don't know the block is downsampled — derives
 // sum/count; other aggregates decode their stored stream.
-func (pb *PersistentBlock) seriesSamples(s *diskSeries, mint, maxt int64, aggr AggrType) ([]model.Sample, error) {
+func (pb *PersistentBlock) seriesSamples(s *diskSeries, mint, maxt int64, aggr AggrType, f *model.StepFilter) ([]model.Sample, error) {
 	if pb.meta.Resolution == 0 {
-		return pb.streamSamples(s, AggrRaw, mint, maxt)
+		return pb.streamSamples(s, AggrRaw, mint, maxt, f)
 	}
 	switch aggr {
 	case AggrSum, AggrCount, AggrMin, AggrMax:
-		return pb.streamSamples(s, aggr, mint, maxt)
+		return pb.streamSamples(s, aggr, mint, maxt, f)
 	default: // AggrAvg and AggrRaw: derived average, the documented representative value
-		sums, err := pb.streamSamples(s, AggrSum, mint, maxt)
+		// The two streams carry the same timestamps, so f keeps the same of
+		// each.
+		sums, err := pb.streamSamples(s, AggrSum, mint, maxt, f)
 		if err != nil {
 			return nil, err
 		}
-		counts, err := pb.streamSamples(s, AggrCount, mint, maxt)
+		counts, err := pb.streamSamples(s, AggrCount, mint, maxt, f)
 		if err != nil {
 			return nil, err
 		}
@@ -279,10 +306,11 @@ func (pb *PersistentBlock) seriesSamples(s *diskSeries, mint, maxt int64, aggr A
 
 // SelectAggr returns the block's series overlapping [mint, maxt] that
 // satisfy the matchers, in label order, decoded for the requested aggregate
-// (see seriesSamples for the raw/downsampled semantics). When limit > 0 the
-// decode aborts with model.ErrSampleLimit as soon as more than limit
-// samples have been copied.
-func (pb *PersistentBlock) SelectAggr(mint, maxt, limit int64, aggr AggrType, ms ...*labels.Matcher) ([]model.Series, error) {
+// (see seriesSamples for the raw/downsampled semantics) and trimmed by the
+// step filter f, when not nil: a series f keeps nothing of is left out. When
+// limit > 0 the decode aborts with model.ErrSampleLimit as soon as more than
+// limit samples have been copied.
+func (pb *PersistentBlock) SelectAggr(mint, maxt, limit int64, aggr AggrType, f *model.StepFilter, ms ...*labels.Matcher) ([]model.Series, error) {
 	var (
 		out    []model.Series
 		copied int64
@@ -291,7 +319,7 @@ func (pb *PersistentBlock) SelectAggr(mint, maxt, limit int64, aggr AggrType, ms
 	pb.forMatching(ms, func(pos uint32) bool {
 		s := &pb.series[pos]
 		var samples []model.Sample
-		if samples, err = pb.seriesSamples(s, mint, maxt, aggr); err != nil || len(samples) == 0 {
+		if samples, err = pb.seriesSamples(s, mint, maxt, aggr, f); err != nil || len(samples) == 0 {
 			return err == nil
 		}
 		copied += int64(len(samples))
@@ -349,7 +377,7 @@ func (pb *PersistentBlock) appendStream(dst []model.Sample, s *diskSeries, aggr 
 		if c.aggr != aggr {
 			continue
 		}
-		if dst, err = pb.appendChunkRange(dst, c, c.minT, c.maxT); err != nil {
+		if dst, err = pb.appendChunkRange(dst, c, c.minT, c.maxT, nil); err != nil {
 			return dst, err
 		}
 	}

@@ -54,7 +54,7 @@ func (pb *PersistentBlock) allAggrSeries() ([]aggrSeries, error) {
 				if c.aggr != a {
 					continue
 				}
-				if stream, err = pb.appendChunkRange(stream, c, c.minT, c.maxT); err != nil {
+				if stream, err = pb.appendChunkRange(stream, c, c.minT, c.maxT, nil); err != nil {
 					return nil, err
 				}
 			}
@@ -588,10 +588,10 @@ func TestDownsampleRejectsUnalignedAggregates(t *testing.T) {
 			if err == nil || !strings.Contains(err.Error(), pb.meta.ULID) || !strings.Contains(err.Error(), lset.String()) {
 				t.Fatalf("downsample: err %v, want one naming block %s and series %s", err, pb.meta.ULID, lset)
 			}
-			if _, err := pb.SelectAggr(-1<<60, 1<<60, 0, AggrAvg, matchAll()); (err != nil) != tc.avgFails {
+			if _, err := pb.SelectAggr(-1<<60, 1<<60, 0, AggrAvg, nil, matchAll()); (err != nil) != tc.avgFails {
 				t.Fatalf("avg select: err %v, want an error %v", err, tc.avgFails)
 			}
-			got, err := pb.SelectAggr(-1<<60, 1<<60, 0, tc.aggr, matchAll())
+			got, err := pb.SelectAggr(-1<<60, 1<<60, 0, tc.aggr, nil, matchAll())
 			if err != nil || len(got) != 1 {
 				t.Fatalf("%s select: %v, err %v; want the stream as stored", tc.aggr, got, err)
 			}

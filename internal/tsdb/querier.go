@@ -36,8 +36,10 @@ const selectGrain = 256
 const slabSamples = 4096 // bounds one allocation of a sampleSlab (64 KB)
 
 // SelectWithHints returns all series matching the matchers, restricted to
-// samples in [hints.Start, hints.End]. Series with no samples in range are
-// omitted. Results are sorted by labels, so output is identical for any
+// samples in [hints.Start, hints.End] and, with hints.Lookback set, to those
+// the step filter keeps (model.StepFilter; a bare instant read answers from
+// the series' newest sample without decoding). Series with no samples left
+// are omitted. Results are sorted by labels, so output is identical for any
 // shard count. It plans, then reads.
 // The plan runs on the caller's goroutine — every shard in turn resolves the
 // matchers through its postings, under its read lock, into one flat list of
@@ -67,7 +69,7 @@ func (db *DB) SelectWithHints(hints model.SelectHints, ms ...*labels.Matcher) ([
 		plan = sh.selectLocked(plan, ms)
 		sh.mu.RUnlock()
 	}
-	mint, maxt := hints.Start, hints.End // the closure below carries these, not all of hints
+	mint, maxt, steps := hints.Start, hints.End, hints.StepFilter() // the closure below carries these, not all of hints
 	byLabels := func(a, b model.Series) int { return labels.Compare(a.Labels, b.Labels) }
 	out := make([]model.Series, len(plan))
 	var mu sync.Mutex
@@ -76,7 +78,7 @@ func (db *DB) SelectWithHints(hints model.SelectHints, ms ...*labels.Matcher) ([
 		slab := sampleSlab{left: hi - lo}
 		run := out[lo:lo:hi]
 		for i := lo; i < hi && !budget.blown(); i++ {
-			samples := plan[i].samplesBetween(mint, maxt, &slab)
+			samples := plan[i].samplesBetween(mint, maxt, &slab, steps)
 			if len(samples) > 0 && budget.charge(len(samples)) {
 				run = append(run, model.Series{Labels: plan[i].lset, Samples: samples})
 			}

@@ -157,13 +157,16 @@ type memSeries struct {
 	// resurrect it on replay. Set under the shard lock — with the shard WAL
 	// mutex also held whenever a WAL exists — and read under the WAL mutex.
 	dropped bool
+	hasAny  bool // guarded by mu, as everything below; next to dropped, it costs no padding
 
 	mu      sync.Mutex
 	chunks  []*chunkRange
 	head    *chunkenc.Chunk
 	headMin int64
-	lastT   int64
-	hasAny  bool
+	// lastT, lastV is the newest in-order sample, which is the series' newest
+	// while the chunk holding it is kept: out-of-order samples are older.
+	lastT int64
+	lastV float64
 	// ooo holds accepted out-of-order samples, sorted by timestamp and
 	// deduplicated; queries merge it with the in-order chunks (in-order
 	// wins on a timestamp tie). Always empty when Options.OutOfOrderWindow
@@ -435,7 +438,7 @@ func (s *memSeries) appendLocked(t int64, v float64, maxPerChunk int, ooo *oooAp
 	if err := s.head.Append(t, v); err != nil {
 		return appendFailed, err
 	}
-	s.lastT = t
+	s.lastT, s.lastV = t, v
 	s.hasAny = true
 	if s.head.NumSamples() >= maxPerChunk {
 		s.chunks = append(s.chunks, &chunkRange{min: s.headMin, max: s.lastT, chunk: s.head})
@@ -474,22 +477,33 @@ func (s *memSeries) hasInOrderSampleLocked(t int64) bool {
 	return false
 }
 
-// samplesBetween returns a copy of the series' samples in [mint, maxt], in
-// memory taken from slab (a zero one: allocated for this call).
-func (s *memSeries) samplesBetween(mint, maxt int64, slab *sampleSlab) []model.Sample {
+// samplesBetween returns a copy of the series' samples in [mint, maxt] that
+// a step filter keeps (all of them when f is nil), in memory taken from slab
+// (a zero one: allocated for this call).
+func (s *memSeries) samplesBetween(mint, maxt int64, slab *sampleSlab, f *model.StepFilter) []model.Sample {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.samplesBetweenLocked(mint, maxt, slab)
+	return s.samplesBetweenLocked(mint, maxt, slab, f)
 }
 
 // samplesBetweenLocked is samplesBetween with s.mu already held (the block
 // cut path holds it across chunk reuse decisions and the sample copy).
-func (s *memSeries) samplesBetweenLocked(mint, maxt int64, slab *sampleSlab) []model.Sample {
-	// s.chunks[first:end] are the closed chunks overlapping the window
-	// (chunks are in time order); the open head chunk may follow. Their
-	// sample counts size the output once instead of growing it: the usual
-	// window is a few samples of one 120-sample chunk.
-	first, end, n := 0, 0, 0
+func (s *memSeries) samplesBetweenLocked(mint, maxt int64, slab *sampleSlab, f *model.StepFilter) []model.Sample {
+	proto := f
+	if f != nil {
+		if f.One() && s.lastT >= mint && s.lastT <= maxt && s.holdsLastLocked() {
+			// The newest sample of the window is the series' newest.
+			return append(slab.take(1), model.Sample{T: s.lastT, V: s.lastV})
+		}
+		pos := *f // this series' own position in the steps
+		f = &pos
+	}
+	// Runs 0..runs-1 are s.chunks[first:end], the closed chunks overlapping
+	// the window (chunks are in time order), then the open head chunk if it
+	// overlaps. Their sample counts, cut down to what f keeps, size the
+	// output once instead of growing it; a run f keeps nothing of is neither
+	// counted nor decoded.
+	first, end := 0, 0
 	for i, cr := range s.chunks {
 		if cr.min > maxt {
 			break
@@ -497,33 +511,47 @@ func (s *memSeries) samplesBetweenLocked(mint, maxt int64, slab *sampleSlab) []m
 		end = i + 1
 		if cr.max < mint {
 			first = end
+		}
+	}
+	runs := end - first
+	if s.head != nil && s.lastT >= mint && s.headMin <= maxt {
+		runs++
+	}
+	at := func(i int) chunkRange {
+		if i += first; i < end {
+			return *s.chunks[i]
+		}
+		return chunkRange{min: s.headMin, max: s.lastT, chunk: s.head}
+	}
+	skip := func(i int, cr chunkRange) bool {
+		if f == nil {
+			return false
+		}
+		next := int64(math.MaxInt64)
+		if i+1 < runs {
+			if m := at(i + 1).min; m <= maxt {
+				next = m
+			}
+		}
+		return f.Skips(max(cr.min, mint), min(cr.max, maxt), next)
+	}
+	n := 0
+	for i := 0; i < runs; i++ {
+		cr := at(i)
+		if skip(i, cr) {
 			continue
 		}
-		n += samplesInWindow(cr.min, cr.max, cr.chunk.NumSamples(), mint, maxt)
-	}
-	headOverlaps := s.head != nil && s.lastT >= mint && s.headMin <= maxt
-	if headOverlaps {
-		n += samplesInWindow(s.headMin, s.lastT, s.head.NumSamples(), mint, maxt)
+		k := samplesInWindow(cr.min, cr.max, cr.chunk.NumSamples(), mint, maxt)
+		if f != nil {
+			k = f.Bound(k, max(cr.min, mint), min(cr.max, maxt))
+		}
+		n += k
 	}
 	out := slab.take(n)
-	appendFrom := func(c *chunkenc.Chunk) {
-		it := c.Iterator()
-		for it.Next() {
-			t, v := it.At()
-			if t < mint {
-				continue
-			}
-			if t > maxt {
-				return
-			}
-			out = append(out, model.Sample{T: t, V: v})
+	for i := 0; i < runs; i++ {
+		if cr := at(i); !skip(i, cr) {
+			out, _ = appendChunk(out, cr.chunk, mint, maxt, f) // head chunks are well-formed by construction
 		}
-	}
-	for _, cr := range s.chunks[first:end] {
-		appendFrom(cr.chunk)
-	}
-	if headOverlaps {
-		appendFrom(s.head)
 	}
 	if len(s.ooo) == 0 {
 		return out
@@ -531,16 +559,56 @@ func (s *memSeries) samplesBetweenLocked(mint, maxt int64, slab *sampleSlab) []m
 	// Merge the out-of-order buffer (sorted, deduped) with the in-order
 	// samples. On a timestamp tie the in-order sample wins: replay can park
 	// a checkpoint-duplicated sample in the buffer, and first-write-wins
-	// keeps query output identical to the pre-crash head.
+	// keeps query output identical to the pre-crash head. A filter trims the
+	// buffer as a stream of its own; what the merge keeps is then a superset
+	// of what the filter keeps of the merged stream, which answers the same.
 	lo := sort.Search(len(s.ooo), func(i int) bool { return s.ooo[i].T >= mint })
 	hi := sort.Search(len(s.ooo), func(i int) bool { return s.ooo[i].T > maxt })
-	if lo == hi {
+	ooo := s.ooo[lo:hi]
+	if proto != nil {
+		pos := *proto
+		var kept []model.Sample // never the live buffer: Append rewrites its last sample
+		for _, smp := range ooo {
+			kept = pos.Append(kept, smp.T, smp.V)
+		}
+		ooo = kept
+	}
+	if len(ooo) == 0 {
 		return out
 	}
 	if len(out) == 0 {
-		return slices.Clone(s.ooo[lo:hi]) // never hand out the live buffer
+		return slices.Clone(ooo) // never hand out the live buffer
 	}
-	return model.MergeSamples([][]model.Sample{out, s.ooo[lo:hi]})
+	return model.MergeSamples([][]model.Sample{out, ooo})
+}
+
+// holdsLastLocked reports whether the chunk holding lastT is still kept:
+// retention drops closed chunks while the out-of-order buffer can keep the
+// series alive. The caller holds s.mu.
+func (s *memSeries) holdsLastLocked() bool {
+	return s.head != nil || len(s.chunks) > 0 && s.chunks[len(s.chunks)-1].max == s.lastT
+}
+
+// appendChunk decodes onto dst the samples of c in [mint, maxt] that f keeps
+// (all of them when f is nil): the decode loop of every read, head and
+// block alike.
+func appendChunk(dst []model.Sample, c *chunkenc.Chunk, mint, maxt int64, f *model.StepFilter) ([]model.Sample, error) {
+	it := c.Iterator()
+	for it.Next() {
+		t, v := it.At()
+		if t < mint {
+			continue
+		}
+		if t > maxt {
+			break
+		}
+		if f == nil {
+			dst = append(dst, model.Sample{T: t, V: v})
+		} else {
+			dst = f.Append(dst, t, v)
+		}
+	}
+	return dst, it.Err()
 }
 
 // samplesInWindow estimates how many of a chunk's num samples, spanning

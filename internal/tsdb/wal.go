@@ -487,7 +487,7 @@ func streamShardSnapshot(dst io.Writer, sh *headShard, tombs []TombstoneRec, ref
 	// buffer) proportional to a single series, not the whole shard.
 	var recs []walSampleRec
 	for _, s := range series {
-		samples := s.samplesBetween(-(int64(1) << 62), int64(1)<<62, &sampleSlab{})
+		samples := s.samplesBetween(-(int64(1) << 62), int64(1)<<62, &sampleSlab{}, nil)
 		if len(samples) == 0 {
 			continue
 		}
