@@ -113,18 +113,25 @@ head-index:
 # of any content ends in an error or a value that re-encodes to the same
 # bytes, allocation linear in the input), over the remote-read request
 # decoder (any body ends in 200, 400, 413 or 422 with a readResponse body,
-# never a 500 or a panic) and over the PromQL parser (any text ends in an
-# error or an expression whose String() parses again, never a panic).
+# never a 500 or a panic), over the PromQL parser (any text ends in an
+# error or an expression whose String() parses again, never a panic), over
+# the CRW1 frame decoder (FuzzDecoder: any stream ends in io.EOF or an
+# error, never a panic, and no frame held or inflated past MaxFrame+1
+# bytes) and over WAL replay (FuzzWALRecord: one record of any type under a
+# valid CRC replays through Open to an error or a head, never a panic,
+# allocating in proportion to the bytes it holds).
 # tools/ci_sync_check.sh pins this list to ci.yml and to every Fuzz function
 # in the tree.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzChunkIterator -fuzztime 10s ./internal/tsdb/chunkenc/
 	$(GO) test -run '^$$' -fuzz FuzzBitWriter -fuzztime 10s ./internal/tsdb/chunkenc/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeIndex -fuzztime 10s ./internal/tsdb/
+	$(GO) test -run '^$$' -fuzz FuzzWALRecord -fuzztime 10s ./internal/tsdb/
 	$(GO) test -run '^$$' -fuzz FuzzAppendJSONString -fuzztime 10s ./internal/promapi/
 	$(GO) test -run '^$$' -fuzz FuzzRemoteRead -fuzztime 10s ./internal/promapi/
 	$(GO) test -run '^$$' -fuzz FuzzParseExpr -fuzztime 10s ./internal/promql/
 	$(GO) test -run '^$$' -fuzz FuzzTokenizer -fuzztime 10s ./internal/expofmt/
+	$(GO) test -run '^$$' -fuzz FuzzDecoder -fuzztime 10s ./internal/remotewrite/
 
 # Real measurements for BENCH_querycache.json (slow).
 bench-querycache:

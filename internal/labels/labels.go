@@ -169,6 +169,20 @@ func (ls Labels) Hash() uint64 {
 	return h
 }
 
+// Bytes appends to dst exactly the bytes Hash hashes: each name and value
+// followed by a 0xFF separator. Two label sets of valid UTF-8, which never
+// holds 0xFF, are equal if and only if their bytes are, so the result
+// serves as a map key.
+func (ls Labels) Bytes(dst []byte) []byte {
+	for _, l := range ls {
+		dst = append(dst, l.Name...)
+		dst = append(dst, 0xFF)
+		dst = append(dst, l.Value...)
+		dst = append(dst, 0xFF)
+	}
+	return dst
+}
+
 // HashWithout hashes the label set ignoring the given names (used by
 // aggregation "without").
 func (ls Labels) HashWithout(names ...string) uint64 {

@@ -62,17 +62,25 @@ func (e *benchEnv) eval() RangeEval {
 
 func (e *benchEnv) query(b *testing.B, c *Cache, startMs, endMs int64, want Outcome) {
 	b.Helper()
-	m, out, err := c.RangeQuery(context.Background(), benchQuery,
-		model.MillisToTime(startMs), model.MillisToTime(endMs), stepMs*time.Millisecond, e.eval())
-	if err != nil {
+	if err := e.check(c, startMs, endMs, want); err != nil {
 		b.Fatal(err)
 	}
-	if out != want {
-		b.Fatalf("outcome = %s, want %s", out, want)
+}
+
+// check runs the panel query through c and reports an outcome other than
+// want, or a result of the wrong size, as an error.
+func (e *benchEnv) check(c *Cache, startMs, endMs int64, want Outcome) error {
+	m, out, err := c.RangeQuery(context.Background(), benchQuery,
+		model.MillisToTime(startMs), model.MillisToTime(endMs), stepMs*time.Millisecond, e.eval())
+	switch {
+	case err != nil:
+		return err
+	case out != want:
+		return fmt.Errorf("outcome = %s, want %s", out, want)
+	case len(m) != benchSeries:
+		return fmt.Errorf("result has %d series, want %d", len(m), benchSeries)
 	}
-	if len(m) != benchSeries {
-		b.Fatalf("result has %d series, want %d", len(m), benchSeries)
-	}
+	return nil
 }
 
 // BenchmarkQueryCacheColdMiss is the baseline: the full windowed range
@@ -101,6 +109,28 @@ func BenchmarkQueryCacheHit(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		env.query(b, c, start, end, OutcomeHit)
 	}
+}
+
+// BenchmarkQueryCacheHitParallel is BenchmarkQueryCacheHit's repeat from
+// GOMAXPROCS goroutines at once, every one reading the same entry: the
+// cache's half of the concurrent micro pair, whose head half is
+// tsdb.BenchmarkHeadSelectUnderAppend.
+func BenchmarkQueryCacheHitParallel(b *testing.B) {
+	env := newBenchEnv(b)
+	c := env.newCache()
+	end := env.last
+	start := end - benchSteps*stepMs
+	env.query(b, c, start, end, OutcomeMiss)
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		for pb.Next() {
+			if err := env.check(c, start, end, OutcomeHit); err != nil {
+				b.Error(err)
+				return
+			}
+		}
+	})
 }
 
 // BenchmarkQueryCacheSplice measures incremental refreshes: the window

@@ -299,6 +299,52 @@ func TestRemoteWriteDecoderPoolReuse(t *testing.T) {
 	}
 }
 
+// FuzzDecoder: any stream ends, frame by frame, in io.EOF or an error, never
+// a panic, and no frame makes the decoder hold more than MaxFrame stored
+// bytes or inflate more than MaxFrame+1.
+func FuzzDecoder(f *testing.F) {
+	rng := rand.New(rand.NewSource(30))
+	raw := encodeStream(f, false, randFamilies(rng, 2, 3))
+	deflated := encodeStream(f, true, randFamilies(rng, 3, 20))
+	multi := encodeStream(f, true, randFamilies(rng, 1, 4), randFamilies(rng, 2, 2), randFamilies(rng, 1, 30))
+	firstLen := int(binary.LittleEndian.Uint32(multi[len(Magic)+1:]))
+	flipped := bytes.Clone(deflated)
+	flipped[len(Magic)+5] ^= 0x01 // the CRC
+	oversized := bytes.Clone(raw)
+	binary.LittleEndian.PutUint32(oversized[len(Magic)+1:], MaxFrame+1)
+	var bomb bytes.Buffer
+	fw, _ := flate.NewWriter(&bomb, flate.BestCompression)
+	fw.Write(bytes.Repeat([]byte("m 1 1\n"), MaxFrame/6+64))
+	fw.Close()
+	bombStream := append([]byte(Magic), flagDeflate)
+	bombStream = binary.LittleEndian.AppendUint32(bombStream, uint32(bomb.Len()))
+	bombStream = binary.LittleEndian.AppendUint32(bombStream, 0)
+	bombStream = append(bombStream, bomb.Bytes()...)
+	for _, s := range [][]byte{
+		raw, deflated, multi,
+		multi[:len(Magic)+9+firstLen], // cut at a frame boundary
+		flipped, oversized, bombStream, {},
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, stream []byte) {
+		d := NewDecoder(bytes.NewReader(stream))
+		defer d.Release()
+		for frames := 0; ; frames++ {
+			_, err := d.Next()
+			if cap(d.stored) > MaxFrame || d.plain.Len() > MaxFrame+1 {
+				t.Fatalf("frame %d: holding %d stored and %d inflated bytes", frames, cap(d.stored), d.plain.Len())
+			}
+			if err != nil {
+				return
+			}
+			if frames > len(stream)/9 {
+				t.Fatalf("%d frames out of %d bytes", frames+1, len(stream))
+			}
+		}
+	})
+}
+
 // TestRemoteWriteFrameBytesPinned pins the CRW1 wire bytes of a fixed batch:
 // the raw stream's hash was recorded before the encoder moved from
 // expofmt.Writer to expofmt.AppendFamily, and a frame compressed by a

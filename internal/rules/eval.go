@@ -1,7 +1,6 @@
 package rules
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
 	"time"
@@ -30,6 +29,8 @@ type view struct {
 	// output caches' and immutable.
 	lsets   []labels.Labels
 	samples []model.Sample
+	// key holds the cache key of the result set being staged.
+	key []byte
 
 	selects, hits int // storage reads, reads answered without one
 }
@@ -139,114 +140,39 @@ func (v *view) stagedSeries(dst []model.Series, lo, hi int, ms []*labels.Matcher
 	return slices.CompactFunc(dst, func(a, b model.Series) bool { return a.Labels.Equal(b.Labels) })
 }
 
-// outputCache maps a rule's result label sets to the label sets they are
-// recorded under — the scrape cache's twin. An entry is stamped with the
-// generation (successful evaluation of the rule) that last produced it; an
-// entry the current generation did not stamp is a series the rule stopped
-// producing: it gets a staleness marker and is evicted, which bounds the
-// cache by the rule's live output.
-type outputCache struct {
-	byIn map[uint64]*outEntry // chained on hash collisions
-	n    int
-	gen  uint64
-}
-
-type outEntry struct {
-	in, out labels.Labels
-	outHash uint64
-	gen     uint64
-	next    *outEntry
-}
-
-// get returns the entry of result label set in, creating it on first sight:
-// the only place a recorded label set is built.
-func (c *outputCache) get(hash func(labels.Labels) uint64, r *Rule, in labels.Labels) *outEntry {
-	h := hash(in)
-	for e := c.byIn[h]; e != nil; e = e.next {
-		if e.in.Equal(in) {
-			return e
+// stage appends the rule's result vector to the view under its recorded
+// label sets, then the staleness markers of what the rule's last successful
+// evaluation produced and this one did not. In steady state it allocates
+// nothing.
+func (rp *rulePlan) stage(vec promql.Vector, v *view) (stale int) {
+	c := &rp.out
+	for _, s := range vec {
+		v.key = s.Labels.Bytes(v.key[:0])
+		e := c.Get(v.key)
+		if e == nil {
+			e = c.Put(string(v.key), rp.rule.recorded(s.Labels))
 		}
+		c.Stamp(e)
+		v.lsets = append(v.lsets, e.Labels)
+		v.samples = append(v.samples, model.Sample{T: s.T, V: s.V})
 	}
+	c.Sweep(func(ls labels.Labels) {
+		v.lsets = append(v.lsets, ls)
+		v.samples = append(v.samples, model.Sample{T: v.ts, V: model.StaleNaN()})
+		stale++
+	})
+	return stale
+}
+
+// recorded returns the label set the rule records result set in under: in,
+// with the record name and the rule's labels laid over it.
+func (r *Rule) recorded(in labels.Labels) labels.Labels {
 	b := labels.NewBuilder(in)
 	b.Set(labels.MetricName, r.Record)
 	for k, v := range r.Labels {
 		b.Set(k, v)
 	}
-	out := b.Labels()
-	if c.byIn == nil {
-		c.byIn = map[uint64]*outEntry{}
-	}
-	e := &outEntry{in: in, out: out, outHash: hash(out), next: c.byIn[h]}
-	c.byIn[h] = e
-	c.n++
-	return e
-}
-
-// stage appends the rule's result vector to the view under its recorded
-// label sets, then the staleness markers of what the previous generation
-// produced and this one did not. In steady state it allocates nothing.
-func (rp *rulePlan) stage(hash func(labels.Labels) uint64, vec promql.Vector, v *view) (stale int) {
-	c := &rp.out
-	c.gen++
-	live := 0
-	for _, s := range vec {
-		e := c.get(hash, &rp.rule, s.Labels)
-		if e.gen != c.gen {
-			e.gen = c.gen
-			live++
-		}
-		v.lsets = append(v.lsets, e.out)
-		v.samples = append(v.samples, model.Sample{T: s.T, V: s.V})
-	}
-	if live == c.n {
-		return 0 // every cached series was produced again
-	}
-	return c.sweep(v)
-}
-
-// sweep evicts every entry the current generation did not stamp and stages
-// a staleness marker for its recorded label set — unless a surviving entry
-// records under the same label set (two result label sets can collapse to
-// one once the record name and rule labels are laid over them).
-func (c *outputCache) sweep(v *view) (stale int) {
-	var dead []*outEntry
-	for h, e := range c.byIn {
-		var keep *outEntry
-		for e != nil {
-			next := e.next
-			if e.gen == c.gen {
-				e.next, keep = keep, e
-			} else {
-				dead = append(dead, e)
-				c.n--
-			}
-			e = next
-		}
-		if keep == nil {
-			delete(c.byIn, h)
-		} else {
-			c.byIn[h] = keep
-		}
-	}
-	slices.SortFunc(dead, func(a, b *outEntry) int { return cmp.Compare(a.outHash, b.outHash) })
-	for _, e := range c.byIn {
-		for ; e != nil; e = e.next {
-			i, _ := slices.BinarySearchFunc(dead, e.outHash, func(d *outEntry, h uint64) int { return cmp.Compare(d.outHash, h) })
-			for ; i < len(dead) && dead[i].outHash == e.outHash; i++ {
-				if dead[i].out.Equal(e.out) {
-					dead[i].gen = c.gen
-				}
-			}
-		}
-	}
-	for _, d := range dead {
-		if d.gen != c.gen {
-			v.lsets = append(v.lsets, d.out)
-			v.samples = append(v.samples, model.Sample{T: v.ts, V: model.StaleNaN()})
-			stale++
-		}
-	}
-	return stale
+	return b.Labels()
 }
 
 // eval runs one evaluation of the group: every rule in order against the
@@ -268,7 +194,7 @@ func (p *groupPlan) eval(e *Engine, q promql.Queryable, dst Appender, ts time.Ti
 			}
 			continue
 		}
-		stale += rp.stage(e.hash, vec, v)
+		stale += rp.stage(vec, v)
 		v.staged[i] = stagedRange{lo: lo, n: len(vec), hi: len(v.samples), ok: true}
 		written += len(vec)
 	}

@@ -32,7 +32,8 @@ type rulePlan struct {
 	rule     Rule // the plan's own copy, compared against the group's
 	expr     promql.Expr
 	parseErr error
-	out      outputCache
+	// out maps a result label set's Bytes to the set it is recorded under.
+	out labels.SeriesCache
 }
 
 // selPlan says how one selector is read during an evaluation.

@@ -73,10 +73,7 @@ func (g *Group) Validate() error {
 
 // Engine evaluates rule groups.
 type Engine struct {
-	promql *promql.Engine
-	// hash buckets each rule's output cache (labels.Labels.Hash unless a
-	// test swaps it); Labels.Equal decides identity.
-	hash    func(labels.Labels) uint64
+	promql  *promql.Engine
 	metrics *ruleMetrics
 
 	mu     sync.Mutex
@@ -110,7 +107,7 @@ func NewEngine(pe *promql.Engine) *Engine {
 	if pe == nil {
 		pe = promql.NewEngine()
 	}
-	return &Engine{promql: pe, hash: labels.Labels.Hash, groups: map[string]*groupState{}}
+	return &Engine{promql: pe, groups: map[string]*groupState{}}
 }
 
 // EvalGroup evaluates all rules of the group at ts, reading from q and

@@ -253,11 +253,10 @@ func (s *stubStore) Append(l labels.Labels, t int64, v float64) error {
 
 // Rule-output staleness was tracked under ls.Hash() alone, so two outputs of
 // one rule whose hashes collide shared a slot and one never got its marker.
-// The hash now only buckets; force every hash equal and each output must
-// still be told apart.
+// Each vanished output gets its own marker; the forced-equal-hash half of
+// this check is the shared cache's own test (labels.TestSeriesCacheMatchesOracle).
 func TestRuleStalenessSurvivesHashCollision(t *testing.T) {
 	eng := NewEngine(nil)
-	eng.hash = func(labels.Labels) uint64 { return 42 }
 	g := &Group{Name: "g", Rules: []Rule{{Record: "r", Expr: `m`}}}
 	st := &stubStore{}
 	eval := func(at int64, live ...string) []string {
@@ -270,7 +269,7 @@ func TestRuleStalenessSurvivesHashCollision(t *testing.T) {
 		return st.got
 	}
 	eval(15000, "a", "b", "c")
-	// One of three colliding outputs vanishes: it, and only it, is marked.
+	// One of three outputs vanishes: it, and only it, is marked.
 	if got, want := eval(30000, "a", "c"), []string{"a 1", "b stale", "c 1"}; !slices.Equal(got, want) {
 		t.Errorf("one vanished: got %v, want %v", got, want)
 	}
@@ -374,7 +373,7 @@ func TestSteadyStateAllocsIndependentOfOutputs(t *testing.T) {
 		v := &p.view
 		stage := func() {
 			v.reset(nil, 1000)
-			if stale := p.rules[0].stage(labels.Labels.Hash, vec, v); stale != 0 || len(v.samples) != n {
+			if stale := p.rules[0].stage(vec, v); stale != 0 || len(v.samples) != n {
 				t.Fatalf("staged %d samples, %d markers; want %d, 0", len(v.samples), stale, n)
 			}
 		}

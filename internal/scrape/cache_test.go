@@ -130,30 +130,22 @@ const (
 
 // Staleness used to be tracked under ls.Hash() alone, so two series of one
 // target whose hashes collide shared a slot and one never got a marker.
-// The cache is keyed on the exposed bytes; the hash only pre-filters the
-// re-exposure check. Force every cached hash equal and both must still be
-// told apart.
+// Each vanished series gets its own marker; the forced-equal-hash half of
+// this check is the shared cache's own test (labels.TestSeriesCacheMatchesOracle).
 func TestStalenessSurvivesHashCollision(t *testing.T) {
 	r := newStubRig()
-	collide := func() {
-		for _, s := range r.target().series {
-			s.hash = 42
-		}
-	}
 	r.scrape("m{k=\"a\"} 1\nm{k=\"b\"} 2\nm{k=\"c\"} 3\n")
-	collide()
-	// One of three colliding series vanishes: it, and only it, is marked.
+	// One of three series vanishes: it, and only it, is marked.
 	got := r.scrape("m{k=\"a\"} 1\nm{k=\"c\"} 3\n")
 	wantLines(t, "one vanished", got,
 		`m{instance="n1", job="j", k="a"} 1`, `m{instance="n1", job="j", k="c"} 3`,
 		`m{instance="n1", job="j", k="b"} stale`, upOK, durRow)
-	collide()
 	// Both remaining vanish at once: two markers, not one.
 	got = r.scrape("other 1\n")
 	wantLines(t, "both vanished", got,
 		`other{instance="n1", job="j"} 1`,
 		`m{instance="n1", job="j", k="a"} stale`, `m{instance="n1", job="j", k="c"} stale`, upOK, durRow)
-	if n := len(r.target().series); n != 1 {
+	if n := r.target().cache.Len(); n != 1 {
 		t.Errorf("cache holds %d series, want 1 (evict on stale)", n)
 	}
 }
@@ -169,7 +161,7 @@ func TestSeriesReExposedWithReorderedLabels(t *testing.T) {
 	// Two spellings at once, then one of them dropped: still no marker.
 	wantLines(t, "both", r.scrape("m{a=\"1\",b=\"2\"} 4\nm{b=\"2\",a=\"1\"} 4\n"), row(4), row(4), upOK, durRow)
 	wantLines(t, "one dropped", r.scrape(`m{b="2",a="1"} 5`+"\n"), row(5), upOK, durRow)
-	if n := len(r.target().series); n != 1 {
+	if n := r.target().cache.Len(); n != 1 {
 		t.Errorf("cache holds %d spellings, want 1", n)
 	}
 	// Really gone: one marker.
@@ -218,7 +210,7 @@ func TestFailedScrapeKeepsCacheAndEmitsNoMarkers(t *testing.T) {
 	if h := r.m.Health()["j/n1"]; h.Up || !strings.Contains(h.LastError, "line 3") || h.Samples != 0 {
 		t.Errorf("health after parse error = %+v", h)
 	}
-	if n := len(r.target().series); n != 3 {
+	if n := r.target().cache.Len(); n != 3 {
 		t.Errorf("cache holds %d series after the failures, want 3 (2 kept + 1 resolved before the error)", n)
 	}
 
@@ -226,7 +218,7 @@ func TestFailedScrapeKeepsCacheAndEmitsNoMarkers(t *testing.T) {
 	// never-appended "new" is evicted without a marker.
 	wantLines(t, "recovery", r.scrape("m{k=\"a\"} 3\n"),
 		`m{instance="n1", job="j", k="a"} 3`, `m{instance="n1", job="j", k="b"} stale`, upOK, durRow)
-	if n := len(r.target().series); n != 1 {
+	if n := r.target().cache.Len(); n != 1 {
 		t.Errorf("cache holds %d series, want 1", n)
 	}
 }
@@ -457,7 +449,7 @@ func TestScrapeCacheHeadIdentical(t *testing.T) {
 			}
 			// Eviction bounds each cache by what its target exposes.
 			for key, st := range m.targets {
-				if n := len(st.series); n > 16 {
+				if n := st.cache.Len(); n > 16 {
 					t.Errorf("target %v caches %d series; a payload never has more than 16", key, n)
 				}
 			}

@@ -11,13 +11,11 @@ package scrape
 
 import (
 	"bytes"
-	"cmp"
 	"context"
 	"fmt"
 	"io"
 	"maps"
 	"net/http"
-	"slices"
 	"sync"
 	"time"
 
@@ -153,24 +151,13 @@ type target struct {
 	// synthetic metric names.
 	base, up, duration labels.Labels
 
-	// series caches, under the bytes a series was exposed as, the label
-	// set it is stored under. gen counts the scrapes that parsed; an entry
-	// whose gen is behind was not exposed by the latest one.
-	series map[string]*cachedSeries
-	gen    uint64
-}
-
-// cachedSeries is one exposed series resolved to its storage identity. lset
-// (exposed labels with the target's laid over them) is immutable and handed
-// to Batch.Add as is, scrape after scrape.
-type cachedSeries struct {
-	lset labels.Labels
-	hash uint64 // lset.Hash()
-	gen  uint64 // the last scrape generation that appended it
+	// cache maps the bytes a series was exposed as to the label set it is
+	// stored under: exposed labels with the target's laid over them.
+	cache labels.SeriesCache
 }
 
 type sample struct {
-	series *cachedSeries
+	series *labels.CacheEntry
 	t      int64
 	v      float64
 }
@@ -182,7 +169,6 @@ type scratch struct {
 	body    bytes.Buffer // the fetched payload
 	tok     expofmt.Tokenizer
 	samples []sample
-	dead    []*cachedSeries
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
@@ -360,8 +346,8 @@ func (m *Manager) ScrapeTarget(ctx context.Context, g *TargetGroup, target strin
 			m.OnError(target, err)
 		}
 	}
-	for _, s := range retired {
-		sink.Add(s.lset, ts, model.StaleNaN())
+	for _, ls := range retired {
+		sink.Add(ls, ts, model.StaleNaN())
 	}
 	sink.Add(st.up, ts, upVal)
 	sink.Add(st.duration, ts, dur.Seconds())
@@ -405,9 +391,7 @@ func (m *Manager) target(g *TargetGroup, addr string) *target {
 			m.targets = map[targetKey]*target{}
 			m.health = map[string]TargetHealth{}
 		}
-		// gen starts at 1 so that a series cached by a scrape that then
-		// failed to parse (gen 0) never reads as "appended last time".
-		st = &target{healthKey: g.JobName + "/" + addr, gen: 1}
+		st = &target{healthKey: g.JobName + "/" + addr}
 		m.targets[key] = st
 	}
 	return st
@@ -415,17 +399,14 @@ func (m *Manager) target(g *TargetGroup, addr string) *target {
 
 // rebase builds the target's label sets on first use, and again if the
 // group's labels were changed since: every cached series then carries
-// labels the target no longer has, so the cache is dropped and the series
-// its last scrape exposed are returned to be marked stale.
-func (st *target) rebase(g *TargetGroup, addr string) (retired []*cachedSeries) {
+// labels the target no longer has, so the cache is swept as by a round that
+// produced nothing, and the series its last scrape exposed are returned to
+// be marked stale.
+func (st *target) rebase(g *TargetGroup, addr string) (retired []labels.Labels) {
 	if st.base != nil && maps.Equal(g.Labels, st.groupLabels) {
 		return nil
 	}
-	for _, s := range st.series {
-		if s.gen == st.gen {
-			retired = append(retired, s)
-		}
-	}
+	st.cache.Sweep(func(ls labels.Labels) { retired = append(retired, ls) })
 	b := labels.NewBuilder(nil)
 	b.Set("job", g.JobName)
 	b.Set("instance", addr)
@@ -436,33 +417,30 @@ func (st *target) rebase(g *TargetGroup, addr string) (retired []*cachedSeries) 
 	st.base = b.Labels()
 	st.up = labels.NewBuilder(st.base).Set(labels.MetricName, "up").Labels()
 	st.duration = labels.NewBuilder(st.base).Set(labels.MetricName, "scrape_duration_seconds").Labels()
-	st.series = map[string]*cachedSeries{}
 	return retired
 }
 
-// resolve returns the cached series for the tokenizer's current sample. A
-// hit is one map lookup. A miss parses the labels, lays the target's over
-// them (they win: honor_labels=false) and caches the result under a copy of
-// the exposed bytes — which the label strings share, and the head shares in
+// resolve returns the cache entry for the tokenizer's current sample. A hit
+// is one map lookup. A miss parses the labels, lays the target's over them
+// (they win: honor_labels=false) and caches the result under a copy of the
+// exposed bytes — which the label strings share, and the head shares in
 // turn when it creates the series from them.
-func (st *target) resolve(tok *expofmt.Tokenizer) *cachedSeries {
-	if s := st.series[string(tok.Series)]; s != nil {
-		return s
+func (st *target) resolve(tok *expofmt.Tokenizer) *labels.CacheEntry {
+	if e := st.cache.Get(tok.Series); e != nil {
+		return e
 	}
 	key, exposed := tok.Labels()
 	b := labels.NewBuilder(exposed)
 	for _, l := range st.base {
 		b.Set(l.Name, l.Value)
 	}
-	s := &cachedSeries{lset: b.Labels()}
-	s.hash = s.lset.Hash()
-	st.series[key] = s
-	return s
+	return st.cache.Put(key, b.Labels())
 }
 
 // scrapeOnce fetches, tokenizes and appends one payload. It is all or
-// nothing: a fetch or parse error appends no sample, marks nothing stale
-// and leaves the previous generation in place.
+// nothing: a fetch or parse error appends no sample, stamps nothing and
+// sweeps nothing, so the next good scrape marks what vanished since the
+// last good one.
 func (m *Manager) scrapeOnce(ctx context.Context, sink Batch, st *target, addr string, ts int64) (int, error) {
 	rc, err := m.Fetcher.Fetch(ctx, addr)
 	if err != nil {
@@ -491,14 +469,9 @@ func (m *Manager) scrapeOnce(ctx context.Context, sink Batch, st *target, addr s
 	if err := sc.tok.Err(); err != nil {
 		return 0, err
 	}
-	st.gen++
-	live := 0
 	for _, sm := range sc.samples {
-		sink.Add(sm.series.lset, sm.t, sm.v)
-		if sm.series.gen != st.gen {
-			sm.series.gen = st.gen
-			live++
-		}
+		sink.Add(sm.series.Labels, sm.t, sm.v)
+		st.cache.Stamp(sm.series)
 	}
 	// Commit the metric samples on their own so n is exactly what landed
 	// (Commit skips out-of-order duplicates, which can occur when a scrape
@@ -510,53 +483,14 @@ func (m *Manager) scrapeOnce(ctx context.Context, sink Batch, st *target, addr s
 	// health — so it propagates like a fetch failure after the staleness
 	// bookkeeping below.
 	n, commitErr := m.commit(sink)
-	// Every cached series was appended again: nothing vanished, nothing to
-	// walk. Otherwise mark and evict.
-	if live != len(st.series) {
-		sc.dead = st.markStale(sink, ts, sc.dead[:0])
-	}
+	// A series the previous scrape appended and this one did not gets a
+	// staleness marker, so queries stop seeing it at once (as Prometheus
+	// does).
+	st.cache.Sweep(func(ls labels.Labels) { sink.Add(ls, ts, model.StaleNaN()) })
 	if commitErr != nil {
 		return n, fmt.Errorf("commit: %w", commitErr)
 	}
 	return n, nil
-}
-
-// markStale evicts every cached series the scrape that just ran did not
-// append, and gives those the previous scrape did append a staleness marker
-// so queries stop seeing them immediately (as Prometheus does). Eviction is
-// what bounds the cache by what the target exposes.
-func (st *target) markStale(sink Batch, ts int64, dead []*cachedSeries) []*cachedSeries {
-	for key, s := range st.series {
-		if s.gen == st.gen {
-			continue
-		}
-		if s.gen == st.gen-1 {
-			dead = append(dead, s)
-		}
-		delete(st.series, key)
-	}
-	if len(dead) == 0 {
-		return dead
-	}
-	// Vanished bytes are not a vanished series: the same label set may
-	// still be exposed under another spelling (label order, white space).
-	// Match the survivors against the dead by hash, then by labels.
-	slices.SortFunc(dead, func(a, b *cachedSeries) int { return cmp.Compare(a.hash, b.hash) })
-	for _, s := range st.series {
-		i, _ := slices.BinarySearchFunc(dead, s.hash, func(d *cachedSeries, h uint64) int { return cmp.Compare(d.hash, h) })
-		for ; i < len(dead) && dead[i].hash == s.hash; i++ {
-			if dead[i].lset.Equal(s.lset) {
-				dead[i].gen = st.gen
-			}
-		}
-	}
-	for _, d := range dead {
-		if d.gen != st.gen {
-			sink.Add(d.lset, ts, model.StaleNaN())
-		}
-	}
-	clear(dead)
-	return dead
 }
 
 // Health returns a copy of the per-target health map keyed by

@@ -22,17 +22,28 @@ type postingRef interface{ ~uint32 | ~uint64 }
 // rest — negations, and {name=""} or regexps matching "", which also match
 // series lacking the label — are filters. ok is false when some list is empty,
 // that is when nothing can match.
+//
+// Equalities on labels other than __name__ are looked up first, wherever
+// they stand in ms: they are the selective ones (a job's uuid), so a shard
+// holding none of a job's series answers after one lookup instead of after
+// finding the name's list for nothing.
 func postingsFor[T postingRef](lists [][]T, ms []*labels.Matcher, lookup func(*labels.Matcher) []T) (_ [][]T, filters []*labels.Matcher, ok bool) {
-	for _, m := range ms {
-		if !(m.Type == labels.MatchEqual && m.Value != "" || m.Type == labels.MatchRegexp && !m.Matches("")) {
-			filters = append(filters, m)
-			continue
+	for pass := 0; pass < 2; pass++ {
+		for _, m := range ms {
+			eq := m.Type == labels.MatchEqual && m.Value != ""
+			if early := eq && m.Name != labels.MetricName; early != (pass == 0) {
+				continue
+			}
+			if !eq && !(m.Type == labels.MatchRegexp && !m.Matches("")) {
+				filters = append(filters, m)
+				continue
+			}
+			list := lookup(m)
+			if len(list) == 0 {
+				return nil, nil, false
+			}
+			lists = append(lists, list)
 		}
-		list := lookup(m)
-		if len(list) == 0 {
-			return nil, nil, false
-		}
-		lists = append(lists, list)
 	}
 	return lists, filters, true
 }

@@ -157,6 +157,10 @@ func decodeTombstonePayload(payload []byte) (uint64, []*labels.Matcher, error) {
 	if err != nil {
 		return 0, nil, err
 	}
+	if count > uint64(len(payload))/3 {
+		// A matcher is a type byte and two length prefixes at least.
+		return 0, nil, fmt.Errorf("tombstone matcher count %d exceeds payload", count)
+	}
 	ms := make([]*labels.Matcher, 0, count)
 	for i := uint64(0); i < count; i++ {
 		if len(payload) < 1 {

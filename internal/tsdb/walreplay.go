@@ -528,6 +528,7 @@ func (db *DB) replayWALFile(path string, dr *dirReplay, acc []shardAcc) (torn bo
 				db.applySamples(scratch, dr, acc)
 			}
 		case walRecSamplesV2:
+			dec.maxRef = dr.maxRef
 			if scratch, err = dec.decodeSamples(scratch[:0], payload); err == nil {
 				db.applySamples(scratch, dr, acc)
 			}
@@ -575,6 +576,10 @@ func (db *DB) applySeriesPayload(payload []byte, dr *dirReplay) error {
 		}
 		if nLabels, payload, err = readUvarint(payload); err != nil {
 			return err
+		}
+		if nLabels > uint64(len(payload))/2 {
+			// A label is two length prefixes at least.
+			return fmt.Errorf("series label count %d exceeds payload", nLabels)
 		}
 		lset := make(labels.Labels, 0, nLabels)
 		for j := uint64(0); j < nLabels; j++ {

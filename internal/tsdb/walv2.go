@@ -193,12 +193,15 @@ func unzigzag(u uint64) int64 {
 //
 // Refs are assigned sequentially per shard, so the decode state lives in a
 // ref-indexed slice — one bounds check per sample on the replay hot path
-// instead of a map probe. Refs beyond the dense window (possible only in a
-// pathological or corrupt stream) fall back to a map rather than letting a
-// decoded integer size an allocation.
+// instead of a map probe. Only a ref no higher than maxRef, the highest one
+// registered so far, may size that slice: the writer registers a series
+// before journalling its samples, so a ref beyond maxRef is possible only in
+// a damaged or hostile stream, and it falls back to a map rather than
+// letting a decoded integer size an allocation.
 type walV2Dec struct {
 	dense  []walSeriesV2State
 	sparse map[uint64]*walSeriesV2State
+	maxRef uint64
 }
 
 // walV2DenseRefs caps the ref-indexed fast path (~40 MB of state at the
@@ -211,9 +214,15 @@ func newWalV2Dec() *walV2Dec {
 
 // state returns the series state for ref. The zero value is a valid fresh
 // state: the encoder always writes a full XOR window before reusing one, so
-// the decoder needs no 0xff sentinel.
+// the decoder needs no 0xff sentinel. A ref keeps the home it got at first
+// sight, so the map is searched first once it holds anything.
 func (d *walV2Dec) state(ref uint64) *walSeriesV2State {
-	if ref < walV2DenseRefs {
+	if d.sparse != nil {
+		if s := d.sparse[ref]; s != nil {
+			return s
+		}
+	}
+	if ref <= d.maxRef && ref < walV2DenseRefs {
 		if need := int(ref) + 1; need > len(d.dense) {
 			if need <= cap(d.dense) {
 				d.dense = d.dense[:need]
@@ -228,11 +237,8 @@ func (d *walV2Dec) state(ref uint64) *walSeriesV2State {
 	if d.sparse == nil {
 		d.sparse = make(map[uint64]*walSeriesV2State)
 	}
-	s := d.sparse[ref]
-	if s == nil {
-		s = &walSeriesV2State{}
-		d.sparse[ref] = s
-	}
+	s := &walSeriesV2State{}
+	d.sparse[ref] = s
 	return s
 }
 
