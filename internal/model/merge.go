@@ -127,17 +127,17 @@ func MergeSamples(runs [][]Sample) []Sample {
 		if r[0].T > out[len(out)-1].T {
 			out = append(out, r...)
 		} else {
-			out = mergeInto(out, r)
+			out = MergeInto(out, r)
 		}
 	}
 	return out
 }
 
-// mergeInto merges r into out, which has room for both, keeping out's
-// sample on an equal timestamp. It fills the spare capacity from the back,
-// so nothing is overwritten before it is read, then closes the gap the
-// dropped duplicates left.
-func mergeInto(out, r []Sample) []Sample {
+// MergeInto merges r into out in place, keeping out's sample on an equal
+// timestamp; out has spare capacity for r, which does not lie in it. It fills
+// the spare capacity from the back, so nothing is overwritten before it is
+// read, then closes the gap the dropped duplicates left.
+func MergeInto(out, r []Sample) []Sample {
 	full := out[:len(out)+len(r)]
 	i, j, w := len(out)-1, len(r)-1, len(full)
 	for i >= 0 && j >= 0 {

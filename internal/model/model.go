@@ -77,11 +77,6 @@ type SelectHints struct {
 	// selectors). Storage must not serve data sparser than the window, or
 	// steps would see empty windows between points.
 	Range int64
-	// RawAfter, when non-zero, forbids serving downsampled data at or after
-	// this timestamp. The hot/cold fan-in querier sets it to the hot head's
-	// minimum time so the overlap region is never double-represented (raw
-	// from the head plus aggregate points from the store).
-	RawAfter int64
 }
 
 // ErrSampleLimit is returned by hint-aware Selects when a query's sample

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -463,7 +464,7 @@ func TestHotColdSeamMatchesOracleRandom(t *testing.T) {
 	for i := 0; i < *equivExprs; i++ {
 		if i%100 == 0 {
 			whole = equivStorage(t, rng)
-			seams = hotColdSeams(t, rng, whole)
+			seams = hotColdSeams(t, rng, whole, 0)
 		}
 		q := gen.query()
 		for _, seam := range seams {
@@ -498,10 +499,11 @@ func headOf(t *testing.T, all []model.Series, shards, perChunk int) *tsdb.DB {
 }
 
 // hotColdSeams cuts [0, cut] of whole, at a random cut, into a block store
-// twice: once with the head left whole (every cold sample is also hot) and
-// once with the head truncated to the cut (chunks straddling it still
-// overlap). It returns a thanos.Querier over either pair.
-func hotColdSeams(t *testing.T, rng *rand.Rand, whole *tsdb.DB) []*thanos.Querier {
+// twice — downsampled to the given resolution too, when it is not 0: once
+// with the head left whole (every cold sample is also hot) and once with the
+// head truncated to the cut (chunks straddling it still overlap). It returns
+// a thanos.Querier over either pair.
+func hotColdSeams(t *testing.T, rng *rand.Rand, whole *tsdb.DB, downsample time.Duration) []*thanos.Querier {
 	t.Helper()
 	all := allSeries(t, whole)
 	cut := rng.Int63n(equivSpanS * 1000)
@@ -516,6 +518,11 @@ func hotColdSeams(t *testing.T, rng *rand.Rand, whole *tsdb.DB) []*thanos.Querie
 		}
 		if _, err := cold.CutHead(hot, 0, cut); err != nil {
 			t.Fatal(err)
+		}
+		if downsample > 0 {
+			if _, err := cold.Downsample(1<<60, downsample); err != nil {
+				t.Fatal(err)
+			}
 		}
 		if truncate {
 			hot.Truncate(cut + 1)
@@ -546,6 +553,138 @@ func TestShardCountMatchesOracleRandom(t *testing.T) {
 			t.Fatalf("first divergence at expression %d", i)
 		}
 	}
+}
+
+// TestDownsampleEligibleMatchesOracleRandom: the planner's choice of
+// resolution against reads forced raw. [0, cut] of the dataset is cut at a
+// random cut into a block store downsampled to 1m, read alone and as the
+// cold side of the hot/cold seam at both truncations. Random min_over_time,
+// max_over_time and sum_over_time queries, bare or under an aggregation,
+// run as range queries on bucket-aligned grids — every step time a bucket's
+// last millisecond, every step 5m or more, every range whole minutes — so
+// that aggregates are eligible, once with the hints as sent and once with
+// Func stripped, the oracle. min and max agree to the bit; a sum within float
+// re-association: 1e-9 of the larger magnitude, or of 1. Plain NaN values are
+// dropped from the dataset, since a bucket's min or max keeps a NaN that
+// comes first and the evaluator's min_over_time and max_over_time pass over
+// it. Some eligible reads must have been served from aggregates.
+func TestDownsampleEligibleMatchesOracleRandom(t *testing.T) {
+	rng, gen := equivRun(t)
+	eng := NewEngine()
+	var (
+		stores           []Queryable
+		aggregated, read int // eligible reads, and those aggregates served
+	)
+	for i := 0; i < *equivExprs; i++ {
+		if i%100 == 0 {
+			seams := hotColdSeams(t, rng, withoutNaN(t, equivStorage(t, rng)), time.Minute)
+			stores = []Queryable{seams[0], seams[1], seams[1].Cold}
+		}
+		q := fmt.Sprintf("%s(%s[%dm])", gen.pick("min_over_time", "max_over_time", "sum_over_time"), gen.selector(), 1+rng.Intn(10))
+		if rng.Intn(2) == 0 {
+			q = gen.pick("sum", "min", "max") + " by (" + gen.labelList() + ") (" + q + ")"
+		}
+		expr, err := ParseExpr(q)
+		if err != nil {
+			t.Fatalf("%q: %v", q, err)
+		}
+		step := time.Duration(5+rng.Intn(11)) * time.Minute
+		start := model.MillisToTime(rng.Int63n(20)*60_000 + 59_999)
+		end := start.Add(time.Duration(rng.Intn(5)) * step)
+		rel := 0.0
+		if strings.Contains(q, "sum") {
+			rel = 1e-9
+		}
+		for k, db := range stores {
+			want, wantErr := eng.RangeExpr(funcStripped{db}, expr, start, end, step)
+			got, gotErr := eng.RangeExpr(aggrCounter{db, &aggregated, &read}, expr, start, end, step)
+			if wantErr != nil || gotErr != nil {
+				t.Fatalf("%s on store %d: errors %v, %v", q, k, gotErr, wantErr)
+			}
+			if !matrixClose(got, want, rel) {
+				t.Errorf("%s on store %d, [%v, %v] step %v:\n got  %v\n want %v", q, k, start, end, step, got, want)
+			}
+		}
+		if t.Failed() {
+			t.Fatalf("first divergence at expression %d", i)
+		}
+	}
+	t.Logf("%d of %d eligible reads served from aggregates", aggregated, read)
+	if aggregated == 0 {
+		t.Errorf("none of %d eligible reads was served from aggregates", read)
+	}
+}
+
+// withoutNaN holds db's series in a new head with their plain NaN values
+// dropped; staleness markers stay.
+func withoutNaN(t *testing.T, db *tsdb.DB) *tsdb.DB {
+	t.Helper()
+	all := allSeries(t, db)
+	for i := range all {
+		all[i].Samples = slices.DeleteFunc(slices.Clone(all[i].Samples), func(s model.Sample) bool {
+			return math.IsNaN(s.V) && !model.IsStaleNaN(s.V)
+		})
+	}
+	return headOf(t, all, 1, 120)
+}
+
+// funcStripped reads its store with the consuming function dropped from the
+// hints: every read is served raw.
+type funcStripped struct{ Queryable }
+
+func (s funcStripped) SelectWithHints(h model.SelectHints, ms ...*labels.Matcher) ([]model.Series, error) {
+	h.Func = ""
+	return s.Queryable.SelectWithHints(h, ms...)
+}
+
+// aggrCounter counts the reads of its store that aggregates may serve, and
+// those they did: where the same read forced raw returns another number of
+// samples.
+type aggrCounter struct {
+	Queryable
+	aggregated, eligible *int
+}
+
+func (c aggrCounter) SelectWithHints(h model.SelectHints, ms ...*labels.Matcher) ([]model.Series, error) {
+	out, err := c.Queryable.SelectWithHints(h, ms...)
+	raw, rawErr := funcStripped{c.Queryable}.SelectWithHints(h, ms...)
+	if err == nil && rawErr == nil && h.Func != "" {
+		*c.eligible++
+		if countSamples(out) != countSamples(raw) {
+			*c.aggregated++
+		}
+	}
+	return out, err
+}
+
+func countSamples(ss []model.Series) (n int) {
+	for _, s := range ss {
+		n += len(s.Samples)
+	}
+	return n
+}
+
+// matrixClose is matrixIdentical with values allowed to differ by rel of the
+// larger of their magnitudes and 1.
+func matrixClose(a, b Matrix, rel float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if !a[i].Labels.Equal(b[i].Labels) || len(a[i].Samples) != len(b[i].Samples) {
+			return false
+		}
+		for j, sa := range a[i].Samples {
+			sb := b[i].Samples[j]
+			if sa.T != sb.T {
+				return false
+			}
+			if same := math.Float64bits(sa.V) == math.Float64bits(sb.V); !same && !(math.Abs(sa.V-sb.V) <= rel*max(1, math.Abs(sa.V), math.Abs(sb.V))) {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // trimGeometries are equivGeometries plus steps wider than the dataset's
@@ -584,7 +723,7 @@ func TestHintTrimMatchesOracleRandom(t *testing.T) {
 		if i%100 == 0 {
 			whole := equivStorage(t, rng)
 			stores = []Queryable{whole, headOf(t, allSeries(t, whole), 16, 120)}
-			for _, seam := range hotColdSeams(t, rng, whole) {
+			for _, seam := range hotColdSeams(t, rng, whole, 0) {
 				stores = append(stores, seam)
 			}
 		}

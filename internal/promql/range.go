@@ -134,8 +134,8 @@ func (ev *evaluator) collect(e Expr, fn string) {
 // goes to storage as hints.SampleLimit, so a store that honours it aborts an
 // oversized query during the copy instead of after it. Every returned sample
 // is charged again here: a store that ignores the limit (the remote-read
-// client) or may overshoot it (the hot/cold querier, up to 2×) still cannot
-// carry an evaluation past the budget.
+// client) or charges it per part (the ring's scatter-gather, per replica)
+// still cannot carry an evaluation past the budget.
 //
 // On an exact step grid every read opts in to trimming (Lookback): storage
 // may then return only the samples the steps look at — per step the newest

@@ -248,197 +248,40 @@ func aggrForFunc(fn string) (tsdb.AggrType, bool) {
 	return tsdb.AggrRaw, false
 }
 
-// SelectWithHints implements promql.Queryable over all blocks, merging
-// samples of the same series across block boundaries (overlaps are
-// deduplicated by timestamp). Beyond the sample budget (identical to the hot
-// head's: charged per copied sample, aborting with model.ErrSampleLimit),
-// the hints drive resolution selection. Only when hints.Func admits an
-// aggregate substitute (see aggrForFunc) and hints.Step spans at least
-// DownsampleFactor points of a downsampled resolution does that resolution
-// become eligible, and the store serves the matching aggregate stream
-// instead of decoding raw chunks; a read with just a window is raw.
-// hints.RawAfter fences downsampled reads out of the hot-overlap region.
+// SelectWithHints implements promql.Queryable over all blocks.
 func (s *Store) SelectWithHints(hints model.SelectHints, ms ...*labels.Matcher) ([]model.Series, error) {
-	p := selParams{
-		mint:     hints.Start,
-		maxt:     hints.End,
-		limit:    hints.SampleLimit,
-		aggr:     tsdb.AggrRaw,
-		rawAfter: hints.RawAfter,
-		steps:    hints.StepFilter(),
-	}
+	return s.read(nil, hints, ms)
+}
+
+// read is one read of the blocks and, when head is not nil, of the head
+// (tsdb.Sources). A downsampled resolution is eligible only when hints.Func
+// admits an aggregate substitute (aggrForFunc) and hints.Step spans at least
+// DownsampleFactor of its points; a read with just a window is raw. The
+// blocks are retained under the store's read lock: Retain fails only for a
+// block a compaction retired, which it replaced before closing.
+func (s *Store) read(head *tsdb.DB, hints model.SelectHints, ms []*labels.Matcher) ([]model.Series, error) {
+	src, maxRes := tsdb.Sources{Head: head}, int64(0) // maxRes 0 serves raw alone
 	if a, ok := aggrForFunc(hints.Func); ok && hints.Step > 0 {
-		maxRes := hints.Step / DownsampleFactor
+		src.Aggr, maxRes = a, hints.Step/DownsampleFactor
 		// Never serve data sparser than the selector's window, or steps
 		// between points would see an empty window and drop the series.
-		if hints.Range > 0 && hints.Range < maxRes {
-			maxRes = hints.Range
-		}
-		if maxRes > 0 {
-			p.aggr, p.maxRes = a, maxRes
+		if hints.Range > 0 {
+			maxRes = min(maxRes, hints.Range)
 		}
 	}
-	return s.selectLimited(p, ms)
-}
-
-// blockOverlaps reports whether b may hold samples in [mint, maxt].
-func blockOverlaps(b *tsdb.PersistentBlock, mint, maxt int64) bool {
-	return b.MaxTime() >= mint && b.MinTime() <= maxt
-}
-
-// overlaps reports whether any block may hold samples in [mint, maxt]; a
-// read of a window none does returns nothing.
-func (s *Store) overlaps(mint, maxt int64) bool {
 	s.mu.RLock()
-	defer s.mu.RUnlock()
 	for _, b := range s.blocks {
-		if blockOverlaps(b, mint, maxt) {
-			return true
-		}
-	}
-	return false
-}
-
-// selParams is one resolved cold-read request.
-type selParams struct {
-	mint, maxt int64
-	limit      int64         // sample budget; <= 0 unlimited
-	maxRes     int64         // coarsest eligible resolution; 0 = raw only
-	aggr       tsdb.AggrType // stream to read from downsampled blocks
-	rawAfter   int64         // no downsampled data at/after this ts; 0 = off
-	// steps trims every block read to the samples the query's steps see;
-	// nil keeps all. Each block's series is trimmed as a stream of its own,
-	// so the merge below keeps a superset of what trimming the merged
-	// series would, which answers the same (model.StepFilter).
-	steps *model.StepFilter
-}
-
-// selectLimited runs the resolution-aware merge across blocks.
-//
-// Candidate blocks are grouped by resolution and the groups are visited
-// coarsest-first, raw last. Each group claims only the query sub-intervals
-// no coarser group has covered, so a timestamp is served by exactly one
-// resolution and raw + downsampled siblings of the same data never double
-// count. Within a group, overlapping blocks carry identical values for
-// shared timestamps (uploads overlap only on re-ship; compaction output
-// equals merged sources), so the per-timestamp first-wins dedup below is
-// sufficient.
-func (s *Store) selectLimited(p selParams, ms []*labels.Matcher) ([]model.Series, error) {
-	if p.maxt < p.mint {
-		return nil, nil
-	}
-	// Snapshot and pin the candidate blocks so a concurrent compaction
-	// can't unmap chunks mid-read; Retain fails only for blocks already
-	// retired, which a compaction replaces before closing.
-	s.mu.RLock()
-	var blocks []*tsdb.PersistentBlock
-	for _, b := range s.blocks {
-		if !blockOverlaps(b, p.mint, p.maxt) {
-			continue
-		}
-		if res := b.Meta().Resolution; res != 0 && res > p.maxRes {
-			continue
-		}
-		if b.Retain() {
-			blocks = append(blocks, b)
+		if b.MaxTime() >= hints.Start && b.MinTime() <= hints.End && b.Meta().Resolution <= maxRes && b.Retain() {
+			src.Blocks = append(src.Blocks, b)
 		}
 	}
 	s.mu.RUnlock()
 	defer func() {
-		for _, b := range blocks {
+		for _, b := range src.Blocks {
 			b.Release()
 		}
 	}()
-
-	groups := map[int64][]*tsdb.PersistentBlock{}
-	for _, b := range blocks {
-		res := b.Meta().Resolution
-		groups[res] = append(groups[res], b)
-	}
-	resOrder := make([]int64, 0, len(groups))
-	for res := range groups {
-		resOrder = append(resOrder, res)
-	}
-	// Coarsest (fewest samples) first; raw (0) naturally sorts last.
-	sort.Slice(resOrder, func(i, j int) bool { return resOrder[i] > resOrder[j] })
-
-	var (
-		covered []span
-		copied  int64
-		parts   [][]model.Series // one per block read, coarsest resolution first
-	)
-	for _, res := range resOrder {
-		gmax := p.maxt
-		aggr := p.aggr
-		if res == 0 {
-			aggr = tsdb.AggrRaw
-		} else if p.rawAfter != 0 && p.rawAfter <= gmax {
-			gmax = p.rawAfter - 1
-		}
-		if gmax < p.mint {
-			continue
-		}
-		// A downsampled point sits at its bucket's END and represents the
-		// whole bucket [end-res+1, end], so a block's coverage starts one
-		// bucket-width before its first point. Claimed spans are then
-		// clamped to whole buckets inside the window: a partial bucket at
-		// either edge would smuggle in samples from outside the window (or
-		// drop the window's edge samples), so those edges stay raw.
-		var gspans []span
-		for _, b := range groups[res] {
-			coverLo, coverHi := b.MinTime(), b.MaxTime()
-			if res != 0 {
-				coverLo -= res - 1
-			}
-			lo, hi := max(coverLo, p.mint), min(coverHi, gmax)
-			if res != 0 {
-				lo = floorDiv(lo+res-1, res) * res // round up to a bucket start
-				hi = floorDiv(hi+1, res)*res - 1   // round down to a bucket end
-			}
-			if lo <= hi {
-				gspans = addSpan(gspans, span{lo, hi})
-			}
-		}
-		for _, gs := range gspans {
-			for _, u := range subtractSpans(gs, covered) {
-				for _, b := range groups[res] {
-					coverLo := b.MinTime()
-					if res != 0 {
-						coverLo -= res - 1
-					}
-					if b.MaxTime() < u.lo || coverLo > u.hi {
-						continue
-					}
-					rem := int64(0)
-					if p.limit > 0 {
-						rem = p.limit - copied
-						if rem <= 0 {
-							// Exactly-at-budget so far: a later block may
-							// legitimately match nothing. Pass 1 so any
-							// further sample aborts mid-copy; the post-loop
-							// check catches the ==1 case.
-							rem = 1
-						}
-					}
-					bs, err := b.SelectAggr(u.lo, u.hi, rem, aggr, p.steps, ms...)
-					if err != nil {
-						return nil, err
-					}
-					for _, sr := range bs {
-						copied += int64(len(sr.Samples))
-					}
-					parts = append(parts, bs)
-				}
-			}
-		}
-		for _, gs := range gspans {
-			covered = addSpan(covered, gs)
-		}
-	}
-	if p.limit > 0 && copied > p.limit {
-		return nil, model.ErrSampleLimit
-	}
-	return model.MergeSeries(parts), nil
+	return src.Select(hints, ms...)
 }
 
 // LabelNames returns the sorted distinct label names across all blocks
@@ -465,7 +308,7 @@ func (s *Store) mergeBlockLists(list func(*tsdb.PersistentBlock) []string) []str
 	for i, b := range s.blocks {
 		parts[i] = list(b)
 	}
-	return mergeLabelLists(parts...)
+	return tsdb.MergeLabelLists(parts...)
 }
 
 func (s *Store) factor() int {

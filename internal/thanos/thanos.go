@@ -1,21 +1,19 @@
 // Package thanos implements the long-term-storage substrate of the stack
 // (the Thanos role in the paper's Fig. 1): a sidecar ships immutable
 // blocks from the hot TSDB into a persistent block store, background
-// maintenance compacts and downsamples them, and a fan-in querier merges
-// hot and cold data so long-range queries (the API server's aggregate
+// maintenance compacts and downsamples them, and a querier reads hot and
+// cold data as one so long-range queries (the API server's aggregate
 // pass) transparently span both.
 //
 // The store half lives in store.go: blocks are ULID-named directories in
 // the on-disk format of tsdb/blockdir.go, compaction folds same-resolution
 // blocks into higher levels (applying delete tombstones), and
-// downsampling adds 5m/1h-style aggregate siblings next to the raw blocks
-// — SelectWithHints picks the coarsest resolution a query's step and
-// function admit. See docs/ARCHITECTURE.md for the full storage
-// lifecycle.
+// downsampling adds 5m/1h-style aggregate siblings next to the raw blocks.
+// The resolution a read may serve is decided here; the read is tsdb's
+// (tsdb.Sources). See docs/ARCHITECTURE.md for the full storage lifecycle.
 package thanos
 
 import (
-	"strings"
 	"sync"
 	"time"
 
@@ -68,11 +66,10 @@ func (sc *Sidecar) Ship(now time.Time) error {
 	return nil
 }
 
-// Querier reads the hot TSDB and the cold store as one, merging results; it
-// satisfies promql.Queryable so the engine (and therefore the API server and
-// Grafana) can query long ranges transparently. A Select reads the cold side
-// — a resolution-aware iteration over blocks — then the hot side, which
-// splits its own work by series when large, both on the caller's goroutine.
+// Querier reads the hot TSDB and the cold store as one; it satisfies
+// promql.Queryable so the engine (and therefore the API server and Grafana)
+// can query long ranges transparently. A read of both is one plan, one fill
+// and one sample budget (tsdb.Sources).
 type Querier struct {
 	Hot  *tsdb.DB
 	Cold *Store
@@ -83,53 +80,16 @@ type Querier struct {
 // variable dropdowns work against the merged view. The list may be a
 // block's own slice and is read-only.
 func (q *Querier) LabelNames() []string {
-	return mergeLabelLists(q.Hot.LabelNames(), q.Cold.LabelNames())
+	return tsdb.MergeLabelLists(q.Hot.LabelNames(), q.Cold.LabelNames())
 }
 
 // LabelValues merges hot and cold values of a label name, sorted and
 // read-only as LabelNames'.
 func (q *Querier) LabelValues(name string) []string {
-	return mergeLabelLists(q.Hot.LabelValues(name), q.Cold.LabelValues(name))
+	return tsdb.MergeLabelLists(q.Hot.LabelValues(name), q.Cold.LabelValues(name))
 }
 
-// mergeLabelLists merges sorted lists of distinct names or values into one
-// through the stack's one merge, keeping the first of equal strings. The only
-// non-empty list is returned itself.
-func mergeLabelLists(parts ...[]string) []string {
-	return model.MergeSorted(parts, strings.Compare, func(run []string) string { return run[0] })
-}
-
-// SelectWithHints implements promql.Queryable over both backends. Each side
-// enforces the full budget independently, so the merged result may reach
-// 2× the limit in the worst case — a deliberate trade: a budget belongs to
-// one backend's pass, and neither knows the other's accounting; a side that
-// alone exceeds the limit still fails the query.
-//
-// The cold side's hints get RawAfter pinned to the hot head's minimum
-// time: inside the hot/cold overlap the store must serve raw samples (or
-// nothing), never downsampled points, so a timestamp is represented once
-// in the merge no matter how the tiers overlap.
-//
-// The reads run one after the other, cold first, and a cold error ends the
-// Select before the head is read: reading both at once could at best halve
-// the wall time, only when both tiers are large — where the head side uses
-// every core anyway — and cost a goroutine wake on every read reaching a block.
+// SelectWithHints implements promql.Queryable over both tiers.
 func (q *Querier) SelectWithHints(hints model.SelectHints, ms ...*labels.Matcher) ([]model.Series, error) {
-	if !q.Cold.overlaps(hints.Start, hints.End) {
-		// Nothing cold to read: the hot answer is the answer.
-		return q.Hot.SelectWithHints(hints, ms...)
-	}
-	coldHints := hints
-	if hmin, ok := q.Hot.MinTime(); ok && (coldHints.RawAfter == 0 || hmin < coldHints.RawAfter) {
-		coldHints.RawAfter = hmin
-	}
-	cold, err := q.Cold.SelectWithHints(coldHints, ms...)
-	if err != nil {
-		return nil, err
-	}
-	hot, err := q.Hot.SelectWithHints(hints, ms...)
-	if err != nil {
-		return nil, err
-	}
-	return model.MergeSeries([][]model.Series{cold, hot}), nil
+	return q.Cold.read(q.Hot, hints, ms)
 }

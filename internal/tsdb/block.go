@@ -195,7 +195,7 @@ func (s *memSeries) cut(mint, maxt int64, maxPerChunk int) ([]diskChunk, error) 
 	}
 	// Out-of-order samples present: the merged view is not chunk-aligned,
 	// re-encode it sample by sample.
-	for _, smp := range s.samplesBetweenLocked(mint, maxt, &sampleSlab{}, nil) {
+	for _, smp := range headReader(mint, maxt).samplesLocked(s) {
 		if err := sc.add(smp.T, smp.V); err != nil {
 			return nil, err
 		}

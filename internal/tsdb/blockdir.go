@@ -317,7 +317,7 @@ type labelPairs struct {
 
 // decodeIndex parses an index file, verifying magic, version, CRC and the
 // order the read path relies on: label names ascending within a series,
-// series ascending by labels.
+// series ascending by labels, a series' chunks of one aggregate together.
 //
 // Every distinct label name and value is stored once and shared by the
 // series carrying it (copies, not views of data). A label is recognised by
@@ -427,12 +427,17 @@ func decodeIndex(data []byte) ([]diskSeries, *labelPairs, error) {
 			chunkSlab = make([]diskChunk, max(nChunks, min(slabSize, len(r.b)/6, (nSeries-i)*nChunks)))
 		}
 		s.chunks, chunkSlab = chunkSlab[:nChunks:nChunks], chunkSlab[nChunks:]
+		var aggrs uint64 // the aggregates of the series' chunks so far
 		for j := range s.chunks {
 			c := &s.chunks[j]
 			if len(r.b) == 0 {
 				return nil, nil, fmt.Errorf("tsdb: index truncated in series %d", i)
 			}
 			c.aggr, r.b = AggrType(r.b[0]), r.b[1:]
+			if j > 0 && c.aggr != s.chunks[j-1].aggr && aggrs&(1<<c.aggr) != 0 {
+				return nil, nil, fmt.Errorf("tsdb: index series %d: its %s chunks are apart", i, c.aggr)
+			}
+			aggrs |= 1 << c.aggr
 			if c.minT, err = r.varint(); err != nil {
 				return nil, nil, err
 			}

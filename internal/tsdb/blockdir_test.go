@@ -635,6 +635,7 @@ func TestBlockSelectSizesSamplesOnce(t *testing.T) {
 	const day = int64(24 * 3600 * 1000)
 	db := blockSeedDB(t, 1, 3, int(30*day/60_000), 0, 60_000)
 	pb := cutMem(t, db)
+	read := blockSeries(pb, 0, 30*day, AggrRaw)
 	for i := range pb.series {
 		s := &pb.series[i]
 		if len(s.chunks) < 100 {
@@ -646,13 +647,17 @@ func TestBlockSelectSizesSamplesOnce(t *testing.T) {
 			out := dst[:0]
 			for _, c := range s.chunks {
 				var err error
-				if out, err = pb.appendChunkRange(out, c, 0, 30*day, nil); err != nil {
+				ch, err := pb.decodeChunk(&c)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if out, err = appendChunk(out, &ch, 0, 30*day, nil); err != nil {
 					t.Fatal(err)
 				}
 			}
 		})
 		total := testing.AllocsPerRun(5, func() {
-			samples, err := pb.seriesSamples(s, 0, 30*day, AggrRaw, nil)
+			samples, err := read(i)
 			if err != nil || len(samples) != int(30*day/60_000) {
 				t.Fatalf("got %d samples, err %v", len(samples), err)
 			}
@@ -663,7 +668,7 @@ func TestBlockSelectSizesSamplesOnce(t *testing.T) {
 			t.Errorf("series %d: %.0f allocations, of which %.0f decode chunks: the sample slice was allocated %.0f times, want once",
 				i, total, decode, total-decode)
 		}
-		if samples, _ := pb.seriesSamples(s, 0, 30*day, AggrRaw, nil); cap(samples) != len(samples) {
+		if samples, _ := read(i); cap(samples) != len(samples) {
 			t.Errorf("series %d: %d samples in a slice of capacity %d; the index knows the count", i, len(samples), cap(samples))
 		}
 	}

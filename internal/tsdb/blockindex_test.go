@@ -22,16 +22,17 @@ import (
 )
 
 // scanSelectAggr is the block select as it was before blocks had an index:
-// labels.MatchLabels over every series. Kept as the oracle.
+// labels.MatchLabels over every series, each read alone. Kept as the oracle.
 func scanSelectAggr(pb *PersistentBlock, mint, maxt, limit int64, aggr AggrType, ms ...*labels.Matcher) ([]model.Series, error) {
-	var out []model.Series
+	out := []model.Series{}
+	read := blockSeries(pb, mint, maxt, aggr)
 	var copied int64
 	for i := range pb.series {
 		s := &pb.series[i]
 		if !labels.MatchLabels(s.lset, ms...) {
 			continue
 		}
-		samples, err := pb.seriesSamples(s, mint, maxt, aggr, nil)
+		samples, err := read(i)
 		if err != nil {
 			return nil, err
 		}
@@ -45,6 +46,13 @@ func scanSelectAggr(pb *PersistentBlock, mint, maxt, limit int64, aggr AggrType,
 		out = append(out, model.Series{Labels: s.lset, Samples: samples})
 	}
 	return out, nil
+}
+
+// blockSeries returns a reader of pb's series, each alone, over [mint,
+// maxt] for the requested aggregate, as a read of one block part fills them.
+func blockSeries(pb *PersistentBlock, mint, maxt int64, aggr AggrType) func(pos int) ([]model.Sample, error) {
+	sf := &seriesFiller{r: &reader{maxt: maxt, parts: []blockPart{newBlockPart(pb, mint, maxt, aggr)}}}
+	return func(pos int) ([]model.Sample, error) { return sf.series([]piece{{pos: uint32(pos)}}) }
 }
 
 // TestBlockPostingsMatchScan: over random blocks — raw and downsampled,

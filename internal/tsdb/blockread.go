@@ -163,33 +163,25 @@ func (pb *PersistentBlock) Close() error {
 	return nil
 }
 
-// decodeChunk extracts and validates one chunk from the segment.
-func (pb *PersistentBlock) decodeChunk(c diskChunk) (*chunkenc.Chunk, error) {
+// decodeChunk extracts and validates one chunk from the segment. The chunk
+// comes back by value, aliasing the segment: a read allocates nothing per
+// chunk.
+func (pb *PersistentBlock) decodeChunk(c *diskChunk) (chunkenc.Chunk, error) {
 	end := c.off + c.length
 	if c.off < uint64(len(chunksMagic)+1) || end > uint64(len(pb.chunks)) || c.length < 5 {
-		return nil, fmt.Errorf("tsdb: block %s: chunk ref out of bounds (off=%d len=%d segment=%d)", pb.meta.ULID, c.off, c.length, len(pb.chunks))
+		return chunkenc.Chunk{}, fmt.Errorf("tsdb: block %s: chunk ref out of bounds (off=%d len=%d segment=%d)", pb.meta.ULID, c.off, c.length, len(pb.chunks))
 	}
 	rec := pb.chunks[c.off:end]
 	want := binary.LittleEndian.Uint32(rec[:4])
 	plen, n := binary.Uvarint(rec[4:])
 	if n <= 0 || uint64(4+n)+plen != c.length {
-		return nil, fmt.Errorf("tsdb: block %s: chunk length mismatch at off=%d", pb.meta.ULID, c.off)
+		return chunkenc.Chunk{}, fmt.Errorf("tsdb: block %s: chunk length mismatch at off=%d", pb.meta.ULID, c.off)
 	}
 	payload := rec[4+n:]
 	if got := crc32.Checksum(payload, walCRC); got != want {
-		return nil, fmt.Errorf("tsdb: block %s: chunk crc mismatch at off=%d (got %08x want %08x)", pb.meta.ULID, c.off, got, want)
+		return chunkenc.Chunk{}, fmt.Errorf("tsdb: block %s: chunk crc mismatch at off=%d (got %08x want %08x)", pb.meta.ULID, c.off, got, want)
 	}
 	return chunkenc.FromBytesNoCopy(payload)
-}
-
-// appendChunkRange decodes the samples of c in [mint, maxt] that f keeps
-// (all of them when f is nil) onto dst.
-func (pb *PersistentBlock) appendChunkRange(dst []model.Sample, c diskChunk, mint, maxt int64, f *model.StepFilter) ([]model.Sample, error) {
-	ch, err := pb.decodeChunk(c)
-	if err != nil {
-		return dst, err
-	}
-	return appendChunk(dst, ch, mint, maxt, f)
 }
 
 // sampleHint is how many samples to reserve for chunk c: its indexed count,
@@ -207,142 +199,14 @@ func (pb *PersistentBlock) sampleHint(c diskChunk) int {
 	return c.numSamples
 }
 
-// streamSamples decodes the samples in [mint, maxt] of one stored stream
-// of s that f keeps (all of them when f is nil). The output is sized once
-// from the index's sample counts, cut down to what f keeps: grown from nil,
-// a month-long read spends more in growslice than in decoding. A chunk f
-// keeps nothing of is neither counted nor decoded.
-func (pb *PersistentBlock) streamSamples(s *diskSeries, want AggrType, mint, maxt int64, f *model.StepFilter) ([]model.Sample, error) {
-	if maxt < mint {
-		return nil, nil // an inverted window holds nothing; sizing assumes one that is not
-	}
-	if f != nil {
-		pos := *f // this stream's own position in the steps
-		f = &pos
-	}
-	// skip reports whether f keeps nothing of s.chunks[i], the stream's
-	// chunk overlapping the window; the stream goes on at next.
-	skip := func(i int) bool {
-		if f == nil {
-			return false
-		}
-		next := int64(math.MaxInt64)
-		for _, n := range s.chunks[i+1:] {
-			if n.aggr == want {
-				if n.minT <= maxt {
-					next = n.minT
-				}
-				break
-			}
-		}
-		c := s.chunks[i]
-		return f.Skips(max(c.minT, mint), min(c.maxT, maxt), next)
-	}
-	hint := 0
-	for i, c := range s.chunks {
-		if c.aggr != want || c.maxT < mint || c.minT > maxt || skip(i) {
-			continue
-		}
-		if f == nil {
-			hint += pb.sampleHint(c)
-		} else {
-			hint += f.Bound(pb.sampleHint(c), max(c.minT, mint), min(c.maxT, maxt))
-		}
-	}
-	if hint == 0 {
-		return nil, nil
-	}
-	out := make([]model.Sample, 0, hint)
-	var err error
-	for i, c := range s.chunks {
-		if c.aggr != want || c.maxT < mint || c.minT > maxt || skip(i) {
-			continue
-		}
-		if out, err = pb.appendChunkRange(out, c, mint, maxt, f); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
-// seriesSamples decodes one series' samples in [mint, maxt] for the
-// requested aggregate, those f keeps (all of them when f is nil); a
-// downsampled point is kept or dropped by its timestamp, the end of its
-// bucket, as a raw sample is. Raw blocks serve raw samples whatever was asked
-// (raw is exact for every aggregate). On downsampled blocks AggrAvg — and
-// AggrRaw, for callers that don't know the block is downsampled — derives
-// sum/count; other aggregates decode their stored stream.
-func (pb *PersistentBlock) seriesSamples(s *diskSeries, mint, maxt int64, aggr AggrType, f *model.StepFilter) ([]model.Sample, error) {
-	if pb.meta.Resolution == 0 {
-		return pb.streamSamples(s, AggrRaw, mint, maxt, f)
-	}
-	switch aggr {
-	case AggrSum, AggrCount, AggrMin, AggrMax:
-		return pb.streamSamples(s, aggr, mint, maxt, f)
-	default: // AggrAvg and AggrRaw: derived average, the documented representative value
-		// The two streams carry the same timestamps, so f keeps the same of
-		// each.
-		sums, err := pb.streamSamples(s, AggrSum, mint, maxt, f)
-		if err != nil {
-			return nil, err
-		}
-		counts, err := pb.streamSamples(s, AggrCount, mint, maxt, f)
-		if err != nil {
-			return nil, err
-		}
-		if len(sums) != len(counts) {
-			return nil, fmt.Errorf("tsdb: block %s: sum/count streams disagree (%d vs %d points)", pb.meta.ULID, len(sums), len(counts))
-		}
-		out := sums[:0]
-		for i := range sums {
-			if sums[i].T != counts[i].T || counts[i].V == 0 {
-				return nil, fmt.Errorf("tsdb: block %s: sum/count streams misaligned at %d", pb.meta.ULID, sums[i].T)
-			}
-			out = append(out, model.Sample{T: sums[i].T, V: sums[i].V / counts[i].V})
-		}
-		return out, nil
-	}
-}
-
-// SelectAggr returns the block's series overlapping [mint, maxt] that
-// satisfy the matchers, in label order, decoded for the requested aggregate
-// (see seriesSamples for the raw/downsampled semantics) and trimmed by the
-// step filter f, when not nil: a series f keeps nothing of is left out. When
-// limit > 0 the decode aborts with model.ErrSampleLimit as soon as more than
-// limit samples have been copied.
-func (pb *PersistentBlock) SelectAggr(mint, maxt, limit int64, aggr AggrType, f *model.StepFilter, ms ...*labels.Matcher) ([]model.Series, error) {
-	var (
-		out    []model.Series
-		copied int64
-		err    error
-	)
-	pb.forMatching(ms, func(pos uint32) bool {
-		s := &pb.series[pos]
-		var samples []model.Sample
-		if samples, err = pb.seriesSamples(s, mint, maxt, aggr, f); err != nil || len(samples) == 0 {
-			return err == nil
-		}
-		copied += int64(len(samples))
-		if limit > 0 && copied > limit {
-			err = model.ErrSampleLimit
-			return false
-		}
-		out = append(out, model.Series{Labels: s.lset, Samples: samples})
-		return true
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // forMatching calls visit, in label order, with the position of every
 // series that satisfies ms, until visit returns false. Matchers resolve
 // against the block index by the head's rules (postingsFor): only the
 // series every list holds are visited, and only matchers no list narrows
 // walk the whole block.
 func (pb *PersistentBlock) forMatching(ms []*labels.Matcher, visit func(pos uint32) bool) {
-	lists, filters, ok := postingsFor(nil, ms, pb.index.postings)
+	var buf [4][]uint32
+	lists, filters, ok := postingsFor(buf[:0], ms, pb.index.postings)
 	if !ok {
 		return
 	}
@@ -368,18 +232,22 @@ func (pb *PersistentBlock) LabelNames() []string { return pb.index.names }
 // block. The slice is the block's own; callers must not modify it.
 func (pb *PersistentBlock) LabelValues(name string) []string { return pb.index.labelValues(name) }
 
-// appendStream decodes onto dst every sample of s's chunks storing aggr,
-// each chunk within its indexed bounds — one whole stream, the unit
-// compaction and downsampling read.
-func (pb *PersistentBlock) appendStream(dst []model.Sample, s *diskSeries, aggr AggrType) ([]model.Sample, error) {
-	var err error
-	for _, c := range s.chunks {
-		if c.aggr != aggr {
-			continue
-		}
-		if dst, err = pb.appendChunkRange(dst, c, c.minT, c.maxT, nil); err != nil {
-			return dst, err
-		}
+// stream is s's chunks storing aggr, which stand together (decodeIndex).
+func (pb *PersistentBlock) stream(s *diskSeries, aggr AggrType) stream {
+	lo := 0
+	for lo < len(s.chunks) && s.chunks[lo].aggr != aggr {
+		lo++
 	}
-	return dst, nil
+	hi := lo
+	for hi < len(s.chunks) && s.chunks[hi].aggr == aggr {
+		hi++
+	}
+	return stream{block: pb, disk: s.chunks[lo:hi]}
+}
+
+// appendStream decodes onto dst every sample of s's chunks storing aggr:
+// one whole stream, the unit compaction and downsampling read.
+func (pb *PersistentBlock) appendStream(dst []model.Sample, s *diskSeries, aggr AggrType) ([]model.Sample, error) {
+	dst, _, err := pb.stream(s, aggr).read(dst, math.MinInt64, math.MaxInt64, nil, false)
+	return dst, err
 }

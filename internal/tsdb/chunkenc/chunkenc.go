@@ -43,15 +43,12 @@ func FromBytes(data []byte) (*Chunk, error) {
 // FromBytesNoCopy is FromBytes without the defensive copy: the returned
 // chunk aliases data, so the caller must guarantee data stays immutable and
 // mapped for the chunk's lifetime. The block store uses it to iterate
-// chunks straight out of an mmap'd segment with zero per-chunk heap cost.
-func FromBytesNoCopy(data []byte) (*Chunk, error) {
+// chunks straight out of an mmap'd segment: by value, at no heap cost.
+func FromBytesNoCopy(data []byte) (Chunk, error) {
 	if len(data) < 2 {
-		return nil, errors.New("chunkenc: truncated chunk header")
+		return Chunk{}, errors.New("chunkenc: truncated chunk header")
 	}
-	c := &Chunk{leading: 0xff}
-	c.num = binary.BigEndian.Uint16(data[:2])
-	c.b.b = data[2:]
-	return c, nil
+	return Chunk{b: BitWriter{b: data[2:]}, num: binary.BigEndian.Uint16(data[:2]), leading: 0xff}, nil
 }
 
 // NumSamples returns the number of samples in the chunk.

@@ -49,12 +49,15 @@ func (pb *PersistentBlock) allAggrSeries() ([]aggrSeries, error) {
 		as := aggrSeries{lset: s.lset, streams: make(map[AggrType][]model.Sample, len(aggrs))}
 		for _, a := range aggrs {
 			var stream []model.Sample
-			var err error
 			for _, c := range s.chunks {
 				if c.aggr != a {
 					continue
 				}
-				if stream, err = pb.appendChunkRange(stream, c, c.minT, c.maxT, nil); err != nil {
+				ch, err := pb.decodeChunk(&c)
+				if err != nil {
+					return nil, err
+				}
+				if stream, err = appendChunk(stream, &ch, c.minT, c.maxT, nil); err != nil {
 					return nil, err
 				}
 			}

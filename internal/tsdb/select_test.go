@@ -20,7 +20,9 @@ import (
 // then answered by the 16-shard head with everything fanned out (grain 1),
 // with everything inline (grain ∞) and by the 1-shard head, and the three
 // answers must agree to the bit: labels, order, timestamps, value bits, and
-// whether the budget failed the read.
+// whether the budget failed the read. So must each head read together with a
+// block cut from it, whose series' pieces then straddle the fanned-out
+// ranges.
 func TestHeadSelectGrainEquivalence(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	seed := rand.Int63()
@@ -62,6 +64,15 @@ func TestHeadSelectGrainEquivalence(t *testing.T) {
 		}
 	}
 
+	var cuts [][]*PersistentBlock // a block of the first half of each head
+	for _, db := range dbs {
+		b, err := db.CutPersistentBlock("", 0, maxT/2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cuts = append(cuts, []*PersistentBlock{b})
+	}
+
 	trials := 400
 	if testing.Short() {
 		trials = 100
@@ -87,10 +98,15 @@ func TestHeadSelectGrainEquivalence(t *testing.T) {
 		} else if wantErr != nil {
 			t.Fatal(wantErr)
 		}
-		for _, db := range dbs[:2] {
+		for k, db := range dbs {
 			got, err := db.SelectWithHints(hints, ms...)
 			if !errors.Is(err, wantErr) || !seriesEqual(got, want) {
 				t.Fatalf("trial %d, grain %d: Select(%+v, %v) = %d series, err %v; one shard gives %d series, err %v",
+					trial, db.selectGrain, hints, ms, len(got), err, len(want), wantErr)
+			}
+			got, err = Sources{Head: db, Blocks: cuts[k]}.Select(hints, ms...)
+			if !errors.Is(err, wantErr) || !seriesEqual(got, want) {
+				t.Fatalf("trial %d, grain %d, with a block: Select(%+v, %v) = %d series, err %v; one shard alone gives %d series, err %v",
 					trial, db.selectGrain, hints, ms, len(got), err, len(want), wantErr)
 			}
 		}

@@ -1,22 +1,12 @@
-package thanos
+package tsdb
 
-// Interval arithmetic for resolution selection: each resolution group
-// claims the sub-intervals of the query window that no preferred (coarser)
-// group already covers, so raw and downsampled siblings never serve the
-// same timestamp twice.
+// Interval arithmetic for resolution selection (planParts): each resolution
+// claims the sub-intervals of the read's window that no preferred (coarser)
+// one already covers, so raw and downsampled siblings never serve the same
+// timestamp twice.
 
 // span is a closed timestamp interval [lo, hi], Unix ms.
 type span struct{ lo, hi int64 }
-
-// floorDiv is integer division rounding toward negative infinity, so
-// bucket alignment is correct for negative timestamps too.
-func floorDiv(a, b int64) int64 {
-	q := a / b
-	if (a%b != 0) && ((a < 0) != (b < 0)) {
-		q--
-	}
-	return q
-}
 
 // addSpan inserts sp into a sorted, disjoint span set, merging overlaps
 // and adjacency (hi+1 == lo) so the set stays minimal.

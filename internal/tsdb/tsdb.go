@@ -15,11 +15,12 @@
 // in one shard — and the per-shard sample counters and time bounds are
 // maintained with atomics, off the lock path entirely.
 //
-// Reads visit the shards on the caller's goroutine. Select plans first —
+// Reads visit the shards on the caller's goroutine. A read plans first —
 // every shard resolves the matchers through its postings into one flat list
 // of series — then copies and sorts the windows of that list, split over
-// cores by series only when it is long enough to pay for waking one
-// (querier.go), so output is byte-identical regardless of shard count.
+// cores by series only when it is long enough to pay for waking one, so
+// output is byte-identical regardless of shard count (read.go, the one
+// reader of the head and the blocks below).
 // DeleteSeries, retention pruning (Truncate), block cuts and checkpoints run
 // per shard on a bounded worker pool with no cross-shard locking.
 //
@@ -41,7 +42,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -475,152 +475,6 @@ func (s *memSeries) hasInOrderSampleLocked(t int64) bool {
 		return scan(s.head)
 	}
 	return false
-}
-
-// samplesBetween returns a copy of the series' samples in [mint, maxt] that
-// a step filter keeps (all of them when f is nil), in memory taken from slab
-// (a zero one: allocated for this call).
-func (s *memSeries) samplesBetween(mint, maxt int64, slab *sampleSlab, f *model.StepFilter) []model.Sample {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.samplesBetweenLocked(mint, maxt, slab, f)
-}
-
-// samplesBetweenLocked is samplesBetween with s.mu already held (the block
-// cut path holds it across chunk reuse decisions and the sample copy).
-func (s *memSeries) samplesBetweenLocked(mint, maxt int64, slab *sampleSlab, f *model.StepFilter) []model.Sample {
-	proto := f
-	if f != nil {
-		if f.One() && s.lastT >= mint && s.lastT <= maxt && s.holdsLastLocked() {
-			// The newest sample of the window is the series' newest.
-			return append(slab.take(1), model.Sample{T: s.lastT, V: s.lastV})
-		}
-		pos := *f // this series' own position in the steps
-		f = &pos
-	}
-	// Runs 0..runs-1 are s.chunks[first:end], the closed chunks overlapping
-	// the window (chunks are in time order), then the open head chunk if it
-	// overlaps. Their sample counts, cut down to what f keeps, size the
-	// output once instead of growing it; a run f keeps nothing of is neither
-	// counted nor decoded.
-	first, end := 0, 0
-	for i, cr := range s.chunks {
-		if cr.min > maxt {
-			break
-		}
-		end = i + 1
-		if cr.max < mint {
-			first = end
-		}
-	}
-	runs := end - first
-	if s.head != nil && s.lastT >= mint && s.headMin <= maxt {
-		runs++
-	}
-	at := func(i int) chunkRange {
-		if i += first; i < end {
-			return *s.chunks[i]
-		}
-		return chunkRange{min: s.headMin, max: s.lastT, chunk: s.head}
-	}
-	skip := func(i int, cr chunkRange) bool {
-		if f == nil {
-			return false
-		}
-		next := int64(math.MaxInt64)
-		if i+1 < runs {
-			if m := at(i + 1).min; m <= maxt {
-				next = m
-			}
-		}
-		return f.Skips(max(cr.min, mint), min(cr.max, maxt), next)
-	}
-	n := 0
-	for i := 0; i < runs; i++ {
-		cr := at(i)
-		if skip(i, cr) {
-			continue
-		}
-		k := samplesInWindow(cr.min, cr.max, cr.chunk.NumSamples(), mint, maxt)
-		if f != nil {
-			k = f.Bound(k, max(cr.min, mint), min(cr.max, maxt))
-		}
-		n += k
-	}
-	out := slab.take(n)
-	for i := 0; i < runs; i++ {
-		if cr := at(i); !skip(i, cr) {
-			out, _ = appendChunk(out, cr.chunk, mint, maxt, f) // head chunks are well-formed by construction
-		}
-	}
-	if len(s.ooo) == 0 {
-		return out
-	}
-	// Merge the out-of-order buffer (sorted, deduped) with the in-order
-	// samples. On a timestamp tie the in-order sample wins: replay can park
-	// a checkpoint-duplicated sample in the buffer, and first-write-wins
-	// keeps query output identical to the pre-crash head. A filter trims the
-	// buffer as a stream of its own; what the merge keeps is then a superset
-	// of what the filter keeps of the merged stream, which answers the same.
-	lo := sort.Search(len(s.ooo), func(i int) bool { return s.ooo[i].T >= mint })
-	hi := sort.Search(len(s.ooo), func(i int) bool { return s.ooo[i].T > maxt })
-	ooo := s.ooo[lo:hi]
-	if proto != nil {
-		pos := *proto
-		var kept []model.Sample // never the live buffer: Append rewrites its last sample
-		for _, smp := range ooo {
-			kept = pos.Append(kept, smp.T, smp.V)
-		}
-		ooo = kept
-	}
-	if len(ooo) == 0 {
-		return out
-	}
-	if len(out) == 0 {
-		return slices.Clone(ooo) // never hand out the live buffer
-	}
-	return model.MergeSamples([][]model.Sample{out, ooo})
-}
-
-// holdsLastLocked reports whether the chunk holding lastT is still kept:
-// retention drops closed chunks while the out-of-order buffer can keep the
-// series alive. The caller holds s.mu.
-func (s *memSeries) holdsLastLocked() bool {
-	return s.head != nil || len(s.chunks) > 0 && s.chunks[len(s.chunks)-1].max == s.lastT
-}
-
-// appendChunk decodes onto dst the samples of c in [mint, maxt] that f keeps
-// (all of them when f is nil): the decode loop of every read, head and
-// block alike.
-func appendChunk(dst []model.Sample, c *chunkenc.Chunk, mint, maxt int64, f *model.StepFilter) ([]model.Sample, error) {
-	it := c.Iterator()
-	for it.Next() {
-		t, v := it.At()
-		if t < mint {
-			continue
-		}
-		if t > maxt {
-			break
-		}
-		if f == nil {
-			dst = append(dst, model.Sample{T: t, V: v})
-		} else {
-			dst = f.Append(dst, t, v)
-		}
-	}
-	return dst, it.Err()
-}
-
-// samplesInWindow estimates how many of a chunk's num samples, spanning
-// [cmin, cmax], fall inside the overlapping window [mint, maxt]: all of them
-// when the chunk lies inside, else its share of the span at even spacing,
-// rounded up. A low guess only costs an append growth.
-func samplesInWindow(cmin, cmax int64, num int, mint, maxt int64) int {
-	lo, hi := max(cmin, mint), min(cmax, maxt)
-	if lo == cmin && hi == cmax {
-		return num
-	}
-	return int(float64(num)*float64(hi-lo)/float64(cmax-cmin)) + 1
 }
 
 // Truncate drops all full chunks whose data lies entirely before mint and

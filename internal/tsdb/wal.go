@@ -486,8 +486,11 @@ func streamShardSnapshot(dst io.Writer, sh *headShard, tombs []TombstoneRec, ref
 	// One samples record per series keeps record payloads (and the encode
 	// buffer) proportional to a single series, not the whole shard.
 	var recs []walSampleRec
+	all := headReader(-(int64(1) << 62), int64(1)<<62)
 	for _, s := range series {
-		samples := s.samplesBetween(-(int64(1) << 62), int64(1)<<62, &sampleSlab{}, nil)
+		s.mu.Lock()
+		samples := all.samplesLocked(s)
+		s.mu.Unlock()
 		if len(samples) == 0 {
 			continue
 		}
