@@ -30,9 +30,12 @@ race:
 wal-recovery:
 	$(GO) test -race -count=2 -run 'WAL|Checkpoint' ./internal/tsdb/ ./internal/relstore/
 
-# Splice-correctness property test and cache concurrency, twice, under race.
+# Splice-correctness property test and cache concurrency, twice, under race,
+# with promapi: a reused range entry keeps its JSON rendering, so the render
+# path (cold, hit and splice bodies against the encoding/json oracle) spans
+# both packages.
 querycache:
-	$(GO) test -race -count=2 ./internal/querycache/
+	$(GO) test -race -count=2 ./internal/querycache/ ./internal/promapi/
 
 # PromQL evaluator equivalence (docs/ARCHITECTURE.md, "One evaluator"): the
 # differential property test — random expressions over a random dataset,
@@ -135,7 +138,7 @@ fuzz-smoke:
 
 # Real measurements for BENCH_querycache.json (slow).
 bench-querycache:
-	$(GO) test -run '^$$' -bench QueryCache -benchmem -benchtime=2s ./internal/querycache/
+	$(GO) test -run '^$$' -bench 'QueryCache|RangeRefresh' -benchmem -benchtime=2s ./internal/querycache/ ./internal/promapi/
 
 # Full benchmark run (real measurements; slow).
 bench:

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/labels"
 	"repro/internal/promql"
+	"repro/internal/querycache"
 )
 
 // The hot response shapes — matrix, vector, scalar and the label lists —
@@ -15,8 +16,11 @@ import (
 // sample for encoding/json. The bytes are those json.NewEncoder(w).Encode
 // produced for the same result (HTML-safe escaping, map keys in byte order,
 // trailing newline); encode_test.go holds the old reflection path as the
-// oracle and proves it. Errors and the /api/v1/status/* endpoints carry
-// arbitrary structs and stay on encoding/json.
+// oracle and proves it. A range answer the query cache reused comes with its
+// samples already rendered by appendSample, kept from an earlier response,
+// and is written from those bytes (appendRange). Errors and the
+// /api/v1/status/* endpoints carry arbitrary structs and stay on
+// encoding/json.
 
 const (
 	envelopeOpen = `{"status":"success","data":{"resultType":"`
@@ -40,21 +44,40 @@ func writeBody(w http.ResponseWriter, render func([]byte) []byte) {
 }
 
 func appendMatrix(b []byte, m promql.Matrix) []byte {
+	return appendRange(b, querycache.Range{Matrix: m})
+}
+
+// appendRange renders a matrix answer. A series the cache rendered is
+// written as its kept bytes — appendSample's output, so its values array
+// less the first comma — and any other series sample by sample.
+func appendRange(b []byte, r querycache.Range) []byte {
 	b = append(b, envelopeOpen+`matrix","result":[`...)
-	for i, s := range m {
+	for i, s := range r.Matrix {
 		if i > 0 {
 			b = append(b, ',')
 		}
 		b = append(appendMetric(b, s.Labels), `,"values":[`...)
-		for j, smp := range s.Samples {
-			if j > 0 {
-				b = append(b, ',')
+		if r.Rendered != nil {
+			if vals := r.Rendered[i]; len(vals) > 0 {
+				b = append(b, vals[1:]...)
 			}
-			b = appendPair(b, smp.T, smp.V)
+		} else {
+			for j, smp := range s.Samples {
+				if j > 0 {
+					b = append(b, ',')
+				}
+				b = appendPair(b, smp.T, smp.V)
+			}
 		}
 		b = append(b, "]}"...)
 	}
 	return append(b, "]}}"...)
+}
+
+// appendSample is the querycache.Render of a matrix sample: the pair with
+// the comma that precedes it in a values array.
+func appendSample(b []byte, t int64, v float64) []byte {
+	return appendPair(append(b, ','), t, v)
 }
 
 func appendVector(b []byte, v promql.Vector) []byte {

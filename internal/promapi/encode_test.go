@@ -293,6 +293,40 @@ func goldenHead(t testing.TB) *tsdb.DB {
 	return db
 }
 
+// edgeHead seeds the series behind TestGoldenColdHitSpliceBodies' splice
+// shapes, on the 15 s grid from 0 to 900 s: edge_steady throughout,
+// edge_late only from 760 s (inside the last window's tail), edge_gone
+// only up to 300 s (in lookback until 600 s, so it leaves the tail), and
+// edge_special cycling through the values whose text is least like the
+// others'.
+func edgeHead(t testing.TB) *tsdb.DB {
+	t.Helper()
+	db := tsdb.MustOpen(tsdb.DefaultOptions())
+	special := []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1), 1e21, 5e-324}
+	for i := int64(0); i <= 60; i++ {
+		ts := i * 15000
+		for _, s := range []struct {
+			name string
+			ok   bool
+			v    float64
+		}{
+			{"edge_steady", true, float64(i) * 1.25},
+			{"edge_late", ts >= 760_000, float64(i)},
+			{"edge_gone", ts <= 300_000, float64(i) / 3},
+			{"edge_special", true, special[i%int64(len(special))]},
+		} {
+			if !s.ok {
+				continue
+			}
+			ls := labels.FromStrings(labels.MetricName, s.name, "job", "edge")
+			if err := db.Append(ls, ts, s.v); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return db
+}
+
 func TestGoldenColdHitSpliceBodies(t *testing.T) {
 	db := goldenHead(t)
 	eng := promql.NewEngine()
@@ -356,6 +390,45 @@ func TestGoldenColdHitSpliceBodies(t *testing.T) {
 		}{{"cold", cold}, {"miss", cached}, {"hit", cached}} {
 			rec, _ := get(t, c.h, ipath)
 			diff(t, q+" instant "+c.name, rec.Body.Bytes(), iwant)
+		}
+	}
+
+	// Splice shapes the loop above does not reach, over a head of their own:
+	// each query is served for three windows of one grid (a miss, a splice
+	// of the unrendered entry, a splice of that spliced and rendered entry)
+	// and then once more as a hit, every body the oracle's.
+	edb := edgeHead(t)
+	ecold := (&Handler{Engine: eng, Query: edb, Now: now}).Mux()
+	ecached := (&Handler{Engine: eng, Query: edb, Now: now, Cache: querycache.New(querycache.Options{
+		MaxBytes: 1 << 20, Head: edb, Lookback: eng.LookbackDelta, Paranoid: true,
+	})}).Mux()
+	for _, c := range []struct{ name, q string }{
+		{"second splice of a spliced entry", "edge_steady%20*%202"},
+		{"series only in the tail", "edge_late"},
+		{"series vanishing from the tail", "edge_gone"},
+		{"NaN, ±Inf, -0, 1e21, 5e-324", "edge_special"},
+	} {
+		expr, err := promql.ParseExpr(mustUnescape(t, c.q))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, w := range []struct{ end, outcome string }{
+			{"550.5", "miss"}, {"700.5", "splice"}, {"850.5", "splice"}, {"850.5", "hit"},
+		} {
+			path := "/api/v1/query_range?query=" + c.q + "&start=100.5&end=" + w.end + "&step=15"
+			rec, _ := get(t, ecached, path)
+			if got := rec.Header().Get("X-Querycache"); got != w.outcome {
+				t.Fatalf("%s, request %d: X-Querycache = %q, want %q", c.name, i, got, w.outcome)
+			}
+			endMs, _ := strconv.ParseFloat(w.end, 64)
+			m, err := eng.RangeExpr(edb, expr, time.UnixMilli(100_500), time.UnixMilli(int64(endMs*1000)), 15*time.Second)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := oracleMatrix(t, m)
+			diff(t, fmt.Sprintf("%s, request %d (%s)", c.name, i, w.outcome), rec.Body.Bytes(), want)
+			coldRec, _ := get(t, ecold, path)
+			diff(t, fmt.Sprintf("%s, request %d cold", c.name, i), coldRec.Body.Bytes(), want)
 		}
 	}
 

@@ -40,11 +40,15 @@ type Handler struct {
 	Timeout time.Duration
 	// Cache, when set, serves /api/v1/query and /api/v1/query_range through
 	// the query-result cache: exact repeats answer without evaluation and
-	// overlapping range windows re-evaluate only the uncovered steps. Build
-	// it with querycache.New over the same head this handler queries (its
-	// Lookback and MaxSteps must match the engine's). Responses carry an X-Querycache
-	// header (hit/miss/splice/bypass) and /api/v1/status/querycache reports
-	// its counters.
+	// overlapping range windows re-evaluate only the uncovered steps. A range
+	// entry keeps its samples' JSON from its first reuse on, so a hit writes
+	// kept bytes and a splice renders only the steps it evaluated; answers
+	// are the cache's own memory and the handler only reads them. Build it
+	// with querycache.New over the same head this handler queries (its
+	// Lookback and MaxSteps must match the engine's) and give it to no other
+	// caller of RangeQuery, which would keep another rendering. Responses
+	// carry an X-Querycache header (hit/miss/splice/bypass) and
+	// /api/v1/status/querycache reports its counters.
 	Cache *querycache.Cache
 	// Ingest, when set, serves POST /api/v1/write: the streaming
 	// remote-write receiver (framed expofmt batches, explicit 429
@@ -247,25 +251,25 @@ func (h *Handler) handleQueryRange(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 	ctx, rq, trace := h.beginQuery(ctx, r, "range", q)
 	var (
-		m    promql.Matrix
+		ans  querycache.Range
 		merr error
 	)
 	if h.Cache != nil {
 		var outcome querycache.Outcome
-		m, outcome, merr = h.Cache.RangeQuery(ctx, q, start, end, step,
+		ans, outcome, merr = h.Cache.RangeQuery(ctx, q, start, end, step,
 			func(ctx context.Context, s, e time.Time, st time.Duration) (promql.Matrix, error) {
 				return h.engine().RangeCtx(ctx, h.Query, q, s, e, st)
-			})
+			}, appendSample)
 		w.Header().Set("X-Querycache", string(outcome))
 	} else {
-		m, merr = h.engine().RangeCtx(ctx, h.Query, q, start, end, step)
+		ans.Matrix, merr = h.engine().RangeCtx(ctx, h.Query, q, start, end, step)
 	}
 	finishQuery(w, r, rq, trace, merr)
 	if merr != nil {
 		writeQueryErr(w, merr)
 		return
 	}
-	writeBody(w, func(b []byte) []byte { return appendMatrix(b, m) })
+	writeBody(w, func(b []byte) []byte { return appendRange(b, ans) })
 }
 
 // handleCacheStatus serves /api/v1/status/querycache: the result cache's

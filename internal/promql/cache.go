@@ -21,43 +21,66 @@ type parseCache struct {
 type parseCacheEntry struct {
 	key  string
 	expr Expr
+	text string // expr.String(), printed on first request; guarded by mu
 }
 
 func newParseCache(max int) *parseCache {
 	return &parseCache{max: max, ll: list.New(), entries: make(map[string]*list.Element)}
 }
 
-func (c *parseCache) get(key string) (Expr, bool) {
+// get returns the entry for key, nil when absent, and its text as printed
+// so far ("" until first printed).
+func (c *parseCache) get(key string) (*parseCacheEntry, string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.entries[key]
 	if !ok {
-		return nil, false
+		return nil, ""
 	}
 	c.ll.MoveToFront(el)
-	return el.Value.(*parseCacheEntry).expr, true
+	e := el.Value.(*parseCacheEntry)
+	return e, e.text
 }
 
-func (c *parseCache) put(key string, expr Expr) {
+// put inserts expr under key and returns the entry now cached for key: an
+// entry a racing parse of the same text inserted first is kept, not
+// replaced, so an entry's expression never changes once handed out.
+func (c *parseCache) put(key string, expr Expr) (*parseCacheEntry, string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.entries[key]; ok {
 		c.ll.MoveToFront(el)
-		el.Value.(*parseCacheEntry).expr = expr
-		return
+		e := el.Value.(*parseCacheEntry)
+		return e, e.text
 	}
-	c.entries[key] = c.ll.PushFront(&parseCacheEntry{key: key, expr: expr})
+	e := &parseCacheEntry{key: key, expr: expr}
+	c.entries[key] = c.ll.PushFront(e)
 	for c.ll.Len() > c.max {
 		back := c.ll.Back()
 		c.ll.Remove(back)
 		delete(c.entries, back.Value.(*parseCacheEntry).key)
 	}
+	return e, ""
 }
 
 func (c *parseCache) len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.ll.Len()
+}
+
+// parse returns the cached entry for input, parsing and inserting it on a
+// miss, and the entry's text as printed so far.
+func (c *parseCache) parse(input string) (*parseCacheEntry, string, error) {
+	if e, text := c.get(input); e != nil {
+		return e, text, nil
+	}
+	expr, err := ParseExpr(input)
+	if err != nil {
+		return nil, "", err
+	}
+	e, text := c.put(input, expr)
+	return e, text, nil
 }
 
 var sharedParseCache = newParseCache(parseCacheSize)
@@ -67,13 +90,27 @@ var sharedParseCache = newParseCache(parseCacheSize)
 // evaluator and all tree walkers only read them — so cache hits are shared
 // freely across goroutines. Parse errors are not cached.
 func ParseExprCached(input string) (Expr, error) {
-	if expr, ok := sharedParseCache.get(input); ok {
-		return expr, nil
-	}
-	expr, err := ParseExpr(input)
+	e, _, err := sharedParseCache.parse(input)
 	if err != nil {
 		return nil, err
 	}
-	sharedParseCache.put(input, expr)
-	return expr, nil
+	return e.expr, nil
+}
+
+// ParseNormalized is ParseExprCached that also returns the expression's
+// canonical text, Expr.String(), which formatting variants of one query
+// share. The text is printed once per cache entry, on its first request, and
+// kept in the entry, so a repeat is one lookup.
+func ParseNormalized(input string) (Expr, string, error) {
+	e, text, err := sharedParseCache.parse(input)
+	if err != nil {
+		return nil, "", err
+	}
+	if text == "" {
+		text = e.expr.String()
+		sharedParseCache.mu.Lock()
+		e.text = text
+		sharedParseCache.mu.Unlock()
+	}
+	return e.expr, text, nil
 }

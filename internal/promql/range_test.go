@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -286,5 +287,48 @@ func TestParseExprCached(t *testing.T) {
 	}
 	if n := sharedParseCache.len(); n > parseCacheSize {
 		t.Errorf("cache grew to %d entries, cap is %d", n, parseCacheSize)
+	}
+}
+
+// TestParseNormalized checks that formatting variants share one canonical
+// text, that it is Expr.String() of the cached expression, that a repeat
+// returns the text kept in the entry, and that concurrent first requests
+// agree (run under -race in CI).
+func TestParseNormalized(t *testing.T) {
+	const q = `sum   by (i) (rate( normalized_test_metric[5m] ))`
+	var wg sync.WaitGroup
+	texts := make([]string, 8)
+	for g := range texts {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, text, err := ParseNormalized(q)
+			if err != nil {
+				t.Error(err)
+			}
+			texts[g] = text
+		}()
+	}
+	wg.Wait()
+	expr, text, err := ParseNormalized(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cached, _ := ParseExprCached(q); cached != expr {
+		t.Error("ParseNormalized and ParseExprCached returned different expressions")
+	}
+	if text != expr.String() {
+		t.Errorf("text %q, want Expr.String() %q", text, expr.String())
+	}
+	for _, got := range texts {
+		if got != text {
+			t.Errorf("concurrent first request printed %q, want %q", got, text)
+		}
+	}
+	if _, variant, _ := ParseNormalized(`sum by(i)(rate(normalized_test_metric[5m]))`); variant != text {
+		t.Errorf("variant normalized to %q, want %q", variant, text)
+	}
+	if _, _, err := ParseNormalized(`this is not promql`); err == nil {
+		t.Error("expected parse error")
 	}
 }

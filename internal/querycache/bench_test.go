@@ -70,15 +70,15 @@ func (e *benchEnv) query(b *testing.B, c *Cache, startMs, endMs int64, want Outc
 // check runs the panel query through c and reports an outcome other than
 // want, or a result of the wrong size, as an error.
 func (e *benchEnv) check(c *Cache, startMs, endMs int64, want Outcome) error {
-	m, out, err := c.RangeQuery(context.Background(), benchQuery,
-		model.MillisToTime(startMs), model.MillisToTime(endMs), stepMs*time.Millisecond, e.eval())
+	ans, out, err := c.RangeQuery(context.Background(), benchQuery,
+		model.MillisToTime(startMs), model.MillisToTime(endMs), stepMs*time.Millisecond, e.eval(), nil)
 	switch {
 	case err != nil:
 		return err
 	case out != want:
 		return fmt.Errorf("outcome = %s, want %s", out, want)
-	case len(m) != benchSeries:
-		return fmt.Errorf("result has %d series, want %d", len(m), benchSeries)
+	case len(ans.Matrix) != benchSeries:
+		return fmt.Errorf("result has %d series, want %d", len(ans.Matrix), benchSeries)
 	}
 	return nil
 }
@@ -97,7 +97,8 @@ func BenchmarkQueryCacheColdMiss(b *testing.B) {
 }
 
 // BenchmarkQueryCacheHit measures an exact dashboard repeat: key lookup,
-// validity check and the defensive deep clone of the result.
+// validity check and the shared answer (the entry's own arrays, no copy).
+// It passes no renderer; promapi's BenchmarkRangeRefresh measures rendering.
 func BenchmarkQueryCacheHit(b *testing.B) {
 	env := newBenchEnv(b)
 	c := env.newCache()

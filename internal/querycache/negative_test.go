@@ -31,14 +31,14 @@ func TestNegativeRangeCached(t *testing.T) {
 	var calls atomic.Int64
 
 	_, out, err := env.cache.RangeQuery(context.Background(), "sum(m0)",
-		model.MillisToTime(start), model.MillisToTime(end), stepMs*time.Millisecond, limitEval(&calls))
+		model.MillisToTime(start), model.MillisToTime(end), stepMs*time.Millisecond, limitEval(&calls), nil)
 	if out != OutcomeMiss || !promql.IsLimitError(err) {
 		t.Fatalf("first lookup: outcome %s, err %v; want miss + LimitError", out, err)
 	}
 	firstErr := err
 
 	_, out, err = env.cache.RangeQuery(context.Background(), "sum(m0)",
-		model.MillisToTime(start), model.MillisToTime(end), stepMs*time.Millisecond, limitEval(&calls))
+		model.MillisToTime(start), model.MillisToTime(end), stepMs*time.Millisecond, limitEval(&calls), nil)
 	if out != OutcomeHit || !errors.Is(err, firstErr) {
 		t.Fatalf("repeat lookup: outcome %s, err %v; want hit replaying the cached error", out, err)
 	}
@@ -60,7 +60,7 @@ func TestNegativeRangeWindowMismatch(t *testing.T) {
 	var calls atomic.Int64
 
 	if _, _, err := env.cache.RangeQuery(context.Background(), "sum(m0)",
-		model.MillisToTime(start), model.MillisToTime(end), stepMs*time.Millisecond, limitEval(&calls)); !promql.IsLimitError(err) {
+		model.MillisToTime(start), model.MillisToTime(end), stepMs*time.Millisecond, limitEval(&calls), nil); !promql.IsLimitError(err) {
 		t.Fatalf("fill err = %v, want LimitError", err)
 	}
 	// Same query, step and phase — same key — but a narrower window that
@@ -82,7 +82,7 @@ func TestNegativeRangeInvalidation(t *testing.T) {
 	var calls atomic.Int64
 	q := func() error {
 		_, _, err := env.cache.RangeQuery(context.Background(), "sum(m0)",
-			model.MillisToTime(start), model.MillisToTime(end), stepMs*time.Millisecond, limitEval(&calls))
+			model.MillisToTime(start), model.MillisToTime(end), stepMs*time.Millisecond, limitEval(&calls), nil)
 		return err
 	}
 

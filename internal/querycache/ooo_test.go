@@ -43,13 +43,13 @@ func TestOOOWindowNotServedStale(t *testing.T) {
 		return eng.RangeCtx(ctx, db, "ooo_m", s, e, st)
 	}
 	run := func() (promql.Matrix, Outcome) {
-		m, out, err := cache.RangeQuery(context.Background(), "ooo_m",
+		ans, out, err := cache.RangeQuery(context.Background(), "ooo_m",
 			model.MillisToTime(now-20*stepMs), model.MillisToTime(now),
-			stepMs*time.Millisecond, eval)
+			stepMs*time.Millisecond, eval, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return m, out
+		return ans.Matrix, out
 	}
 
 	first, _ := run()

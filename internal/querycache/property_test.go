@@ -1,8 +1,11 @@
 package querycache
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -19,7 +22,9 @@ import (
 // deletions and retention pruning mixed in — must produce, through the
 // cache, results byte-identical to a cold evaluation oracle. Paranoid mode
 // is on, so every splice is additionally self-verified inside the cache.
-// The CI querycache job runs this under -race -count=2.
+// Every lookup renders with renderTV, and every hit and splice must hand back
+// exactly renderTV of the cold result. The CI querycache job runs this under
+// -race -count=2.
 func TestSpliceCorrectnessProperty(t *testing.T) {
 	trials, ops := 10, 150
 	if testing.Short() {
@@ -116,10 +121,11 @@ func TestSpliceCorrectnessProperty(t *testing.T) {
 					startMs := endMs - int64(5+rng.Intn(40))*step
 					start, end := model.MillisToTime(startMs), model.MillisToTime(endMs)
 					stepDur := time.Duration(step) * time.Millisecond
-					got, outcome, err := cache.RangeQuery(ctx, q, start, end, stepDur,
+					ans, outcome, err := cache.RangeQuery(ctx, q, start, end, stepDur,
 						func(ctx context.Context, s, e time.Time, st time.Duration) (promql.Matrix, error) {
 							return eng.RangeCtx(ctx, db, q, s, e, st)
-						})
+						}, renderTV)
+					got := ans.Matrix
 					if err != nil {
 						t.Fatalf("op %d: RangeQuery(%s) [%s]: %v", op, q, outcome, err)
 					}
@@ -130,6 +136,11 @@ func TestSpliceCorrectnessProperty(t *testing.T) {
 					if !EqualMatrix(got, want) {
 						t.Fatalf("op %d: %s over [%d..%d] step %d (%s) diverged from cold oracle:\n got %v\nwant %v",
 							op, q, startMs, endMs, step, outcome, got, want)
+					}
+					if outcome == OutcomeHit || outcome == OutcomeSplice {
+						if err := checkRendered(ans, want); err != nil {
+							t.Fatalf("op %d: %s over [%d..%d] step %d (%s): %v", op, q, startMs, endMs, step, outcome, err)
+						}
 					}
 				default: // instant query vs cold oracle
 					q := queries[rng.Intn(len(queries))]
@@ -161,6 +172,34 @@ func TestSpliceCorrectnessProperty(t *testing.T) {
 	}
 }
 
+// renderTV is the tests' Render: a sample's time and value bits, so two
+// renderings differ wherever the samples do.
+func renderTV(b []byte, t int64, v float64) []byte {
+	b = binary.LittleEndian.AppendUint64(b, uint64(t))
+	return binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+}
+
+// checkRendered reports how ans.Rendered differs from renderTV of want,
+// series by series; a hit or a splice must carry a rendering.
+func checkRendered(ans Range, want promql.Matrix) error {
+	if ans.Rendered == nil {
+		return fmt.Errorf("no rendering")
+	}
+	if len(ans.Rendered) != len(want) {
+		return fmt.Errorf("%d rendered series, want %d", len(ans.Rendered), len(want))
+	}
+	for k, s := range want {
+		var w []byte
+		for _, p := range s.Samples {
+			w = renderTV(w, p.T, p.V)
+		}
+		if !bytes.Equal(ans.Rendered[k], w) {
+			return fmt.Errorf("series %s: rendered %x, want %x", s.Labels, ans.Rendered[k], w)
+		}
+	}
+	return nil
+}
+
 // TestSpliceMergeProperty checks the sorted merge against the obvious
 // construction — pool every part's series by label set, concatenate, sort —
 // on random disjoint, increasing time windows in which any series may be
@@ -168,7 +207,9 @@ func TestSpliceCorrectnessProperty(t *testing.T) {
 // label sets of different lengths share prefixes, so neighbours in the sort
 // order are one comparison step apart. The merge compares label sets and
 // never hashes them, so two series can only be joined when their labels are
-// equal.
+// equal. Parts come rendered and unrendered at random, and the merge's
+// rendering must be renderTV of the oracle: kept bytes are copied to the
+// right place, the rest rendered.
 func TestSpliceMergeProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for iter := 0; iter < 500; iter++ {
@@ -187,7 +228,7 @@ func TestSpliceMergeProperty(t *testing.T) {
 		}
 		sort.Slice(universe, func(i, j int) bool { return labels.Compare(universe[i], universe[j]) < 0 })
 
-		parts := make([]promql.Matrix, 1+rng.Intn(3))
+		parts := make([]part, 1+rng.Intn(3))
 		want := map[string]*model.Series{}
 		ts := int64(0)
 		for k := range parts {
@@ -205,13 +246,19 @@ func TestSpliceMergeProperty(t *testing.T) {
 				if len(smp) == 0 {
 					continue // evaluations and extractRange drop empty series
 				}
-				parts[k] = append(parts[k], model.Series{Labels: ls, Samples: smp})
+				parts[k].m = append(parts[k].m, model.Series{Labels: ls, Samples: smp})
 				w := want[ls.String()]
 				if w == nil {
 					w = &model.Series{Labels: ls}
 					want[ls.String()] = w
 				}
 				w.Samples = append(w.Samples, smp...)
+			}
+			if rng.Intn(2) == 0 {
+				// Rendered, and cut to its own window the way a cached
+				// entry is: every series but the first starts mid-slab.
+				parts[k].r = renderMatrix(renderTV, math.MaxInt64, parts[k].m)
+				parts[k] = extractRange(parts[k], math.MinInt64, math.MaxInt64)
 			}
 			ts += int64(steps) * 15
 		}
@@ -221,26 +268,41 @@ func TestSpliceMergeProperty(t *testing.T) {
 		}
 		sort.Slice(oracle, func(i, j int) bool { return labels.Compare(oracle[i].Labels, oracle[j].Labels) < 0 })
 
-		got := spliceMerge(parts...)
-		if !EqualMatrix(got, oracle) {
-			t.Fatalf("iter %d: merge of %v\n got %v\nwant %v", iter, parts, got, oracle)
+		got := spliceMerge(renderTV, math.MaxInt64, parts...)
+		if !EqualMatrix(got.m, oracle) {
+			t.Fatalf("iter %d: merge of %v\n got %v\nwant %v", iter, parts, got.m, oracle)
 		}
-		// The result owns its memory: scribbling on it leaves the parts intact.
+		if err := checkRendered(got.answer(renderTV), oracle); err != nil {
+			t.Fatalf("iter %d: %v", iter, err)
+		}
+		if !sameRendering(renderTV, got, oracle) {
+			t.Fatalf("iter %d: rendering offsets differ from a fresh render", iter)
+		}
+		if plain := spliceMerge(nil, math.MaxInt64, parts...); !EqualMatrix(plain.m, oracle) || plain.r.off != nil {
+			t.Fatalf("iter %d: merge without render: %v, rendered %v", iter, plain.m, plain.r.off != nil)
+		}
+		// The result owns its samples (label sets are shared, read-only):
+		// scribbling on them leaves the parts intact.
 		before := make([]promql.Matrix, len(parts))
 		for k, p := range parts {
-			before[k] = p.Clone()
+			before[k] = p.m.Clone()
 		}
-		for i := range got {
-			for j := range got[i].Samples {
-				got[i].Samples[j] = model.Sample{T: -1, V: -1}
+		for i := range got.m {
+			for j := range got.m[i].Samples {
+				got.m[i].Samples[j] = model.Sample{T: -1, V: -1}
 			}
-			for j := range got[i].Labels {
-				got[i].Labels[j].Value = "scribbled"
-			}
+		}
+		for i := range got.r.b {
+			got.r.b[i] = 0xff
 		}
 		for k := range parts {
-			if !EqualMatrix(parts[k], before[k]) {
+			if !EqualMatrix(parts[k].m, before[k]) {
 				t.Fatalf("iter %d: mutating the merge result changed part %d", iter, k)
+			}
+			if parts[k].r.off != nil {
+				if err := checkRendered(parts[k].answer(renderTV), before[k]); err != nil {
+					t.Fatalf("iter %d: mutating the merge result changed part %d's rendering: %v", iter, k, err)
+				}
 			}
 		}
 	}

@@ -57,13 +57,28 @@
 // window reaches below the head's pruned watermark (PrunedThrough), so
 // results cannot resurrect data that retention already removed.
 //
-// All cached PromQL results are immutable snapshots: values are deep-cloned
-// on insert and on every hit, and a splice merges into fresh slices, so
-// callers can mutate what they receive without corrupting the cache (and
-// cache entries never alias head-owned label slices).
+// # Shared, read-only answers
+//
+// Cached PromQL results are shared, not copied. A miss stores the
+// evaluator's matrix or vector as it is and returns it; a hit returns the
+// entry's own arrays; a splice merges into one new sample slab, keeps the
+// parts' label sets, stores the result and returns it. Everything an answer
+// reaches — samples, label sets, renderings — is read-only for every caller.
+// Paranoid mode enforces this: put checksums each entry and every lookup
+// re-checks it, so a caller's write fails the next query on that entry
+// instead of being silently served.
+//
+// A range entry is rendered on its first reuse (RangeQuery's render): each
+// series keeps its samples' wire bytes next to its matrix, one offset per
+// sample. A hit writes the kept bytes; a splice copies the bytes of the steps
+// it keeps and renders only the steps it evaluated. A cold miss renders
+// nothing, so a query asked once costs what it did uncached.
 package querycache
 
 import (
+	"encoding/binary"
+	"fmt"
+	"hash/maphash"
 	"math"
 	"strings"
 	"sync"
@@ -116,8 +131,10 @@ type Options struct {
 	// entry larger than one shard's share is never stored.)
 	MaxSteps int
 	// Paranoid re-runs the cold evaluation after every splice and fails the
-	// query if the spliced result is not byte-identical — the always-on test
-	// oracle. Production paths leave it off.
+	// query if the spliced result or its rendering is not byte-identical,
+	// and checksums every PromQL entry at put and re-checks it at every
+	// lookup, failing the query when a caller wrote to a shared answer — the
+	// always-on test oracle. Production paths leave it off.
 	Paranoid bool
 	// Clock supplies the time used for blob TTL expiry; nil means time.Now.
 	// The cluster simulator wires its simulated clock here.
@@ -249,7 +266,7 @@ func (c *Cache) instrument() {
 	c.splices = reg.Counter("telemetry_querycache_splices_total",
 		"Range lookups that reused cached steps and evaluated only the remainder.", lbl...)
 	c.spliceFails = reg.Counter("telemetry_querycache_splice_fails_total",
-		"Paranoid-mode splice results that mismatched the cold evaluation.", lbl...)
+		"Paranoid-mode failures: splice results that mismatched the cold evaluation, entries changed after they were stored.", lbl...)
 	c.evictions = reg.Counter("telemetry_querycache_evictions_total",
 		"Entries evicted to stay inside the byte budget.", lbl...)
 	c.invalidations = reg.Counter("telemetry_querycache_invalidations_total",
@@ -395,8 +412,10 @@ type entry struct {
 	fillEpoch uint64
 	fillGen   uint64
 
-	// Range payload: matrix on the grid startMs, startMs+stepMs, ... lastMs.
+	// Range payload: matrix on the grid startMs, startMs+stepMs, ... lastMs,
+	// and from its first reuse on the rendering of its samples.
 	matrix          promql.Matrix
+	rendered        rendering
 	startMs, lastMs int64
 	stepMs          int64
 
@@ -413,6 +432,9 @@ type entry struct {
 	// window back under the limit.
 	negErr error
 	padMs  int64
+
+	// sum is checksum() at put, kept in Paranoid mode only.
+	sum uint64
 }
 
 // cacheShard is one lock stripe: a map plus an intrusive LRU list with a
@@ -440,11 +462,12 @@ func (sh *cacheShard) get(key string) *entry {
 // put inserts e, replacing any entry under the same key, and evicts from
 // the LRU tail while the shard exceeds its budget. It returns the number
 // of entries evicted (not counting the replacement). Entries larger than
-// the whole shard budget are not stored.
-func (sh *cacheShard) put(e *entry) (evicted int, stored bool) {
+// the whole shard budget are not stored, and with replacing set neither is
+// e unless replacing is still the entry under its key.
+func (sh *cacheShard) put(e, replacing *entry) (evicted int, stored bool) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if e.cost > sh.budget {
+	if e.cost > sh.budget || (replacing != nil && sh.entries[e.key] != replacing) {
 		return 0, false
 	}
 	if old := sh.entries[e.key]; old != nil {
@@ -508,6 +531,78 @@ func (sh *cacheShard) touchLocked(e *entry) {
 	sh.pushFrontLocked(e)
 }
 
+// put stores a PromQL entry (see cacheShard.put), checksummed in Paranoid
+// mode.
+func (c *Cache) put(sh *cacheShard, e, replacing *entry) {
+	if c.opts.Paranoid {
+		e.sum = e.checksum()
+	}
+	evicted, _ := sh.put(e, replacing)
+	c.evictions.Add(uint64(evicted))
+}
+
+// lookup returns the PromQL entry under key, or nil. In Paranoid mode it
+// first proves the entry unchanged since put; one that changed — a caller
+// wrote to a shared answer — is dropped and fails the query.
+func (c *Cache) lookup(sh *cacheShard, key string) (*entry, error) {
+	e := sh.get(key)
+	if e == nil || !c.opts.Paranoid || e.checksum() == e.sum {
+		return e, nil
+	}
+	sh.remove(key, e)
+	c.spliceFails.Add(1)
+	return nil, fmt.Errorf("querycache: entry %q changed after it was stored: a caller wrote to a shared answer", key)
+}
+
+// sumSeed seeds every entry checksum of the process.
+var sumSeed = maphash.MakeSeed()
+
+// checksum hashes everything a PromQL entry hands out: label sets, sample
+// times and value bits, and renderings.
+func (e *entry) checksum() uint64 {
+	var h maphash.Hash
+	h.SetSeed(sumSeed)
+	var w [8]byte
+	word := func(x uint64) {
+		binary.LittleEndian.PutUint64(w[:], x)
+		h.Write(w[:])
+	}
+	labelSet := func(ls labels.Labels) {
+		for _, l := range ls {
+			h.WriteString(l.Name)
+			h.WriteByte(0)
+			h.WriteString(l.Value)
+			h.WriteByte(0)
+		}
+	}
+	for _, s := range e.matrix {
+		labelSet(s.Labels)
+		word(uint64(len(s.Samples)))
+		for _, p := range s.Samples {
+			word(uint64(p.T))
+			word(math.Float64bits(p.V))
+		}
+	}
+	switch v := e.value.(type) {
+	case promql.Vector:
+		for _, s := range v {
+			labelSet(s.Labels)
+			word(uint64(s.T))
+			word(math.Float64bits(s.V))
+		}
+	case promql.Scalar:
+		word(uint64(v.T))
+		word(math.Float64bits(v.V))
+	}
+	h.Write(e.rendered.b)
+	for _, o := range e.rendered.off {
+		for _, x := range o {
+			word(uint64(x))
+		}
+	}
+	return h.Sum64()
+}
+
 // --- blob API -------------------------------------------------------------
 
 // GetBlob returns the payload stored under key, or false when absent or
@@ -546,7 +641,7 @@ func (c *Cache) PutBlob(key string, body []byte, ttl time.Duration) {
 	if ttl > 0 {
 		e.expiresMs = c.now().Add(ttl).UnixMilli()
 	}
-	evicted, _ := c.shardFor(key).put(e)
+	evicted, _ := c.shardFor(key).put(e, nil)
 	c.evictions.Add(uint64(evicted))
 }
 
@@ -557,8 +652,8 @@ func (c *Cache) PutBlob(key string, body []byte, ttl time.Duration) {
 // panel query share one cache entry. Unparseable input is returned trimmed;
 // it will fail identically in the evaluator.
 func NormalizeQuery(q string) string {
-	if expr, err := promql.ParseExprCached(q); err == nil {
-		return expr.String()
+	if _, norm, err := promql.ParseNormalized(q); err == nil {
+		return norm
 	}
 	return strings.TrimSpace(q)
 }

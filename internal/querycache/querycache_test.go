@@ -83,12 +83,12 @@ func (e *testEnv) eval(query string) RangeEval {
 
 func (e *testEnv) rangeQuery(query string, startMs, endMs int64) (promql.Matrix, Outcome) {
 	e.t.Helper()
-	m, out, err := e.cache.RangeQuery(context.Background(), query,
-		model.MillisToTime(startMs), model.MillisToTime(endMs), stepMs*time.Millisecond, e.eval(query))
+	ans, out, err := e.cache.RangeQuery(context.Background(), query,
+		model.MillisToTime(startMs), model.MillisToTime(endMs), stepMs*time.Millisecond, e.eval(query), nil)
 	if err != nil {
 		e.t.Fatalf("RangeQuery(%s): %v", query, err)
 	}
-	return m, out
+	return ans.Matrix, out
 }
 
 func (e *testEnv) cold(query string, startMs, endMs int64) promql.Matrix {
@@ -246,59 +246,85 @@ func TestRetentionTrimsCachedSteps(t *testing.T) {
 	env.mustEqualCold("m0", start, end, got)
 }
 
-// TestMutationAfterReturn is the immutable-snapshot regression test: a
-// caller scribbling over a returned result — samples and labels alike —
-// must not corrupt the cached entry.
+// TestMutationAfterReturn pins the shared-answer contract: a hit hands out
+// the entry's own arrays — the very ones the miss returned and stored, and
+// the rendering kept from the first reuse — and a caller that writes to any
+// of them (sample, label value, rendered byte, instant sample) makes the
+// next lookup of that entry fail in Paranoid mode instead of serving the
+// scribble or silently absorbing it.
 func TestMutationAfterReturn(t *testing.T) {
 	env := newEnv(t, Options{})
 	env.fill(40)
 	start, end := env.now-20*stepMs, env.now
 	const q = "sum by (i) (m0)"
-
-	first, _ := env.rangeQuery(q, start, end)
-	pristine := first.Clone()
-	for i := range first {
-		for j := range first[i].Samples {
-			first[i].Samples[j].V = -12345
-			first[i].Samples[j].T = 1
-		}
-		for j := range first[i].Labels {
-			first[i].Labels[j].Value = "corrupted"
-		}
-	}
-	got, out := env.rangeQuery(q, start, end)
-	if out != OutcomeHit {
-		t.Fatalf("repeat = %s, want hit", out)
-	}
-	if !EqualMatrix(got, pristine) {
-		t.Fatalf("cached entry corrupted by caller mutation:\n got %v\nwant %v", got, pristine)
+	ctx := context.Background()
+	query := func() (Range, Outcome, error) {
+		return env.cache.RangeQuery(ctx, q, model.MillisToTime(start), model.MillisToTime(end),
+			stepMs*time.Millisecond, env.eval(q), renderTV)
 	}
 
-	// Same discipline on the instant side.
+	for _, scribble := range []struct {
+		name  string
+		write func(Range)
+	}{
+		{"sample", func(a Range) { a.Matrix[0].Samples[0].V = -12345 }},
+		{"label", func(a Range) { a.Matrix[0].Labels[0].Value = "corrupted" }},
+		{"rendering", func(a Range) { a.Rendered[0][0] ^= 0xff }},
+	} {
+		first, out, err := query()
+		if err != nil || out != OutcomeMiss {
+			t.Fatalf("%s: first = %s (%v), want miss", scribble.name, out, err)
+		}
+		if first.Rendered != nil {
+			t.Fatalf("%s: a cold miss rendered", scribble.name)
+		}
+		got, out, err := query()
+		if err != nil || out != OutcomeHit {
+			t.Fatalf("%s: repeat = %s (%v), want hit", scribble.name, out, err)
+		}
+		if &got.Matrix[0].Samples[0] != &first.Matrix[0].Samples[0] || &got.Matrix[0].Labels[0] != &first.Matrix[0].Labels[0] {
+			t.Fatalf("%s: the hit copied the entry instead of sharing it", scribble.name)
+		}
+		again, out, err := query()
+		if err != nil || out != OutcomeHit || &again.Rendered[0][0] != &got.Rendered[0][0] {
+			t.Fatalf("%s: second hit = %s (%v), want the first hit's rendering shared", scribble.name, out, err)
+		}
+		env.mustEqualCold(q, start, end, got.Matrix)
+		if err := checkRendered(got, got.Matrix); err != nil {
+			t.Fatalf("%s: %v", scribble.name, err)
+		}
+		scribble.write(got)
+		fails := env.cache.Stats().SpliceFails
+		if _, _, err := query(); err == nil {
+			t.Fatalf("%s: a write to a shared answer was absorbed", scribble.name)
+		}
+		if env.cache.Stats().SpliceFails != fails+1 {
+			t.Fatalf("%s: the caught write was not counted", scribble.name)
+		}
+	}
+
+	// Same contract on the instant side.
 	ts := model.MillisToTime(env.now)
-	iv, _, err := env.cache.InstantQuery(context.Background(), "m0", ts, func(ctx context.Context) (promql.Value, error) {
-		return env.eng.InstantCtx(ctx, env.db, "m0", ts)
-	})
+	instant := func() (promql.Value, Outcome, error) {
+		return env.cache.InstantQuery(ctx, "m0", ts, func(ctx context.Context) (promql.Value, error) {
+			return env.eng.InstantCtx(ctx, env.db, "m0", ts)
+		})
+	}
+	iv, _, err := instant()
 	if err != nil {
 		t.Fatal(err)
 	}
-	vec := iv.(promql.Vector)
-	want := vec.Clone()
-	for i := range vec {
-		vec[i].V = -1
-		vec[i].Labels[0].Value = "corrupted"
+	iv2, out2, err := instant()
+	if err != nil || out2 != OutcomeHit {
+		t.Fatalf("instant repeat = %s (%v), want hit", out2, err)
 	}
-	iv2, out2, err := env.cache.InstantQuery(context.Background(), "m0", ts, func(ctx context.Context) (promql.Value, error) {
-		return env.eng.InstantCtx(ctx, env.db, "m0", ts)
-	})
-	if err != nil {
-		t.Fatal(err)
+	vec, vec2 := iv.(promql.Vector), iv2.(promql.Vector)
+	if &vec[0] != &vec2[0] {
+		t.Fatal("the instant hit copied the entry instead of sharing it")
 	}
-	if out2 != OutcomeHit {
-		t.Fatalf("instant repeat = %s, want hit", out2)
-	}
-	if !EqualValue(iv2, promql.Value(want)) {
-		t.Fatal("cached instant entry corrupted by caller mutation")
+	vec2[0].V = -1
+	if _, _, err := instant(); err == nil {
+		t.Fatal("a write to a shared instant answer was absorbed")
 	}
 }
 
@@ -506,13 +532,13 @@ func TestDegenerateRequestsBypass(t *testing.T) {
 	// Sub-millisecond step: truncates to 0 on the ms grid; must evaluate
 	// cold, not divide by zero.
 	narrow := model.MillisToTime(env.now - 1000)
-	if _, out, err := env.cache.RangeQuery(context.Background(), "m0", narrow, end, 500*time.Microsecond, eval); err != nil || out != OutcomeBypass {
+	if _, out, err := env.cache.RangeQuery(context.Background(), "m0", narrow, end, 500*time.Microsecond, eval, nil); err != nil || out != OutcomeBypass {
 		t.Fatalf("sub-ms step: outcome %s, err %v", out, err)
 	}
 	// Requests beyond the engine's step guardrail bypass so the engine's
 	// own LimitError fires instead of a splice assembling a refused window.
 	wide := model.MillisToTime(env.now + int64(env.eng.MaxSteps+10)*stepMs)
-	_, out, err := env.cache.RangeQuery(context.Background(), "m0", start, wide, stepMs*time.Millisecond, eval)
+	_, out, err := env.cache.RangeQuery(context.Background(), "m0", start, wide, stepMs*time.Millisecond, eval, nil)
 	if out != OutcomeBypass || !promql.IsLimitError(err) {
 		t.Fatalf("oversized range: outcome %s, err %v; want bypass + LimitError", out, err)
 	}
@@ -531,18 +557,25 @@ func TestConcurrentMixedAccess(t *testing.T) {
 			for i := 0; i < 25; i++ {
 				q := queries[(g+i)%len(queries)]
 				start := env.now - int64(10+(g+i)%30)*stepMs
-				m, _, err := env.cache.RangeQuery(context.Background(), q,
+				ans, out, err := env.cache.RangeQuery(context.Background(), q,
 					model.MillisToTime(start), model.MillisToTime(env.now), stepMs*time.Millisecond,
 					func(ctx context.Context, s, e time.Time, st time.Duration) (promql.Matrix, error) {
 						return env.eng.RangeCtx(ctx, env.db, q, s, e, st)
-					})
+					}, renderTV)
 				if err != nil {
 					t.Errorf("RangeQuery: %v", err)
 					return
 				}
-				if len(m) == 0 {
+				if len(ans.Matrix) == 0 {
 					t.Error("empty result")
 					return
+				}
+				if out == OutcomeHit || out == OutcomeSplice {
+					// Concurrent first hits render one entry at once.
+					if err := checkRendered(ans, ans.Matrix); err != nil {
+						t.Errorf("%s %s: %v", q, out, err)
+						return
+					}
 				}
 				env.cache.PutBlob(fmt.Sprint("g", g), []byte("x"), time.Minute)
 				env.cache.GetBlob(fmt.Sprint("g", (g+1)%8))

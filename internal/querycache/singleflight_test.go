@@ -40,13 +40,13 @@ func TestSingleflightColdStampede(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			m, out, err := env.cache.RangeQuery(context.Background(), query,
-				model.MillisToTime(start), model.MillisToTime(end), stepMs*time.Millisecond, eval)
+			ans, out, err := env.cache.RangeQuery(context.Background(), query,
+				model.MillisToTime(start), model.MillisToTime(end), stepMs*time.Millisecond, eval, nil)
 			if err != nil {
 				t.Error(err)
 				return
 			}
-			results[i], outcomes[i] = m, out
+			results[i], outcomes[i] = ans.Matrix, out
 		}()
 	}
 	deadline := time.Now().Add(10 * time.Second)
@@ -145,7 +145,7 @@ func TestSingleflightLeaderError(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			_, _, err := env.cache.RangeQuery(context.Background(), query,
-				model.MillisToTime(start), model.MillisToTime(end), stepMs*time.Millisecond, eval)
+				model.MillisToTime(start), model.MillisToTime(end), stepMs*time.Millisecond, eval, nil)
 			errs <- err
 		}()
 	}
