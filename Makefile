@@ -120,7 +120,9 @@ head-index:
 # error or an expression whose String() parses again, never a panic), over
 # the CRW1 frame decoder (FuzzDecoder: any stream ends in io.EOF or an
 # error, never a panic, and no frame held or inflated past MaxFrame+1
-# bytes) and over WAL replay (FuzzWALRecord: one record of any type under a
+# bytes; every accepted frame's payload walked by the tokenizer, as the
+# receiver reads it, fails like Parse or gives each series the same
+# samples) and over WAL replay (FuzzWALRecord: one record of any type under a
 # valid CRC replays through Open to an error or a head, never a panic,
 # allocating in proportion to the bytes it holds).
 # tools/ci_sync_check.sh pins this list to ci.yml and to every Fuzz function

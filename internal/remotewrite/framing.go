@@ -14,12 +14,12 @@
 //
 // The payload is Prometheus text exposition format (internal/expofmt) with
 // explicit millisecond timestamps — the same encoding the exporters and the
-// scrape loop already speak, so one parser serves both ingest paths. The
+// scrape loop already speak, so one tokenizer serves both ingest paths. The
 // CRC covers the uncompressed bytes: a decompression bug or a torn
 // compressed tail can never silently commit garbage. Frames are bounded by
 // MaxFrame on both the stored and the decompressed size, so one request
 // never buffers more than a frame of payload regardless of body size — the
-// receiver decodes, commits and releases frame by frame.
+// receiver decodes and commits frame by frame, through one batch per request.
 //
 // Decoders are pooled (NewDecoder / Release): the bufio reader, the DEFLATE
 // reader and the scratch buffers are all reused across requests, keeping
@@ -168,10 +168,26 @@ func (d *Decoder) Release() {
 	decoderPool.Put(d)
 }
 
-// Next decodes one frame and parses its payload. It returns io.EOF exactly
-// at a frame boundary (the clean end of the stream); an EOF anywhere else
-// surfaces as an error wrapping ErrTruncated.
+// Next decodes one frame and parses its payload into families. It returns
+// io.EOF exactly at a frame boundary (the clean end of the stream); an EOF
+// anywhere else surfaces as an error wrapping ErrTruncated. The receiver
+// walks frame's payload with expofmt.Tokenizer instead.
 func (d *Decoder) Next() ([]*expofmt.Family, error) {
+	payload, err := d.frame()
+	if err != nil {
+		return nil, err
+	}
+	// A *bytes.Buffer is the one reader Parse takes the bytes of as they are.
+	fams, err := expofmt.Parse(bytes.NewBuffer(payload))
+	if err != nil {
+		return nil, fmt.Errorf("remotewrite: parse frame payload: %w", err)
+	}
+	return fams, nil
+}
+
+// frame reads one frame and returns its checked, uncompressed payload: the
+// decoder's own buffer, valid until the next call.
+func (d *Decoder) frame() ([]byte, error) {
 	if !d.readMagic {
 		var magic [4]byte
 		if _, err := io.ReadFull(d.br, magic[:]); err != nil {
@@ -238,10 +254,5 @@ func (d *Decoder) Next() ([]*expofmt.Family, error) {
 	if got := crc32.Checksum(payload, castagnoli); got != crc {
 		return nil, fmt.Errorf("%w: got %08x want %08x", ErrChecksum, got, crc)
 	}
-	// A *bytes.Buffer is the one reader Parse takes the bytes of as they are.
-	fams, err := expofmt.Parse(bytes.NewBuffer(payload))
-	if err != nil {
-		return nil, fmt.Errorf("remotewrite: parse frame payload: %w", err)
-	}
-	return fams, nil
+	return payload, nil
 }

@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -301,7 +302,10 @@ func TestRemoteWriteDecoderPoolReuse(t *testing.T) {
 
 // FuzzDecoder: any stream ends, frame by frame, in io.EOF or an error, never
 // a panic, and no frame makes the decoder hold more than MaxFrame stored
-// bytes or inflate more than MaxFrame+1.
+// bytes or inflate more than MaxFrame+1. Every frame it accepts is a
+// differential between the receiver's reader and Next's: walking the payload
+// with the Tokenizer must fail as Parse does, or give each series the same
+// (labels, timestamp, value) sequence.
 func FuzzDecoder(f *testing.F) {
 	rng := rand.New(rand.NewSource(30))
 	raw := encodeStream(f, false, randFamilies(rng, 2, 3))
@@ -327,11 +331,16 @@ func FuzzDecoder(f *testing.F) {
 	} {
 		f.Add(s)
 	}
+	interleaved := &ingestGen{rng: rand.New(rand.NewSource(31)), interleave: true}
+	for i := 0; i < 4; i++ {
+		f.Add(interleaved.stream())
+	}
+	f.Add(appendFrame([]byte(Magic), []byte("rw_a{x=\"1\"} 1 1\nrw_a 2\nrw_a{ 3\n"), false, 0)) // malformed third line
 	f.Fuzz(func(t *testing.T, stream []byte) {
 		d := NewDecoder(bytes.NewReader(stream))
 		defer d.Release()
 		for frames := 0; ; frames++ {
-			_, err := d.Next()
+			payload, err := d.frame()
 			if cap(d.stored) > MaxFrame || d.plain.Len() > MaxFrame+1 {
 				t.Fatalf("frame %d: holding %d stored and %d inflated bytes", frames, cap(d.stored), d.plain.Len())
 			}
@@ -341,8 +350,48 @@ func FuzzDecoder(f *testing.F) {
 			if frames > len(stream)/9 {
 				t.Fatalf("%d frames out of %d bytes", frames+1, len(stream))
 			}
+			checkTokenizerMatchesParse(t, payload)
 		}
 	})
+}
+
+// checkTokenizerMatchesParse walks payload with the Tokenizer, as the
+// receiver does, and parses it into families, as Next does, and fails unless
+// both fail alike or both give every series the same samples in the same
+// order.
+func checkTokenizerMatchesParse(t *testing.T, payload []byte) {
+	t.Helper()
+	type sample struct {
+		ts   int64
+		bits uint64
+	}
+	walked := map[string][]sample{}
+	var tok expofmt.Tokenizer
+	tok.Reset(payload)
+	for tok.Next() {
+		if tok.Meta == "" {
+			_, ls := tok.Labels()
+			key := fmt.Sprintf("%q", ls)
+			walked[key] = append(walked[key], sample{tok.TS, math.Float64bits(tok.Value)})
+		}
+	}
+	fams, err := expofmt.Parse(bytes.NewReader(payload))
+	if fmt.Sprint(err) != fmt.Sprint(tok.Err()) {
+		t.Fatalf("Parse: %v; Tokenizer: %v", err, tok.Err())
+	}
+	if err != nil {
+		return // both failed alike; the walk's samples before the error are moot
+	}
+	parsed := map[string][]sample{}
+	for _, f := range fams {
+		for _, m := range f.Metrics {
+			key := fmt.Sprintf("%q", m.Labels)
+			parsed[key] = append(parsed[key], sample{m.TS, math.Float64bits(m.Value)})
+		}
+	}
+	if fmt.Sprint(parsed) != fmt.Sprint(walked) {
+		t.Fatalf("Parse: %v\nTokenizer: %v", parsed, walked)
+	}
 }
 
 // TestRemoteWriteFrameBytesPinned pins the CRW1 wire bytes of a fixed batch:

@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/expofmt"
 	"repro/internal/scrape"
 	"repro/internal/telemetry"
 	"repro/internal/tsdb"
@@ -29,8 +30,8 @@ type commitStatser interface {
 }
 
 // Receiver serves POST /api/v1/write. Each request is a framed stream (see
-// the package comment); the receiver decodes and commits one frame at a
-// time through a Batch from NewBatch, so memory per request is bounded by
+// the package comment); the receiver tokenizes and commits one frame at a
+// time through the request's one Batch, so memory per request is bounded by
 // one frame regardless of body size.
 //
 // Backpressure is explicit: at most MaxInflight requests hold commit slots
@@ -44,7 +45,7 @@ type commitStatser interface {
 // committed batches idempotent.
 type Receiver struct {
 	// NewBatch returns a fresh commit batch: db.Appender() on a single
-	// node, ring.NewBatch() on the cluster ring.
+	// node, ring.NewBatch() on the cluster ring. One per request.
 	NewBatch func() scrape.Batch
 	// MaxInflight bounds concurrently committing requests; 0 picks
 	// 2×GOMAXPROCS.
@@ -71,25 +72,23 @@ type Receiver struct {
 	badRequests *telemetry.Counter
 	failed      *telemetry.Counter
 	inFlight    atomic.Int64
-
-	rate rateWindow
 }
 
-// IngestStats is the JSON shape served by /api/v1/status/ingest.
+// IngestStats is the JSON shape served by /api/v1/status/ingest. The ingest
+// rate is rate(telemetry_remotewrite_samples_appended_total[1m]) on /metrics.
 type IngestStats struct {
-	Requests        uint64  `json:"requests"`
-	Frames          uint64  `json:"frames"`
-	SamplesDecoded  uint64  `json:"samples_decoded"`
-	SamplesAppended uint64  `json:"samples_appended"`
-	OOOAccepted     uint64  `json:"ooo_accepted"`
-	Duplicates      uint64  `json:"duplicates_skipped"`
-	TooOld          uint64  `json:"ooo_too_old"`
-	Rejected429     uint64  `json:"rejected_backpressure"`
-	BadRequests     uint64  `json:"bad_requests"`
-	Failed          uint64  `json:"failed_commits"`
-	SamplesPerSec   float64 `json:"samples_per_s"`
-	InFlight        int64   `json:"in_flight"`
-	MaxInflight     int     `json:"max_inflight"`
+	Requests        uint64 `json:"requests"`
+	Frames          uint64 `json:"frames"`
+	SamplesDecoded  uint64 `json:"samples_decoded"`
+	SamplesAppended uint64 `json:"samples_appended"`
+	OOOAccepted     uint64 `json:"ooo_accepted"`
+	Duplicates      uint64 `json:"duplicates_skipped"`
+	TooOld          uint64 `json:"ooo_too_old"`
+	Rejected429     uint64 `json:"rejected_backpressure"`
+	BadRequests     uint64 `json:"bad_requests"`
+	Failed          uint64 `json:"failed_commits"`
+	InFlight        int64  `json:"in_flight"`
+	MaxInflight     int    `json:"max_inflight"`
 }
 
 func (rcv *Receiver) init() {
@@ -144,7 +143,6 @@ func (rcv *Receiver) Stats() IngestStats {
 		Rejected429:     rcv.rejected.Value(),
 		BadRequests:     rcv.badRequests.Value(),
 		Failed:          rcv.failed.Value(),
-		SamplesPerSec:   rcv.rate.perSec(time.Now()),
 		InFlight:        rcv.inFlight.Load(),
 		MaxInflight:     rcv.MaxInflight,
 	}
@@ -182,31 +180,45 @@ func (rcv *Receiver) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 	dec := NewDecoder(r.Body)
 	defer dec.Release()
+	// One batch per request, as a scrape takes one per pass (Commit leaves it
+	// reusable); a frame that fails validation ends the request uncommitted.
+	batch := rcv.NewBatch()
+	var tok expofmt.Tokenizer
 	var appended, frames, decoded int
 	for {
-		fams, err := dec.Next()
+		payload, err := dec.frame()
 		if err == io.EOF {
 			break
+		}
+		n, unstamped := 0, ""
+		if err == nil {
+			tok.Reset(payload)
+			for tok.Next() {
+				if tok.Meta != "" {
+					continue
+				}
+				if tok.TS == 0 {
+					if unstamped == "" {
+						unstamped = string(tok.Name)
+					}
+					continue
+				}
+				// Labels copies: nothing staged aliases the pooled payload.
+				_, ls := tok.Labels()
+				batch.Add(ls, tok.TS, tok.Value)
+				n++
+			}
+			if err = tok.Err(); err != nil {
+				err = fmt.Errorf("remotewrite: parse frame payload: %w", err)
+			} else if unstamped != "" {
+				err = fmt.Errorf("metric %s has no timestamp; remote write requires explicit timestamps", unstamped)
+			}
 		}
 		if err != nil {
 			rcv.badRequests.Add(1)
 			writeIngestErr(w, http.StatusBadRequest,
 				fmt.Sprintf("frame %d: %v (%d frames committed)", frames, err, frames))
 			return
-		}
-		batch := rcv.NewBatch()
-		n := 0
-		for _, f := range fams {
-			for _, m := range f.Metrics {
-				if m.TS == 0 {
-					rcv.badRequests.Add(1)
-					writeIngestErr(w, http.StatusBadRequest,
-						fmt.Sprintf("frame %d: metric %s has no timestamp; remote write requires explicit timestamps (%d frames committed)", frames, f.Name, frames))
-					return
-				}
-				batch.Add(m.Labels, m.TS, m.Value)
-				n++
-			}
 		}
 		decoded += n
 		rcv.samples.Add(uint64(n))
@@ -223,7 +235,6 @@ func (rcv *Receiver) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		frames++
 		rcv.frames.Add(1)
 		rcv.appended.Add(uint64(got))
-		rcv.rate.add(time.Now(), uint64(got))
 		if cs, ok := batch.(commitStatser); ok {
 			st := cs.LastCommitStats()
 			rcv.oooAccepted.Add(uint64(st.OOOAccepted))
@@ -247,38 +258,4 @@ func writeIngestErr(w http.ResponseWriter, code int, msg string) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	json.NewEncoder(w).Encode(map[string]string{"status": "error", "error": msg})
-}
-
-// rateWindow tracks a trailing samples/s over ~10 one-second buckets.
-type rateWindow struct {
-	mu      sync.Mutex
-	buckets [10]uint64
-	seconds [10]int64
-}
-
-func (rw *rateWindow) add(now time.Time, n uint64) {
-	sec := now.Unix()
-	i := int(sec % int64(len(rw.buckets)))
-	rw.mu.Lock()
-	if rw.seconds[i] != sec {
-		rw.seconds[i] = sec
-		rw.buckets[i] = 0
-	}
-	rw.buckets[i] += n
-	rw.mu.Unlock()
-}
-
-func (rw *rateWindow) perSec(now time.Time) float64 {
-	sec := now.Unix()
-	var total uint64
-	rw.mu.Lock()
-	for i := range rw.buckets {
-		// Only buckets from the trailing window count; stale slots are
-		// leftovers from >10s ago.
-		if sec-rw.seconds[i] < int64(len(rw.buckets)) {
-			total += rw.buckets[i]
-		}
-	}
-	rw.mu.Unlock()
-	return float64(total) / float64(len(rw.buckets))
 }

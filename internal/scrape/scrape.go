@@ -142,7 +142,7 @@ type targetKey struct{ job, addr string }
 
 // target is the state of one scrape target between scrapes: everything a
 // scrape would otherwise derive again from text that was identical 15 s
-// earlier. See docs/ARCHITECTURE.md, "The scrape edge".
+// earlier. See docs/ARCHITECTURE.md, "The ingest edges".
 type target struct {
 	mu          sync.Mutex        // held for a whole scrape: one at a time per target
 	healthKey   string            // "<job>/<target>"
