@@ -47,9 +47,10 @@ querycache:
 # 16-shard head, and over every store read with its hints as sent — trimmed
 # to the samples the steps look at — against the same store read untrimmed
 # (TestHintTrimMatchesOracleRandom, docs/ARCHITECTURE.md §7, "What a read
-# may drop"); two passes, under race.
+# may drop"); two passes, under race. Both passes together run close to
+# go test's 10-minute default, hence the explicit timeout.
 promql-equiv:
-	$(GO) test -race -count=2 -run 'MatchesOracle|MatchesNaive|HashCollision' ./internal/promql/ -args -equiv.exprs=2000
+	$(GO) test -race -count=2 -timeout 30m -run 'MatchesOracle|MatchesNaive|HashCollision' ./internal/promql/ -args -equiv.exprs=2000
 
 # Rule group evaluation equivalence (docs/ARCHITECTURE.md, "One evaluation
 # per group"): random rule groups and the CEEMS groups under series churn,
@@ -99,37 +100,41 @@ blocks:
 # goroutine appends — plus the select allocation bound, the same property
 # for the block index, which resolves matchers through the same code, and
 # the read side (docs/ARCHITECTURE.md, "Sized fan-out"): which selects wake
-# a second core at GOMAXPROCS 4, and fanned-out, inline and 1-shard reads
-# of random matchers, windows and sample limits agreeing to the bit;
-# randomized, so two passes, under race.
+# a second core at GOMAXPROCS 4, fanned-out, inline and 1-shard reads
+# of random matchers, windows and sample limits agreeing to the bit, and
+# reads that start at a chunk's seek marks against a full decode of every
+# chunk (TestHeadSelectSeekMatchesFullDecode); randomized, so two passes,
+# under race.
 head-index:
 	$(GO) test -race -count=2 -run 'Posting|HeadSelect' ./internal/tsdb/
 
 # Ten seconds of coverage-guided fuzzing each over the chunk decoder
 # (arbitrary bytes must end in an error or the declared sample count, never
-# a panic), over the chunk/WAL bit writer (byte-identical to the
-# bit-at-a-time oracle it replaced, for any call sequence into any
-# destination), over the query API's JSON string escaper (byte-identical to
-# encoding/json on any input), over the exposition tokenizer (same
-# families or same failure as the oracle parser it replaced, allocation
-# linear in the input), over the block index decoder (a CRC-valid index
-# of any content ends in an error or a value that re-encodes to the same
-# bytes, allocation linear in the input), over the remote-read request
-# decoder (any body ends in 200, 400, 413 or 422 with a readResponse body,
-# never a 500 or a panic), over the PromQL parser (any text ends in an
-# error or an expression whose String() parses again, never a panic), over
-# the CRW1 frame decoder (FuzzDecoder: any stream ends in io.EOF or an
-# error, never a panic, and no frame held or inflated past MaxFrame+1
-# bytes; every accepted frame's payload walked by the tokenizer, as the
-# receiver reads it, fails like Parse or gives each series the same
-# samples) and over WAL replay (FuzzWALRecord: one record of any type under a
-# valid CRC replays through Open to an error or a head, never a panic,
+# a panic), over iterators resumed from seek marks (FuzzChunkResume: the
+# bitwise suffix of a full decode, the same error), over the chunk/WAL bit
+# writer (byte-identical to the bit-at-a-time oracle it replaced, for any
+# call sequence into any destination), over the query API's JSON string
+# escaper (byte-identical to encoding/json on any input), over the
+# exposition tokenizer (same families or same failure as the oracle parser
+# it replaced, allocation linear in the input), over the block index decoder
+# (a CRC-valid index of any content ends in an error or a value that
+# re-encodes to the same bytes, allocation linear in the input), over the
+# remote-read request decoder (any body ends in 200, 400, 413 or 422 with a
+# readResponse body, never a 500 or a panic), over the PromQL parser (any
+# text ends in an error or an expression whose String() parses again, never
+# a panic), over the CRW1 frame decoder (FuzzDecoder: any stream ends in
+# io.EOF or an error, never a panic, and no frame held or inflated past
+# MaxFrame+1 bytes; every accepted frame's payload walked by the tokenizer,
+# as the receiver reads it, fails like Parse or gives each series the same
+# samples) and over WAL replay (FuzzWALRecord: one record of any type under
+# a valid CRC replays through Open to an error or a head, never a panic,
 # allocating in proportion to the bytes it holds).
 # tools/ci_sync_check.sh pins this list to ci.yml and to every Fuzz function
 # in the tree.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzChunkIterator -fuzztime 10s ./internal/tsdb/chunkenc/
 	$(GO) test -run '^$$' -fuzz FuzzBitWriter -fuzztime 10s ./internal/tsdb/chunkenc/
+	$(GO) test -run '^$$' -fuzz FuzzChunkResume -fuzztime 10s ./internal/tsdb/chunkenc/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeIndex -fuzztime 10s ./internal/tsdb/
 	$(GO) test -run '^$$' -fuzz FuzzWALRecord -fuzztime 10s ./internal/tsdb/
 	$(GO) test -run '^$$' -fuzz FuzzAppendJSONString -fuzztime 10s ./internal/promapi/

@@ -154,8 +154,9 @@ func (s *memSeries) cut(mint, maxt int64, maxPerChunk int) ([]diskChunk, error) 
 	defer s.mu.Unlock()
 	sc := seriesCutter{maxPerChunk: maxPerChunk}
 	if len(s.ooo) == 0 {
-		decode := func(c *chunkenc.Chunk) error {
-			it := c.Iterator()
+		decode := func(cr *chunkRange) error {
+			it := cr.chunk.Iterator()
+			seekBefore(it, cr.marks, mint)
 			for it.Next() {
 				t, v := it.At()
 				if t < mint {
@@ -181,12 +182,12 @@ func (s *memSeries) cut(mint, maxt int64, maxPerChunk int) ([]diskChunk, error) 
 				sc.reuse(cr)
 				continue
 			}
-			if err := decode(cr.chunk); err != nil {
+			if err := decode(cr); err != nil {
 				return nil, err
 			}
 		}
-		if s.head != nil && !(s.lastT < mint || s.headMin > maxt) {
-			if err := decode(s.head); err != nil {
+		if h := s.head; h != nil && !(h.max < mint || h.min > maxt) {
+			if err := decode(h); err != nil {
 				return nil, err
 			}
 		}

@@ -651,7 +651,7 @@ func TestBlockSelectSizesSamplesOnce(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if out, err = appendChunk(out, &ch, 0, 30*day, nil); err != nil {
+				if out, err = appendChunk(out, &ch, nil, 0, 30*day, nil); err != nil {
 					t.Fatal(err)
 				}
 			}

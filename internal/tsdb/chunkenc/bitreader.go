@@ -29,6 +29,17 @@ type BitReader struct {
 // NewBitReader returns a reader positioned at the first bit of stream.
 func NewBitReader(stream []byte) BitReader { return BitReader{stream: stream} }
 
+// seek positions the reader at bit offset bit of its stream, no further
+// than the stream's end: the rest of that bit's byte becomes the buffer.
+func (r *BitReader) seek(bit int) {
+	r.off, r.buf, r.nbits = bit>>3, 0, 0
+	if k := uint(bit & 7); k != 0 {
+		r.buf = uint64(r.stream[r.off]) << (56 + k)
+		r.nbits = 8 - k
+		r.off++
+	}
+}
+
 // fill tops buf up to at least 56 bits, or to whatever the stream has left.
 func (r *BitReader) fill() {
 	if r.off+8 <= len(r.stream) {

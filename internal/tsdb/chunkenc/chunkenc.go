@@ -105,6 +105,38 @@ func (c *Chunk) Append(t int64, v float64) error {
 	return nil
 }
 
+// Mark is the decoder's state right after one sample of a chunk: where the
+// next sample's bits start and what decoding them needs. An iterator resumed
+// from a mark (Iterator.Resume) goes on from there without reading what
+// came before. Marks are not part of a chunk's bytes; a mark is 32 bytes.
+type Mark struct {
+	t        int64
+	v        float64
+	tDelta   uint64
+	off      uint32 // bit offset of the next sample in the stream
+	num      uint16 // samples up to and including the marked one
+	leading  uint8
+	trailing uint8
+}
+
+// T returns the timestamp of the marked sample.
+func (m Mark) T() int64 { return m.t }
+
+// Mark returns the decoder's state after the newest appended sample.
+func (c *Chunk) Mark() Mark {
+	m := Mark{t: c.t, v: c.v, tDelta: c.tDelta, off: uint32(len(c.b.b)*8 - int(c.b.free)), num: c.num, leading: c.leading, trailing: c.trailing}
+	if m.leading == 0xff {
+		// No window written yet: the writer's "none" is the reader's zero
+		// window (see ReadXOR).
+		m.leading = 0
+	}
+	return m
+}
+
+// errBadMark is an iterator's error after Resume from a mark its chunk
+// cannot hold.
+var errBadMark = errors.New("chunkenc: mark past the end of the chunk")
+
 // Iterator iterates the samples of a chunk.
 type Iterator struct {
 	br       BitReader
@@ -160,6 +192,18 @@ func (it *Iterator) Next() bool {
 	}
 	it.numRead++
 	return true
+}
+
+// Resume positions the iterator right after the sample m marks, as if Next
+// had just returned it: the next call decodes the sample after it. m must be
+// a mark of the chunk the iterator reads (or of a prefix of it).
+func (it *Iterator) Resume(m Mark) {
+	if m.num > it.numTotal || int(m.off) > len(it.br.stream)*8 {
+		it.err = errBadMark
+		return
+	}
+	it.br.seek(int(m.off))
+	it.t, it.v, it.tDelta, it.numRead, it.leading, it.trailing = m.t, m.v, m.tDelta, m.num, m.leading, m.trailing
 }
 
 // At returns the current sample.

@@ -57,7 +57,7 @@ func (pb *PersistentBlock) allAggrSeries() ([]aggrSeries, error) {
 				if err != nil {
 					return nil, err
 				}
-				if stream, err = appendChunk(stream, &ch, c.minT, c.maxT, nil); err != nil {
+				if stream, err = appendChunk(stream, &ch, nil, c.minT, c.maxT, nil); err != nil {
 					return nil, err
 				}
 			}

@@ -469,10 +469,9 @@ func (st stream) len() int {
 
 // meta returns chunk i's time bounds and sample count.
 func (st stream) meta(i int) (minT, maxT int64, n int) {
-	if s := st.head; s != nil && i < len(s.chunks) {
-		return s.chunks[i].min, s.chunks[i].max, s.chunks[i].chunk.NumSamples()
-	} else if s != nil {
-		return s.headMin, s.lastT, s.head.NumSamples()
+	if s := st.head; s != nil {
+		cr := s.chunkAt(i)
+		return cr.min, cr.max, cr.chunk.NumSamples()
 	}
 	c := &st.disk[i]
 	return c.minT, c.maxT, st.block.sampleHint(*c)
@@ -520,22 +519,23 @@ func (st stream) read(dst []model.Sample, mint, maxt int64, f *model.StepFilter,
 }
 
 func (st stream) appendChunk(dst []model.Sample, i int, mint, maxt int64, f *model.StepFilter) ([]model.Sample, error) {
-	if s := st.head; s != nil && i < len(s.chunks) {
-		return appendChunk(dst, s.chunks[i].chunk, mint, maxt, f)
-	} else if s != nil {
-		return appendChunk(dst, s.head, mint, maxt, f)
+	if s := st.head; s != nil {
+		cr := s.chunkAt(i)
+		return appendChunk(dst, cr.chunk, cr.marks, mint, maxt, f)
 	}
 	ch, err := st.block.decodeChunk(&st.disk[i])
 	if err != nil {
 		return dst, err
 	}
-	return appendChunk(dst, &ch, mint, maxt, f)
+	return appendChunk(dst, &ch, nil, mint, maxt, f)
 }
 
 // appendChunk decodes onto dst the samples of c in [mint, maxt] that f keeps
-// (all of them when f is nil).
-func appendChunk(dst []model.Sample, c *chunkenc.Chunk, mint, maxt int64, f *model.StepFilter) ([]model.Sample, error) {
+// (all of them when f is nil), starting at the last of c's seek marks before
+// mint: a head chunk has them, a block chunk none.
+func appendChunk(dst []model.Sample, c *chunkenc.Chunk, marks []chunkenc.Mark, mint, maxt int64, f *model.StepFilter) ([]model.Sample, error) {
 	it := c.Iterator()
+	seekBefore(it, marks, mint)
 	for it.Next() {
 		t, v := it.At()
 		switch {

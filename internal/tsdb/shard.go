@@ -319,7 +319,7 @@ func (sh *headShard) stats() shardStats {
 			st.bytesInChunks += len(cr.chunk.Bytes())
 		}
 		if s.head != nil {
-			st.bytesInChunks += len(s.head.Bytes())
+			st.bytesInChunks += len(s.head.chunk.Bytes())
 		}
 		s.mu.Unlock()
 	}

@@ -159,10 +159,9 @@ type memSeries struct {
 	dropped bool
 	hasAny  bool // guarded by mu, as everything below; next to dropped, it costs no padding
 
-	mu      sync.Mutex
-	chunks  []*chunkRange
-	head    *chunkenc.Chunk
-	headMin int64
+	mu     sync.Mutex
+	chunks []*chunkRange // closed, in time order
+	head   *chunkRange   // the open chunk, nil until a sample opens one
 	// lastT, lastV is the newest in-order sample, which is the series' newest
 	// while the chunk holding it is kept: out-of-order samples are older.
 	lastT int64
@@ -174,10 +173,29 @@ type memSeries struct {
 	ooo []model.Sample
 }
 
-// chunkRange is a closed chunk plus its time bounds.
+// chunkRange is a chunk, its time bounds and its seek marks: one after every
+// markEvery-th sample but the chunk's last, taken while it is open.
 type chunkRange struct {
 	min, max int64
 	chunk    *chunkenc.Chunk
+	marks    []chunkenc.Mark
+}
+
+// markEvery is how many in-order samples of a head chunk lie between two seek
+// marks: a head read decodes fewer than this many samples before its window,
+// for 32 bytes of mark per markEvery samples.
+const markEvery = 32
+
+// seekBefore resumes it, an iterator at the start of the chunk marks were
+// taken of, after the last mark earlier than t: every sample it skips is
+// before t.
+func seekBefore(it *chunkenc.Iterator, marks []chunkenc.Mark, t int64) {
+	for i := len(marks) - 1; i >= 0; i-- {
+		if marks[i].T() < t {
+			it.Resume(marks[i])
+			return
+		}
+	}
 }
 
 // nextPow2 returns the smallest power of two >= n.
@@ -431,30 +449,46 @@ func (s *memSeries) appendLocked(t int64, v float64, maxPerChunk int, ooo *oooAp
 		s.ooo[i] = model.Sample{T: t, V: v}
 		return appendOOO, nil
 	}
-	if s.head == nil {
-		s.head = chunkenc.NewChunk()
-		s.headMin = t
+	h := s.head
+	if h == nil {
+		h = &chunkRange{min: t, chunk: chunkenc.NewChunk()}
+		s.head = h
 	}
-	if err := s.head.Append(t, v); err != nil {
+	if err := h.chunk.Append(t, v); err != nil {
 		return appendFailed, err
 	}
-	s.lastT, s.lastV = t, v
+	h.max, s.lastT, s.lastV = t, t, v
 	s.hasAny = true
-	if s.head.NumSamples() >= maxPerChunk {
-		s.chunks = append(s.chunks, &chunkRange{min: s.headMin, max: s.lastT, chunk: s.head})
+	switch n := h.chunk.NumSamples(); {
+	case n >= maxPerChunk:
+		s.chunks = append(s.chunks, h)
 		s.head = nil
+	case n%markEvery == 0:
+		if h.marks == nil {
+			h.marks = make([]chunkenc.Mark, 0, (maxPerChunk-1)/markEvery)
+		}
+		h.marks = append(h.marks, h.chunk.Mark())
 	}
 	return appendInOrder, nil
 }
 
+// chunkAt returns chunk i of the series: its closed chunks, then the open one.
+func (s *memSeries) chunkAt(i int) *chunkRange {
+	if i < len(s.chunks) {
+		return s.chunks[i]
+	}
+	return s.head
+}
+
 // hasInOrderSampleLocked reports whether timestamp t is already present in
 // the series' in-order data (closed chunks or the open head chunk). The
-// caller holds s.mu. Cost is one chunk decode (≤ MaxSamplesPerChunk
-// samples) — paid only on the out-of-order path, where a hit means a
+// caller holds s.mu. Cost is the decode of one chunk from its last seek
+// mark before t — paid only on the out-of-order path, where a hit means a
 // resent batch.
 func (s *memSeries) hasInOrderSampleLocked(t int64) bool {
-	scan := func(c *chunkenc.Chunk) bool {
-		it := c.Iterator()
+	scan := func(cr *chunkRange) bool {
+		it := cr.chunk.Iterator()
+		seekBefore(it, cr.marks, t)
 		for it.Next() {
 			ct, _ := it.At()
 			if ct == t {
@@ -469,10 +503,10 @@ func (s *memSeries) hasInOrderSampleLocked(t int64) bool {
 	// Chunks are in time order; find the first one that could hold t.
 	i := sort.Search(len(s.chunks), func(i int) bool { return s.chunks[i].max >= t })
 	if i < len(s.chunks) && s.chunks[i].min <= t {
-		return scan(s.chunks[i].chunk)
+		return scan(s.chunks[i])
 	}
-	if s.head != nil && t >= s.headMin && t <= s.lastT {
-		return scan(s.head)
+	if h := s.head; h != nil && h.min <= t && t <= h.max {
+		return scan(h)
 	}
 	return false
 }
