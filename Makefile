@@ -103,10 +103,12 @@ blocks:
 # a second core at GOMAXPROCS 4, fanned-out, inline and 1-shard reads
 # of random matchers, windows and sample limits agreeing to the bit, and
 # reads that start at a chunk's seek marks against a full decode of every
-# chunk (TestHeadSelectSeekMatchesFullDecode); randomized, so two passes,
-# under race.
+# chunk (TestHeadSelectSeekMatchesFullDecode), and the head's sorted label
+# lists against its live series through churn, WAL replay and concurrent
+# reads (TestLabelValues*, and TestPostingsProperty's label checks);
+# randomized, so two passes, under race.
 head-index:
-	$(GO) test -race -count=2 -run 'Posting|HeadSelect' ./internal/tsdb/
+	$(GO) test -race -count=2 -run 'Posting|HeadSelect|LabelValues' ./internal/tsdb/
 
 # Ten seconds of coverage-guided fuzzing each over the chunk decoder
 # (arbitrary bytes must end in an error or the declared sample count, never

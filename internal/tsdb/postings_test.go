@@ -2,6 +2,7 @@ package tsdb
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"math/rand"
 	"reflect"
@@ -63,11 +64,23 @@ func randPostingsMatchers(rng *rand.Rand) []*labels.Matcher {
 
 // checkPostingsInvariants asserts the shard's index is exactly the inverse
 // of its series: every list strictly ascending, holding only live refs that
-// carry the label, and every live series present in each of its lists.
+// carry the label, and every live series present in each of its lists; and
+// that the sorted name and value lists are exactly the keys of postings.
 func checkPostingsInvariants(t *testing.T, sh *headShard) {
 	t.Helper()
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
+	if want := slices.Sorted(maps.Keys(sh.postings)); !slices.Equal(sh.names, want) {
+		t.Fatalf("names %q, want the sorted keys of postings %q", sh.names, want)
+	}
+	if len(sh.values) != len(sh.postings) {
+		t.Fatalf("values has %d names, postings %d", len(sh.values), len(sh.postings))
+	}
+	for name, vm := range sh.postings {
+		if want := slices.Sorted(maps.Keys(vm)); !slices.Equal(sh.values[name], want) {
+			t.Fatalf("values[%q] = %q, want the sorted keys of postings[%q] %q", name, sh.values[name], name, want)
+		}
+	}
 	entries := 0
 	for name, vm := range sh.postings {
 		if len(vm) == 0 {
@@ -126,6 +139,60 @@ func selectedLabelSets(db *DB, ms []*labels.Matcher) []string {
 	return out
 }
 
+// checkLabelLists holds a head's label lists to the oracle's live series:
+// each list strictly ascending, listing every name and value the oracle
+// has. Only the background appender's vocabulary — the names bg, job and
+// __name__, and the job and __name__ values it writes — may list more.
+func checkLabelLists(t *testing.T, db *DB, live []labels.Labels, where string) {
+	t.Helper()
+	bgName := func(n string) bool { return n == "bg" || n == "job" || n == labels.MetricName }
+	check := func(what string, got []string, want map[string]bool, extra func(string) bool) {
+		t.Helper()
+		if !strictlyAscending(got) {
+			t.Fatalf("%s: %s on %d shards not strictly ascending: %q", where, what, db.NumShards(), got)
+		}
+		for _, v := range got {
+			if !want[v] && !extra(v) {
+				t.Fatalf("%s: %s on %d shards lists %q, no live series has it: %q", where, what, db.NumShards(), v, got)
+			}
+		}
+		for v := range want {
+			if _, ok := slices.BinarySearch(got, v); !ok {
+				t.Fatalf("%s: %s on %d shards misses %q: %q", where, what, db.NumShards(), v, got)
+			}
+		}
+	}
+	names := map[string]bool{}
+	for _, lset := range live {
+		for _, l := range lset {
+			names[l.Name] = true
+		}
+	}
+	check("LabelNames", db.LabelNames(), names, bgName)
+	for _, name := range append([]string{labels.MetricName, "absent"}, postingsNames...) {
+		values := map[string]bool{}
+		for _, lset := range live {
+			if v := lset.Get(name); v != "" {
+				values[v] = true
+			}
+		}
+		extra := func(string) bool { return false }
+		if bgName(name) {
+			extra = func(string) bool { return true }
+		}
+		check(fmt.Sprintf("LabelValues(%q)", name), db.LabelValues(name), values, extra)
+	}
+}
+
+func strictlyAscending(list []string) bool {
+	for i := 1; i < len(list); i++ {
+		if list[i-1] >= list[i] {
+			return false
+		}
+	}
+	return true
+}
+
 func withoutBackground(in []model.Series) []model.Series {
 	out := []model.Series{}
 	for _, sr := range in {
@@ -140,8 +207,10 @@ func withoutBackground(in []model.Series) []model.Series {
 // against a 1-shard and a 16-shard head while another goroutine registers
 // and appends series of its own, and checks after every step that the index
 // select equals labels.MatchLabels over the live series (a brute-force
-// oracle kept beside the heads), that both heads answer identically, and
-// that the postings lists stay the exact sorted inverse of the series maps.
+// oracle kept beside the heads), that both heads answer identically, that
+// both heads' label lists are the oracle's, and that the postings lists stay
+// the exact sorted inverse of the series maps. A third goroutine reads label
+// lists throughout, so the race pass covers their upkeep.
 func TestPostingsProperty(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -151,7 +220,26 @@ func TestPostingsProperty(t *testing.T) {
 
 		stop := make(chan struct{})
 		var bg sync.WaitGroup
-		bg.Add(1)
+		bg.Add(2)
+		go func() {
+			defer bg.Done()
+			names := append([]string{labels.MetricName, "bg"}, postingsNames...)
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				for _, db := range dbs {
+					for _, list := range [][]string{db.LabelNames(), db.LabelValues(names[i%len(names)])} {
+						if !strictlyAscending(list) {
+							t.Errorf("seed %d: concurrent label read on %d shards not strictly ascending: %q", seed, db.NumShards(), list)
+							return
+						}
+					}
+				}
+			}
+		}()
 		go func() {
 			defer bg.Done()
 			brng := rand.New(rand.NewSource(seed + 1000))
@@ -251,6 +339,13 @@ func TestPostingsProperty(t *testing.T) {
 			}
 			if len(answers[0]) != len(want) {
 				t.Fatalf("seed %d step %d: Select(%v) returned %d series, oracle has %d", seed, step, ms, len(answers[0]), len(want))
+			}
+			lsets := make([]labels.Labels, 0, len(live))
+			for _, ls := range live {
+				lsets = append(lsets, ls.lset)
+			}
+			for _, db := range dbs {
+				checkLabelLists(t, db, lsets, fmt.Sprintf("seed %d step %d", seed, step))
 			}
 			if step%20 == 0 {
 				for _, db := range dbs {
@@ -533,5 +628,36 @@ func TestHeadSelectAllocsIndependentOfIndexSize(t *testing.T) {
 	small, large := bytesPerSelect(100), bytesPerSelect(1000)
 	if large > small*1.1 {
 		t.Errorf("one-job select allocates %.0f B/op on a 10x larger shard, %.0f B/op on the small one", large, small)
+	}
+}
+
+// BenchmarkHeadLabelValues measures a dashboard variable lookup,
+// /label/uuid/values: uuid-shaped values at a day of a mid-size cluster's
+// jobs (2k) and of Jean-Zay's (20k), two series per job, on 1 and 16 shards.
+func BenchmarkHeadLabelValues(b *testing.B) {
+	for _, jobs := range []int{2000, 20000} {
+		for _, shards := range []int{1, 16} {
+			b.Run(fmt.Sprintf("%dk_uuids/%d_shards", jobs/1000, shards), func(b *testing.B) {
+				db := MustOpen(Options{Shards: shards})
+				app := db.Appender()
+				rng := rand.New(rand.NewSource(1))
+				for j := 0; j < jobs; j++ {
+					uuid := fmt.Sprintf("%08x-%04x-%04x-%04x-%012x", rng.Uint32(), rng.Intn(1<<16), rng.Intn(1<<16), rng.Intn(1<<16), rng.Int63n(1<<48))
+					for _, name := range []string{"ceems_job_power_watts", "ceems_job_cpu_seconds_total"} {
+						app.Add(labels.FromStrings(labels.MetricName, name, "uuid", uuid, "instance", fmt.Sprintf("n%d", j%42)), 1000, 1)
+					}
+				}
+				if _, err := app.Commit(); err != nil {
+					b.Fatal(err)
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if got := db.LabelValues("uuid"); len(got) != jobs {
+						b.Fatalf("%d values, want %d", len(got), jobs)
+					}
+				}
+			})
+		}
 	}
 }

@@ -22,6 +22,11 @@ type headShard struct {
 	// Refs are handed out monotonically, so registering a series appends.
 	// A list is only ever read or rewritten under mu and never leaves it.
 	postings map[string]map[string][]uint64
+	// values holds each name's keys of postings, sorted, and names the keys
+	// of postings, sorted: kept in step with postings under mu, so a label
+	// read copies a list and sorts nothing.
+	values map[string][]string
+	names  []string
 
 	// Time bounds and sample counter, updated off the lock path.
 	minTime  atomic.Int64 // smallest timestamp currently retained (approx)
@@ -38,6 +43,7 @@ func newHeadShard() *headShard {
 		series:   make(map[uint64][]*memSeries),
 		byRef:    make(map[uint64]*memSeries),
 		postings: make(map[string]map[string][]uint64),
+		values:   make(map[string][]string),
 	}
 	sh.minTime.Store(int64(1) << 62)
 	sh.maxTime.Store(-(int64(1) << 62))
@@ -100,8 +106,13 @@ func (sh *headShard) getOrCreateLocked(hash uint64, lset labels.Labels) *memSeri
 		if !ok {
 			vm = make(map[string][]uint64)
 			sh.postings[l.Name] = vm
+			sh.names = insertSorted(sh.names, l.Name)
 		}
-		vm[l.Value] = append(vm[l.Value], s.ref)
+		list, ok := vm[l.Value]
+		if !ok {
+			sh.values[l.Name] = insertSorted(sh.values[l.Name], l.Value)
+		}
+		vm[l.Value] = append(list, s.ref)
 	}
 	return s
 }
@@ -139,7 +150,8 @@ func (sh *headShard) selectLocked(dst []*memSeries, ms []*labels.Matcher) []*mem
 }
 
 // matcherPostings returns the refs of the series whose label m.Name has a
-// value m accepts; m is an equality or a regexp that cannot match "".
+// value m accepts; m is an equality or a regexp that cannot match "". A
+// regexp tests the sorted values, as a block's index does.
 func (sh *headShard) matcherPostings(m *labels.Matcher) []uint64 {
 	vm := sh.postings[m.Name]
 	if m.Type == labels.MatchEqual {
@@ -153,9 +165,9 @@ func (sh *headShard) matcherPostings(m *labels.Matcher) []uint64 {
 			}
 		}
 	} else {
-		for v, l := range vm {
+		for _, v := range sh.values[m.Name] {
 			if m.Matches(v) {
-				parts = append(parts, l)
+				parts = append(parts, vm[v])
 			}
 		}
 	}
@@ -217,14 +229,18 @@ func (sh *headShard) deleteSeries(ms []*labels.Matcher) []*memSeries {
 	return gone
 }
 
-// removeLocked detaches gone from the shard — collision chains, byRef and
-// postings — and marks each series dropped. Caller holds sh.mu (and the
-// shard WAL mutex, when one exists). Every postings list a removed series
-// sat in is rewritten once however many of its refs go: list and sorted dead
-// set are merged by galloping each to the other's next ref, so a list costs
-// the shorter of the two (times a log) plus moving its survivors down —
-// a job's own one-ref list never walks the whole dead set, nor a few dead
-// refs the whole of a long list.
+// removeLocked detaches gone from the shard — collision chains, byRef,
+// postings and the sorted names and values — and marks each series dropped.
+// Caller holds sh.mu (and the shard WAL mutex, when one exists). Every
+// postings list a removed series sat in is rewritten once however many of
+// its refs go: list and sorted dead set are merged by galloping each to the
+// other's next ref, so a list costs the shorter of the two (times a log)
+// plus moving its survivors down — a job's own one-ref list never walks the
+// whole dead set, nor a few dead refs the whole of a long list. A value
+// whose list empties leaves its name's sorted values, and a name whose map
+// empties the sorted names: up to 16 values by binary search each, more by
+// one pass per name that keeps what postings still holds, so a churn sweep
+// does not move a long list once per value. Neither allocates.
 func (sh *headShard) removeLocked(gone []*memSeries) {
 	if len(gone) == 0 {
 		return
@@ -246,6 +262,8 @@ func (sh *headShard) removeLocked(gone []*memSeries) {
 		}
 	}
 	slices.Sort(dead)
+	var buf [16]labels.Label
+	emptied, many := buf[:0], false // values whose list emptied, while few
 	for l := range touched {
 		vm := sh.postings[l.Name]
 		rest, d := vm[l.Value], dead
@@ -261,42 +279,64 @@ func (sh *headShard) removeLocked(gone []*memSeries) {
 			}
 		}
 		keep = append(keep, rest...)
-		switch {
-		case len(keep) > 0:
+		if len(keep) > 0 {
 			vm[l.Value] = keep
-		case len(vm) == 1:
+			continue
+		}
+		delete(vm, l.Value)
+		switch {
+		case len(vm) == 0:
 			delete(sh.postings, l.Name)
+			delete(sh.values, l.Name)
+			sh.names = deleteSorted(sh.names, l.Name)
+		case len(emptied) < cap(emptied):
+			emptied = append(emptied, l)
 		default:
-			delete(vm, l.Value)
+			many = true
+		}
+	}
+	if !many {
+		for _, l := range emptied {
+			if values, ok := sh.values[l.Name]; ok { // its name may have gone since
+				sh.values[l.Name] = deleteSorted(values, l.Value)
+			}
+		}
+		return
+	}
+	for name, values := range sh.values {
+		if vm := sh.postings[name]; len(vm) < len(values) {
+			sh.values[name] = slices.DeleteFunc(values, func(v string) bool { _, ok := vm[v]; return !ok })
 		}
 	}
 }
 
-// labelValues returns the shard's distinct values of a label name, sorted
-// once the lock is released.
-func (sh *headShard) labelValues(name string) []string {
-	sh.mu.RLock()
-	vm := sh.postings[name]
-	out := make([]string, 0, len(vm))
-	for v := range vm {
-		out = append(out, v)
-	}
-	sh.mu.RUnlock()
-	slices.Sort(out)
-	return out
+// insertSorted inserts v, absent from the ascending list, at its place.
+func insertSorted(list []string, v string) []string {
+	i, _ := slices.BinarySearch(list, v)
+	return slices.Insert(list, i, v)
 }
 
-// labelNames returns the shard's label names in use, sorted once the lock is
-// released.
+// deleteSorted removes v from the ascending list, if it is there.
+func deleteSorted(list []string, v string) []string {
+	if i, ok := slices.BinarySearch(list, v); ok {
+		return slices.Delete(list, i, i+1)
+	}
+	return list
+}
+
+// labelValues returns a copy of the shard's sorted distinct values of a
+// label name.
+func (sh *headShard) labelValues(name string) []string {
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	return slices.Clone(sh.values[name])
+}
+
+// labelNames returns a copy of the shard's sorted label names in use.
 func (sh *headShard) labelNames() []string {
 	sh.mu.RLock()
-	out := make([]string, 0, len(sh.postings))
-	for n := range sh.postings {
-		out = append(out, n)
-	}
-	sh.mu.RUnlock()
-	slices.Sort(out)
-	return out
+	defer sh.mu.RUnlock()
+	return slices.Clone(sh.names)
 }
 
 // shardStats is the per-shard contribution to Stats.

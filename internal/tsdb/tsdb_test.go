@@ -3,10 +3,13 @@ package tsdb
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"math"
 	"math/rand"
 	"os"
 	"reflect"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -160,6 +163,101 @@ func TestLabelValuesNames(t *testing.T) {
 	if got := db.LabelNames(); !reflect.DeepEqual(got, []string{labels.MetricName, "a"}) {
 		t.Errorf("LabelNames = %v", got)
 	}
+}
+
+// TestLabelValuesAfterChurnAndReplay holds the head's sorted label lists
+// to the label sets of its live series, rebuilt by brute force, through job
+// churn on 16 shards: uuid-shaped values created, deleted by alternation and
+// by open regexp, dropped by Truncate, a label name that leaves with its last
+// series, and a WAL reopen that rebuilds every list.
+func TestLabelValuesAfterChurnAndReplay(t *testing.T) {
+	opts := Options{Shards: 16, MaxSamplesPerChunk: 2, WALDir: t.TempDir()}
+	db, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(35))
+	live := map[string]labels.Labels{}
+	var uuids []string
+	for j := 0; j < 2000; j++ {
+		uuid := fmt.Sprintf("%08x-%04x-%04x", rng.Uint32(), rng.Intn(1<<16), j)
+		uuids = append(uuids, uuid)
+		for _, metric := range []string{"cpu", "mem", "power"} {
+			ss := []string{labels.MetricName, metric, "uuid", uuid, "node", fmt.Sprintf("n%d", j%7)}
+			if j%500 == 7 {
+				ss = append(ss, "gpu", fmt.Sprint(j))
+			}
+			lset := labels.FromStrings(ss...)
+			live[lset.String()] = lset
+			// Two samples close the chunk, so Truncate may remove the series.
+			mustAppend(t, db, lset, model.Sample{T: int64(j) * 10, V: 1}, model.Sample{T: int64(j)*10 + 1, V: 2})
+		}
+	}
+	check := func(db *DB, when string) {
+		t.Helper()
+		names := map[string]bool{}
+		values := map[string]map[string]bool{}
+		for _, lset := range live {
+			for _, l := range lset {
+				names[l.Name] = true
+				if values[l.Name] == nil {
+					values[l.Name] = map[string]bool{}
+				}
+				values[l.Name][l.Value] = true
+			}
+		}
+		if got, want := db.LabelNames(), slices.Sorted(maps.Keys(names)); !slices.Equal(got, want) {
+			t.Fatalf("%s: LabelNames = %q, want %q", when, got, want)
+		}
+		for _, name := range []string{labels.MetricName, "uuid", "node", "gpu", "absent"} {
+			if got, want := db.LabelValues(name), slices.Sorted(maps.Keys(values[name])); !slices.Equal(got, want) {
+				t.Fatalf("%s: LabelValues(%q) has %d values, want %d", when, name, len(got), len(want))
+			}
+		}
+		for _, sh := range db.shards {
+			checkPostingsInvariants(t, sh)
+		}
+	}
+	forget := func(ms ...*labels.Matcher) {
+		for k, lset := range live {
+			if labels.MatchLabels(lset, ms...) {
+				delete(live, k)
+			}
+		}
+	}
+	check(db, "after create")
+
+	batch := labels.MustMatcher(labels.MatchRegexp, "uuid", strings.Join(uuids[1000:1050], "|"))
+	db.DeleteSeries(batch)
+	forget(batch)
+	check(db, "after deleting an alternation")
+
+	open := labels.MustMatcher(labels.MatchRegexp, "uuid", "[0-3].*")
+	db.DeleteSeries(open)
+	forget(open)
+	check(db, "after deleting an open regexp")
+
+	gpu := labels.MustMatcher(labels.MatchNotEqual, "gpu", "")
+	db.DeleteSeries(gpu)
+	forget(gpu)
+	check(db, "after the last gpu series left")
+
+	db.Truncate(5000)
+	for k, lset := range live {
+		if j := slices.Index(uuids, lset.Get("uuid")); int64(j)*10+1 < 5000 {
+			delete(live, k)
+		}
+	}
+	check(db, "after Truncate")
+
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if db, err = Open(opts); err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	check(db, "after WAL replay")
 }
 
 func TestChunkRollover(t *testing.T) {
