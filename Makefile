@@ -130,7 +130,9 @@ head-index:
 # as the receiver reads it, fails like Parse or gives each series the same
 # samples) and over WAL replay (FuzzWALRecord: one record of any type under
 # a valid CRC replays through Open to an error or a head, never a panic,
-# allocating in proportion to the bytes it holds).
+# allocating in proportion to the bytes it holds) and over the step filter
+# (FuzzStepFilter: any stream, step grid and cut of the stream into runs read
+# through Until keeps exactly what the brute-force step rule keeps).
 # tools/ci_sync_check.sh pins this list to ci.yml and to every Fuzz function
 # in the tree.
 fuzz-smoke:
@@ -144,6 +146,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzParseExpr -fuzztime 10s ./internal/promql/
 	$(GO) test -run '^$$' -fuzz FuzzTokenizer -fuzztime 10s ./internal/expofmt/
 	$(GO) test -run '^$$' -fuzz FuzzDecoder -fuzztime 10s ./internal/remotewrite/
+	$(GO) test -run '^$$' -fuzz FuzzStepFilter -fuzztime 10s ./internal/model/
 
 # Real measurements for BENCH_querycache.json (slow).
 bench-querycache:

@@ -82,15 +82,20 @@ func (f *StepFilter) Append(dst []Sample, t int64, v float64) []Sample {
 	return append(dst, Sample{T: t, V: v})
 }
 
-// Skips reports whether Append would keep nothing of a run of samples
-// spanning [mint, maxt] (a chunk, clipped to the read) whose successor in the
-// stream is at next: no step's window meets the span, or, for a bare
-// selector, next is in the cell the span starts in and supersedes it all.
-// next is math.MaxInt64 when nothing of the read follows. Skipping a run
-// changes nothing Append keeps of the samples after it.
-func (f *StepFilter) Skips(mint, maxt, next int64) bool {
-	g := f.grid(mint)
-	return g-f.width >= maxt || f.newest && next <= g
+// Until returns the newest time Append can still keep of a run of samples
+// ending at maxt (a chunk, clipped to the read) whose successor in the stream
+// is at next: maxt when the window of maxt's step reaches it and, for a bare
+// selector, next is not in that cell to supersede it; otherwise the step
+// before, as nothing of maxt's cell in the run is kept. next is
+// math.MaxInt64 when nothing of the read follows. A read stops the run after
+// Until, and skips it whole when Until is before its first sample; leaving
+// those samples out changes nothing Append keeps of the samples after them.
+func (f *StepFilter) Until(maxt, next int64) int64 {
+	g := f.grid(maxt)
+	if g-f.width < maxt && !(f.newest && next <= g) {
+		return maxt
+	}
+	return g - f.step
 }
 
 // Bound is at most how many of n samples spanning [mint, maxt] Append keeps

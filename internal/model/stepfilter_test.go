@@ -46,10 +46,8 @@ func stepOracle(h SelectHints, in []Sample) []Sample {
 	return out
 }
 
-// TestStepFilterMatchesOracle: over random streams and step grids, Append
-// keeps exactly what the brute-force rule keeps, and so does Append with the
-// runs Skips names left out, whatever the runs; a bare read's Bound is never
-// below what it keeps.
+// TestStepFilterMatchesOracle: over random streams, step grids and cuts of
+// the stream into runs, checkStepFilter holds.
 func TestStepFilterMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 20000; trial++ {
@@ -67,59 +65,121 @@ func TestStepFilterMatchesOracle(t *testing.T) {
 				h.Start = h.End - h.Range + 1 // one window, the read
 			}
 		}
-		lo := slices.IndexFunc(in, func(s Sample) bool { return s.T >= h.Start })
-		hi := slices.IndexFunc(in, func(s Sample) bool { return s.T > h.End })
-		if lo < 0 {
-			continue
+		runs := make([]int, len(in))
+		for i := range runs {
+			runs[i] = 1 + rng.Intn(12)
 		}
-		if hi < 0 {
-			hi = len(in)
+		checkStepFilter(t, h, inRead(h, in), runs)
+	}
+}
+
+// FuzzStepFilter: checkStepFilter holds for any stream, step grid and cut
+// of the stream into runs. Times stay small enough for stepOracle's brute
+// force: a read spans under 4096 ms and a stream holds at most 512 samples.
+func FuzzStepFilter(f *testing.F) {
+	f.Add(uint16(0), uint16(1000), uint16(60), uint16(0), uint16(30), []byte{9, 9, 200, 3, 0, 45}, []byte{2, 1, 5})
+	f.Add(uint16(17), uint16(3000), uint16(0), uint16(0), uint16(300), []byte{0, 0, 0, 250, 1}, []byte{0})
+	f.Add(uint16(5), uint16(2000), uint16(120), uint16(50), uint16(100), []byte{30, 30, 30, 30}, []byte{})
+	f.Add(uint16(40), uint16(900), uint16(0), uint16(200), uint16(10), []byte{7, 70, 7}, []byte{3})
+	f.Fuzz(func(t *testing.T, start, span, step, width, lookback uint16, gaps, cuts []byte) {
+		h := SelectHints{Start: int64(start), Step: int64(step), Range: int64(width), Lookback: 1 + int64(lookback)}
+		h.End = h.Start + int64(span%4096)
+		if h.Step == 0 && h.Range > 0 {
+			h.Start = h.End - h.Range + 1 // one window, the read
 		}
-		in = in[lo:hi]
-		want := stepOracle(h, in)
-		f := h.StepFilter()
-		if f == nil {
-			if h.Range == 0 || (h.Step > 0 && h.Range < h.Step) {
-				t.Fatalf("%+v: no filter for a read that trims", h)
-			}
-			if !slices.Equal(want, in) {
-				t.Fatalf("%+v: no filter, but the oracle drops samples", h)
-			}
-			continue
+		var in []Sample
+		ts := int64(start) - 64
+		for _, g := range gaps[:min(len(gaps), 512)] {
+			ts += 1 + int64(g)
+			in = append(in, Sample{T: ts, V: float64(ts)})
 		}
-		if f.One() != (h.Range == 0 && h.Step == 0) {
-			t.Fatalf("%+v: One() = %v", h, f.One())
+		runs := make([]int, len(cuts))
+		for i, c := range cuts {
+			runs[i] = 1 + int(c%16)
 		}
-		all := *f
-		var got []Sample
-		for _, s := range in {
-			got = all.Append(got, s.T, s.V)
+		checkStepFilter(t, h, inRead(h, in), runs)
+	})
+}
+
+// inRead returns the samples of in within [h.Start, h.End].
+func inRead(h SelectHints, in []Sample) []Sample {
+	lo := slices.IndexFunc(in, func(s Sample) bool { return s.T >= h.Start })
+	if lo < 0 {
+		return nil
+	}
+	hi := slices.IndexFunc(in, func(s Sample) bool { return s.T > h.End })
+	if hi < 0 {
+		hi = len(in)
+	}
+	return in[lo:hi]
+}
+
+// checkStepFilter checks the filter of h against stepOracle on in, a stream
+// in increasing time order within [h.Start, h.End]. Append keeps exactly what
+// the oracle keeps, and a bare read's Bound is never below that. So does a
+// read that cuts in into runs of the given lengths (the last run takes what
+// they leave) and decodes each only up to its Until, as a read decodes its
+// chunks: a run's samples after Until are dropped, all of them when Until is
+// before its first sample. Until is never before a sample the oracle keeps.
+func checkStepFilter(t testing.TB, h SelectHints, in []Sample, runs []int) {
+	t.Helper()
+	if len(in) == 0 {
+		return
+	}
+	want := stepOracle(h, in)
+	f := h.StepFilter()
+	if f == nil {
+		if h.Range == 0 || (h.Step > 0 && h.Range < h.Step) {
+			t.Fatalf("%+v: no filter for a read that trims", h)
 		}
-		if !slices.Equal(got, want) {
-			t.Fatalf("%+v:\n in   %v\n got  %v\n want %v", h, in, got, want)
+		if !slices.Equal(want, in) {
+			t.Fatalf("%+v: no filter, but the oracle drops samples", h)
 		}
-		if b := f.Bound(len(in), in[0].T, in[len(in)-1].T); b > len(in) || (f.newest && b < len(want)) {
-			t.Fatalf("%+v: Bound %d for %d kept of %d", h, b, len(want), len(in))
+		return
+	}
+	if f.One() != (h.Range == 0 && h.Step == 0) {
+		t.Fatalf("%+v: One() = %v", h, f.One())
+	}
+	all := *f
+	var got []Sample
+	for _, s := range in {
+		got = all.Append(got, s.T, s.V)
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("%+v:\n in   %v\n got  %v\n want %v", h, in, got, want)
+	}
+	if b := f.Bound(len(in), in[0].T, in[len(in)-1].T); b > len(in) || (f.newest && b < len(want)) {
+		t.Fatalf("%+v: Bound %d for %d kept of %d", h, b, len(want), len(in))
+	}
+	kept := map[int64]bool{}
+	for _, s := range want {
+		kept[s.T] = true
+	}
+	pos := *f
+	got = got[:0]
+	for i, r := 0, 0; i < len(in); r++ {
+		j := len(in)
+		if r < len(runs) {
+			j = min(j, i+runs[r])
 		}
-		// Cut the stream into random runs and leave out those Skips names.
-		runs := *f
-		got = got[:0]
-		for i := 0; i < len(in); {
-			j := min(len(in), i+1+rng.Intn(12))
-			next := int64(math.MaxInt64)
-			if j < len(in) {
-				next = in[j].T
-			}
-			if !runs.Skips(in[i].T, in[j-1].T, next) {
-				for _, s := range in[i:j] {
-					got = runs.Append(got, s.T, s.V)
+		next := int64(math.MaxInt64)
+		if j < len(in) {
+			next = in[j].T
+		}
+		until := pos.Until(in[j-1].T, next)
+		for _, s := range in[i:j] {
+			if s.T > until {
+				if kept[s.T] {
+					t.Fatalf("%+v: Until %d of run %v (next %d) is before kept sample %d", h, until, in[i:j], next, s.T)
 				}
+				continue
 			}
-			i = j
+			got = pos.Append(got, s.T, s.V)
 		}
-		if !slices.Equal(got, want) {
-			t.Fatalf("%+v with skipped runs:\n in   %v\n got  %v\n want %v", h, in, got, want)
-		}
+		i = j
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("%+v with runs read through Until:\n in   %v\n runs %v\n got  %v\n want %v", h, in, runs, got, want)
 	}
 }
 

@@ -81,6 +81,30 @@ func BenchmarkBlockQuery30dRaw(b *testing.B) {
 	}
 }
 
+// BenchmarkBlockQuery30dStepped reads the raw blocks of
+// BenchmarkBlockQuery30dRaw for a bare selector at a 2 h step with a 5 m
+// lookback: one sample per series per step kept, each chunk decoded only up
+// to the last sample a step can keep. Each 2-day block is trimmed on its
+// own, so at each of the 14 seams the block before keeps its last sample for
+// the step the next block's first sample also serves: 361 steps, 375 samples.
+func BenchmarkBlockQuery30dStepped(b *testing.B) {
+	store := benchStore(b)
+	defer store.Close()
+	m := labels.MustMatcher(labels.MatchEqual, labels.MetricName, "bench")
+	h := model.SelectHints{Start: 0, End: benchDays * 86400_000, Step: 2 * 3600_000, Lookback: 5 * 60_000}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		got, err := store.SelectWithHints(h, m)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if steps, seams := benchDays*12+1, benchDays/2-1; len(got) != benchSeries || len(got[0].Samples) != steps+seams {
+			b.Fatalf("stepped: %d series x %d samples", len(got), len(got[0].Samples))
+		}
+	}
+}
+
 // hintLog keeps the hints of the last read it was asked for and answers
 // nothing.
 type hintLog struct{ hints model.SelectHints }

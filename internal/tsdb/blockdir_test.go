@@ -167,6 +167,25 @@ func TestBlockDirCorruptionDetected(t *testing.T) {
 			t.Fatal("truncated chunks served samples")
 		}
 	})
+	t.Run("chunk ref wrapping past 2^64 fails the read", func(t *testing.T) {
+		// A CRC-valid index whose off+length overflows uint64 to below off.
+		cp := corrupt(t, IndexFilename, func(d []byte) []byte {
+			series, _, err := decodeIndex(d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			series[0].chunks[0].off, series[0].chunks[0].length = math.MaxUint64-2, 10
+			return encodeIndex(series)
+		})
+		b, err := OpenBlockDir(cp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer b.Close()
+		if _, err := b.SelectAggr(-1<<60, 1<<60, 0, AggrRaw, nil, matchAll()); err == nil {
+			t.Fatal("chunk ref off=2^64-3 len=10 served samples")
+		}
+	})
 	t.Run("meta garbage", func(t *testing.T) {
 		cp := corrupt(t, MetaFilename, func(d []byte) []byte { return []byte("{") })
 		if _, err := OpenBlockDir(cp); err == nil {

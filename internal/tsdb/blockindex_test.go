@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -379,8 +380,9 @@ func TestDecodeIndexRejectsOversizedCounts(t *testing.T) {
 }
 
 // FuzzDecodeIndex: any index body under a valid CRC decodes to an error or a
-// value, never a panic; allocates in proportion to its length; and a decoded
-// value re-encodes to the bytes it came from.
+// value, never a panic; allocates in proportion to its length; a decoded
+// value re-encodes to the bytes it came from; and every chunk ref it holds
+// reads from a fixed chunk segment as an error or a chunk, never a panic.
 func FuzzDecodeIndex(f *testing.F) {
 	hdr := len(indexMagic) + 1
 	db := MustOpen(Options{Shards: 2, MaxSamplesPerChunk: 50})
@@ -404,8 +406,17 @@ func FuzzDecodeIndex(f *testing.F) {
 		idx := encodeIndex(pb.series)
 		f.Add(idx[hdr : len(idx)-4])
 	}
+	// A chunk ref whose off+length wraps past 2^64.
+	wrap, _, err := decodeIndex(encodeIndex(raw.series))
+	if err != nil {
+		f.Fatal(err)
+	}
+	wrap[0].chunks[0].off, wrap[0].chunks[0].length = math.MaxUint64-2, 10
+	idx := encodeIndex(wrap)
+	f.Add(idx[hdr : len(idx)-4])
 	f.Add([]byte{})
 	f.Add(binary.AppendUvarint(nil, 1<<60))
+	seg := &PersistentBlock{chunks: raw.chunks}
 	f.Fuzz(func(t *testing.T, body []byte) {
 		data := indexWithCRC(body)
 		var before, after runtime.MemStats
@@ -425,5 +436,10 @@ func FuzzDecodeIndex(f *testing.F) {
 			t.Fatalf("decoded index re-encodes to %d different bytes (input %d)", len(again), len(data))
 		}
 		newBlockIndex(series, pairs)
+		for i := range series {
+			for j := range series[i].chunks {
+				seg.decodeChunk(&series[i].chunks[j])
+			}
+		}
 	})
 }

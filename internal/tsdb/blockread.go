@@ -167,11 +167,12 @@ func (pb *PersistentBlock) Close() error {
 // comes back by value, aliasing the segment: a read allocates nothing per
 // chunk.
 func (pb *PersistentBlock) decodeChunk(c *diskChunk) (chunkenc.Chunk, error) {
-	end := c.off + c.length
-	if c.off < uint64(len(chunksMagic)+1) || end > uint64(len(pb.chunks)) || c.length < 5 {
+	// Bounds without forming off+length, which a corrupt index can overflow.
+	seg := uint64(len(pb.chunks))
+	if c.off < uint64(len(chunksMagic)+1) || c.length < 5 || c.length > seg || c.off > seg-c.length {
 		return chunkenc.Chunk{}, fmt.Errorf("tsdb: block %s: chunk ref out of bounds (off=%d len=%d segment=%d)", pb.meta.ULID, c.off, c.length, len(pb.chunks))
 	}
-	rec := pb.chunks[c.off:end]
+	rec := pb.chunks[c.off : c.off+c.length]
 	want := binary.LittleEndian.Uint32(rec[:4])
 	plen, n := binary.Uvarint(rec[4:])
 	if n <= 0 || uint64(4+n)+plen != c.length {

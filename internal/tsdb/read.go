@@ -480,7 +480,8 @@ func (st stream) meta(i int) (minT, maxT int64, n int) {
 // read is the one loop over a stream's chunks, head and block alike: the
 // chunks in [mint, maxt] that f keeps something of (all when f is nil) are
 // decoded onto dst or, with size set, counted: each chunk's samples cut down
-// to its share of the window and to what f keeps.
+// to its share of the window and to what f keeps. A chunk's decode stops at
+// f.Until, the newest of its samples f can keep.
 func (st stream) read(dst []model.Sample, mint, maxt int64, f *model.StepFilter, size bool) ([]model.Sample, int, error) {
 	if f != nil {
 		pos := *f // this stream's own position in the steps
@@ -500,13 +501,13 @@ func (st stream) read(dst []model.Sample, mint, maxt int64, f *model.StepFilter,
 					next = m
 				}
 			}
-			if f.Skips(lo, hi, next) {
+			if hi = f.Until(hi, next); hi < lo {
 				continue
 			}
 		}
 		var err error
 		if !size {
-			if dst, err = st.appendChunk(dst, i, mint, maxt, f); err != nil {
+			if dst, err = st.appendChunk(dst, i, mint, hi, f); err != nil {
 				return dst, 0, err
 			}
 		} else if k = samplesInWindow(minT, maxT, k, mint, maxt); f != nil {
