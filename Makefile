@@ -113,7 +113,10 @@ head-index:
 # Ten seconds of coverage-guided fuzzing each over the chunk decoder
 # (arbitrary bytes must end in an error or the declared sample count, never
 # a panic), over iterators resumed from seek marks (FuzzChunkResume: the
-# bitwise suffix of a full decode, the same error), over the chunk/WAL bit
+# bitwise suffix of a full decode, the same error), over the fused read loop
+# every storage read decodes through (FuzzChunkWindow: any chunk bytes or
+# samples, window, step filter and resume mark give the Next/At loop's
+# samples bit for bit and its error), over the chunk/WAL bit
 # writer (byte-identical to the bit-at-a-time oracle it replaced, for any
 # call sequence into any destination), over the query API's JSON string
 # escaper (byte-identical to encoding/json on any input), over the
@@ -139,6 +142,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzChunkIterator -fuzztime 10s ./internal/tsdb/chunkenc/
 	$(GO) test -run '^$$' -fuzz FuzzBitWriter -fuzztime 10s ./internal/tsdb/chunkenc/
 	$(GO) test -run '^$$' -fuzz FuzzChunkResume -fuzztime 10s ./internal/tsdb/chunkenc/
+	$(GO) test -run '^$$' -fuzz FuzzChunkWindow -fuzztime 10s ./internal/tsdb/chunkenc/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeIndex -fuzztime 10s ./internal/tsdb/
 	$(GO) test -run '^$$' -fuzz FuzzWALRecord -fuzztime 10s ./internal/tsdb/
 	$(GO) test -run '^$$' -fuzz FuzzAppendJSONString -fuzztime 10s ./internal/promapi/

@@ -154,22 +154,19 @@ func (s *memSeries) cut(mint, maxt int64, maxPerChunk int) ([]diskChunk, error) 
 	defer s.mu.Unlock()
 	sc := seriesCutter{maxPerChunk: maxPerChunk}
 	if len(s.ooo) == 0 {
+		var scratch [128]model.Sample // a default-sized chunk's samples
+		buf := scratch[:0]
 		decode := func(cr *chunkRange) error {
 			it := cr.chunk.Iterator()
 			seekBefore(it, cr.marks, mint)
-			for it.Next() {
-				t, v := it.At()
-				if t < mint {
-					continue
-				}
-				if t > maxt {
-					break
-				}
-				if err := sc.add(t, v); err != nil {
+			var err error
+			buf, err = it.AppendWindow(buf[:0], mint, maxt, nil)
+			for _, smp := range buf {
+				if err := sc.add(smp.T, smp.V); err != nil {
 					return err
 				}
 			}
-			return it.Err()
+			return err
 		}
 		for _, cr := range s.chunks {
 			if cr.min > maxt {

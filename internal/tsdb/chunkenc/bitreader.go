@@ -122,11 +122,41 @@ func (r *BitReader) ReadVarint() (int64, error) {
 	if err != nil {
 		return 0, err
 	}
+	return unzigzag(ux), nil
+}
+
+// unzigzag maps a zigzag-encoded uvarint back to its signed value.
+func unzigzag(ux uint64) int64 {
 	x := int64(ux >> 1)
 	if ux&1 != 0 {
 		x = ^x
 	}
-	return x, nil
+	return x
+}
+
+// alignedUvarint reads a uvarint straight off the bytes when the reader
+// holds no buffered bits, so it sits on a byte boundary, and the stream
+// holds the whole varint. Otherwise ok is false and nothing is read.
+func (r *BitReader) alignedUvarint() (x uint64, ok bool) {
+	if r.nbits != 0 {
+		return 0, false
+	}
+	x, k := binary.Uvarint(r.stream[r.off:])
+	if k <= 0 {
+		return 0, false
+	}
+	r.off, r.buf = r.off+k, 0
+	return x, true
+}
+
+// alignedUint64 is alignedUvarint for a raw 64-bit field.
+func (r *BitReader) alignedUint64() (uint64, bool) {
+	if r.nbits != 0 || r.off+8 > len(r.stream) {
+		return 0, false
+	}
+	x := binary.BigEndian.Uint64(r.stream[r.off:])
+	r.off, r.buf = r.off+8, 0
+	return x, true
 }
 
 // ReadDOD reads one timestamp delta-of-delta bucket: '0' is zero, '10',

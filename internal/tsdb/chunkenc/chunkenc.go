@@ -9,6 +9,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+
+	"repro/internal/model"
 )
 
 // Chunk is a compressed sequence of (timestamp, value) samples.
@@ -158,6 +160,8 @@ func (c *Chunk) Iterator() *Iterator {
 }
 
 // Next advances to the next sample, returning false at the end or on error.
+// Every storage read decodes through AppendWindow; Next is the per-sample
+// reference it is held to.
 func (it *Iterator) Next() bool {
 	if it.err != nil || it.numRead == it.numTotal {
 		return false
@@ -211,3 +215,140 @@ func (it *Iterator) At() (int64, float64) { return it.t, it.v }
 
 // Err returns the first error encountered.
 func (it *Iterator) Err() error { return it.err }
+
+// AppendWindow decodes the rest of the chunk onto dst: the samples in
+// [mint, maxt] that f keeps (all of them when f is nil), stopping at the
+// first sample past maxt. It returns what a Next/At loop applying the same
+// window and f.Append returns, and the same error, and leaves the iterator
+// after the last sample it decoded, as that loop would.
+//
+// It is that loop fused: the bit buffer and the decoder state live in
+// locals, the fields the encoder writes most — a '0' delta-of-delta, a '0',
+// '10' or '11' XOR — are read straight off the buffer, and the chunk's
+// byte-aligned header straight off the bytes. Every other field, and any
+// field the buffer does not hold whole, goes through the BitReader methods,
+// so a corrupt chunk fails with the same error after the same samples.
+func (it *Iterator) AppendWindow(dst []model.Sample, mint, maxt int64, f *model.StepFilter) ([]model.Sample, error) {
+	if it.err != nil {
+		return dst, it.err
+	}
+	stream, off, buf, nbits := it.br.stream, it.br.off, it.br.buf, it.br.nbits
+	t, v, tDelta, leading, trailing := it.t, it.v, it.tDelta, it.leading, it.trailing
+	n, total := it.numRead, it.numTotal
+	var err error
+decode:
+	for n < total {
+		if n < 2 {
+			// The locals still equal the iterator's state here.
+			err = it.readHeaderSample(n)
+			off, buf, nbits = it.br.off, it.br.buf, it.br.nbits
+			t, v, tDelta, leading, trailing = it.t, it.v, it.tDelta, it.leading, it.trailing
+			if err != nil {
+				break
+			}
+		} else {
+			// Timestamp: '0' repeats the delta.
+			if nbits == 0 && off+8 <= len(stream) {
+				buf |= binary.BigEndian.Uint64(stream[off:])
+				off += 7
+				nbits = 56
+			}
+			if nbits != 0 && buf>>63 == 0 {
+				buf <<= 1
+				nbits--
+			} else {
+				it.br.off, it.br.buf, it.br.nbits = off, buf, nbits
+				dod, derr := it.br.ReadDOD()
+				off, buf, nbits = it.br.off, it.br.buf, it.br.nbits
+				if err = derr; err != nil {
+					break
+				}
+				tDelta = uint64(int64(tDelta) + dod)
+			}
+			t += int64(tDelta)
+			// Value: '0' repeats it, '10' reuses the window, '11' opens one.
+			if nbits < 56 && off+8 <= len(stream) {
+				buf |= binary.BigEndian.Uint64(stream[off:]) >> nbits
+				off += int(63-nbits) >> 3
+				nbits |= 56
+			}
+			sigbits := 64 - uint(leading) - uint(trailing)
+			switch {
+			case nbits != 0 && buf>>63 == 0:
+				buf <<= 1
+				nbits--
+			case nbits >= 2 && buf>>62 == 0b10 && sigbits+2 <= nbits:
+				u := (buf << 2) >> (64 - sigbits)
+				buf <<= sigbits + 2
+				nbits -= sigbits + 2
+				v = math.Float64frombits(math.Float64bits(v) ^ u<<trailing)
+			default:
+				// '11', 5 bits of leading zeros, 6 of width (0 is 64, which
+				// no buffer holds), then the significant bits.
+				if l, sig := uint(buf>>57&31), uint(buf>>51&63); nbits >= 13 && buf>>62 == 0b11 && sig != 0 && l+sig <= 64 && 13+sig <= nbits {
+					leading, trailing = uint8(l), uint8(64-l-sig)
+					u := (buf << 13) >> (64 - sig)
+					buf <<= 13 + sig
+					nbits -= 13 + sig
+					v = math.Float64frombits(math.Float64bits(v) ^ u<<trailing)
+					break
+				}
+				it.br.off, it.br.buf, it.br.nbits = off, buf, nbits
+				v, err = it.br.ReadXOR(v, &leading, &trailing)
+				off, buf, nbits = it.br.off, it.br.buf, it.br.nbits
+				if err != nil {
+					break decode
+				}
+			}
+		}
+		n++
+		if t < mint {
+			continue
+		}
+		if t > maxt {
+			break
+		}
+		if f == nil {
+			dst = append(dst, model.Sample{T: t, V: v})
+		} else {
+			dst = f.Append(dst, t, v)
+		}
+	}
+	it.br.off, it.br.buf, it.br.nbits = off, buf, nbits
+	it.t, it.v, it.tDelta, it.leading, it.trailing = t, v, tDelta, leading, trailing
+	it.numRead, it.err = n, err
+	return dst, err
+}
+
+// readHeaderSample decodes sample n (0 or 1) of the chunk into the iterator
+// as Next does. The stream opens with the first timestamp, the first value
+// and the second sample's delta, whole bytes each, so they are read straight
+// off the bytes; a field the bytes do not hold whole goes through the
+// BitReader methods.
+func (it *Iterator) readHeaderSample(n uint16) error {
+	r := &it.br
+	var err error
+	if n == 0 {
+		if ux, ok := r.alignedUvarint(); ok {
+			it.t = unzigzag(ux)
+		} else if it.t, err = r.ReadVarint(); err != nil {
+			return err
+		}
+		vb, ok := r.alignedUint64()
+		if !ok {
+			if vb, err = r.ReadBits(64); err != nil {
+				return err
+			}
+		}
+		it.v = math.Float64frombits(vb)
+		return nil
+	}
+	if ux, ok := r.alignedUvarint(); ok {
+		it.tDelta = ux
+	} else if it.tDelta, err = r.ReadUvarint(); err != nil {
+		return err
+	}
+	it.t += int64(it.tDelta)
+	it.v, err = r.ReadXOR(it.v, &it.leading, &it.trailing)
+	return err
+}

@@ -24,14 +24,7 @@ func decodeAll(it *Iterator) ([]sample, error) {
 // the same error.
 func checkResume(t *testing.T, in []sample) {
 	t.Helper()
-	c := NewChunk()
-	marks := make([]Mark, 0, len(in))
-	for _, s := range in {
-		if err := c.Append(s.t, s.v); err != nil {
-			t.Fatalf("Append(%d, %v): %v", s.t, s.v, err)
-		}
-		marks = append(marks, c.Mark())
-	}
+	c, marks := markedChunk(t, in)
 	data := c.Bytes()
 	chunks := map[string]*Chunk{"open": c}
 	for name, open := range chunkOpeners {

@@ -57,7 +57,14 @@ func (pb *PersistentBlock) allAggrSeries() ([]aggrSeries, error) {
 				if err != nil {
 					return nil, err
 				}
-				if stream, err = appendChunk(stream, &ch, nil, c.minT, c.maxT, nil); err != nil {
+				// Sample by sample through Next, not the fused read loop
+				// the code under test decodes with.
+				it := ch.Iterator()
+				for it.Next() {
+					t, v := it.At()
+					stream = append(stream, model.Sample{T: t, V: v})
+				}
+				if err := it.Err(); err != nil {
 					return nil, err
 				}
 			}

@@ -537,19 +537,7 @@ func (st stream) appendChunk(dst []model.Sample, i int, mint, maxt int64, f *mod
 func appendChunk(dst []model.Sample, c *chunkenc.Chunk, marks []chunkenc.Mark, mint, maxt int64, f *model.StepFilter) ([]model.Sample, error) {
 	it := c.Iterator()
 	seekBefore(it, marks, mint)
-	for it.Next() {
-		t, v := it.At()
-		switch {
-		case t < mint:
-		case t > maxt:
-			return dst, it.Err()
-		case f == nil:
-			dst = append(dst, model.Sample{T: t, V: v})
-		default:
-			dst = f.Append(dst, t, v)
-		}
-	}
-	return dst, it.Err()
+	return it.AppendWindow(dst, mint, maxt, f)
 }
 
 // samplesInWindow estimates how many of a chunk's num samples, spanning

@@ -211,7 +211,7 @@ func TestHeadSelectSeekMatchesFullDecode(t *testing.T) {
 				ls := labels.FromStrings(labels.MetricName, "m", "i", fmt.Sprint(i))
 				n := 1 + rng.Intn([]int{40, 300, 3 * maxPerChunk}[rng.Intn(3)])
 				var in []model.Sample
-				ts := int64(rng.Intn(20)) * 15000
+				ts := int64(rng.Intn(40)-20) * 15000 // some series start before the epoch
 				for k := 0; k < n; k++ {
 					v := float64(rng.Intn(1000))
 					switch rng.Intn(25) {

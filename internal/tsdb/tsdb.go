@@ -489,16 +489,11 @@ func (s *memSeries) hasInOrderSampleLocked(t int64) bool {
 	scan := func(cr *chunkRange) bool {
 		it := cr.chunk.Iterator()
 		seekBefore(it, cr.marks, t)
-		for it.Next() {
-			ct, _ := it.At()
-			if ct == t {
-				return true
-			}
-			if ct > t {
-				return false
-			}
-		}
-		return false
+		var at [1]model.Sample
+		// A chunk that fails to decode holds t only if t came before the
+		// failure: the samples decoded up to it are all there is to check.
+		found, _ := it.AppendWindow(at[:0], t, t, nil)
+		return len(found) != 0
 	}
 	// Chunks are in time order; find the first one that could hold t.
 	i := sort.Search(len(s.chunks), func(i int) bool { return s.chunks[i].max >= t })
