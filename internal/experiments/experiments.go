@@ -20,6 +20,7 @@ import (
 	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/exporter"
+	"repro/internal/grafana"
 	"repro/internal/hw"
 	"repro/internal/model"
 	"repro/internal/relstore"
@@ -266,13 +267,13 @@ func RunFig2c(ctx context.Context) (*Result, error) {
 		}
 		fmt.Fprintf(&buf, "%s\n", panel.title)
 		for _, sr := range m {
-			points := make([]grafanaPoint, len(sr.Samples))
+			points := make([]grafana.Point, len(sr.Samples))
 			var mn, mx = math.Inf(1), math.Inf(-1)
 			for i, s := range sr.Samples {
-				points[i] = grafanaPoint{V: s.V}
+				points[i] = grafana.Point{Value: s.V}
 				mn, mx = math.Min(mn, s.V), math.Max(mx, s.V)
 			}
-			fmt.Fprintf(&buf, "  %s  [min %.3f max %.3f, %d pts]\n", sparkline(points, 60), mn, mx, len(points))
+			fmt.Fprintf(&buf, "  %s  [min %.3f max %.3f, %d pts]\n", grafana.Sparkline(points, 60), mn, mx, len(points))
 		}
 	}
 	return &Result{ID: "fig2c", Title: "Fig 2c time series", Text: buf.String(),
@@ -391,43 +392,6 @@ func f(v any) float64 {
 		return float64(x)
 	}
 	return 0
-}
-
-type grafanaPoint struct{ V float64 }
-
-var sparkRunes = []rune("▁▂▃▄▅▆▇█")
-
-func sparkline(points []grafanaPoint, width int) string {
-	if len(points) == 0 {
-		return "(no data)"
-	}
-	vals := make([]float64, width)
-	counts := make([]int, width)
-	for i, p := range points {
-		b := i * width / len(points)
-		vals[b] += p.V
-		counts[b]++
-	}
-	mn, mx := math.Inf(1), math.Inf(-1)
-	for i := range vals {
-		if counts[i] > 0 {
-			vals[i] /= float64(counts[i])
-			mn, mx = math.Min(mn, vals[i]), math.Max(mx, vals[i])
-		}
-	}
-	var b strings.Builder
-	for i := range vals {
-		if counts[i] == 0 {
-			b.WriteByte(' ')
-			continue
-		}
-		idx := 0
-		if mx > mn {
-			idx = int((vals[i] - mn) / (mx - mn) * float64(len(sparkRunes)-1))
-		}
-		b.WriteRune(sparkRunes[idx])
-	}
-	return b.String()
 }
 
 // WriteAll runs every experiment and writes the combined report.

@@ -15,6 +15,7 @@ import (
 	"io"
 	"net/http"
 	"net/url"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -276,9 +277,10 @@ func (lb *LB) pick() *Backend {
 
 // ExtractUUIDs parses the PromQL expression and collects every compute
 // unit identifier it references via uuid label matchers. Equality matchers
-// contribute their value; anchored alternation regexps ("123|456")
-// contribute each alternative. Regexps that cannot be enumerated return an
-// error — the LB fails closed.
+// contribute their value; plain alternation regexps ("123|456") contribute
+// each alternative (labels.Matcher.SetMatches). Regexps that cannot be
+// enumerated, or whose set admits the empty value (`uuid=~""`,
+// `uuid=~"a|"`), return an error — the LB fails closed.
 func ExtractUUIDs(query string) ([]string, error) {
 	// Grafana panels re-issue the same expressions on every refresh; the
 	// shared parse cache makes this introspection a lookup, not a parse.
@@ -297,8 +299,8 @@ func ExtractUUIDs(query string) ([]string, error) {
 			case labels.MatchEqual:
 				set[m.Value] = struct{}{}
 			case labels.MatchRegexp:
-				alts, ok := enumerateAlternation(m.Value)
-				if !ok {
+				alts := m.SetMatches()
+				if alts == nil || slices.Contains(alts, "") {
 					visitErr = fmt.Errorf("lb: uuid regexp %q is not enumerable", m.Value)
 					return
 				}
@@ -319,21 +321,6 @@ func ExtractUUIDs(query string) ([]string, error) {
 	}
 	sort.Strings(out)
 	return out, nil
-}
-
-// enumerateAlternation splits a plain alternation regexp ("a|b|c") into
-// its literals; it refuses patterns with other regexp metacharacters.
-func enumerateAlternation(pattern string) ([]string, bool) {
-	if strings.ContainsAny(pattern, `.*+?()[]{}^$\`) {
-		return nil, false
-	}
-	parts := strings.Split(pattern, "|")
-	for _, p := range parts {
-		if p == "" {
-			return nil, false
-		}
-	}
-	return parts, true
 }
 
 // ServeHTTP authorizes and proxies one query request, serving repeat

@@ -76,6 +76,7 @@ func TestExtractUUIDs(t *testing.T) {
 		{`sum by (uuid) (metric{uuid=~"1|2|3"})`, []string{"1", "2", "3"}},
 		{`up`, nil},
 		{`topk(3, m{uuid="9"})`, []string{"9"}},
+		{`m{uuid=~"b|a|a"}`, []string{"a", "b"}},
 	}
 	for _, c := range cases {
 		got, err := ExtractUUIDs(c.q)
@@ -91,6 +92,8 @@ func TestExtractUUIDs(t *testing.T) {
 		`m{uuid=~"1.*"}`,
 		`m{uuid!~"x"}`,
 		`m{uuid!="1"}`,
+		`m{uuid=~""}`,   // matches series without a uuid
+		`m{uuid=~"a|"}`, // so does an empty alternative
 	} {
 		if _, err := ExtractUUIDs(q); err == nil {
 			t.Errorf("expected error for %q", q)

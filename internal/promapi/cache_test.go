@@ -73,19 +73,31 @@ func TestRangeQueryThroughCache(t *testing.T) {
 	}
 }
 
+// TestInstantQueryThroughCache: instant queries bypass the result cache
+// entirely — a repeat evaluates again, answers with the uncached handler's
+// bytes, carries no X-Querycache header and leaves the cache untouched.
 func TestInstantQueryThroughCache(t *testing.T) {
 	h, plain, _ := cachedHandler(t)
 	mux, plainMux := h.Mux(), plain.Mux()
 	const path = "/api/v1/query?query=sum(up)&time=300"
 
-	get(t, mux, path)
-	rec, _ := get(t, mux, path)
-	if got := rec.Header().Get("X-Querycache"); got != "hit" {
-		t.Fatalf("repeat X-Querycache = %q", got)
-	}
+	before := h.Cache.Stats()
 	recCold, _ := get(t, plainMux, path)
-	if rec.Body.String() != recCold.Body.String() {
-		t.Fatal("cached instant response differs from cold")
+	for i := 0; i < 2; i++ {
+		rec, resp := get(t, mux, path)
+		if rec.Code != 200 || resp.Status != "success" {
+			t.Fatalf("request %d = %d %s", i, rec.Code, resp.Error)
+		}
+		if got, ok := rec.Header()["X-Querycache"]; ok {
+			t.Fatalf("request %d: X-Querycache = %q, want no header", i, got)
+		}
+		if rec.Body.String() != recCold.Body.String() {
+			t.Fatalf("request %d: cached handler's instant response differs from uncached:\n%s\n%s", i, rec.Body, recCold.Body)
+		}
+	}
+	after := h.Cache.Stats()
+	if after.Hits != before.Hits || after.Misses != before.Misses || after.Splices != before.Splices || after.Entries != before.Entries {
+		t.Fatalf("instant queries touched the cache: before %+v, after %+v", before, after)
 	}
 }
 
@@ -119,30 +131,8 @@ func TestQuerycacheStatusEndpoint(t *testing.T) {
 // alternates between two ends one step apart, so any b.N runs against fixed
 // data and every op after the first two is a splice of a spliced entry.
 func BenchmarkRangeRefresh(b *testing.B) {
-	const (
-		nodes = 42
-		ticks = 200
-		base  = int64(1_700_000_000_000) // ms
-	)
-	db := tsdb.MustOpen(tsdb.DefaultOptions())
-	for n := 0; n < nodes; n++ {
-		for m, mode := range []string{"user", "system"} {
-			ls := labels.FromStrings(labels.MetricName, "ceems_cpu_seconds_total",
-				"instance", fmt.Sprintf("node-%03d:9100", n), "mode", mode)
-			v := 0.0
-			for i := int64(0); i < ticks; i++ {
-				v += 13.7 + float64((n*7+m*3+int(i))%11)/9
-				if err := db.Append(ls, base+i*15_000, v); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	}
-	eng := promql.NewEngine()
-	mux := (&Handler{Engine: eng, Query: db, Cache: querycache.New(querycache.Options{
-		MaxBytes: 64 << 20, Head: db, Lookback: eng.LookbackDelta, MaxSteps: eng.MaxSteps,
-	})}).Mux()
-	lastS := (base + (ticks-1)*15_000) / 1000
+	const nodes = 42
+	mux, lastS := cpuMux(b, nodes)
 	var reqs [2]*http.Request
 	for k := range reqs {
 		end := lastS - int64(1-k)*15
@@ -178,4 +168,63 @@ func BenchmarkRangeRefresh(b *testing.B) {
 		b.Fatalf("X-Querycache = %q, want splice", got)
 	}
 	benchSink += w.n
+}
+
+// BenchmarkInstantQuery is one stat-panel refresh per op through the cached
+// handler's Mux: `sum(rate(...[2m]))` over 200 series at a fixed time. The
+// cache keeps range entries only, so every op evaluates and encodes the
+// answer as the uncached handler would.
+func BenchmarkInstantQuery(b *testing.B) {
+	mux, lastS := cpuMux(b, 100)
+	req := httptest.NewRequest(http.MethodGet, fmt.Sprintf("/api/v1/query?query=%s&time=%d",
+		url.QueryEscape(`sum(rate(ceems_cpu_seconds_total[2m]))`), lastS), nil)
+	rec := httptest.NewRecorder()
+	mux.ServeHTTP(rec, req)
+	var resp struct {
+		Data struct {
+			Result []json.RawMessage `json:"result"`
+		} `json:"data"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+		b.Fatal(err)
+	}
+	if rec.Code != http.StatusOK || len(resp.Data.Result) != 1 || rec.Header().Get("X-Querycache") != "" {
+		b.Fatalf("warm-up: %d with %d series, X-Querycache %q; want 200 with 1 series, no header",
+			rec.Code, len(resp.Data.Result), rec.Header().Get("X-Querycache"))
+	}
+	w := &discardWriter{h: http.Header{}}
+	b.ReportAllocs()
+	for b.Loop() {
+		mux.ServeHTTP(w, req)
+	}
+	benchSink += w.n
+}
+
+// cpuMux serves, through a cached handler's Mux, 200 scrapes at 15 s of a
+// user and a system CPU counter on each of nodes nodes, and returns the Mux
+// and the last scrape's time in Unix seconds.
+func cpuMux(b *testing.B, nodes int) (*http.ServeMux, int64) {
+	const (
+		ticks = 200
+		base  = int64(1_700_000_000_000) // ms
+	)
+	db := tsdb.MustOpen(tsdb.DefaultOptions())
+	for n := 0; n < nodes; n++ {
+		for m, mode := range []string{"user", "system"} {
+			ls := labels.FromStrings(labels.MetricName, "ceems_cpu_seconds_total",
+				"instance", fmt.Sprintf("node-%03d:9100", n), "mode", mode)
+			v := 0.0
+			for i := int64(0); i < ticks; i++ {
+				v += 13.7 + float64((n*7+m*3+int(i))%11)/9
+				if err := db.Append(ls, base+i*15_000, v); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	}
+	eng := promql.NewEngine()
+	mux := (&Handler{Engine: eng, Query: db, Cache: querycache.New(querycache.Options{
+		MaxBytes: 64 << 20, Head: db, Lookback: eng.LookbackDelta, MaxSteps: eng.MaxSteps,
+	})}).Mux()
+	return mux, (base + (ticks-1)*15_000) / 1000
 }

@@ -38,17 +38,18 @@ type Handler struct {
 	// exceed it return 503; evaluation failures — including engine
 	// guardrail violations (step-count, sample budget) — return 422.
 	Timeout time.Duration
-	// Cache, when set, serves /api/v1/query and /api/v1/query_range through
-	// the query-result cache: exact repeats answer without evaluation and
-	// overlapping range windows re-evaluate only the uncovered steps. A range
-	// entry keeps its samples' JSON from its first reuse on, so a hit writes
-	// kept bytes and a splice renders only the steps it evaluated; answers
-	// are the cache's own memory and the handler only reads them. Build it
-	// with querycache.New over the same head this handler queries (its
-	// Lookback and MaxSteps must match the engine's) and give it to no other
-	// caller of RangeQuery, which would keep another rendering. Responses
-	// carry an X-Querycache header (hit/miss/splice/bypass) and
-	// /api/v1/status/querycache reports its counters.
+	// Cache, when set, serves /api/v1/query_range through the query-result
+	// cache: exact repeats answer without evaluation and overlapping windows
+	// re-evaluate only the uncovered steps. An entry keeps its samples' JSON
+	// from its first reuse on, so a hit writes kept bytes and a splice
+	// renders only the steps it evaluated; answers are the cache's own
+	// memory and the handler only reads them. Build it with querycache.New
+	// over the same head this handler queries (its Lookback and MaxSteps
+	// must match the engine's) and give it to no other caller of
+	// RangeQuery, which would keep another rendering. Range responses carry
+	// an X-Querycache header (hit/miss/splice/bypass) and
+	// /api/v1/status/querycache reports its counters. Instant queries
+	// always evaluate: each stat-panel refresh asks at a new time.
 	Cache *querycache.Cache
 	// Ingest, when set, serves POST /api/v1/write: the streaming
 	// remote-write receiver (framed expofmt batches, explicit 429
@@ -203,19 +204,7 @@ func (h *Handler) handleQuery(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := h.queryCtx(r)
 	defer cancel()
 	ctx, rq, trace := h.beginQuery(ctx, r, "instant", q)
-	var (
-		val promql.Value
-		err error
-	)
-	if h.Cache != nil {
-		var outcome querycache.Outcome
-		val, outcome, err = h.Cache.InstantQuery(ctx, q, ts, func(ctx context.Context) (promql.Value, error) {
-			return h.engine().InstantCtx(ctx, h.Query, q, ts)
-		})
-		w.Header().Set("X-Querycache", string(outcome))
-	} else {
-		val, err = h.engine().InstantCtx(ctx, h.Query, q, ts)
-	}
+	val, err := h.engine().InstantCtx(ctx, h.Query, q, ts)
 	finishQuery(w, r, rq, trace, err)
 	if err != nil {
 		writeQueryErr(w, err)

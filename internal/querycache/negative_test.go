@@ -106,36 +106,3 @@ func TestNegativeRangeInvalidation(t *testing.T) {
 		t.Fatalf("post-delete lookup: calls=%d err=%v, want a fresh evaluation", calls.Load(), err)
 	}
 }
-
-// TestNegativeInstantCached: the instant path caches and replays limit
-// errors with the same watermark-advance invalidation as instant values.
-func TestNegativeInstantCached(t *testing.T) {
-	env := newEnv(t, Options{})
-	env.fill(40)
-	ts := model.MillisToTime(env.now)
-	var calls atomic.Int64
-	eval := func(ctx context.Context) (promql.Value, error) {
-		calls.Add(1)
-		return nil, &promql.LimitError{Msg: "too many samples"}
-	}
-
-	_, out, err := env.cache.InstantQuery(context.Background(), "sum(m0)", ts, eval)
-	if out != OutcomeMiss || !promql.IsLimitError(err) {
-		t.Fatalf("first lookup: outcome %s, err %v; want miss + LimitError", out, err)
-	}
-	_, out, err = env.cache.InstantQuery(context.Background(), "sum(m0)", ts, eval)
-	if out != OutcomeHit || !promql.IsLimitError(err) || calls.Load() != 1 {
-		t.Fatalf("repeat: outcome %s, err %v, calls %d; want hit replay with no evaluation", out, err, calls.Load())
-	}
-
-	env.appendTick() // ts >= fillMax and the epoch moved: re-evaluate
-	if _, _, err := env.cache.InstantQuery(context.Background(), "sum(m0)", ts, eval); !promql.IsLimitError(err) {
-		t.Fatal("re-evaluation should have produced the error again")
-	}
-	if calls.Load() != 2 {
-		t.Fatalf("eval ran %d times, want 2 (append past the watermark invalidates)", calls.Load())
-	}
-	if st := env.cache.Stats(); st.NegStores != 2 || st.NegHits != 1 {
-		t.Fatalf("stats = %+v, want 2 negStores / 1 negHit", st)
-	}
-}

@@ -15,11 +15,15 @@
 //
 //   - range entries: immutable promql.Matrix results on a step grid,
 //     reusable incrementally (RangeQuery),
-//   - instant entries: immutable promql.Vector / Scalar results
-//     (InstantQuery),
+//   - negative entries: the engine limit error a range window tripped,
+//     replayed under the same staleness contract (RangeQuery),
 //   - blob entries: opaque byte payloads with TTL expiry (GetBlob/PutBlob)
 //     — the fallback the LB uses for response bodies it cannot interpret
 //     structurally.
+//
+// Instant queries are not cached: a dashboard's stat panel asks at a new
+// time=now on every refresh, so an entry keyed by its timestamp would
+// almost never be asked for again.
 //
 // # Staleness contract
 //
@@ -60,9 +64,9 @@
 // # Shared, read-only answers
 //
 // Cached PromQL results are shared, not copied. A miss stores the
-// evaluator's matrix or vector as it is and returns it; a hit returns the
-// entry's own arrays; a splice merges into one new sample slab, keeps the
-// parts' label sets, stores the result and returns it. Everything an answer
+// evaluator's matrix as it is and returns it; a hit returns the entry's own
+// arrays; a splice merges into one new sample slab, keeps the parts' label
+// sets, stores the result and returns it. Everything an answer
 // reaches — samples, label sets, renderings — is read-only for every caller.
 // Paranoid mode enforces this: put checksums each entry and every lookup
 // re-checks it, so a caller's write fails the next query on that entry
@@ -117,8 +121,8 @@ type Options struct {
 	// <= 0 picks 16.
 	Shards int
 	// Head supplies append progress. Required for PromQL caching
-	// (RangeQuery / InstantQuery cache nothing without it); the blob API
-	// works without one.
+	// (RangeQuery caches nothing without it); the blob API works without
+	// one.
 	Head Head
 	// Lookback must match the evaluating engine's LookbackDelta; it is part
 	// of every PromQL key and of the padding used for the retention floor.
@@ -386,7 +390,6 @@ func fnv64a(s string) uint64 {
 // entry kinds.
 const (
 	kindRange uint8 = iota
-	kindInstant
 	kindBlob
 	// kindNegative caches a query-shaped failure (an engine *LimitError —
 	// the API's 422): a panel that trips MaxSamples re-trips it on every
@@ -407,7 +410,7 @@ type entry struct {
 	cost       int64
 	prev, next *entry // LRU links; head = most recently used
 
-	// Fill-time head state (range + instant kinds).
+	// Fill-time head state (range + negative kinds).
 	fillMax   int64 // head MaxTime at fill; minInt64 when head was empty
 	fillEpoch uint64
 	fillGen   uint64
@@ -419,19 +422,13 @@ type entry struct {
 	startMs, lastMs int64
 	stepMs          int64
 
-	// Instant payload (promql.Vector or promql.Scalar).
-	value promql.Value
-
 	// Blob payload.
 	blob      []byte
 	expiresMs int64 // cache-clock deadline, Unix ms; 0 = no expiry
 
-	// Negative payload: the limit error a cold evaluation of exactly this
-	// window produced. padMs is the window's read padding, kept so the
-	// pruned-watermark check can tell when retention may have shrunk the
-	// window back under the limit.
+	// Negative payload: the limit error a cold evaluation of exactly the
+	// window startMs..lastMs produced.
 	negErr error
-	padMs  int64
 
 	// sum is checksum() at put, kept in Paranoid mode only.
 	sum uint64
@@ -583,17 +580,6 @@ func (e *entry) checksum() uint64 {
 			word(math.Float64bits(p.V))
 		}
 	}
-	switch v := e.value.(type) {
-	case promql.Vector:
-		for _, s := range v {
-			labelSet(s.Labels)
-			word(uint64(s.T))
-			word(math.Float64bits(s.V))
-		}
-	case promql.Scalar:
-		word(uint64(v.T))
-		word(math.Float64bits(v.V))
-	}
 	h.Write(e.rendered.b)
 	for _, o := range e.rendered.off {
 		for _, x := range o {
@@ -672,14 +658,6 @@ func matrixCost(m promql.Matrix) int64 {
 	n := int64(entryOverhead)
 	for _, s := range m {
 		n += labelsCost(s.Labels) + 16*int64(len(s.Samples)) + 48
-	}
-	return n
-}
-
-func vectorCost(v promql.Vector) int64 {
-	n := int64(entryOverhead)
-	for _, s := range v {
-		n += labelsCost(s.Labels) + 24
 	}
 	return n
 }

@@ -249,9 +249,9 @@ func TestRetentionTrimsCachedSteps(t *testing.T) {
 // TestMutationAfterReturn pins the shared-answer contract: a hit hands out
 // the entry's own arrays — the very ones the miss returned and stored, and
 // the rendering kept from the first reuse — and a caller that writes to any
-// of them (sample, label value, rendered byte, instant sample) makes the
-// next lookup of that entry fail in Paranoid mode instead of serving the
-// scribble or silently absorbing it.
+// of them (sample, label value, rendered byte) makes the next lookup of that
+// entry fail in Paranoid mode instead of serving the scribble or silently
+// absorbing it.
 func TestMutationAfterReturn(t *testing.T) {
 	env := newEnv(t, Options{})
 	env.fill(40)
@@ -301,83 +301,6 @@ func TestMutationAfterReturn(t *testing.T) {
 		if env.cache.Stats().SpliceFails != fails+1 {
 			t.Fatalf("%s: the caught write was not counted", scribble.name)
 		}
-	}
-
-	// Same contract on the instant side.
-	ts := model.MillisToTime(env.now)
-	instant := func() (promql.Value, Outcome, error) {
-		return env.cache.InstantQuery(ctx, "m0", ts, func(ctx context.Context) (promql.Value, error) {
-			return env.eng.InstantCtx(ctx, env.db, "m0", ts)
-		})
-	}
-	iv, _, err := instant()
-	if err != nil {
-		t.Fatal(err)
-	}
-	iv2, out2, err := instant()
-	if err != nil || out2 != OutcomeHit {
-		t.Fatalf("instant repeat = %s (%v), want hit", out2, err)
-	}
-	vec, vec2 := iv.(promql.Vector), iv2.(promql.Vector)
-	if &vec[0] != &vec2[0] {
-		t.Fatal("the instant hit copied the entry instead of sharing it")
-	}
-	vec2[0].V = -1
-	if _, _, err := instant(); err == nil {
-		t.Fatal("a write to a shared instant answer was absorbed")
-	}
-}
-
-func TestInstantHitAndStaleness(t *testing.T) {
-	env := newEnv(t, Options{})
-	env.fill(40)
-	ctx := context.Background()
-	eval := func(ctx context.Context) (promql.Value, error) {
-		return env.eng.InstantCtx(ctx, env.db, "sum(m0)", model.MillisToTime(env.now+stepMs))
-	}
-	tsFuture := model.MillisToTime(env.now + stepMs) // beyond the watermark
-
-	if _, out, err := env.cache.InstantQuery(ctx, "sum(m0)", tsFuture, eval); err != nil || out != OutcomeMiss {
-		t.Fatalf("first = %s (%v), want miss", out, err)
-	}
-	// Epoch unchanged: even a mutable timestamp repeats as a hit.
-	if _, out, _ := env.cache.InstantQuery(ctx, "sum(m0)", tsFuture, eval); out != OutcomeHit {
-		t.Fatalf("repeat = %s, want hit", out)
-	}
-	// The head advances past the timestamp: the cached value is now for a
-	// window that was mutable at fill — never served.
-	env.appendTick()
-	v, out, err := env.cache.InstantQuery(ctx, "sum(m0)", tsFuture, eval)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out == OutcomeHit {
-		t.Fatal("mutable instant result served after head advanced")
-	}
-	want, _ := eval(ctx)
-	if !EqualValue(v, want) {
-		t.Fatalf("instant result stale: got %v want %v", v, want)
-	}
-	// That re-evaluation refilled the entry with the timestamp AT the new
-	// watermark — still mutable, since appends can legally land at MaxTime
-	// itself (same-ts second commit, parallel targets). Another append must
-	// re-evaluate again, not hit.
-	env.appendTick()
-	v2, out2, err := env.cache.InstantQuery(ctx, "sum(m0)", tsFuture, eval)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out2 == OutcomeHit {
-		t.Fatal("watermark-coincident instant result served as hit after head advanced")
-	}
-	if want, _ := eval(ctx); !EqualValue(v2, want) {
-		t.Fatalf("instant result stale: got %v want %v", v2, want)
-	}
-	// This refill saw the head strictly past the timestamp: now settled, so
-	// hits survive further appends.
-	env.appendTick()
-	if _, out, _ := env.cache.InstantQuery(ctx, "sum(m0)", tsFuture, eval); out != OutcomeHit {
-		t.Fatalf("settled repeat = %s, want hit", out)
 	}
 }
 
@@ -431,38 +354,6 @@ func TestSameTimestampAppendAtWatermark(t *testing.T) {
 		t.Fatalf("repeat after splice = %s, want hit", out2)
 	}
 	env.mustEqualCold(q, start, end, again)
-
-	// Instant side of the same race.
-	env.now = ts // the manual commits above moved the watermark one step
-	env.fill(2)
-	its := env.now + stepMs
-	ls := labels.FromStrings(labels.MetricName, "m0", "i", "0")
-	if err := env.db.Append(ls, its, 5.0); err != nil {
-		t.Fatal(err)
-	}
-	ieval := func(ctx context.Context) (promql.Value, error) {
-		return env.eng.InstantCtx(ctx, env.db, "sum(m0)", model.MillisToTime(its))
-	}
-	ctx := context.Background()
-	if _, _, err := env.cache.InstantQuery(ctx, "sum(m0)", model.MillisToTime(its), ieval); err != nil {
-		t.Fatal(err)
-	}
-	for i := 1; i < 4; i++ {
-		ls := labels.FromStrings(labels.MetricName, "m0", "i", fmt.Sprint(i))
-		if err := env.db.Append(ls, its, 5.0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	v, iout, err := env.cache.InstantQuery(ctx, "sum(m0)", model.MillisToTime(its), ieval)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if iout == OutcomeHit {
-		t.Fatal("watermark-coincident instant entry served after same-timestamp append")
-	}
-	if want, _ := ieval(ctx); !EqualValue(v, want) {
-		t.Fatalf("instant result stale after same-ts append: got %v want %v", v, want)
-	}
 }
 
 func TestNormalizationSharesEntries(t *testing.T) {

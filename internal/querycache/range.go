@@ -20,9 +20,6 @@ import (
 // order.
 type RangeEval func(ctx context.Context, start, end time.Time, step time.Duration) (promql.Matrix, error)
 
-// InstantEval evaluates the query at its instant timestamp.
-type InstantEval func(ctx context.Context) (promql.Value, error)
-
 // headState is one consistent-enough snapshot of append progress. gen and
 // epoch are read before the time bounds so a racing append can only make
 // the snapshot look staler than it is, never fresher.
@@ -257,7 +254,7 @@ func (c *Cache) rangeMiss(ctx context.Context, q *rangeReq, st headState) (Range
 	m, err := q.eval(ctx, q.start, q.end, q.step)
 	if err != nil {
 		if promql.IsLimitError(err) {
-			c.storeNegative(q.key, st, err, q.startMs, q.lastMs, q.stepMs, q.padMs)
+			c.storeNegative(q, st, err)
 		}
 		return Range{}, OutcomeMiss, err
 	}
@@ -268,14 +265,14 @@ func (c *Cache) rangeMiss(ctx context.Context, q *rangeReq, st headState) (Range
 
 // storeNegative caches a limit error under the same key (and staleness
 // contract) a positive result would use.
-func (c *Cache) storeNegative(key string, st headState, err error, startMs, lastMs, stepMs, padMs int64) {
+func (c *Cache) storeNegative(q *rangeReq, st headState, err error) {
 	e := &entry{
-		key: key, kind: kindNegative,
+		key: q.key, kind: kindNegative,
 		fillMax: st.maxT, fillEpoch: st.epoch, fillGen: st.gen,
-		negErr: err, startMs: startMs, lastMs: lastMs, stepMs: stepMs, padMs: padMs,
-		cost: int64(len(key)+len(err.Error())) + entryOverhead,
+		negErr: err, startMs: q.startMs, lastMs: q.lastMs, stepMs: q.stepMs,
+		cost: int64(len(q.key)+len(err.Error())) + entryOverhead,
 	}
-	c.put(c.shardFor(key), e, nil)
+	c.put(c.shardFor(q.key), e, nil)
 	c.negStores.Add(1)
 }
 
@@ -306,95 +303,6 @@ func (c *Cache) renderEntry(sh *cacheShard, ent *entry, render Render) *entry {
 	}
 	c.put(sh, e, ent)
 	return e
-}
-
-// InstantQuery serves an instant query through the cache. Only Vector and
-// Scalar results are cached. The answer is shared like RangeQuery's: a miss
-// stores the evaluator's value as it is and a hit returns it; callers never
-// write to it.
-func (c *Cache) InstantQuery(ctx context.Context, query string, ts time.Time, eval InstantEval) (promql.Value, Outcome, error) {
-	if c == nil || c.opts.Head == nil {
-		v, err := eval(ctx)
-		return v, OutcomeBypass, err
-	}
-	expr, norm, err := promql.ParseNormalized(query)
-	if err != nil {
-		v, err := eval(ctx)
-		return v, OutcomeBypass, err
-	}
-	var (
-		tsMs  = model.TimeToMillis(ts)
-		padMs = maxPadMs(expr, c.opts.Lookback)
-		key   = fmt.Sprintf("i\x00%s\x00%d\x00%d", norm, tsMs, padMs)
-	)
-	return c.instantLookup(ctx, key, tsMs, padMs, eval, true)
-}
-
-// instantLookup probes the cache once; cold evaluations go through the
-// singleflight latch when latch is set (follower retries pass false, same
-// discipline as rangeLookup).
-func (c *Cache) instantLookup(ctx context.Context, key string, tsMs, padMs int64, eval InstantEval, latch bool) (promql.Value, Outcome, error) {
-	st := c.snapshot()
-	sh := c.shardFor(key)
-	ent, err := c.lookup(sh, key)
-	if err != nil {
-		return nil, OutcomeBypass, err
-	}
-	if ent != nil {
-		switch {
-		case ent.fillGen != st.gen:
-			sh.remove(key, ent)
-			c.invalidations.Add(1)
-		case st.epoch != ent.fillEpoch && tsMs >= c.settledBefore(ent.fillMax):
-			// The result was mutable at fill and the head has advanced:
-			// re-evaluate. A timestamp AT the fill watermark counts as
-			// mutable too — appends can land at MaxTime itself (same-ts
-			// second commit, parallel targets sharing a millisecond). Keep
-			// the entry; a repeat of the same timestamp after yet more
-			// appends would fail the same test anyway, and the fresh fill
-			// below replaces it.
-		case st.hasPruned && tsMs-padMs < st.pruned:
-			sh.remove(key, ent)
-			c.invalidations.Add(1)
-		default:
-			if ent.kind == kindNegative {
-				c.negHits.Add(1)
-				return nil, OutcomeHit, ent.negErr
-			}
-			c.hits.Add(1)
-			return ent.value, OutcomeHit, nil
-		}
-	}
-	if latch {
-		leader, f := c.flights.begin(key)
-		if !leader {
-			select {
-			case <-f.done:
-			case <-ctx.Done():
-				return nil, OutcomeBypass, ctx.Err()
-			}
-			c.coalesced.Add(1)
-			return c.instantLookup(ctx, key, tsMs, padMs, eval, false)
-		}
-		defer c.flights.end(key)
-	}
-	v, err := eval(ctx)
-	if err != nil {
-		if promql.IsLimitError(err) {
-			c.storeNegative(key, st, err, tsMs, tsMs, 0, padMs)
-		}
-		return nil, OutcomeMiss, err
-	}
-	c.misses.Add(1)
-	switch v.(type) {
-	case promql.Vector, promql.Scalar:
-		c.put(sh, &entry{
-			key: key, kind: kindInstant,
-			fillMax: st.maxT, fillEpoch: st.epoch, fillGen: st.gen,
-			value: v, cost: valueCost(v) + int64(len(key)),
-		}, nil)
-	}
-	return v, OutcomeMiss, nil
 }
 
 // --- grid math ------------------------------------------------------------
@@ -708,17 +616,6 @@ func spliceMerge(render Render, budget int64, parts ...part) part {
 	}
 }
 
-func valueCost(v promql.Value) int64 {
-	switch tv := v.(type) {
-	case promql.Vector:
-		return vectorCost(tv)
-	case promql.Matrix:
-		return matrixCost(tv)
-	default:
-		return entryOverhead
-	}
-}
-
 // EqualMatrix reports byte-for-byte equality of two matrices: same series
 // in the same order, same labels, and per-sample identical timestamps and
 // bit-identical values (NaNs with equal payloads compare equal, unlike ==).
@@ -738,29 +635,4 @@ func EqualMatrix(a, b promql.Matrix) bool {
 		}
 	}
 	return true
-}
-
-// EqualValue is EqualMatrix's instant-vector counterpart.
-func EqualValue(a, b promql.Value) bool {
-	switch av := a.(type) {
-	case promql.Vector:
-		bv, ok := b.(promql.Vector)
-		if !ok || len(av) != len(bv) {
-			return false
-		}
-		for i := range av {
-			if !av[i].Labels.Equal(bv[i].Labels) || av[i].T != bv[i].T ||
-				math.Float64bits(av[i].V) != math.Float64bits(bv[i].V) {
-				return false
-			}
-		}
-		return true
-	case promql.Scalar:
-		bv, ok := b.(promql.Scalar)
-		return ok && av.T == bv.T && math.Float64bits(av.V) == math.Float64bits(bv.V)
-	case promql.Matrix:
-		bv, ok := b.(promql.Matrix)
-		return ok && EqualMatrix(av, bv)
-	}
-	return false
 }

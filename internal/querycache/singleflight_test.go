@@ -77,47 +77,6 @@ func TestSingleflightColdStampede(t *testing.T) {
 	}
 }
 
-// TestSingleflightInstant is the instant-path counterpart: concurrent
-// identical instant queries collapse to one evaluation.
-func TestSingleflightInstant(t *testing.T) {
-	env := newEnv(t, Options{})
-	env.fill(10)
-	const query = "sum(m0)"
-	ts := model.MillisToTime(env.now)
-
-	const n = 6
-	release := make(chan struct{})
-	var evals atomic.Int32
-	eval := func(ctx context.Context) (promql.Value, error) {
-		evals.Add(1)
-		<-release
-		return env.eng.InstantCtx(ctx, env.db, query, ts)
-	}
-
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if _, _, err := env.cache.InstantQuery(context.Background(), query, ts, eval); err != nil {
-				t.Error(err)
-			}
-		}()
-	}
-	deadline := time.Now().Add(10 * time.Second)
-	for (evals.Load() != 1 || env.cache.flights.waiting() != n-1) && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if got := env.cache.flights.waiting(); got != n-1 {
-		t.Fatalf("%d followers parked, want %d", got, n-1)
-	}
-	close(release)
-	wg.Wait()
-	if got := evals.Load(); got != 1 {
-		t.Fatalf("evals = %d, want 1", got)
-	}
-}
-
 // TestSingleflightLeaderError: when the leader's evaluation fails, parked
 // followers do not inherit the error — they retry once, find nothing
 // stored, and evaluate for themselves (unlatched).

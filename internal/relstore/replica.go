@@ -99,6 +99,9 @@ func Restore(backupDir, restoreDir string) (*DB, error) {
 	return Open(restoreDir)
 }
 
+// copyFile replaces dst with a copy of src durably: the copy is fsynced
+// before the rename and the directory after it (the sequence
+// writeSnapshotLocked uses), so a backup Sync reported is on disk whole.
 func copyFile(src, dst string) error {
 	in, err := os.Open(src)
 	if err != nil {
@@ -115,9 +118,17 @@ func copyFile(src, dst string) error {
 		os.Remove(tmp)
 		return err
 	}
+	if err := out.Sync(); err != nil {
+		out.Close()
+		os.Remove(tmp)
+		return err
+	}
 	if err := out.Close(); err != nil {
 		os.Remove(tmp)
 		return err
 	}
-	return os.Rename(tmp, dst)
+	if err := os.Rename(tmp, dst); err != nil {
+		return err
+	}
+	return syncDir(filepath.Dir(dst))
 }

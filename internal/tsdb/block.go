@@ -157,10 +157,8 @@ func (s *memSeries) cut(mint, maxt int64, maxPerChunk int) ([]diskChunk, error) 
 		var scratch [128]model.Sample // a default-sized chunk's samples
 		buf := scratch[:0]
 		decode := func(cr *chunkRange) error {
-			it := cr.chunk.Iterator()
-			seekBefore(it, cr.marks, mint)
 			var err error
-			buf, err = it.AppendWindow(buf[:0], mint, maxt, nil)
+			buf, err = appendChunk(buf[:0], cr.chunk, cr.marks, mint, maxt, nil)
 			for _, smp := range buf {
 				if err := sc.add(smp.T, smp.V); err != nil {
 					return err

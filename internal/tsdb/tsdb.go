@@ -487,12 +487,10 @@ func (s *memSeries) chunkAt(i int) *chunkRange {
 // resent batch.
 func (s *memSeries) hasInOrderSampleLocked(t int64) bool {
 	scan := func(cr *chunkRange) bool {
-		it := cr.chunk.Iterator()
-		seekBefore(it, cr.marks, t)
 		var at [1]model.Sample
 		// A chunk that fails to decode holds t only if t came before the
 		// failure: the samples decoded up to it are all there is to check.
-		found, _ := it.AppendWindow(at[:0], t, t, nil)
+		found, _ := appendChunk(at[:0], cr.chunk, cr.marks, t, t, nil)
 		return len(found) != 0
 	}
 	// Chunks are in time order; find the first one that could hold t.
