@@ -7,7 +7,7 @@
 GO ?= go
 RACE_PKGS := ./internal/tsdb/... ./internal/api/... ./internal/lb/... ./internal/scrape/... ./internal/thanos/... ./internal/workpool/... ./internal/cluster/... ./internal/promql/... ./internal/promapi/... ./internal/querycache/... ./internal/remotewrite/... ./internal/telemetry/... ./internal/rules/...
 
-.PHONY: build test test-short race wal-recovery querycache promql-equiv rules-equiv cluster-chaos remote-write telemetry blocks head-index fuzz-smoke bench bench-querycache bench-smoke benchdiff ci-sync-check config-check lint ci
+.PHONY: build test test-short race wal-recovery querycache promql-equiv rules-equiv cluster-chaos remote-write telemetry blocks head-index fuzz-smoke bench bench-querycache bench-smoke bench-pairs benchdiff ci-sync-check config-check lint ci
 
 build:
 	$(GO) build ./...
@@ -163,6 +163,14 @@ bench:
 # One-iteration smoke pass so the bench suite can never silently rot.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime=1x ./...
+
+# End-to-end benchmark, the working tree against BASE: PAIRS alternating
+# pairs of `go run ./bench -workload all`, one seed per pair, then
+# `bench -compare` of the two sides (tools/benchpairs.sh). Slow; not in `ci`.
+BASE ?= HEAD
+PAIRS ?= 10
+bench-pairs:
+	./tools/benchpairs.sh $(BASE) $(PAIRS)
 
 # Benchmark-regression gate: re-runs the suites 5x and compares medians
 # against the committed baselines (BENCH_*.json) with the

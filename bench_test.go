@@ -506,7 +506,7 @@ func BenchmarkClusterStep(b *testing.B) {
 
 // BenchmarkEmissionsFactor — E9: cached factor lookups.
 func BenchmarkEmissionsFactor(b *testing.B) {
-	c := &emissions.Cached{Provider: emissions.OWID{}, TTL: time.Minute}
+	c := &emissions.Cached{Provider: emissions.OWID{}}
 	ctx := context.Background()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

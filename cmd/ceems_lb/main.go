@@ -36,10 +36,7 @@ func main() {
 	reg := telemetry.NewRegistry()
 	telemetry.RegisterProcess(reg)
 	balancer := &lb.LB{Strategy: lb.Strategy(cfg.LB.Strategy), QueryTimeout: cfg.LB.QueryTimeout}
-	switch {
-	case cfg.LB.ProxyRetries >= 0:
-		balancer.ProxyRetries = cfg.LB.ProxyRetries
-	case cfg.Ring.ReplicationFactor > 0 && cfg.Ring.WriteQuorum > 0:
+	if cfg.Ring.ReplicationFactor > 0 && cfg.Ring.WriteQuorum > 0 {
 		balancer.ProxyRetries = cfg.Ring.ReplicationFactor - cfg.Ring.WriteQuorum
 	}
 	if cfg.LB.CacheBytes > 0 {

@@ -96,10 +96,10 @@ func main() {
 		Query: qsrc, Now: sim.Now,
 		Timeout: cfg.TSDB.QueryTimeout,
 		Metrics: reg,
-		Queries: &telemetry.QueryLog{SlowThreshold: cfg.TSDB.SlowQueryThreshold, SlowCapacity: cfg.TSDB.SlowQueryCapacity},
+		Queries: &telemetry.QueryLog{SlowThreshold: cfg.TSDB.SlowQueryThreshold},
 	}
 	if cfg.TSDB.RemoteWrite {
-		rcv := &remotewrite.Receiver{MaxInflight: cfg.TSDB.RemoteWriteMaxInflight, Telemetry: reg}
+		rcv := &remotewrite.Receiver{Telemetry: reg}
 		if sim.Ring != nil {
 			// Pushed batches take the same W-quorum commit path as scrapes.
 			rcv.NewBatch = func() scrape.Batch { return sim.Ring.NewBatch() }

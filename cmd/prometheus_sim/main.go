@@ -48,7 +48,6 @@ func main() {
 	telemetry.RegisterProcess(reg)
 
 	opts := tsdb.DefaultOptions()
-	opts.Shards = cfg.TSDB.Shards
 	opts.WALDir = cfg.TSDB.WALDir
 	opts.OutOfOrderWindow = cfg.TSDB.OOOWindow.Milliseconds()
 	opts.Telemetry = reg
@@ -94,14 +93,15 @@ func main() {
 	// seam.
 	var queryable promql.Queryable = db
 	maintain := func(now time.Time) {
-		db.Truncate(now.Add(-cfg.TSDB.RetentionPeriod).UnixMilli())
+		if _, err := db.Truncate(now.Add(-cfg.TSDB.RetentionPeriod).UnixMilli()); err != nil {
+			log.Printf("tsdb: retention: %v", err)
+		}
 	}
 	if cfg.Thanos.Dir != "" {
 		store, err := thanos.NewStore(cfg.Thanos.Dir)
 		if err != nil {
 			log.Fatalf("blocks: %v", err)
 		}
-		store.CompactionFactor = cfg.Thanos.CompactionFactor
 		store.Instrument(reg)
 		log.Printf("blocks: store %s opened with %d blocks, cutting every %v", cfg.Thanos.Dir, store.NumBlocks(), blockRng)
 		sc := &thanos.Sidecar{DB: db, Store: store, HeadRetention: 2 * blockRng}
@@ -115,9 +115,6 @@ func main() {
 				log.Printf("blocks: compact: %v", err)
 			} else if n > 0 {
 				log.Printf("blocks: compacted %d block sets", n)
-			}
-			if !cfg.Thanos.Downsample {
-				return
 			}
 			for _, lvl := range []struct {
 				age time.Duration
@@ -147,13 +144,12 @@ func main() {
 		Query:   queryable,
 		Timeout: cfg.TSDB.QueryTimeout,
 		Metrics: reg,
-		Queries: &telemetry.QueryLog{SlowThreshold: cfg.TSDB.SlowQueryThreshold, SlowCapacity: cfg.TSDB.SlowQueryCapacity},
+		Queries: &telemetry.QueryLog{SlowThreshold: cfg.TSDB.SlowQueryThreshold},
 	}
 	if cfg.TSDB.RemoteWrite {
 		h.Ingest = &remotewrite.Receiver{
-			NewBatch:    func() scrape.Batch { return db.Appender() },
-			MaxInflight: cfg.TSDB.RemoteWriteMaxInflight,
-			Telemetry:   reg,
+			NewBatch:  func() scrape.Batch { return db.Appender() },
+			Telemetry: reg,
 		}
 	}
 	if cfg.TSDB.QueryCacheBytes > 0 {

@@ -71,7 +71,7 @@ func main() {
 
 	// 4. The provider chain CEEMS deploys: real-time first, static fallback.
 	chain := &emissions.Chain{Providers: []emissions.Provider{
-		&emissions.Cached{Provider: rte, TTL: 5 * time.Minute},
+		&emissions.Cached{Provider: rte},
 		owid,
 	}}
 	f, _ := chain.Factor(ctx, "FR")

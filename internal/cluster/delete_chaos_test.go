@@ -77,7 +77,7 @@ func TestTombstoneDeleteDuringPartition(t *testing.T) {
 	// Round two with hinting disabled: now the tombstone CANNOT travel at
 	// heal time, and the stale member must visibly gate itself — reachable,
 	// but refusing reads — until the SyncNode tombstone union reaches it.
-	e.ring.SetHintLimit(0)
+	e.ring.setHintLimit(0)
 	e.ring.Partition("node-2")
 	if out, err := e.ring.DeleteSeriesQuorum(labels.MustMatcher(labels.MatchRegexp, "idx", "01[0-9]")); err != nil || out.Acks != 2 {
 		t.Fatalf("second delete: %+v, %v", out, err)

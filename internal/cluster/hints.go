@@ -83,10 +83,10 @@ type HintDrainStats struct {
 	Lossless bool
 }
 
-// SetHintLimit bounds every per-target hint queue to n samples; n <= 0
+// setHintLimit bounds every per-target hint queue to n samples; n <= 0
 // disables hinting entirely (every missed write is dropped and counted,
 // recovery falls back to full SyncNode). Affects future queueing only.
-func (r *RingDB) SetHintLimit(n int) { r.hintLimit.Store(int64(n)) }
+func (r *RingDB) setHintLimit(n int) { r.hintLimit.Store(int64(n)) }
 
 // HintStats reports coordinator-side hint counters.
 func (r *RingDB) HintStats() HintStats {

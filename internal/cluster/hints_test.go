@@ -14,7 +14,7 @@ import (
 // gate — only the full SyncNode proves the dropped window was re-pulled.
 func TestHintOverflowDropOldest(t *testing.T) {
 	e := newChaosEnv(t, 3, 3, 2, 40)
-	e.ring.SetHintLimit(100)
+	e.ring.setHintLimit(100)
 	e.run(0, 5)
 	if err := e.ring.Kill("node-1"); err != nil {
 		t.Fatalf("kill: %v", err)
@@ -68,7 +68,7 @@ func TestHintOverflowDropOldest(t *testing.T) {
 // coordinators).
 func TestHintDisabled(t *testing.T) {
 	e := newChaosEnv(t, 3, 3, 2, 40)
-	e.ring.SetHintLimit(0)
+	e.ring.setHintLimit(0)
 	e.run(0, 5)
 	if err := e.ring.Kill("node-1"); err != nil {
 		t.Fatalf("kill: %v", err)

@@ -12,7 +12,7 @@ import (
 // back-fill it until the replica is byte-exact on its own.
 func TestReadRepairConvergence(t *testing.T) {
 	e := newChaosEnv(t, 3, 3, 2, 40)
-	e.ring.SetHintLimit(0) // force genuine staleness: no hint recovery
+	e.ring.setHintLimit(0) // force genuine staleness: no hint recovery
 	e.run(0, 10)
 	e.ring.Partition("node-2")
 	e.run(10, 20)

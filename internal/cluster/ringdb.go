@@ -461,7 +461,8 @@ func (r *RingDB) forEachLive(f func(m *Member, db *tsdb.DB)) {
 // drop count — replicas overlap, so a cluster-wide sum would overcount —
 // plus the per-member outcome, sorted by name. Down members are skipped
 // with ErrNodeDown; partitioned and warming members still truncate, for
-// the same local-janitor reason forEachLive documents.
+// the same local-janitor reason forEachLive documents. A member whose WAL
+// checkpoint failed reports that error.
 func (r *RingDB) Truncate(mint int64) (int, []MemberOutcome) {
 	_, members := r.snapshot()
 	names := sortedNames(members)
@@ -473,8 +474,8 @@ func (r *RingDB) Truncate(mint int64) (int, []MemberOutcome) {
 			out[i] = MemberOutcome{Member: n, Err: ErrNodeDown}
 			continue
 		}
-		cnt := db.Truncate(mint)
-		out[i] = MemberOutcome{Member: n, Count: cnt}
+		cnt, err := db.Truncate(mint)
+		out[i] = MemberOutcome{Member: n, Count: cnt, Err: err}
 		if cnt > max {
 			max = cnt
 		}

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"path/filepath"
@@ -150,7 +151,6 @@ func New(topo Topology, cfg config.Config, reg *telemetry.Registry) (*Sim, error
 	// journal under <wal_dir>/<node> and stay uninstrumented.
 	openDB := func(node string) (*tsdb.DB, error) {
 		o := tsdb.DefaultOptions()
-		o.Shards = cfg.TSDB.Shards
 		o.OutOfOrderWindow = cfg.TSDB.OOOWindow.Milliseconds()
 		if node == "" {
 			o.Telemetry = reg
@@ -176,9 +176,6 @@ func New(topo Topology, cfg config.Config, reg *telemetry.Registry) (*Sim, error
 		sim.Ring, err = NewRingDB(rf, w, 0, openDB, nodeNames...)
 		if err != nil {
 			return nil, fmt.Errorf("cluster: open ring: %w", err)
-		}
-		if cfg.Ring.HintLimit != 0 {
-			sim.Ring.SetHintLimit(max(cfg.Ring.HintLimit, 0))
 		}
 		if reg != nil {
 			sim.Ring.InstrumentTelemetry(reg)
@@ -313,20 +310,13 @@ func New(topo Topology, cfg config.Config, reg *telemetry.Registry) (*Sim, error
 	// backend handler is installed by callers that serve HTTP. Ownership
 	// checks go straight to the API server. The response cache runs on the
 	// simulated clock so TTL expiry tracks simulated, not wall, time.
-	cacheOpts := querycache.Options{
-		MaxBytes: 16 << 20,
-		Clock:    func() time.Time { return sim.clock },
-	}
-	if sim.Ring != nil {
-		// The ring implements the cache's Head watermark (freshest member
-		// MaxTime, mutation gen folding in topology changes), so PromQL
-		// result caching stays correct across kills and rejoins.
-		cacheOpts.Head = sim.Ring
-	}
 	sim.LB = &lb.LB{
 		Strategy: lb.RoundRobin,
 		Checker:  &lb.APIServerChecker{Server: sim.APIServer},
-		Cache:    querycache.New(cacheOpts),
+		Cache: querycache.New(querycache.Options{
+			MaxBytes: 16 << 20,
+			Clock:    func() time.Time { return sim.clock },
+		}),
 		CacheTTL: cfg.TSDB.ScrapeInterval,
 		CacheNow: func() time.Time { return sim.clock },
 	}
@@ -381,7 +371,13 @@ func (s *Sim) Step(ctx context.Context) {
 		} else if s.Ring != nil && s.Cfg.TSDB.RetentionPeriod > 0 {
 			// No cold tier in cluster mode: every replica prunes its own
 			// head on the same cadence the sidecar would have shipped.
-			s.Ring.Truncate(s.clock.Add(-s.Cfg.TSDB.RetentionPeriod).UnixMilli())
+			// A down member is skipped by design; a failed checkpoint is not.
+			_, outs := s.Ring.Truncate(s.clock.Add(-s.Cfg.TSDB.RetentionPeriod).UnixMilli())
+			for _, mo := range outs {
+				if mo.Err != nil && !errors.Is(mo.Err, ErrNodeDown) {
+					s.recordError("truncate "+mo.Member, mo.Err)
+				}
+			}
 		}
 	}
 }

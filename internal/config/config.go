@@ -49,31 +49,26 @@ type ExporterConfig struct {
 // TSDBConfig configures the Prometheus role: scraping, rules, the hot TSDB
 // head and its query API (prometheus_sim, and cluster_sim's embedded one).
 type TSDBConfig struct {
-	Listen                 string        `yaml:"listen" help:"Prometheus API listen address (cluster_sim serves it behind the access-control LB)"`
-	Targets                []string      `yaml:"targets" help:"comma-separated exporter targets (host:port)"`
-	ScrapeInterval         time.Duration `yaml:"scrape_interval" help:"scrape interval"`
-	RuleInterval           time.Duration `yaml:"rule_interval" help:"rule evaluation interval"`
-	RetentionPeriod        time.Duration `yaml:"retention" help:"how much history a head keeps when no block store takes it over (head-only prometheus_sim, cluster_sim ring members)"`
-	RateWindow             string        `yaml:"rate_window" help:"range window of the recording rules' counter rates"`
-	Shards                 int           `yaml:"shards" flag:"tsdb-shards" help:"TSDB head shards (power of two; 0 = GOMAXPROCS)"`
-	QueryTimeout           time.Duration `yaml:"query_timeout" help:"per-query evaluation deadline (0 disables)"`
-	WALDir                 string        `yaml:"wal_dir" help:"per-shard TSDB write-ahead-log directory; restarts replay it (empty = memory-only head; cluster mode journals under <dir>/<node>)"`
-	QueryCacheBytes        int64         `yaml:"query_cache_bytes" help:"query-result cache byte budget; repeated dashboard range queries reuse cached steps and evaluate only the new tail (0 disables)"`
-	RemoteWrite            bool          `yaml:"remote_write" help:"serve POST /api/v1/write: framed expofmt push ingest with 429 backpressure; clustered runs commit pushed samples with W-quorum semantics (see /api/v1/status/ingest)"`
-	RemoteWriteMaxInflight int           `yaml:"remote_write_max_inflight" help:"max concurrently committing remote-write requests before 429 (0 = 2x GOMAXPROCS)"`
-	OOOWindow              time.Duration `yaml:"ooo_window" help:"accept samples up to this far behind the head max time (remote-write retry tolerance); 0 keeps strict ordering"`
-	SlowQueryThreshold     time.Duration `yaml:"slow_query_threshold" help:"queries at or above this duration land in the slow-query ring at /api/v1/status/queries (0 disables the slow log; active-query tracking always on)"`
-	SlowQueryCapacity      int           `yaml:"slow_query_capacity" help:"slow-query ring size (0 = 128)"`
-	PprofAddr              string        `yaml:"pprof_addr" help:"serve net/http/pprof on this address (empty disables); kept off the query listeners so profiling is never exposed to query clients"`
+	Listen             string        `yaml:"listen" help:"Prometheus API listen address (cluster_sim serves it behind the access-control LB)"`
+	Targets            []string      `yaml:"targets" help:"comma-separated exporter targets (host:port)"`
+	ScrapeInterval     time.Duration `yaml:"scrape_interval" help:"scrape interval"`
+	RuleInterval       time.Duration `yaml:"rule_interval" help:"rule evaluation interval"`
+	RetentionPeriod    time.Duration `yaml:"retention" help:"how much history a head keeps when no block store takes it over (head-only prometheus_sim, cluster_sim ring members)"`
+	RateWindow         string        `yaml:"rate_window" help:"range window of the recording rules' counter rates"`
+	QueryTimeout       time.Duration `yaml:"query_timeout" help:"per-query evaluation deadline (0 disables)"`
+	WALDir             string        `yaml:"wal_dir" help:"per-shard TSDB write-ahead-log directory; restarts replay it (empty = memory-only head; cluster mode journals under <dir>/<node>)"`
+	QueryCacheBytes    int64         `yaml:"query_cache_bytes" help:"query-result cache byte budget; repeated dashboard range queries reuse cached steps and evaluate only the new tail (0 disables)"`
+	RemoteWrite        bool          `yaml:"remote_write" help:"serve POST /api/v1/write: framed expofmt push ingest with 429 backpressure; clustered runs commit pushed samples with W-quorum semantics (see /api/v1/status/ingest)"`
+	OOOWindow          time.Duration `yaml:"ooo_window" help:"accept samples up to this far behind the head max time (remote-write retry tolerance); 0 keeps strict ordering"`
+	SlowQueryThreshold time.Duration `yaml:"slow_query_threshold" help:"queries at or above this duration land in the slow-query ring at /api/v1/status/queries (0 disables the slow log; active-query tracking always on)"`
+	PprofAddr          string        `yaml:"pprof_addr" help:"serve net/http/pprof on this address (empty disables); kept off the query listeners so profiling is never exposed to query clients"`
 }
 
 // ThanosConfig configures long-term storage: the persistent block store
 // the head is cut into.
 type ThanosConfig struct {
-	Dir              string        `yaml:"dir" flag:"blocks-dir" help:"persistent block store directory: the head is cut into immutable blocks every -block-range, compacted and downsampled in the background, and queries fan in over head + blocks (see docs/ARCHITECTURE.md); empty keeps the head-only lifecycle"`
-	ShipInterval     time.Duration `yaml:"ship_interval" flag:"block-range" help:"block cut cadence; the head keeps 2x this after each cut so lookback windows never straddle a gap"`
-	CompactionFactor int           `yaml:"compaction_factor" help:"consecutive same-level blocks merged per compaction level (0 = 3); overlapping blocks always compact first regardless"`
-	Downsample       bool          `yaml:"downsample" help:"maintain 5m/1h downsampled aggregates alongside raw blocks (cut after 2x/10x -block-range); hinted range queries then read sum/count/min/max points instead of raw chunks"`
+	Dir          string        `yaml:"dir" flag:"blocks-dir" help:"persistent block store directory: the head is cut into immutable blocks every -block-range, compacted and downsampled in the background, and queries fan in over head + blocks (see docs/ARCHITECTURE.md); empty keeps the head-only lifecycle"`
+	ShipInterval time.Duration `yaml:"ship_interval" flag:"block-range" help:"block cut cadence; the head keeps 2x this after each cut so lookback windows never straddle a gap"`
 }
 
 // RingConfig describes the replicated TSDB ring: cluster_sim builds it
@@ -83,7 +78,6 @@ type RingConfig struct {
 	Nodes             int `yaml:"nodes" flag:"cluster-nodes" help:"number of TSDB storage nodes; >1 runs the consistent-hash ring with quorum replication (per-node WALs under -wal-dir/<node>)"`
 	ReplicationFactor int `yaml:"replication_factor" help:"ring replication factor R (copies per series); 0 picks min(3, nodes) in cluster_sim and disables failover in ceems_lb"`
 	WriteQuorum       int `yaml:"write_quorum" help:"write quorum W (node acks before a commit returns); 0 picks the majority R/2+1; reads need R-W+1 live replicas, so the LB retries GET/HEAD on up to R-W other backends"`
-	HintLimit         int `yaml:"hint_limit" help:"hinted-handoff queue bound per dead/partitioned node (drop-oldest past it); 0 keeps the default, -1 disables hinting"`
 }
 
 // APIServerConfig configures the CEEMS API server.
@@ -110,17 +104,15 @@ type LBConfig struct {
 	CacheBytes      int64         `yaml:"cache_bytes" help:"response cache byte budget; repeat dashboard queries are served without hitting a backend (0 disables)"`
 	CacheTTL        time.Duration `yaml:"cache_ttl" help:"max staleness of cached responses whose window touches the present"`
 	CacheSettledTTL time.Duration `yaml:"cache_settled_ttl" help:"TTL for cached range responses whose window ended in the past"`
-	ProxyRetries    int           `yaml:"proxy_retries" help:"explicit failover budget for safe requests; overrides the R-W derivation when >= 0"`
 }
 
 // EmissionsConfig selects emission factor providers in priority order
 // (emissions.FromConfig builds the chain).
 type EmissionsConfig struct {
-	Providers  []string      `yaml:"providers" help:"emission factor providers tried in order: rte, emaps, owid"`
-	RTEURL     string        `yaml:"rte_url" help:"RTE eCO2mix endpoint"`
-	EMapsURL   string        `yaml:"emaps_url" help:"Electricity Maps base URL"`
-	EMapsToken string        `yaml:"emaps_token" help:"Electricity Maps auth token"`
-	CacheTTL   time.Duration `yaml:"cache_ttl" help:"how long a fetched factor is reused"`
+	Providers  []string `yaml:"providers" help:"emission factor providers tried in order: rte, emaps, owid"`
+	RTEURL     string   `yaml:"rte_url" help:"RTE eCO2mix endpoint"`
+	EMapsURL   string   `yaml:"emaps_url" help:"Electricity Maps base URL"`
+	EMapsToken string   `yaml:"emaps_token" help:"Electricity Maps auth token"`
 }
 
 // SimConfig parameterizes the simulated platform (cluster_sim only).
@@ -146,7 +138,7 @@ func Default() Config {
 			RetentionPeriod: 15 * 24 * time.Hour, RateWindow: "2m",
 			QueryTimeout: 2 * time.Minute, QueryCacheBytes: 64 << 20,
 		},
-		Thanos: ThanosConfig{ShipInterval: 2 * time.Hour, Downsample: true},
+		Thanos: ThanosConfig{ShipInterval: 2 * time.Hour},
 		Ring:   RingConfig{Nodes: 1},
 		APIServer: APIServerConfig{
 			Listen: ":9200", UpdateInterval: 5 * time.Minute, BackupInterval: time.Hour,
@@ -155,9 +147,9 @@ func Default() Config {
 		LB: LBConfig{
 			Listen: ":9091", Strategy: "round-robin", HealthInterval: 15 * time.Second,
 			QueryTimeout: 2 * time.Minute, CacheBytes: 32 << 20,
-			CacheTTL: 15 * time.Second, CacheSettledTTL: 10 * time.Minute, ProxyRetries: -1,
+			CacheTTL: 15 * time.Second, CacheSettledTTL: 10 * time.Minute,
 		},
-		Emissions: EmissionsConfig{Providers: []string{"owid"}, CacheTTL: 5 * time.Minute},
+		Emissions: EmissionsConfig{Providers: []string{"owid"}},
 		Sim: SimConfig{
 			IntelNodes: 4, AMDNodes: 2, GPUIncludedNodes: 1, GPUExcludedNodes: 1,
 			Users: 8, Projects: 3, JobsPerDay: 600, Seed: 1,

@@ -33,7 +33,6 @@ tsdb:
 thanos:
   dir: /var/lib/thanos
   ship_interval: 30m
-  downsample: false
 ring:
   nodes: 3
   write_quorum: 2
@@ -49,7 +48,6 @@ lb:
 emissions:
   providers: [rte, owid]
   rte_url: "http://rte-mock:8080"
-  cache_ttl: 5m
 sim:
   intel_nodes: 10
   users: 16
@@ -91,7 +89,7 @@ func TestParseFull(t *testing.T) {
 	if len(cfg.Emissions.Providers) != 2 || cfg.Emissions.Providers[0] != "rte" {
 		t.Errorf("emissions = %+v", cfg.Emissions)
 	}
-	if cfg.Thanos.ShipInterval != 30*time.Minute || cfg.Thanos.Downsample || cfg.Ring.Nodes != 3 || cfg.Ring.WriteQuorum != 2 {
+	if cfg.Thanos.ShipInterval != 30*time.Minute || cfg.Ring.Nodes != 3 || cfg.Ring.WriteQuorum != 2 {
 		t.Errorf("thanos = %+v, ring = %+v", cfg.Thanos, cfg.Ring)
 	}
 	if len(cfg.APIServer.AdminUsers) != 2 {
@@ -152,6 +150,8 @@ func TestUnknownKeyRejected(t *testing.T) {
 	for _, y := range []string{
 		"tsdb:\n  scrape_intervall: 15s",   // a typo must not keep the default silently
 		"thanos:\n  head_retention: 2h",    // removed: derived as 2x ship_interval
+		"thanos:\n  downsample: true",      // removed: always on
+		"lb:\n  proxy_retries: 1",          // removed: always R-W of the ring section
 		"prometheus:\n  listen: \":9090\"", // no such section
 		"tsdb: 5",
 	} {
@@ -193,7 +193,7 @@ func TestPrecedenceDefaultFileFlag(t *testing.T) {
 		t.Errorf("file values clobbered by unset flags: %+v, W %d", cfg.LB, cfg.Ring.WriteQuorum)
 	}
 	// default survives where neither speaks
-	if cfg.LB.HealthInterval != 15*time.Second || cfg.LB.ProxyRetries != -1 || cfg.TSDB.Listen != ":9090" {
+	if cfg.LB.HealthInterval != 15*time.Second || cfg.TSDB.Listen != ":9090" {
 		t.Errorf("defaults lost: %+v", cfg.LB)
 	}
 
@@ -231,11 +231,11 @@ var pinned = map[string]map[string]string{
 		"listen": ":9090", "targets": "", "cluster": "sim",
 		"scrape-interval": "15s", "rule-interval": "1m0s",
 		"scrape-auth-user": "", "scrape-auth-pass": "",
-		"tsdb-shards": "0", "query-timeout": "2m0s", "wal-dir": "",
+		"query-timeout": "2m0s", "wal-dir": "",
 		"query-cache-bytes": "67108864",
-		"remote-write":      "false", "remote-write-max-inflight": "0", "ooo-window": "0s",
-		"slow-query-threshold": "0s", "slow-query-capacity": "0", "pprof-addr": "",
-		"blocks-dir": "", "block-range": "2h0m0s", "compaction-factor": "0", "downsample": "true",
+		"remote-write":      "false", "ooo-window": "0s",
+		"slow-query-threshold": "0s", "pprof-addr": "",
+		"blocks-dir": "", "block-range": "2h0m0s",
 		// File keys no process read before; prometheus_sim honours them now.
 		"retention": "360h0m0s", "rate-window": "2m",
 	},
@@ -252,14 +252,14 @@ var pinned = map[string]map[string]string{
 		"listen": ":9091", "backends": "", "api-server": "", "strategy": "round-robin",
 		"health-interval": "15s", "query-timeout": "2m0s",
 		"cache-bytes": "33554432", "cache-ttl": "15s", "cache-settled-ttl": "10m0s",
-		"replication-factor": "0", "write-quorum": "0", "proxy-retries": "-1",
+		"replication-factor": "0", "write-quorum": "0",
 	},
 	"cluster_sim": {
 		"config":      "",
 		"prom-listen": ":9090", "api-listen": ":9200", "wal-dir": "",
-		"cluster-nodes": "1", "replication-factor": "0", "write-quorum": "0", "hint-limit": "0",
-		"remote-write": "false", "remote-write-max-inflight": "0", "ooo-window": "0s",
-		"slow-query-threshold": "0s", "slow-query-capacity": "0", "pprof-addr": "",
+		"cluster-nodes": "1", "replication-factor": "0", "write-quorum": "0",
+		"remote-write": "false", "ooo-window": "0s",
+		"slow-query-threshold": "0s", "pprof-addr": "",
 	},
 }
 

@@ -97,8 +97,7 @@ func (c *Config) registerCommand(cmd string, fs *flag.FlagSet) {
 		c.register(fs, "prom-", &c.TSDB.Listen)
 		c.register(fs, "api-", &c.APIServer.Listen)
 		c.register(fs, "", &c.Ring, &c.TSDB.WALDir,
-			&c.TSDB.RemoteWrite, &c.TSDB.RemoteWriteMaxInflight, &c.TSDB.OOOWindow,
-			&c.TSDB.SlowQueryThreshold, &c.TSDB.SlowQueryCapacity, &c.TSDB.PprofAddr)
+			&c.TSDB.RemoteWrite, &c.TSDB.OOOWindow, &c.TSDB.SlowQueryThreshold, &c.TSDB.PprofAddr)
 	default:
 		panic("config: unknown command " + cmd)
 	}

@@ -166,11 +166,13 @@ func (e *EMaps) Factor(ctx context.Context, zone string) (Factor, error) {
 	return Factor{GramsPerKWh: body.CarbonIntensity, Source: "emaps", At: at}, nil
 }
 
-// Cached wraps a provider with a TTL cache, the polling discipline CEEMS
-// applies so dashboards do not hammer the factor APIs.
+// cacheTTL is how long Cached reuses a fetched factor.
+const cacheTTL = 5 * time.Minute
+
+// Cached wraps a provider with a cacheTTL cache, the polling discipline
+// CEEMS applies so dashboards do not hammer the factor APIs.
 type Cached struct {
 	Provider Provider
-	TTL      time.Duration
 	// Now overrides the clock (for simulations); nil means time.Now.
 	Now func() time.Time
 
@@ -186,7 +188,7 @@ type cachedEntry struct {
 // Name implements Provider.
 func (c *Cached) Name() string { return c.Provider.Name() }
 
-// Factor serves from cache within the TTL, otherwise refreshes.
+// Factor serves from cache within cacheTTL, otherwise refreshes.
 func (c *Cached) Factor(ctx context.Context, zone string) (Factor, error) {
 	now := time.Now()
 	if c.Now != nil {
@@ -206,11 +208,7 @@ func (c *Cached) Factor(ctx context.Context, zone string) (Factor, error) {
 	if c.cache == nil {
 		c.cache = map[string]cachedEntry{}
 	}
-	ttl := c.TTL
-	if ttl <= 0 {
-		ttl = 5 * time.Minute
-	}
-	c.cache[zone] = cachedEntry{f: f, exp: now.Add(ttl)}
+	c.cache[zone] = cachedEntry{f: f, exp: now.Add(cacheTTL)}
 	c.mu.Unlock()
 	return f, nil
 }
@@ -241,7 +239,7 @@ func (c *Chain) Factor(ctx context.Context, zone string) (Factor, error) {
 }
 
 // FromConfig builds the configured provider chain: the listed providers in
-// order, each behind its own TTL cache on the given clock (nil = time.Now).
+// order, each behind its own cache on the given clock (nil = time.Now).
 func FromConfig(c config.EmissionsConfig, now func() time.Time) (Provider, error) {
 	chain := &Chain{}
 	for _, name := range c.Providers {
@@ -256,7 +254,7 @@ func FromConfig(c config.EmissionsConfig, now func() time.Time) (Provider, error
 		default:
 			return nil, fmt.Errorf("emissions: unknown provider %q", name)
 		}
-		chain.Providers = append(chain.Providers, &Cached{Provider: p, TTL: c.CacheTTL, Now: now})
+		chain.Providers = append(chain.Providers, &Cached{Provider: p, Now: now})
 	}
 	return chain, nil
 }

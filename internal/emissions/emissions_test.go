@@ -115,7 +115,7 @@ func (c *countingProvider) Factor(context.Context, string) (Factor, error) {
 func TestCachedTTL(t *testing.T) {
 	inner := &countingProvider{}
 	clock := time.Unix(0, 0)
-	c := &Cached{Provider: inner, TTL: time.Minute, Now: func() time.Time { return clock }}
+	c := &Cached{Provider: inner, Now: func() time.Time { return clock }}
 	for i := 0; i < 5; i++ {
 		if _, err := c.Factor(ctx, "FR"); err != nil {
 			t.Fatal(err)
@@ -124,7 +124,12 @@ func TestCachedTTL(t *testing.T) {
 	if inner.calls.Load() != 1 {
 		t.Errorf("calls = %d, want 1 (cached)", inner.calls.Load())
 	}
-	clock = clock.Add(2 * time.Minute)
+	clock = clock.Add(cacheTTL - time.Second)
+	c.Factor(ctx, "FR")
+	if inner.calls.Load() != 1 {
+		t.Errorf("calls inside the TTL = %d, want 1", inner.calls.Load())
+	}
+	clock = clock.Add(time.Second)
 	c.Factor(ctx, "FR")
 	if inner.calls.Load() != 2 {
 		t.Errorf("calls after expiry = %d, want 2", inner.calls.Load())
@@ -200,7 +205,7 @@ func TestStaticVsRealTimeDivergence(t *testing.T) {
 }
 
 // TestFromConfig: the configured chain tries the listed providers in the
-// listed order, each behind the configured TTL on the given clock, and an
+// listed order, each behind the cache TTL on the given clock, and an
 // unknown name is an error at construction, not at the first lookup.
 func TestFromConfig(t *testing.T) {
 	now := time.Date(2026, 6, 1, 13, 0, 0, 0, time.UTC)
@@ -214,7 +219,7 @@ func TestFromConfig(t *testing.T) {
 	defer srv.Close()
 
 	p, err := FromConfig(config.EmissionsConfig{
-		Providers: []string{"rte", "owid"}, RTEURL: srv.URL, CacheTTL: time.Minute,
+		Providers: []string{"rte", "owid"}, RTEURL: srv.URL,
 	}, clock)
 	if err != nil {
 		t.Fatal(err)
@@ -225,7 +230,7 @@ func TestFromConfig(t *testing.T) {
 	if f, err := p.Factor(ctx, "DE"); err != nil || f.Source != "owid" {
 		t.Errorf("DE = %+v, %v; want the fallback, owid (rte serves FR only)", f, err)
 	}
-	now = now.Add(59 * time.Second)
+	now = now.Add(cacheTTL - time.Second)
 	p.Factor(ctx, "FR")
 	if hits.Load() != 1 {
 		t.Errorf("%d fetches inside the TTL, want 1", hits.Load())

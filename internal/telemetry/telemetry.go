@@ -37,13 +37,10 @@ import (
 )
 
 // Counter is a monotonically increasing uint64. The zero value is unusable;
-// obtain one from Registry.Counter (or NewCounter for an unregistered one).
+// obtain one from Registry.Counter.
 type Counter struct {
 	v atomic.Uint64
 }
-
-// NewCounter returns a standalone counter not attached to any registry.
-func NewCounter() *Counter { return &Counter{} }
 
 // Add increments by n. Nil-safe.
 func (c *Counter) Add(n uint64) {
@@ -170,17 +167,6 @@ var LatencyBuckets = []float64{5e-5, 2e-4, 1e-3, 5e-3, 2.5e-2, 0.1, 0.5, 2.5, 10
 
 // IOBuckets is the finer layout for the WAL flush/fsync path: 1µs to 1s.
 var IOBuckets = []float64{1e-6, 5e-6, 2.5e-5, 1e-4, 5e-4, 2.5e-3, 1e-2, 0.1, 1}
-
-// ExpBuckets returns n ascending bounds starting at start, each factor
-// apart — the generic layout for size-ish distributions.
-func ExpBuckets(start, factor float64, n int) []float64 {
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = start
-		start *= factor
-	}
-	return out
-}
 
 type instKind int
 

@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"errors"
+	"fmt"
 	"runtime"
 	"strings"
 	"sync"
@@ -290,7 +291,6 @@ func TestQueryLogActiveAndSlowRing(t *testing.T) {
 	clock := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
 	l := &QueryLog{
 		SlowThreshold: 100 * time.Millisecond,
-		SlowCapacity:  2,
 		Now:           func() time.Time { return clock },
 	}
 	// An in-flight query shows up as active.
@@ -308,22 +308,29 @@ func TestQueryLogActiveAndSlowRing(t *testing.T) {
 	if st = l.Status(); len(st.Active) != 0 || len(st.Slow) != 0 {
 		t.Fatalf("fast query leaked into status: %+v", st)
 	}
-	// Three slow queries overflow the 2-slot ring; newest first, oldest gone.
-	for i, q := range []string{"slow0", "slow1", "slow2"} {
-		rq = l.Begin("instant", q)
+	// One slow query more than the ring holds overflows it; newest first,
+	// oldest gone.
+	const n = DefaultSlowCapacity + 1
+	for i := range n {
+		rq = l.Begin("instant", fmt.Sprintf("slow%d", i))
 		clock = clock.Add(200 * time.Millisecond)
 		var err error
-		if i == 2 {
+		if i == n-1 {
 			err = errors.New("deadline exceeded")
 		}
 		rq.End(err)
 	}
 	st = l.Status()
-	if st.SlowTotal != 3 {
-		t.Fatalf("slow_total = %d, want 3", st.SlowTotal)
+	if st.SlowTotal != n {
+		t.Fatalf("slow_total = %d, want %d", st.SlowTotal, n)
 	}
-	if len(st.Slow) != 2 || st.Slow[0].Query != "slow2" || st.Slow[1].Query != "slow1" {
-		t.Fatalf("slow ring = %+v, want [slow2 slow1]", st.Slow)
+	if len(st.Slow) != DefaultSlowCapacity {
+		t.Fatalf("slow ring holds %d, want %d", len(st.Slow), DefaultSlowCapacity)
+	}
+	for i, sq := range st.Slow {
+		if want := fmt.Sprintf("slow%d", n-1-i); sq.Query != want {
+			t.Fatalf("slow ring [%d] = %q, want %q", i, sq.Query, want)
+		}
 	}
 	if st.Slow[0].Error != "deadline exceeded" {
 		t.Fatalf("slow error = %q", st.Slow[0].Error)

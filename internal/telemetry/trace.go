@@ -88,7 +88,7 @@ func TraceFrom(ctx context.Context) *QueryTrace {
 	return t
 }
 
-// DefaultSlowCapacity is the slow-query ring size when SlowCapacity is 0.
+// DefaultSlowCapacity is the size of the slow-query ring.
 const DefaultSlowCapacity = 128
 
 // QueryLog tracks in-flight queries and retains the slowest completed ones
@@ -99,8 +99,6 @@ type QueryLog struct {
 	// lands in the slow ring; <= 0 disables the slow log (active-query
 	// tracking still works).
 	SlowThreshold time.Duration
-	// SlowCapacity bounds the ring; 0 picks DefaultSlowCapacity.
-	SlowCapacity int
 	// Now supplies the clock; nil means time.Now.
 	Now func() time.Time
 
@@ -168,10 +166,6 @@ func (q *RunningQuery) End(err error) {
 	l.mu.Lock()
 	delete(l.active, q.id)
 	if l.SlowThreshold > 0 && dur >= l.SlowThreshold {
-		ringCap := l.SlowCapacity
-		if ringCap <= 0 {
-			ringCap = DefaultSlowCapacity
-		}
 		sq := SlowQuery{
 			Kind:    q.kind,
 			Query:   q.query,
@@ -182,12 +176,12 @@ func (q *RunningQuery) End(err error) {
 		if err != nil {
 			sq.Error = err.Error()
 		}
-		if len(l.slow) < ringCap {
+		if len(l.slow) < DefaultSlowCapacity {
 			l.slow = append(l.slow, sq)
-			l.slowNext = len(l.slow) % ringCap
+			l.slowNext = len(l.slow) % DefaultSlowCapacity
 		} else {
 			l.slow[l.slowNext] = sq
-			l.slowNext = (l.slowNext + 1) % ringCap
+			l.slowNext = (l.slowNext + 1) % DefaultSlowCapacity
 		}
 		l.slowSeen++
 	}

@@ -29,9 +29,10 @@ import (
 // mirroring Thanos's rule of thumb of ~5 points per step.
 const DownsampleFactor = 5
 
-// defaultCompactionFactor is how many same-level blocks trigger a merge
-// when the store has no explicit CompactionFactor.
-const defaultCompactionFactor = 3
+// compactionFactor is how many same-level blocks of one resolution are
+// merged per compaction. Overlapping blocks are always compacted first,
+// regardless of the factor.
+const compactionFactor = 3
 
 // Store holds blocks as persistent block directories (see
 // tsdb/blockdir.go for the on-disk format), one ULID-named directory per
@@ -46,11 +47,6 @@ const defaultCompactionFactor = 3
 // queries read instead of raw chunks.
 type Store struct {
 	dir string
-
-	// CompactionFactor is how many same-level blocks of one resolution are
-	// merged per compaction; 0 means defaultCompactionFactor. Overlapping
-	// blocks are always compacted first, regardless of the factor.
-	CompactionFactor int
 
 	mu     sync.RWMutex
 	blocks []*tsdb.PersistentBlock // sorted by MinTime
@@ -311,16 +307,9 @@ func (s *Store) mergeBlockLists(list func(*tsdb.PersistentBlock) []string) []str
 	return tsdb.MergeLabelLists(parts...)
 }
 
-func (s *Store) factor() int {
-	if s.CompactionFactor > 0 {
-		return s.CompactionFactor
-	}
-	return defaultCompactionFactor
-}
-
 // Compact runs the leveled compaction loop to a fixpoint: overlapping
 // same-resolution blocks are merged first (they cost every query a dedup
-// pass), then runs of CompactionFactor same-level blocks are folded into
+// pass), then runs of compactionFactor same-level blocks are folded into
 // one block of the next level. Matcher tombstones — typically
 // DB.Tombstones() from the hot head — drop deleted series from the merged
 // output, propagating deletes into cold storage.
@@ -378,15 +367,14 @@ func (s *Store) planCompaction() []*tsdb.PersistentBlock {
 		if len(chain) >= 2 {
 			return chain
 		}
-		// 2) A run of CompactionFactor consecutive same-level blocks.
-		f := s.factor()
+		// 2) A run of compactionFactor consecutive same-level blocks.
 		runStart := 0
 		for i := 1; i <= len(grp); i++ {
 			if i < len(grp) && grp[i].Meta().Level == grp[runStart].Meta().Level {
 				continue
 			}
-			if i-runStart >= f {
-				return grp[runStart : runStart+f]
+			if i-runStart >= compactionFactor {
+				return grp[runStart : runStart+compactionFactor]
 			}
 			runStart = i
 		}

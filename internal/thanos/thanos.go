@@ -38,7 +38,8 @@ type Sidecar struct {
 }
 
 // Ship cuts everything since the previous ship (up to now) into the store
-// as one block.
+// as one block, then truncates the head to HeadRetention. A failed cut, or a
+// failed checkpoint of a WAL-backed head, is its error.
 func (sc *Sidecar) Ship(now time.Time) error {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
@@ -61,7 +62,9 @@ func (sc *Sidecar) Ship(now time.Time) error {
 	}
 	sc.lastShip = maxt
 	if sc.HeadRetention > 0 {
-		sc.DB.Truncate(maxt - sc.HeadRetention.Milliseconds())
+		if _, err := sc.DB.Truncate(maxt - sc.HeadRetention.Milliseconds()); err != nil {
+			return err
+		}
 	}
 	return nil
 }

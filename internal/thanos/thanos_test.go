@@ -188,6 +188,37 @@ func TestSidecarShipAndTruncate(t *testing.T) {
 	}
 }
 
+// TestSidecarShipReportsCheckpointFailure: a WAL-backed head whose shard
+// journal cannot checkpoint after the post-ship truncation makes Ship fail,
+// instead of reporting a ship that left the journal unbounded.
+func TestSidecarShipReportsCheckpointFailure(t *testing.T) {
+	walDir := filepath.Join(t.TempDir(), "wal")
+	db, err := tsdb.Open(tsdb.Options{Shards: 2, WALDir: walDir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	for i := 0; i < 4; i++ {
+		ls := labels.FromStrings(labels.MetricName, "m", "s", fmt.Sprintf("%d", i))
+		for j := int64(0); j < 100; j++ {
+			if err := db.Append(ls, j*15000, float64(j)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := os.RemoveAll(filepath.Join(walDir, "shard-0001")); err != nil {
+		t.Fatal(err)
+	}
+	store, _ := NewStore("")
+	sc := &Sidecar{DB: db, Store: store, HeadRetention: 10 * time.Minute}
+	if err := sc.Ship(time.UnixMilli(1_500_000)); err == nil {
+		t.Fatal("Ship succeeded though a shard's WAL checkpoint could not be written")
+	}
+	if store.NumBlocks() != 1 {
+		t.Errorf("blocks = %d, want the one cut before the truncation", store.NumBlocks())
+	}
+}
+
 func TestQuerierMergesHotAndCold(t *testing.T) {
 	db := seedDB(t, 1, 100, 0)
 	store, _ := NewStore("")
@@ -370,7 +401,11 @@ func TestQuerierLabelStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	mustCut(t, store, more, 0, 1<<60)
-	store.CompactionFactor = 2
+	last := tsdb.MustOpen(tsdb.DefaultOptions())
+	if err := last.Append(labels.FromStrings(labels.MetricName, "m", "s", "6", "rack", "r2"), 300_000, 1); err != nil {
+		t.Fatal(err)
+	}
+	mustCut(t, store, last, 0, 1<<60)
 	if n, err := store.Compact(nil); err != nil || n != 1 {
 		t.Fatalf("Compact = %d, %v; want one compaction", n, err)
 	}
@@ -387,7 +422,7 @@ func labelOracle(t *testing.T, store *Store, head *tsdb.DB) map[string][]string 
 	var series []model.Series
 	store.mu.RLock()
 	for _, b := range store.blocks {
-		bs, err := b.SelectAggr(math.MinInt64, math.MaxInt64, 0, tsdb.AggrRaw, nil, all)
+		bs, err := tsdb.Sources{Blocks: []*tsdb.PersistentBlock{b}}.Select(model.SelectHints{Start: math.MinInt64, End: math.MaxInt64}, all)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -458,11 +493,10 @@ func TestStoreLabelValuesForgetTombstonedSeries(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer store.Close()
-	store.CompactionFactor = 2
 	db := tsdb.MustOpen(tsdb.DefaultOptions())
 	for _, uuid := range []string{"1", "2", "3"} {
 		ls := labels.FromStrings(labels.MetricName, "m", "uuid", uuid, "only", "on"+uuid)
-		for ts := int64(0); ts < 200; ts += 10 {
+		for ts := int64(0); ts < 300; ts += 10 {
 			if err := db.Append(ls, ts, 1); err != nil {
 				t.Fatal(err)
 			}
@@ -470,6 +504,7 @@ func TestStoreLabelValuesForgetTombstonedSeries(t *testing.T) {
 	}
 	mustCut(t, store, db, 0, 99)
 	mustCut(t, store, db, 100, 199)
+	mustCut(t, store, db, 200, 299)
 	if got := store.LabelValues("uuid"); !equalStrings(got, []string{"1", "2", "3"}) {
 		t.Fatalf(`LabelValues("uuid") before the delete = %v`, got)
 	}

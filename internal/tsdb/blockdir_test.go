@@ -15,6 +15,11 @@ import (
 	"repro/internal/tsdb/chunkenc"
 )
 
+// readBlock reads pb alone through Sources, the one read of blocks.
+func readBlock(pb *PersistentBlock, hints model.SelectHints, aggr AggrType, ms ...*labels.Matcher) ([]model.Series, error) {
+	return Sources{Blocks: []*PersistentBlock{pb}, Aggr: aggr}.Select(hints, ms...)
+}
+
 func blockSeedDB(t *testing.T, shards, nSeries, nSamples int, startMs, stepMs int64) *DB {
 	t.Helper()
 	opts := DefaultOptions()
@@ -52,7 +57,7 @@ func TestBlockDirRoundTrip(t *testing.T) {
 	if pb.Meta().Stats.NumSeries != 20 || pb.Meta().Stats.NumSamples != 20*300 {
 		t.Fatalf("stats = %+v", pb.Meta().Stats)
 	}
-	got, err := pb.SelectAggr(-1<<60, 1<<60, 0, AggrRaw, nil, matchAll())
+	got, err := readBlock(pb, model.SelectHints{Start: -1 << 60, End: 1 << 60}, AggrRaw, matchAll())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +69,7 @@ func TestBlockDirRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer re.Close()
-	got2, err := re.SelectAggr(-1<<60, 1<<60, 0, AggrRaw, nil, matchAll())
+	got2, err := readBlock(re, model.SelectHints{Start: -1 << 60, End: 1 << 60}, AggrRaw, matchAll())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,14 +80,14 @@ func TestBlockDirRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got3, err := mem.SelectAggr(-1<<60, 1<<60, 0, AggrRaw, nil, matchAll())
+	got3, err := readBlock(mem, model.SelectHints{Start: -1 << 60, End: 1 << 60}, AggrRaw, matchAll())
 	if err != nil {
 		t.Fatal(err)
 	}
 	assertSeriesEqual(t, got3, want, "mem block vs head")
 
 	// Sub-range reads must clip chunk-internally.
-	sub, err := pb.SelectAggr(1_000_000, 2_000_000, 0, AggrRaw, nil, matchAll())
+	sub, err := readBlock(pb, model.SelectHints{Start: 1_000_000, End: 2_000_000}, AggrRaw, matchAll())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +157,7 @@ func TestBlockDirCorruptionDetected(t *testing.T) {
 			return // header landed on the flip: also acceptable
 		}
 		defer b.Close()
-		if _, err := b.SelectAggr(-1<<60, 1<<60, 0, AggrRaw, nil, matchAll()); err == nil {
+		if _, err := readBlock(b, model.SelectHints{Start: -1 << 60, End: 1 << 60}, AggrRaw, matchAll()); err == nil {
 			t.Fatal("flipped chunk byte served samples")
 		}
 	})
@@ -163,7 +168,7 @@ func TestBlockDirCorruptionDetected(t *testing.T) {
 			return
 		}
 		defer b.Close()
-		if _, err := b.SelectAggr(-1<<60, 1<<60, 0, AggrRaw, nil, matchAll()); err == nil {
+		if _, err := readBlock(b, model.SelectHints{Start: -1 << 60, End: 1 << 60}, AggrRaw, matchAll()); err == nil {
 			t.Fatal("truncated chunks served samples")
 		}
 	})
@@ -182,7 +187,7 @@ func TestBlockDirCorruptionDetected(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer b.Close()
-		if _, err := b.SelectAggr(-1<<60, 1<<60, 0, AggrRaw, nil, matchAll()); err == nil {
+		if _, err := readBlock(b, model.SelectHints{Start: -1 << 60, End: 1 << 60}, AggrRaw, matchAll()); err == nil {
 			t.Fatal("chunk ref off=2^64-3 len=10 served samples")
 		}
 	})
@@ -242,7 +247,7 @@ func TestParallelCutMatchesSelect(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := blk.SelectAggr(mint, maxt, 0, AggrRaw, nil, matchAll())
+				got, err := readBlock(blk, model.SelectHints{Start: mint, End: maxt}, AggrRaw, matchAll())
 				blk.Close()
 				if err != nil {
 					t.Fatal(err)
@@ -369,7 +374,7 @@ func TestCompactPersistentBlocks(t *testing.T) {
 	if meta.MinTime != 1000 || meta.MaxTime != 4000 {
 		t.Errorf("bounds = [%d,%d]", meta.MinTime, meta.MaxTime)
 	}
-	got, err := nb.SelectAggr(-1<<60, 1<<60, 0, AggrRaw, nil, matchAll())
+	got, err := readBlock(nb, model.SelectHints{Start: -1 << 60, End: 1 << 60}, AggrRaw, matchAll())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -389,7 +394,7 @@ func TestCompactPersistentBlocks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got2, err := nb2.SelectAggr(-1<<60, 1<<60, 0, AggrRaw, nil, matchAll())
+	got2, err := readBlock(nb2, model.SelectHints{Start: -1 << 60, End: 1 << 60}, AggrRaw, matchAll())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -535,7 +540,7 @@ func TestDownsamplePropertyRandom(t *testing.T) {
 
 			check := func(b *PersistentBlock, what string, oracle func(key string) map[AggrType][]model.Sample) {
 				for _, aggr := range []AggrType{AggrSum, AggrCount, AggrMin, AggrMax} {
-					got, err := b.SelectAggr(-1<<60, 1<<60, 0, aggr, nil, matchAll())
+					got, err := readBlock(b, model.SelectHints{Start: -1 << 60, End: 1 << 60}, aggr, matchAll())
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -548,7 +553,7 @@ func TestDownsamplePropertyRandom(t *testing.T) {
 					}
 				}
 				// Derived avg = sum/count, pointwise.
-				avg, err := b.SelectAggr(-1<<60, 1<<60, 0, AggrAvg, nil, matchAll())
+				avg, err := readBlock(b, model.SelectHints{Start: -1 << 60, End: 1 << 60}, AggrAvg, matchAll())
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -579,11 +584,11 @@ func TestDownsamplePropertyRandom(t *testing.T) {
 			// Two-hop equals one-hop: bit-exact for count/min/max, up to
 			// float associativity for sum (and thus avg).
 			for _, aggr := range []AggrType{AggrSum, AggrCount, AggrMin, AggrMax, AggrAvg} {
-				a, err := oneHop.SelectAggr(-1<<60, 1<<60, 0, aggr, nil, matchAll())
+				a, err := readBlock(oneHop, model.SelectHints{Start: -1 << 60, End: 1 << 60}, aggr, matchAll())
 				if err != nil {
 					t.Fatal(err)
 				}
-				b, err := twoHop.SelectAggr(-1<<60, 1<<60, 0, aggr, nil, matchAll())
+				b, err := readBlock(twoHop, model.SelectHints{Start: -1 << 60, End: 1 << 60}, aggr, matchAll())
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -638,7 +643,7 @@ func TestDownsampleStaleOnlySeries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ds.SelectAggr(-1<<60, 1<<60, 0, AggrCount, nil, matchAll())
+	got, err := readBlock(ds, model.SelectHints{Start: -1 << 60, End: 1 << 60}, AggrCount, matchAll())
 	if err != nil {
 		t.Fatal(err)
 	}

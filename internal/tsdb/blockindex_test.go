@@ -24,9 +24,15 @@ import (
 
 // scanSelectAggr is the block select as it was before blocks had an index:
 // labels.MatchLabels over every series, each read alone. Kept as the oracle.
+// It reads the window the read plans for the block: whole buckets of a
+// downsampled one.
 func scanSelectAggr(pb *PersistentBlock, mint, maxt, limit int64, aggr AggrType, ms ...*labels.Matcher) ([]model.Series, error) {
 	out := []model.Series{}
-	read := blockSeries(pb, mint, maxt, aggr)
+	parts := planParts(nil, []*PersistentBlock{pb}, mint, maxt, math.MaxInt64, aggr)
+	if len(parts) == 0 {
+		return out, nil
+	}
+	read := blockSeries(pb, parts[0].lo, parts[0].hi, aggr)
 	var copied int64
 	for i := range pb.series {
 		s := &pb.series[i]
@@ -101,7 +107,7 @@ func TestBlockPostingsMatchScan(t *testing.T) {
 			aggr := aggrs[rng.Intn(len(aggrs))]
 			for _, pb := range blocks {
 				want, wantErr := scanSelectAggr(pb, mint, maxt, limit, aggr, ms...)
-				got, gotErr := pb.SelectAggr(mint, maxt, limit, aggr, nil, ms...)
+				got, gotErr := readBlock(pb, model.SelectHints{Start: mint, End: maxt, SampleLimit: limit}, aggr, ms...)
 				what := fmt.Sprintf("seed %d select %d: %v [%d,%d] limit %d %s on block res %d dir %q", seed, n, ms, mint, maxt, limit, aggr, pb.meta.Resolution, pb.dir)
 				if gotErr != wantErr {
 					t.Fatalf("%s: error %v, scan says %v", what, gotErr, wantErr)
@@ -225,7 +231,7 @@ func TestBlockSelectAllocsIndependentOfBlockSize(t *testing.T) {
 	allocs := func(n int) float64 {
 		pb := churnedBlock(t, n)
 		return testing.AllocsPerRun(100, func() {
-			if got, err := pb.SelectAggr(0, 1<<40, 0, AggrRaw, nil, oneJobMatchers...); err != nil || len(got) != 1 {
+			if got, err := readBlock(pb, model.SelectHints{Start: 0, End: 1 << 40}, AggrRaw, oneJobMatchers...); err != nil || len(got) != 1 {
 				t.Fatalf("selected %d series, err %v; want 1", len(got), err)
 			}
 		})
@@ -262,7 +268,7 @@ func BenchmarkBlockSelect(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if got, err := pb.SelectAggr(0, 1<<40, 0, AggrRaw, nil, bc.ms...); err != nil || len(got) != bc.want {
+				if got, err := readBlock(pb, model.SelectHints{Start: 0, End: 1 << 40}, AggrRaw, bc.ms...); err != nil || len(got) != bc.want {
 					b.Fatalf("selected %d series, err %v; want %d", len(got), err, bc.want)
 				}
 			}

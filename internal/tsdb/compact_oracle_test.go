@@ -598,10 +598,10 @@ func TestDownsampleRejectsUnalignedAggregates(t *testing.T) {
 			if err == nil || !strings.Contains(err.Error(), pb.meta.ULID) || !strings.Contains(err.Error(), lset.String()) {
 				t.Fatalf("downsample: err %v, want one naming block %s and series %s", err, pb.meta.ULID, lset)
 			}
-			if _, err := pb.SelectAggr(-1<<60, 1<<60, 0, AggrAvg, nil, matchAll()); (err != nil) != tc.avgFails {
+			if _, err := readBlock(pb, model.SelectHints{Start: -1 << 60, End: 1 << 60}, AggrAvg, matchAll()); (err != nil) != tc.avgFails {
 				t.Fatalf("avg select: err %v, want an error %v", err, tc.avgFails)
 			}
-			got, err := pb.SelectAggr(-1<<60, 1<<60, 0, tc.aggr, nil, matchAll())
+			got, err := readBlock(pb, model.SelectHints{Start: -1 << 60, End: 1 << 60}, tc.aggr, matchAll())
 			if err != nil || len(got) != 1 {
 				t.Fatalf("%s select: %v, err %v; want the stream as stored", tc.aggr, got, err)
 			}

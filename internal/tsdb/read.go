@@ -69,21 +69,6 @@ func (src Sources) Select(hints model.SelectHints, ms ...*labels.Matcher) ([]mod
 	return r.release(r.fill(r.join(heads, ms)))
 }
 
-// SelectAggr is a read of one block over [mint, maxt] for the requested
-// aggregate (newBlockPart), trimmed by the step filter f when it is not nil,
-// failing with model.ErrSampleLimit past limit samples when limit > 0.
-func (pb *PersistentBlock) SelectAggr(mint, maxt, limit int64, aggr AggrType, f *model.StepFilter, ms ...*labels.Matcher) ([]model.Series, error) {
-	if len(ms) == 0 {
-		return nil, ErrNoMatchers
-	}
-	if maxt < mint {
-		return nil, nil
-	}
-	r := newReader(mint, maxt, limit, f)
-	r.parts = append(r.parts, newBlockPart(pb, mint, maxt, aggr))
-	return r.release(r.fill(r.join(nil, ms)))
-}
-
 // reader is one read from its plan to its result. Readers are pooled: made
 // afresh, it and the func handed to DoRange would cost a narrow read more than
 // it returns (BenchmarkBlockSelect/one_job_of_2k).

@@ -96,7 +96,8 @@ func TestShardEquivalence(t *testing.T) {
 	if n1, n16 := db1.DeleteSeries(del...), db16.DeleteSeries(del...); n1 != n16 {
 		t.Fatalf("DeleteSeries differ: %d vs %d", n1, n16)
 	}
-	if n1, n16 := db1.Truncate(60000), db16.Truncate(60000); n1 != n16 {
+	n1, _ := db1.Truncate(60000)
+	if n16, _ := db16.Truncate(60000); n1 != n16 {
 		t.Fatalf("Truncate differ: %d vs %d", n1, n16)
 	}
 	all := labels.MustMatcher(labels.MatchRegexp, labels.MetricName, ".*")

@@ -144,26 +144,27 @@ func TestHeadSelectTrimmed(t *testing.T) {
 				t.Fatal(err)
 			}
 			checkTrimmed(t, "head "+what, f, got, full, !ooo)
-			// The store reads a block over part of the window, as a
-			// coarser resolution may serve the rest.
-			lo, hi := h.Start, h.End
-			if rng.Intn(2) == 0 {
-				lo, hi = lo+rng.Int63n(hi-lo+1), hi-rng.Int63n(hi-lo+1)
-			}
+			// Blocks are read alone, and a raw block together with its
+			// downsampled sibling: that one serves the whole buckets of the
+			// window, the raw one the edges, so each part is read over part
+			// of the window. A step whose window spans a seam may keep the
+			// newest sample of each side.
 			for _, b := range []struct {
-				name string
-				pb   *PersistentBlock
-				aggr AggrType
-			}{{"raw", raw, AggrRaw}, {"avg", down, AggrAvg}, {"max", down, AggrMax}} {
-				full, err := b.pb.SelectAggr(lo, hi, 0, b.aggr, nil, m)
+				name   string
+				blocks []*PersistentBlock
+				aggr   AggrType
+			}{{"raw", []*PersistentBlock{raw}, AggrRaw}, {"avg", []*PersistentBlock{down}, AggrAvg},
+				{"max", []*PersistentBlock{down}, AggrMax}, {"max over raw", []*PersistentBlock{raw, down}, AggrMax}} {
+				src := Sources{Blocks: b.blocks, Aggr: b.aggr}
+				full, err := src.Select(model.SelectHints{Start: h.Start, End: h.End}, m)
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := b.pb.SelectAggr(lo, hi, 0, b.aggr, f, m)
+				got, err := src.Select(h, m)
 				if err != nil {
 					t.Fatal(err)
 				}
-				checkTrimmed(t, fmt.Sprintf("%s block [%d, %d] %s", b.name, lo, hi, what), f, got, full, true)
+				checkTrimmed(t, fmt.Sprintf("%s blocks %s", b.name, what), f, got, full, len(b.blocks) == 1)
 			}
 		}
 	}

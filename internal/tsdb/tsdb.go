@@ -509,9 +509,10 @@ func (s *memSeries) hasInOrderSampleLocked(t int64) bool {
 // Each shard prunes independently. When the head is WAL-backed, each shard
 // is checkpointed after pruning — the post-truncate state is snapshotted and
 // the pre-checkpoint segments dropped — so the journal stays bounded by head
-// size. Checkpoint errors are recorded and surfaced via WALErr. It returns
-// the number of series removed.
-func (db *DB) Truncate(mint int64) int {
+// size. It returns the number of series removed and the shards' checkpoint
+// errors, joined; a failed checkpoint leaves that shard's older segments in
+// place, so nothing pruned is lost, only the journal's bound.
+func (db *DB) Truncate(mint int64) (int, error) {
 	// Raise the pruned watermark first: a cache fill racing the pruning
 	// sees the new floor and refuses to reuse steps whose read windows
 	// reach below it.
@@ -522,6 +523,7 @@ func (db *DB) Truncate(mint int64) int {
 		}
 	}
 	removed := make([]int, len(db.shards))
+	errs := make([]error, len(db.shards))
 	db.forEachShard(func(i int, sh *headShard) {
 		if sh.wal != nil {
 			// Pruning detaches series; hold the WAL mutex across it so no
@@ -530,7 +532,7 @@ func (db *DB) Truncate(mint int64) int {
 			sh.wal.mu.Lock()
 			removed[i] = sh.truncate(mint)
 			sh.wal.mu.Unlock()
-			db.noteWALErr(sh.wal.checkpoint(sh, db.Tombstones))
+			errs[i] = sh.wal.checkpoint(sh, db.Tombstones)
 		} else {
 			removed[i] = sh.truncate(mint)
 		}
@@ -539,7 +541,7 @@ func (db *DB) Truncate(mint int64) int {
 	for _, n := range removed {
 		total += n
 	}
-	return total
+	return total, errors.Join(errs...)
 }
 
 // CheckpointWAL forces a checkpoint of every shard journal immediately:

@@ -404,7 +404,7 @@ func TestCutBlockAndReadBack(t *testing.T) {
 	if blk.NumSamples() != 5*41 {
 		t.Errorf("block samples = %d, want %d", blk.NumSamples(), 5*41)
 	}
-	res, err := blk.SelectAggr(10000, 20000, 0, AggrRaw, nil, labels.MustMatcher(labels.MatchEqual, "i", "3"))
+	res, err := readBlock(blk, model.SelectHints{Start: 10000, End: 20000}, AggrRaw, labels.MustMatcher(labels.MatchEqual, "i", "3"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -508,7 +508,7 @@ func TestBlockRoundTripProperty(t *testing.T) {
 		defer got.Close()
 		all := labels.MustMatcher(labels.MatchRegexp, labels.MetricName, ".*")
 		a, errA := db.Select(0, 1<<60, all)
-		b, errB := got.SelectAggr(0, 1<<60, 0, AggrRaw, nil, all)
+		b, errB := readBlock(got, model.SelectHints{Start: 0, End: 1 << 60}, AggrRaw, all)
 		return errA == nil && errB == nil && reflect.DeepEqual(a, b)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {

@@ -546,8 +546,8 @@ func (db *DB) WALStats() (WALStats, bool) {
 }
 
 // WALErr returns the first WAL write or checkpoint error recorded on a path
-// that cannot surface one directly (Truncate, DeleteSeries). A healthy head
-// returns nil.
+// that cannot surface one directly (DeleteSeries); ApplyTombstone and
+// CheckpointWAL record theirs here too. A healthy head returns nil.
 func (db *DB) WALErr() error {
 	db.walErrMu.Lock()
 	defer db.walErrMu.Unlock()

@@ -1182,8 +1182,8 @@ func testWALCheckpointNeverLosesAcknowledgedWrites(t *testing.T, compress bool) 
 	if before <= 4 {
 		t.Fatalf("test setup: want rotation before checkpoint, got %d segments", before)
 	}
-	db.Truncate(15_000) // prunes old chunks AND checkpoints every shard
-	if err := db.WALErr(); err != nil {
+	// Prunes old chunks AND checkpoints every shard.
+	if _, err := db.Truncate(15_000); err != nil {
 		t.Fatalf("checkpoint failed: %v", err)
 	}
 	// Every shard drops its history into the snapshot and keeps exactly one
