@@ -212,9 +212,8 @@ func recoverChaos(sim *cluster.Sim, kind string) {
 			log.Printf("chaos: rejoin %s: %v", victim, err)
 			return
 		}
-		hs := sim.Ring.HintStats()
-		log.Printf("chaos: %s rejoined: WAL replayed %d samples (%d series, %d torn-tail repairs), hints drained %d samples, handoff pulled %d missed samples from peers",
-			victim, replay.Samples, replay.Series, replay.TornRepairs, hs.SamplesDrained, sync.SamplesApplied)
+		log.Printf("chaos: %s rejoined: WAL replayed %d samples (%d series, %d torn-tail repairs), handoff pulled %d missed samples from peers",
+			victim, replay.Samples, replay.Series, replay.TornRepairs, sync.SamplesApplied)
 	case "partition":
 		sim.Ring.Heal()
 		if sync, err := sim.Ring.SyncNode(victim); err != nil {
@@ -249,10 +248,6 @@ func printReport(sim *cluster.Sim) {
 		}
 		fmt.Printf("jobs: %d pending / %d running / %d finished | ring: %d/%d nodes up, %d series, %d samples (replicated)\n",
 			st.Pending, st.Running, st.Finished, live, len(sim.Ring.MemberNames()), series, samples)
-		if hs := sim.Ring.HintStats(); hs.SamplesQueued+hs.SamplesDropped+hs.TombstonesQueued > 0 || hs.Pending > 0 {
-			fmt.Printf("hints: %d queued / %d drained / %d dropped samples, %d tombstones, %d pending\n",
-				hs.SamplesQueued, hs.SamplesDrained, hs.SamplesDropped, hs.TombstonesQueued, hs.Pending)
-		}
 		if rs := sim.Ring.Scatter().RepairStatsSnapshot(); rs.SeriesRepaired+rs.Dropped+rs.Errors > 0 {
 			fmt.Printf("read-repair: %d series / %d samples back-filled, %d dropped, %d errors\n",
 				rs.SeriesRepaired, rs.SamplesRepaired, rs.Dropped, rs.Errors)

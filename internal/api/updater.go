@@ -42,6 +42,10 @@ type Updater struct {
 	Cleaner SeriesDeleter
 
 	lastUpdate time.Time
+	// behind holds, per unit UUID, the window start of a pass that failed
+	// for the unit: its row was left unchanged, so the next pass accounts
+	// it from there instead of from lastUpdate.
+	behind map[string]time.Time
 	// Stats.
 	UnitsSeen      int64
 	SeriesDeleted  int64
@@ -57,9 +61,17 @@ func (u *Updater) Update(ctx context.Context, now time.Time) error {
 	if windowStart.IsZero() {
 		windowStart = now.Add(-time.Hour)
 	}
+	// Units a failed pass left behind are fetched from their own window
+	// start, so the oldest one bounds the fetch.
+	fetchFrom := windowStart
+	for _, t := range u.behind {
+		if t.Before(fetchFrom) {
+			fetchFrom = t
+		}
+	}
 	var firstErr error
 	for _, f := range u.Fetchers {
-		units, err := f.FetchUnits(ctx, windowStart.Add(-time.Minute))
+		units, err := f.FetchUnits(ctx, fetchFrom.Add(-time.Minute))
 		if err != nil {
 			if firstErr == nil {
 				firstErr = fmt.Errorf("api: fetch %s: %w", f.ClusterID(), err)
@@ -68,9 +80,21 @@ func (u *Updater) Update(ctx context.Context, now time.Time) error {
 		}
 		for _, unit := range units {
 			u.UnitsSeen++
-			if err := u.updateUnit(ctx, unit, windowStart, now); err != nil && firstErr == nil {
-				firstErr = err
+			start, late := u.behind[unit.UUID]
+			if !late {
+				start = windowStart
 			}
+			if err := u.updateUnit(ctx, unit, start, now); err != nil {
+				if u.behind == nil {
+					u.behind = make(map[string]time.Time)
+				}
+				u.behind[unit.UUID] = start
+				if firstErr == nil {
+					firstErr = err
+				}
+				continue
+			}
+			delete(u.behind, unit.UUID)
 		}
 	}
 	if err := u.rollup(); err != nil && firstErr == nil {
@@ -82,7 +106,8 @@ func (u *Updater) Update(ctx context.Context, now time.Time) error {
 }
 
 // updateUnit merges the unit's metadata and the aggregate increment for
-// the [windowStart, now] window into the store.
+// the [windowStart, now] window into the store. On error the unit's row is
+// left as it was.
 func (u *Updater) updateUnit(ctx context.Context, unit model.Unit, windowStart, now time.Time) error {
 	// Preserve previously accumulated aggregates.
 	prev, found, err := u.Store.Get(TableUnits, unit.UUID)
@@ -129,7 +154,9 @@ func (u *Updater) updateUnit(ctx context.Context, unit model.Unit, windowStart, 
 	return nil
 }
 
-// queryIncrement estimates the unit's usage over one window from TSDB.
+// queryIncrement estimates the unit's usage over one window from TSDB. A
+// failed query or emission-factor lookup fails the whole increment: a
+// partial one would be merged as if the window were accounted.
 func (u *Updater) queryIncrement(ctx context.Context, unit model.Unit, qStart, qEnd time.Time) (model.UsageAggregate, error) {
 	var inc model.UsageAggregate
 	win := qEnd.Sub(qStart)
@@ -137,9 +164,15 @@ func (u *Updater) queryIncrement(ctx context.Context, unit model.Unit, qStart, q
 	winStr := fmt.Sprintf("%dms", win.Milliseconds())
 	sel := fmt.Sprintf(`{uuid=%q,cluster=%q}`, unit.ID, unit.Cluster)
 
+	// qErr is the first engine error; once set, no further query runs.
+	var qErr error
 	scalarQ := func(q string) (float64, bool) {
+		if qErr != nil {
+			return 0, false
+		}
 		v, err := u.Engine.Instant(u.Query, q, qEnd)
 		if err != nil {
+			qErr = err
 			return 0, false
 		}
 		vec, ok := v.(promql.Vector)
@@ -188,13 +221,17 @@ func (u *Updater) queryIncrement(ctx context.Context, unit model.Unit, qStart, q
 	if inc.NumSamples == 0 && inc.TotalEnergyJoules > 0 {
 		inc.NumSamples = 1
 	}
+	if qErr != nil {
+		return inc, fmt.Errorf("api: unit %s: %w", unit.UUID, qErr)
+	}
 
 	// Emissions for this window's energy.
 	if u.Factor != nil && inc.TotalEnergyJoules > 0 {
 		f, err := u.Factor.Factor(ctx, u.Zone)
-		if err == nil {
-			inc.EmissionsGrams = f.Grams(inc.TotalEnergyJoules)
+		if err != nil {
+			return inc, fmt.Errorf("api: unit %s: emission factor: %w", unit.UUID, err)
 		}
+		inc.EmissionsGrams = f.Grams(inc.TotalEnergyJoules)
 	}
 	return inc, nil
 }

@@ -19,17 +19,17 @@ func deleteIdx() *labels.Matcher {
 }
 
 // writeChaosLog drops a stats file into the chaos artifact dir so a red CI
-// run uploads the tombstone/hint state alongside the WAL dirs.
+// run uploads the tombstone and handoff state alongside the WAL dirs.
 func (e *chaosEnv) writeChaosLog(name, content string) {
 	os.WriteFile(filepath.Join(e.dir, name), []byte(content), 0o644)
 }
 
 // TestTombstoneDeleteDuringPartition: an acked delete issued while one
 // replica is partitioned must never resurrect. The partitioned member is
-// read-gated (ErrNodeStale) until the tombstone reaches it through the
-// hint drain at Heal, and the quorum read stays byte-exact to the oracle
-// before, during and after — including once reads depend on the formerly
-// partitioned member.
+// read-gated (ErrNodeStale) until the tombstone reaches it through
+// SyncNode's tombstone union, and the quorum read stays byte-exact to the
+// oracle before, during and after — including once reads depend on the
+// formerly partitioned member.
 func TestTombstoneDeleteDuringPartition(t *testing.T) {
 	e := newChaosEnv(t, 3, 3, 2, 40)
 	e.run(0, 20)
@@ -40,7 +40,7 @@ func TestTombstoneDeleteDuringPartition(t *testing.T) {
 		t.Fatalf("delete during partition should still reach quorum: %v", err)
 	}
 	e.oracle.DeleteSeries(deleteIdx())
-	e.writeChaosLog("tombstone-stats.log", fmt.Sprintf("delete: %+v\nhints: %+v\n", out, e.ring.HintStats()))
+	e.writeChaosLog("tombstone-stats.log", fmt.Sprintf("delete: %+v\n", out))
 
 	// Satellite check: the per-member outcome names exactly who applied and
 	// who was skipped, and why.
@@ -65,19 +65,23 @@ func TestTombstoneDeleteDuringPartition(t *testing.T) {
 	e.assertByteExact()
 
 	// Keep scraping through the partition (re-creating the deleted series
-	// at later ticks), then heal: the drain applies the tombstone FIRST and
-	// the missed samples second, replaying exactly the order the oracle saw.
+	// at later ticks), then heal and sync: the union applies the tombstone
+	// FIRST and the pull the missed samples second, replaying exactly the
+	// order the oracle saw.
 	e.run(20, 30)
 	e.ring.Heal()
-	if st := e.ring.HintStats(); st.TombstonesDrained != 1 {
-		t.Fatalf("hint stats %+v, want 1 tombstone drained at heal", st)
+	sync, err := e.ring.SyncNode("node-2")
+	if err != nil {
+		t.Fatalf("sync healed member: %v", err)
+	}
+	if sync.TombstonesApplied != 1 || sync.SamplesApplied != 40*10 {
+		t.Fatalf("sync %+v, want 1 tombstone and %d samples applied (the missed delete and ticks)", sync, 40*10)
 	}
 	e.assertByteExact()
 
-	// Round two with hinting disabled: now the tombstone CANNOT travel at
-	// heal time, and the stale member must visibly gate itself — reachable,
-	// but refusing reads — until the SyncNode tombstone union reaches it.
-	e.ring.setHintLimit(0)
+	// Round two: Heal alone does not carry the tombstone, so the stale
+	// member must visibly gate itself — reachable, but refusing reads —
+	// until the SyncNode tombstone union reaches it.
 	e.ring.Partition("node-2")
 	if out, err := e.ring.DeleteSeriesQuorum(labels.MustMatcher(labels.MatchRegexp, "idx", "01[0-9]")); err != nil || out.Acks != 2 {
 		t.Fatalf("second delete: %+v, %v", out, err)
@@ -89,7 +93,7 @@ func TestTombstoneDeleteDuringPartition(t *testing.T) {
 	}
 	e.assertByteExact()
 
-	sync, err := e.ring.SyncNode("node-2")
+	sync, err = e.ring.SyncNode("node-2")
 	if err != nil {
 		t.Fatalf("sync stale member: %v", err)
 	}
@@ -107,7 +111,7 @@ func TestTombstoneDeleteDuringPartition(t *testing.T) {
 
 // TestTombstoneDeleteKillRejoin: the delete lands while a member is DEAD;
 // its own WAL replay at rejoin resurrects the deleted series locally, and
-// the buffered tombstone hint must kill them again before the member
+// SyncNode's tombstone union must kill them again before the member
 // serves a single read. "An acked delete is never resurrected."
 func TestTombstoneDeleteKillRejoin(t *testing.T) {
 	e := newChaosEnv(t, 3, 3, 2, 40)
@@ -126,19 +130,15 @@ func TestTombstoneDeleteKillRejoin(t *testing.T) {
 		t.Fatalf("rejoin: %v", err)
 	}
 	e.writeChaosLog("tombstone-stats.log",
-		fmt.Sprintf("replay: %+v\nhandoff: %+v\nhints: %+v\n", replay, sync, e.ring.HintStats()))
+		fmt.Sprintf("replay: %+v\nhandoff: %+v\n", replay, sync))
 
 	// The WAL really did resurrect the deleted window locally...
 	if replay.Samples < 40*20 {
 		t.Fatalf("WAL replay recovered %d samples, want >= %d", replay.Samples, 40*20)
 	}
-	// ...and the hint drain delivered the tombstone plus the missed ticks,
-	// leaving nothing for the peer pull.
-	if st := e.ring.HintStats(); st.TombstonesDrained != 1 {
-		t.Fatalf("hint stats %+v, want 1 tombstone drained at rejoin", st)
-	}
-	if sync.SamplesApplied != 0 {
-		t.Fatalf("peer pull applied %d samples, want 0 (hints covered the outage)", sync.SamplesApplied)
+	// ...and the sync delivered the tombstone plus the missed ticks.
+	if sync.TombstonesApplied != 1 || sync.SamplesApplied != 40*10 {
+		t.Fatalf("sync %+v, want 1 tombstone and %d samples applied (the missed delete and ticks)", sync, 40*10)
 	}
 
 	// Reads that depend on the rejoined member must not see the deleted
@@ -149,11 +149,11 @@ func TestTombstoneDeleteKillRejoin(t *testing.T) {
 	e.assertByteExact()
 }
 
-// TestTombstoneCoordinatorRestart: hints are coordinator memory and die
-// with it — the durable tombstone logs in the members' WALs are what must
-// carry the delete across a full restart. A member that slept through the
-// delete rejoins a NEW coordinator, whose startup anti-entropy unions its
-// peers' logs onto it before anything is read.
+// TestTombstoneCoordinatorRestart: the durable tombstone logs in the
+// members' WALs are what must carry the delete across a full coordinator
+// restart. A member that slept through the delete rejoins a NEW
+// coordinator, whose startup anti-entropy unions its peers' logs onto it
+// before anything is read.
 func TestTombstoneCoordinatorRestart(t *testing.T) {
 	e := newChaosEnv(t, 3, 3, 2, 40)
 	e.run(0, 20)
@@ -166,8 +166,7 @@ func TestTombstoneCoordinatorRestart(t *testing.T) {
 	e.oracle.DeleteSeries(deleteIdx())
 	e.run(20, 25)
 
-	// Coordinator crash: every in-memory hint is gone. Only the WALs and
-	// their tombstone records survive.
+	// Coordinator crash: only the WALs and their tombstone records survive.
 	if err := e.ring.Close(); err != nil {
 		t.Fatalf("close ring: %v", err)
 	}

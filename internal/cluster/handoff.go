@@ -42,12 +42,6 @@ type HandoffStats struct {
 	// SamplesApplied is how many actually landed — the rest were already
 	// present and skipped as out-of-order duplicates.
 	SamplesApplied int
-	// HintSamples / HintTombstones count buffered hints drained into the
-	// target by this sync's opening hint drain (hints.go). When the hint
-	// queue covered the whole outage, HintSamples carries the recovery and
-	// SamplesApplied is zero — the peer pull found nothing left to fill.
-	HintSamples    int
-	HintTombstones int
 	// TombstonesApplied counts delete tombstones the tombstone union copied
 	// onto the target from its peers' durable logs.
 	TombstonesApplied int
@@ -59,8 +53,6 @@ func (h *HandoffStats) add(o HandoffStats) {
 	h.SeriesOwned += o.SeriesOwned
 	h.SamplesOffered += o.SamplesOffered
 	h.SamplesApplied += o.SamplesApplied
-	h.HintSamples += o.HintSamples
-	h.HintTombstones += o.HintTombstones
 	h.TombstonesApplied += o.TombstonesApplied
 }
 
@@ -70,19 +62,18 @@ func matchAll() *labels.Matcher {
 	return labels.MustMatcher(labels.MatchRegexp, labels.MetricName, ".*")
 }
 
-// SyncNode runs the handoff for one member in three passes. First it
-// drains the member's buffered hints (hints.go) — when the hint queue
-// covered the whole outage that alone restores the member. Second it
+// SyncNode runs the handoff for one member in two passes — the only way a
+// member catches up on samples or tombstones it missed. First it
 // unions every reachable peer's durable tombstone log onto the target, so
 // acked deletes the member slept through can never resurrect from it (the
 // logs of tombstone-stale peers are themselves trustworthy — it is their
-// series data, not their delete history, that may be behind). Third it
+// series data, not their delete history, that may be behind). Then it
 // pulls each usable peer's full series dump, keeps the series the member
 // owns under the current ring, and batch-appends them; peers that are
 // down, partitioned, warming or tombstone-stale are excluded as data
 // sources (a stale peer's dump could carry deleted series back in). On
-// success the member's warming, tombstone-stale and lossy-hint gates all
-// clear and it counts toward read coverage again.
+// success the member's warming and tombstone-stale gates clear and it
+// counts toward read coverage again.
 //
 // The target must be up. When other members exist but none is usable as a
 // data source, SyncNode fails instead of silently clearing the gates on an
@@ -98,14 +89,8 @@ func (r *RingDB) SyncNode(name string) (HandoffStats, error) {
 	}
 
 	stats := HandoffStats{}
-	// Pass 1: redeliver buffered hints. Best effort — a failed drain
-	// re-queues the remainder and the peer pull below fills the gap.
-	ds, _ := r.drainHints(name)
-	stats.HintSamples = ds.SamplesApplied
-	stats.HintTombstones = ds.Tombstones
-
-	// Pass 2: tombstone union from every reachable peer's durable log. The
-	// union writes through the target's own WAL (tsdb.ApplyTombstone), so a
+	// The tombstone union first, from every reachable peer's durable log. It
+	// writes through the target's own WAL (tsdb.ApplyTombstone), so a
 	// synced delete is as durable as an acked one.
 	var tombSources []*tsdb.DB
 	var peers []*Member
@@ -193,9 +178,7 @@ func (r *RingDB) SyncNode(name string) (HandoffStats, error) {
 		return stats, err
 	}
 
-	// The full pull proved every hole filled: clear all three read gates,
-	// including the lossy-hint marker a bounded queue may have left behind.
-	r.clearHintLossy(name)
+	// The full pull proved every hole filled: clear both read gates.
 	target.tombStale.Store(false)
 	target.warming.Store(false)
 	r.topoGen.Add(1)

@@ -13,7 +13,6 @@ import (
 // complete replica and the target rejoins reads.
 func TestHandoffPartitionedSourceSkipped(t *testing.T) {
 	e := newChaosEnv(t, 3, 3, 2, 40)
-	e.ring.setHintLimit(0) // recovery must come from the peer pull
 	e.run(0, 10)
 	if err := e.ring.Kill("node-1"); err != nil {
 		t.Fatalf("kill: %v", err)
@@ -44,7 +43,6 @@ func TestHandoffPartitionedSourceSkipped(t *testing.T) {
 // gate on a member whose holes nothing could have filled.
 func TestHandoffAllSourcesUnavailable(t *testing.T) {
 	e := newChaosEnv(t, 3, 3, 2, 40)
-	e.ring.setHintLimit(0)
 	e.run(0, 10)
 	if err := e.ring.Kill("node-1"); err != nil {
 		t.Fatalf("kill: %v", err)
@@ -80,7 +78,6 @@ func TestHandoffAllSourcesUnavailable(t *testing.T) {
 // still have holes, and holes must not propagate.
 func TestHandoffWarmingExcluded(t *testing.T) {
 	e := newChaosEnv(t, 3, 3, 2, 40)
-	e.ring.setHintLimit(0)
 	e.run(0, 10)
 	if err := e.ring.Kill("node-1"); err != nil {
 		t.Fatalf("kill: %v", err)

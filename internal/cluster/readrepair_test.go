@@ -5,14 +5,13 @@ import (
 	"testing"
 )
 
-// TestReadRepairConvergence: with hinting disabled, a healed partition
-// leaves one replica quietly stale — quorum reads mask the gap, but
+// TestReadRepairConvergence: a healed partition leaves one replica
+// quietly stale — quorum reads mask the gap, but
 // nothing else would ever fill it. The scatter merge must notice the
 // replica returning less than the merged answer and asynchronously
 // back-fill it until the replica is byte-exact on its own.
 func TestReadRepairConvergence(t *testing.T) {
 	e := newChaosEnv(t, 3, 3, 2, 40)
-	e.ring.setHintLimit(0) // force genuine staleness: no hint recovery
 	e.run(0, 10)
 	e.ring.Partition("node-2")
 	e.run(10, 20)
@@ -24,7 +23,7 @@ func TestReadRepairConvergence(t *testing.T) {
 	e.ring.Scatter().WaitRepairs()
 
 	st := e.ring.Scatter().RepairStatsSnapshot()
-	e.writeChaosLog("repair-stats.log", fmt.Sprintf("repairs: %+v\nhints: %+v\n", st, e.ring.HintStats()))
+	e.writeChaosLog("repair-stats.log", fmt.Sprintf("repairs: %+v\n", st))
 	if st.SeriesRepaired == 0 {
 		t.Fatal("read repair repaired nothing; node-2 is missing 10 ticks on 40 series")
 	}

@@ -43,8 +43,8 @@ var (
 	// The member still answers reads from what it holds.
 	ErrDiskFull = errors.New("cluster: node disk full, write rejected")
 	// ErrNodeStale marks a member that missed an acked delete tombstone: it
-	// refuses reads until the tombstone reaches it (hint drain or SyncNode),
-	// because a merge including its answer could resurrect deleted series.
+	// refuses reads until SyncNode's tombstone union reaches it, because a
+	// merge including its answer could resurrect deleted series.
 	ErrNodeStale = errors.New("cluster: node missing delete tombstones")
 )
 
@@ -192,9 +192,6 @@ type RingDB struct {
 	deleteMu  sync.Mutex
 	deleteSeq uint64
 
-	// hintState buffers missed writes/deletes per target (hints.go).
-	hintState
-
 	// metrics holds the ring's instruments; nil until InstrumentTelemetry.
 	metrics *ringMetrics
 }
@@ -216,7 +213,6 @@ func NewRingDB(rf, w, vnodes int, open func(name string) (*tsdb.DB, error), name
 		open:    open,
 	}
 	r.scatter = lb.NewScatterGather(r, rf-w+1)
-	r.hintLimit.Store(DefaultHintLimit)
 	for _, n := range r.ring.Nodes() {
 		db, err := open(n)
 		if err != nil {
@@ -233,8 +229,8 @@ func NewRingDB(rf, w, vnodes int, open func(name string) (*tsdb.DB, error), name
 		r.scatter.SetReplica(n, m)
 	}
 	// Startup tombstone anti-entropy: a member that was down during a
-	// delete and a coordinator restart missed both the tombstone fan-out
-	// AND the (in-memory) hint queue. The WALs remember: union every
+	// delete and a coordinator restart missed the tombstone fan-out, and
+	// nothing has run SyncNode on it yet. The WALs remember: union every
 	// member's persisted tombstone log and apply the missing entries to
 	// each, so the whole cluster agrees on the delete history before
 	// anything is read. The sequence allocator resumes past the max.
@@ -379,16 +375,6 @@ func (a *RingAppender) Commit() (int, error) {
 		}
 		applied[i], errs[i] = m.BatchAppend(calls[i].g.samples)
 	})
-
-	// Every failed replica call becomes a hint: the dead / partitioned /
-	// disk-full owner's share of the batch is buffered per target and
-	// redelivered on Revive, Heal or SyncNode (hints.go), so a bounded
-	// outage recovers without a full peer-window sync.
-	for i := range calls {
-		if errs[i] != nil && members[calls[i].owner] != nil {
-			a.r.queueSampleHints(calls[i].owner, calls[i].g.samples)
-		}
-	}
 
 	total := 0
 	var firstErr error
@@ -576,8 +562,9 @@ func (r *RingDB) Kill(name string) error {
 
 // Revive reopens a killed member from its WAL and marks it warming: it
 // takes writes again immediately but stays out of read coverage until
-// SyncNode (or Rejoin) completes the anti-entropy pass. Returns the WAL
-// replay stats so callers can assert recovery actually happened.
+// SyncNode (or Rejoin) pulls the tail it missed while down — nothing else
+// back-fills it. Returns the WAL replay stats so callers can assert
+// recovery actually happened.
 func (r *RingDB) Revive(name string) (tsdb.WALReplayStats, error) {
 	r.mu.Lock()
 	m := r.members[name]
@@ -596,11 +583,6 @@ func (r *RingDB) Revive(name string) (tsdb.WALReplayStats, error) {
 	m.diskFull.Store(false)
 	m.db.Store(db)
 	r.topoGen.Add(1)
-	// Redeliver buffered hints at once: a lossless drain hands the member
-	// everything the coordinator failed to deliver while it was down, which
-	// clears its warming gate without a full SyncNode. Best effort — a
-	// failed or lossy drain leaves the gates to SyncNode.
-	_, _ = r.drainHints(name)
 	st, _ := db.WALStats()
 	return st.Replay, nil
 }
@@ -629,22 +611,16 @@ func (r *RingDB) Partition(names ...string) {
 	}
 }
 
-// Heal restores every partitioned link, then redelivers each member's
-// buffered hints — the writes and tombstones the partition swallowed — so
-// the cluster converges without waiting for a SyncNode. Quorum reads mask
-// any residual staleness in the meantime (any R−W+1 responders include a
-// complete replica).
+// Heal restores every partitioned link and nothing more. Samples a healed
+// member missed stay covered by the quorum — every acked sample is on W
+// replicas, and any R−W+1 readers include one of them — until read repair
+// or SyncNode back-fills them. A member that missed a delete stays
+// ErrNodeStale until SyncNode's tombstone union reaches it.
 func (r *RingDB) Heal() {
 	r.mu.RLock()
-	names := make([]string, 0, len(r.members))
-	for n, m := range r.members {
+	defer r.mu.RUnlock()
+	for _, m := range r.members {
 		m.partitioned.Store(false)
-		names = append(names, n)
-	}
-	r.mu.RUnlock()
-	sort.Strings(names)
-	for _, n := range names {
-		_, _ = r.drainHints(n) // best effort; SyncNode is the backstop
 	}
 }
 

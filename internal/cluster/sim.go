@@ -108,7 +108,7 @@ func (p *gpuMapProvider) GPUOrdinalsByUnit() map[string][]exporter.GPUBinding {
 //
 // reg, when not nil, receives the stack's self-instrumentation: the
 // single-node TSDB internals, the scrape manager, and (in cluster mode) the
-// ring's quorum/hint/repair metrics. Ring member TSDBs are not individually
+// ring's quorum/repair metrics. Ring member TSDBs are not individually
 // instrumented — their series would collide on one registry; the ring-level
 // metrics cover the replicated path.
 func New(topo Topology, cfg config.Config, reg *telemetry.Registry) (*Sim, error) {

@@ -10,9 +10,9 @@ type ringMetrics struct {
 	quorumCommitSeconds *telemetry.Histogram
 }
 
-// InstrumentTelemetry registers the ring's instruments on reg. The hint and
+// InstrumentTelemetry registers the ring's instruments on reg. The
 // read-repair series are gather-time bridges over the same atomics
-// HintStats and RepairStatsSnapshot read — one source of truth for JSON and
+// RepairStatsSnapshot reads — one source of truth for JSON and
 // /metrics — while the quorum commit latency is a histogram observed on
 // every RingAppender.Commit. Call once at wiring time.
 func (r *RingDB) InstrumentTelemetry(reg *telemetry.Registry) {
@@ -21,24 +21,6 @@ func (r *RingDB) InstrumentTelemetry(reg *telemetry.Registry) {
 			"Quorum write fan-out latency for one batch commit (all owner groups).",
 			telemetry.LatencyBuckets),
 	}
-	reg.CounterFunc("telemetry_cluster_hint_samples_queued_total",
-		"Sample hints ever buffered for unreachable owners.",
-		func() float64 { return float64(r.hintSamplesQueued.Load()) })
-	reg.CounterFunc("telemetry_cluster_hint_tombstones_queued_total",
-		"Tombstone hints ever buffered for unreachable owners.",
-		func() float64 { return float64(r.hintTombsQueued.Load()) })
-	reg.CounterFunc("telemetry_cluster_hint_samples_dropped_total",
-		"Sample hints evicted by the per-target queue bound.",
-		func() float64 { return float64(r.hintSamplesDropped.Load()) })
-	reg.CounterFunc("telemetry_cluster_hint_samples_drained_total",
-		"Sample hints handed back to revived or healed members.",
-		func() float64 { return float64(r.hintSamplesDrained.Load()) })
-	reg.CounterFunc("telemetry_cluster_hint_tombstones_drained_total",
-		"Tombstone hints handed back to revived or healed members.",
-		func() float64 { return float64(r.hintTombsDrained.Load()) })
-	reg.GaugeFunc("telemetry_cluster_hint_pending",
-		"Sample hints currently buffered across all targets.",
-		func() float64 { return float64(r.HintStats().Pending) })
 	reg.CounterFunc("telemetry_cluster_repair_series_total",
 		"Series back-filled into stale replicas by read repair.",
 		func() float64 { return float64(r.scatter.RepairStatsSnapshot().SeriesRepaired) })

@@ -10,9 +10,9 @@
 //   - a member that missed the tombstone is marked tombstone-stale: it
 //     refuses reads (ErrNodeStale) until the tombstone reaches it, because
 //     a read served from it could resurrect the deleted series into a
-//     merged answer. The tombstone travels via the hint queue (hints.go),
-//     the handoff tombstone union (handoff.go), or the startup
-//     anti-entropy below — whichever runs first.
+//     merged answer. The tombstone travels via the handoff tombstone union
+//     (SyncNode, handoff.go) or the startup anti-entropy below, whichever
+//     runs first.
 //
 // The resurrection invariant the chaos harness enforces: once a delete is
 // acked at W, no single-member kill / partition / rejoin sequence can bring
@@ -67,15 +67,15 @@ type DeleteOutcome struct {
 // DeleteSeriesQuorum deletes every series matching ms cluster-wide with
 // write-style quorum semantics: a tombstone with a fresh sequence number
 // fans out to EVERY member, and the delete is acked once W members applied
-// it durably. Members that missed it get the tombstone queued as a hint and
-// are excluded from reads (ErrNodeStale) until it reaches them, so an acked
-// delete can never be resurrected into a merged answer. Returns the
+// it durably. Members that missed it are excluded from reads (ErrNodeStale)
+// until SyncNode's tombstone union reaches them, so an acked delete can
+// never be resurrected into a merged answer. Returns the
 // per-member outcome; the error is a *QuorumWriteError when fewer than W
 // members acked (the tombstone stays applied wherever it landed — a
 // partial delete, like a partial write, is visible until retried).
 func (r *RingDB) DeleteSeriesQuorum(ms ...*labels.Matcher) (DeleteOutcome, error) {
-	// Serialize deletes: seq allocation and hint queueing stay ordered, and
-	// deletes are rare enough that coordinator-side serialization is free.
+	// Serialize deletes: seq allocation stays ordered, and deletes are rare
+	// enough that coordinator-side serialization is free.
 	r.deleteMu.Lock()
 	defer r.deleteMu.Unlock()
 	r.deleteSeq++
@@ -98,11 +98,8 @@ func (r *RingDB) DeleteSeriesQuorum(ms ...*labels.Matcher) (DeleteOutcome, error
 			}
 			continue
 		}
-		// The member missed the delete: queue the tombstone as a hint and
-		// gate its reads until it catches up.
-		m := members[mo.Member]
-		m.tombStale.Store(true)
-		r.queueTombstoneHint(mo.Member, seq, ms)
+		// The member missed the delete: gate its reads until it catches up.
+		members[mo.Member].tombStale.Store(true)
 	}
 	r.topoGen.Add(1)
 	if out.Acks < r.W {

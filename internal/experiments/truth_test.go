@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"math"
 	"slices"
 	"strconv"
@@ -9,8 +11,11 @@ import (
 	"time"
 
 	"repro/internal/api"
+	"repro/internal/cluster"
 	"repro/internal/emissions"
+	"repro/internal/labels"
 	"repro/internal/model"
+	"repro/internal/promql"
 )
 
 // jobAccount is one finished job: what the API server's units row holds
@@ -25,14 +30,19 @@ type jobAccount struct {
 // finished job's row and truth.
 func accountJobs(t *testing.T, d time.Duration) []jobAccount {
 	t.Helper()
-	ctx := context.Background()
-	sim, err := smallSim(ctx, d)
+	sim, err := smallSim(context.Background(), d)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, e := range sim.Errors {
 		t.Errorf("subsystem error: %s", e)
 	}
+	return simAccounts(t, sim)
+}
+
+// simAccounts returns every finished job's units row and truth in sim.
+func simAccounts(t *testing.T, sim *cluster.Sim) []jobAccount {
+	t.Helper()
 	var out []jobAccount
 	for _, j := range sim.Sched.JobsSince(time.Time{}) {
 		if j.EndTime.IsZero() || j.StartTime.IsZero() {
@@ -118,5 +128,66 @@ func TestAccountingMatchesTruth(t *testing.T) {
 		if c.got < c.lo || c.got > c.hi {
 			t.Errorf("%s = %.4f, outside its band [%.3f, %.3f]", c.name, c.got, c.lo, c.hi)
 		}
+	}
+}
+
+// flakyQueryable fails every n-th read; n = 0 passes every read through.
+type flakyQueryable struct {
+	promql.Queryable
+	n, calls int
+}
+
+func (q *flakyQueryable) SelectWithHints(hints model.SelectHints, ms ...*labels.Matcher) ([]model.Series, error) {
+	if q.n > 0 {
+		if q.calls++; q.calls%q.n == 0 {
+			return nil, errors.New("injected read failure")
+		}
+	}
+	return q.Queryable.SelectWithHints(hints, ms...)
+}
+
+// TestAccountingExactUnderFaults is TestAccountingMatchesTruth's fault leg:
+// the same 2 h jz-mini run with every n-th updater read failing. A unit
+// whose pass failed keeps its row and is accounted from that pass's window
+// start by the next one, so once the faults stop the final pass brings
+// every job's energy back to the fault-free run's.
+func TestAccountingExactUnderFaults(t *testing.T) {
+	hostJoules := func(jobs []jobAccount) float64 {
+		sum := 0.0
+		for _, j := range jobs {
+			sum += j.host
+		}
+		return sum
+	}
+	want := hostJoules(accountJobs(t, 2*time.Hour))
+	for _, n := range []int{23, 7} {
+		t.Run(fmt.Sprintf("every_%d", n), func(t *testing.T) {
+			ctx := context.Background()
+			sim, err := newSmallSim()
+			if err != nil {
+				t.Fatal(err)
+			}
+			reads := &flakyQueryable{Queryable: sim.Updater.Query, n: n}
+			sim.Updater.Query = reads
+			sim.RunFor(ctx, 2*time.Hour)
+			if len(sim.Errors) == 0 {
+				t.Fatalf("no updater pass reported a failure with every %d-th read failing", n)
+			}
+			reads.n = 0
+			if err := sim.FinalizeUpdate(ctx); err != nil {
+				t.Fatalf("final update with faults off: %v", err)
+			}
+			jobs := simAccounts(t, sim)
+			for _, j := range jobs {
+				if j.truthHost > 0 && j.host == 0 {
+					t.Errorf("job %s: 0 J accounted for %.0f J of truth", j.id, j.truthHost)
+				}
+			}
+			got := hostJoules(jobs)
+			t.Logf("fleet host joules %.5f× the fault-free run's, %d failed passes reported", got/want, len(sim.Errors))
+			if math.Abs(got/want-1) > 0.005 {
+				t.Errorf("fleet host joules %.6g, %.5f× the fault-free run's %.6g", got, got/want, want)
+			}
+		})
 	}
 }
