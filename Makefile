@@ -66,7 +66,7 @@ rules-equiv:
 # Set CHAOS_ARTIFACT_DIR to keep the per-node WAL dirs and replay-stats
 # logs (CI uploads them on failure).
 cluster-chaos:
-	$(GO) test -race -count=2 -run 'Chaos|Quorum|Handoff|Tombstone|ReadRepair' ./internal/cluster/
+	$(GO) test -race -count=2 -run 'Chaos|Quorum|Handoff|Tombstone' ./internal/cluster/
 
 # Remote-write ingest harness: framing torn/corruption byte sweeps,
 # receiver backpressure and idempotent-retry tests, and the out-of-order

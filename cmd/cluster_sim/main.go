@@ -248,10 +248,6 @@ func printReport(sim *cluster.Sim) {
 		}
 		fmt.Printf("jobs: %d pending / %d running / %d finished | ring: %d/%d nodes up, %d series, %d samples (replicated)\n",
 			st.Pending, st.Running, st.Finished, live, len(sim.Ring.MemberNames()), series, samples)
-		if rs := sim.Ring.Scatter().RepairStatsSnapshot(); rs.SeriesRepaired+rs.Dropped+rs.Errors > 0 {
-			fmt.Printf("read-repair: %d series / %d samples back-filled, %d dropped, %d errors\n",
-				rs.SeriesRepaired, rs.SamplesRepaired, rs.Dropped, rs.Errors)
-		}
 	} else {
 		ts := sim.DB.Stats()
 		fmt.Printf("jobs: %d pending / %d running / %d finished | tsdb: %d series, %d samples | cold blocks: %d\n",

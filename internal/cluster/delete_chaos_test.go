@@ -77,6 +77,9 @@ func TestTombstoneDeleteDuringPartition(t *testing.T) {
 	if sync.TombstonesApplied != 1 || sync.SamplesApplied != 40*10 {
 		t.Fatalf("sync %+v, want 1 tombstone and %d samples applied (the missed delete and ticks)", sync, 40*10)
 	}
+	// The sharp check: the synced member alone is byte-exact — not just
+	// masked by the quorum merge.
+	compareDumps(t, "node-2 alone after sync", dumpAll(t, e.ring.Member("node-2").DB().SelectWithHints), dumpAll(t, e.oracle.SelectWithHints))
 	e.assertByteExact()
 
 	// Round two: Heal alone does not carry the tombstone, so the stale

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"io"
+	"strings"
 	"testing"
 	"time"
 
@@ -104,6 +105,29 @@ func TestResourceManagerFailureIsolated(t *testing.T) {
 	if err2 != nil || n == 0 {
 		t.Errorf("healthy fetcher blocked: %d units, %v", n, err2)
 	}
+}
+
+// A rejected emission-factor append on the single-node head must be
+// reported like the ring path's, not dropped.
+func TestEmissionsAppendErrorRecorded(t *testing.T) {
+	topo := Topology{Name: "emfail", IntelNodes: 1, Seed: 5}
+	sim, err := New(topo, testConfig(1, 1, 100), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A factor sample an hour ahead makes the next tick's append out of
+	// order.
+	ls := labels.FromStrings(labels.MetricName, "ceems_emission_factor_gco2_kwh", "zone", sim.Cfg.Cluster.Zone)
+	if err := sim.DB.Append(ls, sim.Now().Add(time.Hour).UnixMilli(), 1); err != nil {
+		t.Fatal(err)
+	}
+	sim.Step(context.Background())
+	for _, e := range sim.Errors {
+		if strings.HasPrefix(e, "emissions: ") {
+			return
+		}
+	}
+	t.Fatalf("rejected emission-factor append not recorded; errors: %q", sim.Errors)
 }
 
 // Stale markers must not break counter functions when a job restarts on

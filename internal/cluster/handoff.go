@@ -8,9 +8,11 @@
 // batch appender skips out-of-order samples, so everything the member
 // already holds is a silent no-op and only the missing suffix lands — and
 // it lands through the member's own WAL, so handoff output is exactly as
-// durable as scraped input. Running the sync twice is therefore free, and
-// running it concurrently with live writes converges (late routed writes
-// and the sync race benignly: both sides append the same values).
+// durable as scraped input. Running the sync twice is therefore free. The
+// same skip bounds it: with strict ordering a sample older than its
+// series' newest is refused, so a sync fills a hole only if the member took
+// no write to that series since — one that runs after writes resumed skips
+// the hole without error.
 package cluster
 
 import (
@@ -178,7 +180,9 @@ func (r *RingDB) SyncNode(name string) (HandoffStats, error) {
 		return stats, err
 	}
 
-	// The full pull proved every hole filled: clear both read gates.
+	// Clear both read gates. The pull filled every hole only if the member
+	// took no write since it fell behind; BatchAppend skipped, without
+	// error, any sample older than its series' newest.
 	target.tombStale.Store(false)
 	target.warming.Store(false)
 	r.topoGen.Add(1)

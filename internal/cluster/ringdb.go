@@ -154,19 +154,6 @@ func (m *Member) LabelNames() ([]string, error) {
 	return db.LabelNames(), nil
 }
 
-// RepairSamples implements lb.Repairer: the scatter-gather merge back-fills
-// a replica it caught returning stale or missing series. Repairs land
-// through the member's BatchAppend (WAL-durable); out-of-order duplicates
-// skip silently, so repairing is always safe to retry.
-func (m *Member) RepairSamples(ls labels.Labels, samples []model.Sample) error {
-	batch := make([]tsdb.BatchSample, len(samples))
-	for i, s := range samples {
-		batch[i] = tsdb.BatchSample{Lset: ls, T: s.T, V: s.V}
-	}
-	_, err := m.BatchAppend(batch)
-	return err
-}
-
 // RingDB coordinates N members behind one tsdb-shaped facade. All methods
 // are safe for concurrent use; topology changes (Kill/Revive/Join/Leave)
 // serialize on the mutex while the data paths read a consistent snapshot.
@@ -260,17 +247,6 @@ func (r *RingDB) Groups() [][]string {
 	ring := r.ring
 	r.mu.RUnlock()
 	return ring.OwnerGroups(r.R)
-}
-
-// OwnersFor reports which replica names own a series — the placement
-// detail the scatter-gather layer needs to know whether a replica that
-// failed to return the series was supposed to hold it (read repair,
-// lb/scatter.go).
-func (r *RingDB) OwnersFor(ls labels.Labels) []string {
-	r.mu.RLock()
-	ring := r.ring
-	r.mu.RUnlock()
-	return ring.Owners(ls.Hash(), r.R)
 }
 
 // Member returns a member by name, or nil.
@@ -528,9 +504,8 @@ func (r *RingDB) OutOfOrderWindow() int64 {
 	return w
 }
 
-// Close shuts every member down and stops the read-repair worker.
+// Close shuts every member down.
 func (r *RingDB) Close() error {
-	r.scatter.StopRepairs()
 	var first error
 	r.forEachLive(func(m *Member, db *tsdb.DB) {
 		m.db.Store(nil)
@@ -563,8 +538,10 @@ func (r *RingDB) Kill(name string) error {
 // Revive reopens a killed member from its WAL and marks it warming: it
 // takes writes again immediately but stays out of read coverage until
 // SyncNode (or Rejoin) pulls the tail it missed while down — nothing else
-// back-fills it. Returns the WAL replay stats so callers can assert
-// recovery actually happened.
+// back-fills it. Sync before the next write lands: a write newer than the
+// hole makes the pull skip the hole's samples, yet the gate still clears.
+// Returns the WAL replay stats so callers can assert recovery actually
+// happened.
 func (r *RingDB) Revive(name string) (tsdb.WALReplayStats, error) {
 	r.mu.Lock()
 	m := r.members[name]
@@ -613,8 +590,8 @@ func (r *RingDB) Partition(names ...string) {
 
 // Heal restores every partitioned link and nothing more. Samples a healed
 // member missed stay covered by the quorum — every acked sample is on W
-// replicas, and any R−W+1 readers include one of them — until read repair
-// or SyncNode back-fills them. A member that missed a delete stays
+// replicas, and any R−W+1 readers include one of them — and only SyncNode
+// back-fills them onto the member. A member that missed a delete stays
 // ErrNodeStale until SyncNode's tombstone union reaches it.
 func (r *RingDB) Heal() {
 	r.mu.RLock()

@@ -108,9 +108,9 @@ func (p *gpuMapProvider) GPUOrdinalsByUnit() map[string][]exporter.GPUBinding {
 //
 // reg, when not nil, receives the stack's self-instrumentation: the
 // single-node TSDB internals, the scrape manager, and (in cluster mode) the
-// ring's quorum/repair metrics. Ring member TSDBs are not individually
-// instrumented — their series would collide on one registry; the ring-level
-// metrics cover the replicated path.
+// ring's quorum commit and membership metrics. Ring member TSDBs are not
+// individually instrumented — their series would collide on one registry;
+// the ring-level metrics cover the replicated path.
 func New(topo Topology, cfg config.Config, reg *telemetry.Registry) (*Sim, error) {
 	start := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
 	nodesByClass, err := topo.buildNodes(simTime{start})
@@ -348,8 +348,8 @@ func (s *Sim) Step(ctx context.Context) {
 			if err := s.Ring.Append(ls, s.clock.UnixMilli(), f.GramsPerKWh); err != nil {
 				s.recordError("emissions", err)
 			}
-		} else {
-			s.DB.Append(ls, s.clock.UnixMilli(), f.GramsPerKWh)
+		} else if err := s.DB.Append(ls, s.clock.UnixMilli(), f.GramsPerKWh); err != nil {
+			s.recordError("emissions", err)
 		}
 	}
 

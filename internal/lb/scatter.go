@@ -19,7 +19,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/labels"
 	"repro/internal/model"
@@ -45,34 +44,6 @@ type Placement interface {
 	// Groups returns every distinct owner set the ring produces at the
 	// configured replication factor, for read-quorum coverage checks.
 	Groups() [][]string
-}
-
-// Repairer is the optional write-back seam of a SeriesBackend: read repair
-// uses it to back-fill a replica the merge caught returning stale or
-// missing series. cluster.Member implements it over the member's WAL-backed
-// batch appender.
-type Repairer interface {
-	RepairSamples(ls labels.Labels, samples []model.Sample) error
-}
-
-// RepairPlacement is the optional per-series ownership query read repair
-// needs on top of Placement: whether a replica that failed to return a
-// series was actually supposed to hold it.
-type RepairPlacement interface {
-	OwnersFor(ls labels.Labels) []string
-}
-
-// RepairStats reports read-repair activity.
-type RepairStats struct {
-	// SeriesRepaired / SamplesRepaired count successful back-fills.
-	SeriesRepaired  uint64
-	SamplesRepaired uint64
-	// Dropped counts repairs discarded because the bounded queue was full
-	// or the worker was stopped.
-	Dropped uint64
-	// Errors counts back-fills the replica rejected (down, partitioned,
-	// disk-full — the next anti-entropy pass owns those).
-	Errors uint64
 }
 
 // ErrQuorumUnavailable is returned when some keyspace region had fewer
@@ -104,19 +75,6 @@ type ScatterGather struct {
 
 	mu       sync.RWMutex
 	replicas map[string]SeriesBackend
-
-	// Read-repair machinery: a lazily started single worker drains a
-	// bounded job queue so repairs never sit on the read path's latency.
-	repairMu      sync.Mutex
-	repairCh      chan repairJob
-	repairStop    chan struct{}
-	repairStopped bool
-	repairWG      sync.WaitGroup
-
-	repairSeries  atomic.Uint64
-	repairSamples atomic.Uint64
-	repairDropped atomic.Uint64
-	repairErrors  atomic.Uint64
 }
 
 // NewScatterGather returns a gatherer over no replicas.
@@ -211,183 +169,7 @@ func (s *ScatterGather) SelectWithHints(hints model.SelectHints, ms ...*labels.M
 	if err := s.checkCoverage(ok); err != nil {
 		return nil, err
 	}
-	merged := MergeReplicaSeries(parts)
-	s.scheduleRepairs(names, backends, parts, ok, merged, hints)
-	return merged, nil
-}
-
-// ---- read repair ----
-
-const (
-	// repairQueueSize bounds the async back-fill queue; overflow drops the
-	// repair (counted) — the next read or anti-entropy pass retries it.
-	repairQueueSize = 256
-	// maxRepairsPerSelect caps how many series one merge may enqueue, so a
-	// wide scan over a badly stale replica cannot monopolize the worker;
-	// later selects pick up what this one deferred.
-	maxRepairsPerSelect = 64
-)
-
-type repairJob struct {
-	backend Repairer
-	ls      labels.Labels
-	samples []model.Sample
-}
-
-// RepairStatsSnapshot returns the current read-repair counters.
-func (s *ScatterGather) RepairStatsSnapshot() RepairStats {
-	return RepairStats{
-		SeriesRepaired:  s.repairSeries.Load(),
-		SamplesRepaired: s.repairSamples.Load(),
-		Dropped:         s.repairDropped.Load(),
-		Errors:          s.repairErrors.Load(),
-	}
-}
-
-// WaitRepairs blocks until every queued repair has been applied or
-// dropped — the determinism hook the chaos tests converge on.
-func (s *ScatterGather) WaitRepairs() { s.repairWG.Wait() }
-
-// StopRepairs shuts the repair worker down; queued and future repairs are
-// dropped (counted). Idempotent.
-func (s *ScatterGather) StopRepairs() {
-	s.repairMu.Lock()
-	defer s.repairMu.Unlock()
-	if s.repairStopped {
-		return
-	}
-	s.repairStopped = true
-	if s.repairStop != nil {
-		close(s.repairStop)
-	}
-}
-
-// enqueueRepair hands a job to the (lazily started) worker; a full queue
-// or stopped worker drops it.
-func (s *ScatterGather) enqueueRepair(j repairJob) {
-	s.repairMu.Lock()
-	if s.repairStopped {
-		s.repairMu.Unlock()
-		s.repairDropped.Add(1)
-		return
-	}
-	if s.repairCh == nil {
-		s.repairCh = make(chan repairJob, repairQueueSize)
-		s.repairStop = make(chan struct{})
-		go s.repairWorker(s.repairCh, s.repairStop)
-	}
-	// Non-blocking send under the mutex: the channel is buffered, so this
-	// never waits, and holding the lock means no job enters the queue after
-	// StopRepairs flipped repairStopped (the WaitGroup stays balanced).
-	// Count the job before the send: the worker may finish it — and call
-	// Done — before this goroutine runs another instruction.
-	s.repairWG.Add(1)
-	select {
-	case s.repairCh <- j:
-	default:
-		s.repairWG.Done()
-		s.repairDropped.Add(1)
-	}
-	s.repairMu.Unlock()
-}
-
-func (s *ScatterGather) repairWorker(ch chan repairJob, stop chan struct{}) {
-	for {
-		select {
-		case j := <-ch:
-			if err := j.backend.RepairSamples(j.ls, j.samples); err != nil {
-				s.repairErrors.Add(1)
-			} else {
-				s.repairSeries.Add(1)
-				s.repairSamples.Add(uint64(len(j.samples)))
-			}
-			s.repairWG.Done()
-		case <-stop:
-			for {
-				select {
-				case <-ch:
-					s.repairDropped.Add(1)
-					s.repairWG.Done()
-				default:
-					return
-				}
-			}
-		}
-	}
-}
-
-// scheduleRepairs compares each OK responder's partial against the merged
-// answer and back-fills what the responder should hold but returned stale
-// or missing. Both slices are label-sorted, so the diff is one lockstep
-// walk per responder. Only the missing SUFFIX of a series is repaired —
-// the tsdb appender rejects t <= lastT, so interior holes are left to the
-// full anti-entropy sync; repairing a suffix (or a wholly missing series)
-// lands cleanly. Skipped entirely when a sample budget was in play
-// (per-replica truncation would fake staleness), when the read was trimmed
-// to its step grid (model.StepFilter: each replica's answer is then a
-// per-window subset, so a diff could only ever repair the newest samples) or
-// when the placement cannot answer per-series ownership.
-func (s *ScatterGather) scheduleRepairs(names []string, backends []SeriesBackend, parts [][]model.Series, ok map[string]bool, merged []model.Series, hints model.SelectHints) {
-	if len(merged) == 0 || hints.SampleLimit > 0 || hints.StepFilter() != nil {
-		return
-	}
-	rp, _ := s.Placement.(RepairPlacement)
-	if rp == nil {
-		return
-	}
-	budget := maxRepairsPerSelect
-	for i, name := range names {
-		if !ok[name] {
-			continue
-		}
-		rep, isRep := backends[i].(Repairer)
-		if !isRep {
-			continue
-		}
-		part := parts[i]
-		j := 0
-		for _, ms := range merged {
-			for j < len(part) && labels.Compare(part[j].Labels, ms.Labels) < 0 {
-				j++
-			}
-			var have []model.Sample
-			if j < len(part) && labels.Compare(part[j].Labels, ms.Labels) == 0 {
-				have = part[j].Samples
-			}
-			missing := missingSuffix(have, ms.Samples)
-			if len(missing) == 0 || !ownedBy(rp.OwnersFor(ms.Labels), name) {
-				continue
-			}
-			if budget <= 0 {
-				return
-			}
-			budget--
-			s.enqueueRepair(repairJob{backend: rep, ls: ms.Labels, samples: missing})
-		}
-	}
-}
-
-// missingSuffix returns the samples of want past have's last timestamp —
-// everything the replica can actually accept via append.
-func missingSuffix(have, want []model.Sample) []model.Sample {
-	if len(have) == 0 {
-		return want
-	}
-	lastT := have[len(have)-1].T
-	if want[len(want)-1].T <= lastT {
-		return nil
-	}
-	lo := sort.Search(len(want), func(k int) bool { return want[k].T > lastT })
-	return want[lo:]
-}
-
-func ownedBy(owners []string, name string) bool {
-	for _, o := range owners {
-		if o == name {
-			return true
-		}
-	}
-	return false
+	return MergeReplicaSeries(parts), nil
 }
 
 // LabelValues merges the distinct values across replicas under the same

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sync"
 	"testing"
 
 	"repro/internal/labels"
@@ -127,53 +126,6 @@ func TestScatterSampleLimit(t *testing.T) {
 	sg.SetReplica("b", &fakeBackend{err: fmt.Errorf("select: %w", model.ErrSampleLimit)})
 	if _, err := sg.SelectWithHints(model.SelectHints{End: 10}); !errors.Is(err, model.ErrSampleLimit) {
 		t.Fatalf("sample-limit blowout should surface, got %v", err)
-	}
-}
-
-// repairingBackend is a fakeBackend that keeps what read repair writes back.
-type repairingBackend struct {
-	fakeBackend
-	mu       sync.Mutex
-	repaired []model.Sample
-}
-
-func (r *repairingBackend) RepairSamples(_ labels.Labels, samples []model.Sample) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.repaired = append(r.repaired, samples...)
-	return nil
-}
-
-// ownedByAll is a placement under which every replica owns every series.
-type ownedByAll struct{ staticPlacement }
-
-func (p *ownedByAll) OwnersFor(labels.Labels) []string { return p.groups[0] }
-
-// TestScatterRepairsUntrimmedReadsOnly: a replica missing its newest sample
-// is back-filled from an untrimmed read, and left alone by a read trimmed to
-// its step grid, whose answers are per-window subsets a diff cannot judge.
-func TestScatterRepairsUntrimmedReadsOnly(t *testing.T) {
-	for _, tc := range []struct {
-		name  string
-		hints model.SelectHints
-		want  []model.Sample
-	}{
-		{"untrimmed", model.SelectHints{Start: 0, End: 100, Step: 10}, []model.Sample{sample(20, 2)}},
-		{"trimmed", model.SelectHints{Start: 0, End: 100, Step: 10, Lookback: 5}, nil},
-	} {
-		full := &fakeBackend{series: []model.Series{series("cpu", sample(10, 1), sample(20, 2))}}
-		stale := &repairingBackend{fakeBackend: fakeBackend{series: []model.Series{series("cpu", sample(10, 1))}}}
-		sg := NewScatterGather(&ownedByAll{staticPlacement{groups: [][]string{{"a", "b"}}}}, 1)
-		sg.SetReplica("a", full)
-		sg.SetReplica("b", stale)
-		if _, err := sg.SelectWithHints(tc.hints, labels.MustMatcher(labels.MatchEqual, labels.MetricName, "cpu")); err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		sg.WaitRepairs()
-		sg.StopRepairs()
-		if !slices.Equal(stale.repaired, tc.want) {
-			t.Errorf("%s read repaired %v, want %v", tc.name, stale.repaired, tc.want)
-		}
 	}
 }
 

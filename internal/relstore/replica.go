@@ -1,26 +1,20 @@
 package relstore
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
-	"time"
 )
 
-// Replica continuously ships the store's snapshot and WAL to a backup
-// directory, standing in for Litestream ("SQLite DB can be backed up
-// continuously onto long-term storage using Litestream", paper §II.C). A
-// backup is point-in-time consistent: the WAL segment is copied after the
-// snapshot, and restore replays it on top.
+// Replica ships the store's snapshot and WAL to a backup directory,
+// standing in for Litestream ("SQLite DB can be backed up continuously onto
+// long-term storage using Litestream", paper §II.C); api.RunPeriodic calls
+// Sync on the backup interval. A backup is point-in-time consistent: the WAL
+// segment is copied after the snapshot, and restore replays it on top.
 type Replica struct {
 	DB  *DB
 	Dir string
-	// Interval between sync passes in Run; default 10s.
-	Interval time.Duration
-	// OnError receives replication errors; nil drops them.
-	OnError func(error)
 
 	syncs int
 }
@@ -57,26 +51,6 @@ func (r *Replica) Sync() error {
 
 // Syncs returns how many successful sync passes have completed.
 func (r *Replica) Syncs() int { return r.syncs }
-
-// Run syncs on the interval until ctx is cancelled.
-func (r *Replica) Run(ctx context.Context) {
-	interval := r.Interval
-	if interval <= 0 {
-		interval = 10 * time.Second
-	}
-	tick := time.NewTicker(interval)
-	defer tick.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-tick.C:
-			if err := r.Sync(); err != nil && r.OnError != nil {
-				r.OnError(err)
-			}
-		}
-	}
-}
 
 // Restore opens a store reconstructed from a backup directory produced by
 // Sync. The restored store lives in restoreDir.
