@@ -44,7 +44,6 @@ func main() {
 			MaxBytes: cfg.LB.CacheBytes, Telemetry: reg, Name: "lb",
 		})
 		balancer.CacheTTL = cfg.LB.CacheTTL
-		balancer.CacheSettledTTL = cfg.LB.CacheSettledTTL
 	}
 	for _, raw := range cfg.LB.Backends {
 		b, err := lb.NewBackend(raw)

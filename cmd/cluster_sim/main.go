@@ -28,6 +28,7 @@ import (
 	"repro/internal/lb"
 	"repro/internal/model"
 	"repro/internal/promapi"
+	"repro/internal/querycache"
 	"repro/internal/relstore"
 	"repro/internal/remotewrite"
 	"repro/internal/scrape"
@@ -91,12 +92,28 @@ func main() {
 	// HTTP endpoints: Prometheus API behind the LB, plus the CEEMS API.
 	// The query source is the thanos fan-in, or the quorum scatter-gather
 	// when clustered — sim.Engine() picks the right one.
-	_, qsrc := sim.Engine()
+	eng, qsrc := sim.Engine()
 	promH := &promapi.Handler{
-		Query: qsrc, Now: sim.Now,
+		Engine: eng, Query: qsrc, Now: sim.Now,
 		Timeout: cfg.TSDB.QueryTimeout,
 		Metrics: reg,
 		Queries: &telemetry.QueryLog{SlowThreshold: cfg.TSDB.SlowQueryThreshold},
+	}
+	if cfg.TSDB.QueryCacheBytes > 0 {
+		// The LB caches no range answers; this cache serves them exactly,
+		// invalidated by the append progress of the ring or the head.
+		var head querycache.Head = sim.DB
+		if sim.Ring != nil {
+			head = sim.Ring
+		}
+		promH.Cache = querycache.New(querycache.Options{
+			MaxBytes:  cfg.TSDB.QueryCacheBytes,
+			Head:      head,
+			Lookback:  eng.LookbackDelta,
+			MaxSteps:  eng.MaxSteps,
+			Telemetry: reg,
+			Name:      "promapi",
+		})
 	}
 	if cfg.TSDB.RemoteWrite {
 		rcv := &remotewrite.Receiver{Telemetry: reg}

@@ -47,8 +47,10 @@ func (s *Server) IsAdmin(user string) bool {
 	if user == "" {
 		return false
 	}
-	_, ok, err := s.Store.Get(TableAdmins, user)
-	return err == nil && ok
+	found := false
+	err := s.Store.Each(TableAdmins, []relstore.Cond{{Col: "user", Op: relstore.OpEq, Val: user}},
+		func(relstore.Row) bool { found = true; return false })
+	return err == nil && found
 }
 
 // AddAdmin registers an administrator.
@@ -58,29 +60,25 @@ func (s *Server) AddAdmin(user string) error {
 
 // OwnsUnit reports whether the user owns the unit identified by uuid. The
 // uuid may be the full cluster/manager/id key or a bare manager-native ID
-// (as extracted from a PromQL query by the LB); bare IDs match any cluster.
+// (as extracted from a PromQL query by the LB); bare IDs match any cluster,
+// and the user must own the unit on every one. The LB asks this on every
+// query, so the rows are read in place, never copied.
 func (s *Server) OwnsUnit(user, uuid string) (bool, error) {
-	if row, ok, err := s.Store.Get(TableUnits, uuid); err != nil {
-		return false, err
-	} else if ok {
-		return str(row, "user") == user, nil
+	found, owns := false, true
+	visit := func(row relstore.Row) bool {
+		found = true
+		owns = str(row, "user") == user
+		return owns
 	}
-	// Bare ID: search by the id column (indexed).
-	rows, err := s.Store.Select(TableUnits, relstore.Query{
-		Where: []relstore.Cond{{Col: "id", Op: relstore.OpEq, Val: uuid}},
-	})
-	if err != nil {
-		return false, err
-	}
-	if len(rows) == 0 {
-		return false, nil
-	}
-	for _, r := range rows {
-		if str(r, "user") != user {
-			return false, nil
+	for _, col := range [...]string{"uuid", "id"} {
+		if err := s.Store.Each(TableUnits, []relstore.Cond{{Col: col, Op: relstore.OpEq, Val: uuid}}, visit); err != nil {
+			return false, err
+		}
+		if found {
+			return owns, nil
 		}
 	}
-	return true, nil
+	return false, nil
 }
 
 func requestUser(r *http.Request) string { return r.Header.Get("X-Grafana-User") }

@@ -318,7 +318,6 @@ func New(topo Topology, cfg config.Config, reg *telemetry.Registry) (*Sim, error
 			Clock:    func() time.Time { return sim.clock },
 		}),
 		CacheTTL: cfg.TSDB.ScrapeInterval,
-		CacheNow: func() time.Time { return sim.clock },
 	}
 
 	sim.Gen = NewWorkloadGen(topo.Seed, cfg.Sim.Users, cfg.Sim.Projects, cfg.Sim.JobsPerDay, cpuParts, gpuParts)

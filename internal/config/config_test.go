@@ -152,6 +152,7 @@ func TestUnknownKeyRejected(t *testing.T) {
 		"thanos:\n  head_retention: 2h",    // removed: derived as 2x ship_interval
 		"thanos:\n  downsample: true",      // removed: always on
 		"lb:\n  proxy_retries: 1",          // removed: always R-W of the ring section
+		"lb:\n  cache_settled_ttl: 10m",    // removed: range answers are not cached by the LB
 		"prometheus:\n  listen: \":9090\"", // no such section
 		"tsdb: 5",
 	} {
@@ -251,7 +252,7 @@ var pinned = map[string]map[string]string{
 		"config": "",
 		"listen": ":9091", "backends": "", "api-server": "", "strategy": "round-robin",
 		"health-interval": "15s", "query-timeout": "2m0s",
-		"cache-bytes": "33554432", "cache-ttl": "15s", "cache-settled-ttl": "10m0s",
+		"cache-bytes": "33554432", "cache-ttl": "15s",
 		"replication-factor": "0", "write-quorum": "0",
 	},
 	"cluster_sim": {

@@ -16,8 +16,6 @@ import (
 	"net/http"
 	"net/url"
 	"slices"
-	"sort"
-	"strconv"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -146,9 +144,12 @@ type LB struct {
 	// QueryTimeout bounds each proxied request end to end (ownership check
 	// plus backend round-trip); 0 disables.
 	QueryTimeout time.Duration
-	// Cache, when set, stores successful GET responses of the query API
-	// endpoints in the shared query-result cache (blob entries with TTL
-	// expiry — the LB proxies opaque JSON, it does not evaluate PromQL).
+	// Cache, when set, stores successful GET responses of the instant
+	// query, labels and label-values endpoints in the shared query-result
+	// cache (blob entries with TTL expiry — the LB proxies opaque JSON, it
+	// does not evaluate PromQL). Range queries are not cached here: the
+	// backend's own result cache answers them exactly, behind its head
+	// watermark, where a blob here could only be up to CacheTTL stale.
 	// Lookups run strictly after access control — both the query expression
 	// and any match[] selectors (labels / label-values endpoints) pass the
 	// ownership check first — and keys exclude the requesting user: any
@@ -156,18 +157,13 @@ type LB struct {
 	// return. The LB answers /api/v1/status/querycache itself with the
 	// cache's counters; that surface is admin-only under the Checker.
 	Cache *querycache.Cache
-	// CacheTTL bounds how long a cached response whose window touches the
-	// present may be served; 0 picks DefaultCacheTTL. It is the LB's
-	// staleness bound: unlike promapi's head-watermark invalidation, a
-	// proxy cannot observe backend append progress, so freshness decays on
-	// a clock.
+	// CacheTTL bounds how long a cached response may be served; 0 picks
+	// DefaultCacheTTL. It is the LB's staleness bound: unlike promapi's
+	// head-watermark invalidation, a proxy cannot observe backend append
+	// progress, so freshness decays on a clock.
 	CacheTTL time.Duration
-	// CacheSettledTTL is the TTL for range responses whose window ended
-	// more than a lookback ago — data that no longer changes; 0 picks
-	// DefaultCacheSettledTTL.
-	CacheSettledTTL time.Duration
-	// CacheNow supplies the clock for settledness decisions; nil means
-	// time.Now. The cluster simulator wires its simulated clock here.
+	// Deprecated: CacheNow is read by nothing; entries expire on the
+	// Cache's own clock. It stays until the LB's cache goes.
 	CacheNow func() time.Time
 	// ProxyRetries is how many additional distinct backends a safe (GET or
 	// HEAD) request may fail over to when a backend dies before sending any
@@ -200,7 +196,7 @@ type LB struct {
 // Backends is populated.
 func (lb *LB) InstrumentTelemetry(reg *telemetry.Registry) {
 	reg.CounterFunc("telemetry_lb_denied_total",
-		"Queries rejected by the ownership check.",
+		"Requests rejected by access control: an unowned unit, or a non-admin off the read surface.",
 		func() float64 { return float64(lb.denied.Load()) })
 	reg.CounterFunc("telemetry_lb_failovers_total",
 		"Proxied requests that succeeded only on a retry backend.",
@@ -235,60 +231,66 @@ func (lb *LB) InstrumentTelemetry(reg *telemetry.Registry) {
 	lb.Metrics = reg
 }
 
-// Default cache TTLs: fresh windows ride the typical scrape cadence,
-// settled windows stick around for dashboard pans over old data.
-const (
-	DefaultCacheTTL        = 15 * time.Second
-	DefaultCacheSettledTTL = 10 * time.Minute
-	// settledMargin is how far behind now a range window must end to be
-	// considered settled — one Prometheus lookback, so late samples within
-	// the lookback window cannot be frozen into a long-lived entry.
-	settledMargin = 5 * time.Minute
-)
+// DefaultCacheTTL rides the typical scrape cadence.
+const DefaultCacheTTL = 15 * time.Second
 
-// Denied returns how many queries were rejected by access control.
+// Denied returns how many requests were rejected by access control.
 func (lb *LB) Denied() int64 { return lb.denied.Load() }
 
 // pick selects a backend per the strategy; nil when none are healthy.
 func (lb *LB) pick() *Backend {
-	var candidates []*Backend
+	healthy := 0
+	var best *Backend // least-connection: the first healthy backend with the fewest in flight
 	for _, b := range lb.Backends {
 		if b.Healthy() {
-			candidates = append(candidates, b)
-		}
-	}
-	if len(candidates) == 0 {
-		return nil
-	}
-	switch lb.Strategy {
-	case LeastConnection:
-		best := candidates[0]
-		for _, b := range candidates[1:] {
-			if b.Active() < best.Active() {
+			healthy++
+			if best == nil || b.Active() < best.Active() {
 				best = b
 			}
 		}
-		return best
-	default: // round-robin
-		n := lb.rrNext.Add(1)
-		return candidates[(n-1)%uint64(len(candidates))]
 	}
+	if healthy == 0 || lb.Strategy == LeastConnection {
+		return best
+	}
+	// Round-robin: the n-th healthy backend, counting from the first.
+	n := (lb.rrNext.Add(1) - 1) % uint64(healthy)
+	for _, b := range lb.Backends {
+		if b.Healthy() {
+			if n == 0 {
+				return b
+			}
+			n--
+		}
+	}
+	return best // backends went unhealthy since the count; best was healthy then
 }
 
 // ExtractUUIDs parses the PromQL expression and collects every compute
-// unit identifier it references via uuid label matchers. Equality matchers
-// contribute their value; plain alternation regexps ("123|456") contribute
-// each alternative (labels.Matcher.SetMatches). Regexps that cannot be
-// enumerated, or whose set admits the empty value (`uuid=~""`,
-// `uuid=~"a|"`), return an error — the LB fails closed.
+// unit identifier it references via uuid label matchers, sorted and
+// without duplicates. Equality matchers contribute their value; plain
+// alternation regexps ("123|456") contribute each alternative
+// (labels.Matcher.SetMatches). Regexps that cannot be enumerated, or whose
+// set admits the empty value (`uuid=~""`, `uuid=~"a|"`), return an error —
+// the LB fails closed.
 func ExtractUUIDs(query string) ([]string, error) {
+	uuids, err := appendUUIDs(nil, query)
+	if err != nil {
+		return nil, err
+	}
+	slices.Sort(uuids)
+	return slices.Compact(uuids), nil
+}
+
+// appendUUIDs is ExtractUUIDs appending to dst, in selector order and with
+// any duplicates: the one walk over a query's selectors that both
+// ExtractUUIDs and authorize use.
+func appendUUIDs(dst []string, query string) ([]string, error) {
 	// Grafana panels re-issue the same expressions on every refresh; the
 	// shared parse cache makes this introspection a lookup, not a parse.
 	expr, err := promql.ParseExprCached(query)
 	if err != nil {
-		return nil, fmt.Errorf("lb: unparseable query: %w", err)
+		return dst, fmt.Errorf("lb: unparseable query: %w", err)
 	}
-	set := map[string]struct{}{}
 	var visitErr error
 	promql.WalkSelectors(expr, func(_ promql.Expr, vs *promql.VectorSelector) {
 		for _, m := range vs.Matchers {
@@ -297,30 +299,38 @@ func ExtractUUIDs(query string) ([]string, error) {
 			}
 			switch m.Type {
 			case labels.MatchEqual:
-				set[m.Value] = struct{}{}
+				dst = append(dst, m.Value)
 			case labels.MatchRegexp:
 				alts := m.SetMatches()
 				if alts == nil || slices.Contains(alts, "") {
 					visitErr = fmt.Errorf("lb: uuid regexp %q is not enumerable", m.Value)
 					return
 				}
-				for _, a := range alts {
-					set[a] = struct{}{}
-				}
+				dst = append(dst, alts...)
 			default:
 				visitErr = fmt.Errorf("lb: negative uuid matchers are not allowed")
 			}
 		}
 	})
-	if visitErr != nil {
-		return nil, visitErr
+	return dst, visitErr
+}
+
+// readPath reports whether p is on the query API's read surface: instant
+// and range queries, label names and one label's values. These are the
+// only paths a non-admin may reach through the LB, because these are the
+// paths whose scope the LB can check — the query expression or the match[]
+// selectors name the units a request reads.
+func readPath(p string) bool {
+	switch p {
+	case "/api/v1/query", "/api/v1/query_range", "/api/v1/labels":
+		return true
 	}
-	out := make([]string, 0, len(set))
-	for u := range set {
-		out = append(out, u)
+	name, ok := strings.CutPrefix(p, "/api/v1/label/")
+	if !ok {
+		return false
 	}
-	sort.Strings(out)
-	return out, nil
+	name, ok = strings.CutSuffix(name, "/values")
+	return ok && name != "" && !strings.Contains(name, "/")
 }
 
 // ServeHTTP authorizes and proxies one query request, serving repeat
@@ -359,17 +369,27 @@ func (lb *LB) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	params := r.URL.Query()
-	if query := params.Get("query"); query != "" && !lb.authorize(w, r, user, query) {
-		return
-	}
-	// The labels/label-values endpoints scope their answer with match[]
-	// selectors instead of a query expression; those selectors carry the
-	// same uuid matchers and must pass the same ownership check — without
-	// it the response (which the cache would then share across users) is
-	// never access-checked at all.
-	for _, sel := range params["match[]"] {
-		if !lb.authorize(w, r, user, sel) {
+	if lb.Checker != nil && !lb.Checker.IsAdmin(r.Context(), user) {
+		// Anything off the read surface — remote read and write, the status
+		// pages with other tenants' query text — carries no query the LB
+		// could check, so it is the admins' alone.
+		if !readPath(r.URL.Path) {
+			lb.denied.Add(1)
+			http.Error(w, r.URL.Path+" is admin-only", http.StatusForbidden)
 			return
+		}
+		if query := params.Get("query"); query != "" && !lb.authorize(w, r, user, query) {
+			return
+		}
+		// The labels/label-values endpoints scope their answer with match[]
+		// selectors instead of a query expression; those selectors carry the
+		// same uuid matchers and must pass the same ownership check — without
+		// it the response (which the cache would then share across users) is
+		// never access-checked at all.
+		for _, sel := range params["match[]"] {
+			if !lb.authorize(w, r, user, sel) {
+				return
+			}
 		}
 	}
 	// Cache lookup strictly after access control: a denied request never
@@ -399,7 +419,11 @@ func (lb *LB) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	// Cache only fully-streamed 200s: a backend dying mid-body leaves a
 	// truncated buffer that must never be served as a hit.
 	if complete && cw.status == http.StatusOK && !cw.overflowed {
-		lb.Cache.PutBlob(key, cw.buf, lb.ttlFor(r, params)) // the cache owns buf from here
+		ttl := lb.CacheTTL
+		if ttl <= 0 {
+			ttl = DefaultCacheTTL
+		}
+		lb.Cache.PutBlob(key, cw.buf, ttl) // the cache owns buf from here
 	}
 }
 
@@ -408,63 +432,20 @@ func (lb *LB) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 const maxCachedBody = 4 << 20
 
 // cacheKey builds the cache key for a request from its parsed query
-// parameters q, reporting false for requests the LB does not cache (non-GET,
-// or paths outside the query API). PromQL queries are normalized — in q
-// itself — so formatting variants of the same panel share an entry;
-// everything else (labels, label values) falls back to the raw encoded
-// parameters.
+// parameters q, reporting false for requests the LB does not cache: non-GET,
+// range queries (the backend's result cache serves those exactly), and
+// paths off the read surface. PromQL queries are normalized — in q itself —
+// so formatting variants of the same panel share an entry; everything else
+// (labels, label values) falls back to the raw encoded parameters.
 func (lb *LB) cacheKey(r *http.Request, q url.Values) (string, bool) {
-	if lb.Cache == nil || r.Method != http.MethodGet {
-		return "", false
-	}
 	p := r.URL.Path
-	switch {
-	case strings.HasSuffix(p, "/api/v1/query"), strings.HasSuffix(p, "/api/v1/query_range"),
-		strings.HasSuffix(p, "/api/v1/labels"),
-		strings.Contains(p, "/api/v1/label/") && strings.HasSuffix(p, "/values"):
-	default:
+	if lb.Cache == nil || r.Method != http.MethodGet || p == "/api/v1/query_range" || !readPath(p) {
 		return "", false
 	}
 	if expr := q.Get("query"); expr != "" {
 		q.Set("query", querycache.NormalizeQuery(expr))
 	}
 	return p + "?" + q.Encode(), true // Encode sorts keys: stable across clients
-}
-
-// ttlFor picks the entry TTL: range windows that ended well in the past
-// are settled (long TTL); anything touching the present decays on the
-// fresh TTL so dashboard refreshes track new appends.
-func (lb *LB) ttlFor(r *http.Request, q url.Values) time.Duration {
-	fresh, settled := lb.CacheTTL, lb.CacheSettledTTL
-	if fresh <= 0 {
-		fresh = DefaultCacheTTL
-	}
-	if settled <= 0 {
-		settled = DefaultCacheSettledTTL
-	}
-	if !strings.HasSuffix(r.URL.Path, "/api/v1/query_range") {
-		return fresh
-	}
-	// Prometheus accepts both unix floats and RFC3339 timestamps (promapi's
-	// parseTime does the same two-step); an unparseable end conservatively
-	// counts as fresh.
-	raw := q.Get("end")
-	var end time.Time
-	if f, err := strconv.ParseFloat(raw, 64); err == nil {
-		end = time.UnixMilli(int64(f * 1000))
-	} else if t, err := time.Parse(time.RFC3339Nano, raw); err == nil {
-		end = t
-	} else {
-		return fresh
-	}
-	now := time.Now
-	if lb.CacheNow != nil {
-		now = lb.CacheNow
-	}
-	if end.Add(settledMargin).Before(now()) {
-		return settled
-	}
-	return fresh
 }
 
 // serveCacheStatus answers /api/v1/status/querycache from the LB's own
@@ -509,21 +490,23 @@ func (cw *captureWriter) Write(p []byte) (int, error) {
 	return cw.ResponseWriter.Write(p)
 }
 
-// authorize checks every uuid in the query; it writes the error response
-// and returns false on denial.
+// authorize checks that the user owns every uuid the query names; it
+// writes the error response and returns false on denial. It runs once per
+// expression of a non-admin request, so it collects the uuids in a stack
+// buffer, sorts them there and skips repeats: a query naming a handful of
+// units costs the checker calls and no allocation.
 func (lb *LB) authorize(w http.ResponseWriter, r *http.Request, user, query string) bool {
-	if lb.Checker == nil {
-		return true
-	}
-	if lb.Checker.IsAdmin(r.Context(), user) {
-		return true
-	}
-	uuids, err := ExtractUUIDs(query)
+	var buf [8]string
+	uuids, err := appendUUIDs(buf[:0], query)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return false
 	}
-	for _, uuid := range uuids {
+	slices.Sort(uuids)
+	for i, uuid := range uuids {
+		if i > 0 && uuid == uuids[i-1] {
+			continue
+		}
 		owns, err := lb.Checker.Owns(r.Context(), user, uuid)
 		if err != nil {
 			http.Error(w, "ownership check failed", http.StatusBadGateway)

@@ -2,9 +2,12 @@ package lb
 
 import (
 	"context"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -144,6 +147,73 @@ func TestAccessControl(t *testing.T) {
 	rec = get(t, lb, `/api/v1/query?query=m{uuid=~"a.*"}`, "alice")
 	if rec.Code != 400 {
 		t.Errorf("wildcard uuid = %d", rec.Code)
+	}
+}
+
+// TestNonAdminReadSurfaceOnly: a non-admin reaches the backend only through
+// the query API's read endpoints, whose scope the LB checks. Remote read,
+// remote write and the status pages carry no query to check, so they are
+// denied — and counted — before any backend sees them; admins still reach
+// them.
+func TestNonAdminReadSurfaceOnly(t *testing.T) {
+	lb, _, counts := newTestLB(t, RoundRobin, 1)
+	do := func(method, path, user string) int {
+		req := httptest.NewRequest(method, path, nil)
+		req.Header.Set("X-Grafana-User", user)
+		rec := httptest.NewRecorder()
+		lb.ServeHTTP(rec, req)
+		return rec.Code
+	}
+	offSurface := []struct{ method, path string }{
+		{http.MethodPost, "/api/v1/read"},
+		{http.MethodPost, "/api/v1/write"},
+		{http.MethodGet, "/api/v1/status/queries"},
+		{http.MethodGet, "/api/v1/label/a/b/values"},
+		{http.MethodGet, "/api/v1/label//values"},
+		{http.MethodGet, "/api/v1/query_exemplars"},
+	}
+	for i, c := range offSurface {
+		if code := do(c.method, c.path, "alice"); code != http.StatusForbidden {
+			t.Errorf("alice %s %s = %d, want 403", c.method, c.path, code)
+		}
+		if lb.Denied() != int64(i+1) {
+			t.Errorf("after alice %s %s: denied = %d, want %d", c.method, c.path, lb.Denied(), i+1)
+		}
+	}
+	if (*counts)[0] != 0 {
+		t.Fatalf("backend saw %d requests off the read surface", (*counts)[0])
+	}
+	for _, c := range offSurface {
+		if code := do(c.method, c.path, "root"); code != http.StatusOK {
+			t.Errorf("admin %s %s = %d, want 200", c.method, c.path, code)
+		}
+	}
+	for _, path := range []string{
+		`/api/v1/query?query=m{uuid="a1"}`,
+		`/api/v1/query_range?query=m{uuid="a1"}&start=0&end=60&step=15`,
+		"/api/v1/labels",
+		"/api/v1/label/instance/values",
+	} {
+		if code := do(http.MethodGet, path, "alice"); code != http.StatusOK {
+			t.Errorf("alice GET %s = %d, want 200", path, code)
+		}
+	}
+	if want := len(offSurface) + 4; (*counts)[0] != want || lb.Denied() != int64(len(offSurface)) {
+		t.Fatalf("backend saw %d, denied %d; want %d and %d", (*counts)[0], lb.Denied(), want, len(offSurface))
+	}
+}
+
+// TestAuthorizeAllocatesNothing: the per-request ownership check of a
+// query naming one unit costs the checker call and no allocation.
+func TestAuthorizeAllocatesNothing(t *testing.T) {
+	lb := &LB{Checker: &stubChecker{}}
+	req := httptest.NewRequest(http.MethodGet, "/api/v1/query", nil)
+	const query = `sum by (uuid) (rate(ceems_compute_unit_cpu_usage_seconds_total{uuid="a1"}[5m]))`
+	if !lb.authorize(nil, req, "alice", query) { // warms the parse cache
+		t.Fatal("owner denied")
+	}
+	if allocs := testing.AllocsPerRun(100, func() { lb.authorize(nil, req, "alice", query) }); allocs != 0 {
+		t.Fatalf("authorize made %v allocations per one-uuid query, want 0", allocs)
 	}
 }
 
@@ -343,22 +413,46 @@ func TestBadBackendURL(t *testing.T) {
 	}
 }
 
+// staticTransport answers every proxied request in process with a fixed
+// two-byte body, so a benchmark through it times the LB, not a socket.
+type staticTransport struct{}
+
+func (staticTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	return &http.Response{
+		StatusCode: http.StatusOK, Header: http.Header{}, Request: req,
+		Body: io.NopCloser(strings.NewReader("ok")), ContentLength: 2,
+	}, nil
+}
+
+// BenchmarkLBAuthorizedProxy is the LB's own cost per request: identity,
+// read-surface and ownership checks, backend pick and relay, against an
+// in-process backend. An owner's instant and range panel each name one
+// unit; the admin's range panel skips the ownership check.
 func BenchmarkLBAuthorizedProxy(b *testing.B) {
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		w.Write([]byte("ok"))
-	}))
-	defer srv.Close()
-	be, _ := NewBackend(srv.URL)
-	lb := &LB{Backends: []*Backend{be}, Checker: &stubChecker{}}
-	req := httptest.NewRequest(http.MethodGet, `/api/v1/query?query=m{uuid="a1"}`, nil)
-	req.Header.Set("X-Grafana-User", "alice")
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rec := httptest.NewRecorder()
-		lb.ServeHTTP(rec, req)
-		if rec.Code != 200 {
-			b.Fatalf("status %d", rec.Code)
-		}
+	be, _ := NewBackend("http://backend.test")
+	lb := &LB{
+		Backends:  []*Backend{be},
+		Checker:   &stubChecker{admins: map[string]bool{"root": true}},
+		Transport: staticTransport{},
+	}
+	const sel = `rate(ceems_compute_unit_cpu_usage_seconds_total{uuid="a1"}[5m])`
+	for _, c := range []struct{ name, user, path string }{
+		{"owner_instant", "alice", "/api/v1/query?" + url.Values{"query": {sel}, "time": {"600"}}.Encode()},
+		{"owner_range", "alice", "/api/v1/query_range?" + url.Values{"query": {sel}, "start": {"0"}, "end": {"3600"}, "step": {"60"}}.Encode()},
+		{"admin_range", "root", "/api/v1/query_range?" + url.Values{"query": {sel}, "start": {"0"}, "end": {"3600"}, "step": {"60"}}.Encode()},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			req := httptest.NewRequest(http.MethodGet, c.path, nil)
+			req.Header.Set("X-Grafana-User", c.user)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				rec := httptest.NewRecorder()
+				lb.ServeHTTP(rec, req)
+				if rec.Code != 200 {
+					b.Fatalf("status %d", rec.Code)
+				}
+			}
+		})
 	}
 }

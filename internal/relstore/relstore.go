@@ -254,26 +254,31 @@ func (t *table) index(pk string, row Row) {
 }
 
 // encodeKey renders any column value into a stable string key.
-func encodeKey(v any) string {
+func encodeKey(v any) string { return string(appendKey(nil, v)) }
+
+// appendKey appends encodeKey(v) to b, so a lookup can build its key in a
+// stack buffer.
+func appendKey(b []byte, v any) []byte {
 	switch x := v.(type) {
 	case string:
-		return "s:" + x
+		return append(append(b, "s:"...), x...)
 	case int64:
-		return "i:" + strconv.FormatInt(x, 10)
+		return strconv.AppendInt(append(b, "i:"...), x, 10)
 	case int:
-		return "i:" + strconv.Itoa(x)
+		return strconv.AppendInt(append(b, "i:"...), int64(x), 10)
 	case float64:
-		return "f:" + strconv.FormatFloat(x, 'g', -1, 64)
+		return strconv.AppendFloat(append(b, "f:"...), x, 'g', -1, 64)
 	case bool:
-		return "b:" + strconv.FormatBool(x)
+		return strconv.AppendBool(append(b, "b:"...), x)
 	case nil:
-		return "z:"
+		return append(b, "z:"...)
 	}
-	return fmt.Sprintf("x:%v", v)
+	return fmt.Appendf(b, "x:%v", v)
 }
 
 // normalize coerces a value to the column type (JSON round-trips turn
-// int64 into float64; this undoes that).
+// int64 into float64; this undoes that). A value already of the column's
+// type comes back as is, not boxed anew.
 func normalize(t ColumnType, v any) (any, error) {
 	if v == nil {
 		return nil, nil
@@ -282,7 +287,7 @@ func normalize(t ColumnType, v any) (any, error) {
 	case ColInt:
 		switch x := v.(type) {
 		case int64:
-			return x, nil
+			return v, nil
 		case int:
 			return int64(x), nil
 		case float64:
@@ -294,19 +299,19 @@ func normalize(t ColumnType, v any) (any, error) {
 	case ColFloat:
 		switch x := v.(type) {
 		case float64:
-			return x, nil
+			return v, nil
 		case int64:
 			return float64(x), nil
 		case int:
 			return float64(x), nil
 		}
 	case ColText:
-		if x, ok := v.(string); ok {
-			return x, nil
+		if _, ok := v.(string); ok {
+			return v, nil
 		}
 	case ColBool:
-		if x, ok := v.(bool); ok {
-			return x, nil
+		if _, ok := v.(bool); ok {
+			return v, nil
 		}
 	}
 	return nil, fmt.Errorf("value %T does not fit column type %s", v, t)
@@ -394,63 +399,20 @@ func (db *DB) Get(tableName string, pkValue any) (Row, bool, error) {
 	return cloneRow(row), true, nil
 }
 
-// Select runs a query and returns matching rows.
+// Select runs a query and returns copies of the matching rows.
 func (db *DB) Select(tableName string, q Query) ([]Row, error) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	t, ok := db.tables[tableName]
-	if !ok {
-		return nil, fmt.Errorf("relstore: no table %q", tableName)
-	}
-	// Validate conditions upfront so errors surface even on empty tables.
-	for _, c := range q.Where {
-		ct, known := colType(t.schema, c.Col)
-		if !known {
-			return nil, fmt.Errorf("relstore: %s: condition on unknown column %q", tableName, c.Col)
-		}
-		if c.Op == OpHas && ct != ColText {
-			return nil, fmt.Errorf("relstore: %s: contains requires text column, %s is %s", tableName, c.Col, ct)
-		}
-	}
-	// Candidate set: use a secondary index for the first indexed equality
-	// condition; otherwise scan.
-	var candidates []string
-	usedCond := -1
-	for i, c := range q.Where {
-		if c.Op != OpEq {
-			continue
-		}
-		vm, indexed := t.indexes[c.Col]
-		if !indexed {
-			continue
-		}
-		ct, _ := colType(t.schema, c.Col)
-		nv, err := normalize(ct, c.Val)
-		if err != nil {
-			return nil, err
-		}
-		for pk := range vm[encodeKey(nv)] {
-			candidates = append(candidates, pk)
-		}
-		usedCond = i
-		break
-	}
-	if usedCond < 0 {
-		candidates = make([]string, 0, len(t.rows))
-		for pk := range t.rows {
-			candidates = append(candidates, pk)
-		}
+	t, err := db.readable(tableName, q.Where)
+	if err != nil {
+		return nil, err
 	}
 	var out []Row
-	for _, pk := range candidates {
-		row := t.rows[pk]
-		match, err := rowMatches(t.schema, row, q.Where)
-		if err != nil {
-			return nil, err
-		}
-		if match {
-			out = append(out, row)
-		}
+	if err := t.each(q.Where, func(row Row) bool {
+		out = append(out, row)
+		return true
+	}); err != nil {
+		return nil, err
 	}
 	orderCol := q.OrderBy
 	if orderCol == "" {
@@ -483,13 +445,89 @@ func (db *DB) Select(tableName string, q Query) ([]Row, error) {
 	return cloned, nil
 }
 
+// Each calls fn with every row that satisfies where, in no particular
+// order, until fn returns false. It is Select without the copies, the sort
+// and the result slice: fn sees the store's own row, so it must neither
+// keep nor modify it, and it runs under the read lock, so it must not call
+// back into the store.
+func (db *DB) Each(tableName string, where []Cond, fn func(Row) bool) error {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	t, err := db.readable(tableName, where)
+	if err != nil {
+		return err
+	}
+	return t.each(where, fn)
+}
+
+// readable returns the named table after checking where against its
+// schema, so a bad condition errors even on an empty table.
+func (db *DB) readable(tableName string, where []Cond) (*table, error) {
+	t, ok := db.tables[tableName]
+	if !ok {
+		return nil, fmt.Errorf("relstore: no table %q", tableName)
+	}
+	for _, c := range where {
+		ct, known := colType(t.schema, c.Col)
+		if !known {
+			return nil, fmt.Errorf("relstore: %s: condition on unknown column %q", tableName, c.Col)
+		}
+		if c.Op == OpHas && ct != ColText {
+			return nil, fmt.Errorf("relstore: %s: contains requires text column, %s is %s", tableName, c.Col, ct)
+		}
+	}
+	return t, nil
+}
+
+// each calls fn with the table's rows that satisfy where until fn returns
+// false. The first equality condition on the primary key or on an indexed
+// column names the candidates; without one every row is a candidate.
+func (t *table) each(where []Cond, fn func(Row) bool) error {
+	visit := func(row Row) (bool, error) {
+		match, err := rowMatches(t.schema, row, where)
+		if err != nil || !match {
+			return err == nil, err
+		}
+		return fn(row), nil
+	}
+	for _, c := range where {
+		vm, indexed := t.indexes[c.Col]
+		if c.Op != OpEq || !indexed && c.Col != t.schema.PrimaryKey {
+			continue
+		}
+		ct, _ := colType(t.schema, c.Col)
+		nv, err := normalize(ct, c.Val)
+		if err != nil {
+			return err
+		}
+		var buf [64]byte
+		key := appendKey(buf[:0], nv)
+		if c.Col == t.schema.PrimaryKey {
+			if row, ok := t.rows[string(key)]; ok {
+				_, err = visit(row)
+			}
+			return err
+		}
+		for pk := range vm[string(key)] {
+			if more, err := visit(t.rows[pk]); err != nil || !more {
+				return err
+			}
+		}
+		return nil
+	}
+	for _, row := range t.rows {
+		if more, err := visit(row); err != nil || !more {
+			return err
+		}
+	}
+	return nil
+}
+
 // Count returns the number of rows matching the conditions.
 func (db *DB) Count(tableName string, where ...Cond) (int, error) {
-	rows, err := db.Select(tableName, Query{Where: where})
-	if err != nil {
-		return 0, err
-	}
-	return len(rows), nil
+	n := 0
+	err := db.Each(tableName, where, func(Row) bool { n++; return true })
+	return n, err
 }
 
 // Tables lists table names, sorted.

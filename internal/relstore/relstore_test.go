@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -186,6 +187,57 @@ func TestSelectErrors(t *testing.T) {
 	}
 	if _, err := db.Select("units", Query{Where: []Cond{{"cpus", OpHas, "x"}}}); err == nil {
 		t.Error("contains on int accepted")
+	}
+}
+
+// TestEachVisitsWhatSelectReturns: the in-place read visits exactly the
+// rows Select copies, whether the primary key, an index or a scan names
+// the candidates, stops when its callback says so, and rejects what Select
+// rejects.
+func TestEachVisitsWhatSelectReturns(t *testing.T) {
+	db := openMem(t)
+	seedUnits(t, db, 20)
+	uuids := func(rows []Row) []string {
+		out := make([]string, len(rows))
+		for i, r := range rows {
+			out[i] = r["uuid"].(string)
+		}
+		slices.Sort(out)
+		return out
+	}
+	for _, where := range [][]Cond{
+		{{"uuid", OpEq, "u007"}},                                // primary key
+		{{"uuid", OpEq, "u007"}, {"user", OpEq, "user0"}},       // primary key, then a condition it fails
+		{{"uuid", OpEq, "nope"}},                                // primary key, no row
+		{{"user", OpEq, "user2"}},                               // index
+		{{"cpus", OpGt, int64(40)}, {"project", OpEq, "proj1"}}, // index after a range condition
+		{{"cpus", OpEq, 12}},                                    // no index: scan, int normalized
+		{{"running", OpEq, true}},                               // scan
+		nil,                                                     // every row
+	} {
+		want, err := db.Select("units", Query{Where: where})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []Row
+		if err := db.Each("units", where, func(r Row) bool { got = append(got, r); return true }); err != nil {
+			t.Fatalf("Each(%v): %v", where, err)
+		}
+		if !slices.Equal(uuids(got), uuids(want)) {
+			t.Errorf("Each(%v) visited %v, Select returned %v", where, uuids(got), uuids(want))
+		}
+	}
+	visits := 0
+	if err := db.Each("units", []Cond{{"user", OpEq, "user1"}}, func(Row) bool { visits++; return false }); err != nil || visits != 1 {
+		t.Errorf("a callback returning false: %d visits, %v", visits, err)
+	}
+	for _, where := range [][]Cond{{{"ghost", OpEq, 1}}, {{"cpus", OpHas, "x"}}, {{"cpus", OpEq, "x"}}} {
+		if err := db.Each("units", where, func(Row) bool { return true }); err == nil {
+			t.Errorf("Each(%v) accepted", where)
+		}
+	}
+	if err := db.Each("ghost", nil, func(Row) bool { return true }); err == nil {
+		t.Error("Each on an unknown table accepted")
 	}
 }
 
