@@ -2,6 +2,8 @@
 // a slurmdbd endpoint for compute units, aggregates their metrics from a
 // Prometheus backend via remote read, stores everything in its relational
 // DB (with WAL and optional continuous backup), and serves the REST API.
+// A restart resumes the accounting from the store: each unit's row records
+// how far it is accounted, so no window is lost or counted twice.
 //
 // Usage:
 //

@@ -3,6 +3,7 @@ package api
 import (
 	"context"
 	"encoding/json"
+	"log"
 	"net/http"
 	"strconv"
 	"time"
@@ -240,9 +241,10 @@ func atoiDefault(s string, def int) int {
 	return n
 }
 
-// RunPeriodic drives the updater every interval and the optional backup
-// every backupInterval until ctx is cancelled (the production loop;
-// simulations call Update/Sync directly with virtual clocks).
+// RunPeriodic drives the updater at start-up and then every interval, and
+// the optional backup every backupInterval, until ctx is cancelled (the
+// production loop; simulations call Update/Sync directly with virtual
+// clocks). A failed pass or backup is logged with its error.
 func RunPeriodic(ctx context.Context, u *Updater, interval time.Duration, backup func() error, backupInterval time.Duration) {
 	if interval <= 0 {
 		interval = time.Minute
@@ -255,14 +257,22 @@ func RunPeriodic(ctx context.Context, u *Updater, interval time.Duration, backup
 		defer bt.Stop()
 		backupC = bt.C
 	}
+	update := func() {
+		if err := u.Update(ctx, time.Now()); err != nil {
+			log.Printf("api: update pass: %v", err)
+		}
+	}
+	update()
 	for {
 		select {
 		case <-ctx.Done():
 			return
 		case <-tick.C:
-			u.Update(ctx, time.Now())
+			update()
 		case <-backupC:
-			backup()
+			if err := backup(); err != nil {
+				log.Printf("api: backup: %v", err)
+			}
 		}
 	}
 }

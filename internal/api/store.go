@@ -20,6 +20,7 @@ const (
 	TableUsers    = "users"
 	TableProjects = "projects"
 	TableAdmins   = "admin_users"
+	tableMeta     = "meta" // key "fetch_from": the next pass's fetch bound, ms
 )
 
 // Schemas returns the unified DB schema for compute units of any resource
@@ -57,6 +58,7 @@ func Schemas() []relstore.Schema {
 				{Name: "total_energy_j", Type: relstore.ColFloat},
 				{Name: "emissions_g", Type: relstore.ColFloat},
 				{Name: "num_samples", Type: relstore.ColInt},
+				{Name: "accounted_until", Type: relstore.ColInt}, // ms; absent on rows written before it existed
 			},
 			PrimaryKey: "uuid",
 			Indexes:    []string{"user", "project", "cluster", "state", "id"},
@@ -100,6 +102,8 @@ func Schemas() []relstore.Schema {
 			},
 			PrimaryKey: "user",
 		},
+		{Name: tableMeta, PrimaryKey: "key", Columns: []relstore.Column{
+			{Name: "key", Type: relstore.ColText}, {Name: "value", Type: relstore.ColInt}}},
 	}
 }
 

@@ -41,11 +41,6 @@ type Updater struct {
 	// satisfies it, fanning the deletion across head shards.
 	Cleaner SeriesDeleter
 
-	lastUpdate time.Time
-	// behind holds, per unit UUID, the window start of a pass that failed
-	// for the unit: its row was left unchanged, so the next pass accounts
-	// it from there instead of from lastUpdate.
-	behind map[string]time.Time
 	// Stats.
 	UnitsSeen      int64
 	SeriesDeleted  int64
@@ -53,74 +48,78 @@ type Updater struct {
 }
 
 // Update runs one aggregation pass at the given (simulated or wall) time.
+// The pass keeps no clock of its own: each unit's window starts at its
+// row's accounted_until, and the fetch starts at the stored fetch_from, so
+// a restart resumes where the store left off. A unit or fetcher that fails
+// holds fetch_from back, and the next pass covers its window again.
 func (u *Updater) Update(ctx context.Context, now time.Time) error {
 	if u.Engine == nil {
 		u.Engine = promql.NewEngine()
 	}
-	windowStart := u.lastUpdate
-	if windowStart.IsZero() {
-		windowStart = now.Add(-time.Hour)
+	now = now.Truncate(time.Millisecond) // the watermarks are in ms
+	from := now.Add(-time.Hour)
+	if meta, found, err := u.Store.Get(tableMeta, "fetch_from"); err != nil {
+		return err
+	} else if found {
+		from = time.UnixMilli(i64(meta, "value"))
 	}
-	// Units a failed pass left behind are fetched from their own window
-	// start, so the oldest one bounds the fetch.
-	fetchFrom := windowStart
-	for _, t := range u.behind {
-		if t.Before(fetchFrom) {
-			fetchFrom = t
+	next := now.UnixMilli()
+	var firstErr error
+	fail := func(err error, start time.Time) {
+		next = min(next, start.UnixMilli())
+		if firstErr == nil {
+			firstErr = err
 		}
 	}
-	var firstErr error
 	for _, f := range u.Fetchers {
-		units, err := f.FetchUnits(ctx, fetchFrom.Add(-time.Minute))
+		units, err := f.FetchUnits(ctx, from.Add(-time.Minute))
 		if err != nil {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("api: fetch %s: %w", f.ClusterID(), err)
-			}
+			fail(fmt.Errorf("api: fetch %s: %w", f.ClusterID(), err), from)
 			continue
 		}
 		for _, unit := range units {
 			u.UnitsSeen++
-			start, late := u.behind[unit.UUID]
-			if !late {
-				start = windowStart
+			if start, err := u.updateUnit(ctx, unit, from, now); err != nil {
+				fail(err, start)
 			}
-			if err := u.updateUnit(ctx, unit, start, now); err != nil {
-				if u.behind == nil {
-					u.behind = make(map[string]time.Time)
-				}
-				u.behind[unit.UUID] = start
-				if firstErr == nil {
-					firstErr = err
-				}
-				continue
-			}
-			delete(u.behind, unit.UUID)
 		}
+	}
+	if err := u.Store.Upsert(tableMeta, relstore.Row{"key": "fetch_from", "value": next}); err != nil && firstErr == nil {
+		firstErr = err
 	}
 	if err := u.rollup(); err != nil && firstErr == nil {
 		firstErr = err
 	}
-	u.lastUpdate = now
 	u.UpdatesApplied++
 	return firstErr
 }
 
-// updateUnit merges the unit's metadata and the aggregate increment for
-// the [windowStart, now] window into the store. On error the unit's row is
-// left as it was.
-func (u *Updater) updateUnit(ctx context.Context, unit model.Unit, windowStart, now time.Time) error {
-	// Preserve previously accumulated aggregates.
+// updateUnit accounts the unit over [max(start, started_at), min(ended_at,
+// now)] and writes the aggregate and the window's end (accounted_until) in
+// one Upsert. start is the row's accounted_until, from without a row, and
+// now for a row written before the column existed. It returns start; on
+// error the row is left as it was.
+func (u *Updater) updateUnit(ctx context.Context, unit model.Unit, from, now time.Time) (time.Time, error) {
 	prev, found, err := u.Store.Get(TableUnits, unit.UUID)
 	if err != nil {
-		return err
+		return from, err
 	}
+	start := from
 	var agg model.UsageAggregate
 	if found {
-		agg = rowToUnit(prev).Aggregate
+		old := rowToUnit(prev)
+		agg = old.Aggregate
+		start = now
+		if ms, ok := prev["accounted_until"].(int64); ok {
+			start = time.UnixMilli(ms)
+		}
+		if old.State.Terminated() && start.UnixMilli() >= old.EndedAt {
+			return start, nil // accounted to its end, and the row says so
+		}
 	}
 
 	// Clamp the query window to the unit's lifetime.
-	qStart := windowStart
+	qStart := start
 	if s := time.UnixMilli(unit.StartedAt); unit.StartedAt > 0 && s.After(qStart) {
 		qStart = s
 	}
@@ -131,14 +130,15 @@ func (u *Updater) updateUnit(ctx context.Context, unit model.Unit, windowStart, 
 	if unit.StartedAt > 0 && qEnd.After(qStart) {
 		inc, err := u.queryIncrement(ctx, unit, qStart, qEnd)
 		if err != nil {
-			return err
+			return start, err
 		}
 		agg.Merge(inc)
 	}
 	unit.Aggregate = agg
-
-	if err := u.Store.Upsert(TableUnits, unitToRow(unit)); err != nil {
-		return err
+	row := unitToRow(unit)
+	row["accounted_until"] = max(qStart.UnixMilli(), qEnd.UnixMilli())
+	if err := u.Store.Upsert(TableUnits, row); err != nil {
+		return start, err
 	}
 
 	// Cardinality cleanup: short-lived terminated units lose their TSDB
@@ -151,7 +151,7 @@ func (u *Updater) updateUnit(ctx context.Context, unit model.Unit, windowStart, 
 		)
 		u.SeriesDeleted += int64(n)
 	}
-	return nil
+	return start, nil
 }
 
 // queryIncrement estimates the unit's usage over one window from TSDB. A

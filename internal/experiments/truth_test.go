@@ -3,10 +3,10 @@ package experiments
 import (
 	"context"
 	"errors"
-	"fmt"
 	"math"
 	"slices"
 	"strconv"
+	"sync"
 	"testing"
 	"time"
 
@@ -16,6 +16,7 @@ import (
 	"repro/internal/labels"
 	"repro/internal/model"
 	"repro/internal/promql"
+	"repro/internal/resourcemanager"
 )
 
 // jobAccount is one finished job: what the API server's units row holds
@@ -26,18 +27,37 @@ type jobAccount struct {
 	truthHost, truthGPU         float64 // hw truth
 }
 
-// accountJobs runs the smallSim platform (jz-mini) for d and returns every
-// finished job's row and truth.
-func accountJobs(t *testing.T, d time.Duration) []jobAccount {
+// faultFree is the fault-free 2 h jz-mini run every accounting leg is held
+// to. It is simulated once per test binary and only read afterwards.
+var faultFree struct {
+	once sync.Once
+	sim  *cluster.Sim
+	err  error
+}
+
+// accountJobs returns every finished job's row and truth in the fault-free
+// run.
+func accountJobs(t *testing.T) []jobAccount {
 	t.Helper()
-	sim, err := smallSim(context.Background(), d)
-	if err != nil {
-		t.Fatal(err)
+	faultFree.once.Do(func() {
+		faultFree.sim, faultFree.err = smallSim(context.Background(), 2*time.Hour)
+	})
+	if faultFree.err != nil {
+		t.Fatal(faultFree.err)
 	}
-	for _, e := range sim.Errors {
+	for _, e := range faultFree.sim.Errors {
 		t.Errorf("subsystem error: %s", e)
 	}
-	return simAccounts(t, sim)
+	return simAccounts(t, faultFree.sim)
+}
+
+// hostJoules sums the jobs' accounted host joules.
+func hostJoules(jobs []jobAccount) float64 {
+	sum := 0.0
+	for _, j := range jobs {
+		sum += j.host
+	}
+	return sum
 }
 
 // simAccounts returns every finished job's units row and truth in sim.
@@ -77,7 +97,7 @@ func quantile(xs []float64, q float64) float64 {
 // 1.0039, total 1.0162; |error| p50 6.6 %, p90 25.4 %, max 55.8 %), so a
 // change that moves the accounting either way fails here.
 func TestAccountingMatchesTruth(t *testing.T) {
-	jobs := accountJobs(t, 2*time.Hour)
+	jobs := accountJobs(t)
 	if len(jobs) < 100 {
 		t.Fatalf("%d finished jobs, want the run's 133", len(jobs))
 	}
@@ -146,34 +166,53 @@ func (q *flakyQueryable) SelectWithHints(hints model.SelectHints, ms ...*labels.
 	return q.Queryable.SelectWithHints(hints, ms...)
 }
 
-// TestAccountingExactUnderFaults is TestAccountingMatchesTruth's fault leg:
-// the same 2 h jz-mini run with every n-th updater read failing. A unit
-// whose pass failed keeps its row and is accounted from that pass's window
-// start by the next one, so once the faults stop the final pass brings
-// every job's energy back to the fault-free run's.
-func TestAccountingExactUnderFaults(t *testing.T) {
-	hostJoules := func(jobs []jobAccount) float64 {
-		sum := 0.0
-		for _, j := range jobs {
-			sum += j.host
+// flakyFetcher fails every n-th fetch; n = 0 passes every fetch through.
+type flakyFetcher struct {
+	resourcemanager.Fetcher
+	n, calls int
+}
+
+func (f *flakyFetcher) FetchUnits(ctx context.Context, since time.Time) ([]model.Unit, error) {
+	if f.n > 0 {
+		if f.calls++; f.calls%f.n == 0 {
+			return nil, errors.New("injected fetch failure")
 		}
-		return sum
 	}
-	want := hostJoules(accountJobs(t, 2*time.Hour))
-	for _, n := range []int{23, 7} {
-		t.Run(fmt.Sprintf("every_%d", n), func(t *testing.T) {
+	return f.Fetcher.FetchUnits(ctx, since)
+}
+
+// TestAccountingExactUnderFaults is TestAccountingMatchesTruth's fault leg:
+// the same 2 h jz-mini run with every n-th updater read, or every n-th unit
+// fetch, failing. A unit whose pass failed keeps its row and its
+// accounted_until, and a failed fetch holds the stored fetch bound back, so
+// once the faults stop the final pass brings every job's energy back to the
+// fault-free run's.
+func TestAccountingExactUnderFaults(t *testing.T) {
+	want := hostJoules(accountJobs(t))
+	for _, c := range []struct {
+		name           string
+		reads, fetches int
+	}{
+		{"every_23", 23, 0},
+		{"every_7", 7, 0},
+		{"fetch_every_5", 0, 5},
+		{"fetch_every_2", 0, 2},
+	} {
+		t.Run(c.name, func(t *testing.T) {
 			ctx := context.Background()
 			sim, err := newSmallSim()
 			if err != nil {
 				t.Fatal(err)
 			}
-			reads := &flakyQueryable{Queryable: sim.Updater.Query, n: n}
+			reads := &flakyQueryable{Queryable: sim.Updater.Query, n: c.reads}
+			fetches := &flakyFetcher{Fetcher: sim.Updater.Fetchers[0], n: c.fetches}
 			sim.Updater.Query = reads
+			sim.Updater.Fetchers = []resourcemanager.Fetcher{fetches}
 			sim.RunFor(ctx, 2*time.Hour)
 			if len(sim.Errors) == 0 {
-				t.Fatalf("no updater pass reported a failure with every %d-th read failing", n)
+				t.Fatalf("no updater pass reported a failure under %s", c.name)
 			}
-			reads.n = 0
+			reads.n, fetches.n = 0, 0
 			if err := sim.FinalizeUpdate(ctx); err != nil {
 				t.Fatalf("final update with faults off: %v", err)
 			}

@@ -158,11 +158,19 @@ func Open(dir string) (*DB, error) {
 	if err := db.loadSnapshot(filepath.Join(dir, snapshotFile)); err != nil && !os.IsNotExist(err) {
 		return nil, err
 	}
-	if err := db.replayWAL(filepath.Join(dir, walFile)); err != nil && !os.IsNotExist(err) {
+	walPath := filepath.Join(dir, walFile)
+	whole, err := db.replayWAL(walPath)
+	if err != nil && !os.IsNotExist(err) {
 		return nil, err
 	}
-	f, err := os.OpenFile(filepath.Join(dir, walFile), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := os.OpenFile(walPath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
+		return nil, err
+	}
+	// Whatever follows the last whole record (a torn tail) is cut off, so
+	// the next record starts a line of its own and later opens replay it.
+	if err := f.Truncate(whole); err != nil {
+		f.Close()
 		return nil, err
 	}
 	db.walF = f
@@ -182,9 +190,10 @@ func (db *DB) Close() error {
 }
 
 // CreateTable registers a table; creating an existing table with an equal
-// schema is a no-op. One that differs only in Indexes — a store written
-// before an index was added — takes the new list: the indexes are rebuilt
-// from its rows and the schema journalled, so the next open finds it equal.
+// schema is a no-op. One that extends it — the same primary key, columns
+// appended, other indexes: what an upgrade looks like to a data directory —
+// is adopted and journalled, so the next open finds it equal. Old rows keep
+// their values, and a new column reads as absent.
 func (db *DB) CreateTable(s Schema) error {
 	if err := s.Validate(); err != nil {
 		return err
@@ -192,37 +201,35 @@ func (db *DB) CreateTable(s Schema) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	if ex, ok := db.tables[s.Name]; ok {
-		reindexed := ex.schema
-		reindexed.Indexes = s.Indexes
-		if !reflect.DeepEqual(reindexed, s) {
-			return fmt.Errorf("relstore: table %s exists with different schema", s.Name)
-		}
-		if slices.Equal(ex.schema.Indexes, s.Indexes) {
+		if reflect.DeepEqual(ex.schema, s) {
 			return nil
 		}
-		ex.reindex(s.Indexes)
-	} else {
-		db.createTableLocked(s)
+		if n := len(ex.schema.Columns); s.PrimaryKey != ex.schema.PrimaryKey ||
+			len(s.Columns) < n || !slices.Equal(ex.schema.Columns, s.Columns[:n]) {
+			return fmt.Errorf("relstore: table %s exists with different schema", s.Name)
+		}
 	}
+	db.adoptLocked(s)
 	return db.appendWALLocked(walRecord{Op: "create", Table: s.Name, Schema: &s})
 }
 
-func (db *DB) createTableLocked(s Schema) {
-	t := &table{schema: s, rows: map[string]Row{}}
-	t.reindex(s.Indexes)
-	db.tables[s.Name] = t
-}
-
-// reindex makes indexes the table's secondary indexes, built from its rows.
-func (t *table) reindex(indexes []string) {
-	t.schema.Indexes = indexes
-	t.indexes = make(map[string]map[string]map[string]struct{}, len(indexes))
-	for _, idx := range indexes {
+// adoptLocked makes s the schema of its table, creating the table if it
+// does not exist and rebuilding the secondary indexes from its rows.
+func (db *DB) adoptLocked(s Schema) *table {
+	t, ok := db.tables[s.Name]
+	if !ok {
+		t = &table{rows: map[string]Row{}}
+		db.tables[s.Name] = t
+	}
+	t.schema = s
+	t.indexes = make(map[string]map[string]map[string]struct{}, len(s.Indexes))
+	for _, idx := range s.Indexes {
 		t.indexes[idx] = map[string]map[string]struct{}{}
 	}
 	for pk, row := range t.rows {
 		t.index(pk, row)
 	}
+	return t
 }
 
 // unindex takes the row stored under pk, if any, out of every secondary index.
@@ -325,22 +332,9 @@ func (db *DB) Upsert(tableName string, row Row) error {
 	if !ok {
 		return fmt.Errorf("relstore: no table %q", tableName)
 	}
-	norm := make(Row, len(row))
-	for _, c := range t.schema.Columns {
-		v, present := row[c.Name]
-		if !present {
-			continue
-		}
-		nv, err := normalize(c.Type, v)
-		if err != nil {
-			return fmt.Errorf("relstore: %s.%s: %w", tableName, c.Name, err)
-		}
-		norm[c.Name] = nv
-	}
-	for k := range row {
-		if _, ok := colType(t.schema, k); !ok {
-			return fmt.Errorf("relstore: %s: unknown column %q", tableName, k)
-		}
+	norm, err := normalizeRow(t.schema, row)
+	if err != nil {
+		return fmt.Errorf("relstore: %w", err)
 	}
 	pkv, ok := norm[t.schema.PrimaryKey]
 	if !ok || pkv == nil {

@@ -280,7 +280,8 @@ func TestCreateTableIdempotent(t *testing.T) {
 // is reopened under one that differs only in Indexes — what an upgrade that
 // adds an index looks like to an existing data directory. The table must
 // open, serve the new index with the rows it had, journal the change once so
-// later opens find the schemas equal, and keep it across a checkpoint.
+// later opens find the schemas equal, and keep it across a checkpoint. An
+// appended column is accepted the same way; any other column change is not.
 func TestCreateTableAddsIndexToPersistedTable(t *testing.T) {
 	dir := t.TempDir()
 	old := unitsSchema()
@@ -365,13 +366,60 @@ func TestCreateTableAddsIndexToPersistedTable(t *testing.T) {
 	if _, kept := db.tables["units"].indexes["cpus"]; kept {
 		t.Error("dropped index still maintained")
 	}
-	// Anything but Indexes still conflicts.
-	cols := unitsSchema()
-	cols.Columns = append(cols.Columns, Column{Name: "extra", Type: ColText})
-	if err := db.CreateTable(cols); err == nil {
-		t.Error("schema with another column accepted")
+	// An appended column is the other upgrade a data directory sees: the
+	// old rows keep their values, read the new column as absent, and stay
+	// so across a reopen and a checkpoint.
+	appended := unitsSchema()
+	appended.Columns = append(appended.Columns, Column{Name: "extra", Type: ColText})
+	if err := db.CreateTable(appended); err != nil {
+		t.Fatalf("appended column refused: %v", err)
+	}
+	if err := db.Upsert("units", Row{"uuid": "new", "extra": "x"}); err != nil {
+		t.Fatal(err)
 	}
 	db.Close()
+	for _, checkpoint := range []bool{false, true} {
+		db = reopen(appended)
+		if got := db.tables["units"].schema; !reflect.DeepEqual(got, appended) {
+			t.Fatalf("reopened schema %+v, want %+v", got, appended)
+		}
+		if row, ok, _ := db.Get("units", "new"); !ok || row["extra"] != "x" {
+			t.Errorf("row written under the appended column = %v", row)
+		}
+		if _, err := db.Delete("units", "new"); err != nil {
+			t.Fatal(err)
+		}
+		if got, _ := db.Select("units", Query{}); !reflect.DeepEqual(got, all) {
+			t.Errorf("old rows changed across the column append (checkpoint %v)", checkpoint)
+		}
+		if err := db.Upsert("units", Row{"uuid": "new", "extra": "x"}); err != nil {
+			t.Fatal(err)
+		}
+		if checkpoint {
+			if err := db.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		db.Close()
+	}
+	// Anything but appended columns and indexes still conflicts.
+	db = reopen(appended)
+	defer db.Close()
+	for name, change := range map[string]func(*Schema){
+		"column inserted before the end": func(s *Schema) {
+			s.Columns = slices.Insert(s.Columns, 1, Column{Name: "inserted", Type: ColInt})
+		},
+		"column type changed": func(s *Schema) { s.Columns[3].Type = ColFloat },
+		"column dropped":      func(s *Schema) { s.Columns = s.Columns[:len(s.Columns)-1] },
+		"primary key changed": func(s *Schema) { s.PrimaryKey = "user" },
+	} {
+		s := appended
+		s.Columns = slices.Clone(appended.Columns)
+		change(&s)
+		if err := db.CreateTable(s); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
 }
 
 func TestPersistenceAcrossReopen(t *testing.T) {
@@ -497,10 +545,23 @@ func TestTornWALTailTolerated(t *testing.T) {
 	if err != nil {
 		t.Fatalf("torn tail broke open: %v", err)
 	}
-	defer db2.Close()
 	n, _ := db2.Count("units")
 	if n != 3 {
 		t.Errorf("rows = %d, want 3", n)
+	}
+	// The open cut the torn tail off, so a record written after it is
+	// not glued to the garbage and lost at the next open.
+	if err := db2.Upsert("units", Row{"uuid": "after-tear"}); err != nil {
+		t.Fatal(err)
+	}
+	db2.Close()
+	db3, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db3.Close()
+	if n, _ := db3.Count("units"); n != 4 {
+		t.Errorf("rows after a write behind the torn tail and a reopen = %d, want 4", n)
 	}
 }
 

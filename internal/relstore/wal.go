@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 )
@@ -135,8 +136,7 @@ func (db *DB) loadSnapshot(path string) error {
 	}
 	db.seq = snap.Seq
 	for name, st := range snap.Tables {
-		db.createTableLocked(st.Schema)
-		t := db.tables[name]
+		t := db.adoptLocked(st.Schema)
 		for pk, row := range st.Rows {
 			norm, err := normalizeRow(st.Schema, row)
 			if err != nil {
@@ -148,65 +148,49 @@ func (db *DB) loadSnapshot(path string) error {
 	return nil
 }
 
-// replayWAL applies WAL records on top of the loaded snapshot. Records at
-// or before the snapshot sequence are skipped; a trailing partial line
-// (torn write) is tolerated.
-func (db *DB) replayWAL(path string) error {
+// replayWAL applies WAL records on top of the loaded snapshot and returns
+// the length of the records it read whole. Records at or before the
+// snapshot sequence are skipped; a torn tail — a last line short of its
+// newline, or one that does not parse — ends the replay.
+func (db *DB) replayWAL(path string) (int64, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	defer f.Close()
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), 64*1024*1024)
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
+	r := bufio.NewReader(f)
+	for whole := int64(0); ; {
+		line, err := r.ReadBytes('\n')
+		if err != nil && err != io.EOF {
+			return 0, err
 		}
 		var rec walRecord
-		if err := json.Unmarshal(line, &rec); err != nil {
-			// Torn tail write: stop replaying, keep what we have.
-			break
+		if err == io.EOF || json.Unmarshal(line, &rec) != nil {
+			return whole, nil
 		}
+		whole += int64(len(line))
 		if rec.Seq <= db.seq {
 			continue
 		}
 		db.seq = rec.Seq
 		db.walN++
-		switch rec.Op {
-		case "create":
-			if rec.Schema == nil {
-				continue
+		t := db.tables[rec.Table]
+		switch {
+		case rec.Op == "create" && rec.Schema != nil:
+			db.adoptLocked(*rec.Schema)
+		case rec.Op == "upsert" && t != nil:
+			if norm, err := normalizeRow(t.schema, rec.Row); err == nil {
+				db.upsertLocked(t, rec.PK, norm)
 			}
-			if t, exists := db.tables[rec.Table]; exists {
-				t.reindex(rec.Schema.Indexes) // the only change CreateTable journals for an existing table
-			} else {
-				db.createTableLocked(*rec.Schema)
-			}
-		case "upsert":
-			t, ok := db.tables[rec.Table]
-			if !ok {
-				continue
-			}
-			norm, err := normalizeRow(t.schema, rec.Row)
-			if err != nil {
-				continue
-			}
-			db.upsertLocked(t, rec.PK, norm)
-		case "delete":
-			t, ok := db.tables[rec.Table]
-			if !ok {
-				continue
-			}
+		case rec.Op == "delete" && t != nil:
 			t.unindex(rec.PK)
 			delete(t.rows, rec.PK)
 		}
 	}
-	return sc.Err()
 }
 
-// normalizeRow coerces all values of a JSON-decoded row to schema types.
+// normalizeRow coerces the values of a row to the schema's column types,
+// undoing JSON's; a column the schema lacks is an error.
 func normalizeRow(s Schema, row Row) (Row, error) {
 	out := make(Row, len(row))
 	for _, c := range s.Columns {
@@ -216,9 +200,14 @@ func normalizeRow(s Schema, row Row) (Row, error) {
 		}
 		nv, err := normalize(c.Type, v)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("%s.%s: %w", s.Name, c.Name, err)
 		}
 		out[c.Name] = nv
+	}
+	for k := range row {
+		if _, ok := out[k]; !ok {
+			return nil, fmt.Errorf("%s: unknown column %q", s.Name, k)
+		}
 	}
 	return out, nil
 }
