@@ -90,7 +90,7 @@ func main() {
 		topo.Name, topo.TotalNodes(), topo.TotalGPUs(), cfg.Sim.JobsPerDay, *accel)
 
 	// HTTP endpoints: Prometheus API behind the LB, plus the CEEMS API.
-	// The query source is the thanos fan-in, or the quorum scatter-gather
+	// The query source is the thanos fan-in, or the ring's quorum read
 	// when clustered — sim.Engine() picks the right one.
 	eng, qsrc := sim.Engine()
 	promH := &promapi.Handler{

@@ -314,8 +314,14 @@ func TestVerifyEndpoint(t *testing.T) {
 			t.Errorf("verify(%s, %s) = %d, want %d", c.user, c.uuid, rec.Code, c.code)
 		}
 	}
-	if rec := doReq(t, h, "/api/v1/units/verify?user=alice", "alice"); rec.Code != 400 {
-		t.Errorf("missing uuid = %d", rec.Code)
+	// Without a uuid the endpoint answers whether the user is an admin.
+	for user, code := range map[string]int{"root": 200, "alice": 403} {
+		if rec := doReq(t, h, "/api/v1/units/verify?user="+user, user); rec.Code != code {
+			t.Errorf("admin check(%s) = %d, want %d", user, rec.Code, code)
+		}
+	}
+	if rec := doReq(t, h, "/api/v1/units/verify?uuid=1", ""); rec.Code != 400 {
+		t.Errorf("missing user = %d", rec.Code)
 	}
 }
 

@@ -21,6 +21,7 @@ import (
 //	GET /api/v1/users?cluster=
 //	GET /api/v1/projects?cluster=
 //	GET /api/v1/units/verify?user=<u>&uuid=<cluster/manager/id or bare id>
+//	GET /api/v1/units/verify?user=<u>   (admin check: 200 admin, 403 not)
 //	GET /api/v1/health
 //
 // The requesting identity arrives in the X-Grafana-User header; ordinary
@@ -138,11 +139,20 @@ func (s *Server) handleUnits(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 	user := r.URL.Query().Get("user")
 	uuid := r.URL.Query().Get("uuid")
-	if user == "" || uuid == "" {
-		http.Error(w, "user and uuid required", http.StatusBadRequest)
+	if user == "" {
+		http.Error(w, "user required", http.StatusBadRequest)
 		return
 	}
-	if s.IsAdmin(user) {
+	admin := s.IsAdmin(user)
+	if uuid == "" {
+		// No unit asked about: the caller (the LB) wants the admin bit.
+		if !admin {
+			w.WriteHeader(http.StatusForbidden)
+		}
+		writeJSON(w, map[string]bool{"admin": admin})
+		return
+	}
+	if admin {
 		writeJSON(w, map[string]bool{"owns": true})
 		return
 	}

@@ -15,7 +15,6 @@ import (
 
 	"repro/internal/config"
 	"repro/internal/labels"
-	"repro/internal/lb"
 	"repro/internal/model"
 	"repro/internal/promapi"
 	"repro/internal/promql"
@@ -148,7 +147,7 @@ func dumpAll(t *testing.T, sel func(model.SelectHints, ...*labels.Matcher) ([]mo
 // oracle, series by series and sample by sample.
 func (e *chaosEnv) assertByteExact() {
 	e.t.Helper()
-	got := dumpAll(e.t, e.ring.Scatter().SelectWithHints)
+	got := dumpAll(e.t, e.ring.SelectWithHints)
 	want := dumpAll(e.t, e.oracle.SelectWithHints)
 	compareDumps(e.t, "cluster", got, want)
 }
@@ -159,7 +158,7 @@ func (e *chaosEnv) assertByteExact() {
 // alongside.
 func (e *chaosEnv) assertCoversOracle() {
 	e.t.Helper()
-	got := dumpAll(e.t, e.ring.Scatter().SelectWithHints)
+	got := dumpAll(e.t, e.ring.SelectWithHints)
 	byLabels := map[string][]model.Sample{}
 	for _, s := range got {
 		byLabels[s.Labels.String()] = s.Samples
@@ -285,8 +284,8 @@ func TestQuorumPartitionHealRetry(t *testing.T) {
 
 	e.ring.Partition("node-1")
 	e.mustFail(30, 35)
-	var qerr *lb.ErrQuorumUnavailable
-	if _, err := e.ring.Scatter().SelectWithHints(model.SelectHints{End: math.MaxInt64}, matchAll()); !errors.As(err, &qerr) {
+	var qerr *model.ErrQuorumUnavailable
+	if _, err := e.ring.SelectWithHints(model.SelectHints{End: math.MaxInt64}, matchAll()); !errors.As(err, &qerr) {
 		t.Fatalf("read with one reachable replica should lose coverage, got %v", err)
 	}
 
@@ -439,7 +438,7 @@ func TestChaosClusterSim(t *testing.T) {
 func TestQuorumLabelEndpoints(t *testing.T) {
 	e := newChaosEnv(t, 3, 3, 2, 4)
 	e.run(0, 3)
-	h := (&promapi.Handler{Query: e.ring.Scatter()}).Mux()
+	h := (&promapi.Handler{Query: e.ring}).Mux()
 	get := func(path string) (int, string) {
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))

@@ -91,7 +91,7 @@ func TestTombstoneDeleteDuringPartition(t *testing.T) {
 	}
 	e.oracle.DeleteSeries(labels.MustMatcher(labels.MatchRegexp, "idx", "01[0-9]"))
 	e.ring.Heal()
-	if _, err := e.ring.Member("node-2").SelectWithHints(model.SelectHints{}, matchAll()); !errors.Is(err, ErrNodeStale) {
+	if _, err := e.ring.Member("node-2").readable(); !errors.Is(err, ErrNodeStale) {
 		t.Fatalf("stale member read err = %v, want ErrNodeStale", err)
 	}
 	e.assertByteExact()

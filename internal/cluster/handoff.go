@@ -21,7 +21,6 @@ import (
 	"sort"
 
 	"repro/internal/labels"
-	"repro/internal/lb"
 	"repro/internal/model"
 	"repro/internal/tsdb"
 	"repro/internal/workpool"
@@ -138,7 +137,7 @@ func (r *RingDB) SyncNode(name string) (HandoffStats, error) {
 		}
 	})
 
-	merged := lb.MergeReplicaSeries(dumps)
+	merged := model.MergeSeries(dumps)
 	stats.SeriesScanned = len(merged)
 
 	var batch []tsdb.BatchSample

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"errors"
+	"math"
 	"strings"
 	"testing"
 
@@ -33,7 +34,7 @@ func TestHandoffPartitionedSourceSkipped(t *testing.T) {
 	if want := 40 * 5; sync.SamplesApplied != want {
 		t.Fatalf("sync applied %d samples, want %d", sync.SamplesApplied, want)
 	}
-	if _, err := e.ring.Member("node-1").SelectWithHints(model.SelectHints{}, matchAll()); err != nil {
+	if _, err := e.ring.Member("node-1").readable(); err != nil {
 		t.Fatalf("synced member read err = %v, want nil", err)
 	}
 }
@@ -61,7 +62,7 @@ func TestHandoffAllSourcesUnavailable(t *testing.T) {
 		t.Fatalf("sync with no sources err = %v, want 'no usable sources'", err)
 	}
 	// The gate held: the unproven member still refuses reads.
-	if _, err := e.ring.Member("node-1").SelectWithHints(model.SelectHints{}); !errors.Is(err, ErrNodeWarming) {
+	if _, err := e.ring.Member("node-1").readable(); !errors.Is(err, ErrNodeWarming) {
 		t.Fatalf("unsynced member read err = %v, want ErrNodeWarming", err)
 	}
 
@@ -89,7 +90,7 @@ func TestHandoffWarmingExcluded(t *testing.T) {
 
 	// Excluded from reads: the member errors, the quorum read still answers
 	// byte-exactly over the two complete replicas.
-	if _, err := e.ring.Member("node-1").SelectWithHints(model.SelectHints{}); !errors.Is(err, ErrNodeWarming) {
+	if _, err := e.ring.Member("node-1").readable(); !errors.Is(err, ErrNodeWarming) {
 		t.Fatalf("warming member read err = %v, want ErrNodeWarming", err)
 	}
 	e.assertByteExact()
@@ -109,4 +110,49 @@ func TestHandoffWarmingExcluded(t *testing.T) {
 	if sync.Peers != 1 {
 		t.Fatalf("sync used %d peers, want 1 (node-1 is warming)", sync.Peers)
 	}
+}
+
+// TestHandoffJoinLeaveConcurrentIO: commits and quorum reads keep running
+// while members join and leave. The data paths iterate the member map with
+// no lock, so a topology change must publish a new map rather than write
+// the one they hold (the race detector checks that), and every acked write
+// must still read back byte-exactly once the ring is quiet.
+func TestHandoffJoinLeaveConcurrentIO(t *testing.T) {
+	e := newChaosEnv(t, 3, 3, 2, 20)
+	e.run(0, 5)
+
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for tick := 5; ; tick++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if err := e.commit(tick); err != nil {
+				t.Errorf("tick %d during membership change: %v", tick, err)
+				return
+			}
+			if _, err := e.ring.SelectWithHints(model.SelectHints{End: math.MaxInt64}, matchAll()); err != nil {
+				t.Errorf("read at tick %d during membership change: %v", tick, err)
+				return
+			}
+		}
+	}()
+	for _, n := range []string{"node-3", "node-4"} {
+		if _, err := e.ring.Join(n); err != nil {
+			t.Errorf("join %s: %v", n, err)
+		}
+		if _, err := e.ring.Leave(n); err != nil {
+			t.Errorf("leave %s: %v", n, err)
+		}
+	}
+	close(stop)
+	<-done
+	if t.Failed() {
+		return
+	}
+	e.assertByteExact()
 }

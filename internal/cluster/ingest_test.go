@@ -68,7 +68,7 @@ func TestRemoteWriteRingIngest(t *testing.T) {
 	}
 
 	readAll := func() []model.Series {
-		series, err := ring.Scatter().SelectWithHints(
+		series, err := ring.SelectWithHints(
 			model.SelectHints{Start: 0, End: 1 << 60},
 			labels.MustMatcher(labels.MatchEqual, labels.MetricName, "ring_pushed"))
 		if err != nil {

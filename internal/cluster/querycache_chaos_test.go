@@ -43,13 +43,13 @@ func TestRingQueryCacheChaos(t *testing.T) {
 		start, end := model.MillisToTime(startMs), model.MillisToTime(endMs)
 		step := time.Duration(stepMs) * time.Millisecond
 		eval := func(ctx context.Context, s, e2 time.Time, st time.Duration) (promql.Matrix, error) {
-			return eng.RangeCtx(ctx, e.ring.Scatter(), q, s, e2, st)
+			return eng.RangeCtx(ctx, e.ring, q, s, e2, st)
 		}
 		got, outcome, err := cache.RangeQuery(ctx, q, start, end, step, eval, nil)
 		if err != nil {
 			t.Fatalf("%s: %s through the cache (%s): %v", stage, q, outcome, err)
 		}
-		want, err := eng.RangeCtx(ctx, e.ring.Scatter(), q, start, end, step)
+		want, err := eng.RangeCtx(ctx, e.ring, q, start, end, step)
 		if err != nil {
 			t.Fatalf("%s: cold %s: %v", stage, q, err)
 		}

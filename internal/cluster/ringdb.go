@@ -16,13 +16,13 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/labels"
-	"repro/internal/lb"
 	"repro/internal/model"
 	"repro/internal/tsdb"
 	"repro/internal/workpool"
@@ -62,9 +62,10 @@ func (e *QuorumWriteError) Error() string {
 }
 
 // Member is one ring node: a *tsdb.DB behind an injectable fault surface.
-// It implements lb.SeriesBackend (reads) and the replication target for
-// batch appends (writes). The db pointer is atomic so Kill/Revive swap it
-// without stalling in-flight operations on other members.
+// It is a source of the ring's quorum read (read.go) and the replication
+// target for batch appends (writes). The db pointer is atomic so
+// Kill/Revive swap it without stalling in-flight operations on other
+// members.
 type Member struct {
 	name string
 
@@ -108,7 +109,7 @@ func (m *Member) BatchAppend(batch []tsdb.BatchSample) (int, error) {
 	return db.BatchAppend(batch)
 }
 
-// readable is the read-path gate shared by the lb.SeriesBackend methods:
+// readable is the read-path gate the ring's quorum read goes through:
 // on top of reachability, warming members refuse reads (their history may
 // miss acked samples until handoff completes) and tombstone-stale members
 // refuse reads (their history may contain acked-deleted series) — counting
@@ -127,33 +128,6 @@ func (m *Member) readable() (*tsdb.DB, error) {
 	return db, nil
 }
 
-// SelectWithHints implements lb.SeriesBackend.
-func (m *Member) SelectWithHints(hints model.SelectHints, ms ...*labels.Matcher) ([]model.Series, error) {
-	db, err := m.readable()
-	if err != nil {
-		return nil, err
-	}
-	return db.SelectWithHints(hints, ms...)
-}
-
-// LabelValues implements lb.SeriesBackend.
-func (m *Member) LabelValues(name string) ([]string, error) {
-	db, err := m.readable()
-	if err != nil {
-		return nil, err
-	}
-	return db.LabelValues(name), nil
-}
-
-// LabelNames implements lb.SeriesBackend.
-func (m *Member) LabelNames() ([]string, error) {
-	db, err := m.readable()
-	if err != nil {
-		return nil, err
-	}
-	return db.LabelNames(), nil
-}
-
 // RingDB coordinates N members behind one tsdb-shaped facade. All methods
 // are safe for concurrent use; topology changes (Kill/Revive/Join/Leave)
 // serialize on the mutex while the data paths read a consistent snapshot.
@@ -164,7 +138,6 @@ type RingDB struct {
 	mu      sync.RWMutex
 	ring    *Ring
 	members map[string]*Member
-	scatter *lb.ScatterGather
 	// open recreates a member's tsdb from its (per-name) WAL dir; Revive and
 	// Join depend on it.
 	open func(name string) (*tsdb.DB, error)
@@ -199,7 +172,6 @@ func NewRingDB(rf, w, vnodes int, open func(name string) (*tsdb.DB, error), name
 		members: make(map[string]*Member, len(names)),
 		open:    open,
 	}
-	r.scatter = lb.NewScatterGather(r, rf-w+1)
 	for _, n := range r.ring.Nodes() {
 		db, err := open(n)
 		if err != nil {
@@ -213,7 +185,6 @@ func NewRingDB(rf, w, vnodes int, open func(name string) (*tsdb.DB, error), name
 		m := &Member{name: n}
 		m.db.Store(db)
 		r.members[n] = m
-		r.scatter.SetReplica(n, m)
 	}
 	// Startup tombstone anti-entropy: a member that was down during a
 	// delete and a coordinator restart missed the tombstone fan-out, and
@@ -237,18 +208,6 @@ func NewRingDB(rf, w, vnodes int, open func(name string) (*tsdb.DB, error), name
 	return r, nil
 }
 
-// Scatter returns the quorum read path over the current members; hand it
-// to the PromQL engine, the query cache, and the LB.
-func (r *RingDB) Scatter() *lb.ScatterGather { return r.scatter }
-
-// Groups implements lb.Placement over the live ring.
-func (r *RingDB) Groups() [][]string {
-	r.mu.RLock()
-	ring := r.ring
-	r.mu.RUnlock()
-	return ring.OwnerGroups(r.R)
-}
-
 // Member returns a member by name, or nil.
 func (r *RingDB) Member(name string) *Member {
 	r.mu.RLock()
@@ -263,9 +222,10 @@ func (r *RingDB) MemberNames() []string {
 	return r.ring.Nodes()
 }
 
-// snapshot returns the current ring and member map (the map is shared, not
-// copied: members are only added/removed under mu, and the data paths
-// tolerate a member going down mid-flight via its own atomics).
+// snapshot returns the current ring and member map. Both are immutable once
+// published: Join and Leave install a changed copy under mu instead of
+// writing the map, so the data paths iterate it without a lock and
+// tolerate a member going down mid-flight via its own atomics.
 func (r *RingDB) snapshot() (*Ring, map[string]*Member) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
@@ -628,9 +588,10 @@ func (r *RingDB) Join(name string) (HandoffStats, error) {
 	m := &Member{name: name}
 	m.warming.Store(true)
 	m.db.Store(db)
-	r.members[name] = m
+	members := maps.Clone(r.members)
+	members[name] = m
+	r.members = members
 	r.ring = r.ring.WithNode(name)
-	r.scatter.SetReplica(name, m)
 	r.topoGen.Add(1)
 	r.mu.Unlock()
 	return r.SyncNode(name)
@@ -651,7 +612,6 @@ func (r *RingDB) Leave(name string) (HandoffStats, error) {
 		return HandoffStats{}, fmt.Errorf("cluster: leave would shrink below replication factor %d", r.R)
 	}
 	r.ring = r.ring.WithoutNode(name)
-	r.scatter.RemoveReplica(name)
 	r.topoGen.Add(1)
 	successors := r.ring.Nodes()
 	r.mu.Unlock()
@@ -668,7 +628,9 @@ func (r *RingDB) Leave(name string) (HandoffStats, error) {
 	}
 
 	r.mu.Lock()
-	delete(r.members, name)
+	members := maps.Clone(r.members)
+	delete(members, name)
+	r.members = members
 	r.mu.Unlock()
 	db := m.db.Swap(nil)
 	if db != nil {

@@ -103,8 +103,8 @@ func (p *gpuMapProvider) GPUOrdinalsByUnit() map[string][]exporter.GPUBinding {
 // tsdb, thanos, ring, api_server, emissions, cluster and sim sections. With
 // ring.nodes > 1 a consistent-hash ring of that many TSDB nodes replaces
 // the single hot TSDB: scrapes route through quorum batch appends, queries
-// scatter-gather across replicas, and there is no cold tier (each node
-// prunes its head to tsdb.retention instead).
+// are the ring's own quorum reads across replicas, and there is no cold
+// tier (each node prunes its head to tsdb.retention instead).
 //
 // reg, when not nil, receives the stack's self-instrumentation: the
 // single-node TSDB internals, the scrape manager, and (in cluster mode) the
@@ -231,7 +231,7 @@ func New(topo Topology, cfg config.Config, reg *telemetry.Registry) (*Sim, error
 	if sim.Ring != nil {
 		scrapeDest = sim.Ring
 		newBatch = func() scrape.Batch { return sim.Ring.NewBatch() }
-		hotQuery = sim.Ring.Scatter()
+		hotQuery = sim.Ring
 		ruleDest = sim.Ring
 		cleaner = sim.Ring
 	} else {
@@ -414,11 +414,11 @@ func (s *Sim) FinalizeUpdate(ctx context.Context) error {
 }
 
 // Engine returns a PromQL engine bound to the fan-in querier (or, in
-// cluster mode, the quorum scatter-gather) for ad-hoc queries against the
+// cluster mode, the ring's quorum read) for ad-hoc queries against the
 // simulation.
 func (s *Sim) Engine() (*promql.Engine, promql.Queryable) {
 	if s.Ring != nil {
-		return promql.NewEngine(), s.Ring.Scatter()
+		return promql.NewEngine(), s.Ring
 	}
 	return promql.NewEngine(), s.Querier
 }

@@ -64,8 +64,24 @@ type HTTPChecker struct {
 
 // Owns implements OwnershipChecker via GET /api/v1/units/verify.
 func (c *HTTPChecker) Owns(ctx context.Context, user, uuid string) (bool, error) {
-	u := fmt.Sprintf("%s/api/v1/units/verify?user=%s&uuid=%s",
-		c.BaseURL, url.QueryEscape(user), url.QueryEscape(uuid))
+	return c.verify(ctx, user, uuid)
+}
+
+// IsAdmin implements OwnershipChecker via GET /api/v1/units/verify with no
+// uuid. It fails closed: any error or unexpected status is "not admin".
+func (c *HTTPChecker) IsAdmin(ctx context.Context, user string) bool {
+	admin, err := c.verify(ctx, user, "")
+	return err == nil && admin
+}
+
+// verify asks the verify endpoint whether user owns uuid, or with uuid
+// empty whether user is an admin: 200 is yes, 403 is no, anything else an
+// error.
+func (c *HTTPChecker) verify(ctx context.Context, user, uuid string) (bool, error) {
+	u := c.BaseURL + "/api/v1/units/verify?user=" + url.QueryEscape(user)
+	if uuid != "" {
+		u += "&uuid=" + url.QueryEscape(uuid)
+	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
 	if err != nil {
 		return false, err
@@ -88,10 +104,6 @@ func (c *HTTPChecker) Owns(ctx context.Context, user, uuid string) (bool, error)
 	}
 	return false, fmt.Errorf("lb: verify endpoint returned %s", resp.Status)
 }
-
-// IsAdmin implements OwnershipChecker; admin resolution happens inside the
-// verify endpoint, so the HTTP checker never grants a local bypass.
-func (c *HTTPChecker) IsAdmin(context.Context, string) bool { return false }
 
 // Strategy selects how backends are balanced.
 type Strategy string

@@ -11,6 +11,9 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/api"
+	"repro/internal/relstore"
 )
 
 // stubChecker owns units by prefix: user "alice" owns uuids starting "a".
@@ -350,6 +353,43 @@ func TestHTTPChecker(t *testing.T) {
 	}
 	if c.IsAdmin(context.Background(), "root") {
 		t.Error("HTTP checker should not grant admin locally")
+	}
+}
+
+// TestHTTPCheckerAdminThroughAPIServer: behind the HTTP checker, the API
+// server's admin table decides who reaches the admin-only paths — an admin
+// gets a status page through the LB, an ordinary user still gets 403.
+func TestHTTPCheckerAdminThroughAPIServer(t *testing.T) {
+	store, err := relstore.Open("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range api.Schemas() {
+		if err := store.CreateTable(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	srv := &api.Server{Store: store}
+	if err := srv.AddAdmin("root"); err != nil {
+		t.Fatal(err)
+	}
+	apiHTTP := httptest.NewServer(srv.Handler())
+	defer apiHTTP.Close()
+	prom := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		w.Write([]byte(`{"status":"success"}`))
+	}))
+	defer prom.Close()
+	b, _ := NewBackend(prom.URL)
+	balancer := &LB{Backends: []*Backend{b}, Checker: &HTTPChecker{BaseURL: apiHTTP.URL}}
+
+	for user, code := range map[string]int{"root": 200, "alice": 403} {
+		req := httptest.NewRequest(http.MethodGet, "/api/v1/status/queries", nil)
+		req.Header.Set("X-Grafana-User", user)
+		rec := httptest.NewRecorder()
+		balancer.ServeHTTP(rec, req)
+		if rec.Code != code {
+			t.Errorf("%s on a status path = %d %s, want %d", user, rec.Code, rec.Body, code)
+		}
 	}
 }
 

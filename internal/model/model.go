@@ -83,6 +83,20 @@ type SelectHints struct {
 // budget is exhausted mid-pass.
 var ErrSampleLimit = errors.New("storage: query sample limit exceeded")
 
+// ErrQuorumUnavailable is returned by a replicated read when some owner
+// group had fewer answering replicas than the read quorum requires; the
+// merged answer could silently miss acked writes, so the read fails
+// instead.
+type ErrQuorumUnavailable struct {
+	Group     []string // the owner set missing coverage
+	Need, Got int
+}
+
+func (e *ErrQuorumUnavailable) Error() string {
+	return fmt.Sprintf("storage: read quorum unavailable: owner group %v answered %d/%d (need %d)",
+		e.Group, e.Got, len(e.Group), e.Need)
+}
+
 // TimeToMillis converts a time.Time to Unix milliseconds.
 func TimeToMillis(t time.Time) int64 { return t.UnixNano() / int64(time.Millisecond) }
 

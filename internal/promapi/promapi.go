@@ -15,7 +15,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/lb"
 	"repro/internal/model"
 	"repro/internal/promql"
 	"repro/internal/querycache"
@@ -77,7 +76,7 @@ type Handler struct {
 // the handler additionally serves /api/v1/labels and
 // /api/v1/label/<name>/values, the endpoints Grafana uses to populate
 // dashboard variable dropdowns. A Query whose metadata reads can fail, as
-// its reads can, is an lb.SeriesBackend instead: *lb.ScatterGather refuses
+// its reads can, returns an error from each instead: *cluster.RingDB refuses
 // an answer that too few replicas cover, and the endpoints report the error
 // like a failed query.
 type LabelStore interface {
@@ -178,7 +177,7 @@ func finishQuery(w http.ResponseWriter, r *http.Request, rq *telemetry.RunningQu
 // keeps this API's long-standing 422 convention.
 func writeQueryErr(w http.ResponseWriter, err error) {
 	code := http.StatusUnprocessableEntity
-	var noQuorum *lb.ErrQuorumUnavailable
+	var noQuorum *model.ErrQuorumUnavailable
 	if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) || errors.As(err, &noQuorum) {
 		code = http.StatusServiceUnavailable
 	}
@@ -324,7 +323,10 @@ func (h *Handler) serveLabels(w http.ResponseWriter, name string) {
 		} else {
 			list = ls.LabelValues(name)
 		}
-	case lb.SeriesBackend:
+	case interface {
+		LabelNames() ([]string, error)
+		LabelValues(name string) ([]string, error)
+	}:
 		if names {
 			list, err = ls.LabelNames()
 		} else {

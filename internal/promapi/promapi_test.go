@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"repro/internal/labels"
-	"repro/internal/lb"
 	"repro/internal/model"
 	"repro/internal/promql"
 	"repro/internal/tsdb"
@@ -217,13 +216,11 @@ func TestLabelsUnsupportedBackend(t *testing.T) {
 	}
 }
 
-// fallibleStore is an lb.SeriesBackend whose reads return an error, the
-// shape of the ring's scatter-gather reader.
+// fallibleStore is a store whose reads and label reads return an error,
+// the shape of the ring's quorum read.
 type fallibleStore struct {
 	err error
 }
-
-var _ lb.SeriesBackend = fallibleStore{}
 
 func (s fallibleStore) LabelNames() ([]string, error) { return []string{"a", "b"}, s.err }
 
@@ -251,8 +248,8 @@ func TestLabelsFallibleBackend(t *testing.T) {
 		}
 	}
 	for err, code := range map[error]int{
-		&lb.ErrQuorumUnavailable{Group: []string{"n1", "n2"}, Need: 2, Got: 1}:              503,
-		fmt.Errorf("scatter: %w", &lb.ErrQuorumUnavailable{Group: []string{"n1"}, Need: 1}): 503,
+		&model.ErrQuorumUnavailable{Group: []string{"n1", "n2"}, Need: 2, Got: 1}:              503,
+		fmt.Errorf("scatter: %w", &model.ErrQuorumUnavailable{Group: []string{"n1"}, Need: 1}): 503,
 		errors.New("disk on fire"): 422,
 	} {
 		h := (&Handler{Query: fallibleStore{err: err}}).Mux()

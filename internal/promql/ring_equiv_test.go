@@ -47,14 +47,14 @@ func TestRingScatterMatchesOracleRandom(t *testing.T) {
 		wantM, wantMErr := eng.RangeCtx(ctx, oracle, q, start, end, step)
 		wantV, wantVErr := eng.InstantCtx(ctx, oracle, q, at)
 		for k, ring := range rings {
-			got, err := eng.RangeCtx(ctx, ring.Scatter(), q, start, end, step)
+			got, err := eng.RangeCtx(ctx, ring, q, start, end, step)
 			switch {
 			case (err != nil) != (wantMErr != nil):
 				t.Errorf("ring %d: range %s [%v, %v] step %v: error %v, oracle %v", k, q, start, end, step, err, wantMErr)
 			case err == nil && !querycache.EqualMatrix(got, wantM):
 				t.Errorf("ring %d: range %s [%v, %v] step %v:\n got  %v\n want %v", k, q, start, end, step, got, wantM)
 			}
-			gotV, err := eng.InstantCtx(ctx, ring.Scatter(), q, at)
+			gotV, err := eng.InstantCtx(ctx, ring, q, at)
 			switch {
 			case (err != nil) != (wantVErr != nil):
 				t.Errorf("ring %d: instant %s at %v: error %v, oracle %v", k, q, at, err, wantVErr)
