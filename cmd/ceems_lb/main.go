@@ -20,7 +20,6 @@ import (
 
 	"repro/internal/config"
 	"repro/internal/lb"
-	"repro/internal/querycache"
 	"repro/internal/telemetry"
 )
 
@@ -38,12 +37,6 @@ func main() {
 	balancer := &lb.LB{Strategy: lb.Strategy(cfg.LB.Strategy), QueryTimeout: cfg.LB.QueryTimeout}
 	if cfg.Ring.ReplicationFactor > 0 && cfg.Ring.WriteQuorum > 0 {
 		balancer.ProxyRetries = cfg.Ring.ReplicationFactor - cfg.Ring.WriteQuorum
-	}
-	if cfg.LB.CacheBytes > 0 {
-		balancer.Cache = querycache.New(querycache.Options{
-			MaxBytes: cfg.LB.CacheBytes, Telemetry: reg, Name: "lb",
-		})
-		balancer.CacheTTL = cfg.LB.CacheTTL
 	}
 	for _, raw := range cfg.LB.Backends {
 		b, err := lb.NewBackend(raw)
@@ -63,7 +56,11 @@ func main() {
 		tick := time.NewTicker(cfg.LB.HealthInterval)
 		defer tick.Stop()
 		for range tick.C {
-			balancer.HealthCheck(context.Background())
+			// A pass ends by the next tick: a backend that has not
+			// answered by then is down.
+			ctx, cancel := context.WithTimeout(context.Background(), cfg.LB.HealthInterval)
+			balancer.HealthCheck(ctx)
+			cancel()
 		}
 	}()
 

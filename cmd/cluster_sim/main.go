@@ -100,7 +100,7 @@ func main() {
 		Queries: &telemetry.QueryLog{SlowThreshold: cfg.TSDB.SlowQueryThreshold},
 	}
 	if cfg.TSDB.QueryCacheBytes > 0 {
-		// The LB caches no range answers; this cache serves them exactly,
+		// The LB caches nothing; this cache serves range answers exactly,
 		// invalidated by the append progress of the ring or the head.
 		var head querycache.Head = sim.DB
 		if sim.Ring != nil {

@@ -19,7 +19,6 @@ import (
 	"repro/internal/lb"
 	"repro/internal/model"
 	"repro/internal/promql"
-	"repro/internal/querycache"
 	"repro/internal/relstore"
 	"repro/internal/resourcemanager"
 	"repro/internal/rules"
@@ -308,16 +307,10 @@ func New(topo Topology, cfg config.Config, reg *telemetry.Registry) (*Sim, error
 
 	// Load balancer over the (single, in this sim) query backend; the
 	// backend handler is installed by callers that serve HTTP. Ownership
-	// checks go straight to the API server. The response cache runs on the
-	// simulated clock so TTL expiry tracks simulated, not wall, time.
+	// checks go straight to the API server.
 	sim.LB = &lb.LB{
 		Strategy: lb.RoundRobin,
 		Checker:  &lb.APIServerChecker{Server: sim.APIServer},
-		Cache: querycache.New(querycache.Options{
-			MaxBytes: 16 << 20,
-			Clock:    func() time.Time { return sim.clock },
-		}),
-		CacheTTL: cfg.TSDB.ScrapeInterval,
 	}
 
 	sim.Gen = NewWorkloadGen(topo.Seed, cfg.Sim.Users, cfg.Sim.Projects, cfg.Sim.JobsPerDay, cpuParts, gpuParts)

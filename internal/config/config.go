@@ -101,8 +101,6 @@ type LBConfig struct {
 	APIServer      string        `yaml:"api_server" help:"CEEMS API server base URL for ownership checks (empty disables access control)"`
 	HealthInterval time.Duration `yaml:"health_interval" help:"backend health check interval"`
 	QueryTimeout   time.Duration `yaml:"query_timeout" help:"per-query proxy deadline covering ownership check and backend round-trip (0 disables)"`
-	CacheBytes     int64         `yaml:"cache_bytes" help:"response cache byte budget for instant, labels and label-values answers; repeats are served without hitting a backend (0 disables)"`
-	CacheTTL       time.Duration `yaml:"cache_ttl" help:"max staleness of cached responses"`
 }
 
 // EmissionsConfig selects emission factor providers in priority order
@@ -145,8 +143,7 @@ func Default() Config {
 		},
 		LB: LBConfig{
 			Listen: ":9091", Strategy: "round-robin", HealthInterval: 15 * time.Second,
-			QueryTimeout: 2 * time.Minute, CacheBytes: 32 << 20,
-			CacheTTL: 15 * time.Second,
+			QueryTimeout: 2 * time.Minute,
 		},
 		Emissions: EmissionsConfig{Providers: []string{"owid"}},
 		Sim: SimConfig{

@@ -153,6 +153,8 @@ func TestUnknownKeyRejected(t *testing.T) {
 		"thanos:\n  downsample: true",      // removed: always on
 		"lb:\n  proxy_retries: 1",          // removed: always R-W of the ring section
 		"lb:\n  cache_settled_ttl: 10m",    // removed: range answers are not cached by the LB
+		"lb:\n  cache_bytes: 33554432",     // removed: the LB caches no response
+		"lb:\n  cache_ttl: 15s",            // removed: likewise
 		"prometheus:\n  listen: \":9090\"", // no such section
 		"tsdb: 5",
 	} {
@@ -174,7 +176,7 @@ func forCommand(cmd string, args ...string) (Config, error) {
 
 func TestPrecedenceDefaultFileFlag(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "ceems.yaml")
-	file := "lb:\n  listen: \":7000\"\n  strategy: least-connection\n  backends: [http://a, http://b]\n  cache_ttl: 30s\nring:\n  write_quorum: 2\n  replication_factor: 3\n"
+	file := "lb:\n  listen: \":7000\"\n  strategy: least-connection\n  backends: [http://a, http://b]\n  query_timeout: 30s\nring:\n  write_quorum: 2\n  replication_factor: 3\n"
 	if err := os.WriteFile(path, []byte(file), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +192,7 @@ func TestPrecedenceDefaultFileFlag(t *testing.T) {
 		t.Errorf("backends = %q, want the flag's list, empty items dropped", got)
 	}
 	// file beats default; a flag left alone never clobbers it
-	if cfg.LB.Strategy != "least-connection" || cfg.LB.CacheTTL != 30*time.Second || cfg.Ring.WriteQuorum != 2 {
+	if cfg.LB.Strategy != "least-connection" || cfg.LB.QueryTimeout != 30*time.Second || cfg.Ring.WriteQuorum != 2 {
 		t.Errorf("file values clobbered by unset flags: %+v, W %d", cfg.LB, cfg.Ring.WriteQuorum)
 	}
 	// default survives where neither speaks
@@ -252,7 +254,6 @@ var pinned = map[string]map[string]string{
 		"config": "",
 		"listen": ":9091", "backends": "", "api-server": "", "strategy": "round-robin",
 		"health-interval": "15s", "query-timeout": "2m0s",
-		"cache-bytes": "33554432", "cache-ttl": "15s",
 		"replication-factor": "0", "write-quorum": "0",
 	},
 	"cluster_sim": {

@@ -36,11 +36,10 @@ type ownsAll struct{}
 func (ownsAll) Owns(context.Context, string, string) (bool, error) { return true, nil }
 func (ownsAll) IsAdmin(context.Context, string) bool               { return false }
 
-// TestLBRangeAnswersExact: behind an LB whose blob cache is on, a repeated
-// range query still reaches the backend, and the backend's result cache
-// answers it exactly — a sample appended inside the window between the two
-// requests is in the second answer, well within the LB's CacheTTL, and the
-// answer is byte for byte a cold evaluation's.
+// TestLBRangeAnswersExact: behind the LB, a repeated range query reaches
+// the backend, and the backend's result cache answers it exactly — a
+// sample appended inside the window between the two requests is in the
+// second answer, and the answer is byte for byte a cold evaluation's.
 func TestLBRangeAnswersExact(t *testing.T) {
 	db := tsdb.MustOpen(tsdb.DefaultOptions())
 	defer db.Close()
@@ -63,11 +62,7 @@ func TestLBRangeAnswersExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	balancer := &lb.LB{
-		Backends: []*lb.Backend{b}, Checker: ownsAll{}, Transport: backend,
-		Cache:    querycache.New(querycache.Options{MaxBytes: 1 << 20, Clock: now}),
-		CacheTTL: time.Hour,
-	}
+	balancer := &lb.LB{Backends: []*lb.Backend{b}, Checker: ownsAll{}, Transport: backend}
 	const path = `/api/v1/query_range?query=up{uuid="a1"}&start=100&end=700&step=15`
 	serve := func(h http.Handler) *httptest.ResponseRecorder {
 		t.Helper()

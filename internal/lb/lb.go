@@ -10,13 +10,13 @@ package lb
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/url"
 	"slices"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -156,26 +156,18 @@ type LB struct {
 	// QueryTimeout bounds each proxied request end to end (ownership check
 	// plus backend round-trip); 0 disables.
 	QueryTimeout time.Duration
-	// Cache, when set, stores successful GET responses of the instant
-	// query, labels and label-values endpoints in the shared query-result
-	// cache (blob entries with TTL expiry — the LB proxies opaque JSON, it
-	// does not evaluate PromQL). Range queries are not cached here: the
-	// backend's own result cache answers them exactly, behind its head
-	// watermark, where a blob here could only be up to CacheTTL stale.
-	// Lookups run strictly after access control — both the query expression
-	// and any match[] selectors (labels / label-values endpoints) pass the
-	// ownership check first — and keys exclude the requesting user: any
-	// user authorized for a query receives the same payload a backend would
-	// return. The LB answers /api/v1/status/querycache itself with the
-	// cache's counters; that surface is admin-only under the Checker.
+	// Cache is never filled or read by the LB, which keeps no response
+	// cache: promapi's range cache behind it is the stack's only one.
+	//
+	// Deprecated: kept for bench/ until T2 (ROADMAP U).
 	Cache *querycache.Cache
-	// CacheTTL bounds how long a cached response may be served; 0 picks
-	// DefaultCacheTTL. It is the LB's staleness bound: unlike promapi's
-	// head-watermark invalidation, a proxy cannot observe backend append
-	// progress, so freshness decays on a clock.
+	// CacheTTL is never read by the LB.
+	//
+	// Deprecated: kept for bench/ until T2 (ROADMAP U).
 	CacheTTL time.Duration
-	// Deprecated: CacheNow is read by nothing; entries expire on the
-	// Cache's own clock. It stays until the LB's cache goes.
+	// CacheNow is never read by the LB.
+	//
+	// Deprecated: kept for bench/ until T2 (ROADMAP U).
 	CacheNow func() time.Time
 	// ProxyRetries is how many additional distinct backends a safe (GET or
 	// HEAD) request may fail over to when a backend dies before sending any
@@ -195,8 +187,8 @@ type LB struct {
 	// failovers counts proxied requests that succeeded only on a retry
 	// backend.
 	failovers atomic.Int64
-	// proxied counts requests forwarded to a backend (cache hits excluded);
-	// proxyErrors counts the ones answered 502 after exhausting retries.
+	// proxied counts requests forwarded to a backend; proxyErrors counts the
+	// ones answered 502 after exhausting retries.
 	proxied     atomic.Int64
 	proxyErrors atomic.Int64
 }
@@ -214,7 +206,7 @@ func (lb *LB) InstrumentTelemetry(reg *telemetry.Registry) {
 		"Proxied requests that succeeded only on a retry backend.",
 		func() float64 { return float64(lb.failovers.Load()) })
 	reg.CounterFunc("telemetry_lb_proxied_total",
-		"Requests forwarded to a backend (cache hits excluded).",
+		"Requests forwarded to a backend.",
 		func() float64 { return float64(lb.proxied.Load()) })
 	reg.CounterFunc("telemetry_lb_proxy_errors_total",
 		"Requests answered 502 after every eligible backend failed.",
@@ -242,9 +234,6 @@ func (lb *LB) InstrumentTelemetry(reg *telemetry.Registry) {
 	}
 	lb.Metrics = reg
 }
-
-// DefaultCacheTTL rides the typical scrape cadence.
-const DefaultCacheTTL = 15 * time.Second
 
 // Denied returns how many requests were rejected by access control.
 func (lb *LB) Denied() int64 { return lb.denied.Load() }
@@ -345,29 +334,13 @@ func readPath(p string) bool {
 	return ok && name != "" && !strings.Contains(name, "/")
 }
 
-// ServeHTTP authorizes and proxies one query request, serving repeat
-// queries from the response cache when one is configured.
+// ServeHTTP authorizes and proxies one query request.
 func (lb *LB) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if lb.Metrics != nil && r.URL.Path == "/metrics" {
 		// Self-telemetry scrape surface: exact path only, and — like any
 		// exporter's /metrics — ahead of the user header requirement so a
 		// plain scrape loop can reach it.
 		lb.Metrics.ServeHTTP(w, r)
-		return
-	}
-	if lb.Cache != nil && r.URL.Path == "/api/v1/status/querycache" {
-		// Admin surface: counters leak which queries are warm; gate it like
-		// the rest of the admin bypasses (the checker decides who is admin).
-		user := r.Header.Get("X-Grafana-User")
-		if user == "" {
-			http.Error(w, "missing X-Grafana-User header", http.StatusUnauthorized)
-			return
-		}
-		if lb.Checker != nil && !lb.Checker.IsAdmin(r.Context(), user) {
-			http.Error(w, "querycache status is admin-only", http.StatusForbidden)
-			return
-		}
-		lb.serveCacheStatus(w)
 		return
 	}
 	if lb.QueryTimeout > 0 {
@@ -380,40 +353,27 @@ func (lb *LB) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "missing X-Grafana-User header", http.StatusUnauthorized)
 		return
 	}
-	params := r.URL.Query()
 	if lb.Checker != nil && !lb.Checker.IsAdmin(r.Context(), user) {
 		// Anything off the read surface — remote read and write, the status
-		// pages with other tenants' query text — carries no query the LB
-		// could check, so it is the admins' alone.
+		// pages with other tenants' query text or the result cache's
+		// counters — carries no query the LB could check, so it is the
+		// admins' alone.
 		if !readPath(r.URL.Path) {
 			lb.denied.Add(1)
 			http.Error(w, r.URL.Path+" is admin-only", http.StatusForbidden)
 			return
 		}
+		params := r.URL.Query()
 		if query := params.Get("query"); query != "" && !lb.authorize(w, r, user, query) {
 			return
 		}
 		// The labels/label-values endpoints scope their answer with match[]
 		// selectors instead of a query expression; those selectors carry the
-		// same uuid matchers and must pass the same ownership check — without
-		// it the response (which the cache would then share across users) is
-		// never access-checked at all.
+		// same uuid matchers and must pass the same ownership check.
 		for _, sel := range params["match[]"] {
 			if !lb.authorize(w, r, user, sel) {
 				return
 			}
-		}
-	}
-	// Cache lookup strictly after access control: a denied request never
-	// reaches here, and a cached payload is keyed only by what the backend
-	// would compute, never by who asked.
-	key, cacheable := lb.cacheKey(r, params)
-	if cacheable {
-		if body, ok := lb.Cache.GetBlob(key); ok {
-			w.Header().Set("Content-Type", "application/json")
-			w.Header().Set("X-Querycache", "hit")
-			w.Write(body)
-			return
 		}
 	}
 	backend := lb.pick()
@@ -421,85 +381,7 @@ func (lb *LB) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "no healthy backends", http.StatusBadGateway)
 		return
 	}
-	if !cacheable {
-		lb.proxy(w, r, backend)
-		return
-	}
-	w.Header().Set("X-Querycache", "miss")
-	cw := &captureWriter{ResponseWriter: w, limit: maxCachedBody}
-	complete := lb.proxy(cw, r, backend)
-	// Cache only fully-streamed 200s: a backend dying mid-body leaves a
-	// truncated buffer that must never be served as a hit.
-	if complete && cw.status == http.StatusOK && !cw.overflowed {
-		ttl := lb.CacheTTL
-		if ttl <= 0 {
-			ttl = DefaultCacheTTL
-		}
-		lb.Cache.PutBlob(key, cw.buf, ttl) // the cache owns buf from here
-	}
-}
-
-// maxCachedBody bounds how large a response body the LB will buffer for
-// the cache; larger responses stream through uncached.
-const maxCachedBody = 4 << 20
-
-// cacheKey builds the cache key for a request from its parsed query
-// parameters q, reporting false for requests the LB does not cache: non-GET,
-// range queries (the backend's result cache serves those exactly), and
-// paths off the read surface. PromQL queries are normalized — in q itself —
-// so formatting variants of the same panel share an entry; everything else
-// (labels, label values) falls back to the raw encoded parameters.
-func (lb *LB) cacheKey(r *http.Request, q url.Values) (string, bool) {
-	p := r.URL.Path
-	if lb.Cache == nil || r.Method != http.MethodGet || p == "/api/v1/query_range" || !readPath(p) {
-		return "", false
-	}
-	if expr := q.Get("query"); expr != "" {
-		q.Set("query", querycache.NormalizeQuery(expr))
-	}
-	return p + "?" + q.Encode(), true // Encode sorts keys: stable across clients
-}
-
-// serveCacheStatus answers /api/v1/status/querycache from the LB's own
-// cache (the same envelope promapi uses).
-func (lb *LB) serveCacheStatus(w http.ResponseWriter) {
-	st := lb.Cache.Stats()
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(map[string]any{
-		"status": "success",
-		"data":   map[string]any{"resultType": "querycache", "result": map[string]any{"enabled": true, "stats": st}},
-	})
-}
-
-// captureWriter tees a proxied response into a bounded buffer so the body
-// can be cached after it has streamed to the client. buf is handed to the
-// cache as is: the tee is the only copy the LB makes of a body.
-type captureWriter struct {
-	http.ResponseWriter
-	status     int
-	buf        []byte
-	limit      int
-	overflowed bool
-}
-
-func (cw *captureWriter) WriteHeader(code int) {
-	cw.status = code
-	cw.ResponseWriter.WriteHeader(code)
-}
-
-func (cw *captureWriter) Write(p []byte) (int, error) {
-	if cw.status == 0 {
-		cw.status = http.StatusOK
-	}
-	if !cw.overflowed {
-		if len(cw.buf)+len(p) > cw.limit {
-			cw.overflowed = true
-			cw.buf = nil
-		} else {
-			cw.buf = append(cw.buf, p...)
-		}
-	}
-	return cw.ResponseWriter.Write(p)
+	lb.proxy(w, r, backend)
 }
 
 // authorize checks that the user owns every uuid the query names; it
@@ -537,9 +419,12 @@ func (lb *LB) authorize(w http.ResponseWriter, r *http.Request, user, query stri
 // to another backend.
 func (lb *LB) Failovers() int64 { return lb.failovers.Load() }
 
-// roundTrip issues the request against one backend, marking it unhealthy
-// on a transport error. No response byte has been written on error, so
-// the caller may retry elsewhere.
+// roundTrip issues the request against one backend, counting it served
+// and in flight there; on success it stays in flight until the caller has
+// relayed the response and lowers b.active. A transport error marks the backend
+// unhealthy unless the request's own context ended first — its deadline or
+// a client that hung up is no fault of the backend's. No response byte has
+// been written on error, so the caller may retry elsewhere.
 func (lb *LB) roundTrip(r *http.Request, b *Backend) (*http.Response, error) {
 	out := r.Clone(r.Context())
 	out.URL.Scheme = b.URL.Scheme
@@ -552,9 +437,14 @@ func (lb *LB) roundTrip(r *http.Request, b *Backend) (*http.Response, error) {
 	if transport == nil {
 		transport = http.DefaultTransport
 	}
+	b.served.Add(1)
+	b.active.Add(1)
 	resp, err := transport.RoundTrip(out)
 	if err != nil {
-		b.SetHealthy(false)
+		b.active.Add(-1)
+		if r.Context().Err() == nil {
+			b.SetHealthy(false)
+		}
 		return nil, err
 	}
 	return resp, nil
@@ -575,53 +465,48 @@ func (lb *LB) pickExcluding(tried map[*Backend]bool) *Backend {
 	return nil
 }
 
-// proxy forwards the request to the backend and streams the response,
-// reporting whether the body was relayed to completion. When the backend
-// fails before a single response byte (transport error), safe requests
-// fail over to up to ProxyRetries other healthy backends before giving up
-// with a 502 — the HTTP face of the quorum read path: one dead replica
-// node must not surface as a query error.
-func (lb *LB) proxy(w http.ResponseWriter, r *http.Request, b *Backend) bool {
+// proxy forwards the request to the backend and streams the response.
+// When the backend fails before a single response byte (transport error),
+// safe requests fail over to up to ProxyRetries other healthy backends
+// before giving up with a 502 — the HTTP face of the quorum read path: one
+// dead replica node must not surface as a query error. A request whose own
+// context ended neither fails over nor counts as a proxy error: it is
+// answered 504, which a client that hung up never reads.
+func (lb *LB) proxy(w http.ResponseWriter, r *http.Request, b *Backend) {
 	lb.proxied.Add(1)
-	b.active.Add(1)
-	defer b.active.Add(-1)
-	b.served.Add(1)
-
 	resp, err := lb.roundTrip(r, b)
 	if err != nil && lb.ProxyRetries > 0 && (r.Method == http.MethodGet || r.Method == http.MethodHead) {
 		tried := map[*Backend]bool{b: true}
-		for i := 0; i < lb.ProxyRetries && err != nil; i++ {
+		for i := 0; i < lb.ProxyRetries && err != nil && r.Context().Err() == nil; i++ {
 			nb := lb.pickExcluding(tried)
 			if nb == nil {
 				break
 			}
 			tried[nb] = true
-			nb.served.Add(1)
-			resp, err = lb.roundTrip(r, nb)
-			if err == nil {
+			if resp, err = lb.roundTrip(r, nb); err == nil {
+				b = nb
 				lb.failovers.Add(1)
 			}
 		}
 	}
 	if err != nil {
+		if ctxErr := r.Context().Err(); ctxErr != nil {
+			http.Error(w, "query ended before a backend answered: "+ctxErr.Error(), http.StatusGatewayTimeout)
+			return
+		}
 		lb.proxyErrors.Add(1)
 		http.Error(w, "backend error: "+err.Error(), http.StatusBadGateway)
-		return false
+		return
 	}
+	defer b.active.Add(-1)
 	defer resp.Body.Close()
 	for k, vals := range resp.Header {
-		if k == "X-Querycache" && w.Header().Get(k) != "" {
-			// The LB already stamped its own cache outcome; don't stack the
-			// backend's on top when both layers run a cache.
-			continue
-		}
 		for _, v := range vals {
 			w.Header().Add(k, v)
 		}
 	}
 	w.WriteHeader(resp.StatusCode)
-	_, err = io.Copy(w, resp.Body)
-	return err == nil
+	_, _ = io.Copy(w, resp.Body) // past the status line, a relay error cannot change the answer
 }
 
 func singleJoin(a, b string) string {
@@ -634,22 +519,34 @@ func singleJoin(a, b string) string {
 	return a + b
 }
 
-// HealthCheck probes every backend's /-/healthy endpoint once, updating
-// flags; production deployments run it on a ticker.
+// HealthCheck probes every backend's /-/healthy endpoint once, all at
+// once and under ctx, updating flags: a backend that has not answered when
+// ctx ends is marked down, and cannot hold up the others' verdicts.
+// Production deployments run it on a ticker, each pass bounded by the
+// interval.
 func (lb *LB) HealthCheck(ctx context.Context) {
 	client := &http.Client{Transport: lb.Transport}
+	var wg sync.WaitGroup
 	for _, b := range lb.Backends {
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, b.URL.String()+"/-/healthy", nil)
-		if err != nil {
-			b.SetHealthy(false)
-			continue
-		}
-		resp, err := client.Do(req)
-		if err != nil {
-			b.SetHealthy(false)
-			continue
-		}
-		resp.Body.Close()
-		b.SetHealthy(resp.StatusCode == http.StatusOK)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			b.SetHealthy(probe(ctx, client, b.URL.String()+"/-/healthy"))
+		}()
 	}
+	wg.Wait()
+}
+
+// probe reports whether a GET of u answers 200 before ctx ends.
+func probe(ctx context.Context, client *http.Client, u string) bool {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
+	if err != nil {
+		return false
+	}
+	resp, err := client.Do(req)
+	if err != nil {
+		return false
+	}
+	resp.Body.Close()
+	return resp.StatusCode == http.StatusOK
 }

@@ -9,6 +9,7 @@ import (
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -153,6 +154,116 @@ func TestAccessControl(t *testing.T) {
 	}
 }
 
+// TestLBCacheAfterAccessControl: an owner's query is proxied, a non-owner's
+// identical query is denied before any backend sees it, and a second owner
+// is proxied again. The LB keeps no response cache: two identical instant
+// requests both reach the backend, and the LB stamps no X-Querycache of its
+// own on either.
+func TestLBCacheAfterAccessControl(t *testing.T) {
+	lb, _, counts := newTestLB(t, RoundRobin, 1)
+	const path = `/api/v1/query?query=m{uuid="a1"}`
+
+	if rec := get(t, lb, path, "alice"); rec.Code != 200 {
+		t.Fatalf("owner = %d", rec.Code)
+	}
+	if rec := get(t, lb, path, "bob"); rec.Code != 403 {
+		t.Fatalf("non-owner after the owner's request = %d, want 403", rec.Code)
+	}
+	rec := get(t, lb, path, "anna")
+	if rec.Code != 200 {
+		t.Fatalf("second owner = %d", rec.Code)
+	}
+	if got, ok := rec.Header()["X-Querycache"]; ok {
+		t.Fatalf("X-Querycache = %q, want none: the backend sent none", got)
+	}
+	if (*counts)[0] != 2 {
+		t.Fatalf("backend served %d of 2 authorized identical requests", (*counts)[0])
+	}
+}
+
+// TestLBLabelsMatchersAuthorized: the labels/label-values endpoints carry
+// their scoping in match[] selectors, not a query expression; those must
+// pass the same ownership check.
+func TestLBLabelsMatchersAuthorized(t *testing.T) {
+	lb, _, counts := newTestLB(t, RoundRobin, 1)
+
+	// Foreign uuid in a match[] selector: denied before the backend.
+	if rec := get(t, lb, `/api/v1/labels?match%5B%5D=m%7Buuid%3D%22b7%22%7D`, "alice"); rec.Code != 403 {
+		t.Fatalf("foreign match[] = %d, want 403", rec.Code)
+	}
+	if (*counts)[0] != 0 {
+		t.Fatalf("backend served %d denied requests", (*counts)[0])
+	}
+	owned := `/api/v1/label/instance/values?match%5B%5D=m%7Buuid%3D%22a1%22%7D`
+	if rec := get(t, lb, owned, "alice"); rec.Code != 200 {
+		t.Fatalf("owned match[] = %d", rec.Code)
+	}
+	// A non-owner's repeat of the identical request is denied.
+	if rec := get(t, lb, owned, "bob"); rec.Code != 403 {
+		t.Fatalf("non-owner after the owner's request = %d, want 403", rec.Code)
+	}
+	// Unenumerable match[] regexps fail closed like query expressions.
+	if rec := get(t, lb, `/api/v1/labels?match%5B%5D=m%7Buuid%3D~%22a.%2A%22%7D`, "alice"); rec.Code != 400 {
+		t.Fatalf("wildcard match[] = %d, want 400", rec.Code)
+	}
+	if (*counts)[0] != 1 {
+		t.Fatalf("backend served %d, want 1 (only the authorized request)", (*counts)[0])
+	}
+}
+
+// TestLBConcurrentDistinctKeysDoNotSerialize: two concurrent queries must
+// both be in flight at the backend at the same moment. The backend holds
+// each request until it has seen both, so the test deadlocks (and fails on
+// the watchdog) iff the LB serializes them; nothing here depends on timing
+// when the LB is concurrent.
+func TestLBConcurrentDistinctKeysDoNotSerialize(t *testing.T) {
+	const parallel = 2
+	var inFlight atomic.Int64
+	var peak atomic.Int64
+	bothArrived := make(chan struct{})
+	backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		n := inFlight.Add(1)
+		defer inFlight.Add(-1)
+		for {
+			p := peak.Load()
+			if n <= p || peak.CompareAndSwap(p, n) {
+				break
+			}
+		}
+		if n == parallel {
+			close(bothArrived)
+		}
+		select {
+		case <-bothArrived:
+		case <-time.After(5 * time.Second):
+		}
+		w.Write([]byte(`{"status":"success"}`))
+	}))
+	defer backend.Close()
+
+	b, err := NewBackend(backend.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lb := &LB{Backends: []*Backend{b}, Checker: &stubChecker{}}
+	var wg sync.WaitGroup
+	for i := 0; i < parallel; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			paths := []string{`/api/v1/query?query=m{uuid="a1"}`, `/api/v1/query?query=m{uuid="a2"}`}
+			rec := get(t, lb, paths[i], "alice")
+			if rec.Code != 200 {
+				t.Errorf("request %d = %d", i, rec.Code)
+			}
+		}()
+	}
+	wg.Wait()
+	if peak.Load() != parallel {
+		t.Fatalf("peak concurrency at backend = %d, want %d: distinct queries serialized", peak.Load(), parallel)
+	}
+}
+
 // TestNonAdminReadSurfaceOnly: a non-admin reaches the backend only through
 // the query API's read endpoints, whose scope the LB checks. Remote read,
 // remote write and the status pages carry no query to check, so they are
@@ -171,6 +282,7 @@ func TestNonAdminReadSurfaceOnly(t *testing.T) {
 		{http.MethodPost, "/api/v1/read"},
 		{http.MethodPost, "/api/v1/write"},
 		{http.MethodGet, "/api/v1/status/queries"},
+		{http.MethodGet, "/api/v1/status/querycache"},
 		{http.MethodGet, "/api/v1/label/a/b/values"},
 		{http.MethodGet, "/api/v1/label//values"},
 		{http.MethodGet, "/api/v1/query_exemplars"},
@@ -186,6 +298,11 @@ func TestNonAdminReadSurfaceOnly(t *testing.T) {
 	if (*counts)[0] != 0 {
 		t.Fatalf("backend saw %d requests off the read surface", (*counts)[0])
 	}
+	if rec := get(t, lb, "/api/v1/status/querycache", ""); rec.Code != http.StatusUnauthorized {
+		t.Errorf("anonymous status page = %d, want 401", rec.Code)
+	}
+	// Admins reach every path: the backend answers, promapi's result cache
+	// status page among them.
 	for _, c := range offSurface {
 		if code := do(c.method, c.path, "root"); code != http.StatusOK {
 			t.Errorf("admin %s %s = %d, want 200", c.method, c.path, code)
@@ -332,6 +449,40 @@ func TestHealthCheck(t *testing.T) {
 	}
 }
 
+// TestHealthCheckHungBackend: a backend that accepts the probe and never
+// answers is marked down when the caller's context ends, and holds up
+// neither the pass nor the healthy backend's verdict.
+func TestHealthCheckHungBackend(t *testing.T) {
+	release := make(chan struct{})
+	hung := httptest.NewServer(http.HandlerFunc(func(http.ResponseWriter, *http.Request) { <-release }))
+	defer hung.Close()
+	defer close(release) // runs before hung.Close, which waits for the handler
+	healthy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {}))
+	defer healthy.Close()
+	b0, _ := NewBackend(hung.URL)
+	b1, _ := NewBackend(healthy.URL)
+	lb := &LB{Backends: []*Backend{b0, b1}}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+	defer cancel()
+	done := make(chan struct{})
+	go func() {
+		lb.HealthCheck(ctx)
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("HealthCheck still blocked 5 s after its 100 ms context")
+	}
+	if b0.Healthy() {
+		t.Error("hung backend still marked up")
+	}
+	if !b1.Healthy() {
+		t.Error("healthy backend marked down behind the hung one")
+	}
+}
+
 func TestHTTPChecker(t *testing.T) {
 	api := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		uuid := r.URL.Query().Get("uuid")
@@ -444,6 +595,85 @@ func TestProxyFailover(t *testing.T) {
 	lb3 := &LB{Backends: []*Backend{b0}, Checker: &stubChecker{}, ProxyRetries: 2}
 	if rec := get(t, lb3, "/api/v1/query?query=up", "alice"); rec.Code != 502 {
 		t.Errorf("all-dead status = %d, want 502", rec.Code)
+	}
+}
+
+// TestLBDeadlineIsNotABackendFault: a query that outlives the LB's
+// QueryTimeout is answered 504, and neither fails over nor marks a backend
+// down — the next fast query is served at once.
+func TestLBDeadlineIsNotABackendFault(t *testing.T) {
+	lb := &LB{Checker: &stubChecker{}, QueryTimeout: 50 * time.Millisecond, ProxyRetries: 1}
+	var served atomic.Int64
+	for i := 0; i < 2; i++ {
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			served.Add(1)
+			if r.URL.Query().Get("query") == "slow" {
+				select {
+				case <-r.Context().Done():
+				case <-time.After(200 * time.Millisecond):
+				}
+			}
+			w.Write([]byte(`{"status":"success"}`))
+		}))
+		t.Cleanup(srv.Close)
+		b, err := NewBackend(srv.URL)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lb.Backends = append(lb.Backends, b)
+	}
+
+	if rec := get(t, lb, "/api/v1/query?query=slow", "alice"); rec.Code != http.StatusGatewayTimeout {
+		t.Fatalf("slow query = %d %s, want 504", rec.Code, rec.Body)
+	}
+	for i, b := range lb.Backends {
+		if !b.Healthy() {
+			t.Errorf("backend %d marked down by the query's own deadline", i)
+		}
+	}
+	if served.Load() != 1 || lb.Failovers() != 0 || lb.proxyErrors.Load() != 0 {
+		t.Errorf("backends saw %d, failovers %d, proxy errors %d; want 1, 0, 0",
+			served.Load(), lb.Failovers(), lb.proxyErrors.Load())
+	}
+	if rec := get(t, lb, "/api/v1/query?query=up", "alice"); rec.Code != 200 {
+		t.Fatalf("fast query after the deadline = %d %s", rec.Code, rec.Body)
+	}
+}
+
+// TestLBFailoverCountsActiveOnServingBackend: while a request fails over
+// from a dead backend, it is in flight on the backend that serves it, and
+// on no other.
+func TestLBFailoverCountsActiveOnServingBackend(t *testing.T) {
+	arrived, release := make(chan struct{}), make(chan struct{})
+	live := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		close(arrived)
+		<-release
+		w.Write([]byte(`{"status":"success"}`))
+	}))
+	defer live.Close()
+	dead := httptest.NewServer(http.HandlerFunc(func(http.ResponseWriter, *http.Request) {}))
+	bDead, _ := NewBackend(dead.URL)
+	bLive, _ := NewBackend(live.URL)
+	dead.Close()
+	// Least-connection with both idle picks the first backend: the dead one.
+	lb := &LB{Backends: []*Backend{bDead, bLive}, Strategy: LeastConnection, Checker: &stubChecker{}, ProxyRetries: 1}
+
+	done := make(chan int)
+	go func() { done <- get(t, lb, "/api/v1/query?query=up", "alice").Code }()
+	select {
+	case <-arrived:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the retry never reached the live backend")
+	}
+	if bDead.Active() != 0 || bLive.Active() != 1 {
+		t.Errorf("during the relay: dead Active() = %d, live Active() = %d; want 0 and 1", bDead.Active(), bLive.Active())
+	}
+	close(release)
+	if code := <-done; code != 200 || lb.Failovers() != 1 {
+		t.Fatalf("request = %d after %d failovers, want 200 after 1", code, lb.Failovers())
+	}
+	if bDead.Active() != 0 || bLive.Active() != 0 {
+		t.Errorf("after the relay: Active() = %d and %d, want 0 and 0", bDead.Active(), bLive.Active())
 	}
 }
 

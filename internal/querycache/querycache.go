@@ -1,9 +1,11 @@
-// Package querycache is the query-result cache shared by the promapi front
-// end and the CEEMS load balancer. Grafana dashboards re-issue the same
-// PromQL range queries every refresh against a head that advanced only a
-// few scrape intervals; this package turns that repeat traffic from
-// O(window) re-evaluation into O(1) lookups (exact repeats) or O(delta)
-// incremental work (overlapping windows, see RangeQuery's splice path).
+// Package querycache is the range-query result cache of the promapi front
+// end — the stack's only response cache; the CEEMS load balancer in front
+// of it authorizes and proxies, and caches nothing. Grafana dashboards
+// re-issue the same PromQL range queries every refresh against a head that
+// advanced only a few scrape intervals; this package turns that repeat
+// traffic from O(window) re-evaluation into O(1) lookups (exact repeats) or
+// O(delta) incremental work (overlapping windows, see RangeQuery's splice
+// path).
 //
 // # Structure
 //
@@ -11,15 +13,12 @@
 // shards, each an independent mutex + map + cost-based LRU list, with
 // entries routed by FNV-1a hash of their key. The total byte budget is
 // divided evenly across shards; inserting over budget evicts from that
-// shard's LRU tail. Three entry kinds share the striping:
+// shard's LRU tail. Two entry kinds share the striping:
 //
 //   - range entries: immutable promql.Matrix results on a step grid,
 //     reusable incrementally (RangeQuery),
 //   - negative entries: the engine limit error a range window tripped,
-//     replayed under the same staleness contract (RangeQuery),
-//   - blob entries: opaque byte payloads with TTL expiry (GetBlob/PutBlob)
-//     — the fallback the LB uses for response bodies it cannot interpret
-//     structurally.
+//     replayed under the same staleness contract (RangeQuery).
 //
 // Instant queries are not cached: a dashboard's stat panel asks at a new
 // time=now on every refresh, so an entry keyed by its timestamp would
@@ -84,7 +83,6 @@ import (
 	"fmt"
 	"hash/maphash"
 	"math"
-	"strings"
 	"sync"
 	"time"
 
@@ -120,9 +118,8 @@ type Options struct {
 	// Shards is the number of lock stripes, rounded up to a power of two;
 	// <= 0 picks 16.
 	Shards int
-	// Head supplies append progress. Required for PromQL caching
-	// (RangeQuery caches nothing without it); the blob API works without
-	// one.
+	// Head supplies append progress. Required: without it RangeQuery
+	// evaluates every request cold and stores nothing.
 	Head Head
 	// Lookback must match the evaluating engine's LookbackDelta; it is part
 	// of every PromQL key and of the padding used for the retention floor.
@@ -140,8 +137,9 @@ type Options struct {
 	// lookup, failing the query when a caller wrote to a shared answer — the
 	// always-on test oracle. Production paths leave it off.
 	Paranoid bool
-	// Clock supplies the time used for blob TTL expiry; nil means time.Now.
-	// The cluster simulator wires its simulated clock here.
+	// Clock is never read: no entry expires on a clock.
+	//
+	// Deprecated: kept for bench/ until T2 (ROADMAP U).
 	Clock func() time.Time
 	// Telemetry, when set, registers the cache's counters and occupancy
 	// gauges on this registry; the /api/v1/status/querycache JSON and the
@@ -149,8 +147,7 @@ type Options struct {
 	// disagree. Nil keeps the counters private to Stats().
 	Telemetry *telemetry.Registry
 	// Name labels the telemetry series (`cache="<name>"`) so multiple
-	// caches in one process (promapi and the LB both run one) stay
-	// distinguishable; empty picks "default".
+	// caches in one process stay distinguishable; empty picks "default".
 	Name string
 }
 
@@ -274,7 +271,7 @@ func (c *Cache) instrument() {
 	c.evictions = reg.Counter("telemetry_querycache_evictions_total",
 		"Entries evicted to stay inside the byte budget.", lbl...)
 	c.invalidations = reg.Counter("telemetry_querycache_invalidations_total",
-		"Entries dropped as stale (mutation gen change, purge, expiry).", lbl...)
+		"Entries dropped as stale (mutation gen change, stale limit error, purge).", lbl...)
 	c.coalesced = reg.Counter("telemetry_querycache_coalesced_total",
 		"Lookups that waited behind an identical in-flight evaluation.", lbl...)
 	c.negHits = reg.Counter("telemetry_querycache_neg_hits_total",
@@ -366,13 +363,6 @@ func (c *Cache) maxSteps() int64 {
 	return promql.DefaultMaxSteps
 }
 
-func (c *Cache) now() time.Time {
-	if c.opts.Clock != nil {
-		return c.opts.Clock()
-	}
-	return time.Now()
-}
-
 func (c *Cache) shardFor(key string) *cacheShard {
 	return c.shards[fnv64a(key)&c.mask]
 }
@@ -390,7 +380,6 @@ func fnv64a(s string) uint64 {
 // entry kinds.
 const (
 	kindRange uint8 = iota
-	kindBlob
 	// kindNegative caches a query-shaped failure (an engine *LimitError —
 	// the API's 422): a panel that trips MaxSamples re-trips it on every
 	// dashboard refresh, and the engine pays the full guardrail's worth of
@@ -421,10 +410,6 @@ type entry struct {
 	rendered        rendering
 	startMs, lastMs int64
 	stepMs          int64
-
-	// Blob payload.
-	blob      []byte
-	expiresMs int64 // cache-clock deadline, Unix ms; 0 = no expiry
 
 	// Negative payload: the limit error a cold evaluation of exactly the
 	// window startMs..lastMs produced.
@@ -589,60 +574,7 @@ func (e *entry) checksum() uint64 {
 	return h.Sum64()
 }
 
-// --- blob API -------------------------------------------------------------
-
-// GetBlob returns the payload stored under key, or false when absent or
-// expired. The returned slice is the cache's copy: callers must treat it as
-// read-only (write it to a response, do not modify it).
-func (c *Cache) GetBlob(key string) ([]byte, bool) {
-	key = "b\x00" + key
-	sh := c.shardFor(key)
-	e := sh.get(key)
-	if e == nil || e.kind != kindBlob {
-		c.misses.Add(1)
-		return nil, false
-	}
-	if e.expiresMs != 0 && c.now().UnixMilli() >= e.expiresMs {
-		sh.remove(key, e)
-		c.invalidations.Add(1)
-		c.misses.Add(1)
-		return nil, false
-	}
-	c.hits.Add(1)
-	return e.blob, true
-}
-
-// PutBlob stores an opaque payload under key for at most ttl (<= 0 stores
-// without expiry). It takes ownership of body: the cache keeps the slice
-// itself, so the caller must not write to it, or append within its capacity,
-// afterwards. The entry is charged for the whole backing array.
-func (c *Cache) PutBlob(key string, body []byte, ttl time.Duration) {
-	key = "b\x00" + key
-	e := &entry{
-		key:  key,
-		kind: kindBlob,
-		blob: body,
-		cost: int64(len(key)+cap(body)) + entryOverhead,
-	}
-	if ttl > 0 {
-		e.expiresMs = c.now().Add(ttl).UnixMilli()
-	}
-	evicted, _ := c.shardFor(key).put(e, nil)
-	c.evictions.Add(uint64(evicted))
-}
-
-// --- key building & costing ----------------------------------------------
-
-// NormalizeQuery returns the canonical form of a PromQL query (the parsed
-// expression reprinted), so whitespace and formatting variants of the same
-// panel query share one cache entry. Unparseable input is returned trimmed;
-// it will fail identically in the evaluator.
-func NormalizeQuery(q string) string {
-	if _, norm, err := promql.ParseNormalized(q); err == nil {
-		return norm
-	}
-	return strings.TrimSpace(q)
-}
+// --- costing -------------------------------------------------------------
 
 const entryOverhead = 128
 

@@ -391,28 +391,6 @@ func TestEvictionKeepsBudget(t *testing.T) {
 	}
 }
 
-func TestBlobTTL(t *testing.T) {
-	now := time.Unix(1000, 0)
-	c := New(Options{Clock: func() time.Time { return now }})
-	c.PutBlob("k", []byte("payload"), 10*time.Second)
-	if b, ok := c.GetBlob("k"); !ok || string(b) != "payload" {
-		t.Fatalf("GetBlob = %q, %v", b, ok)
-	}
-	now = now.Add(11 * time.Second)
-	if _, ok := c.GetBlob("k"); ok {
-		t.Fatal("expired blob served")
-	}
-	if st := c.Stats(); st.Invalidations != 1 {
-		t.Fatalf("stats = %+v, want 1 invalidation", st)
-	}
-	// No-TTL blobs persist.
-	c.PutBlob("k2", []byte("x"), 0)
-	now = now.Add(24 * time.Hour)
-	if _, ok := c.GetBlob("k2"); !ok {
-		t.Fatal("no-TTL blob expired")
-	}
-}
-
 func TestDegenerateRequestsBypass(t *testing.T) {
 	env := newEnv(t, Options{})
 	env.fill(40)
@@ -468,8 +446,6 @@ func TestConcurrentMixedAccess(t *testing.T) {
 						return
 					}
 				}
-				env.cache.PutBlob(fmt.Sprint("g", g), []byte("x"), time.Minute)
-				env.cache.GetBlob(fmt.Sprint("g", (g+1)%8))
 			}
 		}()
 	}
