@@ -87,12 +87,13 @@ telemetry:
 # equivalence property test, the block index against the brute-force
 # scan (TestBlockPostingsMatchScan) and compaction and downsampling against
 # the whole-block path they replaced, byte for byte
-# (Test{Compact,Downsample}MatchesOracleRandom) — randomized, so two
-# passes, under race. Set
+# (Test{Compact,Downsample}MatchesOracleRandom), and the Prometheus
+# role's maintenance pass over 12 simulated hours
+# (TestPrometheusBlockLifecycle) — randomized, so two passes, under race. Set
 # BLOCKS_ARTIFACT_DIR to keep the store directories of failing crash
 # states (CI uploads them on failure).
 blocks:
-	$(GO) test -race -count=2 -run 'Block|Compact|Downsample' ./internal/tsdb/ ./internal/thanos/
+	$(GO) test -race -count=2 -run 'Block|Compact|Downsample' ./internal/tsdb/ ./internal/thanos/ ./internal/cluster/
 
 # Head index harness (docs/ARCHITECTURE.md, "Head index"): the postings
 # property test — random matchers against a brute-force oracle, interleaved

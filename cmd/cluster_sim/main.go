@@ -19,7 +19,6 @@ import (
 	"log"
 	"net"
 	"net/http"
-	_ "net/http/pprof" // profiling endpoints on the -pprof-addr listener
 	"os"
 	"time"
 
@@ -27,11 +26,7 @@ import (
 	"repro/internal/config"
 	"repro/internal/lb"
 	"repro/internal/model"
-	"repro/internal/promapi"
-	"repro/internal/querycache"
 	"repro/internal/relstore"
-	"repro/internal/remotewrite"
-	"repro/internal/scrape"
 	"repro/internal/telemetry"
 )
 
@@ -71,64 +66,13 @@ func main() {
 	if err != nil {
 		log.Fatalf("sim: %v", err)
 	}
-	if sim.Ring != nil {
-		log.Printf("cluster: %d-node ring, R=%d W=%d (reads need %d live replicas per owner group)",
-			len(sim.Ring.MemberNames()), sim.Ring.R, sim.Ring.W, sim.Ring.R-sim.Ring.W+1)
-		for _, n := range sim.Ring.MemberNames() {
-			if ws, ok := sim.Ring.Member(n).DB().WALStats(); ok && ws.Replay.Samples > 0 {
-				r := ws.Replay
-				log.Printf("%s: wal replay: %d segments, %d samples recovered, %d torn-tail repairs, in %v",
-					n, r.Segments, r.Samples, r.TornRepairs, r.Duration)
-			}
-		}
-	} else if ws, ok := sim.DB.WALStats(); ok {
-		r := ws.Replay
-		log.Printf("tsdb: wal replay: %d shards, %d segments, %d records, %d samples recovered, %d torn-tail repairs, in %v",
-			r.Shards, r.Segments, r.Records, r.Samples, r.TornRepairs, r.Duration)
-	}
 	log.Printf("cluster_sim: %q with %d nodes (%d GPUs), %.0f jobs/day, %.0fx acceleration",
 		topo.Name, topo.TotalNodes(), topo.TotalGPUs(), cfg.Sim.JobsPerDay, *accel)
 
-	// HTTP endpoints: Prometheus API behind the LB, plus the CEEMS API.
-	// The query source is the thanos fan-in, or the ring's quorum read
-	// when clustered — sim.Engine() picks the right one.
-	eng, qsrc := sim.Engine()
-	promH := &promapi.Handler{
-		Engine: eng, Query: qsrc, Now: sim.Now,
-		Timeout: cfg.TSDB.QueryTimeout,
-		Metrics: reg,
-		Queries: &telemetry.QueryLog{SlowThreshold: cfg.TSDB.SlowQueryThreshold},
-	}
-	if cfg.TSDB.QueryCacheBytes > 0 {
-		// The LB caches nothing; this cache serves range answers exactly,
-		// invalidated by the append progress of the ring or the head.
-		var head querycache.Head = sim.DB
-		if sim.Ring != nil {
-			head = sim.Ring
-		}
-		promH.Cache = querycache.New(querycache.Options{
-			MaxBytes:  cfg.TSDB.QueryCacheBytes,
-			Head:      head,
-			Lookback:  eng.LookbackDelta,
-			MaxSteps:  eng.MaxSteps,
-			Telemetry: reg,
-			Name:      "promapi",
-		})
-	}
-	if cfg.TSDB.RemoteWrite {
-		rcv := &remotewrite.Receiver{Telemetry: reg}
-		if sim.Ring != nil {
-			// Pushed batches take the same W-quorum commit path as scrapes.
-			rcv.NewBatch = func() scrape.Batch { return sim.Ring.NewBatch() }
-		} else {
-			rcv.NewBatch = func() scrape.Batch { return sim.DB.Appender() }
-		}
-		promH.Ingest = rcv
-		log.Printf("remote-write ingest enabled (max in-flight %d, ooo window %v)", rcv.Stats().MaxInflight, cfg.TSDB.OOOWindow)
-	}
-	// The raw Prometheus API has one client, the LB in this process, so it
-	// takes whatever loopback port is free; bound before the LB is told
-	// about it, so the LB never proxies to nothing.
+	// HTTP endpoints: the Prometheus role's query API behind the LB, plus
+	// the CEEMS API. The raw query API has one client, the LB in this
+	// process, so it takes whatever loopback port is free; bound before the
+	// LB is told about it, so the LB never proxies to nothing.
 	rawLn, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		log.Fatalf("prometheus API: %v", err)
@@ -141,7 +85,7 @@ func main() {
 	// After Backends: the per-backend bridges close over the final list.
 	// The LB then also answers /metrics itself from the same registry.
 	sim.LB.InstrumentTelemetry(reg)
-	go func() { log.Fatal(http.Serve(rawLn, promH.Mux())) }()
+	go func() { log.Fatal(http.Serve(rawLn, sim.Handler.Mux())) }()
 	go func() {
 		log.Printf("prometheus API via LB on %s (access controlled)", cfg.TSDB.Listen)
 		log.Fatal(http.ListenAndServe(cfg.TSDB.Listen, sim.LB))
@@ -150,13 +94,8 @@ func main() {
 		log.Printf("CEEMS API on %s", cfg.APIServer.Listen)
 		log.Fatal(http.ListenAndServe(cfg.APIServer.Listen, sim.APIServer.Handler()))
 	}()
-	if cfg.TSDB.PprofAddr != "" {
-		go func() {
-			// net/http/pprof registered itself on DefaultServeMux; serve that
-			// mux only here, never on the query listeners.
-			log.Printf("pprof: serving on %s", cfg.TSDB.PprofAddr)
-			log.Fatal(http.ListenAndServe(cfg.TSDB.PprofAddr, nil))
-		}()
+	if err := sim.ListenPprof(); err != nil {
+		log.Fatal(err)
 	}
 
 	ctx := context.Background()
@@ -267,8 +206,12 @@ func printReport(sim *cluster.Sim) {
 			st.Pending, st.Running, st.Finished, live, len(sim.Ring.MemberNames()), series, samples)
 	} else {
 		ts := sim.DB.Stats()
-		fmt.Printf("jobs: %d pending / %d running / %d finished | tsdb: %d series, %d samples | cold blocks: %d\n",
-			st.Pending, st.Running, st.Finished, ts.NumSeries, ts.NumSamples, sim.Cold.NumBlocks())
+		fmt.Printf("jobs: %d pending / %d running / %d finished | tsdb: %d series, %d samples",
+			st.Pending, st.Running, st.Finished, ts.NumSeries, ts.NumSamples)
+		if sim.Cold != nil {
+			fmt.Printf(" | blocks: %d", sim.Cold.NumBlocks())
+		}
+		fmt.Println()
 	}
 	// Top users table (Fig 2a shape).
 	rows, err := sim.Store.Select("users", relstore.Query{OrderBy: "total_energy_j", Desc: true, Limit: 5})

@@ -13,21 +13,13 @@ import (
 	"flag"
 	"log"
 	"net/http"
-	_ "net/http/pprof" // profiling endpoints on the -pprof-addr listener
 	"os"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/config"
-	"repro/internal/promapi"
-	"repro/internal/promql"
-	"repro/internal/querycache"
-	"repro/internal/remotewrite"
-	"repro/internal/rules"
-	"repro/internal/rules/ceemsrules"
 	"repro/internal/scrape"
 	"repro/internal/telemetry"
-	"repro/internal/thanos"
-	"repro/internal/tsdb"
 )
 
 func main() {
@@ -39,7 +31,7 @@ func main() {
 	if len(cfg.TSDB.Targets) == 0 {
 		log.Fatal("at least one -targets entry required")
 	}
-	blockRng := cfg.Thanos.ShipInterval
+	cfg.Ring = config.RingConfig{} // one head: the ring is cluster_sim's
 
 	// One registry for the whole process: tsdb, scrape, engine, caches and
 	// ingest all register here, and /metrics serves it — the self-telemetry
@@ -47,23 +39,16 @@ func main() {
 	reg := telemetry.NewRegistry()
 	telemetry.RegisterProcess(reg)
 
-	opts := tsdb.DefaultOptions()
-	opts.WALDir = cfg.TSDB.WALDir
-	opts.OutOfOrderWindow = cfg.TSDB.OOOWindow.Milliseconds()
-	opts.Telemetry = reg
-	db, err := tsdb.Open(opts)
+	// The role: head, block store when thanos.dir is set, rules, and the
+	// query API with its cache and push ingest.
+	prom, err := cluster.NewPrometheus(cfg, reg)
 	if err != nil {
-		log.Fatalf("tsdb: %v", err)
-	}
-	if ws, ok := db.WALStats(); ok {
-		r := ws.Replay
-		log.Printf("tsdb: wal replay: %d shards, %d segments, %d records, %d samples (%d series) recovered, %d torn-tail repairs, in %v",
-			r.Shards, r.Segments, r.Records, r.Samples, r.Series, r.TornRepairs, r.Duration)
+		log.Fatal(err)
 	}
 	sm := &scrape.Manager{
-		Dest:     db,
+		Dest:     prom.DB,
 		Fetcher:  &scrape.HTTPFetcher{Username: cfg.Exporter.BasicAuthUser, Password: cfg.Exporter.BasicAuthPassword},
-		NewBatch: func() scrape.Batch { return db.Appender() },
+		NewBatch: prom.NewBatch,
 		Groups: []*scrape.TargetGroup{{
 			JobName:  "ceems",
 			Targets:  cfg.TSDB.Targets,
@@ -72,105 +57,23 @@ func main() {
 		}},
 	}
 	sm.InstrumentTelemetry(reg)
-	ropts := ceemsrules.DefaultOptions()
-	ropts.Interval = cfg.TSDB.RuleInterval
-	ropts.RateWindow = cfg.TSDB.RateWindow
-	rm := &rules.Manager{
-		Engine: rules.NewEngine(nil), Query: db, Dest: db,
-		Groups:  ceemsrules.AllGroups(ropts),
-		OnError: func(err error) { log.Printf("rules: %v", err) },
-	}
-	rm.Engine.InstrumentTelemetry(reg)
+	prom.Rules.OnError = func(err error) { log.Printf("rules: %v", err) }
 	ctx := context.Background()
 	go sm.Run(ctx)
-	go rm.Run(ctx)
-
-	// Head and block-store lifecycle, one pass per -block-range. Without
-	// -blocks-dir the head (plus its WAL) is the only store and the pass
-	// prunes it to the retention window. With it the pass ships the head
-	// cut into the cold store, compacts and downsamples, and queries go
-	// through the hot/cold fan-in querier so dashboards never notice the
-	// seam.
-	var queryable promql.Queryable = db
-	maintain := func(now time.Time) {
-		if _, err := db.Truncate(now.Add(-cfg.TSDB.RetentionPeriod).UnixMilli()); err != nil {
-			log.Printf("tsdb: retention: %v", err)
-		}
-	}
-	if cfg.Thanos.Dir != "" {
-		store, err := thanos.NewStore(cfg.Thanos.Dir)
-		if err != nil {
-			log.Fatalf("blocks: %v", err)
-		}
-		store.Instrument(reg)
-		log.Printf("blocks: store %s opened with %d blocks, cutting every %v", cfg.Thanos.Dir, store.NumBlocks(), blockRng)
-		sc := &thanos.Sidecar{DB: db, Store: store, HeadRetention: 2 * blockRng}
-		queryable = &thanos.Querier{Hot: db, Cold: store}
-		maintain = func(now time.Time) {
-			if err := sc.Ship(now); err != nil {
-				log.Printf("blocks: ship: %v", err)
-				return
-			}
-			if n, err := store.Compact(db.Tombstones()); err != nil {
-				log.Printf("blocks: compact: %v", err)
-			} else if n > 0 {
-				log.Printf("blocks: compacted %d block sets", n)
-			}
-			for _, lvl := range []struct {
-				age time.Duration
-				res time.Duration
-			}{{2 * blockRng, 5 * time.Minute}, {10 * blockRng, time.Hour}} {
-				n, err := store.Downsample(now.Add(-lvl.age).UnixMilli(), lvl.res)
-				if err != nil {
-					log.Printf("blocks: downsample %v: %v", lvl.res, err)
-				} else if n > 0 {
-					log.Printf("blocks: downsampled %d blocks to %v", n, lvl.res)
-				}
-			}
-		}
-	}
+	go prom.Rules.Run(ctx)
 	go func() {
-		tick := time.NewTicker(blockRng)
+		tick := time.NewTicker(cfg.Thanos.ShipInterval)
 		defer tick.Stop()
 		for now := range tick.C {
-			maintain(now)
+			if err := prom.Maintain(now); err != nil {
+				log.Printf("maintenance: %v", err)
+			}
 		}
 	}()
-
-	eng := promql.NewEngine()
-	eng.InstrumentTelemetry(reg)
-	h := &promapi.Handler{
-		Engine:  eng,
-		Query:   queryable,
-		Timeout: cfg.TSDB.QueryTimeout,
-		Metrics: reg,
-		Queries: &telemetry.QueryLog{SlowThreshold: cfg.TSDB.SlowQueryThreshold},
-	}
-	if cfg.TSDB.RemoteWrite {
-		h.Ingest = &remotewrite.Receiver{
-			NewBatch:  func() scrape.Batch { return db.Appender() },
-			Telemetry: reg,
-		}
-	}
-	if cfg.TSDB.QueryCacheBytes > 0 {
-		h.Cache = querycache.New(querycache.Options{
-			MaxBytes:  cfg.TSDB.QueryCacheBytes,
-			Head:      db,
-			Lookback:  eng.LookbackDelta,
-			MaxSteps:  eng.MaxSteps,
-			Telemetry: reg,
-			Name:      "promapi",
-		})
-	}
-	if cfg.TSDB.PprofAddr != "" {
-		go func() {
-			// net/http/pprof registered itself on DefaultServeMux; serve that
-			// mux only here, never on the query listener.
-			log.Printf("pprof: serving on %s", cfg.TSDB.PprofAddr)
-			log.Fatal(http.ListenAndServe(cfg.TSDB.PprofAddr, nil))
-		}()
+	if err := prom.ListenPprof(); err != nil {
+		log.Fatal(err)
 	}
 	log.Printf("prometheus_sim: scraping %s (class %s) every %v, serving %s (query cache %d bytes)",
 		cfg.TSDB.Targets, *class, cfg.TSDB.ScrapeInterval, cfg.TSDB.Listen, cfg.TSDB.QueryCacheBytes)
-	log.Fatal(http.ListenAndServe(cfg.TSDB.Listen, h.Mux()))
+	log.Fatal(http.ListenAndServe(cfg.TSDB.Listen, prom.Handler.Mux()))
 }

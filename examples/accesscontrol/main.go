@@ -18,7 +18,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/config"
 	"repro/internal/lb"
-	"repro/internal/promapi"
 	"repro/internal/relstore"
 )
 
@@ -37,8 +36,8 @@ func main() {
 	}
 	sim.APIServer.AddAdmin("operator")
 
-	// Prometheus API backend + LB in front.
-	backendSrv := httptest.NewServer((&promapi.Handler{Query: sim.Querier, Now: sim.Now}).Mux())
+	// The Prometheus role's query API as the backend, the LB in front.
+	backendSrv := httptest.NewServer(sim.Handler.Mux())
 	defer backendSrv.Close()
 	backend, _ := lb.NewBackend(backendSrv.URL)
 	sim.LB.Backends = []*lb.Backend{backend}

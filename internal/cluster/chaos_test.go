@@ -385,7 +385,7 @@ func TestHandoffJoinLeave(t *testing.T) {
 // answers from the surviving quorum, and the node rejoins through WAL
 // replay plus handoff without any subsystem error.
 func TestChaosClusterSim(t *testing.T) {
-	cfg := testConfig(4, 2, 1500)
+	cfg := testConfig(t, 4, 2, 1500)
 	cfg.Ring = config.RingConfig{Nodes: 3, ReplicationFactor: 3, WriteQuorum: 2}
 	cfg.TSDB.WALDir = filepath.Join(chaosDir(t), "simwal")
 	sim, err := New(smallTopo(), cfg, nil)

@@ -32,7 +32,7 @@ func (f *failingFetcher) Fetch(ctx context.Context, target string) (io.ReadClose
 // stale, and the rest of the fleet must keep attributing power.
 func TestExporterFailureIsolated(t *testing.T) {
 	topo := Topology{Name: "failtest", IntelNodes: 3, Seed: 9}
-	sim, err := New(topo, testConfig(3, 2, 2000), nil)
+	sim, err := New(topo, testConfig(t, 3, 2, 2000), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func (brokenManager) FetchUnits(context.Context, time.Time) ([]model.Unit, error
 // reported, other fetchers still update.
 func TestResourceManagerFailureIsolated(t *testing.T) {
 	topo := Topology{Name: "rmfail", IntelNodes: 2, Seed: 4}
-	sim, err := New(topo, testConfig(2, 2, 2000), nil)
+	sim, err := New(topo, testConfig(t, 2, 2, 2000), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestResourceManagerFailureIsolated(t *testing.T) {
 // reported like the ring path's, not dropped.
 func TestEmissionsAppendErrorRecorded(t *testing.T) {
 	topo := Topology{Name: "emfail", IntelNodes: 1, Seed: 5}
-	sim, err := New(topo, testConfig(1, 1, 100), nil)
+	sim, err := New(topo, testConfig(t, 1, 1, 100), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestEmissionsAppendErrorRecorded(t *testing.T) {
 // the same node with the same uuid-like labels.
 func TestCounterAcrossStaleGap(t *testing.T) {
 	topo := Topology{Name: "gap", IntelNodes: 1, Seed: 2}
-	sim, err := New(topo, testConfig(1, 1, 0), nil) // no workload gen
+	sim, err := New(topo, testConfig(t, 1, 1, 0), nil) // no workload gen
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,7 +11,6 @@ import (
 	"repro/internal/grafana"
 	"repro/internal/lb"
 	"repro/internal/model"
-	"repro/internal/promapi"
 	"repro/internal/promql"
 	"repro/internal/relstore"
 )
@@ -26,10 +25,12 @@ func smallTopo() Topology {
 }
 
 // testConfig is the default configuration with the synthetic workload set
-// and blocks cut every 30 simulated minutes, so an hour-long run ships.
-func testConfig(users, projects int, jobsPerDay float64) config.Config {
+// and a block store in a temporary directory, cut every 30 simulated
+// minutes, so an hour-long run ships.
+func testConfig(t *testing.T, users, projects int, jobsPerDay float64) config.Config {
 	cfg := config.Default()
 	cfg.Sim.Users, cfg.Sim.Projects, cfg.Sim.JobsPerDay = users, projects, jobsPerDay
+	cfg.Thanos.Dir = t.TempDir()
 	cfg.Thanos.ShipInterval = 30 * time.Minute
 	return cfg
 }
@@ -37,7 +38,7 @@ func testConfig(users, projects int, jobsPerDay float64) config.Config {
 // TestFullStack is the E1 (Fig. 1) experiment: every component wired
 // together over a mixed cluster, driven for an hour of simulated time.
 func TestFullStack(t *testing.T) {
-	sim, err := New(smallTopo(), testConfig(6, 3, 2000), nil)
+	sim, err := New(smallTopo(), testConfig(t, 6, 3, 2000), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +118,7 @@ func TestFullHTTPPath(t *testing.T) {
 	topo := smallTopo()
 	topo.GPUIncludedNodes = 0
 	topo.GPUExcludedNodes = 0
-	sim, err := New(topo, testConfig(4, 2, 1500), nil)
+	sim, err := New(topo, testConfig(t, 4, 2, 1500), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,9 +128,8 @@ func TestFullHTTPPath(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Serve the TSDB over the Prometheus API, front it with the LB.
-	promHandler := (&promapi.Handler{Query: sim.Querier, Now: sim.Now}).Mux()
-	promSrv := httptest.NewServer(promHandler)
+	// Serve the role's Prometheus API, front it with the LB.
+	promSrv := httptest.NewServer(sim.Handler.Mux())
 	defer promSrv.Close()
 	backend, err := lb.NewBackend(promSrv.URL)
 	if err != nil {

@@ -1,0 +1,144 @@
+package cluster
+
+import (
+	"context"
+	"net/http"
+	"net/http/httptest"
+	"testing"
+	"time"
+
+	"repro/internal/config"
+	"repro/internal/lb"
+	"repro/internal/thanos"
+)
+
+// tinyTopo is two CPU nodes: enough series for every block stage, cheap
+// enough for half a simulated day under race.
+func tinyTopo() Topology {
+	return Topology{Name: "tiny", IntelNodes: 1, AMDNodes: 1, Seed: 3}
+}
+
+// TestPrometheusBlockLifecycle: a Sim with thanos.dir set runs the block
+// store's maintenance pass on its cadence. After 12 simulated hours at a
+// 30 min cadence the directory, reopened, holds compacted blocks (level > 1)
+// and downsampled ones at 5m and at 1h.
+func TestPrometheusBlockLifecycle(t *testing.T) {
+	cfg := testConfig(t, 2, 1, 200)
+	sim, err := New(tinyTopo(), cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim.RunFor(context.Background(), 12*time.Hour)
+	for _, e := range sim.Errors {
+		t.Errorf("subsystem error: %s", e)
+	}
+	store, err := thanos.NewStore(cfg.Thanos.Dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	maxLevel, byRes := 0, map[time.Duration]int{}
+	for _, m := range store.BlockMetas() {
+		maxLevel = max(maxLevel, m.Level)
+		byRes[time.Duration(m.Resolution)*time.Millisecond]++
+	}
+	t.Logf("%d blocks on disk: max level %d, by resolution %v", store.NumBlocks(), maxLevel, byRes)
+	if maxLevel < 2 {
+		t.Errorf("max block level %d: nothing was compacted", maxLevel)
+	}
+	for _, res := range []time.Duration{0, 5 * time.Minute, time.Hour} {
+		if byRes[res] == 0 {
+			t.Errorf("no block at resolution %v on disk", res)
+		}
+	}
+}
+
+// TestPrometheusHeadOnlyPrunesToRetention: without thanos.dir the role
+// keeps no block store, queries read the head, and each maintenance pass
+// truncates the head at tsdb.retention.
+func TestPrometheusHeadOnlyPrunesToRetention(t *testing.T) {
+	cfg := testConfig(t, 2, 1, 200)
+	cfg.Thanos.Dir = ""
+	cfg.TSDB.RetentionPeriod = time.Hour
+	sim, err := New(tinyTopo(), cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim.RunFor(context.Background(), 3*time.Hour)
+	for _, e := range sim.Errors {
+		t.Errorf("subsystem error: %s", e)
+	}
+	if sim.Cold != nil {
+		t.Fatal("a head-only role opened a block store")
+	}
+	if _, q := sim.Engine(); q != sim.DB {
+		t.Errorf("query source %T, want the head", q)
+	}
+	// The last pass ran at the end of the run.
+	cutoff := sim.Now().Add(-time.Hour).UnixMilli()
+	if mint, ok := sim.DB.MinTime(); !ok || mint < cutoff {
+		t.Errorf("head MinTime %d (%v), want >= the retention cutoff %d", mint, ok, cutoff)
+	}
+}
+
+// TestPrometheusRingPrunesMembers: a ring keeps no block store even when
+// thanos.dir is set, and every member prunes its head to tsdb.retention.
+func TestPrometheusRingPrunesMembers(t *testing.T) {
+	cfg := testConfig(t, 2, 1, 200)
+	cfg.Ring = config.RingConfig{Nodes: 3, ReplicationFactor: 3, WriteQuorum: 2}
+	cfg.TSDB.RetentionPeriod = time.Hour
+	sim, err := New(tinyTopo(), cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { sim.Ring.Close() })
+	sim.RunFor(context.Background(), 3*time.Hour)
+	for _, e := range sim.Errors {
+		t.Errorf("subsystem error: %s", e)
+	}
+	if sim.Cold != nil || sim.DB != nil {
+		t.Fatalf("ring role has a block store (%v) or a single head (%v)", sim.Cold != nil, sim.DB != nil)
+	}
+	cutoff := sim.Now().Add(-time.Hour).UnixMilli()
+	for _, n := range sim.Ring.MemberNames() {
+		if mint, ok := sim.Ring.Member(n).DB().MinTime(); !ok || mint < cutoff {
+			t.Errorf("%s: head MinTime %d (%v), want >= the retention cutoff %d", n, mint, ok, cutoff)
+		}
+	}
+}
+
+// TestSimLBHonoursQueryTimeout: the LB in front of the Sim's query API is
+// built from the lb section, so lb.query_timeout bounds a request to a
+// stalled backend and the LB answers 504.
+func TestSimLBHonoursQueryTimeout(t *testing.T) {
+	cfg := testConfig(t, 1, 1, 0)
+	cfg.LB.QueryTimeout = 50 * time.Millisecond
+	cfg.LB.Strategy = string(lb.LeastConnection)
+	cfg.APIServer.AdminUsers = []string{"ops"}
+	sim, err := New(tinyTopo(), cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sim.LB.Strategy != lb.LeastConnection {
+		t.Errorf("LB strategy %q, want lb.strategy %q", sim.LB.Strategy, cfg.LB.Strategy)
+	}
+	stalled := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		select {
+		case <-r.Context().Done():
+		case <-time.After(2 * time.Second):
+		}
+	}))
+	defer stalled.Close()
+	backend, err := lb.NewBackend(stalled.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim.LB.Backends = []*lb.Backend{backend}
+	req := httptest.NewRequest(http.MethodGet, "/api/v1/query?query=up", nil)
+	req.Header.Set("X-Grafana-User", "ops")
+	rec := httptest.NewRecorder()
+	sim.LB.ServeHTTP(rec, req)
+	if rec.Code != http.StatusGatewayTimeout {
+		t.Errorf("stalled backend answered %d through the LB, want 504 after lb.query_timeout", rec.Code)
+	}
+}

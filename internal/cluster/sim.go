@@ -2,10 +2,8 @@ package cluster
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
-	"path/filepath"
 	"strings"
 	"time"
 
@@ -21,13 +19,9 @@ import (
 	"repro/internal/promql"
 	"repro/internal/relstore"
 	"repro/internal/resourcemanager"
-	"repro/internal/rules"
-	"repro/internal/rules/ceemsrules"
 	"repro/internal/scrape"
 	"repro/internal/slurmsim"
 	"repro/internal/telemetry"
-	"repro/internal/thanos"
-	"repro/internal/tsdb"
 )
 
 // simTime wraps the simulated wall clock.
@@ -40,15 +34,12 @@ type Sim struct {
 	// scrape interval is the base tick; every other cadence is a multiple.
 	Cfg config.Config
 
-	Sched *slurmsim.Scheduler
-	// DB is the hot TSDB in single-node mode; nil when clustered.
-	DB *tsdb.DB
-	// Ring is the replicated storage layer when Cfg.Ring.Nodes > 1;
-	// nil in single-node mode.
-	Ring      *RingDB
-	Cold      *thanos.Store
-	Sidecar   *thanos.Sidecar
-	Querier   *thanos.Querier
+	// Prometheus is the role the simulated fleet is scraped into, as
+	// prometheus_sim assembles it: its head or ring, block store, rules,
+	// query source and query API handler.
+	*Prometheus
+
+	Sched     *slurmsim.Scheduler
 	Store     *relstore.DB
 	Updater   *api.Updater
 	APIServer *api.Server
@@ -56,7 +47,6 @@ type Sim struct {
 	Gen       *WorkloadGen
 
 	scrapeMgr *scrape.Manager
-	rulesMgr  *rules.Manager
 	exporters map[string]*exporter.Exporter
 	clock     time.Time
 	tick      int64
@@ -99,17 +89,10 @@ func (p *gpuMapProvider) GPUOrdinalsByUnit() map[string][]exporter.GPUBinding {
 }
 
 // New assembles a simulation of the topology from the configuration: the
-// tsdb, thanos, ring, api_server, emissions, cluster and sim sections. With
-// ring.nodes > 1 a consistent-hash ring of that many TSDB nodes replaces
-// the single hot TSDB: scrapes route through quorum batch appends, queries
-// are the ring's own quorum reads across replicas, and there is no cold
-// tier (each node prunes its head to tsdb.retention instead).
-//
-// reg, when not nil, receives the stack's self-instrumentation: the
-// single-node TSDB internals, the scrape manager, and (in cluster mode) the
-// ring's quorum commit and membership metrics. Ring member TSDBs are not
-// individually instrumented — their series would collide on one registry;
-// the ring-level metrics cover the replicated path.
+// Prometheus role from the tsdb, thanos and ring sections (NewPrometheus),
+// and around it the simulated fleet, the API server and the LB from the
+// api_server, lb, emissions, cluster and sim sections. reg, when not nil,
+// receives the role's instruments and the scrape manager's.
 func New(topo Topology, cfg config.Config, reg *telemetry.Registry) (*Sim, error) {
 	start := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
 	nodesByClass, err := topo.buildNodes(simTime{start})
@@ -146,42 +129,12 @@ func New(topo Topology, cfg config.Config, reg *telemetry.Registry) (*Sim, error
 		return nil, err
 	}
 
-	// Storage: one hot TSDB (node ""), or a replicated ring of them, which
-	// journal under <wal_dir>/<node> and stay uninstrumented.
-	openDB := func(node string) (*tsdb.DB, error) {
-		o := tsdb.DefaultOptions()
-		o.OutOfOrderWindow = cfg.TSDB.OOOWindow.Milliseconds()
-		if node == "" {
-			o.Telemetry = reg
-		}
-		if cfg.TSDB.WALDir != "" {
-			o.WALDir = filepath.Join(cfg.TSDB.WALDir, node)
-		}
-		return tsdb.Open(o)
+	// The Prometheus role, scraping one target group per node class of
+	// in-process exporters on the simulated clock.
+	if sim.Prometheus, err = NewPrometheus(cfg, reg); err != nil {
+		return nil, err
 	}
-	if cfg.Ring.Nodes > 1 {
-		rf := cfg.Ring.ReplicationFactor
-		if rf <= 0 {
-			rf = min(3, cfg.Ring.Nodes)
-		}
-		w := cfg.Ring.WriteQuorum
-		if w <= 0 {
-			w = rf/2 + 1
-		}
-		nodeNames := make([]string, cfg.Ring.Nodes)
-		for i := range nodeNames {
-			nodeNames[i] = fmt.Sprintf("tsdb-%d", i)
-		}
-		sim.Ring, err = NewRingDB(rf, w, 0, openDB, nodeNames...)
-		if err != nil {
-			return nil, fmt.Errorf("cluster: open ring: %w", err)
-		}
-		if reg != nil {
-			sim.Ring.InstrumentTelemetry(reg)
-		}
-	} else if sim.DB, err = openDB(""); err != nil {
-		return nil, fmt.Errorf("cluster: open tsdb: %w", err)
-	}
+	sim.Handler.Now = sim.Now
 	var groups []*scrape.TargetGroup
 	for _, class := range Classes() {
 		nodes := nodesByClass[class]
@@ -217,64 +170,13 @@ func New(topo Topology, cfg config.Config, reg *telemetry.Registry) (*Sim, error
 			Interval: cfg.TSDB.ScrapeInterval,
 		})
 	}
-	// The write destination, query source and series cleaner are the ring
-	// in cluster mode, the single DB otherwise; everything downstream wires
-	// against these.
-	var (
-		scrapeDest scrape.Appender
-		newBatch   func() scrape.Batch
-		hotQuery   promql.Queryable
-		ruleDest   rules.Appender
-		cleaner    api.SeriesDeleter
-	)
-	if sim.Ring != nil {
-		scrapeDest = sim.Ring
-		newBatch = func() scrape.Batch { return sim.Ring.NewBatch() }
-		hotQuery = sim.Ring
-		ruleDest = sim.Ring
-		cleaner = sim.Ring
-	} else {
-		scrapeDest = sim.DB
-		newBatch = func() scrape.Batch { return sim.DB.Appender() }
-		hotQuery = sim.DB
-		ruleDest = sim.DB
-		cleaner = sim.DB
-	}
 	sim.scrapeMgr = &scrape.Manager{
-		Dest: scrapeDest, Fetcher: &exporterFetcher{sim: sim}, Groups: groups,
-		NewBatch: newBatch,
+		Dest: sim.head, Fetcher: &exporterFetcher{sim: sim}, Groups: groups,
+		NewBatch: sim.NewBatch,
 		Now:      func() time.Time { return sim.clock },
 	}
 	if reg != nil {
 		sim.scrapeMgr.InstrumentTelemetry(reg)
-	}
-
-	// Recording rules: all four hardware-class groups + emissions.
-	ropts := ceemsrules.DefaultOptions()
-	ropts.Interval = cfg.TSDB.RuleInterval
-	ropts.RateWindow = cfg.TSDB.RateWindow
-	sim.rulesMgr = &rules.Manager{
-		Engine: rules.NewEngine(nil), Query: hotQuery, Dest: ruleDest,
-		Groups: ceemsrules.AllGroups(ropts),
-	}
-	if reg != nil {
-		sim.rulesMgr.Engine.InstrumentTelemetry(reg)
-	}
-
-	// Long-term storage, in memory. The thanos sidecar ships blocks from
-	// one concrete hot DB, which keeps 2x the cut cadence so lookback
-	// windows never straddle a gap; in cluster mode every replica retains
-	// its own head instead (Step prunes on the ship cadence) and queries
-	// stay on the ring.
-	updaterQuery := hotQuery
-	if sim.Ring == nil {
-		sim.Cold, err = thanos.NewStore("")
-		if err != nil {
-			return nil, err
-		}
-		sim.Sidecar = &thanos.Sidecar{DB: sim.DB, Store: sim.Cold, HeadRetention: 2 * cfg.Thanos.ShipInterval}
-		sim.Querier = &thanos.Querier{Hot: sim.DB, Cold: sim.Cold}
-		updaterQuery = sim.Querier
 	}
 
 	// API server, on an in-memory store.
@@ -292,11 +194,11 @@ func New(topo Topology, cfg config.Config, reg *telemetry.Registry) (*Sim, error
 		Fetchers: []resourcemanager.Fetcher{
 			&resourcemanager.Local{Cluster: topo.Name, Kind: model.ManagerSLURM, Source: sim.Sched},
 		},
-		Query:           updaterQuery,
+		Query:           sim.Query,
 		Factor:          factor,
 		Zone:            cfg.Cluster.Zone,
 		ShortUnitCutoff: cfg.APIServer.ShortUnitCutoff,
-		Cleaner:         cleaner,
+		Cleaner:         sim.head,
 	}
 	sim.APIServer = &api.Server{Store: sim.Store, Updater: sim.Updater}
 	for _, admin := range cfg.APIServer.AdminUsers {
@@ -309,8 +211,9 @@ func New(topo Topology, cfg config.Config, reg *telemetry.Registry) (*Sim, error
 	// backend handler is installed by callers that serve HTTP. Ownership
 	// checks go straight to the API server.
 	sim.LB = &lb.LB{
-		Strategy: lb.RoundRobin,
-		Checker:  &lb.APIServerChecker{Server: sim.APIServer},
+		Strategy:     lb.Strategy(cfg.LB.Strategy),
+		QueryTimeout: cfg.LB.QueryTimeout,
+		Checker:      &lb.APIServerChecker{Server: sim.APIServer},
 	}
 
 	sim.Gen = NewWorkloadGen(topo.Seed, cfg.Sim.Users, cfg.Sim.Projects, cfg.Sim.JobsPerDay, cpuParts, gpuParts)
@@ -322,8 +225,8 @@ func (s *Sim) Now() time.Time { return s.clock }
 
 // Step advances one scrape interval: submit workload, advance hardware and
 // scheduler, scrape all nodes, ingest the emission factor, and run the
-// slower loops (rules, updater, sidecar) when their cadence divides the
-// tick.
+// slower loops (rules, updater, block lifecycle) when their cadence divides
+// the tick.
 func (s *Sim) Step(ctx context.Context) {
 	s.tick++
 	dt := s.Cfg.TSDB.ScrapeInterval
@@ -336,17 +239,13 @@ func (s *Sim) Step(ctx context.Context) {
 	// Emission factor as a series (so rules can join against it).
 	if f, err := s.Updater.Factor.Factor(ctx, s.Cfg.Cluster.Zone); err == nil {
 		ls := labels.FromStrings(labels.MetricName, "ceems_emission_factor_gco2_kwh", "zone", s.Cfg.Cluster.Zone)
-		if s.Ring != nil {
-			if err := s.Ring.Append(ls, s.clock.UnixMilli(), f.GramsPerKWh); err != nil {
-				s.recordError("emissions", err)
-			}
-		} else if err := s.DB.Append(ls, s.clock.UnixMilli(), f.GramsPerKWh); err != nil {
+		if err := s.head.Append(ls, s.clock.UnixMilli(), f.GramsPerKWh); err != nil {
 			s.recordError("emissions", err)
 		}
 	}
 
 	if s.every(s.Cfg.TSDB.RuleInterval) {
-		if err := s.rulesMgr.EvalAll(s.clock); err != nil {
+		if err := s.Rules.EvalAll(s.clock); err != nil {
 			s.recordError("rules", err)
 		}
 	}
@@ -356,20 +255,8 @@ func (s *Sim) Step(ctx context.Context) {
 		}
 	}
 	if s.every(s.Cfg.Thanos.ShipInterval) {
-		if s.Sidecar != nil {
-			if err := s.Sidecar.Ship(s.clock); err != nil {
-				s.recordError("sidecar", err)
-			}
-		} else if s.Ring != nil && s.Cfg.TSDB.RetentionPeriod > 0 {
-			// No cold tier in cluster mode: every replica prunes its own
-			// head on the same cadence the sidecar would have shipped.
-			// A down member is skipped by design; a failed checkpoint is not.
-			_, outs := s.Ring.Truncate(s.clock.Add(-s.Cfg.TSDB.RetentionPeriod).UnixMilli())
-			for _, mo := range outs {
-				if mo.Err != nil && !errors.Is(mo.Err, ErrNodeDown) {
-					s.recordError("truncate "+mo.Member, mo.Err)
-				}
-			}
+		if err := s.Maintain(s.clock); err != nil {
+			s.recordError("maintenance", err)
 		}
 	}
 }
@@ -406,12 +293,9 @@ func (s *Sim) FinalizeUpdate(ctx context.Context) error {
 	return s.Updater.Update(ctx, s.clock)
 }
 
-// Engine returns a PromQL engine bound to the fan-in querier (or, in
-// cluster mode, the ring's quorum read) for ad-hoc queries against the
-// simulation.
+// Engine returns a PromQL engine and the role's query source (the hot/cold
+// fan-in, the ring's quorum read, or the head) for ad-hoc queries against
+// the simulation.
 func (s *Sim) Engine() (*promql.Engine, promql.Queryable) {
-	if s.Ring != nil {
-		return promql.NewEngine(), s.Ring
-	}
-	return promql.NewEngine(), s.Querier
+	return promql.NewEngine(), s.Query
 }

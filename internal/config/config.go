@@ -53,7 +53,7 @@ type TSDBConfig struct {
 	Targets            []string      `yaml:"targets" help:"comma-separated exporter targets (host:port)"`
 	ScrapeInterval     time.Duration `yaml:"scrape_interval" help:"scrape interval"`
 	RuleInterval       time.Duration `yaml:"rule_interval" help:"rule evaluation interval"`
-	RetentionPeriod    time.Duration `yaml:"retention" help:"how much history a head keeps when no block store takes it over (head-only prometheus_sim, cluster_sim ring members)"`
+	RetentionPeriod    time.Duration `yaml:"retention" help:"how much history a head keeps when no block store takes it over (head-only processes and ring members)"`
 	RateWindow         string        `yaml:"rate_window" help:"range window of the recording rules' counter rates"`
 	QueryTimeout       time.Duration `yaml:"query_timeout" help:"per-query evaluation deadline (0 disables)"`
 	WALDir             string        `yaml:"wal_dir" help:"per-shard TSDB write-ahead-log directory; restarts replay it (empty = memory-only head; cluster mode journals under <dir>/<node>)"`
@@ -67,7 +67,7 @@ type TSDBConfig struct {
 // ThanosConfig configures long-term storage: the persistent block store
 // the head is cut into.
 type ThanosConfig struct {
-	Dir          string        `yaml:"dir" flag:"blocks-dir" help:"persistent block store directory: the head is cut into immutable blocks every -block-range, compacted and downsampled in the background, and queries fan in over head + blocks (see docs/ARCHITECTURE.md); empty keeps the head-only lifecycle"`
+	Dir          string        `yaml:"dir" flag:"blocks-dir" help:"persistent block store directory: the head is cut into immutable blocks every -block-range, compacted and downsampled in the same maintenance pass, and queries fan in over head + blocks (see docs/ARCHITECTURE.md); empty keeps the head-only lifecycle; a ring keeps no block store"`
 	ShipInterval time.Duration `yaml:"ship_interval" flag:"block-range" help:"block cut cadence; the head keeps 2x this after each cut so lookback windows never straddle a gap"`
 }
 

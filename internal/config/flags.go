@@ -92,7 +92,8 @@ func (c *Config) registerCommand(cmd string, fs *flag.FlagSet) {
 		// failover budget R-W cannot disagree with it.
 		c.register(fs, "", &c.LB, &c.Ring.ReplicationFactor, &c.Ring.WriteQuorum)
 	case "cluster_sim":
-		// The whole file is read; what was a flag before the file covered it
+		// Every section an in-process role reads (see its README for what
+		// none of them does); what was a flag before the file covered it
 		// keeps its name.
 		c.register(fs, "prom-", &c.TSDB.Listen)
 		c.register(fs, "api-", &c.APIServer.Listen)

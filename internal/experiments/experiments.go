@@ -155,21 +155,24 @@ func simConfig(users, projects int, jobsPerDay float64) config.Config {
 }
 
 // newSmallSim builds the compact mixed cluster (jz-mini) the dashboard
-// experiments run.
-func newSmallSim() (*cluster.Sim, error) {
+// experiments run, with its block store in blocksDir (thanos.dir; empty
+// keeps the head-only role).
+func newSmallSim(blocksDir string) (*cluster.Sim, error) {
 	topo := cluster.Topology{
 		Name: "jz-mini", IntelNodes: 4, AMDNodes: 2,
 		GPUIncludedNodes: 1, GPUExcludedNodes: 1,
 		GPUsPerNode: 4, GPUKinds: []model.GPUKind{model.GPUA100},
 		Seed: 11,
 	}
-	return cluster.New(topo, simConfig(8, 4, 3000), nil)
+	cfg := simConfig(8, 4, 3000)
+	cfg.Thanos.Dir = blocksDir
+	return cluster.New(topo, cfg, nil)
 }
 
 // smallSim builds and runs a compact mixed cluster for the dashboard
 // experiments.
 func smallSim(ctx context.Context, d time.Duration) (*cluster.Sim, error) {
-	sim, err := newSmallSim()
+	sim, err := newSmallSim("")
 	if err != nil {
 		return nil, err
 	}

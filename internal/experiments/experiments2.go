@@ -152,7 +152,7 @@ func RunLB(ctx context.Context) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	prom := httptest.NewServer((&promapi.Handler{Query: sim.Querier, Now: sim.Now}).Mux())
+	prom := httptest.NewServer((&promapi.Handler{Query: sim.Query, Now: sim.Now}).Mux())
 	defer prom.Close()
 
 	var buf strings.Builder

@@ -70,7 +70,7 @@ func TestAccountingExactAcrossRestart(t *testing.T) {
 			}
 			t.Run(name, func(t *testing.T) {
 				ctx := context.Background()
-				sim, err := newSmallSim()
+				sim, err := newSmallSim("")
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -144,7 +144,7 @@ func TestAccountingCrashAtAnyByte(t *testing.T) {
 		t.Skip("reopens the store and reruns a pass at every cut")
 	}
 	ctx := context.Background()
-	sim, err := newSmallSim()
+	sim, err := newSmallSim("")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +216,7 @@ func TestAccountingCrashAtAnyByte(t *testing.T) {
 // leaves every terminated unit's aggregate as it was.
 func TestAccountingLegacyStore(t *testing.T) {
 	ctx := context.Background()
-	sim, err := newSmallSim()
+	sim, err := newSmallSim("")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"os"
 	"slices"
 	"strconv"
 	"sync"
@@ -28,11 +29,23 @@ type jobAccount struct {
 }
 
 // faultFree is the fault-free 2 h jz-mini run every accounting leg is held
-// to. It is simulated once per test binary and only read afterwards.
+// to. It is simulated once per test binary and only read afterwards. It
+// runs on a block store in dir, cut every 30 min, so its updater reads
+// across the hot/cold seam while the legs held to it read their heads.
 var faultFree struct {
 	once sync.Once
+	dir  string
 	sim  *cluster.Sim
 	err  error
+}
+
+// TestMain removes the fault-free run's block store after the tests.
+func TestMain(m *testing.M) {
+	code := m.Run()
+	if faultFree.dir != "" {
+		os.RemoveAll(faultFree.dir)
+	}
+	os.Exit(code)
 }
 
 // accountJobs returns every finished job's row and truth in the fault-free
@@ -40,7 +53,15 @@ var faultFree struct {
 func accountJobs(t *testing.T) []jobAccount {
 	t.Helper()
 	faultFree.once.Do(func() {
-		faultFree.sim, faultFree.err = smallSim(context.Background(), 2*time.Hour)
+		ctx := context.Background()
+		if faultFree.dir, faultFree.err = os.MkdirTemp("", "faultfree-blocks-"); faultFree.err != nil {
+			return
+		}
+		if faultFree.sim, faultFree.err = newSmallSim(faultFree.dir); faultFree.err != nil {
+			return
+		}
+		faultFree.sim.RunFor(ctx, 2*time.Hour)
+		faultFree.err = faultFree.sim.FinalizeUpdate(ctx)
 	})
 	if faultFree.err != nil {
 		t.Fatal(faultFree.err)
@@ -200,7 +221,7 @@ func TestAccountingExactUnderFaults(t *testing.T) {
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			ctx := context.Background()
-			sim, err := newSmallSim()
+			sim, err := newSmallSim("")
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -14,6 +14,7 @@
 package thanos
 
 import (
+	"errors"
 	"sync"
 	"time"
 
@@ -24,11 +25,11 @@ import (
 
 // Sidecar ships blocks from the hot TSDB to the store on a cadence,
 // optionally truncating the head afterwards (the hot/short-term split of
-// Fig. 1).
+// Fig. 1). Maintain is the store's one maintenance pass around it.
 type Sidecar struct {
 	DB    *tsdb.DB
 	Store *Store
-	// HeadRetention bounds what stays in the hot TSDB after a ship;
+	// HeadRetention bounds what stays in the hot TSDB after a Ship;
 	// 0 keeps everything.
 	HeadRetention time.Duration
 
@@ -41,6 +42,14 @@ type Sidecar struct {
 // as one block, then truncates the head to HeadRetention. A failed cut, or a
 // failed checkpoint of a WAL-backed head, is its error.
 func (sc *Sidecar) Ship(now time.Time) error {
+	return sc.ship(now, sc.HeadRetention)
+}
+
+// ship is Ship keeping keep in the head. The first ship of a sidecar starts
+// at the head's oldest sample, or after the newest block the store already
+// holds if that is later, so a restarted head's replayed samples are not cut
+// a second time.
+func (sc *Sidecar) ship(now time.Time, keep time.Duration) error {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
 	maxt := now.UnixMilli()
@@ -48,6 +57,9 @@ func (sc *Sidecar) Ship(now time.Time) error {
 	if sc.lastShip == 0 {
 		if dbMin, ok := sc.DB.MinTime(); ok {
 			mint = dbMin
+		}
+		for _, m := range sc.Store.BlockMetas() {
+			mint = max(mint, m.MaxTime+1)
 		}
 	}
 	if mint > maxt {
@@ -61,12 +73,34 @@ func (sc *Sidecar) Ship(now time.Time) error {
 		sc.Shipped++
 	}
 	sc.lastShip = maxt
-	if sc.HeadRetention > 0 {
-		if _, err := sc.DB.Truncate(maxt - sc.HeadRetention.Milliseconds()); err != nil {
+	if keep > 0 {
+		if _, err := sc.DB.Truncate(maxt - keep.Milliseconds()); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// Maintain is the block store's one maintenance pass, run every cadence: it
+// ships the head's cut, keeping 2x the cadence in the head so lookback
+// windows never straddle a gap; compacts with the head's tombstones; and
+// downsamples blocks older than 2x the cadence to 5m and older than 10x to
+// 1h. A failed ship ends the pass; later failures are joined. It returns how
+// many compactions ran and how many downsampled blocks were written.
+func (sc *Sidecar) Maintain(now time.Time, cadence time.Duration) (compacted, downsampled int, err error) {
+	if err := sc.ship(now, 2*cadence); err != nil {
+		return 0, 0, err
+	}
+	compacted, cerr := sc.Store.Compact(sc.DB.Tombstones())
+	errs := []error{cerr}
+	for _, lvl := range []struct{ age, res time.Duration }{
+		{2 * cadence, 5 * time.Minute}, {10 * cadence, time.Hour},
+	} {
+		n, err := sc.Store.Downsample(now.Add(-lvl.age).UnixMilli(), lvl.res)
+		downsampled += n
+		errs = append(errs, err)
+	}
+	return compacted, downsampled, errors.Join(errs...)
 }
 
 // Querier reads the hot TSDB and the cold store as one; it satisfies

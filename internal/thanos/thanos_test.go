@@ -219,6 +219,69 @@ func TestSidecarShipReportsCheckpointFailure(t *testing.T) {
 	}
 }
 
+// TestSidecarRestartShipsNoBlockTwice: a WAL-backed head and a store
+// directory, four ships at a 30 min cadence keeping 1 h in the head, then
+// both are reopened as a restarted process does and one more ship runs. The
+// replayed head still holds an hour of shipped samples; the first ship after
+// the restart must start after the newest stored block, so the store ends
+// with every appended sample exactly once.
+func TestSidecarRestartShipsNoBlockTwice(t *testing.T) {
+	const step, cadence = 15 * time.Second, 30 * time.Minute
+	walDir, storeDir := filepath.Join(t.TempDir(), "wal"), t.TempDir()
+	open := func() (*tsdb.DB, *Store) {
+		db, err := tsdb.Open(tsdb.Options{Shards: 2, WALDir: walDir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		store, err := NewStore(storeDir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return db, store
+	}
+	db, store := open()
+	ls := labels.FromStrings(labels.MetricName, "m")
+	appended := 0
+	appendUntil := func(db *tsdb.DB, end time.Duration) {
+		for ts := time.Duration(appended+1) * step; ts <= end; ts += step {
+			if err := db.Append(ls, ts.Milliseconds(), float64(appended)); err != nil {
+				t.Fatal(err)
+			}
+			appended++
+		}
+	}
+	sc := &Sidecar{DB: db, Store: store, HeadRetention: 2 * cadence}
+	for i := 1; i <= 4; i++ {
+		appendUntil(db, time.Duration(i)*cadence)
+		if err := sc.Ship(time.UnixMilli((time.Duration(i) * cadence).Milliseconds())); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	store.Close()
+
+	db, store = open()
+	defer db.Close()
+	defer store.Close()
+	if mint, ok := db.MinTime(); !ok || mint >= (4*cadence).Milliseconds() {
+		t.Fatalf("replayed head MinTime = %d, %v; want shipped samples still in the head", mint, ok)
+	}
+	appendUntil(db, 5*cadence)
+	sc = &Sidecar{DB: db, Store: store, HeadRetention: 2 * cadence}
+	if err := sc.Ship(time.UnixMilli((5 * cadence).Milliseconds())); err != nil {
+		t.Fatal(err)
+	}
+	stored := 0
+	for _, m := range store.BlockMetas() {
+		stored += m.Stats.NumSamples
+	}
+	if stored != appended {
+		t.Errorf("store holds %d samples for %d appended: the first ship after the restart re-cut shipped history", stored, appended)
+	}
+}
+
 func TestQuerierMergesHotAndCold(t *testing.T) {
 	db := seedDB(t, 1, 100, 0)
 	store, _ := NewStore("")
