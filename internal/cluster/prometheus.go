@@ -126,7 +126,7 @@ func NewPrometheus(cfg config.Config, reg *telemetry.Registry) (*Prometheus, err
 				p.Cold.Instrument(reg)
 			}
 			log.Printf("blocks: store %s opened with %d blocks, cutting every %v", cfg.Thanos.Dir, p.Cold.NumBlocks(), cfg.Thanos.ShipInterval)
-			p.sidecar = &thanos.Sidecar{DB: db, Store: p.Cold}
+			p.sidecar = &thanos.Sidecar{DB: db, Store: p.Cold, HeadRetention: 2 * cfg.Thanos.ShipInterval}
 			p.Query = &thanos.Querier{Hot: db, Cold: p.Cold}
 		}
 	}

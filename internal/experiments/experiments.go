@@ -145,8 +145,11 @@ func RunEq1(_ context.Context) (*Result, error) {
 }
 
 // simConfig is the default configuration with the synthetic workload set.
-// Blocks are cut every 30 simulated minutes, so an hour-long experiment
-// reads through the hot/cold seam as a deployment's older data would.
+// It sets no thanos.dir, so the experiments run head-only: their heads keep
+// tsdb.retention (15 days), far more than any run. The maintenance pass runs
+// every 30 simulated minutes, so a run given a block store (the accounting
+// tests' fault-free run) reads through the hot/cold seam as a deployment's
+// older data would.
 func simConfig(users, projects int, jobsPerDay float64) config.Config {
 	cfg := config.Default()
 	cfg.Sim.Users, cfg.Sim.Projects, cfg.Sim.JobsPerDay = users, projects, jobsPerDay

@@ -17,7 +17,6 @@ import (
 	"repro/internal/hw"
 	"repro/internal/lb"
 	"repro/internal/model"
-	"repro/internal/promapi"
 	"repro/internal/promql"
 	"repro/internal/relstore"
 )
@@ -152,7 +151,7 @@ func RunLB(ctx context.Context) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	prom := httptest.NewServer((&promapi.Handler{Query: sim.Query, Now: sim.Now}).Mux())
+	prom := httptest.NewServer(sim.Handler.Mux())
 	defer prom.Close()
 
 	var buf strings.Builder

@@ -39,17 +39,14 @@ type Sidecar struct {
 }
 
 // Ship cuts everything since the previous ship (up to now) into the store
-// as one block, then truncates the head to HeadRetention. A failed cut, or a
-// failed checkpoint of a WAL-backed head, is its error.
+// as one block, then truncates the head to HeadRetention. The first ship of
+// a sidecar starts at the head's oldest sample, or after the newest raw
+// block the store already holds if that is later, so a restarted head's
+// replayed samples are not cut a second time. (A downsampled block may end
+// up to one resolution past its raw source, so it does not say what was
+// shipped.) A failed cut, or a failed checkpoint of a WAL-backed head, is
+// its error.
 func (sc *Sidecar) Ship(now time.Time) error {
-	return sc.ship(now, sc.HeadRetention)
-}
-
-// ship is Ship keeping keep in the head. The first ship of a sidecar starts
-// at the head's oldest sample, or after the newest block the store already
-// holds if that is later, so a restarted head's replayed samples are not cut
-// a second time.
-func (sc *Sidecar) ship(now time.Time, keep time.Duration) error {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
 	maxt := now.UnixMilli()
@@ -59,7 +56,9 @@ func (sc *Sidecar) ship(now time.Time, keep time.Duration) error {
 			mint = dbMin
 		}
 		for _, m := range sc.Store.BlockMetas() {
-			mint = max(mint, m.MaxTime+1)
+			if m.Resolution == 0 {
+				mint = max(mint, m.MaxTime+1)
+			}
 		}
 	}
 	if mint > maxt {
@@ -73,8 +72,8 @@ func (sc *Sidecar) ship(now time.Time, keep time.Duration) error {
 		sc.Shipped++
 	}
 	sc.lastShip = maxt
-	if keep > 0 {
-		if _, err := sc.DB.Truncate(maxt - keep.Milliseconds()); err != nil {
+	if sc.HeadRetention > 0 {
+		if _, err := sc.DB.Truncate(maxt - sc.HeadRetention.Milliseconds()); err != nil {
 			return err
 		}
 	}
@@ -82,13 +81,14 @@ func (sc *Sidecar) ship(now time.Time, keep time.Duration) error {
 }
 
 // Maintain is the block store's one maintenance pass, run every cadence: it
-// ships the head's cut, keeping 2x the cadence in the head so lookback
-// windows never straddle a gap; compacts with the head's tombstones; and
-// downsamples blocks older than 2x the cadence to 5m and older than 10x to
-// 1h. A failed ship ends the pass; later failures are joined. It returns how
-// many compactions ran and how many downsampled blocks were written.
+// ships the head's cut (the sidecar's owner sets HeadRetention to 2x the
+// cadence, so lookback windows never straddle a gap); compacts with the
+// head's tombstones; and downsamples blocks older than 2x the cadence to 5m
+// and older than 10x to 1h. A failed ship ends the pass; later failures are
+// joined. It returns how many compactions ran and how many downsampled
+// blocks were written.
 func (sc *Sidecar) Maintain(now time.Time, cadence time.Duration) (compacted, downsampled int, err error) {
-	if err := sc.ship(now, 2*cadence); err != nil {
+	if err := sc.Ship(now); err != nil {
 		return 0, 0, err
 	}
 	compacted, cerr := sc.Store.Compact(sc.DB.Tombstones())

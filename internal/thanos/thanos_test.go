@@ -220,65 +220,106 @@ func TestSidecarShipReportsCheckpointFailure(t *testing.T) {
 }
 
 // TestSidecarRestartShipsNoBlockTwice: a WAL-backed head and a store
-// directory, four ships at a 30 min cadence keeping 1 h in the head, then
-// both are reopened as a restarted process does and one more ship runs. The
-// replayed head still holds an hour of shipped samples; the first ship after
-// the restart must start after the newest stored block, so the store ends
-// with every appended sample exactly once.
+// directory, ships or maintenance passes keeping 2x the cadence in the head,
+// then both are reopened as a restarted process does and one more ship
+// runs. The replayed head still holds shipped samples; the first ship after
+// the restart must start after the newest stored raw block, so the raw
+// blocks end with every appended sample exactly once. In the maintain leg a
+// 5m block ends past the newest raw block (a downsampled point sits at its
+// bucket's end), so starting after it would drop the unshipped samples in
+// between.
 func TestSidecarRestartShipsNoBlockTwice(t *testing.T) {
-	const step, cadence = 15 * time.Second, 30 * time.Minute
-	walDir, storeDir := filepath.Join(t.TempDir(), "wal"), t.TempDir()
-	open := func() (*tsdb.DB, *Store) {
-		db, err := tsdb.Open(tsdb.Options{Shards: 2, WALDir: walDir})
-		if err != nil {
-			t.Fatal(err)
-		}
-		store, err := NewStore(storeDir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return db, store
-	}
-	db, store := open()
-	ls := labels.FromStrings(labels.MetricName, "m")
-	appended := 0
-	appendUntil := func(db *tsdb.DB, end time.Duration) {
-		for ts := time.Duration(appended+1) * step; ts <= end; ts += step {
-			if err := db.Append(ls, ts.Milliseconds(), float64(appended)); err != nil {
+	const step = 15_000 // ms
+	for _, c := range []struct {
+		name     string
+		cadence  time.Duration
+		maintain bool
+	}{
+		{"ship", 30 * time.Minute, false},
+		{"maintain", time.Minute, true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			walDir, storeDir := filepath.Join(t.TempDir(), "wal"), t.TempDir()
+			open := func() (*tsdb.DB, *Store) {
+				db, err := tsdb.Open(tsdb.Options{Shards: 2, WALDir: walDir})
+				if err != nil {
+					t.Fatal(err)
+				}
+				store, err := NewStore(storeDir)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return db, store
+			}
+			at := func(i int) time.Time { return time.UnixMilli((time.Duration(i) * c.cadence).Milliseconds()) }
+			ls := labels.FromStrings(labels.MetricName, "m")
+			appended := 0
+			appendUntil := func(db *tsdb.DB, end time.Time) {
+				for ts := int64(appended+1) * step; ts <= end.UnixMilli(); ts += step {
+					if err := db.Append(ls, ts, float64(appended)); err != nil {
+						t.Fatal(err)
+					}
+					appended++
+				}
+			}
+			// stored counts the raw blocks' samples and reports whether a 5m
+			// block ends after the newest raw block.
+			stored := func(store *Store) (raw int, aggrPast bool) {
+				var rawEnd int64
+				metas := store.BlockMetas()
+				for _, m := range metas {
+					if m.Resolution == 0 {
+						raw += m.Stats.NumSamples
+						rawEnd = max(rawEnd, m.MaxTime)
+					}
+				}
+				for _, m := range metas {
+					aggrPast = aggrPast || (m.Resolution == (5*time.Minute).Milliseconds() && m.MaxTime > rawEnd)
+				}
+				return raw, aggrPast
+			}
+
+			db, store := open()
+			sc := &Sidecar{DB: db, Store: store, HeadRetention: 2 * c.cadence}
+			i := 0
+			for done := false; !done; {
+				i++
+				appendUntil(db, at(i))
+				if c.maintain {
+					if _, _, err := sc.Maintain(at(i), c.cadence); err != nil {
+						t.Fatal(err)
+					}
+					_, done = stored(store)
+				} else {
+					if err := sc.Ship(at(i)); err != nil {
+						t.Fatal(err)
+					}
+					done = i == 4
+				}
+				if i > 60 {
+					t.Fatal("no 5m block ends past the newest raw block after 60 passes")
+				}
+			}
+			if err := db.Close(); err != nil {
 				t.Fatal(err)
 			}
-			appended++
-		}
-	}
-	sc := &Sidecar{DB: db, Store: store, HeadRetention: 2 * cadence}
-	for i := 1; i <= 4; i++ {
-		appendUntil(db, time.Duration(i)*cadence)
-		if err := sc.Ship(time.UnixMilli((time.Duration(i) * cadence).Milliseconds())); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
-	}
-	store.Close()
+			store.Close()
 
-	db, store = open()
-	defer db.Close()
-	defer store.Close()
-	if mint, ok := db.MinTime(); !ok || mint >= (4*cadence).Milliseconds() {
-		t.Fatalf("replayed head MinTime = %d, %v; want shipped samples still in the head", mint, ok)
-	}
-	appendUntil(db, 5*cadence)
-	sc = &Sidecar{DB: db, Store: store, HeadRetention: 2 * cadence}
-	if err := sc.Ship(time.UnixMilli((5 * cadence).Milliseconds())); err != nil {
-		t.Fatal(err)
-	}
-	stored := 0
-	for _, m := range store.BlockMetas() {
-		stored += m.Stats.NumSamples
-	}
-	if stored != appended {
-		t.Errorf("store holds %d samples for %d appended: the first ship after the restart re-cut shipped history", stored, appended)
+			db, store = open()
+			defer db.Close()
+			defer store.Close()
+			if mint, ok := db.MinTime(); !ok || mint >= at(i).UnixMilli() {
+				t.Fatalf("replayed head MinTime = %d, %v; want shipped samples still in the head", mint, ok)
+			}
+			appendUntil(db, at(i+1))
+			sc = &Sidecar{DB: db, Store: store, HeadRetention: 2 * c.cadence}
+			if err := sc.Ship(at(i + 1)); err != nil {
+				t.Fatal(err)
+			}
+			if raw, _ := stored(store); raw != appended {
+				t.Errorf("raw blocks hold %d samples for %d appended: the first ship after the restart re-cut or skipped history", raw, appended)
+			}
+		})
 	}
 }
 
