@@ -7,7 +7,7 @@
 GO ?= go
 RACE_PKGS := ./internal/tsdb/... ./internal/api/... ./internal/lb/... ./internal/scrape/... ./internal/thanos/... ./internal/workpool/... ./internal/cluster/... ./internal/promql/... ./internal/promapi/... ./internal/querycache/... ./internal/remotewrite/... ./internal/telemetry/... ./internal/rules/...
 
-.PHONY: build test test-short race wal-recovery querycache promql-equiv rules-equiv cluster-chaos remote-write telemetry blocks head-index fuzz-smoke bench bench-querycache bench-smoke bench-pairs benchdiff ci-sync-check config-check lint ci
+.PHONY: build test test-short race accounting wal-recovery querycache promql-equiv rules-equiv cluster-chaos remote-write telemetry blocks head-index fuzz-smoke bench bench-querycache bench-smoke bench-pairs benchdiff ci-sync-check config-check lint ci
 
 build:
 	$(GO) build ./...
@@ -23,6 +23,13 @@ test-short:
 
 race:
 	$(GO) test -race $(RACE_PKGS)
+
+# Accounting harness (docs/ARCHITECTURE.md §11): the API server's restart,
+# crash-at-any-byte, legacy-store and fault legs against the uninterrupted
+# and fault-free runs, and RunPeriodic's failure logging, under race. The
+# legs are deterministic, so one pass.
+accounting:
+	$(GO) test -race -run 'Accounting|Periodic' ./internal/api/ ./internal/experiments/
 
 # The crash/corruption harness is randomized; run it twice, under race.
 # Covers v1 replay (committed fixture, v1 legs of the crash matrix) and the
@@ -200,5 +207,5 @@ lint:
 		echo "gofmt needed on:"; echo "$$fmtout"; exit 1; \
 	fi
 
-ci: build lint ci-sync-check config-check test race wal-recovery querycache promql-equiv rules-equiv cluster-chaos remote-write telemetry blocks head-index fuzz-smoke bench-smoke
+ci: build lint ci-sync-check config-check test race accounting wal-recovery querycache promql-equiv rules-equiv cluster-chaos remote-write telemetry blocks head-index fuzz-smoke bench-smoke
 	@echo "ci: all green"

@@ -22,7 +22,6 @@ import (
 	"repro/internal/labels"
 	"repro/internal/model"
 	"repro/internal/promql"
-	"repro/internal/relstore"
 	"repro/internal/resourcemanager"
 	"repro/internal/rules"
 	"repro/internal/rules/ceemsrules"
@@ -320,19 +319,12 @@ func BenchmarkAPIServerUpdate(b *testing.B) {
 	for i := 0; i < 80; i++ {
 		sched.Advance(15 * time.Second)
 	}
-	store, _ := relstore.Open("")
-	for _, s := range api.Schemas() {
-		store.CreateTable(s)
+	role, err := api.Open(config.Default(), nil, tsdb.MustOpen(tsdb.DefaultOptions()), nil,
+		&resourcemanager.Local{Cluster: "bench", Kind: model.ManagerSLURM, Source: sched})
+	if err != nil {
+		b.Fatal(err)
 	}
-	up := &api.Updater{
-		Store: store,
-		Fetchers: []resourcemanager.Fetcher{
-			&resourcemanager.Local{Cluster: "bench", Kind: model.ManagerSLURM, Source: sched},
-		},
-		Query:  tsdb.MustOpen(tsdb.DefaultOptions()),
-		Factor: emissions.OWID{},
-		Zone:   "FR",
-	}
+	up := role.Updater
 	ctx := context.Background()
 	b.ReportAllocs()
 	b.ResetTimer()

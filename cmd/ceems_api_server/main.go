@@ -15,16 +15,18 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"log"
+	"net"
 	"net/http"
 	"os"
+	"os/signal"
+	"syscall"
 
 	"repro/internal/api"
 	"repro/internal/config"
-	"repro/internal/emissions"
 	"repro/internal/promapi"
-	"repro/internal/relstore"
 	"repro/internal/resourcemanager"
 )
 
@@ -33,59 +35,50 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if cfg.APIServer.SlurmDBD == "" || cfg.APIServer.Prometheus == "" {
-		log.Fatal("-slurmdbd and -prometheus are required")
-	}
-	factor, err := emissions.FromConfig(cfg.Emissions, nil)
-	if err != nil {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	if err := serve(ctx, cfg); err != nil {
 		log.Fatal(err)
 	}
+}
 
-	store, err := relstore.Open(cfg.APIServer.DataDir)
+// serve binds the listener before it opens the role, so a taken port fails
+// start-up before the store is touched. The accounting and backup loop runs
+// until ctx is done or serving fails; then the store is closed.
+func serve(ctx context.Context, cfg config.Config) error {
+	if cfg.APIServer.SlurmDBD == "" || cfg.APIServer.Prometheus == "" {
+		return errors.New("-slurmdbd and -prometheus are required")
+	}
+	ln, err := net.Listen("tcp", cfg.APIServer.Listen)
 	if err != nil {
-		log.Fatalf("store: %v", err)
+		return err
 	}
-	defer store.Close()
-	for _, s := range api.Schemas() {
-		if err := store.CreateTable(s); err != nil {
-			log.Fatalf("schema: %v", err)
-		}
+	role, err := open(cfg)
+	if err != nil {
+		ln.Close()
+		return err
 	}
-	updater := &api.Updater{
-		Store: store,
-		Fetchers: []resourcemanager.Fetcher{
-			&resourcemanager.SlurmDBD{Cluster: cfg.Cluster.Name, BaseURL: cfg.APIServer.SlurmDBD},
-		},
-		Query:  &promapi.RemoteQueryable{BaseURL: cfg.APIServer.Prometheus},
-		Factor: factor,
-		Zone:   cfg.Cluster.Zone,
-		// Inert until a Cleaner is wired: a standalone server has no TSDB
-		// of its own to delete short units' series from.
-		ShortUnitCutoff: cfg.APIServer.ShortUnitCutoff,
-	}
-	server := &api.Server{Store: store, Updater: updater}
-	for _, a := range cfg.APIServer.AdminUsers {
-		if err := server.AddAdmin(a); err != nil {
-			log.Fatalf("admin %s: %v", a, err)
-		}
-	}
+	defer role.Close()
 
-	var backup func() error
-	if cfg.APIServer.BackupDir != "" {
-		if cfg.APIServer.DataDir == "" {
-			log.Fatal("-backup-dir requires -data-dir")
-		}
-		rep := &relstore.Replica{DB: store, Dir: cfg.APIServer.BackupDir}
-		backup = func() error {
-			if err := store.Checkpoint(); err != nil {
-				return err
-			}
-			return rep.Sync()
-		}
-	}
-	go api.RunPeriodic(context.Background(), updater, cfg.APIServer.UpdateInterval, backup, cfg.APIServer.BackupInterval)
-
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	srv := &http.Server{Handler: role.Server.Handler()}
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(ln); cancel() }()
 	log.Printf("ceems_api_server: cluster %s, slurmdbd %s, prometheus %s, serving %s",
-		cfg.Cluster.Name, cfg.APIServer.SlurmDBD, cfg.APIServer.Prometheus, cfg.APIServer.Listen)
-	log.Fatal(http.ListenAndServe(cfg.APIServer.Listen, server.Handler()))
+		cfg.Cluster.Name, cfg.APIServer.SlurmDBD, cfg.APIServer.Prometheus, ln.Addr())
+	api.RunPeriodic(ctx, role.Updater, cfg.APIServer.UpdateInterval, role.Backup, cfg.APIServer.BackupInterval)
+	srv.Close()
+	if err := <-served; !errors.Is(err, http.ErrServerClosed) {
+		return err
+	}
+	return nil
+}
+
+// open builds the standalone role: units from slurmdbd, metrics by remote
+// read, and no Cleaner. A standalone server has no TSDB of its own to
+// delete short units' series from, so api_server.short_unit_cutoff is inert.
+func open(cfg config.Config) (*api.Role, error) {
+	return api.Open(cfg, nil, &promapi.RemoteQueryable{BaseURL: cfg.APIServer.Prometheus}, nil,
+		&resourcemanager.SlurmDBD{Cluster: cfg.Cluster.Name, BaseURL: cfg.APIServer.SlurmDBD})
 }

@@ -92,7 +92,7 @@ func main() {
 	}()
 	go func() {
 		log.Printf("CEEMS API on %s", cfg.APIServer.Listen)
-		log.Fatal(http.ListenAndServe(cfg.APIServer.Listen, sim.APIServer.Handler()))
+		log.Fatal(http.ListenAndServe(cfg.APIServer.Listen, sim.Server.Handler()))
 	}()
 	if err := sim.ListenPprof(); err != nil {
 		log.Fatal(err)

@@ -34,7 +34,7 @@ func main() {
 	if err := sim.FinalizeUpdate(ctx); err != nil {
 		log.Fatal(err)
 	}
-	sim.APIServer.AddAdmin("operator")
+	sim.Server.AddAdmin("operator")
 
 	// The Prometheus role's query API as the backend, the LB in front.
 	backendSrv := httptest.NewServer(sim.Handler.Mux())

@@ -14,7 +14,7 @@ import (
 	"time"
 
 	"repro/internal/api"
-	"repro/internal/emissions"
+	"repro/internal/config"
 	"repro/internal/hw"
 	"repro/internal/k8ssim"
 	"repro/internal/model"
@@ -63,32 +63,22 @@ func main() {
 		k8s.Advance(15 * time.Second)
 	}
 
-	// One API server, three fetchers — the unified schema.
-	store, err := relstore.Open("")
+	// One API server, three fetchers — the unified schema. No metrics are
+	// needed for the schema demo, so the TSDB stays empty.
+	role, err := api.Open(config.Default(), nil, tsdb.MustOpen(tsdb.DefaultOptions()), nil,
+		&resourcemanager.Local{Cluster: "hpc", Kind: model.ManagerSLURM, Source: slurm},
+		&resourcemanager.Local{Cluster: "cloud", Kind: model.ManagerOpenstack, Source: cloud},
+		&resourcemanager.Local{Cluster: "k8s", Kind: model.ManagerK8s, Source: k8s},
+	)
 	if err != nil {
 		log.Fatal(err)
 	}
-	for _, s := range api.Schemas() {
-		if err := store.CreateTable(s); err != nil {
-			log.Fatal(err)
-		}
-	}
-	updater := &api.Updater{
-		Store: store,
-		Fetchers: []resourcemanager.Fetcher{
-			&resourcemanager.Local{Cluster: "hpc", Kind: model.ManagerSLURM, Source: slurm},
-			&resourcemanager.Local{Cluster: "cloud", Kind: model.ManagerOpenstack, Source: cloud},
-			&resourcemanager.Local{Cluster: "k8s", Kind: model.ManagerK8s, Source: k8s},
-		},
-		Query:  tsdb.MustOpen(tsdb.DefaultOptions()), // no metrics needed for the schema demo
-		Factor: emissions.OWID{},
-		Zone:   "FR",
-	}
-	if err := updater.Update(context.Background(), start.Add(10*time.Minute)); err != nil {
+	defer role.Close()
+	if err := role.Updater.Update(context.Background(), start.Add(10*time.Minute)); err != nil {
 		log.Fatal(err)
 	}
 
-	rows, _ := store.Select(api.TableUnits, relstore.Query{})
+	rows, _ := role.Store.Select(api.TableUnits, relstore.Query{})
 	fmt.Println("one unified compute-unit table across three resource managers:")
 	fmt.Printf("%-22s %-10s %-8s %-8s %-10s %6s %9s\n",
 		"UUID", "MANAGER", "USER", "PROJECT", "STATE", "CPUS", "ELAPSED")

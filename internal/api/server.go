@@ -3,13 +3,19 @@ package api
 import (
 	"context"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"log"
 	"net/http"
 	"strconv"
 	"time"
 
+	"repro/internal/config"
+	"repro/internal/emissions"
 	"repro/internal/model"
+	"repro/internal/promql"
 	"repro/internal/relstore"
+	"repro/internal/resourcemanager"
 )
 
 // Server exposes the CEEMS API server's REST endpoints. Endpoints follow
@@ -38,8 +44,8 @@ func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/api/v1/units", s.handleUnits)
 	mux.HandleFunc("/api/v1/units/verify", s.handleVerify)
-	mux.HandleFunc("/api/v1/users", s.handleUsers)
-	mux.HandleFunc("/api/v1/projects", s.handleProjects)
+	mux.HandleFunc("/api/v1/users", func(w http.ResponseWriter, r *http.Request) { s.handleRollup(w, r, TableUsers) })
+	mux.HandleFunc("/api/v1/projects", func(w http.ResponseWriter, r *http.Request) { s.handleRollup(w, r, TableProjects) })
 	mux.HandleFunc("/api/v1/health", s.handleHealth)
 	return mux
 }
@@ -105,24 +111,24 @@ func (s *Server) handleUnits(w http.ResponseWriter, r *http.Request) {
 			q.Where = append(q.Where, relstore.Cond{Col: col, Op: relstore.OpEq, Val: v})
 		}
 	}
-	if v := qs.Get("from"); v != "" {
-		ms, err := strconv.ParseInt(v, 10, 64)
-		if err != nil {
-			http.Error(w, "bad from", http.StatusBadRequest)
-			return
+	for _, b := range []struct {
+		param string
+		op    relstore.Op
+	}{{"from", relstore.OpGe}, {"to", relstore.OpLe}} {
+		if v := qs.Get(b.param); v != "" {
+			ms, err := strconv.ParseInt(v, 10, 64)
+			if err != nil {
+				http.Error(w, "bad "+b.param, http.StatusBadRequest)
+				return
+			}
+			q.Where = append(q.Where, relstore.Cond{Col: "created_at", Op: b.op, Val: ms})
 		}
-		q.Where = append(q.Where, relstore.Cond{Col: "created_at", Op: relstore.OpGe, Val: ms})
 	}
-	if v := qs.Get("to"); v != "" {
-		ms, err := strconv.ParseInt(v, 10, 64)
-		if err != nil {
-			http.Error(w, "bad to", http.StatusBadRequest)
-			return
-		}
-		q.Where = append(q.Where, relstore.Cond{Col: "created_at", Op: relstore.OpLe, Val: ms})
+	q.Limit = 1000
+	if n, err := strconv.Atoi(qs.Get("limit")); err == nil {
+		q.Limit = n
 	}
-	q.Limit = atoiDefault(qs.Get("limit"), 1000)
-	q.Offset = atoiDefault(qs.Get("offset"), 0)
+	q.Offset, _ = strconv.Atoi(qs.Get("offset"))
 
 	rows, err := s.Store.Select(TableUnits, q)
 	if err != nil {
@@ -167,15 +173,7 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, map[string]bool{"owns": owns})
 }
 
-func (s *Server) handleUsers(w http.ResponseWriter, r *http.Request) {
-	s.handleRollup(w, r, TableUsers, "user")
-}
-
-func (s *Server) handleProjects(w http.ResponseWriter, r *http.Request) {
-	s.handleRollup(w, r, TableProjects, "project")
-}
-
-func (s *Server) handleRollup(w http.ResponseWriter, r *http.Request, table, selfCol string) {
+func (s *Server) handleRollup(w http.ResponseWriter, r *http.Request, table string) {
 	q := relstore.Query{OrderBy: "total_energy_j", Desc: true}
 	user := requestUser(r)
 	admin := s.IsAdmin(user)
@@ -214,7 +212,7 @@ func (s *Server) filterProjectsFor(user string, rows []relstore.Row) []relstore.
 	}
 	member := map[string]bool{}
 	for _, r := range mine {
-		member[projectKey(str(r, "cluster"), str(r, "project"))] = true
+		member[rollupKey(str(r, "cluster"), str(r, "project"))] = true
 	}
 	out := rows[:0]
 	for _, r := range rows {
@@ -240,16 +238,61 @@ func writeJSON(w http.ResponseWriter, v any) {
 	json.NewEncoder(w).Encode(v)
 }
 
-func atoiDefault(s string, def int) int {
-	if s == "" {
-		return def
-	}
-	n, err := strconv.Atoi(s)
-	if err != nil {
-		return def
-	}
-	return n
+// Role is the CEEMS API server (paper Fig. 1) as every process assembles
+// it: the store, the accounting Updater over it, the REST Server, and the
+// backup step RunPeriodic takes (nil without api_server.backup_dir).
+type Role struct {
+	Store   *relstore.DB
+	Updater *Updater
+	Server  *Server
+	Backup  func() error
 }
+
+// Open builds the role from the api_server, cluster and emissions
+// sections: the store at data_dir (in memory when empty) under Schemas, the
+// emission-factor chain on the clock now (nil is the wall clock), an Updater
+// accounting the fetchers' units from query and, with a cleaner, deleting
+// short units' series from it, and a Server that knows the admin_users.
+// backup_dir without data_dir is an error: there would be nothing to copy.
+func Open(cfg config.Config, now func() time.Time, query promql.Queryable, cleaner SeriesDeleter, fetchers ...resourcemanager.Fetcher) (*Role, error) {
+	if cfg.APIServer.BackupDir != "" && cfg.APIServer.DataDir == "" {
+		return nil, errors.New("api: backup_dir needs data_dir")
+	}
+	factor, err := emissions.FromConfig(cfg.Emissions, now)
+	if err != nil {
+		return nil, err
+	}
+	store, err := relstore.Open(cfg.APIServer.DataDir)
+	if err != nil {
+		return nil, fmt.Errorf("api: store: %w", err)
+	}
+	u := &Updater{Store: store, Fetchers: fetchers, Query: query, Factor: factor,
+		Zone: cfg.Cluster.Zone, ShortUnitCutoff: cfg.APIServer.ShortUnitCutoff, Cleaner: cleaner}
+	r := &Role{Store: store, Updater: u, Server: &Server{Store: store, Updater: u}}
+	for _, s := range Schemas() {
+		err = errors.Join(err, store.CreateTable(s))
+	}
+	for _, a := range cfg.APIServer.AdminUsers {
+		err = errors.Join(err, r.Server.AddAdmin(a))
+	}
+	if err != nil {
+		store.Close()
+		return nil, fmt.Errorf("api: %w", err)
+	}
+	if cfg.APIServer.BackupDir != "" {
+		rep := &relstore.Replica{DB: store, Dir: cfg.APIServer.BackupDir}
+		r.Backup = func() error {
+			if err := store.Checkpoint(); err != nil {
+				return err
+			}
+			return rep.Sync()
+		}
+	}
+	return r, nil
+}
+
+// Close closes the store.
+func (r *Role) Close() error { return r.Store.Close() }
 
 // RunPeriodic drives the updater at start-up and then every interval, and
 // the optional backup every backupInterval, until ctx is cancelled (the

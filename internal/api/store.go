@@ -8,7 +8,6 @@ package api
 
 import (
 	"encoding/json"
-	"fmt"
 
 	"repro/internal/model"
 	"repro/internal/relstore"
@@ -192,5 +191,5 @@ func f64(r relstore.Row, k string) float64 {
 	return v
 }
 
-func userKey(cluster, user string) string       { return fmt.Sprintf("%s/%s", cluster, user) }
-func projectKey(cluster, project string) string { return fmt.Sprintf("%s/%s", cluster, project) }
+// rollupKey is a users or projects row's primary key: cluster/name.
+func rollupKey(cluster, name string) string { return cluster + "/" + name }

@@ -238,59 +238,50 @@ func (u *Updater) queryIncrement(ctx context.Context, unit model.Unit, qStart, q
 
 // rollup recomputes the user and project tables from the units table.
 func (u *Updater) rollup() error {
-	units, err := u.Store.Select(TableUnits, relstore.Query{})
+	rows, err := u.Store.Select(TableUnits, relstore.Query{})
 	if err != nil {
 		return err
 	}
-	type acc struct {
-		n   int64
-		agg model.UsageAggregate
+	units := make([]model.Unit, len(rows))
+	for i, row := range rows {
+		units[i] = rowToUnit(row)
 	}
-	users := map[string]*acc{}
-	projects := map[string]*acc{}
-	meta := map[string][2]string{} // key -> (cluster, name)
-	for _, row := range units {
-		unit := rowToUnit(row)
-		uk := userKey(unit.Cluster, unit.User)
-		pk := projectKey(unit.Cluster, unit.Project)
-		for _, e := range []struct {
-			m   map[string]*acc
-			key string
-			nm  string
-		}{{users, uk, unit.User}, {projects, pk, unit.Project}} {
-			a, ok := e.m[e.key]
-			if !ok {
-				a = &acc{}
-				e.m[e.key] = a
-				meta[e.key] = [2]string{unit.Cluster, e.nm}
+	type acc struct {
+		cluster, name string
+		n             int64
+		agg           model.UsageAggregate
+	}
+	for _, t := range []struct {
+		table, col string
+		name       func(model.Unit) string
+	}{
+		{TableUsers, "user", func(unit model.Unit) string { return unit.User }},
+		{TableProjects, "project", func(unit model.Unit) string { return unit.Project }},
+	} {
+		accs := map[string]*acc{}
+		for _, unit := range units {
+			key := rollupKey(unit.Cluster, t.name(unit))
+			a := accs[key]
+			if a == nil {
+				a = &acc{cluster: unit.Cluster, name: t.name(unit)}
+				accs[key] = a
 			}
 			a.n++
 			a.agg.Merge(unit.Aggregate)
 		}
-	}
-	for key, a := range users {
-		m := meta[key]
-		err := u.Store.Upsert(TableUsers, relstore.Row{
-			"key": key, "cluster": m[0], "user": m[1],
-			"num_units": a.n, "cpu_time_sec": a.agg.CPUTimeSec,
-			"avg_cpu_usage": a.agg.AvgCPUUsage, "avg_gpu_usage": a.agg.AvgGPUUsage,
-			"total_energy_j": a.agg.TotalEnergyJoules, "emissions_g": a.agg.EmissionsGrams,
-			"num_samples": a.agg.NumSamples,
-		})
-		if err != nil {
-			return err
-		}
-	}
-	for key, a := range projects {
-		m := meta[key]
-		err := u.Store.Upsert(TableProjects, relstore.Row{
-			"key": key, "cluster": m[0], "project": m[1],
-			"num_units": a.n, "cpu_time_sec": a.agg.CPUTimeSec,
-			"total_energy_j": a.agg.TotalEnergyJoules, "emissions_g": a.agg.EmissionsGrams,
-			"num_samples": a.agg.NumSamples,
-		})
-		if err != nil {
-			return err
+		for key, a := range accs {
+			row := relstore.Row{
+				"key": key, "cluster": a.cluster, t.col: a.name,
+				"num_units": a.n, "cpu_time_sec": a.agg.CPUTimeSec,
+				"total_energy_j": a.agg.TotalEnergyJoules, "emissions_g": a.agg.EmissionsGrams,
+				"num_samples": a.agg.NumSamples,
+			}
+			if t.table == TableUsers {
+				row["avg_cpu_usage"], row["avg_gpu_usage"] = a.agg.AvgCPUUsage, a.agg.AvgGPUUsage
+			}
+			if err := u.Store.Upsert(t.table, row); err != nil {
+				return err
+			}
 		}
 	}
 	return nil

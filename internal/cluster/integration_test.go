@@ -139,7 +139,7 @@ func TestFullHTTPPath(t *testing.T) {
 	lbSrv := httptest.NewServer(sim.LB)
 	defer lbSrv.Close()
 
-	apiSrv := httptest.NewServer(sim.APIServer.Handler())
+	apiSrv := httptest.NewServer(sim.Server.Handler())
 	defer apiSrv.Close()
 
 	promDS := &grafana.PromDS{BaseURL: lbSrv.URL}

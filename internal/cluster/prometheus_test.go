@@ -20,8 +20,10 @@ func tinyTopo() Topology {
 
 // TestPrometheusBlockLifecycle: a Sim with thanos.dir set runs the block
 // store's maintenance pass on its cadence. After 12 simulated hours at a
-// 30 min cadence the directory, reopened, holds compacted blocks (level > 1)
-// and downsampled ones at 5m and at 1h.
+// 30 min cadence, more passes at the same time settle: one pass compacts
+// and downsamples nothing, and then no instant lies under two blocks of one
+// resolution, so each range was downsampled once. The directory, reopened,
+// holds compacted blocks (level > 1) and downsampled ones at 5m and at 1h.
 func TestPrometheusBlockLifecycle(t *testing.T) {
 	cfg := testConfig(t, 2, 1, 200)
 	sim, err := New(tinyTopo(), cfg, nil)
@@ -31,6 +33,26 @@ func TestPrometheusBlockLifecycle(t *testing.T) {
 	sim.RunFor(context.Background(), 12*time.Hour)
 	for _, e := range sim.Errors {
 		t.Errorf("subsystem error: %s", e)
+	}
+	settled := false
+	for pass := 1; pass <= 10 && !settled; pass++ {
+		compacted, downsampled, err := sim.sidecar.Maintain(sim.Now(), cfg.Thanos.ShipInterval)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("pass %d at the run's end: %d compactions, %d downsampled blocks", pass, compacted, downsampled)
+		settled = compacted == 0 && downsampled == 0
+	}
+	if !settled {
+		t.Fatal("maintenance at the run's end did not settle in 10 passes")
+	}
+	metas := sim.Cold.BlockMetas()
+	for i, a := range metas {
+		for _, b := range metas[i+1:] {
+			if a.Resolution == b.Resolution && b.MinTime <= a.MaxTime && a.MinTime <= b.MaxTime {
+				t.Errorf("resolution %dms: blocks [%d, %d] and [%d, %d] overlap", a.Resolution, a.MinTime, a.MaxTime, b.MinTime, b.MaxTime)
+			}
+		}
 	}
 	store, err := thanos.NewStore(cfg.Thanos.Dir)
 	if err != nil {

@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/api"
 	"repro/internal/config"
-	"repro/internal/emissions"
 	"repro/internal/exporter"
 	"repro/internal/gpusim"
 	"repro/internal/hw"
@@ -17,7 +16,6 @@ import (
 	"repro/internal/lb"
 	"repro/internal/model"
 	"repro/internal/promql"
-	"repro/internal/relstore"
 	"repro/internal/resourcemanager"
 	"repro/internal/scrape"
 	"repro/internal/slurmsim"
@@ -38,13 +36,13 @@ type Sim struct {
 	// prometheus_sim assembles it: its head or ring, block store, rules,
 	// query source and query API handler.
 	*Prometheus
+	// Role is the API server as ceems_api_server assembles it, accounting
+	// the simulated scheduler's units from Query into an in-memory store.
+	*api.Role
 
-	Sched     *slurmsim.Scheduler
-	Store     *relstore.DB
-	Updater   *api.Updater
-	APIServer *api.Server
-	LB        *lb.LB
-	Gen       *WorkloadGen
+	Sched *slurmsim.Scheduler
+	LB    *lb.LB
+	Gen   *WorkloadGen
 
 	scrapeMgr *scrape.Manager
 	exporters map[string]*exporter.Exporter
@@ -103,11 +101,6 @@ func New(topo Topology, cfg config.Config, reg *telemetry.Registry) (*Sim, error
 		Topo: topo, Cfg: cfg, clock: start,
 		exporters: map[string]*exporter.Exporter{},
 	}
-	factor, err := emissions.FromConfig(cfg.Emissions, sim.Now)
-	if err != nil {
-		return nil, err
-	}
-
 	// Partitions: one per node class present.
 	var parts []*slurmsim.Partition
 	var cpuParts, gpuParts []string
@@ -179,32 +172,16 @@ func New(topo Topology, cfg config.Config, reg *telemetry.Registry) (*Sim, error
 		sim.scrapeMgr.InstrumentTelemetry(reg)
 	}
 
-	// API server, on an in-memory store.
-	sim.Store, err = relstore.Open("")
+	// The API server keeps its accounting in memory, whatever
+	// api_server.data_dir says: its Updater deletes a short unit's series
+	// right after an Upsert that is not yet fsynced (docs/ARCHITECTURE.md
+	// §11), so on disk a crash could keep neither the row nor the series.
+	apiCfg := cfg
+	apiCfg.APIServer.DataDir, apiCfg.APIServer.BackupDir = "", ""
+	sim.Role, err = api.Open(apiCfg, sim.Now, sim.Query, sim.head,
+		&resourcemanager.Local{Cluster: topo.Name, Kind: model.ManagerSLURM, Source: sim.Sched})
 	if err != nil {
 		return nil, err
-	}
-	for _, s := range api.Schemas() {
-		if err := sim.Store.CreateTable(s); err != nil {
-			return nil, err
-		}
-	}
-	sim.Updater = &api.Updater{
-		Store: sim.Store,
-		Fetchers: []resourcemanager.Fetcher{
-			&resourcemanager.Local{Cluster: topo.Name, Kind: model.ManagerSLURM, Source: sim.Sched},
-		},
-		Query:           sim.Query,
-		Factor:          factor,
-		Zone:            cfg.Cluster.Zone,
-		ShortUnitCutoff: cfg.APIServer.ShortUnitCutoff,
-		Cleaner:         sim.head,
-	}
-	sim.APIServer = &api.Server{Store: sim.Store, Updater: sim.Updater}
-	for _, admin := range cfg.APIServer.AdminUsers {
-		if err := sim.APIServer.AddAdmin(admin); err != nil {
-			return nil, err
-		}
 	}
 
 	// Load balancer over the (single, in this sim) query backend; the
@@ -213,7 +190,7 @@ func New(topo Topology, cfg config.Config, reg *telemetry.Registry) (*Sim, error
 	sim.LB = &lb.LB{
 		Strategy:     lb.Strategy(cfg.LB.Strategy),
 		QueryTimeout: cfg.LB.QueryTimeout,
-		Checker:      &lb.APIServerChecker{Server: sim.APIServer},
+		Checker:      &lb.APIServerChecker{Server: sim.Server},
 	}
 
 	sim.Gen = NewWorkloadGen(topo.Seed, cfg.Sim.Users, cfg.Sim.Projects, cfg.Sim.JobsPerDay, cpuParts, gpuParts)

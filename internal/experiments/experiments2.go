@@ -168,13 +168,10 @@ func RunLB(ctx context.Context) (*Result, error) {
 	if owner == other {
 		other = "user01"
 	}
-	sim.APIServer.AddAdmin("root")
+	sim.Server.AddAdmin("root")
 	backend, _ := lb.NewBackend(prom.URL)
-	balancer := &lb.LB{
-		Backends: []*lb.Backend{backend},
-		Checker:  &lb.APIServerChecker{Server: sim.APIServer},
-	}
-	lbSrv := httptest.NewServer(balancer)
+	sim.LB.Backends = []*lb.Backend{backend}
+	lbSrv := httptest.NewServer(sim.LB)
 	defer lbSrv.Close()
 
 	tw := tabwriter.NewWriter(&buf, 2, 4, 2, ' ', 0)
@@ -196,7 +193,7 @@ func RunLB(ctx context.Context) (*Result, error) {
 	fmt.Fprintf(&buf, "\nStrategy distribution over 3 backends, 300 requests:\n")
 	tw = tabwriter.NewWriter(&buf, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "STRATEGY\tB0\tB1\tB2")
-	head := map[string]float64{"denied": float64(balancer.Denied())}
+	head := map[string]float64{"denied": float64(sim.LB.Denied())}
 	for _, strat := range []lb.Strategy{lb.RoundRobin, lb.LeastConnection} {
 		var backends []*lb.Backend
 		for i := 0; i < 3; i++ {

@@ -17,41 +17,28 @@ import (
 	"repro/internal/relstore"
 )
 
-// openStore opens the relstore in dir under api.Schemas(), as
-// ceems_api_server does at start-up.
-func openStore(t *testing.T, dir string) *relstore.DB {
+// restart builds the API server role again over the store in dir with
+// api.Open, as a restarted ceems_api_server does: nothing of the old role's
+// memory survives, and its store is left as it is.
+func restart(t *testing.T, sim *cluster.Sim, dir string) {
 	t.Helper()
-	db, err := relstore.Open(dir)
+	cfg := sim.Cfg
+	cfg.APIServer.DataDir = dir
+	role, err := api.Open(cfg, sim.Now, sim.Updater.Query, sim.Updater.Cleaner, sim.Updater.Fetchers...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { db.Close() })
-	for _, s := range api.Schemas() {
-		if err := db.CreateTable(s); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return db
-}
-
-// restart puts a fresh updater of the same configuration over db, as a
-// restarted API server builds it: nothing of the old one's memory survives.
-func restart(sim *cluster.Sim, db *relstore.DB) {
-	old := sim.Updater
-	sim.Updater = &api.Updater{
-		Store: db, Fetchers: old.Fetchers, Query: old.Query, Factor: old.Factor,
-		Zone: old.Zone, ShortUnitCutoff: old.ShortUnitCutoff, Cleaner: old.Cleaner,
-	}
-	sim.Store, sim.APIServer.Store, sim.APIServer.Updater = db, db, sim.Updater
+	t.Cleanup(func() { role.Close() })
+	sim.Role = role
 }
 
 // TestAccountingExactAcrossRestart restarts the API server at 30, 60 and
-// 90 min of the 2 h jz-mini run, in two ways: a fresh Updater over the same
-// store, and the store directory-backed from the first pass, closed and
-// reopened at the restart. Each unit's window starts at its row's
-// accounted_until, so the run must end where the uninterrupted one does:
-// fleet host joules within 0.5 %, and no job more than 0.1 % above its
-// uninterrupted value.
+// 90 min of the 2 h jz-mini run, on a store directory-backed from the first
+// pass, in two ways: a fresh role over the store as a killed server leaves
+// it (never closed), and the store closed and reopened at the restart.
+// Each unit's window starts at its row's accounted_until, so the run must
+// end where the uninterrupted one does: fleet host joules within 0.5 %, and
+// no job more than 0.1 % above its uninterrupted value.
 func TestAccountingExactAcrossRestart(t *testing.T) {
 	if testing.Short() {
 		t.Skip("six 2 h simulations")
@@ -74,20 +61,15 @@ func TestAccountingExactAcrossRestart(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				var dir string
-				if reopen {
-					dir = t.TempDir()
-					restart(sim, openStore(t, dir))
-				}
+				dir := t.TempDir()
+				restart(t, sim, dir)
 				sim.RunFor(ctx, at)
 				if reopen {
 					if err := sim.Store.Close(); err != nil {
 						t.Fatal(err)
 					}
-					restart(sim, openStore(t, dir))
-				} else {
-					restart(sim, sim.Store)
 				}
+				restart(t, sim, dir)
 				sim.RunFor(ctx, 2*time.Hour-at)
 				if err := sim.FinalizeUpdate(ctx); err != nil {
 					t.Fatal(err)
@@ -149,7 +131,7 @@ func TestAccountingCrashAtAnyByte(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	restart(sim, openStore(t, dir))
+	restart(t, sim, dir)
 	sim.Updater.Cleaner = nil
 	sim.RunFor(ctx, 30*time.Minute)
 	// Step to the next pass's time with the sim's own passes off, so the
@@ -199,19 +181,20 @@ func TestAccountingCrashAtAnyByte(t *testing.T) {
 		if err := os.WriteFile(filepath.Join(cutDir, "wal.jsonl"), wal[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		restart(sim, openStore(t, cutDir))
+		restart(t, sim, cutDir)
 		if err := sim.Updater.Update(ctx, sim.Now()); err != nil {
 			t.Fatalf("cut at byte %d: pass after reopen: %v", cut, err)
 		}
 		check(sim.Store, fmt.Sprintf("cut at byte %d, after the pass", cut))
 		// What that pass wrote must itself survive the next open.
 		sim.Store.Close()
-		check(openStore(t, cutDir), fmt.Sprintf("cut at byte %d, reopened after the pass", cut))
+		restart(t, sim, cutDir)
+		check(sim.Store, fmt.Sprintf("cut at byte %d, reopened after the pass", cut))
 	}
 }
 
-// TestAccountingLegacyStore opens a store written under the units schema
-// from before accounted_until, with no meta table, under api.Schemas(). A
+// TestAccountingLegacyStore opens, with api.Open, a store written under the
+// units schema from before accounted_until, with no meta table. A
 // legacy row counts as accounted up to the first pass's now, so that pass
 // leaves every terminated unit's aggregate as it was.
 func TestAccountingLegacyStore(t *testing.T) {
@@ -249,17 +232,16 @@ func TestAccountingLegacyStore(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	db := openStore(t, dir)
-	before, err := db.Select(api.TableUnits, relstore.Query{})
+	restart(t, sim, dir)
+	before, err := sim.Store.Select(api.TableUnits, relstore.Query{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	restart(sim, db)
 	sim.RunFor(ctx, sim.Cfg.APIServer.UpdateInterval) // one pass
 	for _, e := range sim.Errors {
 		t.Errorf("subsystem error: %s", e)
 	}
-	after := unitAccounts(t, db)
+	after := unitAccounts(t, sim.Store)
 	terminated := 0
 	for _, row := range before {
 		if s, _ := row["state"].(string); !model.UnitState(s).Terminated() {

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/api"
+	"repro/internal/config"
 	"repro/internal/labels"
 	"repro/internal/model"
 	"repro/internal/promapi"
@@ -73,11 +74,11 @@ func TestPromDSErrorSurfaced(t *testing.T) {
 
 func ceemsBackend(t *testing.T) *httptest.Server {
 	t.Helper()
-	store, _ := relstore.Open("")
-	for _, s := range api.Schemas() {
-		store.CreateTable(s)
+	role, err := api.Open(config.Default(), nil, nil, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	srv := &api.Server{Store: store}
+	store := role.Store
 	store.Upsert(api.TableUnits, relstore.Row{
 		"uuid": "c/slurm/1", "id": "1", "cluster": "c", "user": "alice",
 		"project": "p", "name": "train", "partition": "cpu", "state": "running",
@@ -89,7 +90,7 @@ func ceemsBackend(t *testing.T) *httptest.Server {
 		"cpu_time_sec": 720.0, "avg_cpu_usage": 0.75, "total_energy_j": 3.6e6,
 		"emissions_g": 56.0,
 	})
-	s := httptest.NewServer(srv.Handler())
+	s := httptest.NewServer(role.Server.Handler())
 	t.Cleanup(s.Close)
 	return s
 }

@@ -14,7 +14,7 @@ import (
 	"time"
 
 	"repro/internal/api"
-	"repro/internal/relstore"
+	"repro/internal/config"
 )
 
 // stubChecker owns units by prefix: user "alice" owns uuids starting "a".
@@ -511,20 +511,13 @@ func TestHTTPChecker(t *testing.T) {
 // server's admin table decides who reaches the admin-only paths — an admin
 // gets a status page through the LB, an ordinary user still gets 403.
 func TestHTTPCheckerAdminThroughAPIServer(t *testing.T) {
-	store, err := relstore.Open("")
+	cfg := config.Default()
+	cfg.APIServer.AdminUsers = []string{"root"}
+	role, err := api.Open(cfg, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, s := range api.Schemas() {
-		if err := store.CreateTable(s); err != nil {
-			t.Fatal(err)
-		}
-	}
-	srv := &api.Server{Store: store}
-	if err := srv.AddAdmin("root"); err != nil {
-		t.Fatal(err)
-	}
-	apiHTTP := httptest.NewServer(srv.Handler())
+	apiHTTP := httptest.NewServer(role.Server.Handler())
 	defer apiHTTP.Close()
 	prom := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 		w.Write([]byte(`{"status":"success"}`))

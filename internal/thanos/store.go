@@ -10,9 +10,11 @@ package thanos
 // docs/ARCHITECTURE.md for the full lifecycle.
 
 import (
+	"cmp"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -424,10 +426,15 @@ func (s *Store) compactSet(plan []*tsdb.PersistentBlock, tombs []tsdb.TombstoneR
 // max aggregate streams (see tsdb.DownsamplePersistentBlock). Unlike
 // Thanos-the-paper's lossy rewrite, sources are KEPT: raw and downsampled
 // siblings coexist and SelectWithHints picks per query, so full-fidelity
-// reads stay possible. Blocks already downsampled to the target resolution
-// — or with a finer downsampled child that divides it, which then serves
-// as the cheaper source — are skipped, making the call idempotent.
-// Returns the number of blocks created.
+// reads stay possible. A block is skipped when its time range is already
+// covered by blocks coarser than it at a resolution that divides the
+// target, those written by this call included: a range is derived once,
+// whatever compaction has since renamed its blocks, and from the cheapest
+// source (a 5m block rather than raw data for 1h). A block finer than the
+// target covers only while it is itself a source here (it ends before
+// `before`): compaction can merge it into one that keeps growing, and a
+// range must not wait on that. The call is idempotent. Returns the number
+// of blocks created.
 func (s *Store) Downsample(before int64, resolution time.Duration) (int, error) {
 	res := resolution.Milliseconds()
 	if res <= 0 {
@@ -436,18 +443,6 @@ func (s *Store) Downsample(before int64, resolution time.Duration) (int, error) 
 	s.mu.RLock()
 	blocks := append([]*tsdb.PersistentBlock(nil), s.blocks...)
 	s.mu.RUnlock()
-	// children[src ULID] = set of resolutions already derived from it.
-	children := map[string]map[int64]bool{}
-	for _, b := range blocks {
-		for _, src := range b.Meta().Sources {
-			m := children[src]
-			if m == nil {
-				m = map[int64]bool{}
-				children[src] = m
-			}
-			m[b.Meta().Resolution] = true
-		}
-	}
 	n := 0
 	for _, b := range blocks {
 		meta := b.Meta()
@@ -457,18 +452,7 @@ func (s *Store) Downsample(before int64, resolution time.Duration) (int, error) 
 		if meta.Resolution > 0 && res%meta.Resolution != 0 {
 			continue
 		}
-		ch := children[meta.ULID]
-		if ch[res] {
-			continue
-		}
-		finerChild := false
-		for cres := range ch {
-			if cres > meta.Resolution && cres < res && res%cres == 0 {
-				finerChild = true
-				break
-			}
-		}
-		if finerChild {
+		if covered(blocks, meta, res, before) {
 			continue
 		}
 		if !b.Retain() { // concurrently retired by a compaction
@@ -484,6 +468,7 @@ func (s *Store) Downsample(before int64, resolution time.Duration) (int, error) 
 			continue
 		}
 		s.register(nb)
+		blocks = append(blocks, nb)
 		n++
 		if m := s.metrics; m != nil {
 			m.downsamples.Inc()
@@ -494,6 +479,29 @@ func (s *Store) Downsample(before int64, resolution time.Duration) (int, error) 
 		s.syncDirBestEffort()
 	}
 	return n, nil
+}
+
+// covered reports whether the blocks coarser than meta, at resolutions
+// that divide res, cover meta's time range; one finer than res counts only
+// if it ends before `before`. A downsampled point at t stands for its
+// bucket, (t-resolution, t].
+func covered(blocks []*tsdb.PersistentBlock, meta tsdb.BlockMeta, res, before int64) bool {
+	var spans [][2]int64
+	for _, b := range blocks {
+		m := b.Meta()
+		if m.Resolution > meta.Resolution && res%m.Resolution == 0 && (m.Resolution == res || m.MaxTime < before) {
+			spans = append(spans, [2]int64{m.MinTime - m.Resolution + 1, m.MaxTime})
+		}
+	}
+	slices.SortFunc(spans, func(a, b [2]int64) int { return cmp.Compare(a[0], b[0]) })
+	next := meta.MinTime // the first instant not yet covered
+	for _, sp := range spans {
+		if sp[0] > next {
+			break
+		}
+		next = max(next, sp[1]+1)
+	}
+	return next > meta.MaxTime
 }
 
 // Close releases every block mapping. The store must not be queried after.

@@ -8,11 +8,11 @@
 #      promql/promapi were raced in CI but not by `make race`.
 #   2. Every Makefile target is declared in .PHONY, so a stray file named
 #      like a target (e.g. `bench-smoke`) can never shadow it.
-#   3. Every `go test -race -count=2 ...` harness line (wal-recovery,
-#      querycache, cluster-chaos) is byte-identical between the two files
-#      after normalizing $(GO) to go — the -run pattern and package list of
-#      each harness job are pinned, so neither side can narrow a harness
-#      without the other noticing.
+#   3. Every `go test -race -<flag> ...` harness line (accounting,
+#      wal-recovery, querycache, cluster-chaos, ...) is byte-identical
+#      between the two files after normalizing $(GO) to go — the -run
+#      pattern and package list of each harness job are pinned, so neither
+#      side can narrow a harness without the other noticing.
 #   4. The `make config-check` command (flag pin tables, README flag tables,
 #      examples/ceems.yaml, no setting read by nothing) is the lint job's
 #      step, byte for byte.
@@ -49,21 +49,21 @@ if [ "$mk_pkgs" != "$ci_pkgs" ]; then
     fail=1
 fi
 
-# Harness lines: -race -count=2 with a pinned -run pattern and package
+# Harness lines: -race and a flag, with a pinned -run pattern and package
 # list. Compare the full normalized command strings, sorted.
-mk_runs=$(sed -n 's/^	$(GO) \(test -race -count=2.*\)$/go \1/p' Makefile | sort)
-ci_runs=$(sed -n 's/^ *run: \(go test -race -count=2.*\)$/\1/p' .github/workflows/ci.yml | sort)
+mk_runs=$(sed -n 's/^	$(GO) \(test -race -.*\)$/go \1/p' Makefile | sort)
+ci_runs=$(sed -n 's/^ *run: \(go test -race -.*\)$/\1/p' .github/workflows/ci.yml | sort)
 
 if [ -z "$mk_runs" ]; then
-    echo "ci-sync-check: could not extract any -race -count=2 harness lines from the Makefile" >&2
+    echo "ci-sync-check: could not extract any -race harness lines from the Makefile" >&2
     fail=1
 fi
 if [ -z "$ci_runs" ]; then
-    echo "ci-sync-check: could not extract any -race -count=2 harness lines from ci.yml" >&2
+    echo "ci-sync-check: could not extract any -race harness lines from ci.yml" >&2
     fail=1
 fi
 if [ "$mk_runs" != "$ci_runs" ]; then
-    echo "ci-sync-check: -race -count=2 harness lines differ between Makefile and ci.yml:" >&2
+    echo "ci-sync-check: -race harness lines differ between Makefile and ci.yml:" >&2
     echo "--- Makefile" >&2
     echo "$mk_runs" >&2
     echo "--- ci.yml" >&2
