@@ -143,7 +143,9 @@ head-index:
 # a valid CRC replays through Open to an error or a head, never a panic,
 # allocating in proportion to the bytes it holds) and over the step filter
 # (FuzzStepFilter: any stream, step grid and cut of the stream into runs read
-# through Until keeps exactly what the brute-force step rule keeps).
+# through Until keeps exactly what the brute-force step rule keeps) and over
+# the sample-value renderer (FuzzAppendFloat: any float64 bits render as
+# strconv.AppendFloat(dst, v, 'g', -1, 64) renders them, byte for byte).
 # tools/ci_sync_check.sh pins this list to ci.yml and to every Fuzz function
 # in the tree.
 fuzz-smoke:
@@ -159,6 +161,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzTokenizer -fuzztime 10s ./internal/expofmt/
 	$(GO) test -run '^$$' -fuzz FuzzDecoder -fuzztime 10s ./internal/remotewrite/
 	$(GO) test -run '^$$' -fuzz FuzzStepFilter -fuzztime 10s ./internal/model/
+	$(GO) test -run '^$$' -fuzz FuzzAppendFloat -fuzztime 10s ./internal/model/
 
 # Real measurements for BENCH_querycache.json (slow).
 bench-querycache:

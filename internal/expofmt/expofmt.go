@@ -14,7 +14,6 @@ import (
 	"bytes"
 	"fmt"
 	"io"
-	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -22,6 +21,7 @@ import (
 	"unicode/utf8"
 
 	"repro/internal/labels"
+	"repro/internal/model"
 )
 
 // MetricType is the TYPE annotation of a metric family.
@@ -95,7 +95,7 @@ func AppendFamily(dst []byte, f *Family) []byte {
 		dst = append(dst, f.Name...)
 		dst = appendLabels(dst, m.Labels)
 		dst = append(dst, ' ')
-		dst = appendValue(dst, m.Value)
+		dst = model.AppendFloat(dst, m.Value)
 		if m.TS != 0 {
 			dst = append(dst, ' ')
 			dst = strconv.AppendInt(dst, m.TS, 10)
@@ -136,18 +136,6 @@ func appendLabels(dst []byte, ls labels.Labels) []byte {
 		dst = append(dst, '}')
 	}
 	return dst
-}
-
-func appendValue(dst []byte, v float64) []byte {
-	switch {
-	case math.IsNaN(v):
-		return append(dst, "NaN"...)
-	case math.IsInf(v, 1):
-		return append(dst, "+Inf"...)
-	case math.IsInf(v, -1):
-		return append(dst, "-Inf"...)
-	}
-	return strconv.AppendFloat(dst, v, 'g', -1, 64)
 }
 
 // appendEscaped appends s with backslash and newline escaped, plus the

@@ -1,12 +1,14 @@
 package promapi
 
 import (
+	"math"
 	"net/http"
 	"strconv"
 	"sync"
 	"unicode/utf8"
 
 	"repro/internal/labels"
+	"repro/internal/model"
 	"repro/internal/promql"
 	"repro/internal/querycache"
 )
@@ -21,6 +23,15 @@ import (
 // and is written from those bytes (appendRange). Errors and the
 // /api/v1/status/* endpoints carry arbitrary structs and stay on
 // encoding/json.
+//
+// Sample values are written by model.AppendFloat, the one renderer of
+// values, which exposition text, relstore keys and remote read also use; its
+// bytes are strconv.AppendFloat(v, 'g', -1, 64)'s, and strconv stays as its
+// test oracle. Within one series a value whose bits equal the previous
+// sample's is copied from that sample's bytes rather than formatted again
+// (appendValues): rules evaluated every minute and read at a 15 s step hold
+// each value for several steps. Equal bits render equal bytes, so the rule
+// changes no byte; +0 and -0, equal as floats, are not equal in bits.
 
 const (
 	envelopeOpen = `{"status":"success","data":{"resultType":"`
@@ -62,16 +73,35 @@ func appendRange(b []byte, r querycache.Range) []byte {
 				b = append(b, vals[1:]...)
 			}
 		} else {
-			for j, smp := range s.Samples {
-				if j > 0 {
-					b = append(b, ',')
-				}
-				b = appendPair(b, smp.T, smp.V)
-			}
+			b = appendValues(b, s.Samples)
 		}
 		b = append(b, "]}"...)
 	}
 	return append(b, "]}}"...)
+}
+
+// appendValues renders a series' samples as the pairs of its values array.
+// A value with the bits of the one before it — a rule's output read at a
+// finer step than the rule runs — is copied from that one's bytes instead
+// of formatted again.
+func appendValues(b []byte, samples []model.Sample) []byte {
+	var prev uint64
+	var from, to int
+	for j, smp := range samples {
+		if j > 0 {
+			b = append(b, ',')
+		}
+		b = append(appendSeconds(append(b, '['), smp.T), ',', '"')
+		if bits := math.Float64bits(smp.V); j > 0 && bits == prev {
+			b = append(b, b[from:to]...)
+		} else {
+			from = len(b)
+			b = model.AppendFloat(b, smp.V)
+			to, prev = len(b), bits
+		}
+		b = append(b, '"', ']')
+	}
+	return b
 }
 
 // appendSample is the querycache.Render of a matrix sample: the pair with
@@ -134,11 +164,8 @@ func appendMetric(b []byte, ls labels.Labels) []byte {
 
 // appendPair renders one `[unix_seconds,"value"]` sample.
 func appendPair(b []byte, t int64, v float64) []byte {
-	b = append(b, '[')
-	b = appendSeconds(b, t)
-	b = append(b, ',', '"')
-	b = strconv.AppendFloat(b, v, 'g', -1, 64) // never needs escaping
-	return append(b, '"', ']')
+	b = append(appendSeconds(append(b, '['), t), ',', '"')
+	return append(model.AppendFloat(b, v), '"', ']') // never needs escaping
 }
 
 // appendSeconds renders float64(ms)/1000 the way encoding/json renders a

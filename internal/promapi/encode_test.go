@@ -164,6 +164,9 @@ func randMatrix(rng *rand.Rand) promql.Matrix {
 		m[i].Samples = make([]model.Sample, rng.Intn(6))
 		for j := range m[i].Samples {
 			m[i].Samples[j] = model.Sample{T: randTime(rng), V: randValue(rng)}
+			if j > 0 && rng.Intn(3) == 0 {
+				m[i].Samples[j].V = m[i].Samples[j-1].V
+			}
 		}
 	}
 	return m
@@ -218,6 +221,17 @@ func TestWriterMatchesEncodingJSON(t *testing.T) {
 	for _, l := range [][]string{nil, {}, {""}, nastyStrings} {
 		diff(t, "list", body(func(b []byte) []byte { return appendList(b, l) }), oracleList(t, l))
 	}
+	// Runs of one value, whose later pairs copy the first one's bytes: +0
+	// then -0 (equal, but not in bits), runs of NaN and of the staleness
+	// marker, and a run of every listed value.
+	held := promql.Matrix{{Labels: labels.FromStrings("job", "held")}}
+	runs := append([]float64{0, math.Copysign(0, -1), 0, math.NaN(), model.StaleNaN(), math.NaN()}, nastyValues...)
+	for _, v := range runs {
+		for k := 0; k < 3; k++ {
+			held[0].Samples = append(held[0].Samples, model.Sample{T: int64(len(held[0].Samples)) * 15000, V: v})
+		}
+	}
+	diff(t, "held matrix", body(func(b []byte) []byte { return appendMatrix(b, held) }), oracleMatrix(t, held))
 
 	rng := rand.New(rand.NewSource(17))
 	for i := 0; i < 2000; i++ {
@@ -477,8 +491,9 @@ func TestPooledBufferConcurrent(t *testing.T) {
 
 // --- benchmarks -----------------------------------------------------------------
 
-// benchMatrix is a dashboard panel's answer: nSeries series of 60 steps.
-func benchMatrix(nSeries int) promql.Matrix {
+// benchMatrix is a dashboard panel's answer: nSeries series of 60 steps,
+// each value held for hold steps (a rule's output read at a finer step).
+func benchMatrix(nSeries, hold int) promql.Matrix {
 	rng := rand.New(rand.NewSource(1))
 	m := make(promql.Matrix, nSeries)
 	for i := range m {
@@ -487,6 +502,9 @@ func benchMatrix(nSeries int) promql.Matrix {
 		m[i].Samples = make([]model.Sample, 60)
 		for j := range m[i].Samples {
 			m[i].Samples[j] = model.Sample{T: 1700000000000 + int64(j)*15000, V: rng.Float64() * 1000}
+			if j%hold != 0 {
+				m[i].Samples[j].V = m[i].Samples[j-1].V
+			}
 		}
 	}
 	return m
@@ -497,16 +515,19 @@ var benchSink int
 // BenchmarkWriteMatrix measures the response writer against the reflection
 // path it replaced (the /oracle sub-benchmarks), on the same matrices.
 func BenchmarkWriteMatrix(b *testing.B) {
-	for _, n := range []int{1, 14, 200} {
-		m := benchMatrix(n)
-		rec := &discardWriter{h: http.Header{}}
-		b.Run(fmt.Sprintf("series%d", n), func(b *testing.B) {
+	rec := &discardWriter{h: http.Header{}}
+	write := func(m promql.Matrix) func(b *testing.B) {
+		return func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				writeBody(rec, func(buf []byte) []byte { return appendMatrix(buf, m) })
 			}
 			benchSink += rec.n
-		})
+		}
+	}
+	for _, n := range []int{1, 14, 200} {
+		m := benchMatrix(n, 1)
+		b.Run(fmt.Sprintf("series%d", n), write(m))
 		b.Run(fmt.Sprintf("series%d/oracle", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -515,10 +536,11 @@ func BenchmarkWriteMatrix(b *testing.B) {
 			benchSink += rec.n
 		})
 	}
+	b.Run("series14_held", write(benchMatrix(14, 4)))
 }
 
 func BenchmarkWriteVector(b *testing.B) {
-	m := benchMatrix(200)
+	m := benchMatrix(200, 1)
 	v := make(promql.Vector, len(m))
 	for i, s := range m {
 		v[i] = promql.Sample{Labels: s.Labels, T: s.Samples[0].T, V: s.Samples[0].V}

@@ -59,7 +59,7 @@ func (s readSample) MarshalJSON() ([]byte, error) {
 	if model.IsStaleNaN(s.V) {
 		b = append(b, staleValue...)
 	} else {
-		b = strconv.AppendFloat(b, s.V, 'g', -1, 64)
+		b = model.AppendFloat(b, s.V)
 	}
 	return append(b, '"', ']'), nil
 }

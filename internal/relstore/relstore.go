@@ -21,6 +21,8 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+
+	"repro/internal/model"
 )
 
 // ColumnType enumerates supported column types.
@@ -274,7 +276,7 @@ func appendKey(b []byte, v any) []byte {
 	case int:
 		return strconv.AppendInt(append(b, "i:"...), int64(x), 10)
 	case float64:
-		return strconv.AppendFloat(append(b, "f:"...), x, 'g', -1, 64)
+		return model.AppendFloat(append(b, "f:"...), x)
 	case bool:
 		return strconv.AppendBool(append(b, "b:"...), x)
 	case nil:
