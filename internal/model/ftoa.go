@@ -3,10 +3,9 @@ package model
 import (
 	"encoding/binary"
 	"math"
+	"math/big"
 	"math/bits"
 )
-
-//go:generate go run mkpow10.go
 
 // AppendFloat appends v as strconv.AppendFloat(dst, v, 'g', -1, 64) does,
 // byte for byte: the shortest decimal that reads back as v, in %e layout
@@ -20,8 +19,7 @@ import (
 // the interval of decimals that round to v, and the shortest is chosen among
 // the multiples of 10^(k+1) and 10^k next to v, so no loop trims a digit at
 // a time. strconv is the test oracle; every value class is handled here, so
-// nothing falls back to it. The layout is stored straight into dst's spare
-// capacity when it has room.
+// nothing falls back to it.
 func AppendFloat(dst []byte, v float64) []byte {
 	u := math.Float64bits(v)
 	mant := u & (1<<52 - 1)
@@ -66,14 +64,8 @@ func AppendFloat(dst []byte, v float64) []byte {
 		nd--
 	}
 
-	// The layout is stored in fixed-size words straight into dst's spare
-	// capacity when dst has room for any rendering, else into a stack
-	// buffer that is then appended, so dst grows no further than append
-	// would grow it.
-	w := len(dst)
-	if cap(dst)-w >= 32 {
-		return dst[:w+layout(dst[w:w+32], digs, nd, dp)]
-	}
+	// The layout is stored in fixed-size words into a stack buffer that is
+	// then appended, so dst grows no further than append would grow it.
 	var tmp [32]byte
 	return append(dst, tmp[:layout(tmp[:], digs, nd, dp)]...)
 }
@@ -123,6 +115,38 @@ func layout(out, digs []byte, nd, dp int) int {
 
 // copy16 copies the first 16 bytes of src to dst.
 func copy16(dst, src []byte) { *(*[16]byte)(dst) = *(*[16]byte)(src) }
+
+const (
+	pow10Min = -292
+	pow10Max = 324
+)
+
+// pow10 holds, for each e in [pow10Min, pow10Max], 10^e scaled into
+// [2^127, 2^128) and rounded up: floor(10^e · 2^(127 − floor(log2 10^e))) + 1,
+// as {high 64 bits, low 64 bits}. It is computed exactly, once, at package
+// initialisation.
+var pow10 = func() (t [pow10Max - pow10Min + 1][2]uint64) {
+	one, ten := big.NewInt(1), big.NewInt(10)
+	p, g := big.NewInt(1), new(big.Int) // p = 10^e
+	put := func(e int, x *big.Int) {
+		var b [16]byte
+		x.Add(x, one).FillBytes(b[:])
+		t[e-pow10Min] = [2]uint64{binary.BigEndian.Uint64(b[:8]), binary.BigEndian.Uint64(b[8:])}
+	}
+	for e := 0; e <= max(pow10Max, -pow10Min); e++ {
+		// 10^e lies in [2^(n−1), 2^n) for n = p.BitLen(), and, being no
+		// power of two for e > 0, 10^−e in (2^−n, 2^(1−n)).
+		n := p.BitLen()
+		if e <= pow10Max {
+			put(e, g.Rsh(g.Lsh(p, 128), uint(n)))
+		}
+		if e > 0 && -e >= pow10Min {
+			put(-e, g.Quo(g.Lsh(one, uint(127+n)), p))
+		}
+		p.Mul(p, ten)
+	}
+	return t
+}()
 
 // uint64pow10[n] is 10^n.
 var uint64pow10 = [...]uint64{1, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9,

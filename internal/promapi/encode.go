@@ -91,7 +91,7 @@ func appendValues(b []byte, samples []model.Sample) []byte {
 		if j > 0 {
 			b = append(b, ',')
 		}
-		b = append(appendSeconds(append(b, '['), smp.T), ',', '"')
+		b = appendPairHead(b, smp.T)
 		if bits := math.Float64bits(smp.V); j > 0 && bits == prev {
 			b = append(b, b[from:to]...)
 		} else {
@@ -164,8 +164,12 @@ func appendMetric(b []byte, ls labels.Labels) []byte {
 
 // appendPair renders one `[unix_seconds,"value"]` sample.
 func appendPair(b []byte, t int64, v float64) []byte {
-	b = append(appendSeconds(append(b, '['), t), ',', '"')
-	return append(model.AppendFloat(b, v), '"', ']') // never needs escaping
+	return append(model.AppendFloat(appendPairHead(b, t), v), '"', ']') // never needs escaping
+}
+
+// appendPairHead renders a pair up to its value: `[unix_seconds,"`.
+func appendPairHead(b []byte, t int64) []byte {
+	return append(appendSeconds(append(b, '['), t), ',', '"')
 }
 
 // appendSeconds renders float64(ms)/1000 the way encoding/json renders a
