@@ -5,7 +5,7 @@
 # are mapped in docs/ARCHITECTURE.md; benchmark baselines in docs/BENCHMARKS.md.
 
 GO ?= go
-RACE_PKGS := ./internal/tsdb/... ./internal/api/... ./internal/lb/... ./internal/scrape/... ./internal/thanos/... ./internal/workpool/... ./internal/cluster/... ./internal/promql/... ./internal/promapi/... ./internal/querycache/... ./internal/remotewrite/... ./internal/telemetry/... ./internal/rules/...
+RACE_PKGS := ./internal/tsdb/... ./internal/api/... ./internal/lb/... ./internal/scrape/... ./internal/thanos/... ./internal/workpool/... ./internal/cluster/... ./internal/promql/... ./internal/promapi/... ./internal/querycache/... ./internal/remotewrite/... ./internal/telemetry/... ./internal/rules/... ./internal/serve/...
 
 .PHONY: build test test-short race accounting wal-recovery querycache promql-equiv rules-equiv cluster-chaos remote-write telemetry blocks head-index fuzz-smoke bench bench-querycache bench-smoke bench-pairs benchdiff ci-sync-check config-check lint ci
 
@@ -32,10 +32,12 @@ accounting:
 	$(GO) test -race -run 'Accounting|Periodic' ./internal/api/ ./internal/experiments/
 
 # The crash/corruption harness is randomized; run it twice, under race.
-# Covers v1 replay (committed fixture, v1 legs of the crash matrix) and the
-# v1→v2 migration tests too — they all match 'WAL'.
+# Covers v1 replay (committed fixture, v1 legs of the crash matrix), the
+# v1→v2 migration tests, one owner per WAL directory, and the graceful-stop
+# leg (the Prometheus role stopped by internal/serve mid remote-write: every
+# acked sample replays, no torn tail) too — they all match 'WAL'.
 wal-recovery:
-	$(GO) test -race -count=2 -run 'WAL|Checkpoint' ./internal/tsdb/ ./internal/relstore/
+	$(GO) test -race -count=2 -run 'WAL|Checkpoint' ./internal/tsdb/ ./internal/relstore/ ./internal/serve/
 
 # Splice-correctness property test and cache concurrency, twice, under race,
 # with promapi: a reused range entry keeps its JSON rendering, so the render
@@ -145,7 +147,10 @@ head-index:
 # (FuzzStepFilter: any stream, step grid and cut of the stream into runs read
 # through Until keeps exactly what the brute-force step rule keeps) and over
 # the sample-value renderer (FuzzAppendFloat: any float64 bits render as
-# strconv.AppendFloat(dst, v, 'g', -1, 64) renders them, byte for byte).
+# strconv.AppendFloat(dst, v, 'g', -1, 64) renders them, byte for byte) and
+# over relstore's recovery (FuzzRelstoreOpen: any snapshot and WAL bytes open
+# to an error or a store, never a panic, allocating in proportion to the
+# input, and a store that opens reopens to the same rows).
 # tools/ci_sync_check.sh pins this list to ci.yml and to every Fuzz function
 # in the tree.
 fuzz-smoke:
@@ -162,6 +167,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzDecoder -fuzztime 10s ./internal/remotewrite/
 	$(GO) test -run '^$$' -fuzz FuzzStepFilter -fuzztime 10s ./internal/model/
 	$(GO) test -run '^$$' -fuzz FuzzAppendFloat -fuzztime 10s ./internal/model/
+	$(GO) test -run '^$$' -fuzz FuzzRelstoreOpen -fuzztime 10s ./internal/relstore/
 
 # Real measurements for BENCH_querycache.json (slow).
 bench-querycache:

@@ -18,16 +18,13 @@ import (
 	"errors"
 	"flag"
 	"log"
-	"net"
-	"net/http"
 	"os"
-	"os/signal"
-	"syscall"
 
 	"repro/internal/api"
 	"repro/internal/config"
 	"repro/internal/promapi"
 	"repro/internal/resourcemanager"
+	serveproc "repro/internal/serve"
 )
 
 func main() {
@@ -35,44 +32,38 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	if err := serve(ctx, cfg); err != nil {
+	if err := serve(context.Background(), cfg); err != nil {
 		log.Fatal(err)
 	}
 }
 
 // serve binds the listener before it opens the role, so a taken port fails
-// start-up before the store is touched. The accounting and backup loop runs
-// until ctx is done or serving fails; then the store is closed.
+// start-up before the store is touched. It runs the accounting and backup
+// loop and the REST API until ctx is done, a signal stops the process or
+// serving fails; then the store is closed.
 func serve(ctx context.Context, cfg config.Config) error {
 	if cfg.APIServer.SlurmDBD == "" || cfg.APIServer.Prometheus == "" {
 		return errors.New("-slurmdbd and -prometheus are required")
 	}
-	ln, err := net.Listen("tcp", cfg.APIServer.Listen)
-	if err != nil {
+	srv := &serveproc.Server{Name: "CEEMS API", Addr: cfg.APIServer.Listen}
+	if err := serveproc.Bind(srv); err != nil {
 		return err
 	}
 	role, err := open(cfg)
 	if err != nil {
-		ln.Close()
+		srv.Close()
 		return err
 	}
-	defer role.Close()
-
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	srv := &http.Server{Handler: role.Server.Handler()}
-	served := make(chan error, 1)
-	go func() { served <- srv.Serve(ln); cancel() }()
-	log.Printf("ceems_api_server: cluster %s, slurmdbd %s, prometheus %s, serving %s",
-		cfg.Cluster.Name, cfg.APIServer.SlurmDBD, cfg.APIServer.Prometheus, ln.Addr())
-	api.RunPeriodic(ctx, role.Updater, cfg.APIServer.UpdateInterval, role.Backup, cfg.APIServer.BackupInterval)
-	srv.Close()
-	if err := <-served; !errors.Is(err, http.ErrServerClosed) {
-		return err
-	}
-	return nil
+	srv.Handler = role.Server.Handler()
+	log.Printf("ceems_api_server: cluster %s, slurmdbd %s, prometheus %s",
+		cfg.Cluster.Name, cfg.APIServer.SlurmDBD, cfg.APIServer.Prometheus)
+	return serveproc.Run(ctx, serveproc.Process{
+		Servers: []*serveproc.Server{srv},
+		Loops: []serveproc.Loop{func(ctx context.Context) {
+			api.RunPeriodic(ctx, role.Updater, cfg.APIServer.UpdateInterval, role.Backup, cfg.APIServer.BackupInterval)
+		}},
+		Closers: []func() error{role.Close},
+	})
 }
 
 // open builds the standalone role: units from slurmdbd, metrics by remote

@@ -11,10 +11,10 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
-	"net/http"
 	"os"
 	"time"
 
@@ -23,6 +23,7 @@ import (
 	"repro/internal/gpusim"
 	"repro/internal/hw"
 	"repro/internal/model"
+	"repro/internal/serve"
 )
 
 func main() {
@@ -35,6 +36,10 @@ func main() {
 	)
 	cfg, err := config.ForCommand("ceems_exporter", flag.CommandLine, os.Args[1:])
 	if err != nil {
+		log.Fatal(err)
+	}
+	srv := &serve.Server{Name: "metrics", Addr: cfg.Exporter.Listen}
+	if err := serve.Bind(srv); err != nil {
 		log.Fatal(err)
 	}
 
@@ -73,14 +78,6 @@ func main() {
 			log.Fatalf("workload: %v", err)
 		}
 	}
-	go func() {
-		tick := time.NewTicker(time.Second)
-		defer tick.Stop()
-		for range tick.C {
-			node.Advance(time.Second)
-		}
-	}()
-
 	cols := []exporter.Collector{
 		&exporter.CgroupCollector{FS: node.FS, Layout: exporter.SlurmLayout()},
 		&exporter.RAPLCollector{FS: node.FS},
@@ -98,7 +95,12 @@ func main() {
 			log.Fatalf("disable %s: %v", name, err)
 		}
 	}
-	log.Printf("ceems_exporter: %s node %q with %d workloads on %s (collectors: %v)",
-		*class, *nodeName, *workloads, cfg.Exporter.Listen, exp.CollectorNames())
-	log.Fatal(http.ListenAndServe(cfg.Exporter.Listen, exp))
+	log.Printf("ceems_exporter: %s node %q with %d workloads (collectors: %v)",
+		*class, *nodeName, *workloads, exp.CollectorNames())
+	srv.Handler = exp
+	// The node's counters move in real time.
+	advance := serve.Every(time.Second, func(context.Context, time.Time) { node.Advance(time.Second) })
+	if err := serve.Run(context.Background(), serve.Process{Servers: []*serve.Server{srv}, Loops: []serve.Loop{advance}}); err != nil {
+		log.Fatal(err)
+	}
 }

@@ -14,12 +14,12 @@ import (
 	"context"
 	"flag"
 	"log"
-	"net/http"
 	"os"
 	"time"
 
 	"repro/internal/config"
 	"repro/internal/lb"
+	"repro/internal/serve"
 	"repro/internal/telemetry"
 )
 
@@ -30,6 +30,10 @@ func main() {
 	}
 	if len(cfg.LB.Backends) == 0 {
 		log.Fatal("-backends required")
+	}
+	srv := &serve.Server{Name: "lb", Addr: cfg.LB.Listen}
+	if err := serve.Bind(srv); err != nil {
+		log.Fatal(err)
 	}
 
 	reg := telemetry.NewRegistry()
@@ -52,19 +56,17 @@ func main() {
 	}
 	// After Backends: the per-backend bridges close over the final list.
 	balancer.InstrumentTelemetry(reg)
-	go func() {
-		tick := time.NewTicker(cfg.LB.HealthInterval)
-		defer tick.Stop()
-		for range tick.C {
-			// A pass ends by the next tick: a backend that has not
-			// answered by then is down.
-			ctx, cancel := context.WithTimeout(context.Background(), cfg.LB.HealthInterval)
-			balancer.HealthCheck(ctx)
-			cancel()
-		}
-	}()
-
-	log.Printf("ceems_lb: %d backends, strategy %s, failover budget %d, serving %s",
-		len(balancer.Backends), cfg.LB.Strategy, balancer.ProxyRetries, cfg.LB.Listen)
-	log.Fatal(http.ListenAndServe(cfg.LB.Listen, balancer))
+	// A health pass ends by the next tick: a backend that has not answered
+	// by then is down.
+	health := serve.Every(cfg.LB.HealthInterval, func(ctx context.Context, _ time.Time) {
+		ctx, cancel := context.WithTimeout(ctx, cfg.LB.HealthInterval)
+		balancer.HealthCheck(ctx)
+		cancel()
+	})
+	log.Printf("ceems_lb: %d backends, strategy %s, failover budget %d",
+		len(balancer.Backends), cfg.LB.Strategy, balancer.ProxyRetries)
+	srv.Handler = balancer
+	if err := serve.Run(context.Background(), serve.Process{Servers: []*serve.Server{srv}, Loops: []serve.Loop{health}}); err != nil {
+		log.Fatal(err)
+	}
 }

@@ -17,8 +17,6 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"net"
-	"net/http"
 	"os"
 	"time"
 
@@ -27,6 +25,7 @@ import (
 	"repro/internal/lb"
 	"repro/internal/model"
 	"repro/internal/relstore"
+	"repro/internal/serve"
 	"repro/internal/telemetry"
 )
 
@@ -45,6 +44,16 @@ func main() {
 	}
 	if *chaos != "" && cfg.Ring.Nodes <= 1 {
 		log.Fatalf("-chaos %q needs -cluster-nodes > 1", *chaos)
+	}
+	// Bound before the role opens: the Prometheus API behind the LB, and the
+	// CEEMS API. The raw Prometheus API has one client, the LB in this
+	// process, so it takes whatever loopback port is free.
+	raw := &serve.Server{Name: "raw prometheus API", Addr: "127.0.0.1:0"}
+	viaLB := &serve.Server{Name: "prometheus API via LB (access controlled)", Addr: cfg.TSDB.Listen}
+	ceemsAPI := &serve.Server{Name: "CEEMS API", Addr: cfg.APIServer.Listen}
+	servers := append(serve.Profiles(cfg.TSDB.PprofAddr), raw, viaLB, ceemsAPI)
+	if err := serve.Bind(servers...); err != nil {
+		log.Fatal(err)
 	}
 	topo := cluster.Topology{
 		Name:             cfg.Cluster.Name,
@@ -68,16 +77,7 @@ func main() {
 	}
 	log.Printf("cluster_sim: %q with %d nodes (%d GPUs), %.0f jobs/day, %.0fx acceleration",
 		topo.Name, topo.TotalNodes(), topo.TotalGPUs(), cfg.Sim.JobsPerDay, *accel)
-
-	// HTTP endpoints: the Prometheus role's query API behind the LB, plus
-	// the CEEMS API. The raw query API has one client, the LB in this
-	// process, so it takes whatever loopback port is free; bound before the
-	// LB is told about it, so the LB never proxies to nothing.
-	rawLn, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		log.Fatalf("prometheus API: %v", err)
-	}
-	backend, err := lb.NewBackend("http://" + rawLn.Addr().String())
+	backend, err := lb.NewBackend("http://" + raw.BoundAddr())
 	if err != nil {
 		log.Fatalf("lb backend: %v", err)
 	}
@@ -85,51 +85,52 @@ func main() {
 	// After Backends: the per-backend bridges close over the final list.
 	// The LB then also answers /metrics itself from the same registry.
 	sim.LB.InstrumentTelemetry(reg)
-	go func() { log.Fatal(http.Serve(rawLn, sim.Handler.Mux())) }()
-	go func() {
-		log.Printf("prometheus API via LB on %s (access controlled)", cfg.TSDB.Listen)
-		log.Fatal(http.ListenAndServe(cfg.TSDB.Listen, sim.LB))
-	}()
-	go func() {
-		log.Printf("CEEMS API on %s", cfg.APIServer.Listen)
-		log.Fatal(http.ListenAndServe(cfg.APIServer.Listen, sim.Server.Handler()))
-	}()
-	if err := sim.ListenPprof(); err != nil {
-		log.Fatal(err)
-	}
+	raw.Handler, viaLB.Handler, ceemsAPI.Handler = sim.Handler.Mux(), sim.LB, sim.Server.Handler()
 
-	ctx := context.Background()
-	stepsPerWallSec := *accel / cfg.TSDB.ScrapeInterval.Seconds()
-	if stepsPerWallSec <= 0 {
-		stepsPerWallSec = 1
-	}
-	total := int(*duration / cfg.TSDB.ScrapeInterval)
-	reportEvery := int(*report / cfg.TSDB.ScrapeInterval)
-	sleep := time.Duration(float64(time.Second) / stepsPerWallSec)
-	// Chaos schedule: break one node a third of the way in, repair it at
-	// two thirds, and let the final third prove convergence.
-	injectAt, recoverAt := total/3, 2*total/3
-	for i := 0; i < total; i++ {
-		sim.Step(ctx)
-		if *chaos != "" {
-			if i == injectAt {
+	run := func(ctx context.Context) {
+		pace := time.Second // wall time per simulated step
+		if *accel > 0 {
+			pace = max(time.Duration(float64(cfg.TSDB.ScrapeInterval) / *accel), 1)
+		}
+		total := int(*duration / cfg.TSDB.ScrapeInterval)
+		reportEvery := int(*report / cfg.TSDB.ScrapeInterval)
+		tick := time.NewTicker(pace)
+		defer tick.Stop()
+		// Chaos schedule: break one node a third of the way in, repair it at
+		// two thirds, and let the final third prove convergence.
+		injectAt, recoverAt := total/3, 2*total/3
+		for i := 0; i < total; i++ {
+			sim.Step(ctx)
+			if *chaos != "" && i == injectAt {
 				injectChaos(sim, *chaos)
 			}
-			if i == recoverAt {
+			if *chaos != "" && i == recoverAt {
 				recoverChaos(sim, *chaos)
 			}
+			if reportEvery > 0 && i%reportEvery == reportEvery-1 {
+				printReport(sim)
+			}
+			select {
+			case <-ctx.Done():
+				return
+			case <-tick.C:
+			}
 		}
-		if reportEvery > 0 && i%reportEvery == reportEvery-1 {
-			printReport(sim)
+		if err := sim.FinalizeUpdate(ctx); err != nil {
+			log.Printf("final update: %v", err)
 		}
-		time.Sleep(sleep)
+		printReport(sim)
+		for _, e := range sim.Errors {
+			log.Printf("subsystem error: %s", e)
+		}
 	}
-	if err := sim.FinalizeUpdate(ctx); err != nil {
-		log.Printf("final update: %v", err)
-	}
-	printReport(sim)
-	for _, e := range sim.Errors {
-		log.Printf("subsystem error: %s", e)
+	// The run ends when -duration is simulated, or at SIGINT/SIGTERM.
+	if err := serve.Run(context.Background(), serve.Process{
+		Servers: servers,
+		Loops:   []serve.Loop{run},
+		Closers: []func() error{sim.Prometheus.Close, sim.Role.Close},
+	}); err != nil {
+		log.Fatal(err)
 	}
 }
 

@@ -12,13 +12,13 @@ import (
 	"context"
 	"flag"
 	"log"
-	"net/http"
 	"os"
 	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/config"
 	"repro/internal/scrape"
+	"repro/internal/serve"
 	"repro/internal/telemetry"
 )
 
@@ -32,6 +32,11 @@ func main() {
 		log.Fatal("at least one -targets entry required")
 	}
 	cfg.Ring = config.RingConfig{} // one head: the ring is cluster_sim's
+	query := &serve.Server{Name: "prometheus API", Addr: cfg.TSDB.Listen}
+	servers := append(serve.Profiles(cfg.TSDB.PprofAddr), query)
+	if err := serve.Bind(servers...); err != nil {
+		log.Fatal(err)
+	}
 
 	// One registry for the whole process: tsdb, scrape, engine, caches and
 	// ingest all register here, and /metrics serves it — the self-telemetry
@@ -58,22 +63,19 @@ func main() {
 	}
 	sm.InstrumentTelemetry(reg)
 	prom.Rules.OnError = func(err error) { log.Printf("rules: %v", err) }
-	ctx := context.Background()
-	go sm.Run(ctx)
-	go prom.Rules.Run(ctx)
-	go func() {
-		tick := time.NewTicker(cfg.Thanos.ShipInterval)
-		defer tick.Stop()
-		for now := range tick.C {
-			if err := prom.Maintain(now); err != nil {
-				log.Printf("maintenance: %v", err)
-			}
+	query.Handler = prom.Handler.Mux()
+	maintain := serve.Every(cfg.Thanos.ShipInterval, func(_ context.Context, now time.Time) {
+		if err := prom.Maintain(now); err != nil {
+			log.Printf("maintenance: %v", err)
 		}
-	}()
-	if err := prom.ListenPprof(); err != nil {
+	})
+	log.Printf("prometheus_sim: scraping %s (class %s) every %v (query cache %d bytes)",
+		cfg.TSDB.Targets, *class, cfg.TSDB.ScrapeInterval, cfg.TSDB.QueryCacheBytes)
+	if err := serve.Run(context.Background(), serve.Process{
+		Servers: servers,
+		Loops:   []serve.Loop{sm.Run, prom.Rules.Run, maintain},
+		Closers: []func() error{prom.Close},
+	}); err != nil {
 		log.Fatal(err)
 	}
-	log.Printf("prometheus_sim: scraping %s (class %s) every %v, serving %s (query cache %d bytes)",
-		cfg.TSDB.Targets, *class, cfg.TSDB.ScrapeInterval, cfg.TSDB.Listen, cfg.TSDB.QueryCacheBytes)
-	log.Fatal(http.ListenAndServe(cfg.TSDB.Listen, prom.Handler.Mux()))
 }

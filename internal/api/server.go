@@ -297,15 +297,13 @@ func (r *Role) Close() error { return r.Store.Close() }
 // RunPeriodic drives the updater at start-up and then every interval, and
 // the optional backup every backupInterval, until ctx is cancelled (the
 // production loop; simulations call Update/Sync directly with virtual
-// clocks). A failed pass or backup is logged with its error.
+// clocks). A failed pass or backup is logged with its error. Both intervals
+// must be positive, as config.Validate requires of api_server's.
 func RunPeriodic(ctx context.Context, u *Updater, interval time.Duration, backup func() error, backupInterval time.Duration) {
-	if interval <= 0 {
-		interval = time.Minute
-	}
 	tick := time.NewTicker(interval)
 	defer tick.Stop()
 	var backupC <-chan time.Time // nil, so never ready, without a backup
-	if backup != nil && backupInterval > 0 {
+	if backup != nil {
 		bt := time.NewTicker(backupInterval)
 		defer bt.Stop()
 		backupC = bt.C

@@ -4,9 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"log"
-	"net"
-	"net/http"
-	_ "net/http/pprof" // profiling endpoints, served only by ListenPprof
 	"path/filepath"
 	"time"
 
@@ -218,18 +215,18 @@ func (p *Prometheus) Maintain(now time.Time) error {
 	}
 }
 
-// ListenPprof serves the net/http/pprof profiles on tsdb.pprof_addr when it
-// is set, never on a query listener. The address is bound before it returns.
-func (p *Prometheus) ListenPprof() error {
-	if p.cfg.TSDB.PprofAddr == "" {
-		return nil
+// Close closes the role's storage: the head's WAL, or every live ring
+// member's, is flushed and fsynced, then the block store is closed. The
+// role must not be used after.
+func (p *Prometheus) Close() error {
+	var err error
+	if p.Ring != nil {
+		err = p.Ring.Close()
+	} else {
+		err = p.DB.Close()
 	}
-	ln, err := net.Listen("tcp", p.cfg.TSDB.PprofAddr)
-	if err != nil {
-		return fmt.Errorf("pprof: %w", err)
+	if p.Cold != nil {
+		err = errors.Join(err, p.Cold.Close())
 	}
-	log.Printf("pprof: serving on %s", ln.Addr())
-	// DefaultServeMux, where net/http/pprof registered itself.
-	go func() { log.Printf("pprof: %v", http.Serve(ln, nil)) }()
-	return nil
+	return err
 }

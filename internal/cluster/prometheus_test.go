@@ -54,6 +54,9 @@ func TestPrometheusBlockLifecycle(t *testing.T) {
 			}
 		}
 	}
+	if err := sim.Prometheus.Close(); err != nil {
+		t.Fatal(err)
+	}
 	store, err := thanos.NewStore(cfg.Thanos.Dir)
 	if err != nil {
 		t.Fatal(err)

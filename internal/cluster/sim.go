@@ -181,6 +181,7 @@ func New(topo Topology, cfg config.Config, reg *telemetry.Registry) (*Sim, error
 	sim.Role, err = api.Open(apiCfg, sim.Now, sim.Query, sim.head,
 		&resourcemanager.Local{Cluster: topo.Name, Kind: model.ManagerSLURM, Source: sim.Sched})
 	if err != nil {
+		sim.Prometheus.Close()
 		return nil, err
 	}
 

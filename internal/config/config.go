@@ -203,6 +203,15 @@ func (c Config) Validate() error {
 	default:
 		return fmt.Errorf("config: lb.strategy must be round-robin or least-connection, not %q", c.LB.Strategy)
 	}
+	if c.LB.HealthInterval <= 0 {
+		return fmt.Errorf("config: lb.health_interval must be positive")
+	}
+	if c.APIServer.UpdateInterval <= 0 {
+		return fmt.Errorf("config: api_server.update_interval must be positive")
+	}
+	if c.APIServer.BackupDir != "" && c.APIServer.BackupInterval <= 0 {
+		return fmt.Errorf("config: api_server.backup_interval must be positive when backup_dir is set")
+	}
 	if c.Thanos.ShipInterval <= 0 {
 		return fmt.Errorf("config: thanos.ship_interval must be positive")
 	}

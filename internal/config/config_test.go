@@ -120,11 +120,20 @@ func TestValidation(t *testing.T) {
 		"cluster:\n  name: x\nthanos:\n  ship_interval: 0s",
 		"cluster:\n  name: x\nring:\n  replication_factor: 2\n  write_quorum: 3",
 		"cluster:\n  name: x\nsim:\n  jobs_per_day: -5",
+		// A ticker of a non-positive interval panics, and a backup
+		// directory without an interval is never written.
+		"cluster:\n  name: x\nlb:\n  health_interval: 0s",
+		"cluster:\n  name: x\napi_server:\n  update_interval: -1m",
+		"cluster:\n  name: x\napi_server:\n  backup_dir: /b\n  backup_interval: 0s",
 	}
 	for i, y := range bad {
 		if _, err := parse(t, y); err == nil {
 			t.Errorf("case %d accepted: %s", i, y)
 		}
+	}
+	// Without a backup directory the backup interval is unused.
+	if _, err := parse(t, "cluster:\n  name: x\napi_server:\n  backup_interval: 0s"); err != nil {
+		t.Errorf("backup_interval 0 without backup_dir refused: %v", err)
 	}
 }
 

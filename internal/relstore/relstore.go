@@ -22,6 +22,7 @@ import (
 	"strings"
 	"sync"
 
+	"repro/internal/dirlock"
 	"repro/internal/model"
 )
 
@@ -124,6 +125,7 @@ type DB struct {
 	walF   *os.File
 	walN   int // records in current WAL
 	seq    uint64
+	lock   *dirlock.Lock // nil for a memory-only store
 }
 
 type table struct {
@@ -148,8 +150,10 @@ const (
 	walFile      = "wal.jsonl"
 )
 
-// Open opens (or creates) a store in dir; pass "" for memory-only.
-func Open(dir string) (*DB, error) {
+// Open opens (or creates) a store in dir; pass "" for memory-only. A
+// directory has one open store at a time: a second Open fails until the
+// first is closed.
+func Open(dir string) (_ *DB, err error) {
 	db := &DB{dir: dir, tables: map[string]*table{}}
 	if dir == "" {
 		return db, nil
@@ -157,6 +161,14 @@ func Open(dir string) (*DB, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
+	if db.lock, err = dirlock.Acquire(dir); err != nil {
+		return nil, fmt.Errorf("relstore: %w", err)
+	}
+	defer func() {
+		if err != nil {
+			db.lock.Release()
+		}
+	}()
 	if err := db.loadSnapshot(filepath.Join(dir, snapshotFile)); err != nil && !os.IsNotExist(err) {
 		return nil, err
 	}
@@ -179,16 +191,23 @@ func Open(dir string) (*DB, error) {
 	return db, nil
 }
 
-// Close flushes and closes the WAL.
+// Close fsyncs and closes the WAL, so every acknowledged write survives a
+// power loss after a clean stop, and releases the directory.
 func (db *DB) Close() error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
+	var err error
 	if db.walF != nil {
-		err := db.walF.Close()
+		err = db.walF.Sync()
+		if cerr := db.walF.Close(); err == nil {
+			err = cerr
+		}
 		db.walF = nil
-		return err
 	}
-	return nil
+	if lerr := db.lock.Release(); err == nil {
+		err = lerr
+	}
+	return err
 }
 
 // CreateTable registers a table; creating an existing table with an equal

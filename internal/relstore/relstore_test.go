@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -681,5 +682,45 @@ func BenchmarkSelectIndexed(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		db.Select("units", Query{Where: []Cond{{"user", OpEq, "user42"}}})
+	}
+}
+
+// TestWALDirHasOneOwner: a second Open of a directory whose store is still
+// open fails with an error naming the directory, and succeeds once the
+// first is closed, with the first store's rows. Memory-only stores take no
+// lock.
+func TestWALDirHasOneOwner(t *testing.T) {
+	dir := t.TempDir()
+	db, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.CreateTable(unitsSchema()); err != nil {
+		t.Fatal(err)
+	}
+	seedUnits(t, db, 3)
+	if second, err := Open(dir); err == nil {
+		second.Close()
+		t.Fatal("a second Open of a live directory succeeded")
+	} else if !strings.Contains(err.Error(), dir) {
+		t.Errorf("second Open failed with %q, which does not name %s", err, dir)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	db, err = Open(dir)
+	if err != nil {
+		t.Fatalf("Open after Close: %v", err)
+	}
+	defer db.Close()
+	if n, err := db.Count("units"); err != nil || n != 3 {
+		t.Errorf("reopened store holds %d rows (%v), want 3", n, err)
+	}
+	for range 2 {
+		mem, err := Open("")
+		if err != nil {
+			t.Fatalf("memory-only Open: %v", err)
+		}
+		defer mem.Close()
 	}
 }

@@ -20,6 +20,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/dirlock"
 	"repro/internal/labels"
 	"repro/internal/model"
 	"repro/internal/tsdb"
@@ -54,6 +55,7 @@ type Store struct {
 	blocks []*tsdb.PersistentBlock // sorted by MinTime
 
 	metrics *storeMetrics
+	lock    *dirlock.Lock // nil for an in-memory store
 }
 
 // NewStore opens a store directory, recovering crash leftovers and loading
@@ -69,7 +71,7 @@ type Store struct {
 //     its Sources (a compaction that crashed after publishing but before
 //     deleting) are garbage-collected. Downsampled children have a
 //     different resolution, so raw sources always survive this sweep.
-func NewStore(dir string) (*Store, error) {
+func NewStore(dir string) (_ *Store, err error) {
 	s := &Store{dir: dir}
 	if dir == "" {
 		return s, nil
@@ -77,6 +79,14 @@ func NewStore(dir string) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
+	if s.lock, err = dirlock.Acquire(dir); err != nil {
+		return nil, fmt.Errorf("thanos: %w", err)
+	}
+	defer func() {
+		if err != nil {
+			s.lock.Release()
+		}
+	}()
 	ents, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err
@@ -504,7 +514,8 @@ func covered(blocks []*tsdb.PersistentBlock, meta tsdb.BlockMeta, res, before in
 	return next > meta.MaxTime
 }
 
-// Close releases every block mapping. The store must not be queried after.
+// Close releases every block mapping and the directory. The store must not
+// be queried after.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -515,5 +526,8 @@ func (s *Store) Close() error {
 		}
 	}
 	s.blocks = nil
+	if err := s.lock.Release(); err != nil && first == nil {
+		first = err
+	}
 	return first
 }

@@ -61,6 +61,7 @@ func TestStorePersistence(t *testing.T) {
 	db := seedDB(t, 2, 50, 0)
 	store, _ := NewStore(dir)
 	mustCut(t, store, db, 0, 1<<60)
+	store.Close()
 
 	// Reopen from disk.
 	store2, err := NewStore(dir)
@@ -120,8 +121,8 @@ func TestEmptyBlockDropped(t *testing.T) {
 	if store.NumBlocks() != 0 {
 		t.Error("empty block registered")
 	}
-	if ents, err := os.ReadDir(dir); err != nil || len(ents) != 0 {
-		t.Errorf("empty cut left %d entries in the store directory (err %v)", len(ents), err)
+	if ents, err := os.ReadDir(dir); err != nil || len(ents) != 1 {
+		t.Errorf("empty cut left %d entries in the store directory, want only the lock file (err %v)", len(ents), err)
 	}
 }
 
@@ -148,7 +149,8 @@ func TestNewStoreRejectsLegacyBlockFile(t *testing.T) {
 		t.Fatalf("NewStore over a .blk file: err = %v, want one naming %s", err, filepath.Base(legacy))
 	}
 	after, _ := os.ReadDir(dir)
-	if len(after) != len(before) || len(after) != 3 {
+	// The block, the .blk file, the .tmp directory and the lock file.
+	if len(after) != len(before) || len(after) != 4 {
 		t.Fatalf("failed open changed the directory: %d entries before, %d after", len(before), len(after))
 	}
 }
@@ -628,16 +630,22 @@ func TestStoreLabelValuesForgetTombstonedSeries(t *testing.T) {
 		t.Fatalf("Downsample = %d, %v; want one block", n, err)
 	}
 	checkLabels(t, "after downsampling", store, labelOracle(t, store, nil))
+	// A directory has one open store: read the lists, close, then reopen.
+	names, values := store.LabelNames(), map[string][]string{}
+	for _, name := range names {
+		values[name] = store.LabelValues(name)
+	}
+	store.Close()
 	fresh, err := NewStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer fresh.Close()
-	if got, want := store.LabelNames(), fresh.LabelNames(); !equalStrings(got, want) {
-		t.Errorf("LabelNames = %v, a fresh store on the directory says %v", got, want)
+	if want := fresh.LabelNames(); !equalStrings(names, want) {
+		t.Errorf("LabelNames = %v, a fresh store on the directory says %v", names, want)
 	}
 	for _, name := range fresh.LabelNames() {
-		if got, want := store.LabelValues(name), fresh.LabelValues(name); !equalStrings(got, want) {
+		if got, want := values[name], fresh.LabelValues(name); !equalStrings(got, want) {
 			t.Errorf("LabelValues(%q) = %v, a fresh store on the directory says %v", name, got, want)
 		}
 	}
@@ -700,5 +708,42 @@ func TestQuerierSkipsColdSideOutsideBlocks(t *testing.T) {
 		if viaQuerier != headOnly {
 			t.Errorf("%s: querier allocates %.0f times, the head alone %.0f", w.name, viaQuerier, headOnly)
 		}
+	}
+}
+
+// TestBlockStoreHasOneOwner: a second NewStore of a directory whose store
+// is still open fails with an error naming the directory and leaves its
+// blocks alone, and succeeds once the first is closed. The sweep at open
+// passes over the lock file. An in-memory store takes no lock.
+func TestBlockStoreHasOneOwner(t *testing.T) {
+	dir := t.TempDir()
+	store, err := NewStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustCut(t, store, seedDB(t, 2, 50, 0), 0, 1<<60)
+	if second, err := NewStore(dir); err == nil {
+		second.Close()
+		t.Fatal("a second NewStore of a live directory succeeded")
+	} else if !strings.Contains(err.Error(), dir) {
+		t.Errorf("second NewStore failed with %q, which does not name %s", err, dir)
+	}
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
+	store, err = NewStore(dir)
+	if err != nil {
+		t.Fatalf("NewStore after Close: %v", err)
+	}
+	defer store.Close()
+	if store.NumBlocks() != 1 {
+		t.Errorf("reopened store holds %d blocks, want 1", store.NumBlocks())
+	}
+	for range 2 {
+		mem, err := NewStore("")
+		if err != nil {
+			t.Fatalf("in-memory NewStore: %v", err)
+		}
+		defer mem.Close()
 	}
 }

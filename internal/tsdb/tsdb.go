@@ -46,6 +46,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/dirlock"
 	"repro/internal/labels"
 	"repro/internal/model"
 	"repro/internal/telemetry"
@@ -138,6 +139,8 @@ type DB struct {
 	walReplay WALReplayStats
 	walErrMu  sync.Mutex
 	walErr    error
+	// lock makes the DB the WAL directory's one owner; nil without one.
+	lock *dirlock.Lock
 
 	// metrics is the hot-path instrumentation, nil when Options.Telemetry
 	// was unset; commit paths branch on it once per commit.
@@ -208,10 +211,11 @@ func nextPow2(n int) int {
 }
 
 // Open creates a DB with the given options. With Options.WALDir set it
-// replays any existing shard journals in parallel (rebuilding series,
-// postings and samples, repairing torn tails) and attaches a writer to
-// every shard before returning; WALReplayStats on Stats/WALStats describe
-// what was recovered.
+// locks the directory (a second Open of it fails until Close), replays any
+// existing shard journals in parallel (rebuilding series, postings and
+// samples, repairing torn tails) and attaches a writer to every shard
+// before returning; WALReplayStats on Stats/WALStats describe what was
+// recovered.
 func Open(opts Options) (*DB, error) {
 	if opts.MaxSamplesPerChunk <= 0 {
 		opts.MaxSamplesPerChunk = defaultSamplesPerChunk
@@ -240,6 +244,7 @@ func Open(opts Options) (*DB, error) {
 	}
 	if opts.WALDir != "" {
 		if err := db.openWAL(); err != nil {
+			db.lock.Release()
 			return nil, fmt.Errorf("tsdb: open wal: %w", err)
 		}
 	}

@@ -565,7 +565,8 @@ func (db *DB) noteWALErr(err error) {
 	db.walErrMu.Unlock()
 }
 
-// Close flushes and fsyncs every shard WAL. Memory-only heads are a no-op.
+// Close flushes and fsyncs every shard WAL and releases the WAL directory.
+// Memory-only heads are a no-op.
 func (db *DB) Close() error {
 	var firstErr error
 	for _, sh := range db.shards {
@@ -575,6 +576,9 @@ func (db *DB) Close() error {
 		if err := sh.wal.Close(); err != nil && firstErr == nil {
 			firstErr = err
 		}
+	}
+	if err := db.lock.Release(); err != nil && firstErr == nil {
+		firstErr = err
 	}
 	return firstErr
 }

@@ -14,6 +14,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/dirlock"
 	"repro/internal/labels"
 	"repro/internal/workpool"
 )
@@ -62,6 +63,11 @@ func (db *DB) openWAL() error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
+	lock, err := dirlock.Acquire(dir)
+	if err != nil {
+		return err
+	}
+	db.lock = lock
 	start := time.Now()
 
 	// Crashed-rebuild leftovers: an unpublished staging dir is garbage; a

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -233,5 +234,36 @@ func TestWALStatsInStats(t *testing.T) {
 	st := db.Stats()
 	if st.WAL == nil || st.WAL.Records == 0 {
 		t.Fatalf("WAL-backed head's Stats misses WAL activity: %+v", st.WAL)
+	}
+}
+
+// TestWALDirHasOneOwner: a second Open of a WAL directory whose head is
+// still open fails with an error naming the directory, and succeeds once
+// the first is closed. Replay passes over the lock file.
+func TestWALDirHasOneOwner(t *testing.T) {
+	dir := t.TempDir()
+	db, err := Open(Options{WALDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Append(labels.FromStrings(labels.MetricName, "m"), 1000, 1); err != nil {
+		t.Fatal(err)
+	}
+	if second, err := Open(Options{WALDir: dir}); err == nil {
+		second.Close()
+		t.Fatal("a second Open of a live WAL directory succeeded")
+	} else if !strings.Contains(err.Error(), dir) {
+		t.Errorf("second Open failed with %q, which does not name %s", err, dir)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	db, err = Open(Options{WALDir: dir})
+	if err != nil {
+		t.Fatalf("Open after Close: %v", err)
+	}
+	defer db.Close()
+	if ws, _ := db.WALStats(); ws.Replay.Samples != 1 || ws.Replay.TornRepairs != 0 {
+		t.Errorf("replay after the lock: %d samples, %d torn repairs; want 1, 0", ws.Replay.Samples, ws.Replay.TornRepairs)
 	}
 }
