@@ -8,6 +8,7 @@ import (
 	"log"
 	"net/http"
 	"strconv"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/config"
@@ -226,9 +227,9 @@ func (s *Server) filterProjectsFor(user string, rows []relstore.Row) []relstore.
 func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 	resp := map[string]any{"status": "ok", "tables": s.Store.Tables()}
 	if s.Updater != nil {
-		resp["units_seen"] = s.Updater.UnitsSeen
-		resp["series_deleted"] = s.Updater.SeriesDeleted
-		resp["updates"] = s.Updater.UpdatesApplied
+		resp["units_seen"] = atomic.LoadInt64(&s.Updater.UnitsSeen)
+		resp["series_deleted"] = atomic.LoadInt64(&s.Updater.SeriesDeleted)
+		resp["updates"] = atomic.LoadInt64(&s.Updater.UpdatesApplied)
 	}
 	writeJSON(w, resp)
 }

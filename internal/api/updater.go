@@ -3,6 +3,7 @@ package api
 import (
 	"context"
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/emissions"
@@ -41,7 +42,8 @@ type Updater struct {
 	// satisfies it, fanning the deletion across head shards.
 	Cleaner SeriesDeleter
 
-	// Stats.
+	// Stats, moved with sync/atomic: the health handler loads them while a
+	// pass runs.
 	UnitsSeen      int64
 	SeriesDeleted  int64
 	UpdatesApplied int64
@@ -78,7 +80,7 @@ func (u *Updater) Update(ctx context.Context, now time.Time) error {
 			continue
 		}
 		for _, unit := range units {
-			u.UnitsSeen++
+			atomic.AddInt64(&u.UnitsSeen, 1)
 			if start, err := u.updateUnit(ctx, unit, from, now); err != nil {
 				fail(err, start)
 			}
@@ -90,7 +92,7 @@ func (u *Updater) Update(ctx context.Context, now time.Time) error {
 	if err := u.rollup(); err != nil && firstErr == nil {
 		firstErr = err
 	}
-	u.UpdatesApplied++
+	atomic.AddInt64(&u.UpdatesApplied, 1)
 	return firstErr
 }
 
@@ -149,7 +151,7 @@ func (u *Updater) updateUnit(ctx context.Context, unit model.Unit, from, now tim
 			labels.MustMatcher(labels.MatchEqual, "uuid", unit.ID),
 			labels.MustMatcher(labels.MatchEqual, "cluster", unit.Cluster),
 		)
-		u.SeriesDeleted += int64(n)
+		atomic.AddInt64(&u.SeriesDeleted, int64(n))
 	}
 	return start, nil
 }

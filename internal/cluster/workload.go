@@ -124,10 +124,3 @@ func (g *WorkloadGen) jobSpec() slurmsim.JobSpec {
 }
 
 func clamp01(v float64) float64 { return math.Max(0, math.Min(1, v)) }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

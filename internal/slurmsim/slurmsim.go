@@ -420,13 +420,6 @@ func jobToUnit(cluster string, j *Job, now time.Time) model.Unit {
 	return u
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // DBDHandler serves the slurmdbd-like REST API:
 //
 //	GET /slurmdbd/v1/jobs?since=<unix_ms>  → JSON array of units

@@ -196,17 +196,9 @@ func (e *walRecEncoder) appendTombstoneRecord(dst []byte, seq uint64, ms []*labe
 }
 
 // logTombstoneLocked journals one tombstone record; the caller holds w.mu.
-// Mirrors logLocked's rotate-before-encode and nil-writer retry.
 func (w *shardWAL) logTombstoneLocked(seq uint64, ms []*labels.Matcher) error {
-	if w.f == nil {
-		if err := w.openSegmentLocked(); err != nil {
-			return err
-		}
-	}
-	if w.segBytes >= w.segLimit {
-		if err := w.rotateLocked(); err != nil {
-			return err
-		}
+	if err := w.readyLocked(); err != nil {
+		return err
 	}
 	w.buf = w.appendTombstoneRecord(w.buf[:0], seq, ms)
 	if _, err := w.bw.Write(w.buf); err != nil {
@@ -230,13 +222,13 @@ func (db *DB) applyTombstonePayload(payload []byte, dr *dirReplay) error {
 		return err
 	}
 	var gone []*memSeries
-	for ref, e := range dr.refMap {
-		if labels.MatchLabels(e.s.lset, ms...) {
+	for ref, s := range dr.refMap {
+		if labels.MatchLabels(s.lset, ms...) {
 			delete(dr.refMap, ref)
-			gone = append(gone, e.s)
+			gone = append(gone, s)
 		}
 	}
-	db.removeReplayed(gone)
+	db.removeReplayed(dr, gone)
 	db.recordTombstone(seq, ms)
 	return nil
 }

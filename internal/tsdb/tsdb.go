@@ -7,7 +7,8 @@
 // # Sharded head
 //
 // The head is lock-striped into N shards (Options.Shards rounded up to a
-// power of two; the default is GOMAXPROCS rounded up). A series lives in
+// power of two; the default is GOMAXPROCS rounded up; a reopened WAL
+// directory keeps the count it was written with). A series lives in
 // exactly one shard, chosen by its labels hash (shard = hash & (N-1)); each
 // shard owns an independent RWMutex, series map, inverted postings index and
 // retention state. Appends route by hash and touch only their stripe — two
@@ -57,6 +58,10 @@ import (
 // timestamp of its series.
 var ErrOutOfOrder = errors.New("tsdb: out of order sample")
 
+// ErrClosed is returned by a write to a WAL-backed head after Close: the
+// sample may be in memory, but it was not journalled.
+var ErrClosed = errors.New("tsdb: closed")
+
 // ErrTooOld is returned when the head accepts bounded out-of-order samples
 // (Options.OutOfOrderWindow > 0) but the sample is older than the window.
 // It wraps ErrOutOfOrder so existing skip-on-out-of-order call sites treat
@@ -74,9 +79,11 @@ type Options struct {
 	// cuts; 0 picks 120, the Prometheus default. A chunk counts its samples
 	// in 16 bits, so Open rejects anything above math.MaxUint16.
 	MaxSamplesPerChunk int
-	// Shards is the number of lock stripes in the head, rounded up to a
+	// Shards is the number of lock stripes of a new head, rounded up to a
 	// power of two; 0 picks GOMAXPROCS rounded up. 1 yields the old
-	// single-lock behavior (useful for equivalence testing).
+	// single-lock behavior (useful for equivalence testing). A WALDir that
+	// already holds a journal overrides it: the head reopens with the shard
+	// count the journal was written with.
 	Shards int
 	// WALDir, when non-empty, makes the head durable: every shard journals
 	// its appends to a segmented write-ahead log under this directory and
@@ -210,12 +217,16 @@ func nextPow2(n int) int {
 	return p
 }
 
+// maxShards caps the head's shard count.
+const maxShards = 1024
+
 // Open creates a DB with the given options. With Options.WALDir set it
-// locks the directory (a second Open of it fails until Close), replays any
-// existing shard journals in parallel (rebuilding series, postings and
-// samples, repairing torn tails) and attaches a writer to every shard
-// before returning; WALReplayStats on Stats/WALStats describe what was
-// recovered.
+// locks the directory (a second Open of it fails until Close), takes the
+// shard count the directory's journal was written with (Options.Shards
+// sizes only a directory that holds none), replays the shard journals in
+// parallel (rebuilding series, postings and samples, repairing torn tails)
+// and attaches a writer to every shard before returning; WALReplayStats on
+// Stats/WALStats describe what was recovered.
 func Open(opts Options) (*DB, error) {
 	if opts.MaxSamplesPerChunk <= 0 {
 		opts.MaxSamplesPerChunk = defaultSamplesPerChunk
@@ -227,31 +238,29 @@ func Open(opts Options) (*DB, error) {
 	if n <= 0 {
 		n = runtime.GOMAXPROCS(0)
 	}
-	n = nextPow2(n)
-	if n > 1024 {
-		n = 1024
-	}
-	opts.Shards = n
-	db := &DB{
-		opts:   opts,
-		shards: make([]*headShard, n),
-		mask:   uint64(n - 1),
-	}
-	db.selectGrain = selectGrain
+	n = min(nextPow2(n), maxShards)
+	db := &DB{opts: opts, selectGrain: selectGrain}
 	db.pruned.Store(-(int64(1) << 62))
-	for i := range db.shards {
-		db.shards[i] = newHeadShard()
-	}
-	if opts.WALDir != "" {
-		if err := db.openWAL(); err != nil {
-			db.lock.Release()
-			return nil, fmt.Errorf("tsdb: open wal: %w", err)
-		}
+	if opts.WALDir == "" {
+		db.initShards(n)
+	} else if err := db.openWAL(n); err != nil {
+		db.lock.Release()
+		return nil, fmt.Errorf("tsdb: open wal: %w", err)
 	}
 	if opts.Telemetry != nil {
 		db.instrument(opts.Telemetry)
 	}
 	return db, nil
+}
+
+// initShards gives the head n empty shards; n is a power of two.
+func (db *DB) initShards(n int) {
+	db.opts.Shards = n
+	db.shards = make([]*headShard, n)
+	db.mask = uint64(n - 1)
+	for i := range db.shards {
+		db.shards[i] = newHeadShard()
+	}
 }
 
 // MustOpen is Open for callers that cannot fail — memory-only heads in

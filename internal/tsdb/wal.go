@@ -107,6 +107,7 @@ type shardWAL struct {
 
 	f        *os.File
 	bw       *bufio.Writer
+	closed   bool  // set by Close: every later write fails with ErrClosed
 	segIndex int   // index of the open segment
 	firstSeg int   // oldest segment still on disk
 	segBytes int64 // bytes written to the open segment
@@ -245,21 +246,8 @@ func (w *shardWAL) logLocked(series []walSeriesRec, samples []walSampleRec, dele
 	if len(series) == 0 && len(samples) == 0 && len(deletes) == 0 {
 		return nil
 	}
-	if w.f == nil {
-		// A previous rotation closed the old segment but failed to open the
-		// next one (e.g. transient ENOSPC); retry here instead of writing
-		// through a nil writer.
-		if err := w.openSegmentLocked(); err != nil {
-			return err
-		}
-	}
-	// Rotate BEFORE encoding: the v2 Gorilla encoder state is per segment,
-	// so a record must be encoded against the state of the file it will
-	// land in (rotation resets the state).
-	if w.segBytes >= w.segLimit {
-		if err := w.rotateLocked(); err != nil {
-			return err
-		}
+	if err := w.readyLocked(); err != nil {
+		return err
 	}
 	w.buf = w.buf[:0]
 	nrec := uint64(0)
@@ -291,6 +279,29 @@ func (w *shardWAL) logLocked(series []walSeriesRec, samples []walSampleRec, dele
 	}
 	w.segBytes += int64(len(w.buf))
 	w.records.Add(nrec)
+	return nil
+}
+
+// readyLocked readies the open segment for the next record. It fails with
+// ErrClosed once Close has run: a write then would be acknowledged but
+// never flushed, after the directory lock is released. A previous rotation
+// that closed the old segment but failed to open the next one (e.g.
+// transient ENOSPC) is retried here instead of writing through a nil
+// writer. It rotates BEFORE the caller encodes: the v2 Gorilla encoder
+// state is per segment, so a record must be encoded against the state of
+// the file it will land in (rotation resets the state).
+func (w *shardWAL) readyLocked() error {
+	if w.closed {
+		return ErrClosed
+	}
+	if w.f == nil {
+		if err := w.openSegmentLocked(); err != nil {
+			return err
+		}
+	}
+	if w.segBytes >= w.segLimit {
+		return w.rotateLocked()
+	}
 	return nil
 }
 
@@ -326,10 +337,11 @@ func (w *shardWAL) closeSegmentLocked() error {
 	return err
 }
 
-// Close flushes and fsyncs the open segment.
+// Close flushes and fsyncs the open segment and refuses every later write.
 func (w *shardWAL) Close() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	w.closed = true
 	return w.closeSegmentLocked()
 }
 
@@ -355,6 +367,9 @@ func (w *shardWAL) Close() error {
 func (w *shardWAL) checkpoint(sh *headShard, tombs func() []TombstoneRec) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	if w.closed {
+		return ErrClosed
+	}
 
 	// Rotate first: everything committed before this point lives in
 	// segments [firstSeg, old], everything after goes to the new segment.

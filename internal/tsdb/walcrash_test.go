@@ -13,6 +13,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/labels"
@@ -1068,10 +1069,12 @@ func testWALCorruptCheckpointKeepsSegments(t *testing.T, compress bool) {
 	}
 }
 
-// TestWALRebuildCrashLeftovers: a crash during a shard-count rebuild leaves
-// either an unpublished staging dir (garbage, discarded) or a published
-// rebuild dir (complete new layout, swapped in) — in both cases the next
-// open recovers every sample.
+// TestWALRebuildCrashLeftovers: older builds re-laid a journal out when it
+// was reopened with another shard count, and a crash mid-way left either an
+// unpublished staging dir or a published rebuild dir. The first is garbage
+// and is removed; the second holds the only complete journal, so Open
+// refuses the directory, names it, and changes nothing. A journal that lost
+// its meta reopens with the count its shard directories imply.
 func TestWALRebuildCrashLeftovers(t *testing.T) {
 	walDir := filepath.Join(t.TempDir(), "wal")
 	db, err := Open(Options{Shards: 4, WALDir: walDir})
@@ -1101,37 +1104,67 @@ func TestWALRebuildCrashLeftovers(t *testing.T) {
 		t.Fatal("stale rebuild.tmp survived open")
 	}
 
-	// Published rebuild dir: simulate the crash window right after the
-	// publish rename of a 4->2 rebuild by building one from a real rebuild
-	// run, then interrupting the swap at its very start.
-	re2, err := Open(Options{Shards: 2, WALDir: walDir}) // performs a real rebuild
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSeriesEqual(t, selectAll(t, re2), live, "4->2 rebuild")
-	if err := re2.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Move the new layout back into a published rebuild dir, as if the
-	// crash hit before any shard dir had been swapped in.
+	// Published rebuild dir, as a crash right after the publish rename of a
+	// 4->2 rebuild left it: Open refuses and moves nothing.
 	rebuilt := filepath.Join(walDir, walRebuildDir)
-	if err := os.MkdirAll(rebuilt, 0o755); err != nil {
+	copyDir(t, filepath.Join(walDir, "shard-0000"), filepath.Join(rebuilt, "shard-0000"))
+	if err := os.WriteFile(filepath.Join(rebuilt, walMetaFile), []byte(`{"version":1,"shards":2}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{"shard-0000", "shard-0001", walMetaFile} {
-		if err := os.Rename(filepath.Join(walDir, name), filepath.Join(rebuilt, name)); err != nil {
-			t.Fatal(err)
-		}
+	tree := dirTree(t, walDir)
+	if re, err := Open(Options{Shards: 2, WALDir: walDir}); err == nil {
+		re.Close()
+		t.Fatal("Open over a published rebuild dir succeeded")
+	} else if !strings.Contains(err.Error(), rebuilt) {
+		t.Fatalf("Open over a published rebuild dir failed with %q, which does not name %s", err, rebuilt)
 	}
-	re3, err := Open(Options{Shards: 2, WALDir: walDir})
+	if !reflect.DeepEqual(dirTree(t, walDir), tree) {
+		t.Fatal("refused Open changed the WAL directory")
+	}
+	if err := os.RemoveAll(rebuilt); err != nil {
+		t.Fatal(err)
+	}
+
+	// Meta lost: the four shard directories give the count back.
+	if err := os.Remove(filepath.Join(walDir, walMetaFile)); err != nil {
+		t.Fatal(err)
+	}
+	re, err = Open(Options{Shards: 16, WALDir: walDir})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer re3.Close()
-	assertSeriesEqual(t, selectAll(t, re3), live, "open completes interrupted swap")
-	if fileExistsT(rebuilt) {
-		t.Fatal("published rebuild dir survived the swap")
+	defer re.Close()
+	if n := re.NumShards(); n != 4 {
+		t.Fatalf("meta-less 4-shard journal reopened with %d shards", n)
 	}
+	assertSeriesEqual(t, selectAll(t, re), live, "open without wal-meta.json")
+}
+
+// dirTree maps every file and directory under root, by path relative to it,
+// to its contents (directories map to "/").
+func dirTree(t *testing.T, root string) map[string]string {
+	t.Helper()
+	out := map[string]string{}
+	err := filepath.Walk(root, func(path string, info os.FileInfo, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, err := filepath.Rel(root, path)
+		if err != nil {
+			return err
+		}
+		if info.IsDir() {
+			out[rel] = "/"
+			return nil
+		}
+		data, err := os.ReadFile(path)
+		out[rel] = string(data)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
 }
 
 // ---------------------------------------------------------------------------

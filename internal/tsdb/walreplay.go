@@ -1,7 +1,6 @@
 package tsdb
 
 import (
-	"bufio"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -10,7 +9,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -21,12 +19,15 @@ import (
 
 // WAL recovery.
 //
-// Open replays every shard directory in parallel on the shared workpool: a
-// shard's records apply independently of every other shard's (a series lives
-// in exactly one shard, so its whole history is in one directory), which is
-// the same property that lets appends and queries stripe without cross-shard
-// locks. Each worker replays checkpoint.snap first, then the numbered
-// segments in order.
+// A WAL directory has one layout for its whole life: the shard count it was
+// first written with, recorded in wal-meta.json. Open takes the head's shard
+// count from it, so shard directory i always feeds shard i and holds only
+// the series that hash to shard i; Options.Shards only sizes a new
+// directory. Open replays every shard directory in parallel on the shared
+// workpool: a shard's records apply independently of every other shard's,
+// which is the same property that lets appends and queries stripe without
+// cross-shard locks. Each worker replays checkpoint.snap first, then the
+// numbered segments in order.
 //
 // Corruption tolerance follows Prometheus: a record that is cut short or
 // fails its CRC ends that file's replay — the file is truncated back to the
@@ -51,15 +52,31 @@ type WALReplayStats struct {
 	TornRepairs int           // files truncated back to the last whole record
 	Dropped     int           // samples dropping an unknown series ref
 	Skipped     int           // samples skipped as out-of-order (checkpoint dedup)
-	Rebuilt     bool          // WAL rewritten because the shard count changed
 	Duration    time.Duration // wall time of the whole replay
 }
 
-// openWAL replays an existing WAL directory into the fresh shards and
-// attaches a writer to every shard. Called by Open when Options.WALDir is
-// set, before the DB is visible to anyone.
-func (db *DB) openWAL() error {
+const (
+	// walRebuildTmp and walRebuildDir are what older builds left behind when
+	// a shard-count rebuild crashed: an unpublished staging dir (garbage) or
+	// a published one (the only complete copy of the journal, which those
+	// builds swapped in at their next open).
+	walRebuildTmp = "rebuild.tmp"
+	walRebuildDir = "rebuild"
+)
+
+// openWAL locks the WAL directory, sizes the head to the directory's shard
+// layout (shards, the count Open derived from the options, only sizes a
+// directory that holds no journal yet), replays every shard journal into
+// its shard and attaches a writer to every shard. Called by Open before the
+// DB is visible to anyone.
+func (db *DB) openWAL(shards int) error {
 	dir := db.opts.WALDir
+	// Refuse, before touching anything, a rebuild an older build published
+	// but did not finish swapping in: its layout, not the top-level one,
+	// holds the journal, and this build does not re-lay a journal out.
+	if rebuilt := filepath.Join(dir, walRebuildDir); fileExists(rebuilt) {
+		return fmt.Errorf("%s is an unfinished shard-count rebuild of an older build; open the directory once with that build to finish it", rebuilt)
+	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
@@ -69,36 +86,26 @@ func (db *DB) openWAL() error {
 	}
 	db.lock = lock
 	start := time.Now()
-
-	// Crashed-rebuild leftovers: an unpublished staging dir is garbage; a
-	// published one is a complete new layout whose swap must be finished
-	// before anything is replayed.
 	if err := os.RemoveAll(filepath.Join(dir, walRebuildTmp)); err != nil {
 		return err
 	}
-	if fileExists(filepath.Join(dir, walRebuildDir)) {
-		if err := swapInWALRebuild(dir); err != nil {
-			return err
-		}
-	}
 
-	meta, err := readWALMeta(dir)
+	dirs, walShards, err := readWALLayout(dir)
 	if err != nil {
 		return err
 	}
-	dirs, err := listShardDirs(dir)
-	if err != nil {
-		return err
+	if walShards > 0 {
+		shards = walShards
 	}
-	sameLayout := meta.Shards == 0 || meta.Shards == len(db.shards)
+	db.initShards(shards)
 
-	replays := make([]*dirReplay, len(dirs))
+	replays := make([]*dirReplay, len(db.shards))
 	var (
 		errMu    sync.Mutex
 		firstErr error
 	)
 	workpool.Do(len(dirs), 0, func(i int) {
-		dr, err := db.replayShardDir(dirs[i])
+		dr, err := db.replayShardDir(shardDirIndex(dirs[i]), dirs[i])
 		if err != nil {
 			errMu.Lock()
 			if firstErr == nil {
@@ -107,61 +114,36 @@ func (db *DB) openWAL() error {
 			errMu.Unlock()
 			return
 		}
-		replays[i] = dr
+		replays[dr.shard] = dr
 	})
 	if firstErr != nil {
 		return firstErr
 	}
 
 	st := WALReplayStats{Shards: len(dirs)}
-	for _, dr := range replays {
-		st.Segments += dr.segments
-		st.Records += dr.records
-		st.Series += dr.series
-		st.Samples += dr.samples
-		st.TornRepairs += dr.torn
-		st.Dropped += dr.dropped
-		st.Skipped += dr.skipped
-	}
-
-	if sameLayout && len(dirs) <= len(db.shards) {
-		// Fast path: shard directory i feeds shard i; hand each shard its
-		// journal, seeded so new records keep using the refs the existing
-		// segments already define.
-		byIndex := make(map[int]*dirReplay, len(dirs))
-		for i, d := range dirs {
-			byIndex[shardDirIndex(d)] = replays[i]
-		}
-		for i, sh := range db.shards {
-			dr := byIndex[i]
-			segIndex, firstSeg, nextRef := 1, 1, uint64(0)
-			if dr != nil {
-				segIndex, firstSeg = dr.lastSeg+1, dr.firstSeg
-				if firstSeg > segIndex {
-					firstSeg = segIndex
-				}
-				nextRef = dr.maxRef
-				for ref, e := range dr.refMap {
-					e.s.walRef = ref
-				}
+	for i, sh := range db.shards {
+		// Hand each shard its journal, seeded so new records keep using the
+		// refs the existing segments already define.
+		segIndex, firstSeg, nextRef := 1, 1, uint64(0)
+		if dr := replays[i]; dr != nil {
+			st.Segments += dr.segments
+			st.Records += dr.records
+			st.Series += dr.series
+			st.Samples += dr.samples
+			st.TornRepairs += dr.torn
+			st.Dropped += dr.dropped
+			st.Skipped += dr.skipped
+			segIndex, firstSeg = dr.lastSeg+1, min(dr.firstSeg, dr.lastSeg+1)
+			nextRef = dr.maxRef
+			for ref, s := range dr.refMap {
+				s.walRef = ref
 			}
-			w, err := openShardWAL(walShardDir(dir, i), db.opts.WALSegmentSize, segIndex, firstSeg, nextRef)
-			if err != nil {
-				return err
-			}
-			sh.wal = w
 		}
-	} else {
-		// The shard count changed: the replayed series were hash-routed to
-		// their new shards above, but their history is spread across the old
-		// layout. Rewrite the WAL in the new layout so every shard's journal
-		// is self-contained again — staged in a temp dir, published with one
-		// rename, and only then is the old layout deleted: a crash at any
-		// point leaves either the complete old WAL or the complete new one.
-		st.Rebuilt = true
-		if err := db.rebuildWAL(dir); err != nil {
+		w, err := openShardWAL(walShardDir(dir, i), db.opts.WALSegmentSize, segIndex, firstSeg, nextRef)
+		if err != nil {
 			return err
 		}
+		sh.wal = w
 	}
 
 	if err := writeWALMeta(dir, walMeta{Version: 1, Shards: len(db.shards)}); err != nil {
@@ -172,127 +154,32 @@ func (db *DB) openWAL() error {
 	return nil
 }
 
-const (
-	// walRebuildTmp stages a shard-count rebuild; walRebuildDir is the
-	// staging dir after its atomic publish rename. Their presence at open
-	// time means a rebuild crashed mid-way: .tmp is discarded, the
-	// published dir is swapped in.
-	walRebuildTmp = "rebuild.tmp"
-	walRebuildDir = "rebuild"
-)
-
-// rebuildWAL rewrites the whole WAL in the current shard layout from the
-// (already replayed) head: one fsynced full snapshot per shard, staged
-// under rebuild.tmp, published by renaming it to rebuild, and swapped over
-// the old layout. The old journals are not touched until the complete new
-// layout is durable.
-func (db *DB) rebuildWAL(dir string) error {
-	tmpRoot := filepath.Join(dir, walRebuildTmp)
-	if err := os.RemoveAll(tmpRoot); err != nil {
-		return err
-	}
-	nextRefs := make([]uint64, len(db.shards))
-	// The staged layout carries its own meta: the swap reads it to know the
-	// authoritative new shard count even after a mid-swap crash.
-	if err := os.MkdirAll(tmpRoot, 0o755); err != nil {
-		return err
-	}
-	if err := writeWALMeta(tmpRoot, walMeta{Version: 1, Shards: len(db.shards)}); err != nil {
-		return err
-	}
-	for i, sh := range db.shards {
-		sdir := filepath.Join(tmpRoot, fmt.Sprintf("shard-%04d", i))
-		if err := os.MkdirAll(sdir, 0o755); err != nil {
-			return err
-		}
-		// Fresh refs per shard, streamed series-by-series like a checkpoint;
-		// no writers exist yet, so no lock needed.
-		path := filepath.Join(sdir, walCheckpointFile)
-		err := writeFileDurably(path, func(dst *bufio.Writer) error {
-			return streamShardSnapshot(dst, sh, db.Tombstones(), func(s *memSeries) uint64 {
-				nextRefs[i]++
-				s.walRef = nextRefs[i]
-				return s.walRef
-			})
-		})
-		if err != nil {
-			return err
-		}
-		if err := syncDir(sdir); err != nil {
-			return err
-		}
-	}
-	if err := syncDir(tmpRoot); err != nil {
-		return err
-	}
-	// Publish: from here on, a crash recovers from the new layout.
-	if err := os.Rename(tmpRoot, filepath.Join(dir, walRebuildDir)); err != nil {
-		return err
-	}
-	if err := syncDir(dir); err != nil {
-		return err
-	}
-	if err := swapInWALRebuild(dir); err != nil {
-		return err
-	}
-	for i, sh := range db.shards {
-		w, err := openShardWAL(walShardDir(dir, i), db.opts.WALSegmentSize, 1, 1, nextRefs[i])
-		if err != nil {
-			return err
-		}
-		sh.wal = w
-	}
-	return nil
-}
-
-// swapInWALRebuild replaces the top-level shard layout with the published
-// rebuild dir's contents. It is idempotent across crashes at any step: a
-// shard dir still inside rebuild/ is authoritative and replaces its
-// top-level namesake; one already moved out by an earlier attempt is left
-// alone; old-layout dirs beyond the new shard count (read from the staged
-// meta) are deleted; the top-level meta is rewritten last.
-func swapInWALRebuild(dir string) error {
-	rebuilt := filepath.Join(dir, walRebuildDir)
-	meta, err := readWALMeta(rebuilt)
+// readWALLayout returns the shard directories of the WAL root and the shard
+// count they were written with: wal-meta.json's, or — when the meta is
+// missing or unreadable — the highest directory index plus one, rounded up
+// to a power of two. The count is 0 for a directory that holds no journal.
+func readWALLayout(dir string) (dirs []string, shards int, err error) {
+	meta, err := readWALMeta(dir)
 	if err != nil {
-		return err
+		return nil, 0, err
 	}
-	if meta.Shards <= 0 {
-		// No staged meta: the publish rename cannot have happened (meta is
-		// written before it); treat the dir as garbage.
-		return os.RemoveAll(rebuilt)
+	if dirs, err = listShardDirs(dir); err != nil {
+		return nil, 0, err
 	}
-	for i := 0; i < meta.Shards; i++ {
-		staged := filepath.Join(rebuilt, fmt.Sprintf("shard-%04d", i))
-		if !fileExists(staged) {
-			continue // already swapped in by a previous attempt
+	shards = meta.Shards
+	if shards <= 0 || shards > maxShards || shards&(shards-1) != 0 {
+		shards = 0
+		for _, d := range dirs {
+			shards = max(shards, nextPow2(shardDirIndex(d)+1))
 		}
-		target := walShardDir(dir, i)
-		if err := os.RemoveAll(target); err != nil {
-			return err
-		}
-		if err := os.Rename(staged, target); err != nil {
-			return err
+		shards = min(shards, maxShards)
+	}
+	for _, d := range dirs {
+		if shardDirIndex(d) >= shards {
+			return nil, 0, fmt.Errorf("%s lies outside the journal's %d shards", d, shards)
 		}
 	}
-	old, err := listShardDirs(dir)
-	if err != nil {
-		return err
-	}
-	for _, d := range old {
-		if idx := shardDirIndex(d); idx < 0 || idx >= meta.Shards {
-			if err := os.RemoveAll(d); err != nil {
-				return err
-			}
-		}
-	}
-	if err := writeWALMeta(dir, walMeta{Version: 1, Shards: meta.Shards}); err != nil {
-		return err
-	}
-	if err := os.RemoveAll(rebuilt); err != nil {
-		return err
-	}
-	return syncDir(dir)
+	return dirs, shards, nil
 }
 
 func readWALMeta(dir string) (walMeta, error) {
@@ -306,9 +193,8 @@ func readWALMeta(dir string) (walMeta, error) {
 	}
 	if err := json.Unmarshal(data, &m); err != nil {
 		// An unparsable meta (e.g. zeroed by power loss mid-rename) is
-		// treated like an absent one: the shard journals are the data, the
-		// meta only optimizes layout detection, so replay proceeds from the
-		// directory names and the meta is rewritten.
+		// treated like an absent one: the shard directory names give the
+		// layout back (readWALLayout), and Open rewrites the meta.
 		return walMeta{}, nil
 	}
 	return m, nil
@@ -339,7 +225,8 @@ func writeWALMeta(dir string, m walMeta) error {
 }
 
 // listShardDirs returns the shard-NNNN directories under the WAL root,
-// sorted by index.
+// sorted by index. A name that walShardDir would not produce is not a shard
+// directory.
 func listShardDirs(dir string) ([]string, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -347,8 +234,9 @@ func listShardDirs(dir string) ([]string, error) {
 	}
 	var out []string
 	for _, e := range entries {
-		if e.IsDir() && strings.HasPrefix(e.Name(), "shard-") {
-			out = append(out, filepath.Join(dir, e.Name()))
+		path := filepath.Join(dir, e.Name())
+		if i := shardDirIndex(path); e.IsDir() && i >= 0 && walShardDir(dir, i) == path {
+			out = append(out, path)
 		}
 	}
 	sort.Strings(out)
@@ -363,39 +251,29 @@ func shardDirIndex(dir string) int {
 	return i
 }
 
-// walEntry resolves one WAL series ref during replay: the live series plus
-// its target shard index (cached so samples don't rehash labels).
-type walEntry struct {
-	s     *memSeries
-	shard int
-}
-
 // dirReplay is the outcome of replaying one shard directory.
 type dirReplay struct {
-	refMap   map[uint64]walEntry
+	shard    int // the head shard the directory feeds
+	refMap   map[uint64]*memSeries
 	maxRef   uint64
 	lastSeg  int // highest segment index on disk (0 when none)
 	firstSeg int // lowest segment index still on disk
+	// mint and maxt bound the replayed samples, so the shard's atomic time
+	// bounds move once per directory, not per sample.
+	mint, maxt int64
 
 	segments, records, series, samples int
 	torn, dropped, skipped             int
 }
 
-// shardAcc accumulates noteAppend input per target shard during replay so
-// the atomic time-bound CAS loops run once per shard, not per sample.
-type shardAcc struct {
-	mint, maxt int64
-	n          uint64
-}
-
 // replayShardDir applies one shard directory's checkpoint and segments to
-// the head. Series route by their label hash, which is a no-op when the
-// shard layout is unchanged and re-distributes them when it is not.
-func (db *DB) replayShardDir(dir string) (*dirReplay, error) {
-	dr := &dirReplay{refMap: make(map[uint64]walEntry)}
-	acc := make([]shardAcc, len(db.shards))
-	for i := range acc {
-		acc[i] = shardAcc{mint: int64(1) << 62, maxt: -(int64(1) << 62)}
+// shard shard of the head.
+func (db *DB) replayShardDir(shard int, dir string) (*dirReplay, error) {
+	dr := &dirReplay{
+		shard:  shard,
+		refMap: make(map[uint64]*memSeries),
+		mint:   int64(1) << 62,
+		maxt:   -(int64(1) << 62),
 	}
 
 	// Leftover temp files from an interrupted checkpoint are garbage by
@@ -434,7 +312,7 @@ func (db *DB) replayShardDir(dir string) (*dirReplay, error) {
 	files = append(files, segs...)
 
 	for fi, path := range files {
-		torn, err := db.replayWALFile(path, dr, acc)
+		torn, err := db.replayWALFile(path, dr)
 		if err != nil {
 			return nil, err
 		}
@@ -460,10 +338,8 @@ func (db *DB) replayShardDir(dir string) (*dirReplay, error) {
 		}
 	}
 
-	for i, a := range acc {
-		if a.n > 0 {
-			db.shards[i].noteAppend(a.mint, a.maxt, a.n)
-		}
+	if dr.samples > 0 {
+		db.shards[shard].noteAppend(dr.mint, dr.maxt, uint64(dr.samples))
 	}
 	return dr, nil
 }
@@ -479,7 +355,7 @@ func fileExists(path string) bool {
 // Gorilla state spans records but never files. It returns torn=true when
 // the file ended in a cut-short or CRC-corrupt record, in which case the
 // file has been truncated back to its last whole record.
-func (db *DB) replayWALFile(path string, dr *dirReplay, acc []shardAcc) (torn bool, err error) {
+func (db *DB) replayWALFile(path string, dr *dirReplay) (torn bool, err error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return false, err
@@ -531,12 +407,12 @@ func (db *DB) replayWALFile(path string, dr *dirReplay, acc []shardAcc) (torn bo
 			}
 		case walRecSamples:
 			if scratch, err = decodeSamplesPayload(scratch[:0], payload); err == nil {
-				db.applySamples(scratch, dr, acc)
+				db.applySamples(scratch, dr)
 			}
 		case walRecSamplesV2:
 			dec.maxRef = dr.maxRef
 			if scratch, err = dec.decodeSamples(scratch[:0], payload); err == nil {
-				db.applySamples(scratch, dr, acc)
+				db.applySamples(scratch, dr)
 			}
 		case walRecDeletes:
 			err = db.applyDeletesPayload(payload, dr)
@@ -569,7 +445,9 @@ func (db *DB) replayWALFile(path string, dr *dirReplay, acc []shardAcc) (torn bo
 }
 
 // applySeriesPayload registers every series of one (decoded) series payload
-// with the head, hash-routing each to its shard.
+// with the directory's shard. A series that hashes to another shard means
+// the directory was not written with the head's shard count: replaying it
+// would put the series where appends and reads never look.
 func (db *DB) applySeriesPayload(payload []byte, dr *dirReplay) error {
 	count, payload, err := readUvarint(payload)
 	if err != nil {
@@ -599,8 +477,10 @@ func (db *DB) applySeriesPayload(payload []byte, dr *dirReplay) error {
 			lset = append(lset, labels.Label{Name: name, Value: value})
 		}
 		h := lset.Hash()
-		s := db.shardFor(h).getOrCreate(h, lset)
-		dr.refMap[ref] = walEntry{s: s, shard: int(h & db.mask)}
+		if int(h&db.mask) != dr.shard {
+			return fmt.Errorf("series %s belongs to shard %d of %d, not to shard %d", lset, h&db.mask, len(db.shards), dr.shard)
+		}
+		dr.refMap[ref] = db.shards[dr.shard].getOrCreate(h, lset)
 		if ref > dr.maxRef {
 			dr.maxRef = ref
 		}
@@ -636,7 +516,7 @@ func decodeSamplesPayload(dst []walSampleRec, payload []byte) ([]walSampleRec, e
 
 // applySamples re-appends decoded samples to the head, resolving each
 // through the replay ref map.
-func (db *DB) applySamples(recs []walSampleRec, dr *dirReplay, acc []shardAcc) {
+func (db *DB) applySamples(recs []walSampleRec, dr *dirReplay) {
 	maxPerChunk := db.opts.MaxSamplesPerChunk
 	// With the out-of-order window on, replay accepts any journalled
 	// backwards sample regardless of the configured width: the write path
@@ -649,12 +529,11 @@ func (db *DB) applySamples(recs []walSampleRec, dr *dirReplay, acc []shardAcc) {
 		ooo = &oooAppendCtx{bound: math.MinInt64}
 	}
 	for _, r := range recs {
-		e, ok := dr.refMap[r.ref]
+		s, ok := dr.refMap[r.ref]
 		if !ok {
 			dr.dropped++
 			continue
 		}
-		s := e.s
 		s.mu.Lock()
 		outcome, aerr := s.appendLocked(r.t, r.v, maxPerChunk, ooo)
 		s.mu.Unlock()
@@ -666,14 +545,7 @@ func (db *DB) applySamples(recs []walSampleRec, dr *dirReplay, acc []shardAcc) {
 			dr.skipped++
 			continue
 		}
-		a := &acc[e.shard]
-		if r.t < a.mint {
-			a.mint = r.t
-		}
-		if r.t > a.maxt {
-			a.maxt = r.t
-		}
-		a.n++
+		dr.mint, dr.maxt = min(dr.mint, r.t), max(dr.maxt, r.t)
 		dr.samples++
 	}
 }
@@ -691,28 +563,25 @@ func (db *DB) applyDeletesPayload(payload []byte, dr *dirReplay) error {
 		if ref, payload, err = readUvarint(payload); err != nil {
 			return err
 		}
-		if e, ok := dr.refMap[ref]; ok {
+		if s, ok := dr.refMap[ref]; ok {
 			delete(dr.refMap, ref)
-			gone = append(gone, e.s)
+			gone = append(gone, s)
 		}
 	}
-	db.removeReplayed(gone)
+	db.removeReplayed(dr, gone)
 	return nil
 }
 
-// removeReplayed detaches series a replayed delete or tombstone record
-// names, with one bulk removal per shard they live in.
-func (db *DB) removeReplayed(gone []*memSeries) {
-	byShard := make(map[*headShard][]*memSeries)
-	for _, s := range gone {
-		sh := db.shardFor(s.lset.Hash())
-		byShard[sh] = append(byShard[sh], s)
+// removeReplayed detaches, in one bulk removal, the series of the
+// directory's shard that a replayed delete or tombstone record names.
+func (db *DB) removeReplayed(dr *dirReplay, gone []*memSeries) {
+	if len(gone) == 0 {
+		return
 	}
-	for sh, series := range byShard {
-		sh.mu.Lock()
-		sh.removeLocked(series)
-		sh.mu.Unlock()
-	}
+	sh := db.shards[dr.shard]
+	sh.mu.Lock()
+	sh.removeLocked(gone)
+	sh.mu.Unlock()
 }
 
 func readUvarint(b []byte) (uint64, []byte, error) {

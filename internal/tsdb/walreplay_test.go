@@ -1,7 +1,9 @@
 package tsdb
 
 import (
+	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -120,52 +122,112 @@ func TestWALReplayParallelism(t *testing.T) {
 	}
 }
 
-// TestWALShardCountChangeRebuild: reopening a WAL with a different shard
-// count re-routes every series to the new layout and rewrites the journal
-// so each shard's WAL is self-contained again.
-func TestWALShardCountChangeRebuild(t *testing.T) {
+// TestWALDirKeepsItsShardCount: a WAL directory reopened with another
+// Options.Shards keeps the shard count its journal was written with — the
+// same head, and every file already on disk untouched — and later appends
+// stay durable in that layout.
+func TestWALDirKeepsItsShardCount(t *testing.T) {
 	walDir := filepath.Join(t.TempDir(), "wal")
 	db, err := Open(Options{Shards: 8, WALDir: walDir})
 	if err != nil {
 		t.Fatal(err)
 	}
-	replayFill(t, db, 30, 12)
+	replayFill(t, db, 30, 6)
+	if err := db.CheckpointWAL(); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Append(labels.FromStrings(labels.MetricName, "wal_after_checkpoint"), 1<<40, 3); err != nil {
+		t.Fatal(err)
+	}
 	live := selectAll(t, db)
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
+	before := dirTree(t, walDir)
 
 	re, err := Open(Options{Shards: 2, WALDir: walDir})
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertSeriesEqual(t, selectAll(t, re), live, "8->2 shard reopen")
-	ws, _ := re.WALStats()
-	if !ws.Replay.Rebuilt {
-		t.Fatal("shard-count change did not rebuild the WAL")
+	if n := re.NumShards(); n != 8 {
+		t.Fatalf("reopen asking for 2 shards has %d, want the journal's 8", n)
 	}
-	// The old layout must be gone: exactly 2 shard dirs remain.
-	dirs, err := filepath.Glob(filepath.Join(walDir, "shard-*"))
-	if err != nil {
+	assertSeriesEqual(t, selectAll(t, re), live, "8-shard journal reopened asking for 2")
+	after := dirTree(t, walDir)
+	for name, data := range before {
+		if after[name] != data {
+			t.Fatalf("reopen changed %s", name)
+		}
+	}
+	if err := re.Append(labels.FromStrings(labels.MetricName, "wal_after_reopen"), 1<<50, 7); err != nil {
 		t.Fatal(err)
 	}
-	if len(dirs) != 2 {
-		t.Fatalf("rebuild left %d shard dirs, want 2", len(dirs))
-	}
-	// Appends keep working in the new layout, durably.
-	if err := re.Append(labels.FromStrings(labels.MetricName, "wal_after_reshard"), 1<<50, 7); err != nil {
-		t.Fatal(err)
-	}
-	after := selectAll(t, re)
+	live = selectAll(t, re)
 	if err := re.Close(); err != nil {
 		t.Fatal(err)
 	}
-	re2, err := Open(Options{Shards: 2, WALDir: walDir})
+	re2, err := Open(Options{WALDir: walDir})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer re2.Close()
-	assertSeriesEqual(t, selectAll(t, re2), after, "reopen after reshard+append")
+	if n := re2.NumShards(); n != 8 {
+		t.Fatalf("second reopen has %d shards, want 8", n)
+	}
+	assertSeriesEqual(t, selectAll(t, re2), live, "reopen after reopen+append")
+}
+
+// TestWALDirRefusesAnotherLayout: a shard directory that holds another
+// shard's series, or whose index lies outside the journal's shard count,
+// fails Open with an error that names it instead of replaying series where
+// appends and reads never look.
+func TestWALDirRefusesAnotherLayout(t *testing.T) {
+	walDir := filepath.Join(t.TempDir(), "wal")
+	db, err := Open(Options{Shards: 4, WALDir: walDir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	replayFill(t, db, 20, 3)
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	mustFail := func(what, want string) {
+		t.Helper()
+		if re, err := Open(Options{WALDir: walDir}); err == nil {
+			re.Close()
+			t.Fatalf("%s: Open succeeded", what)
+		} else if !strings.Contains(err.Error(), want) {
+			t.Fatalf("%s: Open failed with %q, which does not say %q", what, err, want)
+		}
+	}
+	rename := func(from, to string) {
+		t.Helper()
+		if err := os.Rename(from, to); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s0, s1, tmp := walShardDir(walDir, 0), walShardDir(walDir, 1), filepath.Join(walDir, "swap")
+	rename(s0, tmp)
+	rename(s1, s0)
+	rename(tmp, s1)
+	mustFail("shard directories 0 and 1 swapped", "belongs to shard")
+	rename(s0, tmp)
+	rename(s1, s0)
+	rename(tmp, s1)
+
+	extra := walShardDir(walDir, 4)
+	if err := os.Mkdir(extra, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	mustFail("a fifth directory in a 4-shard journal", extra)
+	if err := os.Remove(extra); err != nil {
+		t.Fatal(err)
+	}
+	re, err := Open(Options{WALDir: walDir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	re.Close()
 }
 
 // TestWALConcurrentCommitsReplayExact: many goroutines with their own batch
@@ -265,5 +327,39 @@ func TestWALDirHasOneOwner(t *testing.T) {
 	defer db.Close()
 	if ws, _ := db.WALStats(); ws.Replay.Samples != 1 || ws.Replay.TornRepairs != 0 {
 		t.Errorf("replay after the lock: %d samples, %d torn repairs; want 1, 0", ws.Replay.Samples, ws.Replay.TornRepairs)
+	}
+}
+
+// TestWALClosedRefusesWrites: after Close a write fails with ErrClosed
+// instead of being acknowledged into a segment no one flushes, and a reopen
+// replays exactly what was written before Close.
+func TestWALClosedRefusesWrites(t *testing.T) {
+	dir := t.TempDir()
+	db, err := Open(Options{WALDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lset := labels.FromStrings(labels.MetricName, "m")
+	if err := db.Append(lset, 1000, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Append(lset, 2000, 2); !errors.Is(err, ErrClosed) {
+		t.Fatalf("append after Close returned %v, want ErrClosed", err)
+	}
+	if err := db.CheckpointWAL(); !errors.Is(err, ErrClosed) {
+		t.Fatalf("checkpoint after Close returned %v, want ErrClosed", err)
+	}
+	re, err := Open(Options{WALDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	want := []model.Series{{Labels: lset, Samples: []model.Sample{{T: 1000, V: 1}}}}
+	assertSeriesEqual(t, selectAll(t, re), want, "reopen after a write past Close")
+	if ws, _ := re.WALStats(); ws.Replay.Samples != 1 || ws.Replay.TornRepairs != 0 {
+		t.Fatalf("replay after a write past Close: %+v", ws.Replay)
 	}
 }

@@ -185,12 +185,13 @@ func walV1Golden(t *testing.T) (series []model.Series, tombstones map[uint64][]s
 	return series, tombstones
 }
 
-// openWALV1Fixture opens a scratch copy of the fixture journal.
+// openWALV1Fixture opens a scratch copy of the fixture journal. It asks for
+// 16 shards; the journal's meta decides the head gets its 2.
 func openWALV1Fixture(t *testing.T, segSize int64) (db *DB, walDir string) {
 	t.Helper()
 	walDir = filepath.Join(t.TempDir(), "wal")
 	copyDir(t, filepath.Join(walV1Fixture, "wal"), walDir)
-	db, err := Open(Options{Shards: 2, WALDir: walDir, WALSegmentSize: segSize})
+	db, err := Open(Options{Shards: 16, WALDir: walDir, WALSegmentSize: segSize})
 	if err != nil {
 		t.Fatalf("open over the v1 fixture: %v", err)
 	}
@@ -231,6 +232,9 @@ func TestWALV1FixtureReplaysToGolden(t *testing.T) {
 	want, wantTombs := walV1Golden(t)
 	db, _ := openWALV1Fixture(t, 0)
 	defer db.Close()
+	if n := db.NumShards(); n != 2 {
+		t.Fatalf("2-shard fixture opened with %d shards", n)
+	}
 	assertSeriesEqual(t, selectAll(t, db), want, "v1 fixture replay vs golden")
 	tombs := db.Tombstones()
 	if len(tombs) != len(wantTombs) {
