@@ -91,14 +91,19 @@ telemetry:
 	$(GO) test -race -count=2 ./internal/telemetry/
 
 # Block-store lifecycle harness (docs/ARCHITECTURE.md): block format
-# round-trip/corruption tests, the kill-at-any-byte publication sweep,
-# compaction/downsample crash-window recovery, the downsampling
-# equivalence property test, the block index against the brute-force
-# scan (TestBlockPostingsMatchScan) and compaction and downsampling against
-# the whole-block path they replaced, byte for byte
-# (Test{Compact,Downsample}MatchesOracleRandom), and the Prometheus
-# role's maintenance pass over 12 simulated hours
-# (TestPrometheusBlockLifecycle) — randomized, so two passes, under race. Set
+# round-trip/corruption tests, the kill-at-any-byte publication sweep (also
+# cut in the middle of migrating an older build's store), compaction/
+# downsample crash-window recovery, the downsampling equivalence property
+# test (one block and several cut at random times), the block index
+# against the brute-force scan (TestBlockPostingsMatchScan) and compaction
+# and downsampling against the whole-block path they replaced, byte for
+# byte (Test{Compact,Downsample}MatchesOracleRandom), the boundary probe —
+# 24 h of 15 s scrapes under 30 min maintenance, aggregate answers against
+# raw ones (TestDownsampleProbeMatchesRaw) — and the migration of a store
+# an older build wrote (TestDownsampleMigratesOldStore), and the Prometheus
+# role's maintenance pass over 12 simulated hours, its aggregate answers
+# against raw ones (TestPrometheusBlockLifecycle) — randomized, so two
+# passes, under race. Set
 # BLOCKS_ARTIFACT_DIR to keep the store directories of failing crash
 # states (CI uploads them on failure).
 blocks:
@@ -133,7 +138,10 @@ head-index:
 # exposition tokenizer (same families or same failure as the oracle parser
 # it replaced, allocation linear in the input), over the block index decoder
 # (a CRC-valid index of any content ends in an error or a value that
-# re-encodes to the same bytes, allocation linear in the input), over the
+# re-encodes to the same bytes, allocation linear in the input), over a
+# whole block directory (FuzzOpenBlockDir: any meta.json, index and chunks
+# bytes open and read every series to an error or samples, never a panic,
+# allocation linear in the bytes), over the
 # remote-read request decoder (any body ends in 200, 400, 413 or 422 with a
 # readResponse body, never a 500 or a panic), over the PromQL parser (any
 # text ends in an error or an expression whose String() parses again, never
@@ -159,6 +167,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzChunkResume -fuzztime 10s ./internal/tsdb/chunkenc/
 	$(GO) test -run '^$$' -fuzz FuzzChunkWindow -fuzztime 10s ./internal/tsdb/chunkenc/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeIndex -fuzztime 10s ./internal/tsdb/
+	$(GO) test -run '^$$' -fuzz FuzzOpenBlockDir -fuzztime 10s ./internal/tsdb/
 	$(GO) test -run '^$$' -fuzz FuzzWALRecord -fuzztime 10s ./internal/tsdb/
 	$(GO) test -run '^$$' -fuzz FuzzAppendJSONString -fuzztime 10s ./internal/promapi/
 	$(GO) test -run '^$$' -fuzz FuzzRemoteRead -fuzztime 10s ./internal/promapi/

@@ -555,10 +555,45 @@ func TestShardCountMatchesOracleRandom(t *testing.T) {
 	}
 }
 
+// multiCutSeam cuts [0, cut] of whole into a block store at a random cut,
+// as several raw blocks ending at random times — seldom on a bucket
+// boundary — with the store downsampled to res after every cut and
+// compacted at the end, and returns a thanos.Querier over it and the head
+// truncated to the cut.
+func multiCutSeam(t *testing.T, rng *rand.Rand, whole *tsdb.DB, res time.Duration) *thanos.Querier {
+	t.Helper()
+	hot := headOf(t, allSeries(t, whole), 4, 8)
+	cold, err := thanos.NewStore("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cut := rng.Int63n(equivSpanS * 1000)
+	for from, i, n := int64(0), 0, 2+rng.Intn(5); i < n && from <= cut; i++ {
+		to := from + rng.Int63n(cut-from+1)
+		if i == n-1 {
+			to = cut
+		}
+		if _, err := cold.CutHead(hot, from, to); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := cold.Downsample(1<<60, res); err != nil {
+			t.Fatal(err)
+		}
+		from = to + 1
+	}
+	if _, err := cold.Compact(nil); err != nil {
+		t.Fatal(err)
+	}
+	hot.Truncate(cut + 1)
+	return &thanos.Querier{Hot: hot, Cold: cold}
+}
+
 // TestDownsampleEligibleMatchesOracleRandom: the planner's choice of
 // resolution against reads forced raw. [0, cut] of the dataset is cut at a
 // random cut into a block store downsampled to 1m, read alone and as the
-// cold side of the hot/cold seam at both truncations. Random min_over_time,
+// cold side of the hot/cold seam at both truncations; and cut into several
+// raw blocks at random times, downsampled after each cut and compacted
+// (multiCutSeam), read alone and behind the truncated seam. Random min_over_time,
 // max_over_time and sum_over_time queries, bare or under an aggregation,
 // run as range queries on bucket-aligned grids — every step time a bucket's
 // last millisecond, every step 5m or more, every range whole minutes — so
@@ -577,8 +612,10 @@ func TestDownsampleEligibleMatchesOracleRandom(t *testing.T) {
 	)
 	for i := 0; i < *equivExprs; i++ {
 		if i%100 == 0 {
-			seams := hotColdSeams(t, rng, withoutNaN(t, equivStorage(t, rng)), time.Minute)
-			stores = []Queryable{seams[0], seams[1], seams[1].Cold}
+			whole := withoutNaN(t, equivStorage(t, rng))
+			seams := hotColdSeams(t, rng, whole, time.Minute)
+			multi := multiCutSeam(t, rng, whole, time.Minute)
+			stores = []Queryable{seams[0], seams[1], seams[1].Cold, multi, multi.Cold}
 		}
 		q := fmt.Sprintf("%s(%s[%dm])", gen.pick("min_over_time", "max_over_time", "sum_over_time"), gen.selector(), 1+rng.Intn(10))
 		if rng.Intn(2) == 0 {

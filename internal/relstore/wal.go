@@ -136,6 +136,9 @@ func (db *DB) loadSnapshot(path string) error {
 	}
 	db.seq = snap.Seq
 	for name, st := range snap.Tables {
+		if err := st.Schema.Validate(); err != nil {
+			return fmt.Errorf("relstore: snapshot table %s: %w", name, err)
+		}
 		t := db.adoptLocked(st.Schema)
 		for pk, row := range st.Rows {
 			norm, err := normalizeRow(st.Schema, row)
@@ -176,7 +179,7 @@ func (db *DB) replayWAL(path string) (int64, error) {
 		db.walN++
 		t := db.tables[rec.Table]
 		switch {
-		case rec.Op == "create" && rec.Schema != nil:
+		case rec.Op == "create" && rec.Schema != nil && rec.Schema.Validate() == nil:
 			db.adoptLocked(*rec.Schema)
 		case rec.Op == "upsert" && t != nil:
 			if norm, err := normalizeRow(t.schema, rec.Row); err == nil {

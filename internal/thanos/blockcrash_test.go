@@ -16,6 +16,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -189,7 +190,8 @@ func donorSize(t *testing.T, donor string) int64 {
 // prefix of chunks/index/meta.json), a byte-complete .tmp that never got
 // renamed, and a fully renamed directory. Recovery must never serve partial
 // data: tmp states are swept (the write was never acked — the shipper
-// re-cuts it) and only the rename commits the block.
+// re-cuts it) and only the rename commits the block. The same holds in the
+// middle of migrating an older build's store (crashMidMigration).
 func TestBlockPublishCrashAtAnyByte(t *testing.T) {
 	pristine, oracle := seedStore(t, 2)
 
@@ -277,6 +279,90 @@ func TestBlockPublishCrashAtAnyByte(t *testing.T) {
 			t.Fatalf("%d samples, want %d", n, want+4*120)
 		}
 	})
+
+	t.Run("migration cut short", crashMidMigration)
+}
+
+// crashMidMigration: a crash in the middle of migrating a store an older
+// build wrote (TestDownsampleMigratesOldStore) — the open's deletion of its
+// downsampled blocks cut short, or the re-derivation's publication cut at
+// any byte after some of its blocks committed. Every state reopens,
+// derives, and answers the probe's queries as the migration run to its end
+// does.
+func crashMidMigration(t *testing.T) {
+	ref := t.TempDir()
+	copyTree(t, splitBucketStore, ref)
+	refStore, err := NewStore(ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	deriveAtProbeEnd(t, refStore)
+	want := checkProbe(t, "migrated", refStore)
+	var derived []string // in the order they were written: a ULID starts with its time
+	for _, m := range refStore.BlockMetas() {
+		if m.Resolution > 0 {
+			derived = append(derived, m.ULID)
+		}
+	}
+	refStore.Close()
+	slices.Sort(derived)
+	var old []string // the older build's downsampled blocks
+	ents, err := os.ReadDir(splitBucketStore)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range ents {
+		pb, err := tsdb.OpenBlockDir(filepath.Join(splitBucketStore, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pb.Meta().Resolution > 0 {
+			old = append(old, e.Name())
+		}
+		pb.Close()
+	}
+	if len(old) == 0 || len(derived) == 0 {
+		t.Fatalf("%d old and %d re-derived downsampled blocks", len(old), len(derived))
+	}
+
+	trials := 16
+	if testing.Short() {
+		trials = 4
+	}
+	rng := rand.New(rand.NewSource(0x319A))
+	for trial := 0; trial < trials; trial++ {
+		state := t.TempDir()
+		copyTree(t, splitBucketStore, state)
+		preserveOnFail(t, state)
+		what := fmt.Sprintf("trial %d: deletion cut short", trial)
+		for _, d := range old {
+			if trial%2 == 1 || rng.Intn(2) == 0 {
+				if err := os.RemoveAll(filepath.Join(state, d)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if trial%2 == 1 {
+			k := rng.Intn(len(derived))
+			for _, d := range derived[:k] {
+				copyTree(t, filepath.Join(ref, d), filepath.Join(state, d))
+			}
+			donor := filepath.Join(ref, derived[k])
+			offset := rng.Int63n(donorSize(t, donor))
+			writeTruncatedTmp(t, state, donor, offset)
+			what = fmt.Sprintf("trial %d: %d of %d re-derived blocks committed, the next cut at byte %d", trial, k, len(derived), offset)
+		}
+		store, err := NewStore(state)
+		if err != nil {
+			t.Fatalf("%s: reopen: %v", what, err)
+		}
+		deriveAtProbeEnd(t, store)
+		sameAnswers(t, what, checkProbe(t, what, store), want)
+		store.Close()
+		if t.Failed() {
+			t.FailNow()
+		}
+	}
 }
 
 // compactChild runs a real compaction in a scratch copy of the store and
@@ -457,4 +543,50 @@ func TestDownsampleCrashWindow(t *testing.T) {
 		}
 		assertStoreEqual(t, storeSelectAll(t, store), oracle, "raw via committed child")
 	})
+}
+
+// TestCompactLeavesNoRetiredBlockReachable: neither a compaction nor the
+// open's garbage collection of a compaction's sources leaves a retired
+// block in the store's block list past its length, where it and its
+// resident index would stay reachable for as long as the list's array.
+func TestCompactLeavesNoRetiredBlockReachable(t *testing.T) {
+	pristine, _ := seedStore(t, 3)
+	retired := func(s *Store) []*tsdb.PersistentBlock {
+		var out []*tsdb.PersistentBlock
+		for _, b := range s.blocks[len(s.blocks):cap(s.blocks)] {
+			if b != nil {
+				out = append(out, b)
+			}
+		}
+		return out
+	}
+	work := t.TempDir()
+	copyTree(t, pristine, work)
+	store, err := NewStore(work)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, err := store.Compact(nil); err != nil || n != 1 {
+		t.Fatalf("Compact = %d, %v; want one compaction", n, err)
+	}
+	if r := retired(store); len(r) > 0 {
+		t.Errorf("after a compaction %d retired blocks are still in the list's array", len(r))
+	}
+	store.Close()
+
+	state := t.TempDir()
+	copyTree(t, pristine, state)
+	child := compactChild(t, pristine)
+	copyTree(t, child, filepath.Join(state, filepath.Base(child)))
+	reopened, err := NewStore(state)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reopened.Close()
+	if reopened.NumBlocks() != 1 {
+		t.Fatalf("%d blocks after the open, want the merged one", reopened.NumBlocks())
+	}
+	if r := retired(reopened); len(r) > 0 {
+		t.Errorf("after the open's garbage collection %d retired blocks are still in the list's array", len(r))
+	}
 }

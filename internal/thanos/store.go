@@ -1,17 +1,18 @@
 package thanos
 
 // The cold tier: a directory of immutable persistent blocks
-// (internal/tsdb/blockdir.go) with background compaction and
-// multi-resolution downsampling, and a hint-aware read path that picks the
-// coarsest resolution a query step can afford. Crash recovery at open
-// sweeps aborted writes (.tmp dirs, meta-less dirs) and garbage-collects
-// blocks superseded by a committed compaction (same-resolution survivor
-// listing them in Sources). See
+// (internal/tsdb/blockdir.go) with compaction and multi-resolution
+// downsampling, and a hint-aware read path that picks the coarsest
+// resolution a query step can afford. Crash recovery at open sweeps aborted
+// writes (.tmp dirs, meta-less dirs), garbage-collects blocks superseded by
+// a committed compaction (same-resolution survivor listing them in Sources)
+// and deletes downsampled blocks an older build derived block by block. See
 // docs/ARCHITECTURE.md for the full lifecycle.
 
 import (
-	"cmp"
 	"fmt"
+	"maps"
+	"math"
 	"os"
 	"path/filepath"
 	"slices"
@@ -32,9 +33,8 @@ import (
 // mirroring Thanos's rule of thumb of ~5 points per step.
 const DownsampleFactor = 5
 
-// compactionFactor is how many same-level blocks of one resolution are
-// merged per compaction. Overlapping blocks are always compacted first,
-// regardless of the factor.
+// compactionFactor is how many consecutive same-level blocks of one
+// resolution are merged per compaction.
 const compactionFactor = 3
 
 // Store holds blocks as persistent block directories (see
@@ -71,6 +71,10 @@ type Store struct {
 //     its Sources (a compaction that crashed after publishing but before
 //     deleting) are garbage-collected. Downsampled children have a
 //     different resolution, so raw sources always survive this sweep.
+//   - a downsampled block whose start is off its resolution's grid was
+//     derived by an older build, one source block at a time, and may hold
+//     part of a bucket another holds the rest of: it is deleted, and
+//     Downsample derives its range again from the raw blocks.
 func NewStore(dir string) (_ *Store, err error) {
 	s := &Store{dir: dir}
 	if dir == "" {
@@ -119,6 +123,13 @@ func NewStore(dir string) (_ *Store, err error) {
 		if err != nil {
 			return nil, fmt.Errorf("thanos: opening block %s: %w", name, err)
 		}
+		if m := pb.Meta(); m.Resolution > 0 && m.MinTime%m.Resolution != 0 {
+			pb.Close()
+			if err := os.RemoveAll(full); err != nil {
+				return nil, err
+			}
+			continue
+		}
 		s.blocks = append(s.blocks, pb)
 	}
 	s.gcSupersededLocked()
@@ -142,22 +153,18 @@ func (s *Store) gcSupersededLocked() {
 			}
 		}
 	}
-	if len(dead) == 0 {
-		return
-	}
-	kept := s.blocks[:0]
-	for _, b := range s.blocks {
-		if !dead[b] {
-			kept = append(kept, b)
-			continue
+	// DeleteFunc clears the slots it frees, so no retired block stays
+	// reachable past the slice's length.
+	s.blocks = slices.DeleteFunc(s.blocks, func(b *tsdb.PersistentBlock) bool {
+		if dead[b] {
+			dir := b.Dir()
+			b.Close()
+			if dir != "" {
+				os.RemoveAll(dir)
+			}
 		}
-		dir := b.Dir()
-		b.Close()
-		if dir != "" {
-			os.RemoveAll(dir)
-		}
-	}
-	s.blocks = kept
+		return dead[b]
+	})
 }
 
 func (s *Store) sortLocked() {
@@ -319,12 +326,13 @@ func (s *Store) mergeBlockLists(list func(*tsdb.PersistentBlock) []string) []str
 	return tsdb.MergeLabelLists(parts...)
 }
 
-// Compact runs the leveled compaction loop to a fixpoint: overlapping
-// same-resolution blocks are merged first (they cost every query a dedup
-// pass), then runs of compactionFactor same-level blocks are folded into
-// one block of the next level. Matcher tombstones — typically
+// Compact runs the leveled compaction loop to a fixpoint: runs of
+// compactionFactor consecutive same-level blocks of one resolution are
+// folded into one block of the next level. Matcher tombstones — typically
 // DB.Tombstones() from the hot head — drop deleted series from the merged
-// output, propagating deletes into cold storage.
+// output, propagating deletes into cold storage. Blocks that overlap (a
+// crash window, a re-ship) merge when their run comes up; until then the
+// read path dedups them.
 //
 // Each merge publishes the new block durably before deleting its sources;
 // a crash in between leaves duplicates the read path dedups and NewStore's
@@ -333,7 +341,7 @@ func (s *Store) Compact(tombs []tsdb.TombstoneRec) (int, error) {
 	n := 0
 	for {
 		plan := s.planCompaction()
-		if len(plan) < 2 {
+		if plan == nil {
 			return n, nil
 		}
 		if err := s.compactSet(plan, tombs); err != nil {
@@ -343,52 +351,25 @@ func (s *Store) Compact(tombs []tsdb.TombstoneRec) (int, error) {
 	}
 }
 
-// planCompaction picks the next set of blocks to merge, or nil.
+// planCompaction picks the next set of blocks to merge, or nil: the first
+// run of compactionFactor consecutive same-level blocks of one resolution,
+// finest resolution first.
 func (s *Store) planCompaction() []*tsdb.PersistentBlock {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	byRes := map[int64][]*tsdb.PersistentBlock{}
-	resKeys := []int64{}
 	for _, b := range s.blocks {
-		res := b.Meta().Resolution
-		if _, ok := byRes[res]; !ok {
-			resKeys = append(resKeys, res)
-		}
-		byRes[res] = append(byRes[res], b) // keeps MinTime order
+		byRes[b.Meta().Resolution] = append(byRes[b.Meta().Resolution], b) // keeps MinTime order
 	}
-	sort.Slice(resKeys, func(i, j int) bool { return resKeys[i] < resKeys[j] })
-	for _, res := range resKeys {
-		grp := byRes[res]
-		// 1) Overlapping chain: merge eagerly, whatever the levels.
-		var chain []*tsdb.PersistentBlock
-		var chainMax int64
-		for _, b := range grp {
-			if len(chain) > 0 && b.MinTime() <= chainMax {
-				chain = append(chain, b)
-				if b.MaxTime() > chainMax {
-					chainMax = b.MaxTime()
-				}
-				continue
+	for _, res := range slices.Sorted(maps.Keys(byRes)) {
+		grp, run := byRes[res], 0 // run: same-level blocks ending at i
+		for i, b := range grp {
+			if run++; i > 0 && b.Meta().Level != grp[i-1].Meta().Level {
+				run = 1
 			}
-			if len(chain) >= 2 {
-				return chain
+			if run == compactionFactor {
+				return grp[i+1-run : i+1]
 			}
-			chain = []*tsdb.PersistentBlock{b}
-			chainMax = b.MaxTime()
-		}
-		if len(chain) >= 2 {
-			return chain
-		}
-		// 2) A run of compactionFactor consecutive same-level blocks.
-		runStart := 0
-		for i := 1; i <= len(grp); i++ {
-			if i < len(grp) && grp[i].Meta().Level == grp[runStart].Meta().Level {
-				continue
-			}
-			if i-runStart >= compactionFactor {
-				return grp[runStart : runStart+compactionFactor]
-			}
-			runStart = i
 		}
 	}
 	return nil
@@ -402,18 +383,10 @@ func (s *Store) compactSet(plan []*tsdb.PersistentBlock, tombs []tsdb.TombstoneR
 	if err != nil {
 		return fmt.Errorf("thanos: compact: %w", err)
 	}
-	inPlan := map[*tsdb.PersistentBlock]bool{}
-	for _, b := range plan {
-		inPlan[b] = true
-	}
 	s.mu.Lock()
-	kept := s.blocks[:0]
-	for _, b := range s.blocks {
-		if !inPlan[b] {
-			kept = append(kept, b)
-		}
-	}
-	s.blocks = append(kept, nb)
+	// DeleteFunc clears the slots it frees, so no retired block, nor its
+	// resident index, stays reachable past the slice's length.
+	s.blocks = append(slices.DeleteFunc(s.blocks, func(b *tsdb.PersistentBlock) bool { return slices.Contains(plan, b) }), nb)
 	s.sortLocked()
 	s.mu.Unlock()
 	for _, b := range plan {
@@ -431,54 +404,68 @@ func (s *Store) compactSet(plan []*tsdb.PersistentBlock, tombs []tsdb.TombstoneR
 	return nil
 }
 
-// Downsample derives, for every block whose data ends before `before`, a
-// sibling block at the given resolution holding per-bucket sum/count/min/
-// max aggregate streams (see tsdb.DownsamplePersistentBlock). Unlike
-// Thanos-the-paper's lossy rewrite, sources are KEPT: raw and downsampled
-// siblings coexist and SelectWithHints picks per query, so full-fidelity
-// reads stay possible. A block is skipped when its time range is already
-// covered by blocks coarser than it at a resolution that divides the
-// target, those written by this call included: a range is derived once,
-// whatever compaction has since renamed its blocks, and from the cheapest
-// source (a 5m block rather than raw data for 1h). A block finer than the
-// target covers only while it is itself a source here (it ends before
-// `before`): compaction can merge it into one that keeps growing, and a
-// range must not wait on that. The call is idempotent. Returns the number
-// of blocks created.
+// Downsample derives aggregates at the given resolution by time range, as
+// Thanos does: whole buckets only, each once. 1h derives from 5m blocks,
+// any other resolution from raw ones. In time order, for each source block
+// that ends before `before`, it writes one block of the whole buckets from
+// where the newest block of the resolution ends up to the last bucket
+// boundary inside that source (tsdb.DownsamplePersistentBlocks), read from
+// every source block with samples there; the bucket a source ends inside
+// waits for the block that completes it. Sources are KEPT: raw and
+// downsampled siblings coexist and SelectWithHints picks per query. The
+// call is idempotent. Returns the number of blocks created.
 func (s *Store) Downsample(before int64, resolution time.Duration) (int, error) {
-	res := resolution.Milliseconds()
+	res, srcRes := resolution.Milliseconds(), int64(0)
 	if res <= 0 {
 		return 0, fmt.Errorf("thanos: resolution must be positive")
 	}
+	if resolution == time.Hour {
+		srcRes = (5 * time.Minute).Milliseconds()
+	}
+	var (
+		srcs []*tsdb.PersistentBlock // by MinTime, retained
+		next = int64(math.MinInt64)  // where the next range starts
+	)
 	s.mu.RLock()
-	blocks := append([]*tsdb.PersistentBlock(nil), s.blocks...)
+	for _, b := range s.blocks {
+		if m := b.Meta(); m.Resolution == res {
+			next = max(next, m.MaxTime+1)
+		} else if m.Resolution == srcRes && b.Retain() { // a registered block is open
+			srcs = append(srcs, b)
+		}
+	}
 	s.mu.RUnlock()
+	defer func() {
+		for _, b := range srcs {
+			b.Release()
+		}
+	}()
 	n := 0
-	for _, b := range blocks {
-		meta := b.Meta()
-		if meta.MaxTime >= before || meta.Resolution >= res {
-			continue
+	for _, b := range srcs {
+		from, to := next, b.MaxTime()+1-floorMod(b.MaxTime()+1, res)
+		if from == math.MinInt64 {
+			from = srcs[0].MinTime() - floorMod(srcs[0].MinTime(), res)
 		}
-		if meta.Resolution > 0 && res%meta.Resolution != 0 {
-			continue
-		}
-		if covered(blocks, meta, res, before) {
-			continue
-		}
-		if !b.Retain() { // concurrently retired by a compaction
+		if b.MaxTime() >= before || to <= from {
 			continue
 		}
 		start := time.Now()
-		nb, err := tsdb.DownsamplePersistentBlock(s.dir, b, res)
-		b.Release()
+		var in []*tsdb.PersistentBlock
+		for _, o := range srcs {
+			if o.MinTime() < to && o.MaxTime() >= from {
+				in = append(in, o)
+			}
+		}
+		// A derived block starts at level 1, as a cut does, and compacts like one.
+		nb, err := tsdb.DownsamplePersistentBlocks(s.dir, tsdb.BlockMeta{MinTime: from, MaxTime: to - 1, Level: 1, Resolution: res}, in)
 		if err != nil {
 			return n, fmt.Errorf("thanos: downsample: %w", err)
 		}
+		next = to
 		if nb == nil { // e.g. only staleness markers: nothing was written
 			continue
 		}
 		s.register(nb)
-		blocks = append(blocks, nb)
 		n++
 		if m := s.metrics; m != nil {
 			m.downsamples.Inc()
@@ -491,28 +478,8 @@ func (s *Store) Downsample(before int64, resolution time.Duration) (int, error) 
 	return n, nil
 }
 
-// covered reports whether the blocks coarser than meta, at resolutions
-// that divide res, cover meta's time range; one finer than res counts only
-// if it ends before `before`. A downsampled point at t stands for its
-// bucket, (t-resolution, t].
-func covered(blocks []*tsdb.PersistentBlock, meta tsdb.BlockMeta, res, before int64) bool {
-	var spans [][2]int64
-	for _, b := range blocks {
-		m := b.Meta()
-		if m.Resolution > meta.Resolution && res%m.Resolution == 0 && (m.Resolution == res || m.MaxTime < before) {
-			spans = append(spans, [2]int64{m.MinTime - m.Resolution + 1, m.MaxTime})
-		}
-	}
-	slices.SortFunc(spans, func(a, b [2]int64) int { return cmp.Compare(a[0], b[0]) })
-	next := meta.MinTime // the first instant not yet covered
-	for _, sp := range spans {
-		if sp[0] > next {
-			break
-		}
-		next = max(next, sp[1]+1)
-	}
-	return next > meta.MaxTime
-}
+// floorMod is t modulo res, in [0, res) for negative t too.
+func floorMod(t, res int64) int64 { return (t%res + res) % res }
 
 // Close releases every block mapping and the directory. The store must not
 // be queried after.

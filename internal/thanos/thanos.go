@@ -42,9 +42,9 @@ type Sidecar struct {
 // as one block, then truncates the head to HeadRetention. The first ship of
 // a sidecar starts at the head's oldest sample, or after the newest raw
 // block the store already holds if that is later, so a restarted head's
-// replayed samples are not cut a second time. (A downsampled block may end
-// up to one resolution past its raw source, so it does not say what was
-// shipped.) A failed cut, or a failed checkpoint of a WAL-backed head, is
+// replayed samples are not cut a second time. (A downsampled block ends on
+// a bucket boundary, not where its raw source does, so it does not say what
+// was shipped.) A failed cut, or a failed checkpoint of a WAL-backed head, is
 // its error.
 func (sc *Sidecar) Ship(now time.Time) error {
 	sc.mu.Lock()
@@ -83,10 +83,10 @@ func (sc *Sidecar) Ship(now time.Time) error {
 // Maintain is the block store's one maintenance pass, run every cadence: it
 // ships the head's cut (the sidecar's owner sets HeadRetention to 2x the
 // cadence, so lookback windows never straddle a gap); compacts with the
-// head's tombstones; and downsamples blocks older than 2x the cadence to 5m
-// and older than 10x to 1h. A failed ship ends the pass; later failures are
-// joined. It returns how many compactions ran and how many downsampled
-// blocks were written.
+// head's tombstones; and derives 5m aggregates of the raw blocks older than
+// 2x the cadence and 1h aggregates of the 5m blocks older than 10x. A failed
+// ship ends the pass; later failures are joined. It returns how many
+// compactions ran and how many downsampled blocks were written.
 func (sc *Sidecar) Maintain(now time.Time, cadence time.Duration) (compacted, downsampled int, err error) {
 	if err := sc.Ship(now); err != nil {
 		return 0, 0, err

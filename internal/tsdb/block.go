@@ -47,10 +47,10 @@ func (db *DB) CutPersistentBlock(parent string, mint, maxt int64) (*PersistentBl
 // finishBlock is the one way a built block comes to be: series, label-sorted
 // with every chunk encoded, become a block directory under parent
 // (writeBlockDir) opened for reading, or with parent == "" an in-memory
-// block. The block's time bounds are its chunks' bounds; only a block with
-// no series keeps the ones meta brings.
+// block. A raw block's time bounds are its chunks' bounds; a downsampled
+// one, and a block with no series, keeps the ones meta brings.
 func finishBlock(parent string, meta *BlockMeta, series []diskSeries) (*PersistentBlock, error) {
-	if len(series) > 0 {
+	if len(series) > 0 && meta.Resolution == 0 {
 		meta.MinTime, meta.MaxTime = math.MaxInt64, math.MinInt64
 		for i := range series {
 			for _, c := range series[i].chunks {

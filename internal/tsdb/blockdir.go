@@ -114,7 +114,8 @@ type BlockMeta struct {
 	Version int `json:"version"`
 	// ULID is the block's unique id — also its directory name.
 	ULID string `json:"ulid"`
-	// MinTime and MaxTime are the inclusive sample-time bounds, Unix ms.
+	// MinTime and MaxTime are the inclusive time bounds, Unix ms: a raw
+	// block's first and last sample, a downsampled block's whole buckets.
 	MinTime int64 `json:"minTime"`
 	MaxTime int64 `json:"maxTime"`
 	// Level counts compaction generations: 1 for a freshly cut block,
@@ -531,6 +532,9 @@ func readBlockMeta(dir string) (BlockMeta, error) {
 	}
 	if meta.Version != blockDirVersion {
 		return meta, fmt.Errorf("tsdb: %s: unsupported block version %d", dir, meta.Version)
+	}
+	if meta.Resolution < 0 || meta.MinTime > meta.MaxTime {
+		return meta, fmt.Errorf("tsdb: %s: resolution %d, time bounds [%d, %d]: not a block's", filepath.Join(dir, MetaFilename), meta.Resolution, meta.MinTime, meta.MaxTime)
 	}
 	return meta, nil
 }

@@ -1,6 +1,7 @@
 package tsdb
 
 import (
+	"encoding/json"
 	"fmt"
 	"math"
 	"math/rand"
@@ -8,6 +9,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/labels"
@@ -197,6 +199,40 @@ func TestBlockDirCorruptionDetected(t *testing.T) {
 			t.Fatal("garbage meta opened cleanly")
 		}
 	})
+	// Well-formed JSON no writer produces: bounds that hold no instant, or a
+	// negative resolution — which would otherwise open and read as no series.
+	for _, tc := range []struct {
+		name            string
+		minT, maxT, res int64
+	}{
+		{"meta bounds and resolution impossible", 999_999_999, 585_000, -7},
+		{"meta bounds inverted", 999_999_999, 585_000, 0},
+		{"meta resolution negative", 0, 585_000, -7},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cp := corrupt(t, MetaFilename, func(d []byte) []byte {
+				var m BlockMeta
+				if err := json.Unmarshal(d, &m); err != nil {
+					t.Fatal(err)
+				}
+				m.MinTime, m.MaxTime, m.Resolution = tc.minT, tc.maxT, tc.res
+				out, err := json.Marshal(m)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return out
+			})
+			b, err := OpenBlockDir(cp)
+			if err == nil {
+				got, rerr := readBlock(b, model.SelectHints{Start: -1 << 60, End: 1 << 60}, AggrRaw, matchAll())
+				b.Close()
+				t.Fatalf("meta [%d, %d] at resolution %d opened cleanly; a raw read gave %d series (err %v)", tc.minT, tc.maxT, tc.res, len(got), rerr)
+			}
+			if want := filepath.Join(cp, MetaFilename); !strings.Contains(err.Error(), want) {
+				t.Fatalf("error %q does not name %s", err, want)
+			}
+		})
+	}
 }
 
 // TestParallelCutMatchesSelect: the per-shard parallel cut, written to a
@@ -334,6 +370,13 @@ func cutMem(t *testing.T, db *DB) *PersistentBlock {
 	return pb
 }
 
+// downsampleWhole derives every bucket of res that b has samples in, at b's
+// level: the range a store derives b's data in when b is its only source.
+func downsampleWhole(parent string, b *PersistentBlock, res int64) (*PersistentBlock, error) {
+	meta := BlockMeta{MinTime: floorDiv(b.meta.MinTime, res) * res, MaxTime: (floorDiv(b.meta.MaxTime, res)+1)*res - 1, Level: b.meta.Level, Resolution: res}
+	return DownsamplePersistentBlocks(parent, meta, []*PersistentBlock{b})
+}
+
 // TestCompactPersistentBlocks: merging overlapping blocks dedups on
 // timestamp with the earliest block winning, raises the level, records the
 // sources, and applies tombstones.
@@ -403,7 +446,7 @@ func TestCompactPersistentBlocks(t *testing.T) {
 	}
 
 	// Mixed resolutions must refuse.
-	ds, err := DownsamplePersistentBlock("", b1, 10_000)
+	ds, err := downsampleWhole("", b1, 10_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -476,6 +519,54 @@ func aggrBuckets(fine map[AggrType][]model.Sample, res int64) map[AggrType][]mod
 	return out
 }
 
+// deriveByRange derives res from blocks, sorted by time, as a store does:
+// for each block the whole buckets from where the previous derived block
+// ends up to the last bucket boundary inside it, read from every block
+// with samples in that range — and, past the last block, the buckets it
+// ends inside. It returns the derived blocks in time order.
+func deriveByRange(t *testing.T, blocks []*PersistentBlock, res int64) []*PersistentBlock {
+	t.Helper()
+	var out []*PersistentBlock
+	next := floorDiv(blocks[0].meta.MinTime, res) * res
+	for i, b := range blocks {
+		to := floorDiv(b.meta.MaxTime+1, res) * res
+		if i == len(blocks)-1 {
+			to = (floorDiv(b.meta.MaxTime, res) + 1) * res
+		}
+		if to <= next {
+			continue
+		}
+		var in []*PersistentBlock
+		for _, o := range blocks {
+			if o.meta.MinTime < to && o.meta.MaxTime >= next {
+				in = append(in, o)
+			}
+		}
+		d, err := DownsamplePersistentBlocks("", BlockMeta{MinTime: next, MaxTime: to - 1, Level: 1, Resolution: res}, in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d != nil {
+			out = append(out, d)
+		}
+		next = to
+	}
+	return out
+}
+
+// compactAll compacts blocks into one, or fails the test.
+func compactAll(t *testing.T, blocks []*PersistentBlock) *PersistentBlock {
+	t.Helper()
+	if len(blocks) == 0 {
+		t.Fatal("nothing to compact")
+	}
+	b, err := CompactPersistentBlocks("", blocks, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
 // TestDownsamplePropertyRandom is the downsampling correctness property:
 // across random series shapes — uneven scrape intervals, counter resets,
 // staleness markers, negative values — the sum/count/min/max streams of a
@@ -484,6 +575,9 @@ func aggrBuckets(fine map[AggrType][]model.Sample, res int64) map[AggrType][]mod
 // sum/count, and downsampling in two hops (raw → fine → coarse) must
 // exactly equal rebucketing the fine aggregates (count/min/max therefore
 // match one hop bit-exactly; sum and avg match up to float associativity).
+// The same holds for the data cut at random times into several raw blocks,
+// derived by range (deriveByRange) at both hops and compacted: a bucket a
+// cut splits is derived once, from both blocks.
 func TestDownsamplePropertyRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(0xD0D5))
 	trials := 30
@@ -524,16 +618,31 @@ func TestDownsamplePropertyRandom(t *testing.T) {
 				}
 			}
 			raw := cutMem(t, db)
+			var cuts []*PersistentBlock
+			for from, i, n := raw.meta.MinTime, 0, 2+rng.Intn(4); i < n; i++ {
+				to := from + rng.Int63n(raw.meta.MaxTime-from+1)
+				if i == n-1 {
+					to = raw.meta.MaxTime
+				}
+				b, err := db.CutPersistentBlock("", from, to)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if b != nil {
+					cuts = append(cuts, b)
+				}
+				from = to + 1
+			}
 
-			oneHop, err := DownsamplePersistentBlock("", raw, coarse)
+			oneHop, err := downsampleWhole("", raw, coarse)
 			if err != nil {
 				t.Fatal(err)
 			}
-			fineB, err := DownsamplePersistentBlock("", raw, fine)
+			fineB, err := downsampleWhole("", raw, fine)
 			if err != nil {
 				t.Fatal(err)
 			}
-			twoHop, err := DownsamplePersistentBlock("", fineB, coarse)
+			twoHop, err := downsampleWhole("", fineB, coarse)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -578,6 +687,16 @@ func TestDownsamplePropertyRandom(t *testing.T) {
 				return rawBuckets(rawByKey[k], fine)
 			})
 			check(twoHop, "two-hop", func(k string) map[AggrType][]model.Sample {
+				return aggrBuckets(rawBuckets(rawByKey[k], fine), coarse)
+			})
+			cutFine := deriveByRange(t, cuts, fine)
+			check(compactAll(t, deriveByRange(t, cuts, coarse)), fmt.Sprintf("one-hop over %d cuts", len(cuts)), func(k string) map[AggrType][]model.Sample {
+				return rawBuckets(rawByKey[k], coarse)
+			})
+			check(compactAll(t, cutFine), fmt.Sprintf("fine over %d cuts", len(cuts)), func(k string) map[AggrType][]model.Sample {
+				return rawBuckets(rawByKey[k], fine)
+			})
+			check(compactAll(t, deriveByRange(t, cutFine, coarse)), fmt.Sprintf("two-hop over %d cuts", len(cuts)), func(k string) map[AggrType][]model.Sample {
 				return aggrBuckets(rawBuckets(rawByKey[k], fine), coarse)
 			})
 
@@ -639,7 +758,7 @@ func TestDownsampleStaleOnlySeries(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	ds, err := DownsamplePersistentBlock("", cutMem(t, db), 5000)
+	ds, err := downsampleWhole("", cutMem(t, db), 5000)
 	if err != nil {
 		t.Fatal(err)
 	}

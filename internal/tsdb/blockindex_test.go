@@ -90,7 +90,7 @@ func TestBlockPostingsMatchScan(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ds, err := DownsamplePersistentBlock(parent, raw, 10)
+			ds, err := downsampleWhole(parent, raw, 10)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -333,7 +333,7 @@ func TestBlockBytesPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ds, err := DownsamplePersistentBlock(parent, a, 300_000)
+	ds, err := downsampleWhole(parent, a, 300_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -404,7 +404,7 @@ func FuzzDecodeIndex(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	ds, err := DownsamplePersistentBlock("", raw, 10_000)
+	ds, err := downsampleWhole("", raw, 10_000)
 	if err != nil {
 		f.Fatal(err)
 	}

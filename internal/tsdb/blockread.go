@@ -17,7 +17,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"math"
 	"os"
 	"path/filepath"
 	"sync"
@@ -74,6 +73,19 @@ func OpenBlockDir(dir string) (*PersistentBlock, error) {
 	if len(data) < hdr || string(data[:len(chunksMagic)]) != chunksMagic || data[len(chunksMagic)] != blockDirVersion {
 		munmap()
 		return nil, fmt.Errorf("tsdb: %s: bad chunks header", dir)
+	}
+	// The writer lays every chunk out once, so the index references no more
+	// bytes than the segment holds; one that does would have a read decode
+	// the same bytes again and again.
+	left := uint64(len(data) - hdr)
+	for i := range series {
+		for _, c := range series[i].chunks {
+			if c.length > left {
+				munmap()
+				return nil, fmt.Errorf("tsdb: %s: index references more chunk bytes than the %d of the chunks file", dir, len(data))
+			}
+			left -= c.length
+		}
 	}
 	return &PersistentBlock{dir: dir, meta: meta, series: series, index: newBlockIndex(series, pairs), chunks: data, munmap: munmap}, nil
 }
@@ -246,9 +258,9 @@ func (pb *PersistentBlock) stream(s *diskSeries, aggr AggrType) stream {
 	return stream{block: pb, disk: s.chunks[lo:hi]}
 }
 
-// appendStream decodes onto dst every sample of s's chunks storing aggr:
-// one whole stream, the unit compaction and downsampling read.
-func (pb *PersistentBlock) appendStream(dst []model.Sample, s *diskSeries, aggr AggrType) ([]model.Sample, error) {
-	dst, _, err := pb.stream(s, aggr).read(dst, math.MinInt64, math.MaxInt64, nil, false)
+// appendStream decodes onto dst the samples in [mint, maxt] of s's chunks
+// storing aggr: the unit compaction and downsampling read.
+func (pb *PersistentBlock) appendStream(dst []model.Sample, s *diskSeries, aggr AggrType, mint, maxt int64) ([]model.Sample, error) {
+	dst, _, err := pb.stream(s, aggr).read(dst, mint, maxt, nil, false)
 	return dst, err
 }

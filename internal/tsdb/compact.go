@@ -1,32 +1,20 @@
 package tsdb
 
-// Compaction and downsampling over persistent blocks.
+// Compaction and downsampling over persistent blocks: one walk, two folds.
 //
-// Both build their block as the cut does: series by series, in label order,
-// every chunk written by a seriesCutter, the result opened by finishBlock.
-// What is resident is one series' decoded samples plus the output block's
-// encoded chunks — never a decoded input block.
-//
-// CompactPersistentBlocks merges same-resolution blocks into one
-// next-level block: series are k-way merged by labels, overlapping samples
-// deduplicated per timestamp (the earliest block in the caller's order
-// wins, matching the store's read-path dedup), and matcher-level tombstones
-// drop whole series so a delete eventually propagates into cold storage.
-// The new block is published durably BEFORE any source is deleted — a crash
-// between the two leaves overlapping duplicates, which the read path dedups
-// and a later compaction folds away, never data loss.
-//
-// DownsamplePersistentBlock derives a lower-resolution sibling: for every
-// resolution bucket [bs, bs+res) it stores the sum, count, min and max of
-// the bucket's non-stale samples, each as its own Gorilla chunk stream,
-// emitted at timestamp bs+res-1. Aggregating an already-downsampled block
-// to a coarser multiple combines aggregates-of-aggregates (sum of sums,
-// sum of counts, min of mins, max of maxes), which preserves exactness.
-// Staleness markers never enter aggregates; a bucket holding only markers
-// emits nothing.
+// Both k-way merge their inputs' series by labels (walker.walk), each run of
+// equal label sets one output series whose members' streams merge per
+// timestamp, the earliest block winning as on the read path. The copy fold
+// (CompactPersistentBlocks, which also drops tombstoned series) writes the
+// merged streams as they are; the bucket fold (DownsamplePersistentBlocks)
+// stores, per whole bucket [bs, bs+res) of a range, the sum, count, min and
+// max of its non-stale samples — or of a finer block's aggregates, which
+// preserves exactness — each its own chunk stream, at bs+res-1. What is
+// resident is one series' decoded samples plus the output's encoded chunks.
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
 	"repro/internal/labels"
@@ -48,37 +36,150 @@ func CompactPersistentBlocks(parent string, blocks []*PersistentBlock, tombs []T
 		Resolution: blocks[0].meta.Resolution,
 		Sources:    make([]string, 0, len(blocks)),
 	}
-	n := 0
 	for _, b := range blocks {
 		if b.meta.Resolution != meta.Resolution {
 			return nil, fmt.Errorf("tsdb: compact: mixed resolutions (%d vs %d)", meta.Resolution, b.meta.Resolution)
 		}
-		// The inputs' bounds stand when every series is tombstoned.
+		// A downsampled block's bounds are its inputs' ranges; a raw
+		// block's stand when every series is tombstoned.
 		meta.MinTime = min(meta.MinTime, b.meta.MinTime)
 		meta.MaxTime = max(meta.MaxTime, b.meta.MaxTime)
 		meta.Level = max(meta.Level, b.meta.Level+1)
 		meta.Sources = append(meta.Sources, b.meta.ULID)
+	}
+	w := &walker{blocks: blocks, mint: math.MinInt64, maxt: math.MaxInt64}
+	sc := seriesCutter{maxPerChunk: defaultSamplesPerChunk}
+	series, err := w.walk(tombs, func(run []blockSeriesRef) ([]diskChunk, error) {
+		for sc.aggr = AggrRaw; sc.aggr <= AggrMax; sc.aggr++ {
+			smps, err := w.merged(run, sc.aggr)
+			if err != nil {
+				return nil, err
+			}
+			for _, smp := range smps {
+				if err := sc.add(smp.T, smp.V); err != nil {
+					return nil, err
+				}
+			}
+			sc.flush()
+		}
+		chunks := slices.Clone(sc.chunks)
+		sc.chunks = sc.chunks[:0]
+		return chunks, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return finishBlock(parent, meta, series)
+}
+
+// DownsamplePersistentBlocks derives the block meta describes — the whole
+// buckets of meta.Resolution over [meta.MinTime, meta.MaxTime], at
+// meta.Level — under parent (in memory when parent == "") from that range
+// of blocks, all raw or all of one finer resolution dividing the target;
+// they stay in place, and its sources are them. A range with no non-stale
+// sample writes nothing and returns (nil, nil); sources whose aggregate
+// streams disagree are an error naming them and the series.
+func DownsamplePersistentBlocks(parent string, meta BlockMeta, blocks []*PersistentBlock) (*PersistentBlock, error) {
+	res := meta.Resolution
+	if res <= 0 || floorDiv(meta.MinTime, res)*res != meta.MinTime || floorDiv(meta.MaxTime+1, res)*res != meta.MaxTime+1 || meta.MinTime > meta.MaxTime {
+		return nil, fmt.Errorf("tsdb: downsample: [%d, %d] is not whole buckets of a positive resolution %d", meta.MinTime, meta.MaxTime, res)
+	}
+	if len(blocks) == 0 {
+		return nil, nil
+	}
+	srcRes := blocks[0].meta.Resolution
+	meta.Sources = make([]string, 0, len(blocks))
+	for _, b := range blocks {
+		if r := b.meta.Resolution; r != srcRes || r >= res || r > 0 && res%r != 0 {
+			return nil, fmt.Errorf("tsdb: downsample: block %s: resolution %d is not that of every source, or does not divide %d", b.meta.ULID, r, res)
+		}
+		meta.Sources = append(meta.Sources, b.meta.ULID)
+	}
+	w := &walker{blocks: blocks, mint: meta.MinTime, maxt: meta.MaxTime}
+	d := downsampler{res: res}
+	for k := range d.cuts {
+		d.cuts[k] = seriesCutter{aggr: AggrSum + AggrType(k), maxPerChunk: defaultSamplesPerChunk}
+	}
+	var src [4][]model.Sample // raw alone, or sum, count, min, max
+	series, err := w.walk(nil, func(run []blockSeriesRef) ([]diskChunk, error) {
+		if srcRes == 0 {
+			raw, err := w.merged(run, AggrRaw)
+			if err != nil {
+				return nil, err
+			}
+			for _, smp := range raw {
+				if model.IsStaleNaN(smp.V) {
+					continue
+				}
+				if err := d.add(floorDiv(smp.T, res)*res, smp.V, 1, smp.V, smp.V); err != nil {
+					return nil, err
+				}
+			}
+			return d.finish()
+		}
+		for k := range src {
+			var err error
+			if src[k], err = w.merged(run, AggrSum+AggrType(k)); err != nil {
+				return nil, err
+			}
+		}
+		if err := alignedAggrs(&src); err != nil {
+			return nil, fmt.Errorf("tsdb: downsample: blocks %s: series %s: %w", meta.Sources, run[0].s.lset, err)
+		}
+		sums, counts, mins, maxs := src[0], src[1], src[2], src[3]
+		for j := range sums {
+			// A source point sits at its bucket's end; the bucket's start
+			// places it in the output bucket.
+			bs := floorDiv(sums[j].T-srcRes+1, res) * res
+			if err := d.add(bs, sums[j].V, counts[j].V, mins[j].V, maxs[j].V); err != nil {
+				return nil, err
+			}
+		}
+		return d.finish()
+	})
+	if err != nil || len(series) == 0 {
+		return nil, err
+	}
+	return finishBlock(parent, &meta, series)
+}
+
+// walker walks blocks' series, reading the samples in [mint, maxt].
+type walker struct {
+	blocks     []*PersistentBlock
+	mint, maxt int64
+	streams    [AggrMax + 1][][]model.Sample // per aggregate, a run member's scratch
+}
+
+// blockSeriesRef is one series of one walked block.
+type blockSeriesRef struct {
+	s        *diskSeries
+	blk, pos uint32
+}
+
+// walk merges the blocks' series by labels and calls fold once per output
+// series: a run of equal label sets in block order (a block holds a label
+// set once), so that its first member is from the block that wins a shared
+// timestamp. A run some tombstone deletes is skipped; a series fold returns
+// no chunks for is left out.
+func (w *walker) walk(tombs []TombstoneRec, fold func(run []blockSeriesRef) ([]diskChunk, error)) ([]diskSeries, error) {
+	n := 0
+	for _, b := range w.blocks {
 		n += len(b.series)
 	}
-	// With a nil combine the merge keeps every series, equal label sets next
-	// to each other in block order: a run of equal neighbours is one output
-	// series, its first member from the block that wins a timestamp.
 	refs := make([]blockSeriesRef, 0, n)
-	parts := make([][]blockSeriesRef, len(blocks))
-	for bi, b := range blocks {
+	parts := make([][]blockSeriesRef, len(w.blocks))
+	for bi, b := range w.blocks {
 		lo := len(refs)
 		for pos := range b.series {
 			refs = append(refs, blockSeriesRef{s: &b.series[pos], blk: uint32(bi), pos: uint32(pos)})
 		}
 		parts[bi] = refs[lo:]
 	}
+	// With a nil combine the merge keeps every series, equal label sets next
+	// to each other in block order.
 	all := model.MergeSorted(parts, func(a, b blockSeriesRef) int { return labels.Compare(a.s.lset, b.s.lset) }, nil)
-	dead := deadSeries(blocks, tombs)
-	var (
-		series  []diskSeries
-		streams = make([][]model.Sample, len(blocks)) // one per run member, reused
-		sc      = seriesCutter{maxPerChunk: defaultSamplesPerChunk}
-	)
+	dead := deadSeries(w.blocks, tombs)
+	var series []diskSeries
 	for lo := 0; lo < len(all); {
 		hi := lo + 1
 		for hi < len(all) && all[hi].s.lset.Equal(all[lo].s.lset) {
@@ -90,32 +191,51 @@ func CompactPersistentBlocks(parent string, blocks []*PersistentBlock, tombs []T
 		if dead != nil && dead[run[0].blk][run[0].pos] {
 			continue
 		}
-		for sc.aggr = AggrRaw; sc.aggr <= AggrMax; sc.aggr++ {
-			for j, r := range run {
-				var err error
-				if streams[j], err = blocks[r.blk].appendStream(streams[j][:0], r.s, sc.aggr); err != nil {
-					return nil, err
-				}
-			}
-			for _, smp := range model.MergeSamples(streams[:len(run)]) {
-				if err := sc.add(smp.T, smp.V); err != nil {
-					return nil, err
-				}
-			}
-			sc.flush()
+		chunks, err := fold(run)
+		if err != nil {
+			return nil, err
 		}
-		if len(sc.chunks) > 0 {
-			series = append(series, diskSeries{lset: run[0].s.lset, chunks: slices.Clone(sc.chunks)})
-			sc.chunks = sc.chunks[:0]
+		if len(chunks) > 0 {
+			series = append(series, diskSeries{lset: run[0].s.lset, chunks: chunks})
 		}
 	}
-	return finishBlock(parent, meta, series)
+	return series, nil
 }
 
-// blockSeriesRef is one series of one compaction input.
-type blockSeriesRef struct {
-	s        *diskSeries
-	blk, pos uint32
+// merged decodes the run members' aggr streams into their scratch and
+// merges them, the earliest member winning a timestamp. The result may be
+// scratch the next call for aggr reuses.
+func (w *walker) merged(run []blockSeriesRef, aggr AggrType) ([]model.Sample, error) {
+	if w.streams[aggr] == nil {
+		w.streams[aggr] = make([][]model.Sample, len(w.blocks))
+	}
+	st := w.streams[aggr][:len(run)]
+	for j, r := range run {
+		var err error
+		if st[j], err = w.blocks[r.blk].appendStream(st[j][:0], r.s, aggr, w.mint, w.maxt); err != nil {
+			return nil, err
+		}
+	}
+	return model.MergeSamples(st), nil
+}
+
+// alignedAggrs checks that the sum, count, min and max streams of one
+// downsampled series hold points at the same timestamps, as the buckets
+// that wrote them did.
+func alignedAggrs(src *[4][]model.Sample) error {
+	sums := src[0]
+	for k, st := range src[1:] {
+		aggr := AggrCount + AggrType(k)
+		if len(st) != len(sums) {
+			return fmt.Errorf("%s stream has %d points, sum stream %d", aggr, len(st), len(sums))
+		}
+		for j := range st {
+			if st[j].T != sums[j].T {
+				return fmt.Errorf("%s point %d at %d, sum point at %d", aggr, j, st[j].T, sums[j].T)
+			}
+		}
+	}
+	return nil
 }
 
 // deadSeries marks, per block, the positions of the series some tombstone
@@ -222,97 +342,4 @@ func (d *downsampler) finish() ([]diskChunk, error) {
 		d.cuts[k].chunks = d.cuts[k].chunks[:0]
 	}
 	return chunks, nil
-}
-
-// DownsamplePersistentBlock derives a block at the given resolution (ms)
-// from b, under parent (in memory when parent == ""). b may be raw or a
-// finer downsampled block whose resolution divides the target. The source
-// block is left in place — multi-resolution stores keep raw and downsampled
-// siblings side by side and pick per query. A block with no non-stale
-// sample writes nothing and returns (nil, nil); one whose aggregate streams
-// disagree is an error naming the block and the series.
-func DownsamplePersistentBlock(parent string, b *PersistentBlock, resolution int64) (*PersistentBlock, error) {
-	if resolution <= 0 {
-		return nil, fmt.Errorf("tsdb: downsample: resolution must be positive")
-	}
-	srcRes := b.meta.Resolution
-	if srcRes >= resolution {
-		return nil, fmt.Errorf("tsdb: downsample: target %dms not coarser than source %dms", resolution, srcRes)
-	}
-	if srcRes > 0 && resolution%srcRes != 0 {
-		return nil, fmt.Errorf("tsdb: downsample: target %dms not a multiple of source %dms", resolution, srcRes)
-	}
-	d := downsampler{res: resolution}
-	for k := range d.cuts {
-		d.cuts[k] = seriesCutter{aggr: AggrSum + AggrType(k), maxPerChunk: defaultSamplesPerChunk}
-	}
-	var (
-		series []diskSeries
-		src    [4][]model.Sample // the source streams, reused: raw alone, or sum, count, min, max
-		err    error
-	)
-	for i := range b.series {
-		s := &b.series[i]
-		if srcRes == 0 {
-			if src[0], err = b.appendStream(src[0][:0], s, AggrRaw); err != nil {
-				return nil, err
-			}
-			for _, smp := range src[0] {
-				if model.IsStaleNaN(smp.V) {
-					continue
-				}
-				if err := d.add(floorDiv(smp.T, resolution)*resolution, smp.V, 1, smp.V, smp.V); err != nil {
-					return nil, err
-				}
-			}
-		} else {
-			for k := range src {
-				if src[k], err = b.appendStream(src[k][:0], s, AggrSum+AggrType(k)); err != nil {
-					return nil, err
-				}
-			}
-			if err := alignedAggrs(&src); err != nil {
-				return nil, fmt.Errorf("tsdb: downsample: block %s: series %s: %w", b.meta.ULID, s.lset, err)
-			}
-			sums, counts, mins, maxs := src[0], src[1], src[2], src[3]
-			for j := range sums {
-				// A source point sits at its bucket's end; the bucket's start
-				// places it in the output bucket.
-				bs := floorDiv(sums[j].T-srcRes+1, resolution) * resolution
-				if err := d.add(bs, sums[j].V, counts[j].V, mins[j].V, maxs[j].V); err != nil {
-					return nil, err
-				}
-			}
-		}
-		chunks, err := d.finish()
-		if err != nil {
-			return nil, err
-		}
-		if len(chunks) > 0 {
-			series = append(series, diskSeries{lset: s.lset, chunks: chunks})
-		}
-	}
-	if len(series) == 0 {
-		return nil, nil
-	}
-	return finishBlock(parent, &BlockMeta{Level: b.meta.Level, Resolution: resolution, Sources: []string{b.meta.ULID}}, series)
-}
-
-// alignedAggrs checks that the sum, count, min and max streams of one
-// downsampled series hold points at the same timestamps, as the buckets
-// that wrote them did.
-func alignedAggrs(src *[4][]model.Sample) error {
-	sums := src[0]
-	for k, st := range src[1:] {
-		aggr := AggrCount + AggrType(k)
-		if len(st) != len(sums) {
-			return fmt.Errorf("%s stream has %d points, sum stream %d", aggr, len(st), len(sums))
-		}
-		for j := range st {
-			if st[j].T != sums[j].T {
-				return fmt.Errorf("%s point %d at %d, sum point at %d", aggr, j, st[j].T, sums[j].T)
-			}
-		}
-	}
-	return nil
 }

@@ -75,7 +75,7 @@ func BenchmarkDownsample(b *testing.B) {
 		b.Skip("2 days of 48 series skipped in -short mode")
 	}
 	raw := maintBlock(b, 0)
-	fine, err := DownsamplePersistentBlock("", raw, 300_000)
+	fine, err := downsampleWhole("", raw, 300_000)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func BenchmarkDownsample(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				nb, err := DownsamplePersistentBlock("", bc.src, bc.res)
+				nb, err := downsampleWhole("", bc.src, bc.res)
 				if err != nil || nb.meta.Stats.NumSamples != 4*4*maintNodes*bc.buckets {
 					b.Fatalf("downsampled %v, err %v", nb, err)
 				}

@@ -204,7 +204,7 @@ func oracleCompact(parent string, blocks []*PersistentBlock, tombs []TombstoneRe
 	if err != nil {
 		return nil, err
 	}
-	if mint > maxt {
+	if mint > maxt || res > 0 { // a downsampled block's bounds are the ranges it holds
 		mint, maxt = inMin, inMax
 	}
 	return oracleFinish(parent, &BlockMeta{MinTime: mint, MaxTime: maxt, Level: level + 1, Resolution: res, Sources: sources}, series)
@@ -296,8 +296,10 @@ func downsampleAggr(src map[AggrType][]model.Sample, srcRes, res int64) map[Aggr
 	return streams
 }
 
-// oracleDownsample is DownsamplePersistentBlock as it was: a source with no
-// non-stale sample still yields a block, with no series.
+// oracleDownsample is DownsamplePersistentBlock as it was — every bucket of
+// one block, emitted at its end — but for the bounds, which are now the
+// range derived (downsampleWhole's); a source with no non-stale sample
+// still yields a block, with no series.
 func oracleDownsample(parent string, b *PersistentBlock, resolution int64) (*PersistentBlock, error) {
 	srcRes := b.meta.Resolution
 	in, err := b.allAggrSeries()
@@ -317,13 +319,11 @@ func oracleDownsample(parent string, b *PersistentBlock, resolution int64) (*Per
 		}
 		out = append(out, aggrSeries{lset: as.lset, streams: streams})
 	}
-	series, mint, maxt, err := diskSeriesFromAggr(out, 0)
+	series, _, _, err := diskSeriesFromAggr(out, 0)
 	if err != nil {
 		return nil, err
 	}
-	if mint > maxt {
-		mint, maxt = b.meta.MinTime, b.meta.MaxTime
-	}
+	mint, maxt := floorDiv(b.meta.MinTime, resolution)*resolution, (floorDiv(b.meta.MaxTime, resolution)+1)*resolution-1
 	return oracleFinish(parent, &BlockMeta{MinTime: mint, MaxTime: maxt, Level: b.meta.Level, Resolution: resolution, Sources: []string{b.meta.ULID}}, series)
 }
 
@@ -449,11 +449,11 @@ func TestCompactMatchesOracleRandom(t *testing.T) {
 				t.Fatal(err)
 			}
 			if b != nil && downsampled {
-				if b, err = DownsamplePersistentBlock(parent, b, fine); err != nil {
+				if b, err = downsampleWhole(parent, b, fine); err != nil {
 					t.Fatal(err)
 				}
 				if b != nil {
-					if b, err = DownsamplePersistentBlock(parent, b, coarse); err != nil {
+					if b, err = downsampleWhole(parent, b, coarse); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -532,7 +532,7 @@ func TestDownsampleMatchesOracleRandom(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := DownsamplePersistentBlock(parent, src, res)
+			got, err := downsampleWhole(parent, src, res)
 			if err != nil {
 				t.Fatalf("%s: %v", what, err)
 			}
@@ -594,7 +594,7 @@ func TestDownsampleRejectsUnalignedAggregates(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			_, err = DownsamplePersistentBlock("", pb, 6*res)
+			_, err = downsampleWhole("", pb, 6*res)
 			if err == nil || !strings.Contains(err.Error(), pb.meta.ULID) || !strings.Contains(err.Error(), lset.String()) {
 				t.Fatalf("downsample: err %v, want one naming block %s and series %s", err, pb.meta.ULID, lset)
 			}

@@ -167,8 +167,7 @@ func planParts(parts []blockPart, blocks []*PersistentBlock, mint, maxt, fence i
 		}
 		var gspans []span
 		for _, b := range group {
-			c := coverage(b)
-			lo, hi := max(c.lo, mint), min(c.hi, gmax)
+			lo, hi := max(b.meta.MinTime, mint), min(b.meta.MaxTime, gmax)
 			if res != 0 {
 				lo = floorDiv(lo+res-1, res) * res // round up to a bucket start
 				hi = floorDiv(hi+1, res)*res - 1   // round down to a bucket end
@@ -180,7 +179,7 @@ func planParts(parts []blockPart, blocks []*PersistentBlock, mint, maxt, fence i
 		for _, gs := range gspans {
 			for _, u := range subtractSpans(gs, covered) {
 				for _, b := range group {
-					if c := coverage(b); c.lo <= u.hi && c.hi >= u.lo {
+					if b.meta.MinTime <= u.hi && b.meta.MaxTime >= u.lo {
 						parts = append(parts, newBlockPart(b, u.lo, u.hi, aggr))
 					}
 				}
@@ -189,12 +188,6 @@ func planParts(parts []blockPart, blocks []*PersistentBlock, mint, maxt, fence i
 		}
 	}
 	return parts
-}
-
-// coverage is the span of time b holds data of: a downsampled point stands
-// for the bucket it ends, so the first one covers from a bucket-width before.
-func coverage(b *PersistentBlock) span {
-	return span{b.meta.MinTime - max(b.meta.Resolution-1, 0), b.meta.MaxTime}
 }
 
 // piece is one source's part of a series in a read: a head series, or the

@@ -123,7 +123,7 @@ func TestHeadSelectTrimmed(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		down, err := DownsamplePersistentBlock("", raw, 60000)
+		down, err := downsampleWhole("", raw, 60000)
 		if err != nil {
 			t.Fatal(err)
 		}
