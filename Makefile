@@ -142,8 +142,9 @@ head-index:
 # whole block directory (FuzzOpenBlockDir: any meta.json, index and chunks
 # bytes open and read every series to an error or samples, never a panic,
 # allocation linear in the bytes), over the
-# remote-read request decoder (any body ends in 200, 400, 413 or 422 with a
-# readResponse body, never a 500 or a panic), over the PromQL parser (any
+# query client's answer decoder (FuzzInstantResponse: any body ends in an
+# error or a vector or scalar, never a panic, and no more than the cap is
+# read from an endless answer), over the PromQL parser (any
 # text ends in an error or an expression whose String() parses again, never
 # a panic), over the CRW1 frame decoder (FuzzDecoder: any stream ends in
 # io.EOF or an error, never a panic, and no frame held or inflated past
@@ -170,7 +171,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzOpenBlockDir -fuzztime 10s ./internal/tsdb/
 	$(GO) test -run '^$$' -fuzz FuzzWALRecord -fuzztime 10s ./internal/tsdb/
 	$(GO) test -run '^$$' -fuzz FuzzAppendJSONString -fuzztime 10s ./internal/promapi/
-	$(GO) test -run '^$$' -fuzz FuzzRemoteRead -fuzztime 10s ./internal/promapi/
+	$(GO) test -run '^$$' -fuzz FuzzInstantResponse -fuzztime 10s ./internal/promapi/
 	$(GO) test -run '^$$' -fuzz FuzzParseExpr -fuzztime 10s ./internal/promql/
 	$(GO) test -run '^$$' -fuzz FuzzTokenizer -fuzztime 10s ./internal/expofmt/
 	$(GO) test -run '^$$' -fuzz FuzzDecoder -fuzztime 10s ./internal/remotewrite/

@@ -319,7 +319,7 @@ func BenchmarkAPIServerUpdate(b *testing.B) {
 	for i := 0; i < 80; i++ {
 		sched.Advance(15 * time.Second)
 	}
-	role, err := api.Open(config.Default(), nil, tsdb.MustOpen(tsdb.DefaultOptions()), nil,
+	role, err := api.Open(config.Default(), nil, api.InProcess(tsdb.MustOpen(tsdb.DefaultOptions())), nil,
 		&resourcemanager.Local{Cluster: "bench", Kind: model.ManagerSLURM, Source: sched})
 	if err != nil {
 		b.Fatal(err)

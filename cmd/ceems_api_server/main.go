@@ -1,6 +1,6 @@
 // Command ceems_api_server runs the CEEMS API server standalone: it polls
-// a slurmdbd endpoint for compute units, aggregates their metrics from a
-// Prometheus backend via remote read, stores everything in its relational
+// a slurmdbd endpoint for compute units, aggregates their metrics by PromQL
+// queries to a Prometheus query API, stores everything in its relational
 // DB (with WAL and optional continuous backup), and serves the REST API.
 // A restart resumes the accounting from the store: each unit's row records
 // how far it is accounted, so no window is lost or counted twice.
@@ -66,10 +66,10 @@ func serve(ctx context.Context, cfg config.Config) error {
 	})
 }
 
-// open builds the standalone role: units from slurmdbd, metrics by remote
-// read, and no Cleaner. A standalone server has no TSDB of its own to
+// open builds the standalone role: units from slurmdbd, metrics from the
+// query API, and no Cleaner. A standalone server has no TSDB of its own to
 // delete short units' series from, so api_server.short_unit_cutoff is inert.
 func open(cfg config.Config) (*api.Role, error) {
-	return api.Open(cfg, nil, &promapi.RemoteQueryable{BaseURL: cfg.APIServer.Prometheus}, nil,
+	return api.Open(cfg, nil, &promapi.Client{BaseURL: cfg.APIServer.Prometheus}, nil,
 		&resourcemanager.SlurmDBD{Cluster: cfg.Cluster.Name, BaseURL: cfg.APIServer.SlurmDBD})
 }

@@ -17,7 +17,7 @@ import (
 )
 
 // TestStandaloneAssembly: the role ceems_api_server builds accounts the
-// units of a slurmdbd endpoint from a Prometheus query API by remote read.
+// units of a slurmdbd endpoint from a Prometheus query API by instant queries.
 // One pass over 30 simulated minutes of a two-node cluster gives every unit
 // that started 5 min before it some energy; the admins are registered; the
 // backup step writes a copy that restores every unit; and backup_dir

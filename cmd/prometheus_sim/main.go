@@ -1,7 +1,7 @@
 // Command prometheus_sim plays the Prometheus role of the stack: it
 // scrapes CEEMS exporters over HTTP, evaluates the CEEMS energy-estimation
-// recording rules, and serves the Prometheus query API plus the JSON
-// remote-read endpoint the standalone CEEMS API server consumes.
+// recording rules, and serves the Prometheus query API, whose instant
+// queries the standalone CEEMS API server asks.
 //
 // Usage:
 //

@@ -65,7 +65,7 @@ func main() {
 
 	// One API server, three fetchers — the unified schema. No metrics are
 	// needed for the schema demo, so the TSDB stays empty.
-	role, err := api.Open(config.Default(), nil, tsdb.MustOpen(tsdb.DefaultOptions()), nil,
+	role, err := api.Open(config.Default(), nil, api.InProcess(tsdb.MustOpen(tsdb.DefaultOptions())), nil,
 		&resourcemanager.Local{Cluster: "hpc", Kind: model.ManagerSLURM, Source: slurm},
 		&resourcemanager.Local{Cluster: "cloud", Kind: model.ManagerOpenstack, Source: cloud},
 		&resourcemanager.Local{Cluster: "k8s", Kind: model.ManagerK8s, Source: k8s},

@@ -101,7 +101,7 @@ func newRig(t *testing.T, nNodes int) *testRig {
 		Fetchers: []resourcemanager.Fetcher{
 			&resourcemanager.Local{Cluster: "testcluster", Kind: model.ManagerSLURM, Source: sched},
 		},
-		Query:           db,
+		Querier:         InProcess(db),
 		Factor:          emissions.OWID{},
 		Zone:            "FR",
 		ShortUnitCutoff: 30 * time.Second,

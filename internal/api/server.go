@@ -14,7 +14,6 @@ import (
 	"repro/internal/config"
 	"repro/internal/emissions"
 	"repro/internal/model"
-	"repro/internal/promql"
 	"repro/internal/relstore"
 	"repro/internal/resourcemanager"
 )
@@ -252,10 +251,10 @@ type Role struct {
 // Open builds the role from the api_server, cluster and emissions
 // sections: the store at data_dir (in memory when empty) under Schemas, the
 // emission-factor chain on the clock now (nil is the wall clock), an Updater
-// accounting the fetchers' units from query and, with a cleaner, deleting
-// short units' series from it, and a Server that knows the admin_users.
+// accounting the fetchers' units from querier and, with a cleaner, deleting
+// short units' series, and a Server that knows the admin_users.
 // backup_dir without data_dir is an error: there would be nothing to copy.
-func Open(cfg config.Config, now func() time.Time, query promql.Queryable, cleaner SeriesDeleter, fetchers ...resourcemanager.Fetcher) (*Role, error) {
+func Open(cfg config.Config, now func() time.Time, querier Querier, cleaner SeriesDeleter, fetchers ...resourcemanager.Fetcher) (*Role, error) {
 	if cfg.APIServer.BackupDir != "" && cfg.APIServer.DataDir == "" {
 		return nil, errors.New("api: backup_dir needs data_dir")
 	}
@@ -267,7 +266,7 @@ func Open(cfg config.Config, now func() time.Time, query promql.Queryable, clean
 	if err != nil {
 		return nil, fmt.Errorf("api: store: %w", err)
 	}
-	u := &Updater{Store: store, Fetchers: fetchers, Query: query, Factor: factor,
+	u := &Updater{Store: store, Fetchers: fetchers, Querier: querier, Factor: factor,
 		Zone: cfg.Cluster.Zone, ShortUnitCutoff: cfg.APIServer.ShortUnitCutoff, Cleaner: cleaner}
 	r := &Role{Store: store, Updater: u, Server: &Server{Store: store, Updater: u}}
 	for _, s := range Schemas() {

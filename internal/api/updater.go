@@ -20,6 +20,26 @@ type SeriesDeleter interface {
 	DeleteSeries(ms ...*labels.Matcher) int
 }
 
+// Querier evaluates one instant PromQL query: the one seam the updater asks
+// its metrics through. InProcess binds an engine to a store in the same
+// process; promapi.Client asks a Prometheus query API over HTTP.
+type Querier interface {
+	InstantCtx(ctx context.Context, query string, ts time.Time) (promql.Value, error)
+}
+
+// InProcess binds a default engine to the store q: the hot TSDB or the
+// Thanos fan-in.
+func InProcess(q promql.Queryable) Querier { return inProcess{promql.NewEngine(), q} }
+
+type inProcess struct {
+	engine *promql.Engine
+	store  promql.Queryable
+}
+
+func (p inProcess) InstantCtx(ctx context.Context, query string, ts time.Time) (promql.Value, error) {
+	return p.engine.InstantCtx(ctx, p.store, query, ts)
+}
+
 // Updater implements the API server's periodic aggregation pass: fetch the
 // unit list from every resource manager, estimate each unit's aggregate
 // metrics from TSDB queries over the window since the previous pass, merge
@@ -28,9 +48,12 @@ type SeriesDeleter interface {
 type Updater struct {
 	Store    *relstore.DB
 	Fetchers []resourcemanager.Fetcher
-	// Query is the metrics source: the hot TSDB or the Thanos fan-in.
-	Query  promql.Queryable
-	Engine *promql.Engine
+	// Querier is the metrics source every query of a pass is asked of.
+	Querier Querier
+	// Query is the store a pass asks through InProcess when Querier is nil.
+	//
+	// Deprecated: kept for bench/ until T2 (ROADMAP U).
+	Query promql.Queryable
 	// Factor converts energy to emissions; nil skips emissions.
 	Factor emissions.Provider
 	// Zone is the grid zone for emission factors (e.g. "FR").
@@ -53,10 +76,12 @@ type Updater struct {
 // The pass keeps no clock of its own: each unit's window starts at its
 // row's accounted_until, and the fetch starts at the stored fetch_from, so
 // a restart resumes where the store left off. A unit or fetcher that fails
-// holds fetch_from back, and the next pass covers its window again.
+// holds fetch_from back, and the next pass covers its window again; so does
+// every unit left when ctx is done, whose error is the context's.
 func (u *Updater) Update(ctx context.Context, now time.Time) error {
-	if u.Engine == nil {
-		u.Engine = promql.NewEngine()
+	q := u.Querier
+	if q == nil {
+		q = InProcess(u.Query)
 	}
 	now = now.Truncate(time.Millisecond) // the watermarks are in ms
 	from := now.Add(-time.Hour)
@@ -81,7 +106,7 @@ func (u *Updater) Update(ctx context.Context, now time.Time) error {
 		}
 		for _, unit := range units {
 			atomic.AddInt64(&u.UnitsSeen, 1)
-			if start, err := u.updateUnit(ctx, unit, from, now); err != nil {
+			if start, err := u.updateUnit(ctx, q, unit, from, now); err != nil {
 				fail(err, start)
 			}
 		}
@@ -100,8 +125,11 @@ func (u *Updater) Update(ctx context.Context, now time.Time) error {
 // now)] and writes the aggregate and the window's end (accounted_until) in
 // one Upsert. start is the row's accounted_until, from without a row, and
 // now for a row written before the column existed. It returns start; on
-// error the row is left as it was.
-func (u *Updater) updateUnit(ctx context.Context, unit model.Unit, from, now time.Time) (time.Time, error) {
+// error, a done ctx's included, the row is left as it was.
+func (u *Updater) updateUnit(ctx context.Context, q Querier, unit model.Unit, from, now time.Time) (time.Time, error) {
+	if err := ctx.Err(); err != nil {
+		return from, err
+	}
 	prev, found, err := u.Store.Get(TableUnits, unit.UUID)
 	if err != nil {
 		return from, err
@@ -130,7 +158,7 @@ func (u *Updater) updateUnit(ctx context.Context, unit model.Unit, from, now tim
 		qEnd = e
 	}
 	if unit.StartedAt > 0 && qEnd.After(qStart) {
-		inc, err := u.queryIncrement(ctx, unit, qStart, qEnd)
+		inc, err := u.queryIncrement(ctx, q, unit, qStart, qEnd)
 		if err != nil {
 			return start, err
 		}
@@ -159,20 +187,20 @@ func (u *Updater) updateUnit(ctx context.Context, unit model.Unit, from, now tim
 // queryIncrement estimates the unit's usage over one window from TSDB. A
 // failed query or emission-factor lookup fails the whole increment: a
 // partial one would be merged as if the window were accounted.
-func (u *Updater) queryIncrement(ctx context.Context, unit model.Unit, qStart, qEnd time.Time) (model.UsageAggregate, error) {
+func (u *Updater) queryIncrement(ctx context.Context, q Querier, unit model.Unit, qStart, qEnd time.Time) (model.UsageAggregate, error) {
 	var inc model.UsageAggregate
 	win := qEnd.Sub(qStart)
 	winSec := win.Seconds()
 	winStr := fmt.Sprintf("%dms", win.Milliseconds())
 	sel := fmt.Sprintf(`{uuid=%q,cluster=%q}`, unit.ID, unit.Cluster)
 
-	// qErr is the first engine error; once set, no further query runs.
+	// qErr is the first query error; once set, no further query runs.
 	var qErr error
-	scalarQ := func(q string) (float64, bool) {
+	scalarQ := func(query string) (float64, bool) {
 		if qErr != nil {
 			return 0, false
 		}
-		v, err := u.Engine.Instant(u.Query, q, qEnd)
+		v, err := q.InstantCtx(ctx, query, qEnd)
 		if err != nil {
 			qErr = err
 			return 0, false

@@ -178,7 +178,7 @@ func New(topo Topology, cfg config.Config, reg *telemetry.Registry) (*Sim, error
 	// §11), so on disk a crash could keep neither the row nor the series.
 	apiCfg := cfg
 	apiCfg.APIServer.DataDir, apiCfg.APIServer.BackupDir = "", ""
-	sim.Role, err = api.Open(apiCfg, sim.Now, sim.Query, sim.head,
+	sim.Role, err = api.Open(apiCfg, sim.Now, api.InProcess(sim.Query), sim.head,
 		&resourcemanager.Local{Cluster: topo.Name, Kind: model.ManagerSLURM, Source: sim.Sched})
 	if err != nil {
 		sim.Prometheus.Close()

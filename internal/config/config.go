@@ -84,7 +84,7 @@ type RingConfig struct {
 type APIServerConfig struct {
 	Listen          string        `yaml:"listen" help:"CEEMS API listen address"`
 	SlurmDBD        string        `yaml:"slurmdbd" help:"slurmdbd base URL (required by ceems_api_server)"`
-	Prometheus      string        `yaml:"prometheus" help:"Prometheus/Thanos base URL for remote read (required by ceems_api_server)"`
+	Prometheus      string        `yaml:"prometheus" help:"Prometheus/Thanos query API base URL the unit aggregates are asked of (required by ceems_api_server)"`
 	DataDir         string        `yaml:"data_dir" help:"DB directory (empty = in-memory)"`
 	BackupDir       string        `yaml:"backup_dir" help:"continuous backup directory (empty disables; needs -data-dir)"`
 	UpdateInterval  time.Duration `yaml:"update_interval" help:"aggregate update interval"`

@@ -24,7 +24,7 @@ func restart(t *testing.T, sim *cluster.Sim, dir string) {
 	t.Helper()
 	cfg := sim.Cfg
 	cfg.APIServer.DataDir = dir
-	role, err := api.Open(cfg, sim.Now, sim.Updater.Query, sim.Updater.Cleaner, sim.Updater.Fetchers...)
+	role, err := api.Open(cfg, sim.Now, sim.Updater.Querier, sim.Updater.Cleaner, sim.Updater.Fetchers...)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,7 +14,6 @@ import (
 	"repro/internal/api"
 	"repro/internal/cluster"
 	"repro/internal/emissions"
-	"repro/internal/labels"
 	"repro/internal/model"
 	"repro/internal/promql"
 	"repro/internal/resourcemanager"
@@ -172,19 +171,19 @@ func TestAccountingMatchesTruth(t *testing.T) {
 	}
 }
 
-// flakyQueryable fails every n-th read; n = 0 passes every read through.
-type flakyQueryable struct {
-	promql.Queryable
+// flakyQuerier fails every n-th query; n = 0 passes every query through.
+type flakyQuerier struct {
+	api.Querier
 	n, calls int
 }
 
-func (q *flakyQueryable) SelectWithHints(hints model.SelectHints, ms ...*labels.Matcher) ([]model.Series, error) {
+func (q *flakyQuerier) InstantCtx(ctx context.Context, query string, ts time.Time) (promql.Value, error) {
 	if q.n > 0 {
 		if q.calls++; q.calls%q.n == 0 {
 			return nil, errors.New("injected read failure")
 		}
 	}
-	return q.Queryable.SelectWithHints(hints, ms...)
+	return q.Querier.InstantCtx(ctx, query, ts)
 }
 
 // flakyFetcher fails every n-th fetch; n = 0 passes every fetch through.
@@ -203,7 +202,7 @@ func (f *flakyFetcher) FetchUnits(ctx context.Context, since time.Time) ([]model
 }
 
 // TestAccountingExactUnderFaults is TestAccountingMatchesTruth's fault leg:
-// the same 2 h jz-mini run with every n-th updater read, or every n-th unit
+// the same 2 h jz-mini run with every n-th updater query, or every n-th unit
 // fetch, failing. A unit whose pass failed keeps its row and its
 // accounted_until, and a failed fetch holds the stored fetch bound back, so
 // once the faults stop the final pass brings every job's energy back to the
@@ -225,9 +224,9 @@ func TestAccountingExactUnderFaults(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			reads := &flakyQueryable{Queryable: sim.Updater.Query, n: c.reads}
+			reads := &flakyQuerier{Querier: sim.Updater.Querier, n: c.reads}
 			fetches := &flakyFetcher{Fetcher: sim.Updater.Fetchers[0], n: c.fetches}
-			sim.Updater.Query = reads
+			sim.Updater.Querier = reads
 			sim.Updater.Fetchers = []resourcemanager.Fetcher{fetches}
 			sim.RunFor(ctx, 2*time.Hour)
 			if len(sim.Errors) == 0 {

@@ -354,7 +354,7 @@ func (lb *LB) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if lb.Checker != nil && !lb.Checker.IsAdmin(r.Context(), user) {
-		// Anything off the read surface — remote read and write, the status
+		// Anything off the read surface — remote write, the status
 		// pages with other tenants' query text or the result cache's
 		// counters — carries no query the LB could check, so it is the
 		// admins' alone.

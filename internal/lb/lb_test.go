@@ -265,8 +265,9 @@ func TestLBConcurrentDistinctKeysDoNotSerialize(t *testing.T) {
 }
 
 // TestNonAdminReadSurfaceOnly: a non-admin reaches the backend only through
-// the query API's read endpoints, whose scope the LB checks. Remote read,
-// remote write and the status pages carry no query to check, so they are
+// the query API's read endpoints, whose scope the LB checks. Remote write,
+// the status pages and any other path, served or not (/api/v1/read is a
+// route no backend has any more), carry no query to check, so they are
 // denied — and counted — before any backend sees them; admins still reach
 // them.
 func TestNonAdminReadSurfaceOnly(t *testing.T) {

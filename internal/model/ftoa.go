@@ -11,8 +11,8 @@ import (
 // byte for byte: the shortest decimal that reads back as v, in %e layout
 // when its exponent is below -4 or at least 6 and in %f layout otherwise,
 // with NaN, +Inf and -Inf spelled out. It is the one renderer of sample
-// values: the query API's pairs, exposition text, relstore keys and remote
-// read all write values through it.
+// values: the query API's pairs, exposition text and relstore keys all write
+// values through it.
 //
 // The digits come from Schubfach (R. Giulietti, "The Schubfach way to render
 // doubles", 2020): three 128-bit multiplications by one table entry bound

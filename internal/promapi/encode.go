@@ -25,9 +25,9 @@ import (
 // encoding/json.
 //
 // Sample values are written by model.AppendFloat, the one renderer of
-// values, which exposition text, relstore keys and remote read also use; its
-// bytes are strconv.AppendFloat(v, 'g', -1, 64)'s, and strconv stays as its
-// test oracle. Within one series a value whose bits equal the previous
+// values, which exposition text and relstore keys also use; its bytes are
+// strconv.AppendFloat(v, 'g', -1, 64)'s, and strconv stays as its test
+// oracle. Within one series a value whose bits equal the previous
 // sample's is copied from that sample's bytes rather than formatted again
 // (appendValues): rules evaluated every minute and read at a 15 s step hold
 // each value for several steps. Equal bits render equal bytes, so the rule

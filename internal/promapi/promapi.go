@@ -10,6 +10,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"strconv"
 	"strings"
@@ -55,10 +56,6 @@ type Handler struct {
 	// backpressure — see internal/remotewrite). Its counters surface via
 	// /api/v1/status/ingest whether or not it is enabled.
 	Ingest *remotewrite.Receiver
-	// Logf receives handler-side I/O failures that can no longer change
-	// the response (e.g. a mid-stream encode error on /api/v1/read); nil
-	// uses the standard logger.
-	Logf func(format string, args ...any)
 	// Metrics, when set, serves the registry's exposition at GET /metrics —
 	// the self-telemetry endpoint a scrape loop (our own or a peer's) can
 	// ingest like any exporter.
@@ -91,7 +88,6 @@ func (h *Handler) Mux() *http.ServeMux {
 	mux.HandleFunc("/api/v1/query_range", h.handleQueryRange)
 	mux.HandleFunc("/api/v1/labels", h.handleLabels)
 	mux.HandleFunc("/api/v1/label/", h.handleLabelValues)
-	mux.HandleFunc("/api/v1/read", h.handleRead)
 	if h.Ingest != nil {
 		mux.Handle("/api/v1/write", h.Ingest)
 	}
@@ -364,8 +360,8 @@ func parseTime(s string) (time.Time, error) {
 	if s == "" {
 		return time.Time{}, fmt.Errorf("promapi: missing time parameter")
 	}
-	if f, err := strconv.ParseFloat(s, 64); err == nil {
-		return model.MillisToTime(int64(f * 1000)), nil
+	if ms, ok := parseSeconds(s, time.Millisecond); ok {
+		return model.MillisToTime(ms), nil
 	}
 	t, err := time.Parse(time.RFC3339, s)
 	if err != nil {
@@ -378,14 +374,30 @@ func parseStep(s string) (time.Duration, error) {
 	if s == "" {
 		return 0, fmt.Errorf("promapi: missing step parameter")
 	}
-	if f, err := strconv.ParseFloat(s, 64); err == nil {
-		return time.Duration(f * float64(time.Second)), nil
+	if ns, ok := parseSeconds(s, time.Nanosecond); ok {
+		return time.Duration(ns), nil
 	}
 	d, err := time.ParseDuration(s)
 	if err != nil {
 		return 0, fmt.Errorf("promapi: bad step %q", s)
 	}
 	return d, nil
+}
+
+// parseSeconds reads decimal seconds as a whole number of units, rounded to
+// the nearest one: "1.001" is 1.000999… as a float, and the product cut
+// short would be 1 000 ms. ok is false for text that is no number and for a
+// count past int64.
+func parseSeconds(s string, unit time.Duration) (n int64, ok bool) {
+	f, err := strconv.ParseFloat(s, 64)
+	if err != nil {
+		return 0, false
+	}
+	r := math.Round(f * float64(time.Second/unit))
+	if !(r >= math.MinInt64 && r < math.MaxInt64) { // false for NaN too
+		return 0, false
+	}
+	return int64(r), true
 }
 
 // writeOK serves a status endpoint's struct through encoding/json.

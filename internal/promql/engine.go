@@ -83,10 +83,9 @@ type String struct {
 func (String) Type() ValueType { return ValueString }
 
 // Queryable is the one read method of every store the engine reads from —
-// the head, the block store, the hot/cold querier, the replica
-// scatter-gather and the remote-read client. SelectWithHints returns the
-// series matching ms with their samples in [hints.Start, hints.End], sorted
-// by labels. The other hints are advice a store may use (resolution
+// the head, the block store, the hot/cold querier and the replica
+// scatter-gather. SelectWithHints returns the series matching ms with their
+// samples in [hints.Start, hints.End], sorted by labels. The other hints are advice a store may use (resolution
 // choice, a sample budget enforced mid-pass) or ignore: the evaluator
 // charges every returned sample against its budget again, so a store that
 // ignores hints.SampleLimit still cannot exceed it.

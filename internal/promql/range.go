@@ -133,9 +133,9 @@ func (ev *evaluator) collect(e Expr, fn string) {
 // loaded sample against the engine's MaxSamples budget. The remaining budget
 // goes to storage as hints.SampleLimit, so a store that honours it aborts an
 // oversized query during the copy instead of after it. Every returned sample
-// is charged again here: a store that ignores the limit (the remote-read
-// client) or charges it per part (the ring's scatter-gather, per replica)
-// still cannot carry an evaluation past the budget.
+// is charged again here: a store that ignores the limit or charges it per
+// part (the ring's scatter-gather, per replica) still cannot carry an
+// evaluation past the budget.
 //
 // On an exact step grid every read opts in to trimming (Lookback): storage
 // may then return only the samples the steps look at — per step the newest

@@ -28,9 +28,9 @@ func (c *countingQueryable) SelectWithHints(hints model.SelectHints, ms ...*labe
 	return c.inner.SelectWithHints(hints, ms...)
 }
 
-// ignoresBudget reads with every hint but SampleLimit, the shape of
-// RemoteQueryable, whose wire request carries only the window: the budget
-// then rests on the evaluator's own charge of what comes back.
+// ignoresBudget reads with every hint but SampleLimit, the shape of a store
+// that does not enforce the budget during its read: the budget then rests on
+// the evaluator's own charge of what comes back.
 type ignoresBudget struct{ inner Queryable }
 
 func (q ignoresBudget) SelectWithHints(hints model.SelectHints, ms ...*labels.Matcher) ([]model.Series, error) {

@@ -159,8 +159,8 @@ func TestHeadSelectDecision(t *testing.T) {
 	}
 }
 
-// TestHeadSelectInvertedWindow: a window whose end precedes its start — a
-// remote-read client can send one — reads nothing. Sized from a chunk's
+// TestHeadSelectInvertedWindow: a window whose end precedes its start — any
+// caller of SelectWithHints can pass one — reads nothing. Sized from a chunk's
 // bounds it once asked the slab for a negative length, a panic that on a
 // read split across goroutines took the process down.
 func TestHeadSelectInvertedWindow(t *testing.T) {
