@@ -141,7 +141,8 @@ head-index:
 # re-encodes to the same bytes, allocation linear in the input), over a
 # whole block directory (FuzzOpenBlockDir: any meta.json, index and chunks
 # bytes open and read every series to an error or samples, never a panic,
-# allocation linear in the bytes), over the
+# allocation linear in the bytes; minimising a new input of its whole-block
+# seeds is capped at 1 s, or it takes the ten seconds), over the
 # query client's answer decoder (FuzzInstantResponse: any body ends in an
 # error or a vector or scalar, never a panic, and no more than the cap is
 # read from an endless answer), over the PromQL parser (any
@@ -168,7 +169,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzChunkResume -fuzztime 10s ./internal/tsdb/chunkenc/
 	$(GO) test -run '^$$' -fuzz FuzzChunkWindow -fuzztime 10s ./internal/tsdb/chunkenc/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeIndex -fuzztime 10s ./internal/tsdb/
-	$(GO) test -run '^$$' -fuzz FuzzOpenBlockDir -fuzztime 10s ./internal/tsdb/
+	$(GO) test -run '^$$' -fuzz FuzzOpenBlockDir -fuzztime 10s -fuzzminimizetime 1s ./internal/tsdb/
 	$(GO) test -run '^$$' -fuzz FuzzWALRecord -fuzztime 10s ./internal/tsdb/
 	$(GO) test -run '^$$' -fuzz FuzzAppendJSONString -fuzztime 10s ./internal/promapi/
 	$(GO) test -run '^$$' -fuzz FuzzInstantResponse -fuzztime 10s ./internal/promapi/

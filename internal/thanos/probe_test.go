@@ -65,14 +65,24 @@ func runProbe(t testing.TB, dir string) (*tsdb.DB, *Store) {
 }
 
 // rawOnly reads its store with the consuming function dropped from the
-// hints, so every read is served raw; eligible counts the reads aggregates
-// could have served, and aggregated those they did (the same read forced
-// raw returns another number of samples).
+// hints, so every read is served raw, when force is set; otherwise it
+// counts into stats what the reads aggregates could have served got.
 type rawOnly struct {
 	promql.Queryable
-	force                bool
-	eligible, aggregated *int
+	force bool
+	stats *probeStats
 }
+
+// probeStats counts the reads aggregates could have served (eligible), those
+// they did (aggregated: the same read forced raw returns another number of
+// samples), and the raw samples those reads returned from before the 5m
+// cutoff of the probe's last pass (rawOld), where every bucket is derived.
+type probeStats struct {
+	eligible, aggregated, rawOld int
+}
+
+// probeCutoff is the 5m cutoff of the probe's last maintenance pass.
+var probeCutoff = probeStart.Add(probeSpan - 2*probeCadence).UnixMilli()
 
 func (q rawOnly) SelectWithHints(h model.SelectHints, ms ...*labels.Matcher) ([]model.Series, error) {
 	if q.force {
@@ -84,9 +94,18 @@ func (q rawOnly) SelectWithHints(h model.SelectHints, ms ...*labels.Matcher) ([]
 		return out, err
 	}
 	raw, err := rawOnly{Queryable: q.Queryable, force: true}.SelectWithHints(h, ms...)
-	*q.eligible++
+	q.stats.eligible++
 	if countSamples(out) != countSamples(raw) {
-		*q.aggregated++
+		q.stats.aggregated++
+	}
+	// A raw sample sits on the scrape grid; an aggregate point at its
+	// bucket's last millisecond, off it.
+	for _, s := range out {
+		for _, p := range s.Samples {
+			if p.T < probeCutoff && p.T%probeScrape.Milliseconds() == 0 {
+				q.stats.rawOld++
+			}
+		}
 	}
 	return out, err
 }
@@ -117,15 +136,15 @@ func probeQueries(fns ...string) []probeQuery {
 	return out
 }
 
-// probeAnswers evaluates the queries over q, with steps from 6 h into the
-// probe to the hour `until`, and, forced raw, returns both, failing on any
-// error.
-func probeAnswers(t *testing.T, q promql.Queryable, queries []probeQuery, until time.Duration, eligible, aggregated *int) (got, raw []promql.Matrix) {
+// probeAnswers evaluates the queries over q, with steps from the hour
+// `from` into the probe to the hour `until`, and, forced raw, returns both,
+// failing on any error.
+func probeAnswers(t *testing.T, q promql.Queryable, queries []probeQuery, from, until time.Duration, st *probeStats) (got, raw []promql.Matrix) {
 	t.Helper()
 	eng := promql.NewEngine()
-	start, end := probeStart.Add(6*time.Hour-time.Millisecond), probeStart.Add(until-time.Millisecond)
+	start, end := probeStart.Add(from-time.Millisecond), probeStart.Add(until-time.Millisecond)
 	for _, pq := range queries {
-		g, err := eng.Range(rawOnly{Queryable: q, eligible: eligible, aggregated: aggregated}, pq.query, start, end, pq.step)
+		g, err := eng.Range(rawOnly{Queryable: q, stats: st}, pq.query, start, end, pq.step)
 		if err != nil {
 			t.Fatalf("%s: %v", pq.query, err)
 		}
@@ -171,9 +190,12 @@ func sameAnswer(query string, a, b promql.Matrix) (points int, diffs []string) {
 // reads must have been served from aggregates. All four are asked over
 // 06:00–18:00, which the aggregates hold whole (13 and 3 steps), and sum,
 // min and max also over 06:00–24:00, whose last windows read aggregates up
-// to where they end and raw samples after. An average is left out there:
-// it is the mean of its points, and a bucket's mean weighs as much as one
-// raw sample.
+// to where they end and raw samples after, and over 21:00–24:00 alone: the
+// newest range, whose raw block reaches past the 5m cutoff (23:00) and is
+// derived up to it. Every leg must read some aggregates, and no raw sample
+// from before that cutoff, where every bucket is derived. An average is left
+// out past 18:00: it is the mean of its points, and a bucket's mean weighs
+// as much as one raw sample.
 func TestDownsampleProbeMatchesRaw(t *testing.T) {
 	db, store := runProbe(t, t.TempDir())
 	defer store.Close()
@@ -188,34 +210,38 @@ func TestDownsampleProbeMatchesRaw(t *testing.T) {
 	}
 }
 
-// probeLegs are the probe's queries and the hour their steps run to; see
-// TestDownsampleProbeMatchesRaw.
+// probeLegs are the probe's queries and the hours their steps run from and
+// to; see TestDownsampleProbeMatchesRaw.
 var probeLegs = []struct {
-	fns   []string
-	until time.Duration
+	fns         []string
+	from, until time.Duration
 }{
-	{[]string{"sum_over_time", "avg_over_time", "min_over_time", "max_over_time"}, 18 * time.Hour},
-	{[]string{"sum_over_time", "min_over_time", "max_over_time"}, probeSpan},
+	{[]string{"sum_over_time", "avg_over_time", "min_over_time", "max_over_time"}, 6 * time.Hour, 18 * time.Hour},
+	{[]string{"sum_over_time", "min_over_time", "max_over_time"}, 6 * time.Hour, probeSpan},
+	{[]string{"sum_over_time", "min_over_time", "max_over_time"}, 21 * time.Hour, probeSpan},
 }
 
 // checkProbe asks q the probe's queries, each of whose answers must equal
 // the one forced raw, and returns the answers.
 func checkProbe(t *testing.T, name string, q promql.Queryable) (answers []promql.Matrix) {
 	t.Helper()
-	var eligible, aggregated int
 	for _, leg := range probeLegs {
+		var st probeStats
 		queries := probeQueries(leg.fns...)
-		got, raw := probeAnswers(t, q, queries, leg.until, &eligible, &aggregated)
+		got, raw := probeAnswers(t, q, queries, leg.from, leg.until, &st)
 		for i, pq := range queries {
 			if n, diffs := sameAnswer(pq.query, got[i], raw[i]); len(diffs) > 0 {
-				t.Errorf("%s: %s step %v until %v: %d of %d points differ from raw:\n  %v", name, pq.query, pq.step, leg.until, len(diffs), n, diffs)
+				t.Errorf("%s: %s step %v from %v until %v: %d of %d points differ from raw:\n  %v", name, pq.query, pq.step, leg.from, leg.until, len(diffs), n, diffs)
 			}
 		}
 		answers = append(answers, got...)
-	}
-	t.Logf("%s: %d of %d eligible reads served from aggregates", name, aggregated, eligible)
-	if aggregated == 0 {
-		t.Errorf("%s: none of %d eligible reads was served from aggregates", name, eligible)
+		t.Logf("%s: %v to %v: %d of %d eligible reads served from aggregates", name, leg.from, leg.until, st.aggregated, st.eligible)
+		if st.aggregated == 0 {
+			t.Errorf("%s: %v to %v: none of %d eligible reads was served from aggregates", name, leg.from, leg.until, st.eligible)
+		}
+		if st.rawOld > 0 {
+			t.Errorf("%s: %v to %v: eligible reads returned %d raw samples from before the 5m cutoff", name, leg.from, leg.until, st.rawOld)
+		}
 	}
 	return answers
 }

@@ -406,14 +406,15 @@ func (s *Store) compactSet(plan []*tsdb.PersistentBlock, tombs []tsdb.TombstoneR
 
 // Downsample derives aggregates at the given resolution by time range, as
 // Thanos does: whole buckets only, each once. 1h derives from 5m blocks,
-// any other resolution from raw ones. In time order, for each source block
-// that ends before `before`, it writes one block of the whole buckets from
-// where the newest block of the resolution ends up to the last bucket
-// boundary inside that source (tsdb.DownsamplePersistentBlocks), read from
-// every source block with samples there; the bucket a source ends inside
-// waits for the block that completes it. Sources are KEPT: raw and
-// downsampled siblings coexist and SelectWithHints picks per query. The
-// call is idempotent. Returns the number of blocks created.
+// any other resolution from raw ones. In time order, for each source block,
+// it writes one block of the whole buckets from where the newest block of
+// the resolution ends up to the last bucket boundary inside both that source
+// and [.., before) (tsdb.DownsamplePersistentBlocks), read from every source
+// block with samples there; the bucket a source ends inside waits for the
+// block that completes it. A range without a sample to aggregate is written
+// as a block with no series, so no later pass reads it again. Sources are
+// KEPT: raw and downsampled siblings coexist and SelectWithHints picks per
+// query. The call is idempotent. Returns the number of blocks created.
 func (s *Store) Downsample(before int64, resolution time.Duration) (int, error) {
 	res, srcRes := resolution.Milliseconds(), int64(0)
 	if res <= 0 {
@@ -442,11 +443,12 @@ func (s *Store) Downsample(before int64, resolution time.Duration) (int, error) 
 	}()
 	n := 0
 	for _, b := range srcs {
-		from, to := next, b.MaxTime()+1-floorMod(b.MaxTime()+1, res)
+		end := min(b.MaxTime()+1, before)
+		from, to := next, end-floorMod(end, res)
 		if from == math.MinInt64 {
 			from = srcs[0].MinTime() - floorMod(srcs[0].MinTime(), res)
 		}
-		if b.MaxTime() >= before || to <= from {
+		if to <= from {
 			continue
 		}
 		start := time.Now()
@@ -462,9 +464,6 @@ func (s *Store) Downsample(before int64, resolution time.Duration) (int, error) 
 			return n, fmt.Errorf("thanos: downsample: %w", err)
 		}
 		next = to
-		if nb == nil { // e.g. only staleness markers: nothing was written
-			continue
-		}
 		s.register(nb)
 		n++
 		if m := s.metrics; m != nil {

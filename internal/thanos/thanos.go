@@ -83,8 +83,8 @@ func (sc *Sidecar) Ship(now time.Time) error {
 // Maintain is the block store's one maintenance pass, run every cadence: it
 // ships the head's cut (the sidecar's owner sets HeadRetention to 2x the
 // cadence, so lookback windows never straddle a gap); compacts with the
-// head's tombstones; and derives 5m aggregates of the raw blocks older than
-// 2x the cadence and 1h aggregates of the 5m blocks older than 10x. A failed
+// head's tombstones; and derives 5m aggregates of the raw blocks up to 2x
+// the cadence ago and 1h aggregates of the 5m blocks up to 10x ago. A failed
 // ship ends the pass; later failures are joined. It returns how many
 // compactions ran and how many downsampled blocks were written.
 func (sc *Sidecar) Maintain(now time.Time, cadence time.Duration) (compacted, downsampled int, err error) {

@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/labels"
 	"repro/internal/model"
+	"repro/internal/telemetry"
 	"repro/internal/tsdb"
 )
 
@@ -408,15 +409,18 @@ func TestDownsample(t *testing.T) {
 	}
 }
 
-// TestDownsampleStaleOnlyBlockWritesNothing: a raw block holding nothing but
-// staleness markers has no downsampled sibling — the pass reports none and
-// leaves the store directory as it found it, every time it runs.
-func TestDownsampleStaleOnlyBlockWritesNothing(t *testing.T) {
+// TestDownsampleStaleOnlyRangeDecodedOnce: a raw block holding nothing but
+// staleness markers is derived once, as a block with no series that moves
+// every later pass past its range. Each derivation reads its sources once,
+// so the derivations counted over several passes are the decodes: one.
+func TestDownsampleStaleOnlyRangeDecodedOnce(t *testing.T) {
 	dir := t.TempDir()
 	store, err := NewStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer store.Close()
+	store.Instrument(telemetry.NewRegistry())
 	db := tsdb.MustOpen(tsdb.DefaultOptions())
 	for j := int64(0); j < 40; j++ {
 		if err := db.Append(labels.FromStrings(labels.MetricName, "m"), j*15_000, model.StaleNaN()); err != nil {
@@ -424,20 +428,33 @@ func TestDownsampleStaleOnlyBlockWritesNothing(t *testing.T) {
 		}
 	}
 	mustCut(t, store, db, 0, 1<<60)
-	before, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
+	const passes = 4
+	var derived []os.DirEntry
+	for pass := 1; pass <= passes; pass++ {
+		want := 0
+		if pass == 1 {
+			want = 1
+		}
+		if n, err := store.Downsample(1<<60, 5*time.Minute); err != nil || n != want {
+			t.Fatalf("pass %d: downsampled %d blocks, err %v; want %d", pass, n, err, want)
+		}
+		ents, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pass == 1 {
+			derived = ents
+		} else if !reflect.DeepEqual(ents, derived) {
+			t.Fatalf("pass %d: store directory holds %v, want %v as after the first", pass, ents, derived)
+		}
 	}
-	for pass := 1; pass <= 2; pass++ {
-		if n, err := store.Downsample(1<<60, 5*time.Minute); err != nil || n != 0 {
-			t.Fatalf("pass %d: downsampled %d blocks, err %v; want none", pass, n, err)
-		}
-		if after, err := os.ReadDir(dir); err != nil || !reflect.DeepEqual(after, before) {
-			t.Fatalf("pass %d: store directory holds %v, want %v as before (err %v)", pass, after, before, err)
-		}
-		if store.NumBlocks() != 1 {
-			t.Fatalf("pass %d: %d blocks registered, want the raw one", pass, store.NumBlocks())
-		}
+	metas := store.BlockMetas()
+	if len(metas) != 2 || metas[1].Resolution != (5*time.Minute).Milliseconds() || metas[1].Stats.NumSeries != 0 || metas[1].MinTime != 0 || metas[1].MaxTime != 300_000-1 {
+		// The raw block ends at 585000, inside the second bucket, which waits.
+		t.Fatalf("blocks %+v, want the raw one and a 5m one of no series over [0, 299999]", metas)
+	}
+	if got := store.metrics.downsampleSeconds.Count(); got != 1 {
+		t.Fatalf("the stale-only range was decoded %d times in %d passes, want once", got, passes)
 	}
 }
 

@@ -8,16 +8,32 @@ package tsdb
 //	<ulid>/index       series index: labels + per-chunk metadata
 //	<ulid>/chunks      Gorilla chunk segment, mmap'd by readers
 //
-// # index format (magic "CEEMSIDX", version 1)
+// # index format (magic "CEEMSIDX", version 2)
 //
 //	magic [8]byte | version byte
+//	base varint           the earliest chunk minT (0 with no chunk)
+//	numSymbols uvarint, then per symbol: len uvarint + bytes
+//	                      every label name and value once, strictly ascending
 //	numSeries uvarint
 //	per series, sorted by labels:
-//	  numLabels uvarint, then per label: len uvarint + name, len uvarint + value
+//	  numLabels uvarint, then per label: name id uvarint | value id uvarint
 //	  numChunks uvarint, then per chunk:
-//	    aggr byte | minT varint | maxT varint | offset uvarint |
+//	    aggr byte | minT−prev uvarint | maxT−minT uvarint |
 //	    length uvarint | numSamples uvarint
 //	crc32 uint32 LE   Castagnoli, over everything before it
+//
+// An id is a position in the symbol table, so id order is string order. prev
+// is base for the first chunk of a stream (a series' chunks of one
+// aggregate) and the chunk before's maxT after it; the differences are taken
+// modulo 2^64, so every int64 pair round-trips. A chunk's offset is not
+// stored: the chunks file lays chunks out series-major in index order, so
+// each starts where the one before ends, the first right after the header.
+//
+// Version 1, which blocks written before the symbol table carry, stores each
+// label as len uvarint + name, len uvarint + value, and each chunk as
+// aggr byte | minT varint | maxT varint | offset uvarint | length uvarint |
+// numSamples uvarint, with no base and no symbol table. decodeIndex reads
+// both; encodeIndex writes version 2 only.
 //
 // # chunks format (magic "CEEMSCHK", version 1)
 //
@@ -47,9 +63,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
+	"maps"
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -88,9 +106,14 @@ func (a AggrType) String() string {
 }
 
 const (
-	indexMagic      = "CEEMSIDX"
-	chunksMagic     = "CEEMSCHK"
+	indexMagic  = "CEEMSIDX"
+	chunksMagic = "CEEMSCHK"
+	// blockDirVersion is meta.json's and the chunks file's format version;
+	// indexVersion the index file's, which decodeIndex also reads at
+	// indexVersionV1.
 	blockDirVersion = 1
+	indexVersion    = 2
+	indexVersionV1  = 1
 
 	// MetaFilename, IndexFilename and ChunksFilename are the three files of
 	// a block directory. meta.json is written last and is the commit point.
@@ -209,41 +232,59 @@ func encodeChunksStream(series []diskSeries, w *bufio.Writer) error {
 	return nil
 }
 
-// encodeIndex renders the index file (including trailing CRC) into a buffer.
-// Chunk offsets must already be filled in by encodeChunksStream.
+// encodeIndex renders the index file (including trailing CRC) into a buffer,
+// in version 2. Chunk lengths must already be filled in by
+// encodeChunksStream; offsets follow from them.
 func encodeIndex(series []diskSeries) []byte {
+	ids := map[string]uint32{}
+	base, chunked := int64(math.MaxInt64), false
+	for i := range series {
+		for _, l := range series[i].lset {
+			ids[l.Name], ids[l.Value] = 0, 0
+		}
+		for _, c := range series[i].chunks {
+			base, chunked = min(base, c.minT), true
+		}
+	}
+	if !chunked {
+		base = 0
+	}
+	symbols := slices.Sorted(maps.Keys(ids))
 	var buf bytes.Buffer
 	buf.WriteString(indexMagic)
-	buf.WriteByte(blockDirVersion)
+	buf.WriteByte(indexVersion)
 	var vb [binary.MaxVarintLen64]byte
 	putU := func(u uint64) {
 		n := binary.PutUvarint(vb[:], u)
 		buf.Write(vb[:n])
 	}
-	putI := func(i int64) {
-		n := binary.PutVarint(vb[:], i)
-		buf.Write(vb[:n])
-	}
-	putStr := func(s string) {
-		putU(uint64(len(s)))
-		buf.WriteString(s)
+	buf.Write(vb[:binary.PutVarint(vb[:], base)])
+	putU(uint64(len(symbols)))
+	for i, sym := range symbols {
+		ids[sym] = uint32(i)
+		putU(uint64(len(sym)))
+		buf.WriteString(sym)
 	}
 	putU(uint64(len(series)))
 	for i := range series {
 		s := &series[i]
 		putU(uint64(len(s.lset)))
 		for _, l := range s.lset {
-			putStr(l.Name)
-			putStr(l.Value)
+			putU(uint64(ids[l.Name]))
+			putU(uint64(ids[l.Value]))
 		}
 		putU(uint64(len(s.chunks)))
-		for _, c := range s.chunks {
+		prev := base
+		for j, c := range s.chunks {
+			if j > 0 && c.aggr != s.chunks[j-1].aggr {
+				prev = base
+			}
 			buf.WriteByte(byte(c.aggr))
-			putI(c.minT)
-			putI(c.maxT)
-			putU(c.off)
+			putU(uint64(c.minT - prev))
+			putU(uint64(c.maxT - c.minT))
 			putU(c.length)
 			putU(uint64(c.numSamples))
+			prev = c.maxT
 		}
 	}
 	var crc [4]byte
@@ -316,15 +357,49 @@ type labelPairs struct {
 	ids    []uint32       // the pair of every label of every series, in index order
 }
 
-// decodeIndex parses an index file, verifying magic, version, CRC and the
-// order the read path relies on: label names ascending within a series,
-// series ascending by labels, a series' chunks of one aggregate together.
+// symbols reads a version-2 symbol table: strictly ascending strings, each
+// a substring of one copy of the table, so the block's label strings take
+// one allocation whatever their number.
+func (r *indexReader) symbols() ([]string, error) {
+	n, err := r.count("symbols", 1)
+	if err != nil {
+		return nil, err
+	}
+	table := r.b
+	var prev []byte
+	for i := 0; i < n; i++ {
+		sym, err := r.str()
+		if err != nil {
+			return nil, err
+		}
+		if i > 0 && bytes.Compare(prev, sym) >= 0 {
+			return nil, fmt.Errorf("tsdb: index symbol %d out of order", i)
+		}
+		prev = sym
+	}
+	table = table[:len(table)-len(r.b)]
+	all, syms := string(table), make([]string, n)
+	again := indexReader{b: table}
+	for i := range syms {
+		sym, _ := again.str() // read once above
+		end := len(table) - len(again.b)
+		syms[i] = all[end-len(sym) : end]
+	}
+	return syms, nil
+}
+
+// decodeIndex parses an index file of either version, verifying magic,
+// version, CRC and the order the read path relies on: label names ascending
+// within a series, series ascending by labels, a series' chunks of one
+// aggregate together. The versions differ in how a label names its strings
+// and in how a chunk entry is coded; everything else is one walk.
 //
-// Every distinct label name and value is stored once and shared by the
-// series carrying it (copies, not views of data). A label is recognised by
-// its encoded bytes — minimal varints make them one-to-one with the pair —
-// first against the label in the same place of the series before, which
-// label order makes the same one more often than not, then in a map.
+// Every distinct label name and value is one string shared by the series
+// carrying it (copies, not views of data). A label is recognised by its
+// pair of symbol ids — a version-1 file's strings are numbered as they
+// first show — first against the label in the same place of the series
+// before, which label order makes the same one more often than not, then
+// in a map.
 func decodeIndex(data []byte) ([]diskSeries, *labelPairs, error) {
 	hdr := len(indexMagic) + 1
 	if len(data) < hdr+4 {
@@ -333,16 +408,48 @@ func decodeIndex(data []byte) ([]diskSeries, *labelPairs, error) {
 	if string(data[:len(indexMagic)]) != indexMagic {
 		return nil, nil, fmt.Errorf("tsdb: bad index magic %q", data[:len(indexMagic)])
 	}
-	if data[len(indexMagic)] != blockDirVersion {
-		return nil, nil, fmt.Errorf("tsdb: unsupported index version %d", data[len(indexMagic)])
+	version := data[len(indexMagic)]
+	if version != indexVersion && version != indexVersionV1 {
+		return nil, nil, fmt.Errorf("tsdb: unsupported index version %d", version)
 	}
+	v1 := version == indexVersionV1
 	body, tail := data[:len(data)-4], data[len(data)-4:]
 	if got, want := crc32.Checksum(body, walCRC), binary.LittleEndian.Uint32(tail); got != want {
 		return nil, nil, fmt.Errorf("tsdb: index crc mismatch (got %08x want %08x)", got, want)
 	}
 	r := &indexReader{b: body[hdr:]}
-	// A series is at least its two counts, a label its two lengths, a chunk
-	// entry its aggregate byte and five varints.
+	var (
+		base     int64
+		syms     []string          // by symbol id
+		symOf    map[string]uint32 // version 1: string -> symbol id
+		chunkMin = 5               // a chunk entry's aggregate byte and four varints
+		err      error
+	)
+	if v1 {
+		symOf, chunkMin = map[string]uint32{}, 6
+	} else {
+		if base, err = r.varint(); err != nil {
+			return nil, nil, err
+		}
+		if syms, err = r.symbols(); err != nil {
+			return nil, nil, err
+		}
+	}
+	// v1Symbol numbers a version-1 string the first time it shows.
+	v1Symbol := func() (uint32, error) {
+		b, err := r.str()
+		if err != nil {
+			return 0, err
+		}
+		id, ok := symOf[string(b)]
+		if !ok {
+			id = uint32(len(syms))
+			syms = append(syms, string(b))
+			symOf[syms[id]] = id
+		}
+		return id, nil
+	}
+	// A series is at least its two counts, a label its two lengths or ids.
 	nSeries, err := r.count("series", 2)
 	if err != nil {
 		return nil, nil, err
@@ -353,11 +460,13 @@ func decodeIndex(data []byte) ([]diskSeries, *labelPairs, error) {
 	var (
 		series   = make([]diskSeries, nSeries)
 		lp       = &labelPairs{ids: make([]uint32, 0, 4*nSeries)}
-		pairOf   = map[string]uint32{} // encoded label -> index into lp.pairs
-		symbols  = map[string]string{}
-		prev     [][]byte // the encoded labels of the series before
-		cur      [][]byte
+		pairOf   = map[uint64]uint32{} // name id << 32 | value id -> index into lp.pairs
+		prev     []uint64              // the pair keys of the series before
+		cur      []uint64
 		prevPair []uint32
+		off      = uint64(len(chunksMagic) + 1) // version 2: where the next chunk starts
+		earliest = int64(math.MaxInt64)         // version 2: the earliest chunk minT
+		chunked  bool
 		// Label sets and chunk lists are carved from shared slabs — a
 		// block's series live and die together — sized for the series left
 		// to be like the one at hand, a few thousand entries at most and
@@ -366,14 +475,6 @@ func decodeIndex(data []byte) ([]diskSeries, *labelPairs, error) {
 		chunkSlab []diskChunk
 	)
 	const slabSize = 4096
-	intern := func(b []byte) string {
-		s, ok := symbols[string(b)]
-		if !ok {
-			s = string(b)
-			symbols[s] = s
-		}
-		return s
-	}
 	for i := range series {
 		s := &series[i]
 		nLabels, err := r.count("labels", 2)
@@ -387,30 +488,43 @@ func decodeIndex(data []byte) ([]diskSeries, *labelPairs, error) {
 		first := len(lp.ids)
 		cur = cur[:0]
 		for j := range s.lset {
-			enc := r.b
-			name, err := r.str()
-			if err != nil {
-				return nil, nil, err
+			var name, value uint32
+			if v1 {
+				if name, err = v1Symbol(); err != nil {
+					return nil, nil, err
+				}
+				if value, err = v1Symbol(); err != nil {
+					return nil, nil, err
+				}
+			} else {
+				n, err := r.uvarint()
+				if err != nil {
+					return nil, nil, err
+				}
+				v, err := r.uvarint()
+				if err != nil {
+					return nil, nil, err
+				}
+				if n >= uint64(len(syms)) || v >= uint64(len(syms)) {
+					return nil, nil, fmt.Errorf("tsdb: index series %d: symbol id beyond the %d symbols", i, len(syms))
+				}
+				name, value = uint32(n), uint32(v)
 			}
-			value, err := r.str()
-			if err != nil {
-				return nil, nil, err
-			}
-			enc = enc[:len(enc)-len(r.b)]
+			key := uint64(name)<<32 | uint64(value)
 			var id uint32
-			if j < len(prev) && bytes.Equal(enc, prev[j]) {
+			if j < len(prev) && key == prev[j] {
 				id = prevPair[j]
-			} else if known, ok := pairOf[string(enc)]; ok {
+			} else if known, ok := pairOf[key]; ok {
 				id = known
 			} else {
 				id = uint32(len(lp.pairs))
-				pairOf[string(enc)] = id
-				lp.pairs = append(lp.pairs, labels.Label{Name: intern(name), Value: intern(value)})
+				pairOf[key] = id
+				lp.pairs = append(lp.pairs, labels.Label{Name: syms[name], Value: syms[value]})
 				lp.counts = append(lp.counts, 0)
 			}
 			lp.counts[id]++
 			lp.ids = append(lp.ids, id)
-			cur = append(cur, enc)
+			cur = append(cur, key)
 			s.lset[j] = lp.pairs[id]
 			if j > 0 && s.lset[j-1].Name >= s.lset[j].Name {
 				return nil, nil, fmt.Errorf("tsdb: index series %d: label names out of order", i)
@@ -420,37 +534,56 @@ func decodeIndex(data []byte) ([]diskSeries, *labelPairs, error) {
 		if i > 0 && labels.Compare(series[i-1].lset, s.lset) >= 0 {
 			return nil, nil, fmt.Errorf("tsdb: index series %d out of label order", i)
 		}
-		nChunks, err := r.count("chunks", 6)
+		nChunks, err := r.count("chunks", chunkMin)
 		if err != nil {
 			return nil, nil, err
 		}
 		if len(chunkSlab) < nChunks {
-			chunkSlab = make([]diskChunk, max(nChunks, min(slabSize, len(r.b)/6, (nSeries-i)*nChunks)))
+			chunkSlab = make([]diskChunk, max(nChunks, min(slabSize, len(r.b)/chunkMin, (nSeries-i)*nChunks)))
 		}
 		s.chunks, chunkSlab = chunkSlab[:nChunks:nChunks], chunkSlab[nChunks:]
 		var aggrs uint64 // the aggregates of the series' chunks so far
+		t := base        // version 2: what the next minT is coded against
 		for j := range s.chunks {
 			c := &s.chunks[j]
 			if len(r.b) == 0 {
 				return nil, nil, fmt.Errorf("tsdb: index truncated in series %d", i)
 			}
 			c.aggr, r.b = AggrType(r.b[0]), r.b[1:]
-			if j > 0 && c.aggr != s.chunks[j-1].aggr && aggrs&(1<<c.aggr) != 0 {
-				return nil, nil, fmt.Errorf("tsdb: index series %d: its %s chunks are apart", i, c.aggr)
+			if j > 0 && c.aggr != s.chunks[j-1].aggr {
+				if aggrs&(1<<c.aggr) != 0 {
+					return nil, nil, fmt.Errorf("tsdb: index series %d: its %s chunks are apart", i, c.aggr)
+				}
+				t = base
 			}
 			aggrs |= 1 << c.aggr
-			if c.minT, err = r.varint(); err != nil {
-				return nil, nil, err
-			}
-			if c.maxT, err = r.varint(); err != nil {
-				return nil, nil, err
-			}
-			if c.off, err = r.uvarint(); err != nil {
-				return nil, nil, err
+			if v1 {
+				if c.minT, err = r.varint(); err != nil {
+					return nil, nil, err
+				}
+				if c.maxT, err = r.varint(); err != nil {
+					return nil, nil, err
+				}
+				if c.off, err = r.uvarint(); err != nil {
+					return nil, nil, err
+				}
+			} else {
+				d, err := r.uvarint()
+				if err != nil {
+					return nil, nil, err
+				}
+				span, err := r.uvarint()
+				if err != nil {
+					return nil, nil, err
+				}
+				c.minT = t + int64(d)
+				c.maxT, c.off = c.minT+int64(span), off
+				t, earliest, chunked = c.maxT, min(earliest, c.minT), true
 			}
 			if c.length, err = r.uvarint(); err != nil {
 				return nil, nil, err
 			}
+			off += c.length
 			ns, err := r.uvarint()
 			if err != nil {
 				return nil, nil, err
@@ -460,6 +593,22 @@ func decodeIndex(data []byte) ([]diskSeries, *labelPairs, error) {
 	}
 	if len(r.b) != 0 {
 		return nil, nil, fmt.Errorf("tsdb: index has %d bytes after its last series", len(r.b))
+	}
+	if !v1 {
+		// What encodeIndex would write for these series, it must have.
+		if !chunked {
+			earliest = 0
+		}
+		if base != earliest {
+			return nil, nil, fmt.Errorf("tsdb: index time base %d is not its earliest chunk start %d", base, earliest)
+		}
+		used := make([]bool, len(syms))
+		for key := range pairOf {
+			used[key>>32], used[uint32(key)] = true, true
+		}
+		if k := slices.Index(used, false); k >= 0 {
+			return nil, nil, fmt.Errorf("tsdb: index symbol %d names no label", k)
+		}
 	}
 	return series, lp, nil
 }

@@ -175,14 +175,15 @@ func TestBlockDirCorruptionDetected(t *testing.T) {
 		}
 	})
 	t.Run("chunk ref wrapping past 2^64 fails the read", func(t *testing.T) {
-		// A CRC-valid index whose off+length overflows uint64 to below off.
+		// A CRC-valid index whose off+length overflows uint64 to below off:
+		// version 1, where an offset is written, not implied.
 		cp := corrupt(t, IndexFilename, func(d []byte) []byte {
 			series, _, err := decodeIndex(d)
 			if err != nil {
 				t.Fatal(err)
 			}
 			series[0].chunks[0].off, series[0].chunks[0].length = math.MaxUint64-2, 10
-			return encodeIndex(series)
+			return encodeIndexV1(series)
 		})
 		b, err := OpenBlockDir(cp)
 		if err != nil {

@@ -16,7 +16,8 @@ import (
 // bytes opens to an error or a block, never a panic; a block that opens
 // reads every series of every stored aggregate to an error or samples; and
 // the open and the reads together allocate in proportion to the bytes. The
-// seeds are a cut, a compacted and a downsampled block.
+// seeds are a cut, a compacted and a downsampled block, and the three v1
+// blocks of testdata/blocks-v1.
 func FuzzOpenBlockDir(f *testing.F) {
 	parent := f.TempDir()
 	cut := func(from int64) *PersistentBlock {
@@ -55,6 +56,15 @@ func FuzzOpenBlockDir(f *testing.F) {
 		pb.Close()
 	}
 	b.Close()
+	for name := range blocksV1Pinned {
+		var files [3][]byte
+		for i, file := range []string{MetaFilename, IndexFilename, ChunksFilename} {
+			if files[i], err = os.ReadFile(filepath.Join(blocksV1Fixture, name, file)); err != nil {
+				f.Fatal(err)
+			}
+		}
+		f.Add(files[0], files[1], files[2])
+	}
 	f.Fuzz(func(t *testing.T, meta, index, chunks []byte) {
 		dir := t.TempDir()
 		for name, data := range map[string][]byte{MetaFilename: meta, IndexFilename: index, ChunksFilename: chunks} {

@@ -278,7 +278,7 @@ func BenchmarkBlockSelect(b *testing.B) {
 
 // BenchmarkBlockOpen measures opening a block directory — index decode plus
 // the index build — and reports what the open block keeps resident per
-// series.
+// series and what its index file takes on disk per series.
 func BenchmarkBlockOpen(b *testing.B) {
 	b.Run("200k", func(b *testing.B) {
 		if testing.Short() {
@@ -316,37 +316,26 @@ func BenchmarkBlockOpen(b *testing.B) {
 		if err := pb.Close(); err != nil {
 			b.Fatal(err)
 		}
+		st, err := os.Stat(filepath.Join(dir, IndexFilename))
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportMetric(float64(st.Size())/n, "index_bytes/series")
 	})
 }
 
 // TestBlockBytesPinned: the index and chunks files of a cut, a downsampled
-// and a compacted block hash to what they did before blocks had an in-memory
-// index — the read path changed, the format did not. meta.json carries a
+// and a compacted block hash to what they did when index format v2 was
+// introduced. The blocks the v1 writer wrote for the same data are
+// testdata/blocks-v1 (TestBlocksV1FixtureReadsBack). meta.json carries a
 // random ULID and is left out.
 func TestBlockBytesPinned(t *testing.T) {
-	parent := t.TempDir()
-	a, err := blockSeedDB(t, 4, 20, 300, 0, 15_000).CutPersistentBlock(parent, -1<<60, 1<<60)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := blockSeedDB(t, 2, 30, 300, 300*15_000, 15_000).CutPersistentBlock(parent, -1<<60, 1<<60)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ds, err := downsampleWhole(parent, a, 300_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	merged, err := CompactPersistentBlocks(parent, []*PersistentBlock{a, b}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
 	want := map[string]string{
-		"cut":        "065806088258818e7dd53cfca8bf71f0151685c104bf95f50da46f019649cd0e",
-		"downsample": "10f6f3dd5e8056ff4409a9e6d7c781e2b89460d47192160d17c301882a071b9a",
-		"compact":    "bd4eda68444777e7e1495cada3d394ea770a246263cf9705e01fc95f2874c8de",
+		"cut":        "738634b3ac7251625e3dbdda37a963fb0f084f69d1ddf3a37958540ae26a4ad8",
+		"downsample": "067e7c3f57e304d0e1669b4bd54d68f34f9664160864794de308c4ce394fe3e7",
+		"compact":    "ecd257cf3006ef1c8593ff9c451bfc52982f479e07455f781cf261923d899b29",
 	}
-	for name, pb := range map[string]*PersistentBlock{"cut": a, "downsample": ds, "compact": merged} {
+	for name, pb := range pinnedBlocks(t, t.TempDir()) {
 		h := sha256.New()
 		for _, f := range []string{IndexFilename, ChunksFilename} {
 			data, err := os.ReadFile(filepath.Join(pb.Dir(), f))
@@ -361,23 +350,33 @@ func TestBlockBytesPinned(t *testing.T) {
 	}
 }
 
-// indexWithCRC frames body as an index file: header, body, valid CRC.
+// indexWithCRC frames body — a version byte and what follows it — as an
+// index file: magic, body, valid CRC.
 func indexWithCRC(body []byte) []byte {
-	data := append([]byte(indexMagic), blockDirVersion)
-	data = append(data, body...)
+	data := append([]byte(indexMagic), body...)
 	return binary.LittleEndian.AppendUint32(data, crc32.Checksum(data, walCRC))
 }
 
-// TestDecodeIndexRejectsOversizedCounts: a CRC-valid index whose series,
-// label or chunk count exceeds what its bytes can hold is an error, not an
-// allocation of that size.
+// indexBody is what indexWithCRC frames: an index file without its magic
+// and CRC.
+func indexBody(index []byte) []byte { return index[len(indexMagic) : len(index)-4] }
+
+// TestDecodeIndexRejectsOversizedCounts: a CRC-valid index of either version
+// whose symbol, series, label or chunk count or string length exceeds what
+// its bytes can hold is an error, not an allocation of that size.
 func TestDecodeIndexRejectsOversizedCounts(t *testing.T) {
 	huge := binary.AppendUvarint(nil, 1<<60)
+	v2 := []byte{indexVersion, 0} // version, time base 0
 	for name, body := range map[string][]byte{
-		"series": huge,
-		"labels": append([]byte{1}, huge...),
-		"chunks": append([]byte{1, 0}, huge...),
-		"string": append([]byte{1, 1}, huge...),
+		"v1 series":  append([]byte{indexVersionV1}, huge...),
+		"v1 labels":  append([]byte{indexVersionV1, 1}, huge...),
+		"v1 chunks":  append([]byte{indexVersionV1, 1, 0}, huge...),
+		"v1 string":  append([]byte{indexVersionV1, 1, 1}, huge...),
+		"v2 symbols": append(slices.Clone(v2), huge...),
+		"v2 string":  append(append(slices.Clone(v2), 1), huge...),
+		"v2 series":  append(append(slices.Clone(v2), 0), huge...),
+		"v2 labels":  append(append(slices.Clone(v2), 0, 1), huge...),
+		"v2 chunks":  append(append(slices.Clone(v2), 0, 1, 0), huge...),
 	} {
 		if _, _, err := decodeIndex(indexWithCRC(body)); err == nil {
 			t.Errorf("index with 1<<60 %s decoded without error", name)
@@ -385,12 +384,14 @@ func TestDecodeIndexRejectsOversizedCounts(t *testing.T) {
 	}
 }
 
-// FuzzDecodeIndex: any index body under a valid CRC decodes to an error or a
-// value, never a panic; allocates in proportion to its length; a decoded
-// value re-encodes to the bytes it came from; and every chunk ref it holds
-// reads from a fixed chunk segment as an error or a chunk, never a panic.
+// FuzzDecodeIndex: any index body of either version under a valid CRC
+// decodes to an error or a value, never a panic; allocates in proportion to
+// its length; a decoded version-2 value re-encodes to the bytes it came
+// from, and a version-1 one to them through the test-local v1 writer; and
+// every chunk ref it holds reads from a fixed chunk segment as an error or
+// a chunk, never a panic. Seeds: a raw and a downsampled block in both
+// versions, the v1 fixture's indexes, and degenerate bodies.
 func FuzzDecodeIndex(f *testing.F) {
-	hdr := len(indexMagic) + 1
 	db := MustOpen(Options{Shards: 2, MaxSamplesPerChunk: 50})
 	for i := 0; i < 6; i++ {
 		ls := labels.FromStrings(labels.MetricName, "blk", "s", fmt.Sprintf("%03d", i))
@@ -409,19 +410,26 @@ func FuzzDecodeIndex(f *testing.F) {
 		f.Fatal(err)
 	}
 	for _, pb := range []*PersistentBlock{raw, ds} {
-		idx := encodeIndex(pb.series)
-		f.Add(idx[hdr : len(idx)-4])
+		f.Add(indexBody(encodeIndex(pb.series)))
+		f.Add(indexBody(encodeIndexV1(pb.series)))
 	}
-	// A chunk ref whose off+length wraps past 2^64.
+	for name := range blocksV1Pinned {
+		idx, err := os.ReadFile(filepath.Join(blocksV1Fixture, name, IndexFilename))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(indexBody(idx))
+	}
+	// A v1 chunk ref whose off+length wraps past 2^64.
 	wrap, _, err := decodeIndex(encodeIndex(raw.series))
 	if err != nil {
 		f.Fatal(err)
 	}
 	wrap[0].chunks[0].off, wrap[0].chunks[0].length = math.MaxUint64-2, 10
-	idx := encodeIndex(wrap)
-	f.Add(idx[hdr : len(idx)-4])
-	f.Add([]byte{})
-	f.Add(binary.AppendUvarint(nil, 1<<60))
+	f.Add(indexBody(encodeIndexV1(wrap)))
+	f.Add(indexBody(encodeIndex(nil)))
+	f.Add([]byte{indexVersionV1})
+	f.Add(binary.AppendUvarint([]byte{indexVersion, 0}, 1<<60))
 	seg := &PersistentBlock{chunks: raw.chunks}
 	f.Fuzz(func(t *testing.T, body []byte) {
 		data := indexWithCRC(body)
@@ -430,16 +438,21 @@ func FuzzDecodeIndex(f *testing.F) {
 		series, pairs, err := decodeIndex(data)
 		runtime.ReadMemStats(&after)
 		// A series entry is 48 bytes for at least 2 of input, a label 32 for
-		// 2, a chunk entry 72 for 6; the symbol map adds its buckets, and the
-		// constant covers the fuzz worker's own allocations.
+		// 2, a chunk entry 72 for 5; a symbol 16 for 1 plus its copy and its
+		// use mark; the maps add their buckets, and the constant covers the
+		// fuzz worker's own allocations.
 		if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(1<<16+128*len(data)); got > limit {
 			t.Fatalf("decoding %d bytes allocated %d, limit %d", len(data), got, limit)
 		}
 		if err != nil {
 			return
 		}
-		if again := encodeIndex(series); !bytes.Equal(again, data) {
-			t.Fatalf("decoded index re-encodes to %d different bytes (input %d)", len(again), len(data))
+		encode := encodeIndex
+		if data[len(indexMagic)] == indexVersionV1 {
+			encode = encodeIndexV1
+		}
+		if again := encode(series); !bytes.Equal(again, data) {
+			t.Fatalf("decoded version-%d index re-encodes to %d different bytes (input %d)", data[len(indexMagic)], len(again), len(data))
 		}
 		newBlockIndex(series, pairs)
 		for i := range series {

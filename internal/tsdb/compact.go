@@ -77,17 +77,18 @@ func CompactPersistentBlocks(parent string, blocks []*PersistentBlock, tombs []T
 // meta.Level — under parent (in memory when parent == "") from that range
 // of blocks, all raw or all of one finer resolution dividing the target;
 // they stay in place, and its sources are them. A range with no non-stale
-// sample writes nothing and returns (nil, nil); sources whose aggregate
-// streams disagree are an error naming them and the series.
+// sample is a block with no series, which records that the range is
+// derived; sources whose aggregate streams disagree are an error naming
+// them and the series.
 func DownsamplePersistentBlocks(parent string, meta BlockMeta, blocks []*PersistentBlock) (*PersistentBlock, error) {
 	res := meta.Resolution
 	if res <= 0 || floorDiv(meta.MinTime, res)*res != meta.MinTime || floorDiv(meta.MaxTime+1, res)*res != meta.MaxTime+1 || meta.MinTime > meta.MaxTime {
 		return nil, fmt.Errorf("tsdb: downsample: [%d, %d] is not whole buckets of a positive resolution %d", meta.MinTime, meta.MaxTime, res)
 	}
-	if len(blocks) == 0 {
-		return nil, nil
+	var srcRes int64
+	if len(blocks) > 0 {
+		srcRes = blocks[0].meta.Resolution
 	}
-	srcRes := blocks[0].meta.Resolution
 	meta.Sources = make([]string, 0, len(blocks))
 	for _, b := range blocks {
 		if r := b.meta.Resolution; r != srcRes || r >= res || r > 0 && res%r != 0 {
@@ -137,7 +138,7 @@ func DownsamplePersistentBlocks(parent string, meta BlockMeta, blocks []*Persist
 		}
 		return d.finish()
 	})
-	if err != nil || len(series) == 0 {
+	if err != nil {
 		return nil, err
 	}
 	return finishBlock(parent, &meta, series)
