@@ -53,7 +53,7 @@ func TestRemoteWriteRingIngest(t *testing.T) {
 		}
 	}
 	var buf bytes.Buffer
-	if err := remotewrite.NewEncoder(&buf, true).WriteBatch([]*expofmt.Family{fam}); err != nil {
+	if err := remotewrite.NewEncoder(&buf, false).WriteBatch([]*expofmt.Family{fam}); err != nil {
 		t.Fatal(err)
 	}
 	body := buf.Bytes()

@@ -273,11 +273,10 @@ func (ls Labels) String() string {
 }
 
 // Builder incrementally constructs a label set, typically by modifying a
-// base set.
+// base set. The last Set or Del of a name wins.
 type Builder struct {
 	base Labels
-	add  []Label
-	del  []string
+	ops  []Label // sorted by name, one per name; an empty Value deletes
 }
 
 // NewBuilder returns a Builder seeded with base.
@@ -287,35 +286,56 @@ func NewBuilder(base Labels) *Builder {
 
 // Set adds or replaces a label. Setting an empty value deletes the label.
 func (b *Builder) Set(name, value string) *Builder {
-	if value == "" {
-		return b.Del(name)
+	i, found := slices.BinarySearchFunc(b.ops, name, func(l Label, name string) int {
+		return strings.Compare(l.Name, name)
+	})
+	switch {
+	case found:
+		b.ops[i].Value = value
+	case b.ops == nil:
+		// Room for the one or two edits most callers make.
+		b.ops = append(make([]Label, 0, 2), Label{Name: name, Value: value})
+	default:
+		b.ops = slices.Insert(b.ops, i, Label{Name: name, Value: value})
 	}
-	for i := range b.add {
-		if b.add[i].Name == name {
-			b.add[i].Value = value
-			return b
+	return b
+}
+
+// Del marks labels for deletion.
+func (b *Builder) Del(names ...string) *Builder {
+	for _, n := range names {
+		b.Set(n, "")
+	}
+	return b
+}
+
+// Labels materializes the built label set: the sorted base and the sorted
+// edits merged in one pass into a slice of exactly the result's length.
+func (b *Builder) Labels() Labels {
+	n := len(b.base)
+	for _, op := range b.ops {
+		switch has := b.base.Has(op.Name); {
+		case has && op.Value == "":
+			n--
+		case !has && op.Value != "":
+			n++
 		}
 	}
-	b.add = append(b.add, Label{Name: name, Value: value})
-	return b
-}
-
-// Del marks a label for deletion.
-func (b *Builder) Del(names ...string) *Builder {
-	b.del = append(b.del, names...)
-	return b
-}
-
-// Labels materializes the built label set.
-func (b *Builder) Labels() Labels {
-	m := b.base.Map()
-	for _, n := range b.del {
-		delete(m, n)
+	out := make(Labels, 0, n)
+	i := 0
+	for _, op := range b.ops {
+		for i < len(b.base) && b.base[i].Name < op.Name {
+			out = append(out, b.base[i])
+			i++
+		}
+		if i < len(b.base) && b.base[i].Name == op.Name {
+			i++
+		}
+		if op.Value != "" {
+			out = append(out, op)
+		}
 	}
-	for _, l := range b.add {
-		m[l.Name] = l.Value
-	}
-	return FromMap(m)
+	return append(out, b.base[i:]...)
 }
 
 // MatchType enumerates matcher operators.

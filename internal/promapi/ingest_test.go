@@ -25,7 +25,7 @@ func ingestBody(t *testing.T) []byte {
 		})
 	}
 	var buf bytes.Buffer
-	enc := remotewrite.NewEncoder(&buf, true)
+	enc := remotewrite.NewEncoder(&buf, false)
 	if err := enc.WriteBatch([]*expofmt.Family{fam}); err != nil {
 		t.Fatal(err)
 	}

@@ -46,7 +46,7 @@ func BenchmarkIngestPath(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
 			var buf bytes.Buffer
-			enc := NewEncoder(&buf, true)
+			enc := NewEncoder(&buf, false)
 			if err := enc.WriteBatch(benchFamilies(nSeries, int64(1000*(i+1)))); err != nil {
 				b.Fatal(err)
 			}

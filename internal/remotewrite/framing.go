@@ -7,29 +7,33 @@
 // A stream is the 4-byte magic "CRW1" followed by zero or more frames.
 // Each frame is
 //
-//	flag   byte     0 = raw payload, 1 = DEFLATE-compressed payload
-//	length uint32   little endian, byte count of the stored payload
-//	crc    uint32   little endian, CRC-32C of the UNCOMPRESSED payload
+//	flag   byte     always 0 (raw payload); any other value is refused
+//	length uint32   little endian, byte count of the payload
+//	crc    uint32   little endian, CRC-32C of the payload
 //	data   [length]byte
 //
 // The payload is Prometheus text exposition format (internal/expofmt) with
 // explicit millisecond timestamps — the same encoding the exporters and the
-// scrape loop already speak, so one tokenizer serves both ingest paths. The
-// CRC covers the uncompressed bytes: a decompression bug or a torn
-// compressed tail can never silently commit garbage. Frames are bounded by
-// MaxFrame on both the stored and the decompressed size, so one request
-// never buffers more than a frame of payload regardless of body size — the
-// receiver decodes and commits frame by frame, through one batch per request.
+// scrape loop already speak, so one tokenizer serves both ingest paths.
+// Frames are bounded by MaxFrame, so one request never buffers more than a
+// frame of payload regardless of body size — the receiver decodes and
+// commits frame by frame, through one batch per request.
 //
-// Decoders are pooled (NewDecoder / Release): the bufio reader, the DEFLATE
-// reader and the scratch buffers are all reused across requests, keeping
-// steady-state ingest allocation-free on the framing layer.
+// Frames travel raw. Flag 1 once marked a DEFLATE-compressed payload; it is
+// refused now like any unknown flag. The push agents run beside the head
+// they feed, and there compression cost more CPU than the bytes it saved:
+// deflate and inflate were a third of the push path's CPU, for about 230
+// bytes of wire per sample instead of 28 (docs/ARCHITECTURE.md, "The push
+// edge"). A wide-area sender would want a cheaper compressor than DEFLATE.
+//
+// Decoders are pooled (NewDecoder / Release): the bufio reader and the
+// payload buffer are reused across requests, keeping steady-state ingest
+// allocation-free on the framing layer.
 package remotewrite
 
 import (
 	"bufio"
 	"bytes"
-	"compress/flate"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -43,14 +47,12 @@ import (
 // Magic starts every remote-write stream.
 const Magic = "CRW1"
 
-// MaxFrame bounds both the stored and the decompressed payload size of one
-// frame. Senders must split batches that would exceed it.
+// MaxFrame bounds the payload size of one frame. Senders must split batches
+// that would exceed it.
 const MaxFrame = 4 << 20
 
-const (
-	flagRaw     = 0
-	flagDeflate = 1
-)
+// flagRaw is the one frame flag a decoder accepts.
+const flagRaw = 0
 
 // Framing errors. Decode failures wrap one of these so callers can
 // distinguish a torn tail from corruption or a hostile frame.
@@ -68,81 +70,49 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // WriteBatch call.
 type Encoder struct {
 	w          io.Writer
-	compress   bool
 	wroteMagic bool
-	buf        []byte       // uncompressed exposition payload
-	cbuf       bytes.Buffer // compressed payload
-	head       [9]byte
+	buf        []byte // the magic, if not yet written, the frame header and the payload
 }
 
-// flateWriters pools the DEFLATE compressor — over half a megabyte of state
-// — across encoders: an agent makes a new Encoder per request.
-var flateWriters = sync.Pool{New: func() any {
-	fw, _ := flate.NewWriter(nil, flate.BestSpeed)
-	return fw
-}}
-
-// NewEncoder returns an Encoder on w. With compress set, frames carry
-// DEFLATE-compressed payloads (falling back to raw when compression does
-// not help).
+// NewEncoder returns an Encoder on w. Frames are always raw; compress is
+// ignored.
+//
+// Deprecated: kept for bench/ until T2 (ROADMAP U).
 func NewEncoder(w io.Writer, compress bool) *Encoder {
-	return &Encoder{w: w, compress: compress}
+	return &Encoder{w: w}
 }
 
-// WriteBatch frames one batch of metric families and writes it out. Every
-// sample must carry an explicit timestamp (Metric.TS != 0) — the receiver
-// rejects frames with scrape-time samples.
+// WriteBatch frames one batch of metric families and writes it out in one
+// Write. Every sample must carry an explicit timestamp (Metric.TS != 0) —
+// the receiver rejects frames with scrape-time samples.
 func (e *Encoder) WriteBatch(fams []*expofmt.Family) error {
-	if !e.wroteMagic {
-		if _, err := io.WriteString(e.w, Magic); err != nil {
-			return err
-		}
-		e.wroteMagic = true
-	}
 	e.buf = e.buf[:0]
+	if !e.wroteMagic {
+		e.buf = append(e.buf, Magic...)
+	}
+	head := len(e.buf)
+	e.buf = append(e.buf, flagRaw, 0, 0, 0, 0, 0, 0, 0, 0)
 	for _, f := range fams {
 		e.buf = expofmt.AppendFamily(e.buf, f)
 	}
-	if len(e.buf) > MaxFrame {
-		return fmt.Errorf("%w: %d bytes (max %d); split the batch", ErrFrameTooLarge, len(e.buf), MaxFrame)
+	payload := e.buf[head+9:]
+	if len(payload) > MaxFrame {
+		return fmt.Errorf("%w: %d bytes (max %d); split the batch", ErrFrameTooLarge, len(payload), MaxFrame)
 	}
-	crc := crc32.Checksum(e.buf, castagnoli)
-	flag := byte(flagRaw)
-	payload := e.buf
-	if e.compress {
-		e.cbuf.Reset()
-		fw := flateWriters.Get().(*flate.Writer)
-		fw.Reset(&e.cbuf)
-		_, err := fw.Write(payload)
-		if err == nil {
-			err = fw.Close()
-		}
-		flateWriters.Put(fw)
-		if err != nil {
-			return err
-		}
-		if e.cbuf.Len() < len(payload) {
-			flag = flagDeflate
-			payload = e.cbuf.Bytes()
-		}
-	}
-	e.head[0] = flag
-	binary.LittleEndian.PutUint32(e.head[1:5], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(e.head[5:9], crc)
-	if _, err := e.w.Write(e.head[:]); err != nil {
+	binary.LittleEndian.PutUint32(e.buf[head+1:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(e.buf[head+5:], crc32.Checksum(payload, castagnoli))
+	if _, err := e.w.Write(e.buf); err != nil {
 		return err
 	}
-	_, err := e.w.Write(payload)
-	return err
+	e.wroteMagic = true
+	return nil
 }
 
 // Decoder reads a remote-write stream frame by frame. Obtain one with
 // NewDecoder and return it with Release; the internal buffers are pooled.
 type Decoder struct {
 	br        *bufio.Reader
-	fr        io.ReadCloser // pooled DEFLATE reader (flate.Resetter)
-	stored    []byte        // frame payload as stored on the wire
-	plain     bytes.Buffer  // decompressed payload
+	stored    []byte // frame payload
 	readMagic bool
 }
 
@@ -164,7 +134,6 @@ func NewDecoder(r io.Reader) *Decoder {
 // not be used afterwards.
 func (d *Decoder) Release() {
 	d.br.Reset(nil)
-	d.plain.Reset()
 	decoderPool.Put(d)
 }
 
@@ -185,8 +154,8 @@ func (d *Decoder) Next() ([]*expofmt.Family, error) {
 	return fams, nil
 }
 
-// frame reads one frame and returns its checked, uncompressed payload: the
-// decoder's own buffer, valid until the next call.
+// frame reads one frame and returns its checked payload: the decoder's own
+// buffer, valid until the next call.
 func (d *Decoder) frame() ([]byte, error) {
 	if !d.readMagic {
 		var magic [4]byte
@@ -214,11 +183,11 @@ func (d *Decoder) frame() ([]byte, error) {
 	flag := head[0]
 	length := binary.LittleEndian.Uint32(head[1:5])
 	crc := binary.LittleEndian.Uint32(head[5:9])
-	if flag != flagRaw && flag != flagDeflate {
+	if flag != flagRaw {
 		return nil, fmt.Errorf("%w: 0x%02x", ErrBadFlag, flag)
 	}
 	if length > MaxFrame {
-		return nil, fmt.Errorf("%w: stored %d bytes (max %d)", ErrFrameTooLarge, length, MaxFrame)
+		return nil, fmt.Errorf("%w: %d bytes (max %d)", ErrFrameTooLarge, length, MaxFrame)
 	}
 	if cap(d.stored) < int(length) {
 		d.stored = make([]byte, length)
@@ -230,29 +199,8 @@ func (d *Decoder) frame() ([]byte, error) {
 		}
 		return nil, err
 	}
-	payload := d.stored
-	if flag == flagDeflate {
-		if d.fr == nil {
-			d.fr = flate.NewReader(bytes.NewReader(d.stored)).(io.ReadCloser)
-		} else {
-			if err := d.fr.(flate.Resetter).Reset(bytes.NewReader(d.stored), nil); err != nil {
-				return nil, err
-			}
-		}
-		d.plain.Reset()
-		// +1 so a payload that would exceed the cap is detected rather
-		// than silently truncated (decompression-bomb guard).
-		n, err := io.Copy(&d.plain, io.LimitReader(d.fr, MaxFrame+1))
-		if err != nil {
-			return nil, fmt.Errorf("remotewrite: decompress frame: %w", err)
-		}
-		if n > MaxFrame {
-			return nil, fmt.Errorf("%w: decompressed past %d bytes", ErrFrameTooLarge, MaxFrame)
-		}
-		payload = d.plain.Bytes()
-	}
-	if got := crc32.Checksum(payload, castagnoli); got != crc {
+	if got := crc32.Checksum(d.stored, castagnoli); got != crc {
 		return nil, fmt.Errorf("%w: got %08x want %08x", ErrChecksum, got, crc)
 	}
-	return payload, nil
+	return d.stored, nil
 }

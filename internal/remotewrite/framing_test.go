@@ -55,7 +55,8 @@ func flatten(fams []*expofmt.Family) []string {
 	return out
 }
 
-// encodeStream frames the given batches into one wire stream.
+// encodeStream frames the given batches into one wire stream. compress is
+// NewEncoder's ignored parameter: either way the frames are raw.
 func encodeStream(t testing.TB, compress bool, batches ...[]*expofmt.Family) []byte {
 	t.Helper()
 	var buf bytes.Buffer
@@ -69,8 +70,9 @@ func encodeStream(t testing.TB, compress bool, batches ...[]*expofmt.Family) []b
 }
 
 // TestRemoteWriteRoundTrip is the fuzz-shaped encode/decode property: many
-// randomized batches, both compression modes, every sample must survive the
-// wire byte-exact and the stream must end with a clean io.EOF.
+// randomized batches, every sample must survive the wire byte-exact and the
+// stream must end with a clean io.EOF. An encoder asked to compress writes
+// the same raw bytes.
 func TestRemoteWriteRoundTrip(t *testing.T) {
 	for _, compress := range []bool{false, true} {
 		t.Run(fmt.Sprintf("compress=%v", compress), func(t *testing.T) {
@@ -82,6 +84,9 @@ func TestRemoteWriteRoundTrip(t *testing.T) {
 					sent = append(sent, randFamilies(rng, 1+rng.Intn(3), 1+rng.Intn(8)))
 				}
 				stream := encodeStream(t, compress, sent...)
+				if raw := encodeStream(t, false, sent...); !bytes.Equal(stream, raw) {
+					t.Fatalf("trial %d: %d-byte stream, raw %d bytes", trial, len(stream), len(raw))
+				}
 
 				dec := NewDecoder(bytes.NewReader(stream))
 				var got []string
@@ -208,14 +213,12 @@ func TestRemoteWriteCorruption(t *testing.T) {
 	for _, compress := range []bool{false, true} {
 		t.Run(fmt.Sprintf("payload flip compress=%v", compress), func(t *testing.T) {
 			stream := encodeStream(t, compress, fams, fams)
-			intact, err := decodeAll(stream)
-			if err != nil {
+			if _, err := decodeAll(stream); err != nil {
 				t.Fatal(err)
 			}
 			// Payload-data byte ranges (frame headers excluded: a flipped
 			// header byte fails its own way — bad flag, truncation — while a
-			// flipped payload byte must be caught by CRC-32C of the
-			// uncompressed bytes, or by the inflater before it).
+			// flipped payload byte must be caught by CRC-32C).
 			payload := map[int]bool{}
 			off := len(Magic)
 			for off < len(stream) {
@@ -228,25 +231,11 @@ func TestRemoteWriteCorruption(t *testing.T) {
 			for i := len(Magic); i < len(stream); i++ {
 				mut := append([]byte(nil), stream...)
 				mut[i] ^= 0x01
-				got, err := decodeAll(mut)
+				_, err := decodeAll(mut)
 				if err == nil {
-					// A flip inside a DEFLATE header can be semantically
-					// invisible (e.g. the BFINAL bit when the remaining
-					// blocks are empty). That is harmless by construction —
-					// but only if the decoded content is byte-identical.
-					if len(got) != len(intact) {
-						t.Fatalf("flip at byte %d decoded silently to %d samples, want %d",
-							i, len(got), len(intact))
-					}
-					for j := range got {
-						if got[j] != intact[j] {
-							t.Fatalf("flip at byte %d silently altered sample %d: %q != %q",
-								i, j, got[j], intact[j])
-						}
-					}
-					continue
+					t.Fatalf("flip at byte %d decoded silently", i)
 				}
-				if payload[i] && !compress && !errors.Is(err, ErrChecksum) {
+				if payload[i] && !errors.Is(err, ErrChecksum) {
 					t.Fatalf("flip at byte %d: got %v, want ErrChecksum", i, err)
 				}
 			}
@@ -301,29 +290,43 @@ func TestRemoteWriteDecoderPoolReuse(t *testing.T) {
 }
 
 // FuzzDecoder: any stream ends, frame by frame, in io.EOF or an error, never
-// a panic, and no frame makes the decoder hold more than MaxFrame stored
-// bytes or inflate more than MaxFrame+1. Every frame it accepts is a
+// a panic, no frame makes the decoder hold more than MaxFrame bytes, and no
+// frame with a flag other than 0 is accepted. Every frame it accepts is a
 // differential between the receiver's reader and Next's: walking the payload
 // with the Tokenizer must fail as Parse does, or give each series the same
 // (labels, timestamp, value) sequence.
 func FuzzDecoder(f *testing.F) {
 	rng := rand.New(rand.NewSource(30))
 	raw := encodeStream(f, false, randFamilies(rng, 2, 3))
-	deflated := encodeStream(f, true, randFamilies(rng, 3, 20))
-	multi := encodeStream(f, true, randFamilies(rng, 1, 4), randFamilies(rng, 2, 2), randFamilies(rng, 1, 30))
+	var payload []byte
+	for _, fam := range randFamilies(rng, 3, 20) {
+		payload = expofmt.AppendFamily(payload, fam)
+	}
+	deflated := appendFrame([]byte(Magic), payload, true, 0)
+	multi := encodeStream(f, false, randFamilies(rng, 1, 4), randFamilies(rng, 2, 2), randFamilies(rng, 1, 30))
 	firstLen := int(binary.LittleEndian.Uint32(multi[len(Magic)+1:]))
 	flipped := bytes.Clone(deflated)
 	flipped[len(Magic)+5] ^= 0x01 // the CRC
 	oversized := bytes.Clone(raw)
 	binary.LittleEndian.PutUint32(oversized[len(Magic)+1:], MaxFrame+1)
+	// Flag 1, the DEFLATE frames senders once wrote, ends in ErrBadFlag: a
+	// deflated batch, the same with a bad CRC, and a frame that would
+	// inflate past MaxFrame.
 	var bomb bytes.Buffer
 	fw, _ := flate.NewWriter(&bomb, flate.BestCompression)
 	fw.Write(bytes.Repeat([]byte("m 1 1\n"), MaxFrame/6+64))
 	fw.Close()
-	bombStream := append([]byte(Magic), flagDeflate)
+	bombStream := append([]byte(Magic), 1)
 	bombStream = binary.LittleEndian.AppendUint32(bombStream, uint32(bomb.Len()))
 	bombStream = binary.LittleEndian.AppendUint32(bombStream, 0)
 	bombStream = append(bombStream, bomb.Bytes()...)
+	for _, s := range [][]byte{deflated, flipped, bombStream} {
+		d := NewDecoder(bytes.NewReader(s))
+		if _, err := d.frame(); !errors.Is(err, ErrBadFlag) {
+			f.Fatalf("flag-1 stream: %v, want ErrBadFlag", err)
+		}
+		d.Release()
+	}
 	for _, s := range [][]byte{
 		raw, deflated, multi,
 		multi[:len(Magic)+9+firstLen], // cut at a frame boundary
@@ -339,14 +342,19 @@ func FuzzDecoder(f *testing.F) {
 	f.Fuzz(func(t *testing.T, stream []byte) {
 		d := NewDecoder(bytes.NewReader(stream))
 		defer d.Release()
+		off := len(Magic)
 		for frames := 0; ; frames++ {
 			payload, err := d.frame()
-			if cap(d.stored) > MaxFrame || d.plain.Len() > MaxFrame+1 {
-				t.Fatalf("frame %d: holding %d stored and %d inflated bytes", frames, cap(d.stored), d.plain.Len())
+			if cap(d.stored) > MaxFrame {
+				t.Fatalf("frame %d: holding %d bytes", frames, cap(d.stored))
 			}
 			if err != nil {
 				return
 			}
+			if flag := stream[off]; flag != flagRaw {
+				t.Fatalf("frame %d: flag 0x%02x accepted", frames, flag)
+			}
+			off += 9 + len(payload)
 			if frames > len(stream)/9 {
 				t.Fatalf("%d frames out of %d bytes", frames+1, len(stream))
 			}
@@ -396,25 +404,15 @@ func checkTokenizerMatchesParse(t *testing.T, payload []byte) {
 
 // TestRemoteWriteFrameBytesPinned pins the CRW1 wire bytes of a fixed batch:
 // the raw stream's hash was recorded before the encoder moved from
-// expofmt.Writer to expofmt.AppendFamily, and a frame compressed by a
-// pooled (already used) DEFLATE writer must equal one compressed by a new
-// one — the compressed hash itself is whatever this toolchain's
-// compress/flate produces, so it is compared, not pinned.
+// expofmt.Writer to expofmt.AppendFamily, and holds for an encoder asked to
+// compress too, since every frame is raw.
 func TestRemoteWriteFrameBytesPinned(t *testing.T) {
 	batch := randFamilies(rand.New(rand.NewSource(18)), 6, 40)
-	raw := encodeStream(t, false, batch, batch[:2])
 	const want = "4e82ad1af9e90bf9eb39e94609490a9700995993f8c557857475c3823d5729f6"
-	if got := fmt.Sprintf("%x", sha256.Sum256(raw)); got != want {
-		t.Errorf("raw CRW1 stream changed: sha256 %s, want %s", got, want)
-	}
-	first := encodeStream(t, true, batch, batch[:2])
-	for i := 0; i < 4; i++ {
-		if i%2 == 1 { // odd rounds may draw a never-used writer, even ones a used one
-			fresh, _ := flate.NewWriter(nil, flate.BestSpeed)
-			flateWriters.Put(fresh)
-		}
-		if again := encodeStream(t, true, batch, batch[:2]); !bytes.Equal(again, first) {
-			t.Fatalf("compressed stream %d differs from the first (%d vs %d bytes)", i, len(again), len(first))
+	for _, compress := range []bool{false, true} {
+		raw := encodeStream(t, compress, batch, batch[:2])
+		if got := fmt.Sprintf("%x", sha256.Sum256(raw)); got != want {
+			t.Errorf("compress=%v: CRW1 stream changed: sha256 %s, want %s", compress, got, want)
 		}
 	}
 }

@@ -78,7 +78,8 @@ func referenceIngest(newBatch func() scrape.Batch, body []byte) *httptest.Respon
 	return w
 }
 
-// ingestGen draws random CRW1 streams: raw and deflated frames; families
+// ingestGen draws random CRW1 streams: raw frames, and now and then a
+// deflated one under flag 1, which both sides must refuse alike; families
 // rendered by AppendFamily (contiguous, as every sender writes them) or, when
 // interleave is set, sample and HELP/TYPE lines of several families shuffled
 // together; label values that need escaping, repeated label names, NaN,
@@ -221,7 +222,7 @@ func (g *ingestGen) payload() []byte {
 func (g *ingestGen) stream() []byte {
 	b := []byte(Magic)
 	for n := 1 + g.rng.Intn(5); n > 0; n-- {
-		payload, deflate := g.payload(), g.rng.Intn(2) == 0
+		payload, deflate := g.payload(), g.rng.Intn(16) == 0
 		var crcFlip uint32
 		if g.rng.Intn(25) == 0 {
 			crcFlip = 1 << g.rng.Intn(32) // a bad CRC mid-stream
@@ -231,8 +232,8 @@ func (g *ingestGen) stream() []byte {
 	return b
 }
 
-// appendFrame appends a frame of payload to b, deflated or raw, its CRC
-// XORed with crcFlip.
+// appendFrame appends a frame of payload to b, its CRC XORed with crcFlip:
+// raw, or DEFLATE-compressed under flag 1 as senders once wrote it.
 func appendFrame(b, payload []byte, deflate bool, crcFlip uint32) []byte {
 	stored, flag := payload, byte(flagRaw)
 	if deflate {
@@ -240,7 +241,7 @@ func appendFrame(b, payload []byte, deflate bool, crcFlip uint32) []byte {
 		fw, _ := flate.NewWriter(&z, flate.BestSpeed)
 		fw.Write(payload)
 		fw.Close()
-		stored, flag = z.Bytes(), flagDeflate
+		stored, flag = z.Bytes(), 1
 	}
 	b = append(b, flag)
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(stored)))
@@ -286,6 +287,10 @@ func walFiles(t *testing.T, dir string) map[string][]byte {
 	return out
 }
 
+// ingestOutcomes are the ends a generated stream comes to, each of which
+// TestIngestHeadIdentical must see.
+var ingestOutcomes = []string{"success", "no timestamp", "parse frame payload", "checksum", "unknown frame flag"}
+
 // TestIngestHeadIdentical is the push twin of TestScrapeCacheHeadIdentical:
 // random streams POSTed through the receiver and through referenceIngest,
 // each into a WAL-backed head of its own, must get the same status codes and
@@ -329,13 +334,13 @@ func TestIngestHeadIdentical(t *testing.T) {
 				if got.Code != want.Code || got.Body.String() != want.Body.String() {
 					t.Fatalf("stream %d: %d %s, reference %d %s", i, got.Code, got.Body, want.Code, want.Body)
 				}
-				for _, o := range []string{"success", "no timestamp", "parse frame payload", "checksum"} {
+				for _, o := range ingestOutcomes {
 					if strings.Contains(want.Body.String(), o) {
 						outcomes[o]++
 					}
 				}
 			}
-			for _, o := range []string{"success", "no timestamp", "parse frame payload", "checksum"} {
+			for _, o := range ingestOutcomes {
 				if outcomes[o] < 3 {
 					t.Errorf("only %d streams end in %q: %v", outcomes[o], o, outcomes)
 				}

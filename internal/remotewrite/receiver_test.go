@@ -258,6 +258,36 @@ func TestIngestBadStream(t *testing.T) {
 	}
 }
 
+// TestIngestRefusesDeflatedFrame: a DEFLATE frame (flag 1) after two raw
+// ones is a 400 that names frame 2; the raw frames are committed and nothing
+// of frame 2 is.
+func TestIngestRefusesDeflatedFrame(t *testing.T) {
+	db := tsdb.MustOpen(tsdb.Options{})
+	rcv := &Receiver{NewBatch: func() scrape.Batch { return db.Appender() }}
+	rng := rand.New(rand.NewSource(17))
+	b0, b1 := randFamilies(rng, 2, 3), randFamilies(rng, 1, 4)
+	deflated := &expofmt.Family{Name: "rw_deflated", Type: expofmt.TypeGauge, Metrics: []expofmt.Metric{{
+		Labels: labels.FromStrings(labels.MetricName, "rw_deflated", "instance", "n0"), Value: 1, TS: 1000,
+	}}}
+	body := appendFrame(encodeStream(t, false, b0, b1), expofmt.AppendFamily(nil, deflated), true, 0)
+	w := postStream(t, rcv, body)
+	if w.Code != http.StatusBadRequest {
+		t.Fatalf("status %d, want 400: %s", w.Code, w.Body)
+	}
+	for _, want := range []string{"frame 2: ", ErrBadFlag.Error(), "(2 frames committed)"} {
+		if !bytes.Contains(w.Body.Bytes(), []byte(want)) {
+			t.Errorf("body %s does not say %q", w.Body, want)
+		}
+	}
+	if st := rcv.Stats(); st.Frames != 2 || st.SamplesDecoded != uint64(len(flatten(b0))+len(flatten(b1))) {
+		t.Errorf("stats %+v, want 2 frames of %d samples", st, len(flatten(b0))+len(flatten(b1)))
+	}
+	got, err := db.Select(0, 1<<62, labels.MustMatcher(labels.MatchEqual, labels.MetricName, "rw_deflated"))
+	if err != nil || len(got) != 0 {
+		t.Errorf("frame 2 in the head: %v (err %v)", got, err)
+	}
+}
+
 type failingBatch struct{}
 
 func (failingBatch) Add(lset labels.Labels, t int64, v float64) {}
