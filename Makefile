@@ -5,7 +5,7 @@
 # are mapped in docs/ARCHITECTURE.md; benchmark baselines in docs/BENCHMARKS.md.
 
 GO ?= go
-RACE_PKGS := ./internal/tsdb/... ./internal/api/... ./internal/lb/... ./internal/scrape/... ./internal/thanos/... ./internal/workpool/... ./internal/cluster/... ./internal/promql/... ./internal/promapi/... ./internal/querycache/... ./internal/remotewrite/... ./internal/telemetry/... ./internal/rules/... ./internal/serve/... ./cmd/ceems_api_server/
+RACE_PKGS := ./internal/tsdb/... ./internal/labels/... ./internal/api/... ./internal/lb/... ./internal/scrape/... ./internal/thanos/... ./internal/workpool/... ./internal/cluster/... ./internal/promql/... ./internal/promapi/... ./internal/querycache/... ./internal/remotewrite/... ./internal/telemetry/... ./internal/rules/... ./internal/serve/... ./cmd/ceems_api_server/
 
 .PHONY: build test test-short race accounting wal-recovery querycache promql-equiv rules-equiv cluster-chaos remote-write telemetry blocks head-index fuzz-smoke bench bench-querycache bench-smoke bench-pairs benchdiff ci-sync-check config-check lint ci
 

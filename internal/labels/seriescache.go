@@ -3,6 +3,7 @@ package labels
 import (
 	"cmp"
 	"slices"
+	"sync/atomic"
 )
 
 // SeriesCache maps what a producer emits, spelled as key bytes, to the label
@@ -27,11 +28,36 @@ type SeriesCache struct {
 
 // CacheEntry is one key resolved to its stored label set. Labels is
 // immutable: a producer hands it to storage as is, round after round.
+//
+// An entry also carries a handle that storage publishes on it: the series
+// Labels resolved to, so that the next append of that series finds it
+// without hashing, looking up or comparing Labels (docs/ARCHITECTURE.md,
+// "One series cache"). The handle is opaque here. Labels, Hash and the
+// handle may be read, and the handle published, from any goroutine; the
+// rest of an entry belongs to its cache.
 type CacheEntry struct {
 	Labels Labels
 	hash   uint64 // Labels.Hash()
 	round  uint64 // the last round that stamped it, 0 for none
+	handle atomic.Value
 }
+
+// NewCacheEntry returns an entry for ls that no cache holds: a series a
+// producer owns outright, such as a scrape target's up.
+func NewCacheEntry(ls Labels) *CacheEntry {
+	return &CacheEntry{Labels: ls, hash: ls.Hash()}
+}
+
+// Hash returns Labels.Hash(), computed once when the entry was made.
+func (e *CacheEntry) Hash() uint64 { return e.hash }
+
+// Handle returns the handle last published on e, or nil.
+func (e *CacheEntry) Handle() any { return e.handle.Load() }
+
+// SetHandle publishes h, which must not be nil, as e's handle. Every handle
+// published on any entry must have one concrete type, as atomic.Value
+// requires: only the head publishes them.
+func (e *CacheEntry) SetHandle(h any) { e.handle.Store(h) }
 
 // Get returns the entry cached under key, or nil.
 func (c *SeriesCache) Get(key []byte) *CacheEntry { return c.entries[string(key)] }
@@ -42,7 +68,7 @@ func (c *SeriesCache) Put(key string, ls Labels) *CacheEntry {
 	if c.entries == nil {
 		c.entries = map[string]*CacheEntry{}
 	}
-	e := &CacheEntry{Labels: ls, hash: ls.Hash()}
+	e := NewCacheEntry(ls)
 	c.entries[key] = e
 	return e
 }
@@ -61,8 +87,9 @@ func (c *SeriesCache) Len() int { return len(c.entries) }
 // Sweep closes the open round. It evicts every entry the round did not
 // stamp, and calls stale once for each stored set that the previous round
 // produced and no surviving entry still produces: vanished bytes are not a
-// vanished series, as one set may be spelled by several keys. When the round
-// stamped every entry it returns without walking the cache.
+// vanished series, as one set may be spelled by several keys. A nil stale
+// asks for no report. When the round stamped every entry it returns without
+// walking the cache.
 func (c *SeriesCache) Sweep(stale func(Labels)) {
 	c.swept++
 	round := c.swept
@@ -76,7 +103,7 @@ func (c *SeriesCache) Sweep(stale func(Labels)) {
 		if e.round == round {
 			continue
 		}
-		if e.round != 0 && e.round == round-1 {
+		if stale != nil && e.round != 0 && e.round == round-1 {
 			dead = append(dead, e)
 		}
 		delete(c.entries, key)

@@ -61,6 +61,37 @@ func BenchmarkIngestPath(b *testing.B) {
 		b.ReportMetric(float64(nSeries*b.N)/b.Elapsed().Seconds(), "samples/s")
 	})
 
+	// Four agents, each pushing its own quarter of the series in its own
+	// request, in turn: the receiver's cache must keep every agent's
+	// entries from one push to its next.
+	b.Run("remote-write_4_agents", func(b *testing.B) {
+		const agents = 4
+		db := tsdb.MustOpen(tsdb.Options{OutOfOrderWindow: 60_000})
+		defer db.Close()
+		rcv := &Receiver{NewBatch: func() scrape.Batch { return db.Appender() }}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			fams := benchFamilies(nSeries, int64(1000*(i/agents+1)))
+			fam := *fams[0]
+			part := nSeries / agents
+			fam.Metrics = fam.Metrics[i%agents*part : (i%agents+1)*part]
+			var buf bytes.Buffer
+			if err := NewEncoder(&buf, false).WriteBatch([]*expofmt.Family{&fam}); err != nil {
+				b.Fatal(err)
+			}
+			req := httptest.NewRequest(http.MethodPost, "/api/v1/write", bytes.NewReader(buf.Bytes()))
+			w := httptest.NewRecorder()
+			b.StartTimer()
+			rcv.ServeHTTP(w, req)
+			if w.Code != http.StatusOK {
+				b.Fatalf("push: %d %s", w.Code, w.Body)
+			}
+		}
+		b.ReportMetric(float64(nSeries/agents*b.N)/b.Elapsed().Seconds(), "samples/s")
+	})
+
 	b.Run("scrape", func(b *testing.B) {
 		db := tsdb.MustOpen(tsdb.Options{OutOfOrderWindow: 60_000})
 		defer db.Close()

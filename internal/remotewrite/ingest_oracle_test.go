@@ -305,28 +305,43 @@ var ingestOutcomes = []string{"success", "no timestamp", "parse frame payload", 
 // started with, so the heads hold the same samples. But a head creates series
 // in the order it meets them, so their WAL refs and registration records may
 // come out in another order.
+//
+// The churn leg pushes the same small set of series over every request, and
+// between requests deletes one instance's series from both heads or
+// truncates both, so the receiver's entries keep handles on series the head
+// has dropped. Its heads must also replay to the same digest; its WAL files
+// are not compared, as a checkpoint writes the shard's series in map order.
 func TestIngestHeadIdentical(t *testing.T) {
 	streams := 150
 	if testing.Short() {
 		streams = 50
 	}
-	for _, interleave := range []bool{false, true} {
-		t.Run(fmt.Sprintf("interleave=%v", interleave), func(t *testing.T) {
-			open := func() (*tsdb.DB, string) {
-				dir := t.TempDir()
-				db, err := tsdb.Open(tsdb.Options{WALDir: dir, Shards: 4, OutOfOrderWindow: 60_000})
+	for _, leg := range []struct {
+		name              string
+		interleave, churn bool
+	}{{"interleave=false", false, false}, {"interleave=true", true, false}, {"churn", false, true}} {
+		t.Run(leg.name, func(t *testing.T) {
+			opts := tsdb.Options{Shards: 4, OutOfOrderWindow: 60_000}
+			if leg.churn {
+				opts.MaxSamplesPerChunk = 4 // so that a truncate drops series
+			}
+			open := func(dir string) *tsdb.DB {
+				opts := opts
+				opts.WALDir = dir
+				db, err := tsdb.Open(opts)
 				if err != nil {
 					t.Fatal(err)
 				}
-				return db, dir
+				return db
 			}
-			refDB, refDir := open()
-			db, dir := open()
+			refDir, dir := t.TempDir(), t.TempDir()
+			refDB, db := open(refDir), open(dir)
 			rcv := &Receiver{NewBatch: func() scrape.Batch { return db.Appender() }}
 			refBatch := func() scrape.Batch { return refDB.Appender() }
 
-			gen := &ingestGen{rng: rand.New(rand.NewSource(33)), interleave: interleave, now: 1_700_000_000_000}
+			gen := &ingestGen{rng: rand.New(rand.NewSource(33)), interleave: leg.interleave, now: 1_700_000_000_000}
 			outcomes := map[string]int{}
+			dropped := 0
 			for i := 0; i < streams; i++ {
 				body := gen.stream()
 				want := referenceIngest(refBatch, body)
@@ -339,11 +354,31 @@ func TestIngestHeadIdentical(t *testing.T) {
 						outcomes[o]++
 					}
 				}
+				switch {
+				case !leg.churn:
+				case i%5 == 4:
+					m := labels.MustMatcher(labels.MatchEqual, "instance", fmt.Sprintf("n%d", gen.rng.Intn(4)))
+					n := refDB.DeleteSeries(m)
+					if got := db.DeleteSeries(m); got != n {
+						t.Fatalf("stream %d: delete removed %d series, reference %d", i, got, n)
+					}
+					dropped += n
+				case i%9 == 8:
+					n, err := refDB.Truncate(gen.now - 45_000)
+					got, gerr := db.Truncate(gen.now - 45_000)
+					if err != nil || gerr != nil || got != n {
+						t.Fatalf("stream %d: truncate removed %d series (err %v), reference %d (err %v)", i, got, gerr, n, err)
+					}
+					dropped += n
+				}
 			}
 			for _, o := range ingestOutcomes {
 				if outcomes[o] < 3 {
 					t.Errorf("only %d streams end in %q: %v", outcomes[o], o, outcomes)
 				}
+			}
+			if leg.churn && dropped < 20 {
+				t.Errorf("deletes and truncates dropped only %d series", dropped)
 			}
 
 			wantDigest, wantSeries, wantSamples := ingestDigest(t, refDB)
@@ -361,7 +396,17 @@ func TestIngestHeadIdentical(t *testing.T) {
 			if err := db.Close(); err != nil {
 				t.Fatal(err)
 			}
-			if interleave {
+			if leg.churn {
+				refDB, db = open(refDir), open(dir)
+				defer refDB.Close()
+				defer db.Close()
+				wantDigest, _, _ := ingestDigest(t, refDB)
+				if gotDigest, _, _ := ingestDigest(t, db); gotDigest != wantDigest {
+					t.Errorf("replayed head: digest %x, reference %x", gotDigest, wantDigest)
+				}
+				return
+			}
+			if leg.interleave {
 				return
 			}
 			want, got := walFiles(t, refDir), walFiles(t, dir)

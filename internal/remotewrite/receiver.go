@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/expofmt"
+	"repro/internal/labels"
 	"repro/internal/scrape"
 	"repro/internal/telemetry"
 	"repro/internal/tsdb"
@@ -20,6 +21,11 @@ import (
 // DefaultRetryAfter is the Retry-After hint sent with 429 responses when
 // the receiver has no configured value.
 const DefaultRetryAfter = time.Second
+
+// roundSpan is the longest round of the receiver's series cache, in ms of
+// sample time or of wall time (see endRound): PromQL's default lookback,
+// after which a series not pushed again reads as absent anyway.
+const roundSpan = 5 * 60 * 1000
 
 // commitStatser is the optional interface a Batch may implement to report
 // the out-of-order/duplicate breakdown of its last Commit. *tsdb.Appender
@@ -60,6 +66,19 @@ type Receiver struct {
 
 	once  sync.Once
 	slots chan struct{}
+
+	// series maps the exposed name{…} bytes of what was pushed lately to
+	// its entry, as a scrape target's cache does, so a sample pushed again
+	// is one map lookup and its commit finds the head's series by ref. It
+	// is swept in rounds: see endRound. seriesMu guards it and the round's
+	// clocks, and is held for one frame's resolves and stagings at a time.
+	seriesMu sync.Mutex
+	series   labels.SeriesCache
+	newest   int64     // the newest sample committed in the open round, 0 for none
+	swept    int64     // the newest sample of the round the last sweep closed
+	sweptAt  time.Time // the wall-clock time of the last sweep
+	// wallClock stands in for time.Now when set; tests set it.
+	wallClock func() time.Time
 
 	requests    *telemetry.Counter
 	frames      *telemetry.Counter
@@ -180,9 +199,14 @@ func (rcv *Receiver) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 	dec := NewDecoder(r.Body)
 	defer dec.Release()
+	// newest is the newest sample of the frames committed so far; the round
+	// clock moves by what was committed only.
+	var newest int64
+	defer func() { rcv.endRound(newest) }()
 	// One batch per request, as a scrape takes one per pass (Commit leaves it
 	// reusable); a frame that fails validation ends the request uncommitted.
 	batch := rcv.NewBatch()
+	eb, _ := batch.(scrape.EntryBatch)
 	var tok expofmt.Tokenizer
 	var appended, frames, decoded int
 	for {
@@ -190,9 +214,10 @@ func (rcv *Receiver) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		if err == io.EOF {
 			break
 		}
-		n, unstamped := 0, ""
+		n, unstamped, frameNewest := 0, "", int64(0)
 		if err == nil {
 			tok.Reset(payload)
+			rcv.seriesMu.Lock()
 			for tok.Next() {
 				if tok.Meta != "" {
 					continue
@@ -203,11 +228,17 @@ func (rcv *Receiver) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 					}
 					continue
 				}
-				// Labels copies: nothing staged aliases the pooled payload.
-				_, ls := tok.Labels()
-				batch.Add(ls, tok.TS, tok.Value)
+				e := rcv.series.Get(tok.Series)
+				if e == nil {
+					// Labels copies: nothing cached aliases the pooled payload.
+					e = rcv.series.Put(tok.Labels())
+				}
+				rcv.series.Stamp(e)
+				scrape.Stage(batch, eb, e, tok.TS, tok.Value)
+				frameNewest = max(frameNewest, tok.TS)
 				n++
 			}
+			rcv.seriesMu.Unlock()
 			if err = tok.Err(); err != nil {
 				err = fmt.Errorf("remotewrite: parse frame payload: %w", err)
 			} else if unstamped != "" {
@@ -232,6 +263,7 @@ func (rcv *Receiver) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		appended += got
+		newest = max(newest, frameNewest)
 		frames++
 		rcv.frames.Add(1)
 		rcv.appended.Add(uint64(got))
@@ -252,6 +284,43 @@ func (rcv *Receiver) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			"appended": appended,
 		},
 	})
+}
+
+// endRound closes the series cache's round at the end of a request that
+// committed samples up to newest (0 for none). A round closes once the
+// samples committed in it reach roundSpan past the newest of the round the
+// last sweep closed, or, whatever the samples say, once roundSpan of wall
+// time has passed since that sweep. A sweep evicts what its round did not
+// stamp, so the cache holds what was pushed in the last two rounds, under
+// 10 minutes of sample time or of wall time, however many agents push in
+// turn and however their series churn; the head holds far more.
+//
+// The sample clock ends rounds as the pushes advance, as the head's
+// out-of-order window does, so a count of samples cannot end one before
+// every agent has pushed again, and a simulation that runs faster than the
+// wall keeps the same bound. The wall clock ends them when the samples do
+// not advance past the mark: one sample pushed far in the future makes the
+// mark unreachable until the next sweep, which re-sets it from the samples
+// of its own round. With no size knob, the entries of a series no one
+// pushes any more, and the head series their handles hold, are gone within
+// two rounds.
+func (rcv *Receiver) endRound(newest int64) {
+	now := time.Now
+	if rcv.wallClock != nil {
+		now = rcv.wallClock
+	}
+	wall := now()
+	rcv.seriesMu.Lock()
+	defer rcv.seriesMu.Unlock()
+	rcv.newest = max(rcv.newest, newest)
+	if rcv.newest-rcv.swept < roundSpan && wall.Sub(rcv.sweptAt) < roundSpan*time.Millisecond {
+		return
+	}
+	rcv.series.Sweep(nil)
+	if rcv.newest != 0 {
+		rcv.swept = rcv.newest
+	}
+	rcv.newest, rcv.sweptAt = 0, wall
 }
 
 func writeIngestErr(w http.ResponseWriter, code int, msg string) {

@@ -26,8 +26,10 @@ type view struct {
 	// staged[i] is where rule i's samples sit in lsets/samples.
 	staged []stagedRange
 	// lsets[i], samples[i] is one staged sample; the label sets are the
-	// output caches' and immutable.
+	// output caches' and immutable. entries[i] is the output cache's entry
+	// of a result sample, nil for a staleness marker.
 	lsets   []labels.Labels
+	entries []*labels.CacheEntry
 	samples []model.Sample
 	// key holds the cache key of the result set being staged.
 	key []byte
@@ -55,7 +57,7 @@ func (v *view) reset(q promql.Queryable, ts int64) {
 	clear(v.fetched)
 	v.staged = slices.Grow(v.staged[:0], len(v.plan.rules))[:len(v.plan.rules)]
 	clear(v.staged)
-	v.lsets, v.samples = v.lsets[:0], v.samples[:0]
+	v.lsets, v.entries, v.samples = v.lsets[:0], v.entries[:0], v.samples[:0]
 	v.selects, v.hits = 0, 0
 }
 
@@ -64,6 +66,7 @@ func (v *view) release() {
 	v.q = nil
 	clear(v.fetched)
 	clear(v.lsets)
+	clear(v.entries)
 }
 
 // SelectWithHints implements promql.Queryable: one storage read, counted in
@@ -154,10 +157,12 @@ func (rp *rulePlan) stage(vec promql.Vector, v *view) (stale int) {
 		}
 		c.Stamp(e)
 		v.lsets = append(v.lsets, e.Labels)
+		v.entries = append(v.entries, e)
 		v.samples = append(v.samples, model.Sample{T: s.T, V: s.V})
 	}
 	c.Sweep(func(ls labels.Labels) {
 		v.lsets = append(v.lsets, ls)
+		v.entries = append(v.entries, nil)
 		v.samples = append(v.samples, model.Sample{T: v.ts, V: model.StaleNaN()})
 		stale++
 	})
@@ -198,7 +203,7 @@ func (p *groupPlan) eval(e *Engine, q promql.Queryable, dst Appender, ts time.Ti
 		v.staged[i] = stagedRange{lo: lo, n: len(vec), hi: len(v.samples), ok: true}
 		written += len(vec)
 	}
-	refused, err := commit(dst, v.lsets, v.samples)
+	refused, err := commit(dst, v.entries, v.lsets, v.samples)
 	if firstErr == nil && (refused > 0 || err != nil) {
 		firstErr = fmt.Errorf("rules: group %s: commit: %d of %d samples refused", p.name, refused, len(v.samples))
 		if err != nil {
@@ -233,11 +238,15 @@ func (rp *rulePlan) vector(pe *promql.Engine, v *view, ts time.Time) (promql.Vec
 }
 
 // commit hands the group's staged samples to dst: in one batch when dst can
-// take one, else one Append each. refused counts the samples that did not
-// land; err is the batch's error, or the first Append error.
-func commit(dst Appender, lsets []labels.Labels, samples []model.Sample) (refused int, err error) {
+// take one, by ref when it can, else one Append each. refused counts the
+// samples that did not land; err is the batch's error, or the first Append
+// error.
+func commit(dst Appender, entries []*labels.CacheEntry, lsets []labels.Labels, samples []model.Sample) (refused int, err error) {
 	if len(samples) == 0 {
 		return 0, nil
+	}
+	if b, ok := dst.(EntryAppender); ok {
+		return b.AppendEntries(entries, lsets, samples)
 	}
 	if b, ok := dst.(BatchAppender); ok {
 		return b.AppendBatch(lsets, samples)

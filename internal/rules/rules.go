@@ -35,6 +35,16 @@ type BatchAppender interface {
 	AppendBatch(lsets []labels.Labels, samples []model.Sample) (refused int, err error)
 }
 
+// EntryAppender is BatchAppender by ref: entries is as long as samples, a
+// sample whose entries[i] is not nil goes to the series entries[i].Labels
+// names, and the destination keeps its handle on that series in the entry,
+// so the next evaluation reaches it without its labels; the others go to
+// lsets[i]. *tsdb.DB implements it, and a group's commit prefers it to
+// AppendBatch.
+type EntryAppender interface {
+	AppendEntries(entries []*labels.CacheEntry, lsets []labels.Labels, samples []model.Sample) (refused int, err error)
+}
+
 // Rule is one recording rule.
 type Rule struct {
 	// Record is the output metric name.

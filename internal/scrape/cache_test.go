@@ -500,11 +500,26 @@ func benchManager(f Fetcher) (*Manager, *TargetGroup) {
 
 // BenchmarkScrapeSteadyState: one target exposing the same series every
 // scrape — the cache is warm, so a scrape is a tokenizer walk, a map lookup
-// per sample and Batch.Add of a label set built long ago.
+// per sample and Batch.Add of a label set built long ago. The _head case
+// commits into a real head through tsdb.Appender, which finds each series
+// by the handle kept in its cache entry.
 func BenchmarkScrapeSteadyState(b *testing.B) {
-	for _, n := range []int{20, 1000} {
-		b.Run(fmt.Sprintf("%d_series", n), func(b *testing.B) {
+	for _, c := range []struct {
+		n    int
+		head bool
+	}{{20, false}, {1000, false}, {1000, true}} {
+		name := fmt.Sprintf("%d_series", c.n)
+		if c.head {
+			name += "_head"
+		}
+		b.Run(name, func(b *testing.B) {
+			n := c.n
 			m, g := benchManager(&replayFetcher{payload: jobPayload(0, n)})
+			if c.head {
+				db := tsdb.MustOpen(tsdb.Options{})
+				defer db.Close()
+				m.NewBatch = func() Batch { return db.Appender() }
+			}
 			ctx := context.Background()
 			m.ScrapeTarget(ctx, g, g.Targets[0])
 			b.ReportAllocs()

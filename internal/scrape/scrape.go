@@ -42,6 +42,26 @@ type Batch interface {
 	Commit() (int, error)
 }
 
+// EntryBatch is a Batch that can stage a sample by ref: AddEntry stages a
+// sample of the series e.Labels names, and storage keeps its handle on that
+// series in e, so a later pass reaches the series without its labels.
+// *tsdb.Appender implements it. A producer finds it by type assertion and
+// stages e.Labels through Add on a batch without it.
+type EntryBatch interface {
+	Batch
+	AddEntry(e *labels.CacheEntry, t int64, v float64)
+}
+
+// Stage adds a sample of e's series to b, by ref when eb, b's entry path, is
+// not nil.
+func Stage(b Batch, eb EntryBatch, e *labels.CacheEntry, t int64, v float64) {
+	if eb != nil {
+		eb.AddEntry(e, t, v)
+	} else {
+		b.Add(e.Labels, t, v)
+	}
+}
+
 // Fetcher retrieves the exposition payload of one target.
 type Fetcher interface {
 	Fetch(ctx context.Context, target string) (io.ReadCloser, error)
@@ -147,9 +167,10 @@ type target struct {
 	mu          sync.Mutex        // held for a whole scrape: one at a time per target
 	healthKey   string            // "<job>/<target>"
 	groupLabels map[string]string // the group labels base was built from
-	// base is the target's label set; up and duration are base plus the
-	// synthetic metric names.
-	base, up, duration labels.Labels
+	// base is the target's label set; up and duration are the entries of
+	// base plus the synthetic metric names, which the target owns outright.
+	base         labels.Labels
+	up, duration *labels.CacheEntry
 
 	// cache maps the bytes a series was exposed as to the label set it is
 	// stored under: exposed labels with the target's laid over them.
@@ -349,8 +370,9 @@ func (m *Manager) ScrapeTarget(ctx context.Context, g *TargetGroup, target strin
 	for _, ls := range retired {
 		sink.Add(ls, ts, model.StaleNaN())
 	}
-	sink.Add(st.up, ts, upVal)
-	sink.Add(st.duration, ts, dur.Seconds())
+	eb, _ := sink.(EntryBatch)
+	Stage(sink, eb, st.up, ts, upVal)
+	Stage(sink, eb, st.duration, ts, dur.Seconds())
 	// Second, small commit: staleness markers plus the synthetics. Their
 	// out-of-order skips are silent, but a commit ERROR (e.g. a lost write
 	// quorum) marks the target down just like the metric commit would —
@@ -415,8 +437,8 @@ func (st *target) rebase(g *TargetGroup, addr string) (retired []labels.Labels) 
 	}
 	st.groupLabels = maps.Clone(g.Labels)
 	st.base = b.Labels()
-	st.up = labels.NewBuilder(st.base).Set(labels.MetricName, "up").Labels()
-	st.duration = labels.NewBuilder(st.base).Set(labels.MetricName, "scrape_duration_seconds").Labels()
+	st.up = labels.NewCacheEntry(labels.NewBuilder(st.base).Set(labels.MetricName, "up").Labels())
+	st.duration = labels.NewCacheEntry(labels.NewBuilder(st.base).Set(labels.MetricName, "scrape_duration_seconds").Labels())
 	return retired
 }
 
@@ -469,8 +491,9 @@ func (m *Manager) scrapeOnce(ctx context.Context, sink Batch, st *target, addr s
 	if err := sc.tok.Err(); err != nil {
 		return 0, err
 	}
+	eb, _ := sink.(EntryBatch)
 	for _, sm := range sc.samples {
-		sink.Add(sm.series.Labels, sm.t, sm.v)
+		Stage(sink, eb, sm.series, sm.t, sm.v)
 		st.cache.Stamp(sm.series)
 	}
 	// Commit the metric samples on their own so n is exactly what landed

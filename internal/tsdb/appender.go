@@ -35,10 +35,11 @@ type CommitStats struct {
 }
 
 type pendingSample struct {
-	hash uint64
-	lset labels.Labels
-	t    int64
-	v    float64
+	hash  uint64
+	lset  labels.Labels
+	entry *labels.CacheEntry // set by AddEntry: where the series' handle is kept
+	t     int64
+	v     float64
 }
 
 // Appender returns an empty batch appender for the DB.
@@ -55,6 +56,19 @@ func (a *Appender) Add(lset labels.Labels, t int64, v float64) {
 	h := lset.Hash()
 	i := h & a.db.mask
 	a.byShard[i] = append(a.byShard[i], pendingSample{hash: h, lset: lset, t: t, v: v})
+	a.count++
+}
+
+// AddEntry is Add by ref: it buffers one sample of the series e.Labels names.
+// At Commit the series is found through the handle the head published on e
+// at an earlier commit, with no label set hashed, looked up or compared;
+// only when e has no handle this head can trust is the series resolved by
+// its labels, as Add's are, and the new handle published on e. e.Labels is
+// retained as Add retains lset.
+func (a *Appender) AddEntry(e *labels.CacheEntry, t int64, v float64) {
+	h := e.Hash()
+	i := h & a.db.mask
+	a.byShard[i] = append(a.byShard[i], pendingSample{hash: h, lset: e.Labels, entry: e, t: t, v: v})
 	a.count++
 }
 
@@ -116,16 +130,35 @@ func (a *Appender) Commit() (int, error) {
 // counts per request.
 func (a *Appender) LastCommitStats() CommitStats { return a.lastStats }
 
+// seriesHandle is what the head publishes on a labels.CacheEntry: the series
+// the entry's labels resolved to and the shard they resolved in, which is
+// how a handle from another head — one closed since, or a replica's — is
+// told apart.
+type seriesHandle struct {
+	sh *headShard
+	s  *memSeries
+}
+
 // resolveBatch maps each pending sample to its memSeries, looking up the
 // whole batch under one read lock and creating any misses under one write
-// lock.
+// lock. A sample staged by AddEntry takes its entry's handle when the handle
+// is this shard's and its series is still attached (dropped is written under
+// the shard's write lock); otherwise it resolves by labels and publishes the
+// series it finds or creates on the entry.
 func (sh *headShard) resolveBatch(batch []pendingSample) []*memSeries {
 	out := make([]*memSeries, len(batch))
 	missing := false
 	sh.mu.RLock()
 	for i, p := range batch {
+		if p.entry != nil {
+			if h, _ := p.entry.Handle().(*seriesHandle); h != nil && h.sh == sh && !h.s.dropped {
+				out[i] = h.s
+				continue
+			}
+		}
 		if s := sh.lookupLocked(p.hash, p.lset); s != nil {
 			out[i] = s
+			sh.publish(p.entry, s)
 		} else {
 			missing = true
 		}
@@ -138,8 +171,17 @@ func (sh *headShard) resolveBatch(batch []pendingSample) []*memSeries {
 	for i, p := range batch {
 		if out[i] == nil {
 			out[i] = sh.getOrCreateLocked(p.hash, p.lset)
+			sh.publish(p.entry, out[i])
 		}
 	}
 	sh.mu.Unlock()
 	return out
+}
+
+// publish sets e's handle to s, a series of sh attached to it; a nil e is a
+// sample staged by labels. The caller holds sh.mu, in either mode.
+func (sh *headShard) publish(e *labels.CacheEntry, s *memSeries) {
+	if e != nil {
+		e.SetHandle(&seriesHandle{sh: sh, s: s})
+	}
 }

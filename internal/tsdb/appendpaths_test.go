@@ -85,15 +85,18 @@ func headDigest(t *testing.T, db *DB) string {
 	return fmt.Sprintf("%d series %x", len(all), h.Sum(nil))
 }
 
-// TestAppendPathsAgree drives one stream through DB.Append, DB.AppendSeries
-// and Appender.Commit into three WAL-backed heads. All three are the same
-// commitShard underneath, so the heads, what their journals replay to, the
-// refusals and the outcome counters must be the same.
+// TestAppendPathsAgree drives one stream through DB.Append, DB.AppendSeries,
+// Appender.AddEntry and Appender.Commit into four WAL-backed heads. All four
+// are the same commitShard underneath, so the heads, what their journals
+// replay to, the refusals and the outcome counters must be the same. The
+// AddEntry path keeps one entry per series for the whole stream, so after
+// the stream's DeleteSeries the handle it holds is of a dropped series.
 func TestAppendPathsAgree(t *testing.T) {
 	ops := appendStream(19)
 	lset := func(s int) labels.Labels {
 		return labels.FromStrings(labels.MetricName, fmt.Sprintf("paths_%02d", s), "job", "j")
 	}
+	entries := map[int]*labels.CacheEntry{}
 	// Each path applies one run and reports how many samples were too old.
 	paths := []struct {
 		name  string
@@ -117,6 +120,19 @@ func TestAppendPathsAgree(t *testing.T) {
 				return 1, nil
 			}
 			return 0, err
+		}},
+		{"AddEntry", func(db *DB, op appendOp) (int, error) {
+			e := entries[op.series]
+			if e == nil {
+				e = labels.NewCacheEntry(lset(op.series))
+				entries[op.series] = e
+			}
+			a := db.Appender()
+			for _, smp := range op.samples {
+				a.AddEntry(e, smp.T, smp.V)
+			}
+			_, err := a.Commit()
+			return a.LastCommitStats().TooOld, err
 		}},
 		{"Commit", func(db *DB, op appendOp) (int, error) {
 			a := db.Appender()
@@ -184,5 +200,65 @@ func TestAppendPathsAgree(t *testing.T) {
 			t.Errorf("%s: counters ooo=%d dups=%d tooOld=%d, %s has %d %d %d",
 				name, got.ooo, got.dups, got.tooOld3, paths[ref].name, want.ooo, want.dups, want.tooOld3)
 		}
+	}
+}
+
+// TestAddEntryTrustsOnlyItsHead: an entry whose handle another head
+// published — one closed and reopened from its journal since, or a second
+// head beside it — resolves by labels in the head it is committed to, and
+// its samples land there and journal there.
+func TestAddEntryTrustsOnlyItsHead(t *testing.T) {
+	dir := t.TempDir()
+	opts := Options{WALDir: dir, Shards: 4}
+	old, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := labels.NewCacheEntry(labels.FromStrings(labels.MetricName, "by_ref", "job", "j"))
+	commit := func(db *DB, ts int64) {
+		t.Helper()
+		a := db.Appender()
+		a.AddEntry(e, ts, float64(ts))
+		if n, err := a.Commit(); n != 1 || err != nil {
+			t.Fatalf("commit at %d: %d landed, err %v", ts, n, err)
+		}
+	}
+	commit(old, 1000)
+	commit(old, 2000)
+	if err := old.Close(); err != nil {
+		t.Fatal(err)
+	}
+	reopened, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	commit(reopened, 3000)
+	beside := MustOpen(Options{Shards: 4})
+	commit(beside, 4000)
+	commit(reopened, 5000)
+
+	count := func(db *DB) int {
+		all, err := db.Select(math.MinInt64, math.MaxInt64, labels.MustMatcher(labels.MatchEqual, labels.MetricName, "by_ref"))
+		if err != nil || len(all) != 1 {
+			t.Fatalf("select: %d series, err %v", len(all), err)
+		}
+		return len(all[0].Samples)
+	}
+	if got := count(reopened); got != 4 {
+		t.Errorf("reopened head holds %d samples, want 4: 2 replayed, 2 committed after", got)
+	}
+	if got := count(beside); got != 1 {
+		t.Errorf("second head holds %d samples, want 1", got)
+	}
+	if err := reopened.Close(); err != nil {
+		t.Fatal(err)
+	}
+	replayed, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer replayed.Close()
+	if got := count(replayed); got != 4 {
+		t.Errorf("replayed journal holds %d samples, want 4", got)
 	}
 }

@@ -35,9 +35,21 @@ func (db *DB) BatchAppend(batch []BatchSample) (int, error) {
 // old, or because an error cut the commit short; exact duplicates under
 // the out-of-order window are skipped, not refused, as in Append.
 func (db *DB) AppendBatch(lsets []labels.Labels, samples []model.Sample) (refused int, err error) {
+	return db.AppendEntries(nil, lsets, samples)
+}
+
+// AppendEntries is AppendBatch by ref (rules.EntryAppender): a sample whose
+// entries[i] is non-nil is staged with Appender.AddEntry, under
+// entries[i].Labels, and the others under lsets[i]. entries is nil or as
+// long as samples.
+func (db *DB) AppendEntries(entries []*labels.CacheEntry, lsets []labels.Labels, samples []model.Sample) (refused int, err error) {
 	a := db.Appender()
 	for i, s := range samples {
-		a.Add(lsets[i], s.T, s.V)
+		if entries != nil && entries[i] != nil {
+			a.AddEntry(entries[i], s.T, s.V)
+		} else {
+			a.Add(lsets[i], s.T, s.V)
+		}
 	}
 	n, err := a.Commit()
 	return len(samples) - n - a.LastCommitStats().Duplicates, err
