@@ -33,7 +33,9 @@ accounting:
 
 # The crash/corruption harness is randomized; run it twice, under race.
 # Covers v1 replay (committed fixture, v1 legs of the crash matrix), the
-# v1→v2 migration tests, one owner per WAL directory, and the graceful-stop
+# v1→v2 migration tests, the fixture of ref deletes and unbounded
+# tombstones (record types 6 and 8), crashes inside a delete's tombstone
+# record (type 9), one owner per WAL directory, and the graceful-stop
 # leg (the Prometheus role stopped by internal/serve mid remote-write: every
 # acked sample replays, no torn tail) too — they all match 'WAL'.
 wal-recovery:
@@ -102,12 +104,17 @@ telemetry:
 # raw ones (TestDownsampleProbeMatchesRaw) — and the migration of a store
 # an older build wrote (TestDownsampleMigratesOldStore), and the Prometheus
 # role's maintenance pass over 12 simulated hours, its aggregate answers
-# against raw ones (TestPrometheusBlockLifecycle) — randomized, so two
-# passes, under race. Set
+# against raw ones (TestPrometheusBlockLifecycle), and the delete oracle
+# (docs/ARCHITECTURE.md, "One delete"): random appends, deletes, ships,
+# compactions, downsampling and restarts against a model of every sample
+# minus what each delete took, at 1 and 16 shards, through the hot/cold
+# seam and a Paranoid range cache, and its ring leg (TestDeleteOracle,
+# TestDeleteOracleRing), with the tombstone log's bound
+# (TestTombstoneLog*) — randomized, so two passes, under race. Set
 # BLOCKS_ARTIFACT_DIR to keep the store directories of failing crash
 # states (CI uploads them on failure).
 blocks:
-	$(GO) test -race -count=2 -run 'Block|Compact|Downsample' ./internal/tsdb/ ./internal/thanos/ ./internal/cluster/
+	$(GO) test -race -count=2 -run 'Block|Compact|Downsample|DeleteOracle|TombstoneLog' ./internal/tsdb/ ./internal/thanos/ ./internal/cluster/
 
 # Head index harness (docs/ARCHITECTURE.md, "Head index"): the postings
 # property test — random matchers against a brute-force oracle, interleaved

@@ -62,7 +62,8 @@ type Updater struct {
 	// their TSDB series deleted to reduce cardinality; 0 disables.
 	ShortUnitCutoff time.Duration
 	// Cleaner is the TSDB to clean; nil disables cleanup. *tsdb.DB
-	// satisfies it, fanning the deletion across head shards.
+	// satisfies it with a tombstone through its newest sample, which its
+	// head and blocks obey (docs/ARCHITECTURE.md, "One delete").
 	Cleaner SeriesDeleter
 
 	// Stats, moved with sync/atomic: the health handler loads them while a

@@ -187,15 +187,16 @@ func (p *Prometheus) NewBatch() scrape.Batch {
 // Maintain runs the block lifecycle once at now; its owner calls it every
 // thanos.ship_interval. With a block store it is the store's maintenance
 // pass (ship, compact, downsample). Without one the head, or every live
-// ring member, is pruned to tsdb.retention; a down member is skipped, a
-// failed checkpoint is an error.
+// ring member, is pruned to tsdb.retention and retires the tombstones it
+// holds nothing of any more; a down member is skipped, a failed checkpoint
+// is an error.
 func (p *Prometheus) Maintain(now time.Time) error {
 	cutoff := now.Add(-p.cfg.TSDB.RetentionPeriod).UnixMilli()
 	switch {
 	case p.sidecar != nil:
 		compacted, downsampled, err := p.sidecar.Maintain(now, p.cfg.Thanos.ShipInterval)
 		if compacted > 0 || downsampled > 0 {
-			log.Printf("blocks: compacted %d block sets, downsampled %d blocks", compacted, downsampled)
+			log.Printf("blocks: wrote %d compacted or rewritten blocks, downsampled %d blocks", compacted, downsampled)
 		}
 		return err
 	case p.cfg.TSDB.RetentionPeriod <= 0:
@@ -211,6 +212,7 @@ func (p *Prometheus) Maintain(now time.Time) error {
 		return errors.Join(errs...)
 	default:
 		_, err := p.DB.Truncate(cutoff)
+		p.DB.RetireTombstones(nil)
 		return err
 	}
 }

@@ -384,13 +384,17 @@ func (r *RingDB) forEachLive(f func(m *Member, db *tsdb.DB)) {
 // plus the per-member outcome, sorted by name. Down members are skipped
 // with ErrNodeDown; partitioned and warming members still truncate, for
 // the same local-janitor reason forEachLive documents. A member whose WAL
-// checkpoint failed reports that error.
+// checkpoint failed reports that error. When every member is readable, so
+// none can still be missing a tombstone, each retires the tombstones its
+// head holds nothing of any more (tombstones.go).
 func (r *RingDB) Truncate(mint int64) (int, []MemberOutcome) {
 	_, members := r.snapshot()
 	names := sortedNames(members)
-	max := 0
+	max, synced := 0, true
 	out := make([]MemberOutcome, len(names))
 	for i, n := range names {
+		_, rerr := members[n].readable()
+		synced = synced && rerr == nil
 		db := members[n].db.Load()
 		if db == nil {
 			out[i] = MemberOutcome{Member: n, Err: ErrNodeDown}
@@ -400,6 +404,13 @@ func (r *RingDB) Truncate(mint int64) (int, []MemberOutcome) {
 		out[i] = MemberOutcome{Member: n, Count: cnt, Err: err}
 		if cnt > max {
 			max = cnt
+		}
+	}
+	if synced {
+		for _, n := range names {
+			if db := members[n].db.Load(); db != nil {
+				db.RetireTombstones(nil)
+			}
 		}
 	}
 	return max, out

@@ -3,8 +3,8 @@
 // reachable and hope — a member that was down or partitioned during the
 // delete would resurrect the series into the ring through handoff. Now
 // every delete allocates a monotonic sequence number and applies a durable
-// matcher-level tombstone (tsdb.ApplyTombstone — journalled to every shard
-// WAL of every member) on as many members as it can reach:
+// tombstone through the ring's newest sample (tsdb.ApplyTombstone —
+// journalled in every member's WAL) on as many members as it can reach:
 //
 //   - >= W members acked --> the delete is acked, exactly like a write.
 //   - a member that missed the tombstone is marked tombstone-stale: it
@@ -17,9 +17,15 @@
 // The resurrection invariant the chaos harness enforces: once a delete is
 // acked at W, no single-member kill / partition / rejoin sequence can bring
 // the deleted series back into a quorum read.
+//
+// A member retires a tombstone (tsdb.DB.RetireTombstones) only on a
+// Truncate that finds every member reachable, synced and holding the whole
+// log: a member that was down across a delete learns it through the union
+// before anyone forgets it.
 package cluster
 
 import (
+	"math"
 	"sort"
 
 	"repro/internal/labels"
@@ -27,10 +33,10 @@ import (
 	"repro/internal/workpool"
 )
 
-// ApplyTombstone applies one matcher-level delete to the member, honoring
-// fault injection. A nil error means the tombstone is journalled on the
-// member's WAL (same durability contract as BatchAppend).
-func (m *Member) ApplyTombstone(seq uint64, ms ...*labels.Matcher) (int, error) {
+// ApplyTombstone applies one delete to the member, honoring fault
+// injection. A nil error means the tombstone is journalled on the member's
+// WAL (same durability contract as BatchAppend).
+func (m *Member) ApplyTombstone(tr tsdb.TombstoneRec) (int, error) {
 	db, err := m.reachable()
 	if err != nil {
 		return 0, err
@@ -38,7 +44,7 @@ func (m *Member) ApplyTombstone(seq uint64, ms ...*labels.Matcher) (int, error) 
 	if m.diskFull.Load() {
 		return 0, ErrDiskFull
 	}
-	return db.ApplyTombstone(seq, ms...)
+	return db.ApplyTombstone(tr)
 }
 
 // MemberOutcome reports how one member fared in a cluster-wide maintenance
@@ -64,29 +70,33 @@ type DeleteOutcome struct {
 	Members []MemberOutcome
 }
 
-// DeleteSeriesQuorum deletes every series matching ms cluster-wide with
-// write-style quorum semantics: a tombstone with a fresh sequence number
-// fans out to EVERY member, and the delete is acked once W members applied
-// it durably. Members that missed it are excluded from reads (ErrNodeStale)
-// until SyncNode's tombstone union reaches them, so an acked delete can
-// never be resurrected into a merged answer. Returns the
-// per-member outcome; the error is a *QuorumWriteError when fewer than W
-// members acked (the tombstone stays applied wherever it landed — a
-// partial delete, like a partial write, is visible until retried).
+// DeleteSeriesQuorum deletes every series matching ms cluster-wide, up to
+// the ring's newest sample, with write-style quorum semantics: a tombstone
+// with a fresh sequence number fans out to EVERY member, and the delete is
+// acked once W members applied it durably. Members that missed it are
+// excluded from reads (ErrNodeStale) until SyncNode's tombstone union
+// reaches them, so an acked delete can never be resurrected into a merged
+// answer. Returns the per-member outcome; the error is a *QuorumWriteError
+// when fewer than W members acked (the tombstone stays applied wherever it
+// landed — a partial delete, like a partial write, is visible until
+// retried).
 func (r *RingDB) DeleteSeriesQuorum(ms ...*labels.Matcher) (DeleteOutcome, error) {
 	// Serialize deletes: seq allocation stays ordered, and deletes are rare
 	// enough that coordinator-side serialization is free.
 	r.deleteMu.Lock()
 	defer r.deleteMu.Unlock()
 	r.deleteSeq++
-	seq := r.deleteSeq
+	tr := tsdb.TombstoneRec{Seq: r.deleteSeq, MaxT: math.MinInt64, Matchers: ms}
+	if maxt, ok := r.MaxTime(); ok {
+		tr.MaxT = maxt
+	}
 
 	_, members := r.snapshot()
 	names := sortedNames(members)
-	out := DeleteOutcome{Seq: seq, Members: make([]MemberOutcome, len(names))}
+	out := DeleteOutcome{Seq: tr.Seq, Members: make([]MemberOutcome, len(names))}
 	workpool.Do(len(names), 0, func(i int) {
 		m := members[names[i]]
-		n, err := m.ApplyTombstone(seq, ms...)
+		n, err := m.ApplyTombstone(tr)
 		out.Members[i] = MemberOutcome{Member: names[i], Count: n, Err: err}
 	})
 
@@ -124,13 +134,13 @@ func (r *RingDB) DeleteSeries(ms ...*labels.Matcher) int {
 // convergence beats resurrection). Returns how many tombstones were newly
 // applied to the target.
 func syncTombstones(target *tsdb.DB, sources ...*tsdb.DB) (int, error) {
-	union := make(map[uint64][]*labels.Matcher)
+	union := make(map[uint64]tsdb.TombstoneRec)
 	for _, src := range sources {
 		if src == nil {
 			continue
 		}
 		for _, tr := range src.Tombstones() {
-			union[tr.Seq] = tr.Matchers
+			union[tr.Seq] = tr
 		}
 	}
 	seqs := make([]uint64, 0, len(union))
@@ -147,7 +157,7 @@ func syncTombstones(target *tsdb.DB, sources ...*tsdb.DB) (int, error) {
 		if _, ok := have[seq]; ok {
 			continue
 		}
-		if _, err := target.ApplyTombstone(seq, union[seq]...); err != nil {
+		if _, err := target.ApplyTombstone(union[seq]); err != nil {
 			return applied, err
 		}
 		applied++

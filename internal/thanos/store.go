@@ -10,6 +10,7 @@ package thanos
 // docs/ARCHITECTURE.md for the full lifecycle.
 
 import (
+	"cmp"
 	"fmt"
 	"maps"
 	"math"
@@ -45,14 +46,17 @@ const compactionFactor = 3
 //
 // The store is the cold half of the hot/cold seam: the sidecar cuts
 // immutable blocks out of the hot head into it (CutHead), Compact folds
-// them into larger higher-level blocks (applying delete tombstones), and
-// Downsample derives 5m/1h-style aggregate siblings that long-range
-// queries read instead of raw chunks.
+// them into larger higher-level blocks and rewrites every block that still
+// holds a sample a delete tombstone deletes, and Downsample derives
+// 5m/1h-style aggregate siblings that long-range queries read instead of
+// raw chunks.
 type Store struct {
 	dir string
 
 	mu     sync.RWMutex
 	blocks []*tsdb.PersistentBlock // sorted by MinTime
+	tombs  []tsdb.TombstoneRec     // the log the last Compact was given (adopt); Downsample obeys it
+	clean  []tsdb.TombstoneRec     // the log the last Compact left no block holding a sample of
 
 	metrics *storeMetrics
 	lock    *dirlock.Lock // nil for an in-memory store
@@ -328,27 +332,78 @@ func (s *Store) mergeBlockLists(list func(*tsdb.PersistentBlock) []string) []str
 
 // Compact runs the leveled compaction loop to a fixpoint: runs of
 // compactionFactor consecutive same-level blocks of one resolution are
-// folded into one block of the next level. Matcher tombstones — typically
-// DB.Tombstones() from the hot head — drop deleted series from the merged
-// output, propagating deletes into cold storage. Blocks that overlap (a
-// crash window, a re-ship) merge when their run comes up; until then the
-// read path dedups them.
+// folded into one block of the next level. The tombstones — the hot head's
+// DB.Tombstones() — drop the samples they delete from every block written,
+// propagating deletes into cold storage, and then every block that still
+// holds such a sample is rewritten without it, at its own level
+// (tsdb.RewritePersistentBlock), so a tombstone leaves the blocks at the
+// first compaction after it, and may retire from the head's log at the
+// next Ship (holds). Later Downsample passes obey the same tombstones,
+// sorted by seq as DB.Tombstones returns them. Blocks that overlap (a crash
+// window, a re-ship) merge when their run comes up; until then the read
+// path dedups them.
 //
-// Each merge publishes the new block durably before deleting its sources;
-// a crash in between leaves duplicates the read path dedups and NewStore's
-// GC removes. Returns the number of compactions executed.
+// Each merge or rewrite publishes the new block durably before deleting its
+// sources; a crash in between leaves duplicates the read path dedups and
+// NewStore's GC removes. Returns the number of blocks written.
 func (s *Store) Compact(tombs []tsdb.TombstoneRec) (int, error) {
+	s.adopt(tombs)
 	n := 0
 	for {
 		plan := s.planCompaction()
 		if plan == nil {
-			return n, nil
+			break
 		}
-		if err := s.compactSet(plan, tombs); err != nil {
+		if err := s.compactSet(plan, func() (*tsdb.PersistentBlock, error) {
+			return tsdb.CompactPersistentBlocks(s.dir, plan, tombs)
+		}); err != nil {
 			return n, err
 		}
 		n++
 	}
+	var touched []*tsdb.PersistentBlock
+	if len(tombs) > 0 {
+		s.mu.RLock()
+		for _, b := range s.blocks {
+			if b.HoldsDeleted(tombs) {
+				touched = append(touched, b)
+			}
+		}
+		s.mu.RUnlock()
+	}
+	for _, b := range touched {
+		plan := []*tsdb.PersistentBlock{b}
+		if err := s.compactSet(plan, func() (*tsdb.PersistentBlock, error) {
+			return tsdb.RewritePersistentBlock(s.dir, b, tombs)
+		}); err != nil {
+			return n, err
+		}
+		n++
+	}
+	// A block written later obeys tombs too: a cut holds only what the head
+	// kept, and a downsampling pass reads through them.
+	s.mu.Lock()
+	s.clean = tombs
+	s.mu.Unlock()
+	return n, nil
+}
+
+// adopt makes tombs the log later Downsample passes obey.
+func (s *Store) adopt(tombs []tsdb.TombstoneRec) {
+	s.mu.Lock()
+	s.tombs = tombs
+	s.mu.Unlock()
+}
+
+// holds reports whether a block of the store may hold a sample tr deletes:
+// unless the last Compact was given tr, and so rewrote every block that
+// held one, it may. The sidecar's Ship retires by it, so the blocks are
+// scanned for what a tombstone deletes once per pass, by Compact.
+func (s *Store) holds(tr tsdb.TombstoneRec) bool {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	_, found := slices.BinarySearchFunc(s.clean, tr.Seq, func(c tsdb.TombstoneRec, seq uint64) int { return cmp.Compare(c.Seq, seq) })
+	return !found
 }
 
 // planCompaction picks the next set of blocks to merge, or nil: the first
@@ -375,11 +430,11 @@ func (s *Store) planCompaction() []*tsdb.PersistentBlock {
 	return nil
 }
 
-// compactSet merges plan into one block, publishes it, then retires the
-// sources (publish-before-delete).
-func (s *Store) compactSet(plan []*tsdb.PersistentBlock, tombs []tsdb.TombstoneRec) error {
+// compactSet writes plan's replacement, publishes it, then retires plan
+// (publish-before-delete).
+func (s *Store) compactSet(plan []*tsdb.PersistentBlock, write func() (*tsdb.PersistentBlock, error)) error {
 	start := time.Now()
-	nb, err := tsdb.CompactPersistentBlocks(s.dir, plan, tombs)
+	nb, err := write()
 	if err != nil {
 		return fmt.Errorf("thanos: compact: %w", err)
 	}
@@ -410,11 +465,12 @@ func (s *Store) compactSet(plan []*tsdb.PersistentBlock, tombs []tsdb.TombstoneR
 // it writes one block of the whole buckets from where the newest block of
 // the resolution ends up to the last bucket boundary inside both that source
 // and [.., before) (tsdb.DownsamplePersistentBlocks), read from every source
-// block with samples there; the bucket a source ends inside waits for the
-// block that completes it. A range without a sample to aggregate is written
-// as a block with no series, so no later pass reads it again. Sources are
-// KEPT: raw and downsampled siblings coexist and SelectWithHints picks per
-// query. The call is idempotent. Returns the number of blocks created.
+// block with samples there, without what the head's tombstones delete (as
+// last given to Compact, or seen by the sidecar's Ship); the bucket a
+// source ends inside waits for the block that completes it. A range
+// without a sample to aggregate is written as a block with no series, so no
+// later pass reads it again. Sources are KEPT: raw and downsampled siblings
+// coexist and SelectWithHints picks per query. The call is idempotent. Returns the number of blocks created.
 func (s *Store) Downsample(before int64, resolution time.Duration) (int, error) {
 	res, srcRes := resolution.Milliseconds(), int64(0)
 	if res <= 0 {
@@ -428,6 +484,7 @@ func (s *Store) Downsample(before int64, resolution time.Duration) (int, error) 
 		next = int64(math.MinInt64)  // where the next range starts
 	)
 	s.mu.RLock()
+	tombs := s.tombs
 	for _, b := range s.blocks {
 		if m := b.Meta(); m.Resolution == res {
 			next = max(next, m.MaxTime+1)
@@ -459,7 +516,7 @@ func (s *Store) Downsample(before int64, resolution time.Duration) (int, error) 
 			}
 		}
 		// A derived block starts at level 1, as a cut does, and compacts like one.
-		nb, err := tsdb.DownsamplePersistentBlocks(s.dir, tsdb.BlockMeta{MinTime: from, MaxTime: to - 1, Level: 1, Resolution: res}, in)
+		nb, err := tsdb.DownsamplePersistentBlocks(s.dir, tsdb.BlockMeta{MinTime: from, MaxTime: to - 1, Level: 1, Resolution: res}, in, tombs)
 		if err != nil {
 			return n, fmt.Errorf("thanos: downsample: %w", err)
 		}

@@ -7,7 +7,7 @@
 //
 // The store half lives in store.go: blocks are ULID-named directories in
 // the on-disk format of tsdb/blockdir.go, compaction folds same-resolution
-// blocks into higher levels (applying delete tombstones), and
+// blocks into higher levels and rewrites what delete tombstones touch, and
 // downsampling adds 5m/1h-style aggregate siblings next to the raw blocks.
 // The resolution a read may serve is decided here; the read is tsdb's
 // (tsdb.Sources). See docs/ARCHITECTURE.md for the full storage lifecycle.
@@ -39,7 +39,10 @@ type Sidecar struct {
 }
 
 // Ship cuts everything since the previous ship (up to now) into the store
-// as one block, then truncates the head to HeadRetention. The first ship of
+// as one block, truncates the head to HeadRetention, and retires the head's
+// tombstones that neither the head nor a block holds a sample of any more
+// (tsdb.DB.RetireTombstones): the head's oldest sample is past them, and
+// the last Store.Compact was given them. The first ship of
 // a sidecar starts at the head's oldest sample, or after the newest raw
 // block the store already holds if that is later, so a restarted head's
 // replayed samples are not cut a second time. (A downsampled block ends on
@@ -77,16 +80,19 @@ func (sc *Sidecar) Ship(now time.Time) error {
 			return err
 		}
 	}
+	sc.DB.RetireTombstones(sc.Store.holds)
 	return nil
 }
 
 // Maintain is the block store's one maintenance pass, run every cadence: it
 // ships the head's cut (the sidecar's owner sets HeadRetention to 2x the
 // cadence, so lookback windows never straddle a gap); compacts with the
-// head's tombstones; and derives 5m aggregates of the raw blocks up to 2x
+// head's tombstones, which rewrites every block holding a sample one
+// deletes; and derives 5m aggregates of the raw blocks up to 2x
 // the cadence ago and 1h aggregates of the 5m blocks up to 10x ago. A failed
-// ship ends the pass; later failures are joined. It returns how many
-// compactions ran and how many downsampled blocks were written.
+// ship ends the pass; later failures are joined. It returns how many blocks
+// compaction wrote, merged or rewritten, and how many downsampled blocks
+// were written.
 func (sc *Sidecar) Maintain(now time.Time, cadence time.Duration) (compacted, downsampled int, err error) {
 	if err := sc.Ship(now); err != nil {
 		return 0, 0, err

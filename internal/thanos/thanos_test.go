@@ -629,7 +629,7 @@ func TestStoreLabelValuesForgetTombstonedSeries(t *testing.T) {
 	}
 	checkLabels(t, "after register", store, labelOracle(t, store, nil))
 
-	if _, err := db.ApplyTombstone(1, labels.MustMatcher(labels.MatchEqual, "uuid", "2")); err != nil {
+	if _, err := db.Delete(299, labels.MustMatcher(labels.MatchEqual, "uuid", "2")); err != nil {
 		t.Fatal(err)
 	}
 	if n, err := store.Compact(db.Tombstones()); err != nil || n != 1 {

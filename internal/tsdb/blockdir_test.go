@@ -375,7 +375,7 @@ func cutMem(t *testing.T, db *DB) *PersistentBlock {
 // level: the range a store derives b's data in when b is its only source.
 func downsampleWhole(parent string, b *PersistentBlock, res int64) (*PersistentBlock, error) {
 	meta := BlockMeta{MinTime: floorDiv(b.meta.MinTime, res) * res, MaxTime: (floorDiv(b.meta.MaxTime, res)+1)*res - 1, Level: b.meta.Level, Resolution: res}
-	return DownsamplePersistentBlocks(parent, meta, []*PersistentBlock{b})
+	return DownsamplePersistentBlocks(parent, meta, []*PersistentBlock{b}, nil)
 }
 
 // TestCompactPersistentBlocks: merging overlapping blocks dedups on
@@ -431,7 +431,7 @@ func TestCompactPersistentBlocks(t *testing.T) {
 	}
 
 	// Tombstones drop whole series during the merge.
-	tombs := []TombstoneRec{{Seq: 1, Matchers: []*labels.Matcher{
+	tombs := []TombstoneRec{{Seq: 1, MaxT: 4000, Matchers: []*labels.Matcher{
 		labels.MustMatcher(labels.MatchEqual, "s", "a"),
 	}}}
 	nb2, err := CompactPersistentBlocks("", []*PersistentBlock{b1, b2, b3}, tombs)
@@ -543,7 +543,7 @@ func deriveByRange(t *testing.T, blocks []*PersistentBlock, res int64) []*Persis
 				in = append(in, o)
 			}
 		}
-		d, err := DownsamplePersistentBlocks("", BlockMeta{MinTime: next, MaxTime: to - 1, Level: 1, Resolution: res}, in)
+		d, err := DownsamplePersistentBlocks("", BlockMeta{MinTime: next, MaxTime: to - 1, Level: 1, Resolution: res}, in, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -276,6 +276,62 @@ func BenchmarkBlockSelect(b *testing.B) {
 	}
 }
 
+// BenchmarkBlockSelectAfterDeletes measures one job's panel read through a
+// head and a month-long block while the API server cleans short units: the
+// head's log holds 500 to 1 000 two-matcher deletes of jobs in the block,
+// and one more is made before every read. Each run of 500 iterations starts
+// from a fresh head holding the 500.
+func BenchmarkBlockSelectAfterDeletes(b *testing.B) {
+	for _, n := range []int{2000, 200_000} {
+		b.Run(fmt.Sprintf("one_job_of_%dk", n/1000), func(b *testing.B) {
+			if testing.Short() && n > 2000 {
+				b.Skip("200k-series block skipped in -short mode")
+			}
+			const logged = 500
+			jobs := (n - 1400) / 4
+			pb := churnedBlock(b, n)
+			job := 0
+			deleteJob := func(db *DB) {
+				job = (job + 1) % jobs
+				if job == 42 {
+					job++ // the job read
+				}
+				db.DeleteSeries(
+					labels.MustMatcher(labels.MatchEqual, "uuid", fmt.Sprint(1_000_000+job)),
+					labels.MustMatcher(labels.MatchEqual, "manager", "slurm"),
+				)
+			}
+			fresh := func() *DB {
+				db := MustOpen(Options{Shards: 2})
+				for i := 0; i < 1400; i++ {
+					if err := db.Append(labels.FromStrings(labels.MetricName, "ceems_ipmi_dcmi_current_watts", "instance", fmt.Sprintf("n%04d:9100", i)), 50_000, 1); err != nil {
+						b.Fatal(err)
+					}
+				}
+				for i := 0; i < logged; i++ {
+					deleteJob(db)
+				}
+				return db
+			}
+			src := Sources{Head: fresh(), Blocks: []*PersistentBlock{pb}}
+			hints := model.SelectHints{Start: 0, End: 1 << 40}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if i > 0 && i%logged == 0 {
+					b.StopTimer()
+					src.Head = fresh()
+					b.StartTimer()
+				}
+				deleteJob(src.Head)
+				if got, err := src.Select(hints, oneJobMatchers...); err != nil || len(got) != 1 {
+					b.Fatalf("selected %d series, err %v; want 1", len(got), err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkBlockOpen measures opening a block directory — index decode plus
 // the index build — and reports what the open block keeps resident per
 // series and what its index file takes on disk per series.

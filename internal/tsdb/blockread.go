@@ -20,6 +20,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/labels"
 	"repro/internal/model"
@@ -47,6 +48,16 @@ type PersistentBlock struct {
 	refs   int
 	closed bool
 	munmap func() error
+
+	// deleted is what the tombstone log a read last brought deletes of the
+	// block (deletedBy): resolved once per block per change of the log.
+	deleted atomic.Pointer[blockDeletions]
+}
+
+// blockDeletions is deletions(b, log.recs), keyed by the log it resolved.
+type blockDeletions struct {
+	log *tombLog
+	at  []deletion
 }
 
 // OpenBlockDir opens a block directory written by writeBlockDir, validating
@@ -235,6 +246,39 @@ func (pb *PersistentBlock) forMatching(ms []*labels.Matcher, visit func(pos uint
 			return
 		}
 	}
+}
+
+// deletedBy lists what log deletes of the block's series (deletions),
+// resolving the log against the block's index only when it is not the log
+// the block last resolved. A log that only adds tombstones to that one, as
+// every delete makes, costs the resolution of the added ones and, when they
+// delete a sample of the block, a merge; one that dropped some
+// (RetireTombstones) is resolved afresh.
+func (pb *PersistentBlock) deletedBy(log *tombLog) []deletion {
+	last := pb.deleted.Load()
+	if last == nil {
+		last = &blockDeletions{log: new(tombLog)}
+	}
+	if last.log == log {
+		return last.at
+	}
+	at := last.at
+	added, ok := log.addedSince(last.log)
+	if !ok {
+		at, added = nil, log.recs
+	}
+	if fresh := deletions(pb, added); len(fresh) > 0 {
+		at = mergeDeletions(at, fresh)
+	}
+	pb.deleted.Store(&blockDeletions{log: log, at: at})
+	return at
+}
+
+// HoldsDeleted reports whether the block holds a sample some tombstone of
+// tombs deletes: a sample (or, in a downsampled block, a bucket's point) at
+// or before the tombstone's maxt of a series it matches.
+func (pb *PersistentBlock) HoldsDeleted(tombs []TombstoneRec) bool {
+	return len(deletions(pb, tombs)) > 0
 }
 
 // LabelNames returns the sorted label names the block's series carry. The

@@ -4,15 +4,17 @@ package tsdb
 //
 // Both k-way merge their inputs' series by labels (walker.walk), each run of
 // equal label sets one output series whose members' streams merge per
-// timestamp, the earliest block winning as on the read path. The copy fold
-// (CompactPersistentBlocks, which also drops tombstoned series) writes the
-// merged streams as they are; the bucket fold (DownsamplePersistentBlocks)
+// timestamp, the earliest block winning as on the read path, without the
+// samples a tombstone deletes (those at or before its maxt). The copy fold
+// (CompactPersistentBlocks, RewritePersistentBlock) writes the merged
+// streams as they are; the bucket fold (DownsamplePersistentBlocks)
 // stores, per whole bucket [bs, bs+res) of a range, the sum, count, min and
 // max of its non-stale samples — or of a finer block's aggregates, which
 // preserves exactness — each its own chunk stream, at bs+res-1. What is
 // resident is one series' decoded samples plus the output's encoded chunks.
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -22,10 +24,11 @@ import (
 )
 
 // CompactPersistentBlocks merges blocks (all of one resolution) into a new
-// persistent block under parent (in memory when parent == ""), applying the
-// tombstones. Sources are NOT deleted — the caller deletes them after the
-// returned block is durably published. On a timestamp collision within a
-// series the earliest block in blocks order wins.
+// persistent block under parent (in memory when parent == ""), one level
+// up, without the samples tombs delete. Sources are NOT deleted — the caller
+// deletes them after the returned block is durably published. On a
+// timestamp collision within a series the earliest block in blocks order
+// wins.
 func CompactPersistentBlocks(parent string, blocks []*PersistentBlock, tombs []TombstoneRec) (*PersistentBlock, error) {
 	if len(blocks) == 0 {
 		return nil, fmt.Errorf("tsdb: compact: no input blocks")
@@ -47,6 +50,21 @@ func CompactPersistentBlocks(parent string, blocks []*PersistentBlock, tombs []T
 		meta.Level = max(meta.Level, b.meta.Level+1)
 		meta.Sources = append(meta.Sources, b.meta.ULID)
 	}
+	return copyBlocks(parent, meta, blocks, tombs)
+}
+
+// RewritePersistentBlock writes b again under parent without the samples
+// tombs delete: the same resolution, level and (for a downsampled block, or
+// one left without series) bounds, with b its one source.
+func RewritePersistentBlock(parent string, b *PersistentBlock, tombs []TombstoneRec) (*PersistentBlock, error) {
+	meta := b.meta
+	meta.ULID, meta.Sources = "", []string{b.meta.ULID}
+	return copyBlocks(parent, &meta, []*PersistentBlock{b}, tombs)
+}
+
+// copyBlocks is the copy fold: blocks' merged streams, every aggregate of
+// every series, written as the block meta describes.
+func copyBlocks(parent string, meta *BlockMeta, blocks []*PersistentBlock, tombs []TombstoneRec) (*PersistentBlock, error) {
 	w := &walker{blocks: blocks, mint: math.MinInt64, maxt: math.MaxInt64}
 	sc := seriesCutter{maxPerChunk: defaultSamplesPerChunk}
 	series, err := w.walk(tombs, func(run []blockSeriesRef) ([]diskChunk, error) {
@@ -75,12 +93,13 @@ func CompactPersistentBlocks(parent string, blocks []*PersistentBlock, tombs []T
 // DownsamplePersistentBlocks derives the block meta describes — the whole
 // buckets of meta.Resolution over [meta.MinTime, meta.MaxTime], at
 // meta.Level — under parent (in memory when parent == "") from that range
-// of blocks, all raw or all of one finer resolution dividing the target;
+// of blocks, all raw or all of one finer resolution dividing the target,
+// without the samples (or the finer buckets, by their end) tombs delete;
 // they stay in place, and its sources are them. A range with no non-stale
 // sample is a block with no series, which records that the range is
 // derived; sources whose aggregate streams disagree are an error naming
 // them and the series.
-func DownsamplePersistentBlocks(parent string, meta BlockMeta, blocks []*PersistentBlock) (*PersistentBlock, error) {
+func DownsamplePersistentBlocks(parent string, meta BlockMeta, blocks []*PersistentBlock, tombs []TombstoneRec) (*PersistentBlock, error) {
 	res := meta.Resolution
 	if res <= 0 || floorDiv(meta.MinTime, res)*res != meta.MinTime || floorDiv(meta.MaxTime+1, res)*res != meta.MaxTime+1 || meta.MinTime > meta.MaxTime {
 		return nil, fmt.Errorf("tsdb: downsample: [%d, %d] is not whole buckets of a positive resolution %d", meta.MinTime, meta.MaxTime, res)
@@ -102,7 +121,7 @@ func DownsamplePersistentBlocks(parent string, meta BlockMeta, blocks []*Persist
 		d.cuts[k] = seriesCutter{aggr: AggrSum + AggrType(k), maxPerChunk: defaultSamplesPerChunk}
 	}
 	var src [4][]model.Sample // raw alone, or sum, count, min, max
-	series, err := w.walk(nil, func(run []blockSeriesRef) ([]diskChunk, error) {
+	series, err := w.walk(tombs, func(run []blockSeriesRef) ([]diskChunk, error) {
 		if srcRes == 0 {
 			raw, err := w.merged(run, AggrRaw)
 			if err != nil {
@@ -148,6 +167,7 @@ func DownsamplePersistentBlocks(parent string, meta BlockMeta, blocks []*Persist
 type walker struct {
 	blocks     []*PersistentBlock
 	mint, maxt int64
+	from       int64                         // the folded run is read from here: past what a tombstone deletes of it
 	streams    [AggrMax + 1][][]model.Sample // per aggregate, a run member's scratch
 }
 
@@ -160,8 +180,8 @@ type blockSeriesRef struct {
 // walk merges the blocks' series by labels and calls fold once per output
 // series: a run of equal label sets in block order (a block holds a label
 // set once), so that its first member is from the block that wins a shared
-// timestamp. A run some tombstone deletes is skipped; a series fold returns
-// no chunks for is left out.
+// timestamp. The run is read past the newest sample a tombstone deletes of
+// it (w.from); a series fold returns no chunks for is left out.
 func (w *walker) walk(tombs []TombstoneRec, fold func(run []blockSeriesRef) ([]diskChunk, error)) ([]diskSeries, error) {
 	n := 0
 	for _, b := range w.blocks {
@@ -179,7 +199,10 @@ func (w *walker) walk(tombs []TombstoneRec, fold func(run []blockSeriesRef) ([]d
 	// With a nil combine the merge keeps every series, equal label sets next
 	// to each other in block order.
 	all := model.MergeSorted(parts, func(a, b blockSeriesRef) int { return labels.Compare(a.s.lset, b.s.lset) }, nil)
-	dead := deadSeries(w.blocks, tombs)
+	dels := make([][]deletion, len(w.blocks))
+	for bi, b := range w.blocks {
+		dels[bi] = deletions(b, tombs)
+	}
 	var series []diskSeries
 	for lo := 0; lo < len(all); {
 		hi := lo + 1
@@ -188,8 +211,13 @@ func (w *walker) walk(tombs []TombstoneRec, fold func(run []blockSeriesRef) ([]d
 		}
 		run := all[lo:hi]
 		lo = hi
-		// Tombstones match labels, so one member's verdict is the run's.
-		if dead != nil && dead[run[0].blk][run[0].pos] {
+		w.from = w.mint
+		for _, r := range run {
+			if t, ok := deletedThrough(dels[r.blk], r.pos); ok {
+				w.from = max(w.from, after(t))
+			}
+		}
+		if w.from > w.maxt {
 			continue
 		}
 		chunks, err := fold(run)
@@ -213,7 +241,7 @@ func (w *walker) merged(run []blockSeriesRef, aggr AggrType) ([]model.Sample, er
 	st := w.streams[aggr][:len(run)]
 	for j, r := range run {
 		var err error
-		if st[j], err = w.blocks[r.blk].appendStream(st[j][:0], r.s, aggr, w.mint, w.maxt); err != nil {
+		if st[j], err = w.blocks[r.blk].appendStream(st[j][:0], r.s, aggr, w.from, w.maxt); err != nil {
 			return nil, err
 		}
 	}
@@ -239,29 +267,81 @@ func alignedAggrs(src *[4][]model.Sample) error {
 	return nil
 }
 
-// deadSeries marks, per block, the positions of the series some tombstone
-// deletes, each tombstone resolved once per block through its index. A
-// tombstone without matchers deletes nothing; nil means nothing is dead.
-func deadSeries(blocks []*PersistentBlock, tombs []TombstoneRec) [][]bool {
-	var dead [][]bool
+// deletion is what tombstones delete of the series at pos of a block: its
+// samples through maxt.
+type deletion struct {
+	pos  uint32
+	maxt int64
+}
+
+// deletions lists, sorted by position, every series of b that holds a sample
+// a tombstone deletes, with the newest time any of them deletes through; each
+// tombstone is resolved once through the block's index. A tombstone without
+// matchers, or older than the block, deletes nothing.
+func deletions(b *PersistentBlock, tombs []TombstoneRec) []deletion {
+	var through map[uint32]int64
 	for _, t := range tombs {
-		if len(t.Matchers) == 0 {
+		if len(t.Matchers) == 0 || t.MaxT < b.meta.MinTime {
 			continue
 		}
-		if dead == nil {
-			dead = make([][]bool, len(blocks))
-			for bi, b := range blocks {
-				dead[bi] = make([]bool, len(b.series))
-			}
-		}
-		for bi, b := range blocks {
-			b.forMatching(t.Matchers, func(pos uint32) bool {
-				dead[bi][pos] = true
+		b.forMatching(t.Matchers, func(pos uint32) bool {
+			if !slices.ContainsFunc(b.series[pos].chunks, func(c diskChunk) bool { return c.minT <= t.MaxT }) {
 				return true
-			})
+			}
+			if through == nil {
+				through = make(map[uint32]int64)
+			}
+			if cur, ok := through[pos]; !ok || t.MaxT > cur {
+				through[pos] = t.MaxT
+			}
+			return true
+		})
+	}
+	var del []deletion
+	for pos, t := range through {
+		del = append(del, deletion{pos, t})
+	}
+	slices.SortFunc(del, func(a, b deletion) int { return cmp.Compare(a.pos, b.pos) })
+	return del
+}
+
+// deletedThrough returns the time del deletes the series at pos through, and
+// false when it deletes none of its samples.
+func deletedThrough(del []deletion, pos uint32) (int64, bool) {
+	i, ok := slices.BinarySearchFunc(del, pos, func(d deletion, pos uint32) int { return cmp.Compare(d.pos, pos) })
+	if !ok {
+		return 0, false
+	}
+	return del[i].maxt, true
+}
+
+// mergeDeletions returns the deletions of a and b, sorted by position; it
+// may be b.
+func mergeDeletions(a, b []deletion) []deletion {
+	if len(a) == 0 {
+		return b
+	}
+	out := make([]deletion, 0, len(a)+len(b))
+	for len(a) > 0 && len(b) > 0 {
+		switch {
+		case a[0].pos < b[0].pos:
+			out, a = append(out, a[0]), a[1:]
+		case b[0].pos < a[0].pos:
+			out, b = append(out, b[0]), b[1:]
+		default:
+			out = append(out, deletion{a[0].pos, max(a[0].maxt, b[0].maxt)})
+			a, b = a[1:], b[1:]
 		}
 	}
-	return dead
+	return append(append(out, a...), b...)
+}
+
+// after is the first time past t, or math.MaxInt64 when there is none.
+func after(t int64) int64 {
+	if t == math.MaxInt64 {
+		return t
+	}
+	return t + 1
 }
 
 // floorDiv is integer division rounding toward negative infinity, so bucket

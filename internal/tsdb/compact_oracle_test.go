@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -129,14 +130,27 @@ func chunksFromSamples(samples []model.Sample, aggr AggrType, maxPerChunk int) (
 	return out, nil
 }
 
-// tombstoned reports whether lset matches any tombstone's matcher set.
-func tombstoned(lset labels.Labels, tombs []TombstoneRec) bool {
+// withoutDeleted drops from as's streams the points at or before the
+// newest maxt of the tombstones whose matchers lset satisfies.
+func withoutDeleted(as aggrSeries, tombs []TombstoneRec) aggrSeries {
+	floor, del := int64(math.MinInt64), false
 	for _, t := range tombs {
-		if len(t.Matchers) > 0 && labels.MatchLabels(lset, t.Matchers...) {
-			return true
+		if len(t.Matchers) > 0 && labels.MatchLabels(as.lset, t.Matchers...) {
+			floor, del = max(floor, t.MaxT), true
 		}
 	}
-	return false
+	if !del {
+		return as
+	}
+	out := aggrSeries{lset: as.lset, streams: map[AggrType][]model.Sample{}}
+	for a, st := range as.streams {
+		for _, smp := range st {
+			if smp.T > floor {
+				out.streams[a] = append(out.streams[a], smp)
+			}
+		}
+	}
+	return out
 }
 
 // mergeAggrSeriesLists merges per-block series lists (each label-sorted)
@@ -196,7 +210,7 @@ func oracleCompact(parent string, blocks []*PersistentBlock, tombs []TombstoneRe
 	merged := mergeAggrSeriesLists(lists)
 	kept := merged[:0]
 	for _, as := range merged {
-		if !tombstoned(as.lset, tombs) {
+		if as = withoutDeleted(as, tombs); len(as.streams) > 0 {
 			kept = append(kept, as)
 		}
 	}
@@ -396,17 +410,21 @@ func randMaintenanceHead(t *testing.T, rng *rand.Rand, pool []labels.Labels, sta
 	return db
 }
 
-// randTombstones draws up to two matcher-level tombstones — equality,
-// negation, regexps and {name=""} — and one without matchers, which
-// deletes nothing.
-func randTombstones(rng *rand.Rand) []TombstoneRec {
-	tombs := []TombstoneRec{{Seq: 1}}
+// randTombstones draws up to two tombstones — equality, negation, regexps
+// and {name=""}, through a time within the span of the inputs or through
+// the end of time — and one without matchers, which deletes nothing.
+func randTombstones(rng *rand.Rand, span int64) []TombstoneRec {
+	tombs := []TombstoneRec{{Seq: 1, MaxT: math.MaxInt64}}
 	for i, n := 0, rng.Intn(3); i < n; i++ {
 		ms := randPostingsMatchers(rng)[:1]
 		if rng.Intn(2) == 0 { // narrowed to one metric, so the output is seldom empty
 			ms = append(ms, labels.MustMatcher(labels.MatchEqual, labels.MetricName, fmt.Sprintf("m%d", rng.Intn(4))))
 		}
-		tombs = append(tombs, TombstoneRec{Seq: uint64(i + 2), Matchers: ms})
+		maxt := int64(math.MaxInt64)
+		if rng.Intn(3) > 0 {
+			maxt = rng.Int63n(4 * span)
+		}
+		tombs = append(tombs, TombstoneRec{Seq: uint64(i + 2), MaxT: maxt, Matchers: ms})
 	}
 	rng.Shuffle(len(tombs), func(i, j int) { tombs[i], tombs[j] = tombs[j], tombs[i] })
 	return tombs
@@ -415,9 +433,10 @@ func randTombstones(rng *rand.Rand) []TombstoneRec {
 // TestCompactMatchesOracleRandom: over random inputs — cuts with random
 // chunk sizes, out-of-order samples and stale markers; overlapping and
 // disjoint windows; series only some blocks hold; raw blocks and 2-hop
-// downsampled ones; random tombstones, the one that deletes everything
-// among them — compaction writes the block the old whole-block path wrote,
-// byte for byte, with the same meta.
+// downsampled ones; random time-bounded tombstones, the one that deletes
+// everything among them — compaction writes the block the old whole-block
+// path wrote, without the deleted samples, byte for byte, with the same
+// meta.
 func TestCompactMatchesOracleRandom(t *testing.T) {
 	trials := 60
 	if testing.Short() {
@@ -463,9 +482,9 @@ func TestCompactMatchesOracleRandom(t *testing.T) {
 		if len(blocks) == 0 {
 			continue
 		}
-		tombs := randTombstones(rng)
+		tombs := randTombstones(rng, span)
 		if rng.Intn(8) == 0 {
-			tombs = append(tombs, TombstoneRec{Seq: 9, Matchers: []*labels.Matcher{labels.MustMatcher(labels.MatchRegexp, labels.MetricName, ".+")}})
+			tombs = append(tombs, TombstoneRec{Seq: 9, MaxT: math.MaxInt64, Matchers: []*labels.Matcher{labels.MustMatcher(labels.MatchRegexp, labels.MetricName, ".+")}})
 		}
 		what := fmt.Sprintf("trial %d (%d blocks, disjoint %v, downsampled %v, tombstones %v, dir %v)", trial, len(blocks), disjoint, downsampled, tombs, parent != "")
 		want, err := oracleCompact(parent, blocks, tombs)

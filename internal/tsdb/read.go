@@ -36,8 +36,10 @@ type Sources struct {
 // Select returns the series matching ms with samples in [hints.Start,
 // hints.End], sorted by labels — with hints.Lookback set, only the samples
 // the step filter keeps (model.StepFilter); a series left with none is
-// omitted. The read fails with model.ErrSampleLimit as soon as the series it
-// returns hold more than hints.SampleLimit samples, when that is set.
+// omitted. With a head, a block's samples that a tombstone of the head's
+// log deletes are skipped. The read fails with model.ErrSampleLimit as soon
+// as the series it returns hold more than hints.SampleLimit samples, when
+// that is set.
 func (src Sources) Select(hints model.SelectHints, ms ...*labels.Matcher) ([]model.Series, error) {
 	if len(ms) == 0 {
 		return nil, ErrNoMatchers
@@ -66,6 +68,13 @@ func (src Sources) Select(hints model.SelectHints, ms ...*labels.Matcher) ([]mod
 		return r.release(r.fill(len(heads)))
 	}
 	r.parts = planParts(r.parts, src.Blocks, hints.Start, hints.End, fence, src.Aggr)
+	if src.Head != nil {
+		if log := src.Head.tombs.log.Load(); log != nil && len(log.recs) > 0 {
+			for k := range r.parts {
+				r.parts[k].dels = r.parts[k].b.deletedBy(log)
+			}
+		}
+	}
 	return r.release(r.fill(r.join(heads, ms)))
 }
 
@@ -120,8 +129,21 @@ func (r *reader) release(out []model.Series, err error) ([]model.Series, error) 
 type blockPart struct {
 	b      *PersistentBlock
 	lo, hi int64
-	want   AggrType // the stream the part reads
-	avg    bool     // want is the sum stream, divided by the count stream
+	want   AggrType   // the stream the part reads
+	avg    bool       // want is the sum stream, divided by the count stream
+	dels   []deletion // b.deletedBy the head's tombstone log
+}
+
+// window is the sub-window the part serves of its series at pos: [lo, hi]
+// past what a tombstone deletes of it; ok is false when nothing is left.
+func (pt *blockPart) window(pos uint32) (lo, hi int64, ok bool) {
+	if t, del := deletedThrough(pt.dels, pos); del {
+		if t >= pt.hi {
+			return 0, 0, false
+		}
+		return max(pt.lo, t+1), pt.hi, true
+	}
+	return pt.lo, pt.hi, true
 }
 
 // newBlockPart is b serving [lo, hi] for aggr: a raw block serves raw samples
@@ -339,7 +361,11 @@ func (r *reader) bound(p piece) int {
 		return n
 	}
 	pt := &r.parts[p.part]
-	_, n, _ := pt.b.stream(&pt.b.series[p.pos], pt.want).read(nil, pt.lo, pt.hi, r.steps, true)
+	lo, hi, ok := pt.window(p.pos)
+	if !ok {
+		return 0
+	}
+	_, n, _ := pt.b.stream(&pt.b.series[p.pos], pt.want).read(nil, lo, hi, r.steps, true)
 	return n
 }
 
@@ -369,14 +395,18 @@ func (sf *seriesFiller) appendPiece(dst []model.Sample, p piece) ([]model.Sample
 		return sf.settle(dst, b), nil
 	}
 	pt := &r.parts[p.part]
-	dst, _, err := pt.b.stream(&pt.b.series[p.pos], pt.want).read(dst, pt.lo, pt.hi, r.steps, false)
+	lo, hi, ok := pt.window(p.pos)
+	if !ok {
+		return dst, nil
+	}
+	dst, _, err := pt.b.stream(&pt.b.series[p.pos], pt.want).read(dst, lo, hi, r.steps, false)
 	if err != nil || !pt.avg {
 		return sf.settle(dst, b), err
 	}
 	// The count stream carries the sum stream's timestamps, so the step filter
 	// keeps the same of each.
 	cs := pt.b.stream(&pt.b.series[p.pos], AggrCount)
-	if sf.scratch, _, err = cs.read(sf.scratch[:0], pt.lo, pt.hi, r.steps, false); err != nil {
+	if sf.scratch, _, err = cs.read(sf.scratch[:0], lo, hi, r.steps, false); err != nil {
 		return dst, err
 	}
 	sums, counts := dst[b:], sf.scratch

@@ -218,15 +218,21 @@ func (sh *headShard) truncate(mint int64) int {
 	return len(gone)
 }
 
-// deleteSeries removes the shard's series matching ms and returns them (so
-// the caller can journal tombstones). Match and removal share one write-lock
-// hold, so nothing can register or drop a series in between.
-func (sh *headShard) deleteSeries(ms []*labels.Matcher) []*memSeries {
+// deleteSeries removes the shard's series matching ms that a tombstone
+// through maxt deletes, and returns them. Match and removal share one
+// write-lock hold, so nothing can register or drop a series in between.
+func (sh *headShard) deleteSeries(ms []*labels.Matcher, maxt int64) []*memSeries {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	gone := sh.selectLocked(nil, ms)
-	sh.removeLocked(gone)
-	return gone
+	kept := gone[:0]
+	for _, s := range gone {
+		if s.deletedBy(maxt) {
+			kept = append(kept, s)
+		}
+	}
+	sh.removeLocked(kept)
+	return kept
 }
 
 // removeLocked detaches gone from the shard — collision chains, byRef,

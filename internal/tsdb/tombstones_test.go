@@ -2,11 +2,20 @@ package tsdb
 
 import (
 	"fmt"
+	"math/rand"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"repro/internal/labels"
 )
+
+// tombNow is tombstone seq through db's newest sample, as a ring
+// coordinator sends it.
+func tombNow(db *DB, seq uint64, ms ...*labels.Matcher) TombstoneRec {
+	maxt, _ := db.MaxTime()
+	return TombstoneRec{Seq: seq, MaxT: maxt, Matchers: ms}
+}
 
 func tombMatcher(t *testing.T) *labels.Matcher {
 	t.Helper()
@@ -31,7 +40,7 @@ func TestWALTombstoneReplay(t *testing.T) {
 					t.Fatal(err)
 				}
 				replayFill(t, db, 40, 10)
-				if n, err := db.ApplyTombstone(1, tombMatcher(t)); err != nil || n != 10 {
+				if n, err := db.ApplyTombstone(tombNow(db, 1, tombMatcher(t))); err != nil || n != 10 {
 					t.Fatalf("ApplyTombstone = (%d, %v), want 10 deleted series", n, err)
 				}
 				// Re-create part of the deleted range after the tombstone:
@@ -74,7 +83,7 @@ func TestWALTombstoneCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	replayFill(t, db, 40, 10)
-	if _, err := db.ApplyTombstone(1, tombMatcher(t)); err != nil {
+	if _, err := db.ApplyTombstone(tombNow(db, 1, tombMatcher(t))); err != nil {
 		t.Fatal(err)
 	}
 	replayFill(t, db, 40, 15)
@@ -109,11 +118,11 @@ func TestWALTombstoneDedup(t *testing.T) {
 	}
 	defer db.Close()
 	replayFill(t, db, 40, 10)
-	if n, err := db.ApplyTombstone(7, tombMatcher(t)); err != nil || n != 10 {
+	if n, err := db.ApplyTombstone(tombNow(db, 7, tombMatcher(t))); err != nil || n != 10 {
 		t.Fatalf("first apply = (%d, %v), want 10", n, err)
 	}
 	replayFill(t, db, 40, 15) // re-create
-	if n, err := db.ApplyTombstone(7, tombMatcher(t)); err != nil || n != 0 {
+	if n, err := db.ApplyTombstone(tombNow(db, 7, tombMatcher(t))); err != nil || n != 0 {
 		t.Fatalf("duplicate apply = (%d, %v), want a 0-count no-op", n, err)
 	}
 	if tombs := db.Tombstones(); len(tombs) != 1 {
@@ -121,7 +130,7 @@ func TestWALTombstoneDedup(t *testing.T) {
 	}
 	// A distinct sequence with the same matchers IS applied (a second,
 	// later delete of the same selector).
-	if n, err := db.ApplyTombstone(9, tombMatcher(t)); err != nil || n != 10 {
+	if n, err := db.ApplyTombstone(tombNow(db, 9, tombMatcher(t))); err != nil || n != 10 {
 		t.Fatalf("second delete = (%d, %v), want 10", n, err)
 	}
 	if got := db.TombstoneSeq(); got != 9 {
@@ -136,10 +145,51 @@ func TestWALTombstoneNoWAL(t *testing.T) {
 	db := MustOpen(DefaultOptions())
 	defer db.Close()
 	replayFill(t, db, 40, 10)
-	if n, err := db.ApplyTombstone(1, tombMatcher(t)); err != nil || n != 10 {
+	if n, err := db.ApplyTombstone(tombNow(db, 1, tombMatcher(t))); err != nil || n != 10 {
 		t.Fatalf("ApplyTombstone = (%d, %v), want 10", n, err)
 	}
 	if got := len(selectAll(t, db)); got != 30 {
 		t.Fatalf("%d series survive, want 30", got)
+	}
+}
+
+// TestBlockDeletedByFollowsTheLog: what a block resolved of the log, change
+// by change — deletes, tombstones applied with a seq below the newest, and
+// retirements — is what resolving the whole log afresh gives.
+func TestBlockDeletedByFollowsTheLog(t *testing.T) {
+	pb := churnedBlock(t, 2000)
+	db := MustOpen(Options{Shards: 2})
+	if err := db.Append(labels.FromStrings("node", "n1"), 50_000, 1); err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	job := func() *labels.Matcher {
+		return labels.MustMatcher(labels.MatchEqual, "uuid", fmt.Sprint(1_000_000+rng.Intn(200)))
+	}
+	deleted := 0
+	for step := 0; step < 500; step++ {
+		maxt := int64(rng.Intn(60_000))
+		switch op := rng.Intn(10); {
+		case op < 6:
+			if _, err := db.Delete(maxt, job(), labels.MustMatcher(labels.MatchEqual, "manager", "slurm")); err != nil {
+				t.Fatal(err)
+			}
+		case op < 8:
+			seq := uint64(rng.Int63n(int64(db.TombstoneSeq()) + 1))
+			if _, err := db.ApplyTombstone(TombstoneRec{Seq: seq + 1, MaxT: maxt, Matchers: []*labels.Matcher{job()}}); err != nil {
+				t.Fatal(err)
+			}
+		default:
+			db.RetireTombstones(func(TombstoneRec) bool { return rng.Intn(2) == 0 })
+		}
+		log := db.tombs.log.Load()
+		got, want := pb.deletedBy(log), deletions(pb, log.recs)
+		if !slices.Equal(got, want) {
+			t.Fatalf("step %d: the block resolved %v of the log, the whole log resolves to %v", step, got, want)
+		}
+		deleted = max(deleted, len(got))
+	}
+	if deleted < 100 {
+		t.Fatalf("the log never deleted more than %d series of the block", deleted)
 	}
 }

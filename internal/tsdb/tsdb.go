@@ -22,7 +22,7 @@
 // cores by series only when it is long enough to pay for waking one, so
 // output is byte-identical regardless of shard count (read.go, the one
 // reader of the head and the blocks below).
-// DeleteSeries, retention pruning (Truncate), block cuts and checkpoints run
+// Deletes, retention pruning (Truncate), block cuts and checkpoints run
 // per shard on a bounded worker pool with no cross-shard locking.
 //
 // # Persistent blocks
@@ -129,19 +129,18 @@ type DB struct {
 
 	selectGrain int // the constant; a field so tests can force a read fanned out or inline
 
-	// mutations counts destructive cross-series operations (DeleteSeries);
+	// mutations counts destructive cross-series operations (deletes);
 	// the query-result cache invalidates on any change (see MutationGen).
 	mutations atomic.Uint64
 	// pruned is the highest retention cutoff ever applied (Truncate's mint),
 	// or minInt64 when the head was never pruned; see PrunedThrough.
 	pruned atomic.Int64
 
-	// Tombstone log (tombstones.go): every matcher-level delete ever
-	// applied, deduped by coordinator-assigned seq. Guarded by tombMu.
-	tombMu   sync.Mutex
-	tombSeen map[uint64]struct{}
-	tombs    []TombstoneRec
-	tombMax  uint64
+	// tombs is the tombstone log (tombstones.go). It is a pointer so that a
+	// read loading the log through Sources.Head leaves the caller's Sources
+	// on its stack: a load straight out of the DB would move them to the
+	// heap (BenchmarkBlockSelect's allocs/op).
+	tombs *tombstones
 
 	walReplay WALReplayStats
 	walErrMu  sync.Mutex
@@ -161,7 +160,7 @@ type memSeries struct {
 	// Guarded by the shard WAL's mutex, not s.mu: every WAL writer holds it,
 	// and replay finishes before writers exist.
 	walRef uint64
-	// dropped marks a series detached from its shard (DeleteSeries or
+	// dropped marks a series detached from its shard (a delete or
 	// retention pruning). Journal paths check it so a writer that resolved
 	// the series before a racing removal cannot journal records that would
 	// resurrect it on replay. Set under the shard lock — with the shard WAL
@@ -239,7 +238,7 @@ func Open(opts Options) (*DB, error) {
 		n = runtime.GOMAXPROCS(0)
 	}
 	n = min(nextPow2(n), maxShards)
-	db := &DB{opts: opts, selectGrain: selectGrain}
+	db := &DB{opts: opts, selectGrain: selectGrain, tombs: &tombstones{}}
 	db.pruned.Store(-(int64(1) << 62))
 	if opts.WALDir == "" {
 		db.initShards(n)
@@ -360,7 +359,7 @@ func (db *DB) commitShard(sh *headShard, series []*memSeries, samples []model.Sa
 		default:
 			stats.Appended++
 		}
-		// A series detached by a DeleteSeries/Truncate that raced the caller's
+		// A series detached by a delete or Truncate that raced the caller's
 		// resolve must not be journalled, or replay would resurrect it.
 		if w != nil && !s.dropped {
 			ref, isNew := w.refForLocked(s)
@@ -375,7 +374,7 @@ func (db *DB) commitShard(sh *headShard, series []*memSeries, samples []model.Sa
 		held.mu.Unlock()
 	}
 	if w != nil {
-		if lerr := w.logLocked(newSeries, w.recs, nil); lerr != nil && err == nil {
+		if lerr := w.logLocked(newSeries, w.recs); lerr != nil && err == nil {
 			err = lerr
 		}
 		w.mu.Unlock()
@@ -583,54 +582,6 @@ func (db *DB) CheckpointWAL() error {
 	return nil
 }
 
-// DeleteSeries removes every series matching the matchers entirely,
-// returning the number deleted. The CEEMS API server uses this to clean up
-// metrics of short-lived jobs ("Clean TSDB" in Fig. 1). Deletion fans out
-// per shard with no cross-shard locking.
-func (db *DB) DeleteSeries(ms ...*labels.Matcher) int {
-	// Bump the mutation generation before AND after the per-shard fan-out.
-	// A cache fill that snapshots between the two bumps may evaluate a
-	// half-deleted head, but its recorded generation is already stale by
-	// the time the delete finishes, so the entry can never be served; a
-	// fill snapshotting after the second bump evaluates a fully-deleted
-	// head. One bump alone would let the in-between fill stamp itself with
-	// the final generation and serve deleted series forever.
-	db.mutations.Add(1)
-	defer db.mutations.Add(1)
-	deleted := make([]int, len(db.shards))
-	db.forEachShard(func(i int, sh *headShard) {
-		w := sh.wal
-		if w == nil {
-			deleted[i] = len(sh.deleteSeries(ms))
-			return
-		}
-		// Delete and tombstone under one WAL mutex hold: a concurrent commit
-		// is either fully journalled before (tombstone logged after its
-		// records wins on replay) or runs after and sees s.dropped — either
-		// way replay converges to the live head.
-		w.mu.Lock()
-		gone := sh.deleteSeries(ms)
-		deleted[i] = len(gone)
-		refs := make([]uint64, 0, len(gone))
-		for _, s := range gone {
-			if s.walRef != 0 {
-				refs = append(refs, s.walRef)
-			}
-		}
-		var err error
-		if len(refs) > 0 {
-			err = w.logLocked(nil, nil, refs)
-		}
-		w.mu.Unlock()
-		db.noteWALErr(err)
-	})
-	total := 0
-	for _, n := range deleted {
-		total += n
-	}
-	return total
-}
-
 // MinTime returns the earliest retained timestamp (approximate after
 // truncation), or false when the DB is empty.
 func (db *DB) MinTime() (int64, bool) {
@@ -664,7 +615,7 @@ func (db *DB) AppendEpoch() uint64 {
 }
 
 // MutationGen returns a counter that advances on destructive cross-series
-// operations (DeleteSeries). Retention pruning (Truncate) deliberately does
+// operations (deletes). Retention pruning (Truncate) deliberately does
 // not advance it: truncation only removes samples strictly below the
 // pruned watermark, and the cache refuses to serve any step whose padded
 // read window reaches below PrunedThrough.

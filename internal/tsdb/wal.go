@@ -2,12 +2,14 @@ package tsdb
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -36,7 +38,9 @@ import (
 // That is format v1: self-describing, raw payloads. It is a replay-only
 // format now: every file the head writes is format v2 (walv2.go) — a 5-byte
 // magic+version header, then the same framing with Gorilla-encoded samples
-// records and block-compressed series/deletes/tombstone records. The format
+// records, block-compressed series records and raw tombstone records
+// (type 9, tombstones.go). No build writes deletes records any more: replay
+// reads them, types 3 and 6, from older journals. The format
 // is sniffed per file, so a journal written before v2 existed still opens:
 // its v1 files replay next to the v2 segments appended after them, and the
 // next checkpoint folds them into a v2 snapshot. Nothing is rewritten in
@@ -123,8 +127,8 @@ type shardWAL struct {
 	metrics *tsdbMetrics
 }
 
-// walRecEncoder frames v2 records: Gorilla samples, block-compressed
-// series/deletes/tombstones. enc is the per-file Gorilla state.
+// walRecEncoder frames v2 samples and series records: Gorilla samples,
+// block-compressed series. enc is the per-file Gorilla state.
 type walRecEncoder struct {
 	enc     *walV2Enc
 	scratch []byte // staging buffer for payloads compressed as a block
@@ -137,11 +141,6 @@ func (e *walRecEncoder) appendSeriesRecord(dst []byte, recs []walSeriesRec) []by
 
 func (e *walRecEncoder) appendSamplesRecord(dst []byte, recs []walSampleRec) []byte {
 	return appendFramed(dst, walRecSamplesV2, func(b []byte) []byte { return e.enc.appendSamples(b, recs) })
-}
-
-func (e *walRecEncoder) appendDeletesRecord(dst []byte, refs []uint64) []byte {
-	e.scratch = encodeDeletesPayload(e.scratch[:0], refs)
-	return appendFramed(dst, walRecDeletesV2, func(b []byte) []byte { return appendCompressed(b, e.scratch) })
 }
 
 func walShardDir(walDir string, shard int) string {
@@ -231,19 +230,11 @@ func encodeSeriesPayload(dst []byte, recs []walSeriesRec) []byte {
 	return dst
 }
 
-func encodeDeletesPayload(dst []byte, refs []uint64) []byte {
-	dst = appendUvarint(dst, uint64(len(refs)))
-	for _, r := range refs {
-		dst = appendUvarint(dst, r)
-	}
-	return dst
-}
-
 // logLocked journals one commit's worth of records — new series first, then
-// samples, then deletes — as one buffered write followed by one flush. The
-// caller holds w.mu.
-func (w *shardWAL) logLocked(series []walSeriesRec, samples []walSampleRec, deletes []uint64) error {
-	if len(series) == 0 && len(samples) == 0 && len(deletes) == 0 {
+// samples — as one buffered write followed by one flush. The caller holds
+// w.mu.
+func (w *shardWAL) logLocked(series []walSeriesRec, samples []walSampleRec) error {
+	if len(series) == 0 && len(samples) == 0 {
 		return nil
 	}
 	if err := w.readyLocked(); err != nil {
@@ -257,10 +248,6 @@ func (w *shardWAL) logLocked(series []walSeriesRec, samples []walSampleRec, dele
 	}
 	if len(samples) > 0 {
 		w.buf = w.appendSamplesRecord(w.buf, samples)
-		nrec++
-	}
-	if len(deletes) > 0 {
-		w.buf = w.appendDeletesRecord(w.buf, deletes)
 		nrec++
 	}
 	var ioStart time.Time
@@ -360,10 +347,10 @@ func (w *shardWAL) Close() error {
 // Commits to this shard block for the duration (they take w.mu); other
 // shards are unaffected.
 //
-// tombs supplies the DB's tombstone log and is called AFTER w.mu is held:
-// ApplyTombstone records a tombstone in the log before journalling it under
-// w.mu, so any tombstone record living in a segment this checkpoint deletes
-// is guaranteed to be in the snapshot.
+// tombs supplies the DB's live tombstone log and is called AFTER w.mu is
+// held: a delete records its tombstone in the log before journalling it
+// under w.mu, so any live tombstone whose record lives in a segment this
+// checkpoint deletes is guaranteed to be in the snapshot.
 func (w *shardWAL) checkpoint(sh *headShard, tombs func() []TombstoneRec) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -448,12 +435,15 @@ func writeFileDurably(path string, fill func(*bufio.Writer) error) error {
 // buffer a rounding error next to the shard.
 const walSnapshotSeriesBatch = 256
 
-// streamShardSnapshot writes a full snapshot of the shard — the DB's
+// streamShardSnapshot writes a full snapshot of the shard — the DB's live
 // tombstone log first, then every retained series registration, then one
 // samples record per series — to dst as one v2 file; refFor supplies
-// (or assigns) the WAL ref per series. Tombstones go first so replay
-// restores the log (and deletes nothing — the snapshot's series were
-// registered after every tombstone in it and must survive). Memory stays
+// (or assigns) the WAL ref per series. Series go in ref order, those
+// without a ref yet last, in label order, which is the order refFor hands
+// them theirs: the same head state always snapshots to the same bytes.
+// Tombstones go first so replay restores the log (and deletes nothing — the
+// snapshot's series were registered after every tombstone in it and must
+// survive). Memory stays
 // O(series + one series' samples): registrations are framed in batches of
 // walSnapshotSeriesBatch and each series' samples are encoded into a reused
 // buffer, never the whole shard at once. Callers must exclude concurrent
@@ -468,11 +458,20 @@ func streamShardSnapshot(dst io.Writer, sh *headShard, tombs []TombstoneRec, ref
 		series = append(series, s)
 	}
 	sh.mu.RUnlock()
+	slices.SortFunc(series, func(a, b *memSeries) int {
+		if (a.walRef == 0) != (b.walRef == 0) {
+			return cmp.Compare(b.walRef, a.walRef) // the one with a ref first
+		}
+		if c := cmp.Compare(a.walRef, b.walRef); c != 0 {
+			return c
+		}
+		return labels.Compare(a.lset, b.lset)
+	})
 
 	enc := walRecEncoder{enc: newWalV2Enc()}
 	var buf []byte
 	for _, tr := range tombs {
-		buf = enc.appendTombstoneRecord(buf[:0], tr.Seq, tr.Matchers)
+		buf = appendTombstoneRecord(buf[:0], tr)
 		if _, err := dst.Write(buf); err != nil {
 			return err
 		}
@@ -561,8 +560,8 @@ func (db *DB) WALStats() (WALStats, bool) {
 }
 
 // WALErr returns the first WAL write or checkpoint error recorded on a path
-// that cannot surface one directly (DeleteSeries); ApplyTombstone and
-// CheckpointWAL record theirs here too. A healthy head returns nil.
+// that cannot surface one directly (DeleteSeries); Delete, ApplyTombstone
+// and CheckpointWAL record theirs here too. A healthy head returns nil.
 func (db *DB) WALErr() error {
 	db.walErrMu.Lock()
 	defer db.walErrMu.Unlock()

@@ -135,11 +135,13 @@ func (r *oracleBits) varint() (int64, bool) {
 	return v, true
 }
 
-// walRawType maps each compressed (v2-only) record type to the raw type
-// whose payload it wraps.
+// walRawType maps each record type the v2 writer emits, or older builds
+// did, to the raw type whose payload it wraps: a compressed (v2-only) type
+// to its v1 counterpart, the raw tombstone (type 9) to itself.
 var walRawType = map[byte]byte{
 	walRecSeriesV2: walRecSeries, walRecSamplesV2: walRecSamples,
 	walRecDeletesV2: walRecDeletes, walRecTombstoneV2: walRecTombstone,
+	walRecDelete: walRecDelete,
 }
 
 // decodeFile applies one WAL file to the oracle, stopping (and reporting
@@ -171,7 +173,7 @@ func (o *oracleState) decodeFile(t *testing.T, path string) (torn bool) {
 		typ := data[off]
 		plen := int(binary.LittleEndian.Uint32(data[off+1 : off+5]))
 		crc := binary.LittleEndian.Uint32(data[off+5 : off+9])
-		raw := typ == walRecSeries || typ == walRecSamples || typ == walRecDeletes || typ == walRecTombstone
+		raw := typ == walRecSeries || typ == walRecSamples || typ == walRecDeletes || typ == walRecTombstone || typ == walRecDelete
 		if !(raw || v2 && walRawType[typ] != 0) || plen > walMaxPayload || len(data)-off-walHeaderSize < plen {
 			return true
 		}
@@ -180,7 +182,7 @@ func (o *oracleState) decodeFile(t *testing.T, path string) (torn bool) {
 			return true
 		}
 		switch typ {
-		case walRecSeries, walRecSamples, walRecDeletes, walRecTombstone:
+		case walRecSeries, walRecSamples, walRecDeletes, walRecTombstone, walRecDelete:
 			o.apply(t, typ, payload)
 		case walRecSeriesV2, walRecDeletesV2, walRecTombstoneV2:
 			raw, ok := oracleInflate(t, payload)
@@ -458,10 +460,19 @@ func (o *oracleState) apply(t *testing.T, typ byte, p []byte) {
 		for i := uint64(0); i < count; i++ {
 			o.drop(u())
 		}
-	case walRecTombstone:
-		// seq, then matchers as type byte + name + value; every series
-		// registered so far that satisfies all of them is gone.
+	case walRecTombstone, walRecDelete:
+		// seq, maxt (type 9 only), then matchers as type byte + name +
+		// value; every series registered so far that satisfies all of them
+		// and holds a sample at or before maxt, or none, is gone.
 		u() // seq
+		maxt := int64(math.MaxInt64)
+		if typ == walRecDelete {
+			v, n := binary.Varint(p)
+			if n <= 0 {
+				t.Fatal("oracle: bad varint in whole record")
+			}
+			maxt, p = v, p[n:]
+		}
 		str := func() string {
 			n := u()
 			v := string(p[:n])
@@ -476,7 +487,16 @@ func (o *oracleState) apply(t *testing.T, typ byte, p []byte) {
 			ms[i] = labels.MustMatcher(typ, name, str())
 		}
 		for ref, key := range o.series {
-			if labels.MatchLabels(o.labels[key], ms...) {
+			if !labels.MatchLabels(o.labels[key], ms...) {
+				continue
+			}
+			oldest := int64(math.MinInt64)
+			for i, smp := range o.samples[key] {
+				if i == 0 || smp.T < oldest {
+					oldest = smp.T
+				}
+			}
+			if oldest <= maxt {
 				o.drop(ref)
 			}
 		}
@@ -568,6 +588,41 @@ func fillWAL(t *testing.T, dir string, shards, nSeries, nBatches int, segSize in
 	return full
 }
 
+// deleteAndRefill reopens the journal fillWAL wrote, deletes series s000
+// and s001 through the head's newest sample, writes them again, as new
+// series, for nBatches more batches, and closes the head: the journal then
+// ends in a segment holding the delete's tombstone record. Returns the
+// final contents and what the deleted series held when they were deleted.
+func deleteAndRefill(t *testing.T, dir string, nSeries, nBatches int, segSize int64) (full, deleted []model.Series) {
+	t.Helper()
+	db, err := Open(Options{WALDir: dir, WALSegmentSize: segSize})
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	del := labels.MustMatcher(labels.MatchRegexp, "series", "s00[01]")
+	if deleted, err = db.Select(-1<<62, 1<<62, del); err != nil {
+		t.Fatal(err)
+	}
+	maxt, _ := db.MaxTime()
+	if _, err := db.Delete(maxt, del); err != nil {
+		t.Fatalf("delete: %v", err)
+	}
+	for b := 1; b <= nBatches; b++ {
+		app := db.Appender()
+		for s := 0; s < nSeries; s++ {
+			app.Add(crashSeries(s), maxt+int64(b)*1000+int64(s), float64(b*s))
+		}
+		if _, err := app.Commit(); err != nil {
+			t.Fatalf("commit batch %d after the delete: %v", b, err)
+		}
+	}
+	full = selectAll(t, db)
+	if err := db.Close(); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+	return full, deleted
+}
+
 // walFiles lists every WAL file of every shard in replay order:
 // per shard directory (sorted), checkpoint first, then segments ascending.
 func walFiles(t *testing.T, dir string) []string {
@@ -636,9 +691,9 @@ func assertSeriesEqual(t *testing.T, got, want []model.Series, what string) {
 }
 
 // assertPrefix checks every recovered series' samples are a prefix of the
-// full series — recovery may lose an un-synced tail, never reorder or
-// invent.
-func assertPrefix(t *testing.T, got, full []model.Series, what string) {
+// full series, or of what a deleted series held when it was deleted —
+// recovery may lose an un-synced tail, never reorder or invent.
+func assertPrefix(t *testing.T, got, full, deleted []model.Series, what string) {
 	t.Helper()
 	byKey := map[string][]model.Sample{}
 	for _, s := range full {
@@ -646,6 +701,11 @@ func assertPrefix(t *testing.T, got, full []model.Series, what string) {
 	}
 	for _, s := range got {
 		fullSamples, ok := byKey[s.Labels.String()]
+		for _, d := range deleted {
+			if d.Labels.Equal(s.Labels) && (!ok || len(s.Samples) > 0 && s.Samples[0] == d.Samples[0]) {
+				fullSamples, ok = d.Samples, true
+			}
+		}
 		if !ok {
 			t.Fatalf("%s: recovered unknown series %s", what, s.Labels)
 		}
@@ -676,21 +736,10 @@ func TestWALCrashRecoveryAtRandomOffsets(t *testing.T) {
 	for _, compress := range []bool{false, true} {
 		t.Run(fmt.Sprintf("compress=%v", compress), func(t *testing.T) {
 			baseDir := t.TempDir()
-			full := fillWAL(t, filepath.Join(baseDir, "wal"), 1, 8, 60, 2048, compress)
-
-			files := walFiles(t, filepath.Join(baseDir, "wal"))
+			fillWAL(t, filepath.Join(baseDir, "wal"), 1, 8, 60, 2048, compress)
+			files, sizes, total := walFileSizes(t, filepath.Join(baseDir, "wal"))
 			if len(files) < 3 {
 				t.Fatalf("expected multiple segments (rotation), got %d files", len(files))
-			}
-			var total int64
-			sizes := make([]int64, len(files))
-			for i, f := range files {
-				st, err := os.Stat(f)
-				if err != nil {
-					t.Fatal(err)
-				}
-				sizes[i] = st.Size()
-				total += st.Size()
 			}
 
 			rng := rand.New(rand.NewSource(0xBADC0FFE))
@@ -698,8 +747,21 @@ func TestWALCrashRecoveryAtRandomOffsets(t *testing.T) {
 			if testing.Short() {
 				trials = 6
 			}
+			var offsets []int64
 			for trial := 0; trial < trials; trial++ {
-				offset := rng.Int63n(total + 1) // total itself = clean shutdown
+				offsets = append(offsets, rng.Int63n(total+1)) // total itself = a clean shutdown of fillWAL's head
+			}
+			// The journal goes on past them in a later segment, through a
+			// delete: every byte of its tombstone record is a crash point
+			// too, from its first to just past its last.
+			full, deleted := deleteAndRefill(t, filepath.Join(baseDir, "wal"), 8, 20, 2048)
+			files, sizes, total = walFileSizes(t, filepath.Join(baseDir, "wal"))
+			start, end := walRecordSpan(t, files, walRecDelete)
+			offsets = append(offsets, total)
+			for off := start; off <= end; off++ {
+				offsets = append(offsets, off)
+			}
+			for trial, offset := range offsets {
 				t.Run(fmt.Sprintf("offset=%d", offset), func(t *testing.T) {
 					scratch := t.TempDir()
 					crashed := filepath.Join(scratch, "wal")
@@ -739,7 +801,7 @@ func TestWALCrashRecoveryAtRandomOffsets(t *testing.T) {
 						t.Fatalf("reopen after crash at %d: %v", offset, err)
 					}
 					assertSeriesEqual(t, selectAll(t, db), want, "recovered head vs oracle")
-					assertPrefix(t, selectAll(t, db), full, "recovered head vs full history")
+					assertPrefix(t, selectAll(t, db), full, deleted, "recovered head vs full history")
 
 					// The repaired head must accept new writes and survive a second
 					// reopen without losing them.
@@ -763,6 +825,50 @@ func TestWALCrashRecoveryAtRandomOffsets(t *testing.T) {
 			}
 		})
 	}
+}
+
+// walFileSizes lists the journal's files in replay order with their sizes
+// and their total.
+func walFileSizes(t *testing.T, dir string) (files []string, sizes []int64, total int64) {
+	t.Helper()
+	files = walFiles(t, dir)
+	sizes = make([]int64, len(files))
+	for i, f := range files {
+		st, err := os.Stat(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sizes[i] = st.Size()
+		total += st.Size()
+	}
+	return files, sizes, total
+}
+
+// walRecordSpan returns where in the concatenation of files the first
+// record of type typ starts and ends.
+func walRecordSpan(t *testing.T, files []string, typ byte) (start, end int64) {
+	t.Helper()
+	var base int64
+	for _, f := range files {
+		data, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		off := 0
+		if bytes.HasPrefix(data, walMagic) {
+			off = walFileHeaderLen
+		}
+		for off+walHeaderSize <= len(data) {
+			n := walHeaderSize + int(binary.LittleEndian.Uint32(data[off+1:off+5]))
+			if data[off] == typ {
+				return base + int64(off), base + int64(off+n)
+			}
+			off += n
+		}
+		base += int64(len(data))
+	}
+	t.Fatalf("no record of type %d in %v", typ, files)
+	return 0, 0
 }
 
 // TestWALCrashRecoveryShardedPrefix runs the crash on a 16-shard head:
@@ -823,7 +929,7 @@ func testWALCrashRecoveryShardedPrefix(t *testing.T, compress bool) {
 			}
 			defer db.Close()
 			got := selectAll(t, db)
-			assertPrefix(t, got, full, "sharded crash")
+			assertPrefix(t, got, full, nil, "sharded crash")
 
 			// All series outside the damaged shard must be complete.
 			fullByKey := map[string][]model.Sample{}

@@ -47,7 +47,7 @@ func walRecordsOf(tb testing.TB, path string) []walRecord {
 }
 
 // walFuzzSeeds writes a small journal — commits that register series, a
-// ref-level delete, a matcher tombstone — and returns every record of it.
+// delete and a ring-style tombstone — and returns every record of it.
 func walFuzzSeeds(f *testing.F) []walRecord {
 	dir := f.TempDir()
 	db, err := Open(Options{Shards: 1, WALDir: dir})
@@ -63,8 +63,10 @@ func walFuzzSeeds(f *testing.F) []walRecord {
 			f.Fatal(err)
 		}
 	}
-	db.DeleteSeries(labels.MustMatcher(labels.MatchEqual, "s", "3"))
-	if _, err := db.ApplyTombstone(1, labels.MustMatcher(labels.MatchRegexp, "s", "[24]")); err != nil {
+	if _, err := db.Delete(45000, labels.MustMatcher(labels.MatchEqual, "s", "3")); err != nil {
+		f.Fatal(err)
+	}
+	if _, err := db.ApplyTombstone(TombstoneRec{Seq: 7, MaxT: 30000, Matchers: []*labels.Matcher{labels.MustMatcher(labels.MatchRegexp, "s", "[24]")}}); err != nil {
 		f.Fatal(err)
 	}
 	if err := db.Close(); err != nil {
@@ -92,30 +94,35 @@ func walInflated(typ byte, payload []byte) int {
 // one-segment shard directory, replays through Open to an error or a head,
 // never a panic, and Open allocates in proportion to the bytes the record
 // holds, inflated where it is compressed — no count or ref read from it
-// sizes an allocation by itself.
+// sizes an allocation by itself. The seeds are the records the head writes
+// and those of the committed fixtures, which hold every type only older
+// builds wrote.
 func FuzzWALRecord(f *testing.F) {
-	seeds := walFuzzSeeds(f)
 	types := map[byte]bool{}
-	for _, r := range seeds {
+	for _, r := range walFuzzSeeds(f) {
 		types[r.typ] = true
 		f.Add(r.typ, r.payload)
 	}
-	for _, typ := range []byte{walRecSamplesV2, walRecSeriesV2, walRecDeletesV2, walRecTombstoneV2} {
-		if !types[typ] {
-			f.Fatalf("the seed journal has no record of type %d", typ)
+	for _, fixture := range []string{walV1Fixture, walV2LegacyFixture} {
+		files, _ := filepath.Glob(filepath.Join(fixture, "wal", "shard-*", "*"))
+		for _, p := range files {
+			if filepath.Ext(p) == ".json" {
+				continue
+			}
+			for _, r := range walRecordsOf(f, p) {
+				types[r.typ] = true
+				f.Add(r.typ, r.payload)
+			}
 		}
 	}
-	v1, _ := filepath.Glob(filepath.Join(walV1Fixture, "wal", "shard-*", "*"))
-	for _, p := range v1 {
-		if filepath.Ext(p) == ".json" {
-			continue
-		}
-		for _, r := range walRecordsOf(f, p) {
-			f.Add(r.typ, r.payload)
+	for _, typ := range []byte{walRecSamplesV2, walRecSeriesV2, walRecDeletesV2, walRecTombstoneV2, walRecDelete} {
+		if !types[typ] {
+			f.Fatalf("the seeds hold no record of type %d", typ)
 		}
 	}
 	f.Add(walRecSeries, binary.AppendUvarint([]byte{1, 1}, 1<<60))
 	f.Add(walRecTombstone, binary.AppendUvarint([]byte{1}, 1<<60))
+	f.Add(walRecDelete, binary.AppendUvarint(binary.AppendVarint([]byte{1}, 0), 1<<60))
 	f.Add(walRecSamplesV2, newWalV2Enc().appendSamples(nil, []walSampleRec{{ref: walV2DenseRefs - 1}}))
 
 	var enc walRecEncoder

@@ -422,12 +422,14 @@ func (db *DB) replayWALFile(path string, dr *dirReplay) (torn bool, err error) {
 				err = db.applyDeletesPayload(raw, dr)
 			}
 		case walRecTombstone:
-			err = db.applyTombstonePayload(payload, dr)
+			err = db.applyTombstonePayload(payload, dr, false)
 		case walRecTombstoneV2:
 			var raw []byte
 			if raw, err = walDecompress(payload); err == nil {
-				err = db.applyTombstonePayload(raw, dr)
+				err = db.applyTombstonePayload(raw, dr, false)
 			}
+		case walRecDelete:
+			err = db.applyTombstonePayload(payload, dr, true)
 		}
 		if err != nil {
 			return false, fmt.Errorf("tsdb: wal replay %s: %w", path, err)
@@ -550,8 +552,8 @@ func (db *DB) applySamples(recs []walSampleRec, dr *dirReplay) {
 	}
 }
 
-// applyDeletesPayload removes every series named by one (decoded) tombstone
-// payload from the head.
+// applyDeletesPayload removes every series named by one (decoded) deletes
+// payload, a ref delete an older build wrote, from the head.
 func (db *DB) applyDeletesPayload(payload []byte, dr *dirReplay) error {
 	count, payload, err := readUvarint(payload)
 	if err != nil {

@@ -76,7 +76,9 @@ func walFileAsV1(t *testing.T, path string) []walV1Record {
 			t.Fatalf("%s: the v2 writer emitted record type %d", path, typ)
 		}
 		var raw []byte
-		if typ == walRecSamplesV2 {
+		if typ == walRecDelete {
+			raw = payload
+		} else if typ == walRecSamplesV2 {
 			recs, err := dec.decodeSamples(nil, payload)
 			if err != nil {
 				t.Fatal(err)
@@ -151,10 +153,16 @@ func rewriteWALAsV1(t *testing.T, walDir string, segLimit int64) {
 // Committed v1 fixture
 // ---------------------------------------------------------------------------
 
-// walV1Golden loads the head the fixture journal must replay to.
+// walV1Golden loads the head the v1 fixture journal must replay to.
 func walV1Golden(t *testing.T) (series []model.Series, tombstones map[uint64][]string) {
+	return walFixtureGolden(t, walV1Fixture)
+}
+
+// walFixtureGolden loads the head a committed fixture journal must replay
+// to: its expected.json, written by the build that wrote the journal.
+func walFixtureGolden(t *testing.T, fixture string) (series []model.Series, tombstones map[uint64][]string) {
 	t.Helper()
-	data, err := os.ReadFile(filepath.Join(walV1Fixture, "expected.json"))
+	data, err := os.ReadFile(filepath.Join(fixture, "expected.json"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,9 +26,10 @@ import (
 //     of varint t + 8 value bytes. State resets at every rotation, which
 //     keeps each segment self-contained: replay decodes a file from its
 //     first byte and never needs another file's state.
-//   - seriesV2 / deletesV2 records carry a block-compressed (DEFLATE,
-//     fastest level) copy of the v1 payload, with a one-byte flag so
-//     payloads that would grow under compression are stored raw.
+//   - seriesV2 records (and the deletesV2 and tombstoneV2 records older
+//     builds wrote) carry a block-compressed (DEFLATE, fastest level) copy
+//     of the v1 payload, with a one-byte flag so payloads that would grow
+//     under compression are stored raw.
 //
 // A v2 file starts with a 5-byte header: the magic "CWAL" followed by the
 // format version byte. v1 files have no header — their first byte is a
@@ -85,11 +86,11 @@ func walSniffVersion(data []byte) (version, hdrLen int, torn bool, err error) {
 // walRecTypeValid reports whether a record type may appear in a file of the
 // given format version. v1 files accept the raw-payload types only
 // (preserving v1's torn semantics exactly); v2 files accept the compressed
-// types too. The raw tombstone record (type 7, tombstones.go) is
+// types too. The raw tombstone records (types 7 and 9, tombstones.go) are
 // format-agnostic and valid in both.
 func walRecTypeValid(version int, typ byte) bool {
 	switch typ {
-	case walRecSeries, walRecSamples, walRecDeletes, walRecTombstone:
+	case walRecSeries, walRecSamples, walRecDeletes, walRecTombstone, walRecDelete:
 		return true
 	case walRecSamplesV2, walRecSeriesV2, walRecDeletesV2, walRecTombstoneV2:
 		return version >= walFormatV2
