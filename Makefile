@@ -127,10 +127,12 @@ blocks:
 # reads that start at a chunk's seek marks against a full decode of every
 # chunk (TestHeadSelectSeekMatchesFullDecode), and the head's sorted label
 # lists against its live series through churn, WAL replay and concurrent
-# reads (TestLabelValues*, and TestPostingsProperty's label checks);
-# randomized, so two passes, under race.
+# reads (TestLabelValues*, and TestPostingsProperty's label checks), and
+# truncation dropping a series that went silent in its open chunk, across a
+# WAL reopen (TestHeadTruncateDropsSilentOpenChunk); randomized, so two
+# passes, under race.
 head-index:
-	$(GO) test -race -count=2 -run 'Posting|HeadSelect|LabelValues' ./internal/tsdb/
+	$(GO) test -race -count=2 -run 'Posting|HeadSelect|HeadTruncate|LabelValues' ./internal/tsdb/
 
 # Ten seconds of coverage-guided fuzzing each over the chunk decoder
 # (arbitrary bytes must end in an error or the declared sample count, never

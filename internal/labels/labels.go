@@ -7,9 +7,12 @@ package labels
 import (
 	"fmt"
 	"regexp"
+	"runtime"
 	"slices"
 	"sort"
 	"strings"
+	"sync"
+	"weak"
 )
 
 // Inlined FNV-1a, byte-identical to hash/fnv's 64a variant. The stdlib
@@ -372,11 +375,12 @@ type Matcher struct {
 }
 
 // NewMatcher builds a matcher; regexp values are anchored (^...$) as in
-// Prometheus.
+// Prometheus. Matchers of one pattern share one compiled program
+// (sharedProgram), =~ and !~ alike.
 func NewMatcher(t MatchType, name, value string) (*Matcher, error) {
 	m := &Matcher{Type: t, Name: name, Value: value}
 	if t == MatchRegexp || t == MatchNotRegexp {
-		re, err := regexp.Compile("^(?:" + value + ")$")
+		re, err := sharedProgram(value)
 		if err != nil {
 			return nil, fmt.Errorf("labels: bad matcher regexp %q: %w", value, err)
 		}
@@ -388,6 +392,52 @@ func NewMatcher(t MatchType, name, value string) (*Matcher, error) {
 		}
 	}
 	return m, nil
+}
+
+// programs maps a pattern to the program its live matchers share. An entry
+// holds its program weakly and goes when the program is collected, so the
+// table holds only the patterns some matcher still uses: a cached query
+// keeps its program, and the table needs no bound of its own.
+var programs struct {
+	mu sync.Mutex
+	m  map[string]weak.Pointer[regexp.Regexp]
+}
+
+// sharedProgram returns the anchored program of pattern, compiling it only
+// when no live matcher holds it already. A *regexp.Regexp is safe for
+// concurrent use, so sharing it changes nothing a match sees.
+func sharedProgram(pattern string) (*regexp.Regexp, error) {
+	programs.mu.Lock()
+	re := programs.m[pattern].Value()
+	programs.mu.Unlock()
+	if re != nil {
+		return re, nil
+	}
+	re, err := regexp.Compile("^(?:" + pattern + ")$")
+	if err != nil {
+		return nil, err
+	}
+	programs.mu.Lock()
+	defer programs.mu.Unlock()
+	if live := programs.m[pattern].Value(); live != nil {
+		return live, nil // compiled meanwhile by another caller
+	}
+	if programs.m == nil {
+		programs.m = make(map[string]weak.Pointer[regexp.Regexp])
+	}
+	programs.m[pattern] = weak.Make(re)
+	runtime.AddCleanup(re, dropProgram, pattern)
+	return re, nil
+}
+
+// dropProgram removes pattern's entry once its program is collected, unless
+// a program compiled since has taken the entry.
+func dropProgram(pattern string) {
+	programs.mu.Lock()
+	defer programs.mu.Unlock()
+	if wp, ok := programs.m[pattern]; ok && wp.Value() == nil {
+		delete(programs.m, pattern)
+	}
 }
 
 // MustMatcher is NewMatcher that panics on error, for static matchers.

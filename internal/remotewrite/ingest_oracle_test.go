@@ -309,8 +309,9 @@ var ingestOutcomes = []string{"success", "no timestamp", "parse frame payload", 
 // The churn leg pushes the same small set of series over every request, and
 // between requests deletes one instance's series from both heads or
 // truncates both, so the receiver's entries keep handles on series the head
-// has dropped. Its heads must also replay to the same digest; its WAL files
-// are not compared, as a checkpoint writes the shard's series in map order.
+// has dropped. Its heads are compared before every truncate as well, and
+// must also replay to the same digest; its WAL files are not compared, as a
+// checkpoint writes the shard's series in map order.
 func TestIngestHeadIdentical(t *testing.T) {
 	streams := 150
 	if testing.Short() {
@@ -342,6 +343,20 @@ func TestIngestHeadIdentical(t *testing.T) {
 			gen := &ingestGen{rng: rand.New(rand.NewSource(33)), interleave: leg.interleave, now: 1_700_000_000_000}
 			outcomes := map[string]int{}
 			dropped := 0
+			// The most series and samples a digest comparison covered: a
+			// truncate drops every series silent since its point, so the
+			// heads are compared before each one as well as at the end.
+			var peakSeries, peakSamples int
+			compare := func(when string) {
+				t.Helper()
+				wantDigest, wantSeries, wantSamples := ingestDigest(t, refDB)
+				gotDigest, gotSeries, gotSamples := ingestDigest(t, db)
+				if gotDigest != wantDigest || gotSeries != wantSeries || gotSamples != wantSamples {
+					t.Errorf("head %s: %d series, %d samples, digest %x; reference %d series, %d samples, digest %x",
+						when, gotSeries, gotSamples, gotDigest, wantSeries, wantSamples, wantDigest)
+				}
+				peakSeries, peakSamples = max(peakSeries, wantSeries), max(peakSamples, wantSamples)
+			}
 			for i := 0; i < streams; i++ {
 				body := gen.stream()
 				want := referenceIngest(refBatch, body)
@@ -364,6 +379,7 @@ func TestIngestHeadIdentical(t *testing.T) {
 					}
 					dropped += n
 				case i%9 == 8:
+					compare(fmt.Sprintf("before the truncate after stream %d", i))
 					n, err := refDB.Truncate(gen.now - 45_000)
 					got, gerr := db.Truncate(gen.now - 45_000)
 					if err != nil || gerr != nil || got != n {
@@ -381,14 +397,9 @@ func TestIngestHeadIdentical(t *testing.T) {
 				t.Errorf("deletes and truncates dropped only %d series", dropped)
 			}
 
-			wantDigest, wantSeries, wantSamples := ingestDigest(t, refDB)
-			gotDigest, gotSeries, gotSamples := ingestDigest(t, db)
-			if gotDigest != wantDigest || gotSeries != wantSeries || gotSamples != wantSamples {
-				t.Errorf("head: %d series, %d samples, digest %x; reference %d series, %d samples, digest %x",
-					gotSeries, gotSamples, gotDigest, wantSeries, wantSamples, wantDigest)
-			}
-			if wantSeries < 20 || wantSamples < streams {
-				t.Errorf("run too small to mean anything: %d series, %d samples", wantSeries, wantSamples)
+			compare("at the end")
+			if peakSeries < 20 || peakSamples < streams {
+				t.Errorf("run too small to mean anything: at most %d series, %d samples compared", peakSeries, peakSamples)
 			}
 			if err := refDB.Close(); err != nil {
 				t.Fatal(err)

@@ -1,6 +1,7 @@
 package tsdb
 
 import (
+	"sync"
 	"time"
 
 	"repro/internal/labels"
@@ -42,6 +43,22 @@ type pendingSample struct {
 	v     float64
 }
 
+// pendingLists holds the per-shard pending lists of committed appenders, so
+// that the next batch (a scrape pass or a rule evaluation takes a fresh
+// Appender) reuses their room instead of growing its lists from empty.
+var pendingLists sync.Pool
+
+// stage appends p to shard i's pending list, taking a pooled list first.
+func (a *Appender) stage(i uint64, p pendingSample) {
+	if a.byShard[i] == nil {
+		if l, ok := pendingLists.Get().(*[]pendingSample); ok {
+			a.byShard[i] = *l
+		}
+	}
+	a.byShard[i] = append(a.byShard[i], p)
+	a.count++
+}
+
 // Appender returns an empty batch appender for the DB.
 func (db *DB) Appender() *Appender {
 	return &Appender{db: db, byShard: make([][]pendingSample, len(db.shards))}
@@ -54,9 +71,7 @@ func (db *DB) Appender() *Appender {
 // break the one-shard-per-series invariant the query merge relies on.
 func (a *Appender) Add(lset labels.Labels, t int64, v float64) {
 	h := lset.Hash()
-	i := h & a.db.mask
-	a.byShard[i] = append(a.byShard[i], pendingSample{hash: h, lset: lset, t: t, v: v})
-	a.count++
+	a.stage(h&a.db.mask, pendingSample{hash: h, lset: lset, t: t, v: v})
 }
 
 // AddEntry is Add by ref: it buffers one sample of the series e.Labels names.
@@ -67,9 +82,7 @@ func (a *Appender) Add(lset labels.Labels, t int64, v float64) {
 // retained as Add retains lset.
 func (a *Appender) AddEntry(e *labels.CacheEntry, t int64, v float64) {
 	h := e.Hash()
-	i := h & a.db.mask
-	a.byShard[i] = append(a.byShard[i], pendingSample{hash: h, lset: e.Labels, entry: e, t: t, v: v})
-	a.count++
+	a.stage(h&a.db.mask, pendingSample{hash: h, lset: e.Labels, entry: e, t: t, v: v})
 }
 
 // Pending returns the number of buffered samples.
@@ -114,9 +127,16 @@ func (a *Appender) Commit() (int, error) {
 			break
 		}
 	}
+	// The lists go back to the pool cleared, so that a pooled list keeps no
+	// label set or cache entry alive.
 	a.count = 0
-	for i := range a.byShard {
-		a.byShard[i] = a.byShard[i][:0]
+	for i, l := range a.byShard {
+		if l != nil {
+			clear(l)
+			l = l[:0]
+			pendingLists.Put(&l)
+			a.byShard[i] = nil
+		}
 	}
 	a.lastStats = stats
 	if m != nil {

@@ -79,7 +79,7 @@ func finishBlock(parent string, meta *BlockMeta, series []diskSeries) (*Persiste
 type seriesCutter struct {
 	aggr        AggrType
 	maxPerChunk int
-	chunks      []diskChunk
+	chunks      []encodedChunk
 	// cur is the chunk being filled, empty between chunks; held by value so
 	// that a cut chunk costs no Chunk allocation, only its bytes.
 	cur            chunkenc.Chunk
@@ -114,12 +114,9 @@ func (sc *seriesCutter) reuse(cr *chunkRange) {
 }
 
 func (sc *seriesCutter) push(c *chunkenc.Chunk, minT, maxT int64) {
-	sc.chunks = append(sc.chunks, diskChunk{
-		aggr:       sc.aggr,
-		minT:       minT,
-		maxT:       maxT,
-		numSamples: c.NumSamples(),
-		payload:    c.Bytes(),
+	sc.chunks = append(sc.chunks, encodedChunk{
+		diskChunk: diskChunk{aggr: sc.aggr, minT: minT, maxT: maxT, numSamples: uint16(c.NumSamples())},
+		payload:   c.Bytes(),
 	})
 }
 
@@ -149,7 +146,7 @@ func (sh *headShard) cutSorted(mint, maxt int64, maxPerChunk int) ([]diskSeries,
 // cut snapshots the series' samples in [mint, maxt] into block chunks.
 // Series without out-of-order samples reuse closed chunks that lie fully in
 // range; everything else re-encodes.
-func (s *memSeries) cut(mint, maxt int64, maxPerChunk int) ([]diskChunk, error) {
+func (s *memSeries) cut(mint, maxt int64, maxPerChunk int) ([]encodedChunk, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	sc := seriesCutter{maxPerChunk: maxPerChunk}

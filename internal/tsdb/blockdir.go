@@ -151,22 +151,51 @@ type BlockMeta struct {
 	Stats   BlockStats `json:"stats"`
 }
 
-// diskChunk is one chunk's index entry. payload is set while writing;
-// off/length locate the chunk in the chunks file when reading.
+// diskChunk is one chunk's index entry as an open block keeps it: 32 bytes
+// and no pointer, so a block's entries are one array the collector never
+// scans. off and length locate the chunk in the chunks file. A chunk holds
+// at most chunkenc's 65 535 samples, and no index that claims more, or a
+// chunk of 4 GiB or more, opens (decodeIndex).
 type diskChunk struct {
-	aggr       AggrType
 	minT, maxT int64
-	numSamples int
-	payload    []byte
 	off        uint64
-	length     uint64
+	length     uint32
+	numSamples uint16
+	aggr       AggrType
 }
 
-// diskSeries is one series of a block: its labels plus chunk entries in
-// time order (grouped by aggregate type for downsampled blocks).
+// encodedChunk is a chunk on its way into a block: its entry, placed in the
+// chunks file by encodeChunksStream, and its bytes.
+type encodedChunk struct {
+	diskChunk
+	payload []byte
+}
+
+// diskSeries is one series of a block being written: its labels plus its
+// chunks in time order (grouped by aggregate type for downsampled blocks).
 type diskSeries struct {
 	lset   labels.Labels
-	chunks []diskChunk
+	chunks []encodedChunk
+}
+
+// seriesTable is a block's series as an open block keeps them: label-sorted,
+// each holding its range of one array of chunk entries.
+type seriesTable struct {
+	series  []blockSeries
+	entries []diskChunk // every series' chunks, series-major in index order
+}
+
+// blockSeries is one series of an open block: its labels and its chunk
+// entries, entries[lo:hi] of its table.
+type blockSeries struct {
+	lset   labels.Labels
+	lo, hi uint32
+}
+
+// chunksOf returns the chunk entries of the series at pos.
+func (t *seriesTable) chunksOf(pos uint32) []diskChunk {
+	s := &t.series[pos]
+	return t.entries[s.lo:s.hi]
 }
 
 var blockSeq atomic.Uint64
@@ -191,60 +220,69 @@ func fillStats(meta *BlockMeta, series []diskSeries) {
 	for i := range series {
 		st.NumChunks += len(series[i].chunks)
 		for _, c := range series[i].chunks {
-			st.NumSamples += c.numSamples
+			st.NumSamples += int(c.numSamples)
 		}
 	}
 	meta.Stats = st
 }
 
-// encodeChunksStream writes the chunks file body to w and fills in each
-// chunk's off/length. The caller has already decided the series order;
-// chunks are laid out series-major in index order.
-func encodeChunksStream(series []diskSeries, w *bufio.Writer) error {
+// encodeChunksStream writes the chunks file body to w and returns the series
+// as an open block keeps them, every chunk entry placed. The caller has
+// already decided the series order; chunks are laid out series-major in
+// index order.
+func encodeChunksStream(series []diskSeries, w *bufio.Writer) (seriesTable, error) {
 	if _, err := w.WriteString(chunksMagic); err != nil {
-		return err
+		return seriesTable{}, err
 	}
 	if err := w.WriteByte(blockDirVersion); err != nil {
-		return err
+		return seriesTable{}, err
 	}
+	total := 0
+	for i := range series {
+		total += len(series[i].chunks)
+	}
+	t := seriesTable{series: make([]blockSeries, len(series)), entries: make([]diskChunk, 0, total)}
 	off := uint64(len(chunksMagic) + 1)
 	var hdr [4]byte
 	var vb [binary.MaxVarintLen64]byte
 	for si := range series {
-		for ci := range series[si].chunks {
-			c := &series[si].chunks[ci]
-			c.off = off
+		t.series[si] = blockSeries{lset: series[si].lset, lo: uint32(len(t.entries))}
+		for _, c := range series[si].chunks {
 			binary.LittleEndian.PutUint32(hdr[:], crc32.Checksum(c.payload, walCRC))
-			if _, err := w.Write(hdr[:]); err != nil {
-				return err
-			}
 			n := binary.PutUvarint(vb[:], uint64(len(c.payload)))
+			if _, err := w.Write(hdr[:]); err != nil {
+				return seriesTable{}, err
+			}
 			if _, err := w.Write(vb[:n]); err != nil {
-				return err
+				return seriesTable{}, err
 			}
 			if _, err := w.Write(c.payload); err != nil {
-				return err
+				return seriesTable{}, err
 			}
-			c.length = uint64(4 + n + len(c.payload))
-			off += c.length
+			// A chunk of at most 65 535 samples is far below 4 GiB.
+			e := c.diskChunk
+			e.off, e.length = off, uint32(4+n+len(c.payload))
+			t.entries = append(t.entries, e)
+			off += uint64(e.length)
 		}
+		t.series[si].hi = uint32(len(t.entries))
 	}
-	return nil
+	return t, nil
 }
 
 // encodeIndex renders the index file (including trailing CRC) into a buffer,
 // in version 2. Chunk lengths must already be filled in by
 // encodeChunksStream; offsets follow from them.
-func encodeIndex(series []diskSeries) []byte {
+func encodeIndex(t seriesTable) []byte {
 	ids := map[string]uint32{}
 	base, chunked := int64(math.MaxInt64), false
-	for i := range series {
-		for _, l := range series[i].lset {
+	for i := range t.series {
+		for _, l := range t.series[i].lset {
 			ids[l.Name], ids[l.Value] = 0, 0
 		}
-		for _, c := range series[i].chunks {
-			base, chunked = min(base, c.minT), true
-		}
+	}
+	for _, c := range t.entries {
+		base, chunked = min(base, c.minT), true
 	}
 	if !chunked {
 		base = 0
@@ -265,24 +303,25 @@ func encodeIndex(series []diskSeries) []byte {
 		putU(uint64(len(sym)))
 		buf.WriteString(sym)
 	}
-	putU(uint64(len(series)))
-	for i := range series {
-		s := &series[i]
+	putU(uint64(len(t.series)))
+	for i := range t.series {
+		s := &t.series[i]
 		putU(uint64(len(s.lset)))
 		for _, l := range s.lset {
 			putU(uint64(ids[l.Name]))
 			putU(uint64(ids[l.Value]))
 		}
-		putU(uint64(len(s.chunks)))
+		chunks := t.chunksOf(uint32(i))
+		putU(uint64(len(chunks)))
 		prev := base
-		for j, c := range s.chunks {
-			if j > 0 && c.aggr != s.chunks[j-1].aggr {
+		for j, c := range chunks {
+			if j > 0 && c.aggr != chunks[j-1].aggr {
 				prev = base
 			}
 			buf.WriteByte(byte(c.aggr))
 			putU(uint64(c.minT - prev))
 			putU(uint64(c.maxT - c.minT))
-			putU(c.length)
+			putU(uint64(c.length))
 			putU(uint64(c.numSamples))
 			prev = c.maxT
 		}
@@ -400,22 +439,26 @@ func (r *indexReader) symbols() ([]string, error) {
 // first show — first against the label in the same place of the series
 // before, which label order makes the same one more often than not, then
 // in a map.
-func decodeIndex(data []byte) ([]diskSeries, *labelPairs, error) {
+//
+// The chunk entries go into one array, sized by chunks, the count meta.json
+// records, when that is right; one of any other size is copied to the size
+// it holds, so an open block keeps no spare capacity.
+func decodeIndex(data []byte, chunks int) (seriesTable, *labelPairs, error) {
 	hdr := len(indexMagic) + 1
 	if len(data) < hdr+4 {
-		return nil, nil, fmt.Errorf("tsdb: index truncated (%d bytes)", len(data))
+		return seriesTable{}, nil, fmt.Errorf("tsdb: index truncated (%d bytes)", len(data))
 	}
 	if string(data[:len(indexMagic)]) != indexMagic {
-		return nil, nil, fmt.Errorf("tsdb: bad index magic %q", data[:len(indexMagic)])
+		return seriesTable{}, nil, fmt.Errorf("tsdb: bad index magic %q", data[:len(indexMagic)])
 	}
 	version := data[len(indexMagic)]
 	if version != indexVersion && version != indexVersionV1 {
-		return nil, nil, fmt.Errorf("tsdb: unsupported index version %d", version)
+		return seriesTable{}, nil, fmt.Errorf("tsdb: unsupported index version %d", version)
 	}
 	v1 := version == indexVersionV1
 	body, tail := data[:len(data)-4], data[len(data)-4:]
 	if got, want := crc32.Checksum(body, walCRC), binary.LittleEndian.Uint32(tail); got != want {
-		return nil, nil, fmt.Errorf("tsdb: index crc mismatch (got %08x want %08x)", got, want)
+		return seriesTable{}, nil, fmt.Errorf("tsdb: index crc mismatch (got %08x want %08x)", got, want)
 	}
 	r := &indexReader{b: body[hdr:]}
 	var (
@@ -429,10 +472,10 @@ func decodeIndex(data []byte) ([]diskSeries, *labelPairs, error) {
 		symOf, chunkMin = map[string]uint32{}, 6
 	} else {
 		if base, err = r.varint(); err != nil {
-			return nil, nil, err
+			return seriesTable{}, nil, err
 		}
 		if syms, err = r.symbols(); err != nil {
-			return nil, nil, err
+			return seriesTable{}, nil, err
 		}
 	}
 	// v1Symbol numbers a version-1 string the first time it shows.
@@ -452,13 +495,14 @@ func decodeIndex(data []byte) ([]diskSeries, *labelPairs, error) {
 	// A series is at least its two counts, a label its two lengths or ids.
 	nSeries, err := r.count("series", 2)
 	if err != nil {
-		return nil, nil, err
+		return seriesTable{}, nil, err
 	}
 	if uint64(nSeries) > math.MaxUint32 {
-		return nil, nil, fmt.Errorf("tsdb: index holds %d series, more than a block can address", nSeries)
+		return seriesTable{}, nil, fmt.Errorf("tsdb: index holds %d series, more than a block can address", nSeries)
 	}
 	var (
-		series   = make([]diskSeries, nSeries)
+		series   = make([]blockSeries, nSeries)
+		entries  = make([]diskChunk, 0, min(max(chunks, 0), len(r.b)/chunkMin))
 		lp       = &labelPairs{ids: make([]uint32, 0, 4*nSeries)}
 		pairOf   = map[uint64]uint32{} // name id << 32 | value id -> index into lp.pairs
 		prev     []uint64              // the pair keys of the series before
@@ -467,19 +511,18 @@ func decodeIndex(data []byte) ([]diskSeries, *labelPairs, error) {
 		off      = uint64(len(chunksMagic) + 1) // version 2: where the next chunk starts
 		earliest = int64(math.MaxInt64)         // version 2: the earliest chunk minT
 		chunked  bool
-		// Label sets and chunk lists are carved from shared slabs — a
-		// block's series live and die together — sized for the series left
-		// to be like the one at hand, a few thousand entries at most and
-		// never more than the bytes left could fill.
+		// Label sets are carved from shared slabs — a block's series live
+		// and die together — sized for the series left to be like the one at
+		// hand, a few thousand labels at most and never more than the bytes
+		// left could fill.
 		labelSlab []labels.Label
-		chunkSlab []diskChunk
 	)
 	const slabSize = 4096
 	for i := range series {
 		s := &series[i]
 		nLabels, err := r.count("labels", 2)
 		if err != nil {
-			return nil, nil, err
+			return seriesTable{}, nil, err
 		}
 		if len(labelSlab) < nLabels {
 			labelSlab = make([]labels.Label, max(nLabels, min(slabSize, len(r.b)/2, (nSeries-i)*nLabels)))
@@ -491,22 +534,22 @@ func decodeIndex(data []byte) ([]diskSeries, *labelPairs, error) {
 			var name, value uint32
 			if v1 {
 				if name, err = v1Symbol(); err != nil {
-					return nil, nil, err
+					return seriesTable{}, nil, err
 				}
 				if value, err = v1Symbol(); err != nil {
-					return nil, nil, err
+					return seriesTable{}, nil, err
 				}
 			} else {
 				n, err := r.uvarint()
 				if err != nil {
-					return nil, nil, err
+					return seriesTable{}, nil, err
 				}
 				v, err := r.uvarint()
 				if err != nil {
-					return nil, nil, err
+					return seriesTable{}, nil, err
 				}
 				if n >= uint64(len(syms)) || v >= uint64(len(syms)) {
-					return nil, nil, fmt.Errorf("tsdb: index series %d: symbol id beyond the %d symbols", i, len(syms))
+					return seriesTable{}, nil, fmt.Errorf("tsdb: index series %d: symbol id beyond the %d symbols", i, len(syms))
 				}
 				name, value = uint32(n), uint32(v)
 			}
@@ -527,72 +570,83 @@ func decodeIndex(data []byte) ([]diskSeries, *labelPairs, error) {
 			cur = append(cur, key)
 			s.lset[j] = lp.pairs[id]
 			if j > 0 && s.lset[j-1].Name >= s.lset[j].Name {
-				return nil, nil, fmt.Errorf("tsdb: index series %d: label names out of order", i)
+				return seriesTable{}, nil, fmt.Errorf("tsdb: index series %d: label names out of order", i)
 			}
 		}
 		prev, cur, prevPair = cur, prev, lp.ids[first:]
 		if i > 0 && labels.Compare(series[i-1].lset, s.lset) >= 0 {
-			return nil, nil, fmt.Errorf("tsdb: index series %d out of label order", i)
+			return seriesTable{}, nil, fmt.Errorf("tsdb: index series %d out of label order", i)
 		}
 		nChunks, err := r.count("chunks", chunkMin)
 		if err != nil {
-			return nil, nil, err
+			return seriesTable{}, nil, err
 		}
-		if len(chunkSlab) < nChunks {
-			chunkSlab = make([]diskChunk, max(nChunks, min(slabSize, len(r.b)/chunkMin, (nSeries-i)*nChunks)))
+		if uint64(len(entries)+nChunks) > math.MaxUint32 {
+			return seriesTable{}, nil, fmt.Errorf("tsdb: index holds more chunks than a block can address")
 		}
-		s.chunks, chunkSlab = chunkSlab[:nChunks:nChunks], chunkSlab[nChunks:]
+		s.lo = uint32(len(entries))
 		var aggrs uint64 // the aggregates of the series' chunks so far
 		t := base        // version 2: what the next minT is coded against
-		for j := range s.chunks {
-			c := &s.chunks[j]
+		for j := 0; j < nChunks; j++ {
+			var c diskChunk
 			if len(r.b) == 0 {
-				return nil, nil, fmt.Errorf("tsdb: index truncated in series %d", i)
+				return seriesTable{}, nil, fmt.Errorf("tsdb: index truncated in series %d", i)
 			}
 			c.aggr, r.b = AggrType(r.b[0]), r.b[1:]
-			if j > 0 && c.aggr != s.chunks[j-1].aggr {
+			if j > 0 && c.aggr != entries[len(entries)-1].aggr {
 				if aggrs&(1<<c.aggr) != 0 {
-					return nil, nil, fmt.Errorf("tsdb: index series %d: its %s chunks are apart", i, c.aggr)
+					return seriesTable{}, nil, fmt.Errorf("tsdb: index series %d: its %s chunks are apart", i, c.aggr)
 				}
 				t = base
 			}
 			aggrs |= 1 << c.aggr
 			if v1 {
 				if c.minT, err = r.varint(); err != nil {
-					return nil, nil, err
+					return seriesTable{}, nil, err
 				}
 				if c.maxT, err = r.varint(); err != nil {
-					return nil, nil, err
+					return seriesTable{}, nil, err
 				}
 				if c.off, err = r.uvarint(); err != nil {
-					return nil, nil, err
+					return seriesTable{}, nil, err
 				}
 			} else {
 				d, err := r.uvarint()
 				if err != nil {
-					return nil, nil, err
+					return seriesTable{}, nil, err
 				}
 				span, err := r.uvarint()
 				if err != nil {
-					return nil, nil, err
+					return seriesTable{}, nil, err
 				}
 				c.minT = t + int64(d)
 				c.maxT, c.off = c.minT+int64(span), off
 				t, earliest, chunked = c.maxT, min(earliest, c.minT), true
 			}
-			if c.length, err = r.uvarint(); err != nil {
-				return nil, nil, err
+			length, err := r.uvarint()
+			if err != nil {
+				return seriesTable{}, nil, err
 			}
-			off += c.length
 			ns, err := r.uvarint()
 			if err != nil {
-				return nil, nil, err
+				return seriesTable{}, nil, err
 			}
-			c.numSamples = int(ns)
+			// The entry holds both in the widths a chunk can have: a larger
+			// one is a wrong writer, not a count to read modulo 2^16.
+			if ns > math.MaxUint16 {
+				return seriesTable{}, nil, fmt.Errorf("tsdb: index series %s: chunk %d claims %d samples, more than a chunk's %d", s.lset, j, ns, math.MaxUint16)
+			}
+			if length > math.MaxUint32 {
+				return seriesTable{}, nil, fmt.Errorf("tsdb: index series %s: chunk %d claims %d bytes, more than a chunk's 4 GiB", s.lset, j, length)
+			}
+			c.length, c.numSamples = uint32(length), uint16(ns)
+			off += length
+			entries = append(entries, c)
 		}
+		s.hi = uint32(len(entries))
 	}
 	if len(r.b) != 0 {
-		return nil, nil, fmt.Errorf("tsdb: index has %d bytes after its last series", len(r.b))
+		return seriesTable{}, nil, fmt.Errorf("tsdb: index has %d bytes after its last series", len(r.b))
 	}
 	if !v1 {
 		// What encodeIndex would write for these series, it must have.
@@ -600,17 +654,20 @@ func decodeIndex(data []byte) ([]diskSeries, *labelPairs, error) {
 			earliest = 0
 		}
 		if base != earliest {
-			return nil, nil, fmt.Errorf("tsdb: index time base %d is not its earliest chunk start %d", base, earliest)
+			return seriesTable{}, nil, fmt.Errorf("tsdb: index time base %d is not its earliest chunk start %d", base, earliest)
 		}
 		used := make([]bool, len(syms))
 		for key := range pairOf {
 			used[key>>32], used[uint32(key)] = true, true
 		}
 		if k := slices.Index(used, false); k >= 0 {
-			return nil, nil, fmt.Errorf("tsdb: index symbol %d names no label", k)
+			return seriesTable{}, nil, fmt.Errorf("tsdb: index symbol %d names no label", k)
 		}
 	}
-	return series, lp, nil
+	if cap(entries) != len(entries) {
+		entries = append([]diskChunk(nil), entries...)
+	}
+	return seriesTable{series: series, entries: entries}, lp, nil
 }
 
 // writeBlockDir persists a block directory under parent following the
@@ -636,13 +693,15 @@ func writeBlockDir(parent string, meta *BlockMeta, series []diskSeries) (dir str
 			os.RemoveAll(tmp)
 		}
 	}()
-	if err := writeFileDurably(filepath.Join(tmp, ChunksFilename), func(w *bufio.Writer) error {
-		return encodeChunksStream(series, w)
+	var table seriesTable
+	if err := writeFileDurably(filepath.Join(tmp, ChunksFilename), func(w *bufio.Writer) (werr error) {
+		table, werr = encodeChunksStream(series, w)
+		return werr
 	}); err != nil {
 		return "", err
 	}
 	if err := writeFileDurably(filepath.Join(tmp, IndexFilename), func(w *bufio.Writer) error {
-		_, werr := w.Write(encodeIndex(series))
+		_, werr := w.Write(encodeIndex(table))
 		return werr
 	}); err != nil {
 		return "", err

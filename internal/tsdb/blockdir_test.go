@@ -11,6 +11,7 @@ import (
 	"sort"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/labels"
 	"repro/internal/model"
@@ -178,12 +179,12 @@ func TestBlockDirCorruptionDetected(t *testing.T) {
 		// A CRC-valid index whose off+length overflows uint64 to below off:
 		// version 1, where an offset is written, not implied.
 		cp := corrupt(t, IndexFilename, func(d []byte) []byte {
-			series, _, err := decodeIndex(d)
+			table, _, err := decodeIndex(d, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
-			series[0].chunks[0].off, series[0].chunks[0].length = math.MaxUint64-2, 10
-			return encodeIndexV1(series)
+			table.entries[0].off, table.entries[0].length = math.MaxUint64-2, 10
+			return encodeIndexV1(table)
 		})
 		b, err := OpenBlockDir(cp)
 		if err != nil {
@@ -194,6 +195,43 @@ func TestBlockDirCorruptionDetected(t *testing.T) {
 			t.Fatal("chunk ref off=2^64-3 len=10 served samples")
 		}
 	})
+	// A CRC-valid index whose first chunk claims a count or a length its
+	// resident entry could only hold cut down: version 1, whose writer is the
+	// test's and takes any width.
+	for _, tc := range []struct {
+		name             string
+		length, nSamples uint64
+	}{
+		{"chunk claims 65536 samples", 0, math.MaxUint16 + 1},
+		{"chunk claims 4 GiB", math.MaxUint32 + 1, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var first labels.Labels
+			cp := corrupt(t, IndexFilename, func(d []byte) []byte {
+				table, _, err := decodeIndex(d, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				first = table.series[0].lset
+				wide := [2]uint64{tc.length, tc.nSamples}
+				if wide[0] == 0 {
+					wide[0] = uint64(table.entries[0].length)
+				}
+				if wide[1] == 0 {
+					wide[1] = uint64(table.entries[0].numSamples)
+				}
+				return encodeIndexV1Wide(table, &wide)
+			})
+			b, err := OpenBlockDir(cp)
+			if err == nil {
+				b.Close()
+				t.Fatal("index opened cleanly")
+			}
+			if !strings.Contains(err.Error(), first.String()) {
+				t.Fatalf("error %q does not name the series %s", err, first)
+			}
+		})
+	}
 	t.Run("meta garbage", func(t *testing.T) {
 		cp := corrupt(t, MetaFilename, func(d []byte) []byte { return []byte("{") })
 		if _, err := OpenBlockDir(cp); err == nil {
@@ -352,8 +390,8 @@ func TestCutReusesClosedChunksUndecoded(t *testing.T) {
 	if meta := pb.Meta(); meta.MinTime != 0 || meta.MaxTime != 29_000 || meta.Stats.NumChunks != 12 || meta.Stats.NumSamples != 120 {
 		t.Fatalf("meta = %+v, want [0, 29000] with 12 chunks of 10 samples", meta)
 	}
-	for _, ds := range pb.series {
-		for i, c := range ds.chunks {
+	for pos, ds := range pb.series {
+		for i, c := range pb.chunksOf(uint32(pos)) {
 			if want := int64(i) * 10_000; c.minT != want || c.maxT != want+9000 {
 				t.Fatalf("%s chunk %d bounds [%d, %d], want [%d, %d]", ds.lset, i, c.minT, c.maxT, want, want+9000)
 			}
@@ -779,17 +817,17 @@ func TestBlockSelectSizesSamplesOnce(t *testing.T) {
 	const day = int64(24 * 3600 * 1000)
 	db := blockSeedDB(t, 1, 3, int(30*day/60_000), 0, 60_000)
 	pb := cutMem(t, db)
-	read := blockSeries(pb, 0, 30*day, AggrRaw)
+	read := seriesReader(pb, 0, 30*day, AggrRaw)
 	for i := range pb.series {
-		s := &pb.series[i]
-		if len(s.chunks) < 100 {
-			t.Fatalf("series %d has %d chunks; fixture too small", i, len(s.chunks))
+		chunks := pb.chunksOf(uint32(i))
+		if len(chunks) < 100 {
+			t.Fatalf("series %d has %d chunks; fixture too small", i, len(chunks))
 		}
 		// What decoding the chunks costs with the destination already sized.
 		dst := make([]model.Sample, 0, 30*day/60_000)
 		decode := testing.AllocsPerRun(5, func() {
 			out := dst[:0]
-			for _, c := range s.chunks {
+			for _, c := range chunks {
 				var err error
 				ch, err := pb.decodeChunk(&c)
 				if err != nil {
@@ -822,18 +860,49 @@ func TestBlockSelectSizesSamplesOnce(t *testing.T) {
 // count only as far as the chunk's bytes could hold it.
 func TestBlockSampleHintCapped(t *testing.T) {
 	pb := cutMem(t, blockSeedDB(t, 1, 1, 500, 0, 15_000))
-	c := pb.series[0].chunks[0]
-	if got := pb.sampleHint(c); got != c.numSamples {
+	c := pb.entries[0]
+	if got := pb.sampleHint(&c); got != int(c.numSamples) {
 		t.Errorf("honest chunk: hint %d, want its %d samples", got, c.numSamples)
 	}
-	for _, n := range []int{1 << 40, -1} {
-		c.numSamples = n
-		if got, max := pb.sampleHint(c), int(8*c.length); got != max {
-			t.Errorf("numSamples=%d: hint %d, want the cap %d", n, got, max)
+	if 8*len(pb.chunks) >= math.MaxUint16 {
+		t.Fatalf("test setup: a %d-byte segment could hold the largest count", len(pb.chunks))
+	}
+	c.numSamples = math.MaxUint16
+	if got, max := pb.sampleHint(&c), int(8*c.length); got != max {
+		t.Errorf("numSamples=%d: hint %d, want the cap %d", c.numSamples, got, max)
+	}
+	c.length = math.MaxUint32 // both corrupt: bounded by the segment
+	if got, max := pb.sampleHint(&c), 8*len(pb.chunks); got != max {
+		t.Errorf("corrupt length: hint %d, want at most %d", got, max)
+	}
+}
+
+// TestBlockChunkEntryPacked: the chunk entry an open block keeps per chunk is
+// at most 32 bytes and holds no pointer, so a block's entries are one array
+// the collector does not scan, and the series of an open block hold their
+// chunks as a range of it.
+func TestBlockChunkEntryPacked(t *testing.T) {
+	if size := unsafe.Sizeof(diskChunk{}); size > 32 {
+		t.Errorf("diskChunk is %d bytes, want at most 32", size)
+	}
+	typ := reflect.TypeOf(diskChunk{})
+	for i := range typ.NumField() {
+		switch f := typ.Field(i); f.Type.Kind() {
+		case reflect.Int64, reflect.Uint64, reflect.Uint32, reflect.Uint16, reflect.Uint8:
+		default:
+			t.Errorf("diskChunk.%s is a %s, want a fixed-width integer", f.Name, f.Type)
 		}
 	}
-	c.numSamples, c.length = 1<<40, 1<<50 // both corrupt: bounded by the segment
-	if got, max := pb.sampleHint(c), 8*len(pb.chunks); got != max {
-		t.Errorf("corrupt length: hint %d, want at most %d", got, max)
+	pb := cutMem(t, blockSeedDB(t, 1, 3, 500, 0, 15_000))
+	defer pb.Close()
+	next := uint32(0)
+	for pos, s := range pb.series {
+		if s.lo != next || s.hi < s.lo || len(pb.chunksOf(uint32(pos))) == 0 {
+			t.Fatalf("series %d holds entries [%d, %d), want a range from %d", pos, s.lo, s.hi, next)
+		}
+		next = s.hi
+	}
+	if int(next) != len(pb.entries) || cap(pb.entries) != len(pb.entries) {
+		t.Fatalf("series cover %d of %d entries (capacity %d)", next, len(pb.entries), cap(pb.entries))
 	}
 }

@@ -53,6 +53,12 @@ func FuzzOpenBlockDir(f *testing.F) {
 			}
 		}
 		f.Add(files[0], files[1], files[2])
+		if pb == a {
+			// Its index as version 1, the first chunk claiming more
+			// samples than a chunk holds.
+			wide := [2]uint64{uint64(a.entries[0].length), math.MaxUint16 + 1}
+			f.Add(files[0], encodeIndexV1Wide(a.seriesTable, &wide), files[2])
+		}
 		pb.Close()
 	}
 	b.Close()

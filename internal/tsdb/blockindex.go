@@ -32,7 +32,7 @@ type labelPostings struct {
 
 // newBlockIndex lays the pairs decodeIndex numbered out by name, then
 // value, and fills each pair's list with the positions of its series.
-func newBlockIndex(series []diskSeries, lp *labelPairs) *blockIndex {
+func newBlockIndex(series []blockSeries, lp *labelPairs) *blockIndex {
 	pairs := lp.pairs
 	order := make([]uint32, len(pairs))
 	for i := range order {

@@ -32,7 +32,7 @@ func scanSelectAggr(pb *PersistentBlock, mint, maxt, limit int64, aggr AggrType,
 	if len(parts) == 0 {
 		return out, nil
 	}
-	read := blockSeries(pb, parts[0].lo, parts[0].hi, aggr)
+	read := seriesReader(pb, parts[0].lo, parts[0].hi, aggr)
 	var copied int64
 	for i := range pb.series {
 		s := &pb.series[i]
@@ -55,9 +55,9 @@ func scanSelectAggr(pb *PersistentBlock, mint, maxt, limit int64, aggr AggrType,
 	return out, nil
 }
 
-// blockSeries returns a reader of pb's series, each alone, over [mint,
+// seriesReader returns a reader of pb's series, each alone, over [mint,
 // maxt] for the requested aggregate, as a read of one block part fills them.
-func blockSeries(pb *PersistentBlock, mint, maxt int64, aggr AggrType) func(pos int) ([]model.Sample, error) {
+func seriesReader(pb *PersistentBlock, mint, maxt int64, aggr AggrType) func(pos int) ([]model.Sample, error) {
 	sf := &seriesFiller{r: &reader{maxt: maxt, parts: []blockPart{newBlockPart(pb, mint, maxt, aggr)}}}
 	return func(pos int) ([]model.Sample, error) { return sf.series([]piece{{pos: uint32(pos)}}) }
 }
@@ -188,7 +188,7 @@ func churnedBlockSeries(tb testing.TB, n int) []diskSeries {
 	}()
 	series := make([]diskSeries, 0, n)
 	add := func(lset labels.Labels) {
-		series = append(series, diskSeries{lset: lset, chunks: []diskChunk{{aggr: AggrRaw, minT: 1000, maxT: 46_000, numSamples: 4, payload: payload}}})
+		series = append(series, diskSeries{lset: lset, chunks: []encodedChunk{{diskChunk{aggr: AggrRaw, minT: 1000, maxT: 46_000, numSamples: 4}, payload}}})
 	}
 	node := func(i int) (instance, class string) {
 		return fmt.Sprintf("n%04d:9100", i%fleet), []string{"intel", "amd"}[i%2]
@@ -434,7 +434,7 @@ func TestDecodeIndexRejectsOversizedCounts(t *testing.T) {
 		"v2 labels":  append(append(slices.Clone(v2), 0, 1), huge...),
 		"v2 chunks":  append(append(slices.Clone(v2), 0, 1, 0), huge...),
 	} {
-		if _, _, err := decodeIndex(indexWithCRC(body)); err == nil {
+		if _, _, err := decodeIndex(indexWithCRC(body), 0); err == nil {
 			t.Errorf("index with 1<<60 %s decoded without error", name)
 		}
 	}
@@ -466,8 +466,8 @@ func FuzzDecodeIndex(f *testing.F) {
 		f.Fatal(err)
 	}
 	for _, pb := range []*PersistentBlock{raw, ds} {
-		f.Add(indexBody(encodeIndex(pb.series)))
-		f.Add(indexBody(encodeIndexV1(pb.series)))
+		f.Add(indexBody(encodeIndex(pb.seriesTable)))
+		f.Add(indexBody(encodeIndexV1(pb.seriesTable)))
 	}
 	for name := range blocksV1Pinned {
 		idx, err := os.ReadFile(filepath.Join(blocksV1Fixture, name, IndexFilename))
@@ -477,13 +477,15 @@ func FuzzDecodeIndex(f *testing.F) {
 		f.Add(indexBody(idx))
 	}
 	// A v1 chunk ref whose off+length wraps past 2^64.
-	wrap, _, err := decodeIndex(encodeIndex(raw.series))
+	wrap, _, err := decodeIndex(encodeIndex(raw.seriesTable), 0)
 	if err != nil {
 		f.Fatal(err)
 	}
-	wrap[0].chunks[0].off, wrap[0].chunks[0].length = math.MaxUint64-2, 10
+	wrap.entries[0].off, wrap.entries[0].length = math.MaxUint64-2, 10
 	f.Add(indexBody(encodeIndexV1(wrap)))
-	f.Add(indexBody(encodeIndex(nil)))
+	// A v1 chunk that claims more samples than a chunk holds.
+	f.Add(indexBody(encodeIndexV1Wide(raw.seriesTable, &[2]uint64{uint64(raw.entries[0].length), math.MaxUint16 + 1})))
+	f.Add(indexBody(encodeIndex(seriesTable{})))
 	f.Add([]byte{indexVersionV1})
 	f.Add(binary.AppendUvarint([]byte{indexVersion, 0}, 1<<60))
 	seg := &PersistentBlock{chunks: raw.chunks}
@@ -491,12 +493,13 @@ func FuzzDecodeIndex(f *testing.F) {
 		data := indexWithCRC(body)
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		series, pairs, err := decodeIndex(data)
+		table, pairs, err := decodeIndex(data, 0)
 		runtime.ReadMemStats(&after)
-		// A series entry is 48 bytes for at least 2 of input, a label 32 for
-		// 2, a chunk entry 72 for 5; a symbol 16 for 1 plus its copy and its
-		// use mark; the maps add their buckets, and the constant covers the
-		// fuzz worker's own allocations.
+		// A series entry is 32 bytes for at least 2 of input, a label 32 for
+		// 2, a chunk entry 32 for 5, grown by doubling with no count to size
+		// it and then copied to its size; a symbol 16 for 1 plus its copy
+		// and its use mark; the maps add their buckets, and the constant
+		// covers the fuzz worker's own allocations.
 		if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(1<<16+128*len(data)); got > limit {
 			t.Fatalf("decoding %d bytes allocated %d, limit %d", len(data), got, limit)
 		}
@@ -507,14 +510,12 @@ func FuzzDecodeIndex(f *testing.F) {
 		if data[len(indexMagic)] == indexVersionV1 {
 			encode = encodeIndexV1
 		}
-		if again := encode(series); !bytes.Equal(again, data) {
+		if again := encode(table); !bytes.Equal(again, data) {
 			t.Fatalf("decoded version-%d index re-encodes to %d different bytes (input %d)", data[len(indexMagic)], len(again), len(data))
 		}
-		newBlockIndex(series, pairs)
-		for i := range series {
-			for j := range series[i].chunks {
-				seg.decodeChunk(&series[i].chunks[j])
-			}
+		newBlockIndex(table.series, pairs)
+		for j := range table.entries {
+			seg.decodeChunk(&table.entries[j])
 		}
 	})
 }

@@ -38,11 +38,11 @@ import (
 // its reads with Retain/Release; Close defers the munmap until the last
 // retainer releases, so a mapped chunk slice can never be yanked mid-decode.
 type PersistentBlock struct {
-	dir    string // "" for in-memory blocks
-	meta   BlockMeta
-	series []diskSeries // sorted by labels; payloads nil, off/length set
-	index  *blockIndex  // postings over series, built at open
-	chunks []byte       // mmap'd (or in-memory) chunks file
+	dir  string // "" for in-memory blocks
+	meta BlockMeta
+	seriesTable
+	index  *blockIndex // postings over series, built at open
+	chunks []byte      // mmap'd (or in-memory) chunks file
 
 	lifeMu sync.Mutex
 	refs   int
@@ -72,7 +72,7 @@ func OpenBlockDir(dir string) (*PersistentBlock, error) {
 	if err != nil {
 		return nil, err
 	}
-	series, pairs, err := decodeIndex(idx)
+	table, pairs, err := decodeIndex(idx, meta.Stats.NumChunks)
 	if err != nil {
 		return nil, fmt.Errorf("tsdb: %s: %w", dir, err)
 	}
@@ -89,16 +89,14 @@ func OpenBlockDir(dir string) (*PersistentBlock, error) {
 	// bytes than the segment holds; one that does would have a read decode
 	// the same bytes again and again.
 	left := uint64(len(data) - hdr)
-	for i := range series {
-		for _, c := range series[i].chunks {
-			if c.length > left {
-				munmap()
-				return nil, fmt.Errorf("tsdb: %s: index references more chunk bytes than the %d of the chunks file", dir, len(data))
-			}
-			left -= c.length
+	for _, c := range table.entries {
+		if uint64(c.length) > left {
+			munmap()
+			return nil, fmt.Errorf("tsdb: %s: index references more chunk bytes than the %d of the chunks file", dir, len(data))
 		}
+		left -= uint64(c.length)
 	}
-	return &PersistentBlock{dir: dir, meta: meta, series: series, index: newBlockIndex(series, pairs), chunks: data, munmap: munmap}, nil
+	return &PersistentBlock{dir: dir, meta: meta, seriesTable: table, index: newBlockIndex(table.series, pairs), chunks: data, munmap: munmap}, nil
 }
 
 // newMemPersistentBlock assembles a PersistentBlock entirely in memory —
@@ -113,7 +111,8 @@ func newMemPersistentBlock(meta *BlockMeta, series []diskSeries) (*PersistentBlo
 	fillStats(meta, series)
 	var buf bytes.Buffer
 	w := bufio.NewWriter(&buf)
-	if err := encodeChunksStream(series, w); err != nil {
+	written, err := encodeChunksStream(series, w)
+	if err != nil {
 		return nil, err
 	}
 	if err := w.Flush(); err != nil {
@@ -121,11 +120,11 @@ func newMemPersistentBlock(meta *BlockMeta, series []diskSeries) (*PersistentBlo
 	}
 	// Through the index encoding and back, as a directory block's would go:
 	// one way to an open block, whichever kind it is.
-	series, pairs, err := decodeIndex(encodeIndex(series))
+	table, pairs, err := decodeIndex(encodeIndex(written), meta.Stats.NumChunks)
 	if err != nil {
 		return nil, err
 	}
-	return &PersistentBlock{meta: *meta, series: series, index: newBlockIndex(series, pairs), chunks: buf.Bytes(), munmap: func() error { return nil }}, nil
+	return &PersistentBlock{meta: *meta, seriesTable: table, index: newBlockIndex(table.series, pairs), chunks: buf.Bytes(), munmap: func() error { return nil }}, nil
 }
 
 // Meta returns the block's metadata.
@@ -191,14 +190,14 @@ func (pb *PersistentBlock) Close() error {
 // chunk.
 func (pb *PersistentBlock) decodeChunk(c *diskChunk) (chunkenc.Chunk, error) {
 	// Bounds without forming off+length, which a corrupt index can overflow.
-	seg := uint64(len(pb.chunks))
-	if c.off < uint64(len(chunksMagic)+1) || c.length < 5 || c.length > seg || c.off > seg-c.length {
+	seg, length := uint64(len(pb.chunks)), uint64(c.length)
+	if c.off < uint64(len(chunksMagic)+1) || length < 5 || length > seg || c.off > seg-length {
 		return chunkenc.Chunk{}, fmt.Errorf("tsdb: block %s: chunk ref out of bounds (off=%d len=%d segment=%d)", pb.meta.ULID, c.off, c.length, len(pb.chunks))
 	}
-	rec := pb.chunks[c.off : c.off+c.length]
+	rec := pb.chunks[c.off : c.off+length]
 	want := binary.LittleEndian.Uint32(rec[:4])
 	plen, n := binary.Uvarint(rec[4:])
-	if n <= 0 || uint64(4+n)+plen != c.length {
+	if n <= 0 || uint64(4+n)+plen != length {
 		return chunkenc.Chunk{}, fmt.Errorf("tsdb: block %s: chunk length mismatch at off=%d", pb.meta.ULID, c.off)
 	}
 	payload := rec[4+n:]
@@ -212,15 +211,12 @@ func (pb *PersistentBlock) decodeChunk(c *diskChunk) (chunkenc.Chunk, error) {
 // capped by what its bytes could possibly hold (a sample takes at least
 // one bit, so a chunk of length bytes holds at most 8·length) and by the
 // segment it must lie in — a corrupt count must not drive the allocation.
-func (pb *PersistentBlock) sampleHint(c diskChunk) int {
-	length := c.length
-	if seg := uint64(len(pb.chunks)); length > seg {
-		length = seg
-	}
-	if c.numSamples < 0 || uint64(c.numSamples) > 8*length {
+func (pb *PersistentBlock) sampleHint(c *diskChunk) int {
+	length := min(uint64(c.length), uint64(len(pb.chunks)))
+	if uint64(c.numSamples) > 8*length {
 		return int(8 * length)
 	}
-	return c.numSamples
+	return int(c.numSamples)
 }
 
 // forMatching calls visit, in label order, with the position of every
@@ -289,22 +285,24 @@ func (pb *PersistentBlock) LabelNames() []string { return pb.index.names }
 // block. The slice is the block's own; callers must not modify it.
 func (pb *PersistentBlock) LabelValues(name string) []string { return pb.index.labelValues(name) }
 
-// stream is s's chunks storing aggr, which stand together (decodeIndex).
-func (pb *PersistentBlock) stream(s *diskSeries, aggr AggrType) stream {
+// stream is the chunks of the series at pos storing aggr, which stand
+// together (decodeIndex).
+func (pb *PersistentBlock) stream(pos uint32, aggr AggrType) stream {
+	chunks := pb.chunksOf(pos)
 	lo := 0
-	for lo < len(s.chunks) && s.chunks[lo].aggr != aggr {
+	for lo < len(chunks) && chunks[lo].aggr != aggr {
 		lo++
 	}
 	hi := lo
-	for hi < len(s.chunks) && s.chunks[hi].aggr == aggr {
+	for hi < len(chunks) && chunks[hi].aggr == aggr {
 		hi++
 	}
-	return stream{block: pb, disk: s.chunks[lo:hi]}
+	return stream{block: pb, disk: chunks[lo:hi]}
 }
 
-// appendStream decodes onto dst the samples in [mint, maxt] of s's chunks
-// storing aggr: the unit compaction and downsampling read.
-func (pb *PersistentBlock) appendStream(dst []model.Sample, s *diskSeries, aggr AggrType, mint, maxt int64) ([]model.Sample, error) {
-	dst, _, err := pb.stream(s, aggr).read(dst, mint, maxt, nil, false)
+// appendStream decodes onto dst the samples in [mint, maxt] of the chunks of
+// the series at pos storing aggr: the unit compaction and downsampling read.
+func (pb *PersistentBlock) appendStream(dst []model.Sample, pos uint32, aggr AggrType, mint, maxt int64) ([]model.Sample, error) {
+	dst, _, err := pb.stream(pos, aggr).read(dst, mint, maxt, nil, false)
 	return dst, err
 }

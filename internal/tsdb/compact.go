@@ -67,7 +67,7 @@ func RewritePersistentBlock(parent string, b *PersistentBlock, tombs []Tombstone
 func copyBlocks(parent string, meta *BlockMeta, blocks []*PersistentBlock, tombs []TombstoneRec) (*PersistentBlock, error) {
 	w := &walker{blocks: blocks, mint: math.MinInt64, maxt: math.MaxInt64}
 	sc := seriesCutter{maxPerChunk: defaultSamplesPerChunk}
-	series, err := w.walk(tombs, func(run []blockSeriesRef) ([]diskChunk, error) {
+	series, err := w.walk(tombs, func(run []blockSeriesRef) ([]encodedChunk, error) {
 		for sc.aggr = AggrRaw; sc.aggr <= AggrMax; sc.aggr++ {
 			smps, err := w.merged(run, sc.aggr)
 			if err != nil {
@@ -121,7 +121,7 @@ func DownsamplePersistentBlocks(parent string, meta BlockMeta, blocks []*Persist
 		d.cuts[k] = seriesCutter{aggr: AggrSum + AggrType(k), maxPerChunk: defaultSamplesPerChunk}
 	}
 	var src [4][]model.Sample // raw alone, or sum, count, min, max
-	series, err := w.walk(tombs, func(run []blockSeriesRef) ([]diskChunk, error) {
+	series, err := w.walk(tombs, func(run []blockSeriesRef) ([]encodedChunk, error) {
 		if srcRes == 0 {
 			raw, err := w.merged(run, AggrRaw)
 			if err != nil {
@@ -173,7 +173,7 @@ type walker struct {
 
 // blockSeriesRef is one series of one walked block.
 type blockSeriesRef struct {
-	s        *diskSeries
+	s        *blockSeries
 	blk, pos uint32
 }
 
@@ -182,7 +182,7 @@ type blockSeriesRef struct {
 // set once), so that its first member is from the block that wins a shared
 // timestamp. The run is read past the newest sample a tombstone deletes of
 // it (w.from); a series fold returns no chunks for is left out.
-func (w *walker) walk(tombs []TombstoneRec, fold func(run []blockSeriesRef) ([]diskChunk, error)) ([]diskSeries, error) {
+func (w *walker) walk(tombs []TombstoneRec, fold func(run []blockSeriesRef) ([]encodedChunk, error)) ([]diskSeries, error) {
 	n := 0
 	for _, b := range w.blocks {
 		n += len(b.series)
@@ -241,7 +241,7 @@ func (w *walker) merged(run []blockSeriesRef, aggr AggrType) ([]model.Sample, er
 	st := w.streams[aggr][:len(run)]
 	for j, r := range run {
 		var err error
-		if st[j], err = w.blocks[r.blk].appendStream(st[j][:0], r.s, aggr, w.from, w.maxt); err != nil {
+		if st[j], err = w.blocks[r.blk].appendStream(st[j][:0], r.pos, aggr, w.from, w.maxt); err != nil {
 			return nil, err
 		}
 	}
@@ -285,7 +285,7 @@ func deletions(b *PersistentBlock, tombs []TombstoneRec) []deletion {
 			continue
 		}
 		b.forMatching(t.Matchers, func(pos uint32) bool {
-			if !slices.ContainsFunc(b.series[pos].chunks, func(c diskChunk) bool { return c.minT <= t.MaxT }) {
+			if !slices.ContainsFunc(b.chunksOf(pos), func(c diskChunk) bool { return c.minT <= t.MaxT }) {
 				return true
 			}
 			if through == nil {
@@ -405,7 +405,7 @@ func (d *downsampler) close() error {
 
 // finish closes the series' last bucket and returns its chunks, sum stream
 // first, leaving the cutters empty for the next series.
-func (d *downsampler) finish() ([]diskChunk, error) {
+func (d *downsampler) finish() ([]encodedChunk, error) {
 	if err := d.close(); err != nil {
 		return nil, err
 	}
@@ -417,7 +417,7 @@ func (d *downsampler) finish() ([]diskChunk, error) {
 	if n == 0 {
 		return nil, nil
 	}
-	chunks := make([]diskChunk, 0, n)
+	chunks := make([]encodedChunk, 0, n)
 	for k := range d.cuts {
 		chunks = append(chunks, d.cuts[k].chunks...)
 		d.cuts[k].chunks = d.cuts[k].chunks[:0]

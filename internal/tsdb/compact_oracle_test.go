@@ -46,11 +46,10 @@ func (pb *PersistentBlock) allAggrSeries() ([]aggrSeries, error) {
 	aggrs := storedAggrs(pb.meta.Resolution)
 	out := make([]aggrSeries, 0, len(pb.series))
 	for i := range pb.series {
-		s := &pb.series[i]
-		as := aggrSeries{lset: s.lset, streams: make(map[AggrType][]model.Sample, len(aggrs))}
+		as := aggrSeries{lset: pb.series[i].lset, streams: make(map[AggrType][]model.Sample, len(aggrs))}
 		for _, a := range aggrs {
 			var stream []model.Sample
-			for _, c := range s.chunks {
+			for _, c := range pb.chunksOf(uint32(i)) {
 				if c.aggr != a {
 					continue
 				}
@@ -110,12 +109,12 @@ func diskSeriesFromAggr(in []aggrSeries, maxPerChunk int) ([]diskSeries, int64, 
 	return out, mint, maxt, nil
 }
 
-// chunksFromSamples encodes one sample stream into diskChunk entries.
-func chunksFromSamples(samples []model.Sample, aggr AggrType, maxPerChunk int) ([]diskChunk, error) {
+// chunksFromSamples encodes one sample stream into chunks.
+func chunksFromSamples(samples []model.Sample, aggr AggrType, maxPerChunk int) ([]encodedChunk, error) {
 	if maxPerChunk <= 0 {
 		maxPerChunk = 120
 	}
-	var out []diskChunk
+	var out []encodedChunk
 	for len(samples) > 0 {
 		n := min(len(samples), maxPerChunk)
 		c := chunkenc.NewChunk()
@@ -124,7 +123,7 @@ func chunksFromSamples(samples []model.Sample, aggr AggrType, maxPerChunk int) (
 				return nil, err
 			}
 		}
-		out = append(out, diskChunk{aggr: aggr, minT: samples[0].T, maxT: samples[n-1].T, numSamples: n, payload: c.Bytes()})
+		out = append(out, encodedChunk{diskChunk{aggr: aggr, minT: samples[0].T, maxT: samples[n-1].T, numSamples: uint16(n)}, c.Bytes()})
 		samples = samples[n:]
 	}
 	return out, nil
@@ -346,7 +345,7 @@ func oracleDownsample(parent string, b *PersistentBlock, resolution int64) (*Per
 func blockFilesHash(t *testing.T, pb *PersistentBlock) [sha256.Size]byte {
 	t.Helper()
 	if pb.Dir() == "" {
-		return sha256.Sum256(append(encodeIndex(pb.series), pb.chunks...))
+		return sha256.Sum256(append(encodeIndex(pb.seriesTable), pb.chunks...))
 	}
 	var data []byte
 	for _, f := range []string{IndexFilename, ChunksFilename} {
@@ -563,7 +562,7 @@ func TestDownsampleMatchesOracleRandom(t *testing.T) {
 }
 
 // aggrChunk encodes pts as one chunk of aggr.
-func aggrChunk(t *testing.T, aggr AggrType, pts []model.Sample) diskChunk {
+func aggrChunk(t *testing.T, aggr AggrType, pts []model.Sample) encodedChunk {
 	t.Helper()
 	chunks, err := chunksFromSamples(pts, aggr, len(pts))
 	if err != nil || len(chunks) != 1 {
@@ -592,7 +591,7 @@ func TestDownsampleRejectsUnalignedAggregates(t *testing.T) {
 		{"count_shifted", AggrCount, false, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			var chunks []diskChunk
+			var chunks []encodedChunk
 			for a := AggrSum; a <= AggrMax; a++ {
 				pts := []model.Sample{{T: res - 1, V: 4}, {T: 2*res - 1, V: 2}, {T: 3*res - 1, V: 1}}
 				if a == tc.aggr {

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"maps"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -178,6 +179,12 @@ func walPinDeleteRecord() []byte {
 // holds what the build before wrote there (its sha256 the old pin), and the
 // test shows the two differ in that record alone, a ref delete (type 6)
 // become a tombstone (type 9).
+//
+// The checkpoints were re-pinned when truncation began to drop a series
+// silent in its open chunk: the truncate's checkpoint lost the 26 series of
+// the old pin whose newest sample is older than the truncation point, and
+// held the other 68 as before. The test checks that a head opened from the
+// checkpoints alone holds no such series.
 func TestIngestWALBytesPinned(t *testing.T) {
 	want := map[int]map[string]string{
 		1: {
@@ -187,7 +194,7 @@ func TestIngestWALBytesPinned(t *testing.T) {
 			"pre/shard-0000/00000004.wal": "340ecfc0c28ef86e8de589cc81bebbcf90325464459aa023abb018a500a740f7",
 			"shard-0000/00000005.wal":     "4dcdfb11f1183a64051c9355167cd16bc23f00db4e2df7e325e895f7c4f677d0",
 			"shard-0000/00000006.wal":     "8ea13bdcc0ece17b31627cadc5a5de6eb184ba0d9ddd41bb5f57def5507ded51",
-			"shard-0000/checkpoint.snap":  "e9fb80eb0d5f4bfff23cd144fb02559cadb1c4ca476d742c1fc32dfeabd78d69",
+			"shard-0000/checkpoint.snap":  "db88f9917e7b4b72e46ee9c0fec0b127f9d1c2a799648dfba787d4c0ca401697",
 		},
 		4: {
 			"pre/shard-0000/00000001.wal": "ebc4172b32d80bc07d32395e664339b5a964872494577c8d0858c22d1e259d94",
@@ -201,10 +208,10 @@ func TestIngestWALBytesPinned(t *testing.T) {
 			"shard-0001/00000003.wal":     "41ab6d04cb4f47d09d89c63854605b119d40943540e31d1a52c5d2c4a4d69bc1",
 			"shard-0002/00000002.wal":     "23c8be3581cecffc7ebce9c03beb03f32108728455ddc45682e881499a9176d7",
 			"shard-0003/00000003.wal":     "05e1b22a3421ca66ba970ffc7b5d105d043d21b2bb0b521a3e893df12af06e07",
-			"shard-0000/checkpoint.snap":  "b9fecf633210320a977d31fa8f90f7f7f3ef47f55dd1aca9c67d19ee0a935457",
-			"shard-0001/checkpoint.snap":  "e064d8c90bcdf95d488ff68b43f2a19d894ff9a040ae49f3b7ffaa174c2f2ece",
-			"shard-0002/checkpoint.snap":  "1a5711b5b513a5e5aaa9b0e0997e7b5078f55b8d77a9048cac159ac47f255b96",
-			"shard-0003/checkpoint.snap":  "39eb217010ebc82a3b513801f0fd1ecae63e8ae23eb2aab5b3f0dc38bea4a614",
+			"shard-0000/checkpoint.snap":  "445ee070bc4d22ab4d7796aa5551fdd6e89c136ef35b0162be375dcc892b8ded",
+			"shard-0001/checkpoint.snap":  "b6bd831b9e020a8b623a35730d8da8a5c93941a1dd1118aac4c3aaf2f0df11ed",
+			"shard-0002/checkpoint.snap":  "069ab8239783f2696e32cb25a31a34b1023f0ea31f3ff47884e55584cbfe005d",
+			"shard-0003/checkpoint.snap":  "fa9fe384f6beac309be8f0d86f74feeb91e825e0955d75ae60ce9f49acdda8d9",
 		},
 	}
 	repinned := map[int]struct{ name, parent, parentSum string }{
@@ -226,6 +233,7 @@ func TestIngestWALBytesPinned(t *testing.T) {
 			if !strings.Contains(strings.Join(names, " "), "pre/") {
 				t.Errorf("no segment was written before the truncate: %v", names)
 			}
+			checkpointHoldsNoSilentSeries(t, shards, files)
 
 			for _, name := range names {
 				if strings.HasSuffix(name, ".snap") && !bytes.Equal(walRecords(t, files[name])[0], walPinDeleteRecord()) {
@@ -259,5 +267,43 @@ func TestIngestWALBytesPinned(t *testing.T) {
 				t.Errorf("%s: %d records differ from the old segment's, want the delete alone", rp.name, changed)
 			}
 		})
+	}
+}
+
+// checkpointHoldsNoSilentSeries opens a head from the checkpoints of files
+// alone and fails when it holds a series silent since before driveWALPin's
+// truncation point (pass 24's time less a minute), which the truncate drops.
+func checkpointHoldsNoSilentSeries(t *testing.T, shards int, files map[string][]byte) {
+	t.Helper()
+	const cut = 1_700_000_000_000 + 24*15_000 - 60_000
+	dir := t.TempDir()
+	for name, b := range files {
+		if !strings.HasSuffix(name, ".snap") {
+			continue
+		}
+		p := filepath.Join(dir, filepath.FromSlash(name))
+		if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(p, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	db, err := tsdb.Open(tsdb.Options{WALDir: dir, Shards: shards, MaxSamplesPerChunk: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	all, err := db.Select(math.MinInt64, math.MaxInt64, labels.MustMatcher(labels.MatchRegexp, labels.MetricName, ".+"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(all) == 0 {
+		t.Fatal("the checkpoints hold no series")
+	}
+	for _, s := range all {
+		if last := s.Samples[len(s.Samples)-1].T; last < cut {
+			t.Errorf("the checkpoints hold %s, silent since %d, before the truncation point %d", s.Labels, last, cut)
+		}
 	}
 }

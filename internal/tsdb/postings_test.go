@@ -214,8 +214,8 @@ func withoutBackground(in []model.Series) []model.Series {
 func TestPostingsProperty(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		// Two samples close a chunk, so Truncate can find a series with no
-		// open head chunk and actually remove it.
+		// Two samples close a chunk, so Truncate removes series that end in
+		// a closed chunk and series that end in an open one.
 		dbs := []*DB{MustOpen(Options{Shards: 1, MaxSamplesPerChunk: 2}), MustOpen(Options{Shards: 16, MaxSamplesPerChunk: 2})}
 
 		stop := make(chan struct{})
@@ -258,11 +258,10 @@ func TestPostingsProperty(t *testing.T) {
 			}
 		}()
 
-		// The oracle: label set -> (last timestamp, samples appended).
+		// The oracle: label set -> last timestamp.
 		type liveSeries struct {
 			lset  labels.Labels
 			lastT int64
-			n     int
 		}
 		live := map[string]*liveSeries{}
 		now := int64(1000)
@@ -276,8 +275,8 @@ func TestPostingsProperty(t *testing.T) {
 					ls = &liveSeries{lset: lset}
 					live[lset.String()] = ls
 				}
-				// One or two samples, so about half the series sit on a
-				// closed chunk and are Truncate's to remove.
+				// One or two samples, so about half the series end in a
+				// closed chunk and half in an open one.
 				for i := rng.Intn(2); i < 2; i++ {
 					now++
 					for _, db := range dbs {
@@ -285,7 +284,7 @@ func TestPostingsProperty(t *testing.T) {
 							t.Fatalf("seed %d step %d: append %s: %v", seed, step, lset, err)
 						}
 					}
-					ls.lastT, ls.n = now, ls.n+1
+					ls.lastT = now
 				}
 			case op == 5:
 				ms := randPostingsMatchers(rng)
@@ -304,9 +303,9 @@ func TestPostingsProperty(t *testing.T) {
 			case op == 6:
 				mint := now - int64(rng.Intn(400))
 				for k, ls := range live {
-					// Removed iff no open head chunk (even sample count at two
-					// per chunk) and silent since before mint.
-					if ls.n%2 == 0 && ls.lastT < mint {
+					// Removed iff silent since before mint, whether its last
+					// chunk is closed or open.
+					if ls.lastT < mint {
 						delete(live, k)
 					}
 				}

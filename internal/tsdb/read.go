@@ -365,7 +365,7 @@ func (r *reader) bound(p piece) int {
 	if !ok {
 		return 0
 	}
-	_, n, _ := pt.b.stream(&pt.b.series[p.pos], pt.want).read(nil, lo, hi, r.steps, true)
+	_, n, _ := pt.b.stream(p.pos, pt.want).read(nil, lo, hi, r.steps, true)
 	return n
 }
 
@@ -399,13 +399,13 @@ func (sf *seriesFiller) appendPiece(dst []model.Sample, p piece) ([]model.Sample
 	if !ok {
 		return dst, nil
 	}
-	dst, _, err := pt.b.stream(&pt.b.series[p.pos], pt.want).read(dst, lo, hi, r.steps, false)
+	dst, _, err := pt.b.stream(p.pos, pt.want).read(dst, lo, hi, r.steps, false)
 	if err != nil || !pt.avg {
 		return sf.settle(dst, b), err
 	}
 	// The count stream carries the sum stream's timestamps, so the step filter
 	// keeps the same of each.
-	cs := pt.b.stream(&pt.b.series[p.pos], AggrCount)
+	cs := pt.b.stream(p.pos, AggrCount)
 	if sf.scratch, _, err = cs.read(sf.scratch[:0], lo, hi, r.steps, false); err != nil {
 		return dst, err
 	}
@@ -482,7 +482,7 @@ func (st stream) meta(i int) (minT, maxT int64, n int) {
 		return cr.min, cr.max, cr.chunk.NumSamples()
 	}
 	c := &st.disk[i]
-	return c.minT, c.maxT, st.block.sampleHint(*c)
+	return c.minT, c.maxT, st.block.sampleHint(c)
 }
 
 // read is the one loop over a stream's chunks, head and block alike: the

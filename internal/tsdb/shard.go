@@ -174,8 +174,11 @@ func (sh *headShard) matcherPostings(m *labels.Matcher) []uint64 {
 	return unionPostings(parts)
 }
 
-// truncate drops full chunks entirely before mint and removes series left
-// empty and silent since before mint, returning the number removed.
+// truncate drops chunks entirely before mint, the open one too, and removes
+// series left empty and silent since before mint, returning the number
+// removed. A series that went silent before filling its open chunk, as a
+// short unit's does, therefore leaves the head once retention passes its
+// last sample, not only by a delete.
 func (sh *headShard) truncate(mint int64) int {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -193,6 +196,9 @@ func (sh *headShard) truncate(mint int64) int {
 				s.chunks[i] = nil
 			}
 			s.chunks = kept
+			if s.head != nil && s.head.max < mint {
+				s.head = nil
+			}
 			if len(s.ooo) > 0 {
 				lo := sort.Search(len(s.ooo), func(i int) bool { return s.ooo[i].T >= mint })
 				if lo > 0 {

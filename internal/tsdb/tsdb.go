@@ -517,8 +517,9 @@ func (s *memSeries) hasInOrderSampleLocked(t int64) bool {
 	return false
 }
 
-// Truncate drops all full chunks whose data lies entirely before mint and
-// removes series that have no chunks and have been silent since before mint.
+// Truncate drops all chunks, open ones too, whose data lies entirely before
+// mint and removes series that have no chunks and have been silent since
+// before mint.
 // Each shard prunes independently. When the head is WAL-backed, each shard
 // is checkpointed after pruning — the post-truncate state is snapshotted and
 // the pre-checkpoint segments dropped — so the journal stays bounded by head

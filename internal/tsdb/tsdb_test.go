@@ -308,6 +308,55 @@ func TestTruncate(t *testing.T) {
 	}
 }
 
+// TestHeadTruncateDropsSilentOpenChunk: a series that went silent before
+// filling its open chunk leaves the head once its newest sample is older
+// than the truncation point, and does not come back from the WAL; a series
+// whose open chunk reaches past the point keeps it whole, as a closed chunk
+// that spans the point is kept.
+func TestHeadTruncateDropsSilentOpenChunk(t *testing.T) {
+	dir := t.TempDir()
+	db, err := Open(Options{Shards: 2, WALDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := labels.FromStrings(labels.MetricName, "unit", "s", "a")
+	b := labels.FromStrings(labels.MetricName, "unit", "s", "b")
+	mustAppend(t, db, a, model.Sample{T: 0, V: 1})
+	for ts := int64(0); ts <= 1_000_000; ts += 15_000 {
+		mustAppend(t, db, b, model.Sample{T: ts, V: float64(ts)})
+	}
+	removed, err := db.Truncate(500_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if removed != 1 {
+		t.Fatalf("truncate removed %d series, want 1 ({s=\"a\"})", removed)
+	}
+	check := func(db *DB, when string) {
+		t.Helper()
+		got, err := db.Select(0, 2_000_000, labels.MustMatcher(labels.MatchEqual, labels.MetricName, "unit"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != 1 || !got[0].Labels.Equal(b) || len(got[0].Samples) != 67 || got[0].Samples[0].T != 0 {
+			t.Fatalf("%s: %d series, want %s with its 67 samples from 0", when, len(got), b)
+		}
+		if vals := db.LabelValues("s"); !slices.Equal(vals, []string{"b"}) {
+			t.Fatalf("%s: values of s %v, want [b]", when, vals)
+		}
+	}
+	check(db, "after truncation")
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	db, err = Open(Options{Shards: 2, WALDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	check(db, "after reopening")
+}
+
 func TestDeleteSeries(t *testing.T) {
 	db := MustOpen(DefaultOptions())
 	for i := 0; i < 10; i++ {
