@@ -79,7 +79,8 @@ func (a *Appender) Add(lset labels.Labels, t int64, v float64) {
 // at an earlier commit, with no label set hashed, looked up or compared;
 // only when e has no handle this head can trust is the series resolved by
 // its labels, as Add's are, and the new handle published on e. e.Labels is
-// retained as Add retains lset.
+// retained as Add retains lset and, unlike Add's, kept uncopied by a series
+// it creates: a cache entry's set is immutable.
 func (a *Appender) AddEntry(e *labels.CacheEntry, t int64, v float64) {
 	h := e.Hash()
 	a.stage(h&a.db.mask, pendingSample{hash: h, lset: e.Labels, entry: e, t: t, v: v})
@@ -164,7 +165,9 @@ type seriesHandle struct {
 // lock. A sample staged by AddEntry takes its entry's handle when the handle
 // is this shard's and its series is still attached (dropped is written under
 // the shard's write lock); otherwise it resolves by labels and publishes the
-// series it finds or creates on the entry.
+// series it finds or creates on the entry. A series created for an entry
+// keeps the entry's immutable label set as it is; one created by Add copies
+// the caller's.
 func (sh *headShard) resolveBatch(batch []pendingSample) []*memSeries {
 	out := make([]*memSeries, len(batch))
 	missing := false
@@ -190,7 +193,7 @@ func (sh *headShard) resolveBatch(batch []pendingSample) []*memSeries {
 	sh.mu.Lock()
 	for i, p := range batch {
 		if out[i] == nil {
-			out[i] = sh.getOrCreateLocked(p.hash, p.lset)
+			out[i] = sh.getOrCreateLocked(p.hash, p.lset, p.entry != nil)
 			sh.publish(p.entry, out[i])
 		}
 	}

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/labels"
@@ -261,4 +263,122 @@ func TestAddEntryTrustsOnlyItsHead(t *testing.T) {
 	if got := count(replayed); got != 4 {
 		t.Errorf("replayed journal holds %d samples, want 4", got)
 	}
+}
+
+// headSeries returns the head series of lset, or nil.
+func headSeries(db *DB, lset labels.Labels) *memSeries {
+	h := lset.Hash()
+	sh := db.shards[h&db.mask]
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	return sh.lookupLocked(h, lset)
+}
+
+// TestHeadKeepsEntryLabelsAndCopiesCallers: a series created through
+// AddEntry keeps its entry's immutable label slice itself; one created
+// through Append keeps a copy, so the caller may reuse its slice after the
+// append returns.
+func TestHeadKeepsEntryLabelsAndCopiesCallers(t *testing.T) {
+	db := MustOpen(Options{Shards: 2})
+	e := labels.NewCacheEntry(labels.FromStrings(labels.MetricName, "by_ref", "uuid", "1000042"))
+	a := db.Appender()
+	a.AddEntry(e, 1000, 1)
+	if _, err := a.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if s := headSeries(db, e.Labels); s == nil || &s.lset[0] != &e.Labels[0] || len(s.lset) != len(e.Labels) || cap(s.lset) != len(s.lset) {
+		t.Fatalf("AddEntry's series does not keep its entry's label slice, clipped")
+	}
+
+	lset := labels.FromStrings(labels.MetricName, "by_labels", "uuid", "1000043")
+	want := lset.Copy()
+	if err := db.Append(lset, 1000, 1); err != nil {
+		t.Fatal(err)
+	}
+	lset[1].Value = "reused"
+	s := headSeries(db, want)
+	if s == nil || !s.lset.Equal(want) || &s.lset[0] == &lset[0] {
+		t.Fatalf("Append's series is %v, want a copy of %s", s, want)
+	}
+	got, err := db.Select(0, 2000, labels.MustMatcher(labels.MatchEqual, "uuid", "1000043"))
+	if err != nil || len(got) != 1 || !got[0].Labels.Equal(want) {
+		t.Fatalf("select uuid=1000043: %v, err %v; want %s", got, err, want)
+	}
+}
+
+// churnedHeadTicks lays out what a scrape loop appends to a head under job
+// churn, tick by tick, as cache entries: a fleet of 1400 nodes with one
+// power series each, scraped every tick, and jobs that each mint a uuid on
+// the exporter's four per-job series, 25 starting every tick and each
+// scraped for 8 ticks — n series in all.
+func churnedHeadTicks(n int) [][]*labels.CacheEntry {
+	const fleet, perTick, life = 1400, 25, 8
+	nodes := make([]*labels.CacheEntry, fleet)
+	for i := range nodes {
+		nodes[i] = labels.NewCacheEntry(labels.FromStrings(labels.MetricName, "ceems_ipmi_dcmi_current_watts", "instance", fmt.Sprintf("n%04d:9100", i), "job", "ceems"))
+	}
+	var jobs [][]*labels.CacheEntry
+	for j := 0; fleet+4*len(jobs) < n; j++ {
+		var js []*labels.CacheEntry
+		for _, name := range []string{"ceems_compute_unit_cpu_usage_seconds_total", "ceems_compute_unit_cpu_user_seconds_total", "ceems_compute_unit_memory_limit_bytes", "ceems_compute_unit_memory_used_bytes"} {
+			js = append(js, labels.NewCacheEntry(labels.FromStrings(labels.MetricName, name, "instance", fmt.Sprintf("n%04d:9100", j%fleet), "job", "ceems", "manager", "slurm", "uuid", fmt.Sprint(1_000_000+j))))
+		}
+		jobs = append(jobs, js)
+	}
+	var ticks [][]*labels.CacheEntry
+	for k := 0; k*perTick < len(jobs)+life*perTick; k++ {
+		tick := slices.Clone(nodes)
+		for j := max(0, (k-life+1)*perTick); j < min(len(jobs), (k+1)*perTick); j++ {
+			tick = append(tick, jobs[j]...)
+		}
+		ticks = append(ticks, tick)
+	}
+	return ticks
+}
+
+// feedTicks commits each tick of entries as one scrape, 15 s apart.
+func feedTicks(tb testing.TB, db *DB, ticks [][]*labels.CacheEntry) {
+	for k, tick := range ticks {
+		a := db.Appender()
+		for i, e := range tick {
+			a.AddEntry(e, int64(k)*15_000, float64(i))
+		}
+		if _, err := a.Commit(); err != nil {
+			tb.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkHeadHeapPerSeries measures filling a memory-only head with a
+// churned scrape stream fed by ref (churnedHeadTicks, 20k series), and
+// reports what the head keeps resident per series beyond the cache entries,
+// which their producer holds: series, chunks, postings, handles and, unless
+// the head keeps an entry's set itself, label slices.
+func BenchmarkHeadHeapPerSeries(b *testing.B) {
+	const n = 20_000
+	heap := func() uint64 {
+		var st runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&st)
+		return st.HeapAlloc
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		ticks := churnedHeadTicks(n) // fresh entries: no handle of an earlier head
+		b.StartTimer()
+		feedTicks(b, MustOpen(Options{Shards: 2}), ticks)
+	}
+	b.StopTimer()
+	ticks := churnedHeadTicks(n)
+	before := heap()
+	db := MustOpen(Options{Shards: 2})
+	feedTicks(b, db, ticks)
+	after := heap()
+	if got := db.Stats().NumSeries; got != n {
+		b.Fatalf("head holds %d series, want %d", got, n)
+	}
+	b.ReportMetric(float64(after-before)/n, "heap_bytes/series")
+	runtime.KeepAlive(ticks)
+	runtime.KeepAlive(db)
 }

@@ -179,23 +179,44 @@ type diskSeries struct {
 }
 
 // seriesTable is a block's series as an open block keeps them: label-sorted,
-// each holding its range of one array of chunk entries.
+// each holding its range of one array of label pair ids and of one array of
+// chunk entries. No label set is kept: one is built (blockIndex.appendLabels)
+// only for a series a read returns or a writer writes.
 type seriesTable struct {
 	series  []blockSeries
+	ids     []uint32    // every series' labels as pair ids of index, series-major
 	entries []diskChunk // every series' chunks, series-major in index order
+	index   *blockIndex // postings, and what the pair ids stand for
 }
 
-// blockSeries is one series of an open block: its labels and its chunk
-// entries, entries[lo:hi] of its table.
+// blockSeries is one series of an open block: its labels, ids[first:end] of
+// its table, and its chunk entries, entries[lo:hi].
 type blockSeries struct {
-	lset   labels.Labels
-	lo, hi uint32
+	first, end uint32
+	lo, hi     uint32
 }
 
 // chunksOf returns the chunk entries of the series at pos.
 func (t *seriesTable) chunksOf(pos uint32) []diskChunk {
 	s := &t.series[pos]
 	return t.entries[s.lo:s.hi]
+}
+
+// pairsOf returns the pair ids of the labels of the series at pos.
+func (t *seriesTable) pairsOf(pos uint32) []uint32 {
+	s := &t.series[pos]
+	return t.ids[s.first:s.end]
+}
+
+// view returns the labels of the series at pos as a labelView.
+func (t *seriesTable) view(pos uint32) labelView {
+	return labelView{ids: t.pairsOf(pos), ix: t.index}
+}
+
+// labelsOf builds the label set of the series at pos.
+func (t *seriesTable) labelsOf(pos uint32) labels.Labels {
+	ids := t.pairsOf(pos)
+	return t.index.appendLabels(make(labels.Labels, 0, len(ids)), ids)
 }
 
 var blockSeq atomic.Uint64
@@ -226,63 +247,54 @@ func fillStats(meta *BlockMeta, series []diskSeries) {
 	meta.Stats = st
 }
 
-// encodeChunksStream writes the chunks file body to w and returns the series
-// as an open block keeps them, every chunk entry placed. The caller has
-// already decided the series order; chunks are laid out series-major in
-// index order.
-func encodeChunksStream(series []diskSeries, w *bufio.Writer) (seriesTable, error) {
+// encodeChunksStream writes the chunks file body to w and places every chunk
+// entry of series in it (off, length). The caller has already decided the
+// series order; chunks are laid out series-major in index order.
+func encodeChunksStream(series []diskSeries, w *bufio.Writer) error {
 	if _, err := w.WriteString(chunksMagic); err != nil {
-		return seriesTable{}, err
+		return err
 	}
 	if err := w.WriteByte(blockDirVersion); err != nil {
-		return seriesTable{}, err
+		return err
 	}
-	total := 0
-	for i := range series {
-		total += len(series[i].chunks)
-	}
-	t := seriesTable{series: make([]blockSeries, len(series)), entries: make([]diskChunk, 0, total)}
 	off := uint64(len(chunksMagic) + 1)
 	var hdr [4]byte
 	var vb [binary.MaxVarintLen64]byte
 	for si := range series {
-		t.series[si] = blockSeries{lset: series[si].lset, lo: uint32(len(t.entries))}
-		for _, c := range series[si].chunks {
+		for j := range series[si].chunks {
+			c := &series[si].chunks[j]
 			binary.LittleEndian.PutUint32(hdr[:], crc32.Checksum(c.payload, walCRC))
 			n := binary.PutUvarint(vb[:], uint64(len(c.payload)))
 			if _, err := w.Write(hdr[:]); err != nil {
-				return seriesTable{}, err
+				return err
 			}
 			if _, err := w.Write(vb[:n]); err != nil {
-				return seriesTable{}, err
+				return err
 			}
 			if _, err := w.Write(c.payload); err != nil {
-				return seriesTable{}, err
+				return err
 			}
 			// A chunk of at most 65 535 samples is far below 4 GiB.
-			e := c.diskChunk
-			e.off, e.length = off, uint32(4+n+len(c.payload))
-			t.entries = append(t.entries, e)
-			off += uint64(e.length)
+			c.off, c.length = off, uint32(4+n+len(c.payload))
+			off += uint64(c.length)
 		}
-		t.series[si].hi = uint32(len(t.entries))
 	}
-	return t, nil
+	return nil
 }
 
-// encodeIndex renders the index file (including trailing CRC) into a buffer,
-// in version 2. Chunk lengths must already be filled in by
+// encodeIndex renders the index file (including trailing CRC) of series into
+// a buffer, in version 2. Chunk lengths must already be filled in by
 // encodeChunksStream; offsets follow from them.
-func encodeIndex(t seriesTable) []byte {
+func encodeIndex(series []diskSeries) []byte {
 	ids := map[string]uint32{}
 	base, chunked := int64(math.MaxInt64), false
-	for i := range t.series {
-		for _, l := range t.series[i].lset {
+	for i := range series {
+		for _, l := range series[i].lset {
 			ids[l.Name], ids[l.Value] = 0, 0
 		}
-	}
-	for _, c := range t.entries {
-		base, chunked = min(base, c.minT), true
+		for _, c := range series[i].chunks {
+			base, chunked = min(base, c.minT), true
+		}
 	}
 	if !chunked {
 		base = 0
@@ -303,19 +315,19 @@ func encodeIndex(t seriesTable) []byte {
 		putU(uint64(len(sym)))
 		buf.WriteString(sym)
 	}
-	putU(uint64(len(t.series)))
-	for i := range t.series {
-		s := &t.series[i]
+	putU(uint64(len(series)))
+	for i := range series {
+		s := &series[i]
 		putU(uint64(len(s.lset)))
 		for _, l := range s.lset {
 			putU(uint64(ids[l.Name]))
 			putU(uint64(ids[l.Value]))
 		}
-		chunks := t.chunksOf(uint32(i))
-		putU(uint64(len(chunks)))
+		putU(uint64(len(s.chunks)))
 		prev := base
-		for j, c := range chunks {
-			if j > 0 && c.aggr != chunks[j-1].aggr {
+		for j := range s.chunks {
+			c := &s.chunks[j].diskChunk
+			if j > 0 && c.aggr != s.chunks[j-1].aggr {
 				prev = base
 			}
 			buf.WriteByte(byte(c.aggr))
@@ -387,15 +399,6 @@ func (r *indexReader) str() ([]byte, error) {
 	return s, nil
 }
 
-// labelPairs numbers the distinct label pairs of a block in the order its
-// series first show them: what decodeIndex learns on its way through the
-// file and newBlockIndex lays out as postings.
-type labelPairs struct {
-	pairs  []labels.Label // distinct; every series' labels are copies of these
-	counts []uint32       // series carrying each pair
-	ids    []uint32       // the pair of every label of every series, in index order
-}
-
 // symbols reads a version-2 symbol table: strictly ascending strings, each
 // a substring of one copy of the table, so the block's label strings take
 // one allocation whatever their number.
@@ -430,35 +433,37 @@ func (r *indexReader) symbols() ([]string, error) {
 // decodeIndex parses an index file of either version, verifying magic,
 // version, CRC and the order the read path relies on: label names ascending
 // within a series, series ascending by labels, a series' chunks of one
-// aggregate together. The versions differ in how a label names its strings
-// and in how a chunk entry is coded; everything else is one walk.
+// aggregate together, and builds the block's index over it. The versions
+// differ in how a label names its strings and in how a chunk entry is
+// coded; everything else is one walk.
 //
-// Every distinct label name and value is one string shared by the series
-// carrying it (copies, not views of data). A label is recognised by its
-// pair of symbol ids — a version-1 file's strings are numbered as they
-// first show — first against the label in the same place of the series
-// before, which label order makes the same one more often than not, then
-// in a map.
+// Every distinct label name and value is one string (copies, not views of
+// data), and every distinct pair one pair id, shared by the series carrying
+// it. A label is recognised by its pair of symbol ids — a version-1 file's
+// strings are numbered as they first show — first against the label in the
+// same place of the series before, which label order makes the same one
+// more often than not, then in a map.
 //
 // The chunk entries go into one array, sized by chunks, the count meta.json
 // records, when that is right; one of any other size is copied to the size
-// it holds, so an open block keeps no spare capacity.
-func decodeIndex(data []byte, chunks int) (seriesTable, *labelPairs, error) {
+// it holds, and so is the array of pair ids, so an open block keeps no spare
+// capacity.
+func decodeIndex(data []byte, chunks int) (seriesTable, error) {
 	hdr := len(indexMagic) + 1
 	if len(data) < hdr+4 {
-		return seriesTable{}, nil, fmt.Errorf("tsdb: index truncated (%d bytes)", len(data))
+		return seriesTable{}, fmt.Errorf("tsdb: index truncated (%d bytes)", len(data))
 	}
 	if string(data[:len(indexMagic)]) != indexMagic {
-		return seriesTable{}, nil, fmt.Errorf("tsdb: bad index magic %q", data[:len(indexMagic)])
+		return seriesTable{}, fmt.Errorf("tsdb: bad index magic %q", data[:len(indexMagic)])
 	}
 	version := data[len(indexMagic)]
 	if version != indexVersion && version != indexVersionV1 {
-		return seriesTable{}, nil, fmt.Errorf("tsdb: unsupported index version %d", version)
+		return seriesTable{}, fmt.Errorf("tsdb: unsupported index version %d", version)
 	}
 	v1 := version == indexVersionV1
 	body, tail := data[:len(data)-4], data[len(data)-4:]
 	if got, want := crc32.Checksum(body, walCRC), binary.LittleEndian.Uint32(tail); got != want {
-		return seriesTable{}, nil, fmt.Errorf("tsdb: index crc mismatch (got %08x want %08x)", got, want)
+		return seriesTable{}, fmt.Errorf("tsdb: index crc mismatch (got %08x want %08x)", got, want)
 	}
 	r := &indexReader{b: body[hdr:]}
 	var (
@@ -472,10 +477,10 @@ func decodeIndex(data []byte, chunks int) (seriesTable, *labelPairs, error) {
 		symOf, chunkMin = map[string]uint32{}, 6
 	} else {
 		if base, err = r.varint(); err != nil {
-			return seriesTable{}, nil, err
+			return seriesTable{}, err
 		}
 		if syms, err = r.symbols(); err != nil {
-			return seriesTable{}, nil, err
+			return seriesTable{}, err
 		}
 	}
 	// v1Symbol numbers a version-1 string the first time it shows.
@@ -495,94 +500,91 @@ func decodeIndex(data []byte, chunks int) (seriesTable, *labelPairs, error) {
 	// A series is at least its two counts, a label its two lengths or ids.
 	nSeries, err := r.count("series", 2)
 	if err != nil {
-		return seriesTable{}, nil, err
+		return seriesTable{}, err
 	}
 	if uint64(nSeries) > math.MaxUint32 {
-		return seriesTable{}, nil, fmt.Errorf("tsdb: index holds %d series, more than a block can address", nSeries)
+		return seriesTable{}, fmt.Errorf("tsdb: index holds %d series, more than a block can address", nSeries)
 	}
 	var (
 		series   = make([]blockSeries, nSeries)
 		entries  = make([]diskChunk, 0, min(max(chunks, 0), len(r.b)/chunkMin))
-		lp       = &labelPairs{ids: make([]uint32, 0, 4*nSeries)}
-		pairOf   = map[uint64]uint32{} // name id << 32 | value id -> index into lp.pairs
+		ids      []uint32              // the pair of every label of every series, in index order
+		pairs    []labels.Label        // distinct, by pair id, in the order series first show them
+		counts   []uint32              // series carrying each pair
+		pairOf   = map[uint64]uint32{} // name id << 32 | value id -> pair id
 		prev     []uint64              // the pair keys of the series before
 		cur      []uint64
-		prevPair []uint32
 		off      = uint64(len(chunksMagic) + 1) // version 2: where the next chunk starts
 		earliest = int64(math.MaxInt64)         // version 2: the earliest chunk minT
 		chunked  bool
-		// Label sets are carved from shared slabs — a block's series live
-		// and die together — sized for the series left to be like the one at
-		// hand, a few thousand labels at most and never more than the bytes
-		// left could fill.
-		labelSlab []labels.Label
 	)
-	const slabSize = 4096
 	for i := range series {
 		s := &series[i]
 		nLabels, err := r.count("labels", 2)
 		if err != nil {
-			return seriesTable{}, nil, err
+			return seriesTable{}, err
 		}
-		if len(labelSlab) < nLabels {
-			labelSlab = make([]labels.Label, max(nLabels, min(slabSize, len(r.b)/2, (nSeries-i)*nLabels)))
+		if ids == nil {
+			// Sized for every series to be like the first, which the bytes
+			// left must be able to hold.
+			ids = make([]uint32, 0, min(nLabels*nSeries, len(r.b)/2))
 		}
-		s.lset, labelSlab = labelSlab[:nLabels:nLabels], labelSlab[nLabels:]
-		first := len(lp.ids)
+		s.first = uint32(len(ids))
+		var prevPairs []uint32 // the pair ids of the series before
+		if i > 0 {
+			prevPairs = ids[series[i-1].first:s.first]
+		}
 		cur = cur[:0]
-		for j := range s.lset {
+		for j := 0; j < nLabels; j++ {
 			var name, value uint32
 			if v1 {
 				if name, err = v1Symbol(); err != nil {
-					return seriesTable{}, nil, err
+					return seriesTable{}, err
 				}
 				if value, err = v1Symbol(); err != nil {
-					return seriesTable{}, nil, err
+					return seriesTable{}, err
 				}
 			} else {
 				n, err := r.uvarint()
 				if err != nil {
-					return seriesTable{}, nil, err
+					return seriesTable{}, err
 				}
 				v, err := r.uvarint()
 				if err != nil {
-					return seriesTable{}, nil, err
+					return seriesTable{}, err
 				}
 				if n >= uint64(len(syms)) || v >= uint64(len(syms)) {
-					return seriesTable{}, nil, fmt.Errorf("tsdb: index series %d: symbol id beyond the %d symbols", i, len(syms))
+					return seriesTable{}, fmt.Errorf("tsdb: index series %d: symbol id beyond the %d symbols", i, len(syms))
 				}
 				name, value = uint32(n), uint32(v)
 			}
 			key := uint64(name)<<32 | uint64(value)
 			var id uint32
 			if j < len(prev) && key == prev[j] {
-				id = prevPair[j]
+				id = prevPairs[j]
 			} else if known, ok := pairOf[key]; ok {
 				id = known
 			} else {
-				id = uint32(len(lp.pairs))
+				id = uint32(len(pairs))
 				pairOf[key] = id
-				lp.pairs = append(lp.pairs, labels.Label{Name: syms[name], Value: syms[value]})
-				lp.counts = append(lp.counts, 0)
+				pairs = append(pairs, labels.Label{Name: syms[name], Value: syms[value]})
+				counts = append(counts, 0)
 			}
-			lp.counts[id]++
-			lp.ids = append(lp.ids, id)
+			counts[id]++
+			if j > 0 && pairs[ids[len(ids)-1]].Name >= pairs[id].Name {
+				return seriesTable{}, fmt.Errorf("tsdb: index series %d: label names out of order", i)
+			}
+			ids = append(ids, id)
 			cur = append(cur, key)
-			s.lset[j] = lp.pairs[id]
-			if j > 0 && s.lset[j-1].Name >= s.lset[j].Name {
-				return seriesTable{}, nil, fmt.Errorf("tsdb: index series %d: label names out of order", i)
-			}
 		}
-		prev, cur, prevPair = cur, prev, lp.ids[first:]
-		if i > 0 && labels.Compare(series[i-1].lset, s.lset) >= 0 {
-			return seriesTable{}, nil, fmt.Errorf("tsdb: index series %d out of label order", i)
-		}
+		s.end = uint32(len(ids))
+		prev, cur = cur, prev
 		nChunks, err := r.count("chunks", chunkMin)
 		if err != nil {
-			return seriesTable{}, nil, err
+			return seriesTable{}, err
 		}
 		if uint64(len(entries)+nChunks) > math.MaxUint32 {
-			return seriesTable{}, nil, fmt.Errorf("tsdb: index holds more chunks than a block can address")
+			return seriesTable{}, fmt.Errorf("tsdb: index holds more chunks than a block can address")
 		}
 		s.lo = uint32(len(entries))
 		var aggrs uint64 // the aggregates of the series' chunks so far
@@ -590,34 +592,34 @@ func decodeIndex(data []byte, chunks int) (seriesTable, *labelPairs, error) {
 		for j := 0; j < nChunks; j++ {
 			var c diskChunk
 			if len(r.b) == 0 {
-				return seriesTable{}, nil, fmt.Errorf("tsdb: index truncated in series %d", i)
+				return seriesTable{}, fmt.Errorf("tsdb: index truncated in series %d", i)
 			}
 			c.aggr, r.b = AggrType(r.b[0]), r.b[1:]
 			if j > 0 && c.aggr != entries[len(entries)-1].aggr {
 				if aggrs&(1<<c.aggr) != 0 {
-					return seriesTable{}, nil, fmt.Errorf("tsdb: index series %d: its %s chunks are apart", i, c.aggr)
+					return seriesTable{}, fmt.Errorf("tsdb: index series %d: its %s chunks are apart", i, c.aggr)
 				}
 				t = base
 			}
 			aggrs |= 1 << c.aggr
 			if v1 {
 				if c.minT, err = r.varint(); err != nil {
-					return seriesTable{}, nil, err
+					return seriesTable{}, err
 				}
 				if c.maxT, err = r.varint(); err != nil {
-					return seriesTable{}, nil, err
+					return seriesTable{}, err
 				}
 				if c.off, err = r.uvarint(); err != nil {
-					return seriesTable{}, nil, err
+					return seriesTable{}, err
 				}
 			} else {
 				d, err := r.uvarint()
 				if err != nil {
-					return seriesTable{}, nil, err
+					return seriesTable{}, err
 				}
 				span, err := r.uvarint()
 				if err != nil {
-					return seriesTable{}, nil, err
+					return seriesTable{}, err
 				}
 				c.minT = t + int64(d)
 				c.maxT, c.off = c.minT+int64(span), off
@@ -625,19 +627,19 @@ func decodeIndex(data []byte, chunks int) (seriesTable, *labelPairs, error) {
 			}
 			length, err := r.uvarint()
 			if err != nil {
-				return seriesTable{}, nil, err
+				return seriesTable{}, err
 			}
 			ns, err := r.uvarint()
 			if err != nil {
-				return seriesTable{}, nil, err
+				return seriesTable{}, err
 			}
 			// The entry holds both in the widths a chunk can have: a larger
 			// one is a wrong writer, not a count to read modulo 2^16.
 			if ns > math.MaxUint16 {
-				return seriesTable{}, nil, fmt.Errorf("tsdb: index series %s: chunk %d claims %d samples, more than a chunk's %d", s.lset, j, ns, math.MaxUint16)
+				return seriesTable{}, fmt.Errorf("tsdb: index series %s: chunk %d claims %d samples, more than a chunk's %d", pairLabels(pairs, ids[s.first:]), j, ns, math.MaxUint16)
 			}
 			if length > math.MaxUint32 {
-				return seriesTable{}, nil, fmt.Errorf("tsdb: index series %s: chunk %d claims %d bytes, more than a chunk's 4 GiB", s.lset, j, length)
+				return seriesTable{}, fmt.Errorf("tsdb: index series %s: chunk %d claims %d bytes, more than a chunk's 4 GiB", pairLabels(pairs, ids[s.first:]), j, length)
 			}
 			c.length, c.numSamples = uint32(length), uint16(ns)
 			off += length
@@ -646,7 +648,7 @@ func decodeIndex(data []byte, chunks int) (seriesTable, *labelPairs, error) {
 		s.hi = uint32(len(entries))
 	}
 	if len(r.b) != 0 {
-		return seriesTable{}, nil, fmt.Errorf("tsdb: index has %d bytes after its last series", len(r.b))
+		return seriesTable{}, fmt.Errorf("tsdb: index has %d bytes after its last series", len(r.b))
 	}
 	if !v1 {
 		// What encodeIndex would write for these series, it must have.
@@ -654,20 +656,42 @@ func decodeIndex(data []byte, chunks int) (seriesTable, *labelPairs, error) {
 			earliest = 0
 		}
 		if base != earliest {
-			return seriesTable{}, nil, fmt.Errorf("tsdb: index time base %d is not its earliest chunk start %d", base, earliest)
+			return seriesTable{}, fmt.Errorf("tsdb: index time base %d is not its earliest chunk start %d", base, earliest)
 		}
 		used := make([]bool, len(syms))
 		for key := range pairOf {
 			used[key>>32], used[uint32(key)] = true, true
 		}
 		if k := slices.Index(used, false); k >= 0 {
-			return seriesTable{}, nil, fmt.Errorf("tsdb: index symbol %d names no label", k)
+			return seriesTable{}, fmt.Errorf("tsdb: index symbol %d names no label", k)
 		}
 	}
 	if cap(entries) != len(entries) {
 		entries = append([]diskChunk(nil), entries...)
 	}
-	return seriesTable{series: series, entries: entries}, lp, nil
+	if cap(ids) != len(ids) {
+		ids = append([]uint32(nil), ids...)
+	}
+	t := seriesTable{series: series, ids: ids, entries: entries}
+	t.index = newBlockIndex(&t, pairs, counts)
+	// Numbered in label order, the ids of two series compare as their
+	// label sets do.
+	for i := 1; i < len(series); i++ {
+		if slices.Compare(t.pairsOf(uint32(i-1)), t.pairsOf(uint32(i))) >= 0 {
+			return seriesTable{}, fmt.Errorf("tsdb: index series %d out of label order", i)
+		}
+	}
+	return t, nil
+}
+
+// pairLabels builds the label set of the pair ids ids of an index being
+// decoded, for an error to name its series.
+func pairLabels(pairs []labels.Label, ids []uint32) labels.Labels {
+	ls := make(labels.Labels, len(ids))
+	for j, id := range ids {
+		ls[j] = pairs[id]
+	}
+	return ls
 }
 
 // writeBlockDir persists a block directory under parent following the
@@ -693,15 +717,13 @@ func writeBlockDir(parent string, meta *BlockMeta, series []diskSeries) (dir str
 			os.RemoveAll(tmp)
 		}
 	}()
-	var table seriesTable
-	if err := writeFileDurably(filepath.Join(tmp, ChunksFilename), func(w *bufio.Writer) (werr error) {
-		table, werr = encodeChunksStream(series, w)
-		return werr
+	if err := writeFileDurably(filepath.Join(tmp, ChunksFilename), func(w *bufio.Writer) error {
+		return encodeChunksStream(series, w)
 	}); err != nil {
 		return "", err
 	}
 	if err := writeFileDurably(filepath.Join(tmp, IndexFilename), func(w *bufio.Writer) error {
-		_, werr := w.Write(encodeIndex(table))
+		_, werr := w.Write(encodeIndex(series))
 		return werr
 	}); err != nil {
 		return "", err

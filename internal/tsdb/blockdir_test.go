@@ -11,7 +11,6 @@ import (
 	"sort"
 	"strings"
 	"testing"
-	"unsafe"
 
 	"repro/internal/labels"
 	"repro/internal/model"
@@ -179,7 +178,7 @@ func TestBlockDirCorruptionDetected(t *testing.T) {
 		// A CRC-valid index whose off+length overflows uint64 to below off:
 		// version 1, where an offset is written, not implied.
 		cp := corrupt(t, IndexFilename, func(d []byte) []byte {
-			table, _, err := decodeIndex(d, 0)
+			table, err := decodeIndex(d, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -208,11 +207,11 @@ func TestBlockDirCorruptionDetected(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			var first labels.Labels
 			cp := corrupt(t, IndexFilename, func(d []byte) []byte {
-				table, _, err := decodeIndex(d, 0)
+				table, err := decodeIndex(d, 0)
 				if err != nil {
 					t.Fatal(err)
 				}
-				first = table.series[0].lset
+				first = table.labelsOf(0)
 				wide := [2]uint64{tc.length, tc.nSamples}
 				if wide[0] == 0 {
 					wide[0] = uint64(table.entries[0].length)
@@ -390,10 +389,10 @@ func TestCutReusesClosedChunksUndecoded(t *testing.T) {
 	if meta := pb.Meta(); meta.MinTime != 0 || meta.MaxTime != 29_000 || meta.Stats.NumChunks != 12 || meta.Stats.NumSamples != 120 {
 		t.Fatalf("meta = %+v, want [0, 29000] with 12 chunks of 10 samples", meta)
 	}
-	for pos, ds := range pb.series {
+	for pos := range pb.series {
 		for i, c := range pb.chunksOf(uint32(pos)) {
 			if want := int64(i) * 10_000; c.minT != want || c.maxT != want+9000 {
-				t.Fatalf("%s chunk %d bounds [%d, %d], want [%d, %d]", ds.lset, i, c.minT, c.maxT, want, want+9000)
+				t.Fatalf("%s chunk %d bounds [%d, %d], want [%d, %d]", pb.labelsOf(uint32(pos)), i, c.minT, c.maxT, want, want+9000)
 			}
 		}
 	}
@@ -878,31 +877,42 @@ func TestBlockSampleHintCapped(t *testing.T) {
 }
 
 // TestBlockChunkEntryPacked: the chunk entry an open block keeps per chunk is
-// at most 32 bytes and holds no pointer, so a block's entries are one array
-// the collector does not scan, and the series of an open block hold their
-// chunks as a range of it.
+// at most 32 bytes and its series at most 16, neither holding a pointer, so
+// a block's entries and series are arrays the collector does not scan; the
+// series of an open block hold their chunks as a range of the entries and
+// their labels as a range of one array of pair ids.
 func TestBlockChunkEntryPacked(t *testing.T) {
-	if size := unsafe.Sizeof(diskChunk{}); size > 32 {
-		t.Errorf("diskChunk is %d bytes, want at most 32", size)
-	}
-	typ := reflect.TypeOf(diskChunk{})
-	for i := range typ.NumField() {
-		switch f := typ.Field(i); f.Type.Kind() {
-		case reflect.Int64, reflect.Uint64, reflect.Uint32, reflect.Uint16, reflect.Uint8:
-		default:
-			t.Errorf("diskChunk.%s is a %s, want a fixed-width integer", f.Name, f.Type)
+	for _, c := range []struct {
+		typ  reflect.Type
+		size uintptr
+	}{{reflect.TypeOf(diskChunk{}), 32}, {reflect.TypeOf(blockSeries{}), 16}} {
+		if c.typ.Size() > c.size {
+			t.Errorf("%s is %d bytes, want at most %d", c.typ, c.typ.Size(), c.size)
+		}
+		for i := range c.typ.NumField() {
+			switch f := c.typ.Field(i); f.Type.Kind() {
+			case reflect.Int64, reflect.Uint64, reflect.Uint32, reflect.Uint16, reflect.Uint8:
+			default:
+				t.Errorf("%s.%s is a %s, want a fixed-width integer", c.typ, f.Name, f.Type)
+			}
 		}
 	}
 	pb := cutMem(t, blockSeedDB(t, 1, 3, 500, 0, 15_000))
 	defer pb.Close()
-	next := uint32(0)
+	next, nextID := uint32(0), uint32(0)
 	for pos, s := range pb.series {
 		if s.lo != next || s.hi < s.lo || len(pb.chunksOf(uint32(pos))) == 0 {
 			t.Fatalf("series %d holds entries [%d, %d), want a range from %d", pos, s.lo, s.hi, next)
 		}
-		next = s.hi
+		if s.first != nextID || s.end <= s.first {
+			t.Fatalf("series %d holds pair ids [%d, %d), want a range from %d", pos, s.first, s.end, nextID)
+		}
+		next, nextID = s.hi, s.end
 	}
 	if int(next) != len(pb.entries) || cap(pb.entries) != len(pb.entries) {
 		t.Fatalf("series cover %d of %d entries (capacity %d)", next, len(pb.entries), cap(pb.entries))
+	}
+	if int(nextID) != len(pb.ids) || cap(pb.ids) != len(pb.ids) {
+		t.Fatalf("series cover %d of %d pair ids (capacity %d)", nextID, len(pb.ids), cap(pb.ids))
 	}
 }

@@ -15,6 +15,7 @@ import (
 	"reflect"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/labels"
@@ -35,8 +36,8 @@ func scanSelectAggr(pb *PersistentBlock, mint, maxt, limit int64, aggr AggrType,
 	read := seriesReader(pb, parts[0].lo, parts[0].hi, aggr)
 	var copied int64
 	for i := range pb.series {
-		s := &pb.series[i]
-		if !labels.MatchLabels(s.lset, ms...) {
+		lset := pb.labelsOf(uint32(i))
+		if !labels.MatchLabels(lset, ms...) {
 			continue
 		}
 		samples, err := read(i)
@@ -50,7 +51,7 @@ func scanSelectAggr(pb *PersistentBlock, mint, maxt, limit int64, aggr AggrType,
 		if limit > 0 && copied > limit {
 			return nil, model.ErrSampleLimit
 		}
-		out = append(out, model.Series{Labels: s.lset, Samples: samples})
+		out = append(out, model.Series{Labels: lset, Samples: samples})
 	}
 	return out, nil
 }
@@ -139,14 +140,18 @@ func checkBlockIndexInvariants(t *testing.T, pb *PersistentBlock) {
 	if !slices.IsSorted(ix.names) || len(slices.Compact(slices.Clone(ix.names))) != len(ix.names) {
 		t.Fatalf("index names not sorted and distinct: %v", ix.names)
 	}
+	if len(ix.first) != len(ix.names)+1 || ix.first[0] != 0 || int(ix.first[len(ix.names)]) != len(ix.values) || len(ix.starts) != len(ix.values)+1 {
+		t.Fatalf("index of %d names, %d pairs: first %v, %d starts", len(ix.names), len(ix.values), ix.first, len(ix.starts))
+	}
 	entries := 0
 	for i, name := range ix.names {
-		lp := ix.labels[i]
-		if !slices.IsSorted(lp.values) || len(slices.Compact(slices.Clone(lp.values))) != len(lp.values) {
-			t.Fatalf("index values of %q not sorted and distinct: %v", name, lp.values)
+		values := ix.values[ix.first[i]:ix.first[i+1]]
+		if len(values) == 0 || !slices.IsSorted(values) || len(slices.Compact(slices.Clone(values))) != len(values) {
+			t.Fatalf("index values of %q not sorted, distinct and present: %v", name, values)
 		}
-		for k, value := range lp.values {
-			list := ix.refs[lp.starts[k]:lp.starts[k+1]]
+		for k, value := range values {
+			id := ix.first[i] + uint32(k)
+			list := ix.refs[ix.starts[id]:ix.starts[id+1]]
 			if len(list) == 0 {
 				t.Fatalf("index[%q][%q] is empty but present", name, value)
 			}
@@ -155,15 +160,19 @@ func checkBlockIndexInvariants(t *testing.T, pb *PersistentBlock) {
 				if j > 0 && list[j-1] >= pos {
 					t.Fatalf("index[%q][%q] not strictly ascending: %v", name, value, list)
 				}
-				if got := pb.series[pos].lset.Get(name); got != value {
-					t.Fatalf("index[%q][%q] holds position %d of %s", name, value, pos, pb.series[pos].lset)
+				if !slices.Contains(pb.pairsOf(pos), id) {
+					t.Fatalf("index[%q][%q] holds position %d of %s", name, value, pos, pb.labelsOf(pos))
 				}
 			}
 		}
 	}
 	want := 0
 	for i := range pb.series {
-		want += len(pb.series[i].lset)
+		ids := pb.pairsOf(uint32(i))
+		if !slices.IsSorted(ids) {
+			t.Fatalf("series %d: pair ids %v not ascending", i, ids)
+		}
+		want += len(ids)
 	}
 	if entries != want || len(ix.refs) != want {
 		t.Fatalf("index holds %d entries in %d slots, series carry %d labels", entries, len(ix.refs), want)
@@ -434,7 +443,7 @@ func TestDecodeIndexRejectsOversizedCounts(t *testing.T) {
 		"v2 labels":  append(append(slices.Clone(v2), 0, 1), huge...),
 		"v2 chunks":  append(append(slices.Clone(v2), 0, 1, 0), huge...),
 	} {
-		if _, _, err := decodeIndex(indexWithCRC(body), 0); err == nil {
+		if _, err := decodeIndex(indexWithCRC(body), 0); err == nil {
 			t.Errorf("index with 1<<60 %s decoded without error", name)
 		}
 	}
@@ -466,7 +475,7 @@ func FuzzDecodeIndex(f *testing.F) {
 		f.Fatal(err)
 	}
 	for _, pb := range []*PersistentBlock{raw, ds} {
-		f.Add(indexBody(encodeIndex(pb.seriesTable)))
+		f.Add(indexBody(encodeIndex(tableSeries(pb.seriesTable))))
 		f.Add(indexBody(encodeIndexV1(pb.seriesTable)))
 	}
 	for name := range blocksV1Pinned {
@@ -477,7 +486,7 @@ func FuzzDecodeIndex(f *testing.F) {
 		f.Add(indexBody(idx))
 	}
 	// A v1 chunk ref whose off+length wraps past 2^64.
-	wrap, _, err := decodeIndex(encodeIndex(raw.seriesTable), 0)
+	wrap, err := decodeIndex(encodeIndex(tableSeries(raw.seriesTable)), 0)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -485,7 +494,7 @@ func FuzzDecodeIndex(f *testing.F) {
 	f.Add(indexBody(encodeIndexV1(wrap)))
 	// A v1 chunk that claims more samples than a chunk holds.
 	f.Add(indexBody(encodeIndexV1Wide(raw.seriesTable, &[2]uint64{uint64(raw.entries[0].length), math.MaxUint16 + 1})))
-	f.Add(indexBody(encodeIndex(seriesTable{})))
+	f.Add(indexBody(encodeIndex(nil)))
 	f.Add([]byte{indexVersionV1})
 	f.Add(binary.AppendUvarint([]byte{indexVersion, 0}, 1<<60))
 	seg := &PersistentBlock{chunks: raw.chunks}
@@ -493,29 +502,251 @@ func FuzzDecodeIndex(f *testing.F) {
 		data := indexWithCRC(body)
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		table, pairs, err := decodeIndex(data, 0)
+		table, err := decodeIndex(data, 0)
 		runtime.ReadMemStats(&after)
-		// A series entry is 32 bytes for at least 2 of input, a label 32 for
-		// 2, a chunk entry 32 for 5, grown by doubling with no count to size
-		// it and then copied to its size; a symbol 16 for 1 plus its copy
-		// and its use mark; the maps add their buckets, and the constant
-		// covers the fuzz worker's own allocations.
+		// A series entry is 16 bytes for at least 2 of input; a label its
+		// 4-byte pair id (grown by doubling, then copied to its size) and a
+		// 4-byte postings slot for 2; a distinct pair 32 in the decoder's
+		// table, grown by doubling, plus its count, its value, its postings
+		// offset and two renumbering words in the index build, for 2; a
+		// chunk entry 32 for 5, grown by doubling with no count to size it
+		// and then copied to its size; a symbol 16 for 1 plus its copy and
+		// its use mark; the maps add their buckets, and the constant covers
+		// the fuzz worker's own allocations. The index is built inside
+		// decodeIndex, so it is counted too.
 		if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(1<<16+128*len(data)); got > limit {
 			t.Fatalf("decoding %d bytes allocated %d, limit %d", len(data), got, limit)
 		}
 		if err != nil {
 			return
 		}
-		encode := encodeIndex
+		encode := func(t seriesTable) []byte { return encodeIndex(tableSeries(t)) }
 		if data[len(indexMagic)] == indexVersionV1 {
 			encode = encodeIndexV1
 		}
 		if again := encode(table); !bytes.Equal(again, data) {
 			t.Fatalf("decoded version-%d index re-encodes to %d different bytes (input %d)", data[len(indexMagic)], len(again), len(data))
 		}
-		newBlockIndex(table.series, pairs)
 		for j := range table.entries {
 			seg.decodeChunk(&table.entries[j])
 		}
 	})
+}
+
+// v1IndexLabels reads the label sets of a version-1 index file as its writer
+// spelled them, with no part of decodeIndex: names and values inline, each
+// series' chunk entries skipped.
+func v1IndexLabels(t *testing.T, index []byte) []labels.Labels {
+	t.Helper()
+	b := index[len(indexMagic)+1 : len(index)-4]
+	uv := func() uint64 {
+		u, n := binary.Uvarint(b)
+		if n <= 0 {
+			t.Fatal("v1 index: bad uvarint")
+		}
+		b = b[n:]
+		return u
+	}
+	str := func() string {
+		n := uv()
+		s := string(b[:n])
+		b = b[n:]
+		return s
+	}
+	out := make([]labels.Labels, uv())
+	for i := range out {
+		for j, n := 0, int(uv()); j < n; j++ {
+			name := str()
+			out[i] = append(out[i], labels.Label{Name: name, Value: str()})
+		}
+		for j, n := 0, int(uv()); j < n; j++ {
+			b = b[1:] // aggregate
+			for k := 0; k < 5; k++ {
+				_, n := binary.Uvarint(b) // minT, maxT (zigzag), off, length, samples
+				b = b[n:]
+			}
+		}
+	}
+	if len(b) != 0 {
+		t.Fatalf("v1 index: %d bytes after the last series", len(b))
+	}
+	return out
+}
+
+// randChurnedSeries returns up to n distinct random label sets, label-sorted,
+// as block series of one four-sample chunk each: a metric name, some of the
+// property test's labels, and on about half a uuid of a thousand.
+func randChurnedSeries(t *testing.T, rng *rand.Rand, n int) []diskSeries {
+	t.Helper()
+	c := chunkenc.NewChunk()
+	for ts := int64(0); ts < 4; ts++ {
+		if err := c.Append(ts*15_000, float64(ts)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var lsets []labels.Labels
+	for range n {
+		ls := randPostingsLabels(rng)
+		if rng.Intn(2) == 0 {
+			ls = labels.NewBuilder(ls).Set("uuid", fmt.Sprint(1_000_000+rng.Intn(1000))).Labels()
+		}
+		lsets = append(lsets, ls)
+	}
+	slices.SortFunc(lsets, labels.Compare)
+	lsets = slices.CompactFunc(lsets, labels.Labels.Equal)
+	series := make([]diskSeries, len(lsets))
+	for i, ls := range lsets {
+		series[i] = diskSeries{lset: ls, chunks: []encodedChunk{{diskChunk{aggr: AggrRaw, minT: 0, maxT: 45_000, numSamples: 4}, c.Bytes()}}}
+	}
+	return series
+}
+
+// TestBlockLabelsFromPairIDs: an open block builds from its pair ids the
+// label sets it was written with — the v1 fixture's as its files spell
+// them, the same blocks' written in v2 today, and random churned blocks' as
+// their writer was handed them, in index version 2 (in memory and in a
+// directory) and version 1 — and matches and orders by the ids as
+// labels.MatchLabels and labels.Compare do the built sets, against each
+// other's ids and against a head's labels.
+func TestBlockLabelsFromPairIDs(t *testing.T) {
+	check := func(t *testing.T, what string, pb *PersistentBlock, want []labels.Labels) {
+		t.Helper()
+		if len(pb.series) != len(want) {
+			t.Fatalf("%s: %d series, written %d", what, len(pb.series), len(want))
+		}
+		for pos := range want {
+			if got := pb.labelsOf(uint32(pos)); !got.Equal(want[pos]) {
+				t.Fatalf("%s: series %d built as %s, written %s", what, pos, got, want[pos])
+			}
+		}
+		checkBlockIndexInvariants(t, pb)
+	}
+	fresh := pinnedBlocks(t, t.TempDir())
+	for name := range blocksV1Pinned {
+		index, err := os.ReadFile(filepath.Join(blocksV1Fixture, name, IndexFilename))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := v1IndexLabels(t, index)
+		old, err := OpenBlockDir(filepath.Join(blocksV1Fixture, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(t, name+" v1 fixture", old, want)
+		check(t, name+" written in v2", fresh[name], want)
+		old.Close()
+	}
+
+	for seed := int64(1); seed <= 4; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		series := randChurnedSeries(t, rng, 400)
+		want := make([]labels.Labels, len(series))
+		for i := range series {
+			want[i] = series[i].lset
+		}
+		mem, err := newMemPersistentBlock(&BlockMeta{MinTime: 0, MaxTime: 45_000, Level: 1}, series)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dir, err := writeBlockDir(t.TempDir(), &BlockMeta{MinTime: 0, MaxTime: 45_000, Level: 1}, series)
+		if err != nil {
+			t.Fatal(err)
+		}
+		disk, err := OpenBlockDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer disk.Close()
+		v1Table, err := decodeIndex(encodeIndexV1(mem.seriesTable), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v1 := &PersistentBlock{meta: mem.meta, seriesTable: v1Table, chunks: mem.chunks}
+		blocks := []*PersistentBlock{mem, disk, v1}
+		for i, pb := range blocks {
+			check(t, fmt.Sprintf("seed %d block %d", seed, i), pb, want)
+		}
+
+		for n := 0; n < 200; n++ {
+			ms := randPostingsMatchers(rng)
+			for i, pb := range blocks {
+				fs := pb.index.filters(nil, ms)
+				var visited []uint32
+				pb.forMatching(ms, func(pos uint32) bool {
+					visited = append(visited, pos)
+					return true
+				})
+				var matched []uint32
+				for pos := range want {
+					ok := labels.MatchLabels(want[pos], ms...)
+					if got := pb.index.matches(pb.pairsOf(uint32(pos)), fs); got != ok {
+						t.Fatalf("seed %d block %d: %v on %s: pair ids match %v, labels %v", seed, i, ms, want[pos], got, ok)
+					}
+					if ok {
+						matched = append(matched, uint32(pos))
+					}
+				}
+				if !slices.Equal(visited, matched) {
+					t.Fatalf("seed %d block %d: %v visits %v, labels match %v", seed, i, ms, visited, matched)
+				}
+			}
+		}
+
+		// A second block of other series, so that the ids compared are
+		// another index's.
+		other, err := newMemPersistentBlock(&BlockMeta{MinTime: 0, MaxTime: 45_000, Level: 1}, randChurnedSeries(t, rng, 400))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sign := func(c int) int { return min(max(c, -1), 1) }
+		for n := 0; n < 2000; n++ {
+			a, b := blocks[rng.Intn(len(blocks))], []*PersistentBlock{mem, v1, other}[rng.Intn(3)]
+			pa, pbos := uint32(rng.Intn(len(a.series))), uint32(rng.Intn(len(b.series)))
+			if b != other && rng.Intn(2) == 0 {
+				pbos = pa // the same label set in another block
+			}
+			la, lb := a.labelsOf(pa), b.labelsOf(pbos)
+			want := sign(labels.Compare(la, lb))
+			for _, c := range [][2]labelView{
+				{a.view(pa), b.view(pbos)},
+				{a.view(pa), {ls: lb}},
+				{{ls: la}, b.view(pbos)},
+			} {
+				if got := sign(compareLabels(c[0], c[1])); got != want || equalLabels(c[0], c[1]) != (want == 0) {
+					t.Fatalf("seed %d: %s against %s compares %d by ids, %d by labels", seed, la, lb, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestDecodeIndexRejectsDisorder: an index whose series are not strictly
+// ascending by labels, or whose labels are not strictly ascending by name
+// within a series, does not open, whatever else about it is well formed.
+func TestDecodeIndexRejectsDisorder(t *testing.T) {
+	a := labels.FromStrings(labels.MetricName, "m", "uuid", "1")
+	b := labels.FromStrings(labels.MetricName, "m", "uuid", "2")
+	for _, tc := range []struct {
+		name   string
+		series []labels.Labels
+		want   string
+	}{
+		{"series out of order", []labels.Labels{b, a}, "series 1 out of label order"},
+		{"series repeated", []labels.Labels{a, a}, "series 1 out of label order"},
+		{"prefix after its extension", []labels.Labels{a, a[:1]}, "series 1 out of label order"},
+		{"label names out of order", []labels.Labels{{a[1], a[0]}}, "series 0: label names out of order"},
+		{"label name repeated", []labels.Labels{{a[1], b[1]}}, "series 0: label names out of order"},
+	} {
+		series := make([]diskSeries, len(tc.series))
+		for i, ls := range tc.series {
+			series[i].lset = ls
+		}
+		if _, err := decodeIndex(encodeIndex(series), 0); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err %v, want one saying %q", tc.name, err, tc.want)
+		}
+	}
+	ok := []diskSeries{{lset: a[:1]}, {lset: a}, {lset: b}}
+	if _, err := decodeIndex(encodeIndex(ok), 0); err != nil {
+		t.Fatalf("ordered series: %v", err)
+	}
 }

@@ -40,9 +40,10 @@ import (
 type PersistentBlock struct {
 	dir  string // "" for in-memory blocks
 	meta BlockMeta
+	// The series, their labels as pair ids and their chunk entries, and the
+	// index over them.
 	seriesTable
-	index  *blockIndex // postings over series, built at open
-	chunks []byte      // mmap'd (or in-memory) chunks file
+	chunks []byte // mmap'd (or in-memory) chunks file
 
 	lifeMu sync.Mutex
 	refs   int
@@ -72,7 +73,7 @@ func OpenBlockDir(dir string) (*PersistentBlock, error) {
 	if err != nil {
 		return nil, err
 	}
-	table, pairs, err := decodeIndex(idx, meta.Stats.NumChunks)
+	table, err := decodeIndex(idx, meta.Stats.NumChunks)
 	if err != nil {
 		return nil, fmt.Errorf("tsdb: %s: %w", dir, err)
 	}
@@ -96,7 +97,7 @@ func OpenBlockDir(dir string) (*PersistentBlock, error) {
 		}
 		left -= uint64(c.length)
 	}
-	return &PersistentBlock{dir: dir, meta: meta, seriesTable: table, index: newBlockIndex(table.series, pairs), chunks: data, munmap: munmap}, nil
+	return &PersistentBlock{dir: dir, meta: meta, seriesTable: table, chunks: data, munmap: munmap}, nil
 }
 
 // newMemPersistentBlock assembles a PersistentBlock entirely in memory —
@@ -111,8 +112,7 @@ func newMemPersistentBlock(meta *BlockMeta, series []diskSeries) (*PersistentBlo
 	fillStats(meta, series)
 	var buf bytes.Buffer
 	w := bufio.NewWriter(&buf)
-	written, err := encodeChunksStream(series, w)
-	if err != nil {
+	if err := encodeChunksStream(series, w); err != nil {
 		return nil, err
 	}
 	if err := w.Flush(); err != nil {
@@ -120,11 +120,11 @@ func newMemPersistentBlock(meta *BlockMeta, series []diskSeries) (*PersistentBlo
 	}
 	// Through the index encoding and back, as a directory block's would go:
 	// one way to an open block, whichever kind it is.
-	table, pairs, err := decodeIndex(encodeIndex(written), meta.Stats.NumChunks)
+	table, err := decodeIndex(encodeIndex(series), meta.Stats.NumChunks)
 	if err != nil {
 		return nil, err
 	}
-	return &PersistentBlock{meta: *meta, seriesTable: table, index: newBlockIndex(table.series, pairs), chunks: buf.Bytes(), munmap: func() error { return nil }}, nil
+	return &PersistentBlock{meta: *meta, seriesTable: table, chunks: buf.Bytes(), munmap: func() error { return nil }}, nil
 }
 
 // Meta returns the block's metadata.
@@ -223,15 +223,17 @@ func (pb *PersistentBlock) sampleHint(c *diskChunk) int {
 // series that satisfies ms, until visit returns false. Matchers resolve
 // against the block index by the head's rules (postingsFor): only the
 // series every list holds are visited, and only matchers no list narrows
-// walk the whole block.
+// walk the whole block, matched against each series' pair ids.
 func (pb *PersistentBlock) forMatching(ms []*labels.Matcher, visit func(pos uint32) bool) {
 	var buf [4][]uint32
 	lists, filters, ok := postingsFor(buf[:0], ms, pb.index.postings)
 	if !ok {
 		return
 	}
+	var fbuf [4]pairFilter
+	fs := pb.index.filters(fbuf[:0], filters)
 	match := func(pos uint32) bool {
-		return !labels.MatchLabels(pb.series[pos].lset, filters...) || visit(pos)
+		return !pb.index.matches(pb.pairsOf(pos), fs) || visit(pos)
 	}
 	if len(lists) > 0 {
 		intersectPostings(lists, match)

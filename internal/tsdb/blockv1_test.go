@@ -52,16 +52,14 @@ func encodeIndexV1Wide(t seriesTable, wide *[2]uint64) []byte {
 		buf.WriteString(s)
 	}
 	putU(uint64(len(t.series)))
-	for i := range t.series {
-		s := &t.series[i]
+	for i, s := range tableSeries(t) {
 		putU(uint64(len(s.lset)))
 		for _, l := range s.lset {
 			putStr(l.Name)
 			putStr(l.Value)
 		}
-		chunks := t.chunksOf(uint32(i))
-		putU(uint64(len(chunks)))
-		for j, c := range chunks {
+		putU(uint64(len(s.chunks)))
+		for j, c := range s.chunks {
 			buf.WriteByte(byte(c.aggr))
 			putI(c.minT)
 			putI(c.maxT)
@@ -76,6 +74,20 @@ func encodeIndexV1Wide(t seriesTable, wide *[2]uint64) []byte {
 		}
 	}
 	return binary.LittleEndian.AppendUint32(buf.Bytes(), crc32.Checksum(buf.Bytes(), walCRC))
+}
+
+// tableSeries returns the series of a decoded table as a writer hands them
+// to encodeIndex: label sets built from the pair ids, chunk entries placed
+// and without payload.
+func tableSeries(t seriesTable) []diskSeries {
+	out := make([]diskSeries, len(t.series))
+	for i := range out {
+		out[i].lset = t.labelsOf(uint32(i))
+		for _, c := range t.chunksOf(uint32(i)) {
+			out[i].chunks = append(out[i].chunks, encodedChunk{diskChunk: c})
+		}
+	}
+	return out
 }
 
 // pinnedBlocks builds TestBlockBytesPinned's three blocks under parent: a
@@ -141,10 +153,10 @@ func TestBlocksV1FixtureReadsBack(t *testing.T) {
 				t.Fatalf("%d series, the v2 block %d", len(old.series), len(cur.series))
 			}
 			for i := range old.series {
-				o, c := old.series[i], cur.series[i]
+				o, c := old.labelsOf(uint32(i)), cur.labelsOf(uint32(i))
 				oc, cc := old.chunksOf(uint32(i)), cur.chunksOf(uint32(i))
-				if !o.lset.Equal(c.lset) || !slices.Equal(oc, cc) {
-					t.Fatalf("series %d: %s with chunks %+v, the v2 block %s with %+v", i, o.lset, oc, c.lset, cc)
+				if !o.Equal(c) || !slices.Equal(oc, cc) {
+					t.Fatalf("series %d: %s with chunks %+v, the v2 block %s with %+v", i, o, oc, c, cc)
 				}
 			}
 			for aggr := AggrRaw; aggr <= AggrAvg; aggr++ {

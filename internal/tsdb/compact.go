@@ -144,7 +144,7 @@ func DownsamplePersistentBlocks(parent string, meta BlockMeta, blocks []*Persist
 			}
 		}
 		if err := alignedAggrs(&src); err != nil {
-			return nil, fmt.Errorf("tsdb: downsample: blocks %s: series %s: %w", meta.Sources, run[0].s.lset, err)
+			return nil, fmt.Errorf("tsdb: downsample: blocks %s: series %s: %w", meta.Sources, w.blocks[run[0].blk].labelsOf(run[0].pos), err)
 		}
 		sums, counts, mins, maxs := src[0], src[1], src[2], src[3]
 		for j := range sums {
@@ -173,15 +173,21 @@ type walker struct {
 
 // blockSeriesRef is one series of one walked block.
 type blockSeriesRef struct {
-	s        *blockSeries
 	blk, pos uint32
+}
+
+// view returns the labels of the series ref names.
+func (w *walker) view(ref blockSeriesRef) labelView {
+	return w.blocks[ref.blk].view(ref.pos)
 }
 
 // walk merges the blocks' series by labels and calls fold once per output
 // series: a run of equal label sets in block order (a block holds a label
 // set once), so that its first member is from the block that wins a shared
 // timestamp. The run is read past the newest sample a tombstone deletes of
-// it (w.from); a series fold returns no chunks for is left out.
+// it (w.from); a series fold returns no chunks for is left out. The series
+// are ordered and joined by their pair ids (labelView); only an output
+// series' label set is built, into slabs shared by the series that follow.
 func (w *walker) walk(tombs []TombstoneRec, fold func(run []blockSeriesRef) ([]encodedChunk, error)) ([]diskSeries, error) {
 	n := 0
 	for _, b := range w.blocks {
@@ -192,21 +198,25 @@ func (w *walker) walk(tombs []TombstoneRec, fold func(run []blockSeriesRef) ([]e
 	for bi, b := range w.blocks {
 		lo := len(refs)
 		for pos := range b.series {
-			refs = append(refs, blockSeriesRef{s: &b.series[pos], blk: uint32(bi), pos: uint32(pos)})
+			refs = append(refs, blockSeriesRef{blk: uint32(bi), pos: uint32(pos)})
 		}
 		parts[bi] = refs[lo:]
 	}
 	// With a nil combine the merge keeps every series, equal label sets next
 	// to each other in block order.
-	all := model.MergeSorted(parts, func(a, b blockSeriesRef) int { return labels.Compare(a.s.lset, b.s.lset) }, nil)
+	all := model.MergeSorted(parts, func(a, b blockSeriesRef) int { return compareLabels(w.view(a), w.view(b)) }, nil)
 	dels := make([][]deletion, len(w.blocks))
 	for bi, b := range w.blocks {
 		dels[bi] = deletions(b, tombs)
 	}
-	var series []diskSeries
+	var (
+		series []diskSeries
+		lsets  labels.Labels // where output label sets are built
+	)
+	const slabSize = 4096
 	for lo := 0; lo < len(all); {
 		hi := lo + 1
-		for hi < len(all) && all[hi].s.lset.Equal(all[lo].s.lset) {
+		for hi < len(all) && equalLabels(w.view(all[hi]), w.view(all[lo])) {
 			hi++
 		}
 		run := all[lo:hi]
@@ -225,7 +235,13 @@ func (w *walker) walk(tombs []TombstoneRec, fold func(run []blockSeriesRef) ([]e
 			return nil, err
 		}
 		if len(chunks) > 0 {
-			series = append(series, diskSeries{lset: run[0].s.lset, chunks: chunks})
+			v := w.view(run[0])
+			n := v.len()
+			if len(lsets) < n {
+				lsets = make(labels.Labels, max(n, min(slabSize, (len(all)-lo)*n)))
+			}
+			series = append(series, diskSeries{lset: v.ix.appendLabels(lsets[:0:n], v.ids), chunks: chunks})
+			lsets = lsets[n:]
 		}
 	}
 	return series, nil

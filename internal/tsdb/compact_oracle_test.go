@@ -46,7 +46,7 @@ func (pb *PersistentBlock) allAggrSeries() ([]aggrSeries, error) {
 	aggrs := storedAggrs(pb.meta.Resolution)
 	out := make([]aggrSeries, 0, len(pb.series))
 	for i := range pb.series {
-		as := aggrSeries{lset: pb.series[i].lset, streams: make(map[AggrType][]model.Sample, len(aggrs))}
+		as := aggrSeries{lset: pb.labelsOf(uint32(i)), streams: make(map[AggrType][]model.Sample, len(aggrs))}
 		for _, a := range aggrs {
 			var stream []model.Sample
 			for _, c := range pb.chunksOf(uint32(i)) {
@@ -345,7 +345,7 @@ func oracleDownsample(parent string, b *PersistentBlock, resolution int64) (*Per
 func blockFilesHash(t *testing.T, pb *PersistentBlock) [sha256.Size]byte {
 	t.Helper()
 	if pb.Dir() == "" {
-		return sha256.Sum256(append(encodeIndex(pb.seriesTable), pb.chunks...))
+		return sha256.Sum256(append(encodeIndex(tableSeries(pb.seriesTable)), pb.chunks...))
 	}
 	var data []byte
 	for _, f := range []string{IndexFilename, ChunksFilename} {

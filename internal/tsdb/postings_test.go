@@ -220,6 +220,15 @@ func TestPostingsProperty(t *testing.T) {
 
 		stop := make(chan struct{})
 		var bg sync.WaitGroup
+		// A failing step ends the test with the goroutines still running:
+		// the cleanup stops them, so that they do not outlive the test and
+		// load the tests that follow (FuzzWALRecord bounds the process's
+		// allocations).
+		halt := sync.OnceFunc(func() {
+			close(stop)
+			bg.Wait()
+		})
+		t.Cleanup(halt)
 		bg.Add(2)
 		go func() {
 			defer bg.Done()
@@ -354,8 +363,7 @@ func TestPostingsProperty(t *testing.T) {
 				}
 			}
 		}
-		close(stop)
-		bg.Wait()
+		halt()
 		for _, db := range dbs {
 			for _, sh := range db.shards {
 				checkPostingsInvariants(t, sh)

@@ -170,9 +170,14 @@ func newBlockPart(b *PersistentBlock, lo, hi int64, aggr AggrType) blockPart {
 // resolution hold the same values (uploads overlap only on re-ship, and a
 // compaction's output equals its sources).
 func planParts(parts []blockPart, blocks []*PersistentBlock, mint, maxt, fence int64, aggr AggrType) []blockPart {
-	byRes := slices.Clone(blocks)
+	// A read over a few blocks plans in these, allocating nothing.
+	var (
+		buf                    [8]*PersistentBlock
+		coverBuf, gBuf, subBuf [4]span
+	)
+	byRes := append(buf[:0], blocks...)
 	slices.SortStableFunc(byRes, func(a, b *PersistentBlock) int { return cmp.Compare(b.meta.Resolution, a.meta.Resolution) })
-	var covered []span
+	covered := coverBuf[:0]
 	for len(byRes) > 0 {
 		res, n := byRes[0].meta.Resolution, 1
 		for n < len(byRes) && byRes[n].meta.Resolution == res {
@@ -187,7 +192,7 @@ func planParts(parts []blockPart, blocks []*PersistentBlock, mint, maxt, fence i
 			}
 			gmax = fence - 1
 		}
-		var gspans []span
+		gspans := gBuf[:0]
 		for _, b := range group {
 			lo, hi := max(b.meta.MinTime, mint), min(b.meta.MaxTime, gmax)
 			if res != 0 {
@@ -199,7 +204,7 @@ func planParts(parts []blockPart, blocks []*PersistentBlock, mint, maxt, fence i
 			}
 		}
 		for _, gs := range gspans {
-			for _, u := range subtractSpans(gs, covered) {
+			for _, u := range subtractSpans(subBuf[:0], gs, covered) {
 				for _, b := range group {
 					if b.meta.MinTime <= u.hi && b.meta.MaxTime >= u.lo {
 						parts = append(parts, newBlockPart(b, u.lo, u.hi, aggr))
@@ -220,11 +225,46 @@ type piece struct {
 	pos  uint32
 }
 
-func (r *reader) lset(p piece) labels.Labels {
+// view returns the labels of piece p as its source keeps them.
+func (r *reader) view(p piece) labelView {
 	if p.head != nil {
-		return p.head.lset
+		return labelView{ls: p.head.lset}
 	}
-	return r.parts[p.part].b.series[p.pos].lset
+	return r.parts[p.part].b.view(p.pos)
+}
+
+// same reports whether pieces i and j are of one series. Two pieces of one
+// source are not: a block part and the head each hold a label set once.
+func (r *reader) same(i, j int) bool {
+	a, b := r.pieces[i], r.pieces[j]
+	if (a.head == nil) == (b.head == nil) && a.part == b.part {
+		return false
+	}
+	return equalLabels(r.view(a), r.view(b))
+}
+
+// blockLabels counts the labels of the planned series from piece lo, the
+// first of its run, up to the run that ends past hi, that have no head
+// series among their pieces: what a range of the fill builds at most.
+func (r *reader) blockLabels(lo, hi int) int {
+	n := 0
+	for i := lo; i < hi; {
+		j := r.runEnd(i)
+		if r.pieces[j-1].head == nil {
+			n += r.view(r.pieces[i]).len()
+		}
+		i = j
+	}
+	return n
+}
+
+// runEnd returns the end of the run of pieces of piece i's series.
+func (r *reader) runEnd(i int) int {
+	j := i + 1
+	for j < len(r.pieces) && r.same(j, i) {
+		j++
+	}
+	return j
 }
 
 // join lines up the parts' series matching ms and the head's by labels into
@@ -247,7 +287,7 @@ func (r *reader) join(heads []*memSeries, ms []*labels.Matcher) int {
 	for _, s := range heads {
 		flat = append(flat, piece{head: s})
 	}
-	r.pieces = model.MergeSorted(append(runs, flat[lo:]), func(a, b piece) int { return labels.Compare(r.lset(a), r.lset(b)) }, nil)
+	r.pieces = model.MergeSorted(append(runs, flat[lo:]), func(a, b piece) int { return compareLabels(r.view(a), r.view(b)) }, nil)
 	return len(r.pieces)
 }
 
@@ -273,9 +313,13 @@ func byLabels(a, b model.Series) int { return labels.Compare(a.Labels, b.Labels)
 func (r *reader) fillRange(lo, hi int) {
 	sf := seriesFiller{r: r, slab: sampleSlab{left: hi - lo}}
 	run := r.out[lo:lo:hi]
-	same := func(i, j int) bool { return r.lset(r.pieces[i]).Equal(r.lset(r.pieces[j])) }
-	for r.heads == nil && lo > 0 && lo < hi && same(lo, lo-1) {
+	for r.heads == nil && lo > 0 && lo < hi && r.same(lo, lo-1) {
 		lo++
+	}
+	if r.heads == nil {
+		if n := r.blockLabels(lo, hi); n > 0 {
+			sf.lsets = make(labels.Labels, n)
+		}
 	}
 	var err error
 	for i := lo; i < hi && err == nil && !(r.limited && r.left.Load() < 0); {
@@ -285,10 +329,7 @@ func (r *reader) fillRange(lo, hi int) {
 			one[0].head = r.heads[i]
 			i++
 		} else {
-			j := i + 1
-			for j < len(r.pieces) && same(j, i) {
-				j++
-			}
+			j := r.runEnd(i)
 			ps, i = r.pieces[i:j], j
 		}
 		h := ps[len(ps)-1].head // the head's piece is last
@@ -301,7 +342,7 @@ func (r *reader) fillRange(lo, hi int) {
 			h.mu.Unlock()
 		}
 		if len(samples) > 0 && (!r.limited || r.left.Add(-int64(len(samples))) >= 0) {
-			run = append(run, model.Series{Labels: r.lset(ps[0]), Samples: samples})
+			run = append(run, model.Series{Labels: sf.labels(ps), Samples: samples})
 		}
 	}
 	if r.heads != nil {
@@ -320,6 +361,21 @@ type seriesFiller struct {
 	r       *reader
 	slab    sampleSlab
 	scratch []model.Sample // a count stream, or a piece that reached back
+	lsets   labels.Labels  // where the range's block label sets are built
+}
+
+// labels returns the label set of the series of pieces ps: its head
+// series', or one built from its first block's pair ids into lsets, which
+// the range sized for every one it builds (blockLabels).
+func (sf *seriesFiller) labels(ps []piece) labels.Labels {
+	if h := ps[len(ps)-1].head; h != nil {
+		return h.lset
+	}
+	v := sf.r.view(ps[0])
+	n := v.len()
+	out := v.ix.appendLabels(sf.lsets[:0:n], v.ids)
+	sf.lsets = sf.lsets[n:]
+	return out
 }
 
 // series decodes one planned series into a slot of the slab sized once from

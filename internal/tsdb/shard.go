@@ -89,16 +89,24 @@ func (sh *headShard) getOrCreate(hash uint64, lset labels.Labels) *memSeries {
 	}
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	return sh.getOrCreateLocked(hash, lset)
+	return sh.getOrCreateLocked(hash, lset, false)
 }
 
-// getOrCreateLocked is getOrCreate under an already-held write lock.
-func (sh *headShard) getOrCreateLocked(hash uint64, lset labels.Labels) *memSeries {
+// getOrCreateLocked is getOrCreate under an already-held write lock. A
+// series it creates keeps a copy of lset, or, with adopt, lset itself: an
+// immutable set, a labels.CacheEntry's, which the head and the cache then
+// share.
+func (sh *headShard) getOrCreateLocked(hash uint64, lset labels.Labels, adopt bool) *memSeries {
 	if s := sh.lookupLocked(hash, lset); s != nil { // re-check under write lock
 		return s
 	}
+	if adopt {
+		lset = slices.Clip(lset)
+	} else {
+		lset = lset.Copy()
+	}
 	sh.nextRef++
-	s := &memSeries{ref: sh.nextRef, lset: lset.Copy()}
+	s := &memSeries{ref: sh.nextRef, lset: lset}
 	sh.series[hash] = append(sh.series[hash], s)
 	sh.byRef[s.ref] = s
 	for _, l := range s.lset {

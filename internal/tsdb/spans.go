@@ -5,43 +5,30 @@ package tsdb
 // one already covers, so raw and downsampled siblings never serve the same
 // timestamp twice.
 
+import "slices"
+
 // span is a closed timestamp interval [lo, hi], Unix ms.
 type span struct{ lo, hi int64 }
 
 // addSpan inserts sp into a sorted, disjoint span set, merging overlaps
-// and adjacency (hi+1 == lo) so the set stays minimal.
+// and adjacency (hi+1 == lo) so the set stays minimal. The set is changed in
+// place and grows only when it has no room.
 func addSpan(set []span, sp span) []span {
-	out := make([]span, 0, len(set)+1)
-	placed := false
-	for _, s := range set {
-		switch {
-		case s.hi < sp.lo-1: // strictly before sp, not adjacent
-			out = append(out, s)
-		case sp.hi < s.lo-1: // strictly after sp
-			if !placed {
-				out = append(out, sp)
-				placed = true
-			}
-			out = append(out, s)
-		default: // overlap or adjacency: fold into sp
-			if s.lo < sp.lo {
-				sp.lo = s.lo
-			}
-			if s.hi > sp.hi {
-				sp.hi = s.hi
-			}
-		}
+	i := 0
+	for i < len(set) && set[i].hi < sp.lo-1 { // strictly before sp, not adjacent
+		i++
 	}
-	if !placed {
-		out = append(out, sp)
+	j := i
+	for j < len(set) && !(sp.hi < set[j].lo-1) { // overlap or adjacency: fold into sp
+		sp.lo, sp.hi = min(sp.lo, set[j].lo), max(sp.hi, set[j].hi)
+		j++
 	}
-	return out
+	return slices.Replace(set, i, j, sp)
 }
 
-// subtractSpans returns the parts of sp not covered by the sorted,
+// subtractSpans appends to dst the parts of sp not covered by the sorted,
 // disjoint set, in ascending order.
-func subtractSpans(sp span, set []span) []span {
-	var out []span
+func subtractSpans(dst []span, sp span, set []span) []span {
 	lo := sp.lo
 	for _, s := range set {
 		if s.hi < lo {
@@ -51,17 +38,17 @@ func subtractSpans(sp span, set []span) []span {
 			break
 		}
 		if s.lo > lo {
-			out = append(out, span{lo, s.lo - 1})
+			dst = append(dst, span{lo, s.lo - 1})
 		}
 		if s.hi >= lo {
 			lo = s.hi + 1
 		}
 		if lo > sp.hi {
-			return out
+			return dst
 		}
 	}
 	if lo <= sp.hi {
-		out = append(out, span{lo, sp.hi})
+		dst = append(dst, span{lo, sp.hi})
 	}
-	return out
+	return dst
 }

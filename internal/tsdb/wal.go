@@ -174,7 +174,11 @@ func (w *shardWAL) openSegmentLocked() error {
 		return err
 	}
 	w.f = f
-	w.bw = bufio.NewWriterSize(f, 64*1024)
+	if w.bw == nil {
+		w.bw = bufio.NewWriterSize(f, 64*1024)
+	} else {
+		w.bw.Reset(f) // the closed segment's writer, flushed
+	}
 	// The v2 header travels with the first flushed record; a crash before
 	// then leaves an empty file or a magic prefix, both of which replay as
 	// zero records. Gorilla state starts fresh with the file.
@@ -320,7 +324,7 @@ func (w *shardWAL) closeSegmentLocked() error {
 		w.metrics.walFsyncSeconds.ObserveSince(syncStart)
 	}
 	err := w.f.Close()
-	w.f, w.bw = nil, nil
+	w.f = nil
 	return err
 }
 
@@ -397,9 +401,16 @@ func (w *shardWAL) checkpoint(sh *headShard, tombs func() []TombstoneRec) error 
 	return nil
 }
 
+// durableWriters holds writeFileDurably's buffered writers between files:
+// a block publish writes three files and a checkpoint one, most of them far
+// smaller than the buffer, which would otherwise be most of what they
+// allocate.
+var durableWriters = sync.Pool{New: func() any { return bufio.NewWriterSize(nil, 256*1024) }}
+
 // writeFileDurably creates path, hands a buffered writer to fill, then
 // flushes and fsyncs before closing — the write-side half of the
-// tmp+rename+dir-sync discipline. The file is removed on any error.
+// tmp+rename+dir-sync discipline. The file is removed on any error. The
+// writer is pooled: fill must not keep it.
 func writeFileDurably(path string, fill func(*bufio.Writer) error) error {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
 	if err != nil {
@@ -410,7 +421,12 @@ func writeFileDurably(path string, fill func(*bufio.Writer) error) error {
 		os.Remove(path)
 		return err
 	}
-	bw := bufio.NewWriterSize(f, 256*1024)
+	bw := durableWriters.Get().(*bufio.Writer)
+	bw.Reset(f)
+	defer func() {
+		bw.Reset(nil)
+		durableWriters.Put(bw)
+	}()
 	if err := fill(bw); err != nil {
 		return fail(err)
 	}

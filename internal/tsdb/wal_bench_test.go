@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"repro/internal/labels"
@@ -121,5 +122,90 @@ func BenchmarkWALReplay(b *testing.B) {
 			}
 			b.ReportMetric(float64(nSeries*nScrapes)*float64(b.N)/b.Elapsed().Seconds(), "samples/s")
 		})
+	}
+}
+
+// durablePublishes returns the two publishes writeFileDurably serves: a
+// small block written as a directory (chunks, index and meta.json) and a
+// checkpoint of a 2-shard journal, each on its own fixture under dir.
+func durablePublishes(tb testing.TB, dir string) map[string]func() {
+	tb.Helper()
+	db, err := Open(Options{Shards: 2, WALDir: filepath.Join(dir, "wal")})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { db.Close() })
+	for _, ls := range benchLabels(8) {
+		for ts := int64(0); ts < 40; ts++ {
+			if err := db.Append(ls, ts*15_000, float64(ts)); err != nil {
+				tb.Fatal(err)
+			}
+		}
+	}
+	pb, err := db.CutPersistentBlock("", -1<<60, 1<<60)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	series := make([]diskSeries, len(pb.series))
+	for pos := range series {
+		series[pos].lset = pb.labelsOf(uint32(pos))
+		for _, c := range pb.chunksOf(uint32(pos)) {
+			ch, err := pb.decodeChunk(&c)
+			if err != nil {
+				tb.Fatal(err)
+			}
+			series[pos].chunks = append(series[pos].chunks, encodedChunk{diskChunk: c, payload: ch.Bytes()})
+		}
+	}
+	blocks := filepath.Join(dir, "blocks")
+	return map[string]func(){
+		"block": func() {
+			out, err := writeBlockDir(blocks, &BlockMeta{MinTime: 0, MaxTime: 39 * 15_000, Level: 1}, series)
+			if err != nil {
+				tb.Fatal(err)
+			}
+			os.RemoveAll(out)
+		},
+		"checkpoint": func() {
+			if err := db.CheckpointWAL(); err != nil {
+				tb.Fatal(err)
+			}
+		},
+	}
+}
+
+// BenchmarkDurablePublish measures what a small block directory write and a
+// 2-shard journal checkpoint allocate: their files' buffered writers are
+// pooled, so neither allocates a 256 KB buffer per file.
+func BenchmarkDurablePublish(b *testing.B) {
+	for name, publish := range durablePublishes(b, b.TempDir()) {
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				publish()
+			}
+		})
+	}
+}
+
+// TestDurablePublishReusesBuffers: a block directory write (three files) and
+// a 2-shard checkpoint (two) each allocate less than one 256 KB write buffer
+// on average, where each file took one of its own.
+func TestDurablePublishReusesBuffers(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop what is put in it")
+	}
+	for name, publish := range durablePublishes(t, t.TempDir()) {
+		publish() // the pool's first writers
+		const runs = 20
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			publish()
+		}
+		runtime.ReadMemStats(&after)
+		if per := (after.TotalAlloc - before.TotalAlloc) / runs; per >= 256<<10 {
+			t.Errorf("%s: a publish allocates %d bytes, at least one write buffer", name, per)
+		}
 	}
 }
