@@ -129,10 +129,19 @@ blocks:
 # lists against its live series through churn, WAL replay and concurrent
 # reads (TestLabelValues*, and TestPostingsProperty's label checks), and
 # truncation dropping a series that went silent in its open chunk, across a
-# WAL reopen (TestHeadTruncateDropsSilentOpenChunk); randomized, so two
+# WAL reopen (TestHeadTruncateDropsSilentOpenChunk); and the label lists
+# the head, the block store, the Querier and the ring keep merged against a
+# brute-force scan through creates, deletes, truncates, WAL reopens, ships,
+# compactions and downsampling with a concurrent appender and reader, no
+# kept store list outliving its block set, and one kept list under
+# concurrent additions, removals and reads (TestLabelListsOracle,
+# TestRingLabelListsOracle, TestStoreForgetsListsOfRetiredBlockSets,
+# TestKeptListConcurrentReadsAndChanges) and
+# the older store, Querier and ring label checks; randomized, so two
 # passes, under race.
 head-index:
-	$(GO) test -race -count=2 -run 'Posting|HeadSelect|HeadTruncate|LabelValues' ./internal/tsdb/
+	$(GO) test -race -count=2 -run 'Posting|HeadSelect|HeadTruncate|LabelValues|KeptList' ./internal/tsdb/
+	$(GO) test -race -count=2 -run 'StoreLabelValuesForgetTombstonedSeries|QuerierLabelStore|QuorumLabelEndpoints|LabelListsOracle|ForgetsListsOfRetiredBlockSets' ./internal/thanos/ ./internal/cluster/
 
 # Ten seconds of coverage-guided fuzzing each over the chunk decoder
 # (arbitrary bytes must end in an error or the declared sample count, never

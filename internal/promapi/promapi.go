@@ -69,10 +69,10 @@ type Handler struct {
 }
 
 // LabelStore is the optional metadata side of a Queryable. *tsdb.DB
-// implements it (fanning the lookup across head shards); when Query does,
-// the handler additionally serves /api/v1/labels and
-// /api/v1/label/<name>/values, the endpoints Grafana uses to populate
-// dashboard variable dropdowns. A Query whose metadata reads can fail, as
+// implements it (returning the list its head keeps merged across its
+// shards, read-only); when Query does, the handler additionally serves
+// /api/v1/labels and /api/v1/label/<name>/values, the endpoints Grafana
+// uses to populate dashboard variable dropdowns. A Query whose metadata reads can fail, as
 // its reads can, returns an error from each instead: *cluster.RingDB refuses
 // an answer that too few replicas cover, and the endpoints report the error
 // like a failed query.

@@ -58,6 +58,15 @@ type Store struct {
 	tombs  []tsdb.TombstoneRec     // the log the last Compact was given (adopt); Downsample obeys it
 	clean  []tsdb.TombstoneRec     // the log the last Compact left no block holding a sample of
 
+	// The label lists read since blocks last changed, merged across them:
+	// installed under mu's read lock and lists, cleared (forgetListsLocked)
+	// in every critical section that changes blocks, so none outlives the
+	// block set it was merged from, nor keeps a retired block's strings. A
+	// store NewStore is still building has none.
+	lists  sync.Mutex
+	names  []string            // nil until read
+	values map[string][]string // by label name; only names some block carries
+
 	metrics *storeMetrics
 	lock    *dirlock.Lock // nil for an in-memory store
 }
@@ -186,7 +195,14 @@ func (s *Store) register(pb *tsdb.PersistentBlock) {
 	s.mu.Lock()
 	s.blocks = append(s.blocks, pb)
 	s.sortLocked()
+	s.forgetListsLocked()
 	s.mu.Unlock()
+}
+
+// forgetListsLocked drops the kept label lists; the caller holds mu's write
+// lock, so no read is merging or installing one.
+func (s *Store) forgetListsLocked() {
+	s.names, s.values = nil, nil
 }
 
 // syncDirBestEffort fsyncs the store directory so deletions and renames
@@ -305,24 +321,54 @@ func (s *Store) read(head *tsdb.DB, hints model.SelectHints, ms []*labels.Matche
 
 // LabelNames returns the sorted distinct label names across all blocks
 // (with LabelValues, this makes the store — and the fan-in Querier —
-// satisfy promapi.LabelStore). It merges the registered blocks' own sorted
-// lists, which their indexes hold, so it always agrees with what the blocks
-// carry. The list may be a block's own slice and is read-only.
+// satisfy promapi.LabelStore). The first read after the block set changes
+// merges the registered blocks' own sorted lists, which their indexes hold,
+// and the store keeps the result until the set changes again, so it always
+// agrees with what the blocks carry. The list is read-only.
 func (s *Store) LabelNames() []string {
-	return s.mergeBlockLists((*tsdb.PersistentBlock).LabelNames)
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	s.lists.Lock()
+	names := s.names
+	s.lists.Unlock()
+	if names != nil {
+		return names
+	}
+	names = s.mergeBlockListsLocked((*tsdb.PersistentBlock).LabelNames)
+	s.lists.Lock()
+	s.names = names
+	s.lists.Unlock()
+	return names
 }
 
 // LabelValues returns the sorted distinct values of a label name across all
-// blocks, read-only as LabelNames'.
+// blocks, kept and read-only as LabelNames'. Only a name some block carries
+// is kept, so reads of absent names add nothing.
 func (s *Store) LabelValues(name string) []string {
-	return s.mergeBlockLists(func(b *tsdb.PersistentBlock) []string { return b.LabelValues(name) })
-}
-
-// mergeBlockLists merges one sorted list per registered block. The read lock
-// keeps every listed block registered, and so open, for the merge.
-func (s *Store) mergeBlockLists(list func(*tsdb.PersistentBlock) []string) []string {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
+	s.lists.Lock()
+	values, ok := s.values[name]
+	s.lists.Unlock()
+	if ok {
+		return values
+	}
+	values = s.mergeBlockListsLocked(func(b *tsdb.PersistentBlock) []string { return b.LabelValues(name) })
+	if len(values) > 0 {
+		s.lists.Lock()
+		if s.values == nil {
+			s.values = make(map[string][]string)
+		}
+		s.values[name] = values
+		s.lists.Unlock()
+	}
+	return values
+}
+
+// mergeBlockListsLocked merges one sorted list per registered block. The
+// caller's read lock keeps every listed block registered, and so open, for
+// the merge.
+func (s *Store) mergeBlockListsLocked(list func(*tsdb.PersistentBlock) []string) []string {
 	parts := make([][]string, len(s.blocks))
 	for i, b := range s.blocks {
 		parts[i] = list(b)
@@ -443,6 +489,7 @@ func (s *Store) compactSet(plan []*tsdb.PersistentBlock, write func() (*tsdb.Per
 	// resident index, stays reachable past the slice's length.
 	s.blocks = append(slices.DeleteFunc(s.blocks, func(b *tsdb.PersistentBlock) bool { return slices.Contains(plan, b) }), nb)
 	s.sortLocked()
+	s.forgetListsLocked()
 	s.mu.Unlock()
 	for _, b := range plan {
 		dir := b.Dir()
@@ -549,6 +596,7 @@ func (s *Store) Close() error {
 		}
 	}
 	s.blocks = nil
+	s.forgetListsLocked()
 	if err := s.lock.Release(); err != nil && first == nil {
 		first = err
 	}

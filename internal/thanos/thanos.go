@@ -120,8 +120,9 @@ type Querier struct {
 
 // LabelNames merges hot and cold label names, sorted; with LabelValues it
 // makes the fan-in Querier satisfy promapi.LabelStore, so Grafana's
-// variable dropdowns work against the merged view. The list may be a
-// block's own slice and is read-only.
+// variable dropdowns work against the merged view. Each tier keeps its own
+// list merged, so this two-way merge is the only one a read makes; the
+// result may be a tier's kept list and is read-only.
 func (q *Querier) LabelNames() []string {
 	return tsdb.MergeLabelLists(q.Hot.LabelNames(), q.Cold.LabelNames())
 }

@@ -641,30 +641,59 @@ func TestHeadSelectAllocsIndependentOfIndexSize(t *testing.T) {
 // BenchmarkHeadLabelValues measures a dashboard variable lookup,
 // /label/uuid/values: uuid-shaped values at a day of a mid-size cluster's
 // jobs (2k) and of Jean-Zay's (20k), two series per job, on 1 and 16 shards.
+// Each read but the first is answered from the head's kept list. The
+// after_one_new_value cases append one series of a new uuid before each
+// read, so every read merges one addition into a copy of the kept list;
+// every 512 reads the added series are deleted and the list rebuilt,
+// untimed, so it stays within 512 values of the fixture's.
 func BenchmarkHeadLabelValues(b *testing.B) {
-	for _, jobs := range []int{2000, 20000} {
-		for _, shards := range []int{1, 16} {
-			b.Run(fmt.Sprintf("%dk_uuids/%d_shards", jobs/1000, shards), func(b *testing.B) {
-				db := MustOpen(Options{Shards: shards})
-				app := db.Appender()
-				rng := rand.New(rand.NewSource(1))
-				for j := 0; j < jobs; j++ {
-					uuid := fmt.Sprintf("%08x-%04x-%04x-%04x-%012x", rng.Uint32(), rng.Intn(1<<16), rng.Intn(1<<16), rng.Intn(1<<16), rng.Int63n(1<<48))
-					for _, name := range []string{"ceems_job_power_watts", "ceems_job_cpu_seconds_total"} {
-						app.Add(labels.FromStrings(labels.MetricName, name, "uuid", uuid, "instance", fmt.Sprintf("n%d", j%42)), 1000, 1)
-					}
+	for _, incremental := range []bool{false, true} {
+		for _, jobs := range []int{2000, 20000} {
+			for _, shards := range []int{1, 16} {
+				name := fmt.Sprintf("%dk_uuids/%d_shards", jobs/1000, shards)
+				if incremental {
+					name = "after_one_new_value/" + name
 				}
-				if _, err := app.Commit(); err != nil {
-					b.Fatal(err)
-				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if got := db.LabelValues("uuid"); len(got) != jobs {
-						b.Fatalf("%d values, want %d", len(got), jobs)
-					}
-				}
-			})
+				b.Run(name, func(b *testing.B) { benchHeadLabelValues(b, jobs, shards, incremental) })
+			}
+		}
+	}
+}
+
+func benchHeadLabelValues(b *testing.B, jobs, shards int, incremental bool) {
+	db := MustOpen(Options{Shards: shards})
+	app := db.Appender()
+	rng := rand.New(rand.NewSource(1))
+	for j := 0; j < jobs; j++ {
+		uuid := fmt.Sprintf("%08x-%04x-%04x-%04x-%012x", rng.Uint32(), rng.Intn(1<<16), rng.Intn(1<<16), rng.Intn(1<<16), rng.Int63n(1<<48))
+		for _, name := range []string{"ceems_job_power_watts", "ceems_job_cpu_seconds_total"} {
+			app.Add(labels.FromStrings(labels.MetricName, name, "uuid", uuid, "instance", fmt.Sprintf("n%d", j%42)), 1000, 1)
+		}
+	}
+	if _, err := app.Commit(); err != nil {
+		b.Fatal(err)
+	}
+	added := labels.MustMatcher(labels.MatchEqual, labels.MetricName, "ceems_job_new")
+	want, fresh := jobs, 0
+	db.LabelValues("uuid")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if incremental {
+			if fresh == 512 {
+				b.StopTimer()
+				db.DeleteSeries(added)
+				want, fresh = jobs, 0
+				db.LabelValues("uuid")
+				b.StartTimer()
+			}
+			if err := db.Append(labels.FromStrings(labels.MetricName, "ceems_job_new", "uuid", fmt.Sprintf("new-%08d", i)), 1000, 1); err != nil {
+				b.Fatal(err)
+			}
+			want, fresh = want+1, fresh+1
+		}
+		if got := db.LabelValues("uuid"); len(got) != want {
+			b.Fatalf("%d values, want %d", len(got), want)
 		}
 	}
 }

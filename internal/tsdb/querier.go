@@ -1,6 +1,7 @@
 package tsdb
 
 import (
+	"slices"
 	"strings"
 
 	"repro/internal/labels"
@@ -36,8 +37,24 @@ func (db *DB) SelectWithHints(hints model.SelectHints, ms ...*labels.Matcher) ([
 }
 
 // LabelValues returns the sorted distinct values of a label name across all
-// shards.
+// shards. The list is the head's kept one (labellists.go) and read-only:
+// after the first read of a name the head carries, a read merges at most
+// the values added since the last one, and none when nothing was added.
 func (db *DB) LabelValues(name string) []string {
+	kl := db.kept.valuesOf(name)
+	if kl == nil {
+		// Only a name the head carries is kept, so reads of absent names
+		// add nothing.
+		if _, ok := slices.BinarySearch(db.LabelNames(), name); !ok {
+			return db.mergeValues(name)
+		}
+		kl = db.kept.watchValues(name)
+	}
+	return kl.read(func() []string { return db.mergeValues(name) })
+}
+
+// mergeValues merges every shard's values of name.
+func (db *DB) mergeValues(name string) []string {
 	parts := make([][]string, len(db.shards))
 	for i, sh := range db.shards {
 		parts[i] = sh.labelValues(name)
@@ -45,13 +62,16 @@ func (db *DB) LabelValues(name string) []string {
 	return MergeLabelLists(parts...)
 }
 
-// LabelNames returns all label names in use, sorted.
+// LabelNames returns all label names in use, sorted, as a kept list
+// (read-only, as LabelValues').
 func (db *DB) LabelNames() []string {
-	parts := make([][]string, len(db.shards))
-	for i, sh := range db.shards {
-		parts[i] = sh.labelNames()
-	}
-	return MergeLabelLists(parts...)
+	return db.kept.names.read(func() []string {
+		parts := make([][]string, len(db.shards))
+		for i, sh := range db.shards {
+			parts[i] = sh.labelNames()
+		}
+		return MergeLabelLists(parts...)
+	})
 }
 
 // MergeLabelLists merges sorted lists of distinct names or values into one

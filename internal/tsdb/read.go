@@ -94,13 +94,13 @@ type reader struct {
 
 	out  []model.Series
 	mu   sync.Mutex
-	runs [][]model.Series // one per range of the fill, sorted
+	runs []fillRun // one per range of the fill, sorted
 	err  error
 
-	partBuf  [1]blockPart      // where parts, pieces and runs start: a read
-	pieceBuf [4]piece          // of a few series of one block part in one
-	runBuf   [1][]model.Series // range allocates none of them
-	rangeFn  func(lo, hi int)  // fillRange, bound once
+	partBuf  [1]blockPart     // where parts, pieces and runs start: a read
+	pieceBuf [4]piece         // of a few series of one block part in one
+	runBuf   [1]fillRun       // range allocates none of them
+	rangeFn  func(lo, hi int) // fillRange, bound once
 }
 
 var readers = sync.Pool{New: func() any {
@@ -301,9 +301,40 @@ func (r *reader) fill(n int) ([]model.Series, error) {
 	} else if r.limited && r.left.Load() < 0 {
 		return nil, model.ErrSampleLimit
 	}
-	// One run, the usual case, is returned as it stands; several hold
-	// distinct series, so the order they arrived in does not matter.
-	return model.MergeSorted(r.runs, byLabels, nil), nil
+	if len(r.runs) == 1 { // the usual case
+		return r.runs[0].series, nil
+	}
+	if r.heads == nil {
+		return r.layRuns(), nil
+	}
+	// A head-only read's runs each sorted their own series, which are
+	// distinct, so the order they arrived in does not matter.
+	var buf [8][]model.Series // one per range: as many as the pool has workers
+	parts := buf[:0]
+	for _, run := range r.runs {
+		parts = append(parts, run.series)
+	}
+	return model.MergeSorted(parts, byLabels, nil), nil
+}
+
+// fillRun is what one range of the fill read: its series, from where the
+// range starts in r.out on.
+type fillRun struct {
+	lo     int
+	series []model.Series
+}
+
+// layRuns lays the runs of a read with blocks end to end in r.out, in the
+// order their ranges start. The plan is in label order and each run holds
+// its range's series in plan order, so the result is sorted without a
+// label set compared.
+func (r *reader) layRuns() []model.Series {
+	slices.SortFunc(r.runs, func(a, b fillRun) int { return cmp.Compare(a.lo, b.lo) })
+	out := r.out[:0]
+	for _, run := range r.runs {
+		out = append(out, run.series...) // moves down, never past where the run starts
+	}
+	return out
 }
 
 func byLabels(a, b model.Series) int { return labels.Compare(a.Labels, b.Labels) }
@@ -312,7 +343,7 @@ func byLabels(a, b model.Series) int { return labels.Compare(a.Labels, b.Labels)
 // one with its pieces past hi.
 func (r *reader) fillRange(lo, hi int) {
 	sf := seriesFiller{r: r, slab: sampleSlab{left: hi - lo}}
-	run := r.out[lo:lo:hi]
+	run := fillRun{lo: lo, series: r.out[lo:lo:hi]}
 	for r.heads == nil && lo > 0 && lo < hi && r.same(lo, lo-1) {
 		lo++
 	}
@@ -342,11 +373,11 @@ func (r *reader) fillRange(lo, hi int) {
 			h.mu.Unlock()
 		}
 		if len(samples) > 0 && (!r.limited || r.left.Add(-int64(len(samples))) >= 0) {
-			run = append(run, model.Series{Labels: sf.labels(ps), Samples: samples})
+			run.series = append(run.series, model.Series{Labels: sf.labels(ps), Samples: samples})
 		}
 	}
 	if r.heads != nil {
-		slices.SortFunc(run, byLabels)
+		slices.SortFunc(run.series, byLabels)
 	}
 	r.mu.Lock()
 	r.runs = append(r.runs, run)

@@ -36,14 +36,18 @@ type headShard struct {
 	// wal is the shard's journal; nil for memory-only heads. Set once by
 	// Open before the DB is shared, never mutated afterwards.
 	wal *shardWAL
+	// kept is the head's merged label lists, told of every change to
+	// values and names under mu.
+	kept *keptLabels
 }
 
-func newHeadShard() *headShard {
+func newHeadShard(kept *keptLabels) *headShard {
 	sh := &headShard{
 		series:   make(map[uint64][]*memSeries),
 		byRef:    make(map[uint64]*memSeries),
 		postings: make(map[string]map[string][]uint64),
 		values:   make(map[string][]string),
+		kept:     kept,
 	}
 	sh.minTime.Store(int64(1) << 62)
 	sh.maxTime.Store(-(int64(1) << 62))
@@ -115,10 +119,12 @@ func (sh *headShard) getOrCreateLocked(hash uint64, lset labels.Labels, adopt bo
 			vm = make(map[string][]uint64)
 			sh.postings[l.Name] = vm
 			sh.names = insertSorted(sh.names, l.Name)
+			sh.kept.names.add(l.Name)
 		}
 		list, ok := vm[l.Value]
 		if !ok {
 			sh.values[l.Name] = insertSorted(sh.values[l.Name], l.Value)
+			sh.kept.addedValue(l.Name, l.Value)
 		}
 		vm[l.Value] = append(list, s.ref)
 	}
@@ -260,7 +266,8 @@ func (sh *headShard) deleteSeries(ms []*labels.Matcher, maxt int64) []*memSeries
 // whose list empties leaves its name's sorted values, and a name whose map
 // empties the sorted names: up to 16 values by binary search each, more by
 // one pass per name that keeps what postings still holds, so a churn sweep
-// does not move a long list once per value. Neither allocates.
+// does not move a long list once per value. Neither allocates. Every list
+// that loses a string drops its kept merge (labellists.go).
 func (sh *headShard) removeLocked(gone []*memSeries) {
 	if len(gone) == 0 {
 		return
@@ -309,6 +316,8 @@ func (sh *headShard) removeLocked(gone []*memSeries) {
 			delete(sh.postings, l.Name)
 			delete(sh.values, l.Name)
 			sh.names = deleteSorted(sh.names, l.Name)
+			sh.kept.names.drop()
+			sh.kept.removedValue(l.Name)
 		case len(emptied) < cap(emptied):
 			emptied = append(emptied, l)
 		default:
@@ -319,6 +328,7 @@ func (sh *headShard) removeLocked(gone []*memSeries) {
 		for _, l := range emptied {
 			if values, ok := sh.values[l.Name]; ok { // its name may have gone since
 				sh.values[l.Name] = deleteSorted(values, l.Value)
+				sh.kept.removedValue(l.Name)
 			}
 		}
 		return
@@ -326,6 +336,7 @@ func (sh *headShard) removeLocked(gone []*memSeries) {
 	for name, values := range sh.values {
 		if vm := sh.postings[name]; len(vm) < len(values) {
 			sh.values[name] = slices.DeleteFunc(values, func(v string) bool { _, ok := vm[v]; return !ok })
+			sh.kept.removedValue(name)
 		}
 	}
 }

@@ -129,6 +129,9 @@ type DB struct {
 
 	selectGrain int // the constant; a field so tests can force a read fanned out or inline
 
+	// kept is the label lists merged across the shards (labellists.go).
+	kept keptLabels
+
 	// mutations counts destructive cross-series operations (deletes);
 	// the query-result cache invalidates on any change (see MutationGen).
 	mutations atomic.Uint64
@@ -258,7 +261,7 @@ func (db *DB) initShards(n int) {
 	db.shards = make([]*headShard, n)
 	db.mask = uint64(n - 1)
 	for i := range db.shards {
-		db.shards[i] = newHeadShard()
+		db.shards[i] = newHeadShard(&db.kept)
 	}
 }
 
