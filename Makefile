@@ -110,11 +110,16 @@ telemetry:
 # minus what each delete took, at 1 and 16 shards, through the hot/cold
 # seam and a Paranoid range cache, and its ring leg (TestDeleteOracle,
 # TestDeleteOracleRing), with the tombstone log's bound
-# (TestTombstoneLog*) — randomized, so two passes, under race. Set
+# (TestTombstoneLog*), and the Querier's fence (docs/ARCHITECTURE.md, "One
+# reader"): random appends, ships, truncations, deletes, compactions,
+# downsampling and restarts, every read against the same read with every
+# block claimed whole, at 1 and 16 shards, and its two corners and its race
+# with truncation (TestQuerierFence*) — randomized, so two passes, under
+# race. Set
 # BLOCKS_ARTIFACT_DIR to keep the store directories of failing crash
 # states (CI uploads them on failure).
 blocks:
-	$(GO) test -race -count=2 -run 'Block|Compact|Downsample|DeleteOracle|TombstoneLog' ./internal/tsdb/ ./internal/thanos/ ./internal/cluster/
+	$(GO) test -race -count=2 -run 'Block|Compact|Downsample|DeleteOracle|TombstoneLog|QuerierFence' ./internal/tsdb/ ./internal/thanos/ ./internal/cluster/
 
 # Head index harness (docs/ARCHITECTURE.md, "Head index"): the postings
 # property test — random matchers against a brute-force oracle, interleaved
@@ -197,6 +202,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzStepFilter -fuzztime 10s ./internal/model/
 	$(GO) test -run '^$$' -fuzz FuzzAppendFloat -fuzztime 10s ./internal/model/
 	$(GO) test -run '^$$' -fuzz FuzzRelstoreOpen -fuzztime 10s ./internal/relstore/
+	$(GO) test -run '^$$' -fuzz FuzzYamlite -fuzztime 10s ./internal/config/
 
 # Real measurements for BENCH_querycache.json (slow).
 bench-querycache:

@@ -68,7 +68,7 @@ type TSDBConfig struct {
 // the head is cut into.
 type ThanosConfig struct {
 	Dir          string        `yaml:"dir" flag:"blocks-dir" help:"persistent block store directory: the head is cut into immutable blocks every -block-range, compacted and downsampled in the same maintenance pass, and queries fan in over head + blocks (see docs/ARCHITECTURE.md); empty keeps the head-only lifecycle; a ring keeps no block store"`
-	ShipInterval time.Duration `yaml:"ship_interval" flag:"block-range" help:"block cut cadence; the head keeps 2x this after each cut so lookback windows never straddle a gap"`
+	ShipInterval time.Duration `yaml:"ship_interval" flag:"block-range" help:"block cut cadence; the head keeps 2x this after each cut for the recording rules, which read the head alone"`
 }
 
 // RingConfig describes the replicated TSDB ring: cluster_sim builds it

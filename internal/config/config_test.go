@@ -54,6 +54,36 @@ sim:
   jobs_per_day: 5000
 `
 
+// invalidYAML are documents that load over the defaults but fail Validate.
+var invalidYAML = []string{
+	"cluster:\n  name: \"\"",
+	"cluster:\n  name: x\ntsdb:\n  scrape_interval: 0s",
+	"cluster:\n  name: x\ntsdb:\n  scrape_interval: 1m\n  rule_interval: 15s",
+	"cluster:\n  name: x\nlb:\n  strategy: random",
+	"cluster:\n  name: x\nthanos:\n  ship_interval: 0s",
+	"cluster:\n  name: x\nring:\n  replication_factor: 2\n  write_quorum: 3",
+	"cluster:\n  name: x\nsim:\n  jobs_per_day: -5",
+	// A ticker of a non-positive interval panics, and a backup
+	// directory without an interval is never written.
+	"cluster:\n  name: x\nlb:\n  health_interval: 0s",
+	"cluster:\n  name: x\napi_server:\n  update_interval: -1m",
+	"cluster:\n  name: x\napi_server:\n  backup_dir: /b\n  backup_interval: 0s",
+}
+
+// unknownKeyYAML are documents Load refuses: each holds a key it cannot
+// place.
+var unknownKeyYAML = []string{
+	"tsdb:\n  scrape_intervall: 15s",   // a typo must not keep the default silently
+	"thanos:\n  head_retention: 2h",    // removed: derived as 2x ship_interval
+	"thanos:\n  downsample: true",      // removed: always on
+	"lb:\n  proxy_retries: 1",          // removed: always R-W of the ring section
+	"lb:\n  cache_settled_ttl: 10m",    // removed: range answers are not cached by the LB
+	"lb:\n  cache_bytes: 33554432",     // removed: the LB caches no response
+	"lb:\n  cache_ttl: 15s",            // removed: likewise
+	"prometheus:\n  listen: \":9090\"", // no such section
+	"tsdb: 5",
+}
+
 // parse loads the YAML over the defaults and validates, as ParseFlags does
 // with a -config file.
 func parse(t *testing.T, yaml string) (Config, error) {
@@ -112,21 +142,7 @@ func TestDefaults(t *testing.T) {
 }
 
 func TestValidation(t *testing.T) {
-	bad := []string{
-		"cluster:\n  name: \"\"",
-		"cluster:\n  name: x\ntsdb:\n  scrape_interval: 0s",
-		"cluster:\n  name: x\ntsdb:\n  scrape_interval: 1m\n  rule_interval: 15s",
-		"cluster:\n  name: x\nlb:\n  strategy: random",
-		"cluster:\n  name: x\nthanos:\n  ship_interval: 0s",
-		"cluster:\n  name: x\nring:\n  replication_factor: 2\n  write_quorum: 3",
-		"cluster:\n  name: x\nsim:\n  jobs_per_day: -5",
-		// A ticker of a non-positive interval panics, and a backup
-		// directory without an interval is never written.
-		"cluster:\n  name: x\nlb:\n  health_interval: 0s",
-		"cluster:\n  name: x\napi_server:\n  update_interval: -1m",
-		"cluster:\n  name: x\napi_server:\n  backup_dir: /b\n  backup_interval: 0s",
-	}
-	for i, y := range bad {
+	for i, y := range invalidYAML {
 		if _, err := parse(t, y); err == nil {
 			t.Errorf("case %d accepted: %s", i, y)
 		}
@@ -156,17 +172,7 @@ func TestLoadFromFile(t *testing.T) {
 }
 
 func TestUnknownKeyRejected(t *testing.T) {
-	for _, y := range []string{
-		"tsdb:\n  scrape_intervall: 15s",   // a typo must not keep the default silently
-		"thanos:\n  head_retention: 2h",    // removed: derived as 2x ship_interval
-		"thanos:\n  downsample: true",      // removed: always on
-		"lb:\n  proxy_retries: 1",          // removed: always R-W of the ring section
-		"lb:\n  cache_settled_ttl: 10m",    // removed: range answers are not cached by the LB
-		"lb:\n  cache_bytes: 33554432",     // removed: the LB caches no response
-		"lb:\n  cache_ttl: 15s",            // removed: likewise
-		"prometheus:\n  listen: \":9090\"", // no such section
-		"tsdb: 5",
-	} {
+	for _, y := range unknownKeyYAML {
 		if _, err := parse(t, y); err == nil {
 			t.Errorf("accepted: %s", y)
 		}

@@ -21,6 +21,7 @@ import (
 	"strings"
 	"sync"
 	"time"
+	"weak"
 
 	"repro/internal/dirlock"
 	"repro/internal/labels"
@@ -66,6 +67,16 @@ type Store struct {
 	lists  sync.Mutex
 	names  []string            // nil until read
 	values map[string][]string // by label name; only names some block carries
+
+	// The store's half of a Querier read's fence (read): the head raw
+	// blocks are cut from, held weakly so that the store never keeps a
+	// retired head alive, and cutFrom, from which every raw block sample was
+	// cut from it: the first cut's mint, or one past the newest raw block
+	// already in the store if that is later. A cut from another head sets
+	// mixed, which turns the fence off for good. Guarded by mu.
+	cutHead weak.Pointer[tsdb.DB]
+	cutFrom int64
+	mixed   bool
 
 	metrics *storeMetrics
 	lock    *dirlock.Lock // nil for an in-memory store
@@ -220,7 +231,9 @@ func (s *Store) syncDirBestEffort() {
 
 // CutHead cuts db's samples in [mint, maxt] straight into the store as a
 // level-1 raw block directory and registers it. It reports whether a block
-// was added: a range holding no samples writes and registers nothing.
+// was added: a range holding no samples writes and registers nothing. The
+// first block cut from a head starts the store's fence for it (cutFrom),
+// before the block is registered; one from another head ends it.
 func (s *Store) CutHead(db *tsdb.DB, mint, maxt int64) (bool, error) {
 	pb, err := db.CutPersistentBlock(s.dir, mint, maxt)
 	if err != nil {
@@ -229,6 +242,19 @@ func (s *Store) CutHead(db *tsdb.DB, mint, maxt int64) (bool, error) {
 	if pb == nil {
 		return false, nil
 	}
+	s.mu.Lock()
+	switch head := weak.Make(db); {
+	case s.cutHead == weak.Pointer[tsdb.DB]{}:
+		s.cutHead, s.cutFrom = head, mint
+		for _, b := range s.blocks {
+			if m := b.Meta(); m.Resolution == 0 {
+				s.cutFrom = max(s.cutFrom, m.MaxTime+1)
+			}
+		}
+	case head != s.cutHead:
+		s.mixed = true
+	}
+	s.mu.Unlock()
 	s.register(pb)
 	if m := s.metrics; m != nil {
 		m.uploads.Inc()
@@ -285,7 +311,7 @@ func aggrForFunc(fn string) (tsdb.AggrType, bool) {
 
 // SelectWithHints implements promql.Queryable over all blocks.
 func (s *Store) SelectWithHints(hints model.SelectHints, ms ...*labels.Matcher) ([]model.Series, error) {
-	return s.read(nil, hints, ms)
+	return s.read(nil, hints, ms, false)
 }
 
 // read is one read of the blocks and, when head is not nil, of the head
@@ -294,7 +320,14 @@ func (s *Store) SelectWithHints(hints model.SelectHints, ms ...*labels.Matcher) 
 // DownsampleFactor of its points; a read with just a window is raw. The
 // blocks are retained under the store's read lock: Retain fails only for a
 // block a compaction retired, which it replaced before closing.
-func (s *Store) read(head *tsdb.DB, hints model.SelectHints, ms []*labels.Matcher) ([]model.Series, error) {
+//
+// With fenced set, and head the one the store's raw blocks were cut from,
+// the raw blocks serve only what is older than the fence, the later of
+// cutFrom and head.WholeFrom(): from it on the head holds every sample they
+// hold. A truncate or delete that moves the fence while the read runs may
+// have dropped what the read left to the head, so the read is then done
+// again with the blocks whole.
+func (s *Store) read(head *tsdb.DB, hints model.SelectHints, ms []*labels.Matcher, fenced bool) ([]model.Series, error) {
 	src, maxRes := tsdb.Sources{Head: head}, int64(0) // maxRes 0 serves raw alone
 	if a, ok := aggrForFunc(hints.Func); ok && hints.Step > 0 {
 		src.Aggr, maxRes = a, hints.Step/DownsampleFactor
@@ -310,12 +343,22 @@ func (s *Store) read(head *tsdb.DB, hints model.SelectHints, ms []*labels.Matche
 			src.Blocks = append(src.Blocks, b)
 		}
 	}
+	cutFrom := s.cutFrom
+	src.Fenced = fenced && head != nil && len(src.Blocks) > 0 && !s.mixed && s.cutHead.Value() == head
 	s.mu.RUnlock()
 	defer func() {
 		for _, b := range src.Blocks {
 			b.Release()
 		}
 	}()
+	if !src.Fenced {
+		return src.Select(hints, ms...)
+	}
+	src.Fence = max(cutFrom, head.WholeFrom())
+	if out, err := src.Select(hints, ms...); head.WholeFrom() <= src.Fence {
+		return out, err
+	}
+	src.Fenced = false
 	return src.Select(hints, ms...)
 }
 

@@ -47,8 +47,10 @@ type Sidecar struct {
 // block the store already holds if that is later, so a restarted head's
 // replayed samples are not cut a second time. (A downsampled block ends on
 // a bucket boundary, not where its raw source does, so it does not say what
-// was shipped.) A failed cut, or a failed checkpoint of a WAL-backed head, is
-// its error.
+// was shipped.) The truncation raises the head's whole-from watermark, and
+// so the Querier's fence (Store.read); what HeadRetention keeps is for
+// reads of the head alone, the rules'. A failed cut, or a failed checkpoint
+// of a WAL-backed head, is its error.
 func (sc *Sidecar) Ship(now time.Time) error {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
@@ -86,13 +88,14 @@ func (sc *Sidecar) Ship(now time.Time) error {
 
 // Maintain is the block store's one maintenance pass, run every cadence: it
 // ships the head's cut (the sidecar's owner sets HeadRetention to 2x the
-// cadence, so lookback windows never straddle a gap); compacts with the
-// head's tombstones, which rewrites every block holding a sample one
-// deletes; and derives 5m aggregates of the raw blocks up to 2x
-// the cadence ago and 1h aggregates of the 5m blocks up to 10x ago. A failed
-// ship ends the pass; later failures are joined. It returns how many blocks
-// compaction wrote, merged or rewritten, and how many downsampled blocks
-// were written.
+// cadence because recording rules read the head alone, so it must still
+// hold their ranges and lookback after a cut; a Querier read spans the seam
+// at any retention); compacts with the head's tombstones, which rewrites
+// every block holding a sample one deletes; and derives 5m aggregates of the
+// raw blocks up to 2x the cadence ago and 1h aggregates of the 5m blocks up
+// to 10x ago. A failed ship ends the pass; later failures are joined. It
+// returns how many blocks compaction wrote, merged or rewritten, and how
+// many downsampled blocks were written.
 func (sc *Sidecar) Maintain(now time.Time, cadence time.Duration) (compacted, downsampled int, err error) {
 	if err := sc.Ship(now); err != nil {
 		return 0, 0, err
@@ -112,7 +115,10 @@ func (sc *Sidecar) Maintain(now time.Time, cadence time.Duration) (compacted, do
 // Querier reads the hot TSDB and the cold store as one; it satisfies
 // promql.Queryable so the engine (and therefore the API server and Grafana)
 // can query long ranges transparently. A read of both is one plan, one fill
-// and one sample budget (tsdb.Sources).
+// and one sample budget (tsdb.Sources). Raw blocks serve it only before a
+// fence from which the head holds every sample they hold (Store.read), so a
+// window inside the head's retention decodes each sample once, from the
+// head, and reads no block.
 type Querier struct {
 	Hot  *tsdb.DB
 	Cold *Store
@@ -135,5 +141,5 @@ func (q *Querier) LabelValues(name string) []string {
 
 // SelectWithHints implements promql.Queryable over both tiers.
 func (q *Querier) SelectWithHints(hints model.SelectHints, ms ...*labels.Matcher) ([]model.Series, error) {
-	return q.Cold.read(q.Hot, hints, ms)
+	return q.Cold.read(q.Hot, hints, ms, true)
 }

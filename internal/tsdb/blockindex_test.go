@@ -29,7 +29,7 @@ import (
 // downsampled one.
 func scanSelectAggr(pb *PersistentBlock, mint, maxt, limit int64, aggr AggrType, ms ...*labels.Matcher) ([]model.Series, error) {
 	out := []model.Series{}
-	parts := planParts(nil, []*PersistentBlock{pb}, mint, maxt, math.MaxInt64, aggr)
+	parts := planParts(nil, []*PersistentBlock{pb}, mint, maxt, math.MaxInt64, math.MaxInt64, aggr)
 	if len(parts) == 0 {
 		return out, nil
 	}

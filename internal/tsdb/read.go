@@ -31,6 +31,12 @@ type Sources struct {
 	Head   *DB // nil reads blocks alone
 	Blocks []*PersistentBlock
 	Aggr   AggrType // what a downsampled block serves (newBlockPart)
+	// Fenced, with a head, says that from Fence on the head holds every
+	// sample the raw blocks hold (thanos.Store: its first cut from the head
+	// and DB.WholeFrom), so they serve only what is older than Fence and
+	// than where the head's read starts. Unset, they serve the whole window.
+	Fenced bool
+	Fence  int64
 }
 
 // Select returns the series matching ms with samples in [hints.Start,
@@ -39,7 +45,8 @@ type Sources struct {
 // omitted. With a head, a block's samples that a tombstone of the head's
 // log deletes are skipped. The read fails with model.ErrSampleLimit as soon
 // as the series it returns hold more than hints.SampleLimit samples, when
-// that is set.
+// that is set. A read that no block part is left of after planning (the
+// fence) reads the head alone.
 func (src Sources) Select(hints model.SelectHints, ms ...*labels.Matcher) ([]model.Series, error) {
 	if len(ms) == 0 {
 		return nil, ErrNoMatchers
@@ -48,7 +55,7 @@ func (src Sources) Select(hints model.SelectHints, ms ...*labels.Matcher) ([]mod
 		return nil, nil // an inverted window holds no samples; sizing assumes one that is not
 	}
 	r := newReader(hints.Start, hints.End, hints.SampleLimit, hints.StepFilter())
-	fence := int64(math.MaxInt64) // downsampled data ends before it
+	fence, rawFence := int64(math.MaxInt64), int64(math.MaxInt64) // block data ends before them
 	var heads []*memSeries
 	if db := src.Head; db != nil {
 		r.grain = db.selectGrain
@@ -57,17 +64,22 @@ func (src Sources) Select(hints model.SelectHints, ms ...*labels.Matcher) ([]mod
 			// what they hold before it was shipped to the blocks.
 			fence, r.headMin = hmin, max(r.headMin, hmin)
 		}
+		if src.Fenced {
+			rawFence = max(src.Fence, r.headMin)
+		}
 		for _, sh := range db.shards {
 			sh.mu.RLock()
 			heads = sh.selectLocked(heads, ms)
 			sh.mu.RUnlock()
 		}
 	}
-	if len(src.Blocks) == 0 {
+	if len(src.Blocks) > 0 {
+		r.parts = planParts(r.parts, src.Blocks, hints.Start, hints.End, fence, rawFence, src.Aggr)
+	}
+	if len(r.parts) == 0 {
 		r.heads = heads
 		return r.release(r.fill(len(heads)))
 	}
-	r.parts = planParts(r.parts, src.Blocks, hints.Start, hints.End, fence, src.Aggr)
 	if src.Head != nil {
 		if log := src.Head.tombs.log.Load(); log != nil && len(log.recs) > 0 {
 			for k := range r.parts {
@@ -165,11 +177,12 @@ func newBlockPart(b *PersistentBlock, lo, hi int64, aggr AggrType) blockPart {
 // planParts appends to parts the blocks serving [mint, maxt], coarsest
 // resolution first: each claims the sub-windows no coarser one covers, a
 // downsampled one whole buckets only (a partial one at an edge of the window
-// would bring in samples from outside it) and nothing from fence on. Parts
-// come in the order they win a shared timestamp; overlapping blocks of one
-// resolution hold the same values (uploads overlap only on re-ship, and a
-// compaction's output equals its sources).
-func planParts(parts []blockPart, blocks []*PersistentBlock, mint, maxt, fence int64, aggr AggrType) []blockPart {
+// would bring in samples from outside it) and nothing from fence on, a raw
+// one nothing from rawFence on. Parts come in the order they win a shared
+// timestamp; overlapping blocks of one resolution hold the same values
+// (uploads overlap only on re-ship, and a compaction's output equals its
+// sources).
+func planParts(parts []blockPart, blocks []*PersistentBlock, mint, maxt, fence, rawFence int64, aggr AggrType) []blockPart {
 	// A read over a few blocks plans in these, allocating nothing.
 	var (
 		buf                    [8]*PersistentBlock
@@ -185,12 +198,15 @@ func planParts(parts []blockPart, blocks []*PersistentBlock, mint, maxt, fence i
 		}
 		group := byRes[:n]
 		byRes = byRes[n:]
-		gmax := maxt
-		if res != 0 && fence <= gmax {
-			if fence <= mint {
+		gmax, end := maxt, fence
+		if res == 0 {
+			end = rawFence
+		}
+		if end <= gmax {
+			if end <= mint {
 				continue
 			}
-			gmax = fence - 1
+			gmax = end - 1
 		}
 		gspans := gBuf[:0]
 		for _, b := range group {

@@ -229,19 +229,16 @@ func (sh *headShard) truncate(mint int64) int {
 		}
 	}
 	sh.removeLocked(gone)
-	for {
-		cur := sh.minTime.Load()
-		if mint <= cur || sh.minTime.CompareAndSwap(cur, mint) {
-			break
-		}
-	}
+	raiseTo(&sh.minTime, mint)
 	return len(gone)
 }
 
 // deleteSeries removes the shard's series matching ms that a tombstone
 // through maxt deletes, and returns them. Match and removal share one
-// write-lock hold, so nothing can register or drop a series in between.
-func (sh *headShard) deleteSeries(ms []*labels.Matcher, maxt int64) []*memSeries {
+// write-lock hold, so nothing can register or drop a series in between. A
+// series dropped with samples past maxt, which the blocks keep, first raises
+// whole past its newest sample (DB.WholeFrom).
+func (sh *headShard) deleteSeries(ms []*labels.Matcher, maxt int64, whole *atomic.Int64) []*memSeries {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	gone := sh.selectLocked(nil, ms)
@@ -249,6 +246,11 @@ func (sh *headShard) deleteSeries(ms []*labels.Matcher, maxt int64) []*memSeries
 	for _, s := range gone {
 		if s.deletedBy(maxt) {
 			kept = append(kept, s)
+			s.mu.Lock()
+			if s.hasAny && s.lastT > maxt { // out-of-order samples are older
+				raiseTo(whole, s.lastT+1)
+			}
+			s.mu.Unlock()
 		}
 	}
 	sh.removeLocked(kept)

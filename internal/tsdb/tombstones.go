@@ -161,14 +161,14 @@ func (db *DB) tombstone(tr TombstoneRec) (int, error) {
 	apply := func(i int, sh *headShard) {
 		w := sh.wal
 		if w == nil {
-			deleted[i] = len(sh.deleteSeries(tr.Matchers, tr.MaxT))
+			deleted[i] = len(sh.deleteSeries(tr.Matchers, tr.MaxT, &db.whole))
 			return
 		}
 		// Delete and journal under one WAL mutex hold: a racing commit is
 		// either fully journalled before the tombstone (the tombstone wins
 		// on replay) or sees s.dropped after.
 		w.mu.Lock()
-		gone := sh.deleteSeries(tr.Matchers, tr.MaxT)
+		gone := sh.deleteSeries(tr.Matchers, tr.MaxT, &db.whole)
 		deleted[i] = len(gone)
 		if slices.ContainsFunc(gone, func(s *memSeries) bool { return s.walRef != 0 }) || i == 0 && !journalled.Load() {
 			errs[i] = w.logTombstoneLocked(tr)

@@ -138,6 +138,8 @@ type DB struct {
 	// pruned is the highest retention cutoff ever applied (Truncate's mint),
 	// or minInt64 when the head was never pruned; see PrunedThrough.
 	pruned atomic.Int64
+	// whole is the head's whole-from watermark; see WholeFrom.
+	whole atomic.Int64
 
 	// tombs is the tombstone log (tombstones.go). It is a pointer so that a
 	// read loading the log through Sources.Head leaves the caller's Sources
@@ -243,6 +245,7 @@ func Open(opts Options) (*DB, error) {
 	n = min(nextPow2(n), maxShards)
 	db := &DB{opts: opts, selectGrain: selectGrain, tombs: &tombstones{}}
 	db.pruned.Store(-(int64(1) << 62))
+	db.whole.Store(math.MinInt64)
 	if opts.WALDir == "" {
 		db.initShards(n)
 	} else if err := db.openWAL(n); err != nil {
@@ -530,15 +533,11 @@ func (s *memSeries) hasInOrderSampleLocked(t int64) bool {
 // errors, joined; a failed checkpoint leaves that shard's older segments in
 // place, so nothing pruned is lost, only the journal's bound.
 func (db *DB) Truncate(mint int64) (int, error) {
-	// Raise the pruned watermark first: a cache fill racing the pruning
-	// sees the new floor and refuses to reuse steps whose read windows
-	// reach below it.
-	for {
-		cur := db.pruned.Load()
-		if mint <= cur || db.pruned.CompareAndSwap(cur, mint) {
-			break
-		}
-	}
+	// Raise the watermarks first: a cache fill racing the pruning sees the
+	// new floor and refuses to reuse steps whose read windows reach below
+	// it, and a read fenced at the old whole-from sees that it moved.
+	raiseTo(&db.pruned, mint)
+	raiseTo(&db.whole, mint)
 	removed := make([]int, len(db.shards))
 	errs := make([]error, len(db.shards))
 	db.forEachShard(func(i int, sh *headShard) {
@@ -632,6 +631,26 @@ func (db *DB) MutationGen() uint64 { return db.mutations.Load() }
 func (db *DB) PrunedThrough() (int64, bool) {
 	p := db.pruned.Load()
 	return p, p != -(int64(1) << 62)
+}
+
+// WholeFrom returns the head's whole-from watermark: from it on, the head
+// still holds every sample it ever held but those a tombstone deletes, so a
+// block cut from it holds nothing there that the head does not. Truncate
+// raises it to its cutoff; a delete that drops a series holding samples past
+// the tombstone's maxt, which blocks keep, raises it past the series' newest
+// sample. Both raise it before a read can miss what they drop, so a read
+// that finds it unmoved after reading saw the head whole from where it was
+// (thanos.Store's fenced read). It is math.MinInt64 until first raised.
+func (db *DB) WholeFrom() int64 { return db.whole.Load() }
+
+// raiseTo raises w to t, unless w is there already.
+func raiseTo(w *atomic.Int64, t int64) {
+	for {
+		cur := w.Load()
+		if t <= cur || w.CompareAndSwap(cur, t) {
+			return
+		}
+	}
 }
 
 func (db *DB) timeBounds() (int64, int64) {
